@@ -13,20 +13,19 @@ from .errors import (ConfigurationError, DependentBasisError,
                      DerivativeMismatchError, DimensionError, DivergenceError,
                      DomainError, IntegrationError, MultiplierBoundWarning,
                      OcflowError, RankError, StepBudgetError)
-from .integrate import (DenseSolution, DenseTrajectory, OdeSettings, dense_eval,
+from .integrate import (DenseSolution, DenseTrajectory, OdeSettings,
                         integrate_fixed_step, integrate_ivp)
 from .quadrature import QuadratureSpec, simpson_points
 from .problem import (Gains, OcpProblem, SolveReport, SolveTrace, TraceRow,
                       ValidationReport, constraint_value, objective_value,
                       simulate_control, validate_problem)
-from .parameterization import (FORM1, FORM2, Parameterization, eval_control,
-                               eval_sensitivities, make_basis,
+from .parameterization import (FORM1, FORM2, Parameterization, make_basis,
                                validate_independence)
 from .sensitivity import (AdjointBundle, Form1Quantities, Form2Quantities,
                           NlpGradients, assemble_form1, assemble_form2,
                           basis_gram, nlp_gradients, solve_adjoints, solve_state)
 from .evolution import (EvolutionMode, EvolutionState, IterateEval, StopCriteria,
-                        evaluate_iterate, evolution_rhs, gradient_flow_generic,
+                        evaluate_iterate, gradient_flow_generic,
                         lyapunov_diagnostic, multiplier, solve_evolution)
 from .costate import (CostateTrajectory, OptimalityResiduals,
                       continuous_multiplier, optimality_residuals,

@@ -22,9 +22,10 @@ from .errors import DimensionError
 from .integrate import DenseTrajectory
 from .parameterization import Parameterization
 from .problem import Gains, OcpProblem
-from .quadrature import QuadratureSpec, simpson_points
+# simpson_points is not called here; it stays bound because bench/tracing.py wraps it
+from .quadrature import QuadratureSpec, simpson_points  # noqa: F401
 from .sensitivity import (AdjointBundle, Form1Quantities, Form2Quantities,
-                          _grid_data, _terminal_values, spd_solve)
+                          _grid_data, spd_solve)
 
 
 @dataclass
@@ -53,21 +54,25 @@ class OptimalityResiduals:
 
 def reconstruct_costate(prob: OcpProblem, bundle: AdjointBundle,
                         pi) -> CostateTrajectory:
-    """lambda(t) = mu(t) + Psi(t) pi, pointwise from the stored adjoints."""
+    """lambda(t) = mu(t) + Psi(t) pi as a dense trajectory on the adjoint grid.
+
+    The map is linear, so it is applied to the joint adjoint solve's node
+    values and segment polynomials; no additional integration is performed.
+    """
     pi = np.asarray(pi, dtype=float)
     if pi.shape != (prob.q,):
         raise DimensionError(f"pi has shape {pi.shape}, expected ({prob.q},)")
     n, q = prob.n, prob.q
-    mu, psi = bundle.mu_traj, bundle.psi_traj
 
-    def lam_fn(ts):
-        lam = mu(ts)
-        if q:
-            lam = lam + psi(ts).reshape(-1, n, q) @ pi
-        return lam
+    def lam_of(y):                      # (..., n + n*q) -> (..., n)
+        mu = y[..., :n]
+        return mu + y[..., n:].reshape(*y.shape[:-1], n, q) @ pi if q else mu
 
-    values = mu.values + (psi.values.reshape(-1, n, q) @ pi if q else 0.0)
-    lam_traj = DenseTrajectory(mu.t_grid, values, fn=lam_fn)
+    sol = bundle.adjoint_sol
+    anchor, denom, scale, base, Q = sol.segments
+    Q_lam = lam_of(Q.transpose(0, 2, 1)).transpose(0, 2, 1)    # (segments, n, 4)
+    lam_traj = DenseTrajectory(sol.t_grid, lam_of(sol.values),
+                               (anchor, denom, scale, lam_of(base), Q_lam))
     return CostateTrajectory(lam_traj=lam_traj, pi_used=pi)
 
 
@@ -98,43 +103,22 @@ def optimality_residuals(prob: OcpProblem, par: Parameterization,
 
 def continuous_multiplier(prob: OcpProblem, bundle: AdjointBundle, gains: Gains,
                           g_val, quad: QuadratureSpec | None = None) -> np.ndarray:
-    """Multiplier of the non-parameterized theory (no basis involved).
+    """Multiplier of the non-parameterized theory (no basis Jacobian involved).
 
     pi_c = -M_c^-1 r_c with M_c = int (f_u^T Psi)^T K (f_u^T Psi) dt and
     r_c = int (f_u^T Psi)^T K p_u dt - K_g g, plus the terminal-time rank-one
-    terms when t_f is free.  Used to certify the parameterized multiplier.
+    terms when t_f is free, integrated on the same grid as the parameterized
+    assembly.  Used to certify the parameterized multiplier.
     """
     g_val = np.asarray(g_val, dtype=float)
     if prob.q == 0:
         return np.zeros(0)
-    quad = quad or QuadratureSpec()
-    t_f = bundle.t_f
-    ts, w = simpson_points(bundle.t0, t_f, quad)
-    xs = bundle.x_at(ts)
-    psis = bundle.psi_at(ts)
-    mus = bundle.mu_traj(ts)
-
-    if prob.vectorized:
-        us = np.stack([np.atleast_1d(np.asarray(bundle.u_of_t(t), float)) for t in ts])
-        fu = np.asarray(prob.f_u(xs, us, ts), dtype=float)
-        lu = np.asarray(prob.L_u(xs, us, ts), dtype=float)
-    else:
-        fu, lu, us = [], [], []
-        for i, t in enumerate(ts):
-            u = np.atleast_1d(np.asarray(bundle.u_of_t(t), float))
-            us.append(u)
-            fu.append(np.asarray(prob.f_u(xs[i], u, t), dtype=float))
-            lu.append(np.asarray(prob.L_u(xs[i], u, t), dtype=float))
-        fu, lu = np.stack(fu), np.stack(lu)
-    fupsi = np.einsum("tnm,tnq->tmq", fu, psis)
-    pu = lu + np.einsum("tnm,tn->tm", fu, mus)
-    Kt = gains.K_at(ts)
-
-    M_c = np.einsum("t,tmq,tmn,tnr->qr", w, fupsi, Kt, fupsi)
-    r_c = np.einsum("t,tmq,tmn,tn->q", w, fupsi, Kt, pu)
+    gd = _grid_data(prob, bundle.par, bundle, quad or QuadratureSpec())
+    Kt = gains.K_at(gd.ts)
+    M_c = np.einsum("t,tmq,tmn,tnr->qr", gd.w, gd.fupsi, Kt, gd.fupsi)
+    r_c = np.einsum("t,tmq,tmn,tn->q", gd.w, gd.fupsi, Kt, gd.pu)
     if prob.tf_mode == "free" and gains.k_tf > 0:
-        tf_scalar, tf_row = _terminal_values(prob, bundle)
-        M_c = M_c + gains.k_tf * np.outer(tf_row, tf_row)
-        r_c = r_c + gains.k_tf * tf_row * tf_scalar
+        M_c = M_c + gains.k_tf * np.outer(gd.tf_row, gd.tf_row)
+        r_c = r_c + gains.k_tf * gd.tf_row * gd.tf_scalar
     r_c = r_c - gains.K_g @ g_val
     return -spd_solve(M_c, r_c, "continuous multiplier system")

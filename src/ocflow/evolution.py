@@ -87,6 +87,8 @@ class StopCriteria:
         if self.tau_max <= 0 or self.tol_opt <= 0 or self.tol_feas <= 0 \
                 or self.record_every <= 0:
             raise ValueError("tau_max, tolerances and record_every must be positive")
+        if self.c1 <= 0 or self.pi_bound <= 0:
+            raise ValueError("c1 and pi_bound must be positive")
 
 
 def lyapunov_diagnostic(g_val, J_val: float, c1: float) -> float:
@@ -174,17 +176,21 @@ def _check_compat(mode: EvolutionMode, prob: OcpProblem, par: Parameterization) 
                 f"{par.kind} nodes move with t_f; use form2 when t_f is free")
 
 
+def _gain_matrix(K, dim: int, name: str) -> np.ndarray:
+    """K as a (dim, dim) matrix; a scalar or 1 x 1 gain is promoted to K * I."""
+    K = np.atleast_2d(np.asarray(K, dtype=float))
+    if K.shape == (1, 1) and dim != 1:
+        K = K[0, 0] * np.eye(dim)
+    if K.shape != (dim, dim):
+        raise ConfigurationError(f"{name} has shape {K.shape}, expected ({dim}, {dim})")
+    return K
+
+
 def _resolve_k_theta(mode: EvolutionMode, gains: Gains, dim: int) -> np.ndarray:
     K_theta = mode.K_theta if mode.K_theta is not None else gains.K_theta
     if K_theta is None:
         raise ConfigurationError("gradient_flow mode needs K_theta (mode or gains)")
-    K_theta = np.atleast_2d(np.asarray(K_theta, dtype=float))
-    if K_theta.shape == (1, 1) and dim != 1:
-        K_theta = K_theta[0, 0] * np.eye(dim)
-    if K_theta.shape != (dim, dim):
-        raise ConfigurationError(
-            f"K_theta has shape {K_theta.shape}, expected ({dim}, {dim})")
-    return K_theta
+    return _gain_matrix(K_theta, dim, "K_theta")
 
 
 def evaluate_iterate(mode: EvolutionMode, prob: OcpProblem, par: Parameterization,
@@ -238,10 +244,7 @@ def evaluate_iterate(mode: EvolutionMode, prob: OcpProblem, par: Parameterizatio
                         pi_bound=pi_bound, m_is_weight=True)
         residual = f_th + G_th.T @ pi
         dtheta = -K_theta @ residual
-        if free:
-            dp, dtf = dtheta[:-1], float(dtheta[-1])
-        else:
-            dp, dtf = dtheta, 0.0
+        dp, dtf = (dtheta[:-1], float(dtheta[-1])) if free else (dtheta, 0.0)
     else:
         raise ConfigurationError(f"unknown evolution mode {mode.kind!r}")
 
@@ -249,15 +252,6 @@ def evaluate_iterate(mode: EvolutionMode, prob: OcpProblem, par: Parameterizatio
                        J=J, g_val=g_val, g_norm=g_norm, residual=residual,
                        residual_norm=float(np.linalg.norm(residual)),
                        dp=dp, dtf=dtf, free_tf=free)
-
-
-def evolution_rhs(mode: EvolutionMode, prob: OcpProblem, par: Parameterization,
-                  gains: Gains, state: EvolutionState,
-                  ode: OdeSettings | None = None,
-                  quad: QuadratureSpec | None = None) -> EvolutionState:
-    """d(state)/dtau at the given iterate."""
-    it = evaluate_iterate(mode, prob, par, gains, state.p, state.t_f, ode, quad)
-    return EvolutionState(p=it.dp, t_f=it.dtf)
 
 
 def _resolve_init(prob: OcpProblem, init: EvolutionState) -> tuple[np.ndarray, float]:
@@ -272,6 +266,39 @@ def _resolve_init(prob: OcpProblem, init: EvolutionState) -> tuple[np.ndarray, f
         if t_f0 <= prob.t0:
             raise ConfigurationError("init.t_f must exceed t0")
     return p0, t_f0
+
+
+def _flow(rhs, check, theta0: np.ndarray, stop: StopCriteria, ode: OdeSettings,
+          guard=None):
+    """Integrate d theta/dtau = rhs(tau, theta) from tau = 0 until ``check`` stops it.
+
+    ``check(tau, theta) -> (result, done)`` runs at tau = 0, on the uniform
+    tau grid of spacing ``stop.record_every`` (points inside an accepted step
+    come from its dense output), and at the last tau reached if that is off
+    the grid.  Returns the last ``(result, done, tau)``.
+    """
+    result, done = check(0.0, theta0)
+    tau = 0.0
+    if done:
+        return result, done, tau
+    stepper = _Stepper(rhs, 0.0, theta0, stop.tau_max, ode, guard=guard)
+    next_k = 1
+    while not stepper.done and not done:
+        tau_prev = stepper.t
+        anchor, h, base, Q = stepper.step()
+        while not done:
+            tau_rec = next_k * stop.record_every
+            if tau_rec > stepper.t + 1e-12 * stop.tau_max or tau_rec > stop.tau_max:
+                break
+            th = (tau_rec - anchor) / (stepper.t - tau_prev)
+            powers = np.array([th, th**2, th**3, th**4])
+            result, done = check(tau_rec, base + h * (Q @ powers))
+            tau = tau_rec
+            next_k += 1
+    if not done and tau < stepper.t:
+        result, done = check(stepper.t, stepper.y)
+        tau = stepper.t
+    return result, done, tau
 
 
 def solve_evolution(mode: EvolutionMode, prob: OcpProblem, par: Parameterization,
@@ -300,13 +327,9 @@ def solve_evolution(mode: EvolutionMode, prob: OcpProblem, par: Parameterization
         M_p_const = basis_gram(par, gains, p0, t_f0, quad)
 
     def evaluate(theta: np.ndarray) -> IterateEval:
-        if free:
-            return evaluate_iterate(mode, prob, par, gains, theta[:-1], theta[-1],
-                                    ode_inner, quad, M_p_const=M_p_const,
-                                    pi_bound=stop.pi_bound)
-        return evaluate_iterate(mode, prob, par, gains, theta, t_f0,
-                                ode_inner, quad, M_p_const=M_p_const,
-                                pi_bound=stop.pi_bound)
+        p, t_f = (theta[:-1], theta[-1]) if free else (theta, t_f0)
+        return evaluate_iterate(mode, prob, par, gains, p, t_f, ode_inner, quad,
+                                M_p_const=M_p_const, pi_bound=stop.pi_bound)
 
     def rhs(tau, theta):
         return evaluate(theta).deriv()
@@ -328,29 +351,7 @@ def solve_evolution(mode: EvolutionMode, prob: OcpProblem, par: Parameterization
         done = it.residual_norm <= stop.tol_opt and it.g_norm <= stop.tol_feas
         return it, done
 
-    final_it, done = record(0.0, theta)
-    tau_final = 0.0
-    if not done:
-        stepper = _Stepper(rhs, 0.0, theta, stop.tau_max, ode_outer, guard=guard)
-        next_k = 1
-        while not stepper.done and not done:
-            tau_prev = stepper.t
-            anchor, h, base, Q = stepper.step()
-            # record-grid points inside the accepted step, via dense output
-            while not done:
-                tau_rec = next_k * stop.record_every
-                if tau_rec > stepper.t + 1e-12 * stop.tau_max or tau_rec > stop.tau_max:
-                    break
-                th = (tau_rec - anchor) / (stepper.t - tau_prev)
-                powers = np.array([th, th**2, th**3, th**4])
-                theta_rec = base + h * (Q @ powers)
-                final_it, done = record(tau_rec, theta_rec)
-                tau_final = tau_rec
-                next_k += 1
-        if not done and tau_final < stepper.t:
-            final_it, done = record(stepper.t, stepper.y)
-            tau_final = stepper.t
-
+    final_it, done, tau_final = _flow(rhs, record, theta, stop, ode_outer, guard)
     report = SolveReport(
         p_final=final_it.p.copy(), tf_final=final_it.t_f,
         pi_final=final_it.pi.copy(), J_final=final_it.J,
@@ -366,45 +367,38 @@ def gradient_flow_generic(f_grad, h_val, h_jac, K_theta, K_h, theta0,
                           ) -> tuple[np.ndarray, np.ndarray]:
     """Equality-constrained gradient flow for a plain NLP.
 
-    Integrates d theta/dtau = -K_theta (f_grad + h_jac^T pi) with the
-    multiplier pi = -(h_jac K_theta h_jac^T)^-1 (h_jac K_theta f_grad - K_h h)
-    until stationarity; returns (theta*, pi*).  With an empty constraint this
-    is plain gradient flow.  At convergence pi* equals the least-squares
-    multiplier -(h_jac^T)^+ f_grad, independent of K_theta.
-
-    There is no inner simulation here, so the default integration tolerances
-    are tight; the flow's accuracy is limited only by them.
+    The ``gradient_flow`` mode's flow, multiplier and stopping test without
+    the inner simulation: d theta/dtau = -K_theta (f_grad + h_jac^T pi) with
+    pi = -(h_jac K_theta h_jac^T)^-1 (h_jac K_theta f_grad - K_h h), until
+    ||f_grad + h_jac^T pi|| and ||h|| meet ``stop``'s tolerances on its record
+    grid; returns (theta*, pi*).  With an empty constraint this is plain
+    gradient flow.  At convergence pi* equals the least-squares multiplier
+    -(h_jac^T)^+ f_grad, independent of K_theta.  ``K_theta`` must be
+    (dim, dim) and ``K_h`` (q, q), or scalars.  The default integration
+    tolerances are tight, as they alone limit the flow's accuracy.
     """
     theta0 = np.asarray(theta0, dtype=float)
-    K_theta = np.atleast_2d(np.asarray(K_theta, dtype=float))
-    if K_theta.shape == (1, 1) and theta0.size != 1:
-        K_theta = K_theta[0, 0] * np.eye(theta0.size)
+    K_theta = _gain_matrix(K_theta, theta0.size, "K_theta")
+    K_h = _gain_matrix(K_h, np.asarray(h_val(theta0)).size, "K_h")
 
-    def pi_of(theta):
+    def evaluate(theta):
+        grad = np.asarray(f_grad(theta), dtype=float)
         h = np.asarray(h_val(theta), dtype=float)
-        if h.size == 0:
-            return np.zeros(0), h
-        H = np.atleast_2d(np.asarray(h_jac(theta), dtype=float))
-        A = H @ K_theta
-        pi = -spd_solve(A @ H.T, A @ np.asarray(f_grad(theta), float) - K_h @ h,
-                        "gradient-flow multiplier (h_jac lacks row rank)")
-        return pi, h
+        H = (np.atleast_2d(np.asarray(h_jac(theta), dtype=float)) if h.size
+             else np.zeros((0, theta.size)))
+        pi = multiplier(K_theta, grad, H.T, None, K_h, h, pi_bound=stop.pi_bound,
+                        m_is_weight=True)
+        return pi, grad + H.T @ pi, h
 
     def rhs(tau, theta):
-        pi, h = pi_of(theta)
-        grad = np.asarray(f_grad(theta), dtype=float)
-        if pi.size:
-            H = np.atleast_2d(np.asarray(h_jac(theta), dtype=float))
-            grad = grad + H.T @ pi
-        return -K_theta @ grad
+        return -K_theta @ evaluate(theta)[1]
 
-    ode = ode or OdeSettings(rel_tol=1e-8, abs_tol=1e-10)
-    stepper = _Stepper(rhs, 0.0, theta0, stop.tau_max, ode)
-    while not stepper.done:
-        stepper.step()
-        pi, h = pi_of(stepper.y)
-        if (np.linalg.norm(rhs(stepper.t, stepper.y)) <= stop.tol_opt
-                and np.linalg.norm(h) <= stop.tol_feas):
-            break
-    pi, _ = pi_of(stepper.y)
-    return stepper.y, pi
+    def check(tau, theta):
+        pi, residual, h = evaluate(theta)
+        done = (np.linalg.norm(residual) <= stop.tol_opt
+                and np.linalg.norm(h) <= stop.tol_feas)
+        return (theta, pi), done
+
+    (theta, pi), _, _ = _flow(rhs, check, theta0, stop,
+                              ode or OdeSettings(rel_tol=1e-8, abs_tol=1e-10))
+    return theta, pi

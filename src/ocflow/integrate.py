@@ -72,31 +72,26 @@ class DenseTrajectory:
     """Grid values plus a continuous interpolant over [t_grid[0], t_grid[-1]].
 
     ``t_grid`` is strictly increasing; evaluation at a grid node returns the
-    stored node value exactly.  Instances either carry per-segment
-    interpolation polynomials (integrator output) or delegate to an arbitrary
-    callable (derived trajectories such as linear combinations).
+    stored node value exactly.  Between nodes each segment carries its
+    interpolation polynomial ``(anchor, denom, scale, base, Q)``:
+    y = base + scale * Q [theta..theta^4] with theta = (t - anchor) / denom.
     """
 
-    def __init__(self, t_grid, values, *, segments=None, fn=None):
+    def __init__(self, t_grid, values, segments):
         self.t_grid = np.asarray(t_grid, dtype=float)
         self.values = np.asarray(values, dtype=float)
         if self.t_grid.ndim != 1 or np.any(np.diff(self.t_grid) <= 0):
             raise ValueError("t_grid must be strictly increasing")
-        self._segments = segments      # (anchor, denom, scale, base, Q)
-        self._fn = fn
-        if segments is None and fn is None:
-            raise ValueError("need either segment polynomials or a callable")
+        self.segments = segments
 
     @property
     def dim(self) -> int:
         return self.values.shape[1]
 
-    def interpolant(self, t):
-        return self(t)
-
     def __call__(self, t):
         lo, hi = self.t_grid[0], self.t_grid[-1]
         slack = 1e-10 * max(1.0, hi - lo)
+        anchor, denom, scale, base, Q = self.segments
         if np.ndim(t) == 0:
             tv = float(t)
             if tv < lo - slack or tv > hi + slack:
@@ -109,15 +104,11 @@ class DenseTrajectory:
                 return self.values[i].copy()
             if tv == self.t_grid[i + 1]:
                 return self.values[i + 1].copy()
-            if self._fn is not None:
-                return self._fn(np.array([tv]))[0]
-            anchor, denom, scale, base, Q = self._segments
             th = (tv - anchor[i]) / denom[i]
             pw = np.array([th, th * th, th ** 3, th ** 4])
             return base[i] + scale[i] * (Q[i] @ pw)
 
         ts = np.asarray(t, dtype=float)
-        scalar = False
         if ts.min(initial=np.inf) < lo - slack or ts.max(initial=-np.inf) > hi + slack:
             bad = ts[(ts < lo - slack) | (ts > hi + slack)][0]
             raise DomainError(f"t = {bad!r} outside trajectory domain [{lo!r}, {hi!r}]")
@@ -126,28 +117,24 @@ class DenseTrajectory:
         idx = np.clip(np.searchsorted(self.t_grid, ts, side="right") - 1,
                       0, len(self.t_grid) - 2)
         out = np.empty((ts.size, self.dim))
-        if self._fn is not None:
-            out[:] = self._fn(ts)
-        else:
-            anchor, denom, scale, base, Q = self._segments
-            for seg in np.unique(idx):
-                sel = idx == seg
-                theta = (ts[sel] - anchor[seg]) / denom[seg]
-                powers = np.vander(theta, 5, increasing=True)[:, 1:]  # theta..theta^4
-                out[sel] = base[seg] + scale[seg] * (powers @ Q[seg].T)
+        for seg in np.unique(idx):
+            sel = idx == seg
+            theta = (ts[sel] - anchor[seg]) / denom[seg]
+            powers = np.vander(theta, 5, increasing=True)[:, 1:]  # theta..theta^4
+            out[sel] = base[seg] + scale[seg] * (powers @ Q[seg].T)
         # grid nodes are exact by construction
         left = ts == self.t_grid[idx]
         out[left] = self.values[idx[left]]
         right = ts == self.t_grid[idx + 1]
         out[right] = self.values[idx[right] + 1]
-        return out[0] if scalar else out
+        return out
 
 
 class DenseSolution(DenseTrajectory):
     """A dense trajectory plus step-acceptance statistics."""
 
     def __init__(self, t_grid, values, segments, *, nsteps, nrejected, last_error):
-        super().__init__(t_grid, values, segments=segments)
+        super().__init__(t_grid, values, segments)
         self.nsteps = nsteps
         self.nrejected = nrejected
         self.last_error = last_error
@@ -328,11 +315,6 @@ def integrate_ivp(rhs, y0, t_span, settings: OdeSettings | None = None, *,
 
     return DenseSolution(ts, ys, (anchors, denoms, scales, bases, Qs),
                          nsteps=nsteps, nrejected=nrejected, last_error=last_error)
-
-
-def dense_eval(sol: DenseTrajectory, t):
-    """Evaluate the continuous interpolant (scalar t or array of t)."""
-    return sol(t)
 
 
 def integrate_fixed_step(rhs, y0, t_span, n_steps: int) -> np.ndarray:

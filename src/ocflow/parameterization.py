@@ -263,16 +263,6 @@ def make_basis(kind: str, m: int, t0: float, form: str, *,
         meta={"n_segments": N})
 
 
-def eval_control(par: Parameterization, p, t_f, t):
-    """u(t; p[, t_f]) with domain checking."""
-    return par.eval(t, p, t_f)
-
-
-def eval_sensitivities(par: Parameterization, p, t_f, t):
-    """(u_p(t), u_tf(t)); u_tf is zero for form-1 parameterizations."""
-    return par.jac_p(t, p, t_f), par.jac_tf(t, p, t_f)
-
-
 def validate_independence(par: Parameterization, p, t_f, quad_nodes: int) -> float:
     """Smallest eigenvalue of the basis Gram matrix int u_p^T u_p dt.
 

@@ -22,13 +22,12 @@ round-off.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 from scipy.linalg import LinAlgError, cho_factor, cho_solve
 
 from .errors import ConfigurationError, RankError
-from .integrate import DenseSolution, DenseTrajectory, OdeSettings, integrate_ivp
+from .integrate import DenseSolution, OdeSettings, integrate_ivp
 from .parameterization import FORM2, Parameterization
 from .problem import Gains, OcpProblem, simulate_control
 from .quadrature import QuadratureSpec, simpson_points
@@ -47,37 +46,36 @@ class AdjointBundle:
     """State and adjoint trajectories of one iterate.
 
     ``x_traj`` carries n+1 channels (state plus accumulated running cost);
-    ``psi_traj`` stores the n x q constraint adjoint row-major flattened.
-    The control evaluator and parameters that produced the iterate ride along
-    so downstream assemblies need no extra bookkeeping.
+    ``adjoint_sol`` carries the joint backward solve, mu in its first n
+    channels and the n x q constraint adjoint Psi row-major flattened after
+    them.  The parameterization and parameters that produced the iterate ride
+    along so downstream assemblies need no extra bookkeeping.
     """
 
     x_traj: DenseSolution
-    mu_traj: DenseTrajectory
-    psi_traj: DenseTrajectory
+    adjoint_sol: DenseSolution
     t0: float
     t_f: float
     n: int
     q: int
-    u_of_t: Callable
+    par: Parameterization
     p: np.ndarray
-    adjoint_sol: DenseSolution | None = None   # joint (mu, Psi) backward solve
+
+    def u_of_t(self, t):
+        """Control of the iterate; (m,) for scalar t, (N, m) for array t."""
+        return self.par.eval(t, self.p, self.t_f)
 
     def x_at(self, ts):
-        out = self.x_traj(ts)
-        return out[..., : self.n]
+        return self.x_traj(ts)[..., : self.n]
 
     def psi_at(self, ts):
-        flat = self.psi_traj(ts)
-        return flat.reshape(*flat.shape[:-1], self.n, self.q)
+        return self.mu_psi_at(ts)[1]
 
     def mu_psi_at(self, ts):
         """(mu, Psi) stacked over times with one dense evaluation."""
-        if self.adjoint_sol is not None:
-            flat = self.adjoint_sol(ts)
-            return (flat[..., : self.n],
-                    flat[..., self.n:].reshape(*flat.shape[:-1], self.n, self.q))
-        return self.mu_traj(ts), self.psi_at(ts)
+        flat = self.adjoint_sol(ts)
+        return (flat[..., : self.n],
+                flat[..., self.n:].reshape(*flat.shape[:-1], self.n, self.q))
 
     @property
     def cost_integral(self) -> float:
@@ -141,7 +139,6 @@ def solve_adjoints(prob: OcpProblem, par: Parameterization, p,
     """
     n, q = prob.n, prob.q
     p = np.asarray(p, dtype=float)
-    u_of_t = lambda t: par.eval(t, p, t_f)
 
     x_f = x_traj(t_f)[:n]
     mu_f = np.asarray(prob.phi_x(x_f, t_f), dtype=float)
@@ -151,7 +148,7 @@ def solve_adjoints(prob: OcpProblem, par: Parameterization, p,
 
     def rhs(t, y):
         x = x_traj(t)[:n]
-        u = u_of_t(t)
+        u = par.eval(t, p, t_f)
         fx_T = np.asarray(prob.f_x(x, u, t), dtype=float).T
         dmu = -(fx_T @ y[:n]) - np.asarray(prob.L_x(x, u, t), dtype=float)
         if q:
@@ -161,13 +158,8 @@ def solve_adjoints(prob: OcpProblem, par: Parameterization, p,
 
     sol = integrate_ivp(rhs, y_f, (t_f, prob.t0), ode or OdeSettings(),
                         breakpoints=par.breakpoints(t_f))
-    mu_traj = DenseTrajectory(sol.t_grid, sol.values[:, :n],
-                              fn=lambda ts: sol(ts)[:, :n])
-    psi_traj = DenseTrajectory(sol.t_grid, sol.values[:, n:],
-                               fn=lambda ts: sol(ts)[:, n:])
-    return AdjointBundle(x_traj=x_traj, mu_traj=mu_traj, psi_traj=psi_traj,
-                         t0=prob.t0, t_f=t_f, n=n, q=q, u_of_t=u_of_t, p=p,
-                         adjoint_sol=sol)
+    return AdjointBundle(x_traj=x_traj, adjoint_sol=sol, t0=prob.t0, t_f=t_f,
+                         n=n, q=q, par=par, p=p)
 
 
 @dataclass
@@ -196,7 +188,7 @@ def _batch_eval(prob: OcpProblem, name: str, xs, us, ts) -> np.ndarray:
 def _terminal_values(prob: OcpProblem, bundle: AdjointBundle) -> tuple[float, np.ndarray]:
     t_f = bundle.t_f
     x_f = bundle.x_at(t_f)
-    u_f = np.atleast_1d(np.asarray(bundle.u_of_t(t_f), dtype=float))
+    u_f = bundle.u_of_t(t_f)
     f_f = np.asarray(prob.f(x_f, u_f, t_f), dtype=float)
     tf_scalar = (float(prob.phi_t(x_f, t_f))
                  + float(np.dot(np.asarray(prob.phi_x(x_f, t_f), float), f_f))
@@ -232,13 +224,24 @@ def _grid_data(prob: OcpProblem, par: Parameterization, bundle: AdjointBundle,
                      kinv=kinv, tf_scalar=tf_scalar, tf_row=tf_row)
 
 
+def _gram(w, up, kinv) -> np.ndarray:
+    """int u_p^T K^-1 u_p dt from grid samples."""
+    return np.einsum("t,tmi,tmn,tnj->ij", w, up, kinv, up)
+
+
+def _form1_integrals(gd: _GridData) -> tuple[np.ndarray, np.ndarray]:
+    """r_1p = int u_p^T p_u dt and Gamma_1p = int u_p^T f_u^T Psi dt."""
+    r_1p = np.einsum("t,tmi,tm->i", gd.w, gd.up, gd.pu)
+    Gamma_1p = np.einsum("t,tmi,tmq->iq", gd.w, gd.up, gd.fupsi)
+    return r_1p, Gamma_1p
+
+
 def basis_gram(par: Parameterization, gains: Gains, p, t_f: float,
                quad: QuadratureSpec) -> np.ndarray:
     """M_p = int u_p^T K^-1 u_p dt on the shared grid (no bundle needed)."""
     ts, w = simpson_points(par.t0, t_f, quad, par.breakpoints(t_f))
     up = par.jac_p(ts, np.asarray(p, dtype=float), t_f)
-    kinv = gains.K_inv_at(ts)
-    return np.einsum("t,tmi,tmn,tnj->ij", w, up, kinv, up)
+    return _gram(w, up, gains.K_inv_at(ts))
 
 
 def _check_spd(M: np.ndarray, context: str) -> None:
@@ -259,10 +262,9 @@ def assemble_form1(prob: OcpProblem, par: Parameterization, bundle: AdjointBundl
     """
     gd = _grid_data(prob, par, bundle, quad, gains=gains)
     if M_p is None:
-        M_p = np.einsum("t,tmi,tmn,tnj->ij", gd.w, gd.up, gd.kinv, gd.up)
+        M_p = _gram(gd.w, gd.up, gd.kinv)
     _check_spd(M_p, "M_p")
-    r_1p = np.einsum("t,tmi,tm->i", gd.w, gd.up, gd.pu)
-    Gamma_1p = np.einsum("t,tmi,tmq->iq", gd.w, gd.up, gd.fupsi)
+    r_1p, Gamma_1p = _form1_integrals(gd)
     return Form1Quantities(M_p=M_p, r_1p=r_1p, Gamma_1p=Gamma_1p,
                            tf_scalar=gd.tf_scalar, tf_row=gd.tf_row)
 
@@ -275,7 +277,7 @@ def assemble_form2(prob: OcpProblem, par: Parameterization, bundle: AdjointBundl
     if gains.k_tf <= 0:
         raise ConfigurationError("form2 requires k_tf > 0 (it enters as 1/k_tf)")
     gd = _grid_data(prob, par, bundle, quad, gains=gains, with_utf=True)
-    A = np.einsum("t,tmi,tmn,tnj->ij", gd.w, gd.up, gd.kinv, gd.up)
+    A = _gram(gd.w, gd.up, gd.kinv)
     b = np.einsum("t,tmi,tmn,tn->i", gd.w, gd.up, gd.kinv, gd.utf)
     c = 1.0 / gains.k_tf + np.einsum("t,tm,tmn,tn->", gd.w, gd.utf, gd.kinv, gd.utf)
     s = par.s
@@ -285,9 +287,8 @@ def assemble_form2(prob: OcpProblem, par: Parameterization, bundle: AdjointBundl
     M_ptf[s, :s] = b
     M_ptf[s, s] = c
     _check_spd(M_ptf, "M_ptf")
-    r_p = np.einsum("t,tmi,tm->i", gd.w, gd.up, gd.pu)
+    r_p, Gamma_p = _form1_integrals(gd)
     r_tf = gd.tf_scalar + np.einsum("t,tm,tm->", gd.w, gd.utf, gd.pu)
-    Gamma_p = np.einsum("t,tmi,tmq->iq", gd.w, gd.up, gd.fupsi)
     Gamma_tf = gd.tf_row + np.einsum("t,tm,tmq->q", gd.w, gd.utf, gd.fupsi)
     return Form2Quantities(
         M_ptf=M_ptf,
@@ -310,8 +311,7 @@ def nlp_gradients(prob: OcpProblem, par: Parameterization, bundle: AdjointBundle
     if par.form != "form1":
         raise ConfigurationError("nlp_gradients requires a form1 parameterization")
     gd = _grid_data(prob, par, bundle, quad)
-    r_1p = np.einsum("t,tmi,tm->i", gd.w, gd.up, gd.pu)
-    Gamma_1p = np.einsum("t,tmi,tmq->iq", gd.w, gd.up, gd.fupsi)
+    r_1p, Gamma_1p = _form1_integrals(gd)
     f_theta = np.concatenate([r_1p, [gd.tf_scalar]])
     g_theta = np.hstack([Gamma_1p.T, gd.tf_row[:, None]])
     return NlpGradients(f_theta=f_theta, g_theta=g_theta)

@@ -100,6 +100,9 @@ def test_config_errors_exit_2(tmp_path, capsys):
     path, _ = write_config(tmp_path, init={"t_f": "soon"})
     assert main(["solve", "--config", str(path)]) == 2
 
+    path, _ = write_config(tmp_path, stop={"c1": 0})
+    assert main(["solve", "--config", str(path)]) == 2
+
     assert main(["solve", "--config", str(tmp_path / "nope.json")]) == 2
 
 

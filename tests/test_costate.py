@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -37,7 +39,7 @@ def test_zero_multiplier_gives_mu(example1, e1_par):
     ts = np.linspace(0.0, 2.0, 11)
     # phi = 0 and L_x = 0, so mu and hence lambda vanish identically
     np.testing.assert_allclose(ct.lam_traj(ts), np.zeros((11, 2)), atol=1e-12)
-    assert np.array_equal(ct.lam_traj(ts), b.mu_traj(ts))
+    assert np.array_equal(ct.lam_traj(ts), b.mu_psi_at(ts)[0])
 
 
 def test_costate_dimension_check(example1, e1_form1_solve):
@@ -167,3 +169,46 @@ def test_costate_error_tracks_control_error(example1, e1_form1_solve):
     for (du0, dl0), (du1, dl1) in zip(errs[:-1], errs[1:]):
         if du1 <= 0.5 * du0:
             assert dl1 < dl0
+
+
+def _assert_lambda_is_mu_plus_psi_pi(bundle, pi, lam_traj):
+    sol = bundle.adjoint_sol
+    mus, psis = bundle.mu_psi_at(sol.t_grid)
+    assert np.array_equal(lam_traj.values, mus + psis @ pi)
+    assert np.array_equal(lam_traj(sol.t_grid), mus + psis @ pi)
+    # off-node: midpoints of every step plus points a quarter into each step
+    ts = np.concatenate([sol.t_grid[:-1] + 0.5 * np.diff(sol.t_grid),
+                         sol.t_grid[:-1] + 0.25 * np.diff(sol.t_grid)])
+    mus, psis = bundle.mu_psi_at(ts)
+    expect = mus + psis @ pi
+    tol = 1e-14 * np.abs(expect).max()
+    np.testing.assert_allclose(lam_traj(ts), expect, rtol=0, atol=tol)
+    for t in ts[::7]:
+        mu, psi = bundle.mu_psi_at(t)
+        np.testing.assert_allclose(lam_traj(t), mu + psi @ pi, rtol=0, atol=tol)
+
+
+def test_costate_is_mu_plus_psi_pi_off_nodes(example1, e1_form1_solve, brach):
+    report, _, bundle, _ = e1_form1_solve
+    ct = reconstruct_costate(example1.prob, bundle, report.pi_final)
+    _assert_lambda_is_mu_plus_psi_pi(bundle, report.pi_final, ct.lam_traj)
+
+    # Brachistochrone, step control with 20 segments: q = 2 and breakpoints
+    par = make_basis("piecewise_constant", m=1, t0=0.0, form="form2", n_segments=20)
+    p = np.linspace(0.2, 1.2, par.s)
+    it = evaluate_iterate(EvolutionMode.form2(), brach.prob, par, brach.gains, p, 0.9)
+    assert brach.prob.q == 2
+    ct = reconstruct_costate(brach.prob, it.bundle, it.pi)
+    _assert_lambda_is_mu_plus_psi_pi(it.bundle, it.pi, ct.lam_traj)
+
+
+def test_continuous_multiplier_per_point_callbacks_match_vectorized(example1, e1_par):
+    # the same problem evaluated point by point (vectorized=False)
+    prob = example1.prob
+    per_point = dataclasses.replace(prob, vectorized=False)
+    it = evaluate_iterate(EvolutionMode.form1(), prob, e1_par, example1.gains,
+                          np.array([-3.0, 2.0, 0.5, -0.1]), 2.0)
+    pi_vec = continuous_multiplier(prob, it.bundle, example1.gains, it.g_val)
+    pi_pt = continuous_multiplier(per_point, it.bundle, example1.gains, it.g_val)
+    assert pi_vec.shape == (2,)
+    np.testing.assert_allclose(pi_pt, pi_vec, rtol=1e-12, atol=1e-12)

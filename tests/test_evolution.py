@@ -3,7 +3,7 @@ import pytest
 
 from ocflow import (ConfigurationError, EvolutionMode, EvolutionState, Gains,
                     MultiplierBoundWarning, RankError, StopCriteria,
-                    evaluate_iterate, evolution_rhs, gradient_flow_generic,
+                    evaluate_iterate, gradient_flow_generic,
                     lyapunov_diagnostic, make_basis, multiplier, solve_evolution)
 
 MP_EXACT = 10.0 * np.array([[2, 2, 8 / 3, 4],
@@ -50,11 +50,10 @@ def test_multiplier_rank_error_on_dependent_columns():
 
 
 def test_rhs_vanishes_at_analytic_optimum(example1, e1_par):
-    state = EvolutionState(p=np.array([-3.5, 3.0, 0.0, 0.0]), t_f=2.0)
-    d = evolution_rhs(EvolutionMode.form1(), example1.prob, e1_par,
-                      example1.gains, state)
-    assert np.abs(d.p).max() <= 1e-4
-    assert d.t_f == 0.0
+    it = evaluate_iterate(EvolutionMode.form1(), example1.prob, e1_par,
+                          example1.gains, np.array([-3.5, 3.0, 0.0, 0.0]), 2.0)
+    assert np.abs(it.dp).max() <= 1e-4
+    assert it.dtf == 0.0
 
 
 def test_rhs_at_zero_control_matches_matrix_arithmetic(example1, e1_par):
@@ -123,6 +122,17 @@ def test_gradient_flow_generic_unconstrained():
         stop=StopCriteria(tau_max=100.0))
     np.testing.assert_allclose(theta, a, atol=1e-6)
     assert pi.shape == (0,)
+
+
+def test_gradient_flow_generic_rejects_bad_gain_shapes():
+    problem = dict(f_grad=lambda th: th,
+                   h_val=lambda th: np.array([th[0] - 1.0]),
+                   h_jac=lambda th: np.array([[1.0, 0.0, 0.0]]),
+                   theta0=np.zeros(3), stop=StopCriteria(tau_max=1.0))
+    with pytest.raises(ConfigurationError, match="K_theta"):
+        gradient_flow_generic(K_theta=np.eye(2), K_h=np.eye(1), **problem)
+    with pytest.raises(ConfigurationError, match="K_h"):
+        gradient_flow_generic(K_theta=np.eye(3), K_h=np.eye(2), **problem)
 
 
 def test_gradient_flow_multiplier_is_least_squares_at_convergence():
@@ -242,16 +252,16 @@ def test_trace_spacing_and_final_row(e1_form1_solve):
 def test_mode_parameterization_compatibility(example1, brach):
     par_f2 = make_basis("lagrange_nodes", m=1, t0=0.0, form="form2", n_segments=4)
     with pytest.raises(ConfigurationError):
-        evolution_rhs(EvolutionMode.form1(), brach.prob, par_f2, brach.gains,
-                      EvolutionState(p=np.zeros(5), t_f=1.0))
+        evaluate_iterate(EvolutionMode.form1(), brach.prob, par_f2, brach.gains,
+                         np.zeros(5), 1.0)
     par_f1_nodes = make_basis("piecewise_linear", m=1, t0=0.0, form="form1",
                               n_segments=4)
     with pytest.raises(ConfigurationError):
-        evolution_rhs(EvolutionMode.form1(), brach.prob, par_f1_nodes, brach.gains,
-                      EvolutionState(p=np.zeros(5), t_f=1.0))
+        evaluate_iterate(EvolutionMode.form1(), brach.prob, par_f1_nodes, brach.gains,
+                         np.zeros(5), 1.0)
     with pytest.raises(ConfigurationError):
-        evolution_rhs(EvolutionMode.form2(), example1.prob, par_f2, example1.gains,
-                      EvolutionState(p=np.zeros(5), t_f=2.0))
+        evaluate_iterate(EvolutionMode.form2(), example1.prob, par_f2, example1.gains,
+                         np.zeros(5), 2.0)
     with pytest.raises(ConfigurationError):
         evaluate_iterate(EvolutionMode.gradient_flow(), example1.prob,
                          make_basis("global_polynomial", m=1, t0=0.0,
@@ -271,3 +281,7 @@ def test_stop_criteria_validation():
         StopCriteria(tau_max=-1.0)
     with pytest.raises(ValueError):
         StopCriteria(record_every=0.0)
+    with pytest.raises(ValueError):
+        StopCriteria(c1=0.0)
+    with pytest.raises(ValueError):
+        StopCriteria(pi_bound=0.0)

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from ocflow import (DivergenceError, DomainError, IntegrationError, OdeSettings,
-                    StepBudgetError, dense_eval, integrate_fixed_step,
+                    StepBudgetError, integrate_fixed_step,
                     integrate_ivp)
 
 
@@ -31,7 +31,7 @@ def test_backward_adjoint_closed_form():
 def test_dense_output_node_values_exact():
     sol = integrate_ivp(lambda t, y: -y, np.array([1.0]), (0.0, 1.0))
     for t, v in zip(sol.t_grid, sol.values):
-        assert np.array_equal(dense_eval(sol, t), v)
+        assert np.array_equal(sol(t), v)
         assert np.array_equal(sol(np.array([t]))[0], v)
 
 

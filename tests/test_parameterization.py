@@ -4,8 +4,7 @@ import numpy as np
 import pytest
 
 from ocflow import (ConfigurationError, DependentBasisError, DomainError,
-                    eval_control, eval_sensitivities, make_basis,
-                    validate_independence)
+                    make_basis, validate_independence)
 
 
 def poly(order=3, m=1):
@@ -21,24 +20,24 @@ def test_polynomial_jacobian_row():
 
 def test_polynomial_analytic_control_value():
     par = poly()
-    u = eval_control(par, np.array([-3.5, 3.0, 0.0, 0.0]), 2.0, 1.0)
+    u = par.eval(1.0, np.array([-3.5, 3.0, 0.0, 0.0]), 2.0)
     assert u[0] == pytest.approx(-0.5)
 
 
 def test_piecewise_constant_segments():
     par = make_basis("piecewise_constant", m=1, t0=0.0, form="form1", n_segments=2)
     p = np.array([1.5, -2.0])
-    assert eval_control(par, p, 1.0, 0.25)[0] == 1.5
-    assert eval_control(par, p, 1.0, 0.75)[0] == -2.0
+    assert par.eval(0.25, p, 1.0)[0] == 1.5
+    assert par.eval(0.75, p, 1.0)[0] == -2.0
     np.testing.assert_allclose(par.jac_p(0.25, p, 1.0), [[1.0, 0.0]])
     # half-open segments, closed at the right end of the horizon
-    assert eval_control(par, p, 1.0, 0.5)[0] == -2.0
-    assert eval_control(par, p, 1.0, 1.0)[0] == -2.0
+    assert par.eval(0.5, p, 1.0)[0] == -2.0
+    assert par.eval(1.0, p, 1.0)[0] == -2.0
 
 
 def test_piecewise_linear_interpolates():
     par = make_basis("piecewise_linear", m=1, t0=0.0, form="form1", n_segments=2)
-    u = eval_control(par, np.array([0.0, 1.0, 0.0]), 1.0, 0.25)
+    u = par.eval(0.25, np.array([0.0, 1.0, 0.0]), 1.0)
     assert u[0] == pytest.approx(0.5)
 
 
@@ -87,7 +86,7 @@ def test_jac_p_matches_finite_differences():
     p = rng.normal(size=par.s)
     t_f = 1.2
     for t in rng.uniform(0.0, t_f, 5):
-        jp, _ = eval_sensitivities(par, p, t_f, t)
+        jp = par.jac_p(t, p, t_f)
         h = 1e-6
         fd = np.empty_like(jp)
         for i in range(par.s):
@@ -99,7 +98,7 @@ def test_jac_p_matches_finite_differences():
 
 def test_form1_has_zero_tf_sensitivity():
     par = poly()
-    _, utf = eval_sensitivities(par, np.array([1.0, 2.0, 3.0, 4.0]), 2.0, 1.0)
+    utf = par.jac_tf(1.0, np.array([1.0, 2.0, 3.0, 4.0]), 2.0)
     np.testing.assert_array_equal(utf, np.zeros(1))
 
 
@@ -110,7 +109,7 @@ def test_lagrange_tf_sensitivity_matches_finite_differences():
     t_f = 1.1
     h = 1e-6
     for t in rng.uniform(0.05, 0.95, 6):
-        _, utf = eval_sensitivities(par, p, t_f, t)
+        utf = par.jac_tf(t, p, t_f)
         fd = (par.eval(t, p, t_f + h) - par.eval(t, p, t_f - h)) / (2 * h)
         np.testing.assert_allclose(utf, fd, rtol=1e-5, atol=1e-7)
 
@@ -122,7 +121,7 @@ def test_piecewise_linear_tf_sensitivity_inside_segments():
     t_f = 1.0
     h = 1e-7
     for t in (0.11, 0.37, 0.73):    # strictly inside segments
-        _, utf = eval_sensitivities(par, p, t_f, t)
+        utf = par.jac_tf(t, p, t_f)
         fd = (par.eval(t, p, t_f + h) - par.eval(t, p, t_f - h)) / (2 * h)
         np.testing.assert_allclose(utf, fd, rtol=1e-4, atol=1e-6)
 
@@ -130,7 +129,7 @@ def test_piecewise_linear_tf_sensitivity_inside_segments():
 def test_piecewise_constant_tf_sensitivity_is_zero_ae():
     par = make_basis("piecewise_constant", m=1, t0=0.0, form="form2", n_segments=5)
     p = np.arange(1.0, 6.0)
-    _, utf = eval_sensitivities(par, p, 1.0, 0.33)
+    utf = par.jac_tf(0.33, p, 1.0)
     np.testing.assert_array_equal(utf, np.zeros(1))
 
 
@@ -212,7 +211,7 @@ def test_configuration_errors():
 def test_domain_checks():
     par = poly()
     with pytest.raises(DomainError):
-        eval_control(par, np.zeros(4), 2.0, 2.5)
+        par.eval(2.5, np.zeros(4), 2.0)
     with pytest.raises(DomainError):
         par.jac_p(-0.1, np.zeros(4), 2.0)
 
@@ -221,7 +220,7 @@ def test_multicontrol_block_layout():
     par = make_basis("piecewise_constant", m=2, t0=0.0, form="form1", n_segments=2)
     assert par.s == 4
     p = np.array([1.0, 2.0, 3.0, 4.0])      # node-major: (u(t0), u(t1))
-    np.testing.assert_allclose(eval_control(par, p, 1.0, 0.1), [1.0, 2.0])
-    np.testing.assert_allclose(eval_control(par, p, 1.0, 0.9), [3.0, 4.0])
+    np.testing.assert_allclose(par.eval(0.1, p, 1.0), [1.0, 2.0])
+    np.testing.assert_allclose(par.eval(0.9, p, 1.0), [3.0, 4.0])
     jp = par.jac_p(0.1, p, 1.0)
     np.testing.assert_allclose(jp, [[1.0, 0.0, 0.0, 0.0], [0.0, 1.0, 0.0, 0.0]])

@@ -59,7 +59,7 @@ def test_adjoints_closed_form(e1):
     b = bundle_at(prob, par, np.zeros(4), 2.0, TIGHT)
     ts = np.linspace(0.0, 2.0, 11)
     # no terminal cost and no state-dependent running cost: mu vanishes
-    np.testing.assert_allclose(b.mu_traj(ts), np.zeros((11, 2)), atol=1e-10)
+    np.testing.assert_allclose(b.mu_psi_at(ts)[0], np.zeros((11, 2)), atol=1e-10)
     # Psi(t) = [[1, 0], [2 - t, 1]]
     psi = b.psi_at(ts)
     expect = np.zeros((11, 2, 2))
@@ -73,7 +73,7 @@ def test_adjoints_closed_form(e1):
 def test_adjoints_terminal_values_exact(e1):
     prob, _, par = e1
     b = bundle_at(prob, par, np.zeros(4), 2.0)
-    np.testing.assert_array_equal(b.mu_traj(2.0), np.zeros(2))
+    np.testing.assert_array_equal(b.mu_psi_at(2.0)[0], np.zeros(2))
     np.testing.assert_array_equal(b.psi_at(2.0), np.eye(2))
 
 
@@ -262,14 +262,14 @@ def test_mu_satisfies_adjoint_equation_along_trajectory(lqr_like):
     rng = np.random.default_rng(9)
     p = rng.uniform(-1.0, 1.0, 3)
     b = bundle_at(prob, par, p, 2.0, TIGHT)
-    assert np.abs(b.mu_traj(0.0)).max() > 0.1      # genuinely nontrivial
-    np.testing.assert_array_equal(b.mu_traj(2.0), prob.phi_x(b.x_at(2.0), 2.0))
+    assert np.abs(b.mu_psi_at(0.0)[0]).max() > 0.1      # genuinely nontrivial
+    np.testing.assert_array_equal(b.mu_psi_at(2.0)[0], prob.phi_x(b.x_at(2.0), 2.0))
     h = 1e-6
     for t in np.linspace(0.05, 1.95, 12):
-        dmu = (b.mu_traj(t + h) - b.mu_traj(t - h)) / (2 * h)
+        dmu = (b.mu_psi_at(t + h)[0] - b.mu_psi_at(t - h)[0]) / (2 * h)
         x = b.x_at(t)
         u = b.u_of_t(t)
-        rhs = -(np.asarray(prob.f_x(x, u, t)).T @ b.mu_traj(t)) \
+        rhs = -(np.asarray(prob.f_x(x, u, t)).T @ b.mu_psi_at(t)[0]) \
             - np.asarray(prob.L_x(x, u, t))
         np.testing.assert_allclose(dmu, rhs, atol=1e-4)
 
