@@ -231,11 +231,11 @@ def _check_gradients(prob, par, gains, init, quad) -> list[dict]:
         f_theta, g_theta = grads.f_theta, grads.g_theta
 
     def J_of(pv, tfv):
-        return objective_value(prob, lambda t: par.eval(t, pv, tfv), tfv, ode,
+        return objective_value(prob, par.bind(pv, tfv), tfv, ode,
                                breakpoints=par.breakpoints(tfv))
 
     def g_of(pv, tfv):
-        return constraint_value(prob, lambda t: par.eval(t, pv, tfv), tfv, ode,
+        return constraint_value(prob, par.bind(pv, tfv), tfv, ode,
                                 breakpoints=par.breakpoints(tfv))
 
     results = []

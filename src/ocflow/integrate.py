@@ -11,6 +11,8 @@ clamped to [0.2, 5.0]).
 
 from __future__ import annotations
 
+import math
+from bisect import bisect_right
 from dataclasses import dataclass
 
 import numpy as np
@@ -48,6 +50,11 @@ _MIN_FACTOR = 0.2
 _MAX_FACTOR = 5.0
 _BETA1 = 0.7 / 5.0   # PI controller exponents
 _BETA2 = 0.4 / 5.0
+_MIN_STEP_REL = 16 * np.finfo(float).eps   # smallest step relative to |t|
+
+
+def _finite_positive(v) -> bool:
+    return math.isfinite(v) and v > 0
 
 
 @dataclass(frozen=True)
@@ -60,12 +67,15 @@ class OdeSettings:
     initial_step: float | None = None
 
     def __post_init__(self):
-        if self.rel_tol <= 0:
-            raise ValueError(f"rel_tol must be positive, got {self.rel_tol}")
-        if self.abs_tol <= 0:
-            raise ValueError(f"abs_tol must be positive, got {self.abs_tol}")
+        if not _finite_positive(self.rel_tol):
+            raise ValueError(f"rel_tol must be finite and positive, got {self.rel_tol}")
+        if not _finite_positive(self.abs_tol):
+            raise ValueError(f"abs_tol must be finite and positive, got {self.abs_tol}")
         if self.max_steps < 1:
             raise ValueError(f"max_steps must be >= 1, got {self.max_steps}")
+        if self.initial_step is not None and not _finite_positive(self.initial_step):
+            raise ValueError(
+                f"initial_step must be finite and positive, got {self.initial_step}")
 
 
 class DenseTrajectory:
@@ -75,6 +85,7 @@ class DenseTrajectory:
     stored node value exactly.  Between nodes each segment carries its
     interpolation polynomial ``(anchor, denom, scale, base, Q)``:
     y = base + scale * Q [theta..theta^4] with theta = (t - anchor) / denom.
+    Scalar and array lookups agree bit for bit.
     """
 
     def __init__(self, t_grid, values, segments):
@@ -83,37 +94,54 @@ class DenseTrajectory:
         if self.t_grid.ndim != 1 or np.any(np.diff(self.t_grid) <= 0):
             raise ValueError("t_grid must be strictly increasing")
         self.segments = segments
+        # Python-float copies for the scalar lookup
+        self._grid = self.t_grid.tolist()
+        self._lo, self._hi = self._grid[0], self._grid[-1]
+        self._slack = 1e-10 * max(1.0, self._hi - self._lo)
+        self._anchor, self._denom = segments[0].tolist(), segments[1].tolist()
 
     @property
     def dim(self) -> int:
         return self.values.shape[1]
 
+    def _domain_error(self, bad) -> DomainError:
+        return DomainError(
+            f"t = {bad!r} outside trajectory domain [{self._lo!r}, {self._hi!r}]")
+
+    def _segment(self, seg: int, powers: np.ndarray) -> np.ndarray:
+        """base + scale * powers @ Q^T on one segment; ``powers`` is (k, 4)."""
+        _, _, scale, base, Q = self.segments
+        k = len(powers)
+        if k == 1:
+            # BLAS takes another kernel, with other rounding, for a one-row
+            # product; a lone row goes as a pair so every lookup rounds alike
+            powers = np.concatenate((powers, powers))
+        return base[seg] + scale[seg] * (powers @ Q[seg].T)[:k]
+
     def __call__(self, t):
-        lo, hi = self.t_grid[0], self.t_grid[-1]
-        slack = 1e-10 * max(1.0, hi - lo)
-        anchor, denom, scale, base, Q = self.segments
-        if np.ndim(t) == 0:
+        lo, hi, slack = self._lo, self._hi, self._slack
+        if isinstance(t, float) or np.ndim(t) == 0:
             tv = float(t)
             if tv < lo - slack or tv > hi + slack:
-                raise DomainError(
-                    f"t = {tv!r} outside trajectory domain [{lo!r}, {hi!r}]")
+                raise self._domain_error(tv)
             tv = min(max(tv, lo), hi)
-            i = int(np.searchsorted(self.t_grid, tv, side="right") - 1)
-            i = min(max(i, 0), len(self.t_grid) - 2)
-            if tv == self.t_grid[i]:
+            grid = self._grid
+            i = min(max(bisect_right(grid, tv) - 1, 0), len(grid) - 2)
+            if tv == grid[i]:
                 return self.values[i].copy()
-            if tv == self.t_grid[i + 1]:
+            if tv == grid[i + 1]:
                 return self.values[i + 1].copy()
-            th = (tv - anchor[i]) / denom[i]
-            pw = np.array([th, th * th, th ** 3, th ** 4])
-            return base[i] + scale[i] * (Q[i] @ pw)
+            th = (tv - self._anchor[i]) / self._denom[i]
+            th2 = th * th                     # powers as np.vander builds them
+            th3 = th2 * th
+            return self._segment(i, np.array([[th, th2, th3, th3 * th]]))[0]
 
         ts = np.asarray(t, dtype=float)
         if ts.min(initial=np.inf) < lo - slack or ts.max(initial=-np.inf) > hi + slack:
-            bad = ts[(ts < lo - slack) | (ts > hi + slack)][0]
-            raise DomainError(f"t = {bad!r} outside trajectory domain [{lo!r}, {hi!r}]")
+            raise self._domain_error(ts[(ts < lo - slack) | (ts > hi + slack)][0])
         ts = np.clip(ts, lo, hi)
 
+        anchor, denom = self.segments[:2]
         idx = np.clip(np.searchsorted(self.t_grid, ts, side="right") - 1,
                       0, len(self.t_grid) - 2)
         out = np.empty((ts.size, self.dim))
@@ -121,7 +149,7 @@ class DenseTrajectory:
             sel = idx == seg
             theta = (ts[sel] - anchor[seg]) / denom[seg]
             powers = np.vander(theta, 5, increasing=True)[:, 1:]  # theta..theta^4
-            out[sel] = base[seg] + scale[seg] * (powers @ Q[seg].T)
+            out[sel] = self._segment(seg, powers)
         # grid nodes are exact by construction
         left = ts == self.t_grid[idx]
         out[left] = self.values[idx[left]]
@@ -169,10 +197,10 @@ class _Stepper:
         self.f = np.asarray(rhs(self.t, self.y), dtype=float)
         if not np.all(np.isfinite(self.f)):
             raise DivergenceError("non-finite right-hand side", time=self.t)
-        span = self.t_end - self.t
         h = h_init if h_init is not None else _initial_step(
             rhs, self.t, self.y, self.f, 1.0, settings)
-        self.h = min(abs(h), abs(span))
+        self.h = min(h, self.t_end - self.t)
+        self.K = np.empty((7, self.y.size))    # stage derivatives
         self.err_old = 1e-4
         self.nsteps = 0
         self.nrejected = 0
@@ -185,7 +213,8 @@ class _Stepper:
     def step(self):
         """Advance one accepted step; returns the dense-segment record."""
         s = self.settings
-        min_step = 16 * np.finfo(float).eps * max(abs(self.t), abs(self.t_end))
+        K = self.K
+        min_step = _MIN_STEP_REL * max(abs(self.t), abs(self.t_end))
         while True:
             if self.nsteps + self.nrejected >= s.max_steps:
                 raise StepBudgetError(
@@ -200,7 +229,6 @@ class _Stepper:
                 t_new = self.t_end
                 h = t_new - self.t
 
-            K = np.empty((7, self.y.size))
             K[0] = self.f
             for i in range(1, 7):
                 yi = self.y + h * (K[:i].T @ _A[i])
@@ -233,6 +261,16 @@ class _Stepper:
             self.h = h * max(_MIN_FACTOR, _SAFETY * err_norm ** (-0.2))
 
 
+def _forward_rhs(rhs, backward: bool, clamp):
+    """rhs in forward time s (t = -s when ``backward``), s clamped into ``clamp``."""
+    if clamp is None:
+        return (lambda s, y: -np.asarray(rhs(-s, y), dtype=float)) if backward else rhs
+    lo, hi = clamp
+    if backward:
+        return lambda s, y: -np.asarray(rhs(-min(max(s, lo), hi), y), dtype=float)
+    return lambda s, y: rhs(min(max(s, lo), hi), y)
+
+
 def integrate_ivp(rhs, y0, t_span, settings: OdeSettings | None = None, *,
                   breakpoints=(), guard=None) -> DenseSolution:
     """Solve y' = rhs(t, y) over ``t_span`` with dense output.
@@ -250,12 +288,10 @@ def integrate_ivp(rhs, y0, t_span, settings: OdeSettings | None = None, *,
 
     backward = t_end < t_start
     if backward:
-        fwd_rhs = lambda s, y: -np.asarray(rhs(-s, y), dtype=float)
         fwd_guard = None if guard is None else (lambda s, y: guard(-s, y))
         fwd_span = (-t_start, -t_end)
         fwd_breaks = sorted(-b for b in breakpoints)
     else:
-        fwd_rhs = lambda t, y: np.asarray(rhs(t, y), dtype=float)
         fwd_guard = guard
         fwd_span = (t_start, t_end)
         fwd_breaks = sorted(breakpoints)
@@ -272,15 +308,10 @@ def integrate_ivp(rhs, y0, t_span, settings: OdeSettings | None = None, *,
     h_carry = settings.initial_step
 
     for a, b in zip(bounds[:-1], bounds[1:]):
-        if cuts:
-            # keep stage evaluations strictly inside the smooth subinterval so
-            # a right-continuous discontinuity at a cut never leaks across it
-            lo_in, hi_in = np.nextafter(a, b), np.nextafter(b, a)
-            sub_rhs = (lambda lo=lo_in, hi=hi_in:
-                       lambda t, y: fwd_rhs(min(max(t, lo), hi), y))()
-        else:
-            sub_rhs = fwd_rhs
-        stepper = _Stepper(sub_rhs, a, ys[-1], b, settings,
+        # keep stage evaluations strictly inside the smooth subinterval so
+        # a right-continuous discontinuity at a cut never leaks across it
+        clamp = (np.nextafter(a, b), np.nextafter(b, a)) if cuts else None
+        stepper = _Stepper(_forward_rhs(rhs, backward, clamp), a, ys[-1], b, settings,
                            h_init=h_carry, guard=fwd_guard)
         while not stepper.done:
             t_prev = stepper.t

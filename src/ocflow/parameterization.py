@@ -21,6 +21,7 @@ stepping across the jumps.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -41,7 +42,9 @@ class Parameterization:
     (N, m) control values, ``jac_p_fn`` the (N, m, s) parameter Jacobian, and
     ``jac_tf_fn`` the (N, m) terminal-time sensitivity (identically zero for
     form 1).  All provided kinds are linear in p, so ``eval = jac_p @ p``
-    holds exactly.
+    holds exactly.  ``scalar_fn(p, t_f)`` returns the unchecked per-point
+    evaluator ``u(t) -> (m,)`` behind :meth:`bind`; it rounds exactly like
+    ``eval_fn`` on a one-point array.
     """
 
     kind: str
@@ -53,29 +56,58 @@ class Parameterization:
     jac_p_fn: Callable
     jac_tf_fn: Callable
     breakpoints_fn: Callable
+    scalar_fn: Callable
     linear_in_p: bool = True
     meta: dict = field(default_factory=dict)
 
+    def _slack(self, t_f: float) -> float:
+        return 1e-12 * max(1.0, abs(t_f - self.t0))
+
     def _check_domain(self, ts: np.ndarray, t_f: float) -> None:
-        slack = 1e-12 * max(1.0, abs(t_f - self.t0))
+        slack = self._slack(t_f)
         if ts.min(initial=np.inf) < self.t0 - slack or ts.max(initial=-np.inf) > t_f + slack:
             bad = ts[(ts < self.t0 - slack) | (ts > t_f + slack)][0]
             raise DomainError(f"t = {bad!r} outside control domain [{self.t0!r}, {t_f!r}]")
 
-    def _prep(self, t, p, t_f):
-        ts = np.atleast_1d(np.asarray(t, dtype=float))
-        self._check_domain(ts, t_f)
+    def _check_p(self, p) -> np.ndarray:
         p = np.asarray(p, dtype=float)
         if p.shape != (self.s,):
             raise ValueError(f"p has shape {p.shape}, expected ({self.s},)")
-        return ts, p
+        return p
+
+    def _prep(self, t, p, t_f):
+        ts = np.atleast_1d(np.asarray(t, dtype=float))
+        self._check_domain(ts, t_f)
+        return ts, self._check_p(p)
+
+    def bind(self, p, t_f=None) -> Callable:
+        """The control u(t) of one iterate, for scalar t.
+
+        ``p`` and ``t_f`` are validated here, once; the returned evaluator
+        only checks that t lies in [t0, t_f] (with the array path's slack;
+        :class:`DomainError` otherwise, also for NaN) and returns an (m,)
+        array.
+        """
+        t_f = self._resolve_tf(t_f)
+        u = self.scalar_fn(self._check_p(p), t_f)
+        t0 = self.t0
+        slack = self._slack(t_f)
+        lo, hi = t0 - slack, t_f + slack
+
+        def u_of_t(t):
+            t = float(t)
+            if not lo <= t <= hi:
+                raise DomainError(f"t = {t!r} outside control domain [{t0!r}, {t_f!r}]")
+            return u(t)
+        return u_of_t
 
     def eval(self, t, p, t_f=None):
         """Control value u(t); (m,) for scalar t, (N, m) for array t."""
+        if np.ndim(t) == 0:
+            return self.bind(p, t_f)(t)
         t_f = self._resolve_tf(t_f)
         ts, p = self._prep(t, p, t_f)
-        out = self.eval_fn(ts, p, t_f)
-        return out[0] if np.ndim(t) == 0 else out
+        return self.eval_fn(ts, p, t_f)
 
     def jac_p(self, t, p, t_f=None):
         """Parameter Jacobian u_p(t); (m, s) or (N, m, s)."""
@@ -119,17 +151,26 @@ def _block_jac(vals: np.ndarray, m: int) -> np.ndarray:
     return out
 
 
-def _lagrange_values(sig: np.ndarray, nodes: np.ndarray) -> np.ndarray:
-    """(N, k) Lagrange basis values at scaled times for the given nodes."""
-    k = nodes.size
-    out = np.empty((sig.size, k))
+def _row_eval(vals: list, m: int, p: np.ndarray) -> np.ndarray:
+    """(m,) control value at one point from its k basis values.
+
+    The same block Jacobian and contraction as ``eval_fn``, on one row, so
+    both paths round alike.
+    """
+    return np.einsum("tms,s->tm", _block_jac(np.array([vals]), m), p)[0]
+
+
+def _lagrange_terms(sig, nodes: list) -> list:
+    """The k Lagrange basis values at scaled time(s) ``sig`` (float or array)."""
+    k = len(nodes)
+    terms = []
     for i in range(k):
-        prod = np.ones_like(sig)
+        prod = 1.0
         for j in range(k):
             if j != i:
                 prod *= (sig - nodes[j]) / (nodes[i] - nodes[j])
-        out[:, i] = prod
-    return out
+        terms.append(prod)
+    return terms
 
 
 def _lagrange_derivs(sig: np.ndarray, nodes: np.ndarray) -> np.ndarray:
@@ -204,11 +245,19 @@ def make_basis(kind: str, m: int, t0: float, form: str, *,
         def jac_tf_fn(ts, p, t_f):
             return np.zeros((ts.size, m))
 
+        def scalar_fn(p, t_f):
+            def u(t):
+                powers = [1.0]                          # as np.vander builds them
+                for _ in range(order):
+                    powers.append(powers[-1] * t)
+                return _row_eval(powers, m, p)
+            return u
+
         return Parameterization(
             kind=kind, form=form, m=m, s=s, t0=t0,
             eval_fn=lambda ts, p, t_f: np.einsum("tms,s->tm", jac_p_fn(ts, p, t_f), p),
             jac_p_fn=jac_p_fn, jac_tf_fn=jac_tf_fn,
-            breakpoints_fn=lambda t_f: np.empty(0),
+            breakpoints_fn=lambda t_f: np.empty(0), scalar_fn=scalar_fn,
             meta={"order": order})
 
     if kind not in ("lagrange_nodes", "piecewise_linear", "piecewise_constant"):
@@ -217,23 +266,45 @@ def make_basis(kind: str, m: int, t0: float, form: str, *,
         raise ConfigurationError(f"{kind} requires n_segments >= 1")
     N = n_segments
 
+    # point_of(p) gives the per-point evaluator u(sigma) of one parameter
+    # vector; it rounds exactly like the array path
     if kind == "lagrange_nodes":
         nodes = np.linspace(0.0, 1.0, N + 1)
-        values = lambda sig: _lagrange_values(sig, nodes)
+        node_list = nodes.tolist()
+        values = lambda sig: np.column_stack(_lagrange_terms(sig, node_list))
         derivs = lambda sig: _lagrange_derivs(sig, nodes)
+        point_of = lambda p: lambda sig: _row_eval(_lagrange_terms(sig, node_list), m, p)
         k = N + 1
         smooth = True
     elif kind == "piecewise_linear":
         values = lambda sig: _hat_values(sig, N)
         derivs = lambda sig: _hat_derivs(sig, N)
+
+        def hat_row(sig):
+            idx = min(max(math.floor(sig * N), 0), N - 1)
+            frac = sig * N - idx
+            row = [0.0] * (N + 1)
+            row[idx] = 1.0 - frac
+            row[idx + 1] += frac
+            return row
+        point_of = lambda p: lambda sig: _row_eval(hat_row(sig), m, p)
         k = N + 1
         smooth = False
     else:  # piecewise_constant
         values = lambda sig: _step_values(sig, N)
         derivs = lambda sig: np.zeros((sig.size, N))
+
+        def point_of(p):
+            P = p.reshape(N, m)
+            return lambda sig: P[min(max(math.floor(sig * N), 0), N - 1)].copy()
         k = N
         smooth = False
     s = m * k
+
+    def scalar_fn(p, t_f):
+        point = point_of(p)
+        span = t_f - t0
+        return lambda t: point((t - t0) / span)
 
     def jac_p_fn(ts, p, t_f):
         return _block_jac(values(_sigma(ts, t0, t_f)), m)
@@ -259,7 +330,7 @@ def make_basis(kind: str, m: int, t0: float, form: str, *,
         kind=kind, form=form, m=m, s=s, t0=t0,
         eval_fn=lambda ts, p, t_f: np.einsum("tms,s->tm", jac_p_fn(ts, p, t_f), p),
         jac_p_fn=jac_p_fn, jac_tf_fn=jac_tf_fn,
-        breakpoints_fn=breakpoints_fn,
+        breakpoints_fn=breakpoints_fn, scalar_fn=scalar_fn,
         meta={"n_segments": N})
 
 

@@ -312,7 +312,10 @@ def simulate_control(prob: OcpProblem, u_of_t, t_f: float,
     def rhs(t, ya):
         x = ya[:n]
         u = np.atleast_1d(np.asarray(u_of_t(t), dtype=float))
-        return np.concatenate([prob.f(x, u, t), [prob.L(x, u, t)]])
+        out = np.empty(n + 1)
+        out[:n] = prob.f(x, u, t)
+        out[n] = prob.L(x, u, t)
+        return out
 
     y0 = np.concatenate([prob.x0, [0.0]])
     sol = integrate_ivp(rhs, y0, (prob.t0, t_f), ode or OdeSettings(),

@@ -56,7 +56,10 @@ def make_example1() -> BuiltinProblem:
     def f(x, u, t):
         x = np.asarray(x, float)
         u = np.asarray(u, float)
-        return np.stack([x[..., 1], u[..., 0]], axis=-1)
+        out = np.empty((*x.shape[:-1], 2))
+        out[..., 0] = x[..., 1]
+        out[..., 1] = u[..., 0]
+        return out
 
     def f_x(x, u, t):
         return np.broadcast_to(A, (*np.shape(t), 2, 2)) if np.ndim(t) else A
@@ -100,26 +103,33 @@ def make_example2() -> BuiltinProblem:
     """Brachistochrone: fastest descent from rest at the origin to (2, -2), gravity 10."""
     grav = 10.0
 
+    # one code path for a point and for stacked points: fill the output
     def f(x, u, t):
-        x = np.asarray(x, float)
         th = np.asarray(u, float)[..., 0]
-        V = x[..., 2]
-        return np.stack([V * np.sin(th), -V * np.cos(th), grav * np.cos(th)], axis=-1)
+        V = np.asarray(x, float)[..., 2]
+        sin, cos = np.sin(th), np.cos(th)
+        out = np.empty((*th.shape, 3))
+        out[..., 0] = V * sin
+        out[..., 1] = -V * cos
+        out[..., 2] = grav * cos
+        return out
 
     def f_x(x, u, t):
         th = np.asarray(u, float)[..., 0]
-        z = np.zeros(np.shape(th))
-        row = lambda *cols: np.stack(np.broadcast_arrays(*cols), axis=-1)
-        return np.stack([row(z, z, np.sin(th)),
-                         row(z, z, -np.cos(th)),
-                         row(z, z, z)], axis=-2)
+        out = np.zeros((*th.shape, 3, 3))
+        out[..., 0, 2] = np.sin(th)
+        out[..., 1, 2] = -np.cos(th)
+        return out
 
     def f_u(x, u, t):
-        x = np.asarray(x, float)
         th = np.asarray(u, float)[..., 0]
-        V = x[..., 2]
-        return np.stack([V * np.cos(th), V * np.sin(th),
-                         -grav * np.sin(th)], axis=-1)[..., None]
+        V = np.asarray(x, float)[..., 2]
+        sin, cos = np.sin(th), np.cos(th)
+        out = np.empty((*th.shape, 3, 1))
+        out[..., 0, 0] = V * cos
+        out[..., 1, 0] = V * sin
+        out[..., 2, 0] = -grav * sin
+        return out
 
     g_x_mat = np.array([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]])
 

@@ -121,9 +121,7 @@ class NlpGradients:
 def solve_state(prob: OcpProblem, par: Parameterization, p, t_f: float,
                 ode: OdeSettings | None = None) -> DenseSolution:
     """Forward solve under u(t; p[, t_f]); n+1 channels (state + cost)."""
-    p = np.asarray(p, dtype=float)
-    u_of_t = lambda t: par.eval(t, p, t_f)
-    sol, _, _ = simulate_control(prob, u_of_t, t_f, ode,
+    sol, _, _ = simulate_control(prob, par.bind(p, t_f), t_f, ode,
                                  breakpoints=par.breakpoints(t_f))
     return sol
 
@@ -139,6 +137,7 @@ def solve_adjoints(prob: OcpProblem, par: Parameterization, p,
     """
     n, q = prob.n, prob.q
     p = np.asarray(p, dtype=float)
+    u_of_t = par.bind(p, t_f)
 
     x_f = x_traj(t_f)[:n]
     mu_f = np.asarray(prob.phi_x(x_f, t_f), dtype=float)
@@ -148,7 +147,7 @@ def solve_adjoints(prob: OcpProblem, par: Parameterization, p,
 
     def rhs(t, y):
         x = x_traj(t)[:n]
-        u = par.eval(t, p, t_f)
+        u = u_of_t(t)
         fx_T = np.asarray(prob.f_x(x, u, t), dtype=float).T
         dmu = -(fx_T @ y[:n]) - np.asarray(prob.L_x(x, u, t), dtype=float)
         if q:

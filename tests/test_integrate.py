@@ -122,6 +122,15 @@ def test_settings_validation():
         OdeSettings(abs_tol=0.0)
     with pytest.raises(ValueError):
         OdeSettings(max_steps=0)
+    for bad in (float("nan"), float("inf"), -np.inf):
+        with pytest.raises(ValueError):
+            OdeSettings(rel_tol=bad)
+        with pytest.raises(ValueError):
+            OdeSettings(abs_tol=bad)
+    for bad in (0.0, -1e-3, float("nan"), float("inf")):
+        with pytest.raises(ValueError):
+            OdeSettings(initial_step=bad)
+    assert OdeSettings(initial_step=1e-3).initial_step == 1e-3
     with pytest.raises(ValueError):
         integrate_ivp(lambda t, y: -y, np.array([1.0]), (1.0, 1.0))
 
@@ -131,3 +140,19 @@ def test_statistics_reported():
     assert sol.nsteps > 0
     assert sol.nrejected >= 0
     assert np.isfinite(sol.last_error)
+
+
+@pytest.mark.parametrize("t_span", [(0.0, 3.0), (3.0, 0.0)])
+def test_dense_scalar_lookups_match_array_lookups(t_span):
+    def rhs(t, y):
+        return np.array([y[1], -np.sin(y[0]) + np.cos(3.0 * t), 0.3 * y[0] * y[1]])
+
+    sol = integrate_ivp(rhs, np.array([0.3, -0.2, 1.0]), t_span)
+    lo, hi = sol.t_grid[0], sol.t_grid[-1]
+    rng = np.random.default_rng(2)
+    ts = np.concatenate([rng.uniform(lo, hi, 500), sol.t_grid, [lo, hi]])
+    batched = sol(ts)
+    scalar = np.array([sol(t) for t in ts])
+    alone = np.array([sol(np.array([t]))[0] for t in ts])
+    assert np.array_equal(scalar, batched)
+    assert np.array_equal(alone, batched)

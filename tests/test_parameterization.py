@@ -224,3 +224,67 @@ def test_multicontrol_block_layout():
     np.testing.assert_allclose(par.eval(0.9, p, 1.0), [3.0, 4.0])
     jp = par.jac_p(0.1, p, 1.0)
     np.testing.assert_allclose(jp, [[1.0, 0.0, 0.0, 0.0], [0.0, 1.0, 0.0, 0.0]])
+
+
+KINDS_FORMS = [
+    ("global_polynomial", {"order": 4}, "form1"),
+    ("lagrange_nodes", {"n_segments": 4}, "form1"),
+    ("lagrange_nodes", {"n_segments": 4}, "form2"),
+    ("piecewise_linear", {"n_segments": 6}, "form1"),
+    ("piecewise_linear", {"n_segments": 6}, "form2"),
+    ("piecewise_constant", {"n_segments": 20}, "form1"),
+    ("piecewise_constant", {"n_segments": 20}, "form2"),
+]
+
+
+def _probe_times(par, rng, t_f):
+    """Random times, t0, t_f, the exact node times and points inside the slack."""
+    t0 = par.t0
+    n_seg = par.meta.get("n_segments", 4)
+    nodes = t0 + (t_f - t0) * np.arange(n_seg + 1) / n_seg
+    slack = 1e-12 * max(1.0, t_f - t0)
+    return np.concatenate([rng.uniform(t0, t_f, 200), nodes, par.breakpoints(t_f),
+                           [t0, t_f, t0 - 0.5 * slack, t_f + 0.5 * slack]])
+
+
+@pytest.mark.parametrize("kind,kwargs,form", KINDS_FORMS)
+@pytest.mark.parametrize("m", [1, 2])
+def test_scalar_evaluators_match_array_path(kind, kwargs, form, m):
+    rng = np.random.default_rng(11)
+    par = make_basis(kind, m=m, t0=0.3, form=form, **kwargs)
+    p = rng.normal(size=par.s)
+    t_f = 1.1173
+    ts = _probe_times(par, rng, t_f)
+    arr = par.eval(ts, p, t_f)
+    u = par.bind(p, t_f)
+    bound = np.array([u(t) for t in ts])
+    scalar = np.array([par.eval(t, p, t_f) for t in ts])
+    assert bound.shape == scalar.shape == arr.shape == (ts.size, m)
+    if m == 1:
+        assert np.array_equal(bound, arr)
+        assert np.array_equal(scalar, arr)
+    else:
+        scale = np.abs(arr).max()
+        np.testing.assert_allclose(bound, arr, rtol=1e-15, atol=1e-15 * scale)
+        np.testing.assert_allclose(scalar, arr, rtol=1e-15, atol=1e-15 * scale)
+
+
+@pytest.mark.parametrize("kind,kwargs,form", KINDS_FORMS)
+def test_bound_control_checks_domain_and_shape(kind, kwargs, form):
+    par = make_basis(kind, m=1, t0=0.3, form=form, **kwargs)
+    p = np.ones(par.s)
+    t_f = 1.1173
+    slack = 1e-12 * max(1.0, t_f - par.t0)
+    u = par.bind(p, t_f)
+    for t in (par.t0 - 2 * slack, t_f + 2 * slack, np.nan):
+        with pytest.raises(DomainError):
+            u(t)
+    for t in (par.t0 - 2 * slack, t_f + 2 * slack):
+        with pytest.raises(DomainError):
+            par.eval(t, p, t_f)
+    with pytest.raises(ValueError):
+        par.bind(np.ones(par.s + 1), t_f)
+    with pytest.raises(ValueError):
+        par.bind(np.ones((par.s, 1)), t_f)
+    with pytest.raises(ValueError):
+        par.bind(p, par.t0)

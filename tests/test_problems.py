@@ -82,3 +82,20 @@ def test_registry_roundtrip(example1):
     finally:
         from ocflow.problems import _REGISTRY
         _REGISTRY.pop("example1-alias")
+
+
+@pytest.mark.parametrize("name", ["example1", "brachistochrone"])
+def test_scalar_callbacks_equal_rows_of_batched_calls(name):
+    prob = get_problem(name).prob
+    rng = np.random.default_rng(4)
+    N = 25
+    xs = rng.uniform(-2.0, 2.0, (N, prob.n))
+    us = rng.uniform(-2.0, 2.0, (N, prob.m))
+    ts = rng.uniform(0.0, 2.0, N)
+    for cb in ("f", "f_x", "f_u", "L", "L_x", "L_u"):
+        fn = getattr(prob, cb)
+        batched = np.asarray(fn(xs, us, ts), dtype=float)
+        assert batched.shape[0] == N, cb
+        for i in range(N):
+            point = np.asarray(fn(xs[i], us[i], ts[i]), dtype=float)
+            assert np.array_equal(point, batched[i]), (cb, i)
