@@ -29,7 +29,7 @@ from .errors import OcflowError
 from .evolution import EvolutionMode, EvolutionState, StopCriteria, solve_evolution
 from .integrate import OdeSettings
 from .parameterization import FORM1, FORM2, make_basis
-from .problem import Gains, SolveTrace, constraint_value, objective_value
+from .problem import Gains, SolveTrace, simulate_control
 from .problems import get_problem, list_problems
 from .projection import BasisSet, InnerProductSpec, project, weighted_norm
 from .quadrature import QuadratureSpec
@@ -230,13 +230,14 @@ def _check_gradients(prob, par, gains, init, quad) -> list[dict]:
         grads = nlp_gradients(prob, par, bund, p, t_f, quad)
         f_theta, g_theta = grads.f_theta, grads.g_theta
 
-    def J_of(pv, tfv):
-        return objective_value(prob, par.bind(pv, tfv), tfv, ode,
-                               breakpoints=par.breakpoints(tfv))
+    def Jg_of(pv, tfv):
+        _, J, g = simulate_control(prob, par.bind(pv, tfv), tfv, ode,
+                                   breakpoints=par.breakpoints(tfv))
+        return J, g
 
-    def g_of(pv, tfv):
-        return constraint_value(prob, par.bind(pv, tfv), tfv, ode,
-                                breakpoints=par.breakpoints(tfv))
+    def central(plus, minus, step):
+        (J_hi, g_hi), (J_lo, g_lo) = Jg_of(*plus), Jg_of(*minus)
+        return (J_hi - J_lo) / (2 * step), (g_hi - g_lo) / (2 * step)
 
     results = []
     h = 1e-4
@@ -245,11 +246,9 @@ def _check_gradients(prob, par, gains, init, quad) -> list[dict]:
     for i in range(par.s):
         dp = np.zeros(par.s)
         dp[i] = h * max(1.0, abs(p[i]))
-        fd_f[i] = (J_of(p + dp, t_f) - J_of(p - dp, t_f)) / (2 * dp[i])
-        fd_g[:, i] = (g_of(p + dp, t_f) - g_of(p - dp, t_f)) / (2 * dp[i])
+        fd_f[i], fd_g[:, i] = central((p + dp, t_f), (p - dp, t_f), dp[i])
     dtf = h * max(1.0, abs(t_f))
-    fd_f[par.s] = (J_of(p, t_f + dtf) - J_of(p, t_f - dtf)) / (2 * dtf)
-    fd_g[:, par.s] = (g_of(p, t_f + dtf) - g_of(p, t_f - dtf)) / (2 * dtf)
+    fd_f[par.s], fd_g[:, par.s] = central((p, t_f + dtf), (p, t_f - dtf), dtf)
 
     tol = 1e-3
     scale_f = max(1.0, float(np.abs(fd_f).max()))

@@ -44,7 +44,12 @@ class DependentBasisError(OcflowError):
 
 
 class RankError(OcflowError):
-    """An SPD solve failed: a rank/full-column-rank assumption is violated."""
+    """An SPD solve failed.
+
+    Its matrix is not numerically positive-definite (a rank or full-column-rank
+    assumption is violated), or its matrix or right-hand side holds a NaN or
+    an infinity (for instance from a user callback).
+    """
 
 
 class MultiplierBoundWarning(UserWarning):

@@ -1,14 +1,19 @@
 """The outer initial-value problem in virtual time.
 
-An iterate theta = (p[, t_f]) flows under one of three right-hand sides:
+An iterate theta = (p[, t_f]) flows under
 
-* ``form1``  -- dp/dtau = -M_p^-1 (r_1p + Gamma_1p pi), and for free terminal
-  time dt_f/dtau = -k_tf * (terminal bracket); the two equations decouple.
-* ``form2``  -- d(p, t_f)/dtau = -M_ptf^-1 (r_2ptf + Gamma_2ptf pi), for
-  parameterizations whose shape depends on t_f.
-* ``gradient_flow`` -- d theta/dtau = -K_theta (f_theta + g_theta^T pi) with
-  an arbitrary constant SPD gain; the NLP-side twin of form 1 (they coincide
-  when K_theta is the inverse Gram matrix).
+    d theta/dtau = -W (r + Gamma pi),
+
+one formula whose stationarity terms r, Gamma and SPD metric W come from
+the mode:
+
+* ``form1``  -- r_1p, Gamma_1p and W = M_p^-1; for free terminal time t_f
+  joins theta with its terminal brackets under the decoupled metric k_tf.
+* ``form2``  -- r_2ptf, Gamma_2ptf and W = M_ptf^-1, for parameterizations
+  whose shape depends on t_f.
+* ``gradient_flow`` -- f_theta, g_theta^T and W = K_theta, an arbitrary
+  constant SPD gain; the NLP-side twin of form 1 (they coincide when
+  K_theta is the inverse Gram matrix).
 
 In every mode the multiplier pi is chosen so the terminal-constraint
 violation obeys dg/dtau = -K_g g, i.e. the infeasibility decays
@@ -99,35 +104,19 @@ def lyapunov_diagnostic(g_val, J_val: float, c1: float) -> float:
     return float(np.sqrt(g_val @ g_val) + c1 * J_val)
 
 
-def multiplier(M, r, Gamma, tf_terms, K_g, g_val, *, pi_bound: float = 1e6,
-               m_is_weight: bool = False) -> np.ndarray:
+def multiplier(Gamma, W_Gamma, W_r, K_g, g_val, *,
+               pi_bound: float = 1e6) -> np.ndarray:
     """Terminal-constraint multiplier enforcing dg/dtau = -K_g g.
 
-    Solves pi = -(Gamma^T W Gamma [+ k_tf row term])^-1
-                 (Gamma^T W r [+ k_tf bracket term] - K_g g)
-    where W = M^-1 normally, or W = M directly when ``m_is_weight`` (the
-    gradient-flow mode passes its gain matrix that way).  ``tf_terms`` is
-    ``(k_tf, tf_scalar, tf_row)`` for the decoupled free-terminal-time form,
-    else None.
+    Solves pi = -(Gamma^T W Gamma)^-1 (Gamma^T W r - K_g g) for the flow
+    d theta/dtau = -W (r + Gamma pi), given the metric applied to the
+    stationarity terms: ``W_Gamma`` = W Gamma and ``W_r`` = W r.
     """
     g_val = np.asarray(g_val, dtype=float)
-    q = g_val.size
-    if q == 0:
+    if g_val.size == 0:
         return np.zeros(0)
     Gamma = np.asarray(Gamma, dtype=float)
-    r = np.asarray(r, dtype=float)
-    if m_is_weight:
-        WG, Wr = M @ Gamma, M @ r
-    else:
-        WG = spd_solve(M, Gamma, "multiplier weight")
-        Wr = spd_solve(M, r, "multiplier weight")
-    M_pi = Gamma.T @ WG
-    r_pi = Gamma.T @ Wr - K_g @ g_val
-    if tf_terms is not None:
-        k_tf, tf_scalar, tf_row = tf_terms
-        M_pi = M_pi + k_tf * np.outer(tf_row, tf_row)
-        r_pi = r_pi + k_tf * tf_row * tf_scalar
-    pi = -spd_solve(M_pi, r_pi,
+    pi = -spd_solve(Gamma.T @ W_Gamma, Gamma.T @ W_r - K_g @ g_val,
                     "multiplier system (constraint sensitivity lacks full column rank)")
     norm = float(np.linalg.norm(pi))
     if norm > pi_bound:
@@ -135,6 +124,13 @@ def multiplier(M, r, Gamma, tf_terms, K_g, g_val, *, pi_bound: float = 1e6,
                       "multiplier boundedness assumption looks violated",
                       MultiplierBoundWarning, stacklevel=2)
     return pi
+
+
+def _flow_direction(r, Gamma, W_rGamma, K_g, g_val, pi_bound: float):
+    """(pi, r + Gamma pi, -W (r + Gamma pi)) from ``W_rGamma`` = W [r | Gamma]."""
+    W_r, W_Gamma = W_rGamma[:, 0], W_rGamma[:, 1:]
+    pi = multiplier(Gamma, W_Gamma, W_r, K_g, g_val, pi_bound=pi_bound)
+    return pi, r + Gamma @ pi, -(W_r + W_Gamma @ pi)
 
 
 @dataclass
@@ -212,41 +208,35 @@ def evaluate_iterate(mode: EvolutionMode, prob: OcpProblem, par: Parameterizatio
     g_val = np.asarray(prob.g(x_f, t_f), dtype=float)
     g_norm = float(np.linalg.norm(g_val))
 
+    # each mode supplies the stationarity terms r, Gamma and its metric W
+    # applied to them; the flow d theta/dtau = -W (r + Gamma pi) follows
     if mode.kind == "form1":
         quant = assemble_form1(prob, par, bundle, gains, t_f, quad, M_p=M_p_const)
-        k_tf = gains.k_tf if free else 0.0
-        tf_terms = (k_tf, quant.tf_scalar, quant.tf_row) if free else None
-        pi = multiplier(quant.M_p, quant.r_1p, quant.Gamma_1p, tf_terms,
-                        gains.K_g, g_val, pi_bound=pi_bound)
-        stat = quant.r_1p + quant.Gamma_1p @ pi
-        dp = -spd_solve(quant.M_p, stat, "M_p")
+        r, Gamma = quant.r_1p, quant.Gamma_1p
+        W_rGamma = spd_solve(quant.M_p, np.column_stack([r, Gamma]),
+                             "M_p (Gram matrix of the basis columns)")
         if free:
-            bracket = quant.tf_scalar + float(pi @ quant.tf_row)
-            dtf = -k_tf * bracket
-            residual = np.concatenate([stat, [bracket]])
-        else:
-            dtf = 0.0
-            residual = stat
+            # t_f is decoupled from p under the scalar metric k_tf
+            r = np.append(r, quant.tf_scalar)
+            Gamma = np.vstack([Gamma, quant.tf_row])
+            W_rGamma = np.vstack([W_rGamma,
+                                  gains.k_tf * np.append(quant.tf_scalar, quant.tf_row)])
     elif mode.kind == "form2":
         quant = assemble_form2(prob, par, bundle, gains, p, t_f, quad)
-        pi = multiplier(quant.M_ptf, quant.r_2ptf, quant.Gamma_2ptf, None,
-                        gains.K_g, g_val, pi_bound=pi_bound)
-        residual = quant.r_2ptf + quant.Gamma_2ptf @ pi
-        dtheta = -spd_solve(quant.M_ptf, residual, "M_ptf")
-        dp, dtf = dtheta[:-1], float(dtheta[-1])
+        r, Gamma = quant.r_2ptf, quant.Gamma_2ptf
+        W_rGamma = spd_solve(quant.M_ptf, np.column_stack([r, Gamma]),
+                             "M_ptf (Gram matrix of the basis columns and t_f)")
     elif mode.kind == "gradient_flow":
         quant = nlp_gradients(prob, par, bundle, p, t_f, quad)
         dim = par.s + (1 if free else 0)
-        K_theta = _resolve_k_theta(mode, gains, dim)
-        f_th = quant.f_theta if free else quant.f_theta[:par.s]
-        G_th = quant.g_theta if free else quant.g_theta[:, :par.s]
-        pi = multiplier(K_theta, f_th, G_th.T, None, gains.K_g, g_val,
-                        pi_bound=pi_bound, m_is_weight=True)
-        residual = f_th + G_th.T @ pi
-        dtheta = -K_theta @ residual
-        dp, dtf = (dtheta[:-1], float(dtheta[-1])) if free else (dtheta, 0.0)
+        r, Gamma = quant.f_theta[:dim], quant.g_theta[:, :dim].T
+        W_rGamma = _resolve_k_theta(mode, gains, dim) @ np.column_stack([r, Gamma])
     else:
         raise ConfigurationError(f"unknown evolution mode {mode.kind!r}")
+
+    pi, residual, dtheta = _flow_direction(r, Gamma, W_rGamma, gains.K_g, g_val,
+                                           pi_bound)
+    dp, dtf = (dtheta[:-1], float(dtheta[-1])) if free else (dtheta, 0.0)
 
     return IterateEval(p=p, t_f=t_f, bundle=bundle, quantities=quant, pi=pi,
                        J=J, g_val=g_val, g_norm=g_norm, residual=residual,
@@ -322,8 +312,7 @@ def solve_evolution(mode: EvolutionMode, prob: OcpProblem, par: Parameterization
     p0, t_f0 = _resolve_init(prob, init)
 
     M_p_const = None
-    if (mode.kind == "form1" and not free and par.linear_in_p
-            and gains.K_inv_const is not None):
+    if mode.kind == "form1" and not free and gains.K_inv_const is not None:
         M_p_const = basis_gram(par, gains, p0, t_f0, quad)
 
     def evaluate(theta: np.ndarray) -> IterateEval:
@@ -386,15 +375,15 @@ def gradient_flow_generic(f_grad, h_val, h_jac, K_theta, K_h, theta0,
         h = np.asarray(h_val(theta), dtype=float)
         H = (np.atleast_2d(np.asarray(h_jac(theta), dtype=float)) if h.size
              else np.zeros((0, theta.size)))
-        pi = multiplier(K_theta, grad, H.T, None, K_h, h, pi_bound=stop.pi_bound,
-                        m_is_weight=True)
-        return pi, grad + H.T @ pi, h
+        pi, residual, dtheta = _flow_direction(
+            grad, H.T, K_theta @ np.column_stack([grad, H.T]), K_h, h, stop.pi_bound)
+        return pi, residual, dtheta, h
 
     def rhs(tau, theta):
-        return -K_theta @ evaluate(theta)[1]
+        return evaluate(theta)[2]
 
     def check(tau, theta):
-        pi, residual, h = evaluate(theta)
+        pi, residual, _, h = evaluate(theta)
         done = (np.linalg.norm(residual) <= stop.tol_opt
                 and np.linalg.norm(h) <= stop.tol_feas)
         return (theta, pi), done

@@ -38,13 +38,13 @@ FORM2 = "form2"
 class Parameterization:
     """A control basis with parameter and terminal-time sensitivities.
 
-    The evaluator triple works on time arrays: ``eval_fn(ts, p, t_f)`` gives
-    (N, m) control values, ``jac_p_fn`` the (N, m, s) parameter Jacobian, and
-    ``jac_tf_fn`` the (N, m) terminal-time sensitivity (identically zero for
-    form 1).  All provided kinds are linear in p, so ``eval = jac_p @ p``
-    holds exactly.  ``scalar_fn(p, t_f)`` returns the unchecked per-point
-    evaluator ``u(t) -> (m,)`` behind :meth:`bind`; it rounds exactly like
-    ``eval_fn`` on a one-point array.
+    The evaluators work on time arrays: ``jac_p_fn(ts, p, t_f)`` gives the
+    (N, m, s) parameter Jacobian and ``jac_tf_fn`` the (N, m) terminal-time
+    sensitivity (identically zero for form 1).  Every kind is linear in p, so
+    the (N, m) control values are ``jac_p @ p``.  ``scalar_fn(p, t_f)``
+    returns the unchecked per-point evaluator ``u(t) -> (m,)`` behind
+    :meth:`bind`; it rounds exactly like the array path on a one-point
+    array.
     """
 
     kind: str
@@ -52,12 +52,10 @@ class Parameterization:
     m: int
     s: int
     t0: float
-    eval_fn: Callable
     jac_p_fn: Callable
     jac_tf_fn: Callable
     breakpoints_fn: Callable
     scalar_fn: Callable
-    linear_in_p: bool = True
     meta: dict = field(default_factory=dict)
 
     def _slack(self, t_f: float) -> float:
@@ -107,7 +105,7 @@ class Parameterization:
             return self.bind(p, t_f)(t)
         t_f = self._resolve_tf(t_f)
         ts, p = self._prep(t, p, t_f)
-        return self.eval_fn(ts, p, t_f)
+        return np.einsum("tms,s->tm", self.jac_p_fn(ts, p, t_f), p)
 
     def jac_p(self, t, p, t_f=None):
         """Parameter Jacobian u_p(t); (m, s) or (N, m, s)."""
@@ -154,7 +152,7 @@ def _block_jac(vals: np.ndarray, m: int) -> np.ndarray:
 def _row_eval(vals: list, m: int, p: np.ndarray) -> np.ndarray:
     """(m,) control value at one point from its k basis values.
 
-    The same block Jacobian and contraction as ``eval_fn``, on one row, so
+    The same block Jacobian and contraction as the array path, on one row, so
     both paths round alike.
     """
     return np.einsum("tms,s->tm", _block_jac(np.array([vals]), m), p)[0]
@@ -255,7 +253,6 @@ def make_basis(kind: str, m: int, t0: float, form: str, *,
 
         return Parameterization(
             kind=kind, form=form, m=m, s=s, t0=t0,
-            eval_fn=lambda ts, p, t_f: np.einsum("tms,s->tm", jac_p_fn(ts, p, t_f), p),
             jac_p_fn=jac_p_fn, jac_tf_fn=jac_tf_fn,
             breakpoints_fn=lambda t_f: np.empty(0), scalar_fn=scalar_fn,
             meta={"order": order})
@@ -328,7 +325,6 @@ def make_basis(kind: str, m: int, t0: float, form: str, *,
 
     return Parameterization(
         kind=kind, form=form, m=m, s=s, t0=t0,
-        eval_fn=lambda ts, p, t_f: np.einsum("tms,s->tm", jac_p_fn(ts, p, t_f), p),
         jac_p_fn=jac_p_fn, jac_tf_fn=jac_tf_fn,
         breakpoints_fn=breakpoints_fn, scalar_fn=scalar_fn,
         meta={"n_segments": N})

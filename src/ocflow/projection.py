@@ -19,10 +19,10 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-from scipy.linalg import LinAlgError, cho_factor, cho_solve
 
-from .errors import DependentBasisError
+from .errors import DependentBasisError, RankError
 from .quadrature import QuadratureSpec, simpson_points
+from .sensitivity import spd_solve
 
 
 @dataclass(frozen=True)
@@ -74,11 +74,21 @@ def _as_batch_fn(f: Callable) -> Callable:
     return at
 
 
-def gram_matrix(spec: InnerProductSpec, basis: BasisSet) -> np.ndarray:
+def _coordinates(spec: InnerProductSpec, basis: BasisSet, F: Callable) -> np.ndarray:
+    """Solve (int A^T W A dt) X = int A^T W F dt.
+
+    ``F(ts)`` is (N, d) for one function or (N, d, k) for k of them; raises
+    :class:`DependentBasisError` when the Gram matrix is numerically singular.
+    """
     ts, w = spec.grid()
     A = basis.at(ts)
     W = spec.weight_at(ts)
-    return np.einsum("t,tdi,tde,tej->ij", w, A, W, A)
+    gram = np.einsum("t,tdi,tde,tej->ij", w, A, W, A)
+    rhs = np.einsum("t,tdi,tde,te...->i...", w, A, W, F(ts))
+    try:
+        return spd_solve(gram, rhs, "projection Gram matrix")
+    except RankError as exc:
+        raise DependentBasisError(f"{exc}; basis columns are dependent") from None
 
 
 def project(spec: InnerProductSpec, basis: BasisSet, f: Callable):
@@ -88,16 +98,7 @@ def project(spec: InnerProductSpec, basis: BasisSet, f: Callable):
     A(ts) @ coords.  Raises :class:`DependentBasisError` when the Gram matrix
     is numerically singular.
     """
-    ts, w = spec.grid()
-    A = basis.at(ts)
-    W = spec.weight_at(ts)
-    gram = np.einsum("t,tdi,tde,tej->ij", w, A, W, A)
-    rhs = np.einsum("t,tdi,tde,te->i", w, A, W, _as_batch_fn(f)(ts))
-    try:
-        coords = cho_solve(cho_factor(gram, lower=True), rhs)
-    except (LinAlgError, np.linalg.LinAlgError):
-        raise DependentBasisError(
-            "projection Gram matrix is singular; basis columns are dependent") from None
+    coords = _coordinates(spec, basis, _as_batch_fn(f))
 
     def projection(t):
         tt = np.atleast_1d(np.asarray(t, dtype=float))
@@ -140,18 +141,15 @@ def projected_stationarity_check(spec: InnerProductSpec, u_p_basis: BasisSet, p_
     f_u^T Psi (shape (N, m, q)), and ``pi`` the multiplier.
     """
     pi = np.asarray(pi, dtype=float)
-    coords_pu, _ = project(spec, u_p_basis, p_u_fn)
-    if pi.size:
-        ts, w = spec.grid()
-        A = u_p_basis.at(ts)
-        W = spec.weight_at(ts)
-        gram = np.einsum("t,tdi,tde,tej->ij", w, A, W, A)
-        rhs_cols = np.einsum("t,tdi,tde,teq->iq", w, A, W,
-                             np.asarray(psi_fn(ts), dtype=float))
-        coords_psi = cho_solve(cho_factor(gram, lower=True), rhs_cols)
-        coord_residual = coords_pu + coords_psi @ pi
-    else:
-        coord_residual = coords_pu
+
+    def columns(ts):                    # [p_u | f_u^T Psi]: (N, d, 1 + q)
+        F = _as_batch_fn(p_u_fn)(ts)[:, :, None]
+        if pi.size:
+            F = np.concatenate([F, np.asarray(psi_fn(ts), dtype=float)], axis=2)
+        return F
+
+    coords = _coordinates(spec, u_p_basis, columns)
+    coord_residual = coords[:, 0] + coords[:, 1:] @ pi
 
     def residual_fn(ts):
         return np.einsum("tdi,i->td", u_p_basis.at(np.atleast_1d(ts)), coord_residual)

@@ -24,7 +24,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import LinAlgError, cho_factor, cho_solve
 
 from .errors import ConfigurationError, RankError
 from .integrate import DenseSolution, OdeSettings, integrate_ivp
@@ -34,11 +33,26 @@ from .quadrature import QuadratureSpec, simpson_points
 
 
 def spd_solve(M: np.ndarray, B: np.ndarray, context: str) -> np.ndarray:
-    """Solve M X = B for symmetric positive-definite M, failing loudly."""
+    """Solve M X = B for symmetric positive-definite M, failing loudly.
+
+    A Cholesky factorization certifies M, then LAPACK's LU solve gives X.
+    Raises :class:`RankError` when M or B has a non-finite entry, M has no
+    Cholesky factor, or M is numerically singular: some pivot L_kk^2 is at
+    most n * eps * M_kk.  A matrix that is singular in exact arithmetic (say,
+    a Gram matrix with a duplicated column) often factors with pivots of that
+    rounding size instead of failing.
+    """
+    M = np.asarray(M, dtype=float)
+    B = np.asarray(B, dtype=float)
+    if not (np.isfinite(M).all() and np.isfinite(B).all()):
+        raise RankError(f"{context}: system has non-finite entries")
     try:
-        return cho_solve(cho_factor(M, lower=True), B)
-    except (LinAlgError, np.linalg.LinAlgError) as exc:
+        L = np.linalg.cholesky(M)
+    except np.linalg.LinAlgError as exc:
         raise RankError(f"{context}: matrix is not positive-definite ({exc})") from None
+    if not (np.diag(L) ** 2 > len(M) * np.finfo(float).eps * np.diag(M)).all():
+        raise RankError(f"{context}: matrix is numerically singular")
+    return np.linalg.solve(M, B)
 
 
 @dataclass
@@ -243,14 +257,6 @@ def basis_gram(par: Parameterization, gains: Gains, p, t_f: float,
     return _gram(w, up, gains.K_inv_at(ts))
 
 
-def _check_spd(M: np.ndarray, context: str) -> None:
-    try:
-        cho_factor(M, lower=True)
-    except (LinAlgError, np.linalg.LinAlgError):
-        raise RankError(f"{context}: Gram matrix is not positive-definite; "
-                        "basis columns are not independent on this interval") from None
-
-
 def assemble_form1(prob: OcpProblem, par: Parameterization, bundle: AdjointBundle,
                    gains: Gains, t_f: float, quad: QuadratureSpec, *,
                    M_p: np.ndarray | None = None) -> Form1Quantities:
@@ -262,7 +268,6 @@ def assemble_form1(prob: OcpProblem, par: Parameterization, bundle: AdjointBundl
     gd = _grid_data(prob, par, bundle, quad, gains=gains)
     if M_p is None:
         M_p = _gram(gd.w, gd.up, gd.kinv)
-    _check_spd(M_p, "M_p")
     r_1p, Gamma_1p = _form1_integrals(gd)
     return Form1Quantities(M_p=M_p, r_1p=r_1p, Gamma_1p=Gamma_1p,
                            tf_scalar=gd.tf_scalar, tf_row=gd.tf_row)
@@ -285,7 +290,6 @@ def assemble_form2(prob: OcpProblem, par: Parameterization, bundle: AdjointBundl
     M_ptf[:s, s] = b
     M_ptf[s, :s] = b
     M_ptf[s, s] = c
-    _check_spd(M_ptf, "M_ptf")
     r_p, Gamma_p = _form1_integrals(gd)
     r_tf = gd.tf_scalar + np.einsum("t,tm,tm->", gd.w, gd.utf, gd.pu)
     Gamma_tf = gd.tf_row + np.einsum("t,tm,tmq->q", gd.w, gd.utf, gd.fupsi)

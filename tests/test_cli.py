@@ -1,12 +1,15 @@
 import dataclasses
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 
+import ocflow
 from ocflow import (EvolutionMode, EvolutionState, StopCriteria, make_basis,
-                    solve_evolution)
+                    simulate_control, solve_evolution)
 from ocflow.cli import main
 from ocflow.problems import _REGISTRY, register_problem
 
@@ -191,3 +194,30 @@ def test_console_entry_point_runs():
                           capture_output=True, text=True)
     assert proc.returncode == 0
     assert "example1" in proc.stdout
+
+
+def test_check_gradients_simulates_each_point_once(tmp_path, monkeypatch):
+    # one forward solve gives both J and g at each central-difference point
+    import ocflow.cli as cli
+
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return simulate_control(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "simulate_control", counting)
+    path, _ = write_config(tmp_path)
+    assert cli.run_check(str(path), "gradients") == 0
+    s = 4                                   # the default cubic basis
+    assert len(calls) == 2 * (s + 1)
+
+
+def test_import_leaves_scipy_out():
+    src = Path(ocflow.__file__).resolve().parents[1]
+    proc = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, ocflow; print('scipy' in sys.modules)"],
+        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": str(src)})
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"

@@ -1,10 +1,13 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
 from ocflow import (ConfigurationError, EvolutionMode, EvolutionState, Gains,
-                    MultiplierBoundWarning, RankError, StopCriteria,
+                    MultiplierBoundWarning, OcflowError, RankError, StopCriteria,
                     evaluate_iterate, gradient_flow_generic,
                     lyapunov_diagnostic, make_basis, multiplier, solve_evolution)
+from ocflow.sensitivity import spd_solve
 
 MP_EXACT = 10.0 * np.array([[2, 2, 8 / 3, 4],
                             [2, 8 / 3, 4, 32 / 5],
@@ -25,27 +28,27 @@ def test_multiplier_closed_form_at_zero_control():
     M_pi_expect = 0.1 * np.array([[8 / 3, 2.0], [2.0, 2.0]])
     M_pi = GAMMA_EXACT.T @ np.linalg.solve(MP_EXACT, GAMMA_EXACT)
     np.testing.assert_allclose(M_pi, M_pi_expect, atol=1e-12)
-    pi = multiplier(MP_EXACT, np.zeros(4), GAMMA_EXACT, None,
+    pi = multiplier(GAMMA_EXACT, spd_solve(MP_EXACT, GAMMA_EXACT, "M_p"), np.zeros(4),
                     0.1 * np.eye(2), np.array([3.0, 1.0]))
     np.testing.assert_allclose(pi, [3.0, -2.5], atol=1e-12)
 
 
 def test_multiplier_empty_constraint():
-    pi = multiplier(np.eye(2), np.zeros(2), np.zeros((2, 0)), None,
+    pi = multiplier(np.zeros((2, 0)), np.zeros((2, 0)), np.zeros(2),
                     np.zeros((0, 0)), np.zeros(0))
     assert pi.shape == (0,)
 
 
 def test_multiplier_bound_warning():
     with pytest.warns(MultiplierBoundWarning):
-        multiplier(MP_EXACT, np.zeros(4), GAMMA_EXACT, None,
+        multiplier(GAMMA_EXACT, spd_solve(MP_EXACT, GAMMA_EXACT, "M_p"), np.zeros(4),
                    0.1 * np.eye(2), np.array([3.0, 1.0]), pi_bound=1.0)
 
 
 def test_multiplier_rank_error_on_dependent_columns():
     Gamma = np.stack([GAMMA_EXACT[:, 0], GAMMA_EXACT[:, 0]], axis=1)
     with pytest.raises(RankError):
-        multiplier(MP_EXACT, np.zeros(4), Gamma, None,
+        multiplier(Gamma, spd_solve(MP_EXACT, Gamma, "M_p"), np.zeros(4),
                    0.1 * np.eye(2), np.array([1.0, 1.0]))
 
 
@@ -70,7 +73,6 @@ def test_form2_degenerate_matches_form1_equations(brach):
     # decoupled ones built from the same bundle
     from ocflow import (QuadratureSpec, assemble_form1, solve_adjoints,
                         solve_state)
-    from ocflow.sensitivity import spd_solve
 
     par = make_basis("piecewise_constant", m=1, t0=0.0, form="form2", n_segments=4)
     prob, gains = brach.prob, brach.gains
@@ -82,8 +84,12 @@ def test_form2_degenerate_matches_form1_equations(brach):
     x = solve_state(prob, par, p, t_f)
     b = solve_adjoints(prob, par, p, x, t_f)
     q1 = assemble_form1(prob, par, b, gains, t_f, QuadratureSpec())
-    pi = multiplier(q1.M_p, q1.r_1p, q1.Gamma_1p,
-                    (gains.k_tf, q1.tf_scalar, q1.tf_row),
+    # theta = (p, t_f) under the metric diag(M_p^-1, k_tf)
+    pi = multiplier(np.vstack([q1.Gamma_1p, q1.tf_row]),
+                    np.vstack([spd_solve(q1.M_p, q1.Gamma_1p, "M_p"),
+                               gains.k_tf * q1.tf_row]),
+                    np.append(spd_solve(q1.M_p, q1.r_1p, "M_p"),
+                              gains.k_tf * q1.tf_scalar),
                     gains.K_g, it2.g_val)
     dp = -spd_solve(q1.M_p, q1.r_1p + q1.Gamma_1p @ pi, "M_p")
     dtf = -gains.k_tf * (q1.tf_scalar + pi @ q1.tf_row)
@@ -285,3 +291,73 @@ def test_stop_criteria_validation():
         StopCriteria(c1=0.0)
     with pytest.raises(ValueError):
         StopCriteria(pi_bound=0.0)
+
+
+def test_non_finite_f_u_fails_typed(example1, e1_par):
+    # f_u enters only the assembly, so the NaN first meets the flow's solve
+    f_u = example1.prob.f_u
+    nan_prob = dataclasses.replace(
+        example1.prob, f_u=lambda x, u, t: np.full(np.shape(f_u(x, u, t)), np.nan))
+    with pytest.raises(OcflowError, match="non-finite"):
+        evaluate_iterate(EvolutionMode.form1(), nan_prob, e1_par, example1.gains,
+                         np.zeros(4), 2.0)
+
+
+def _duplicate_first_column(par):
+    """par with its last basis column replaced by a copy of the first.
+
+    The control of p is the original basis's control of p with the last
+    coefficient folded into the first, so every evaluator stays consistent.
+    """
+    def folded(p):
+        q = np.array(p, dtype=float)
+        q[0] += q[-1]
+        q[-1] = 0.0
+        return q
+
+    def jac_p_fn(ts, p, t_f):
+        J = par.jac_p_fn(ts, p, t_f).copy()
+        J[..., -1] = J[..., 0]
+        return J
+
+    return dataclasses.replace(
+        par, jac_p_fn=jac_p_fn,
+        jac_tf_fn=lambda ts, p, t_f: par.jac_tf_fn(ts, folded(p), t_f),
+        scalar_fn=lambda p, t_f: par.scalar_fn(folded(p), t_f))
+
+
+@pytest.mark.parametrize("form", ["form1", "form2"])
+def test_duplicated_basis_column_raises_rank_error(example1, brach, form):
+    if form == "form1":
+        bp, t_f = example1, 2.0
+        par = make_basis("global_polynomial", m=1, t0=0.0, form=form, order=3)
+    else:
+        bp, t_f = brach, 1.07
+        par = make_basis("piecewise_constant", m=1, t0=0.0, form=form, n_segments=4)
+    par = _duplicate_first_column(par)
+    p = np.random.default_rng(3).uniform(-0.2, 1.0, par.s)
+    with pytest.raises(RankError, match="Gram matrix of the basis columns"):
+        evaluate_iterate(EvolutionMode(kind=form), bp.prob, par, bp.gains, p, t_f)
+
+
+@pytest.mark.parametrize("mode, calls", [(EvolutionMode.form1(), 2),
+                                         (EvolutionMode.form2(), 2),
+                                         (EvolutionMode.gradient_flow(0.1), 1)])
+def test_spd_solves_per_pipeline(monkeypatch, example1, brach, mode, calls):
+    # the metric is factored once (form 1 and form 2), the multiplier system once
+    import ocflow.evolution as evolution
+
+    seen = []
+
+    def counting(M, B, context):
+        seen.append(context)
+        return spd_solve(M, B, context)
+
+    monkeypatch.setattr(evolution, "spd_solve", counting)
+    if mode.kind == "form2":
+        bp, t_f = brach, 1.07
+        par = make_basis("piecewise_constant", m=1, t0=0.0, form="form2", n_segments=4)
+    else:
+        bp, t_f, par = example1, 2.0, cubic()
+    evaluate_iterate(mode, bp.prob, par, bp.gains, np.full(par.s, 0.1), t_f)
+    assert len(seen) == calls

@@ -3,10 +3,11 @@ import dataclasses
 import numpy as np
 import pytest
 
-from ocflow import (ConfigurationError, OdeSettings, QuadratureSpec,
+from ocflow import (ConfigurationError, OdeSettings, QuadratureSpec, RankError,
                     assemble_form1, assemble_form2, basis_gram, constraint_value,
                     make_basis, nlp_gradients, objective_value, solve_adjoints,
                     solve_state)
+from ocflow.sensitivity import spd_solve
 
 TIGHT = OdeSettings(rel_tol=1e-10, abs_tol=1e-12)
 
@@ -289,3 +290,32 @@ def test_gradient_matches_fd_with_nontrivial_mu(lqr_like):
         hi = objective_value(prob, lambda t: par.eval(t, p + dp, 2.0), 2.0, TIGHT)
         lo = objective_value(prob, lambda t: par.eval(t, p - dp, 2.0), 2.0, TIGHT)
         assert grads.f_theta[i] == pytest.approx((hi - lo) / (2 * h), rel=1e-5)
+
+
+def test_spd_solve_matches_dense_solve():
+    B = np.column_stack([np.arange(4.0), GAMMA_EXACT])
+    np.testing.assert_allclose(spd_solve(MP_EXACT, B, "M_p"),
+                               np.linalg.solve(MP_EXACT, B), rtol=1e-12, atol=1e-12)
+    np.testing.assert_allclose(spd_solve(MP_EXACT, B[:, 0], "M_p"),
+                               np.linalg.solve(MP_EXACT, B[:, 0]), rtol=1e-12, atol=1e-12)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_spd_solve_rejects_non_finite_systems(bad):
+    M_bad = MP_EXACT.copy()
+    M_bad[1, 2] = M_bad[2, 1] = bad
+    with pytest.raises(RankError, match="non-finite"):
+        spd_solve(M_bad, np.ones(4), "M_p")
+    with pytest.raises(RankError, match="non-finite"):
+        spd_solve(MP_EXACT, np.array([1.0, bad, 0.0, 0.0]), "M_p")
+
+
+def test_spd_solve_rejects_indefinite_and_singular_matrices():
+    with pytest.raises(RankError, match="not positive-definite"):
+        spd_solve(np.diag([1.0, -1.0]), np.ones(2), "M")
+    # one rounding step from singular: the Cholesky factor exists, with a
+    # last pivot of eps
+    eps = np.finfo(float).eps
+    with pytest.raises(RankError, match="numerically singular"):
+        spd_solve(np.array([[1.0, 1.0], [1.0, 1.0 + eps]]), np.ones(2), "M")
+    spd_solve(np.array([[1.0, 1.0], [1.0, 1.0 + 1e-12]]), np.ones(2), "M")
