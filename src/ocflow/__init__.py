@@ -13,8 +13,8 @@ from .errors import (ConfigurationError, DependentBasisError,
                      DerivativeMismatchError, DimensionError, DivergenceError,
                      DomainError, IntegrationError, MultiplierBoundWarning,
                      OcflowError, RankError, StepBudgetError)
-from .integrate import (DenseSolution, DenseTrajectory, OdeSettings,
-                        integrate_fixed_step, integrate_ivp)
+from .integrate import (DenseSolution, DenseTrajectory, OdeSettings, integrate_ivp,
+                        replay_linear)
 from .quadrature import QuadratureSpec, simpson_points
 from .problem import (Gains, OcpProblem, SolveReport, SolveTrace, TraceRow,
                       ValidationReport, constraint_value, objective_value,

@@ -221,7 +221,7 @@ def _check_gradients(prob, par, gains, init, quad) -> list[dict]:
     ode = OdeSettings(rel_tol=1e-10, abs_tol=1e-12)
     p, t_f = init.p, init.t_f
     x_traj = solve_state(prob, par, p, t_f, ode)
-    bund = solve_adjoints(prob, par, p, x_traj, t_f, ode)
+    bund = solve_adjoints(prob, par, p, x_traj, t_f)
     if par.form == FORM2:
         # for a t_f-dependent basis the theta-gradients are the form-2 vectors
         q2 = assemble_form2(prob, par, bund, gains, p, t_f, quad)

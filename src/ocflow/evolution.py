@@ -202,7 +202,7 @@ def evaluate_iterate(mode: EvolutionMode, prob: OcpProblem, par: Parameterizatio
     free = prob.tf_mode == "free"
 
     x_traj = solve_state(prob, par, p, t_f, ode_inner)
-    bundle = solve_adjoints(prob, par, p, x_traj, t_f, ode_inner)
+    bundle = solve_adjoints(prob, par, p, x_traj, t_f)
     x_f = bundle.x_at(t_f)
     J = float(prob.phi(x_f, t_f)) + bundle.cost_integral
     g_val = np.asarray(prob.g(x_f, t_f), dtype=float)

@@ -1,12 +1,13 @@
 """Adaptive Dormand-Prince 4(5) integration with continuous dense output.
 
 One explicit embedded Runge-Kutta pair serves every initial-value problem in
-the package: forward state solves, backward adjoint solves (run internally in
-negated time, so a single code path covers both directions), and the outer
-evolution in virtual time.  The free 4th-order interpolant of the pair
-provides dense output that downstream quadrature evaluates at arbitrary
-nodes.  Step-size control is a standard PI controller (safety 0.9, growth
-clamped to [0.2, 5.0]).
+the package: forward state solves and the outer evolution in virtual time
+are adaptive (backward spans run internally in negated time, so a single
+code path covers both directions), and the linear adjoint solves replay the
+same tableau backward over a forward solve's accepted steps with no error
+control.  The free 4th-order interpolant of the pair provides dense output
+that downstream quadrature evaluates at arbitrary nodes.  Step-size control
+is a standard PI controller (safety 0.9, growth clamped to [0.2, 5.0]).
 """
 
 from __future__ import annotations
@@ -348,17 +349,98 @@ def integrate_ivp(rhs, y0, t_span, settings: OdeSettings | None = None, *,
                          nsteps=nsteps, nrejected=nrejected, last_error=last_error)
 
 
-def integrate_fixed_step(rhs, y0, t_span, n_steps: int) -> np.ndarray:
-    """Fixed-step 5th-order propagation (no error control); returns y(t_end)."""
-    t0, t1 = float(t_span[0]), float(t_span[1])
-    h = (t1 - t0) / n_steps
-    y = np.asarray(y0, dtype=float)
-    t = t0
-    for _ in range(n_steps):
-        K = np.empty((7, y.size))
-        K[0] = rhs(t, y)
+def _channels(Y: np.ndarray) -> np.ndarray:
+    """(..., n, r) -> (..., n*r): the first column, then the rest row-major."""
+    return np.concatenate([Y[..., 0], Y[..., 1:].reshape(*Y.shape[:-2], -1)], axis=-1)
+
+
+def _divergence(ts, S, Y, Q) -> DivergenceError:
+    """The failure a backward replay meets first: its last bad step, first bad stage."""
+    bad_S = ~np.isfinite(S).all(axis=(2, 3))                # (steps, 7)
+    bad = bad_S.any(axis=1) | ~np.isfinite(Y[:-1]).all(axis=(1, 2)) \
+        | ~np.isfinite(Q).all(axis=(1, 2))
+    k = np.flatnonzero(bad)[-1]
+    stage = np.flatnonzero(bad_S[k])
+    return DivergenceError("non-finite right-hand side",
+                           time=float(ts[k, stage[0] if stage.size else -1]))
+
+
+def replay_linear(traj: DenseTrajectory, coefficients, y_end, *,
+                  breakpoints=()) -> DenseSolution:
+    """Integrate Y' = M(t) Y + l(t) e0^T backward over the steps of ``traj``.
+
+    ``traj`` is a solution whose accepted steps ``t_grid`` the replay reuses:
+    the Dormand-Prince tableau runs backward from ``Y(t_grid[-1]) = y_end``
+    (an (n, r) matrix) over each step with no error control.  The forcing l
+    enters the first column only.  ``coefficients(ts, xs) -> (M, l)`` is
+    called once with the stage times ``ts`` of every step, flattened, and
+    ``traj``'s values there, taken from each step's own segment (node values
+    at c = 0 and c = 1); it returns M as (N, n, n) and l as (N, n).  Stage
+    times are clamped into their smooth subinterval exactly as in
+    :func:`integrate_ivp`; ``traj``'s grid must contain every interior
+    breakpoint.  A non-finite stage or value raises :class:`DivergenceError`
+    at the first time the backward pass meets it.
+
+    Being linear, each stage is K_i = S_i Y + d_i e0^T, with the stage maps
+    of all steps built at once, so stepping is one product per step.  The
+    result's channels are Y's first column, then its other columns
+    row-major; its dense output is the scheme's own interpolant.
+    """
+    t_grid = traj.t_grid
+    lo, hi = t_grid[0], t_grid[-1]
+    cuts = [b for b in breakpoints if lo < b < hi]
+    if not set(cuts) <= set(traj._grid):
+        raise ValueError("the trajectory's grid must contain every interior breakpoint")
+    if not np.isfinite(y_end).all():
+        raise DivergenceError("non-finite right-hand side", time=float(hi))
+    t_new, t_old = t_grid[:-1], t_grid[1:]      # each step runs t_old -> t_new
+    H = t_new - t_old                           # negative step sizes
+    steps = H.size
+    ts = t_old[:, None] + H[:, None] * _C       # (steps, 7)
+    ts[:, 5:] = t_new[:, None]                  # c = 1 sits exactly on the node
+    if cuts:
+        bounds = np.array([lo, *sorted(cuts), hi])
+        j = np.searchsorted(bounds, t_new, side="right") - 1
+        a, b = bounds[j, None], bounds[j + 1, None]
+        ts = np.clip(ts, np.nextafter(a, b), np.nextafter(b, a))
+
+    # traj on each step's own segment: y = base + scale * Q [theta..theta^4]
+    anchor, denom, scale, base, Qx = traj.segments
+    th = (ts - anchor[:, None]) / denom[:, None]
+    powers = th[..., None] ** np.arange(1.0, 5.0)
+    xs = base[:, None] + scale[:, None, None] * (powers @ Qx.transpose(0, 2, 1))
+    xs[:, 0] = traj.values[1:]
+    xs[:, 5:] = traj.values[:-1, None]
+
+    M, l = coefficients(ts.reshape(-1), xs.reshape(steps * 7, -1))
+    n = l.shape[-1]
+    # the augmented matrix [[M, l], [0, 0]] acting on [Y; e0^T] carries the
+    # forcing, so the last column of each stage map S_i is its offset d_i
+    Ma = np.zeros((steps, 7, n + 1, n + 1))
+    Ma[..., :n, :n] = M.reshape(steps, 7, n, n)
+    Ma[..., :n, n] = l.reshape(steps, 7, n)
+    S = np.empty_like(Ma)
+    S[:, 0] = Ma[:, 0]
+    eye = np.eye(n + 1)
+    Hm = H[:, None, None]
+    Y = np.empty((steps + 1, n + 1, np.shape(y_end)[1]))
+    Y[-1, :n] = y_end
+    Y[-1, n] = 0.0
+    Y[-1, n, 0] = 1.0
+    # non-finite entries are reported below as a typed error, not a warning
+    with np.errstate(invalid="ignore", over="ignore"):
         for i in range(1, 7):
-            K[i] = rhs(t + _C[i] * h, y + h * (K[:i].T @ _A[i]))
-        y = y + h * (K.T @ _B)
-        t += h
-    return y
+            shift = _A[i] @ S[:, :i].reshape(steps, i, -1)        # sum_j a_ij S_j
+            Z = eye + Hm * shift.reshape(steps, n + 1, n + 1)
+            np.matmul(Ma[:, i], Z, out=S[:, i])
+        Phis, Ys = list(Z), list(Y)             # Phi = Z: the last stage's a_7j = b_j
+        for k in range(steps - 1, -1, -1):
+            np.matmul(Phis[k], Ys[k + 1], out=Ys[k])
+        K = _channels((S @ Y[1:, None])[..., :n, :])    # stage derivatives, (steps, 7, ch)
+        Q = K.transpose(0, 2, 1) @ _BI
+    # a non-finite coefficient reaches Y or, through its stage derivative, Q
+    if not (np.isfinite(Y).all() and np.isfinite(Q).all()):
+        raise _divergence(ts, S, Y, Q)
+    values = _channels(Y[:, :n])
+    return DenseSolution(t_grid, values, (t_old, H, H, values[1:], Q),
+                         nsteps=steps, nrejected=0, last_error=np.nan)

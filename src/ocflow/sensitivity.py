@@ -26,7 +26,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigurationError, RankError
-from .integrate import DenseSolution, OdeSettings, integrate_ivp
+from .integrate import DenseSolution, OdeSettings, replay_linear
+# not called here, but kept bound: bench/tracing.py wraps sensitivity.integrate_ivp
+from .integrate import integrate_ivp  # noqa: F401
 from .parameterization import FORM2, Parameterization
 from .problem import Gains, OcpProblem, simulate_control
 from .quadrature import QuadratureSpec, simpson_points
@@ -141,36 +143,32 @@ def solve_state(prob: OcpProblem, par: Parameterization, p, t_f: float,
 
 
 def solve_adjoints(prob: OcpProblem, par: Parameterization, p,
-                   x_traj: DenseSolution, t_f: float,
-                   ode: OdeSettings | None = None) -> AdjointBundle:
-    """Backward-integrate the cost and constraint adjoints along x(t).
+                   x_traj: DenseSolution, t_f: float) -> AdjointBundle:
+    """Integrate the cost and constraint adjoints backward along x(t).
 
-    Both adjoints share one backward pass (a single f_x evaluation per
-    stage).  Terminal values are exact: ``mu(t_f) = phi_x`` and
-    ``Psi(t_f) = g_x^T``.
+    Both adjoints share one backward pass, replayed on the accepted steps of
+    ``x_traj`` (so the forward solve's settings govern it too), with x, u,
+    ``f_x`` and ``L_x`` evaluated in one batch for every stage of every step.
+    Terminal values are exact: ``mu(t_f) = phi_x`` and ``Psi(t_f) = g_x^T``.
     """
     n, q = prob.n, prob.q
     p = np.asarray(p, dtype=float)
-    u_of_t = par.bind(p, t_f)
+    if x_traj.t_grid[0] != prob.t0 or x_traj.t_grid[-1] != t_f:
+        raise ValueError("x_traj must span [t0, t_f]")
 
-    x_f = x_traj(t_f)[:n]
+    x_f = x_traj.values[-1, :n]
     mu_f = np.asarray(prob.phi_x(x_f, t_f), dtype=float)
-    psi_f = np.asarray(prob.g_x(x_f, t_f), dtype=float).T.reshape(n * q) \
-        if q else np.zeros(0)
-    y_f = np.concatenate([mu_f, psi_f])
+    psi_f = np.asarray(prob.g_x(x_f, t_f), dtype=float).T.reshape(n, q)
+    y_f = np.column_stack([mu_f, psi_f])
 
-    def rhs(t, y):
-        x = x_traj(t)[:n]
-        u = u_of_t(t)
-        fx_T = np.asarray(prob.f_x(x, u, t), dtype=float).T
-        dmu = -(fx_T @ y[:n]) - np.asarray(prob.L_x(x, u, t), dtype=float)
-        if q:
-            dpsi = -(fx_T @ y[n:].reshape(n, q)).reshape(n * q)
-            return np.concatenate([dmu, dpsi])
-        return dmu
+    def coefficients(ts, xs):
+        xs = xs[:, :n]
+        us = par.eval(ts, p, t_f)
+        f_x = _batch_eval(prob, "f_x", xs, us, ts)
+        L_x = _batch_eval(prob, "L_x", xs, us, ts)
+        return -f_x.transpose(0, 2, 1), -L_x
 
-    sol = integrate_ivp(rhs, y_f, (t_f, prob.t0), ode or OdeSettings(),
-                        breakpoints=par.breakpoints(t_f))
+    sol = replay_linear(x_traj, coefficients, y_f, breakpoints=par.breakpoints(t_f))
     return AdjointBundle(x_traj=x_traj, adjoint_sol=sol, t0=prob.t0, t_f=t_f,
                          n=n, q=q, par=par, p=p)
 

@@ -117,7 +117,7 @@ def test_criterion_07_gradient_oracle(example1, brach):
             p = rng.uniform(-p_scale, p_scale, par.s)
             t_f = prob.tf_fixed if tf_rng is None else rng.uniform(*tf_rng)
             x = solve_state(prob, par, p, t_f, TIGHT)
-            b = solve_adjoints(prob, par, p, x, t_f, TIGHT)
+            b = solve_adjoints(prob, par, p, x, t_f)
             grads = nlp_gradients(prob, par, b, p, t_f, QuadratureSpec())
             h = 1e-4
             fd_f = np.empty(par.s + 1)

@@ -1,9 +1,8 @@
 import numpy as np
 import pytest
 
-from ocflow import (DivergenceError, DomainError, IntegrationError, OdeSettings,
-                    StepBudgetError, integrate_fixed_step,
-                    integrate_ivp)
+from ocflow import (DenseTrajectory, DivergenceError, DomainError, IntegrationError,
+                    OdeSettings, StepBudgetError, integrate_ivp, replay_linear)
 
 
 def test_exponential_decay():
@@ -64,14 +63,35 @@ def test_dense_eval_out_of_range():
 
 
 def test_fifth_order_convergence():
-    # halving a fixed step must cut the global error by ~2^5
-    def rhs(t, y):
-        return np.array([np.cos(t) * y[0]])
+    # halving a fixed step must cut the global error by ~2^5; the replay runs
+    # y' = cos(t) y backward from y(2) = exp(sin 2) over uniform steps
+    def coefficients(ts, xs):
+        return np.cos(ts)[:, None, None], np.zeros((ts.size, 1))
 
-    exact = np.exp(np.sin(2.0))
-    e1 = abs(integrate_fixed_step(rhs, np.array([1.0]), (0.0, 2.0), 20)[0] - exact)
-    e2 = abs(integrate_fixed_step(rhs, np.array([1.0]), (0.0, 2.0), 40)[0] - exact)
+    def y0_error(n_steps):
+        t = np.linspace(0.0, 2.0, n_steps + 1)
+        h = np.diff(t)
+        grid = DenseTrajectory(t, np.zeros((n_steps + 1, 1)),
+                               (t[:-1], h, h, np.zeros((n_steps, 1)),
+                                np.zeros((n_steps, 1, 4))))
+        sol = replay_linear(grid, coefficients, np.array([[np.exp(np.sin(2.0))]]))
+        return abs(sol.values[0, 0] - 1.0)
+
+    e1 = y0_error(20)
+    e2 = y0_error(40)
     assert 16.0 < e1 / e2 < 64.0
+
+
+def test_replay_needs_the_breakpoints_on_its_grid():
+    sol = integrate_ivp(lambda t, y: -y, np.array([1.0]), (0.0, 1.0))
+    assert 0.5 not in sol.t_grid
+
+    def coefficients(ts, xs):
+        return -np.ones((ts.size, 1, 1)), np.zeros((ts.size, 1))
+    with pytest.raises(ValueError):
+        replay_linear(sol, coefficients, np.ones((1, 1)), breakpoints=[0.5])
+    back = replay_linear(sol, coefficients, np.ones((1, 1)), breakpoints=[0.0, 1.0])
+    assert back.values[0, 0] == pytest.approx(np.e, rel=1e-3)
 
 
 def test_forward_backward_roundtrip():

@@ -3,10 +3,10 @@ import dataclasses
 import numpy as np
 import pytest
 
-from ocflow import (ConfigurationError, OdeSettings, QuadratureSpec, RankError,
-                    assemble_form1, assemble_form2, basis_gram, constraint_value,
-                    make_basis, nlp_gradients, objective_value, solve_adjoints,
-                    solve_state)
+from ocflow import (ConfigurationError, DenseTrajectory, DivergenceError, OdeSettings,
+                    QuadratureSpec, RankError, assemble_form1, assemble_form2,
+                    basis_gram, constraint_value, make_basis, nlp_gradients,
+                    objective_value, simulate_control, solve_adjoints, solve_state)
 from ocflow.sensitivity import spd_solve
 
 TIGHT = OdeSettings(rel_tol=1e-10, abs_tol=1e-12)
@@ -29,7 +29,7 @@ def e1(example1):
 
 def bundle_at(prob, par, p, t_f, ode=None):
     x = solve_state(prob, par, p, t_f, ode)
-    return solve_adjoints(prob, par, p, x, t_f, ode)
+    return solve_adjoints(prob, par, p, x, t_f)
 
 
 def test_state_solve_matches_analytic_trajectory(e1):
@@ -290,6 +290,123 @@ def test_gradient_matches_fd_with_nontrivial_mu(lqr_like):
         hi = objective_value(prob, lambda t: par.eval(t, p + dp, 2.0), 2.0, TIGHT)
         lo = objective_value(prob, lambda t: par.eval(t, p - dp, 2.0), 2.0, TIGHT)
         assert grads.f_theta[i] == pytest.approx((hi - lo) / (2 * h), rel=1e-5)
+
+
+def test_adjoint_replays_the_forward_steps(brach):
+    par = make_basis("piecewise_constant", m=1, t0=0.0, form="form2", n_segments=20)
+    p = np.random.default_rng(3).uniform(0.0, 1.0, par.s)
+    b = bundle_at(brach.prob, par, p, 0.9)
+    assert np.array_equal(b.adjoint_sol.t_grid, b.x_traj.t_grid)
+    assert b.adjoint_sol.nrejected == 0
+    with pytest.raises(ValueError):
+        solve_adjoints(brach.prob, par, p, b.x_traj, 1.0)
+
+
+def _counting(prob, *names):
+    """A copy of prob whose named callbacks record their t arguments."""
+    seen = {name: [] for name in names}
+
+    def wrap(name):
+        fn = getattr(prob, name)
+
+        def counted(x, u, t):
+            seen[name].append(np.array(t, dtype=float))
+            return fn(x, u, t)
+        return counted
+    return dataclasses.replace(prob, **{n: wrap(n) for n in names}), seen
+
+
+def test_adjoint_evaluates_its_coefficients_in_one_batch(e1, monkeypatch):
+    prob, _, par = e1
+    p = np.array([1.0, -0.5, 0.3, 0.2])
+    x = solve_state(prob, par, p, 2.0)
+    counted, seen = _counting(prob, "f_x", "L_x")
+    lookups = []
+    lookup = DenseTrajectory.__call__
+    monkeypatch.setattr(DenseTrajectory, "__call__",
+                        lambda self, t: lookups.append(t) or lookup(self, t))
+    solve_adjoints(counted, par, p, x, 2.0)
+    assert [len(v) for v in seen.values()] == [1, 1]
+    assert seen["f_x"][0].size == 7 * (len(x.t_grid) - 1)
+    assert lookups == []
+
+
+def test_adjoint_per_point_callbacks_match_vectorized(brach):
+    prob = brach.prob
+    par = make_basis("piecewise_constant", m=1, t0=0.0, form="form2", n_segments=20)
+    p = np.random.default_rng(5).uniform(0.0, 1.0, par.s)
+    x = solve_state(prob, par, p, 0.9)
+    vec = solve_adjoints(prob, par, p, x, 0.9).adjoint_sol
+    per_point = dataclasses.replace(prob, vectorized=False)
+    one = solve_adjoints(per_point, par, p, x, 0.9).adjoint_sol
+    for a, b in ((vec.values, one.values), (vec.segments[4], one.segments[4])):
+        assert np.abs(a - b).max() <= 1e-13 * np.abs(a).max()
+
+
+def test_adjoint_stage_times_stay_inside_their_subinterval(brach):
+    par = make_basis("piecewise_constant", m=1, t0=0.0, form="form2", n_segments=20)
+    p = np.random.default_rng(6).uniform(0.0, 1.0, par.s)
+    t_f = 0.85
+    x = solve_state(brach.prob, par, p, t_f)
+    counted, seen = _counting(brach.prob, "f_x")
+    solve_adjoints(counted, par, p, x, t_f)
+    bounds = np.array([0.0, *par.breakpoints(t_f), t_f])
+    ts = seen["f_x"][0]
+    # a stage lies in its step's closed subinterval, so one strictly inside
+    # some subinterval is strictly inside its own
+    j = np.searchsorted(bounds, ts, side="right") - 1
+    assert ((j >= 0) & (j < len(bounds) - 1)).all()
+    assert ((bounds[j] < ts) & (ts < bounds[np.minimum(j + 1, len(bounds) - 1)])).all()
+
+
+def test_gradients_at_default_tolerances_match_finite_differences(brach):
+    prob = brach.prob
+    par = make_basis("global_polynomial", m=1, t0=0.0, form="form1", order=4)
+    rng = np.random.default_rng(17)
+    h = 1e-4
+
+    def Jg(pv, tfv):
+        _, J, g = simulate_control(prob, par.bind(pv, tfv), tfv, TIGHT)
+        return np.concatenate([[J], g])
+
+    for _ in range(5):
+        p = rng.uniform(-0.8, 0.8, par.s)
+        t_f = rng.uniform(0.8, 1.2)
+        grads = nlp_gradients(prob, par, bundle_at(prob, par, p, t_f), p, t_f,
+                              QuadratureSpec())
+        fd = np.empty((1 + prob.q, par.s + 1))
+        for i in range(par.s):
+            dp = np.zeros(par.s)
+            dp[i] = h
+            fd[:, i] = (Jg(p + dp, t_f) - Jg(p - dp, t_f)) / (2 * h)
+        fd[:, -1] = (Jg(p, t_f + h) - Jg(p, t_f - h)) / (2 * h)
+        adjoint = np.vstack([grads.f_theta, grads.g_theta])
+        assert np.abs(adjoint - fd).max() <= 1e-5 * np.abs(fd).max()
+
+
+def _poisoned(prob, name, t_bad, value):
+    """A copy of prob whose callback ``name`` returns ``value`` at t = t_bad."""
+    fn = getattr(prob, name)
+
+    def poisoned(x, u, t):
+        out = np.array(fn(x, u, t), dtype=float)
+        out[np.asarray(t) == t_bad] = value
+        return out
+    return dataclasses.replace(prob, **{name: poisoned})
+
+
+@pytest.mark.parametrize("name,value", [("f_x", np.nan), ("L_x", np.inf)])
+def test_non_finite_adjoint_coefficient_fails_typed(e1, name, value):
+    prob, _, par = e1
+    p = np.array([1.0, -0.5, 0.3, 0.2])
+    x = solve_state(prob, par, p, 2.0)
+    counted, seen = _counting(prob, name)
+    solve_adjoints(counted, par, p, x, 2.0)
+    inside = np.setdiff1d(seen[name][0], x.t_grid)          # stage times off the nodes
+    t_bad = inside[len(inside) // 2]
+    with pytest.raises(DivergenceError, match="non-finite right-hand side") as err:
+        solve_adjoints(_poisoned(prob, name, t_bad, value), par, p, x, 2.0)
+    assert err.value.time == t_bad
 
 
 def test_spd_solve_matches_dense_solve():
