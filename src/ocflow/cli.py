@@ -98,12 +98,15 @@ def build_run(raw: dict):
         raise ConfigError(f"parameterization: {exc}") from None
 
     g_cfg = dict(_get(raw, "gains") or {})
-    k_tf = float(_get(g_cfg, "k_tf", 0.1 if prob.tf_mode == "free" else 0.0))
     try:
+        k_tf = float(_get(g_cfg, "k_tf", 0.1 if prob.tf_mode == "free" else 0.0))
         gains = Gains.constant(
             K=_get(g_cfg, "K", 0.1), m=prob.m, q=prob.q, k_tf=k_tf,
-            K_g=_get(g_cfg, "K_g", 0.1), K_theta=_get(g_cfg, "K_theta"))
-    except OcflowError as exc:
+            K_g=_get(g_cfg, "K_g", 0.1))
+        mode = {"form1": EvolutionMode.form1, "form2": EvolutionMode.form2,
+                "gradient_flow": lambda: EvolutionMode.gradient_flow(
+                    _get(g_cfg, "K_theta"))}[mode_name]()
+    except (OcflowError, TypeError, ValueError) as exc:
         raise ConfigError(f"gains: {exc}") from None
 
     init_cfg = dict(_get(raw, "init") or {})
@@ -155,8 +158,6 @@ def build_run(raw: dict):
     except ValueError as exc:
         raise ConfigError(f"quad_nodes: {exc}") from None
 
-    mode = {"form1": EvolutionMode.form1, "form2": EvolutionMode.form2,
-            "gradient_flow": lambda: EvolutionMode.gradient_flow(gains.K_theta)}[mode_name]()
     out_dir = _get(raw, "out_dir", "out")
     return bundle, par, gains, mode, init, stop, ode_inner, ode_outer, quad, out_dir
 

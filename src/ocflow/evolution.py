@@ -32,9 +32,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigurationError, MultiplierBoundWarning
-from .integrate import OdeSettings, _Stepper
+from .integrate import OdeSettings, _Stepper, dense_output
 from .parameterization import FORM1, FORM2, Parameterization
-from .problem import Gains, OcpProblem, SolveReport, SolveTrace, TraceRow
+from .problem import (Gains, OcpProblem, SolveReport, SolveTrace, TraceRow,
+                      _require_spd)
 from .quadrature import QuadratureSpec
 from .sensitivity import (AdjointBundle, Form1Quantities, Form2Quantities,
                           NlpGradients, assemble_form1, assemble_form2,
@@ -57,10 +58,20 @@ class EvolutionState:
 
 @dataclass(frozen=True)
 class EvolutionMode:
-    """Which right-hand side drives the flow."""
+    """Which right-hand side drives the flow.
+
+    ``K_theta`` is the gradient-flow mode's constant SPD gain (a scalar
+    stands for K_theta * I); it is checked here, before any pipeline runs.
+    """
 
     kind: str                          # "form1" | "form2" | "gradient_flow"
     K_theta: np.ndarray | None = None
+
+    def __post_init__(self):
+        if self.K_theta is not None:
+            K_theta = np.atleast_2d(np.asarray(self.K_theta, dtype=float))
+            _require_spd(K_theta, "K_theta")
+            object.__setattr__(self, "K_theta", K_theta)
 
     @classmethod
     def form1(cls) -> "EvolutionMode":
@@ -72,8 +83,6 @@ class EvolutionMode:
 
     @classmethod
     def gradient_flow(cls, K_theta=None) -> "EvolutionMode":
-        if K_theta is not None:
-            K_theta = np.atleast_2d(np.asarray(K_theta, dtype=float))
         return cls(kind="gradient_flow", K_theta=K_theta)
 
 
@@ -167,6 +176,8 @@ def _check_compat(mode: EvolutionMode, prob: OcpProblem, par: Parameterization) 
     else:
         if par.form != FORM1:
             raise ConfigurationError(f"{mode.kind} mode requires a form1 parameterization")
+        if mode.kind == "gradient_flow" and mode.K_theta is None:
+            raise ConfigurationError("gradient_flow mode needs K_theta")
         if free and par.kind in _NODE_KINDS:
             raise ConfigurationError(
                 f"{par.kind} nodes move with t_f; use form2 when t_f is free")
@@ -180,13 +191,6 @@ def _gain_matrix(K, dim: int, name: str) -> np.ndarray:
     if K.shape != (dim, dim):
         raise ConfigurationError(f"{name} has shape {K.shape}, expected ({dim}, {dim})")
     return K
-
-
-def _resolve_k_theta(mode: EvolutionMode, gains: Gains, dim: int) -> np.ndarray:
-    K_theta = mode.K_theta if mode.K_theta is not None else gains.K_theta
-    if K_theta is None:
-        raise ConfigurationError("gradient_flow mode needs K_theta (mode or gains)")
-    return _gain_matrix(K_theta, dim, "K_theta")
 
 
 def evaluate_iterate(mode: EvolutionMode, prob: OcpProblem, par: Parameterization,
@@ -203,7 +207,7 @@ def evaluate_iterate(mode: EvolutionMode, prob: OcpProblem, par: Parameterizatio
 
     x_traj = solve_state(prob, par, p, t_f, ode_inner)
     bundle = solve_adjoints(prob, par, p, x_traj, t_f)
-    x_f = bundle.x_at(t_f)
+    x_f = bundle.x_f
     J = float(prob.phi(x_f, t_f)) + bundle.cost_integral
     g_val = np.asarray(prob.g(x_f, t_f), dtype=float)
     g_norm = float(np.linalg.norm(g_val))
@@ -230,7 +234,7 @@ def evaluate_iterate(mode: EvolutionMode, prob: OcpProblem, par: Parameterizatio
         quant = nlp_gradients(prob, par, bundle, p, t_f, quad)
         dim = par.s + (1 if free else 0)
         r, Gamma = quant.f_theta[:dim], quant.g_theta[:, :dim].T
-        W_rGamma = _resolve_k_theta(mode, gains, dim) @ np.column_stack([r, Gamma])
+        W_rGamma = _gain_matrix(mode.K_theta, dim, "K_theta") @ np.column_stack([r, Gamma])
     else:
         raise ConfigurationError(f"unknown evolution mode {mode.kind!r}")
 
@@ -280,9 +284,8 @@ def _flow(rhs, check, theta0: np.ndarray, stop: StopCriteria, ode: OdeSettings,
             tau_rec = next_k * stop.record_every
             if tau_rec > stepper.t + 1e-12 * stop.tau_max or tau_rec > stop.tau_max:
                 break
-            th = (tau_rec - anchor) / (stepper.t - tau_prev)
-            powers = np.array([th, th**2, th**3, th**4])
-            result, done = check(tau_rec, base + h * (Q @ powers))
+            theta = dense_output((tau_rec - anchor) / (stepper.t - tau_prev), h, base, Q)
+            result, done = check(tau_rec, theta)
             tau = tau_rec
             next_k += 1
     if not done and tau < stepper.t:

@@ -13,7 +13,6 @@ is a standard PI controller (safety 0.9, growth clamped to [0.2, 5.0]).
 from __future__ import annotations
 
 import math
-from bisect import bisect_right
 from dataclasses import dataclass
 
 import numpy as np
@@ -79,14 +78,30 @@ class OdeSettings:
                 f"initial_step must be finite and positive, got {self.initial_step}")
 
 
+def dense_output(theta, scale, base, Q) -> np.ndarray:
+    """The free interpolant y = base + scale * Q [theta, theta^2, theta^3, theta^4].
+
+    Evaluates stacked points, each with its own segment's data, in one
+    batched contraction: ``theta`` and ``scale`` have shape (...,), ``base``
+    (..., d) and ``Q`` (..., d, 4), with the leading axes broadcasting.  A
+    point's value depends only on its own row, so a one-point stack and the
+    same row of a larger one agree bit for bit.
+    """
+    th2 = theta * theta
+    th3 = th2 * theta
+    powers = np.stack([theta, th2, th3, th3 * theta], axis=-1)
+    return base + np.asarray(scale)[..., None] * np.einsum("...k,...ck->...c", powers, Q)
+
+
 class DenseTrajectory:
     """Grid values plus a continuous interpolant over [t_grid[0], t_grid[-1]].
 
     ``t_grid`` is strictly increasing; evaluation at a grid node returns the
     stored node value exactly.  Between nodes each segment carries its
-    interpolation polynomial ``(anchor, denom, scale, base, Q)``:
-    y = base + scale * Q [theta..theta^4] with theta = (t - anchor) / denom.
-    Scalar and array lookups agree bit for bit.
+    interpolation polynomial ``(anchor, denom, scale, base, Q)``, evaluated
+    by :func:`dense_output` at theta = (t - anchor) / denom.  A scalar t is
+    looked up as a one-point array, so scalar, one-point and batched lookups
+    take the same path and agree bit for bit by construction.
     """
 
     def __init__(self, t_grid, values, segments):
@@ -95,68 +110,33 @@ class DenseTrajectory:
         if self.t_grid.ndim != 1 or np.any(np.diff(self.t_grid) <= 0):
             raise ValueError("t_grid must be strictly increasing")
         self.segments = segments
-        # Python-float copies for the scalar lookup
-        self._grid = self.t_grid.tolist()
-        self._lo, self._hi = self._grid[0], self._grid[-1]
-        self._slack = 1e-10 * max(1.0, self._hi - self._lo)
-        self._anchor, self._denom = segments[0].tolist(), segments[1].tolist()
+        self._slack = 1e-10 * max(1.0, self.t_grid[-1] - self.t_grid[0])
 
     @property
     def dim(self) -> int:
         return self.values.shape[1]
 
-    def _domain_error(self, bad) -> DomainError:
-        return DomainError(
-            f"t = {bad!r} outside trajectory domain [{self._lo!r}, {self._hi!r}]")
-
-    def _segment(self, seg: int, powers: np.ndarray) -> np.ndarray:
-        """base + scale * powers @ Q^T on one segment; ``powers`` is (k, 4)."""
-        _, _, scale, base, Q = self.segments
-        k = len(powers)
-        if k == 1:
-            # BLAS takes another kernel, with other rounding, for a one-row
-            # product; a lone row goes as a pair so every lookup rounds alike
-            powers = np.concatenate((powers, powers))
-        return base[seg] + scale[seg] * (powers @ Q[seg].T)[:k]
-
     def __call__(self, t):
-        lo, hi, slack = self._lo, self._hi, self._slack
-        if isinstance(t, float) or np.ndim(t) == 0:
-            tv = float(t)
-            if tv < lo - slack or tv > hi + slack:
-                raise self._domain_error(tv)
-            tv = min(max(tv, lo), hi)
-            grid = self._grid
-            i = min(max(bisect_right(grid, tv) - 1, 0), len(grid) - 2)
-            if tv == grid[i]:
-                return self.values[i].copy()
-            if tv == grid[i + 1]:
-                return self.values[i + 1].copy()
-            th = (tv - self._anchor[i]) / self._denom[i]
-            th2 = th * th                     # powers as np.vander builds them
-            th3 = th2 * th
-            return self._segment(i, np.array([[th, th2, th3, th3 * th]]))[0]
-
+        """y(t): (dim,) for scalar t, (N, dim) for an array of N times."""
         ts = np.asarray(t, dtype=float)
-        if ts.min(initial=np.inf) < lo - slack or ts.max(initial=-np.inf) > hi + slack:
-            raise self._domain_error(ts[(ts < lo - slack) | (ts > hi + slack)][0])
+        scalar = ts.ndim == 0
+        ts = ts.reshape(-1)
+        grid = self.t_grid
+        lo, hi = grid[0], grid[-1]
+        inside = (ts >= lo - self._slack) & (ts <= hi + self._slack)   # False for NaN
+        if not inside.all():
+            raise DomainError(f"t = {float(ts[~inside][0])!r} outside trajectory domain "
+                              f"[{float(lo)!r}, {float(hi)!r}]")
         ts = np.clip(ts, lo, hi)
-
-        anchor, denom = self.segments[:2]
-        idx = np.clip(np.searchsorted(self.t_grid, ts, side="right") - 1,
-                      0, len(self.t_grid) - 2)
-        out = np.empty((ts.size, self.dim))
-        for seg in np.unique(idx):
-            sel = idx == seg
-            theta = (ts[sel] - anchor[seg]) / denom[seg]
-            powers = np.vander(theta, 5, increasing=True)[:, 1:]  # theta..theta^4
-            out[sel] = self._segment(seg, powers)
+        idx = np.clip(np.searchsorted(grid, ts, side="right") - 1, 0, grid.size - 2)
+        anchor, denom, scale, base, Q = self.segments
+        out = dense_output((ts - anchor[idx]) / denom[idx], scale[idx], base[idx], Q[idx])
         # grid nodes are exact by construction
-        left = ts == self.t_grid[idx]
+        left = ts == grid[idx]
         out[left] = self.values[idx[left]]
-        right = ts == self.t_grid[idx + 1]
+        right = ts == grid[idx + 1]
         out[right] = self.values[idx[right] + 1]
-        return out
+        return out[0] if scalar else out
 
 
 class DenseSolution(DenseTrajectory):
@@ -186,10 +166,16 @@ def _initial_step(rhs, t0, y0, f0, direction, settings):
 
 
 class _Stepper:
-    """Forward-time adaptive stepper over one smooth subinterval."""
+    """Forward-time adaptive stepper over one smooth subinterval.
 
-    def __init__(self, rhs, t0, y0, t_end, settings, h_init=None, guard=None):
+    ``backward`` marks a stepper running in negated time s = -t; its
+    failures then report the physical time t.
+    """
+
+    def __init__(self, rhs, t0, y0, t_end, settings, h_init=None, guard=None,
+                 backward=False):
         self.rhs = rhs
+        self.backward = backward
         self.t = float(t0)
         self.y = np.asarray(y0, dtype=float)
         self.t_end = float(t_end)
@@ -197,7 +183,7 @@ class _Stepper:
         self.guard = guard
         self.f = np.asarray(rhs(self.t, self.y), dtype=float)
         if not np.all(np.isfinite(self.f)):
-            raise DivergenceError("non-finite right-hand side", time=self.t)
+            raise self._error(DivergenceError, "non-finite right-hand side", self.t)
         h = h_init if h_init is not None else _initial_step(
             rhs, self.t, self.y, self.f, 1.0, settings)
         self.h = min(h, self.t_end - self.t)
@@ -206,6 +192,9 @@ class _Stepper:
         self.nsteps = 0
         self.nrejected = 0
         self.last_error = np.nan
+
+    def _error(self, cls, message: str, s: float) -> IntegrationError:
+        return cls(message, time=-s if self.backward else s)
 
     @property
     def done(self) -> bool:
@@ -218,11 +207,11 @@ class _Stepper:
         min_step = _MIN_STEP_REL * max(abs(self.t), abs(self.t_end))
         while True:
             if self.nsteps + self.nrejected >= s.max_steps:
-                raise StepBudgetError(
-                    f"exceeded max_steps = {s.max_steps}", time=self.t)
+                raise self._error(StepBudgetError,
+                                  f"exceeded max_steps = {s.max_steps}", self.t)
             h = min(self.h, self.t_end - self.t)
             if h < min_step:
-                raise IntegrationError("step size underflow", time=self.t)
+                raise self._error(IntegrationError, "step size underflow", self.t)
             t_new = self.t + h
             # stretch marginally short steps to the endpoint so no unsteppable
             # sliver is left behind (a 5% stretch is well inside the error budget)
@@ -235,7 +224,7 @@ class _Stepper:
                 yi = self.y + h * (K[:i].T @ _A[i])
                 K[i] = self.rhs(self.t + _C[i] * h, yi)
             if not np.all(np.isfinite(K)):
-                raise DivergenceError("non-finite right-hand side", time=t_new)
+                raise self._error(DivergenceError, "non-finite right-hand side", t_new)
             y_new = self.y + h * (K.T @ _B)
             # stage 7 sits at (t_new, y_new); reuse on acceptance (FSAL)
             err = h * (K.T @ _E)
@@ -313,7 +302,7 @@ def integrate_ivp(rhs, y0, t_span, settings: OdeSettings | None = None, *,
         # a right-continuous discontinuity at a cut never leaks across it
         clamp = (np.nextafter(a, b), np.nextafter(b, a)) if cuts else None
         stepper = _Stepper(_forward_rhs(rhs, backward, clamp), a, ys[-1], b, settings,
-                           h_init=h_carry, guard=fwd_guard)
+                           h_init=h_carry, guard=fwd_guard, backward=backward)
         while not stepper.done:
             t_prev = stepper.t
             anchor, h, base, Q = stepper.step()
@@ -389,7 +378,7 @@ def replay_linear(traj: DenseTrajectory, coefficients, y_end, *,
     t_grid = traj.t_grid
     lo, hi = t_grid[0], t_grid[-1]
     cuts = [b for b in breakpoints if lo < b < hi]
-    if not set(cuts) <= set(traj._grid):
+    if not np.isin(cuts, t_grid).all():
         raise ValueError("the trajectory's grid must contain every interior breakpoint")
     if not np.isfinite(y_end).all():
         raise DivergenceError("non-finite right-hand side", time=float(hi))
@@ -404,11 +393,10 @@ def replay_linear(traj: DenseTrajectory, coefficients, y_end, *,
         a, b = bounds[j, None], bounds[j + 1, None]
         ts = np.clip(ts, np.nextafter(a, b), np.nextafter(b, a))
 
-    # traj on each step's own segment: y = base + scale * Q [theta..theta^4]
+    # traj on each step's own segment
     anchor, denom, scale, base, Qx = traj.segments
-    th = (ts - anchor[:, None]) / denom[:, None]
-    powers = th[..., None] ** np.arange(1.0, 5.0)
-    xs = base[:, None] + scale[:, None, None] * (powers @ Qx.transpose(0, 2, 1))
+    xs = dense_output((ts - anchor[:, None]) / denom[:, None], scale[:, None],
+                      base[:, None], Qx[:, None])
     xs[:, 0] = traj.values[1:]
     xs[:, 5:] = traj.values[:-1, None]
 

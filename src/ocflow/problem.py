@@ -79,19 +79,16 @@ class Gains:
     ``K_inv(t)`` is the m x m symmetric positive-definite *inverse* control
     weight.  ``k_tf`` scales the terminal-time equation (forced to zero by the
     solver when t_f is fixed).  ``K_g`` sets the exponential decay rate of the
-    terminal-constraint violation.  ``K_theta`` is only used by the
-    gradient-flow mode.
+    terminal-constraint violation.
     """
 
     K_inv: Callable[[float], np.ndarray]
     k_tf: float
     K_g: np.ndarray
-    K_theta: np.ndarray | None = None
     K_inv_const: np.ndarray | None = None   # set when K_inv is time-invariant
 
     @classmethod
-    def constant(cls, K, m: int, q: int, *, k_tf: float = 0.0, K_g=0.1,
-                 K_theta=None) -> "Gains":
+    def constant(cls, K, m: int, q: int, *, k_tf: float = 0.0, K_g=0.1) -> "Gains":
         """Build time-invariant gains from scalars or matrices.
 
         ``K`` is the control weight (its inverse enters the Gram matrix);
@@ -109,13 +106,10 @@ class Gains:
             K_g = K_g[0, 0] * np.eye(q)
         if q > 0:
             _require_spd(K_g, "K_g")
-        if K_theta is not None:
-            K_theta = np.atleast_2d(np.asarray(K_theta, dtype=float))
-            _require_spd(K_theta, "K_theta")
         if k_tf < 0:
             raise ConfigurationError("k_tf must be >= 0")
         return cls(K_inv=lambda t: K_inv_const, k_tf=float(k_tf), K_g=K_g,
-                   K_theta=K_theta, K_inv_const=K_inv_const)
+                   K_inv_const=K_inv_const)
 
     def K_inv_at(self, ts: np.ndarray) -> np.ndarray:
         """Inverse control weight stacked over an array of times: (N, m, m)."""
@@ -320,8 +314,7 @@ def simulate_control(prob: OcpProblem, u_of_t, t_f: float,
     y0 = np.concatenate([prob.x0, [0.0]])
     sol = integrate_ivp(rhs, y0, (prob.t0, t_f), ode or OdeSettings(),
                         breakpoints=breakpoints)
-    yf = sol(t_f)
-    x_f, cost = yf[:n], yf[n]
+    x_f, cost = sol.values[-1, :n], sol.values[-1, n]
     J = float(prob.phi(x_f, t_f)) + cost
     g_val = np.asarray(prob.g(x_f, t_f), dtype=float)
     return sol, J, g_val

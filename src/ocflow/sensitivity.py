@@ -94,8 +94,13 @@ class AdjointBundle:
                 flat[..., self.n:].reshape(*flat.shape[:-1], self.n, self.q))
 
     @property
+    def x_f(self) -> np.ndarray:
+        """x(t_f), the forward solve's last node value."""
+        return self.x_traj.values[-1, : self.n]
+
+    @property
     def cost_integral(self) -> float:
-        return float(self.x_traj(self.t_f)[self.n])
+        return float(self.x_traj.values[-1, self.n])
 
 
 @dataclass
@@ -197,8 +202,7 @@ def _batch_eval(prob: OcpProblem, name: str, xs, us, ts) -> np.ndarray:
 
 
 def _terminal_values(prob: OcpProblem, bundle: AdjointBundle) -> tuple[float, np.ndarray]:
-    t_f = bundle.t_f
-    x_f = bundle.x_at(t_f)
+    t_f, x_f = bundle.t_f, bundle.x_f
     u_f = bundle.u_of_t(t_f)
     f_f = np.asarray(prob.f(x_f, u_f, t_f), dtype=float)
     tf_scalar = (float(prob.phi_t(x_f, t_f))

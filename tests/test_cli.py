@@ -106,6 +106,14 @@ def test_config_errors_exit_2(tmp_path, capsys):
     path, _ = write_config(tmp_path, stop={"c1": 0})
     assert main(["solve", "--config", str(path)]) == 2
 
+    path, _ = write_config(tmp_path, mode="gradient_flow", gains={"K_theta": -1.0})
+    assert main(["solve", "--config", str(path)]) == 2
+    assert "K_theta" in capsys.readouterr().err
+
+    for gains in ({"K": "abc"}, {"k_tf": "abc"}, {"K_theta": "abc"}):
+        path, _ = write_config(tmp_path, mode="gradient_flow", gains=gains)
+        assert main(["solve", "--config", str(path)]) == 2
+
     path, _ = write_config(tmp_path, ode_inner={"initial_step": 0})
     assert main(["solve", "--config", str(path)]) == 2
     assert "initial_step" in capsys.readouterr().err

@@ -3,9 +3,9 @@ import dataclasses
 import numpy as np
 import pytest
 
-from ocflow import (ConfigurationError, EvolutionMode, EvolutionState, Gains,
-                    MultiplierBoundWarning, OcflowError, RankError, StopCriteria,
-                    evaluate_iterate, gradient_flow_generic,
+from ocflow import (ConfigurationError, DenseTrajectory, EvolutionMode,
+                    EvolutionState, Gains, MultiplierBoundWarning, OcflowError,
+                    RankError, StopCriteria, evaluate_iterate, gradient_flow_generic,
                     lyapunov_diagnostic, make_basis, multiplier, solve_evolution)
 from ocflow.sensitivity import spd_solve
 
@@ -340,6 +340,15 @@ def test_duplicated_basis_column_raises_rank_error(example1, brach, form):
         evaluate_iterate(EvolutionMode(kind=form), bp.prob, par, bp.gains, p, t_f)
 
 
+def _one_pipeline(mode, example1, brach):
+    if mode.kind == "form2":
+        bp, t_f = brach, 1.07
+        par = make_basis("piecewise_constant", m=1, t0=0.0, form="form2", n_segments=4)
+    else:
+        bp, t_f, par = example1, 2.0, cubic()
+    evaluate_iterate(mode, bp.prob, par, bp.gains, np.full(par.s, 0.1), t_f)
+
+
 @pytest.mark.parametrize("mode, calls", [(EvolutionMode.form1(), 2),
                                          (EvolutionMode.form2(), 2),
                                          (EvolutionMode.gradient_flow(0.1), 1)])
@@ -354,10 +363,31 @@ def test_spd_solves_per_pipeline(monkeypatch, example1, brach, mode, calls):
         return spd_solve(M, B, context)
 
     monkeypatch.setattr(evolution, "spd_solve", counting)
-    if mode.kind == "form2":
-        bp, t_f = brach, 1.07
-        par = make_basis("piecewise_constant", m=1, t0=0.0, form="form2", n_segments=4)
-    else:
-        bp, t_f, par = example1, 2.0, cubic()
-    evaluate_iterate(mode, bp.prob, par, bp.gains, np.full(par.s, 0.1), t_f)
+    _one_pipeline(mode, example1, brach)
     assert len(seen) == calls
+
+
+@pytest.mark.parametrize("mode", [EvolutionMode.form1(), EvolutionMode.form2(),
+                                  EvolutionMode.gradient_flow(0.1)])
+def test_two_dense_lookups_per_pipeline(monkeypatch, example1, brach, mode):
+    # x and [mu | Psi] on the Simpson grid; terminal values are node reads
+    lookups = []
+    lookup = DenseTrajectory.__call__
+    monkeypatch.setattr(DenseTrajectory, "__call__",
+                        lambda self, t: lookups.append(np.shape(t)) or lookup(self, t))
+    _one_pipeline(mode, example1, brach)
+    assert len(lookups) == 2
+    assert lookups[0] == lookups[1] and len(lookups[0]) == 1
+
+
+def test_gradient_flow_gain_is_checked_before_any_pipeline(monkeypatch, example1):
+    import ocflow.evolution as evolution
+
+    monkeypatch.setattr(evolution, "solve_state",
+                        lambda *a, **k: pytest.fail("a pipeline ran"))
+    for bad in (-1.0, np.array([[1.0, 2.0], [0.0, 1.0]]), np.diag([1.0, 0.0])):
+        with pytest.raises(ConfigurationError, match="K_theta"):
+            EvolutionMode.gradient_flow(bad)
+    with pytest.raises(ConfigurationError, match="K_theta"):
+        evaluate_iterate(EvolutionMode.gradient_flow(), example1.prob, cubic(),
+                         example1.gains, np.zeros(4), 2.0)

@@ -60,6 +60,10 @@ def test_dense_eval_out_of_range():
         sol(1.5)
     with pytest.raises(DomainError):
         sol(np.array([0.2, -0.3]))
+    with pytest.raises(DomainError):
+        sol(float("nan"))
+    with pytest.raises(DomainError):
+        sol(np.array([0.2, np.nan]))
 
 
 def test_fifth_order_convergence():
@@ -108,6 +112,27 @@ def test_step_budget_error():
     with pytest.raises(StepBudgetError):
         integrate_ivp(lambda t, y: -y, np.array([1.0]), (0.0, 1.0),
                       OdeSettings(max_steps=2))
+
+
+def test_backward_errors_report_physical_time():
+    # a backward span runs in negated time s = -t; failures report t itself
+    with pytest.raises(StepBudgetError) as exc:
+        integrate_ivp(lambda t, y: -y, np.array([1.0]), (1.0, 0.0),
+                      OdeSettings(max_steps=2))
+    assert 0.0 <= exc.value.time <= 1.0
+    assert f"(at t = {exc.value.time!r})" in str(exc.value)
+
+    def rhs(t, y):
+        return np.array([np.nan]) if t < 0.5 else np.array([1.0])
+
+    with pytest.raises(DivergenceError) as exc:
+        integrate_ivp(rhs, np.array([0.0]), (1.0, 0.0))
+    assert 0.0 <= exc.value.time < 0.5
+
+    with pytest.raises(IntegrationError, match="underflow") as exc:
+        integrate_ivp(lambda t, y: np.ones(1), np.array([0.5]), (10.0, 0.0),
+                      guard=lambda t, y: y[0] > 0.4)
+    assert 0.0 <= exc.value.time <= 10.0
 
 
 def test_divergence_error_carries_time():
@@ -162,12 +187,34 @@ def test_statistics_reported():
     assert np.isfinite(sol.last_error)
 
 
-@pytest.mark.parametrize("t_span", [(0.0, 3.0), (3.0, 0.0)])
-def test_dense_scalar_lookups_match_array_lookups(t_span):
+def _pendulum(t_span):
     def rhs(t, y):
         return np.array([y[1], -np.sin(y[0]) + np.cos(3.0 * t), 0.3 * y[0] * y[1]])
 
-    sol = integrate_ivp(rhs, np.array([0.3, -0.2, 1.0]), t_span)
+    return integrate_ivp(rhs, np.array([0.3, -0.2, 1.0]), t_span)
+
+
+def _replayed_pendulum():
+    # its segments are anchored at the right end, with negative denominators
+    def coefficients(ts, xs):
+        M = np.zeros((ts.size, 3, 3))
+        M[:, 0, 1] = 1.0
+        M[:, 1, 0] = -np.cos(xs[:, 0])
+        M[:, 2, 2] = 0.3 * xs[:, 0]
+        return M, np.sin(ts)[:, None] * xs
+
+    return replay_linear(_pendulum((0.0, 3.0)), coefficients,
+                         np.array([[1.0, 0.5], [-0.5, 0.0], [0.2, 1.0]]))
+
+
+@pytest.mark.parametrize("source", ["t_span0", "t_span1", "replay"])
+def test_dense_scalar_lookups_match_array_lookups(source):
+    sol = {"t_span0": lambda: _pendulum((0.0, 3.0)),
+           "t_span1": lambda: _pendulum((3.0, 0.0)),
+           "replay": _replayed_pendulum}[source]()
+    if source == "replay":
+        assert (sol.segments[1] < 0).all()
+        assert np.array_equal(sol.segments[0], sol.t_grid[1:])
     lo, hi = sol.t_grid[0], sol.t_grid[-1]
     rng = np.random.default_rng(2)
     ts = np.concatenate([rng.uniform(lo, hi, 500), sol.t_grid, [lo, hi]])
@@ -176,3 +223,4 @@ def test_dense_scalar_lookups_match_array_lookups(t_span):
     alone = np.array([sol(np.array([t]))[0] for t in ts])
     assert np.array_equal(scalar, batched)
     assert np.array_equal(alone, batched)
+    assert np.array_equal(sol(sol.t_grid), sol.values)
