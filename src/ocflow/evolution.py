@@ -262,6 +262,24 @@ def _resolve_init(prob: OcpProblem, init: EvolutionState) -> tuple[np.ndarray, f
     return p0, t_f0
 
 
+def _memo_last(fn):
+    """``fn(theta)`` that reuses its latest result for bit-identical theta.
+
+    The flow's stopping test at tau = 0 and the stepper's first stage see the
+    same theta, so this saves one evaluation per solve.
+    """
+    key, value = None, None
+
+    def memo(theta: np.ndarray):
+        nonlocal key, value
+        k = theta.tobytes()
+        if k != key:
+            value = fn(theta)
+            key = k
+        return value
+    return memo
+
+
 def _flow(rhs, check, theta0: np.ndarray, stop: StopCriteria, ode: OdeSettings,
           guard=None):
     """Integrate d theta/dtau = rhs(tau, theta) from tau = 0 until ``check`` stops it.
@@ -318,6 +336,7 @@ def solve_evolution(mode: EvolutionMode, prob: OcpProblem, par: Parameterization
     if mode.kind == "form1" and not free and gains.K_inv_const is not None:
         M_p_const = basis_gram(par, gains, p0, t_f0, quad)
 
+    @_memo_last
     def evaluate(theta: np.ndarray) -> IterateEval:
         p, t_f = (theta[:-1], theta[-1]) if free else (theta, t_f0)
         return evaluate_iterate(mode, prob, par, gains, p, t_f, ode_inner, quad,
@@ -373,6 +392,7 @@ def gradient_flow_generic(f_grad, h_val, h_jac, K_theta, K_h, theta0,
     K_theta = _gain_matrix(K_theta, theta0.size, "K_theta")
     K_h = _gain_matrix(K_h, np.asarray(h_val(theta0)).size, "K_h")
 
+    @_memo_last
     def evaluate(theta):
         grad = np.asarray(f_grad(theta), dtype=float)
         h = np.asarray(h_val(theta), dtype=float)

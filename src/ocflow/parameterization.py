@@ -13,15 +13,18 @@ every node-based kind collapses to
 evaluated analytically in scaled time sigma = (t - t0)/(t_f - t0).  Form-1
 parameterizations (no t_f dependence) report a zero t_f-sensitivity.
 
-Piecewise-constant controls evaluate right-continuously on [t_i, t_{i+1});
-the closing node t = t_f returns the last segment's value.  Their node times
-are exposed via :meth:`Parameterization.breakpoints` so integrators can avoid
-stepping across the jumps.
+Piecewise kinds find a time's segment by comparing it with their node
+times, the array :meth:`Parameterization.breakpoints` returns and every
+integrator and quadrature splits at: segment k is [t_k, t_{k+1}), so
+evaluation is right-continuous and the closing node t = t_f falls in the last
+segment.  A stage time or panel endpoint kept one ulp inside its subinterval
+therefore evaluates on that subinterval's own segment.
 """
 
 from __future__ import annotations
 
-import math
+import numbers
+from bisect import bisect_right
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -187,8 +190,12 @@ def _lagrange_derivs(sig: np.ndarray, nodes: np.ndarray) -> np.ndarray:
     return out
 
 
-def _hat_values(sig: np.ndarray, n_seg: int) -> np.ndarray:
-    idx = np.clip(np.floor(sig * n_seg).astype(int), 0, n_seg - 1)
+def _segments(ts: np.ndarray, breaks: np.ndarray) -> np.ndarray:
+    """Segment index of each time: the number of breakpoints at or before it."""
+    return np.searchsorted(breaks, ts, side="right")
+
+
+def _hat_values(sig: np.ndarray, idx: np.ndarray, n_seg: int) -> np.ndarray:
     frac = sig * n_seg - idx
     out = np.zeros((sig.size, n_seg + 1))
     rows = np.arange(sig.size)
@@ -197,31 +204,37 @@ def _hat_values(sig: np.ndarray, n_seg: int) -> np.ndarray:
     return out
 
 
-def _hat_derivs(sig: np.ndarray, n_seg: int) -> np.ndarray:
-    # right-sided slope at the nodes, matching right-continuous evaluation
-    idx = np.clip(np.floor(sig * n_seg).astype(int), 0, n_seg - 1)
-    out = np.zeros((sig.size, n_seg + 1))
-    rows = np.arange(sig.size)
+def _hat_derivs(idx: np.ndarray, n_seg: int) -> np.ndarray:
+    # the slope of the time's own segment: right-sided at the nodes
+    out = np.zeros((idx.size, n_seg + 1))
+    rows = np.arange(idx.size)
     out[rows, idx] = -float(n_seg)
     out[rows, idx + 1] += float(n_seg)
     return out
 
 
-def _step_values(sig: np.ndarray, n_seg: int) -> np.ndarray:
-    idx = np.clip(np.floor(sig * n_seg).astype(int), 0, n_seg - 1)
-    out = np.zeros((sig.size, n_seg))
-    out[np.arange(sig.size), idx] = 1.0
+def _step_values(idx: np.ndarray, n_seg: int) -> np.ndarray:
+    out = np.zeros((idx.size, n_seg))
+    out[np.arange(idx.size), idx] = 1.0
     return out
+
+
+def _integer_at_least(value, what: str, least: int) -> int:
+    """``value`` as an int >= ``least``; :class:`ConfigurationError` otherwise."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < least:
+        raise ConfigurationError(f"{what} >= {least}, got {value!r}")
+    return int(value)
 
 
 def make_basis(kind: str, m: int, t0: float, form: str, *,
                order: int | None = None, n_segments: int | None = None) -> Parameterization:
     """Construct a control parameterization.
 
-    ``global_polynomial`` needs ``order`` (>= 0) and must use form 1 (it has
-    no t_f dependence).  The node-based kinds (``lagrange_nodes``,
-    ``piecewise_linear``, ``piecewise_constant``) need ``n_segments`` (>= 1)
-    and may use form 1 only when the terminal time is fixed.
+    ``global_polynomial`` needs an integer ``order`` (>= 0) and must use
+    form 1 (it has no t_f dependence).  The node-based kinds
+    (``lagrange_nodes``, ``piecewise_linear``, ``piecewise_constant``) need
+    an integer ``n_segments`` (>= 1) and may use form 1 only when the
+    terminal time is fixed.  Anything else raises :class:`ConfigurationError`.
     """
     if form not in (FORM1, FORM2):
         raise ConfigurationError(f"form must be {FORM1!r} or {FORM2!r}, got {form!r}")
@@ -229,8 +242,7 @@ def make_basis(kind: str, m: int, t0: float, form: str, *,
         raise ConfigurationError("m must be >= 1")
 
     if kind == "global_polynomial":
-        if order is None or order < 0:
-            raise ConfigurationError("global_polynomial requires order >= 0")
+        order = _integer_at_least(order, "global_polynomial requires an integer order", 0)
         if form != FORM1:
             raise ConfigurationError("global_polynomial has no t_f dependence; use form1")
         k = order + 1
@@ -259,41 +271,40 @@ def make_basis(kind: str, m: int, t0: float, form: str, *,
 
     if kind not in ("lagrange_nodes", "piecewise_linear", "piecewise_constant"):
         raise ConfigurationError(f"unknown parameterization kind {kind!r}")
-    if n_segments is None or n_segments < 1:
-        raise ConfigurationError(f"{kind} requires n_segments >= 1")
-    N = n_segments
+    N = _integer_at_least(n_segments, f"{kind} requires an integer n_segments", 1)
 
-    # point_of(p) gives the per-point evaluator u(sigma) of one parameter
-    # vector; it rounds exactly like the array path
+    # values(sig, idx) and derivs(sig, idx) give the (N, k) basis values and
+    # sigma-derivatives at scaled times sig lying on segments idx;
+    # point_of(p) gives the per-point evaluator u(sig, k) of one parameter
+    # vector, which rounds exactly like the array path
     if kind == "lagrange_nodes":
         nodes = np.linspace(0.0, 1.0, N + 1)
         node_list = nodes.tolist()
-        values = lambda sig: np.column_stack(_lagrange_terms(sig, node_list))
-        derivs = lambda sig: _lagrange_derivs(sig, nodes)
-        point_of = lambda p: lambda sig: _row_eval(_lagrange_terms(sig, node_list), m, p)
+        values = lambda sig, idx: np.column_stack(_lagrange_terms(sig, node_list))
+        derivs = lambda sig, idx: _lagrange_derivs(sig, nodes)
+        point_of = lambda p: lambda sig, k: _row_eval(_lagrange_terms(sig, node_list), m, p)
         k = N + 1
         smooth = True
     elif kind == "piecewise_linear":
-        values = lambda sig: _hat_values(sig, N)
-        derivs = lambda sig: _hat_derivs(sig, N)
+        values = lambda sig, idx: _hat_values(sig, idx, N)
+        derivs = lambda sig, idx: _hat_derivs(idx, N)
 
-        def hat_row(sig):
-            idx = min(max(math.floor(sig * N), 0), N - 1)
+        def hat_row(sig, idx):
             frac = sig * N - idx
             row = [0.0] * (N + 1)
             row[idx] = 1.0 - frac
             row[idx + 1] += frac
             return row
-        point_of = lambda p: lambda sig: _row_eval(hat_row(sig), m, p)
+        point_of = lambda p: lambda sig, k: _row_eval(hat_row(sig, k), m, p)
         k = N + 1
         smooth = False
     else:  # piecewise_constant
-        values = lambda sig: _step_values(sig, N)
-        derivs = lambda sig: np.zeros((sig.size, N))
+        values = lambda sig, idx: _step_values(idx, N)
+        derivs = lambda sig, idx: np.zeros((sig.size, N))
 
         def point_of(p):
             P = p.reshape(N, m)
-            return lambda sig: P[min(max(math.floor(sig * N), 0), N - 1)].copy()
+            return lambda sig, k: P[k].copy()
         k = N
         smooth = False
     s = m * k
@@ -301,10 +312,12 @@ def make_basis(kind: str, m: int, t0: float, form: str, *,
     def scalar_fn(p, t_f):
         point = point_of(p)
         span = t_f - t0
-        return lambda t: point((t - t0) / span)
+        breaks = breakpoints_fn(t_f).tolist()
+        return lambda t: point((t - t0) / span, bisect_right(breaks, t))
 
     def jac_p_fn(ts, p, t_f):
-        return _block_jac(values(_sigma(ts, t0, t_f)), m)
+        idx = _segments(ts, breakpoints_fn(t_f))
+        return _block_jac(values(_sigma(ts, t0, t_f), idx), m)
 
     if form == FORM1:
         def jac_tf_fn(ts, p, t_f):
@@ -313,10 +326,10 @@ def make_basis(kind: str, m: int, t0: float, form: str, *,
         def jac_tf_fn(ts, p, t_f):
             # nodes move with t_f while node values stay fixed:
             # du/dt_f = -sigma/(t_f - t0) * du/dsigma
-            dvals = derivs(_sigma(ts, t0, t_f))
-            djac = _block_jac(dvals, m)
+            sig = _sigma(ts, t0, t_f)
+            djac = _block_jac(derivs(sig, _segments(ts, breakpoints_fn(t_f))), m)
             du_dsigma = np.einsum("tms,s->tm", djac, p)
-            return -(_sigma(ts, t0, t_f) / (t_f - t0))[:, None] * du_dsigma
+            return -(sig / (t_f - t0))[:, None] * du_dsigma
 
     def breakpoints_fn(t_f):
         if smooth:

@@ -33,13 +33,13 @@ def panel_edges(t0: float, t_f: float, spec: QuadratureSpec,
     edges = np.linspace(t0, t_f, n_panels + 1)
     extra = np.asarray(breakpoints, dtype=float)
     if extra.size:
-        lo, hi = min(t0, t_f), max(t0, t_f)
-        extra = extra[(extra > lo) & (extra < hi)]
-        edges = np.union1d(edges, extra)
-        # drop near-duplicates introduced by the union
         tol = 1e-12 * max(1.0, abs(t_f - t0))
-        keep = np.concatenate([[True], np.diff(edges) > tol])
-        edges = edges[keep]
+        lo, hi = min(t0, t_f), max(t0, t_f)
+        extra = extra[(extra > lo + tol) & (extra < hi - tol)]
+        # a uniform edge within tol of a breakpoint gives way to it, so the
+        # panels split exactly where the integrand does
+        near = np.abs(edges[:, None] - extra).min(axis=1, initial=np.inf) <= tol
+        edges = np.union1d(edges[~near], extra)
         if t0 > t_f:
             edges = edges[::-1]
     return edges

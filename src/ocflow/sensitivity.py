@@ -239,9 +239,19 @@ def _grid_data(prob: OcpProblem, par: Parameterization, bundle: AdjointBundle,
                      kinv=kinv, tf_scalar=tf_scalar, tf_row=tf_row)
 
 
+def _weighted_rows(w, up) -> np.ndarray:
+    """(N, m, s) samples of u_p times their weights, as an (N*m, s) matrix."""
+    N, m, s = up.shape
+    return (w[:, None, None] * up).reshape(N * m, s)
+
+
 def _gram(w, up, kinv) -> np.ndarray:
-    """int u_p^T K^-1 u_p dt from grid samples."""
-    return np.einsum("t,tmi,tmn,tnj->ij", w, up, kinv, up)
+    """int u_p^T K^-1 u_p dt from grid samples, as one matrix product.
+
+    The product's two triangles round apart, so it is symmetrized exactly.
+    """
+    G = _weighted_rows(w, up).T @ (kinv @ up).reshape(-1, up.shape[2])
+    return 0.5 * (G + G.T)
 
 
 def _form1_integrals(gd: _GridData) -> tuple[np.ndarray, np.ndarray]:
@@ -284,7 +294,7 @@ def assemble_form2(prob: OcpProblem, par: Parameterization, bundle: AdjointBundl
         raise ConfigurationError("form2 requires k_tf > 0 (it enters as 1/k_tf)")
     gd = _grid_data(prob, par, bundle, quad, gains=gains, with_utf=True)
     A = _gram(gd.w, gd.up, gd.kinv)
-    b = np.einsum("t,tmi,tmn,tn->i", gd.w, gd.up, gd.kinv, gd.utf)
+    b = _weighted_rows(gd.w, gd.up).T @ (gd.kinv @ gd.utf[..., None]).reshape(-1)
     c = 1.0 / gains.k_tf + np.einsum("t,tm,tmn,tn->", gd.w, gd.utf, gd.kinv, gd.utf)
     s = par.s
     M_ptf = np.empty((s + 1, s + 1))

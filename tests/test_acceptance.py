@@ -61,7 +61,7 @@ def test_criterion_04_brachistochrone_four_cases(
         brach_case1, brach_case2, brach_case3, brach_case4):
     pi_ref = np.array([-0.1477, 0.0564])
     cases = [("case1", brach_case1, 2e-3), ("case2", brach_case2, 2e-3),
-             ("case3", brach_case3, 2e-3), ("case4", brach_case4, 7e-3)]
+             ("case3", brach_case3, 2e-3), ("case4", brach_case4, 2e-3)]
     details, ok = [], True
     for name, (report, _, _, _), pi_tol in cases:
         tf_err = abs(report.tf_final - 0.8165)

@@ -121,6 +121,16 @@ def test_config_errors_exit_2(tmp_path, capsys):
     assert main(["solve", "--config", str(tmp_path / "nope.json")]) == 2
 
 
+def test_non_integer_basis_sizes_exit_2(tmp_path, capsys):
+    for par_cfg in ({"kind": "piecewise_constant", "N": "abc"},
+                    {"kind": "piecewise_constant", "N": 2.5},
+                    {"kind": "global_polynomial", "order": "3"}):
+        path, _ = write_config(tmp_path, parameterization=par_cfg)
+        assert main(["solve", "--config", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert "config error: parameterization" in err and "Traceback" not in err
+
+
 def test_check_passes_on_builtin(tmp_path):
     path, _ = write_config(tmp_path)
     assert main(["check", "--config", str(path), "--what", "all"]) == 0
@@ -161,6 +171,7 @@ def test_solve_brachistochrone_step_case(tmp_path):
     assert code in (0, 4)              # files are written either way
     report = json.loads((tmp_path / "out" / "report.json").read_text())
     assert abs(report["tf_final"] - 0.8165) <= 1e-3
+    assert np.abs(np.array(report["pi_final"]) - [-0.1477, 0.0564]).max() <= 2e-3
 
 
 def test_check_projection_on_brachistochrone(tmp_path):

@@ -5,8 +5,9 @@ import pytest
 
 from ocflow import (ConfigurationError, DenseTrajectory, EvolutionMode,
                     EvolutionState, Gains, MultiplierBoundWarning, OcflowError,
-                    RankError, StopCriteria, evaluate_iterate, gradient_flow_generic,
-                    lyapunov_diagnostic, make_basis, multiplier, solve_evolution)
+                    OdeSettings, RankError, StopCriteria, evaluate_iterate,
+                    gradient_flow_generic, lyapunov_diagnostic, make_basis,
+                    multiplier, solve_evolution)
 from ocflow.sensitivity import spd_solve
 
 MP_EXACT = 10.0 * np.array([[2, 2, 8 / 3, 4],
@@ -391,3 +392,42 @@ def test_gradient_flow_gain_is_checked_before_any_pipeline(monkeypatch, example1
     with pytest.raises(ConfigurationError, match="K_theta"):
         evaluate_iterate(EvolutionMode.gradient_flow(), example1.prob, cubic(),
                          example1.gains, np.zeros(4), 2.0)
+
+
+def test_the_starting_point_is_evaluated_once(monkeypatch, example1):
+    # the stopping test at tau = 0 and the stepper's first stage share theta0
+    import ocflow.evolution as evolution
+
+    seen = []
+    pipeline = evolution.evaluate_iterate
+
+    def counting(mode, prob, par, gains, p, t_f, *args, **kwargs):
+        seen.append(np.append(p, t_f))
+        return pipeline(mode, prob, par, gains, p, t_f, *args, **kwargs)
+
+    monkeypatch.setattr(evolution, "evaluate_iterate", counting)
+    p0 = np.array([0.1, -0.2, 0.3, 0.05])
+    _, trace, _ = solve_evolution(EvolutionMode.form1(), example1.prob, cubic(),
+                                  example1.gains, EvolutionState(p=p0, t_f=2.0),
+                                  StopCriteria(tau_max=3.0, record_every=1.0))
+    assert sum(np.array_equal(th, np.append(p0, 2.0)) for th in seen) == 1
+    assert all(not np.array_equal(a, b) for a, b in zip(seen, seen[1:]))
+    assert np.array_equal(trace.rows[0].p, p0) and len(trace.rows) == 4
+
+
+@pytest.mark.parametrize("kind, p", [
+    ("piecewise_constant", 0.0302 + 0.0603 * np.arange(20)),
+    ("piecewise_linear", 0.0603 * np.arange(21))])
+def test_flow_is_smooth_in_the_terminal_time(brach, kind, p):
+    # near the Brachistochrone optimum (a control linear in t), with inner
+    # tolerances far below the effect: the t_f column of the flow's
+    # central-difference Jacobian converges as the step shrinks
+    par = make_basis(kind, m=1, t0=0.0, form="form2", n_segments=20)
+    tight = OdeSettings(rel_tol=1e-10, abs_tol=1e-12)
+    for t_f in (0.8166, 1.0):
+        def F(t):
+            return evaluate_iterate(EvolutionMode.form2(), brach.prob, par, brach.gains,
+                                    p, t, tight).deriv()
+        norms = [np.linalg.norm(F(t_f + h) - F(t_f - h)) / (2 * h)
+                 for h in (1e-4, 1e-5, 1e-6, 1e-7)]
+        assert max(norms) <= 1.01 * min(norms), norms

@@ -4,7 +4,9 @@ import numpy as np
 import pytest
 
 from ocflow import (ConfigurationError, DependentBasisError, DomainError,
-                    make_basis, validate_independence)
+                    QuadratureSpec, integrate_ivp, make_basis, replay_linear,
+                    validate_independence)
+from ocflow.quadrature import panel_edges, simpson_points
 
 
 def poly(order=3, m=1):
@@ -288,3 +290,131 @@ def test_bound_control_checks_domain_and_shape(kind, kwargs, form):
         par.bind(np.ones((par.s, 1)), t_f)
     with pytest.raises(ValueError):
         par.bind(p, par.t0)
+
+
+def test_basis_sizes_must_be_integers():
+    for kwargs in ({"order": "abc"}, {"order": 2.5}, {"order": True}, {"order": -1}):
+        with pytest.raises(ConfigurationError):
+            make_basis("global_polynomial", m=1, t0=0.0, form="form1", **kwargs)
+    for n in ("abc", 20.0, 0, None):
+        with pytest.raises(ConfigurationError):
+            make_basis("piecewise_constant", m=1, t0=0.0, form="form2", n_segments=n)
+    par = make_basis("piecewise_linear", m=1, t0=0.0, form="form2",
+                     n_segments=np.int64(4))
+    assert par.s == 5 and type(par.meta["n_segments"]) is int
+
+
+# terminal times at which a sigma-rounding locator put one-ulp-inside points
+# on the neighbouring segment
+TF_TRIED = [0.79, 0.8123, 0.8165, 0.83, 1.0, 1.1, 2.0]
+
+
+def assert_on_segments(par, p, t_f, ts, ks):
+    """The control at times ``ts`` is the one of segments ``ks``.
+
+    Piecewise-constant values are the segment's parameter; a piecewise-linear
+    control is continuous, so its segment shows in the t_f-sensitivity,
+    -sigma/(t_f - t0) times the segment's slope in sigma.
+    """
+    ts, ks = np.ravel(ts), np.ravel(ks)
+    N = par.meta["n_segments"]
+    if par.kind == "piecewise_constant":
+        assert np.array_equal(par.eval(ts, p, t_f)[:, 0], p[ks])
+        u = par.bind(p, t_f)
+        assert np.array_equal([u(t)[0] for t in ts], p[ks])
+    else:
+        sig = (ts - par.t0) / (t_f - par.t0)
+        want = -sig / (t_f - par.t0) * N * (p[ks + 1] - p[ks])
+        np.testing.assert_allclose(par.jac_tf(ts, p, t_f)[:, 0], want,
+                                   rtol=1e-12, atol=1e-300)
+
+
+def segment_of(par, t_f, ts):
+    """Segment of times well inside one (panel or step midpoints)."""
+    N = par.meta["n_segments"]
+    return np.floor((np.asarray(ts) - par.t0) / (t_f - par.t0) * N).astype(int)
+
+
+PIECEWISE = ["piecewise_constant", "piecewise_linear"]
+
+
+@pytest.mark.parametrize("kind", PIECEWISE)
+@pytest.mark.parametrize("t_f", TF_TRIED)
+@pytest.mark.parametrize("nodes", [201, 41])
+def test_simpson_endpoints_evaluate_on_their_panel_segment(kind, t_f, nodes):
+    par = make_basis(kind, m=1, t0=0.0, form="form2", n_segments=20)
+    p = np.random.default_rng(4).normal(size=par.s)
+    pts, _ = simpson_points(0.0, t_f, QuadratureSpec(nodes), par.breakpoints(t_f))
+    panels = pts.reshape(-1, 3)
+    ks = np.repeat(segment_of(par, t_f, panels[:, 1]), 3)
+    assert_on_segments(par, p, t_f, panels, ks)
+
+
+def test_panel_edges_keep_every_breakpoint():
+    # 52 segments on 20 panels: some uniform edges land within rounding of a
+    # breakpoint, up to 2 ulp below it
+    par = make_basis("piecewise_constant", m=1, t0=0.0, form="form2", n_segments=52)
+    for t_f in (0.821875, 6.184375):
+        bp = par.breakpoints(t_f)
+        edges = panel_edges(0.0, t_f, QuadratureSpec(41), bp)
+        assert np.isin(bp, edges).all()
+        assert edges[0] == 0.0 and edges[-1] == t_f and (np.diff(edges) > 0).all()
+        p = np.arange(par.s, dtype=float)
+        pts, _ = simpson_points(0.0, t_f, QuadratureSpec(41), bp)
+        panels = pts.reshape(-1, 3)
+        assert_on_segments(par, p, t_f, panels,
+                           np.repeat(segment_of(par, t_f, panels[:, 1]), 3))
+
+
+@pytest.mark.parametrize("kind", PIECEWISE)
+@pytest.mark.parametrize("form", ["form1", "form2"])
+def test_scalar_and_array_paths_agree_next_to_breakpoints(kind, form):
+    par = make_basis(kind, m=1, t0=0.0, form=form, n_segments=20)
+    p = np.random.default_rng(8).normal(size=par.s)
+    for t_f in TF_TRIED:
+        bp = par.breakpoints(t_f)
+        ts = np.concatenate([np.nextafter(bp, -np.inf), bp, np.nextafter(bp, np.inf),
+                             [0.0, np.nextafter(t_f, 0.0), t_f]])
+        u = par.bind(p, t_f)
+        arr = par.eval(ts, p, t_f)[:, 0]
+        assert np.array_equal([u(t)[0] for t in ts], arr)
+        assert np.array_equal([par.eval(t, p, t_f)[0] for t in ts], arr)
+        if kind == "piecewise_linear" and form == "form1":
+            continue          # its segment shows only in the t_f-sensitivity
+        # right-continuous: a breakpoint and the ulp above it share a segment
+        k = np.arange(1, 20)
+        assert_on_segments(par, p, t_f, np.nextafter(bp, -np.inf), k - 1)
+        assert_on_segments(par, p, t_f, bp, k)
+        assert_on_segments(par, p, t_f, np.nextafter(bp, np.inf), k)
+        assert_on_segments(par, p, t_f, [t_f], [19])
+
+
+@pytest.mark.parametrize("kind", PIECEWISE)
+@pytest.mark.parametrize("t_f", TF_TRIED)
+def test_stage_times_evaluate_on_their_own_segment(kind, t_f):
+    par = make_basis(kind, m=1, t0=0.0, form="form2", n_segments=20)
+    p = np.random.default_rng(9).normal(size=par.s)
+    bp = par.breakpoints(t_f)
+    u = par.bind(p, t_f)
+    forward = []
+
+    def rhs(t, y):
+        forward.append(t)
+        return np.array([u(t)[0], np.cos(3.0 * t) * y[0]])
+
+    sol = integrate_ivp(rhs, np.ones(2), (0.0, t_f), breakpoints=bp)
+    ts = np.array(forward)
+    # a stage strictly inside a subinterval belongs to it
+    assert not np.isin(ts, bp).any()
+    assert_on_segments(par, p, t_f, ts, np.searchsorted(bp, ts, side="left"))
+
+    replayed = []
+
+    def coefficients(ts, xs):
+        replayed.append(ts)
+        return np.zeros((ts.size, 2, 2)), np.zeros((ts.size, 2))
+
+    replay_linear(sol, coefficients, np.ones((2, 1)), breakpoints=bp)
+    ts = replayed[0].reshape(-1, 7)
+    steps = segment_of(par, t_f, 0.5 * (sol.t_grid[:-1] + sol.t_grid[1:]))
+    assert_on_segments(par, p, t_f, ts, np.repeat(steps, 7))

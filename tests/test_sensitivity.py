@@ -148,6 +148,28 @@ def test_form2_terminal_row_matches_finite_differences(brach):
     np.testing.assert_allclose(q2.Gamma_2ptf[-1], dg, rtol=1e-3, atol=1e-6)
 
 
+@pytest.mark.parametrize("kind", ["piecewise_constant", "piecewise_linear"])
+@pytest.mark.parametrize("t_f", [0.8166, 1.0])
+def test_piecewise_assembly_converges_at_simpson_order(brach, kind, t_f):
+    # panels split exactly at the breakpoints and every panel endpoint sees
+    # its own segment, so the form-2 assembly converges under panel
+    # doubling at Simpson's order, or is exact to rounding throughout
+    par = make_basis(kind, m=1, t0=0.0, form="form2", n_segments=20)
+    k = np.arange(par.s)
+    p = 0.06 * k + 0.02 * np.sin(k)
+    b = bundle_at(brach.prob, par, p, t_f, TIGHT)
+
+    def assembled(nodes):
+        q = assemble_form2(brach.prob, par, b, brach.gains, p, t_f, QuadratureSpec(nodes))
+        return np.concatenate([q.M_ptf.ravel(), q.r_2ptf, q.Gamma_2ptf.ravel()])
+
+    ref = assembled(5121)
+    errs = [np.abs(assembled(n) - ref).max() for n in (41, 81, 161, 321)]
+    floor = 1e-13 * np.abs(ref).max()
+    for coarse, fine in zip(errs, errs[1:]):
+        assert fine <= floor or coarse / fine >= 8.0, errs     # order >= 3
+
+
 def test_form2_requires_form2_basis(e1, brach):
     prob, gains, par = e1
     b = bundle_at(prob, par, np.zeros(4), 2.0)
