@@ -222,7 +222,8 @@ def _grid_data(prob: OcpProblem, par: Parameterization, bundle: AdjointBundle,
     t_f = bundle.t_f
     ts, w = simpson_points(bundle.t0, t_f, quad, par.breakpoints(t_f))
     xs = bundle.x_at(ts)
-    us = par.eval(ts, bundle.p, t_f)
+    up = par.jac_p(ts, bundle.p, t_f)
+    us = np.einsum("tms,s->tm", up, bundle.p)                  # as par.eval does
     mus, psis = bundle.mu_psi_at(ts)
     fu = _batch_eval(prob, "f_u", xs, us, ts)                  # (N, n, m)
     lu = _batch_eval(prob, "L_u", xs, us, ts)                  # (N, m)
@@ -231,7 +232,6 @@ def _grid_data(prob: OcpProblem, par: Parameterization, bundle: AdjointBundle,
         fupsi = np.einsum("tnm,tnq->tmq", fu, psis)            # psis: (N, n, q)
     else:
         fupsi = np.zeros((ts.size, prob.m, 0))
-    up = par.jac_p(ts, bundle.p, t_f)
     utf = par.jac_tf(ts, bundle.p, t_f) if with_utf else None
     kinv = gains.K_inv_at(ts) if gains is not None else None
     tf_scalar, tf_row = _terminal_values(prob, bundle)

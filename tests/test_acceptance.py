@@ -66,9 +66,10 @@ def test_criterion_04_brachistochrone_four_cases(
     for name, (report, _, _, _), pi_tol in cases:
         tf_err = abs(report.tf_final - 0.8165)
         pi_err = np.abs(report.pi_final - pi_ref).max()
-        ok = ok and tf_err <= 1e-3 and pi_err <= pi_tol
-        details.append(f"{name}: tf_err={tf_err:.1e}, pi_err={pi_err:.1e}")
-    _verdict(4, "all four descent parameterizations hit t_f = 0.8165", ok,
+        ok = ok and report.converged and tf_err <= 1e-3 and pi_err <= pi_tol
+        details.append(f"{name}: converged={report.converged}, tf_err={tf_err:.1e}, "
+                       f"pi_err={pi_err:.1e}")
+    _verdict(4, "all four descent parameterizations converge to t_f = 0.8165", ok,
              "; ".join(details))
 
 

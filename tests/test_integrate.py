@@ -86,6 +86,17 @@ def test_fifth_order_convergence():
     assert 16.0 < e1 / e2 < 64.0
 
 
+def test_step_stays_inside_the_stability_limit():
+    # y' = -0.1 y: left to the error controller alone, steps ride at
+    # h * lambda ~ 3.3, the real-axis stability limit, and |y| stalls near
+    # 2e-7; the stability cap holds them to 0.8 * 3.3 and y keeps decaying
+    sol = integrate_ivp(lambda t, y: -0.1 * y, np.array([1.0]), (0.0, 3000.0))
+    late = sol.t_grid >= 1500.0
+    assert np.abs(sol.values[late]).max() < 1e-12
+    h_lambda = 0.1 * np.diff(sol.t_grid)[late[:-1]]
+    assert h_lambda.max() <= 0.8 * 3.3 * (1 + 1e-12)
+
+
 def test_replay_needs_the_breakpoints_on_its_grid():
     sol = integrate_ivp(lambda t, y: -y, np.array([1.0]), (0.0, 1.0))
     assert 0.5 not in sol.t_grid
