@@ -23,7 +23,7 @@ from .parameterization import (FORM1, FORM2, Parameterization, make_basis,
                                validate_independence)
 from .sensitivity import (AdjointBundle, Form1Quantities, Form2Quantities,
                           NlpGradients, assemble_form1, assemble_form2,
-                          basis_gram, nlp_gradients, solve_adjoints, solve_state)
+                          nlp_gradients, solve_adjoints, solve_state)
 from .evolution import (EvolutionMode, EvolutionState, IterateEval, StopCriteria,
                         evaluate_iterate, gradient_flow_generic,
                         lyapunov_diagnostic, multiplier, solve_evolution)

@@ -20,6 +20,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
@@ -51,8 +52,32 @@ def _require(cond: bool, msg: str) -> None:
         raise ConfigError(msg)
 
 
-def _get(d: dict, key: str, default=None):
-    return d[key] if key in d else default
+# the keys each config section accepts; "form" rides along in the built-in
+# problems' recommended parameterizations (the mode decides the form), and
+# stop and ode sections take exactly their settings' fields
+_SECTION_KEYS = {
+    "parameterization": ("kind", "order", "N", "n_segments", "form"),
+    "gains": ("K", "k_tf", "K_g", "K_theta"),
+    "init": ("p", "t_f"),
+    "stop": tuple(f.name for f in fields(StopCriteria)),
+    "ode_inner": tuple(f.name for f in fields(OdeSettings)),
+    "ode_outer": tuple(f.name for f in fields(OdeSettings)),
+}
+_TOP_KEYS = ("problem", "mode", *_SECTION_KEYS, "quad_nodes", "out_dir")
+
+
+def _check_keys(cfg: dict, allowed, where: str) -> None:
+    unknown = ", ".join(repr(k) for k in cfg if k not in allowed)
+    _require(not unknown, f"{where}: unknown key(s) {unknown}; "
+                          f"expected some of {', '.join(allowed)}")
+
+
+def _section(raw: dict, key: str, default=None) -> dict:
+    """Config section ``key`` (``default`` or {} when absent), its keys checked."""
+    cfg = raw.get(key) or default or {}
+    _require(isinstance(cfg, dict), f"{key} must be a JSON object")
+    _check_keys(cfg, _SECTION_KEYS[key], key)
+    return dict(cfg)
 
 
 def load_config(path: str) -> dict:
@@ -72,9 +97,11 @@ def build_run(raw: dict):
     """Resolve a config dict into solver objects.
 
     Returns (problem bundle, parameterization, gains, mode, init, stop,
-    ode_inner, ode_outer, quad, out_dir).
+    ode_inner, ode_outer, quad, out_dir).  An unknown key, at the top level or
+    in a section, is a config error.
     """
-    name = _get(raw, "problem")
+    _check_keys(raw, _TOP_KEYS, "config")
+    name = raw.get("problem")
     _require(isinstance(name, str), "config needs a 'problem' name")
     try:
         bundle = get_problem(name)
@@ -82,11 +109,11 @@ def build_run(raw: dict):
         raise ConfigError(str(exc)) from None
     prob = bundle.prob
 
-    mode_name = _get(raw, "mode", "form1")
+    mode_name = raw.get("mode", "form1")
     _require(mode_name in ("form1", "form2", "gradient_flow"),
              f"mode must be form1|form2|gradient_flow, got {mode_name!r}")
 
-    par_cfg = dict(_get(raw, "parameterization") or bundle.recommended)
+    par_cfg = _section(raw, "parameterization", bundle.recommended)
     kind = par_cfg.get("kind")
     _require(kind is not None, "parameterization needs a 'kind'")
     form = FORM2 if mode_name == "form2" else FORM1
@@ -97,19 +124,19 @@ def build_run(raw: dict):
     except OcflowError as exc:
         raise ConfigError(f"parameterization: {exc}") from None
 
-    g_cfg = dict(_get(raw, "gains") or {})
+    g_cfg = _section(raw, "gains")
     try:
-        k_tf = float(_get(g_cfg, "k_tf", 0.1 if prob.tf_mode == "free" else 0.0))
+        k_tf = float(g_cfg.get("k_tf", 0.1 if prob.tf_mode == "free" else 0.0))
         gains = Gains.constant(
-            K=_get(g_cfg, "K", 0.1), m=prob.m, q=prob.q, k_tf=k_tf,
-            K_g=_get(g_cfg, "K_g", 0.1))
+            K=g_cfg.get("K", 0.1), m=prob.m, q=prob.q, k_tf=k_tf,
+            K_g=g_cfg.get("K_g", 0.1))
         mode = {"form1": EvolutionMode.form1, "form2": EvolutionMode.form2,
                 "gradient_flow": lambda: EvolutionMode.gradient_flow(
-                    _get(g_cfg, "K_theta"))}[mode_name]()
+                    g_cfg.get("K_theta"))}[mode_name]()
     except (OcflowError, TypeError, ValueError) as exc:
         raise ConfigError(f"gains: {exc}") from None
 
-    init_cfg = dict(_get(raw, "init") or {})
+    init_cfg = _section(raw, "init")
     p0 = init_cfg.get("p", "zeros")
     if isinstance(p0, str):
         _require(p0 == "zeros", f"init.p must be a vector or 'zeros', got {p0!r}")
@@ -128,37 +155,27 @@ def build_run(raw: dict):
         raise ConfigError(f"init.t_f is not a number: {init_cfg.get('t_f')!r}") from None
     init = EvolutionState(p=p0, t_f=t_f0)
 
-    stop_cfg = dict(_get(raw, "stop") or {})
     try:
-        stop = StopCriteria(
-            tau_max=float(_get(stop_cfg, "tau_max", 300.0)),
-            tol_opt=float(_get(stop_cfg, "tol_opt", 1e-6)),
-            tol_feas=float(_get(stop_cfg, "tol_feas", 1e-6)),
-            record_every=float(_get(stop_cfg, "record_every", 1.0)),
-            c1=float(_get(stop_cfg, "c1", 0.01)),
-            pi_bound=float(_get(stop_cfg, "pi_bound", 1e6)))
-    except ValueError as exc:
+        stop = StopCriteria(**{k: float(v) for k, v in _section(raw, "stop").items()})
+    except (TypeError, ValueError) as exc:
         raise ConfigError(f"stop: {exc}") from None
 
     def ode_from(key):
-        cfg = dict(_get(raw, key) or {})
+        cfg = _section(raw, key)
         try:
-            return OdeSettings(
-                rel_tol=float(_get(cfg, "rel_tol", 1e-3)),
-                abs_tol=float(_get(cfg, "abs_tol", 1e-6)),
-                max_steps=int(_get(cfg, "max_steps", 100_000)),
-                initial_step=cfg.get("initial_step"))
-        except ValueError as exc:
+            return OdeSettings(**{k: int(v) if k == "max_steps" else float(v)
+                                  for k, v in cfg.items()})
+        except (TypeError, ValueError) as exc:
             raise ConfigError(f"{key}: {exc}") from None
 
     ode_inner, ode_outer = ode_from("ode_inner"), ode_from("ode_outer")
 
     try:
-        quad = QuadratureSpec(nodes=int(_get(raw, "quad_nodes", 201)))
-    except ValueError as exc:
+        quad = QuadratureSpec(nodes=int(raw.get("quad_nodes", 201)))
+    except (TypeError, ValueError) as exc:
         raise ConfigError(f"quad_nodes: {exc}") from None
 
-    out_dir = _get(raw, "out_dir", "out")
+    out_dir = raw.get("out_dir", "out")
     return bundle, par, gains, mode, init, stop, ode_inner, ode_outer, quad, out_dir
 
 
@@ -276,8 +293,7 @@ def _check_projection(prob, init, quad) -> list[dict]:
         basis = BasisSet(
             A=lambda ts, c=coeff: np.stack(
                 [np.vander(ts, 4, increasing=True) @ c[j] for j in range(3)],
-                axis=-1)[:, None, :],
-            k=3)
+                axis=-1)[:, None, :])
         fc = rng.uniform(-1, 1, 6)
         f = lambda ts, fc=fc: (np.vander(ts, 6, increasing=True) @ fc)[:, None]
         coords, proj = project(spec, basis, f)
@@ -331,17 +347,6 @@ def cmd_list_problems(_args) -> int:
     for name in list_problems():
         print(name)
     return 0
-
-
-def run_solve(config_path: str, out_dir: str | None = None) -> int:
-    """Programmatic equivalent of ``ocflow solve``; returns the exit status."""
-    return main(["solve", "--config", config_path]
-                + (["--out", out_dir] if out_dir else []))
-
-
-def run_check(config_path: str, what: str = "all") -> int:
-    """Programmatic equivalent of ``ocflow check``; returns the exit status."""
-    return main(["check", "--config", config_path, "--what", what])
 
 
 def build_parser() -> argparse.ArgumentParser:

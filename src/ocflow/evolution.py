@@ -39,8 +39,7 @@ from .problem import (Gains, OcpProblem, SolveReport, SolveTrace, TraceRow,
 from .quadrature import QuadratureSpec
 from .sensitivity import (AdjointBundle, Form1Quantities, Form2Quantities,
                           NlpGradients, assemble_form1, assemble_form2,
-                          basis_gram, nlp_gradients, solve_adjoints,
-                          solve_state, spd_solve)
+                          nlp_gradients, solve_adjoints, solve_state, spd_solve)
 
 _NODE_KINDS = ("lagrange_nodes", "piecewise_linear", "piecewise_constant")
 
@@ -197,7 +196,6 @@ def evaluate_iterate(mode: EvolutionMode, prob: OcpProblem, par: Parameterizatio
                      gains: Gains, p, t_f: float,
                      ode_inner: OdeSettings | None = None,
                      quad: QuadratureSpec | None = None, *,
-                     M_p_const: np.ndarray | None = None,
                      pi_bound: float = 1e6) -> IterateEval:
     """Run the full pipeline (state, adjoints, assembly, multiplier) at (p, t_f)."""
     _check_compat(mode, prob, par)
@@ -215,7 +213,7 @@ def evaluate_iterate(mode: EvolutionMode, prob: OcpProblem, par: Parameterizatio
     # each mode supplies the stationarity terms r, Gamma and its metric W
     # applied to them; the flow d theta/dtau = -W (r + Gamma pi) follows
     if mode.kind == "form1":
-        quant = assemble_form1(prob, par, bundle, gains, t_f, quad, M_p=M_p_const)
+        quant = assemble_form1(prob, par, bundle, gains, t_f, quad)
         r, Gamma = quant.r_1p, quant.Gamma_1p
         W_rGamma = spd_solve(quant.M_p, np.column_stack([r, Gamma]),
                              "M_p (Gram matrix of the basis columns)")
@@ -332,15 +330,11 @@ def solve_evolution(mode: EvolutionMode, prob: OcpProblem, par: Parameterization
     free = prob.tf_mode == "free"
     p0, t_f0 = _resolve_init(prob, init)
 
-    M_p_const = None
-    if mode.kind == "form1" and not free and gains.K_inv_const is not None:
-        M_p_const = basis_gram(par, gains, p0, t_f0, quad)
-
     @_memo_last
     def evaluate(theta: np.ndarray) -> IterateEval:
         p, t_f = (theta[:-1], theta[-1]) if free else (theta, t_f0)
         return evaluate_iterate(mode, prob, par, gains, p, t_f, ode_inner, quad,
-                                M_p_const=M_p_const, pi_bound=stop.pi_bound)
+                                pi_bound=stop.pi_bound)
 
     def rhs(tau, theta):
         return evaluate(theta).deriv()

@@ -74,7 +74,6 @@ class OdeSettings:
     rel_tol: float = 1e-3
     abs_tol: float = 1e-6
     max_steps: int = 100_000
-    initial_step: float | None = None
 
     def __post_init__(self):
         if not _finite_positive(self.rel_tol):
@@ -83,9 +82,6 @@ class OdeSettings:
             raise ValueError(f"abs_tol must be finite and positive, got {self.abs_tol}")
         if self.max_steps < 1:
             raise ValueError(f"max_steps must be >= 1, got {self.max_steps}")
-        if self.initial_step is not None and not _finite_positive(self.initial_step):
-            raise ValueError(
-                f"initial_step must be finite and positive, got {self.initial_step}")
 
 
 def dense_output(theta, scale, base, Q) -> np.ndarray:
@@ -152,21 +148,20 @@ class DenseTrajectory:
 class DenseSolution(DenseTrajectory):
     """A dense trajectory plus step-acceptance statistics."""
 
-    def __init__(self, t_grid, values, segments, *, nsteps, nrejected, last_error):
+    def __init__(self, t_grid, values, segments, *, nsteps, nrejected):
         super().__init__(t_grid, values, segments)
         self.nsteps = nsteps
         self.nrejected = nrejected
-        self.last_error = last_error
 
 
-def _initial_step(rhs, t0, y0, f0, direction, settings):
+def _initial_step(rhs, t0, y0, f0, settings):
     """Hairer-style automatic initial step size."""
     scale = settings.abs_tol + settings.rel_tol * np.abs(y0)
     d0 = np.sqrt(np.mean((y0 / scale) ** 2))
     d1 = np.sqrt(np.mean((f0 / scale) ** 2))
     h0 = 1e-6 if d0 < 1e-5 or d1 < 1e-5 else 0.01 * d0 / d1
-    y1 = y0 + h0 * direction * f0
-    f1 = np.asarray(rhs(t0 + h0 * direction, y1), dtype=float)
+    y1 = y0 + h0 * f0
+    f1 = np.asarray(rhs(t0 + h0, y1), dtype=float)
     d2 = np.sqrt(np.mean(((f1 - f0) / scale) ** 2)) / h0
     if max(d1, d2) <= 1e-15:
         h1 = max(1e-6, h0 * 1e-3)
@@ -179,7 +174,9 @@ class _Stepper:
     """Forward-time adaptive stepper over one smooth subinterval.
 
     ``backward`` marks a stepper running in negated time s = -t; its
-    failures then report the physical time t.
+    failures then report the physical time t.  ``guard(t, y) -> bool`` may
+    veto a step that passed the error test, which is then retried at half
+    size.
     """
 
     def __init__(self, rhs, t0, y0, t_end, settings, h_init=None, guard=None,
@@ -195,13 +192,12 @@ class _Stepper:
         if not np.all(np.isfinite(self.f)):
             raise self._error(DivergenceError, "non-finite right-hand side", self.t)
         h = h_init if h_init is not None else _initial_step(
-            rhs, self.t, self.y, self.f, 1.0, settings)
+            rhs, self.t, self.y, self.f, settings)
         self.h = min(h, self.t_end - self.t)
         self.K = np.empty((7, self.y.size))    # stage derivatives
         self.err_old = 1e-4
         self.nsteps = 0
         self.nrejected = 0
-        self.last_error = np.nan
 
     def _error(self, cls, message: str, s: float) -> IntegrationError:
         return cls(message, time=-s if self.backward else s)
@@ -264,7 +260,6 @@ class _Stepper:
                 seg = (self.t, h, self.y.copy(), K.T @ _BI)  # (anchor, scale, base, Q)
                 self.t, self.y, self.f = t_new, y_new, K[6].copy()
                 self.nsteps += 1
-                self.last_error = err_norm
                 return seg
             self.nrejected += 1
             self.h = h * max(_MIN_FACTOR, _SAFETY * err_norm ** (-0.2))
@@ -281,14 +276,13 @@ def _forward_rhs(rhs, backward: bool, clamp):
 
 
 def integrate_ivp(rhs, y0, t_span, settings: OdeSettings | None = None, *,
-                  breakpoints=(), guard=None) -> DenseSolution:
+                  breakpoints=()) -> DenseSolution:
     """Solve y' = rhs(t, y) over ``t_span`` with dense output.
 
     Backward spans (t_end < t_start) integrate in negated time internally.
     ``breakpoints`` are interior times where the right-hand side may be
-    discontinuous; the integrator restarts there so no step straddles one.
-    ``guard(t, y) -> bool`` may veto a trial step, which is then retried at
-    half size.
+    discontinuous; the integrator restarts there so no step straddles one,
+    carrying the last step size across.
     """
     settings = settings or OdeSettings()
     t_start, t_end = float(t_span[0]), float(t_span[1])
@@ -297,11 +291,9 @@ def integrate_ivp(rhs, y0, t_span, settings: OdeSettings | None = None, *,
 
     backward = t_end < t_start
     if backward:
-        fwd_guard = None if guard is None else (lambda s, y: guard(-s, y))
         fwd_span = (-t_start, -t_end)
         fwd_breaks = sorted(-b for b in breakpoints)
     else:
-        fwd_guard = guard
         fwd_span = (t_start, t_end)
         fwd_breaks = sorted(breakpoints)
 
@@ -313,15 +305,14 @@ def integrate_ivp(rhs, y0, t_span, settings: OdeSettings | None = None, *,
     ys = [np.asarray(y0, dtype=float)]
     anchors, denoms, scales, bases, Qs = [], [], [], [], []
     nsteps = nrejected = 0
-    last_error = np.nan
-    h_carry = settings.initial_step
+    h_carry = None
 
     for a, b in zip(bounds[:-1], bounds[1:]):
         # keep stage evaluations strictly inside the smooth subinterval so
         # a right-continuous discontinuity at a cut never leaks across it
         clamp = (np.nextafter(a, b), np.nextafter(b, a)) if cuts else None
         stepper = _Stepper(_forward_rhs(rhs, backward, clamp), a, ys[-1], b, settings,
-                           h_init=h_carry, guard=fwd_guard, backward=backward)
+                           h_init=h_carry, backward=backward)
         while not stepper.done:
             t_prev = stepper.t
             anchor, h, base, Q = stepper.step()
@@ -334,7 +325,6 @@ def integrate_ivp(rhs, y0, t_span, settings: OdeSettings | None = None, *,
             Qs.append(Q)
         nsteps += stepper.nsteps
         nrejected += stepper.nrejected
-        last_error = stepper.last_error
         h_carry = stepper.h
 
     ts = np.array(ts)
@@ -354,7 +344,7 @@ def integrate_ivp(rhs, y0, t_span, settings: OdeSettings | None = None, *,
         scales, bases, Qs = scales[::-1], bases[::-1], Qs[::-1]
 
     return DenseSolution(ts, ys, (anchors, denoms, scales, bases, Qs),
-                         nsteps=nsteps, nrejected=nrejected, last_error=last_error)
+                         nsteps=nsteps, nrejected=nrejected)
 
 
 def _channels(Y: np.ndarray) -> np.ndarray:
@@ -450,4 +440,4 @@ def replay_linear(traj: DenseTrajectory, coefficients, y_end, *,
         raise _divergence(ts, S, Y, Q)
     values = _channels(Y[:, :n])
     return DenseSolution(t_grid, values, (t_old, H, H, values[1:], Q),
-                         nsteps=steps, nrejected=0, last_error=np.nan)
+                         nsteps=steps, nrejected=0)

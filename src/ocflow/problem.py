@@ -77,8 +77,8 @@ class Gains:
     """Evolution gains: inverse control weight, terminal-time and constraint gains.
 
     ``K_inv(t)`` is the m x m symmetric positive-definite *inverse* control
-    weight.  ``k_tf`` scales the terminal-time equation (forced to zero by the
-    solver when t_f is fixed).  ``K_g`` sets the exponential decay rate of the
+    weight.  ``k_tf`` scales the terminal-time equation (ignored when t_f is
+    fixed).  ``K_g`` sets the exponential decay rate of the
     terminal-constraint violation.
     """
 

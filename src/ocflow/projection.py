@@ -27,16 +27,15 @@ from .sensitivity import spd_solve
 
 @dataclass(frozen=True)
 class InnerProductSpec:
-    """<f, g> = int_t0^tf f^T W(t) g dt on the given grid.
+    """<f, g> = int_t0^tf f^T W g dt on the given grid, t0 < t_f.
 
-    ``weight`` is either a constant SPD matrix (or scalar) or a callable
-    t -> matrix; ``breakpoints`` split quadrature panels where integrands are
-    not smooth.
+    ``weight`` is a constant SPD matrix W (a scalar stands for a 1 x 1 one);
+    ``breakpoints`` split quadrature panels where integrands are not smooth.
     """
 
     t0: float
     t_f: float
-    weight: object
+    weight: np.ndarray | float
     quad: QuadratureSpec = QuadratureSpec()
     breakpoints: tuple = ()
 
@@ -44,19 +43,19 @@ class InnerProductSpec:
         return simpson_points(self.t0, self.t_f, self.quad, self.breakpoints)
 
     def weight_at(self, ts: np.ndarray) -> np.ndarray:
-        if callable(self.weight):
-            return np.stack([np.atleast_2d(np.asarray(self.weight(t), float))
-                             for t in ts])
         W = np.atleast_2d(np.asarray(self.weight, dtype=float))
         return np.broadcast_to(W, (ts.size, *W.shape))
 
 
 @dataclass(frozen=True)
 class BasisSet:
-    """Columns a_1(t) ... a_k(t) assembled by A(t); A(ts) -> (N, d, k)."""
+    """Columns a_1(t) ... a_k(t) assembled by A(t).
+
+    ``A(ts)`` maps N times to an (N, d, k) array, or to (N, k) for a
+    scalar-valued basis; the column count k is read from its shape.
+    """
 
     A: Callable
-    k: int
 
     def at(self, ts: np.ndarray) -> np.ndarray:
         out = np.asarray(self.A(ts), dtype=float)

@@ -28,20 +28,22 @@ class QuadratureSpec:
 
 def panel_edges(t0: float, t_f: float, spec: QuadratureSpec,
                 breakpoints=()) -> np.ndarray:
-    """Panel boundaries: uniform edges merged with interior breakpoints."""
+    """Panel boundaries: uniform edges merged with interior breakpoints.
+
+    The span must run forward: t0 < t_f, or :class:`ValueError`.
+    """
+    if not t0 < t_f:
+        raise ValueError(f"quadrature span needs t0 < t_f, got [{float(t0)!r}, {float(t_f)!r}]")
     n_panels = (spec.nodes - 1) // 2
     edges = np.linspace(t0, t_f, n_panels + 1)
     extra = np.asarray(breakpoints, dtype=float)
     if extra.size:
-        tol = 1e-12 * max(1.0, abs(t_f - t0))
-        lo, hi = min(t0, t_f), max(t0, t_f)
-        extra = extra[(extra > lo + tol) & (extra < hi - tol)]
+        tol = 1e-12 * max(1.0, t_f - t0)
+        extra = extra[(extra > t0 + tol) & (extra < t_f - tol)]
         # a uniform edge within tol of a breakpoint gives way to it, so the
         # panels split exactly where the integrand does
         near = np.abs(edges[:, None] - extra).min(axis=1, initial=np.inf) <= tol
         edges = np.union1d(edges[~near], extra)
-        if t0 > t_f:
-            edges = edges[::-1]
     return edges
 
 

@@ -261,28 +261,13 @@ def _form1_integrals(gd: _GridData) -> tuple[np.ndarray, np.ndarray]:
     return r_1p, Gamma_1p
 
 
-def basis_gram(par: Parameterization, gains: Gains, p, t_f: float,
-               quad: QuadratureSpec) -> np.ndarray:
-    """M_p = int u_p^T K^-1 u_p dt on the shared grid (no bundle needed)."""
-    ts, w = simpson_points(par.t0, t_f, quad, par.breakpoints(t_f))
-    up = par.jac_p(ts, np.asarray(p, dtype=float), t_f)
-    return _gram(w, up, gains.K_inv_at(ts))
-
-
 def assemble_form1(prob: OcpProblem, par: Parameterization, bundle: AdjointBundle,
-                   gains: Gains, t_f: float, quad: QuadratureSpec, *,
-                   M_p: np.ndarray | None = None) -> Form1Quantities:
-    """Gram matrix, cost gradient, constraint sensitivity, terminal brackets.
-
-    ``M_p`` may be supplied precomputed (it is constant for linear bases with
-    fixed t_f and time-invariant weight); it is rebuilt otherwise.
-    """
+                   gains: Gains, t_f: float, quad: QuadratureSpec) -> Form1Quantities:
+    """Gram matrix, cost gradient, constraint sensitivity, terminal brackets."""
     gd = _grid_data(prob, par, bundle, quad, gains=gains)
-    if M_p is None:
-        M_p = _gram(gd.w, gd.up, gd.kinv)
     r_1p, Gamma_1p = _form1_integrals(gd)
-    return Form1Quantities(M_p=M_p, r_1p=r_1p, Gamma_1p=Gamma_1p,
-                           tf_scalar=gd.tf_scalar, tf_row=gd.tf_row)
+    return Form1Quantities(M_p=_gram(gd.w, gd.up, gd.kinv), r_1p=r_1p,
+                           Gamma_1p=Gamma_1p, tf_scalar=gd.tf_scalar, tf_row=gd.tf_row)
 
 
 def assemble_form2(prob: OcpProblem, par: Parameterization, bundle: AdjointBundle,

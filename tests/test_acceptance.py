@@ -188,8 +188,7 @@ def test_criterion_09_projection_suite(example1, e1_form1_solve):
     for _ in range(10):
         C = rng.uniform(-1.0, 1.0, (3, 4))
         basis = BasisSet(
-            A=lambda ts, C=C: (np.vander(ts, 4, increasing=True) @ C.T)[:, None, :],
-            k=3)
+            A=lambda ts, C=C: (np.vander(ts, 4, increasing=True) @ C.T)[:, None, :])
         fc = rng.uniform(-1.0, 1.0, 6)
         f = lambda ts, fc=fc: (np.vander(ts, 6, increasing=True) @ fc)[:, None]
         coords, proj = project(spec, basis, f)
@@ -232,7 +231,7 @@ def test_criterion_09_projection_suite(example1, e1_form1_solve):
             return np.einsum("tnm,tnq->tmq", np.asarray(prob.f_u(xs, us, ts)), psis)
 
         sp = InnerProductSpec(t0=0.0, t_f=2.0, weight=K)
-        rep = projected_stationarity_check(sp, BasisSet(A=basis_fn, k=par.s), p_u, fupsi, it.pi)
+        rep = projected_stationarity_check(sp, BasisSet(A=basis_fn), p_u, fupsi, it.pi)
         if bounds is None:
             lam = np.linalg.eigvalsh(it.quantities.M_p)
             bounds = (np.sqrt(lam[0]), np.sqrt(lam[-1]))

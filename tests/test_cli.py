@@ -10,6 +10,7 @@ import numpy as np
 import ocflow
 from ocflow import (EvolutionMode, EvolutionState, StopCriteria, make_basis,
                     simulate_control, solve_evolution)
+from ocflow import cli
 from ocflow.cli import main
 from ocflow.problems import _REGISTRY, register_problem
 
@@ -121,6 +122,40 @@ def test_config_errors_exit_2(tmp_path, capsys):
     assert main(["solve", "--config", str(tmp_path / "nope.json")]) == 2
 
 
+def test_unknown_keys_exit_2(tmp_path, capsys):
+    # misspelled keys used to run silently on the defaults
+    for overrides, where, bad in (
+            ({"stop": {"tau_mx": 5.0}}, "stop", "tau_mx"),
+            ({"stop": {"tau_max": 5.0, "record_evry": 1.0}}, "stop", "record_evry"),
+            ({"ode_inner": {"reltol": 1e-6}}, "ode_inner", "reltol"),
+            ({"ode_outer": {"abs_tol": 1e-8, "initial_step": 1e-3}}, "ode_outer",
+             "initial_step"),
+            ({"gains": {"K_gain": 0.1}}, "gains", "K_gain"),
+            ({"init": {"tf": 2.0}}, "init", "tf"),
+            ({"parameterization": {"kind": "global_polynomial", "order": 3,
+                                   "nodes": 4}}, "parameterization", "nodes"),
+            ({"quad_node": 201}, "config", "quad_node"),
+            ({"parametrization": {"kind": "global_polynomial"}}, "config",
+             "parametrization")):
+        path, _ = write_config(tmp_path, **overrides)
+        assert main(["solve", "--config", str(path)]) == 2
+        assert f"config error: {where}: unknown key(s) {bad!r};" \
+            in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+
+def test_accepted_key_spellings():
+    # N and n_segments both size a piecewise basis; "form", which the built-in
+    # recommended parameterizations carry, is accepted and the mode decides
+    runs = [cli.build_run({"problem": "brachistochrone", "mode": "form2",
+                           "parameterization": par_cfg})
+            for par_cfg in ({"kind": "piecewise_constant", "N": 6},
+                            {"kind": "piecewise_constant", "n_segments": 6,
+                             "form": "form1"})]
+    assert runs[0][1].s == runs[1][1].s == 6
+    assert runs[1][1].form == "form2"
+
+
 def test_non_integer_basis_sizes_exit_2(tmp_path, capsys):
     for par_cfg in ({"kind": "piecewise_constant", "N": "abc"},
                     {"kind": "piecewise_constant", "N": 2.5},
@@ -194,12 +229,11 @@ def test_solver_errors_exit_3(tmp_path):
     assert main(["solve", "--config", str(path)]) == 3
 
 
-def test_programmatic_entry_points(tmp_path):
-    from ocflow.cli import run_check, run_solve
+def test_out_flag_overrides_config(tmp_path):
     path, _ = write_config(tmp_path, stop={"tau_max": 5.0})
-    assert run_solve(str(path), out_dir=str(tmp_path / "alt")) == 4
+    assert main(["solve", "--config", str(path), "--out", str(tmp_path / "alt")]) == 4
     assert (tmp_path / "alt" / "report.json").exists()
-    assert run_check(str(path), what="projection") == 0
+    assert not (tmp_path / "out").exists()
 
 
 def test_list_problems(capsys):
@@ -217,8 +251,6 @@ def test_console_entry_point_runs():
 
 def test_check_gradients_simulates_each_point_once(tmp_path, monkeypatch):
     # one forward solve gives both J and g at each central-difference point
-    import ocflow.cli as cli
-
     calls = []
 
     def counting(*args, **kwargs):
@@ -227,7 +259,7 @@ def test_check_gradients_simulates_each_point_once(tmp_path, monkeypatch):
 
     monkeypatch.setattr(cli, "simulate_control", counting)
     path, _ = write_config(tmp_path)
-    assert cli.run_check(str(path), "gradients") == 0
+    assert main(["check", "--config", str(path), "--what", "gradients"]) == 0
     s = 4                                   # the default cubic basis
     assert len(calls) == 2 * (s + 1)
 

@@ -366,6 +366,13 @@ def test_panel_edges_keep_every_breakpoint():
                            np.repeat(segment_of(par, t_f, panels[:, 1]), 3))
 
 
+@pytest.mark.parametrize("t_f", [0.0, -1.0, float("nan")])
+def test_quadrature_needs_a_forward_span(t_f):
+    for grid in (panel_edges, simpson_points):
+        with pytest.raises(ValueError, match="t0 < t_f"):
+            grid(0.0, t_f, QuadratureSpec(41), (-0.5, 0.5))
+
+
 @pytest.mark.parametrize("kind", PIECEWISE)
 @pytest.mark.parametrize("form", ["form1", "form2"])
 def test_scalar_and_array_paths_agree_next_to_breakpoints(kind, form):

@@ -18,7 +18,7 @@ def poly_basis(cols):
         V = np.vander(ts, C.shape[1], increasing=True)
         return (V @ C.T)[:, None, :]
 
-    return BasisSet(A=A, k=C.shape[0])
+    return BasisSet(A=A)
 
 
 def test_projecting_basis_column_is_identity():
@@ -105,7 +105,7 @@ def _dual_residual_ingredients(prob, gains, par, p, t_f):
     spec = InnerProductSpec(t0=prob.t0, t_f=t_f, weight=K,
                             quad=QuadratureSpec(),
                             breakpoints=tuple(par.breakpoints(t_f)))
-    basis = BasisSet(A=basis_fn, k=par.s)
+    basis = BasisSet(A=basis_fn)
     return it, spec, basis, p_u, fupsi
 
 

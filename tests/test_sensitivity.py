@@ -5,7 +5,7 @@ import pytest
 
 from ocflow import (ConfigurationError, DenseTrajectory, DivergenceError, OdeSettings,
                     QuadratureSpec, RankError, assemble_form1, assemble_form2,
-                    basis_gram, constraint_value, make_basis, nlp_gradients,
+                    constraint_value, make_basis, nlp_gradients,
                     objective_value, simulate_control, solve_adjoints, solve_state)
 from ocflow.sensitivity import spd_solve
 
@@ -96,14 +96,6 @@ def test_assemble_form1_closed_forms(e1):
     np.testing.assert_allclose(q1.M_p, MP_EXACT, atol=1e-6)
     np.testing.assert_allclose(q1.Gamma_1p, GAMMA_EXACT, atol=1e-6)
     np.testing.assert_allclose(q1.r_1p, np.zeros(4), atol=1e-12)
-
-
-def test_basis_gram_matches_assembly(e1):
-    prob, gains, par = e1
-    b = bundle_at(prob, par, np.zeros(4), 2.0)
-    q1 = assemble_form1(prob, par, b, gains, 2.0, QuadratureSpec())
-    M = basis_gram(par, gains, np.zeros(4), 2.0, QuadratureSpec())
-    assert np.array_equal(M, q1.M_p)
 
 
 def test_form2_degenerates_when_tf_sensitivity_vanishes(brach):
