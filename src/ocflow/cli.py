@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import numbers
 import sys
 from dataclasses import fields
 from pathlib import Path
@@ -30,11 +31,11 @@ from .errors import OcflowError
 from .evolution import EvolutionMode, EvolutionState, StopCriteria, solve_evolution
 from .integrate import OdeSettings
 from .parameterization import FORM1, FORM2, make_basis
-from .problem import Gains, SolveTrace, simulate_control
+from .problem import Gains, SolveTrace, _central_diff, simulate_control
 from .problems import get_problem, list_problems
 from .projection import BasisSet, InnerProductSpec, project, weighted_norm
 from .quadrature import QuadratureSpec
-from .sensitivity import assemble_form2, nlp_gradients, solve_adjoints, solve_state
+from .sensitivity import nlp_gradients, solve_adjoints, solve_state
 
 _FMT = "%.17g"
 
@@ -78,6 +79,25 @@ def _section(raw: dict, key: str, default=None) -> dict:
     _require(isinstance(cfg, dict), f"{key} must be a JSON object")
     _check_keys(cfg, _SECTION_KEYS[key], key)
     return dict(cfg)
+
+
+def _number(value, key: str, integer: bool = False):
+    """``value`` as a float, or an int when ``integer``.
+
+    Anything else, a boolean or numeric text included, is a config error
+    naming ``key``.
+    """
+    kind = numbers.Integral if integer else numbers.Real
+    _require(isinstance(value, kind) and not isinstance(value, bool),
+             f"{key} must be {'an integer' if integer else 'a number'}, got {value!r}")
+    return int(value) if integer else float(value)
+
+
+def _gain(value, key: str):
+    """A gain, a number or nested lists of numbers, read entry by entry."""
+    if isinstance(value, list):
+        return [_gain(v, key) for v in value]
+    return _number(value, key)
 
 
 def load_config(path: str) -> dict:
@@ -125,14 +145,13 @@ def build_run(raw: dict):
         raise ConfigError(f"parameterization: {exc}") from None
 
     g_cfg = _section(raw, "gains")
+    k_tf = _number(g_cfg.get("k_tf", 0.1 if prob.tf_mode == "free" else 0.0), "gains.k_tf")
+    K_theta = _gain(g_cfg["K_theta"], "gains.K_theta") if "K_theta" in g_cfg else None
     try:
-        k_tf = float(g_cfg.get("k_tf", 0.1 if prob.tf_mode == "free" else 0.0))
-        gains = Gains.constant(
-            K=g_cfg.get("K", 0.1), m=prob.m, q=prob.q, k_tf=k_tf,
-            K_g=g_cfg.get("K_g", 0.1))
+        gains = Gains.constant(K=_gain(g_cfg.get("K", 0.1), "gains.K"), m=prob.m, q=prob.q,
+                               k_tf=k_tf, K_g=_gain(g_cfg.get("K_g", 0.1), "gains.K_g"))
         mode = {"form1": EvolutionMode.form1, "form2": EvolutionMode.form2,
-                "gradient_flow": lambda: EvolutionMode.gradient_flow(
-                    g_cfg.get("K_theta"))}[mode_name]()
+                "gradient_flow": lambda: EvolutionMode.gradient_flow(K_theta)}[mode_name]()
     except (OcflowError, TypeError, ValueError) as exc:
         raise ConfigError(f"gains: {exc}") from None
 
@@ -148,30 +167,29 @@ def build_run(raw: dict):
             raise ConfigError(f"init.p is not a numeric vector: {p0!r}") from None
         _require(p0.shape == (par.s,),
                  f"init.p has {p0.size} entries, the basis needs {par.s}")
-    try:
-        t_f0 = float(init_cfg.get("t_f",
-                                  prob.tf_fixed if prob.tf_mode == "fixed" else 1.0))
-    except (TypeError, ValueError):
-        raise ConfigError(f"init.t_f is not a number: {init_cfg.get('t_f')!r}") from None
+    t_f0 = _number(init_cfg.get("t_f", prob.tf_fixed if prob.tf_mode == "fixed" else 1.0),
+                   "init.t_f")
     init = EvolutionState(p=p0, t_f=t_f0)
 
+    stop_kw = {k: _number(v, f"stop.{k}") for k, v in _section(raw, "stop").items()}
     try:
-        stop = StopCriteria(**{k: float(v) for k, v in _section(raw, "stop").items()})
+        stop = StopCriteria(**stop_kw)
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"stop: {exc}") from None
 
     def ode_from(key):
-        cfg = _section(raw, key)
+        kw = {k: _number(v, f"{key}.{k}", integer=k == "max_steps")
+              for k, v in _section(raw, key).items()}
         try:
-            return OdeSettings(**{k: int(v) if k == "max_steps" else float(v)
-                                  for k, v in cfg.items()})
+            return OdeSettings(**kw)
         except (TypeError, ValueError) as exc:
             raise ConfigError(f"{key}: {exc}") from None
 
     ode_inner, ode_outer = ode_from("ode_inner"), ode_from("ode_outer")
 
+    nodes = _number(raw.get("quad_nodes", 201), "quad_nodes", integer=True)
     try:
-        quad = QuadratureSpec(nodes=int(raw.get("quad_nodes", 201)))
+        quad = QuadratureSpec(nodes=nodes)
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"quad_nodes: {exc}") from None
 
@@ -234,48 +252,32 @@ def cmd_solve(args) -> int:
     return 0 if report.converged else 4
 
 
-def _check_gradients(prob, par, gains, init, quad) -> list[dict]:
+def _check_gradients(prob, par, init, quad) -> list[dict]:
     """Adjoint-assembled gradients vs central differences of simulated values."""
     ode = OdeSettings(rel_tol=1e-10, abs_tol=1e-12)
     p, t_f = init.p, init.t_f
     x_traj = solve_state(prob, par, p, t_f, ode)
-    bund = solve_adjoints(prob, par, p, x_traj, t_f)
-    if par.form == FORM2:
-        # for a t_f-dependent basis the theta-gradients are the form-2 vectors
-        q2 = assemble_form2(prob, par, bund, gains, p, t_f, quad)
-        f_theta, g_theta = q2.r_2ptf, q2.Gamma_2ptf.T
-    else:
-        grads = nlp_gradients(prob, par, bund, p, t_f, quad)
-        f_theta, g_theta = grads.f_theta, grads.g_theta
+    grads = nlp_gradients(prob, par, solve_adjoints(prob, par, p, x_traj, t_f),
+                          p, t_f, quad)
 
-    def Jg_of(pv, tfv):
+    def Jg_of(theta):
+        pv, tfv = theta[:-1], theta[-1]
         _, J, g = simulate_control(prob, par.bind(pv, tfv), tfv, ode,
                                    breakpoints=par.breakpoints(tfv))
-        return J, g
+        return np.concatenate([[J], g])
 
-    def central(plus, minus, step):
-        (J_hi, g_hi), (J_lo, g_lo) = Jg_of(*plus), Jg_of(*minus)
-        return (J_hi - J_lo) / (2 * step), (g_hi - g_lo) / (2 * step)
+    fd = _central_diff(Jg_of, np.append(p, t_f), h=1e-4)
+    fd_f, fd_g = fd[0], fd[1:]
 
     results = []
-    h = 1e-4
-    fd_f = np.empty(par.s + 1)
-    fd_g = np.empty((prob.q, par.s + 1))
-    for i in range(par.s):
-        dp = np.zeros(par.s)
-        dp[i] = h * max(1.0, abs(p[i]))
-        fd_f[i], fd_g[:, i] = central((p + dp, t_f), (p - dp, t_f), dp[i])
-    dtf = h * max(1.0, abs(t_f))
-    fd_f[par.s], fd_g[:, par.s] = central((p, t_f + dtf), (p, t_f - dtf), dtf)
-
     tol = 1e-3
     scale_f = max(1.0, float(np.abs(fd_f).max()))
-    err_f = float(np.abs(f_theta - fd_f).max()) / scale_f
+    err_f = float(np.abs(grads.f_theta - fd_f).max()) / scale_f
     results.append({"name": "objective_gradient_vs_fd", "value": err_f,
                     "tol": tol, "passed": err_f <= tol})
     if prob.q:
         scale_g = max(1.0, float(np.abs(fd_g).max()))
-        err_g = float(np.abs(g_theta - fd_g).max()) / scale_g
+        err_g = float(np.abs(grads.g_theta - fd_g).max()) / scale_g
         results.append({"name": "constraint_jacobian_vs_fd", "value": err_g,
                         "tol": tol, "passed": err_g <= tol})
     return results
@@ -324,7 +326,7 @@ def cmd_check(args) -> int:
 
     results = []
     if args.what in ("gradients", "all"):
-        results += _check_gradients(prob, par, gains, init, quad)
+        results += _check_gradients(prob, par, init, quad)
     if args.what in ("projection", "all"):
         results += _check_projection(prob, init, quad)
 

@@ -7,10 +7,11 @@ An iterate theta = (p[, t_f]) flows under
 one formula whose stationarity terms r, Gamma and SPD metric W come from
 the mode:
 
-* ``form1``  -- r_1p, Gamma_1p and W = M_p^-1; for free terminal time t_f
-  joins theta with its terminal brackets under the decoupled metric k_tf.
+* ``form1``  -- r_1p, Gamma_1p and W = M_p^-1.  With free terminal time
+  this is form 2's formula for a basis with u_tf = 0: t_f joins theta with
+  its terminal brackets and M_ptf = diag(M_p, 1/k_tf).
 * ``form2``  -- r_2ptf, Gamma_2ptf and W = M_ptf^-1, for parameterizations
-  whose shape depends on t_f.
+  whose shape depends on t_f; t_f is one more basis column u_tf.
 * ``gradient_flow`` -- f_theta, g_theta^T and W = K_theta, an arbitrary
   constant SPD gain; the NLP-side twin of form 1 (they coincide when
   K_theta is the inverse Gram matrix).
@@ -35,13 +36,14 @@ from .errors import ConfigurationError, MultiplierBoundWarning
 from .integrate import OdeSettings, _Stepper, dense_output
 from .parameterization import FORM1, FORM2, Parameterization
 from .problem import (Gains, OcpProblem, SolveReport, SolveTrace, TraceRow,
-                      _require_spd)
+                      _gain_matrix, _require_spd)
 from .quadrature import QuadratureSpec
 from .sensitivity import (AdjointBundle, Form1Quantities, Form2Quantities,
                           NlpGradients, assemble_form1, assemble_form2,
                           nlp_gradients, solve_adjoints, solve_state, spd_solve)
 
 _NODE_KINDS = ("lagrange_nodes", "piecewise_linear", "piecewise_constant")
+_MODE_KINDS = ("form1", "form2", "gradient_flow")
 
 
 @dataclass(frozen=True)
@@ -60,13 +62,16 @@ class EvolutionMode:
     """Which right-hand side drives the flow.
 
     ``K_theta`` is the gradient-flow mode's constant SPD gain (a scalar
-    stands for K_theta * I); it is checked here, before any pipeline runs.
+    stands for K_theta * I); it and ``kind`` are checked here, before any
+    pipeline runs.
     """
 
     kind: str                          # "form1" | "form2" | "gradient_flow"
     K_theta: np.ndarray | None = None
 
     def __post_init__(self):
+        if self.kind not in _MODE_KINDS:
+            raise ConfigurationError(f"unknown evolution mode {self.kind!r}")
         if self.K_theta is not None:
             K_theta = np.atleast_2d(np.asarray(self.K_theta, dtype=float))
             _require_spd(K_theta, "K_theta")
@@ -182,16 +187,6 @@ def _check_compat(mode: EvolutionMode, prob: OcpProblem, par: Parameterization) 
                 f"{par.kind} nodes move with t_f; use form2 when t_f is free")
 
 
-def _gain_matrix(K, dim: int, name: str) -> np.ndarray:
-    """K as a (dim, dim) matrix; a scalar or 1 x 1 gain is promoted to K * I."""
-    K = np.atleast_2d(np.asarray(K, dtype=float))
-    if K.shape == (1, 1) and dim != 1:
-        K = K[0, 0] * np.eye(dim)
-    if K.shape != (dim, dim):
-        raise ConfigurationError(f"{name} has shape {K.shape}, expected ({dim}, {dim})")
-    return K
-
-
 def evaluate_iterate(mode: EvolutionMode, prob: OcpProblem, par: Parameterization,
                      gains: Gains, p, t_f: float,
                      ode_inner: OdeSettings | None = None,
@@ -210,31 +205,22 @@ def evaluate_iterate(mode: EvolutionMode, prob: OcpProblem, par: Parameterizatio
     g_val = np.asarray(prob.g(x_f, t_f), dtype=float)
     g_norm = float(np.linalg.norm(g_val))
 
-    # each mode supplies the stationarity terms r, Gamma and its metric W
-    # applied to them; the flow d theta/dtau = -W (r + Gamma pi) follows
-    if mode.kind == "form1":
-        quant = assemble_form1(prob, par, bundle, gains, t_f, quad)
-        r, Gamma = quant.r_1p, quant.Gamma_1p
-        W_rGamma = spd_solve(quant.M_p, np.column_stack([r, Gamma]),
-                             "M_p (Gram matrix of the basis columns)")
-        if free:
-            # t_f is decoupled from p under the scalar metric k_tf
-            r = np.append(r, quant.tf_scalar)
-            Gamma = np.vstack([Gamma, quant.tf_row])
-            W_rGamma = np.vstack([W_rGamma,
-                                  gains.k_tf * np.append(quant.tf_scalar, quant.tf_row)])
-    elif mode.kind == "form2":
-        quant = assemble_form2(prob, par, bundle, gains, p, t_f, quad)
-        r, Gamma = quant.r_2ptf, quant.Gamma_2ptf
-        W_rGamma = spd_solve(quant.M_ptf, np.column_stack([r, Gamma]),
-                             "M_ptf (Gram matrix of the basis columns and t_f)")
-    elif mode.kind == "gradient_flow":
+    # the stationarity terms r, Gamma over theta and the metric W applied to
+    # them; the flow d theta/dtau = -W (r + Gamma pi) follows
+    if mode.kind == "gradient_flow":
         quant = nlp_gradients(prob, par, bundle, p, t_f, quad)
         dim = par.s + (1 if free else 0)
         r, Gamma = quant.f_theta[:dim], quant.g_theta[:, :dim].T
         W_rGamma = _gain_matrix(mode.K_theta, dim, "K_theta") @ np.column_stack([r, Gamma])
     else:
-        raise ConfigurationError(f"unknown evolution mode {mode.kind!r}")
+        if free:
+            quant = assemble_form2(prob, par, bundle, gains, p, t_f, quad)
+            r, Gamma, M = quant.r_2ptf, quant.Gamma_2ptf, quant.M_ptf
+        else:
+            quant = assemble_form1(prob, par, bundle, gains, t_f, quad)
+            r, Gamma, M = quant.r_1p, quant.Gamma_1p, quant.M_p
+        W_rGamma = spd_solve(M, np.column_stack([r, Gamma]),
+                             "Gram matrix of the basis columns of theta")
 
     pi, residual, dtheta = _flow_direction(r, Gamma, W_rGamma, gains.K_g, g_val,
                                            pi_bound)

@@ -91,19 +91,14 @@ class Gains:
     def constant(cls, K, m: int, q: int, *, k_tf: float = 0.0, K_g=0.1) -> "Gains":
         """Build time-invariant gains from scalars or matrices.
 
-        ``K`` is the control weight (its inverse enters the Gram matrix);
-        scalars are promoted to multiples of the identity.
+        ``K`` is the (m, m) control weight (its inverse enters the Gram
+        matrix) and ``K_g`` the (q, q) constraint gain; scalars are promoted
+        to multiples of the identity, and any other shape is refused.
         """
-        K = np.atleast_2d(np.asarray(K, dtype=float))
-        if K.shape == (1, 1) and m != 1:
-            K = K[0, 0] * np.eye(m)
+        K = _gain_matrix(K, m, "K")
         _require_spd(K, "K")
         K_inv_const = np.linalg.inv(K)
-        K_g = np.atleast_2d(np.asarray(K_g, dtype=float))
-        if q == 0:
-            K_g = np.zeros((0, 0))
-        elif K_g.shape == (1, 1) and q != 1:
-            K_g = K_g[0, 0] * np.eye(q)
+        K_g = _gain_matrix(K_g, q, "K_g")
         if q > 0:
             _require_spd(K_g, "K_g")
         if k_tf < 0:
@@ -124,6 +119,16 @@ class Gains:
             K = np.linalg.inv(self.K_inv_const)
             return np.broadcast_to(K, (np.atleast_1d(ts).size, *K.shape))
         return np.linalg.inv(self.K_inv_at(ts))
+
+
+def _gain_matrix(K, dim: int, name: str) -> np.ndarray:
+    """K as a (dim, dim) matrix; a scalar or 1 x 1 gain is promoted to K * I."""
+    K = np.atleast_2d(np.asarray(K, dtype=float))
+    if K.shape == (1, 1) and dim != 1:
+        K = K[0, 0] * np.eye(dim)
+    if K.shape != (dim, dim):
+        raise ConfigurationError(f"{name} has shape {K.shape}, expected ({dim}, {dim})")
+    return K
 
 
 def _require_spd(M: np.ndarray, name: str) -> None:

@@ -12,11 +12,13 @@ integrate two adjoint quantities backward along the stored trajectory:
 
 The state-transition matrix itself is never formed: every place it would
 appear is contracted into ``mu`` and ``Psi`` (n + n*q backward states
-total).  Quadrature then assembles the basis Gram matrix ``M_p``, the cost
-gradient ``r_1p``, and the constraint sensitivity ``Gamma_1p`` (plus their
-terminal-time-extended counterparts and the plain NLP gradients), all on the
-shared Simpson grid so alternative assemblies of the same integral agree to
-round-off.
+total).  Quadrature then assembles, over the basis columns of theta, the
+Gram matrix, the cost gradient and the constraint sensitivity: ``M_p``,
+``r_1p``, ``Gamma_1p`` for theta = p, and ``M_ptf``, ``r_2ptf``,
+``Gamma_2ptf`` when theta also holds t_f, which is then one more column
+u_tf = du/dt_f (zero for a form-1 basis).  The plain NLP gradients are the
+same integrals without the metric.  Everything sits on the shared Simpson
+grid, so alternative assemblies of the same integral agree to round-off.
 """
 
 from __future__ import annotations
@@ -29,7 +31,7 @@ from .errors import ConfigurationError, RankError
 from .integrate import DenseSolution, OdeSettings, replay_linear
 # not called here, but kept bound: bench/tracing.py wraps sensitivity.integrate_ivp
 from .integrate import integrate_ivp  # noqa: F401
-from .parameterization import FORM2, Parameterization
+from .parameterization import Parameterization
 from .problem import Gains, OcpProblem, simulate_control
 from .quadrature import QuadratureSpec, simpson_points
 
@@ -122,7 +124,11 @@ class Form1Quantities:
 
 @dataclass
 class Form2Quantities:
-    """Assembled (s+1)-block quantities for the t_f-dependent parameterization."""
+    """Assembled quantities over theta = (p, t_f), for any basis with free t_f.
+
+    Form 1's over the columns [u_p | u_tf], with the terminal brackets added
+    to the t_f row and 1/k_tf to the last diagonal entry of ``M_ptf``.
+    """
 
     M_ptf: np.ndarray
     r_2ptf: np.ndarray
@@ -180,14 +186,17 @@ def solve_adjoints(prob: OcpProblem, par: Parameterization, p,
 
 @dataclass
 class _GridData:
-    """Integrand samples on the shared quadrature grid, plus terminal values."""
+    """Integrand samples on the shared quadrature grid, plus terminal values.
+
+    ``U`` holds the basis columns of theta: u_p, then u_tf if ``with_tf``.
+    """
 
     ts: np.ndarray
     w: np.ndarray
-    up: np.ndarray            # (N, m, s)
+    U: np.ndarray             # (N, m, s) or (N, m, s + 1)
+    with_tf: bool
     pu: np.ndarray            # (N, m)
     fupsi: np.ndarray         # (N, m, q)
-    utf: np.ndarray | None    # (N, m)
     kinv: np.ndarray | None   # (N, m, m)
     tf_scalar: float
     tf_row: np.ndarray        # (q,)
@@ -218,7 +227,7 @@ def _terminal_values(prob: OcpProblem, bundle: AdjointBundle) -> tuple[float, np
 
 def _grid_data(prob: OcpProblem, par: Parameterization, bundle: AdjointBundle,
                quad: QuadratureSpec, *, gains: Gains | None = None,
-               with_utf: bool = False) -> _GridData:
+               with_tf: bool = False) -> _GridData:
     t_f = bundle.t_f
     ts, w = simpson_points(bundle.t0, t_f, quad, par.breakpoints(t_f))
     xs = bundle.x_at(ts)
@@ -232,86 +241,74 @@ def _grid_data(prob: OcpProblem, par: Parameterization, bundle: AdjointBundle,
         fupsi = np.einsum("tnm,tnq->tmq", fu, psis)            # psis: (N, n, q)
     else:
         fupsi = np.zeros((ts.size, prob.m, 0))
-    utf = par.jac_tf(ts, bundle.p, t_f) if with_utf else None
+    if with_tf:
+        up = np.concatenate([up, par.jac_tf(ts, bundle.p, t_f)[..., None]], axis=-1)
     kinv = gains.K_inv_at(ts) if gains is not None else None
     tf_scalar, tf_row = _terminal_values(prob, bundle)
-    return _GridData(ts=ts, w=w, up=up, pu=pu, fupsi=fupsi, utf=utf,
+    return _GridData(ts=ts, w=w, U=up, with_tf=with_tf, pu=pu, fupsi=fupsi,
                      kinv=kinv, tf_scalar=tf_scalar, tf_row=tf_row)
 
 
-def _weighted_rows(w, up) -> np.ndarray:
-    """(N, m, s) samples of u_p times their weights, as an (N*m, s) matrix."""
-    N, m, s = up.shape
-    return (w[:, None, None] * up).reshape(N * m, s)
-
-
-def _gram(w, up, kinv) -> np.ndarray:
-    """int u_p^T K^-1 u_p dt from grid samples, as one matrix product.
+def _gram(gd: _GridData) -> np.ndarray:
+    """int U^T K^-1 U dt from grid samples, as one matrix product.
 
     The product's two triangles round apart, so it is symmetrized exactly.
     """
-    G = _weighted_rows(w, up).T @ (kinv @ up).reshape(-1, up.shape[2])
+    N, m, k = gd.U.shape
+    G = (gd.w[:, None, None] * gd.U).reshape(N * m, k).T @ (gd.kinv @ gd.U).reshape(-1, k)
     return 0.5 * (G + G.T)
 
 
-def _form1_integrals(gd: _GridData) -> tuple[np.ndarray, np.ndarray]:
-    """r_1p = int u_p^T p_u dt and Gamma_1p = int u_p^T f_u^T Psi dt."""
-    r_1p = np.einsum("t,tmi,tm->i", gd.w, gd.up, gd.pu)
-    Gamma_1p = np.einsum("t,tmi,tmq->iq", gd.w, gd.up, gd.fupsi)
-    return r_1p, Gamma_1p
+def _theta_integrals(gd: _GridData) -> tuple[np.ndarray, np.ndarray]:
+    """r = int U^T p_u dt and Gamma = int U^T f_u^T Psi dt over the columns of theta.
+
+    When theta includes t_f its row also gets the terminal brackets.
+    """
+    r = np.einsum("t,tmi,tm->i", gd.w, gd.U, gd.pu)
+    Gamma = np.einsum("t,tmi,tmq->iq", gd.w, gd.U, gd.fupsi)
+    if gd.with_tf:
+        r[-1] += gd.tf_scalar
+        Gamma[-1] += gd.tf_row
+    return r, Gamma
 
 
 def assemble_form1(prob: OcpProblem, par: Parameterization, bundle: AdjointBundle,
                    gains: Gains, t_f: float, quad: QuadratureSpec) -> Form1Quantities:
     """Gram matrix, cost gradient, constraint sensitivity, terminal brackets."""
     gd = _grid_data(prob, par, bundle, quad, gains=gains)
-    r_1p, Gamma_1p = _form1_integrals(gd)
-    return Form1Quantities(M_p=_gram(gd.w, gd.up, gd.kinv), r_1p=r_1p,
-                           Gamma_1p=Gamma_1p, tf_scalar=gd.tf_scalar, tf_row=gd.tf_row)
+    r_1p, Gamma_1p = _theta_integrals(gd)
+    return Form1Quantities(M_p=_gram(gd), r_1p=r_1p, Gamma_1p=Gamma_1p,
+                           tf_scalar=gd.tf_scalar, tf_row=gd.tf_row)
 
 
 def assemble_form2(prob: OcpProblem, par: Parameterization, bundle: AdjointBundle,
                    gains: Gains, p, t_f: float, quad: QuadratureSpec) -> Form2Quantities:
-    """(s+1)-block quantities coupling the parameters with the terminal time."""
-    if par.form != FORM2:
-        raise ConfigurationError("assemble_form2 requires a form2 parameterization")
+    """(s+1)-block quantities over theta = (p, t_f), for any basis.
+
+    t_f is one more basis column u_tf; the metric M_ptf is the Gram matrix
+    of all s+1 columns plus 1/k_tf on its last diagonal entry.  For a form-1
+    basis u_tf = 0, so M_ptf = diag(M_p, 1/k_tf) and the t_f row is the
+    terminal brackets alone.
+    """
     if gains.k_tf <= 0:
-        raise ConfigurationError("form2 requires k_tf > 0 (it enters as 1/k_tf)")
-    gd = _grid_data(prob, par, bundle, quad, gains=gains, with_utf=True)
-    A = _gram(gd.w, gd.up, gd.kinv)
-    b = _weighted_rows(gd.w, gd.up).T @ (gd.kinv @ gd.utf[..., None]).reshape(-1)
-    c = 1.0 / gains.k_tf + np.einsum("t,tm,tmn,tn->", gd.w, gd.utf, gd.kinv, gd.utf)
-    s = par.s
-    M_ptf = np.empty((s + 1, s + 1))
-    M_ptf[:s, :s] = A
-    M_ptf[:s, s] = b
-    M_ptf[s, :s] = b
-    M_ptf[s, s] = c
-    r_p, Gamma_p = _form1_integrals(gd)
-    r_tf = gd.tf_scalar + np.einsum("t,tm,tm->", gd.w, gd.utf, gd.pu)
-    Gamma_tf = gd.tf_row + np.einsum("t,tm,tmq->q", gd.w, gd.utf, gd.fupsi)
-    return Form2Quantities(
-        M_ptf=M_ptf,
-        r_2ptf=np.concatenate([r_p, [r_tf]]),
-        Gamma_2ptf=np.vstack([Gamma_p, Gamma_tf[None, :]]),
-        tf_scalar=gd.tf_scalar, tf_row=gd.tf_row)
+        raise ConfigurationError("free t_f requires k_tf > 0 (it enters as 1/k_tf)")
+    gd = _grid_data(prob, par, bundle, quad, gains=gains, with_tf=True)
+    r_2ptf, Gamma_2ptf = _theta_integrals(gd)
+    M_ptf = _gram(gd)
+    M_ptf[-1, -1] += 1.0 / gains.k_tf
+    return Form2Quantities(M_ptf=M_ptf, r_2ptf=r_2ptf, Gamma_2ptf=Gamma_2ptf,
+                           tf_scalar=gd.tf_scalar, tf_row=gd.tf_row)
 
 
 def nlp_gradients(prob: OcpProblem, par: Parameterization, bundle: AdjointBundle,
                   p, t_f: float, quad: QuadratureSpec) -> NlpGradients:
     """Gradients of simulated J and g with respect to theta = (p, t_f).
 
-    The p-block of ``f_theta`` reuses the cost-gradient integral of the
-    form-1 assembly (identical grid, identical summation), and the p-block of
-    ``g_theta`` is exactly the transpose of the constraint sensitivity.
-    Requires a form-1 parameterization: for form 2 the terminal-time entries
-    would additionally carry the control-shape sensitivity, which lives in
-    the form-2 assembly instead.
+    These are the integrals of :func:`assemble_form2` without its metric
+    (identical grid, identical summation), so they hold for both forms: the
+    p-block of ``g_theta`` is exactly the transpose of the constraint
+    sensitivity, and the t_f entries carry the control-shape sensitivity
+    u_tf next to the terminal brackets.
     """
-    if par.form != "form1":
-        raise ConfigurationError("nlp_gradients requires a form1 parameterization")
-    gd = _grid_data(prob, par, bundle, quad)
-    r_1p, Gamma_1p = _form1_integrals(gd)
-    f_theta = np.concatenate([r_1p, [gd.tf_scalar]])
-    g_theta = np.hstack([Gamma_1p.T, gd.tf_row[:, None]])
-    return NlpGradients(f_theta=f_theta, g_theta=g_theta)
+    r, Gamma = _theta_integrals(_grid_data(prob, par, bundle, quad, with_tf=True))
+    return NlpGradients(f_theta=r, g_theta=Gamma.T)

@@ -168,9 +168,8 @@ def test_criterion_08_gradient_flow_consistency(example1, brach):
         t_f = rng.uniform(0.8, 1.2)
         it1 = evaluate_iterate(EvolutionMode.form1(), brach.prob, par2,
                                brach.gains, p, t_f)
-        K_theta = np.zeros((6, 6))
-        K_theta[:5, :5] = np.linalg.inv(it1.quantities.M_p)
-        K_theta[5, 5] = brach.gains.k_tf
+        # free t_f: the form-1 metric is M_ptf = diag(M_p, 1/k_tf)
+        K_theta = np.linalg.inv(it1.quantities.M_ptf)
         itg = evaluate_iterate(EvolutionMode.gradient_flow(K_theta), brach.prob,
                                par2, brach.gains, p, t_f)
         d1 = np.concatenate([it1.dp, [it1.dtf]])

@@ -115,6 +115,22 @@ def test_config_errors_exit_2(tmp_path, capsys):
         path, _ = write_config(tmp_path, mode="gradient_flow", gains=gains)
         assert main(["solve", "--config", str(path)]) == 2
 
+    # values JSON would coerce (booleans, fractions for integer keys, numeric
+    # text) are refused, naming the key; so are wrongly shaped gains
+    for overrides, key in (({"ode_inner": {"max_steps": 2.5}}, "ode_inner.max_steps"),
+                           ({"ode_inner": {"max_steps": True}}, "ode_inner.max_steps"),
+                           ({"stop": {"tau_max": True}}, "stop.tau_max"),
+                           ({"stop": {"tau_max": "abc"}}, "stop.tau_max"),
+                           ({"quad_nodes": 201.5}, "quad_nodes"),
+                           ({"init": {"t_f": True}}, "init.t_f"),
+                           ({"gains": {"K_g": True}}, "gains.K_g"),
+                           ({"gains": {"K_g": [[1.0, 0.0], [0.0, True]]}}, "gains.K_g"),
+                           ({"gains": {"K": [[False]]}}, "gains.K"),
+                           ({"gains": {"K_g": np.eye(3).tolist()}}, "K_g")):
+        path, _ = write_config(tmp_path, **overrides)
+        assert main(["solve", "--config", str(path)]) == 2
+        assert key in capsys.readouterr().err
+
     path, _ = write_config(tmp_path, ode_inner={"initial_step": 0})
     assert main(["solve", "--config", str(path)]) == 2
     assert "initial_step" in capsys.readouterr().err

@@ -274,6 +274,17 @@ def test_mode_parameterization_compatibility(example1, brach):
                          make_basis("global_polynomial", m=1, t0=0.0,
                                     form="form1", order=3),
                          example1.gains, np.zeros(4), 2.0)
+    # form 1 with free t_f carries the metric 1/k_tf, as form 2 does
+    with pytest.raises(ConfigurationError, match="k_tf"):
+        evaluate_iterate(EvolutionMode.form1(), brach.prob,
+                         make_basis("global_polynomial", m=1, t0=0.0,
+                                    form="form1", order=4),
+                         dataclasses.replace(brach.gains, k_tf=0.0), np.zeros(5), 1.0)
+
+
+def test_unknown_mode_kind_fails_at_construction():
+    with pytest.raises(ConfigurationError, match="form3"):
+        EvolutionMode(kind="form3")
 
 
 def test_init_tf_conflict_rejected(example1, e1_par):

@@ -109,6 +109,11 @@ def test_gains_validation():
         Gains.constant(K=0.1, m=1, q=2, K_g=np.array([[1.0, 2.0], [0.0, 1.0]]))
     with pytest.raises(ConfigurationError):
         Gains.constant(K=0.1, m=1, q=2, k_tf=-1.0)
+    # wrongly shaped gains fail here, not in the first pipeline's matmul
+    with pytest.raises(ConfigurationError, match="K_g"):
+        Gains.constant(K=0.1, m=1, q=2, K_g=np.eye(3))
+    with pytest.raises(ConfigurationError, match="K has shape"):
+        Gains.constant(K=np.eye(2), m=1, q=2)
     g = Gains.constant(K=0.1, m=1, q=2, k_tf=0.1)
     np.testing.assert_allclose(g.K_inv_at(np.array([0.0, 1.0])),
                                10.0 * np.ones((2, 1, 1)))

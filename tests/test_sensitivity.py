@@ -99,23 +99,28 @@ def test_assemble_form1_closed_forms(e1):
 
 
 def test_form2_degenerates_when_tf_sensitivity_vanishes(brach):
-    # piecewise-constant controls have zero t_f-sensitivity a.e.
+    # piecewise-constant controls have zero t_f-sensitivity a.e., and a
+    # form-1 basis none at all: the t_f column of theta is then exactly the
+    # metric 1/k_tf and the terminal brackets, the p-blocks those of form 1
     prob, gains = brach.prob, brach.gains
-    par = make_basis("piecewise_constant", m=1, t0=0.0, form="form2", n_segments=4)
-    rng = np.random.default_rng(8)
-    p = rng.uniform(-0.3, 1.0, par.s)
-    t_f = 1.1
-    b = bundle_at(prob, par, p, t_f)
-    q2 = assemble_form2(prob, par, b, gains, p, t_f, QuadratureSpec())
-    q1 = assemble_form1(prob, par, b, gains, t_f, QuadratureSpec())
-    s = par.s
-    assert np.array_equal(q2.M_ptf[:s, :s], q1.M_p)
-    np.testing.assert_allclose(q2.M_ptf[s, :s], np.zeros(s), atol=1e-15)
-    assert q2.M_ptf[s, s] == pytest.approx(1.0 / gains.k_tf)
-    np.testing.assert_array_equal(q2.r_2ptf[:s], q1.r_1p)
-    assert q2.r_2ptf[s] == pytest.approx(q1.tf_scalar)
-    np.testing.assert_array_equal(q2.Gamma_2ptf[:s], q1.Gamma_1p)
-    np.testing.assert_allclose(q2.Gamma_2ptf[s], q1.tf_row, atol=1e-15)
+    for par in (make_basis("piecewise_constant", m=1, t0=0.0, form="form2",
+                           n_segments=4),
+                make_basis("global_polynomial", m=1, t0=0.0, form="form1", order=4)):
+        rng = np.random.default_rng(8)
+        p = rng.uniform(-0.3, 1.0, par.s)
+        t_f = 1.1
+        b = bundle_at(prob, par, p, t_f)
+        q2 = assemble_form2(prob, par, b, gains, p, t_f, QuadratureSpec())
+        q1 = assemble_form1(prob, par, b, gains, t_f, QuadratureSpec())
+        s = par.s
+        last = np.append(np.zeros(s), 1.0 / gains.k_tf)
+        assert np.array_equal(q2.M_ptf[:s, :s], q1.M_p)
+        assert np.array_equal(q2.M_ptf[s], last)
+        assert np.array_equal(q2.M_ptf[:, s], last)
+        np.testing.assert_array_equal(q2.r_2ptf[:s], q1.r_1p)
+        assert q2.r_2ptf[s] == q1.tf_scalar
+        np.testing.assert_array_equal(q2.Gamma_2ptf[:s], q1.Gamma_1p)
+        np.testing.assert_array_equal(q2.Gamma_2ptf[s], q1.tf_row)
 
 
 def test_form2_terminal_row_matches_finite_differences(brach):
@@ -162,10 +167,11 @@ def test_piecewise_assembly_converges_at_simpson_order(brach, kind, t_f):
         assert fine <= floor or coarse / fine >= 8.0, errs     # order >= 3
 
 
-def test_form2_requires_form2_basis(e1, brach):
+def test_form2_requires_positive_k_tf(e1):
+    # example1's gains leave k_tf = 0; the t_f column's metric is 1/k_tf
     prob, gains, par = e1
     b = bundle_at(prob, par, np.zeros(4), 2.0)
-    with pytest.raises(ConfigurationError):
+    with pytest.raises(ConfigurationError, match="k_tf"):
         assemble_form2(prob, par, b, gains, np.zeros(4), 2.0, QuadratureSpec())
 
 
@@ -184,11 +190,16 @@ def test_nlp_gradient_zero_at_zero_control(e1):
     np.testing.assert_allclose(grads.f_theta[:4], np.zeros(4), atol=1e-12)
 
 
-def test_nlp_gradients_require_form1(brach):
+def test_nlp_gradients_are_the_form2_integrals(brach):
+    # for a t_f-dependent basis too, the NLP gradients are form 2's
+    # stationarity terms without the metric
     par = make_basis("lagrange_nodes", m=1, t0=0.0, form="form2", n_segments=4)
-    b = bundle_at(brach.prob, par, np.zeros(par.s), 1.0)
-    with pytest.raises(ConfigurationError):
-        nlp_gradients(brach.prob, par, b, np.zeros(par.s), 1.0, QuadratureSpec())
+    p = np.random.default_rng(5).uniform(-0.2, 1.2, par.s)
+    b = bundle_at(brach.prob, par, p, 1.05)
+    grads = nlp_gradients(brach.prob, par, b, p, 1.05, QuadratureSpec())
+    q2 = assemble_form2(brach.prob, par, b, brach.gains, p, 1.05, QuadratureSpec())
+    assert np.array_equal(grads.f_theta, q2.r_2ptf)
+    assert np.array_equal(grads.g_theta, q2.Gamma_2ptf.T)
 
 
 def test_transposition_identity_bitwise(e1):
@@ -217,15 +228,17 @@ def test_adjoint_directional_derivative(e1):
     assert float(q1.r_1p @ dp) == pytest.approx(fd, rel=1e-3)
 
 
-@pytest.mark.parametrize("problem_fixture,order,tf_range,p_scale", [
-    ("example1", 3, None, 2.0),
-    ("brach", 4, (0.8, 1.2), 0.8),
-])
-def test_gradients_match_finite_differences(request, problem_fixture, order,
-                                            tf_range, p_scale):
+@pytest.mark.parametrize("problem_fixture,kind,form,size,tf_range,p_scale", [
+    ("example1", "global_polynomial", "form1", 3, None, 2.0),
+    ("brach", "global_polynomial", "form1", 4, (0.8, 1.2), 0.8),
+    ("brach", "lagrange_nodes", "form2", 4, (0.8, 1.2), 0.8),
+], ids=["example1-3-None-2.0", "brach-4-tf_range1-0.8", "brach-lagrange_nodes-form2-4"])
+def test_gradients_match_finite_differences(request, problem_fixture, kind, form,
+                                            size, tf_range, p_scale):
     bp = request.getfixturevalue(problem_fixture)
     prob = bp.prob
-    par = make_basis("global_polynomial", m=1, t0=prob.t0, form="form1", order=order)
+    # size is the polynomial order or the number of node segments
+    par = make_basis(kind, m=1, t0=prob.t0, form=form, order=size, n_segments=size)
     rng = np.random.default_rng(17)
     for _ in range(5):
         p = rng.uniform(-p_scale, p_scale, par.s)
