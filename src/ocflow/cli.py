@@ -28,7 +28,8 @@ import numpy as np
 
 from .costate import reconstruct_costate
 from .errors import OcflowError
-from .evolution import EvolutionMode, EvolutionState, StopCriteria, solve_evolution
+from .evolution import (EvolutionMode, EvolutionState, StopCriteria, _check_compat,
+                        solve_evolution)
 from .integrate import OdeSettings
 from .parameterization import FORM1, FORM2, make_basis
 from .problem import Gains, SolveTrace, _central_diff, simulate_control
@@ -118,7 +119,8 @@ def build_run(raw: dict):
 
     Returns (problem bundle, parameterization, gains, mode, init, stop,
     ode_inner, ode_outer, quad, out_dir).  An unknown key, at the top level or
-    in a section, is a config error.
+    in a section, is a config error; so is a mode that cannot run with the
+    problem, basis and gains (the solver's own checks, made before any solve).
     """
     _check_keys(raw, _TOP_KEYS, "config")
     name = raw.get("problem")
@@ -154,6 +156,10 @@ def build_run(raw: dict):
                 "gradient_flow": lambda: EvolutionMode.gradient_flow(K_theta)}[mode_name]()
     except (OcflowError, TypeError, ValueError) as exc:
         raise ConfigError(f"gains: {exc}") from None
+    try:
+        _check_compat(mode, prob, par, gains)
+    except OcflowError as exc:
+        raise ConfigError(str(exc)) from None
 
     init_cfg = _section(raw, "init")
     p0 = init_cfg.get("p", "zeros")

@@ -25,7 +25,7 @@ from .problem import Gains, OcpProblem
 # simpson_points is not called here; it stays bound because bench/tracing.py wraps it
 from .quadrature import QuadratureSpec, simpson_points  # noqa: F401
 from .sensitivity import (AdjointBundle, Form1Quantities, Form2Quantities,
-                          _grid_data, spd_solve)
+                          _grid_data, _terminal_values, spd_solve)
 
 
 @dataclass
@@ -118,7 +118,8 @@ def continuous_multiplier(prob: OcpProblem, bundle: AdjointBundle, gains: Gains,
     M_c = np.einsum("t,tmq,tmn,tnr->qr", gd.w, gd.fupsi, Kt, gd.fupsi)
     r_c = np.einsum("t,tmq,tmn,tn->q", gd.w, gd.fupsi, Kt, gd.pu)
     if prob.tf_mode == "free" and gains.k_tf > 0:
-        M_c = M_c + gains.k_tf * np.outer(gd.tf_row, gd.tf_row)
-        r_c = r_c + gains.k_tf * gd.tf_row * gd.tf_scalar
+        tf_scalar, tf_row = _terminal_values(prob, bundle)
+        M_c = M_c + gains.k_tf * np.outer(tf_row, tf_row)
+        r_c = r_c + gains.k_tf * tf_row * tf_scalar
     r_c = r_c - gains.K_g @ g_val
     return -spd_solve(M_c, r_c, "continuous multiplier system")

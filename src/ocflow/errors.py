@@ -22,10 +22,11 @@ class DomainError(OcflowError):
 
 
 class IntegrationError(OcflowError):
-    """An initial-value solve failed.  ``time`` is the failure location."""
+    """An initial-value solve failed.  ``time`` is the failure location, a float."""
 
     def __init__(self, message: str, time: float | None = None):
         if time is not None:
+            time = float(time)
             message = f"{message} (at t = {time!r})"
         super().__init__(message)
         self.time = time

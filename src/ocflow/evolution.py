@@ -26,6 +26,7 @@ tolerance or a tau budget is hit, recording a trace row every
 
 from __future__ import annotations
 
+import math
 import time
 import warnings
 from dataclasses import dataclass
@@ -33,7 +34,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigurationError, MultiplierBoundWarning
-from .integrate import OdeSettings, _Stepper, dense_output
+from .integrate import OdeSettings, _interpolant, _Stepper, dense_output
 from .parameterization import FORM1, FORM2, Parameterization
 from .problem import (Gains, OcpProblem, SolveReport, SolveTrace, TraceRow,
                       _gain_matrix, _require_spd)
@@ -109,6 +110,16 @@ class StopCriteria:
             raise ValueError("c1 and pi_bound must be positive")
 
 
+def _norm(v: np.ndarray) -> float:
+    """The Euclidean norm of a vector, computed as np.linalg.norm computes it."""
+    return math.sqrt(v.dot(v))
+
+
+def _columns(r: np.ndarray, Gamma: np.ndarray) -> np.ndarray:
+    """The matrix [r | Gamma]."""
+    return np.concatenate([r[:, None], Gamma], axis=1)
+
+
 def lyapunov_diagnostic(g_val, J_val: float, c1: float) -> float:
     """V = ||g|| + c1 * J, the energy-like quantity recorded along the flow."""
     if c1 <= 0:
@@ -131,7 +142,7 @@ def multiplier(Gamma, W_Gamma, W_r, K_g, g_val, *,
     Gamma = np.asarray(Gamma, dtype=float)
     pi = -spd_solve(Gamma.T @ W_Gamma, Gamma.T @ W_r - K_g @ g_val,
                     "multiplier system (constraint sensitivity lacks full column rank)")
-    norm = float(np.linalg.norm(pi))
+    norm = _norm(pi)
     if norm > pi_bound:
         warnings.warn(f"||pi|| = {norm:.3e} exceeds bound {pi_bound:.1e}; the "
                       "multiplier boundedness assumption looks violated",
@@ -170,7 +181,9 @@ class IterateEval:
         return self.dp
 
 
-def _check_compat(mode: EvolutionMode, prob: OcpProblem, par: Parameterization) -> None:
+def _check_compat(mode: EvolutionMode, prob: OcpProblem, par: Parameterization,
+                  gains: Gains) -> None:
+    """Refuse a mode, problem, basis and gains that cannot run together."""
     free = prob.tf_mode == "free"
     if mode.kind == "form2":
         if par.form != FORM2:
@@ -185,6 +198,8 @@ def _check_compat(mode: EvolutionMode, prob: OcpProblem, par: Parameterization) 
         if free and par.kind in _NODE_KINDS:
             raise ConfigurationError(
                 f"{par.kind} nodes move with t_f; use form2 when t_f is free")
+    if free and mode.kind != "gradient_flow" and gains.k_tf <= 0:
+        raise ConfigurationError("free t_f requires k_tf > 0 (it enters as 1/k_tf)")
 
 
 def evaluate_iterate(mode: EvolutionMode, prob: OcpProblem, par: Parameterization,
@@ -193,7 +208,7 @@ def evaluate_iterate(mode: EvolutionMode, prob: OcpProblem, par: Parameterizatio
                      quad: QuadratureSpec | None = None, *,
                      pi_bound: float = 1e6) -> IterateEval:
     """Run the full pipeline (state, adjoints, assembly, multiplier) at (p, t_f)."""
-    _check_compat(mode, prob, par)
+    _check_compat(mode, prob, par, gains)
     quad = quad or QuadratureSpec()
     p = np.asarray(p, dtype=float)
     free = prob.tf_mode == "free"
@@ -203,15 +218,14 @@ def evaluate_iterate(mode: EvolutionMode, prob: OcpProblem, par: Parameterizatio
     x_f = bundle.x_f
     J = float(prob.phi(x_f, t_f)) + bundle.cost_integral
     g_val = np.asarray(prob.g(x_f, t_f), dtype=float)
-    g_norm = float(np.linalg.norm(g_val))
+    g_norm = _norm(g_val)
 
     # the stationarity terms r, Gamma over theta and the metric W applied to
     # them; the flow d theta/dtau = -W (r + Gamma pi) follows
     if mode.kind == "gradient_flow":
-        quant = nlp_gradients(prob, par, bundle, p, t_f, quad)
-        dim = par.s + (1 if free else 0)
-        r, Gamma = quant.f_theta[:dim], quant.g_theta[:, :dim].T
-        W_rGamma = _gain_matrix(mode.K_theta, dim, "K_theta") @ np.column_stack([r, Gamma])
+        quant = nlp_gradients(prob, par, bundle, p, t_f, quad, with_tf=free)
+        r, Gamma = quant.f_theta, quant.g_theta.T
+        W_rGamma = _gain_matrix(mode.K_theta, r.size, "K_theta") @ _columns(r, Gamma)
     else:
         if free:
             quant = assemble_form2(prob, par, bundle, gains, p, t_f, quad)
@@ -219,7 +233,7 @@ def evaluate_iterate(mode: EvolutionMode, prob: OcpProblem, par: Parameterizatio
         else:
             quant = assemble_form1(prob, par, bundle, gains, t_f, quad)
             r, Gamma, M = quant.r_1p, quant.Gamma_1p, quant.M_p
-        W_rGamma = spd_solve(M, np.column_stack([r, Gamma]),
+        W_rGamma = spd_solve(M, _columns(r, Gamma),
                              "Gram matrix of the basis columns of theta")
 
     pi, residual, dtheta = _flow_direction(r, Gamma, W_rGamma, gains.K_g, g_val,
@@ -228,7 +242,7 @@ def evaluate_iterate(mode: EvolutionMode, prob: OcpProblem, par: Parameterizatio
 
     return IterateEval(p=p, t_f=t_f, bundle=bundle, quantities=quant, pi=pi,
                        J=J, g_val=g_val, g_norm=g_norm, residual=residual,
-                       residual_norm=float(np.linalg.norm(residual)),
+                       residual_norm=_norm(residual),
                        dp=dp, dtf=dtf, free_tf=free)
 
 
@@ -280,13 +294,17 @@ def _flow(rhs, check, theta0: np.ndarray, stop: StopCriteria, ode: OdeSettings,
     stepper = _Stepper(rhs, 0.0, theta0, stop.tau_max, ode, guard=guard)
     next_k = 1
     while not stepper.done and not done:
-        tau_prev = stepper.t
-        anchor, h, base, Q = stepper.step()
+        tau_prev, theta_prev = stepper.t, stepper.y
+        h, K = stepper.step()
+        Q = None                        # the step's interpolant, if a row needs it
         while not done:
             tau_rec = next_k * stop.record_every
             if tau_rec > stepper.t + 1e-12 * stop.tau_max or tau_rec > stop.tau_max:
                 break
-            theta = dense_output((tau_rec - anchor) / (stepper.t - tau_prev), h, base, Q)
+            if Q is None:
+                Q = _interpolant(K)
+            theta = dense_output((tau_rec - tau_prev) / (stepper.t - tau_prev), h,
+                                 theta_prev, Q)
             result, done = check(tau_rec, theta)
             tau = tau_rec
             next_k += 1
@@ -310,7 +328,7 @@ def solve_evolution(mode: EvolutionMode, prob: OcpProblem, par: Parameterization
     of the final iterate (from which costates are reconstructed).
     """
     t_start = time.perf_counter()
-    _check_compat(mode, prob, par)
+    _check_compat(mode, prob, par, gains)
     ode_outer = ode_outer or OdeSettings()
     quad = quad or QuadratureSpec()
     free = prob.tf_mode == "free"

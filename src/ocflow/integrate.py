@@ -28,6 +28,7 @@ from .errors import DivergenceError, DomainError, IntegrationError, StepBudgetEr
 
 # Dormand-Prince 5(4) tableau.
 _C = np.array([0.0, 1 / 5, 3 / 10, 4 / 5, 8 / 9, 1.0, 1.0])
+_C_STAGE = _C.tolist()
 _A = [
     np.array([]),
     np.array([1 / 5]),
@@ -37,7 +38,6 @@ _A = [
     np.array([9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656]),
     np.array([35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84]),
 ]
-_B = np.array([35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84, 0.0])
 # difference between the 5th- and embedded 4th-order weights
 _E = np.array([71 / 57600, 0.0, -71 / 16695, 71 / 1920,
                -17253 / 339200, 22 / 525, -1 / 40])
@@ -60,7 +60,7 @@ _BETA2 = 0.4 / 5.0
 _MIN_STEP_REL = 16 * np.finfo(float).eps   # smallest step relative to |t|
 _STABLE_HRHO = 0.8 * 3.3   # next h * rho, 0.8 of the real-axis stability limit
 # the stiffness estimate is skipped when |y_new - y5| is at rounding level
-_ROUNDING_REL = 64 * np.finfo(float).eps
+_ROUNDING_REL2 = (64 * np.finfo(float).eps) ** 2
 
 
 def _finite_positive(v) -> bool:
@@ -93,9 +93,13 @@ def dense_output(theta, scale, base, Q) -> np.ndarray:
     point's value depends only on its own row, so a one-point stack and the
     same row of a larger one agree bit for bit.
     """
+    powers = np.empty((*np.shape(theta), 4))
+    powers[..., 0] = theta
     th2 = theta * theta
+    powers[..., 1] = th2
     th3 = th2 * theta
-    powers = np.stack([theta, th2, th3, th3 * theta], axis=-1)
+    powers[..., 2] = th3
+    powers[..., 3] = th3 * theta
     return base + np.asarray(scale)[..., None] * np.einsum("...k,...ck->...c", powers, Q)
 
 
@@ -113,7 +117,7 @@ class DenseTrajectory:
     def __init__(self, t_grid, values, segments):
         self.t_grid = np.asarray(t_grid, dtype=float)
         self.values = np.asarray(values, dtype=float)
-        if self.t_grid.ndim != 1 or np.any(np.diff(self.t_grid) <= 0):
+        if self.t_grid.ndim != 1 or (self.t_grid[1:] <= self.t_grid[:-1]).any():
             raise ValueError("t_grid must be strictly increasing")
         self.segments = segments
         self._slack = 1e-10 * max(1.0, self.t_grid[-1] - self.t_grid[0])
@@ -122,8 +126,13 @@ class DenseTrajectory:
     def dim(self) -> int:
         return self.values.shape[1]
 
-    def __call__(self, t):
-        """y(t): (dim,) for scalar t, (N, dim) for an array of N times."""
+    def __call__(self, t, *others):
+        """y(t): (dim,) for scalar t, (N, dim) for an array of N times.
+
+        ``others`` are trajectories on the same grid, such as an adjoint
+        replayed on this solve's steps.  With them the result is the tuple of
+        every trajectory's values at t, all from one search of the grid.
+        """
         ts = np.asarray(t, dtype=float)
         scalar = ts.ndim == 0
         ts = ts.reshape(-1)
@@ -133,16 +142,29 @@ class DenseTrajectory:
         if not inside.all():
             raise DomainError(f"t = {float(ts[~inside][0])!r} outside trajectory domain "
                               f"[{float(lo)!r}, {float(hi)!r}]")
-        ts = np.clip(ts, lo, hi)
-        idx = np.clip(np.searchsorted(grid, ts, side="right") - 1, 0, grid.size - 2)
-        anchor, denom, scale, base, Q = self.segments
-        out = dense_output((ts - anchor[idx]) / denom[idx], scale[idx], base[idx], Q[idx])
+        ts = np.minimum(np.maximum(ts, lo), hi)
+        idx = np.minimum(np.maximum(np.searchsorted(grid, ts, side="right") - 1, 0),
+                         grid.size - 2)
         # grid nodes are exact by construction
-        left = ts == grid[idx]
-        out[left] = self.values[idx[left]]
-        right = ts == grid[idx + 1]
-        out[right] = self.values[idx[right] + 1]
-        return out[0] if scalar else out
+        left = np.flatnonzero(ts == grid.take(idx))
+        right = np.flatnonzero(ts == grid.take(idx + 1))
+        at_left, at_right = idx[left], idx[right] + 1
+        outs = []
+        for traj in (self, *others):
+            if traj.t_grid is not grid and not np.array_equal(traj.t_grid, grid):
+                raise ValueError("trajectories looked up together must share their grid")
+            anchor, denom, scale, base, Q = traj.segments
+            # the gather keeps Q's memory layout, which sets einsum's summation
+            # order: take() gives C order, Q[idx] any other
+            Q = Q.take(idx, axis=0) if Q.flags.c_contiguous else Q[idx]
+            out = dense_output((ts - anchor.take(idx)) / denom.take(idx), scale.take(idx),
+                               base.take(idx, axis=0), Q)
+            if left.size:
+                out[left] = traj.values[at_left]
+            if right.size:
+                out[right] = traj.values[at_right]
+            outs.append(out[0] if scalar else out)
+        return tuple(outs) if others else outs[0]
 
 
 class DenseSolution(DenseTrajectory):
@@ -154,15 +176,29 @@ class DenseSolution(DenseTrajectory):
         self.nrejected = nrejected
 
 
+def _interior(breakpoints, lo: float, hi: float) -> np.ndarray:
+    """The breakpoints strictly inside (lo, hi), sorted."""
+    b = np.asarray(breakpoints, dtype=float).reshape(-1)
+    if b.size:
+        b = b[(b > lo) & (b < hi)]
+        b.sort()
+    return b
+
+
+def _rms(v: np.ndarray) -> float:
+    """sqrt(mean(v ** 2)) as a float; it rounds exactly like numpy's expression."""
+    return math.sqrt(float(np.add.reduce(v * v)) / v.size)
+
+
 def _initial_step(rhs, t0, y0, f0, settings):
     """Hairer-style automatic initial step size."""
     scale = settings.abs_tol + settings.rel_tol * np.abs(y0)
-    d0 = np.sqrt(np.mean((y0 / scale) ** 2))
-    d1 = np.sqrt(np.mean((f0 / scale) ** 2))
+    d0 = _rms(y0 / scale)
+    d1 = _rms(f0 / scale)
     h0 = 1e-6 if d0 < 1e-5 or d1 < 1e-5 else 0.01 * d0 / d1
     y1 = y0 + h0 * f0
-    f1 = np.asarray(rhs(t0 + h0, y1), dtype=float)
-    d2 = np.sqrt(np.mean(((f1 - f0) / scale) ** 2)) / h0
+    f1 = rhs(t0 + h0, y1)
+    d2 = _rms((f1 - f0) / scale) / h0
     if max(d1, d2) <= 1e-15:
         h1 = max(1e-6, h0 * 1e-3)
     else:
@@ -170,74 +206,120 @@ def _initial_step(rhs, t0, y0, f0, settings):
     return min(100 * h0, h1)
 
 
-class _Stepper:
-    """Forward-time adaptive stepper over one smooth subinterval.
+def _interpolant(K: np.ndarray) -> np.ndarray:
+    """Q = K^T BI of the free interpolant, for one step's stages (7, d) or stacked ones."""
+    return np.swapaxes(K, -1, -2) @ _BI
 
-    ``backward`` marks a stepper running in negated time s = -t; its
-    failures then report the physical time t.  ``guard(t, y) -> bool`` may
-    veto a step that passed the error test, which is then retried at half
-    size.
+
+class _Stepper:
+    """Forward-time adaptive stepper over [t0, t_end], restarting at ``cuts``.
+
+    ``cuts`` are increasing interior times where the right-hand side may be
+    discontinuous.  No step straddles one: the stepper restarts there with a
+    fresh first stage, error history and step budget, carrying the last step
+    size across, and holds every stage time one ulp inside its smooth
+    subinterval, so a right-continuous discontinuity at a cut never leaks
+    across it.  ``backward`` marks a stepper running in negated time s = -t;
+    its failures then report the physical time t.  ``guard(t, y) -> bool``
+    may veto a step that passed the error test, which is then retried at
+    half size.
     """
 
-    def __init__(self, rhs, t0, y0, t_end, settings, h_init=None, guard=None,
-                 backward=False):
+    def __init__(self, rhs, t0, y0, t_end, settings, guard=None, backward=False,
+                 cuts=()):
         self.rhs = rhs
         self.backward = backward
-        self.t = float(t0)
-        self.y = np.asarray(y0, dtype=float)
-        self.t_end = float(t_end)
         self.settings = settings
         self.guard = guard
-        self.f = np.asarray(rhs(self.t, self.y), dtype=float)
-        if not np.all(np.isfinite(self.f)):
-            raise self._error(DivergenceError, "non-finite right-hand side", self.t)
-        h = h_init if h_init is not None else _initial_step(
-            rhs, self.t, self.y, self.f, settings)
-        self.h = min(h, self.t_end - self.t)
+        self.y = np.asarray(y0, dtype=float)
         self.K = np.empty((7, self.y.size))    # stage derivatives
-        self.err_old = 1e-4
+        self._KT = [self.K[:i].T for i in range(8)]   # K[:i]^T, K^T last
+        self._ends = [*map(float, cuts), float(t_end)]
+        self._clamp = bool(cuts)
+        self.lo, self.hi = -math.inf, math.inf
+        self.ay = abs(self.y)
+        self.h = None
         self.nsteps = 0
         self.nrejected = 0
+        self._start(float(t0))
+
+    def _start(self, t0: float) -> None:
+        """Begin the next smooth subinterval at (t0, the current state)."""
+        t_end = self._ends.pop(0)
+        if self._clamp:
+            self.lo, self.hi = math.nextafter(t0, t_end), math.nextafter(t_end, t0)
+        self.t, self.t_end = t0, t_end
+        self.err_old = 1e-4
+        self._budget0 = self.nsteps + self.nrejected
+        self.f = self._rhs_at(t0, self.y)
+        if not np.isfinite(self.f).all():
+            raise self._error(DivergenceError, "non-finite right-hand side", t0)
+        if self.h is None:
+            self.h = _initial_step(self._rhs_at, t0, self.y, self.f, self.settings)
+        self.h = min(self.h, t_end - t0)
+
+    def _rhs_at(self, t, y) -> np.ndarray:
+        return np.asarray(self.rhs(min(max(t, self.lo), self.hi), y), dtype=float)
 
     def _error(self, cls, message: str, s: float) -> IntegrationError:
         return cls(message, time=-s if self.backward else s)
 
     @property
     def done(self) -> bool:
-        return self.t >= self.t_end
+        return self.t >= self.t_end and not self._ends
 
     def step(self):
-        """Advance one accepted step; returns the dense-segment record."""
+        """Advance one accepted step from (t, y); returns its size h and stages K.
+
+        K (7, d) belongs to the caller; the step's dense segment is
+        :func:`dense_output` with anchor t, scale h, base y and
+        Q = K^T BI (see :func:`_interpolant`).
+        """
+        if self.t >= self.t_end:
+            self._start(self.t)
         s = self.settings
-        K = self.K
-        min_step = _MIN_STEP_REL * max(abs(self.t), abs(self.t_end))
+        rhs, K, KT, lo, hi = self.rhs, self.K, self._KT, self.lo, self.hi
+        t, y, t_end = self.t, self.y, self.t_end
+        min_step = _MIN_STEP_REL * max(abs(t), abs(t_end))
         while True:
-            if self.nsteps + self.nrejected >= s.max_steps:
+            if self.nsteps + self.nrejected - self._budget0 >= s.max_steps:
                 raise self._error(StepBudgetError,
-                                  f"exceeded max_steps = {s.max_steps}", self.t)
-            h = min(self.h, self.t_end - self.t)
+                                  f"exceeded max_steps = {s.max_steps}", t)
+            h = min(self.h, t_end - t)
             if h < min_step:
-                raise self._error(IntegrationError, "step size underflow", self.t)
-            t_new = self.t + h
+                raise self._error(IntegrationError, "step size underflow", t)
+            t_new = t + h
             # stretch marginally short steps to the endpoint so no unsteppable
             # sliver is left behind (a 5% stretch is well inside the error budget)
-            if self.t + 1.05 * h >= self.t_end:
-                t_new = self.t_end
-                h = t_new - self.t
+            if t + 1.05 * h >= t_end:
+                t_new = t_end
+                h = t_new - t
 
+            # y + h * (K^T a_i), y_new and the error, each formed in place (the
+            # same roundings as the plain expressions)
             K[0] = self.f
             for i in range(1, 7):
-                yi = self.y + h * (K[:i].T @ _A[i])
-                K[i] = self.rhs(self.t + _C[i] * h, yi)
+                yi = KT[i].dot(_A[i])
+                yi *= h
+                yi += y
+                K[i] = rhs(min(max(t + _C_STAGE[i] * h, lo), hi), yi)
                 if i == 5:
                     y5 = yi                     # stages 5 and 6 both sit at c = 1
-            if not np.all(np.isfinite(K)):
+            # a_7j = b_j: the last stage's state is the step's solution, and its
+            # derivative K[6], at (t_new, y_new), is the next step's first (FSAL)
+            y_new = yi
+            ay_new = abs(y_new)
+            sc = np.maximum(self.ay, ay_new)
+            sc *= s.rel_tol
+            sc += s.abs_tol
+            err = KT[7].dot(_E)
+            err *= h
+            err /= sc
+            err_norm = _rms(err)
+            # a non-finite stage makes the norm non-finite; a finite stage whose
+            # scaled error overflows is only rejected
+            if not math.isfinite(err_norm) and not np.isfinite(K).all():
                 raise self._error(DivergenceError, "non-finite right-hand side", t_new)
-            y_new = self.y + h * (K.T @ _B)
-            # stage 7 sits at (t_new, y_new); reuse on acceptance (FSAL)
-            err = h * (K.T @ _E)
-            sc = s.abs_tol + s.rel_tol * np.maximum(np.abs(self.y), np.abs(y_new))
-            err_norm = np.sqrt(np.mean((err / sc) ** 2))
 
             if err_norm <= 1.0:
                 if self.guard is not None and not self.guard(t_new, y_new):
@@ -250,29 +332,19 @@ class _Stepper:
                     factor = _SAFETY * err_norm ** (-_BETA1) * self.err_old ** _BETA2
                 self.h = h * min(_MAX_FACTOR, max(_MIN_FACTOR, factor))
                 dy = y_new - y5
-                dy2 = dy @ dy
-                if dy2 > _ROUNDING_REL ** 2 * (y_new @ y_new):
+                dy2 = dy.dot(dy)
+                if dy2 > _ROUNDING_REL2 * y_new.dot(y_new):
                     dK = K[6] - K[5]
-                    rho = math.sqrt((dK @ dK) / dy2)
+                    rho = math.sqrt(dK.dot(dK) / dy2)
                     if self.h * rho > _STABLE_HRHO:
                         self.h = _STABLE_HRHO / rho
                 self.err_old = max(err_norm, 1e-4)
-                seg = (self.t, h, self.y.copy(), K.T @ _BI)  # (anchor, scale, base, Q)
-                self.t, self.y, self.f = t_new, y_new, K[6].copy()
+                K = K.copy()
+                self.t, self.y, self.f, self.ay = t_new, y_new, K[6], ay_new
                 self.nsteps += 1
-                return seg
+                return h, K
             self.nrejected += 1
             self.h = h * max(_MIN_FACTOR, _SAFETY * err_norm ** (-0.2))
-
-
-def _forward_rhs(rhs, backward: bool, clamp):
-    """rhs in forward time s (t = -s when ``backward``), s clamped into ``clamp``."""
-    if clamp is None:
-        return (lambda s, y: -np.asarray(rhs(-s, y), dtype=float)) if backward else rhs
-    lo, hi = clamp
-    if backward:
-        return lambda s, y: -np.asarray(rhs(-min(max(s, lo), hi), y), dtype=float)
-    return lambda s, y: rhs(min(max(s, lo), hi), y)
 
 
 def integrate_ivp(rhs, y0, t_span, settings: OdeSettings | None = None, *,
@@ -291,49 +363,28 @@ def integrate_ivp(rhs, y0, t_span, settings: OdeSettings | None = None, *,
 
     backward = t_end < t_start
     if backward:
-        fwd_span = (-t_start, -t_end)
-        fwd_breaks = sorted(-b for b in breakpoints)
+        lo, hi = -t_start, -t_end
+        fwd_rhs = lambda s, y: -np.asarray(rhs(-s, y), dtype=float)
     else:
-        fwd_span = (t_start, t_end)
-        fwd_breaks = sorted(breakpoints)
+        lo, hi = t_start, t_end
+        fwd_rhs = rhs
+    cuts = _interior(np.negative(breakpoints) if backward else breakpoints, lo, hi)
 
-    lo, hi = fwd_span
-    cuts = [b for b in fwd_breaks if lo < b < hi]
-    bounds = [lo, *cuts, hi]
-
-    ts = [lo]
-    ys = [np.asarray(y0, dtype=float)]
-    anchors, denoms, scales, bases, Qs = [], [], [], [], []
-    nsteps = nrejected = 0
-    h_carry = None
-
-    for a, b in zip(bounds[:-1], bounds[1:]):
-        # keep stage evaluations strictly inside the smooth subinterval so
-        # a right-continuous discontinuity at a cut never leaks across it
-        clamp = (np.nextafter(a, b), np.nextafter(b, a)) if cuts else None
-        stepper = _Stepper(_forward_rhs(rhs, backward, clamp), a, ys[-1], b, settings,
-                           h_init=h_carry, backward=backward)
-        while not stepper.done:
-            t_prev = stepper.t
-            anchor, h, base, Q = stepper.step()
-            ts.append(stepper.t)
-            ys.append(stepper.y.copy())
-            anchors.append(anchor)
-            denoms.append(stepper.t - t_prev)
-            scales.append(h)
-            bases.append(base)
-            Qs.append(Q)
-        nsteps += stepper.nsteps
-        nrejected += stepper.nrejected
-        h_carry = stepper.h
+    stepper = _Stepper(fwd_rhs, lo, y0, hi, settings, backward=backward,
+                       cuts=cuts.tolist())
+    ts, ys, hs, Ks = [stepper.t], [stepper.y], [], []
+    while not stepper.done:
+        h, K = stepper.step()
+        ts.append(stepper.t)
+        ys.append(stepper.y)
+        hs.append(h)
+        Ks.append(K)
 
     ts = np.array(ts)
     ys = np.array(ys)
-    anchors = np.array(anchors)
-    denoms = np.array(denoms)
-    scales = np.array(scales)
-    bases = np.array(bases)
-    Qs = np.array(Qs)
+    anchors, denoms, bases = ts[:-1], ts[1:] - ts[:-1], ys[:-1]
+    scales = np.array(hs)
+    Qs = _interpolant(np.array(Ks))
 
     if backward:
         # map segments to increasing physical time t = -s; the local
@@ -344,7 +395,7 @@ def integrate_ivp(rhs, y0, t_span, settings: OdeSettings | None = None, *,
         scales, bases, Qs = scales[::-1], bases[::-1], Qs[::-1]
 
     return DenseSolution(ts, ys, (anchors, denoms, scales, bases, Qs),
-                         nsteps=nsteps, nrejected=nrejected)
+                         nsteps=stepper.nsteps, nrejected=stepper.nrejected)
 
 
 def _channels(Y: np.ndarray) -> np.ndarray:
@@ -386,8 +437,8 @@ def replay_linear(traj: DenseTrajectory, coefficients, y_end, *,
     """
     t_grid = traj.t_grid
     lo, hi = t_grid[0], t_grid[-1]
-    cuts = [b for b in breakpoints if lo < b < hi]
-    if cuts and not np.isin(cuts, t_grid).all():
+    cuts = _interior(breakpoints, lo, hi)
+    if cuts.size and not (t_grid[np.searchsorted(t_grid, cuts)] == cuts).all():
         raise ValueError("the trajectory's grid must contain every interior breakpoint")
     if not np.isfinite(y_end).all():
         raise DivergenceError("non-finite right-hand side", time=float(hi))
@@ -396,11 +447,11 @@ def replay_linear(traj: DenseTrajectory, coefficients, y_end, *,
     steps = H.size
     ts = t_old[:, None] + H[:, None] * _C       # (steps, 7)
     ts[:, 5:] = t_new[:, None]                  # c = 1 sits exactly on the node
-    if cuts:
-        bounds = np.array([lo, *sorted(cuts), hi])
+    if cuts.size:
+        bounds = np.concatenate([[lo], cuts, [hi]])
         j = np.searchsorted(bounds, t_new, side="right") - 1
         a, b = bounds[j, None], bounds[j + 1, None]
-        ts = np.clip(ts, np.nextafter(a, b), np.nextafter(b, a))
+        ts = np.minimum(np.maximum(ts, np.nextafter(a, b)), np.nextafter(b, a))
 
     # traj on each step's own segment
     anchor, denom, scale, base, Qx = traj.segments
@@ -427,8 +478,9 @@ def replay_linear(traj: DenseTrajectory, coefficients, y_end, *,
     # non-finite entries are reported below as a typed error, not a warning
     with np.errstate(invalid="ignore", over="ignore"):
         for i in range(1, 7):
-            shift = _A[i] @ S[:, :i].reshape(steps, i, -1)        # sum_j a_ij S_j
-            Z = eye + Hm * shift.reshape(steps, n + 1, n + 1)
+            Z = (_A[i] @ S[:, :i].reshape(steps, i, -1)).reshape(steps, n + 1, n + 1)
+            Z *= Hm                             # I + h sum_j a_ij S_j, in place
+            Z += eye
             np.matmul(Ma[:, i], Z, out=S[:, i])
         Phis, Ys = list(Z), list(Y)             # Phi = Z: the last stage's a_7j = b_j
         for k in range(steps - 1, -1, -1):

@@ -66,7 +66,8 @@ class Parameterization:
 
     def _check_domain(self, ts: np.ndarray, t_f: float) -> None:
         slack = self._slack(t_f)
-        if ts.min(initial=np.inf) < self.t0 - slack or ts.max(initial=-np.inf) > t_f + slack:
+        if ts.size and (np.minimum.reduce(ts) < self.t0 - slack
+                        or np.maximum.reduce(ts) > t_f + slack):
             bad = ts[(ts < self.t0 - slack) | (ts > t_f + slack)][0]
             raise DomainError(f"t = {bad!r} outside control domain [{self.t0!r}, {t_f!r}]")
 
@@ -77,7 +78,7 @@ class Parameterization:
         return p
 
     def _prep(self, t, p, t_f):
-        ts = np.atleast_1d(np.asarray(t, dtype=float))
+        ts = np.asarray(t, dtype=float).reshape(-1)
         self._check_domain(ts, t_f)
         return ts, self._check_p(p)
 
@@ -155,9 +156,12 @@ def _block_jac(vals: np.ndarray, m: int) -> np.ndarray:
 def _row_eval(vals: list, m: int, p: np.ndarray) -> np.ndarray:
     """(m,) control value at one point from its k basis values.
 
-    The same block Jacobian and contraction as the array path, on one row, so
-    both paths round alike.
+    The array path's contraction on one row, so both paths round alike: for
+    m = 1 the row of the block Jacobian is the values themselves, and einsum
+    sums it with the same loop.
     """
+    if m == 1:
+        return np.einsum("s,s->", np.array(vals), p)[None]
     return np.einsum("tms,s->tm", _block_jac(np.array([vals]), m), p)[0]
 
 

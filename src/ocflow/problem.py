@@ -296,29 +296,36 @@ def validate_problem(prob: OcpProblem, samples: int, *, tol: float = 1e-4,
     return ValidationReport(samples=samples, errors=worst)
 
 
+def _state_solution(prob: OcpProblem, u_of_t, t_f: float, ode: OdeSettings | None,
+                    breakpoints) -> DenseSolution:
+    """The forward solve of :func:`simulate_control`, without J and g."""
+    if t_f <= prob.t0:
+        raise ValueError("t_f must exceed t0")
+    n, f, L = prob.n, prob.f, prob.L
+
+    def rhs(t, ya):
+        x = ya[:n]
+        u = u_of_t(t)
+        out = np.empty(n + 1)
+        out[:n] = f(x, u, t)
+        out[n] = L(x, u, t)
+        return out
+
+    y0 = np.concatenate([prob.x0, [0.0]])
+    return integrate_ivp(rhs, y0, (prob.t0, t_f), ode or OdeSettings(),
+                         breakpoints=breakpoints)
+
+
 def simulate_control(prob: OcpProblem, u_of_t, t_f: float,
                      ode: OdeSettings | None = None,
                      breakpoints=()) -> tuple[DenseSolution, float, np.ndarray]:
-    """Forward solve under an arbitrary control; returns (solution, J, g).
+    """Forward solve under a control ``u_of_t(t) -> (m,)``; returns (solution, J, g).
 
     The returned dense solution has n+1 channels: the state plus the running
     cost accumulated as an augmented state.
     """
-    if t_f <= prob.t0:
-        raise ValueError("t_f must exceed t0")
+    sol = _state_solution(prob, u_of_t, t_f, ode, breakpoints)
     n = prob.n
-
-    def rhs(t, ya):
-        x = ya[:n]
-        u = np.atleast_1d(np.asarray(u_of_t(t), dtype=float))
-        out = np.empty(n + 1)
-        out[:n] = prob.f(x, u, t)
-        out[n] = prob.L(x, u, t)
-        return out
-
-    y0 = np.concatenate([prob.x0, [0.0]])
-    sol = integrate_ivp(rhs, y0, (prob.t0, t_f), ode or OdeSettings(),
-                        breakpoints=breakpoints)
     x_f, cost = sol.values[-1, :n], sol.values[-1, n]
     J = float(prob.phi(x_f, t_f)) + cost
     g_val = np.asarray(prob.g(x_f, t_f), dtype=float)

@@ -59,8 +59,12 @@ def simpson_points(t0: float, t_f: float, spec: QuadratureSpec,
     """
     edges = panel_edges(t0, t_f, spec, breakpoints)
     a, b = edges[:-1], edges[1:]
-    pts = np.stack([np.nextafter(a, b), 0.5 * (a + b), np.nextafter(b, a)],
-                   axis=1).reshape(-1)
+    pts = np.empty((a.size, 3))
+    pts[:, 0] = np.nextafter(a, b)
+    pts[:, 1] = 0.5 * (a + b)
+    pts[:, 2] = np.nextafter(b, a)
     h = (b - a) / 6.0
-    w = np.stack([h, 4.0 * h, h], axis=1).reshape(-1)
-    return pts, w
+    w = np.empty((a.size, 3))
+    w[:, 0] = w[:, 2] = h
+    w[:, 1] = 4.0 * h
+    return pts.reshape(-1), w.reshape(-1)

@@ -32,8 +32,11 @@ from .integrate import DenseSolution, OdeSettings, replay_linear
 # not called here, but kept bound: bench/tracing.py wraps sensitivity.integrate_ivp
 from .integrate import integrate_ivp  # noqa: F401
 from .parameterization import Parameterization
-from .problem import Gains, OcpProblem, simulate_control
+from .problem import Gains, OcpProblem, _state_solution
 from .quadrature import QuadratureSpec, simpson_points
+
+
+_EPS = np.finfo(float).eps
 
 
 def spd_solve(M: np.ndarray, B: np.ndarray, context: str) -> np.ndarray:
@@ -54,7 +57,7 @@ def spd_solve(M: np.ndarray, B: np.ndarray, context: str) -> np.ndarray:
         L = np.linalg.cholesky(M)
     except np.linalg.LinAlgError as exc:
         raise RankError(f"{context}: matrix is not positive-definite ({exc})") from None
-    if not (np.diag(L) ** 2 > len(M) * np.finfo(float).eps * np.diag(M)).all():
+    if not (L.diagonal() ** 2 > len(M) * _EPS * M.diagonal()).all():
         raise RankError(f"{context}: matrix is numerically singular")
     return np.linalg.solve(M, B)
 
@@ -91,7 +94,14 @@ class AdjointBundle:
 
     def mu_psi_at(self, ts):
         """(mu, Psi) stacked over times with one dense evaluation."""
-        flat = self.adjoint_sol(ts)
+        return self._mu_psi(self.adjoint_sol(ts))
+
+    def at(self, ts):
+        """(x, mu, Psi) stacked over times, from one search of the shared grid."""
+        xa, flat = self.x_traj(ts, self.adjoint_sol)
+        return (xa[..., : self.n], *self._mu_psi(flat))
+
+    def _mu_psi(self, flat):
         return (flat[..., : self.n],
                 flat[..., self.n:].reshape(*flat.shape[:-1], self.n, self.q))
 
@@ -141,16 +151,14 @@ class Form2Quantities:
 class NlpGradients:
     """Plain NLP gradients of the simulated objective and constraint."""
 
-    f_theta: np.ndarray     # (s+1,)
-    g_theta: np.ndarray     # (q, s+1)
+    f_theta: np.ndarray     # (s+1,), or (s,) for p alone
+    g_theta: np.ndarray     # (q, s+1), or (q, s)
 
 
 def solve_state(prob: OcpProblem, par: Parameterization, p, t_f: float,
                 ode: OdeSettings | None = None) -> DenseSolution:
     """Forward solve under u(t; p[, t_f]); n+1 channels (state + cost)."""
-    sol, _, _ = simulate_control(prob, par.bind(p, t_f), t_f, ode,
-                                 breakpoints=par.breakpoints(t_f))
-    return sol
+    return _state_solution(prob, par.bind(p, t_f), t_f, ode, par.breakpoints(t_f))
 
 
 def solve_adjoints(prob: OcpProblem, par: Parameterization, p,
@@ -186,7 +194,7 @@ def solve_adjoints(prob: OcpProblem, par: Parameterization, p,
 
 @dataclass
 class _GridData:
-    """Integrand samples on the shared quadrature grid, plus terminal values.
+    """Integrand samples on the shared quadrature grid.
 
     ``U`` holds the basis columns of theta: u_p, then u_tf if ``with_tf``.
     """
@@ -194,12 +202,9 @@ class _GridData:
     ts: np.ndarray
     w: np.ndarray
     U: np.ndarray             # (N, m, s) or (N, m, s + 1)
-    with_tf: bool
     pu: np.ndarray            # (N, m)
     fupsi: np.ndarray         # (N, m, q)
     kinv: np.ndarray | None   # (N, m, m)
-    tf_scalar: float
-    tf_row: np.ndarray        # (q,)
 
 
 def _batch_eval(prob: OcpProblem, name: str, xs, us, ts) -> np.ndarray:
@@ -211,6 +216,7 @@ def _batch_eval(prob: OcpProblem, name: str, xs, us, ts) -> np.ndarray:
 
 
 def _terminal_values(prob: OcpProblem, bundle: AdjointBundle) -> tuple[float, np.ndarray]:
+    """The terminal brackets (tf_scalar, tf_row) of the t_f equation."""
     t_f, x_f = bundle.t_f, bundle.x_f
     u_f = bundle.u_of_t(t_f)
     f_f = np.asarray(prob.f(x_f, u_f, t_f), dtype=float)
@@ -230,10 +236,9 @@ def _grid_data(prob: OcpProblem, par: Parameterization, bundle: AdjointBundle,
                with_tf: bool = False) -> _GridData:
     t_f = bundle.t_f
     ts, w = simpson_points(bundle.t0, t_f, quad, par.breakpoints(t_f))
-    xs = bundle.x_at(ts)
+    xs, mus, psis = bundle.at(ts)
     up = par.jac_p(ts, bundle.p, t_f)
     us = np.einsum("tms,s->tm", up, bundle.p)                  # as par.eval does
-    mus, psis = bundle.mu_psi_at(ts)
     fu = _batch_eval(prob, "f_u", xs, us, ts)                  # (N, n, m)
     lu = _batch_eval(prob, "L_u", xs, us, ts)                  # (N, m)
     pu = lu + np.einsum("tnm,tn->tm", fu, mus)
@@ -244,9 +249,7 @@ def _grid_data(prob: OcpProblem, par: Parameterization, bundle: AdjointBundle,
     if with_tf:
         up = np.concatenate([up, par.jac_tf(ts, bundle.p, t_f)[..., None]], axis=-1)
     kinv = gains.K_inv_at(ts) if gains is not None else None
-    tf_scalar, tf_row = _terminal_values(prob, bundle)
-    return _GridData(ts=ts, w=w, U=up, with_tf=with_tf, pu=pu, fupsi=fupsi,
-                     kinv=kinv, tf_scalar=tf_scalar, tf_row=tf_row)
+    return _GridData(ts=ts, w=w, U=up, pu=pu, fupsi=fupsi, kinv=kinv)
 
 
 def _gram(gd: _GridData) -> np.ndarray:
@@ -259,16 +262,17 @@ def _gram(gd: _GridData) -> np.ndarray:
     return 0.5 * (G + G.T)
 
 
-def _theta_integrals(gd: _GridData) -> tuple[np.ndarray, np.ndarray]:
+def _theta_integrals(gd: _GridData, terminal=None) -> tuple[np.ndarray, np.ndarray]:
     """r = int U^T p_u dt and Gamma = int U^T f_u^T Psi dt over the columns of theta.
 
-    When theta includes t_f its row also gets the terminal brackets.
+    When theta includes t_f, its row also gets the ``terminal`` brackets
+    (tf_scalar, tf_row).
     """
     r = np.einsum("t,tmi,tm->i", gd.w, gd.U, gd.pu)
     Gamma = np.einsum("t,tmi,tmq->iq", gd.w, gd.U, gd.fupsi)
-    if gd.with_tf:
-        r[-1] += gd.tf_scalar
-        Gamma[-1] += gd.tf_row
+    if terminal is not None:
+        r[-1] += terminal[0]
+        Gamma[-1] += terminal[1]
     return r, Gamma
 
 
@@ -277,8 +281,9 @@ def assemble_form1(prob: OcpProblem, par: Parameterization, bundle: AdjointBundl
     """Gram matrix, cost gradient, constraint sensitivity, terminal brackets."""
     gd = _grid_data(prob, par, bundle, quad, gains=gains)
     r_1p, Gamma_1p = _theta_integrals(gd)
+    tf_scalar, tf_row = _terminal_values(prob, bundle)
     return Form1Quantities(M_p=_gram(gd), r_1p=r_1p, Gamma_1p=Gamma_1p,
-                           tf_scalar=gd.tf_scalar, tf_row=gd.tf_row)
+                           tf_scalar=tf_scalar, tf_row=tf_row)
 
 
 def assemble_form2(prob: OcpProblem, par: Parameterization, bundle: AdjointBundle,
@@ -293,22 +298,26 @@ def assemble_form2(prob: OcpProblem, par: Parameterization, bundle: AdjointBundl
     if gains.k_tf <= 0:
         raise ConfigurationError("free t_f requires k_tf > 0 (it enters as 1/k_tf)")
     gd = _grid_data(prob, par, bundle, quad, gains=gains, with_tf=True)
-    r_2ptf, Gamma_2ptf = _theta_integrals(gd)
+    terminal = _terminal_values(prob, bundle)
+    r_2ptf, Gamma_2ptf = _theta_integrals(gd, terminal)
     M_ptf = _gram(gd)
     M_ptf[-1, -1] += 1.0 / gains.k_tf
     return Form2Quantities(M_ptf=M_ptf, r_2ptf=r_2ptf, Gamma_2ptf=Gamma_2ptf,
-                           tf_scalar=gd.tf_scalar, tf_row=gd.tf_row)
+                           tf_scalar=terminal[0], tf_row=terminal[1])
 
 
 def nlp_gradients(prob: OcpProblem, par: Parameterization, bundle: AdjointBundle,
-                  p, t_f: float, quad: QuadratureSpec) -> NlpGradients:
+                  p, t_f: float, quad: QuadratureSpec, *,
+                  with_tf: bool = True) -> NlpGradients:
     """Gradients of simulated J and g with respect to theta = (p, t_f).
 
     These are the integrals of :func:`assemble_form2` without its metric
     (identical grid, identical summation), so they hold for both forms: the
     p-block of ``g_theta`` is exactly the transpose of the constraint
     sensitivity, and the t_f entries carry the control-shape sensitivity
-    u_tf next to the terminal brackets.
+    u_tf next to the terminal brackets.  With ``with_tf=False`` theta is p
+    alone, and the result is the p-entries of the full one, bit for bit.
     """
-    r, Gamma = _theta_integrals(_grid_data(prob, par, bundle, quad, with_tf=True))
+    gd = _grid_data(prob, par, bundle, quad, with_tf=with_tf)
+    r, Gamma = _theta_integrals(gd, _terminal_values(prob, bundle) if with_tf else None)
     return NlpGradients(f_theta=r, g_theta=Gamma.T)

@@ -6,6 +6,7 @@ import sys
 from pathlib import Path
 
 import numpy as np
+import pytest
 
 import ocflow
 from ocflow import (EvolutionMode, EvolutionState, StopCriteria, make_basis,
@@ -110,6 +111,19 @@ def test_config_errors_exit_2(tmp_path, capsys):
     path, _ = write_config(tmp_path, mode="gradient_flow", gains={"K_theta": -1.0})
     assert main(["solve", "--config", str(path)]) == 2
     assert "K_theta" in capsys.readouterr().err
+
+    # modes the solver would refuse are refused before any pipeline runs
+    import ocflow.evolution as evolution
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(evolution, "solve_state", lambda *a, **k: pytest.fail("a pipeline ran"))
+        for overrides, needle in (({"mode": "gradient_flow"}, "needs K_theta"),
+                                  ({"problem": "brachistochrone", "gains": {"k_tf": 0}},
+                                   "free t_f requires k_tf > 0")):
+            path, _ = write_config(tmp_path, **overrides)
+            assert main(["solve", "--config", str(path)]) == 2
+            err = capsys.readouterr().err
+            assert "config error: " in err and needle in err
 
     for gains in ({"K": "abc"}, {"k_tf": "abc"}, {"K_theta": "abc"}):
         path, _ = write_config(tmp_path, mode="gradient_flow", gains=gains)
@@ -239,10 +253,13 @@ def test_gradient_flow_config_plumbing(tmp_path):
     assert report["converged"] is False
 
 
-def test_solver_errors_exit_3(tmp_path):
-    # gradient_flow without K_theta fails inside the solver, not the config
-    path, _ = write_config(tmp_path, mode="gradient_flow")
+def test_solver_errors_exit_3(tmp_path, capsys):
+    # one step cannot cover the horizon: the state solve fails in the solver
+    path, _ = write_config(tmp_path, ode_inner={"max_steps": 1})
     assert main(["solve", "--config", str(path)]) == 3
+    err = capsys.readouterr().err
+    assert "solver error: exceeded max_steps = 1 (at t = 0." in err
+    assert "np.float64" not in err
 
 
 def test_out_flag_overrides_config(tmp_path):

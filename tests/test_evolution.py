@@ -381,15 +381,21 @@ def test_spd_solves_per_pipeline(monkeypatch, example1, brach, mode, calls):
 
 @pytest.mark.parametrize("mode", [EvolutionMode.form1(), EvolutionMode.form2(),
                                   EvolutionMode.gradient_flow(0.1)])
-def test_two_dense_lookups_per_pipeline(monkeypatch, example1, brach, mode):
-    # x and [mu | Psi] on the Simpson grid; terminal values are node reads
+def test_one_dense_search_per_pipeline(monkeypatch, example1, brach, mode):
+    # x and [mu | Psi] share the forward grid, so one search of the Simpson
+    # grid serves both; terminal values are node reads
     lookups = []
     lookup = DenseTrajectory.__call__
-    monkeypatch.setattr(DenseTrajectory, "__call__",
-                        lambda self, t: lookups.append(np.shape(t)) or lookup(self, t))
+
+    def counting(self, t, *others):
+        lookups.append((np.shape(t), len(others)))
+        return lookup(self, t, *others)
+
+    monkeypatch.setattr(DenseTrajectory, "__call__", counting)
     _one_pipeline(mode, example1, brach)
-    assert len(lookups) == 2
-    assert lookups[0] == lookups[1] and len(lookups[0]) == 1
+    assert len(lookups) == 1
+    (shape, others), = lookups
+    assert len(shape) == 1 and others == 1
 
 
 def test_gradient_flow_gain_is_checked_before_any_pipeline(monkeypatch, example1):

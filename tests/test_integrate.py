@@ -142,6 +142,54 @@ def test_backward_errors_report_physical_time():
     assert 0.0 <= exc.value.time < 0.5
 
 
+def _unit_slope_grid(t_span):
+    # y' = 1 is integrated exactly: no step is rejected, so a failing run
+    # attempts the same steps as this one up to its failure
+    return integrate_ivp(lambda t, y: np.ones(1), np.array([0.0]), t_span).t_grid
+
+
+@pytest.mark.parametrize("t_span", [(0.0, 1.0), (1.0, 0.0)])
+def test_nan_stage_fails_at_the_steps_end(t_span):
+    grid = _unit_slope_grid(t_span)
+    forward = t_span[0] < t_span[1]
+
+    def rhs(t, y):
+        beyond = t > 0.5 if forward else t < 0.5
+        return np.array([np.nan if beyond else 1.0])
+
+    with pytest.raises(DivergenceError) as exc:
+        integrate_ivp(rhs, np.array([0.0]), t_span)
+    # the failing step is the first to reach past 0.5; its end is a node of
+    # the clean run
+    end = grid[grid > 0.5][0] if forward else grid[grid < 0.5][-1]
+    assert exc.value.time == end
+    assert type(exc.value.time) is float
+
+
+def test_overflowing_error_estimate_is_rejected():
+    # calls 1 and 2 are the first stage and the starting-step probe; the six
+    # stages of the first attempt (calls 3-8) are huge but finite, so its
+    # scaled error overflows, which rejects the step; it is no divergence
+    calls = []
+
+    def rhs(t, y):
+        calls.append(t)
+        return np.array([1e300 if 3 <= len(calls) <= 8 else 1.0])
+
+    with np.errstate(over="ignore"):
+        sol = integrate_ivp(rhs, np.array([0.0]), (0.0, 1.0), OdeSettings(rel_tol=1e-160))
+    assert sol.nrejected == 1
+    assert sol.values[-1, 0] == pytest.approx(1.0, rel=1e-12)
+
+
+def test_failure_times_are_floats():
+    with pytest.raises(StepBudgetError) as exc:
+        integrate_ivp(lambda t, y: -y, np.array([1.0]), (0.0, 1.0),
+                      OdeSettings(max_steps=2))
+    assert type(exc.value.time) is float
+    assert "np.float64" not in str(exc.value)
+
+
 def test_divergence_error_carries_time():
     def rhs(t, y):
         return np.array([np.nan]) if t > 0.5 else np.array([1.0])

@@ -463,3 +463,33 @@ def test_spd_solve_rejects_indefinite_and_singular_matrices():
     with pytest.raises(RankError, match="numerically singular"):
         spd_solve(np.array([[1.0, 1.0], [1.0, 1.0 + eps]]), np.ones(2), "M")
     spd_solve(np.array([[1.0, 1.0], [1.0, 1.0 + 1e-12]]), np.ones(2), "M")
+
+
+@pytest.mark.parametrize("case, evaluations", [("example1", 44), ("brach_pwc20", 165)])
+def test_state_solve_evaluation_count(example1, brach, case, evaluations):
+    # f, L and the control run once per stage: 6 per accepted step, 1 at the
+    # start of each smooth subinterval and 1 for the starting-step probe
+    if case == "example1":
+        bp, t_f = example1, 2.0
+        par = make_basis("global_polynomial", m=1, t0=0.0, form="form1", order=3)
+        p = np.array([-3.5, 3.0, 0.0, 0.0])
+    else:
+        bp, t_f = brach, 0.8165
+        par = make_basis("piecewise_constant", m=1, t0=0.0, form="form2", n_segments=20)
+        p = 1.4771 * t_f * (np.arange(20) + 0.5) / 20
+    calls = {"f": 0, "L": 0, "u": 0}
+
+    def counting(fn, key):
+        def wrapped(*args):
+            calls[key] += 1
+            return fn(*args)
+        return wrapped
+
+    prob = dataclasses.replace(bp.prob, f=counting(bp.prob.f, "f"),
+                               L=counting(bp.prob.L, "L"))
+    scalar_fn = par.scalar_fn
+    par = dataclasses.replace(par, scalar_fn=lambda p, t_f: counting(scalar_fn(p, t_f), "u"))
+    sol = solve_state(prob, par, p, t_f)
+    subintervals = par.breakpoints(t_f).size + 1
+    assert calls["f"] == calls["L"] == calls["u"] == evaluations
+    assert evaluations == 6 * (sol.nsteps + sol.nrejected) + subintervals + 1
