@@ -13,17 +13,14 @@ from .errors import (ConfigurationError, DependentBasisError,
                      DerivativeMismatchError, DimensionError, DivergenceError,
                      DomainError, IntegrationError, MultiplierBoundWarning,
                      OcflowError, RankError, StepBudgetError)
-from .integrate import (DenseSolution, DenseTrajectory, OdeSettings, integrate_ivp,
-                        replay_linear)
+from .integrate import DenseTrajectory, OdeSettings, integrate_ivp, replay_linear
 from .quadrature import QuadratureSpec, simpson_points
 from .problem import (Gains, OcpProblem, SolveReport, SolveTrace, TraceRow,
-                      ValidationReport, constraint_value, objective_value,
-                      simulate_control, validate_problem)
+                      ValidationReport, simulate_control, validate_problem)
 from .parameterization import (FORM1, FORM2, Parameterization, make_basis,
                                validate_independence)
-from .sensitivity import (AdjointBundle, Form1Quantities, Form2Quantities,
-                          NlpGradients, assemble_form1, assemble_form2,
-                          nlp_gradients, solve_adjoints, solve_state)
+from .sensitivity import (AdjointBundle, ThetaQuantities, assemble_form1,
+                          assemble_form2, nlp_gradients, solve_adjoints, solve_state)
 from .evolution import (EvolutionMode, EvolutionState, IterateEval, StopCriteria,
                         evaluate_iterate, gradient_flow_generic,
                         lyapunov_diagnostic, multiplier, solve_evolution)

@@ -278,12 +278,12 @@ def _check_gradients(prob, par, init, quad) -> list[dict]:
     results = []
     tol = 1e-3
     scale_f = max(1.0, float(np.abs(fd_f).max()))
-    err_f = float(np.abs(grads.f_theta - fd_f).max()) / scale_f
+    err_f = float(np.abs(grads.r - fd_f).max()) / scale_f
     results.append({"name": "objective_gradient_vs_fd", "value": err_f,
                     "tol": tol, "passed": err_f <= tol})
     if prob.q:
         scale_g = max(1.0, float(np.abs(fd_g).max()))
-        err_g = float(np.abs(grads.g_theta - fd_g).max()) / scale_g
+        err_g = float(np.abs(grads.Gamma.T - fd_g).max()) / scale_g
         results.append({"name": "constraint_jacobian_vs_fd", "value": err_g,
                         "tol": tol, "passed": err_g <= tol})
     return results

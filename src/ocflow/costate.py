@@ -24,8 +24,8 @@ from .parameterization import Parameterization
 from .problem import Gains, OcpProblem
 # simpson_points is not called here; it stays bound because bench/tracing.py wraps it
 from .quadrature import QuadratureSpec, simpson_points  # noqa: F401
-from .sensitivity import (AdjointBundle, Form1Quantities, Form2Quantities,
-                          _grid_data, _terminal_values, spd_solve)
+from .sensitivity import (AdjointBundle, ThetaQuantities, _grid_data, _terminal_values,
+                          spd_solve)
 
 
 @dataclass
@@ -77,7 +77,7 @@ def reconstruct_costate(prob: OcpProblem, bundle: AdjointBundle,
 
 
 def optimality_residuals(prob: OcpProblem, par: Parameterization,
-                         quantities: Form1Quantities | Form2Quantities,
+                         quantities: ThetaQuantities,
                          bundle: AdjointBundle, pi, g_val,
                          quad: QuadratureSpec | None = None) -> OptimalityResiduals:
     """All four residuals of an iterate, sampled on the shared grid."""
@@ -85,10 +85,7 @@ def optimality_residuals(prob: OcpProblem, par: Parameterization,
     g_val = np.asarray(g_val, dtype=float)
     quad = quad or QuadratureSpec()
 
-    if isinstance(quantities, Form1Quantities):
-        param_residual = quantities.r_1p + quantities.Gamma_1p @ pi
-    else:
-        param_residual = quantities.r_2ptf + quantities.Gamma_2ptf @ pi
+    param_residual = quantities.r + quantities.Gamma @ pi
     tf_residual = quantities.tf_scalar + float(pi @ quantities.tf_row)
 
     gd = _grid_data(prob, par, bundle, quad)

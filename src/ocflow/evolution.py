@@ -39,9 +39,9 @@ from .parameterization import FORM1, FORM2, Parameterization
 from .problem import (Gains, OcpProblem, SolveReport, SolveTrace, TraceRow,
                       _gain_matrix, _require_spd)
 from .quadrature import QuadratureSpec
-from .sensitivity import (AdjointBundle, Form1Quantities, Form2Quantities,
-                          NlpGradients, assemble_form1, assemble_form2,
-                          nlp_gradients, solve_adjoints, solve_state, spd_solve)
+from .sensitivity import (AdjointBundle, ThetaQuantities, assemble_form1,
+                          assemble_form2, nlp_gradients, solve_adjoints, solve_state,
+                          spd_solve)
 
 _NODE_KINDS = ("lagrange_nodes", "piecewise_linear", "piecewise_constant")
 _MODE_KINDS = ("form1", "form2", "gradient_flow")
@@ -164,21 +164,14 @@ class IterateEval:
     p: np.ndarray
     t_f: float
     bundle: AdjointBundle
-    quantities: Form1Quantities | Form2Quantities | NlpGradients
+    quantities: ThetaQuantities
     pi: np.ndarray
     J: float
     g_val: np.ndarray
     g_norm: float
     residual: np.ndarray
     residual_norm: float
-    dp: np.ndarray
-    dtf: float
-    free_tf: bool
-
-    def deriv(self) -> np.ndarray:
-        if self.free_tf:
-            return np.concatenate([self.dp, [self.dtf]])
-        return self.dp
+    dtheta: np.ndarray        # d theta/dtau, over (p, t_f) when t_f is free
 
 
 def _check_compat(mode: EvolutionMode, prob: OcpProblem, par: Parameterization,
@@ -224,26 +217,22 @@ def evaluate_iterate(mode: EvolutionMode, prob: OcpProblem, par: Parameterizatio
     # them; the flow d theta/dtau = -W (r + Gamma pi) follows
     if mode.kind == "gradient_flow":
         quant = nlp_gradients(prob, par, bundle, p, t_f, quad, with_tf=free)
-        r, Gamma = quant.f_theta, quant.g_theta.T
+    elif free:
+        quant = assemble_form2(prob, par, bundle, gains, p, t_f, quad)
+    else:
+        quant = assemble_form1(prob, par, bundle, gains, t_f, quad)
+    r, Gamma = quant.r, quant.Gamma
+    if quant.M is None:
         W_rGamma = _gain_matrix(mode.K_theta, r.size, "K_theta") @ _columns(r, Gamma)
     else:
-        if free:
-            quant = assemble_form2(prob, par, bundle, gains, p, t_f, quad)
-            r, Gamma, M = quant.r_2ptf, quant.Gamma_2ptf, quant.M_ptf
-        else:
-            quant = assemble_form1(prob, par, bundle, gains, t_f, quad)
-            r, Gamma, M = quant.r_1p, quant.Gamma_1p, quant.M_p
-        W_rGamma = spd_solve(M, _columns(r, Gamma),
+        W_rGamma = spd_solve(quant.M, _columns(r, Gamma),
                              "Gram matrix of the basis columns of theta")
 
     pi, residual, dtheta = _flow_direction(r, Gamma, W_rGamma, gains.K_g, g_val,
                                            pi_bound)
-    dp, dtf = (dtheta[:-1], float(dtheta[-1])) if free else (dtheta, 0.0)
-
     return IterateEval(p=p, t_f=t_f, bundle=bundle, quantities=quant, pi=pi,
                        J=J, g_val=g_val, g_norm=g_norm, residual=residual,
-                       residual_norm=_norm(residual),
-                       dp=dp, dtf=dtf, free_tf=free)
+                       residual_norm=_norm(residual), dtheta=dtheta)
 
 
 def _resolve_init(prob: OcpProblem, init: EvolutionState) -> tuple[np.ndarray, float]:
@@ -341,7 +330,7 @@ def solve_evolution(mode: EvolutionMode, prob: OcpProblem, par: Parameterization
                                 pi_bound=stop.pi_bound)
 
     def rhs(tau, theta):
-        return evaluate(theta).deriv()
+        return evaluate(theta).dtheta
 
     guard = None
     if free:

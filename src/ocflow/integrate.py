@@ -111,20 +111,19 @@ class DenseTrajectory:
     interpolation polynomial ``(anchor, denom, scale, base, Q)``, evaluated
     by :func:`dense_output` at theta = (t - anchor) / denom.  A scalar t is
     looked up as a one-point array, so scalar, one-point and batched lookups
-    take the same path and agree bit for bit by construction.
+    take the same path and agree bit for bit by construction.  A solve sets
+    its accepted and rejected step counts ``nsteps`` and ``nrejected``.
     """
 
-    def __init__(self, t_grid, values, segments):
+    def __init__(self, t_grid, values, segments, *, nsteps=0, nrejected=0):
         self.t_grid = np.asarray(t_grid, dtype=float)
         self.values = np.asarray(values, dtype=float)
         if self.t_grid.ndim != 1 or (self.t_grid[1:] <= self.t_grid[:-1]).any():
             raise ValueError("t_grid must be strictly increasing")
         self.segments = segments
+        self.nsteps = nsteps
+        self.nrejected = nrejected
         self._slack = 1e-10 * max(1.0, self.t_grid[-1] - self.t_grid[0])
-
-    @property
-    def dim(self) -> int:
-        return self.values.shape[1]
 
     def __call__(self, t, *others):
         """y(t): (dim,) for scalar t, (N, dim) for an array of N times.
@@ -167,22 +166,10 @@ class DenseTrajectory:
         return tuple(outs) if others else outs[0]
 
 
-class DenseSolution(DenseTrajectory):
-    """A dense trajectory plus step-acceptance statistics."""
-
-    def __init__(self, t_grid, values, segments, *, nsteps, nrejected):
-        super().__init__(t_grid, values, segments)
-        self.nsteps = nsteps
-        self.nrejected = nrejected
-
-
 def _interior(breakpoints, lo: float, hi: float) -> np.ndarray:
-    """The breakpoints strictly inside (lo, hi), sorted."""
+    """The distinct breakpoints strictly inside (lo, hi), sorted."""
     b = np.asarray(breakpoints, dtype=float).reshape(-1)
-    if b.size:
-        b = b[(b > lo) & (b < hi)]
-        b.sort()
-    return b
+    return np.unique(b[(b > lo) & (b < hi)]) if b.size else b
 
 
 def _rms(v: np.ndarray) -> float:
@@ -190,15 +177,23 @@ def _rms(v: np.ndarray) -> float:
     return math.sqrt(float(np.add.reduce(v * v)) / v.size)
 
 
+def _scaled_rms(v: np.ndarray, scale: np.ndarray) -> float:
+    """_rms(v / scale); inf, without a numpy warning, when it overflows."""
+    with np.errstate(over="ignore"):
+        return _rms(v / scale)
+
+
 def _initial_step(rhs, t0, y0, f0, settings):
-    """Hairer-style automatic initial step size."""
+    """Hairer-style automatic initial step size; the caller refuses a bad one."""
     scale = settings.abs_tol + settings.rel_tol * np.abs(y0)
-    d0 = _rms(y0 / scale)
-    d1 = _rms(f0 / scale)
+    d0 = _scaled_rms(y0, scale)
+    d1 = _scaled_rms(f0, scale)
     h0 = 1e-6 if d0 < 1e-5 or d1 < 1e-5 else 0.01 * d0 / d1
+    if not _finite_positive(h0):
+        return h0
     y1 = y0 + h0 * f0
     f1 = rhs(t0 + h0, y1)
-    d2 = _rms((f1 - f0) / scale) / h0
+    d2 = _scaled_rms(f1 - f0, scale) / h0
     if max(d1, d2) <= 1e-15:
         h1 = max(1e-6, h0 * 1e-3)
     else:
@@ -256,6 +251,10 @@ class _Stepper:
             raise self._error(DivergenceError, "non-finite right-hand side", t0)
         if self.h is None:
             self.h = _initial_step(self._rhs_at, t0, self.y, self.f, self.settings)
+            if not _finite_positive(self.h):    # the scaled norms overflowed
+                s = self.settings
+                raise self._error(IntegrationError, "no finite positive initial step at "
+                                  f"rel_tol = {s.rel_tol!r}, abs_tol = {s.abs_tol!r}", t0)
         self.h = min(self.h, t_end - t0)
 
     def _rhs_at(self, t, y) -> np.ndarray:
@@ -348,7 +347,7 @@ class _Stepper:
 
 
 def integrate_ivp(rhs, y0, t_span, settings: OdeSettings | None = None, *,
-                  breakpoints=()) -> DenseSolution:
+                  breakpoints=()) -> DenseTrajectory:
     """Solve y' = rhs(t, y) over ``t_span`` with dense output.
 
     Backward spans (t_end < t_start) integrate in negated time internally.
@@ -394,8 +393,8 @@ def integrate_ivp(rhs, y0, t_span, settings: OdeSettings | None = None, *,
         anchors, denoms = -anchors[::-1], -denoms[::-1]
         scales, bases, Qs = scales[::-1], bases[::-1], Qs[::-1]
 
-    return DenseSolution(ts, ys, (anchors, denoms, scales, bases, Qs),
-                         nsteps=stepper.nsteps, nrejected=stepper.nrejected)
+    return DenseTrajectory(ts, ys, (anchors, denoms, scales, bases, Qs),
+                           nsteps=stepper.nsteps, nrejected=stepper.nrejected)
 
 
 def _channels(Y: np.ndarray) -> np.ndarray:
@@ -415,7 +414,7 @@ def _divergence(ts, S, Y, Q) -> DivergenceError:
 
 
 def replay_linear(traj: DenseTrajectory, coefficients, y_end, *,
-                  breakpoints=()) -> DenseSolution:
+                  breakpoints=()) -> DenseTrajectory:
     """Integrate Y' = M(t) Y + l(t) e0^T backward over the steps of ``traj``.
 
     ``traj`` is a solution whose accepted steps ``t_grid`` the replay reuses:
@@ -491,5 +490,4 @@ def replay_linear(traj: DenseTrajectory, coefficients, y_end, *,
     if not (np.isfinite(Y).all() and np.isfinite(Q).all()):
         raise _divergence(ts, S, Y, Q)
     values = _channels(Y[:, :n])
-    return DenseSolution(t_grid, values, (t_old, H, H, values[1:], Q),
-                         nsteps=steps, nrejected=0)
+    return DenseTrajectory(t_grid, values, (t_old, H, H, values[1:], Q), nsteps=steps)

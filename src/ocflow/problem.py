@@ -19,7 +19,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import ConfigurationError, DerivativeMismatchError, DimensionError
-from .integrate import DenseSolution, OdeSettings, integrate_ivp
+from .integrate import DenseTrajectory, OdeSettings, integrate_ivp
 
 
 @dataclass(frozen=True)
@@ -297,7 +297,7 @@ def validate_problem(prob: OcpProblem, samples: int, *, tol: float = 1e-4,
 
 
 def _state_solution(prob: OcpProblem, u_of_t, t_f: float, ode: OdeSettings | None,
-                    breakpoints) -> DenseSolution:
+                    breakpoints) -> DenseTrajectory:
     """The forward solve of :func:`simulate_control`, without J and g."""
     if t_f <= prob.t0:
         raise ValueError("t_f must exceed t0")
@@ -318,7 +318,7 @@ def _state_solution(prob: OcpProblem, u_of_t, t_f: float, ode: OdeSettings | Non
 
 def simulate_control(prob: OcpProblem, u_of_t, t_f: float,
                      ode: OdeSettings | None = None,
-                     breakpoints=()) -> tuple[DenseSolution, float, np.ndarray]:
+                     breakpoints=()) -> tuple[DenseTrajectory, float, np.ndarray]:
     """Forward solve under a control ``u_of_t(t) -> (m,)``; returns (solution, J, g).
 
     The returned dense solution has n+1 channels: the state plus the running
@@ -330,17 +330,3 @@ def simulate_control(prob: OcpProblem, u_of_t, t_f: float,
     J = float(prob.phi(x_f, t_f)) + cost
     g_val = np.asarray(prob.g(x_f, t_f), dtype=float)
     return sol, J, g_val
-
-
-def objective_value(prob: OcpProblem, u_of_t, t_f: float,
-                    ode: OdeSettings | None = None, breakpoints=()) -> float:
-    """J = phi(x(t_f), t_f) + int L dt under the given control."""
-    _, J, _ = simulate_control(prob, u_of_t, t_f, ode, breakpoints)
-    return J
-
-
-def constraint_value(prob: OcpProblem, u_of_t, t_f: float,
-                     ode: OdeSettings | None = None, breakpoints=()) -> np.ndarray:
-    """Terminal-constraint value g(x(t_f), t_f) from the simulated state."""
-    _, _, g_val = simulate_control(prob, u_of_t, t_f, ode, breakpoints)
-    return g_val

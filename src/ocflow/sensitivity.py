@@ -12,13 +12,13 @@ integrate two adjoint quantities backward along the stored trajectory:
 
 The state-transition matrix itself is never formed: every place it would
 appear is contracted into ``mu`` and ``Psi`` (n + n*q backward states
-total).  Quadrature then assembles, over the basis columns of theta, the
-Gram matrix, the cost gradient and the constraint sensitivity: ``M_p``,
-``r_1p``, ``Gamma_1p`` for theta = p, and ``M_ptf``, ``r_2ptf``,
-``Gamma_2ptf`` when theta also holds t_f, which is then one more column
-u_tf = du/dt_f (zero for a form-1 basis).  The plain NLP gradients are the
-same integrals without the metric.  Everything sits on the shared Simpson
-grid, so alternative assemblies of the same integral agree to round-off.
+total).  Quadrature then assembles, over the basis columns of theta, one
+:class:`ThetaQuantities`: ``r_1p``, ``Gamma_1p``, ``M_p`` for theta = p, and
+``r_2ptf``, ``Gamma_2ptf``, ``M_ptf`` when theta also holds t_f, which is
+then one more column u_tf = du/dt_f (zero for a form-1 basis).  The plain
+NLP gradients are the same integrals without the metric.  Everything sits on
+the shared Simpson grid, so alternative assemblies of the same integral
+agree to round-off.
 """
 
 from __future__ import annotations
@@ -28,7 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigurationError, RankError
-from .integrate import DenseSolution, OdeSettings, replay_linear
+from .integrate import DenseTrajectory, OdeSettings, replay_linear
 # not called here, but kept bound: bench/tracing.py wraps sensitivity.integrate_ivp
 from .integrate import integrate_ivp  # noqa: F401
 from .parameterization import Parameterization
@@ -73,8 +73,8 @@ class AdjointBundle:
     along so downstream assemblies need no extra bookkeeping.
     """
 
-    x_traj: DenseSolution
-    adjoint_sol: DenseSolution
+    x_traj: DenseTrajectory
+    adjoint_sol: DenseTrajectory
     t0: float
     t_f: float
     n: int
@@ -88,9 +88,6 @@ class AdjointBundle:
 
     def x_at(self, ts):
         return self.x_traj(ts)[..., : self.n]
-
-    def psi_at(self, ts):
-        return self.mu_psi_at(ts)[1]
 
     def mu_psi_at(self, ts):
         """(mu, Psi) stacked over times with one dense evaluation."""
@@ -116,53 +113,31 @@ class AdjointBundle:
 
 
 @dataclass
-class Form1Quantities:
-    """Assembled quantities for the t_f-independent parameterization.
+class ThetaQuantities:
+    """The theta-space terms of one iterate, over the basis columns of theta.
 
-    ``M_p`` is the basis Gram matrix under the inverse control weight,
-    ``r_1p`` the cost gradient, ``Gamma_1p`` the terminal-constraint
-    sensitivity, and (``tf_scalar``, ``tf_row``) the terminal brackets
-    driving the terminal-time equation.
+    ``r`` is the cost gradient (r_1p, r_2ptf or f_theta), ``Gamma`` the (dim, q)
+    constraint sensitivity (Gamma_1p, Gamma_2ptf or g_theta^T) and ``M`` the
+    metric (M_p or M_ptf; None for the NLP gradients).  ``tf_scalar`` and
+    ``tf_row`` are the terminal brackets, already in the t_f row of r and
+    Gamma when theta holds t_f, and None for the NLP gradients over p alone.
     """
 
-    M_p: np.ndarray
-    r_1p: np.ndarray
-    Gamma_1p: np.ndarray
-    tf_scalar: float
-    tf_row: np.ndarray
-
-
-@dataclass
-class Form2Quantities:
-    """Assembled quantities over theta = (p, t_f), for any basis with free t_f.
-
-    Form 1's over the columns [u_p | u_tf], with the terminal brackets added
-    to the t_f row and 1/k_tf to the last diagonal entry of ``M_ptf``.
-    """
-
-    M_ptf: np.ndarray
-    r_2ptf: np.ndarray
-    Gamma_2ptf: np.ndarray
-    tf_scalar: float
-    tf_row: np.ndarray
-
-
-@dataclass
-class NlpGradients:
-    """Plain NLP gradients of the simulated objective and constraint."""
-
-    f_theta: np.ndarray     # (s+1,), or (s,) for p alone
-    g_theta: np.ndarray     # (q, s+1), or (q, s)
+    r: np.ndarray
+    Gamma: np.ndarray
+    M: np.ndarray | None
+    tf_scalar: float | None
+    tf_row: np.ndarray | None
 
 
 def solve_state(prob: OcpProblem, par: Parameterization, p, t_f: float,
-                ode: OdeSettings | None = None) -> DenseSolution:
+                ode: OdeSettings | None = None) -> DenseTrajectory:
     """Forward solve under u(t; p[, t_f]); n+1 channels (state + cost)."""
     return _state_solution(prob, par.bind(p, t_f), t_f, ode, par.breakpoints(t_f))
 
 
 def solve_adjoints(prob: OcpProblem, par: Parameterization, p,
-                   x_traj: DenseSolution, t_f: float) -> AdjointBundle:
+                   x_traj: DenseTrajectory, t_f: float) -> AdjointBundle:
     """Integrate the cost and constraint adjoints backward along x(t).
 
     Both adjoints share one backward pass, replayed on the accepted steps of
@@ -276,48 +251,56 @@ def _theta_integrals(gd: _GridData, terminal=None) -> tuple[np.ndarray, np.ndarr
     return r, Gamma
 
 
+def _require_iterate(b: AdjointBundle, t_f: float, p=None) -> None:
+    """Refuse to assemble at another iterate than the one bundle ``b`` holds."""
+    if t_f != b.t_f or not (p is None or p is b.p or np.array_equal(p, b.p)):
+        raise ValueError(f"(p, t_f = {t_f!r}) is not the bundle's iterate")
+
+
 def assemble_form1(prob: OcpProblem, par: Parameterization, bundle: AdjointBundle,
-                   gains: Gains, t_f: float, quad: QuadratureSpec) -> Form1Quantities:
-    """Gram matrix, cost gradient, constraint sensitivity, terminal brackets."""
+                   gains: Gains, t_f: float, quad: QuadratureSpec) -> ThetaQuantities:
+    """r_1p, Gamma_1p and M_p over theta = p, and the terminal brackets."""
+    _require_iterate(bundle, t_f)
     gd = _grid_data(prob, par, bundle, quad, gains=gains)
-    r_1p, Gamma_1p = _theta_integrals(gd)
-    tf_scalar, tf_row = _terminal_values(prob, bundle)
-    return Form1Quantities(M_p=_gram(gd), r_1p=r_1p, Gamma_1p=Gamma_1p,
-                           tf_scalar=tf_scalar, tf_row=tf_row)
+    r, Gamma = _theta_integrals(gd)
+    return ThetaQuantities(r, Gamma, _gram(gd), *_terminal_values(prob, bundle))
 
 
 def assemble_form2(prob: OcpProblem, par: Parameterization, bundle: AdjointBundle,
-                   gains: Gains, p, t_f: float, quad: QuadratureSpec) -> Form2Quantities:
-    """(s+1)-block quantities over theta = (p, t_f), for any basis.
+                   gains: Gains, p, t_f: float, quad: QuadratureSpec) -> ThetaQuantities:
+    """r_2ptf, Gamma_2ptf and M_ptf over theta = (p, t_f), for any basis.
 
     t_f is one more basis column u_tf; the metric M_ptf is the Gram matrix
     of all s+1 columns plus 1/k_tf on its last diagonal entry.  For a form-1
     basis u_tf = 0, so M_ptf = diag(M_p, 1/k_tf) and the t_f row is the
     terminal brackets alone.
     """
+    _require_iterate(bundle, t_f, p)
     if gains.k_tf <= 0:
         raise ConfigurationError("free t_f requires k_tf > 0 (it enters as 1/k_tf)")
     gd = _grid_data(prob, par, bundle, quad, gains=gains, with_tf=True)
     terminal = _terminal_values(prob, bundle)
-    r_2ptf, Gamma_2ptf = _theta_integrals(gd, terminal)
-    M_ptf = _gram(gd)
-    M_ptf[-1, -1] += 1.0 / gains.k_tf
-    return Form2Quantities(M_ptf=M_ptf, r_2ptf=r_2ptf, Gamma_2ptf=Gamma_2ptf,
-                           tf_scalar=terminal[0], tf_row=terminal[1])
+    r, Gamma = _theta_integrals(gd, terminal)
+    M = _gram(gd)
+    M[-1, -1] += 1.0 / gains.k_tf
+    return ThetaQuantities(r, Gamma, M, *terminal)
 
 
 def nlp_gradients(prob: OcpProblem, par: Parameterization, bundle: AdjointBundle,
                   p, t_f: float, quad: QuadratureSpec, *,
-                  with_tf: bool = True) -> NlpGradients:
+                  with_tf: bool = True) -> ThetaQuantities:
     """Gradients of simulated J and g with respect to theta = (p, t_f).
 
     These are the integrals of :func:`assemble_form2` without its metric
-    (identical grid, identical summation), so they hold for both forms: the
-    p-block of ``g_theta`` is exactly the transpose of the constraint
-    sensitivity, and the t_f entries carry the control-shape sensitivity
-    u_tf next to the terminal brackets.  With ``with_tf=False`` theta is p
-    alone, and the result is the p-entries of the full one, bit for bit.
+    (identical grid, identical summation), so ``M`` is None and they hold for
+    both forms: f_theta is ``r``, and g_theta is ``Gamma.T``, whose p-block is
+    exactly the transpose of the constraint sensitivity; the t_f entries
+    carry the control-shape sensitivity u_tf next to the terminal brackets.
+    With ``with_tf=False`` theta is p alone, no terminal brackets are formed,
+    and ``r`` and ``Gamma`` are the p-entries of the full ones, bit for bit.
     """
+    _require_iterate(bundle, t_f, p)
     gd = _grid_data(prob, par, bundle, quad, with_tf=with_tf)
-    r, Gamma = _theta_integrals(gd, _terminal_values(prob, bundle) if with_tf else None)
-    return NlpGradients(f_theta=r, g_theta=Gamma.T)
+    terminal = _terminal_values(prob, bundle) if with_tf else None
+    r, Gamma = _theta_integrals(gd, terminal)
+    return ThetaQuantities(r, Gamma, None, *(terminal or (None, None)))

@@ -7,10 +7,9 @@ lines in order.
 import numpy as np
 
 from ocflow import (BasisSet, EvolutionMode, InnerProductSpec, OdeSettings,
-                    QuadratureSpec, constraint_value, evaluate_iterate,
-                    make_basis, nlp_gradients, objective_value, project,
-                    reconstruct_costate, solve_adjoints, solve_state,
-                    projected_stationarity_check, weighted_norm)
+                    QuadratureSpec, evaluate_iterate, make_basis, nlp_gradients,
+                    project, reconstruct_costate, simulate_control, solve_adjoints,
+                    solve_state, projected_stationarity_check, weighted_norm)
 
 TIGHT = OdeSettings(rel_tol=1e-10, abs_tol=1e-12)
 P_STAR = np.array([-3.5, 3.0, 0.0, 0.0])
@@ -121,28 +120,24 @@ def test_criterion_07_gradient_oracle(example1, brach):
             b = solve_adjoints(prob, par, p, x, t_f)
             grads = nlp_gradients(prob, par, b, p, t_f, QuadratureSpec())
             h = 1e-4
-            fd_f = np.empty(par.s + 1)
-            fd_g = np.empty((prob.q, par.s + 1))
+            fd = np.empty((1 + prob.q, par.s + 1))
 
-            def J_of(pv, tfv):
-                return objective_value(prob, lambda t: par.eval(t, pv, tfv),
-                                       tfv, TIGHT)
-
-            def g_of(pv, tfv):
-                return constraint_value(prob, lambda t: par.eval(t, pv, tfv),
-                                        tfv, TIGHT)
+            def Jg_of(pv, tfv):
+                # J and g from one forward solve
+                _, J, g = simulate_control(prob, lambda t: par.eval(t, pv, tfv),
+                                           tfv, TIGHT)
+                return np.append(J, g)
 
             for i in range(par.s):
                 dp = np.zeros(par.s)
                 dp[i] = h
-                fd_f[i] = (J_of(p + dp, t_f) - J_of(p - dp, t_f)) / (2 * h)
-                fd_g[:, i] = (g_of(p + dp, t_f) - g_of(p - dp, t_f)) / (2 * h)
-            fd_f[-1] = (J_of(p, t_f + h) - J_of(p, t_f - h)) / (2 * h)
-            fd_g[:, -1] = (g_of(p, t_f + h) - g_of(p, t_f - h)) / (2 * h)
+                fd[:, i] = (Jg_of(p + dp, t_f) - Jg_of(p - dp, t_f)) / (2 * h)
+            fd[:, -1] = (Jg_of(p, t_f + h) - Jg_of(p, t_f - h)) / (2 * h)
+            fd_f, fd_g = fd[0], fd[1:]
             worst = max(worst,
-                        np.abs(grads.f_theta - fd_f).max()
+                        np.abs(grads.r - fd_f).max()
                         / max(1.0, np.abs(fd_f).max()),
-                        np.abs(grads.g_theta - fd_g).max()
+                        np.abs(grads.Gamma.T - fd_g).max()
                         / max(1.0, np.abs(fd_g).max()))
     ok = worst <= 1e-3
     _verdict(7, "assembled gradients match central differences", ok,
@@ -157,11 +152,11 @@ def test_criterion_08_gradient_flow_consistency(example1, brach):
         p = rng.uniform(-2.0, 2.0, 4)
         it1 = evaluate_iterate(EvolutionMode.form1(), example1.prob, par1,
                                example1.gains, p, 2.0)
-        K_theta = np.linalg.inv(it1.quantities.M_p)
+        K_theta = np.linalg.inv(it1.quantities.M)
         itg = evaluate_iterate(EvolutionMode.gradient_flow(K_theta),
                                example1.prob, par1, example1.gains, p, 2.0)
-        worst = max(worst, np.abs(it1.dp - itg.dp).max()
-                    / max(1.0, np.abs(it1.dp).max()))
+        worst = max(worst, np.abs(it1.dtheta - itg.dtheta).max()
+                    / max(1.0, np.abs(it1.dtheta).max()))
     par2 = make_basis("global_polynomial", m=1, t0=0.0, form="form1", order=4)
     for _ in range(5):
         p = rng.uniform(-0.5, 1.5, 5)
@@ -169,11 +164,10 @@ def test_criterion_08_gradient_flow_consistency(example1, brach):
         it1 = evaluate_iterate(EvolutionMode.form1(), brach.prob, par2,
                                brach.gains, p, t_f)
         # free t_f: the form-1 metric is M_ptf = diag(M_p, 1/k_tf)
-        K_theta = np.linalg.inv(it1.quantities.M_ptf)
+        K_theta = np.linalg.inv(it1.quantities.M)
         itg = evaluate_iterate(EvolutionMode.gradient_flow(K_theta), brach.prob,
                                par2, brach.gains, p, t_f)
-        d1 = np.concatenate([it1.dp, [it1.dtf]])
-        dg = np.concatenate([itg.dp, [itg.dtf]])
+        d1, dg = it1.dtheta, itg.dtheta
         worst = max(worst, np.abs(d1 - dg).max() / max(1.0, np.abs(d1).max()))
     ok = worst <= 1e-10
     _verdict(8, "gradient flow with the inverse-Gram gain equals form1", ok,
@@ -232,7 +226,7 @@ def test_criterion_09_projection_suite(example1, e1_form1_solve):
         sp = InnerProductSpec(t0=0.0, t_f=2.0, weight=K)
         rep = projected_stationarity_check(sp, BasisSet(A=basis_fn), p_u, fupsi, it.pi)
         if bounds is None:
-            lam = np.linalg.eigvalsh(it.quantities.M_p)
+            lam = np.linalg.eigvalsh(it.quantities.M)
             bounds = (np.sqrt(lam[0]), np.sqrt(lam[-1]))
         if rep.coord_residual_norm > 1e-12:
             ratio = rep.function_residual_norm / rep.coord_residual_norm

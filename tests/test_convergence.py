@@ -27,12 +27,12 @@ def _equilibrium(bp, par):
 
     s = par.s
     base = pipeline(np.zeros(s))
-    r0, Gamma, g0 = base.quantities.r_1p, base.quantities.Gamma_1p, base.g_val
+    r0, Gamma, g0 = base.quantities.r, base.quantities.Gamma, base.g_val
     H = np.empty((s, s))
     G = np.empty((g0.size, s))
     for i, e in enumerate(np.eye(s)):
         it = pipeline(e)
-        H[:, i] = it.quantities.r_1p - r0
+        H[:, i] = it.quantities.r - r0
         G[:, i] = it.g_val - g0
     q = g0.size
     kkt = np.block([[H, Gamma], [G, np.zeros((q, q))]])

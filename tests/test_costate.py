@@ -144,7 +144,7 @@ def test_gram_identity_for_spanned_sensitivities(example1, e1_form1_solve):
     it = evaluate_iterate(EvolutionMode.form1(), example1.prob, par,
                           example1.gains, report.p_final, 2.0)
     q1 = it.quantities
-    M2 = q1.Gamma_1p.T @ np.linalg.solve(q1.M_p, q1.Gamma_1p)
+    M2 = q1.Gamma.T @ np.linalg.solve(q1.M, q1.Gamma)
     M1 = 0.1 * np.array([[8 / 3, 2.0], [2.0, 2.0]])   # K * Gram{2-t, 1}
     np.testing.assert_allclose(M2, M1, atol=1e-6)
 

@@ -56,8 +56,8 @@ def test_multiplier_rank_error_on_dependent_columns():
 def test_rhs_vanishes_at_analytic_optimum(example1, e1_par):
     it = evaluate_iterate(EvolutionMode.form1(), example1.prob, e1_par,
                           example1.gains, np.array([-3.5, 3.0, 0.0, 0.0]), 2.0)
-    assert np.abs(it.dp).max() <= 1e-4
-    assert it.dtf == 0.0
+    assert np.abs(it.dtheta).max() <= 1e-4
+    assert it.dtheta.size == e1_par.s
 
 
 def test_rhs_at_zero_control_matches_matrix_arithmetic(example1, e1_par):
@@ -66,7 +66,7 @@ def test_rhs_at_zero_control_matches_matrix_arithmetic(example1, e1_par):
     # residual = Gamma pi with pi = [3, -2.5]; first entry 2*3 + 2*(-2.5) = 1
     assert it.residual[0] == pytest.approx(1.0, abs=1e-6)
     expect = -np.linalg.solve(MP_EXACT, GAMMA_EXACT @ np.array([3.0, -2.5]))
-    np.testing.assert_allclose(it.dp, expect, atol=1e-6)
+    np.testing.assert_allclose(it.dtheta, expect, atol=1e-6)
 
 
 def test_form2_degenerate_matches_form1_equations(brach):
@@ -86,17 +86,17 @@ def test_form2_degenerate_matches_form1_equations(brach):
     b = solve_adjoints(prob, par, p, x, t_f)
     q1 = assemble_form1(prob, par, b, gains, t_f, QuadratureSpec())
     # theta = (p, t_f) under the metric diag(M_p^-1, k_tf)
-    pi = multiplier(np.vstack([q1.Gamma_1p, q1.tf_row]),
-                    np.vstack([spd_solve(q1.M_p, q1.Gamma_1p, "M_p"),
+    pi = multiplier(np.vstack([q1.Gamma, q1.tf_row]),
+                    np.vstack([spd_solve(q1.M, q1.Gamma, "M_p"),
                                gains.k_tf * q1.tf_row]),
-                    np.append(spd_solve(q1.M_p, q1.r_1p, "M_p"),
+                    np.append(spd_solve(q1.M, q1.r, "M_p"),
                               gains.k_tf * q1.tf_scalar),
                     gains.K_g, it2.g_val)
-    dp = -spd_solve(q1.M_p, q1.r_1p + q1.Gamma_1p @ pi, "M_p")
+    dp = -spd_solve(q1.M, q1.r + q1.Gamma @ pi, "M_p")
     dtf = -gains.k_tf * (q1.tf_scalar + pi @ q1.tf_row)
     np.testing.assert_allclose(it2.pi, pi, atol=1e-12)
-    np.testing.assert_allclose(it2.dp, dp, atol=1e-12)
-    assert it2.dtf == pytest.approx(dtf, abs=1e-12)
+    np.testing.assert_allclose(it2.dtheta[:-1], dp, atol=1e-12)
+    assert it2.dtheta[-1] == pytest.approx(dtf, abs=1e-12)
 
 
 def test_lyapunov_diagnostic_values():
@@ -432,6 +432,36 @@ def test_the_starting_point_is_evaluated_once(monkeypatch, example1):
     assert np.array_equal(trace.rows[0].p, p0) and len(trace.rows) == 4
 
 
+@pytest.mark.parametrize("free", [False, True])
+def test_the_flow_integrates_dtheta(monkeypatch, example1, brach, free):
+    # the flow's right-hand side is the memoized iterate's dtheta itself,
+    # over (p, t_f) when t_f is free and over p alone otherwise
+    import ocflow.evolution as evolution
+
+    its, flows = [], []
+    pipeline, flow = evolution.evaluate_iterate, evolution._flow
+
+    def recording(*args, **kwargs):
+        its.append(pipeline(*args, **kwargs))
+        return its[-1]
+
+    def spying(rhs, check, theta0, *args, **kwargs):
+        flows.append(rhs)
+        return flow(rhs, check, theta0, *args, **kwargs)
+
+    monkeypatch.setattr(evolution, "evaluate_iterate", recording)
+    monkeypatch.setattr(evolution, "_flow", spying)
+    bp, s = (brach, 5) if free else (example1, 4)
+    par = make_basis("global_polynomial", m=1, t0=0.0, form="form1", order=s - 1)
+    solve_evolution(EvolutionMode.form1(), bp.prob, par, bp.gains,
+                    EvolutionState(p=np.full(s, 0.1), t_f=1.0 if free else 2.0),
+                    StopCriteria(tau_max=2.0, record_every=1.0))
+    last = its[-1]
+    theta = np.append(last.p, last.t_f) if free else last.p
+    assert last.dtheta.shape == (s + free,)
+    assert flows[0](0.0, theta) is last.dtheta
+
+
 @pytest.mark.parametrize("kind, p", [
     ("piecewise_constant", 0.0302 + 0.0603 * np.arange(20)),
     ("piecewise_linear", 0.0603 * np.arange(21))])
@@ -444,7 +474,7 @@ def test_flow_is_smooth_in_the_terminal_time(brach, kind, p):
     for t_f in (0.8166, 1.0):
         def F(t):
             return evaluate_iterate(EvolutionMode.form2(), brach.prob, par, brach.gains,
-                                    p, t, tight).deriv()
+                                    p, t, tight).dtheta
         norms = [np.linalg.norm(F(t_f + h) - F(t_f - h)) / (2 * h)
                  for h in (1e-4, 1e-5, 1e-6, 1e-7)]
         assert max(norms) <= 1.01 * min(norms), norms

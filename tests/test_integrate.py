@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -235,8 +237,39 @@ def test_settings_validation():
 
 def test_statistics_reported():
     sol = integrate_ivp(lambda t, y: -y, np.array([1.0]), (0.0, 1.0))
+    assert type(sol) is DenseTrajectory
     assert sol.nsteps > 0
     assert sol.nrejected >= 0
+
+
+def test_tolerances_too_small_for_an_initial_step_fail_typed():
+    # the scaled norms overflow, so no initial step is finite and positive
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(IntegrationError) as info:
+            integrate_ivp(lambda t, y: np.cos(3.0 * t) * y, np.array([1.0]), (0.0, 1.0),
+                          OdeSettings(rel_tol=1e-300, abs_tol=1e-300))
+    assert type(info.value) is IntegrationError
+    assert info.value.time == 0.0
+    assert "rel_tol = 1e-300" in str(info.value) and "abs_tol = 1e-300" in str(info.value)
+
+
+def test_repeated_breakpoints_count_once():
+    def rhs(t, y):
+        return np.array([1.0 if t < 0.5 else -1.0])
+
+    def coefficients(ts, xs):
+        return -np.ones((ts.size, 1, 1)), np.where(ts < 0.5, 1.0, -1.0)[:, None]
+
+    def solves(breakpoints):
+        sol = integrate_ivp(rhs, np.array([0.0]), (0.0, 1.0), breakpoints=breakpoints)
+        return sol, replay_linear(sol, coefficients, np.ones((1, 1)),
+                                  breakpoints=breakpoints)
+
+    for a, b in zip(solves([0.5]), solves([0.5, 0.5])):
+        assert np.array_equal(a.t_grid, b.t_grid)
+        assert np.array_equal(a.values, b.values)
+        assert all(np.array_equal(sa, sb) for sa, sb in zip(a.segments, b.segments))
 
 
 def _pendulum(t_span):

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from ocflow import (DerivativeMismatchError, DimensionError, Gains, OdeSettings,
-                    constraint_value, objective_value, validate_problem)
+                    simulate_control, validate_problem)
 from ocflow.errors import ConfigurationError
 
 TIGHT = OdeSettings(rel_tol=1e-10, abs_tol=1e-12)
@@ -46,45 +46,45 @@ def test_validate_unconstrained_problem(lqr_like):
 
 
 def test_objective_zero_control(example1):
-    J = objective_value(example1.prob, lambda t: np.zeros(1), 2.0, TIGHT)
+    J = simulate_control(example1.prob, lambda t: np.zeros(1), 2.0, TIGHT)[1]
     assert J == pytest.approx(0.0, abs=1e-12)
 
 
 def test_objective_analytic_control(example1):
     # 1/2 int_0^2 (3t - 3.5)^2 dt = 6.5/2
-    J = objective_value(example1.prob, lambda t: np.array([3.0 * t - 3.5]),
-                        2.0, TIGHT)
+    J = simulate_control(example1.prob, lambda t: np.array([3.0 * t - 3.5]),
+                         2.0, TIGHT)[1]
     assert J == pytest.approx(3.25, abs=1e-9)
 
 
 def test_objective_is_terminal_time_for_mayer_problem(brach):
-    J = objective_value(brach.prob, lambda t: np.array([0.3]), 1.0, TIGHT)
+    J = simulate_control(brach.prob, lambda t: np.array([0.3]), 1.0, TIGHT)[1]
     assert J == pytest.approx(1.0, abs=1e-12)
 
 
 def test_constraint_zero_control(example1):
-    g = constraint_value(example1.prob, lambda t: np.zeros(1), 2.0, TIGHT)
+    g = simulate_control(example1.prob, lambda t: np.zeros(1), 2.0, TIGHT)[2]
     np.testing.assert_allclose(g, [3.0, 1.0], atol=1e-10)
 
 
 def test_constraint_analytic_control(example1):
-    g = constraint_value(example1.prob, lambda t: np.array([3.0 * t - 3.5]),
-                         2.0, TIGHT)
+    g = simulate_control(example1.prob, lambda t: np.array([3.0 * t - 3.5]),
+                         2.0, TIGHT)[2]
     np.testing.assert_allclose(g, [0.0, 0.0], atol=1e-9)
 
 
 def test_constraint_free_fall(brach):
-    g = constraint_value(brach.prob, lambda t: np.zeros(1), 1.0, TIGHT)
+    g = simulate_control(brach.prob, lambda t: np.zeros(1), 1.0, TIGHT)[2]
     np.testing.assert_allclose(g, [-2.0, -3.0], atol=1e-9)
 
 
 def test_values_deterministic(example1):
     u = lambda t: np.array([np.sin(3.0 * t)])
-    a = objective_value(example1.prob, u, 2.0)
-    b = objective_value(example1.prob, u, 2.0)
+    a = simulate_control(example1.prob, u, 2.0)[1]
+    b = simulate_control(example1.prob, u, 2.0)[1]
     assert a == b
-    ga = constraint_value(example1.prob, u, 2.0)
-    gb = constraint_value(example1.prob, u, 2.0)
+    ga = simulate_control(example1.prob, u, 2.0)[2]
+    gb = simulate_control(example1.prob, u, 2.0)[2]
     assert np.array_equal(ga, gb)
 
 
@@ -92,14 +92,14 @@ def test_tolerance_tightening_self_consistent(example1):
     u = lambda t: np.array([np.sin(3.0 * t)])
     loose = OdeSettings(rel_tol=1e-3, abs_tol=1e-6)
     tight = OdeSettings(rel_tol=1e-4, abs_tol=1e-7)
-    J_loose = objective_value(example1.prob, u, 2.0, loose)
-    J_tight = objective_value(example1.prob, u, 2.0, tight)
+    J_loose = simulate_control(example1.prob, u, 2.0, loose)[1]
+    J_tight = simulate_control(example1.prob, u, 2.0, tight)[1]
     assert abs(J_loose - J_tight) < loose.rel_tol * abs(J_loose) + loose.abs_tol
 
 
 def test_objective_requires_valid_horizon(example1):
     with pytest.raises(ValueError):
-        objective_value(example1.prob, lambda t: np.zeros(1), 0.0)
+        simulate_control(example1.prob, lambda t: np.zeros(1), 0.0)[1]
 
 
 def test_gains_validation():

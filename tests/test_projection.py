@@ -147,7 +147,7 @@ def test_dual_residuals_covanish_along_trace(example1, e1_form1_solve):
                                                             row.p, 2.0)
         rep = projected_stationarity_check(spec, basis, p_u, fupsi, it.pi)
         if M_p is None:
-            M_p = it.quantities.M_p
+            M_p = it.quantities.M
             smin, smax = np.sqrt(np.linalg.eigvalsh(M_p)[[0, -1]])
         if rep.coord_residual_norm > 1e-12:
             ratio = rep.function_residual_norm / rep.coord_residual_norm

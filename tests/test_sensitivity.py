@@ -4,9 +4,9 @@ import numpy as np
 import pytest
 
 from ocflow import (ConfigurationError, DenseTrajectory, DivergenceError, OdeSettings,
-                    QuadratureSpec, RankError, assemble_form1, assemble_form2,
-                    constraint_value, make_basis, nlp_gradients,
-                    objective_value, simulate_control, solve_adjoints, solve_state)
+                    QuadratureSpec, RankError, ThetaQuantities, assemble_form1,
+                    assemble_form2, make_basis, nlp_gradients, simulate_control,
+                    solve_adjoints, solve_state)
 from ocflow.sensitivity import spd_solve
 
 TIGHT = OdeSettings(rel_tol=1e-10, abs_tol=1e-12)
@@ -62,20 +62,20 @@ def test_adjoints_closed_form(e1):
     # no terminal cost and no state-dependent running cost: mu vanishes
     np.testing.assert_allclose(b.mu_psi_at(ts)[0], np.zeros((11, 2)), atol=1e-10)
     # Psi(t) = [[1, 0], [2 - t, 1]]
-    psi = b.psi_at(ts)
+    psi = b.mu_psi_at(ts)[1]
     expect = np.zeros((11, 2, 2))
     expect[:, 0, 0] = 1.0
     expect[:, 1, 0] = 2.0 - ts
     expect[:, 1, 1] = 1.0
     np.testing.assert_allclose(psi, expect, atol=1e-8)
-    np.testing.assert_allclose(b.psi_at(0.0), [[1.0, 0.0], [2.0, 1.0]], atol=1e-8)
+    np.testing.assert_allclose(b.mu_psi_at(0.0)[1], [[1.0, 0.0], [2.0, 1.0]], atol=1e-8)
 
 
 def test_adjoints_terminal_values_exact(e1):
     prob, _, par = e1
     b = bundle_at(prob, par, np.zeros(4), 2.0)
     np.testing.assert_array_equal(b.mu_psi_at(2.0)[0], np.zeros(2))
-    np.testing.assert_array_equal(b.psi_at(2.0), np.eye(2))
+    np.testing.assert_array_equal(b.mu_psi_at(2.0)[1], np.eye(2))
 
 
 def test_adjoints_empty_when_unconstrained(example1):
@@ -86,16 +86,16 @@ def test_adjoints_empty_when_unconstrained(example1):
         g_t=lambda xf, tf: np.zeros(0))
     par = make_basis("global_polynomial", m=1, t0=0.0, form="form1", order=3)
     b = bundle_at(prob, par, np.zeros(4), 2.0)
-    assert b.psi_at(1.0).shape == (2, 0)
+    assert b.mu_psi_at(1.0)[1].shape == (2, 0)
 
 
 def test_assemble_form1_closed_forms(e1):
     prob, gains, par = e1
     b = bundle_at(prob, par, np.zeros(4), 2.0, TIGHT)
     q1 = assemble_form1(prob, par, b, gains, 2.0, QuadratureSpec())
-    np.testing.assert_allclose(q1.M_p, MP_EXACT, atol=1e-6)
-    np.testing.assert_allclose(q1.Gamma_1p, GAMMA_EXACT, atol=1e-6)
-    np.testing.assert_allclose(q1.r_1p, np.zeros(4), atol=1e-12)
+    np.testing.assert_allclose(q1.M, MP_EXACT, atol=1e-6)
+    np.testing.assert_allclose(q1.Gamma, GAMMA_EXACT, atol=1e-6)
+    np.testing.assert_allclose(q1.r, np.zeros(4), atol=1e-12)
 
 
 def test_form2_degenerates_when_tf_sensitivity_vanishes(brach):
@@ -114,13 +114,13 @@ def test_form2_degenerates_when_tf_sensitivity_vanishes(brach):
         q1 = assemble_form1(prob, par, b, gains, t_f, QuadratureSpec())
         s = par.s
         last = np.append(np.zeros(s), 1.0 / gains.k_tf)
-        assert np.array_equal(q2.M_ptf[:s, :s], q1.M_p)
-        assert np.array_equal(q2.M_ptf[s], last)
-        assert np.array_equal(q2.M_ptf[:, s], last)
-        np.testing.assert_array_equal(q2.r_2ptf[:s], q1.r_1p)
-        assert q2.r_2ptf[s] == q1.tf_scalar
-        np.testing.assert_array_equal(q2.Gamma_2ptf[:s], q1.Gamma_1p)
-        np.testing.assert_array_equal(q2.Gamma_2ptf[s], q1.tf_row)
+        assert np.array_equal(q2.M[:s, :s], q1.M)
+        assert np.array_equal(q2.M[s], last)
+        assert np.array_equal(q2.M[:, s], last)
+        np.testing.assert_array_equal(q2.r[:s], q1.r)
+        assert q2.r[s] == q1.tf_scalar
+        np.testing.assert_array_equal(q2.Gamma[:s], q1.Gamma)
+        np.testing.assert_array_equal(q2.Gamma[s], q1.tf_row)
 
 
 def test_form2_terminal_row_matches_finite_differences(brach):
@@ -134,15 +134,15 @@ def test_form2_terminal_row_matches_finite_differences(brach):
     h = 1e-5
 
     def J_of(tfv):
-        return objective_value(prob, lambda t: par.eval(t, p, tfv), tfv, TIGHT)
+        return simulate_control(prob, lambda t: par.eval(t, p, tfv), tfv, TIGHT)[1]
 
     def g_of(tfv):
-        return constraint_value(prob, lambda t: par.eval(t, p, tfv), tfv, TIGHT)
+        return simulate_control(prob, lambda t: par.eval(t, p, tfv), tfv, TIGHT)[2]
 
     dJ = (J_of(t_f + h) - J_of(t_f - h)) / (2 * h)
-    assert q2.r_2ptf[-1] == pytest.approx(dJ, rel=1e-3)
+    assert q2.r[-1] == pytest.approx(dJ, rel=1e-3)
     dg = (g_of(t_f + h) - g_of(t_f - h)) / (2 * h)
-    np.testing.assert_allclose(q2.Gamma_2ptf[-1], dg, rtol=1e-3, atol=1e-6)
+    np.testing.assert_allclose(q2.Gamma[-1], dg, rtol=1e-3, atol=1e-6)
 
 
 @pytest.mark.parametrize("kind", ["piecewise_constant", "piecewise_linear"])
@@ -158,7 +158,7 @@ def test_piecewise_assembly_converges_at_simpson_order(brach, kind, t_f):
 
     def assembled(nodes):
         q = assemble_form2(brach.prob, par, b, brach.gains, p, t_f, QuadratureSpec(nodes))
-        return np.concatenate([q.M_ptf.ravel(), q.r_2ptf, q.Gamma_2ptf.ravel()])
+        return np.concatenate([q.M.ravel(), q.r, q.Gamma.ravel()])
 
     ref = assembled(5121)
     errs = [np.abs(assembled(n) - ref).max() for n in (41, 81, 161, 321)]
@@ -180,14 +180,14 @@ def test_nlp_gradient_moments(e1):
     p = np.array([1.0, 0.0, 0.0, 0.0])     # u = 1
     b = bundle_at(prob, par, p, 2.0, TIGHT)
     grads = nlp_gradients(prob, par, b, p, 2.0, QuadratureSpec())
-    np.testing.assert_allclose(grads.f_theta[:4], [2.0, 2.0, 8 / 3, 4.0], atol=1e-6)
+    np.testing.assert_allclose(grads.r[:4], [2.0, 2.0, 8 / 3, 4.0], atol=1e-6)
 
 
 def test_nlp_gradient_zero_at_zero_control(e1):
     prob, _, par = e1
     b = bundle_at(prob, par, np.zeros(4), 2.0)
     grads = nlp_gradients(prob, par, b, np.zeros(4), 2.0, QuadratureSpec())
-    np.testing.assert_allclose(grads.f_theta[:4], np.zeros(4), atol=1e-12)
+    np.testing.assert_allclose(grads.r[:4], np.zeros(4), atol=1e-12)
 
 
 def test_nlp_gradients_are_the_form2_integrals(brach):
@@ -198,8 +198,10 @@ def test_nlp_gradients_are_the_form2_integrals(brach):
     b = bundle_at(brach.prob, par, p, 1.05)
     grads = nlp_gradients(brach.prob, par, b, p, 1.05, QuadratureSpec())
     q2 = assemble_form2(brach.prob, par, b, brach.gains, p, 1.05, QuadratureSpec())
-    assert np.array_equal(grads.f_theta, q2.r_2ptf)
-    assert np.array_equal(grads.g_theta, q2.Gamma_2ptf.T)
+    assert isinstance(grads, ThetaQuantities) and isinstance(q2, ThetaQuantities)
+    assert grads.M is None and q2.M.shape == (par.s + 1, par.s + 1)
+    assert np.array_equal(grads.r, q2.r)
+    assert np.array_equal(grads.Gamma.T, q2.Gamma.T)
 
 
 def test_transposition_identity_bitwise(e1):
@@ -209,8 +211,29 @@ def test_transposition_identity_bitwise(e1):
     b = bundle_at(prob, par, p, 2.0)
     q1 = assemble_form1(prob, par, b, gains, 2.0, QuadratureSpec())
     grads = nlp_gradients(prob, par, b, p, 2.0, QuadratureSpec())
-    assert np.array_equal(grads.g_theta[:, :4], q1.Gamma_1p.T)
-    assert np.array_equal(grads.f_theta[:4], q1.r_1p)
+    assert isinstance(q1, ThetaQuantities) and isinstance(grads, ThetaQuantities)
+    assert q1.M.shape == (4, 4) and grads.M is None
+    assert np.array_equal(grads.Gamma.T[:, :4], q1.Gamma.T)
+    assert np.array_equal(grads.r[:4], q1.r)
+
+
+@pytest.mark.parametrize("assemble", ["form1", "form2", "nlp"])
+def test_assembly_refuses_another_iterate(brach, assemble):
+    # the integrals come from the bundle, so a p or t_f it does not hold is refused
+    prob, gains = brach.prob, brach.gains
+    par = make_basis("piecewise_constant", m=1, t0=0.0, form="form2", n_segments=4)
+    p = np.linspace(0.1, 0.9, par.s)
+    b = bundle_at(prob, par, p, 1.0)
+    quad = QuadratureSpec()
+    call = {"form1": lambda p_, t_f: assemble_form1(prob, par, b, gains, t_f, quad),
+            "form2": lambda p_, t_f: assemble_form2(prob, par, b, gains, p_, t_f, quad),
+            "nlp": lambda p_, t_f: nlp_gradients(prob, par, b, p_, t_f, quad)}[assemble]
+    assert isinstance(call(p.copy(), 1.0), ThetaQuantities)
+    with pytest.raises(ValueError, match="not the bundle's iterate"):
+        call(p, 7.0)
+    if assemble != "form1":
+        with pytest.raises(ValueError, match="not the bundle's iterate"):
+            call(p + 0.1, 1.0)
 
 
 def test_adjoint_directional_derivative(e1):
@@ -222,10 +245,10 @@ def test_adjoint_directional_derivative(e1):
     q1 = assemble_form1(prob, par, b, gains, 2.0, QuadratureSpec())
     dp = rng.normal(size=4)
     h = 1e-5
-    J_hi = objective_value(prob, lambda t: par.eval(t, p + h * dp, 2.0), 2.0, TIGHT)
-    J_lo = objective_value(prob, lambda t: par.eval(t, p - h * dp, 2.0), 2.0, TIGHT)
+    J_hi = simulate_control(prob, lambda t: par.eval(t, p + h * dp, 2.0), 2.0, TIGHT)[1]
+    J_lo = simulate_control(prob, lambda t: par.eval(t, p - h * dp, 2.0), 2.0, TIGHT)[1]
     fd = (J_hi - J_lo) / (2 * h)
-    assert float(q1.r_1p @ dp) == pytest.approx(fd, rel=1e-3)
+    assert float(q1.r @ dp) == pytest.approx(fd, rel=1e-3)
 
 
 @pytest.mark.parametrize("problem_fixture,kind,form,size,tf_range,p_scale", [
@@ -248,10 +271,10 @@ def test_gradients_match_finite_differences(request, problem_fixture, kind, form
         h = 1e-4
 
         def J_of(pv, tfv):
-            return objective_value(prob, lambda t: par.eval(t, pv, tfv), tfv, TIGHT)
+            return simulate_control(prob, lambda t: par.eval(t, pv, tfv), tfv, TIGHT)[1]
 
         def g_of(pv, tfv):
-            return constraint_value(prob, lambda t: par.eval(t, pv, tfv), tfv, TIGHT)
+            return simulate_control(prob, lambda t: par.eval(t, pv, tfv), tfv, TIGHT)[2]
 
         fd_f = np.empty(par.s + 1)
         fd_g = np.empty((prob.q, par.s + 1))
@@ -264,9 +287,9 @@ def test_gradients_match_finite_differences(request, problem_fixture, kind, form
         fd_g[:, -1] = (g_of(p, t_f + h) - g_of(p, t_f - h)) / (2 * h)
 
         scale_f = max(1.0, np.abs(fd_f).max())
-        assert np.abs(grads.f_theta - fd_f).max() / scale_f < 1e-3
+        assert np.abs(grads.r - fd_f).max() / scale_f < 1e-3
         scale_g = max(1.0, np.abs(fd_g).max())
-        assert np.abs(grads.g_theta - fd_g).max() / scale_g < 1e-3
+        assert np.abs(grads.Gamma.T - fd_g).max() / scale_g < 1e-3
 
 
 def test_quadrature_converged_for_covered_degree(e1):
@@ -277,9 +300,9 @@ def test_quadrature_converged_for_covered_degree(e1):
     b = bundle_at(prob, par, p, 2.0, TIGHT)
     q_lo = assemble_form1(prob, par, b, gains, 2.0, QuadratureSpec(nodes=201))
     q_hi = assemble_form1(prob, par, b, gains, 2.0, QuadratureSpec(nodes=401))
-    assert np.abs(q_lo.M_p - q_hi.M_p).max() < 1e-8
-    assert np.abs(q_lo.r_1p - q_hi.r_1p).max() < 1e-8
-    assert np.abs(q_lo.Gamma_1p - q_hi.Gamma_1p).max() < 1e-8
+    assert np.abs(q_lo.M - q_hi.M).max() < 1e-8
+    assert np.abs(q_lo.r - q_hi.r).max() < 1e-8
+    assert np.abs(q_lo.Gamma - q_hi.Gamma).max() < 1e-8
 
 
 def test_mu_satisfies_adjoint_equation_along_trajectory(lqr_like):
@@ -314,9 +337,9 @@ def test_gradient_matches_fd_with_nontrivial_mu(lqr_like):
     for i in range(3):
         dp = np.zeros(3)
         dp[i] = h
-        hi = objective_value(prob, lambda t: par.eval(t, p + dp, 2.0), 2.0, TIGHT)
-        lo = objective_value(prob, lambda t: par.eval(t, p - dp, 2.0), 2.0, TIGHT)
-        assert grads.f_theta[i] == pytest.approx((hi - lo) / (2 * h), rel=1e-5)
+        hi = simulate_control(prob, lambda t: par.eval(t, p + dp, 2.0), 2.0, TIGHT)[1]
+        lo = simulate_control(prob, lambda t: par.eval(t, p - dp, 2.0), 2.0, TIGHT)[1]
+        assert grads.r[i] == pytest.approx((hi - lo) / (2 * h), rel=1e-5)
 
 
 def test_adjoint_replays_the_forward_steps(brach):
@@ -407,7 +430,7 @@ def test_gradients_at_default_tolerances_match_finite_differences(brach):
             dp[i] = h
             fd[:, i] = (Jg(p + dp, t_f) - Jg(p - dp, t_f)) / (2 * h)
         fd[:, -1] = (Jg(p, t_f + h) - Jg(p, t_f - h)) / (2 * h)
-        adjoint = np.vstack([grads.f_theta, grads.g_theta])
+        adjoint = np.vstack([grads.r, grads.Gamma.T])
         assert np.abs(adjoint - fd).max() <= 1e-5 * np.abs(fd).max()
 
 
