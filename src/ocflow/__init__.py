@@ -22,7 +22,7 @@ from .parameterization import (FORM1, FORM2, Parameterization, make_basis,
 from .sensitivity import (AdjointBundle, ThetaQuantities, assemble_form1,
                           assemble_form2, nlp_gradients, solve_adjoints, solve_state)
 from .evolution import (EvolutionMode, EvolutionState, IterateEval, StopCriteria,
-                        evaluate_iterate, gradient_flow_generic,
+                        evaluate_iterate, evaluate_iterates, gradient_flow_generic,
                         lyapunov_diagnostic, multiplier, solve_evolution)
 from .costate import (CostateTrajectory, OptimalityResiduals,
                       continuous_multiplier, optimality_residuals,

@@ -21,7 +21,9 @@ violation obeys dg/dtau = -K_g g, i.e. the infeasibility decays
 exponentially along the flow.  Equilibria satisfy the parameterized
 optimality conditions; the solver integrates until a residual/feasibility
 tolerance or a tau budget is hit, recording a trace row every
-``record_every`` units of tau via dense output.
+``record_every`` units of tau via dense output.  The rows that fall inside
+one accepted step of a fixed-t_f flow are evaluated together, as the lanes
+of one pipeline pass (:func:`evaluate_iterates`).
 """
 
 from __future__ import annotations
@@ -29,12 +31,12 @@ from __future__ import annotations
 import math
 import time
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
 from .errors import ConfigurationError, MultiplierBoundWarning
-from .integrate import OdeSettings, _interpolant, _Stepper, dense_output
+from .integrate import OdeSettings, _finite_positive, _interpolant, _Stepper, dense_output
 from .parameterization import FORM1, FORM2, Parameterization
 from .problem import (Gains, OcpProblem, SolveReport, SolveTrace, TraceRow,
                       _gain_matrix, _require_spd)
@@ -103,11 +105,10 @@ class StopCriteria:
     pi_bound: float = 1e6
 
     def __post_init__(self):
-        if self.tau_max <= 0 or self.tol_opt <= 0 or self.tol_feas <= 0 \
-                or self.record_every <= 0:
-            raise ValueError("tau_max, tolerances and record_every must be positive")
-        if self.c1 <= 0 or self.pi_bound <= 0:
-            raise ValueError("c1 and pi_bound must be positive")
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if not _finite_positive(value):
+                raise ValueError(f"{f.name} must be finite and positive, got {value!r}")
 
 
 def _norm(v: np.ndarray) -> float:
@@ -116,8 +117,13 @@ def _norm(v: np.ndarray) -> float:
 
 
 def _columns(r: np.ndarray, Gamma: np.ndarray) -> np.ndarray:
-    """The matrix [r | Gamma]."""
-    return np.concatenate([r[:, None], Gamma], axis=1)
+    """The matrix [r | Gamma], per lane."""
+    return np.concatenate([r[..., None], Gamma], axis=-1)
+
+
+def _matvec(A: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """A x, per lane of a stacked ``x``; one vector takes the plain product."""
+    return A @ x if x.ndim == 1 else (A @ x[..., None])[..., 0]
 
 
 def lyapunov_diagnostic(g_val, J_val: float, c1: float) -> float:
@@ -134,27 +140,31 @@ def multiplier(Gamma, W_Gamma, W_r, K_g, g_val, *,
 
     Solves pi = -(Gamma^T W Gamma)^-1 (Gamma^T W r - K_g g) for the flow
     d theta/dtau = -W (r + Gamma pi), given the metric applied to the
-    stationarity terms: ``W_Gamma`` = W Gamma and ``W_r`` = W r.
+    stationarity terms: ``W_Gamma`` = W Gamma and ``W_r`` = W r.  Stacked
+    arguments, a leading lane axis on all but K_g, solve the lanes' systems
+    as one stack, warning once for each lane over the bound.
     """
     g_val = np.asarray(g_val, dtype=float)
-    if g_val.size == 0:
-        return np.zeros(0)
+    if g_val.shape[-1] == 0:
+        return np.zeros(g_val.shape)
     Gamma = np.asarray(Gamma, dtype=float)
-    pi = -spd_solve(Gamma.T @ W_Gamma, Gamma.T @ W_r - K_g @ g_val,
-                    "multiplier system (constraint sensitivity lacks full column rank)")
-    norm = _norm(pi)
-    if norm > pi_bound:
-        warnings.warn(f"||pi|| = {norm:.3e} exceeds bound {pi_bound:.1e}; the "
-                      "multiplier boundedness assumption looks violated",
-                      MultiplierBoundWarning, stacklevel=2)
+    GT = Gamma.swapaxes(-1, -2)
+    rhs = _matvec(GT, W_r) - _matvec(K_g, g_val)
+    pi = -spd_solve(GT @ W_Gamma, rhs[..., None], "multiplier system (constraint "
+                    "sensitivity lacks full column rank)")[..., 0]
+    for norm in map(_norm, pi.reshape(-1, pi.shape[-1])):
+        if norm > pi_bound:
+            warnings.warn(f"||pi|| = {norm:.3e} exceeds bound {pi_bound:.1e}; the "
+                          "multiplier boundedness assumption looks violated",
+                          MultiplierBoundWarning, stacklevel=2)
     return pi
 
 
 def _flow_direction(r, Gamma, W_rGamma, K_g, g_val, pi_bound: float):
-    """(pi, r + Gamma pi, -W (r + Gamma pi)) from ``W_rGamma`` = W [r | Gamma]."""
-    W_r, W_Gamma = W_rGamma[:, 0], W_rGamma[:, 1:]
+    """(pi, r + Gamma pi, -W (r + Gamma pi)) from ``W_rGamma`` = W [r | Gamma], per lane."""
+    W_r, W_Gamma = W_rGamma[..., 0], W_rGamma[..., 1:]
     pi = multiplier(Gamma, W_Gamma, W_r, K_g, g_val, pi_bound=pi_bound)
-    return pi, r + Gamma @ pi, -(W_r + W_Gamma @ pi)
+    return pi, r + _matvec(Gamma, pi), -(W_r + _matvec(W_Gamma, pi))
 
 
 @dataclass
@@ -195,6 +205,44 @@ def _check_compat(mode: EvolutionMode, prob: OcpProblem, par: Parameterization,
         raise ConfigurationError("free t_f requires k_tf > 0 (it enters as 1/k_tf)")
 
 
+def _cost_and_constraint(prob: OcpProblem, bundle: AdjointBundle,
+                         t_f: float) -> tuple[float, np.ndarray]:
+    """(J, g) of a single-lane bundle's iterate."""
+    x_f = bundle.x_f
+    return (float(prob.phi(x_f, t_f)) + bundle.cost_integral,
+            np.asarray(prob.g(x_f, t_f), dtype=float))
+
+
+def _stationarity(mode: EvolutionMode, prob: OcpProblem, par: Parameterization,
+                  gains: Gains, bundle: AdjointBundle, t_f: float, quad: QuadratureSpec):
+    """(quantities, W [r | Gamma]): the stationarity terms r, Gamma over theta
+    and the metric W applied to them, per lane for a bundle of lanes.
+
+    The flow d theta/dtau = -W (r + Gamma pi) follows.
+    """
+    p = bundle.p
+    if mode.kind == "gradient_flow":
+        quant = nlp_gradients(prob, par, bundle, p, t_f, quad,
+                              with_tf=prob.tf_mode == "free")
+    elif prob.tf_mode == "free":
+        quant = assemble_form2(prob, par, bundle, gains, p, t_f, quad)
+    else:
+        quant = assemble_form1(prob, par, bundle, gains, t_f, quad)
+    r, Gamma = quant.r, quant.Gamma
+    if quant.M is None:
+        W_rGamma = _gain_matrix(mode.K_theta, r.shape[-1], "K_theta") @ _columns(r, Gamma)
+    else:
+        W_rGamma = spd_solve(quant.M, _columns(r, Gamma),
+                             "Gram matrix of the basis columns of theta")
+    return quant, W_rGamma
+
+
+def _iterate_eval(p, t_f, bundle, quant, J, g_val, pi, residual, dtheta) -> IterateEval:
+    return IterateEval(p=p, t_f=t_f, bundle=bundle, quantities=quant, pi=pi, J=J,
+                       g_val=g_val, g_norm=_norm(g_val), residual=residual,
+                       residual_norm=_norm(residual), dtheta=dtheta)
+
+
 def evaluate_iterate(mode: EvolutionMode, prob: OcpProblem, par: Parameterization,
                      gains: Gains, p, t_f: float,
                      ode_inner: OdeSettings | None = None,
@@ -202,37 +250,47 @@ def evaluate_iterate(mode: EvolutionMode, prob: OcpProblem, par: Parameterizatio
                      pi_bound: float = 1e6) -> IterateEval:
     """Run the full pipeline (state, adjoints, assembly, multiplier) at (p, t_f)."""
     _check_compat(mode, prob, par, gains)
-    quad = quad or QuadratureSpec()
     p = np.asarray(p, dtype=float)
-    free = prob.tf_mode == "free"
+    if p.shape != (par.s,):
+        raise ValueError(f"p has shape {p.shape}, expected ({par.s},)")
+    bundle = solve_adjoints(prob, par, p, solve_state(prob, par, p, t_f, ode_inner), t_f)
+    J, g_val = _cost_and_constraint(prob, bundle, t_f)
+    quant, W_rGamma = _stationarity(mode, prob, par, gains, bundle, t_f,
+                                    quad or QuadratureSpec())
+    return _iterate_eval(p, t_f, bundle, quant, J, g_val, *_flow_direction(
+        quant.r, quant.Gamma, W_rGamma, gains.K_g, g_val, pi_bound))
 
-    x_traj = solve_state(prob, par, p, t_f, ode_inner)
-    bundle = solve_adjoints(prob, par, p, x_traj, t_f)
-    x_f = bundle.x_f
-    J = float(prob.phi(x_f, t_f)) + bundle.cost_integral
-    g_val = np.asarray(prob.g(x_f, t_f), dtype=float)
-    g_norm = _norm(g_val)
 
-    # the stationarity terms r, Gamma over theta and the metric W applied to
-    # them; the flow d theta/dtau = -W (r + Gamma pi) follows
-    if mode.kind == "gradient_flow":
-        quant = nlp_gradients(prob, par, bundle, p, t_f, quad, with_tf=free)
-    elif free:
-        quant = assemble_form2(prob, par, bundle, gains, p, t_f, quad)
-    else:
-        quant = assemble_form1(prob, par, bundle, gains, t_f, quad)
-    r, Gamma = quant.r, quant.Gamma
-    if quant.M is None:
-        W_rGamma = _gain_matrix(mode.K_theta, r.size, "K_theta") @ _columns(r, Gamma)
-    else:
-        W_rGamma = spd_solve(quant.M, _columns(r, Gamma),
-                             "Gram matrix of the basis columns of theta")
+def evaluate_iterates(mode: EvolutionMode, prob: OcpProblem, par: Parameterization,
+                      gains: Gains, P, t_f: float,
+                      ode_inner: OdeSettings | None = None,
+                      quad: QuadratureSpec | None = None, *,
+                      pi_bound: float = 1e6) -> list[IterateEval]:
+    """Run the full pipeline at B iterates (P[b], t_f) as the lanes of one pass.
 
-    pi, residual, dtheta = _flow_direction(r, Gamma, W_rGamma, gains.K_g, g_val,
-                                           pi_bound)
-    return IterateEval(p=p, t_f=t_f, bundle=bundle, quantities=quant, pi=pi,
-                       J=J, g_val=g_val, g_norm=g_norm, residual=residual,
-                       residual_norm=_norm(residual), dtheta=dtheta)
+    ``P`` is (B, s).  One state solve carries all lanes on one step sequence,
+    each step held to its worst lane's tolerance and stability limit; one
+    adjoint replay, one grid search, one basis evaluation and one Gram
+    matrix serve the batch, and the lanes' multiplier systems are solved as
+    one stack.  Each lane's result is its own :class:`IterateEval`, with a
+    single-lane bundle.  One lane (B = 1) is :func:`evaluate_iterate`.
+    """
+    P = np.asarray(P, dtype=float)
+    if P.ndim != 2 or len(P) == 0 or P.shape[1] != par.s:
+        raise ValueError(f"P has shape {P.shape}, expected (B, {par.s}) with B >= 1")
+    if len(P) == 1:
+        return [evaluate_iterate(mode, prob, par, gains, P[0], t_f, ode_inner, quad,
+                                 pi_bound=pi_bound)]
+    _check_compat(mode, prob, par, gains)
+    bundle = solve_adjoints(prob, par, P, solve_state(prob, par, P, t_f, ode_inner), t_f)
+    bundles = bundle.lanes()
+    Js, g_vals = zip(*(_cost_and_constraint(prob, b, t_f) for b in bundles))
+    quant, W_rGamma = _stationarity(mode, prob, par, gains, bundle, t_f,
+                                    quad or QuadratureSpec())
+    flow = _flow_direction(quant.r, quant.Gamma, W_rGamma, gains.K_g, np.stack(g_vals),
+                           pi_bound)
+    return [_iterate_eval(p, t_f, *lane)
+            for p, *lane in zip(P, bundles, quant.lanes(), Js, g_vals, *flow)]
 
 
 def _resolve_init(prob: OcpProblem, init: EvolutionState) -> tuple[np.ndarray, float]:
@@ -267,17 +325,25 @@ def _memo_last(fn):
     return memo
 
 
-def _flow(rhs, check, theta0: np.ndarray, stop: StopCriteria, ode: OdeSettings,
+def _flow(rhs, rows, theta0: np.ndarray, stop: StopCriteria, ode: OdeSettings,
           guard=None):
-    """Integrate d theta/dtau = rhs(tau, theta) from tau = 0 until ``check`` stops it.
+    """Integrate d theta/dtau = rhs(tau, theta) from tau = 0 until a record point is done.
 
-    ``check(tau, theta) -> (result, done)`` runs at tau = 0, on the uniform
-    tau grid of spacing ``stop.record_every`` (points inside an accepted step
-    come from its dense output), and at the last tau reached if that is off
-    the grid.  Returns the last ``(result, done, tau)``.
+    The record points are tau = 0, the uniform tau grid of spacing
+    ``stop.record_every`` (points inside an accepted step come from its
+    dense output) and the last tau reached if that is off the grid.
+    ``rows(taus, thetas)`` gets them a step at a time, every point inside
+    one accepted step together, and yields ``(result, done)`` for each in
+    order; the flow stops at the first that is done and takes no later
+    one.  Returns the last ``(result, done, tau)``.
     """
-    result, done = check(0.0, theta0)
-    tau = 0.0
+    def record(taus, thetas):
+        for tau, (result, done) in zip(taus, rows(taus, thetas)):
+            if done:
+                break
+        return result, done, tau
+
+    result, done, tau = record([0.0], [theta0])
     if done:
         return result, done, tau
     stepper = _Stepper(rhs, 0.0, theta0, stop.tau_max, ode, guard=guard)
@@ -285,21 +351,20 @@ def _flow(rhs, check, theta0: np.ndarray, stop: StopCriteria, ode: OdeSettings,
     while not stepper.done and not done:
         tau_prev, theta_prev = stepper.t, stepper.y
         h, K = stepper.step()
-        Q = None                        # the step's interpolant, if a row needs it
-        while not done:
+        taus = []
+        while True:
             tau_rec = next_k * stop.record_every
             if tau_rec > stepper.t + 1e-12 * stop.tau_max or tau_rec > stop.tau_max:
                 break
-            if Q is None:
-                Q = _interpolant(K)
-            theta = dense_output((tau_rec - tau_prev) / (stepper.t - tau_prev), h,
-                                 theta_prev, Q)
-            result, done = check(tau_rec, theta)
-            tau = tau_rec
+            taus.append(tau_rec)
             next_k += 1
+        if taus:
+            Q = _interpolant(K)
+            thetas = [dense_output((tau_rec - tau_prev) / (stepper.t - tau_prev), h,
+                                   theta_prev, Q) for tau_rec in taus]
+            result, done, tau = record(taus, thetas)
     if not done and tau < stepper.t:
-        result, done = check(stepper.t, stepper.y)
-        tau = stepper.t
+        result, done, tau = record([stepper.t], [stepper.y])
     return result, done, tau
 
 
@@ -313,8 +378,12 @@ def solve_evolution(mode: EvolutionMode, prob: OcpProblem, par: Parameterization
 
     Trace rows are sampled on the uniform tau grid (spacing
     ``stop.record_every``) via dense output; the stopping test runs at those
-    same points.  Returns the final report, the trace, and the adjoint bundle
-    of the final iterate (from which costates are reconstructed).
+    same points.  With a fixed t_f, the rows inside one accepted step are
+    evaluated as the lanes of one :func:`evaluate_iterates` pass, and rows
+    are appended in tau order up to the first that meets the tolerances; the
+    final iterate's report fields and bundle come from its own pipeline.
+    Returns the final report, the trace, and the adjoint bundle of the
+    final iterate (from which costates are reconstructed).
     """
     t_start = time.perf_counter()
     _check_compat(mode, prob, par, gains)
@@ -332,6 +401,24 @@ def solve_evolution(mode: EvolutionMode, prob: OcpProblem, par: Parameterization
     def rhs(tau, theta):
         return evaluate(theta).dtheta
 
+    pooled = []                 # the results of the latest pass of several lanes
+
+    def evaluate_rows(thetas):
+        """The rows' results in order: one batch when they share t_f."""
+        if free or len(thetas) == 1:
+            return map(evaluate, thetas)
+        try:
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                pooled[:] = evaluate_iterates(mode, prob, par, gains, np.stack(thetas),
+                                              t_f0, ode_inner, quad, pi_bound=stop.pi_bound)
+            return pooled
+        except Exception:
+            # whatever the batch raised or warned, the rows run again one at a
+            # time, so a row fails or warns exactly as its own pipeline does,
+            # and only if the flow reaches it
+            return map(evaluate, thetas)
+
     guard = None
     if free:
         eps_t = 1e-6 * (t_f0 - prob.t0)
@@ -340,16 +427,19 @@ def solve_evolution(mode: EvolutionMode, prob: OcpProblem, par: Parameterization
     theta = np.concatenate([p0, [t_f0]]) if free else p0.copy()
     trace = SolveTrace()
 
-    def record(tau: float, theta_at: np.ndarray) -> tuple[IterateEval, bool]:
-        it = evaluate(theta_at)
-        trace.append(TraceRow(
-            tau=tau, p=it.p.copy(), t_f=it.t_f, pi=it.pi.copy(), J=it.J,
-            g_norm=it.g_norm, residual_norm=it.residual_norm,
-            V=lyapunov_diagnostic(it.g_val, it.J, stop.c1)))
-        done = it.residual_norm <= stop.tol_opt and it.g_norm <= stop.tol_feas
-        return it, done
+    def rows(taus, thetas):
+        for tau, it in zip(taus, evaluate_rows(thetas)):
+            trace.append(TraceRow(
+                tau=tau, p=it.p.copy(), t_f=it.t_f, pi=it.pi.copy(), J=it.J,
+                g_norm=it.g_norm, residual_norm=it.residual_norm,
+                V=lyapunov_diagnostic(it.g_val, it.J, stop.c1)))
+            yield it, it.residual_norm <= stop.tol_opt and it.g_norm <= stop.tol_feas
 
-    final_it, done, tau_final = _flow(rhs, record, theta, stop, ode_outer, guard)
+    final_it, done, tau_final = _flow(rhs, rows, theta, stop, ode_outer, guard)
+    if any(final_it is it for it in pooled):
+        # a lane ran on its pass's shared steps: the report and the bundle come
+        # from the final iterate's own pipeline
+        final_it = evaluate(final_it.p)
     report = SolveReport(
         p_final=final_it.p.copy(), tf_final=final_it.t_f,
         pi_final=final_it.pi.copy(), J_final=final_it.J,
@@ -392,12 +482,12 @@ def gradient_flow_generic(f_grad, h_val, h_jac, K_theta, K_h, theta0,
     def rhs(tau, theta):
         return evaluate(theta)[2]
 
-    def check(tau, theta):
-        pi, residual, _, h = evaluate(theta)
-        done = (np.linalg.norm(residual) <= stop.tol_opt
-                and np.linalg.norm(h) <= stop.tol_feas)
-        return (theta, pi), done
+    def rows(taus, thetas):
+        for theta in thetas:
+            pi, residual, _, h = evaluate(theta)
+            yield (theta, pi), (np.linalg.norm(residual) <= stop.tol_opt
+                                and np.linalg.norm(h) <= stop.tol_feas)
 
-    (theta, pi), _, _ = _flow(rhs, check, theta0, stop,
+    (theta, pi), _, _ = _flow(rhs, rows, theta0, stop,
                               ode or OdeSettings(rel_tol=1e-8, abs_tol=1e-10))
     return theta, pi

@@ -6,12 +6,14 @@ are adaptive (backward spans run internally in negated time, so a single
 code path covers both directions), and the linear adjoint solves replay the
 same tableau backward over a forward solve's accepted steps with no error
 control.  The free 4th-order interpolant of the pair provides dense output
-that downstream quadrature evaluates at arbitrary nodes.  Step-size control
-is a standard PI controller (safety 0.9, growth clamped to [0.2, 5.0]) with
-a stability cap: each accepted step estimates the dominant eigenvalue of
-the right-hand side from its two c = 1 stages,
-rho = |K[6] - K[5]| / |y_new - y5| with y5 the state of stage 5
-(the DOPRI5 stiffness estimate), and the next step is held to
+that downstream quadrature evaluates at arbitrary nodes.  Several
+independent systems of equal size may run as lanes of one solve: they share
+one step sequence, and each step is held to the tolerance and stability
+limit of its worst lane.  Step-size control is a standard PI controller
+(safety 0.9, growth clamped to [0.2, 5.0]) with a stability cap: each
+accepted step estimates the dominant eigenvalue of the right-hand side from
+its two c = 1 stages, rho = |K[6] - K[5]| / |y_new - y5| with y5 the state
+of stage 5 (the DOPRI5 stiffness estimate), and the next step is held to
 h * rho <= 0.8 * 3.3, inside the pair's real-axis stability limit.  Without
 it the controller grows h past that limit on slowly decaying modes, and a
 flow near its equilibrium rides a limit cycle instead of converging.
@@ -61,6 +63,8 @@ _MIN_STEP_REL = 16 * np.finfo(float).eps   # smallest step relative to |t|
 _STABLE_HRHO = 0.8 * 3.3   # next h * rho, 0.8 of the real-axis stability limit
 # the stiffness estimate is skipped when |y_new - y5| is at rounding level
 _ROUNDING_REL2 = (64 * np.finfo(float).eps) ** 2
+# entries of the interpolant data a dense lookup gathers at once (128 KB)
+_GATHER_BUDGET = 1 << 14
 
 
 def _finite_positive(v) -> bool:
@@ -153,17 +157,37 @@ class DenseTrajectory:
             if traj.t_grid is not grid and not np.array_equal(traj.t_grid, grid):
                 raise ValueError("trajectories looked up together must share their grid")
             anchor, denom, scale, base, Q = traj.segments
-            # the gather keeps Q's memory layout, which sets einsum's summation
-            # order: take() gives C order, Q[idx] any other
-            Q = Q.take(idx, axis=0) if Q.flags.c_contiguous else Q[idx]
-            out = dense_output((ts - anchor.take(idx)) / denom.take(idx), scale.take(idx),
-                               base.take(idx, axis=0), Q)
+            theta = (ts - anchor.take(idx)) / denom.take(idx)
+            # each point is its own contraction, so the points run in blocks
+            # whose gathered copy of Q stays small: a many-lane lookup's would
+            # not.  The gather keeps Q's memory layout, which sets einsum's
+            # summation order: take() gives C order, Q[idx] any other.
+            per = max(1, _GATHER_BUDGET * len(Q) // max(Q.size, 1))
+            take = Q.flags.c_contiguous
+            blocks = [dense_output(theta[a:a + per], scale.take(j), base.take(j, axis=0),
+                                   Q.take(j, axis=0) if take else Q[j])
+                      for a in range(0, max(ts.size, 1), per) for j in [idx[a:a + per]]]
+            out = blocks[0] if len(blocks) == 1 else np.concatenate(blocks)
             if left.size:
                 out[left] = traj.values[at_left]
             if right.size:
                 out[right] = traj.values[at_right]
             outs.append(out[0] if scalar else out)
         return tuple(outs) if others else outs[0]
+
+    def lanes(self, count: int) -> list["DenseTrajectory"]:
+        """The trajectories of ``count`` equal lanes whose channels this one
+        holds lane after lane (see :func:`integrate_ivp`), as views."""
+        width = self.values.shape[-1] // count
+        anchor, denom, scale, base, Q = self.segments
+        out = []
+        for b in range(count):
+            c = slice(b * width, (b + 1) * width)
+            lane = object.__new__(DenseTrajectory)      # the grid is already checked
+            lane.__dict__.update(self.__dict__, values=self.values[:, c],
+                                 segments=(anchor, denom, scale, base[:, c], Q[:, c]))
+            out.append(lane)
+        return out
 
 
 def _interior(breakpoints, lo: float, hi: float) -> np.ndarray:
@@ -172,32 +196,72 @@ def _interior(breakpoints, lo: float, hi: float) -> np.ndarray:
     return np.unique(b[(b > lo) & (b < hi)]) if b.size else b
 
 
-def _rms(v: np.ndarray) -> float:
-    """sqrt(mean(v ** 2)) as a float; it rounds exactly like numpy's expression."""
-    return math.sqrt(float(np.add.reduce(v * v)) / v.size)
+def _lane_sq(v: np.ndarray, lanes: int) -> np.ndarray:
+    """sum(v_b ** 2) of each lane v_b of the flat ``v``, summed as numpy sums v * v."""
+    return np.add.reduce((v * v).reshape(lanes, -1), axis=1)
 
 
-def _scaled_rms(v: np.ndarray, scale: np.ndarray) -> float:
-    """_rms(v / scale); inf, without a numpy warning, when it overflows."""
+def _rms(v: np.ndarray, lanes: int = 1) -> float:
+    """max over the lanes of sqrt(mean(v_b ** 2)), as a float (NaN if any lane is).
+
+    It rounds exactly like numpy's expression sqrt(mean(v ** 2)) on each lane.
+    """
+    if lanes == 1:      # the same sum, without the reshape and max: 2 us a call
+        return math.sqrt(float(np.add.reduce(v * v)) / v.size)
+    return math.sqrt(float(_lane_sq(v, lanes).max()) / (v.size // lanes))
+
+
+def _stiffness(y: np.ndarray, y5: np.ndarray, K: np.ndarray, lanes: int) -> float:
+    """The DOPRI5 stiffness estimate rho = |dK| / |dy| of a step, the largest over the lanes.
+
+    dy = y - y5 is the step's solution less its stage-5 state, dK = K[6] - K[5]
+    the two c = 1 stage derivatives.  A lane whose |dy| is at rounding level
+    relative to |y| gives no estimate; 0.0 when none does.  Each lane's norms
+    are its own dot products.
+    """
+    dy = y - y5
+    if lanes == 1:                       # the same dot products, without the reshapes
+        dy2 = dy.dot(dy)
+        if dy2 > _ROUNDING_REL2 * y.dot(y):
+            dK = K[6] - K[5]
+            return math.sqrt(dK.dot(dK) / dy2)
+        return 0.0
+    dy, dK, y = (a.reshape(lanes, -1) for a in (dy, K[6] - K[5], y))
+    dy2 = np.einsum("bi,bi->b", dy, dy)
+    some = dy2 > _ROUNDING_REL2 * np.einsum("bi,bi->b", y, y)
+    if not some.any():
+        return 0.0
+    return math.sqrt(float((np.einsum("bi,bi->b", dK, dK)[some] / dy2[some]).max()))
+
+
+def _scaled_rms(v: np.ndarray, scale: np.ndarray, lanes: int) -> list[float]:
+    """Each lane's rms of v / scale; inf, without a numpy warning, when it overflows."""
     with np.errstate(over="ignore"):
-        return _rms(v / scale)
+        sq = _lane_sq(v / scale, lanes)
+    return [math.sqrt(x / (v.size // lanes)) for x in sq.tolist()]
 
 
-def _initial_step(rhs, t0, y0, f0, settings):
-    """Hairer-style automatic initial step size; the caller refuses a bad one."""
+def _initial_step(rhs, t0, y0, f0, settings, lanes: int = 1):
+    """Hairer-style automatic initial step size; the caller refuses a bad one.
+
+    With lanes, h0 is the smallest lane's, and the result the smallest of the
+    lanes' steps from their own norms at that h0.
+    """
     scale = settings.abs_tol + settings.rel_tol * np.abs(y0)
-    d0 = _scaled_rms(y0, scale)
-    d1 = _scaled_rms(f0, scale)
-    h0 = 1e-6 if d0 < 1e-5 or d1 < 1e-5 else 0.01 * d0 / d1
-    if not _finite_positive(h0):
-        return h0
+    d1s = _scaled_rms(f0, scale, lanes)
+    h0 = math.inf
+    for d0, d1 in zip(_scaled_rms(y0, scale, lanes), d1s):
+        h = 1e-6 if d0 < 1e-5 or d1 < 1e-5 else 0.01 * d0 / d1
+        if not _finite_positive(h):
+            return h
+        h0 = min(h0, h)
     y1 = y0 + h0 * f0
     f1 = rhs(t0 + h0, y1)
-    d2 = _scaled_rms(f1 - f0, scale) / h0
-    if max(d1, d2) <= 1e-15:
-        h1 = max(1e-6, h0 * 1e-3)
-    else:
-        h1 = (0.01 / max(d1, d2)) ** 0.2
+    h1 = math.inf
+    for d1, d2 in zip(d1s, _scaled_rms(f1 - f0, scale, lanes)):
+        d2 /= h0
+        h1 = min(h1, max(1e-6, h0 * 1e-3) if max(d1, d2) <= 1e-15
+                 else (0.01 / max(d1, d2)) ** 0.2)
     return min(100 * h0, h1)
 
 
@@ -217,12 +281,15 @@ class _Stepper:
     across it.  ``backward`` marks a stepper running in negated time s = -t;
     its failures then report the physical time t.  ``guard(t, y) -> bool``
     may veto a step that passed the error test, which is then retried at
-    half size.
+    half size.  The state may hold ``lanes`` equal blocks of channels, each an
+    independent system: the error norm and the stiffness estimate are then
+    the largest over the lanes.
     """
 
     def __init__(self, rhs, t0, y0, t_end, settings, guard=None, backward=False,
-                 cuts=()):
+                 cuts=(), lanes=1):
         self.rhs = rhs
+        self.lanes = lanes
         self.backward = backward
         self.settings = settings
         self.guard = guard
@@ -250,7 +317,8 @@ class _Stepper:
         if not np.isfinite(self.f).all():
             raise self._error(DivergenceError, "non-finite right-hand side", t0)
         if self.h is None:
-            self.h = _initial_step(self._rhs_at, t0, self.y, self.f, self.settings)
+            self.h = _initial_step(self._rhs_at, t0, self.y, self.f, self.settings,
+                                   self.lanes)
             if not _finite_positive(self.h):    # the scaled norms overflowed
                 s = self.settings
                 raise self._error(IntegrationError, "no finite positive initial step at "
@@ -277,7 +345,7 @@ class _Stepper:
         if self.t >= self.t_end:
             self._start(self.t)
         s = self.settings
-        rhs, K, KT, lo, hi = self.rhs, self.K, self._KT, self.lo, self.hi
+        rhs, K, KT, lo, hi, lanes = self.rhs, self.K, self._KT, self.lo, self.hi, self.lanes
         t, y, t_end = self.t, self.y, self.t_end
         min_step = _MIN_STEP_REL * max(abs(t), abs(t_end))
         while True:
@@ -314,7 +382,7 @@ class _Stepper:
             err = KT[7].dot(_E)
             err *= h
             err /= sc
-            err_norm = _rms(err)
+            err_norm = _rms(err, lanes)
             # a non-finite stage makes the norm non-finite; a finite stage whose
             # scaled error overflows is only rejected
             if not math.isfinite(err_norm) and not np.isfinite(K).all():
@@ -330,13 +398,9 @@ class _Stepper:
                 else:
                     factor = _SAFETY * err_norm ** (-_BETA1) * self.err_old ** _BETA2
                 self.h = h * min(_MAX_FACTOR, max(_MIN_FACTOR, factor))
-                dy = y_new - y5
-                dy2 = dy.dot(dy)
-                if dy2 > _ROUNDING_REL2 * y_new.dot(y_new):
-                    dK = K[6] - K[5]
-                    rho = math.sqrt(dK.dot(dK) / dy2)
-                    if self.h * rho > _STABLE_HRHO:
-                        self.h = _STABLE_HRHO / rho
+                rho = _stiffness(y_new, y5, K, lanes)
+                if self.h * rho > _STABLE_HRHO:
+                    self.h = _STABLE_HRHO / rho
                 self.err_old = max(err_norm, 1e-4)
                 K = K.copy()
                 self.t, self.y, self.f, self.ay = t_new, y_new, K[6], ay_new
@@ -353,9 +417,19 @@ def integrate_ivp(rhs, y0, t_span, settings: OdeSettings | None = None, *,
     Backward spans (t_end < t_start) integrate in negated time internally.
     ``breakpoints`` are interior times where the right-hand side may be
     discontinuous; the integrator restarts there so no step straddles one,
-    carrying the last step size across.
+    carrying the last step size across.  A (B, d) ``y0`` runs B independent
+    d-channel systems as lanes of one solve: ``rhs`` takes and returns (B, d)
+    arrays, the lanes share every step, each step is held to its worst
+    lane's error and stiffness, and the solution's channels are the lanes'
+    channels, lane after lane (:meth:`DenseTrajectory.lanes` splits them).
     """
     settings = settings or OdeSettings()
+    y0 = np.asarray(y0, dtype=float)
+    lanes = 1
+    if y0.ndim == 2:
+        lanes, shape, lane_rhs = len(y0), y0.shape, rhs
+        rhs = lambda t, y: np.asarray(lane_rhs(t, y.reshape(shape)), dtype=float).reshape(-1)
+        y0 = y0.reshape(-1)
     t_start, t_end = float(t_span[0]), float(t_span[1])
     if t_start == t_end:
         raise ValueError("t_span endpoints must be distinct")
@@ -370,7 +444,7 @@ def integrate_ivp(rhs, y0, t_span, settings: OdeSettings | None = None, *,
     cuts = _interior(np.negative(breakpoints) if backward else breakpoints, lo, hi)
 
     stepper = _Stepper(fwd_rhs, lo, y0, hi, settings, backward=backward,
-                       cuts=cuts.tolist())
+                       cuts=cuts.tolist(), lanes=lanes)
     ts, ys, hs, Ks = [stepper.t], [stepper.y], [], []
     while not stepper.done:
         h, K = stepper.step()
@@ -404,9 +478,10 @@ def _channels(Y: np.ndarray) -> np.ndarray:
 
 def _divergence(ts, S, Y, Q) -> DivergenceError:
     """The failure a backward replay meets first: its last bad step, first bad stage."""
-    bad_S = ~np.isfinite(S).all(axis=(2, 3))                # (steps, 7)
-    bad = bad_S.any(axis=1) | ~np.isfinite(Y[:-1]).all(axis=(1, 2)) \
-        | ~np.isfinite(Q).all(axis=(1, 2))
+    steps = len(ts)
+    bad_S = ~np.isfinite(S.reshape(steps, 7, -1)).all(axis=2)
+    bad = bad_S.any(axis=1) | ~np.isfinite(Y[:-1].reshape(steps, -1)).all(axis=1) \
+        | ~np.isfinite(Q.reshape(steps, -1)).all(axis=1)
     k = np.flatnonzero(bad)[-1]
     stage = np.flatnonzero(bad_S[k])
     return DivergenceError("non-finite right-hand side",
@@ -423,7 +498,10 @@ def replay_linear(traj: DenseTrajectory, coefficients, y_end, *,
     enters the first column only.  ``coefficients(ts, xs) -> (M, l)`` is
     called once with the stage times ``ts`` of every step, flattened, and
     ``traj``'s values there, taken from each step's own segment (node values
-    at c = 0 and c = 1); it returns M as (N, n, n) and l as (N, n).  Stage
+    at c = 0 and c = 1); it returns M as (N, n, n) and l as (N, n).  A
+    (B, n, r) ``y_end`` replays B lanes at once: M is then (N, B, n, n), l
+    (N, B, n), and the result's channels are the lanes' channels, lane after
+    lane, as in :func:`integrate_ivp`.  Stage
     times are clamped into their smooth subinterval exactly as in
     :func:`integrate_ivp`; ``traj``'s grid must contain every interior
     breakpoint.  A non-finite stage or value raises :class:`DivergenceError`
@@ -439,6 +517,7 @@ def replay_linear(traj: DenseTrajectory, coefficients, y_end, *,
     cuts = _interior(breakpoints, lo, hi)
     if cuts.size and not (t_grid[np.searchsorted(t_grid, cuts)] == cuts).all():
         raise ValueError("the trajectory's grid must contain every interior breakpoint")
+    y_end = np.asarray(y_end, dtype=float)
     if not np.isfinite(y_end).all():
         raise DivergenceError("non-finite right-hand side", time=float(hi))
     t_new, t_old = t_grid[:-1], t_grid[1:]      # each step runs t_old -> t_new
@@ -460,34 +539,36 @@ def replay_linear(traj: DenseTrajectory, coefficients, y_end, *,
     xs[:, 5:] = traj.values[:-1, None]
 
     M, l = coefficients(ts.reshape(-1), xs.reshape(steps * 7, -1))
-    n = l.shape[-1]
+    *lanes, n, r = y_end.shape
+    maps = (*lanes, n + 1, n + 1)                  # each lane's stage maps
     # the augmented matrix [[M, l], [0, 0]] acting on [Y; e0^T] carries the
     # forcing, so the last column of each stage map S_i is its offset d_i
-    Ma = np.zeros((steps, 7, n + 1, n + 1))
-    Ma[..., :n, :n] = M.reshape(steps, 7, n, n)
-    Ma[..., :n, n] = l.reshape(steps, 7, n)
+    Ma = np.zeros((steps, 7, *maps))
+    Ma[..., :n, :n] = M.reshape(steps, 7, *lanes, n, n)
+    Ma[..., :n, n] = l.reshape(steps, 7, *lanes, n)
     S = np.empty_like(Ma)
     S[:, 0] = Ma[:, 0]
     eye = np.eye(n + 1)
-    Hm = H[:, None, None]
-    Y = np.empty((steps + 1, n + 1, np.shape(y_end)[1]))
-    Y[-1, :n] = y_end
-    Y[-1, n] = 0.0
-    Y[-1, n, 0] = 1.0
+    Hm = H.reshape(steps, *[1] * len(lanes), 1, 1)
+    Y = np.empty((steps + 1, *lanes, n + 1, r))
+    Y[-1, ..., :n, :] = y_end
+    Y[-1, ..., n, :] = 0.0
+    Y[-1, ..., n, 0] = 1.0
     # non-finite entries are reported below as a typed error, not a warning
     with np.errstate(invalid="ignore", over="ignore"):
         for i in range(1, 7):
-            Z = (_A[i] @ S[:, :i].reshape(steps, i, -1)).reshape(steps, n + 1, n + 1)
+            Z = (_A[i] @ S[:, :i].reshape(steps, i, -1)).reshape(steps, *maps)
             Z *= Hm                             # I + h sum_j a_ij S_j, in place
             Z += eye
             np.matmul(Ma[:, i], Z, out=S[:, i])
         Phis, Ys = list(Z), list(Y)             # Phi = Z: the last stage's a_7j = b_j
         for k in range(steps - 1, -1, -1):
             np.matmul(Phis[k], Ys[k + 1], out=Ys[k])
-        K = _channels((S @ Y[1:, None])[..., :n, :])    # stage derivatives, (steps, 7, ch)
+        # stage derivatives, (steps, 7, channels)
+        K = _channels((S @ Y[1:, None])[..., :n, :]).reshape(steps, 7, -1)
         Q = K.transpose(0, 2, 1) @ _BI
     # a non-finite coefficient reaches Y or, through its stage derivative, Q
     if not (np.isfinite(Y).all() and np.isfinite(Q).all()):
         raise _divergence(ts, S, Y, Q)
-    values = _channels(Y[:, :n])
+    values = _channels(Y[..., :n, :]).reshape(steps + 1, -1)
     return DenseTrajectory(t_grid, values, (t_old, H, H, values[1:], Q), nsteps=steps)

@@ -47,7 +47,9 @@ class Parameterization:
     the (N, m) control values are ``jac_p @ p``.  ``scalar_fn(p, t_f)``
     returns the unchecked per-point evaluator ``u(t) -> (m,)`` behind
     :meth:`bind`; it rounds exactly like the array path on a one-point
-    array.
+    array.  Wherever a method takes ``p`` it also takes B parameter vectors
+    as a (B, s) array, the lanes of a batch: the results then carry a leading
+    lane axis, except ``jac_p``, which no kind's p changes.
     """
 
     kind: str
@@ -73,8 +75,8 @@ class Parameterization:
 
     def _check_p(self, p) -> np.ndarray:
         p = np.asarray(p, dtype=float)
-        if p.shape != (self.s,):
-            raise ValueError(f"p has shape {p.shape}, expected ({self.s},)")
+        if p.ndim not in (1, 2) or p.shape[-1] != self.s:
+            raise ValueError(f"p has shape {p.shape}, expected ({self.s},) or (B, {self.s})")
         return p
 
     def _prep(self, t, p, t_f):
@@ -83,12 +85,12 @@ class Parameterization:
         return ts, self._check_p(p)
 
     def bind(self, p, t_f=None) -> Callable:
-        """The control u(t) of one iterate, for scalar t.
+        """The control u(t) of one iterate, or of B lanes, for scalar t.
 
         ``p`` and ``t_f`` are validated here, once; the returned evaluator
         only checks that t lies in [t0, t_f] (with the array path's slack;
         :class:`DomainError` otherwise, also for NaN) and returns an (m,)
-        array.
+        array, or (B, m) for a (B, s) ``p``.
         """
         t_f = self._resolve_tf(t_f)
         u = self.scalar_fn(self._check_p(p), t_f)
@@ -109,7 +111,7 @@ class Parameterization:
             return self.bind(p, t_f)(t)
         t_f = self._resolve_tf(t_f)
         ts, p = self._prep(t, p, t_f)
-        return np.einsum("tms,s->tm", self.jac_p_fn(ts, p, t_f), p)
+        return np.einsum("tms,...s->...tm", self.jac_p_fn(ts, p, t_f), p)
 
     def jac_p(self, t, p, t_f=None):
         """Parameter Jacobian u_p(t); (m, s) or (N, m, s)."""
@@ -123,7 +125,7 @@ class Parameterization:
         t_f = self._resolve_tf(t_f)
         ts, p = self._prep(t, p, t_f)
         out = self.jac_tf_fn(ts, p, t_f)
-        return out[0] if np.ndim(t) == 0 else out
+        return out[..., 0, :] if np.ndim(t) == 0 else out
 
     def breakpoints(self, t_f) -> np.ndarray:
         """Interior times where the control is not smooth (may be empty)."""
@@ -154,15 +156,15 @@ def _block_jac(vals: np.ndarray, m: int) -> np.ndarray:
 
 
 def _row_eval(vals: list, m: int, p: np.ndarray) -> np.ndarray:
-    """(m,) control value at one point from its k basis values.
+    """(m,) control value at one point from its k basis values; (B, m) for lanes.
 
     The array path's contraction on one row, so both paths round alike: for
     m = 1 the row of the block Jacobian is the values themselves, and einsum
     sums it with the same loop.
     """
     if m == 1:
-        return np.einsum("s,s->", np.array(vals), p)[None]
-    return np.einsum("tms,s->tm", _block_jac(np.array([vals]), m), p)[0]
+        return np.einsum("s,...s->...", np.array(vals), p)[..., None]
+    return np.einsum("tms,...s->...tm", _block_jac(np.array([vals]), m), p)[..., 0, :]
 
 
 def _lagrange_terms(sig, nodes: list) -> list:
@@ -257,7 +259,7 @@ def make_basis(kind: str, m: int, t0: float, form: str, *,
             return _block_jac(powers, _m)
 
         def jac_tf_fn(ts, p, t_f):
-            return np.zeros((ts.size, m))
+            return np.zeros((*p.shape[:-1], ts.size, m))
 
         def scalar_fn(p, t_f):
             def u(t):
@@ -307,8 +309,8 @@ def make_basis(kind: str, m: int, t0: float, form: str, *,
         derivs = lambda sig, idx: np.zeros((sig.size, N))
 
         def point_of(p):
-            P = p.reshape(N, m)
-            return lambda sig, k: P[k].copy()
+            P = p.reshape(*p.shape[:-1], N, m)
+            return lambda sig, k: P[..., k, :].copy()
         k = N
         smooth = False
     s = m * k
@@ -325,14 +327,14 @@ def make_basis(kind: str, m: int, t0: float, form: str, *,
 
     if form == FORM1:
         def jac_tf_fn(ts, p, t_f):
-            return np.zeros((ts.size, m))
+            return np.zeros((*p.shape[:-1], ts.size, m))
     else:
         def jac_tf_fn(ts, p, t_f):
             # nodes move with t_f while node values stay fixed:
             # du/dt_f = -sigma/(t_f - t0) * du/dsigma
             sig = _sigma(ts, t0, t_f)
             djac = _block_jac(derivs(sig, _segments(ts, breakpoints_fn(t_f))), m)
-            du_dsigma = np.einsum("tms,s->tm", djac, p)
+            du_dsigma = np.einsum("tms,...s->...tm", djac, p)
             return -(sig / (t_f - t0))[:, None] * du_dsigma
 
     def breakpoints_fn(t_f):

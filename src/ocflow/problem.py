@@ -296,22 +296,58 @@ def validate_problem(prob: OcpProblem, samples: int, *, tol: float = 1e-4,
     return ValidationReport(samples=samples, errors=worst)
 
 
+def _batch_eval(prob: OcpProblem, name: str, xs, us, ts) -> np.ndarray:
+    """The callback ``name`` at stacked points: xs (*P, n), us (*P, m), ts
+    broadcasting to the point shape *P (lanes of a time grid); returns (*P, ...).
+
+    A vectorized problem takes one stacked call, any other one call per point.
+    """
+    fn = getattr(prob, name)
+    points = xs.shape[:-1]
+    if len(points) > 1:                 # lanes of points: one flat stack
+        xs, us = xs.reshape(-1, xs.shape[-1]), us.reshape(-1, us.shape[-1])
+        full = np.empty(points)
+        full[...] = ts
+        ts = full.reshape(-1)
+    if prob.vectorized:
+        out = np.asarray(fn(xs, us, ts), dtype=float)
+    else:
+        out = np.stack([np.asarray(fn(xs[i], us[i], ts[i]), dtype=float)
+                        for i in range(ts.size)])
+    return out.reshape(*points, *out.shape[1:]) if len(points) > 1 else out
+
+
+
 def _state_solution(prob: OcpProblem, u_of_t, t_f: float, ode: OdeSettings | None,
-                    breakpoints) -> DenseTrajectory:
-    """The forward solve of :func:`simulate_control`, without J and g."""
+                    breakpoints, lanes: tuple = ()) -> DenseTrajectory:
+    """The forward solve of :func:`simulate_control`, without J and g.
+
+    With ``lanes = (B,)`` the control ``u_of_t(t)`` gives (B, m), and the B
+    systems run as the lanes of one solve (see :func:`integrate_ivp`); ``f``
+    and ``L`` then take the B lanes as stacked points.
+    """
     if t_f <= prob.t0:
         raise ValueError("t_f must exceed t0")
     n, f, L = prob.n, prob.f, prob.L
+    if lanes:                           # the lanes are stacked points at one time
+        ones = np.ones(lanes)
+        f = lambda x, u, t: _batch_eval(prob, "f", x, u, t * ones)
+        L = lambda x, u, t: _batch_eval(prob, "L", x, u, t * ones)
+    shape = (*lanes, n + 1)
+    # the state's and the cost's channels of each lane
+    x_of, cost_of = ((..., slice(None, n)), (..., n)) if lanes else (slice(None, n), n)
 
     def rhs(t, ya):
-        x = ya[:n]
+        x = ya[x_of]
         u = u_of_t(t)
-        out = np.empty(n + 1)
-        out[:n] = f(x, u, t)
-        out[n] = L(x, u, t)
+        out = np.empty(shape)
+        out[x_of] = f(x, u, t)
+        out[cost_of] = L(x, u, t)
         return out
 
-    y0 = np.concatenate([prob.x0, [0.0]])
+    y0 = np.empty(shape)
+    y0[..., :n] = prob.x0
+    y0[..., n] = 0.0
     return integrate_ivp(rhs, y0, (prob.t0, t_f), ode or OdeSettings(),
                          breakpoints=breakpoints)
 

@@ -19,6 +19,12 @@ then one more column u_tf = du/dt_f (zero for a form-1 basis).  The plain
 NLP gradients are the same integrals without the metric.  Everything sits on
 the shared Simpson grid, so alternative assemblies of the same integral
 agree to round-off.
+
+Every stage also runs B iterates that share t_f at once, as lanes: p is then
+(B, s), one state solve and one adjoint replay carry all lanes on one step
+sequence, and the assembly makes one grid search and one basis evaluation
+for the batch.  Its results carry a leading lane axis; a single iterate has
+none, and is the arithmetic of the unbatched pipeline.
 """
 
 from __future__ import annotations
@@ -32,7 +38,7 @@ from .integrate import DenseTrajectory, OdeSettings, replay_linear
 # not called here, but kept bound: bench/tracing.py wraps sensitivity.integrate_ivp
 from .integrate import integrate_ivp  # noqa: F401
 from .parameterization import Parameterization
-from .problem import Gains, OcpProblem, _state_solution
+from .problem import Gains, OcpProblem, _batch_eval, _state_solution
 from .quadrature import QuadratureSpec, simpson_points
 
 
@@ -47,7 +53,8 @@ def spd_solve(M: np.ndarray, B: np.ndarray, context: str) -> np.ndarray:
     Cholesky factor, or M is numerically singular: some pivot L_kk^2 is at
     most n * eps * M_kk.  A matrix that is singular in exact arithmetic (say,
     a Gram matrix with a duplicated column) often factors with pivots of that
-    rounding size instead of failing.
+    rounding size instead of failing.  Stacked systems, (..., n, n) and
+    (..., n, k) broadcasting as in ``np.linalg.solve``, are solved at once.
     """
     M = np.asarray(M, dtype=float)
     B = np.asarray(B, dtype=float)
@@ -57,9 +64,21 @@ def spd_solve(M: np.ndarray, B: np.ndarray, context: str) -> np.ndarray:
         L = np.linalg.cholesky(M)
     except np.linalg.LinAlgError as exc:
         raise RankError(f"{context}: matrix is not positive-definite ({exc})") from None
-    if not (L.diagonal() ** 2 > len(M) * _EPS * M.diagonal()).all():
+    pivots = L.diagonal(0, -2, -1) ** 2
+    if not (pivots > M.shape[-1] * _EPS * M.diagonal(0, -2, -1)).all():
         raise RankError(f"{context}: matrix is numerically singular")
     return np.linalg.solve(M, B)
+
+
+def _lanes_first(flat: np.ndarray, lanes: tuple, width: int) -> np.ndarray:
+    """(..., B * width) channels held lane after lane -> (B, ..., width).
+
+    With no lanes, ``lanes = ()``, the channels are returned as they are.
+    """
+    if not lanes:
+        return flat
+    v = flat.reshape(*flat.shape[:-1], *lanes, width)
+    return v.transpose(v.ndim - 2, *range(v.ndim - 2), v.ndim - 1)
 
 
 @dataclass
@@ -70,7 +89,10 @@ class AdjointBundle:
     ``adjoint_sol`` carries the joint backward solve, mu in its first n
     channels and the n x q constraint adjoint Psi row-major flattened after
     them.  The parameterization and parameters that produced the iterate ride
-    along so downstream assemblies need no extra bookkeeping.
+    along so downstream assemblies need no extra bookkeeping.  A (B, s) ``p``
+    makes it the bundle of B lanes: the trajectories hold the lanes'
+    channels lane after lane, every accessor returns a leading lane axis, and
+    :meth:`lanes` gives each lane's own bundle.
     """
 
     x_traj: DenseTrajectory
@@ -87,7 +109,7 @@ class AdjointBundle:
         return self.par.eval(t, self.p, self.t_f)
 
     def x_at(self, ts):
-        return self.x_traj(ts)[..., : self.n]
+        return self._x(self.x_traj(ts))
 
     def mu_psi_at(self, ts):
         """(mu, Psi) stacked over times with one dense evaluation."""
@@ -96,20 +118,35 @@ class AdjointBundle:
     def at(self, ts):
         """(x, mu, Psi) stacked over times, from one search of the shared grid."""
         xa, flat = self.x_traj(ts, self.adjoint_sol)
-        return (xa[..., : self.n], *self._mu_psi(flat))
+        return (self._x(xa), *self._mu_psi(flat))
+
+    def _x(self, xa):
+        return _lanes_first(xa, self.p.shape[:-1], self.n + 1)[..., : self.n]
 
     def _mu_psi(self, flat):
+        flat = _lanes_first(flat, self.p.shape[:-1], self.n * (1 + self.q))
         return (flat[..., : self.n],
                 flat[..., self.n:].reshape(*flat.shape[:-1], self.n, self.q))
 
     @property
     def x_f(self) -> np.ndarray:
         """x(t_f), the forward solve's last node value."""
-        return self.x_traj.values[-1, : self.n]
+        return self._x(self.x_traj.values[-1])
 
     @property
     def cost_integral(self) -> float:
-        return float(self.x_traj.values[-1, self.n])
+        """The running cost's integral: a float, or one per lane."""
+        cost = _lanes_first(self.x_traj.values[-1], self.p.shape[:-1], self.n + 1)[..., self.n]
+        return float(cost) if cost.ndim == 0 else cost
+
+    def lanes(self) -> list["AdjointBundle"]:
+        """Each lane's own bundle (views), or ``[self]`` for a single iterate."""
+        if self.p.ndim == 1:
+            return [self]
+        B = len(self.p)
+        return [AdjointBundle(x_traj=x, adjoint_sol=a, t0=self.t0, t_f=self.t_f, n=self.n,
+                              q=self.q, par=self.par, p=p)
+                for x, a, p in zip(self.x_traj.lanes(B), self.adjoint_sol.lanes(B), self.p)]
 
 
 @dataclass
@@ -121,6 +158,8 @@ class ThetaQuantities:
     metric (M_p or M_ptf; None for the NLP gradients).  ``tf_scalar`` and
     ``tf_row`` are the terminal brackets, already in the t_f row of r and
     Gamma when theta holds t_f, and None for the NLP gradients over p alone.
+    Assembled over a bundle of lanes, every field has a leading lane axis,
+    but M has one only when the lanes' metrics differ.
     """
 
     r: np.ndarray
@@ -129,11 +168,26 @@ class ThetaQuantities:
     tf_scalar: float | None
     tf_row: np.ndarray | None
 
+    def lanes(self) -> list["ThetaQuantities"]:
+        """Each lane's own record, or ``[self]`` for a single iterate."""
+        if self.r.ndim == 1:
+            return [self]
+        M = self.M
+        return [ThetaQuantities(
+            self.r[b], self.Gamma[b], M if M is None or M.ndim == 2 else M[b],
+            None if self.tf_scalar is None else float(self.tf_scalar[b]),
+            None if self.tf_row is None else self.tf_row[b]) for b in range(len(self.r))]
+
 
 def solve_state(prob: OcpProblem, par: Parameterization, p, t_f: float,
                 ode: OdeSettings | None = None) -> DenseTrajectory:
-    """Forward solve under u(t; p[, t_f]); n+1 channels (state + cost)."""
-    return _state_solution(prob, par.bind(p, t_f), t_f, ode, par.breakpoints(t_f))
+    """Forward solve under u(t; p[, t_f]); n+1 channels (state + cost).
+
+    A (B, s) ``p`` solves the B iterates as lanes of one solve, with n+1
+    channels per lane, lane after lane.
+    """
+    return _state_solution(prob, par.bind(p, t_f), t_f, ode, par.breakpoints(t_f),
+                           lanes=np.shape(p)[:-1])
 
 
 def solve_adjoints(prob: OcpProblem, par: Parameterization, p,
@@ -144,23 +198,28 @@ def solve_adjoints(prob: OcpProblem, par: Parameterization, p,
     ``x_traj`` (so the forward solve's settings govern it too), with x, u,
     ``f_x`` and ``L_x`` evaluated in one batch for every stage of every step.
     Terminal values are exact: ``mu(t_f) = phi_x`` and ``Psi(t_f) = g_x^T``.
+    A (B, s) ``p`` replays the lanes of a lane-batched ``x_traj`` together.
     """
     n, q = prob.n, prob.q
     p = np.asarray(p, dtype=float)
+    lanes = p.shape[:-1]
     if x_traj.t_grid[0] != prob.t0 or x_traj.t_grid[-1] != t_f:
         raise ValueError("x_traj must span [t0, t_f]")
 
-    x_f = x_traj.values[-1, :n]
-    mu_f = np.asarray(prob.phi_x(x_f, t_f), dtype=float)
-    psi_f = np.asarray(prob.g_x(x_f, t_f), dtype=float).T.reshape(n, q)
-    y_f = np.column_stack([mu_f, psi_f])
+    x_f = _lanes_first(x_traj.values[-1], lanes, n + 1)[..., :n].reshape(-1, n)
+    y_f = np.empty((*lanes, n, 1 + q))
+    for y, x in zip(y_f.reshape(-1, n, 1 + q), x_f):
+        y[:, 0] = np.asarray(prob.phi_x(x, t_f), dtype=float)
+        y[:, 1:] = np.asarray(prob.g_x(x, t_f), dtype=float).T.reshape(n, q)
 
     def coefficients(ts, xs):
-        xs = xs[:, :n]
+        xs = _lanes_first(xs, lanes, n + 1)[..., :n]
         us = par.eval(ts, p, t_f)
-        f_x = _batch_eval(prob, "f_x", xs, us, ts)
+        f_x = _batch_eval(prob, "f_x", xs, us, ts).swapaxes(-1, -2)
         L_x = _batch_eval(prob, "L_x", xs, us, ts)
-        return -f_x.transpose(0, 2, 1), -L_x
+        if lanes:                       # the replay takes (N, B, ...)
+            f_x, L_x = f_x.swapaxes(0, 1), L_x.swapaxes(0, 1)
+        return -f_x, -L_x
 
     sol = replay_linear(x_traj, coefficients, y_f, breakpoints=par.breakpoints(t_f))
     return AdjointBundle(x_traj=x_traj, adjoint_sol=sol, t0=prob.t0, t_f=t_f,
@@ -169,31 +228,22 @@ def solve_adjoints(prob: OcpProblem, par: Parameterization, p,
 
 @dataclass
 class _GridData:
-    """Integrand samples on the shared quadrature grid.
+    """Integrand samples on the shared quadrature grid, lanes first.
 
-    ``U`` holds the basis columns of theta: u_p, then u_tf if ``with_tf``.
+    ``U`` holds the basis columns of theta: u_p, then u_tf if ``with_tf``;
+    it has a lane axis only when u_tf gives the lanes their own columns.
     """
 
     ts: np.ndarray
     w: np.ndarray
-    U: np.ndarray             # (N, m, s) or (N, m, s + 1)
-    pu: np.ndarray            # (N, m)
-    fupsi: np.ndarray         # (N, m, q)
+    U: np.ndarray             # ([B,] N, m, s) or ([B,] N, m, s + 1)
+    pu: np.ndarray            # ([B,] N, m)
+    fupsi: np.ndarray         # ([B,] N, m, q)
     kinv: np.ndarray | None   # (N, m, m)
 
 
-def _batch_eval(prob: OcpProblem, name: str, xs, us, ts) -> np.ndarray:
-    fn = getattr(prob, name)
-    if prob.vectorized:
-        return np.asarray(fn(xs, us, ts), dtype=float)
-    return np.stack([np.asarray(fn(xs[i], us[i], ts[i]), dtype=float)
-                     for i in range(ts.size)])
-
-
-def _terminal_values(prob: OcpProblem, bundle: AdjointBundle) -> tuple[float, np.ndarray]:
-    """The terminal brackets (tf_scalar, tf_row) of the t_f equation."""
-    t_f, x_f = bundle.t_f, bundle.x_f
-    u_f = bundle.u_of_t(t_f)
+def _brackets(prob: OcpProblem, x_f, u_f, t_f: float) -> tuple[float, np.ndarray]:
+    """(tf_scalar, tf_row) of one iterate from its terminal state and control."""
     f_f = np.asarray(prob.f(x_f, u_f, t_f), dtype=float)
     tf_scalar = (float(prob.phi_t(x_f, t_f))
                  + float(np.dot(np.asarray(prob.phi_x(x_f, t_f), float), f_f))
@@ -206,35 +256,48 @@ def _terminal_values(prob: OcpProblem, bundle: AdjointBundle) -> tuple[float, np
     return tf_scalar, tf_row
 
 
+def _terminal_values(prob: OcpProblem, bundle: AdjointBundle) -> tuple[float, np.ndarray]:
+    """The terminal brackets (tf_scalar, tf_row) of the t_f equation, per lane."""
+    t_f, x_f = bundle.t_f, bundle.x_f
+    u_f = bundle.u_of_t(t_f)
+    if x_f.ndim == 1:
+        return _brackets(prob, x_f, u_f, t_f)
+    scalars, rows = zip(*(_brackets(prob, x, u, t_f) for x, u in zip(x_f, u_f)))
+    return np.array(scalars), np.array(rows)
+
+
 def _grid_data(prob: OcpProblem, par: Parameterization, bundle: AdjointBundle,
                quad: QuadratureSpec, *, gains: Gains | None = None,
                with_tf: bool = False) -> _GridData:
-    t_f = bundle.t_f
+    t_f, p = bundle.t_f, bundle.p
     ts, w = simpson_points(bundle.t0, t_f, quad, par.breakpoints(t_f))
-    xs, mus, psis = bundle.at(ts)
-    up = par.jac_p(ts, bundle.p, t_f)
-    us = np.einsum("tms,s->tm", up, bundle.p)                  # as par.eval does
-    fu = _batch_eval(prob, "f_u", xs, us, ts)                  # (N, n, m)
-    lu = _batch_eval(prob, "L_u", xs, us, ts)                  # (N, m)
-    pu = lu + np.einsum("tnm,tn->tm", fu, mus)
+    xs, mus, psis = bundle.at(ts)                  # ([B,] N, n), and (..., n, q)
+    up = par.jac_p(ts, p, t_f)                     # (N, m, s), shared by the lanes
+    us = np.einsum("tms,...s->...tm", up, p)                   # as par.eval does
+    fu = _batch_eval(prob, "f_u", xs, us, ts)                  # ([B,] N, n, m)
+    lu = _batch_eval(prob, "L_u", xs, us, ts)                  # ([B,] N, m)
+    pu = lu + np.einsum("...tnm,...tn->...tm", fu, mus)
     if prob.q:
-        fupsi = np.einsum("tnm,tnq->tmq", fu, psis)            # psis: (N, n, q)
+        fupsi = np.einsum("...tnm,...tnq->...tmq", fu, psis)
     else:
-        fupsi = np.zeros((ts.size, prob.m, 0))
+        fupsi = np.zeros((*lu.shape, 0))
     if with_tf:
-        up = np.concatenate([up, par.jac_tf(ts, bundle.p, t_f)[..., None]], axis=-1)
+        utf = par.jac_tf(ts, p, t_f)[..., None]               # ([B,] N, m, 1)
+        up = np.concatenate([np.broadcast_to(up, (*utf.shape[:-1], up.shape[-1])), utf],
+                            axis=-1)
     kinv = gains.K_inv_at(ts) if gains is not None else None
     return _GridData(ts=ts, w=w, U=up, pu=pu, fupsi=fupsi, kinv=kinv)
 
 
 def _gram(gd: _GridData) -> np.ndarray:
-    """int U^T K^-1 U dt from grid samples, as one matrix product.
+    """int U^T K^-1 U dt from grid samples, as one matrix product (per lane of U).
 
     The product's two triangles round apart, so it is symmetrized exactly.
     """
-    N, m, k = gd.U.shape
-    G = (gd.w[:, None, None] * gd.U).reshape(N * m, k).T @ (gd.kinv @ gd.U).reshape(-1, k)
-    return 0.5 * (G + G.T)
+    *lanes, N, m, k = gd.U.shape
+    WU = (gd.w[:, None, None] * gd.U).reshape(*lanes, N * m, k)
+    G = WU.swapaxes(-1, -2) @ (gd.kinv @ gd.U).reshape(*lanes, N * m, k)
+    return 0.5 * (G + G.swapaxes(-1, -2))
 
 
 def _theta_integrals(gd: _GridData, terminal=None) -> tuple[np.ndarray, np.ndarray]:
@@ -243,11 +306,11 @@ def _theta_integrals(gd: _GridData, terminal=None) -> tuple[np.ndarray, np.ndarr
     When theta includes t_f, its row also gets the ``terminal`` brackets
     (tf_scalar, tf_row).
     """
-    r = np.einsum("t,tmi,tm->i", gd.w, gd.U, gd.pu)
-    Gamma = np.einsum("t,tmi,tmq->iq", gd.w, gd.U, gd.fupsi)
+    r = np.einsum("t,...tmi,...tm->...i", gd.w, gd.U, gd.pu)
+    Gamma = np.einsum("t,...tmi,...tmq->...iq", gd.w, gd.U, gd.fupsi)
     if terminal is not None:
-        r[-1] += terminal[0]
-        Gamma[-1] += terminal[1]
+        r[..., -1] += terminal[0]
+        Gamma[..., -1, :] += terminal[1]
     return r, Gamma
 
 
@@ -282,7 +345,7 @@ def assemble_form2(prob: OcpProblem, par: Parameterization, bundle: AdjointBundl
     terminal = _terminal_values(prob, bundle)
     r, Gamma = _theta_integrals(gd, terminal)
     M = _gram(gd)
-    M[-1, -1] += 1.0 / gains.k_tf
+    M[..., -1, -1] += 1.0 / gains.k_tf
     return ThetaQuantities(r, Gamma, M, *terminal)
 
 

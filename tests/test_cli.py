@@ -305,3 +305,15 @@ def test_import_leaves_scipy_out():
         capture_output=True, text=True, env={**os.environ, "PYTHONPATH": str(src)})
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "False"
+
+
+def test_non_finite_stop_values_exit_2(tmp_path, capsys):
+    # Python's json reads NaN and Infinity; StopCriteria refuses both
+    for key in ("tau_max", "record_every", "tol_opt"):
+        for text in ("NaN", "Infinity"):
+            path = tmp_path / "stop.json"
+            path.write_text(f'{{"problem": "example1", "out_dir": "{tmp_path / "out"}", '
+                            f'"stop": {{"{key}": {text}}}}}')
+            assert main(["solve", "--config", str(path)]) == 2
+            err = capsys.readouterr().err
+            assert "stop: " in err and key in err

@@ -478,3 +478,118 @@ def test_flow_is_smooth_in_the_terminal_time(brach, kind, p):
         norms = [np.linalg.norm(F(t_f + h) - F(t_f - h)) / (2 * h)
                  for h in (1e-4, 1e-5, 1e-6, 1e-7)]
         assert max(norms) <= 1.01 * min(norms), norms
+
+
+def _spy_batches(monkeypatch):
+    """Record the parameter stacks of every multi-lane pipeline pass."""
+    import ocflow.evolution as evolution
+
+    batches = []
+    batch = evolution.evaluate_iterates
+
+    def spying(mode, prob, par, gains, P, *args, **kwargs):
+        if len(P) > 1:
+            batches.append(np.array(P))
+        return batch(mode, prob, par, gains, P, *args, **kwargs)
+
+    monkeypatch.setattr(evolution, "evaluate_iterates", spying)
+    return batches
+
+
+def test_acceptance_1_rows_are_batched_and_keep_their_trace(monkeypatch, example1, e1_par):
+    # the rows inside one accepted outer step are one pipeline pass; the trace
+    # keeps tau = 0, 1, ..., 135 and stops at the row that converged, though
+    # its pass also evaluated later rows of the same step
+    batches = _spy_batches(monkeypatch)
+    report, trace, bundle = solve_evolution(
+        EvolutionMode.form1(), example1.prob, e1_par, example1.gains,
+        EvolutionState(p=np.zeros(4), t_f=2.0), StopCriteria(tau_max=300.0))
+    np.testing.assert_array_equal(trace.taus(), np.arange(136.0))
+    assert report.converged and report.tau_reached == 135.0
+    assert len(batches) >= 10 and max(map(len, batches)) >= 20
+    last = batches[-1]
+    at = [i for i, p in enumerate(last) if np.array_equal(p, report.p_final)]
+    assert at and at[0] < len(last) - 1, "the stop should fall inside a batch"
+    assert np.array_equal(trace.rows[-1].p, report.p_final)
+    # the report and the bundle come from the final iterate's own pipeline
+    own = evaluate_iterate(EvolutionMode.form1(), example1.prob, e1_par, example1.gains,
+                           report.p_final, 2.0)
+    assert bundle.p.shape == (4,) and bundle.x_traj.values.shape[1] == 3
+    assert report.J_final == own.J and np.array_equal(report.pi_final, own.pi)
+    assert report.residual_norm == own.residual_norm and report.g_norm == own.g_norm
+    np.testing.assert_array_equal(bundle.x_traj.t_grid, own.bundle.x_traj.t_grid)
+    np.testing.assert_array_equal(bundle.x_traj.values, own.bundle.x_traj.values)
+    np.testing.assert_array_equal(bundle.adjoint_sol.values, own.bundle.adjoint_sol.values)
+
+
+@pytest.mark.parametrize("failure", ["raise", "warn"])
+def test_a_failing_batch_reruns_its_rows_one_at_a_time(monkeypatch, example1, e1_par,
+                                                      e1_form1_solve, failure):
+    # as if a lane after the converged row failed: the rows are evaluated
+    # again one at a time up to the converged one, so neither the failure
+    # nor a warning reaches the caller, and the trace is the batched one
+    import warnings
+
+    import ocflow.evolution as evolution
+    from ocflow import DivergenceError
+
+    batch, single, singles = evolution.evaluate_iterates, evolution.evaluate_iterate, []
+
+    def failing(mode, prob, par, gains, P, *args, **kwargs):
+        its = batch(mode, prob, par, gains, P, *args, **kwargs)
+        if failure == "raise":
+            raise DivergenceError("non-finite right-hand side", time=1.0)
+        warnings.warn("||pi|| exceeds bound", MultiplierBoundWarning)
+        return its
+
+    def one(mode, prob, par, gains, p, *args, **kwargs):
+        singles.append(np.array(p))
+        return single(mode, prob, par, gains, p, *args, **kwargs)
+
+    monkeypatch.setattr(evolution, "evaluate_iterates", failing)
+    monkeypatch.setattr(evolution, "evaluate_iterate", one)
+    with warnings.catch_warnings(record=True) as seen:
+        warnings.simplefilter("always")
+        report, trace, _ = solve_evolution(
+            EvolutionMode.form1(), example1.prob, e1_par, example1.gains,
+            EvolutionState(p=np.zeros(4), t_f=2.0), StopCriteria(tau_max=300.0))
+    assert not seen
+    batched_report, batched_trace, _, _ = e1_form1_solve
+    np.testing.assert_array_equal(trace.taus(), batched_trace.taus())
+    assert report.converged and np.array_equal(report.p_final, batched_report.p_final)
+    np.testing.assert_allclose(trace.column("residual_norm"),
+                               batched_trace.column("residual_norm"), rtol=0, atol=1e-12)
+    assert any(np.array_equal(p, report.p_final) for p in singles)
+
+
+def test_gradient_flow_generic_takes_the_rows_of_a_step_together(monkeypatch):
+    # a fine record grid puts many rows in one step; the shared flow loop
+    # still stops at the first converged row, at the KKT point
+    import ocflow.evolution as evolution
+
+    sizes, flow = [], evolution._flow
+
+    def spying(rhs, rows, theta0, *args, **kwargs):
+        def counted(taus, thetas):
+            sizes.append(len(taus))
+            return rows(taus, thetas)
+        return flow(rhs, counted, theta0, *args, **kwargs)
+
+    monkeypatch.setattr(evolution, "_flow", spying)
+    theta, pi = gradient_flow_generic(
+        f_grad=lambda th: th,
+        h_val=lambda th: np.array([th[0] - 1.0]),
+        h_jac=lambda th: np.array([[1.0, 0.0, 0.0]]),
+        K_theta=np.eye(3), K_h=np.eye(1), theta0=np.zeros(3),
+        stop=StopCriteria(tau_max=200.0, record_every=0.01))
+    assert max(sizes) > 1
+    np.testing.assert_allclose(theta, [1.0, 0.0, 0.0], atol=1e-6)
+    assert pi[0] == pytest.approx(-1.0, abs=1e-6)
+
+
+@pytest.mark.parametrize("field", ["tau_max", "tol_opt", "tol_feas", "record_every",
+                                   "c1", "pi_bound"])
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_stop_criteria_must_be_finite(field, bad):
+    with pytest.raises(ValueError, match=field):
+        StopCriteria(**{field: bad})

@@ -1,0 +1,210 @@
+"""The lane-batched pipeline: B iterates sharing t_f in one pass.
+
+One lane is the single-iterate pipeline, so its results are checked bit for
+bit against the stages composed by hand with the unbatched formulas.  Several
+lanes share one inner step sequence, so each lane agrees with its own
+single evaluation to the inner tolerance: on example1, whose state is a
+polynomial the scheme integrates exactly, far tighter.
+"""
+
+import numpy as np
+import pytest
+
+from ocflow import (EvolutionMode, OdeSettings, QuadratureSpec, evaluate_iterate,
+                    evaluate_iterates, make_basis, nlp_gradients, solve_adjoints,
+                    solve_state)
+from ocflow.integrate import _initial_step, _rms, _stiffness, integrate_ivp
+from ocflow.sensitivity import assemble_form1, assemble_form2
+
+TIGHT = OdeSettings(rel_tol=1e-11, abs_tol=1e-13)
+
+
+def _cubic():
+    return make_basis("global_polynomial", m=1, t0=0.0, form="form1", order=3)
+
+
+def _pwc20():
+    return make_basis("piecewise_constant", m=1, t0=0.0, form="form2", n_segments=20)
+
+
+def _unbatched(mode, prob, par, gains, p, t_f, quad):
+    """The single-iterate pipeline from its stages, with plain 2-D algebra."""
+    free = prob.tf_mode == "free"
+    x_traj = solve_state(prob, par, p, t_f)
+    bundle = solve_adjoints(prob, par, p, x_traj, t_f)
+    x_f = bundle.x_f
+    J = float(prob.phi(x_f, t_f)) + bundle.cost_integral
+    g_val = np.asarray(prob.g(x_f, t_f), dtype=float)
+    if mode.kind == "gradient_flow":
+        quant = nlp_gradients(prob, par, bundle, p, t_f, quad, with_tf=free)
+    elif free:
+        quant = assemble_form2(prob, par, bundle, gains, p, t_f, quad)
+    else:
+        quant = assemble_form1(prob, par, bundle, gains, t_f, quad)
+    r, Gamma = quant.r, quant.Gamma
+    cols = np.concatenate([r[:, None], Gamma], axis=1)
+    W = mode.K_theta @ cols if quant.M is None else np.linalg.solve(quant.M, cols)
+    W_r, W_Gamma = W[:, 0], W[:, 1:]
+    if g_val.size:
+        pi = -np.linalg.solve(Gamma.T @ W_Gamma, Gamma.T @ W_r - gains.K_g @ g_val)
+    else:
+        pi = np.zeros(0)
+    residual = r + Gamma @ pi
+    return dict(p=p, t_f=t_f, pi=pi, J=J, g_val=g_val,
+                g_norm=np.sqrt(g_val.dot(g_val)), residual=residual,
+                residual_norm=np.sqrt(residual.dot(residual)),
+                dtheta=-(W_r + W_Gamma @ pi)), bundle, quant
+
+
+def _same(a, b) -> bool:
+    return a is None and b is None or np.array_equal(a, b)
+
+
+def _same_trajectory(a, b) -> bool:
+    return (np.array_equal(a.t_grid, b.t_grid) and np.array_equal(a.values, b.values)
+            and all(np.array_equal(x, y) for x, y in zip(a.segments, b.segments))
+            and (a.nsteps, a.nrejected) == (b.nsteps, b.nrejected))
+
+
+@pytest.mark.parametrize("case", ["e1_form1", "e1_gradient_flow", "brach_form2_pwc20",
+                                  "lqr_like"])
+def test_one_lane_is_the_unbatched_pipeline(case, example1, brach, lqr_like):
+    quad = QuadratureSpec()
+    if case == "brach_form2_pwc20":
+        mode, bp, par, t_f = EvolutionMode.form2(), brach, _pwc20(), 0.85
+        p = 0.03 + 0.06 * np.arange(20)
+        prob, gains = bp.prob, bp.gains
+    elif case == "lqr_like":             # not vectorized: every callback per point
+        mode, par, t_f, p = EvolutionMode.form1(), _cubic(), 2.0, np.array([0.3, -1, 0.4, 0])
+        prob, gains = lqr_like, example1.gains
+    else:
+        mode = (EvolutionMode.form1() if case == "e1_form1"
+                else EvolutionMode.gradient_flow(0.1 * np.eye(4)))
+        par, t_f, p = _cubic(), 2.0, np.array([-3.0, 2.5, 0.1, 0.02])
+        prob, gains = example1.prob, example1.gains
+    if prob.tf_mode == "free":
+        want, bundle, quant = _unbatched(mode, prob, par, gains, p, t_f, quad)
+    else:
+        want, bundle, quant = _unbatched(mode, prob, par, gains, p, prob.tf_fixed, quad)
+        t_f = prob.tf_fixed
+    it, = evaluate_iterates(mode, prob, par, gains, p[None], t_f, quad=quad)
+    for name, value in want.items():
+        assert _same(getattr(it, name), value), name
+    for name in ("r", "Gamma", "M", "tf_scalar", "tf_row"):
+        assert _same(getattr(it.quantities, name), getattr(quant, name)), name
+    assert _same_trajectory(it.bundle.x_traj, bundle.x_traj)
+    assert _same_trajectory(it.bundle.adjoint_sol, bundle.adjoint_sol)
+    assert it.bundle.p.shape == (par.s,)
+    single = evaluate_iterate(mode, prob, par, gains, p, t_f, quad=quad)
+    assert all(_same(getattr(single, name), value) for name, value in want.items())
+
+
+@pytest.mark.parametrize("mode", [EvolutionMode.form1(),
+                                  EvolutionMode.gradient_flow(0.1 * np.eye(4))])
+def test_each_lane_matches_its_own_pipeline_on_example1(example1, mode):
+    # the state is a polynomial of degree 5, which every step integrates
+    # exactly, so of the node values only the cost channel feels the shared
+    # step sequence
+    par, ode = _cubic(), OdeSettings()
+    rng = np.random.default_rng(3)
+    P = np.array([-3.5, 3.0, 0.0, 0.0]) + rng.uniform(-1.0, 1.0, (8, 4))
+    its = evaluate_iterates(mode, example1.prob, par, example1.gains, P, 2.0, ode)
+    assert len(its) == 8
+    for p, it in zip(P, its):
+        one = evaluate_iterate(mode, example1.prob, par, example1.gains, p, 2.0, ode)
+        assert np.array_equal(it.p, p) and it.bundle.p.shape == (4,)
+        np.testing.assert_allclose(it.pi, one.pi, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(it.quantities.r, one.quantities.r, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(it.quantities.Gamma, one.quantities.Gamma,
+                                   rtol=0, atol=1e-12)
+        assert abs(it.J - one.J) <= ode.rel_tol * abs(one.J) + ode.abs_tol
+        # each lane's bundle is that lane's own iterate
+        np.testing.assert_allclose(it.bundle.x_f, one.bundle.x_f, rtol=0, atol=1e-12)
+        ts = np.linspace(0.0, 2.0, 9)
+        np.testing.assert_allclose(it.bundle.x_at(ts), one.bundle.x_at(ts),
+                                   rtol=ode.rel_tol, atol=ode.abs_tol)
+
+
+@pytest.mark.parametrize("kind", ["piecewise_constant", "piecewise_linear"])
+def test_each_lane_matches_its_own_pipeline_on_the_brachistochrone(brach, kind):
+    # piecewise linear nodes move with t_f, so each lane has its own u_tf
+    # column and metric M_ptf
+    par = make_basis(kind, m=1, t0=0.0, form="form2", n_segments=20)
+    rng = np.random.default_rng(4)
+    P = 0.06 * np.arange(par.s) + rng.uniform(-0.05, 0.05, (4, par.s))
+    its = evaluate_iterates(EvolutionMode.form2(), brach.prob, par, brach.gains, P,
+                            0.83, TIGHT)
+    for p, it in zip(P, its):
+        one = evaluate_iterate(EvolutionMode.form2(), brach.prob, par, brach.gains, p,
+                               0.83, TIGHT)
+        assert it.dtheta.shape == (par.s + 1,)
+        for name in ("pi", "J", "g_val", "residual", "dtheta"):
+            np.testing.assert_allclose(getattr(it, name), getattr(one, name),
+                                       rtol=0, atol=1e-8, err_msg=name)
+        np.testing.assert_allclose(it.quantities.M, one.quantities.M, rtol=0, atol=1e-8)
+
+
+def test_lane_count_and_shape_are_checked(example1):
+    args = (EvolutionMode.form1(), example1.prob, _cubic(), example1.gains)
+    for P in (np.zeros(4), np.zeros((2, 5)), np.zeros((0, 4)), np.zeros((2, 2, 4))):
+        with pytest.raises(ValueError, match="P has shape"):
+            evaluate_iterates(*args, P, 2.0)
+
+
+def test_lane_norms_are_the_worst_lanes():
+    rng = np.random.default_rng(5)
+    lanes = [rng.normal(size=3) * s for s in (1e-3, 1.0, 10.0)]
+    flat = np.concatenate(lanes)
+    assert _rms(flat, 3) == max(_rms(v) for v in lanes)
+    assert np.isnan(_rms(np.concatenate([lanes[0], [np.nan, 0.0, 0.0]]), 2))
+    # the stiffness estimate |K[6] - K[5]| / |y - y5| of the stiffest lane
+    ys = [rng.normal(size=3) for _ in range(3)]
+    y5s = [y + rng.normal(size=3) * 1e-3 for y in ys]
+    Ks = [rng.normal(size=(7, 3)) * s for s in (1.0, 5.0, 2.0)]
+
+    def stiffness(lanes):
+        return _stiffness(np.concatenate([ys[b] for b in lanes]),
+                          np.concatenate([y5s[b] for b in lanes]),
+                          np.concatenate([Ks[b] for b in lanes], axis=1), len(lanes))
+
+    assert stiffness([0, 1, 2]) == max(stiffness([b]) for b in range(3)) > 0.0
+    # a lane whose y - y5 is at rounding level gives no estimate
+    y5s[1] = ys[1].copy()
+    assert stiffness([1]) == 0.0
+    assert stiffness([0, 1, 2]) == max(stiffness([0]), stiffness([2]))
+
+
+def test_lanes_share_steps_and_keep_their_own_tolerance():
+    # two decoupled decays, one 100x stiffer: alone the slow lane takes few
+    # steps, together both take the stiff lane's steps, and each lane's
+    # solution is as accurate as its own solve
+    rates = np.array([[1.0], [100.0]])
+    both = integrate_ivp(lambda t, y: -rates * y, np.ones((2, 1)), (0.0, 0.1))
+    # the first step is no larger than either lane's own
+    y0, ode = np.ones(2), OdeSettings()
+    first = _initial_step(lambda t, y: -rates[:, 0] * y, 0.0, y0, -rates[:, 0], ode, 2)
+    assert first <= min(_initial_step(lambda t, y, k=k: -k * y, 0.0, y0[:1], -k * y0[:1],
+                                      ode) for k in rates[:, 0])
+    alone = [integrate_ivp(lambda t, y, k=k: -k * y, np.ones(1), (0.0, 0.1))
+             for k in rates[:, 0]]
+    assert both.values.shape == (both.t_grid.size, 2)
+    assert both.nsteps >= max(a.nsteps for a in alone) > min(a.nsteps for a in alone)
+    for lane, a, k in zip(both.lanes(2), alone, rates[:, 0]):
+        for t in (0.05, 0.1):
+            exact = np.exp(-k * t)
+            assert abs(lane(t)[0] - exact) <= max(abs(a(t)[0] - exact), 1e-6)
+
+
+def test_lanes_of_a_problem_without_vectorized_callbacks(example1, lqr_like):
+    # every callback runs per point, lane by lane; no terminal constraint
+    par = _cubic()
+    P = np.array([[0.3, -1.0, 0.4, 0.0], [0.1, -0.5, 0.2, 0.05], [-0.2, 0.3, -0.1, 0.02]])
+    its = evaluate_iterates(EvolutionMode.form1(), lqr_like, par, example1.gains, P, 2.0,
+                            TIGHT)
+    for p, it in zip(P, its):
+        one = evaluate_iterate(EvolutionMode.form1(), lqr_like, par, example1.gains, p,
+                               2.0, TIGHT)
+        assert it.pi.shape == (0,) and it.g_norm == 0.0
+        for name in ("J", "residual", "dtheta"):
+            np.testing.assert_allclose(getattr(it, name), getattr(one, name),
+                                       rtol=0, atol=1e-8, err_msg=name)
