@@ -39,7 +39,7 @@ from .errors import ConfigurationError, MultiplierBoundWarning
 from .integrate import OdeSettings, _finite_positive, _interpolant, _Stepper, dense_output
 from .parameterization import FORM1, FORM2, Parameterization
 from .problem import (Gains, OcpProblem, SolveReport, SolveTrace, TraceRow,
-                      _gain_matrix, _require_spd)
+                      _gain_matrix, _require_spd, _terminal_eval)
 from .quadrature import QuadratureSpec
 from .sensitivity import (AdjointBundle, ThetaQuantities, assemble_form1,
                           assemble_form2, nlp_gradients, solve_adjoints, solve_state,
@@ -114,11 +114,6 @@ class StopCriteria:
 def _norm(v: np.ndarray) -> float:
     """The Euclidean norm of a vector, computed as np.linalg.norm computes it."""
     return math.sqrt(v.dot(v))
-
-
-def _columns(r: np.ndarray, Gamma: np.ndarray) -> np.ndarray:
-    """The matrix [r | Gamma], per lane."""
-    return np.concatenate([r[..., None], Gamma], axis=-1)
 
 
 def _matvec(A: np.ndarray, x: np.ndarray) -> np.ndarray:
@@ -205,22 +200,18 @@ def _check_compat(mode: EvolutionMode, prob: OcpProblem, par: Parameterization,
         raise ConfigurationError("free t_f requires k_tf > 0 (it enters as 1/k_tf)")
 
 
-def _cost_and_constraint(prob: OcpProblem, bundle: AdjointBundle,
-                         t_f: float) -> tuple[float, np.ndarray]:
-    """(J, g) of a single-lane bundle's iterate."""
+def _pipeline(mode: EvolutionMode, prob: OcpProblem, par: Parameterization, gains: Gains,
+              p: np.ndarray, t_f: float, ode_inner: OdeSettings | None,
+              quad: QuadratureSpec | None, pi_bound: float) -> tuple:
+    """(bundle, quantities, J, g, pi, r + Gamma pi, d theta/dtau = -W (r + Gamma pi))
+    at (p, t_f), from the stationarity terms r, Gamma over theta and the metric
+    W.  A (B, s) ``p`` runs B lanes, and each result has a leading lane axis."""
+    _check_compat(mode, prob, par, gains)
+    quad = quad or QuadratureSpec()
+    bundle = solve_adjoints(prob, par, p, solve_state(prob, par, p, t_f, ode_inner), t_f)
     x_f = bundle.x_f
-    return (float(prob.phi(x_f, t_f)) + bundle.cost_integral,
-            np.asarray(prob.g(x_f, t_f), dtype=float))
-
-
-def _stationarity(mode: EvolutionMode, prob: OcpProblem, par: Parameterization,
-                  gains: Gains, bundle: AdjointBundle, t_f: float, quad: QuadratureSpec):
-    """(quantities, W [r | Gamma]): the stationarity terms r, Gamma over theta
-    and the metric W applied to them, per lane for a bundle of lanes.
-
-    The flow d theta/dtau = -W (r + Gamma pi) follows.
-    """
-    p = bundle.p
+    J = _terminal_eval(prob, "phi", x_f, t_f) + bundle.cost_integral
+    g_val = _terminal_eval(prob, "g", x_f, t_f)
     if mode.kind == "gradient_flow":
         quant = nlp_gradients(prob, par, bundle, p, t_f, quad,
                               with_tf=prob.tf_mode == "free")
@@ -229,16 +220,17 @@ def _stationarity(mode: EvolutionMode, prob: OcpProblem, par: Parameterization,
     else:
         quant = assemble_form1(prob, par, bundle, gains, t_f, quad)
     r, Gamma = quant.r, quant.Gamma
+    rGamma = np.concatenate([r[..., None], Gamma], axis=-1)      # [r | Gamma]
     if quant.M is None:
-        W_rGamma = _gain_matrix(mode.K_theta, r.shape[-1], "K_theta") @ _columns(r, Gamma)
+        W_rGamma = _gain_matrix(mode.K_theta, r.shape[-1], "K_theta") @ rGamma
     else:
-        W_rGamma = spd_solve(quant.M, _columns(r, Gamma),
-                             "Gram matrix of the basis columns of theta")
-    return quant, W_rGamma
+        W_rGamma = spd_solve(quant.M, rGamma, "Gram matrix of the basis columns of theta")
+    return (bundle, quant, J, g_val,
+            *_flow_direction(r, Gamma, W_rGamma, gains.K_g, g_val, pi_bound))
 
 
 def _iterate_eval(p, t_f, bundle, quant, J, g_val, pi, residual, dtheta) -> IterateEval:
-    return IterateEval(p=p, t_f=t_f, bundle=bundle, quantities=quant, pi=pi, J=J,
+    return IterateEval(p=p, t_f=t_f, bundle=bundle, quantities=quant, pi=pi, J=float(J),
                        g_val=g_val, g_norm=_norm(g_val), residual=residual,
                        residual_norm=_norm(residual), dtheta=dtheta)
 
@@ -249,16 +241,11 @@ def evaluate_iterate(mode: EvolutionMode, prob: OcpProblem, par: Parameterizatio
                      quad: QuadratureSpec | None = None, *,
                      pi_bound: float = 1e6) -> IterateEval:
     """Run the full pipeline (state, adjoints, assembly, multiplier) at (p, t_f)."""
-    _check_compat(mode, prob, par, gains)
     p = np.asarray(p, dtype=float)
     if p.shape != (par.s,):
         raise ValueError(f"p has shape {p.shape}, expected ({par.s},)")
-    bundle = solve_adjoints(prob, par, p, solve_state(prob, par, p, t_f, ode_inner), t_f)
-    J, g_val = _cost_and_constraint(prob, bundle, t_f)
-    quant, W_rGamma = _stationarity(mode, prob, par, gains, bundle, t_f,
-                                    quad or QuadratureSpec())
-    return _iterate_eval(p, t_f, bundle, quant, J, g_val, *_flow_direction(
-        quant.r, quant.Gamma, W_rGamma, gains.K_g, g_val, pi_bound))
+    return _iterate_eval(p, t_f, *_pipeline(mode, prob, par, gains, p, t_f, ode_inner,
+                                            quad, pi_bound))
 
 
 def evaluate_iterates(mode: EvolutionMode, prob: OcpProblem, par: Parameterization,
@@ -271,9 +258,10 @@ def evaluate_iterates(mode: EvolutionMode, prob: OcpProblem, par: Parameterizati
     ``P`` is (B, s).  One state solve carries all lanes on one step sequence,
     each step held to its worst lane's tolerance and stability limit; one
     adjoint replay, one grid search, one basis evaluation and one Gram
-    matrix serve the batch, and the lanes' multiplier systems are solved as
-    one stack.  Each lane's result is its own :class:`IterateEval`, with a
-    single-lane bundle.  One lane (B = 1) is :func:`evaluate_iterate`.
+    matrix serve the batch, a vectorized problem's terminal callbacks run
+    once, and the lanes' multiplier systems are solved as one stack.  Each
+    lane's result is its own :class:`IterateEval`, with a single-lane
+    bundle.  One lane (B = 1) is :func:`evaluate_iterate`.
     """
     P = np.asarray(P, dtype=float)
     if P.ndim != 2 or len(P) == 0 or P.shape[1] != par.s:
@@ -281,16 +269,10 @@ def evaluate_iterates(mode: EvolutionMode, prob: OcpProblem, par: Parameterizati
     if len(P) == 1:
         return [evaluate_iterate(mode, prob, par, gains, P[0], t_f, ode_inner, quad,
                                  pi_bound=pi_bound)]
-    _check_compat(mode, prob, par, gains)
-    bundle = solve_adjoints(prob, par, P, solve_state(prob, par, P, t_f, ode_inner), t_f)
-    bundles = bundle.lanes()
-    Js, g_vals = zip(*(_cost_and_constraint(prob, b, t_f) for b in bundles))
-    quant, W_rGamma = _stationarity(mode, prob, par, gains, bundle, t_f,
-                                    quad or QuadratureSpec())
-    flow = _flow_direction(quant.r, quant.Gamma, W_rGamma, gains.K_g, np.stack(g_vals),
-                           pi_bound)
+    bundle, quant, *lanes = _pipeline(mode, prob, par, gains, P, t_f, ode_inner, quad,
+                                      pi_bound)
     return [_iterate_eval(p, t_f, *lane)
-            for p, *lane in zip(P, bundles, quant.lanes(), Js, g_vals, *flow)]
+            for p, *lane in zip(P, bundle.lanes(), quant.lanes(), *lanes)]
 
 
 def _resolve_init(prob: OcpProblem, init: EvolutionState) -> tuple[np.ndarray, float]:

@@ -6,7 +6,9 @@ are adaptive (backward spans run internally in negated time, so a single
 code path covers both directions), and the linear adjoint solves replay the
 same tableau backward over a forward solve's accepted steps with no error
 control.  The free 4th-order interpolant of the pair provides dense output
-that downstream quadrature evaluates at arbitrary nodes.  Several
+that downstream quadrature evaluates at arbitrary nodes.  A state solve's
+open-loop control is evaluated once per step attempt, at all of its stage
+times, and handed to the right-hand side stage by stage.  Several
 independent systems of equal size may run as lanes of one solve: they share
 one step sequence, and each step is held to the tolerance and stability
 limit of its worst lane.  Step-size control is a standard PI controller
@@ -63,8 +65,6 @@ _MIN_STEP_REL = 16 * np.finfo(float).eps   # smallest step relative to |t|
 _STABLE_HRHO = 0.8 * 3.3   # next h * rho, 0.8 of the real-axis stability limit
 # the stiffness estimate is skipped when |y_new - y5| is at rounding level
 _ROUNDING_REL2 = (64 * np.finfo(float).eps) ** 2
-# entries of the interpolant data a dense lookup gathers at once (128 KB)
-_GATHER_BUDGET = 1 << 14
 
 
 def _finite_positive(v) -> bool:
@@ -104,7 +104,10 @@ def dense_output(theta, scale, base, Q) -> np.ndarray:
     th3 = th2 * theta
     powers[..., 2] = th3
     powers[..., 3] = th3 * theta
-    return base + np.asarray(scale)[..., None] * np.einsum("...k,...ck->...c", powers, Q)
+    out = np.einsum("...k,...ck->...c", powers, Q)
+    out *= np.asarray(scale)[..., None]
+    out += base
+    return out
 
 
 class DenseTrajectory:
@@ -157,17 +160,11 @@ class DenseTrajectory:
             if traj.t_grid is not grid and not np.array_equal(traj.t_grid, grid):
                 raise ValueError("trajectories looked up together must share their grid")
             anchor, denom, scale, base, Q = traj.segments
-            theta = (ts - anchor.take(idx)) / denom.take(idx)
-            # each point is its own contraction, so the points run in blocks
-            # whose gathered copy of Q stays small: a many-lane lookup's would
-            # not.  The gather keeps Q's memory layout, which sets einsum's
-            # summation order: take() gives C order, Q[idx] any other.
-            per = max(1, _GATHER_BUDGET * len(Q) // max(Q.size, 1))
-            take = Q.flags.c_contiguous
-            blocks = [dense_output(theta[a:a + per], scale.take(j), base.take(j, axis=0),
-                                   Q.take(j, axis=0) if take else Q[j])
-                      for a in range(0, max(ts.size, 1), per) for j in [idx[a:a + per]]]
-            out = blocks[0] if len(blocks) == 1 else np.concatenate(blocks)
+            # the gather keeps Q's memory layout, which sets einsum's summation
+            # order: take() gives C order, Q[idx] any other
+            Q = Q.take(idx, axis=0) if Q.flags.c_contiguous else Q[idx]
+            out = dense_output((ts - anchor.take(idx)) / denom.take(idx), scale.take(idx),
+                               base.take(idx, axis=0), Q)
             if left.size:
                 out[left] = traj.values[at_left]
             if right.size:
@@ -180,13 +177,11 @@ class DenseTrajectory:
         holds lane after lane (see :func:`integrate_ivp`), as views."""
         width = self.values.shape[-1] // count
         anchor, denom, scale, base, Q = self.segments
-        out = []
-        for b in range(count):
+        out = [object.__new__(DenseTrajectory) for _ in range(count)]   # grid already checked
+        for b, lane in enumerate(out):
             c = slice(b * width, (b + 1) * width)
-            lane = object.__new__(DenseTrajectory)      # the grid is already checked
             lane.__dict__.update(self.__dict__, values=self.values[:, c],
                                  segments=(anchor, denom, scale, base[:, c], Q[:, c]))
-            out.append(lane)
         return out
 
 
@@ -216,8 +211,7 @@ def _stiffness(y: np.ndarray, y5: np.ndarray, K: np.ndarray, lanes: int) -> floa
 
     dy = y - y5 is the step's solution less its stage-5 state, dK = K[6] - K[5]
     the two c = 1 stage derivatives.  A lane whose |dy| is at rounding level
-    relative to |y| gives no estimate; 0.0 when none does.  Each lane's norms
-    are its own dot products.
+    relative to |y| gives no estimate; 0.0 when none does.
     """
     dy = y - y5
     if lanes == 1:                       # the same dot products, without the reshapes
@@ -283,12 +277,15 @@ class _Stepper:
     may veto a step that passed the error test, which is then retried at
     half size.  The state may hold ``lanes`` equal blocks of channels, each an
     independent system: the error norm and the stiffness estimate are then
-    the largest over the lanes.
+    the largest over the lanes.  With ``stage_input`` the right-hand side is
+    ``rhs(t, y, v)``, v the row at t of ``stage_input(ts)``, which runs once
+    per step attempt at its six stage times (one point where rhs runs alone).
     """
 
     def __init__(self, rhs, t0, y0, t_end, settings, guard=None, backward=False,
-                 cuts=(), lanes=1):
+                 cuts=(), lanes=1, stage_input=None):
         self.rhs = rhs
+        self.stage_input = stage_input
         self.lanes = lanes
         self.backward = backward
         self.settings = settings
@@ -326,7 +323,9 @@ class _Stepper:
         self.h = min(self.h, t_end - t0)
 
     def _rhs_at(self, t, y) -> np.ndarray:
-        return np.asarray(self.rhs(min(max(t, self.lo), self.hi), y), dtype=float)
+        t = min(max(t, self.lo), self.hi)
+        v = () if self.stage_input is None else (self.stage_input(np.array([t]))[0],)
+        return np.asarray(self.rhs(t, y, *v), dtype=float)
 
     def _error(self, cls, message: str, s: float) -> IntegrationError:
         return cls(message, time=-s if self.backward else s)
@@ -346,6 +345,7 @@ class _Stepper:
             self._start(self.t)
         s = self.settings
         rhs, K, KT, lo, hi, lanes = self.rhs, self.K, self._KT, self.lo, self.hi, self.lanes
+        stage_input = self.stage_input
         t, y, t_end = self.t, self.y, self.t_end
         min_step = _MIN_STEP_REL * max(abs(t), abs(t_end))
         while True:
@@ -362,6 +362,8 @@ class _Stepper:
                 t_new = t_end
                 h = t_new - t
 
+            ts = [min(max(t + c * h, lo), hi) for c in _C_STAGE]
+            vs = None if stage_input is None else stage_input(np.array(ts[1:]))
             # y + h * (K^T a_i), y_new and the error, each formed in place (the
             # same roundings as the plain expressions)
             K[0] = self.f
@@ -369,7 +371,7 @@ class _Stepper:
                 yi = KT[i].dot(_A[i])
                 yi *= h
                 yi += y
-                K[i] = rhs(min(max(t + _C_STAGE[i] * h, lo), hi), yi)
+                K[i] = rhs(ts[i], yi) if stage_input is None else rhs(ts[i], yi, vs[i - 1])
                 if i == 5:
                     y5 = yi                     # stages 5 and 6 both sit at c = 1
             # a_7j = b_j: the last stage's state is the step's solution, and its
@@ -411,7 +413,7 @@ class _Stepper:
 
 
 def integrate_ivp(rhs, y0, t_span, settings: OdeSettings | None = None, *,
-                  breakpoints=()) -> DenseTrajectory:
+                  breakpoints=(), _stage_input=None) -> DenseTrajectory:
     """Solve y' = rhs(t, y) over ``t_span`` with dense output.
 
     Backward spans (t_end < t_start) integrate in negated time internally.
@@ -422,13 +424,16 @@ def integrate_ivp(rhs, y0, t_span, settings: OdeSettings | None = None, *,
     arrays, the lanes share every step, each step is held to its worst
     lane's error and stiffness, and the solution's channels are the lanes'
     channels, lane after lane (:meth:`DenseTrajectory.lanes` splits them).
+    ``_stage_input``, private to :func:`problem._state_solution`, is an input
+    ``rhs(t, y, v)`` of a forward span takes, evaluated per step attempt
+    (see :class:`_Stepper`).
     """
     settings = settings or OdeSettings()
     y0 = np.asarray(y0, dtype=float)
     lanes = 1
     if y0.ndim == 2:
         lanes, shape, lane_rhs = len(y0), y0.shape, rhs
-        rhs = lambda t, y: np.asarray(lane_rhs(t, y.reshape(shape)), dtype=float).reshape(-1)
+        rhs = lambda t, y, *v: np.asarray(lane_rhs(t, y.reshape(shape), *v)).reshape(-1)
         y0 = y0.reshape(-1)
     t_start, t_end = float(t_span[0]), float(t_span[1])
     if t_start == t_end:
@@ -444,7 +449,7 @@ def integrate_ivp(rhs, y0, t_span, settings: OdeSettings | None = None, *,
     cuts = _interior(np.negative(breakpoints) if backward else breakpoints, lo, hi)
 
     stepper = _Stepper(fwd_rhs, lo, y0, hi, settings, backward=backward,
-                       cuts=cuts.tolist(), lanes=lanes)
+                       cuts=cuts.tolist(), lanes=lanes, stage_input=_stage_input)
     ts, ys, hs, Ks = [stepper.t], [stepper.y], [], []
     while not stepper.done:
         h, K = stepper.step()

@@ -24,7 +24,6 @@ therefore evaluates on that subinterval's own segment.
 from __future__ import annotations
 
 import numbers
-from bisect import bisect_right
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -44,12 +43,15 @@ class Parameterization:
     The evaluators work on time arrays: ``jac_p_fn(ts, p, t_f)`` gives the
     (N, m, s) parameter Jacobian and ``jac_tf_fn`` the (N, m) terminal-time
     sensitivity (identically zero for form 1).  Every kind is linear in p, so
-    the (N, m) control values are ``jac_p @ p``.  ``scalar_fn(p, t_f)``
-    returns the unchecked per-point evaluator ``u(t) -> (m,)`` behind
-    :meth:`bind`; it rounds exactly like the array path on a one-point
-    array.  Wherever a method takes ``p`` it also takes B parameter vectors
-    as a (B, s) array, the lanes of a batch: the results then carry a leading
-    lane axis, except ``jac_p``, which no kind's p changes.
+    the (N, m) control values are ``jac_p @ p``.  ``control_fn(p, t_f)``
+    returns the unchecked array evaluator ``u(ts) -> (N, m)`` behind
+    :meth:`bind`: the array path's contraction of the basis values with p,
+    or for the piecewise-constant kind a plain gather of p's entries.  Each
+    row is summed on its own, so a time's value does not depend on the other
+    times in the array (tests pin this bit for bit for m = 1).  Wherever a
+    method takes ``p`` it also takes B parameter vectors as a (B, s) array,
+    the lanes of a batch: the results then carry a leading lane axis, except
+    ``jac_p``, which no kind's p changes.
     """
 
     kind: str
@@ -60,7 +62,7 @@ class Parameterization:
     jac_p_fn: Callable
     jac_tf_fn: Callable
     breakpoints_fn: Callable
-    scalar_fn: Callable
+    control_fn: Callable
     meta: dict = field(default_factory=dict)
 
     def _slack(self, t_f: float) -> float:
@@ -85,24 +87,28 @@ class Parameterization:
         return ts, self._check_p(p)
 
     def bind(self, p, t_f=None) -> Callable:
-        """The control u(t) of one iterate, or of B lanes, for scalar t.
+        """The control u(t) of one iterate, or of B lanes, validating p and t_f once.
 
-        ``p`` and ``t_f`` are validated here, once; the returned evaluator
-        only checks that t lies in [t0, t_f] (with the array path's slack;
-        :class:`DomainError` otherwise, also for NaN) and returns an (m,)
-        array, or (B, m) for a (B, s) ``p``.
+        The evaluator maps (N,) times to (N, m), or (B, N, m) for a (B, s) p; a
+        scalar t is a one-point array, returned as (m,) or (B, m).  It checks
+        each time against [t0, t_f] with the array path's slack (DomainError
+        otherwise, also for NaN) one by one, quicker than numpy's reductions
+        on the few stage times of an integrator step.
         """
         t_f = self._resolve_tf(t_f)
-        u = self.scalar_fn(self._check_p(p), t_f)
+        u = self.control_fn(self._check_p(p), t_f)
         t0 = self.t0
         slack = self._slack(t_f)
         lo, hi = t0 - slack, t_f + slack
 
         def u_of_t(t):
-            t = float(t)
-            if not lo <= t <= hi:
-                raise DomainError(f"t = {t!r} outside control domain [{t0!r}, {t_f!r}]")
-            return u(t)
+            ts = np.asarray(t, dtype=float)
+            if ts.ndim == 0:
+                return u_of_t(ts.reshape(1))[..., 0, :]
+            for s in ts.tolist():
+                if not lo <= s <= hi:
+                    raise DomainError(f"t = {s!r} outside control domain [{t0!r}, {t_f!r}]")
+            return u(ts)
         return u_of_t
 
     def eval(self, t, p, t_f=None):
@@ -155,20 +161,14 @@ def _block_jac(vals: np.ndarray, m: int) -> np.ndarray:
     return out
 
 
-def _row_eval(vals: list, m: int, p: np.ndarray) -> np.ndarray:
-    """(m,) control value at one point from its k basis values; (B, m) for lanes.
-
-    The array path's contraction on one row, so both paths round alike: for
-    m = 1 the row of the block Jacobian is the values themselves, and einsum
-    sums it with the same loop.
-    """
-    if m == 1:
-        return np.einsum("s,...s->...", np.array(vals), p)[..., None]
-    return np.einsum("tms,...s->...tm", _block_jac(np.array([vals]), m), p)[..., 0, :]
+def _contract(vals: np.ndarray, m: int, p: np.ndarray) -> np.ndarray:
+    """([B,] N, m) control values from (N, k) basis values: the block
+    Jacobian contracted with p, each row summed on its own."""
+    return np.einsum("tms,...s->...tm", _block_jac(vals, m), p)
 
 
-def _lagrange_terms(sig, nodes: list) -> list:
-    """The k Lagrange basis values at scaled time(s) ``sig`` (float or array)."""
+def _lagrange_terms(sig: np.ndarray, nodes: list) -> list:
+    """The k Lagrange basis values at scaled times ``sig``."""
     k = len(nodes)
     terms = []
     for i in range(k):
@@ -198,7 +198,7 @@ def _lagrange_derivs(sig: np.ndarray, nodes: np.ndarray) -> np.ndarray:
 
 def _segments(ts: np.ndarray, breaks: np.ndarray) -> np.ndarray:
     """Segment index of each time: the number of breakpoints at or before it."""
-    return np.searchsorted(breaks, ts, side="right")
+    return breaks.searchsorted(ts, side="right")
 
 
 def _hat_values(sig: np.ndarray, idx: np.ndarray, n_seg: int) -> np.ndarray:
@@ -247,6 +247,9 @@ def make_basis(kind: str, m: int, t0: float, form: str, *,
     if m < 1:
         raise ConfigurationError("m must be >= 1")
 
+    def zero_tf(ts, p, t_f):            # form 1: no t_f dependence
+        return np.zeros((*p.shape[:-1], ts.size, m))
+
     if kind == "global_polynomial":
         order = _integer_at_least(order, "global_polynomial requires an integer order", 0)
         if form != FORM1:
@@ -254,25 +257,12 @@ def make_basis(kind: str, m: int, t0: float, form: str, *,
         k = order + 1
         s = m * k
 
-        def jac_p_fn(ts, p, t_f, _k=k, _m=m):
-            powers = np.vander(ts, _k, increasing=True)     # (N, k): 1, t, ...
-            return _block_jac(powers, _m)
-
-        def jac_tf_fn(ts, p, t_f):
-            return np.zeros((*p.shape[:-1], ts.size, m))
-
-        def scalar_fn(p, t_f):
-            def u(t):
-                powers = [1.0]                          # as np.vander builds them
-                for _ in range(order):
-                    powers.append(powers[-1] * t)
-                return _row_eval(powers, m, p)
-            return u
-
+        powers = lambda ts: np.vander(ts, k, increasing=True)     # (N, k): 1, t, ...
         return Parameterization(
             kind=kind, form=form, m=m, s=s, t0=t0,
-            jac_p_fn=jac_p_fn, jac_tf_fn=jac_tf_fn,
-            breakpoints_fn=lambda t_f: np.empty(0), scalar_fn=scalar_fn,
+            jac_p_fn=lambda ts, p, t_f: _block_jac(powers(ts), m), jac_tf_fn=zero_tf,
+            breakpoints_fn=lambda t_f: np.empty(0),
+            control_fn=lambda p, t_f: lambda ts: _contract(powers(ts), m, p),
             meta={"order": order})
 
     if kind not in ("lagrange_nodes", "piecewise_linear", "piecewise_constant"):
@@ -280,61 +270,44 @@ def make_basis(kind: str, m: int, t0: float, form: str, *,
     N = _integer_at_least(n_segments, f"{kind} requires an integer n_segments", 1)
 
     # values(sig, idx) and derivs(sig, idx) give the (N, k) basis values and
-    # sigma-derivatives at scaled times sig lying on segments idx;
-    # point_of(p) gives the per-point evaluator u(sig, k) of one parameter
-    # vector, which rounds exactly like the array path
+    # sigma-derivatives at scaled times sig lying on segments idx
     if kind == "lagrange_nodes":
         nodes = np.linspace(0.0, 1.0, N + 1)
         node_list = nodes.tolist()
         values = lambda sig, idx: np.column_stack(_lagrange_terms(sig, node_list))
         derivs = lambda sig, idx: _lagrange_derivs(sig, nodes)
-        point_of = lambda p: lambda sig, k: _row_eval(_lagrange_terms(sig, node_list), m, p)
         k = N + 1
         smooth = True
     elif kind == "piecewise_linear":
         values = lambda sig, idx: _hat_values(sig, idx, N)
         derivs = lambda sig, idx: _hat_derivs(idx, N)
-
-        def hat_row(sig, idx):
-            frac = sig * N - idx
-            row = [0.0] * (N + 1)
-            row[idx] = 1.0 - frac
-            row[idx + 1] += frac
-            return row
-        point_of = lambda p: lambda sig, k: _row_eval(hat_row(sig, k), m, p)
         k = N + 1
         smooth = False
     else:  # piecewise_constant
         values = lambda sig, idx: _step_values(idx, N)
         derivs = lambda sig, idx: np.zeros((sig.size, N))
-
-        def point_of(p):
-            P = p.reshape(*p.shape[:-1], N, m)
-            return lambda sig, k: P[..., k, :].copy()
         k = N
         smooth = False
     s = m * k
 
-    def scalar_fn(p, t_f):
-        point = point_of(p)
-        span = t_f - t0
-        breaks = breakpoints_fn(t_f).tolist()
-        return lambda t: point((t - t0) / span, bisect_right(breaks, t))
+    def control_fn(p, t_f):
+        breaks = breakpoints_fn(t_f)
+        if kind == "piecewise_constant":
+            P = p.reshape(*p.shape[:-1], N, m)
+            return lambda ts: P.take(_segments(ts, breaks), axis=-2)
+        return lambda ts: _contract(values(_sigma(ts, t0, t_f), _segments(ts, breaks)), m, p)
 
     def jac_p_fn(ts, p, t_f):
         idx = _segments(ts, breakpoints_fn(t_f))
         return _block_jac(values(_sigma(ts, t0, t_f), idx), m)
 
-    if form == FORM1:
-        def jac_tf_fn(ts, p, t_f):
-            return np.zeros((*p.shape[:-1], ts.size, m))
-    else:
+    jac_tf_fn = zero_tf
+    if form == FORM2:
         def jac_tf_fn(ts, p, t_f):
             # nodes move with t_f while node values stay fixed:
             # du/dt_f = -sigma/(t_f - t0) * du/dsigma
             sig = _sigma(ts, t0, t_f)
-            djac = _block_jac(derivs(sig, _segments(ts, breakpoints_fn(t_f))), m)
-            du_dsigma = np.einsum("tms,...s->...tm", djac, p)
+            du_dsigma = _contract(derivs(sig, _segments(ts, breakpoints_fn(t_f))), m, p)
             return -(sig / (t_f - t0))[:, None] * du_dsigma
 
     def breakpoints_fn(t_f):
@@ -345,7 +318,7 @@ def make_basis(kind: str, m: int, t0: float, form: str, *,
     return Parameterization(
         kind=kind, form=form, m=m, s=s, t0=t0,
         jac_p_fn=jac_p_fn, jac_tf_fn=jac_tf_fn,
-        breakpoints_fn=breakpoints_fn, scalar_fn=scalar_fn,
+        breakpoints_fn=breakpoints_fn, control_fn=control_fn,
         meta={"n_segments": N})
 
 

@@ -28,8 +28,10 @@ class OcpProblem:
 
     Evaluators take per-point arguments ``(x, u, t)`` (dynamics/running cost)
     or ``(x_f, t_f)`` (terminal cost/constraint).  With ``vectorized=True``
-    they must also accept stacked inputs ``(N, n), (N, m), (N,)`` and return
-    stacked outputs; the quadrature layer exploits this.
+    they must also accept stacked inputs ``(N, n), (N, m), (N,)``, or for the
+    terminal ones stacked states ``(N, n)`` at one shared t_f, and return
+    stacked outputs; a terminal output without the leading axis holds for
+    every state.  The quadrature layer and the lanes of a batch exploit this.
 
     ``q = 0`` (no terminal constraint) is allowed: ``g`` returns an empty
     vector and the multiplier machinery degenerates gracefully.
@@ -306,9 +308,7 @@ def _batch_eval(prob: OcpProblem, name: str, xs, us, ts) -> np.ndarray:
     points = xs.shape[:-1]
     if len(points) > 1:                 # lanes of points: one flat stack
         xs, us = xs.reshape(-1, xs.shape[-1]), us.reshape(-1, us.shape[-1])
-        full = np.empty(points)
-        full[...] = ts
-        ts = full.reshape(-1)
+        ts = np.broadcast_to(ts, points).reshape(-1)
     if prob.vectorized:
         out = np.asarray(fn(xs, us, ts), dtype=float)
     else:
@@ -317,29 +317,44 @@ def _batch_eval(prob: OcpProblem, name: str, xs, us, ts) -> np.ndarray:
     return out.reshape(*points, *out.shape[1:]) if len(points) > 1 else out
 
 
+def _terminal_eval(prob: OcpProblem, name: str, x_f: np.ndarray, t_f: float) -> np.ndarray:
+    """The terminal callback ``name`` at x_f (n,), or at B lanes' states (B, n)
+    sharing t_f: one stacked call on a vectorized problem, else one per lane."""
+    fn = getattr(prob, name)
+    if x_f.ndim == 1:
+        return np.asarray(fn(x_f, t_f), dtype=float)
+    out = np.empty((len(x_f), *_EXPECTED_SHAPES[name](prob)))
+    if prob.vectorized:
+        out[...] = fn(x_f, t_f)
+    else:
+        for b, x in enumerate(x_f):
+            out[b] = fn(x, t_f)
+    return out
 
-def _state_solution(prob: OcpProblem, u_of_t, t_f: float, ode: OdeSettings | None,
+
+def _state_solution(prob: OcpProblem, u_of_ts, t_f: float, ode: OdeSettings | None,
                     breakpoints, lanes: tuple = ()) -> DenseTrajectory:
     """The forward solve of :func:`simulate_control`, without J and g.
 
-    With ``lanes = (B,)`` the control ``u_of_t(t)`` gives (B, m), and the B
-    systems run as the lanes of one solve (see :func:`integrate_ivp`); ``f``
-    and ``L`` then take the B lanes as stacked points.
+    The control ``u_of_ts(ts) -> (N, m)`` runs once per step attempt, at
+    all of its stage times (see :func:`integrate_ivp`).  With ``lanes = (B,)``
+    it gives (B, N, m), the B systems run as the lanes of one solve, and
+    ``f`` and ``L`` take the B lanes as stacked points.
     """
     if t_f <= prob.t0:
         raise ValueError("t_f must exceed t0")
-    n, f, L = prob.n, prob.f, prob.L
+    n, f, L, stage_input = prob.n, prob.f, prob.L, u_of_ts
     if lanes:                           # the lanes are stacked points at one time
         ones = np.ones(lanes)
         f = lambda x, u, t: _batch_eval(prob, "f", x, u, t * ones)
         L = lambda x, u, t: _batch_eval(prob, "L", x, u, t * ones)
+        stage_input = lambda ts: u_of_ts(ts).swapaxes(0, 1)     # times first
     shape = (*lanes, n + 1)
     # the state's and the cost's channels of each lane
     x_of, cost_of = ((..., slice(None, n)), (..., n)) if lanes else (slice(None, n), n)
 
-    def rhs(t, ya):
+    def rhs(t, ya, u):
         x = ya[x_of]
-        u = u_of_t(t)
         out = np.empty(shape)
         out[x_of] = f(x, u, t)
         out[cost_of] = L(x, u, t)
@@ -349,7 +364,7 @@ def _state_solution(prob: OcpProblem, u_of_t, t_f: float, ode: OdeSettings | Non
     y0[..., :n] = prob.x0
     y0[..., n] = 0.0
     return integrate_ivp(rhs, y0, (prob.t0, t_f), ode or OdeSettings(),
-                         breakpoints=breakpoints)
+                         breakpoints=breakpoints, _stage_input=stage_input)
 
 
 def simulate_control(prob: OcpProblem, u_of_t, t_f: float,
@@ -360,7 +375,7 @@ def simulate_control(prob: OcpProblem, u_of_t, t_f: float,
     The returned dense solution has n+1 channels: the state plus the running
     cost accumulated as an augmented state.
     """
-    sol = _state_solution(prob, u_of_t, t_f, ode, breakpoints)
+    sol = _state_solution(prob, lambda ts: [u_of_t(t) for t in ts.tolist()], t_f, ode, breakpoints)
     n = prob.n
     x_f, cost = sol.values[-1, :n], sol.values[-1, n]
     J = float(prob.phi(x_f, t_f)) + cost

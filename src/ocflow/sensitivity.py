@@ -22,14 +22,15 @@ agree to round-off.
 
 Every stage also runs B iterates that share t_f at once, as lanes: p is then
 (B, s), one state solve and one adjoint replay carry all lanes on one step
-sequence, and the assembly makes one grid search and one basis evaluation
-for the batch.  Its results carry a leading lane axis; a single iterate has
-none, and is the arithmetic of the unbatched pipeline.
+sequence, and the results carry a leading lane axis; a single iterate has
+none, and is the arithmetic of the unbatched pipeline.  The grid's
+p-independent samples (points, weights, u_p and K^-1) are built once per t_f
+and reused while the iterates share it (:func:`_grid`).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -38,7 +39,7 @@ from .integrate import DenseTrajectory, OdeSettings, replay_linear
 # not called here, but kept bound: bench/tracing.py wraps sensitivity.integrate_ivp
 from .integrate import integrate_ivp  # noqa: F401
 from .parameterization import Parameterization
-from .problem import Gains, OcpProblem, _batch_eval, _state_solution
+from .problem import Gains, OcpProblem, _batch_eval, _state_solution, _terminal_eval
 from .quadrature import QuadratureSpec, simpson_points
 
 
@@ -144,8 +145,7 @@ class AdjointBundle:
         if self.p.ndim == 1:
             return [self]
         B = len(self.p)
-        return [AdjointBundle(x_traj=x, adjoint_sol=a, t0=self.t0, t_f=self.t_f, n=self.n,
-                              q=self.q, par=self.par, p=p)
+        return [replace(self, x_traj=x, adjoint_sol=a, p=p)
                 for x, a, p in zip(self.x_traj.lanes(B), self.adjoint_sol.lanes(B), self.p)]
 
 
@@ -206,11 +206,10 @@ def solve_adjoints(prob: OcpProblem, par: Parameterization, p,
     if x_traj.t_grid[0] != prob.t0 or x_traj.t_grid[-1] != t_f:
         raise ValueError("x_traj must span [t0, t_f]")
 
-    x_f = _lanes_first(x_traj.values[-1], lanes, n + 1)[..., :n].reshape(-1, n)
+    x_f = _lanes_first(x_traj.values[-1], lanes, n + 1)[..., :n]
     y_f = np.empty((*lanes, n, 1 + q))
-    for y, x in zip(y_f.reshape(-1, n, 1 + q), x_f):
-        y[:, 0] = np.asarray(prob.phi_x(x, t_f), dtype=float)
-        y[:, 1:] = np.asarray(prob.g_x(x, t_f), dtype=float).T.reshape(n, q)
+    y_f[..., 0] = _terminal_eval(prob, "phi_x", x_f, t_f)
+    y_f[..., 1:] = _terminal_eval(prob, "g_x", x_f, t_f).swapaxes(-1, -2)
 
     def coefficients(ts, xs):
         xs = _lanes_first(xs, lanes, n + 1)[..., :n]
@@ -257,22 +256,49 @@ def _brackets(prob: OcpProblem, x_f, u_f, t_f: float) -> tuple[float, np.ndarray
 
 
 def _terminal_values(prob: OcpProblem, bundle: AdjointBundle) -> tuple[float, np.ndarray]:
-    """The terminal brackets (tf_scalar, tf_row) of the t_f equation, per lane."""
+    """The terminal brackets (tf_scalar, tf_row) of the t_f equation; over
+    lanes stacked, from one call of each callback (``_terminal_eval``)."""
     t_f, x_f = bundle.t_f, bundle.x_f
     u_f = bundle.u_of_t(t_f)
     if x_f.ndim == 1:
         return _brackets(prob, x_f, u_f, t_f)
-    scalars, rows = zip(*(_brackets(prob, x, u, t_f) for x, u in zip(x_f, u_f)))
-    return np.array(scalars), np.array(rows)
+    ts = np.full(len(x_f), t_f)
+    f_f = _batch_eval(prob, "f", x_f, u_f, ts)
+    phi_t, phi_x, g_x, g_t = (_terminal_eval(prob, name, x_f, t_f)
+                              for name in ("phi_t", "phi_x", "g_x", "g_t"))
+    tf_scalar = phi_t + np.einsum("bn,bn->b", phi_x, f_f) + _batch_eval(prob, "L", x_f, u_f, ts)
+    return tf_scalar, (g_x @ f_f[..., None])[..., 0] + g_t
+
+
+_GRID = None     # the latest ((t0, t_f, quad, par, gains), (ts, w, U_p, K^-1))
+
+
+def _grid(par: Parameterization, p, t0: float, t_f: float, quad: QuadratureSpec,
+          gains: Gains | None) -> tuple:
+    """The read-only Simpson points and weights, U_p = u_p(ts) and K^-1 samples
+    (None without gains) of one t_f.  No kind's u_p depends on p, so the latest
+    serve while (t0, t_f, quad) and the basis and gains objects stay the same."""
+    global _GRID
+    memo = _GRID
+    if memo is not None:
+        (t0_, t_f_, quad_, par_, gains_), value = memo
+        if par_ is par and gains_ is gains and (t0_, t_f_, quad_) == (t0, t_f, quad):
+            return value
+    ts, w = simpson_points(t0, t_f, quad, par.breakpoints(t_f))
+    value = (ts, w, par.jac_p(ts, p, t_f), None if gains is None else gains.K_inv_at(ts))
+    for a in value:
+        if a is not None:
+            a.flags.writeable = False
+    _GRID = ((t0, t_f, quad, par, gains), value)
+    return value
 
 
 def _grid_data(prob: OcpProblem, par: Parameterization, bundle: AdjointBundle,
                quad: QuadratureSpec, *, gains: Gains | None = None,
                with_tf: bool = False) -> _GridData:
     t_f, p = bundle.t_f, bundle.p
-    ts, w = simpson_points(bundle.t0, t_f, quad, par.breakpoints(t_f))
+    ts, w, up, kinv = _grid(par, p, bundle.t0, t_f, quad, gains)   # up: (N, m, s)
     xs, mus, psis = bundle.at(ts)                  # ([B,] N, n), and (..., n, q)
-    up = par.jac_p(ts, p, t_f)                     # (N, m, s), shared by the lanes
     us = np.einsum("tms,...s->...tm", up, p)                   # as par.eval does
     fu = _batch_eval(prob, "f_u", xs, us, ts)                  # ([B,] N, n, m)
     lu = _batch_eval(prob, "L_u", xs, us, ts)                  # ([B,] N, m)
@@ -285,7 +311,6 @@ def _grid_data(prob: OcpProblem, par: Parameterization, bundle: AdjointBundle,
         utf = par.jac_tf(ts, p, t_f)[..., None]               # ([B,] N, m, 1)
         up = np.concatenate([np.broadcast_to(up, (*utf.shape[:-1], up.shape[-1])), utf],
                             axis=-1)
-    kinv = gains.K_inv_at(ts) if gains is not None else None
     return _GridData(ts=ts, w=w, U=up, pu=pu, fupsi=fupsi, kinv=kinv)
 
 

@@ -335,7 +335,7 @@ def _duplicate_first_column(par):
     return dataclasses.replace(
         par, jac_p_fn=jac_p_fn,
         jac_tf_fn=lambda ts, p, t_f: par.jac_tf_fn(ts, folded(p), t_f),
-        scalar_fn=lambda p, t_f: par.scalar_fn(folded(p), t_f))
+        control_fn=lambda p, t_f: par.control_fn(folded(p), t_f))
 
 
 @pytest.mark.parametrize("form", ["form1", "form2"])

@@ -311,20 +311,16 @@ def test_dense_scalar_lookups_match_array_lookups(source):
     assert np.array_equal(sol(sol.t_grid), sol.values)
 
 
-def test_dense_lookups_in_blocks_match_one_block(monkeypatch):
-    # a lookup whose gathered interpolant data would pass the budget runs in
-    # blocks of points; each point is its own contraction, so no value moves,
-    # also for a lane's view, whose interpolant data is not contiguous
-    import ocflow.integrate as integrate
-
-    sol = _pendulum((0.0, 3.0))
+def test_dense_lookups_of_lane_views_match_the_whole():
+    # each point is its own contraction, so a lane's view, whose interpolant
+    # data is not contiguous, looks up its channels of the whole bit for bit
     lanes = integrate_ivp(lambda t, y: np.stack([-y[0], np.cos(t) - y[1]]),
                           np.array([[1.0, 2.0, 3.0], [0.5, -1.0, 0.0]]), (0.0, 3.0))
-    lane = lanes.lanes(2)[1]
-    assert not lane.segments[4].flags.c_contiguous
+    views = lanes.lanes(2)
+    assert not views[1].segments[4].flags.c_contiguous
     ts = np.random.default_rng(3).uniform(0.0, 3.0, 101)
-    whole = [sol(ts), lanes(ts), lane(ts)]
-    monkeypatch.setattr(integrate, "_GATHER_BUDGET", 64)
-    for traj, ref in zip((sol, lanes, lane), whole):
-        assert np.array_equal(traj(ts), ref)
-        assert traj(np.array([])).shape == (0, ref.shape[1])
+    whole = lanes(ts)
+    for b, view in enumerate(views):
+        assert np.array_equal(view(ts), whole[:, 3 * b:3 * b + 3])
+        assert view(np.array([])).shape == (0, 3)
+    assert lanes(np.array([])).shape == (0, 6)

@@ -7,6 +7,8 @@ single evaluation to the inner tolerance: on example1, whose state is a
 polynomial the scheme integrates exactly, far tighter.
 """
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -208,3 +210,40 @@ def test_lanes_of_a_problem_without_vectorized_callbacks(example1, lqr_like):
         for name in ("J", "residual", "dtheta"):
             np.testing.assert_allclose(getattr(it, name), getattr(one, name),
                                        rtol=0, atol=1e-8, err_msg=name)
+
+
+TERMINAL = ("phi", "phi_x", "phi_t", "g", "g_x", "g_t")
+
+
+@pytest.mark.parametrize("vectorized", [True, False])
+def test_terminal_callbacks_run_once_per_pass_on_a_vectorized_problem(brach, vectorized):
+    # a pass of 4 lanes at one t_f: each terminal callback runs once for all
+    # lanes where it is used (phi_x and g_x by the adjoints and the t_f
+    # brackets), or once per lane when the problem is not vectorized; each
+    # lane keeps its own pipeline's answer
+    calls = dict.fromkeys(TERMINAL, 0)
+
+    def counting(name):
+        fn = getattr(brach.prob, name)
+
+        def wrapped(x_f, t_f):
+            calls[name] += 1
+            return fn(x_f, t_f)
+        return wrapped
+
+    prob = dataclasses.replace(brach.prob, vectorized=vectorized,
+                               **{name: counting(name) for name in TERMINAL})
+    par, mode, t_f = _pwc20(), EvolutionMode.form2(), 0.8166
+    P = 1.4771 * t_f * (np.arange(20) + 0.5) / 20 + np.linspace(-0.1, 0.1, 4)[:, None]
+    its = evaluate_iterates(mode, prob, par, brach.gains, P, t_f, TIGHT)
+    lanes = 1 if vectorized else len(P)
+    assert calls == {"phi": lanes, "g": lanes, "phi_t": lanes, "g_t": lanes,
+                     "phi_x": 2 * lanes, "g_x": 2 * lanes}
+    for p, it in zip(P, its):
+        one = evaluate_iterate(mode, brach.prob, par, brach.gains, p, t_f, TIGHT)
+        for name in ("J", "g_val", "pi", "dtheta"):
+            np.testing.assert_allclose(getattr(it, name), getattr(one, name),
+                                       rtol=0, atol=1e-8, err_msg=name)
+        for name in ("tf_scalar", "tf_row"):
+            np.testing.assert_allclose(getattr(it.quantities, name),
+                                       getattr(one.quantities, name), rtol=0, atol=1e-8)

@@ -261,14 +261,16 @@ def test_scalar_evaluators_match_array_path(kind, kwargs, form, m):
     u = par.bind(p, t_f)
     bound = np.array([u(t) for t in ts])
     scalar = np.array([par.eval(t, p, t_f) for t in ts])
-    assert bound.shape == scalar.shape == arr.shape == (ts.size, m)
+    stages = np.concatenate([u(ts[k:k + 6]) for k in range(0, ts.size, 6)])
+    assert bound.shape == scalar.shape == stages.shape == arr.shape == (ts.size, m)
     if m == 1:
         assert np.array_equal(bound, arr)
         assert np.array_equal(scalar, arr)
+        assert np.array_equal(stages, arr)
     else:
         scale = np.abs(arr).max()
-        np.testing.assert_allclose(bound, arr, rtol=1e-15, atol=1e-15 * scale)
-        np.testing.assert_allclose(scalar, arr, rtol=1e-15, atol=1e-15 * scale)
+        for values in (bound, scalar, stages):
+            np.testing.assert_allclose(values, arr, rtol=1e-15, atol=1e-15 * scale)
 
 
 @pytest.mark.parametrize("kind,kwargs,form", KINDS_FORMS)
@@ -281,6 +283,8 @@ def test_bound_control_checks_domain_and_shape(kind, kwargs, form):
     for t in (par.t0 - 2 * slack, t_f + 2 * slack, np.nan):
         with pytest.raises(DomainError):
             u(t)
+        with pytest.raises(DomainError):
+            u(np.array([par.t0, t, t_f]))
     for t in (par.t0 - 2 * slack, t_f + 2 * slack):
         with pytest.raises(DomainError):
             par.eval(t, p, t_f)

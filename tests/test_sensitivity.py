@@ -488,19 +488,26 @@ def test_spd_solve_rejects_indefinite_and_singular_matrices():
     spd_solve(np.array([[1.0, 1.0], [1.0, 1.0 + 1e-12]]), np.ones(2), "M")
 
 
-@pytest.mark.parametrize("case, evaluations", [("example1", 44), ("brach_pwc20", 165)])
+@pytest.mark.parametrize("case, evaluations", [("example1", 44), ("brach_pwc20", 165),
+                                               ("brach_lagrange4", 188)])
 def test_state_solve_evaluation_count(example1, brach, case, evaluations):
-    # f, L and the control run once per stage: 6 per accepted step, 1 at the
-    # start of each smooth subinterval and 1 for the starting-step probe
+    # f and L run once per stage: 6 per step attempt, 1 at the start of each
+    # smooth subinterval and 1 for the starting-step probe.  The control runs
+    # once per attempt, at its 6 stage times, and at those single points
     if case == "example1":
         bp, t_f = example1, 2.0
         par = make_basis("global_polynomial", m=1, t0=0.0, form="form1", order=3)
         p = np.array([-3.5, 3.0, 0.0, 0.0])
-    else:
+    elif case == "brach_pwc20":
         bp, t_f = brach, 0.8165
         par = make_basis("piecewise_constant", m=1, t0=0.0, form="form2", n_segments=20)
         p = 1.4771 * t_f * (np.arange(20) + 0.5) / 20
-    calls = {"f": 0, "L": 0, "u": 0}
+    else:                               # 29 steps and 2 rejected attempts
+        bp, t_f = brach, 0.8165
+        par = make_basis("lagrange_nodes", m=1, t0=0.0, form="form2", n_segments=4)
+        p = np.random.default_rng(1).uniform(-3.0, 3.0, 5)
+    calls = {"f": 0, "L": 0}
+    sizes = []                          # the number of times of each control evaluation
 
     def counting(fn, key):
         def wrapped(*args):
@@ -508,11 +515,93 @@ def test_state_solve_evaluation_count(example1, brach, case, evaluations):
             return fn(*args)
         return wrapped
 
+    def spying(u):
+        def wrapped(ts):
+            sizes.append(ts.size)
+            return u(ts)
+        return wrapped
+
     prob = dataclasses.replace(bp.prob, f=counting(bp.prob.f, "f"),
                                L=counting(bp.prob.L, "L"))
-    scalar_fn = par.scalar_fn
-    par = dataclasses.replace(par, scalar_fn=lambda p, t_f: counting(scalar_fn(p, t_f), "u"))
+    control_fn = par.control_fn
+    par = dataclasses.replace(par, control_fn=lambda p, t_f: spying(control_fn(p, t_f)))
     sol = solve_state(prob, par, p, t_f)
+    attempts = sol.nsteps + sol.nrejected
     subintervals = par.breakpoints(t_f).size + 1
-    assert calls["f"] == calls["L"] == calls["u"] == evaluations
-    assert evaluations == 6 * (sol.nsteps + sol.nrejected) + subintervals + 1
+    assert calls["f"] == calls["L"] == evaluations
+    assert evaluations == 6 * attempts + subintervals + 1
+    assert sorted(sizes) == [1] * (subintervals + 1) + [6] * attempts
+
+
+def test_grid_memo_keys_and_read_only_arrays(e1, brach):
+    # the p-independent grid (Simpson points and weights, U_p, K^-1) of one
+    # t_f is built once and shared; anything else in its key builds afresh
+    from ocflow import sensitivity
+
+    _, gains, par = e1
+    quad, p = QuadratureSpec(41), np.zeros(4)
+    first = sensitivity._grid(par, p, 0.0, 2.0, quad, gains)
+    assert all(a is b for a, b in zip(sensitivity._grid(par, p + 1.0, 0.0, 2.0,
+                                                          QuadratureSpec(41), gains), first))
+    for a in first:
+        assert not a.flags.writeable
+        with pytest.raises(ValueError):
+            a[...] = 0.0
+    twin = make_basis("global_polynomial", m=1, t0=0.0, form="form1", order=3)
+    for args in ((par, p, 0.0, 1.5, quad, gains), (par, p, 0.0, 2.0, QuadratureSpec(61), gains),
+                 (twin, p, 0.0, 2.0, quad, gains), (par, p, 0.0, 2.0, quad, brach.gains),
+                 (par, p, 0.0, 2.0, quad, None)):
+        fresh = sensitivity._grid(*args)
+        assert not any(a is b for a, b in zip(fresh, first) if a is not None)
+    ts, w, up, kinv = sensitivity._grid(par, p, 0.0, 1.5, quad, gains)
+    assert ts[-1] < 1.5 and np.array_equal(up, par.jac_p(ts, p, 1.5))
+    assert sensitivity._grid(par, p, 0.0, 2.0, quad, None)[3] is None
+
+
+# run in this process and, as a script, in a fresh one
+_MEMO_CASES = """
+import hashlib
+import sys
+
+import numpy as np
+
+from ocflow import EvolutionMode, evaluate_iterate, make_basis, make_example1, make_example2
+
+
+def case(name):
+    if name == "form2":
+        bp, mode, p = make_example2(), EvolutionMode.form2(), np.array([0.2, 0.6, 1.0, 1.3])
+        par = make_basis("piecewise_constant", m=1, t0=0.0, form="form2", n_segments=4)
+    else:
+        bp, mode = make_example1(), EvolutionMode.gradient_flow(0.1 * np.eye(4))
+        par = make_basis("global_polynomial", m=1, t0=0.0, form="form1", order=3)
+        p = np.array([-3.0, 2.5, 0.1, 0.0])
+    return lambda t_f: evaluate_iterate(mode, bp.prob, par, bp.gains, p, t_f)
+
+
+def digest(it):
+    arrays = (it.dtheta, it.pi, it.J, it.residual, it.bundle.x_traj.values,
+              it.bundle.adjoint_sol.values, *it.bundle.x_traj.segments,
+              *it.bundle.adjoint_sol.segments)
+    return hashlib.sha1(b"".join(np.ascontiguousarray(a).tobytes() for a in arrays)).hexdigest()
+
+
+if __name__ == "__main__":
+    print(digest(case(sys.argv[1])(float(sys.argv[2]))))
+"""
+
+
+@pytest.mark.parametrize("mode", ["form2", "gradient_flow"])
+def test_pipeline_after_another_terminal_time_matches_a_fresh_process(mode):
+    # the grid memo holds one t_f; evaluating at A, then B, then A again
+    # gives what a process that never saw B gives, bit for bit
+    import subprocess
+    import sys
+
+    cases = {"__name__": "memo_cases"}
+    exec(_MEMO_CASES, cases)
+    run, a, b = cases["case"](mode), 1.07, 0.93
+    first, _, again = run(a), run(b), run(a)
+    fresh = subprocess.run([sys.executable, "-c", _MEMO_CASES, mode, repr(a)],
+                           capture_output=True, text=True, check=True).stdout.strip()
+    assert cases["digest"](first) == cases["digest"](again) == fresh
