@@ -32,7 +32,7 @@ from .evolution import (EvolutionMode, EvolutionState, StopCriteria, _check_comp
                         solve_evolution)
 from .integrate import OdeSettings
 from .parameterization import FORM1, FORM2, make_basis
-from .problem import Gains, SolveTrace, _central_diff, simulate_control
+from .problem import Gains, _central_diff, simulate_control
 from .problems import get_problem, list_problems
 from .projection import BasisSet, InnerProductSpec, project, weighted_norm
 from .quadrature import QuadratureSpec
@@ -203,18 +203,7 @@ def build_run(raw: dict):
     return bundle, par, gains, mode, init, stop, ode_inner, ode_outer, quad, out_dir
 
 
-def _write_trace(path: Path, trace: SolveTrace, s: int, q: int) -> None:
-    cols = (["tau"] + [f"p_{i}" for i in range(s)] + ["t_f"]
-            + [f"pi_{i}" for i in range(q)]
-            + ["J", "g_norm", "residual_norm", "V"])
-    with open(path, "w") as fh:
-        fh.write(",".join(cols) + "\n")
-        for r in trace.rows:
-            vals = [r.tau, *r.p, r.t_f, *r.pi, r.J, r.g_norm, r.residual_norm, r.V]
-            fh.write(",".join(_fmt(v) for v in vals) + "\n")
-
-
-def _write_columns(path: Path, header: list[str], rows: np.ndarray) -> None:
+def _write_columns(path: Path, header: list[str], rows) -> None:
     with open(path, "w") as fh:
         fh.write(",".join(header) + "\n")
         for row in rows:
@@ -234,7 +223,11 @@ def cmd_solve(args) -> int:
                                          quad=quad)
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    _write_trace(out / "trace.csv", trace, par.s, prob.q)
+    _write_columns(out / "trace.csv",
+                   ["tau"] + [f"p_{i}" for i in range(par.s)] + ["t_f"]
+                   + [f"pi_{i}" for i in range(prob.q)] + ["J", "g_norm", "residual_norm", "V"],
+                   [[r.tau, *r.p, r.t_f, *r.pi, r.J, r.g_norm, r.residual_norm, r.V]
+                    for r in trace.rows])
 
     ts = np.linspace(prob.t0, report.tf_final, 401)
     xs = adj.x_at(ts)

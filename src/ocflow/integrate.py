@@ -88,26 +88,36 @@ class OdeSettings:
             raise ValueError(f"max_steps must be >= 1, got {self.max_steps}")
 
 
-def dense_output(theta, scale, base, Q) -> np.ndarray:
+def dense_output(theta, scale, base, Q, idx=None) -> np.ndarray:
     """The free interpolant y = base + scale * Q [theta, theta^2, theta^3, theta^4].
 
-    Evaluates stacked points, each with its own segment's data, in one
-    batched contraction: ``theta`` and ``scale`` have shape (...,), ``base``
-    (..., d) and ``Q`` (..., d, 4), with the leading axes broadcasting.  A
-    point's value depends only on its own row, so a one-point stack and the
-    same row of a larger one agree bit for bit.
+    Evaluates stacked points, each with its own segment's data: ``theta`` and
+    ``scale`` have shape (...,), ``base`` (..., d) and ``Q`` (..., d, 4), with
+    the leading axes broadcasting; or, with ``idx``, a (P,) theta takes the
+    rows ``idx`` of them, Q one power at a time into reused (P, d) buffers.
+    The sum runs as einsum's over a contiguous 4-axis, (Q_0 theta + Q_2
+    theta^3) + (Q_1 theta^2 + Q_3 theta^4), whatever Q's layout.  A point's
+    value depends only on its own row, so a one-point stack and the same row
+    of a larger one agree bit for bit.
     """
-    powers = np.empty((*np.shape(theta), 4))
-    powers[..., 0] = theta
-    th2 = theta * theta
-    powers[..., 1] = th2
-    th3 = th2 * theta
-    powers[..., 2] = th3
-    powers[..., 3] = th3 * theta
-    out = np.einsum("...k,...ck->...c", powers, Q)
-    out *= np.asarray(scale)[..., None]
-    out += base
-    return out
+    th = np.asarray(theta)[..., None]
+    th2 = th * th
+    th3 = th2 * th
+    powers = (th, th2, th3, th3 * th)
+
+    def term(k, out=None):              # Q_k theta^(k+1), into ``out`` if given
+        if idx is not None:
+            out = Q[..., k].take(idx, 0, out, "clip")
+        return np.multiply(Q[..., k] if idx is None else out, powers[k], out)
+
+    y, buf = term(0), term(2)
+    y += buf
+    odd = term(1)
+    odd += term(3, buf)
+    y += odd
+    y *= np.asarray(scale if idx is None else scale.take(idx))[..., None]
+    y += base if idx is None else base.take(idx, 0, buf, "clip")
+    return y
 
 
 class DenseTrajectory:
@@ -116,9 +126,10 @@ class DenseTrajectory:
     ``t_grid`` is strictly increasing; evaluation at a grid node returns the
     stored node value exactly.  Between nodes each segment carries its
     interpolation polynomial ``(anchor, denom, scale, base, Q)``, evaluated
-    by :func:`dense_output` at theta = (t - anchor) / denom.  A scalar t is
-    looked up as a one-point array, so scalar, one-point and batched lookups
-    take the same path and agree bit for bit by construction.  A solve sets
+    by :func:`dense_output` at theta = (t - anchor) / denom, with no (P, d, 4)
+    gather.  A scalar t is looked up as a one-point array, so scalar,
+    one-point and batched lookups and lane views take the same path and
+    agree bit for bit by construction.  A solve sets
     its accepted and rejected step counts ``nsteps`` and ``nrejected``.
     """
 
@@ -160,11 +171,7 @@ class DenseTrajectory:
             if traj.t_grid is not grid and not np.array_equal(traj.t_grid, grid):
                 raise ValueError("trajectories looked up together must share their grid")
             anchor, denom, scale, base, Q = traj.segments
-            # the gather keeps Q's memory layout, which sets einsum's summation
-            # order: take() gives C order, Q[idx] any other
-            Q = Q.take(idx, axis=0) if Q.flags.c_contiguous else Q[idx]
-            out = dense_output((ts - anchor.take(idx)) / denom.take(idx), scale.take(idx),
-                               base.take(idx, axis=0), Q)
+            out = dense_output((ts - anchor.take(idx)) / denom.take(idx), scale, base, Q, idx)
             if left.size:
                 out[left] = traj.values[at_left]
             if right.size:
@@ -279,7 +286,8 @@ class _Stepper:
     independent system: the error norm and the stiffness estimate are then
     the largest over the lanes.  With ``stage_input`` the right-hand side is
     ``rhs(t, y, v)``, v the row at t of ``stage_input(ts)``, which runs once
-    per step attempt at its six stage times (one point where rhs runs alone).
+    per step attempt at its six stage times, seven for a restart's first
+    attempt (its stage 0 too), and at one point where rhs runs alone.
     """
 
     def __init__(self, rhs, t0, y0, t_end, settings, guard=None, backward=False,
@@ -310,9 +318,9 @@ class _Stepper:
         self.t, self.t_end = t0, t_end
         self.err_old = 1e-4
         self._budget0 = self.nsteps + self.nrejected
-        self.f = self._rhs_at(t0, self.y)
-        if not np.isfinite(self.f).all():
-            raise self._error(DivergenceError, "non-finite right-hand side", t0)
+        self.f = None
+        if self.h is None or self.stage_input is None:   # else the first attempt's
+            self._first_stage(self._rhs_at(t0, self.y), t0)   # stage times serve stage 0
         if self.h is None:
             self.h = _initial_step(self._rhs_at, t0, self.y, self.f, self.settings,
                                    self.lanes)
@@ -321,6 +329,11 @@ class _Stepper:
                 raise self._error(IntegrationError, "no finite positive initial step at "
                                   f"rel_tol = {s.rel_tol!r}, abs_tol = {s.abs_tol!r}", t0)
         self.h = min(self.h, t_end - t0)
+
+    def _first_stage(self, f, t0) -> None:
+        if not np.isfinite(f).all():
+            raise self._error(DivergenceError, "non-finite right-hand side", t0)
+        self.f = f
 
     def _rhs_at(self, t, y) -> np.ndarray:
         t = min(max(t, self.lo), self.hi)
@@ -363,7 +376,10 @@ class _Stepper:
                 h = t_new - t
 
             ts = [min(max(t + c * h, lo), hi) for c in _C_STAGE]
-            vs = None if stage_input is None else stage_input(np.array(ts[1:]))
+            vs = None if stage_input is None else stage_input(np.array(ts[self.f is not None:]))
+            if self.f is None:          # a restart: all seven stages in one evaluation
+                self._first_stage(np.asarray(rhs(ts[0], y, vs[0]), dtype=float), t)
+                vs = vs[1:]
             # y + h * (K^T a_i), y_new and the error, each formed in place (the
             # same roundings as the plain expressions)
             K[0] = self.f

@@ -82,9 +82,10 @@ class Parameterization:
         return p
 
     def _prep(self, t, p, t_f):
+        t_f = self._resolve_tf(t_f)
         ts = np.asarray(t, dtype=float).reshape(-1)
         self._check_domain(ts, t_f)
-        return ts, self._check_p(p)
+        return ts, self._check_p(p), t_f
 
     def bind(self, p, t_f=None) -> Callable:
         """The control u(t) of one iterate, or of B lanes, validating p and t_f once.
@@ -115,21 +116,18 @@ class Parameterization:
         """Control value u(t); (m,) for scalar t, (N, m) for array t."""
         if np.ndim(t) == 0:
             return self.bind(p, t_f)(t)
-        t_f = self._resolve_tf(t_f)
-        ts, p = self._prep(t, p, t_f)
+        ts, p, t_f = self._prep(t, p, t_f)
         return np.einsum("tms,...s->...tm", self.jac_p_fn(ts, p, t_f), p)
 
     def jac_p(self, t, p, t_f=None):
         """Parameter Jacobian u_p(t); (m, s) or (N, m, s)."""
-        t_f = self._resolve_tf(t_f)
-        ts, p = self._prep(t, p, t_f)
+        ts, p, t_f = self._prep(t, p, t_f)
         out = self.jac_p_fn(ts, p, t_f)
         return out[0] if np.ndim(t) == 0 else out
 
     def jac_tf(self, t, p, t_f=None):
         """Terminal-time sensitivity u_tf(t); (m,) or (N, m)."""
-        t_f = self._resolve_tf(t_f)
-        ts, p = self._prep(t, p, t_f)
+        ts, p, t_f = self._prep(t, p, t_f)
         out = self.jac_tf_fn(ts, p, t_f)
         return out[..., 0, :] if np.ndim(t) == 0 else out
 
@@ -257,7 +255,12 @@ def make_basis(kind: str, m: int, t0: float, form: str, *,
         k = order + 1
         s = m * k
 
-        powers = lambda ts: np.vander(ts, k, increasing=True)     # (N, k): 1, t, ...
+        def powers(ts):                 # (N, k): 1, t, t^2, ..., the products np.vander forms
+            out = np.empty((ts.size, k))
+            out[:, 0] = 1.0
+            for j in range(1, k):
+                out[:, j] = out[:, j - 1] * ts
+            return out
         return Parameterization(
             kind=kind, form=form, m=m, s=s, t0=t0,
             jac_p_fn=lambda ts, p, t_f: _block_jac(powers(ts), m), jac_tf_fn=zero_tf,

@@ -117,9 +117,6 @@ class Gains:
 
     def K_at(self, ts: np.ndarray) -> np.ndarray:
         """Control weight K(t) = K_inv(t)^-1 stacked over times: (N, m, m)."""
-        if self.K_inv_const is not None:
-            K = np.linalg.inv(self.K_inv_const)
-            return np.broadcast_to(K, (np.atleast_1d(ts).size, *K.shape))
         return np.linalg.inv(self.K_inv_at(ts))
 
 
@@ -160,17 +157,9 @@ class SolveReport:
     wall_time: float
 
     def as_dict(self) -> dict:
-        return {
-            "p_final": [float(v) for v in self.p_final],
-            "tf_final": float(self.tf_final),
-            "pi_final": [float(v) for v in self.pi_final],
-            "J_final": float(self.J_final),
-            "residual_norm": float(self.residual_norm),
-            "g_norm": float(self.g_norm),
-            "converged": bool(self.converged),
-            "tau_reached": float(self.tau_reached),
-            "wall_time": float(self.wall_time),
-        }
+        """The fields as JSON values: floats, lists of floats and a bool."""
+        return {k: bool(v) if k == "converged" else np.asarray(v, dtype=float).tolist()
+                for k, v in vars(self).items()}
 
 
 @dataclass
@@ -223,14 +212,9 @@ _EXPECTED_SHAPES = {
 
 
 def _check_shapes(prob: OcpProblem, x, u, t, tf) -> None:
-    for name in ("f", "f_x", "f_u", "L", "L_x", "L_u"):
-        out = np.asarray(getattr(prob, name)(x, u, t), dtype=float)
-        want = _EXPECTED_SHAPES[name](prob)
-        if out.shape != want:
-            raise DimensionError(f"{name} returned shape {out.shape}, expected {want}")
-    for name in ("phi", "phi_x", "phi_t", "g", "g_x", "g_t"):
-        out = np.asarray(getattr(prob, name)(x, tf), dtype=float)
-        want = _EXPECTED_SHAPES[name](prob)
+    for name, shape in _EXPECTED_SHAPES.items():     # running callbacks, then terminal
+        args = (x, tf) if name.startswith(("phi", "g")) else (x, u, t)
+        out, want = np.asarray(getattr(prob, name)(*args), dtype=float), shape(prob)
         if out.shape != want:
             raise DimensionError(f"{name} returned shape {out.shape}, expected {want}")
 

@@ -158,8 +158,8 @@ class ThetaQuantities:
     metric (M_p or M_ptf; None for the NLP gradients).  ``tf_scalar`` and
     ``tf_row`` are the terminal brackets, already in the t_f row of r and
     Gamma when theta holds t_f, and None for the NLP gradients over p alone.
-    Assembled over a bundle of lanes, every field has a leading lane axis,
-    but M has one only when the lanes' metrics differ.
+    Assembled over a bundle of lanes, every field has a leading lane axis
+    but M_p, the lanes' shared read-only G_pp; M_ptf borders it per lane.
     """
 
     r: np.ndarray
@@ -229,16 +229,19 @@ def solve_adjoints(prob: OcpProblem, par: Parameterization, p,
 class _GridData:
     """Integrand samples on the shared quadrature grid, lanes first.
 
-    ``U`` holds the basis columns of theta: u_p, then u_tf if ``with_tf``;
-    it has a lane axis only when u_tf gives the lanes their own columns.
+    The basis columns of theta are ``U_p``, one p-block that every lane
+    shares, then each lane's own ``u_tf`` when theta holds t_f (else None).
+    ``G_pp``, U_p's read-only Gram matrix, is memoised with it by :func:`_grid`.
     """
 
     ts: np.ndarray
     w: np.ndarray
-    U: np.ndarray             # ([B,] N, m, s) or ([B,] N, m, s + 1)
+    U_p: np.ndarray           # (N, m, s)
+    u_tf: np.ndarray | None   # ([B,] N, m)
     pu: np.ndarray            # ([B,] N, m)
     fupsi: np.ndarray         # ([B,] N, m, q)
     kinv: np.ndarray | None   # (N, m, m)
+    G_pp: np.ndarray | None   # (s, s)
 
 
 def _brackets(prob: OcpProblem, x_f, u_f, t_f: float) -> tuple[float, np.ndarray]:
@@ -270,14 +273,15 @@ def _terminal_values(prob: OcpProblem, bundle: AdjointBundle) -> tuple[float, np
     return tf_scalar, (g_x @ f_f[..., None])[..., 0] + g_t
 
 
-_GRID = None     # the latest ((t0, t_f, quad, par, gains), (ts, w, U_p, K^-1))
+_GRID = None     # the latest ((t0, t_f, quad, par, gains), (ts, w, U_p, K^-1, G_pp))
 
 
 def _grid(par: Parameterization, p, t0: float, t_f: float, quad: QuadratureSpec,
           gains: Gains | None) -> tuple:
-    """The read-only Simpson points and weights, U_p = u_p(ts) and K^-1 samples
-    (None without gains) of one t_f.  No kind's u_p depends on p, so the latest
-    serve while (t0, t_f, quad) and the basis and gains objects stay the same."""
+    """The read-only Simpson points and weights, U_p = u_p(ts), K^-1 samples and
+    G_pp = int U_p^T K^-1 U_p dt, symmetrized exactly (both None without gains),
+    of one t_f.  No kind's u_p depends on p, so the latest serve while (t0,
+    t_f, quad) and the basis and gains objects stay the same."""
     global _GRID
     memo = _GRID
     if memo is not None:
@@ -285,7 +289,9 @@ def _grid(par: Parameterization, p, t0: float, t_f: float, quad: QuadratureSpec,
         if par_ is par and gains_ is gains and (t0_, t_f_, quad_) == (t0, t_f, quad):
             return value
     ts, w = simpson_points(t0, t_f, quad, par.breakpoints(t_f))
-    value = (ts, w, par.jac_p(ts, p, t_f), None if gains is None else gains.K_inv_at(ts))
+    up, kinv = par.jac_p(ts, p, t_f), None if gains is None else gains.K_inv_at(ts)
+    G = None if gains is None else _gram(w, kinv, up, up)
+    value = (ts, w, up, kinv, None if G is None else 0.5 * (G + G.T))
     for a in value:
         if a is not None:
             a.flags.writeable = False
@@ -297,42 +303,36 @@ def _grid_data(prob: OcpProblem, par: Parameterization, bundle: AdjointBundle,
                quad: QuadratureSpec, *, gains: Gains | None = None,
                with_tf: bool = False) -> _GridData:
     t_f, p = bundle.t_f, bundle.p
-    ts, w, up, kinv = _grid(par, p, bundle.t0, t_f, quad, gains)   # up: (N, m, s)
+    ts, w, up, kinv, G_pp = _grid(par, p, bundle.t0, t_f, quad, gains)   # up: (N, m, s)
     xs, mus, psis = bundle.at(ts)                  # ([B,] N, n), and (..., n, q)
     us = np.einsum("tms,...s->...tm", up, p)                   # as par.eval does
     fu = _batch_eval(prob, "f_u", xs, us, ts)                  # ([B,] N, n, m)
     lu = _batch_eval(prob, "L_u", xs, us, ts)                  # ([B,] N, m)
     pu = lu + np.einsum("...tnm,...tn->...tm", fu, mus)
-    if prob.q:
-        fupsi = np.einsum("...tnm,...tnq->...tmq", fu, psis)
-    else:
-        fupsi = np.zeros((*lu.shape, 0))
-    if with_tf:
-        utf = par.jac_tf(ts, p, t_f)[..., None]               # ([B,] N, m, 1)
-        up = np.concatenate([np.broadcast_to(up, (*utf.shape[:-1], up.shape[-1])), utf],
-                            axis=-1)
-    return _GridData(ts=ts, w=w, U=up, pu=pu, fupsi=fupsi, kinv=kinv)
+    fupsi = np.einsum("...tnm,...tnq->...tmq", fu, psis)           # ([B,] N, m, q)
+    utf = par.jac_tf(ts, p, t_f) if with_tf else None          # ([B,] N, m)
+    return _GridData(ts=ts, w=w, U_p=up, u_tf=utf, pu=pu, fupsi=fupsi, kinv=kinv, G_pp=G_pp)
 
 
-def _gram(gd: _GridData) -> np.ndarray:
-    """int U^T K^-1 U dt from grid samples, as one matrix product (per lane of U).
-
-    The product's two triangles round apart, so it is symmetrized exactly.
-    """
-    *lanes, N, m, k = gd.U.shape
-    WU = (gd.w[:, None, None] * gd.U).reshape(*lanes, N * m, k)
-    G = WU.swapaxes(-1, -2) @ (gd.kinv @ gd.U).reshape(*lanes, N * m, k)
-    return 0.5 * (G + G.swapaxes(-1, -2))
+def _gram(w, kinv, U, V) -> np.ndarray:
+    """int U^T K^-1 V dt from grid samples ([B,] N, m, i) and ([B,] N, m, j),
+    as one matrix product (per lane).  With U = V = U_p it is G_pp, which
+    :func:`_grid` forms once per t_f; with V = u_tf it is a lane's border."""
+    *lanes, N, m, i = U.shape
+    WU = (w[:, None, None] * U).reshape(*lanes, N * m, i)
+    return WU.swapaxes(-1, -2) @ (kinv @ V).reshape(*V.shape[:-3], N * m, V.shape[-1])
 
 
 def _theta_integrals(gd: _GridData, terminal=None) -> tuple[np.ndarray, np.ndarray]:
     """r = int U^T p_u dt and Gamma = int U^T f_u^T Psi dt over the columns of theta.
 
-    When theta includes t_f, its row also gets the ``terminal`` brackets
-    (tf_scalar, tf_row).
+    The p-rows come from the shared U_p.  When theta includes t_f, its row is
+    u_tf's own integrals plus the ``terminal`` brackets (tf_scalar, tf_row).
     """
-    r = np.einsum("t,...tmi,...tm->...i", gd.w, gd.U, gd.pu)
-    Gamma = np.einsum("t,...tmi,...tmq->...iq", gd.w, gd.U, gd.fupsi)
+    cols = [gd.U_p] if gd.u_tf is None else [gd.U_p, gd.u_tf[..., None]]
+    r = np.concatenate([np.einsum("t,...tmi,...tm->...i", gd.w, U, gd.pu) for U in cols], -1)
+    Gamma = np.concatenate([np.einsum("t,...tmi,...tmq->...iq", gd.w, U, gd.fupsi)
+                            for U in cols], -2)
     if terminal is not None:
         r[..., -1] += terminal[0]
         Gamma[..., -1, :] += terminal[1]
@@ -351,7 +351,7 @@ def assemble_form1(prob: OcpProblem, par: Parameterization, bundle: AdjointBundl
     _require_iterate(bundle, t_f)
     gd = _grid_data(prob, par, bundle, quad, gains=gains)
     r, Gamma = _theta_integrals(gd)
-    return ThetaQuantities(r, Gamma, _gram(gd), *_terminal_values(prob, bundle))
+    return ThetaQuantities(r, Gamma, gd.G_pp, *_terminal_values(prob, bundle))
 
 
 def assemble_form2(prob: OcpProblem, par: Parameterization, bundle: AdjointBundle,
@@ -359,9 +359,9 @@ def assemble_form2(prob: OcpProblem, par: Parameterization, bundle: AdjointBundl
     """r_2ptf, Gamma_2ptf and M_ptf over theta = (p, t_f), for any basis.
 
     t_f is one more basis column u_tf; the metric M_ptf is the Gram matrix
-    of all s+1 columns plus 1/k_tf on its last diagonal entry.  For a form-1
-    basis u_tf = 0, so M_ptf = diag(M_p, 1/k_tf) and the t_f row is the
-    terminal brackets alone.
+    of all s+1 columns, the shared G_pp bordered per lane by u_tf, plus 1/k_tf
+    on its last diagonal entry.  For a form-1 basis u_tf = 0, so M_ptf =
+    diag(M_p, 1/k_tf) and the t_f row is the terminal brackets alone.
     """
     _require_iterate(bundle, t_f, p)
     if gains.k_tf <= 0:
@@ -369,8 +369,12 @@ def assemble_form2(prob: OcpProblem, par: Parameterization, bundle: AdjointBundl
     gd = _grid_data(prob, par, bundle, quad, gains=gains, with_tf=True)
     terminal = _terminal_values(prob, bundle)
     r, Gamma = _theta_integrals(gd, terminal)
-    M = _gram(gd)
-    M[..., -1, -1] += 1.0 / gains.k_tf
+    s, utf = par.s, gd.u_tf[..., None]
+    M = np.empty((*r.shape[:-1], s + 1, s + 1))
+    M[..., :s, :s] = gd.G_pp
+    M[..., :s, s:] = _gram(gd.w, gd.kinv, gd.U_p, utf)
+    M[..., s:, :s] = M[..., :s, s:].swapaxes(-1, -2)
+    M[..., s:, s:] = _gram(gd.w, gd.kinv, utf, utf) + 1.0 / gains.k_tf
     return ThetaQuantities(r, Gamma, M, *terminal)
 
 

@@ -324,3 +324,67 @@ def test_dense_lookups_of_lane_views_match_the_whole():
         assert np.array_equal(view(ts), whole[:, 3 * b:3 * b + 3])
         assert view(np.array([])).shape == (0, 3)
     assert lanes(np.array([])).shape == (0, 6)
+
+
+def _gathered_lookup(traj, t):
+    """The lookup as a per-point gather of whole segments, (P, d, 4) for Q,
+    and one einsum over the stacked points: the reference for the power-by-
+    power gather of :func:`dense_output`."""
+    grid = traj.t_grid
+    ts = np.minimum(np.maximum(np.asarray(t, dtype=float).reshape(-1), grid[0]), grid[-1])
+    idx = np.clip(np.searchsorted(grid, ts, side="right") - 1, 0, grid.size - 2)
+    anchor, denom, scale, base, Q = traj.segments
+    theta = (ts - anchor.take(idx)) / denom.take(idx)
+    powers = np.empty((ts.size, 4))
+    powers[:, 0] = theta
+    powers[:, 1] = theta * theta
+    powers[:, 2] = powers[:, 1] * theta
+    powers[:, 3] = powers[:, 2] * theta
+    out = np.einsum("...k,...ck->...c", powers, Q.take(idx, axis=0))
+    out *= scale.take(idx)[:, None]
+    out += base.take(idx, axis=0)
+    left, right = ts == grid.take(idx), ts == grid.take(idx + 1)
+    out[left] = traj.values[idx[left]]
+    out[right] = traj.values[idx[right] + 1]
+    return out[0] if np.ndim(t) == 0 else out
+
+
+def _step_forced(t_span):
+    # a right-hand side that jumps at the breakpoints 0.7 and 1.9
+    def rhs(t, y):
+        return np.array([y[1], -y[0] + (1.0 if t < 0.7 else -0.5), 2.0 if t < 1.9 else y[0]])
+
+    return integrate_ivp(rhs, np.array([0.2, 0.0, -1.0]), t_span, breakpoints=[0.7, 1.9])
+
+
+@pytest.mark.parametrize("source", ["forward", "breakpoints", "backward", "replay", "lanes"])
+def test_lookups_match_the_gathered_segment_lookup(source):
+    # every lookup equals, bit for bit, a gather of each point's whole
+    # segment and one einsum: scalar and array t, nodes, breakpoints, lane
+    # views and trajectories looked up together with ``others``
+    sol = {"forward": lambda: _pendulum((0.0, 3.0)),
+           "breakpoints": lambda: _step_forced((0.0, 3.0)),
+           "backward": lambda: _pendulum((3.0, 0.0)),
+           "replay": _replayed_pendulum,
+           "lanes": lambda: integrate_ivp(
+               lambda t, y: np.stack([-y[0], np.cos(t) - y[1], y[0] * y[1]]),
+               np.array([[1.0, 2.0, 3.0], [0.5, -1.0, 0.0], [0.1, 0.2, 0.3]]), (0.0, 3.0))
+           }[source]()
+    lo, hi = sol.t_grid[0], sol.t_grid[-1]
+    ts = np.concatenate([np.random.default_rng(4).uniform(lo, hi, 400), sol.t_grid,
+                         [0.7, 1.9, lo, hi]])
+    assert np.array_equal(sol(ts), _gathered_lookup(sol, ts))
+    for t in ts[::37]:
+        assert np.array_equal(sol(t), _gathered_lookup(sol, t))
+    if source == "lanes":
+        for view in sol.lanes(3):
+            assert not view.segments[4].flags.c_contiguous
+            assert np.array_equal(view(ts), _gathered_lookup(view, ts))
+    if source in ("forward", "breakpoints"):
+        # a trajectory on the same grid, looked up with ``others``
+        twin = DenseTrajectory(sol.t_grid, -2.0 * sol.values,
+                               (*sol.segments[:3], -2.0 * sol.segments[3],
+                                np.asfortranarray(-2.0 * sol.segments[4])))
+        own, other = sol(ts, twin)
+        assert np.array_equal(own, _gathered_lookup(sol, ts))
+        assert np.array_equal(other, _gathered_lookup(twin, ts))

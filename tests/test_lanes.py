@@ -247,3 +247,87 @@ def test_terminal_callbacks_run_once_per_pass_on_a_vectorized_problem(brach, vec
         for name in ("tf_scalar", "tf_row"):
             np.testing.assert_allclose(getattr(it.quantities, name),
                                        getattr(one.quantities, name), rtol=0, atol=1e-8)
+
+
+def _per_lane_products(prob, par, bundle, gains, quad, with_tf):
+    """Each lane's r, Gamma and metric as the unbatched products over its own
+    full basis columns U = [U_p | u_tf], the t_f row without its brackets."""
+    from ocflow.sensitivity import _grid_data
+
+    out = []
+    for lane in bundle.lanes():
+        gd = _grid_data(prob, par, lane, quad, gains=gains, with_tf=with_tf)
+        U = np.concatenate([gd.U_p, gd.u_tf[..., None]], axis=-1) if with_tf else gd.U_p
+        N, m, k = U.shape
+        WU = (gd.w[:, None, None] * U).reshape(N * m, k)
+        G = WU.T @ (gd.kinv @ U).reshape(N * m, k)
+        out.append((np.einsum("t,tmi,tm->i", gd.w, U, gd.pu),
+                    np.einsum("t,tmi,tmq->iq", gd.w, U, gd.fupsi), 0.5 * (G + G.T)))
+    return out
+
+
+@pytest.mark.parametrize("case", ["e1_form1", "brach_pwc20", "brach_hat6", "brach_lagrange4"])
+def test_shared_p_block_matches_per_lane_products(case, example1, brach):
+    # a pass shares U_p and its Gram block G_pp across lanes and gives each
+    # lane only its t_f border; that equals each lane's own products over its
+    # full columns, bit for bit where u_tf = 0 (form 1, piecewise constant),
+    # and to rounding where u_tf is a product of its own (hat, Lagrange)
+    quad = QuadratureSpec()
+    if case == "e1_form1":
+        bp, par, t_f = example1, _cubic(), 2.0
+        P = np.array([-3.5, 3.0, 0.0, 0.0]) + np.linspace(-0.2, 0.2, 5)[:, None]
+    else:
+        bp, t_f = brach, 0.8166
+        kind, N = {"brach_pwc20": ("piecewise_constant", 20), "brach_hat6": ("piecewise_linear", 6),
+                   "brach_lagrange4": ("lagrange_nodes", 4)}[case]
+        par = make_basis(kind, m=1, t0=0.0, form="form2", n_segments=N)
+        P = 0.3 + 0.1 * np.random.default_rng(5).standard_normal((6, par.s))
+    with_tf = bp.prob.tf_mode == "free"
+    bundle = solve_adjoints(bp.prob, par, P, solve_state(bp.prob, par, P, t_f), t_f)
+    if with_tf:
+        quant = assemble_form2(bp.prob, par, bundle, bp.gains, P, t_f, quad)
+    else:
+        quant = assemble_form1(bp.prob, par, bundle, bp.gains, t_f, quad)
+        assert quant.M.ndim == 2 and not quant.M.flags.writeable
+    exact = case in ("e1_form1", "brach_pwc20")
+    for b, (r, Gamma, M) in enumerate(_per_lane_products(bp.prob, par, bundle, bp.gains,
+                                                        quad, with_tf)):
+        lane = quant.lanes()[b]
+        if with_tf:
+            r[-1] += lane.tf_scalar
+            Gamma[-1] += lane.tf_row
+            M[-1, -1] += 1.0 / bp.gains.k_tf
+        for got, want in ((lane.r, r), (lane.Gamma, Gamma), (lane.M, M)):
+            if exact:
+                assert np.array_equal(got, want)
+            else:
+                np.testing.assert_allclose(got, want, rtol=1e-13, atol=1e-13 * np.abs(want).max())
+
+
+def _traced_peak_mb(fn) -> float:
+    """The peak of traced allocations during ``fn()``, after a warm-up call."""
+    import tracemalloc
+
+    fn()                                # builds the per-t_f grid memo
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1] / 1e6
+    finally:
+        tracemalloc.stop()
+
+
+def test_a_lane_pass_memory_grows_with_lanes_and_channels(example1, brach):
+    # no lookup gathers (points, channels, 4) coefficients and no pass copies
+    # the basis columns per lane; the bounds sit between what these passes
+    # take without (about 1.5 and 31 MB) and with both (about 2.6 and 84 MB)
+    P = np.array([-3.5, 3.0, 0.0, 0.0]) + 0.05 * np.random.default_rng(0).standard_normal((26, 4))
+    e1 = _traced_peak_mb(lambda: evaluate_iterates(EvolutionMode.form1(), example1.prob,
+                                                   _cubic(), example1.gains, P, 2.0))
+    assert e1 <= 2.0
+    par, t_f = make_basis("piecewise_constant", m=1, t0=0.0, form="form2", n_segments=80), 0.8166
+    p = 1.4771 * t_f * (np.arange(80) + 0.5) / 80
+    P = p + 1e-6 * np.vstack([np.zeros(80), np.eye(80)])      # an FD Jacobian's 81 lanes
+    pc80 = _traced_peak_mb(lambda: evaluate_iterates(EvolutionMode.form2(), brach.prob, par,
+                                                     brach.gains, P, t_f))
+    assert pc80 <= 40.0

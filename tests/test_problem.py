@@ -190,7 +190,7 @@ def test_two_input_stage_controls_match_the_per_point_values(kind, kwargs):
         return u(ts)
     sol = _state_solution(prob, spying, 2.0, None, par.breakpoints(2.0))
     ref, _, _ = simulate_control(prob, lambda t: u(t), 2.0, breakpoints=par.breakpoints(2.0))
-    assert len(batches) == sol.nsteps + sol.nrejected + par.breakpoints(2.0).size + 2
+    assert len(batches) == sol.nsteps + sol.nrejected + 2
     for ts, values in batches:
         one = np.array([u(t) for t in ts])
         scale = np.abs(one).max()

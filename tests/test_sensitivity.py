@@ -493,7 +493,8 @@ def test_spd_solve_rejects_indefinite_and_singular_matrices():
 def test_state_solve_evaluation_count(example1, brach, case, evaluations):
     # f and L run once per stage: 6 per step attempt, 1 at the start of each
     # smooth subinterval and 1 for the starting-step probe.  The control runs
-    # once per attempt, at its 6 stage times, and at those single points
+    # once per attempt, at its 6 stage times, and at the first start and the
+    # probe, single points; a restart's stage 0 joins its first attempt's 7
     if case == "example1":
         bp, t_f = example1, 2.0
         par = make_basis("global_polynomial", m=1, t0=0.0, form="form1", order=3)
@@ -530,12 +531,14 @@ def test_state_solve_evaluation_count(example1, brach, case, evaluations):
     subintervals = par.breakpoints(t_f).size + 1
     assert calls["f"] == calls["L"] == evaluations
     assert evaluations == 6 * attempts + subintervals + 1
-    assert sorted(sizes) == [1] * (subintervals + 1) + [6] * attempts
+    restarts = subintervals - 1
+    assert sorted(sizes) == [1, 1] + [6] * (attempts - restarts) + [7] * restarts
 
 
 def test_grid_memo_keys_and_read_only_arrays(e1, brach):
-    # the p-independent grid (Simpson points and weights, U_p, K^-1) of one
-    # t_f is built once and shared; anything else in its key builds afresh
+    # the p-independent grid (Simpson points and weights, U_p, K^-1 and the
+    # Gram matrix G_pp of U_p) of one t_f is built once and shared, read-only;
+    # a new t_f, quadrature, basis or gains builds it afresh
     from ocflow import sensitivity
 
     _, gains, par = e1
@@ -553,9 +556,12 @@ def test_grid_memo_keys_and_read_only_arrays(e1, brach):
                  (par, p, 0.0, 2.0, quad, None)):
         fresh = sensitivity._grid(*args)
         assert not any(a is b for a, b in zip(fresh, first) if a is not None)
-    ts, w, up, kinv = sensitivity._grid(par, p, 0.0, 1.5, quad, gains)
+    ts, w, up, kinv, G_pp = sensitivity._grid(par, p, 0.0, 1.5, quad, gains)
     assert ts[-1] < 1.5 and np.array_equal(up, par.jac_p(ts, p, 1.5))
-    assert sensitivity._grid(par, p, 0.0, 2.0, quad, None)[3] is None
+    np.testing.assert_allclose(G_pp, np.einsum("t,tmi,tmn,tnj->ij", w, up, kinv, up),
+                               rtol=1e-13)
+    assert np.array_equal(G_pp, G_pp.T)
+    assert sensitivity._grid(par, p, 0.0, 2.0, quad, None)[3:] == (None, None)
 
 
 # run in this process and, as a script, in a fresh one
