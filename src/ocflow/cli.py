@@ -29,13 +29,13 @@ import numpy as np
 from .costate import reconstruct_costate
 from .errors import OcflowError
 from .evolution import (EvolutionMode, EvolutionState, StopCriteria, _check_compat,
-                        solve_evolution)
+                        _resolve_init, solve_evolution)
 from .integrate import OdeSettings
 from .parameterization import FORM1, FORM2, make_basis
 from .problem import Gains, _central_diff, simulate_control
 from .problems import get_problem, list_problems
 from .projection import BasisSet, InnerProductSpec, project, weighted_norm
-from .quadrature import QuadratureSpec
+from .quadrature import QuadratureSpec, _gram
 from .sensitivity import nlp_gradients, solve_adjoints, solve_state
 
 _FMT = "%.17g"
@@ -120,7 +120,8 @@ def build_run(raw: dict):
     Returns (problem bundle, parameterization, gains, mode, init, stop,
     ode_inner, ode_outer, quad, out_dir).  An unknown key, at the top level or
     in a section, is a config error; so is a mode that cannot run with the
-    problem, basis and gains (the solver's own checks, made before any solve).
+    problem, basis and gains, or a non-finite initial iterate (the solver's
+    own checks, made before any solve).
     """
     _check_keys(raw, _TOP_KEYS, "config")
     name = raw.get("problem")
@@ -156,11 +157,6 @@ def build_run(raw: dict):
                 "gradient_flow": lambda: EvolutionMode.gradient_flow(K_theta)}[mode_name]()
     except (OcflowError, TypeError, ValueError) as exc:
         raise ConfigError(f"gains: {exc}") from None
-    try:
-        _check_compat(mode, prob, par, gains)
-    except OcflowError as exc:
-        raise ConfigError(str(exc)) from None
-
     init_cfg = _section(raw, "init")
     p0 = init_cfg.get("p", "zeros")
     if isinstance(p0, str):
@@ -176,6 +172,11 @@ def build_run(raw: dict):
     t_f0 = _number(init_cfg.get("t_f", prob.tf_fixed if prob.tf_mode == "fixed" else 1.0),
                    "init.t_f")
     init = EvolutionState(p=p0, t_f=t_f0)
+    try:
+        _check_compat(mode, prob, par, gains)
+        _resolve_init(prob, init)
+    except OcflowError as exc:
+        raise ConfigError(str(exc)) from None
 
     stop_kw = {k: _number(v, f"stop.{k}") for k, v in _section(raw, "stop").items()}
     try:
@@ -303,8 +304,7 @@ def _check_projection(prob, init, quad) -> list[dict]:
                                    float(np.abs(coords - coords2).max()))
         ts, w = spec.grid()
         resid = f(ts) - proj(ts)
-        A = basis.at(ts)
-        ortho = np.einsum("t,tdk,td->k", w, A, resid)
+        ortho = _gram(w, spec.weight_at(ts), basis.at(ts), resid[..., None])
         worst["orthogonality"] = max(worst["orthogonality"], float(np.abs(ortho).max()))
         n_f = weighted_norm(spec, f)
         n_p = weighted_norm(spec, lambda ts: proj(ts))

@@ -23,7 +23,7 @@ from .integrate import DenseTrajectory
 from .parameterization import Parameterization
 from .problem import Gains, OcpProblem
 # simpson_points is not called here; it stays bound because bench/tracing.py wraps it
-from .quadrature import QuadratureSpec, simpson_points  # noqa: F401
+from .quadrature import QuadratureSpec, _gram, simpson_points  # noqa: F401
 from .sensitivity import (AdjointBundle, ThetaQuantities, _grid_data, _terminal_values,
                           spd_solve)
 
@@ -112,8 +112,8 @@ def continuous_multiplier(prob: OcpProblem, bundle: AdjointBundle, gains: Gains,
         return np.zeros(0)
     gd = _grid_data(prob, bundle.par, bundle, quad or QuadratureSpec())
     Kt = gains.K_at(gd.ts)
-    M_c = np.einsum("t,tmq,tmn,tnr->qr", gd.w, gd.fupsi, Kt, gd.fupsi)
-    r_c = np.einsum("t,tmq,tmn,tn->q", gd.w, gd.fupsi, Kt, gd.pu)
+    M_c = _gram(gd.w, Kt, gd.fupsi, gd.fupsi)
+    r_c = _gram(gd.w, Kt, gd.fupsi, gd.pu[..., None])[:, 0]
     if prob.tf_mode == "free" and gains.k_tf > 0:
         tf_scalar, tf_row = _terminal_values(prob, bundle)
         M_c = M_c + gains.k_tf * np.outer(tf_row, tf_row)

@@ -39,7 +39,7 @@ from .errors import ConfigurationError, MultiplierBoundWarning
 from .integrate import OdeSettings, _finite_positive, _interpolant, _Stepper, dense_output
 from .parameterization import FORM1, FORM2, Parameterization
 from .problem import (Gains, OcpProblem, SolveReport, SolveTrace, TraceRow,
-                      _gain_matrix, _require_spd, _terminal_eval)
+                      _gain_matrix, _require_finite, _require_spd, _terminal_eval)
 from .quadrature import QuadratureSpec
 from .sensitivity import (AdjointBundle, ThetaQuantities, assemble_form1,
                           assemble_form2, nlp_gradients, solve_adjoints, solve_state,
@@ -261,14 +261,12 @@ def evaluate_iterates(mode: EvolutionMode, prob: OcpProblem, par: Parameterizati
     matrix serve the batch, a vectorized problem's terminal callbacks run
     once, and the lanes' multiplier systems are solved as one stack.  Each
     lane's result is its own :class:`IterateEval`, with a single-lane
-    bundle.  One lane (B = 1) is :func:`evaluate_iterate`.
+    bundle.  Any B, one included, runs this lane path; one lane equals
+    :func:`evaluate_iterate` bit for bit.
     """
     P = np.asarray(P, dtype=float)
     if P.ndim != 2 or len(P) == 0 or P.shape[1] != par.s:
         raise ValueError(f"P has shape {P.shape}, expected (B, {par.s}) with B >= 1")
-    if len(P) == 1:
-        return [evaluate_iterate(mode, prob, par, gains, P[0], t_f, ode_inner, quad,
-                                 pi_bound=pi_bound)]
     bundle, quant, *lanes = _pipeline(mode, prob, par, gains, P, t_f, ode_inner, quad,
                                       pi_bound)
     return [_iterate_eval(p, t_f, *lane)
@@ -276,7 +274,11 @@ def evaluate_iterates(mode: EvolutionMode, prob: OcpProblem, par: Parameterizati
 
 
 def _resolve_init(prob: OcpProblem, init: EvolutionState) -> tuple[np.ndarray, float]:
+    """The initial (p0, t_f0); :class:`ConfigurationError` for a non-finite or bad value."""
     p0 = np.asarray(init.p, dtype=float)
+    _require_finite(p0, "init.p")
+    if init.t_f is not None:
+        _require_finite(np.asarray(init.t_f, dtype=float), "init.t_f")
     if prob.tf_mode == "fixed":
         t_f0 = prob.tf_fixed
         if init.t_f is not None and not np.isclose(init.t_f, t_f0):
@@ -363,7 +365,9 @@ def solve_evolution(mode: EvolutionMode, prob: OcpProblem, par: Parameterization
     same points.  With a fixed t_f, the rows inside one accepted step are
     evaluated as the lanes of one :func:`evaluate_iterates` pass, and rows
     are appended in tau order up to the first that meets the tolerances; the
-    final iterate's report fields and bundle come from its own pipeline.
+    final iterate's report fields and bundle come from its own pipeline, so
+    when its row came from a pass of several lanes (which share one inner
+    step sequence) the two can differ at the inner tolerance's level.
     Returns the final report, the trace, and the adjoint bundle of the
     final iterate (from which costates are reconstructed).
     """

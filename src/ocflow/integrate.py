@@ -2,13 +2,13 @@
 
 One explicit embedded Runge-Kutta pair serves every initial-value problem in
 the package: forward state solves and the outer evolution in virtual time
-are adaptive (backward spans run internally in negated time, so a single
-code path covers both directions), and the linear adjoint solves replay the
-same tableau backward over a forward solve's accepted steps with no error
-control.  The free 4th-order interpolant of the pair provides dense output
-that downstream quadrature evaluates at arbitrary nodes.  A state solve's
-open-loop control is evaluated once per step attempt, at all of its stage
-times, and handed to the right-hand side stage by stage.  Several
+are adaptive and run forward only (:func:`integrate_ivp`), and the linear
+adjoint solves, the only backward passes, replay the same tableau backward
+over a forward solve's accepted steps with no error control
+(:func:`replay_linear`).  The free 4th-order interpolant of the pair provides
+dense output that downstream quadrature evaluates at arbitrary nodes.  A state
+solve's open-loop control is evaluated once per step attempt, at all of its
+stage times, and handed to the right-hand side stage by stage.  Several
 independent systems of equal size may run as lanes of one solve: they share
 one step sequence, and each step is held to the tolerance and stability
 limit of its worst lane.  Step-size control is a standard PI controller
@@ -279,23 +279,21 @@ class _Stepper:
     fresh first stage, error history and step budget, carrying the last step
     size across, and holds every stage time one ulp inside its smooth
     subinterval, so a right-continuous discontinuity at a cut never leaks
-    across it.  ``backward`` marks a stepper running in negated time s = -t;
-    its failures then report the physical time t.  ``guard(t, y) -> bool``
-    may veto a step that passed the error test, which is then retried at
-    half size.  The state may hold ``lanes`` equal blocks of channels, each an
-    independent system: the error norm and the stiffness estimate are then
-    the largest over the lanes.  With ``stage_input`` the right-hand side is
-    ``rhs(t, y, v)``, v the row at t of ``stage_input(ts)``, which runs once
-    per step attempt at its six stage times, seven for a restart's first
-    attempt (its stage 0 too), and at one point where rhs runs alone.
+    across it.  ``guard(t, y) -> bool`` may veto a step that passed the error
+    test, which is then retried at half size.  The state may hold ``lanes``
+    equal blocks of channels, each an independent system: the error norm and
+    the stiffness estimate are then the largest over the lanes.  With
+    ``stage_input`` the right-hand side is ``rhs(t, y, v)``, v the row at t of
+    ``stage_input(ts)``, which runs once per step attempt at its six stage
+    times, seven for a restart's first attempt (its stage 0 too), and at one
+    point where rhs runs alone.
     """
 
-    def __init__(self, rhs, t0, y0, t_end, settings, guard=None, backward=False,
+    def __init__(self, rhs, t0, y0, t_end, settings, guard=None,
                  cuts=(), lanes=1, stage_input=None):
         self.rhs = rhs
         self.stage_input = stage_input
         self.lanes = lanes
-        self.backward = backward
         self.settings = settings
         self.guard = guard
         self.y = np.asarray(y0, dtype=float)
@@ -326,22 +324,19 @@ class _Stepper:
                                    self.lanes)
             if not _finite_positive(self.h):    # the scaled norms overflowed
                 s = self.settings
-                raise self._error(IntegrationError, "no finite positive initial step at "
-                                  f"rel_tol = {s.rel_tol!r}, abs_tol = {s.abs_tol!r}", t0)
+                raise IntegrationError("no finite positive initial step at rel_tol = "
+                                       f"{s.rel_tol!r}, abs_tol = {s.abs_tol!r}", t0)
         self.h = min(self.h, t_end - t0)
 
     def _first_stage(self, f, t0) -> None:
         if not np.isfinite(f).all():
-            raise self._error(DivergenceError, "non-finite right-hand side", t0)
+            raise DivergenceError("non-finite right-hand side", t0)
         self.f = f
 
     def _rhs_at(self, t, y) -> np.ndarray:
         t = min(max(t, self.lo), self.hi)
         v = () if self.stage_input is None else (self.stage_input(np.array([t]))[0],)
         return np.asarray(self.rhs(t, y, *v), dtype=float)
-
-    def _error(self, cls, message: str, s: float) -> IntegrationError:
-        return cls(message, time=-s if self.backward else s)
 
     @property
     def done(self) -> bool:
@@ -363,11 +358,10 @@ class _Stepper:
         min_step = _MIN_STEP_REL * max(abs(t), abs(t_end))
         while True:
             if self.nsteps + self.nrejected - self._budget0 >= s.max_steps:
-                raise self._error(StepBudgetError,
-                                  f"exceeded max_steps = {s.max_steps}", t)
+                raise StepBudgetError(f"exceeded max_steps = {s.max_steps}", t)
             h = min(self.h, t_end - t)
             if h < min_step:
-                raise self._error(IntegrationError, "step size underflow", t)
+                raise IntegrationError("step size underflow", t)
             t_new = t + h
             # stretch marginally short steps to the endpoint so no unsteppable
             # sliver is left behind (a 5% stretch is well inside the error budget)
@@ -404,7 +398,7 @@ class _Stepper:
             # a non-finite stage makes the norm non-finite; a finite stage whose
             # scaled error overflows is only rejected
             if not math.isfinite(err_norm) and not np.isfinite(K).all():
-                raise self._error(DivergenceError, "non-finite right-hand side", t_new)
+                raise DivergenceError("non-finite right-hand side", t_new)
 
             if err_norm <= 1.0:
                 if self.guard is not None and not self.guard(t_new, y_new):
@@ -430,9 +424,10 @@ class _Stepper:
 
 def integrate_ivp(rhs, y0, t_span, settings: OdeSettings | None = None, *,
                   breakpoints=(), _stage_input=None) -> DenseTrajectory:
-    """Solve y' = rhs(t, y) over ``t_span`` with dense output.
+    """Solve y' = rhs(t, y) forward over ``t_span`` with dense output.
 
-    Backward spans (t_end < t_start) integrate in negated time internally.
+    The span must run forward, t_start < t_end (:class:`ValueError`
+    otherwise); the package's backward passes are :func:`replay_linear`'s.
     ``breakpoints`` are interior times where the right-hand side may be
     discontinuous; the integrator restarts there so no step straddles one,
     carrying the last step size across.  A (B, d) ``y0`` runs B independent
@@ -441,8 +436,7 @@ def integrate_ivp(rhs, y0, t_span, settings: OdeSettings | None = None, *,
     lane's error and stiffness, and the solution's channels are the lanes'
     channels, lane after lane (:meth:`DenseTrajectory.lanes` splits them).
     ``_stage_input``, private to :func:`problem._state_solution`, is an input
-    ``rhs(t, y, v)`` of a forward span takes, evaluated per step attempt
-    (see :class:`_Stepper`).
+    ``rhs(t, y, v)`` takes, evaluated per step attempt (see :class:`_Stepper`).
     """
     settings = settings or OdeSettings()
     y0 = np.asarray(y0, dtype=float)
@@ -452,20 +446,11 @@ def integrate_ivp(rhs, y0, t_span, settings: OdeSettings | None = None, *,
         rhs = lambda t, y, *v: np.asarray(lane_rhs(t, y.reshape(shape), *v)).reshape(-1)
         y0 = y0.reshape(-1)
     t_start, t_end = float(t_span[0]), float(t_span[1])
-    if t_start == t_end:
-        raise ValueError("t_span endpoints must be distinct")
-
-    backward = t_end < t_start
-    if backward:
-        lo, hi = -t_start, -t_end
-        fwd_rhs = lambda s, y: -np.asarray(rhs(-s, y), dtype=float)
-    else:
-        lo, hi = t_start, t_end
-        fwd_rhs = rhs
-    cuts = _interior(np.negative(breakpoints) if backward else breakpoints, lo, hi)
-
-    stepper = _Stepper(fwd_rhs, lo, y0, hi, settings, backward=backward,
-                       cuts=cuts.tolist(), lanes=lanes, stage_input=_stage_input)
+    if not t_start < t_end:
+        raise ValueError(f"t_span must run forward, got ({t_start!r}, {t_end!r})")
+    stepper = _Stepper(rhs, t_start, y0, t_end, settings,
+                       cuts=_interior(breakpoints, t_start, t_end).tolist(),
+                       lanes=lanes, stage_input=_stage_input)
     ts, ys, hs, Ks = [stepper.t], [stepper.y], [], []
     while not stepper.done:
         h, K = stepper.step()
@@ -474,22 +459,9 @@ def integrate_ivp(rhs, y0, t_span, settings: OdeSettings | None = None, *,
         hs.append(h)
         Ks.append(K)
 
-    ts = np.array(ts)
-    ys = np.array(ys)
-    anchors, denoms, bases = ts[:-1], ts[1:] - ts[:-1], ys[:-1]
-    scales = np.array(hs)
-    Qs = _interpolant(np.array(Ks))
-
-    if backward:
-        # map segments to increasing physical time t = -s; the local
-        # coordinate theta = (t - anchor)/denom is preserved with
-        # anchor -> -anchor and denom -> -denom.
-        ts, ys = -ts[::-1], ys[::-1]
-        anchors, denoms = -anchors[::-1], -denoms[::-1]
-        scales, bases, Qs = scales[::-1], bases[::-1], Qs[::-1]
-
-    return DenseTrajectory(ts, ys, (anchors, denoms, scales, bases, Qs),
-                           nsteps=stepper.nsteps, nrejected=stepper.nrejected)
+    ts, ys = np.array(ts), np.array(ys)
+    segments = (ts[:-1], ts[1:] - ts[:-1], np.array(hs), ys[:-1], _interpolant(np.array(Ks)))
+    return DenseTrajectory(ts, ys, segments, nsteps=stepper.nsteps, nrejected=stepper.nrejected)
 
 
 def _channels(Y: np.ndarray) -> np.ndarray:

@@ -30,7 +30,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import ConfigurationError, DependentBasisError, DomainError
-from .quadrature import QuadratureSpec, simpson_points
+from .quadrature import QuadratureSpec, _gram, simpson_points
 
 FORM1 = "form1"
 FORM2 = "form2"
@@ -45,13 +45,14 @@ class Parameterization:
     sensitivity (identically zero for form 1).  Every kind is linear in p, so
     the (N, m) control values are ``jac_p @ p``.  ``control_fn(p, t_f)``
     returns the unchecked array evaluator ``u(ts) -> (N, m)`` behind
-    :meth:`bind`: the array path's contraction of the basis values with p,
-    or for the piecewise-constant kind a plain gather of p's entries.  Each
-    row is summed on its own, so a time's value does not depend on the other
-    times in the array (tests pin this bit for bit for m = 1).  Wherever a
-    method takes ``p`` it also takes B parameter vectors as a (B, s) array,
-    the lanes of a batch: the results then carry a leading lane axis, except
-    ``jac_p``, which no kind's p changes.
+    :meth:`bind` and :meth:`eval`, the only code that turns p into u(t): the
+    contraction of the basis values with p, or for the piecewise-constant
+    kind a plain gather of p's entries.  Each row is summed on its own, so a
+    time's value does not depend on the other times in the array (tests pin
+    this bit for bit for m = 1).  Wherever a method takes ``p`` it also takes
+    B parameter vectors as a (B, s) array, the lanes of a batch: the results
+    then carry a leading lane axis, except ``jac_p``, which no kind's p
+    changes.
     """
 
     kind: str
@@ -68,13 +69,6 @@ class Parameterization:
     def _slack(self, t_f: float) -> float:
         return 1e-12 * max(1.0, abs(t_f - self.t0))
 
-    def _check_domain(self, ts: np.ndarray, t_f: float) -> None:
-        slack = self._slack(t_f)
-        if ts.size and (np.minimum.reduce(ts) < self.t0 - slack
-                        or np.maximum.reduce(ts) > t_f + slack):
-            bad = ts[(ts < self.t0 - slack) | (ts > t_f + slack)][0]
-            raise DomainError(f"t = {bad!r} outside control domain [{self.t0!r}, {t_f!r}]")
-
     def _check_p(self, p) -> np.ndarray:
         p = np.asarray(p, dtype=float)
         if p.ndim not in (1, 2) or p.shape[-1] != self.s:
@@ -82,9 +76,13 @@ class Parameterization:
         return p
 
     def _prep(self, t, p, t_f):
+        """(times, p, t_f) of a Jacobian evaluation, each checked."""
         t_f = self._resolve_tf(t_f)
         ts = np.asarray(t, dtype=float).reshape(-1)
-        self._check_domain(ts, t_f)
+        lo, hi = self.t0 - self._slack(t_f), t_f + self._slack(t_f)
+        if ts.size and not (np.minimum.reduce(ts) >= lo and np.maximum.reduce(ts) <= hi):
+            bad = ts[~((ts >= lo) & (ts <= hi))][0]            # NaN too
+            raise DomainError(f"t = {bad!r} outside control domain [{self.t0!r}, {t_f!r}]")
         return ts, self._check_p(p), t_f
 
     def bind(self, p, t_f=None) -> Callable:
@@ -92,7 +90,7 @@ class Parameterization:
 
         The evaluator maps (N,) times to (N, m), or (B, N, m) for a (B, s) p; a
         scalar t is a one-point array, returned as (m,) or (B, m).  It checks
-        each time against [t0, t_f] with the array path's slack (DomainError
+        each time against [t0, t_f] with the Jacobians' slack (DomainError
         otherwise, also for NaN) one by one, quicker than numpy's reductions
         on the few stage times of an integrator step.
         """
@@ -113,11 +111,8 @@ class Parameterization:
         return u_of_t
 
     def eval(self, t, p, t_f=None):
-        """Control value u(t); (m,) for scalar t, (N, m) for array t."""
-        if np.ndim(t) == 0:
-            return self.bind(p, t_f)(t)
-        ts, p, t_f = self._prep(t, p, t_f)
-        return np.einsum("tms,...s->...tm", self.jac_p_fn(ts, p, t_f), p)
+        """Control value u(t); (m,) for scalar t, (N, m) for array t: :meth:`bind`'s."""
+        return self.bind(p, t_f)(t)
 
     def jac_p(self, t, p, t_f=None):
         """Parameter Jacobian u_p(t); (m, s) or (N, m, s)."""
@@ -340,7 +335,7 @@ def validate_independence(par: Parameterization, p, t_f, quad_nodes: int) -> flo
     spec = QuadratureSpec(nodes=max(3, nodes))
     pts, w = simpson_points(par.t0, t_f, spec, par.breakpoints(t_f))
     up = par.jac_p(pts, np.asarray(p, dtype=float), t_f)       # (N, m, s)
-    gram = np.einsum("t,tmi,tmj->ij", w, up, up)
+    gram = _gram(w, None, up, up)
     vals, vecs = np.linalg.eigh(gram)
     lam_min, lam_max = vals[0], vals[-1]
     if lam_min <= 1e-10 * max(lam_max, 0.0):

@@ -13,6 +13,7 @@ quadrature.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -103,8 +104,8 @@ class Gains:
         K_g = _gain_matrix(K_g, q, "K_g")
         if q > 0:
             _require_spd(K_g, "K_g")
-        if k_tf < 0:
-            raise ConfigurationError("k_tf must be >= 0")
+        if not (math.isfinite(k_tf) and k_tf >= 0):
+            raise ConfigurationError(f"k_tf must be finite and >= 0, got {k_tf!r}")
         return cls(K_inv=lambda t: K_inv_const, k_tf=float(k_tf), K_g=K_g,
                    K_inv_const=K_inv_const)
 
@@ -123,6 +124,7 @@ class Gains:
 def _gain_matrix(K, dim: int, name: str) -> np.ndarray:
     """K as a (dim, dim) matrix; a scalar or 1 x 1 gain is promoted to K * I."""
     K = np.atleast_2d(np.asarray(K, dtype=float))
+    _require_finite(K, name)
     if K.shape == (1, 1) and dim != 1:
         K = K[0, 0] * np.eye(dim)
     if K.shape != (dim, dim):
@@ -130,8 +132,14 @@ def _gain_matrix(K, dim: int, name: str) -> np.ndarray:
     return K
 
 
+def _require_finite(M: np.ndarray, name: str) -> None:
+    if not np.isfinite(M).all():
+        raise ConfigurationError(f"{name} must be finite, got {M.tolist()!r}")
+
+
 def _require_spd(M: np.ndarray, name: str) -> None:
     M = np.asarray(M, dtype=float)
+    _require_finite(M, name)
     if M.ndim != 2 or M.shape[0] != M.shape[1]:
         raise ConfigurationError(f"{name} must be square, got shape {M.shape}")
     if not np.allclose(M, M.T, rtol=1e-12, atol=1e-12):
@@ -286,11 +294,14 @@ def _batch_eval(prob: OcpProblem, name: str, xs, us, ts) -> np.ndarray:
     """The callback ``name`` at stacked points: xs (*P, n), us (*P, m), ts
     broadcasting to the point shape *P (lanes of a time grid); returns (*P, ...).
 
-    A vectorized problem takes one stacked call, any other one call per point.
+    A single point (P = ()) is one plain call.  Otherwise a vectorized problem
+    takes one stacked call, any other one call per point.
     """
     fn = getattr(prob, name)
     points = xs.shape[:-1]
-    if len(points) > 1:                 # lanes of points: one flat stack
+    if not points:
+        return np.asarray(fn(xs, us, ts), dtype=float)
+    if len(points) > 1 or isinstance(ts, float):    # lanes of points, or a time they share
         xs, us = xs.reshape(-1, xs.shape[-1]), us.reshape(-1, us.shape[-1])
         ts = np.broadcast_to(ts, points).reshape(-1)
     if prob.vectorized:

@@ -21,7 +21,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import DependentBasisError, RankError
-from .quadrature import QuadratureSpec, simpson_points
+from .quadrature import QuadratureSpec, _gram, simpson_points
 from .sensitivity import spd_solve
 
 
@@ -64,28 +64,25 @@ class BasisSet:
         return out
 
 
-def _as_batch_fn(f: Callable) -> Callable:
+def _column(f: Callable) -> Callable:
+    """f's (N, d) values, or (N,) for a scalar function, as one (N, d, 1) column."""
     def at(ts):
         out = np.asarray(f(ts), dtype=float)
-        if out.ndim == 1:
-            out = out[:, None]
-        return out
+        return out.reshape(len(out), -1, 1)
     return at
 
 
 def _coordinates(spec: InnerProductSpec, basis: BasisSet, F: Callable) -> np.ndarray:
-    """Solve (int A^T W A dt) X = int A^T W F dt.
+    """Solve (int A^T W A dt) X = int A^T W F dt for the k columns of X.
 
-    ``F(ts)`` is (N, d) for one function or (N, d, k) for k of them; raises
-    :class:`DependentBasisError` when the Gram matrix is numerically singular.
+    ``F(ts)`` is (N, d, k); raises :class:`DependentBasisError` when the Gram
+    matrix is numerically singular.
     """
     ts, w = spec.grid()
     A = basis.at(ts)
     W = spec.weight_at(ts)
-    gram = np.einsum("t,tdi,tde,tej->ij", w, A, W, A)
-    rhs = np.einsum("t,tdi,tde,te...->i...", w, A, W, F(ts))
     try:
-        return spd_solve(gram, rhs, "projection Gram matrix")
+        return spd_solve(_gram(w, W, A, A), _gram(w, W, A, F(ts)), "projection Gram matrix")
     except RankError as exc:
         raise DependentBasisError(f"{exc}; basis columns are dependent") from None
 
@@ -97,7 +94,7 @@ def project(spec: InnerProductSpec, basis: BasisSet, f: Callable):
     A(ts) @ coords.  Raises :class:`DependentBasisError` when the Gram matrix
     is numerically singular.
     """
-    coords = _coordinates(spec, basis, _as_batch_fn(f))
+    coords = _coordinates(spec, basis, _column(f))[:, 0]
 
     def projection(t):
         tt = np.atleast_1d(np.asarray(t, dtype=float))
@@ -110,9 +107,8 @@ def project(spec: InnerProductSpec, basis: BasisSet, f: Callable):
 def weighted_norm(spec: InnerProductSpec, f: Callable) -> float:
     """L2(W) norm of a vector function, by the shared quadrature."""
     ts, w = spec.grid()
-    vals = _as_batch_fn(f)(ts)
-    W = spec.weight_at(ts)
-    sq = np.einsum("t,td,tde,te->", w, vals, W, vals)
+    vals = _column(f)(ts)
+    sq = _gram(w, spec.weight_at(ts), vals, vals)[0, 0]
     return float(np.sqrt(max(sq, 0.0)))
 
 
@@ -142,7 +138,7 @@ def projected_stationarity_check(spec: InnerProductSpec, u_p_basis: BasisSet, p_
     pi = np.asarray(pi, dtype=float)
 
     def columns(ts):                    # [p_u | f_u^T Psi]: (N, d, 1 + q)
-        F = _as_batch_fn(p_u_fn)(ts)[:, :, None]
+        F = _column(p_u_fn)(ts)
         if pi.size:
             F = np.concatenate([F, np.asarray(psi_fn(ts), dtype=float)], axis=2)
         return F

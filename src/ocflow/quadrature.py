@@ -1,11 +1,13 @@
 """Composite Simpson quadrature on panels aligned with control breakpoints.
 
 All time integrals in the solver (Gram matrices, gradient and constraint
-integrals, projections) run through this module so that quantities built on
+integrals, projections) run on this module's grid so that quantities built on
 the *same grid* agree to round-off, not merely to quadrature error.  The grid
 is described by an odd node count on a uniform partition; callers may pass
 extra breakpoints (control nodes of piecewise bases) that split panels so the
-integrand stays smooth panel by panel.
+integrand stays smooth panel by panel.  Every weighted integral int U^T W V dt
+of sampled columns (a Gram matrix, a projection's right-hand side and norm,
+the basis-free multiplier's system) is one :func:`_gram` product.
 """
 
 from __future__ import annotations
@@ -68,3 +70,13 @@ def simpson_points(t0: float, t_f: float, spec: QuadratureSpec,
     w[:, 0] = w[:, 2] = h
     w[:, 1] = 4.0 * h
     return pts.reshape(-1), w.reshape(-1)
+
+
+def _gram(w, W, U, V) -> np.ndarray:
+    """int U^T W V dt from weights w (N,), samples ([B,] N, m, i) and ([B,] N, m, j)
+    and the weight W (N, m, m), or None for the identity, as one matrix product
+    (per lane of a leading lane axis)."""
+    *lanes, N, m, i = U.shape
+    WU = (w[:, None, None] * U).reshape(*lanes, N * m, i)
+    WV = V if W is None else W @ V
+    return WU.swapaxes(-1, -2) @ WV.reshape(*WV.shape[:-3], N * m, V.shape[-1])

@@ -40,7 +40,7 @@ from .integrate import DenseTrajectory, OdeSettings, replay_linear
 from .integrate import integrate_ivp  # noqa: F401
 from .parameterization import Parameterization
 from .problem import Gains, OcpProblem, _batch_eval, _state_solution, _terminal_eval
-from .quadrature import QuadratureSpec, simpson_points
+from .quadrature import QuadratureSpec, _gram, simpson_points
 
 
 _EPS = np.finfo(float).eps
@@ -244,33 +244,18 @@ class _GridData:
     G_pp: np.ndarray | None   # (s, s)
 
 
-def _brackets(prob: OcpProblem, x_f, u_f, t_f: float) -> tuple[float, np.ndarray]:
-    """(tf_scalar, tf_row) of one iterate from its terminal state and control."""
-    f_f = np.asarray(prob.f(x_f, u_f, t_f), dtype=float)
-    tf_scalar = (float(prob.phi_t(x_f, t_f))
-                 + float(np.dot(np.asarray(prob.phi_x(x_f, t_f), float), f_f))
-                 + float(prob.L(x_f, u_f, t_f)))
-    if prob.q:
-        tf_row = np.asarray(prob.g_x(x_f, t_f), float) @ f_f \
-            + np.asarray(prob.g_t(x_f, t_f), float)
-    else:
-        tf_row = np.zeros(0)
-    return tf_scalar, tf_row
-
-
-def _terminal_values(prob: OcpProblem, bundle: AdjointBundle) -> tuple[float, np.ndarray]:
-    """The terminal brackets (tf_scalar, tf_row) of the t_f equation; over
-    lanes stacked, from one call of each callback (``_terminal_eval``)."""
+def _terminal_values(prob: OcpProblem, bundle: AdjointBundle) -> tuple:
+    """The terminal brackets (tf_scalar, tf_row) of the t_f equation: a float
+    and (q,), or over lanes (B,) and (B, q), from one call of each callback."""
     t_f, x_f = bundle.t_f, bundle.x_f
     u_f = bundle.u_of_t(t_f)
-    if x_f.ndim == 1:
-        return _brackets(prob, x_f, u_f, t_f)
-    ts = np.full(len(x_f), t_f)
-    f_f = _batch_eval(prob, "f", x_f, u_f, ts)
+    f_f = _batch_eval(prob, "f", x_f, u_f, t_f)
     phi_t, phi_x, g_x, g_t = (_terminal_eval(prob, name, x_f, t_f)
                               for name in ("phi_t", "phi_x", "g_x", "g_t"))
-    tf_scalar = phi_t + np.einsum("bn,bn->b", phi_x, f_f) + _batch_eval(prob, "L", x_f, u_f, ts)
-    return tf_scalar, (g_x @ f_f[..., None])[..., 0] + g_t
+    tf_scalar = (phi_t + (phi_x[..., None, :] @ f_f[..., None])[..., 0, 0]
+                 + _batch_eval(prob, "L", x_f, u_f, t_f))
+    return (float(tf_scalar) if tf_scalar.ndim == 0 else tf_scalar,
+            (g_x @ f_f[..., None])[..., 0] + g_t)
 
 
 _GRID = None     # the latest ((t0, t_f, quad, par, gains), (ts, w, U_p, K^-1, G_pp))
@@ -305,22 +290,13 @@ def _grid_data(prob: OcpProblem, par: Parameterization, bundle: AdjointBundle,
     t_f, p = bundle.t_f, bundle.p
     ts, w, up, kinv, G_pp = _grid(par, p, bundle.t0, t_f, quad, gains)   # up: (N, m, s)
     xs, mus, psis = bundle.at(ts)                  # ([B,] N, n), and (..., n, q)
-    us = np.einsum("tms,...s->...tm", up, p)                   # as par.eval does
+    us = np.einsum("tms,...s->...tm", up, p)       # control_fn's contraction, or its gather
     fu = _batch_eval(prob, "f_u", xs, us, ts)                  # ([B,] N, n, m)
     lu = _batch_eval(prob, "L_u", xs, us, ts)                  # ([B,] N, m)
     pu = lu + np.einsum("...tnm,...tn->...tm", fu, mus)
     fupsi = np.einsum("...tnm,...tnq->...tmq", fu, psis)           # ([B,] N, m, q)
     utf = par.jac_tf(ts, p, t_f) if with_tf else None          # ([B,] N, m)
     return _GridData(ts=ts, w=w, U_p=up, u_tf=utf, pu=pu, fupsi=fupsi, kinv=kinv, G_pp=G_pp)
-
-
-def _gram(w, kinv, U, V) -> np.ndarray:
-    """int U^T K^-1 V dt from grid samples ([B,] N, m, i) and ([B,] N, m, j),
-    as one matrix product (per lane).  With U = V = U_p it is G_pp, which
-    :func:`_grid` forms once per t_f; with V = u_tf it is a lane's border."""
-    *lanes, N, m, i = U.shape
-    WU = (w[:, None, None] * U).reshape(*lanes, N * m, i)
-    return WU.swapaxes(-1, -2) @ (kinv @ V).reshape(*V.shape[:-3], N * m, V.shape[-1])
 
 
 def _theta_integrals(gd: _GridData, terminal=None) -> tuple[np.ndarray, np.ndarray]:

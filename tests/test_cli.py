@@ -317,3 +317,30 @@ def test_non_finite_stop_values_exit_2(tmp_path, capsys):
             assert main(["solve", "--config", str(path)]) == 2
             err = capsys.readouterr().err
             assert "stop: " in err and key in err
+
+
+def test_non_finite_gains_and_initial_values_exit_2(tmp_path, capsys, monkeypatch):
+    # Python's json reads NaN and Infinity; a non-finite gain or initial value
+    # is refused, naming its key, before any pipeline runs
+    import ocflow.evolution as evolution
+
+    monkeypatch.setattr(evolution, "solve_state", lambda *a, **k: pytest.fail("a pipeline ran"))
+    for problem, mode, section, value, needle in (
+            ("example1", "form1", "gains", '{{"K": {}}}', "gains: K must be finite"),
+            ("example1", "form1", "gains", '{{"K": [[{}]]}}', "gains: K must be finite"),
+            ("example1", "form1", "gains", '{{"K_g": {}}}', "gains: K_g must be finite"),
+            ("brachistochrone", "form1", "gains", '{{"k_tf": {}}}',
+             "gains: k_tf must be finite"),
+            ("example1", "gradient_flow", "gains", '{{"K_theta": {}}}',
+             "gains: K_theta must be finite"),
+            ("brachistochrone", "form1", "init", '{{"t_f": {}}}', "init.t_f must be finite"),
+            ("example1", "form1", "init", '{{"t_f": {}}}', "init.t_f must be finite"),
+            ("example1", "form1", "init", '{{"p": [0, {}, 0, 0]}}', "init.p must be finite")):
+        for text in ("NaN", "Infinity"):
+            path = tmp_path / "non_finite.json"
+            path.write_text(f'{{"problem": "{problem}", "mode": "{mode}", '
+                            f'"out_dir": "{tmp_path / "out"}", '
+                            f'"{section}": {value.format(text)}}}')
+            assert main(["solve", "--config", str(path)]) == 2
+            err = capsys.readouterr().err
+            assert "config error: " in err and needle in err, (value, text, err)

@@ -3,8 +3,8 @@
 Example1 (fixed t_f = 2) is linear-quadratic, so the flow's stationarity
 terms r(p) and the constraint g(p) are affine in p and Gamma is constant.
 The flow's equilibrium, r + Gamma pi = 0 and g = 0, is then one KKT solve
-assembled from s + 1 pipelines (p = 0 and p = e_i); one more pipeline at
-the solution gives the state and costate there.  The breakpoints 2i/N of
+assembled from one pipeline pass of s + 1 lanes (p = 0 and p = e_i); one
+more pipeline at the solution gives the state and costate there.  The breakpoints 2i/N of
 the piecewise bases are exact binary fractions, so the assembly's segment
 lookups are exact at every panel endpoint.
 """
@@ -12,33 +12,27 @@ lookups are exact at every panel endpoint.
 import numpy as np
 import pytest
 
-from ocflow import (EvolutionMode, OdeSettings, evaluate_iterate, make_basis,
-                    reconstruct_costate)
+from ocflow import (EvolutionMode, OdeSettings, evaluate_iterate, evaluate_iterates,
+                    make_basis, reconstruct_costate)
 
 TIGHT = OdeSettings(rel_tol=1e-10, abs_tol=1e-12)
 NS = (4, 8, 16, 32)
 
 
 def _equilibrium(bp, par):
-    """(p*, pi*, iterate at p*) of the form-1 flow, from s + 2 pipelines."""
-    def pipeline(p):
-        return evaluate_iterate(EvolutionMode.form1(), bp.prob, par, bp.gains, p, 2.0,
-                                TIGHT)
-
+    """(p*, pi*, iterate at p*) of the form-1 flow, from one pass of s + 1
+    lanes and one pipeline."""
+    args = (EvolutionMode.form1(), bp.prob, par, bp.gains)
     s = par.s
-    base = pipeline(np.zeros(s))
+    base, *unit = evaluate_iterates(*args, np.vstack([np.zeros(s), np.eye(s)]), 2.0, TIGHT)
     r0, Gamma, g0 = base.quantities.r, base.quantities.Gamma, base.g_val
-    H = np.empty((s, s))
-    G = np.empty((g0.size, s))
-    for i, e in enumerate(np.eye(s)):
-        it = pipeline(e)
-        H[:, i] = it.quantities.r - r0
-        G[:, i] = it.g_val - g0
+    H = np.stack([it.quantities.r - r0 for it in unit], axis=1)
+    G = np.stack([it.g_val - g0 for it in unit], axis=1)
     q = g0.size
     kkt = np.block([[H, Gamma], [G, np.zeros((q, q))]])
     sol = np.linalg.solve(kkt, -np.concatenate([r0, g0]))
     p, pi = sol[:s], sol[s:]
-    return p, pi, pipeline(p)
+    return p, pi, evaluate_iterate(*args, p, 2.0, TIGHT)
 
 
 def _errors(bp, par):

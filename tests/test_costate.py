@@ -3,10 +3,11 @@ import dataclasses
 import numpy as np
 import pytest
 
-from ocflow import (DimensionError, EvolutionMode, OdeSettings,
-                    continuous_multiplier, evaluate_iterate, integrate_ivp,
+from ocflow import (DimensionError, EvolutionMode, OdeSettings, QuadratureSpec,
+                    continuous_multiplier, costate, evaluate_iterate, integrate_ivp,
                     make_basis, optimality_residuals, reconstruct_costate,
                     solve_adjoints, solve_state)
+from ocflow.sensitivity import _grid_data, _terminal_values
 
 TIGHT = OdeSettings(rel_tol=1e-10, abs_tol=1e-12)
 
@@ -65,7 +66,8 @@ def test_costate_ode_residual(example1, e1_form1_solve):
 
 def test_costate_agrees_with_backward_reintegration(example1, e1_form1_solve):
     # oracle: integrate the costate equation backward from the transversality
-    # value and compare against the assembled lambda
+    # value, adaptively and forward in s = t_f - t, and compare against the
+    # assembled lambda
     report, _, bundle, _ = e1_form1_solve
     prob = example1.prob
     ct = reconstruct_costate(prob, bundle, report.pi_final)
@@ -73,15 +75,15 @@ def test_costate_agrees_with_backward_reintegration(example1, e1_form1_solve):
     lam_f = np.asarray(prob.phi_x(x_f, 2.0)) \
         + np.asarray(prob.g_x(x_f, 2.0)).T @ report.pi_final
 
-    def rhs(t, lam):
+    def rhs(s, lam):                    # d lambda/ds = f_x^T lambda + L_x at t = t_f - s
+        t = 2.0 - s
         x = bundle.x_at(t)
         u = bundle.u_of_t(t)
-        return -(np.asarray(prob.f_x(x, u, t)).T @ lam) \
-            - np.asarray(prob.L_x(x, u, t))
+        return np.asarray(prob.f_x(x, u, t)).T @ lam + np.asarray(prob.L_x(x, u, t))
 
-    sol = integrate_ivp(rhs, lam_f, (2.0, 0.0), TIGHT)
+    sol = integrate_ivp(rhs, lam_f, (0.0, 2.0), TIGHT)
     ts = np.linspace(0.0, 2.0, 41)
-    np.testing.assert_allclose(ct.lam_traj(ts), sol(ts), atol=1e-7)
+    np.testing.assert_allclose(ct.lam_traj(ts), sol(2.0 - ts), atol=1e-7)
 
 
 def test_residuals_at_convergence(example1, e1_form1_solve):
@@ -212,3 +214,36 @@ def test_continuous_multiplier_per_point_callbacks_match_vectorized(example1, e1
     pi_pt = continuous_multiplier(per_point, it.bundle, example1.gains, it.g_val)
     assert pi_vec.shape == (2,)
     np.testing.assert_allclose(pi_pt, pi_vec, rtol=1e-12, atol=1e-12)
+
+
+@pytest.mark.parametrize("case", ["example1", "brach_form2_pwc20"])
+def test_continuous_multiplier_system_matches_the_einsum_reference(
+        case, example1, e1_par, brach, monkeypatch):
+    # M_c and r_c are quadrature._gram products; they agree with the
+    # four-operand einsums to rounding, the free-t_f terms included
+    if case == "example1":
+        bp, par, mode, p, t_f = example1, e1_par, EvolutionMode.form1(), \
+            np.array([-3.0, 2.0, 0.5, -0.1]), 2.0
+    else:
+        bp, mode, t_f = brach, EvolutionMode.form2(), 0.85
+        par = make_basis("piecewise_constant", m=1, t0=0.0, form="form2", n_segments=20)
+        p = 0.03 + 0.06 * np.arange(20)
+    prob, gains = bp.prob, bp.gains
+    it = evaluate_iterate(mode, prob, par, gains, p, t_f)
+    systems = []
+    solve = costate.spd_solve
+    monkeypatch.setattr(costate, "spd_solve",
+                        lambda M, B, context: systems.append((M, B)) or solve(M, B, context))
+    continuous_multiplier(prob, it.bundle, gains, it.g_val)
+    (M_c, r_c), = systems
+    gd = _grid_data(prob, par, it.bundle, QuadratureSpec())
+    K = gains.K_at(gd.ts)
+    M_ref = np.einsum("t,tmq,tmn,tnr->qr", gd.w, gd.fupsi, K, gd.fupsi)
+    r_ref = np.einsum("t,tmq,tmn,tn->q", gd.w, gd.fupsi, K, gd.pu)
+    if prob.tf_mode == "free":
+        tf_scalar, tf_row = _terminal_values(prob, it.bundle)
+        M_ref = M_ref + gains.k_tf * np.outer(tf_row, tf_row)
+        r_ref = r_ref + gains.k_tf * tf_row * tf_scalar
+    r_ref = r_ref - gains.K_g @ it.g_val
+    for got, ref in ((M_c, M_ref), (r_c, r_ref)):
+        assert np.abs(got - ref).max() <= 1e-14 * np.abs(ref).max()

@@ -411,6 +411,30 @@ def test_gradient_flow_gain_is_checked_before_any_pipeline(monkeypatch, example1
                          example1.gains, np.zeros(4), 2.0)
 
 
+def test_non_finite_gains_and_initial_values_are_refused_before_any_pipeline(
+        monkeypatch, example1, brach):
+    import ocflow.evolution as evolution
+
+    monkeypatch.setattr(evolution, "solve_state",
+                        lambda *a, **k: pytest.fail("a pipeline ran"))
+    for bad in (np.nan, np.inf):
+        for kwargs, key in (({"K": bad}, "K"), ({"K": [[bad]]}, "K"), ({"K_g": bad}, "K_g"),
+                            ({"k_tf": bad}, "k_tf")):
+            with pytest.raises(ConfigurationError, match=key):
+                Gains.constant(**{"K": 0.1, "m": 1, "q": 2, **kwargs})
+        with pytest.raises(ConfigurationError, match="K_theta"):
+            EvolutionMode.gradient_flow(bad)
+        stop = StopCriteria(tau_max=1.0)
+        par = make_basis("global_polynomial", m=1, t0=0.0, form="form1", order=4)
+        for prob, gains, p, t_f, key in (
+                (brach.prob, brach.gains, np.zeros(5), bad, "init.t_f"),
+                (brach.prob, brach.gains, np.array([0.0, bad, 0.0, 0.0, 0.0]), 1.0, "init.p"),
+                (example1.prob, example1.gains, np.zeros(5), bad, "init.t_f")):
+            with pytest.raises(ConfigurationError, match=key):
+                solve_evolution(EvolutionMode.form1(), prob, par, gains,
+                                EvolutionState(p=p, t_f=t_f), stop)
+
+
 def test_the_starting_point_is_evaluated_once(monkeypatch, example1):
     # the stopping test at tau = 0 and the stepper's first stage share theta0
     import ocflow.evolution as evolution

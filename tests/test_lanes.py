@@ -16,7 +16,7 @@ from ocflow import (EvolutionMode, OdeSettings, QuadratureSpec, evaluate_iterate
                     evaluate_iterates, make_basis, nlp_gradients, solve_adjoints,
                     solve_state)
 from ocflow.integrate import _initial_step, _rms, _stiffness, integrate_ivp
-from ocflow.sensitivity import assemble_form1, assemble_form2
+from ocflow.sensitivity import _terminal_values, assemble_form1, assemble_form2
 
 TIGHT = OdeSettings(rel_tol=1e-11, abs_tol=1e-13)
 
@@ -144,6 +144,31 @@ def test_each_lane_matches_its_own_pipeline_on_the_brachistochrone(brach, kind):
             np.testing.assert_allclose(getattr(it, name), getattr(one, name),
                                        rtol=0, atol=1e-8, err_msg=name)
         np.testing.assert_allclose(it.quantities.M, one.quantities.M, rtol=0, atol=1e-8)
+
+
+@pytest.mark.parametrize("vectorized", [True, False])
+def test_terminal_values_of_lanes_match_each_lane(brach, vectorized):
+    # one formula over lanes: a lane bundle's brackets are its lanes' own,
+    # and a single iterate's callbacks take one plain point, t_f a float
+    calls = []
+
+    def f(x, u, t):
+        calls.append((np.shape(x), np.shape(u), type(t)))
+        return brach.prob.f(x, u, t)
+
+    prob = dataclasses.replace(brach.prob, vectorized=vectorized, f=f)
+    par, t_f = _pwc20(), 0.85
+    rng = np.random.default_rng(7)
+    P = 0.03 + 0.06 * np.arange(20) + rng.uniform(-0.02, 0.02, (4, 20))
+    bundle = solve_adjoints(prob, par, P, solve_state(prob, par, P, t_f), t_f)
+    tf_scalar, tf_row = _terminal_values(prob, bundle)
+    assert tf_scalar.shape == (4,) and tf_row.shape == (4, prob.q)
+    for b, lane in enumerate(bundle.lanes()):
+        calls.clear()
+        scalar, row = _terminal_values(prob, lane)
+        assert calls == [((prob.n,), (prob.m,), float)]
+        assert type(scalar) is float and scalar == tf_scalar[b]
+        assert np.array_equal(row, tf_row[b])
 
 
 def test_lane_count_and_shape_are_checked(example1):

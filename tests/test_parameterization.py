@@ -274,6 +274,22 @@ def test_scalar_evaluators_match_array_path(kind, kwargs, form, m):
 
 
 @pytest.mark.parametrize("kind,kwargs,form", KINDS_FORMS)
+def test_eval_of_lanes_is_bind_row_for_row(kind, kwargs, form):
+    # eval is bind's evaluator, so a (B, s) p gives each lane's own control
+    rng = np.random.default_rng(5)
+    par = make_basis(kind, m=1, t0=0.3, form=form, **kwargs)
+    P = rng.normal(size=(3, par.s))
+    t_f = 1.1173
+    ts = _probe_times(par, rng, t_f)
+    lanes = par.eval(ts, P, t_f)
+    assert lanes.shape == (3, ts.size, 1)
+    for p, lane, at_t in zip(P, lanes, par.eval(ts[7], P, t_f)):
+        u = par.bind(p, t_f)
+        assert np.array_equal(lane, u(ts))
+        assert np.array_equal(at_t, u(ts[7]))
+
+
+@pytest.mark.parametrize("kind,kwargs,form", KINDS_FORMS)
 def test_bound_control_checks_domain_and_shape(kind, kwargs, form):
     par = make_basis(kind, m=1, t0=0.3, form=form, **kwargs)
     p = np.ones(par.s)
@@ -285,9 +301,12 @@ def test_bound_control_checks_domain_and_shape(kind, kwargs, form):
             u(t)
         with pytest.raises(DomainError):
             u(np.array([par.t0, t, t_f]))
-    for t in (par.t0 - 2 * slack, t_f + 2 * slack):
+    for t in (par.t0 - 2 * slack, t_f + 2 * slack, np.nan):
         with pytest.raises(DomainError):
             par.eval(t, p, t_f)
+        for jac in (par.jac_p, par.jac_tf):
+            with pytest.raises(DomainError):
+                jac(np.array([par.t0, t]), p, t_f)
     with pytest.raises(ValueError):
         par.bind(np.ones(par.s + 1), t_f)
     with pytest.raises(ValueError):

@@ -4,6 +4,7 @@ import pytest
 from ocflow import (BasisSet, DependentBasisError, EvolutionMode,
                     InnerProductSpec, QuadratureSpec, evaluate_iterate, project,
                     projected_stationarity_check, weighted_norm)
+from ocflow import projection
 
 
 def unit_weight_spec(t0=0.0, t_f=2.0):
@@ -154,3 +155,28 @@ def test_dual_residuals_covanish_along_trace(example1, e1_form1_solve):
             assert smin * 0.99 <= ratio <= smax * 1.01
     assert rep.function_residual_norm <= 1e-3
     assert rep.coord_residual_norm <= 1e-3
+
+
+def _rel(a, ref) -> float:
+    return float(np.abs(a - ref).max() / np.abs(ref).max())
+
+
+def test_gram_system_and_norm_match_the_einsum_reference(example1, e1_par, monkeypatch):
+    # the Gram matrix, right-hand side and norm are quadrature._gram products;
+    # they agree with the four-operand einsums to rounding
+    it, spec, basis, p_u, fupsi = _dual_residual_ingredients(
+        example1.prob, example1.gains, e1_par, np.array([-3.0, 2.0, 0.5, -0.1]), 2.0)
+    systems = []
+    solve = projection.spd_solve
+    monkeypatch.setattr(projection, "spd_solve",
+                        lambda M, B, context: systems.append((M, B)) or solve(M, B, context))
+    rep = projected_stationarity_check(spec, basis, p_u, fupsi, it.pi)
+    (gram, rhs), = systems
+    ts, w = spec.grid()
+    A, W = basis.at(ts), spec.weight_at(ts)
+    F = np.concatenate([p_u(ts)[:, :, None], fupsi(ts)], axis=2)
+    assert _rel(gram, np.einsum("t,tdi,tde,tej->ij", w, A, W, A)) <= 1e-14
+    assert _rel(rhs, np.einsum("t,tdi,tde,tek->ik", w, A, W, F)) <= 1e-14
+    R = np.einsum("tdi,i->td", A, rep.coord_residual)
+    ref = np.sqrt(np.einsum("t,td,tde,te->", w, R, W, R))
+    assert rep.function_residual_norm == pytest.approx(ref, rel=1e-14)
