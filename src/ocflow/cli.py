@@ -27,7 +27,7 @@ from pathlib import Path
 import numpy as np
 
 from .costate import reconstruct_costate
-from .errors import OcflowError
+from .errors import ConfigurationError, OcflowError
 from .evolution import (EvolutionMode, EvolutionState, StopCriteria, _check_compat,
                         _resolve_init, solve_evolution)
 from .integrate import OdeSettings
@@ -41,17 +41,13 @@ from .sensitivity import nlp_gradients, solve_adjoints, solve_state
 _FMT = "%.17g"
 
 
-class ConfigError(Exception):
-    """Invalid run configuration (reported with exit code 2)."""
-
-
 def _fmt(x: float) -> str:
     return _FMT % float(x)
 
 
 def _require(cond: bool, msg: str) -> None:
     if not cond:
-        raise ConfigError(msg)
+        raise ConfigurationError(msg)
 
 
 # the keys each config section accepts; "form" rides along in the built-in
@@ -106,11 +102,10 @@ def load_config(path: str) -> dict:
         with open(path) as fh:
             raw = json.load(fh)
     except OSError as exc:
-        raise ConfigError(f"cannot read config {path!r}: {exc}") from None
+        raise ConfigurationError(f"cannot read config {path!r}: {exc}") from None
     except json.JSONDecodeError as exc:
-        raise ConfigError(f"config {path!r} is not valid JSON: {exc}") from None
-    if not isinstance(raw, dict):
-        raise ConfigError("config root must be a JSON object")
+        raise ConfigurationError(f"config {path!r} is not valid JSON: {exc}") from None
+    _require(isinstance(raw, dict), "config root must be a JSON object")
     return raw
 
 
@@ -129,7 +124,7 @@ def build_run(raw: dict):
     try:
         bundle = get_problem(name)
     except KeyError as exc:
-        raise ConfigError(str(exc)) from None
+        raise ConfigurationError(str(exc)) from None
     prob = bundle.prob
 
     mode_name = raw.get("mode", "form1")
@@ -139,24 +134,27 @@ def build_run(raw: dict):
     par_cfg = _section(raw, "parameterization", bundle.recommended)
     kind = par_cfg.get("kind")
     _require(kind is not None, "parameterization needs a 'kind'")
-    form = FORM2 if mode_name == "form2" else FORM1
+    n_segments = par_cfg.get("N", par_cfg.get("n_segments"))
+    _require(par_cfg.get("n_segments", n_segments) == n_segments,
+             f"parameterization: N = {n_segments!r} and n_segments = "
+             f"{par_cfg.get('n_segments')!r} differ; give one of them")
     try:
-        par = make_basis(kind, m=prob.m, t0=prob.t0, form=form,
-                         order=par_cfg.get("order"),
-                         n_segments=par_cfg.get("N", par_cfg.get("n_segments")))
+        par = make_basis(kind, m=prob.m, t0=prob.t0,
+                         form=FORM2 if mode_name == "form2" else FORM1,
+                         order=par_cfg.get("order"), n_segments=n_segments)
     except OcflowError as exc:
-        raise ConfigError(f"parameterization: {exc}") from None
+        raise ConfigurationError(f"parameterization: {exc}") from None
 
     g_cfg = _section(raw, "gains")
     k_tf = _number(g_cfg.get("k_tf", 0.1 if prob.tf_mode == "free" else 0.0), "gains.k_tf")
+    K, K_g = (_gain(g_cfg.get(key, 0.1), f"gains.{key}") for key in ("K", "K_g"))
     K_theta = _gain(g_cfg["K_theta"], "gains.K_theta") if "K_theta" in g_cfg else None
     try:
-        gains = Gains.constant(K=_gain(g_cfg.get("K", 0.1), "gains.K"), m=prob.m, q=prob.q,
-                               k_tf=k_tf, K_g=_gain(g_cfg.get("K_g", 0.1), "gains.K_g"))
+        gains = Gains.constant(K=K, m=prob.m, q=prob.q, k_tf=k_tf, K_g=K_g)
         mode = {"form1": EvolutionMode.form1, "form2": EvolutionMode.form2,
                 "gradient_flow": lambda: EvolutionMode.gradient_flow(K_theta)}[mode_name]()
     except (OcflowError, TypeError, ValueError) as exc:
-        raise ConfigError(f"gains: {exc}") from None
+        raise ConfigurationError(f"gains: {exc}") from None
     init_cfg = _section(raw, "init")
     p0 = init_cfg.get("p", "zeros")
     if isinstance(p0, str):
@@ -166,23 +164,20 @@ def build_run(raw: dict):
         try:
             p0 = np.asarray(p0, dtype=float)
         except (TypeError, ValueError):
-            raise ConfigError(f"init.p is not a numeric vector: {p0!r}") from None
+            raise ConfigurationError(f"init.p is not a numeric vector: {p0!r}") from None
         _require(p0.shape == (par.s,),
                  f"init.p has {p0.size} entries, the basis needs {par.s}")
     t_f0 = _number(init_cfg.get("t_f", prob.tf_fixed if prob.tf_mode == "fixed" else 1.0),
                    "init.t_f")
     init = EvolutionState(p=p0, t_f=t_f0)
-    try:
-        _check_compat(mode, prob, par, gains)
-        _resolve_init(prob, init)
-    except OcflowError as exc:
-        raise ConfigError(str(exc)) from None
+    _check_compat(mode, prob, par, gains)
+    _resolve_init(prob, init)
 
     stop_kw = {k: _number(v, f"stop.{k}") for k, v in _section(raw, "stop").items()}
     try:
         stop = StopCriteria(**stop_kw)
     except (TypeError, ValueError) as exc:
-        raise ConfigError(f"stop: {exc}") from None
+        raise ConfigurationError(f"stop: {exc}") from None
 
     def ode_from(key):
         kw = {k: _number(v, f"{key}.{k}", integer=k == "max_steps")
@@ -190,7 +185,7 @@ def build_run(raw: dict):
         try:
             return OdeSettings(**kw)
         except (TypeError, ValueError) as exc:
-            raise ConfigError(f"{key}: {exc}") from None
+            raise ConfigurationError(f"{key}: {exc}") from None
 
     ode_inner, ode_outer = ode_from("ode_inner"), ode_from("ode_outer")
 
@@ -198,7 +193,7 @@ def build_run(raw: dict):
     try:
         quad = QuadratureSpec(nodes=nodes)
     except (TypeError, ValueError) as exc:
-        raise ConfigError(f"quad_nodes: {exc}") from None
+        raise ConfigurationError(f"quad_nodes: {exc}") from None
 
     out_dir = raw.get("out_dir", "out")
     return bundle, par, gains, mode, init, stop, ode_inner, ode_outer, quad, out_dir
@@ -376,7 +371,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.fn(args)
-    except ConfigError as exc:
+    except ConfigurationError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
     except OcflowError as exc:

@@ -65,8 +65,7 @@ def reconstruct_costate(prob: OcpProblem, bundle: AdjointBundle,
     n, q = prob.n, prob.q
 
     def lam_of(y):                      # (..., n + n*q) -> (..., n)
-        mu = y[..., :n]
-        return mu + y[..., n:].reshape(*y.shape[:-1], n, q) @ pi if q else mu
+        return y[..., :n] + y[..., n:].reshape(*y.shape[:-1], n, q) @ pi
 
     sol = bundle.adjoint_sol
     anchor, denom, scale, base, Q = sol.segments
@@ -89,7 +88,7 @@ def optimality_residuals(prob: OcpProblem, par: Parameterization,
     tf_residual = quantities.tf_scalar + float(pi @ quantities.tf_row)
 
     gd = _grid_data(prob, par, bundle, quad)
-    pointwise = gd.pu + (gd.fupsi @ pi if prob.q else 0.0)     # (N, m)
+    pointwise = gd.pu + gd.fupsi @ pi                           # (N, m)
     continuous_sup = float(np.max(np.linalg.norm(pointwise, axis=1), initial=0.0))
     return OptimalityResiduals(
         param_residual=param_residual,
@@ -107,9 +106,6 @@ def continuous_multiplier(prob: OcpProblem, bundle: AdjointBundle, gains: Gains,
     terms when t_f is free, integrated on the same grid as the parameterized
     assembly.  Used to certify the parameterized multiplier.
     """
-    g_val = np.asarray(g_val, dtype=float)
-    if prob.q == 0:
-        return np.zeros(0)
     gd = _grid_data(prob, bundle.par, bundle, quad or QuadratureSpec())
     Kt = gains.K_at(gd.ts)
     M_c = _gram(gd.w, Kt, gd.fupsi, gd.fupsi)
@@ -118,5 +114,5 @@ def continuous_multiplier(prob: OcpProblem, bundle: AdjointBundle, gains: Gains,
         tf_scalar, tf_row = _terminal_values(prob, bundle)
         M_c = M_c + gains.k_tf * np.outer(tf_row, tf_row)
         r_c = r_c + gains.k_tf * tf_row * tf_scalar
-    r_c = r_c - gains.K_g @ g_val
+    r_c = r_c - gains.K_g @ np.asarray(g_val, dtype=float)
     return -spd_solve(M_c, r_c, "continuous multiplier system")

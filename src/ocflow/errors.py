@@ -14,7 +14,8 @@ class DerivativeMismatchError(OcflowError):
 
 
 class ConfigurationError(OcflowError):
-    """Inconsistent or invalid configuration (basis/form pairing, gains, ...)."""
+    """Inconsistent or invalid configuration (basis/form pairing, gains, ...);
+    the CLI reports it with exit code 2."""
 
 
 class DomainError(OcflowError):

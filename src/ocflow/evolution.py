@@ -65,8 +65,8 @@ class EvolutionMode:
     """Which right-hand side drives the flow.
 
     ``K_theta`` is the gradient-flow mode's constant SPD gain (a scalar
-    stands for K_theta * I); it and ``kind`` are checked here, before any
-    pipeline runs.
+    stands for K_theta * I); it and ``kind`` are checked here, and its size
+    against theta's with the basis, before any pipeline runs.
     """
 
     kind: str                          # "form1" | "form2" | "gradient_flow"
@@ -139,15 +139,12 @@ def multiplier(Gamma, W_Gamma, W_r, K_g, g_val, *,
     arguments, a leading lane axis on all but K_g, solve the lanes' systems
     as one stack, warning once for each lane over the bound.
     """
-    g_val = np.asarray(g_val, dtype=float)
-    if g_val.shape[-1] == 0:
-        return np.zeros(g_val.shape)
     Gamma = np.asarray(Gamma, dtype=float)
     GT = Gamma.swapaxes(-1, -2)
-    rhs = _matvec(GT, W_r) - _matvec(K_g, g_val)
+    rhs = _matvec(GT, W_r) - _matvec(K_g, np.asarray(g_val, dtype=float))
     pi = -spd_solve(GT @ W_Gamma, rhs[..., None], "multiplier system (constraint "
                     "sensitivity lacks full column rank)")[..., 0]
-    for norm in map(_norm, pi.reshape(-1, pi.shape[-1])):
+    for norm in map(_norm, np.atleast_2d(pi)):
         if norm > pi_bound:
             warnings.warn(f"||pi|| = {norm:.3e} exceeds bound {pi_bound:.1e}; the "
                           "multiplier boundedness assumption looks violated",
@@ -181,8 +178,16 @@ class IterateEval:
 
 def _check_compat(mode: EvolutionMode, prob: OcpProblem, par: Parameterization,
                   gains: Gains) -> None:
-    """Refuse a mode, problem, basis and gains that cannot run together."""
+    """Refuse a mode, problem, basis and gains that cannot run together,
+    mis-shaped gains included."""
     free = prob.tf_mode == "free"
+    dim = par.s + free                                  # theta's size in gradient flow
+    for name, K, shapes in (("K_g", gains.K_g, [(prob.q, prob.q)]),
+                            ("K_inv", gains.K_inv_const, [(prob.m, prob.m)]),
+                            ("K_theta", mode.K_theta, [(1, 1), (dim, dim)])):
+        if K is not None and np.shape(K) not in shapes:
+            raise ConfigurationError(f"{name} has shape {np.shape(K)}, expected "
+                                     + " or ".join(map(str, shapes)))
     if mode.kind == "form2":
         if par.form != FORM2:
             raise ConfigurationError("form2 mode requires a form2 parameterization")
@@ -364,12 +369,12 @@ def solve_evolution(mode: EvolutionMode, prob: OcpProblem, par: Parameterization
     ``stop.record_every``) via dense output; the stopping test runs at those
     same points.  With a fixed t_f, the rows inside one accepted step are
     evaluated as the lanes of one :func:`evaluate_iterates` pass, and rows
-    are appended in tau order up to the first that meets the tolerances; the
-    final iterate's report fields and bundle come from its own pipeline, so
-    when its row came from a pass of several lanes (which share one inner
-    step sequence) the two can differ at the inner tolerance's level.
-    Returns the final report, the trace, and the adjoint bundle of the
-    final iterate (from which costates are reconstructed).
+    are appended in tau order up to the first that meets the tolerances.
+    The answer is the last trace row: the report's p, t_f, pi, J, residual,
+    ||g|| and tau are that row's, and the returned adjoint bundle (from
+    which costates are reconstructed) is its pipeline's, a lane of a pass
+    included.  So a converged report meets ``tol_opt`` and ``tol_feas``.
+    Returns the final report, the trace, and that bundle.
     """
     t_start = time.perf_counter()
     _check_compat(mode, prob, par, gains)
@@ -387,8 +392,6 @@ def solve_evolution(mode: EvolutionMode, prob: OcpProblem, par: Parameterization
     def rhs(tau, theta):
         return evaluate(theta).dtheta
 
-    pooled = []                 # the results of the latest pass of several lanes
-
     def evaluate_rows(thetas):
         """The rows' results in order: one batch when they share t_f."""
         if free or len(thetas) == 1:
@@ -396,9 +399,8 @@ def solve_evolution(mode: EvolutionMode, prob: OcpProblem, par: Parameterization
         try:
             with warnings.catch_warnings():
                 warnings.simplefilter("error")
-                pooled[:] = evaluate_iterates(mode, prob, par, gains, np.stack(thetas),
-                                              t_f0, ode_inner, quad, pi_bound=stop.pi_bound)
-            return pooled
+                return evaluate_iterates(mode, prob, par, gains, np.stack(thetas), t_f0,
+                                         ode_inner, quad, pi_bound=stop.pi_bound)
         except Exception:
             # whatever the batch raised or warned, the rows run again one at a
             # time, so a row fails or warns exactly as its own pipeline does,
@@ -422,10 +424,6 @@ def solve_evolution(mode: EvolutionMode, prob: OcpProblem, par: Parameterization
             yield it, it.residual_norm <= stop.tol_opt and it.g_norm <= stop.tol_feas
 
     final_it, done, tau_final = _flow(rhs, rows, theta, stop, ode_outer, guard)
-    if any(final_it is it for it in pooled):
-        # a lane ran on its pass's shared steps: the report and the bundle come
-        # from the final iterate's own pipeline
-        final_it = evaluate(final_it.p)
     report = SolveReport(
         p_final=final_it.p.copy(), tf_final=final_it.t_f,
         pi_final=final_it.pi.copy(), J_final=final_it.J,

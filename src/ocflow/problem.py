@@ -35,7 +35,7 @@ class OcpProblem:
     every state.  The quadrature layer and the lanes of a batch exploit this.
 
     ``q = 0`` (no terminal constraint) is allowed: ``g`` returns an empty
-    vector and the multiplier machinery degenerates gracefully.
+    vector, and the constrained formulas run on empty axes.
     """
 
     n: int
@@ -102,8 +102,7 @@ class Gains:
         _require_spd(K, "K")
         K_inv_const = np.linalg.inv(K)
         K_g = _gain_matrix(K_g, q, "K_g")
-        if q > 0:
-            _require_spd(K_g, "K_g")
+        _require_spd(K_g, "K_g")
         if not (math.isfinite(k_tf) and k_tf >= 0):
             raise ConfigurationError(f"k_tf must be finite and >= 0, got {k_tf!r}")
         return cls(K_inv=lambda t: K_inv_const, k_tf=float(k_tf), K_g=K_g,

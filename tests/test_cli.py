@@ -119,7 +119,10 @@ def test_config_errors_exit_2(tmp_path, capsys):
         mp.setattr(evolution, "solve_state", lambda *a, **k: pytest.fail("a pipeline ran"))
         for overrides, needle in (({"mode": "gradient_flow"}, "needs K_theta"),
                                   ({"problem": "brachistochrone", "gains": {"k_tf": 0}},
-                                   "free t_f requires k_tf > 0")):
+                                   "free t_f requires k_tf > 0"),
+                                  ({"mode": "gradient_flow",
+                                    "gains": {"K_theta": [[1, 0], [0, 1]]}},
+                                   "K_theta has shape (2, 2), expected (1, 1) or (4, 4)")):
             path, _ = write_config(tmp_path, **overrides)
             assert main(["solve", "--config", str(path)]) == 2
             err = capsys.readouterr().err
@@ -148,6 +151,14 @@ def test_config_errors_exit_2(tmp_path, capsys):
     path, _ = write_config(tmp_path, ode_inner={"initial_step": 0})
     assert main(["solve", "--config", str(path)]) == 2
     assert "initial_step" in capsys.readouterr().err
+
+    path, _ = write_config(tmp_path, quad_nodes=200)
+    assert main(["solve", "--config", str(path)]) == 2
+    assert "quad_nodes: nodes must be an odd integer >= 3" in capsys.readouterr().err
+
+    bad.write_text("[1, 2]")
+    assert main(["solve", "--config", str(bad)]) == 2
+    assert "config root must be a JSON object" in capsys.readouterr().err
 
     assert main(["solve", "--config", str(tmp_path / "nope.json")]) == 2
 
@@ -184,6 +195,19 @@ def test_accepted_key_spellings():
                              "form": "form1"})]
     assert runs[0][1].s == runs[1][1].s == 6
     assert runs[1][1].form == "form2"
+    both = {"kind": "piecewise_constant", "N": 6, "n_segments": 6}
+    assert cli.build_run({"problem": "brachistochrone", "mode": "form2",
+                          "parameterization": both})[1].s == 6
+
+
+def test_conflicting_basis_sizes_exit_2(tmp_path, capsys):
+    # N and n_segments spell one size; two different sizes are refused
+    path, _ = write_config(tmp_path, parameterization={"kind": "piecewise_constant",
+                                                       "N": 4, "n_segments": 8})
+    assert main(["solve", "--config", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert "config error: parameterization: N = 4 and n_segments = 8 differ" in err
+    assert not (tmp_path / "out").exists()
 
 
 def test_non_integer_basis_sizes_exit_2(tmp_path, capsys):

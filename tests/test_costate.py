@@ -3,11 +3,11 @@ import dataclasses
 import numpy as np
 import pytest
 
-from ocflow import (DimensionError, EvolutionMode, OdeSettings, QuadratureSpec,
+from ocflow import (DimensionError, EvolutionMode, Gains, OdeSettings, QuadratureSpec,
                     continuous_multiplier, costate, evaluate_iterate, integrate_ivp,
                     make_basis, optimality_residuals, reconstruct_costate,
                     solve_adjoints, solve_state)
-from ocflow.sensitivity import _grid_data, _terminal_values
+from ocflow.sensitivity import _grid_data, _terminal_values, assemble_form1, spd_solve
 
 TIGHT = OdeSettings(rel_tol=1e-10, abs_tol=1e-12)
 
@@ -132,11 +132,38 @@ def test_continuous_multiplier_matches_parameterized_at_optimum(
 
 def test_continuous_multiplier_empty_when_unconstrained(lqr_like):
     par = make_basis("global_polynomial", m=1, t0=0.0, form="form1", order=2)
-    from ocflow import Gains
     gains = Gains.constant(K=0.1, m=1, q=0)
     x = solve_state(lqr_like, par, np.zeros(3), 2.0)
     b = solve_adjoints(lqr_like, par, np.zeros(3), x, 2.0)
     assert continuous_multiplier(lqr_like, b, gains, np.zeros(0)).shape == (0,)
+
+
+@pytest.mark.parametrize("mode", [EvolutionMode.form1(), EvolutionMode.gradient_flow(0.5)],
+                         ids=["form1", "gradient_flow"])
+def test_unconstrained_iterate_runs_the_constrained_arithmetic(lqr_like, mode):
+    # q = 0 takes the general formulas on empty axes, and they reduce exactly
+    # (signed zeros aside) to the unconstrained ones: pi is empty, the
+    # residual is r, the flow is -W r, lambda is mu and the basis-free
+    # residual is p_u
+    par = make_basis("global_polynomial", m=1, t0=0.0, form="form1", order=2)
+    gains = Gains.constant(K=0.1, m=1, q=0)
+    it = evaluate_iterate(mode, lqr_like, par, gains, np.array([0.3, -0.2, 0.1]), 2.0)
+    r = it.quantities.r
+    W_r = (0.5 * r if it.quantities.M is None
+           else spd_solve(it.quantities.M, r[:, None], "M_p")[:, 0])
+    assert it.pi.shape == (0,) and it.g_norm == 0.0
+    np.testing.assert_array_equal(it.residual, r)
+    np.testing.assert_array_equal(it.dtheta, -W_r)
+    ts = np.linspace(0.0, 2.0, 33)
+    lam = reconstruct_costate(lqr_like, it.bundle, it.pi).lam_traj(ts)
+    np.testing.assert_array_equal(lam, it.bundle.mu_psi_at(ts)[0])
+    quad = QuadratureSpec()
+    quant = assemble_form1(lqr_like, par, it.bundle, gains, 2.0, quad)
+    res = optimality_residuals(lqr_like, par, quant, it.bundle, it.pi, it.g_val, quad)
+    np.testing.assert_array_equal(res.param_residual, quant.r)
+    assert res.tf_residual == quant.tf_scalar and res.feasibility == 0.0
+    pu = _grid_data(lqr_like, par, it.bundle, quad).pu
+    assert res.continuous_residual_sup == np.linalg.norm(pu, axis=1).max()
 
 
 def test_gram_identity_for_spanned_sensitivities(example1, e1_form1_solve):

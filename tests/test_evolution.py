@@ -1,4 +1,5 @@
 import dataclasses
+import re
 
 import numpy as np
 import pytest
@@ -6,8 +7,8 @@ import pytest
 from ocflow import (ConfigurationError, DenseTrajectory, EvolutionMode,
                     EvolutionState, Gains, MultiplierBoundWarning, OcflowError,
                     OdeSettings, RankError, StopCriteria, evaluate_iterate,
-                    gradient_flow_generic, lyapunov_diagnostic, make_basis,
-                    multiplier, solve_evolution)
+                    evaluate_iterates, gradient_flow_generic, lyapunov_diagnostic,
+                    make_basis, multiplier, solve_evolution)
 from ocflow.sensitivity import spd_solve
 
 MP_EXACT = 10.0 * np.array([[2, 2, 8 / 3, 4],
@@ -35,9 +36,13 @@ def test_multiplier_closed_form_at_zero_control():
 
 
 def test_multiplier_empty_constraint():
+    # q = 0 solves the empty multiplier system, for one iterate and for lanes
     pi = multiplier(np.zeros((2, 0)), np.zeros((2, 0)), np.zeros(2),
                     np.zeros((0, 0)), np.zeros(0))
     assert pi.shape == (0,)
+    pi = multiplier(np.zeros((3, 2, 0)), np.zeros((3, 2, 0)), np.ones((3, 2)),
+                    np.zeros((0, 0)), np.zeros((3, 0)))
+    assert pi.shape == (3, 0)
 
 
 def test_multiplier_bound_warning():
@@ -239,13 +244,27 @@ def test_two_control_problem_converges():
     assert report.J_final == pytest.approx(1.0, abs=1e-3)
 
 
-def test_solve_report_invariant(e1_form1_solve):
-    report, trace, _, _ = e1_form1_solve
-    if report.converged:
-        assert report.residual_norm <= 1e-6
-        assert report.g_norm <= 1e-6
-    taus = trace.taus()
-    assert np.all(np.diff(taus) > 0)
+def _assert_report_is_last_row(report, trace):
+    row = trace.rows[-1]
+    assert np.array_equal(report.p_final, row.p) and np.array_equal(report.pi_final, row.pi)
+    assert ((report.tf_final, report.J_final, report.residual_norm, report.g_norm,
+             report.tau_reached)
+            == (row.t_f, row.J, row.residual_norm, row.g_norm, row.tau))
+
+
+def test_solve_report_invariant(request):
+    # the answer is the last trace row, field for field, whether that row came
+    # from a pass of several lanes (e1 form 1), a single pipeline (gradient
+    # flow) or a free-t_f flow (Brachistochrone cases 1 and 4)
+    for solve in ("e1_form1_solve", "e1_gradflow_solve", "e1_decay_solve", "brach_case1",
+                  "brach_case4"):
+        report, trace, _, _ = request.getfixturevalue(solve)
+        _assert_report_is_last_row(report, trace)
+        if report.converged:
+            assert report.residual_norm <= 1e-6
+            assert report.g_norm <= 1e-6
+        taus = trace.taus()
+        assert np.all(np.diff(taus) > 0)
 
 
 def test_trace_spacing_and_final_row(e1_form1_solve):
@@ -269,6 +288,13 @@ def test_mode_parameterization_compatibility(example1, brach):
     with pytest.raises(ConfigurationError):
         evaluate_iterate(EvolutionMode.form2(), example1.prob, par_f2, example1.gains,
                          np.zeros(5), 2.0)
+    with pytest.raises(ConfigurationError, match="requires a form2 parameterization"):
+        evaluate_iterate(EvolutionMode.form2(), brach.prob,
+                         make_basis("global_polynomial", m=1, t0=0.0, form="form1", order=4),
+                         brach.gains, np.zeros(5), 1.0)
+    with pytest.raises(ValueError, match="expected \\(5,\\)"):
+        evaluate_iterate(EvolutionMode.form2(), brach.prob, par_f2, brach.gains,
+                         np.zeros(4), 1.0)
     with pytest.raises(ConfigurationError):
         evaluate_iterate(EvolutionMode.gradient_flow(), example1.prob,
                          make_basis("global_polynomial", m=1, t0=0.0,
@@ -435,6 +461,62 @@ def test_non_finite_gains_and_initial_values_are_refused_before_any_pipeline(
                                 EvolutionState(p=p, t_f=t_f), stop)
 
 
+def test_mis_shaped_gains_and_initial_values_are_refused_before_any_pipeline(
+        monkeypatch, example1, brach):
+    import ocflow.evolution as evolution
+
+    monkeypatch.setattr(evolution, "solve_state",
+                        lambda *a, **k: pytest.fail("a pipeline ran"))
+    par = cubic()
+    for mode, gains, needle in (
+            (EvolutionMode.form1(), Gains.constant(K=0.1, m=1, q=3), "K_g has shape (3, 3)"),
+            (EvolutionMode.form1(), Gains.constant(K=0.1, m=2, q=2), "K_inv has shape (2, 2)"),
+            (EvolutionMode.gradient_flow(np.eye(2)), example1.gains,
+             "K_theta has shape (2, 2), expected (1, 1) or (4, 4)")):
+        with pytest.raises(ConfigurationError, match=re.escape(needle)):
+            solve_evolution(mode, example1.prob, par, gains,
+                            EvolutionState(p=np.zeros(4), t_f=2.0), StopCriteria())
+        for run in (evaluate_iterate, evaluate_iterates):
+            with pytest.raises(ConfigurationError, match=re.escape(needle)):
+                run(mode, example1.prob, par, gains,
+                    np.zeros(4) if run is evaluate_iterate else np.zeros((2, 4)), 2.0)
+    # with free t_f, gradient flow's theta holds t_f too
+    brach_par = make_basis("global_polynomial", m=1, t0=0.0, form="form1", order=4)
+    with pytest.raises(ConfigurationError, match=re.escape("expected (1, 1) or (6, 6)")):
+        solve_evolution(EvolutionMode.gradient_flow(np.eye(5)), brach.prob, brach_par,
+                        brach.gains, EvolutionState(p=np.zeros(5), t_f=1.0), StopCriteria())
+    with pytest.raises(ConfigurationError, match="must be square"):
+        EvolutionMode.gradient_flow(np.ones((2, 3)))
+    with pytest.raises(ConfigurationError, match="init.t_f must exceed t0"):
+        solve_evolution(EvolutionMode.form1(), brach.prob, brach_par, brach.gains,
+                        EvolutionState(p=np.zeros(5), t_f=0.0), StopCriteria())
+
+
+@pytest.mark.parametrize("case", ["done_at_the_start", "off_grid_end"])
+def test_the_trace_ends_at_the_answer(monkeypatch, example1, case):
+    # a start that already meets the tolerances is the answer, one row and
+    # one pipeline; a tau_max off the record grid adds its own final row
+    import ocflow.evolution as evolution
+
+    pipeline, calls = evolution.evaluate_iterate, []
+    monkeypatch.setattr(evolution, "evaluate_iterate",
+                        lambda *a, **k: calls.append(a[4]) or pipeline(*a, **k))
+    if case == "done_at_the_start":
+        p0, taus = [-3.5, 3.0, 0.0, 0.0], [0.0]
+        stop = StopCriteria(tol_opt=1e-3, tol_feas=1e-3)
+    else:
+        p0, stop, taus = np.zeros(4), StopCriteria(tau_max=2.5), [0.0, 1.0, 2.0, 2.5]
+    report, trace, bundle = solve_evolution(EvolutionMode.form1(), example1.prob, cubic(),
+                                            example1.gains, EvolutionState(p=p0, t_f=2.0),
+                                            stop)
+    np.testing.assert_array_equal(trace.taus(), taus)
+    assert report.converged == (case == "done_at_the_start")
+    _assert_report_is_last_row(report, trace)
+    assert np.array_equal(bundle.p, report.p_final)
+    if case == "done_at_the_start":
+        assert len(calls) == 1
+
+
 def test_the_starting_point_is_evaluated_once(monkeypatch, example1):
     # the stopping test at tau = 0 and the stepper's first stage share theta0
     import ocflow.evolution as evolution
@@ -524,7 +606,12 @@ def test_acceptance_1_rows_are_batched_and_keep_their_trace(monkeypatch, example
     # the rows inside one accepted outer step are one pipeline pass; the trace
     # keeps tau = 0, 1, ..., 135 and stops at the row that converged, though
     # its pass also evaluated later rows of the same step
+    import ocflow.evolution as evolution
+
     batches = _spy_batches(monkeypatch)
+    single, singles = evolution.evaluate_iterate, []
+    monkeypatch.setattr(evolution, "evaluate_iterate",
+                        lambda *args, **kw: singles.append(args[4]) or single(*args, **kw))
     report, trace, bundle = solve_evolution(
         EvolutionMode.form1(), example1.prob, e1_par, example1.gains,
         EvolutionState(p=np.zeros(4), t_f=2.0), StopCriteria(tau_max=300.0))
@@ -534,16 +621,18 @@ def test_acceptance_1_rows_are_batched_and_keep_their_trace(monkeypatch, example
     last = batches[-1]
     at = [i for i, p in enumerate(last) if np.array_equal(p, report.p_final)]
     assert at and at[0] < len(last) - 1, "the stop should fall inside a batch"
-    assert np.array_equal(trace.rows[-1].p, report.p_final)
-    # the report and the bundle come from the final iterate's own pipeline
-    own = evaluate_iterate(EvolutionMode.form1(), example1.prob, e1_par, example1.gains,
-                           report.p_final, 2.0)
+    # the report is the converged row, a lane of that pass, and the bundle is
+    # that lane's: no pipeline runs again at the final iterate
+    _assert_report_is_last_row(report, trace)
+    assert not any(np.array_equal(p, report.p_final) for p in singles)
+    lane = evaluate_iterates(EvolutionMode.form1(), example1.prob, e1_par, example1.gains,
+                             last, 2.0)[at[0]]
     assert bundle.p.shape == (4,) and bundle.x_traj.values.shape[1] == 3
-    assert report.J_final == own.J and np.array_equal(report.pi_final, own.pi)
-    assert report.residual_norm == own.residual_norm and report.g_norm == own.g_norm
-    np.testing.assert_array_equal(bundle.x_traj.t_grid, own.bundle.x_traj.t_grid)
-    np.testing.assert_array_equal(bundle.x_traj.values, own.bundle.x_traj.values)
-    np.testing.assert_array_equal(bundle.adjoint_sol.values, own.bundle.adjoint_sol.values)
+    assert report.J_final == lane.J and np.array_equal(report.pi_final, lane.pi)
+    assert report.residual_norm == lane.residual_norm and report.g_norm == lane.g_norm
+    np.testing.assert_array_equal(bundle.x_traj.t_grid, lane.bundle.x_traj.t_grid)
+    np.testing.assert_array_equal(bundle.x_traj.values, lane.bundle.x_traj.values)
+    np.testing.assert_array_equal(bundle.adjoint_sol.values, lane.bundle.adjoint_sol.values)
 
 
 @pytest.mark.parametrize("failure", ["raise", "warn"])

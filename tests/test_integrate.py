@@ -42,6 +42,8 @@ def test_dense_output_interval_end():
 
 def test_dense_eval_out_of_range():
     sol = integrate_ivp(lambda t, y: -y, np.array([1.0]), (0.0, 1.0))
+    with pytest.raises(ValueError, match="strictly increasing"):
+        DenseTrajectory(sol.t_grid[::-1], sol.values, sol.segments)
     with pytest.raises(DomainError):
         sol(1.5)
     with pytest.raises(DomainError):
@@ -155,6 +157,16 @@ def test_divergence_error_carries_time():
     with pytest.raises(DivergenceError) as exc:
         integrate_ivp(rhs, np.array([0.0]), (0.0, 1.0))
     assert exc.value.time is not None
+    # a right-hand side already non-finite at the start fails there
+    with pytest.raises(DivergenceError) as exc:
+        integrate_ivp(lambda t, y: np.array([np.inf]), np.array([0.0]), (0.25, 1.0))
+    assert exc.value.time == 0.25
+    # so does a backward replay from a non-finite end value, at its end
+    sol = integrate_ivp(lambda t, y: -y, np.array([1.0]), (0.0, 1.0))
+    with pytest.raises(DivergenceError) as exc:
+        replay_linear(sol, lambda ts, xs: (-np.ones((ts.size, 1, 1)), np.zeros((ts.size, 1))),
+                      np.full((1, 1), np.nan))
+    assert exc.value.time == 1.0
 
 
 def test_guard_rejects_until_underflow():
@@ -342,3 +354,7 @@ def test_lookups_match_the_gathered_segment_lookup(source):
         own, other = sol(ts, twin)
         assert np.array_equal(own, _gathered_lookup(sol, ts))
         assert np.array_equal(other, _gathered_lookup(twin, ts))
+        # trajectories on different grids cannot share one search
+        stranger = DenseTrajectory(sol.t_grid[::2], sol.values[::2], sol.segments)
+        with pytest.raises(ValueError, match="share their grid"):
+            sol(ts, stranger)

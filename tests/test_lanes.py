@@ -12,7 +12,7 @@ import dataclasses
 import numpy as np
 import pytest
 
-from ocflow import (EvolutionMode, OdeSettings, QuadratureSpec, evaluate_iterate,
+from ocflow import (EvolutionMode, Gains, OdeSettings, QuadratureSpec, evaluate_iterate,
                     evaluate_iterates, make_basis, nlp_gradients, solve_adjoints,
                     solve_state)
 from ocflow.integrate import _initial_step, _rms, _stiffness, integrate_ivp
@@ -78,7 +78,7 @@ def test_one_lane_is_the_unbatched_pipeline(case, example1, brach, lqr_like):
         prob, gains = bp.prob, bp.gains
     elif case == "lqr_like":             # not vectorized: every callback per point
         mode, par, t_f, p = EvolutionMode.form1(), _cubic(), 2.0, np.array([0.3, -1, 0.4, 0])
-        prob, gains = lqr_like, example1.gains
+        prob, gains = lqr_like, Gains.constant(K=0.1, m=1, q=0)
     else:
         mode = (EvolutionMode.form1() if case == "e1_form1"
                 else EvolutionMode.gradient_flow(0.1 * np.eye(4)))
@@ -222,15 +222,14 @@ def test_lanes_share_steps_and_keep_their_own_tolerance():
             assert abs(lane(t)[0] - exact) <= max(abs(a(t)[0] - exact), 1e-6)
 
 
-def test_lanes_of_a_problem_without_vectorized_callbacks(example1, lqr_like):
+def test_lanes_of_a_problem_without_vectorized_callbacks(lqr_like):
     # every callback runs per point, lane by lane; no terminal constraint
     par = _cubic()
     P = np.array([[0.3, -1.0, 0.4, 0.0], [0.1, -0.5, 0.2, 0.05], [-0.2, 0.3, -0.1, 0.02]])
-    its = evaluate_iterates(EvolutionMode.form1(), lqr_like, par, example1.gains, P, 2.0,
-                            TIGHT)
+    gains = Gains.constant(K=0.1, m=1, q=0)
+    its = evaluate_iterates(EvolutionMode.form1(), lqr_like, par, gains, P, 2.0, TIGHT)
     for p, it in zip(P, its):
-        one = evaluate_iterate(EvolutionMode.form1(), lqr_like, par, example1.gains, p,
-                               2.0, TIGHT)
+        one = evaluate_iterate(EvolutionMode.form1(), lqr_like, par, gains, p, 2.0, TIGHT)
         assert it.pi.shape == (0,) and it.g_norm == 0.0
         for name in ("J", "residual", "dtheta"):
             np.testing.assert_allclose(getattr(it, name), getattr(one, name),

@@ -208,6 +208,8 @@ def test_configuration_errors():
         make_basis("piecewise_constant", m=1, t0=0.0, form="form2")
     with pytest.raises(ConfigurationError):
         make_basis("global_polynomial", m=0, t0=0.0, form="form1", order=1)
+    with pytest.raises(ConfigurationError, match="form must be"):
+        make_basis("global_polynomial", m=1, t0=0.0, form="form3", order=1)
 
 
 def test_domain_checks():
@@ -216,6 +218,8 @@ def test_domain_checks():
         par.eval(2.5, np.zeros(4), 2.0)
     with pytest.raises(DomainError):
         par.jac_p(-0.1, np.zeros(4), 2.0)
+    with pytest.raises(ValueError, match="t_f is required"):
+        par.breakpoints(None)
 
 
 def test_multicontrol_block_layout():

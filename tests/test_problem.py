@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 from ocflow import (DerivativeMismatchError, DimensionError, DomainError, Gains,
-                    OcpProblem, OdeSettings, make_basis, simulate_control, solve_state,
-                    validate_problem)
+                    OcpProblem, OdeSettings, SolveTrace, TraceRow, make_basis,
+                    simulate_control, solve_state, validate_problem)
 from ocflow.errors import ConfigurationError
 from ocflow.problem import _state_solution
 
@@ -127,6 +127,19 @@ def test_problem_construction_guards(example1):
         dataclasses.replace(example1.prob, tf_mode="sometimes")
     with pytest.raises(ConfigurationError):
         dataclasses.replace(example1.prob, tf_fixed=None)
+    with pytest.raises(ConfigurationError, match="tf_fixed must exceed t0"):
+        dataclasses.replace(example1.prob, tf_fixed=0.0)
+    with pytest.raises(ConfigurationError, match="q must be"):
+        dataclasses.replace(example1.prob, q=-1)
+    with pytest.raises(DimensionError, match="x0"):
+        dataclasses.replace(example1.prob, x0=np.zeros(3))
+    # trace rows keep tau strictly increasing
+    trace = SolveTrace()
+    row = TraceRow(tau=1.0, p=np.zeros(4), t_f=2.0, pi=np.zeros(2), J=0.0, g_norm=0.0,
+                   residual_norm=0.0, V=0.0)
+    trace.append(row)
+    with pytest.raises(ValueError, match="strictly increasing"):
+        trace.append(dataclasses.replace(row, tau=1.0))
 
 
 # every basis kind and form, with and without breakpoints in the span

@@ -38,6 +38,13 @@ def test_quadratic_onto_affine_basis():
     coords, proj = project(spec, basis, lambda ts: (ts ** 2)[:, None])
     np.testing.assert_allclose(coords, [-2.0 / 3.0, 2.0], atol=1e-10)
     assert proj(1.0)[0] == pytest.approx(4.0 / 3.0, abs=1e-10)
+    # a scalar-valued basis may give its columns as (N, k) and a scalar
+    # function its values as (N,)
+    flat = BasisSet(A=lambda ts: basis.at(ts)[:, 0, :])
+    coords_flat, proj_flat = project(spec, flat, lambda ts: ts ** 2)
+    np.testing.assert_array_equal(coords_flat, coords)
+    ts = np.linspace(0.0, 2.0, 9)
+    np.testing.assert_array_equal(proj_flat(ts), proj(ts))
 
 
 def test_orthogonal_function_has_zero_coordinates():
