@@ -179,11 +179,12 @@ class IterateEval:
 def _check_compat(mode: EvolutionMode, prob: OcpProblem, par: Parameterization,
                   gains: Gains) -> None:
     """Refuse a mode, problem, basis and gains that cannot run together,
-    mis-shaped gains included."""
+    mis-shaped gains included; a time-varying K_inv is checked at t0."""
     free = prob.tf_mode == "free"
     dim = par.s + free                                  # theta's size in gradient flow
+    K_inv = gains.K_inv(prob.t0) if gains.K_inv_const is None else gains.K_inv_const
     for name, K, shapes in (("K_g", gains.K_g, [(prob.q, prob.q)]),
-                            ("K_inv", gains.K_inv_const, [(prob.m, prob.m)]),
+                            ("K_inv", K_inv, [(prob.m, prob.m)]),
                             ("K_theta", mode.K_theta, [(1, 1), (dim, dim)])):
         if K is not None and np.shape(K) not in shapes:
             raise ConfigurationError(f"{name} has shape {np.shape(K)}, expected "

@@ -11,14 +11,18 @@ solve's open-loop control is evaluated once per step attempt, at all of its
 stage times, and handed to the right-hand side stage by stage.  Several
 independent systems of equal size may run as lanes of one solve: they share
 one step sequence, and each step is held to the tolerance and stability
-limit of its worst lane.  Step-size control is a standard PI controller
-(safety 0.9, growth clamped to [0.2, 5.0]) with a stability cap: each
-accepted step estimates the dominant eigenvalue of the right-hand side from
-its two c = 1 stages, rho = |K[6] - K[5]| / |y_new - y5| with y5 the state
-of stage 5 (the DOPRI5 stiffness estimate), and the next step is held to
-h * rho <= 0.8 * 3.3, inside the pair's real-axis stability limit.  Without
-it the controller grows h past that limit on slowly decaying modes, and a
-flow near its equilibrium rides a limit cycle instead of converging.
+limit of its worst lane.  The first step is Hairer's estimate, its trial
+step clamped to the smooth subinterval; a state solve leaves its
+running-cost channel, an integral from 0, out of that estimate (as CVODES
+does its quadratures) and keeps it under the error test.  Step-size control
+is a standard PI controller (safety 0.9, growth clamped to [0.2, 5.0]) with
+a stability cap: each accepted step estimates the dominant eigenvalue of the
+right-hand side from its two c = 1 stages, rho = |K[6] - K[5]| / |y_new - y5|
+with y5 the state of stage 5 (the DOPRI5 stiffness estimate), and the next
+step is held to h * rho <= 0.8 * 3.3, inside the pair's real-axis stability
+limit.  Without it the controller grows h past that limit on slowly
+decaying modes, and a flow near its equilibrium rides a limit cycle instead
+of converging.
 """
 
 from __future__ import annotations
@@ -242,16 +246,21 @@ def _scaled_rms(v: np.ndarray, scale: np.ndarray, lanes: int) -> list[float]:
     return [math.sqrt(x / (v.size // lanes)) for x in sq.tolist()]
 
 
-def _initial_step(rhs, t0, y0, f0, settings, lanes: int = 1):
+def _initial_step(rhs, t0, y0, f0, settings, lanes: int = 1, span: float = math.inf,
+                  estimated=slice(None)):
     """Hairer-style automatic initial step size; the caller refuses a bad one.
 
-    With lanes, h0 is the smallest lane's, and the result the smallest of the
-    lanes' steps from their own norms at that h0.
+    The norms run over the ``estimated`` channels only, and the trial step
+    h0, whose right-hand side is probed at t0 + h0, is clamped to ``span``,
+    the length of the smooth subinterval (as DOPRI5's HINIT clamps it to
+    hmax).  With lanes, h0 is the smallest lane's, and the result the
+    smallest of the lanes' steps from their own norms at that h0.
     """
-    scale = settings.abs_tol + settings.rel_tol * np.abs(y0)
-    d1s = _scaled_rms(f0, scale, lanes)
-    h0 = math.inf
-    for d0, d1 in zip(_scaled_rms(y0, scale, lanes), d1s):
+    y0e, f0e = y0[estimated], f0[estimated]
+    scale = settings.abs_tol + settings.rel_tol * np.abs(y0e)
+    d1s = _scaled_rms(f0e, scale, lanes)
+    h0 = span
+    for d0, d1 in zip(_scaled_rms(y0e, scale, lanes), d1s):
         h = 1e-6 if d0 < 1e-5 or d1 < 1e-5 else 0.01 * d0 / d1
         if not _finite_positive(h):
             return h
@@ -259,7 +268,7 @@ def _initial_step(rhs, t0, y0, f0, settings, lanes: int = 1):
     y1 = y0 + h0 * f0
     f1 = rhs(t0 + h0, y1)
     h1 = math.inf
-    for d1, d2 in zip(d1s, _scaled_rms(f1 - f0, scale, lanes)):
+    for d1, d2 in zip(d1s, _scaled_rms(f1[estimated] - f0e, scale, lanes)):
         d2 /= h0
         h1 = min(h1, max(1e-6, h0 * 1e-3) if max(d1, d2) <= 1e-15
                  else (0.01 / max(d1, d2)) ** 0.2)
@@ -286,13 +295,16 @@ class _Stepper:
     ``stage_input`` the right-hand side is ``rhs(t, y, v)``, v the row at t of
     ``stage_input(ts)``, which runs once per step attempt at its six stage
     times, seven for a restart's first attempt (its stage 0 too), and at one
-    point where rhs runs alone.
+    point where rhs runs alone.  The first step is estimated from the
+    ``estimated`` channels alone (see :func:`_initial_step`); every channel
+    stays under the error test.
     """
 
     def __init__(self, rhs, t0, y0, t_end, settings, guard=None,
-                 cuts=(), lanes=1, stage_input=None):
+                 cuts=(), lanes=1, stage_input=None, estimated=slice(None)):
         self.rhs = rhs
         self.stage_input = stage_input
+        self.estimated = estimated
         self.lanes = lanes
         self.settings = settings
         self.guard = guard
@@ -321,7 +333,7 @@ class _Stepper:
             self._first_stage(self._rhs_at(t0, self.y), t0)   # stage times serve stage 0
         if self.h is None:
             self.h = _initial_step(self._rhs_at, t0, self.y, self.f, self.settings,
-                                   self.lanes)
+                                   self.lanes, t_end - t0, self.estimated)
             if not _finite_positive(self.h):    # the scaled norms overflowed
                 s = self.settings
                 raise IntegrationError("no finite positive initial step at rel_tol = "
@@ -423,7 +435,7 @@ class _Stepper:
 
 
 def integrate_ivp(rhs, y0, t_span, settings: OdeSettings | None = None, *,
-                  breakpoints=(), _stage_input=None) -> DenseTrajectory:
+                  breakpoints=(), _stage_input=None, _quadrature=None) -> DenseTrajectory:
     """Solve y' = rhs(t, y) forward over ``t_span`` with dense output.
 
     The span must run forward, t_start < t_end (:class:`ValueError`
@@ -437,9 +449,15 @@ def integrate_ivp(rhs, y0, t_span, settings: OdeSettings | None = None, *,
     channels, lane after lane (:meth:`DenseTrajectory.lanes` splits them).
     ``_stage_input``, private to :func:`problem._state_solution`, is an input
     ``rhs(t, y, v)`` takes, evaluated per step attempt (see :class:`_Stepper`).
+    ``_quadrature``, private to the same caller, is the index of each lane's
+    channel that integrates a running cost: the first step is estimated
+    without it, since from a zero start its scale is ``abs_tol`` alone.
     """
     settings = settings or OdeSettings()
     y0 = np.asarray(y0, dtype=float)
+    estimated = slice(None)
+    if _quadrature is not None:
+        estimated = np.arange(y0.size) % y0.shape[-1] != _quadrature
     lanes = 1
     if y0.ndim == 2:
         lanes, shape, lane_rhs = len(y0), y0.shape, rhs
@@ -450,7 +468,7 @@ def integrate_ivp(rhs, y0, t_span, settings: OdeSettings | None = None, *,
         raise ValueError(f"t_span must run forward, got ({t_start!r}, {t_end!r})")
     stepper = _Stepper(rhs, t_start, y0, t_end, settings,
                        cuts=_interior(breakpoints, t_start, t_end).tolist(),
-                       lanes=lanes, stage_input=_stage_input)
+                       lanes=lanes, stage_input=_stage_input, estimated=estimated)
     ts, ys, hs, Ks = [stepper.t], [stepper.y], [], []
     while not stepper.done:
         h, K = stepper.step()

@@ -358,7 +358,7 @@ def _state_solution(prob: OcpProblem, u_of_ts, t_f: float, ode: OdeSettings | No
     y0[..., :n] = prob.x0
     y0[..., n] = 0.0
     return integrate_ivp(rhs, y0, (prob.t0, t_f), ode or OdeSettings(),
-                         breakpoints=breakpoints, _stage_input=stage_input)
+                         breakpoints=breakpoints, _stage_input=stage_input, _quadrature=n)
 
 
 def simulate_control(prob: OcpProblem, u_of_t, t_f: float,

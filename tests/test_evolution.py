@@ -471,6 +471,8 @@ def test_mis_shaped_gains_and_initial_values_are_refused_before_any_pipeline(
     for mode, gains, needle in (
             (EvolutionMode.form1(), Gains.constant(K=0.1, m=1, q=3), "K_g has shape (3, 3)"),
             (EvolutionMode.form1(), Gains.constant(K=0.1, m=2, q=2), "K_inv has shape (2, 2)"),
+            (EvolutionMode.form1(), Gains(K_inv=lambda t: np.eye(2), k_tf=0.0,
+                                          K_g=0.1 * np.eye(2)), "K_inv has shape (2, 2)"),
             (EvolutionMode.gradient_flow(np.eye(2)), example1.gains,
              "K_theta has shape (2, 2), expected (1, 1) or (4, 4)")):
         with pytest.raises(ConfigurationError, match=re.escape(needle)):
@@ -480,6 +482,9 @@ def test_mis_shaped_gains_and_initial_values_are_refused_before_any_pipeline(
             with pytest.raises(ConfigurationError, match=re.escape(needle)):
                 run(mode, example1.prob, par, gains,
                     np.zeros(4) if run is evaluate_iterate else np.zeros((2, 4)), 2.0)
+    # constant gains are checked through K_inv_const, without a call to K_inv
+    evolution._check_compat(EvolutionMode.form1(), example1.prob, par, dataclasses.replace(
+        example1.gains, K_inv=lambda t: pytest.fail("K_inv was called")))
     # with free t_f, gradient flow's theta holds t_f too
     brach_par = make_basis("global_polynomial", m=1, t0=0.0, form="form1", order=4)
     with pytest.raises(ConfigurationError, match=re.escape("expected (1, 1) or (6, 6)")):

@@ -222,6 +222,19 @@ def test_tolerances_too_small_for_an_initial_step_fail_typed():
     assert "rel_tol = 1e-300" in str(info.value) and "abs_tol = 1e-300" in str(info.value)
 
 
+def test_the_initial_step_probe_stays_inside_the_span():
+    # Hairer's trial step 0.01 d0 / d1 is 100 here, over a span of 1
+    ts = []
+
+    def rhs(t, y):
+        ts.append(t)
+        return 1e-4 * y
+
+    sol = integrate_ivp(rhs, np.array([1.0]), (0.0, 1.0))
+    assert max(ts) == 1.0
+    assert sol(1.0)[0] == pytest.approx(np.exp(1e-4), rel=1e-12)
+
+
 def test_repeated_breakpoints_count_once():
     def rhs(t, y):
         return np.array([1.0 if t < 0.5 else -1.0])

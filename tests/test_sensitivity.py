@@ -488,7 +488,7 @@ def test_spd_solve_rejects_indefinite_and_singular_matrices():
     spd_solve(np.array([[1.0, 1.0], [1.0, 1.0 + 1e-12]]), np.ones(2), "M")
 
 
-@pytest.mark.parametrize("case, evaluations", [("example1", 44), ("brach_pwc20", 165),
+@pytest.mark.parametrize("case, evaluations", [("example1", 20), ("brach_pwc20", 165),
                                                ("brach_lagrange4", 188)])
 def test_state_solve_evaluation_count(example1, brach, case, evaluations):
     # f and L run once per stage: 6 per step attempt, 1 at the start of each
@@ -533,6 +533,58 @@ def test_state_solve_evaluation_count(example1, brach, case, evaluations):
     assert evaluations == 6 * attempts + subintervals + 1
     restarts = subintervals - 1
     assert sorted(sizes) == [1, 1] + [6] * (attempts - restarts) + [7] * restarts
+
+
+def test_state_solve_first_step_ignores_the_running_cost(e1):
+    # the cost channel starts at 0, where its scale is abs_tol alone: the
+    # first step comes from the state channels, of each lane, so a running
+    # cost 1e6 times larger leaves it unchanged
+    prob, _, par = e1
+    big = dataclasses.replace(prob, L=lambda x, u, t: 1e6 * prob.L(x, u, t))
+    P = np.array([[-3.5, 3.0, 0.0, 0.0], [1.0, -2.0, 0.5, 0.0]])
+    for p in (P[0], P[1], P):
+        first = [solve_state(pr, par, p, 2.0).t_grid[1] for pr in (prob, big)]
+        assert first[0] == first[1]
+    # a lane pass starts from its smallest lane's step
+    firsts = [solve_state(prob, par, p, 2.0).t_grid[1] for p in P]
+    assert solve_state(prob, par, P, 2.0).t_grid[1] == min(firsts) < max(firsts)
+
+
+def test_example1_state_solve_at_the_optimum_takes_three_steps(e1):
+    # the state and the cost integral are cubics in t, which both orders of
+    # the pair integrate exactly, so each step grows by the controller's limit
+    prob, _, par = e1
+    sol = solve_state(prob, par, np.array([-3.5, 3.0, 0.0, 0.0]), 2.0)
+    assert (sol.nsteps, sol.nrejected) == (3, 0)
+    assert abs(sol.values[-1, 2] - 3.25) <= 1e-12
+    assert np.abs(sol.values[-1, :2]).max() <= 1e-12
+
+
+def test_state_solve_of_a_slow_start_stays_in_the_control_domain(e1):
+    # the state's norms alone ask for a first step of 100 over a horizon of
+    # 2; the probe of the right-hand side is clamped to the horizon, where
+    # the control is defined
+    prob, _, par = e1
+    slow = dataclasses.replace(prob, x0=np.array([1.0, 1e-4]))
+    sol = solve_state(slow, par, np.zeros(4), 2.0)
+    np.testing.assert_allclose(sol.values[-1], [1.0002, 1e-4, 0.0], rtol=1e-12)
+
+
+def test_brach_pwc20_state_solve_keeps_its_steps(monkeypatch, brach):
+    # the Brachistochrone starts at rest, so Hairer's zero-state branch sets
+    # the first step whether or not the cost channel enters its estimate
+    import ocflow.problem as problem
+
+    par = make_basis("piecewise_constant", m=1, t0=0.0, form="form2", n_segments=20)
+    p, t_f = 1.4771 * 0.8165 * (np.arange(20) + 0.5) / 20, 0.8165
+    sol = solve_state(brach.prob, par, p, t_f)
+    integrate_ivp = problem.integrate_ivp
+    monkeypatch.setattr(problem, "integrate_ivp",
+                        lambda *a, _quadrature, **k: integrate_ivp(*a, **k))
+    every_channel = solve_state(brach.prob, par, p, t_f)
+    assert sol.nsteps == every_channel.nsteps == 24
+    np.testing.assert_array_equal(sol.t_grid, every_channel.t_grid)
+    np.testing.assert_array_equal(sol.values, every_channel.values)
 
 
 def test_grid_memo_keys_and_read_only_arrays(e1, brach):
