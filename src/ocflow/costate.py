@@ -64,8 +64,9 @@ def reconstruct_costate(prob: OcpProblem, bundle: AdjointBundle,
         raise DimensionError(f"pi has shape {pi.shape}, expected ({prob.q},)")
     n, q = prob.n, prob.q
 
-    def lam_of(y):                      # (..., n + n*q) -> (..., n)
-        return y[..., :n] + y[..., n:].reshape(*y.shape[:-1], n, q) @ pi
+    def lam_of(y):                      # (..., n*(1+q)) -> (..., n)
+        Y = y.reshape(*y.shape[:-1], n, 1 + q)          # [mu | Psi]
+        return Y[..., 0] + Y[..., 1:] @ pi
 
     sol = bundle.adjoint_sol
     anchor, denom, scale, base, Q = sol.segments
@@ -88,7 +89,7 @@ def optimality_residuals(prob: OcpProblem, par: Parameterization,
     tf_residual = quantities.tf_scalar + float(pi @ quantities.tf_row)
 
     gd = _grid_data(prob, par, bundle, quad)
-    pointwise = gd.pu + gd.fupsi @ pi                           # (N, m)
+    pointwise = gd.pg[..., 0] + gd.pg[..., 1:] @ pi             # (N, m)
     continuous_sup = float(np.max(np.linalg.norm(pointwise, axis=1), initial=0.0))
     return OptimalityResiduals(
         param_residual=param_residual,
@@ -107,9 +108,8 @@ def continuous_multiplier(prob: OcpProblem, bundle: AdjointBundle, gains: Gains,
     assembly.  Used to certify the parameterized multiplier.
     """
     gd = _grid_data(prob, bundle.par, bundle, quad or QuadratureSpec())
-    Kt = gains.K_at(gd.ts)
-    M_c = _gram(gd.w, Kt, gd.fupsi, gd.fupsi)
-    r_c = _gram(gd.w, Kt, gd.fupsi, gd.pu[..., None])[:, 0]
+    rM_c = _gram(gd.w, gains.K_at(gd.ts), gd.pg[..., 1:], gd.pg)     # [r_c | M_c]
+    r_c, M_c = rM_c[:, 0], rM_c[:, 1:]
     if prob.tf_mode == "free" and gains.k_tf > 0:
         tf_scalar, tf_row = _terminal_values(prob, bundle)
         M_c = M_c + gains.k_tf * np.outer(tf_row, tf_row)

@@ -39,7 +39,7 @@ from .errors import ConfigurationError, MultiplierBoundWarning
 from .integrate import OdeSettings, _finite_positive, _interpolant, _Stepper, dense_output
 from .parameterization import FORM1, FORM2, Parameterization
 from .problem import (Gains, OcpProblem, SolveReport, SolveTrace, TraceRow,
-                      _gain_matrix, _require_finite, _require_spd, _terminal_eval)
+                      _gain_matrix, _objective, _require_finite, _require_spd)
 from .quadrature import QuadratureSpec
 from .sensitivity import (AdjointBundle, ThetaQuantities, assemble_form1,
                           assemble_form2, nlp_gradients, solve_adjoints, solve_state,
@@ -152,8 +152,9 @@ def multiplier(Gamma, W_Gamma, W_r, K_g, g_val, *,
     return pi
 
 
-def _flow_direction(r, Gamma, W_rGamma, K_g, g_val, pi_bound: float):
-    """(pi, r + Gamma pi, -W (r + Gamma pi)) from ``W_rGamma`` = W [r | Gamma], per lane."""
+def _flow_direction(rGamma, W_rGamma, K_g, g_val, pi_bound: float):
+    """(pi, r + Gamma pi, -W (r + Gamma pi)) from [r | Gamma] and W [r | Gamma], per lane."""
+    r, Gamma = rGamma[..., 0], rGamma[..., 1:]
     W_r, W_Gamma = W_rGamma[..., 0], W_rGamma[..., 1:]
     pi = multiplier(Gamma, W_Gamma, W_r, K_g, g_val, pi_bound=pi_bound)
     return pi, r + _matvec(Gamma, pi), -(W_r + _matvec(W_Gamma, pi))
@@ -215,9 +216,7 @@ def _pipeline(mode: EvolutionMode, prob: OcpProblem, par: Parameterization, gain
     _check_compat(mode, prob, par, gains)
     quad = quad or QuadratureSpec()
     bundle = solve_adjoints(prob, par, p, solve_state(prob, par, p, t_f, ode_inner), t_f)
-    x_f = bundle.x_f
-    J = _terminal_eval(prob, "phi", x_f, t_f) + bundle.cost_integral
-    g_val = _terminal_eval(prob, "g", x_f, t_f)
+    J, g_val = _objective(prob, bundle.x_traj, t_f, bundle.p.shape[:-1])
     if mode.kind == "gradient_flow":
         quant = nlp_gradients(prob, par, bundle, p, t_f, quad,
                               with_tf=prob.tf_mode == "free")
@@ -225,14 +224,13 @@ def _pipeline(mode: EvolutionMode, prob: OcpProblem, par: Parameterization, gain
         quant = assemble_form2(prob, par, bundle, gains, p, t_f, quad)
     else:
         quant = assemble_form1(prob, par, bundle, gains, t_f, quad)
-    r, Gamma = quant.r, quant.Gamma
-    rGamma = np.concatenate([r[..., None], Gamma], axis=-1)      # [r | Gamma]
+    rGamma = quant.rGamma
     if quant.M is None:
-        W_rGamma = _gain_matrix(mode.K_theta, r.shape[-1], "K_theta") @ rGamma
+        W_rGamma = _gain_matrix(mode.K_theta, rGamma.shape[-2], "K_theta") @ rGamma
     else:
         W_rGamma = spd_solve(quant.M, rGamma, "Gram matrix of the basis columns of theta")
     return (bundle, quant, J, g_val,
-            *_flow_direction(r, Gamma, W_rGamma, gains.K_g, g_val, pi_bound))
+            *_flow_direction(rGamma, W_rGamma, gains.K_g, g_val, pi_bound))
 
 
 def _iterate_eval(p, t_f, bundle, quant, J, g_val, pi, residual, dtheta) -> IterateEval:
@@ -460,8 +458,8 @@ def gradient_flow_generic(f_grad, h_val, h_jac, K_theta, K_h, theta0,
         h = np.asarray(h_val(theta), dtype=float)
         H = (np.atleast_2d(np.asarray(h_jac(theta), dtype=float)) if h.size
              else np.zeros((0, theta.size)))
-        pi, residual, dtheta = _flow_direction(
-            grad, H.T, K_theta @ np.column_stack([grad, H.T]), K_h, h, stop.pi_bound)
+        rGamma = np.column_stack([grad, H.T])
+        pi, residual, dtheta = _flow_direction(rGamma, K_theta @ rGamma, K_h, h, stop.pi_bound)
         return pi, residual, dtheta, h
 
     def rhs(tau, theta):

@@ -482,11 +482,6 @@ def integrate_ivp(rhs, y0, t_span, settings: OdeSettings | None = None, *,
     return DenseTrajectory(ts, ys, segments, nsteps=stepper.nsteps, nrejected=stepper.nrejected)
 
 
-def _channels(Y: np.ndarray) -> np.ndarray:
-    """(..., n, r) -> (..., n*r): the first column, then the rest row-major."""
-    return np.concatenate([Y[..., 0], Y[..., 1:].reshape(*Y.shape[:-2], -1)], axis=-1)
-
-
 def _divergence(ts, S, Y, Q) -> DivergenceError:
     """The failure a backward replay meets first: its last bad step, first bad stage."""
     steps = len(ts)
@@ -507,9 +502,10 @@ def replay_linear(traj: DenseTrajectory, coefficients, y_end, *,
     the Dormand-Prince tableau runs backward from ``Y(t_grid[-1]) = y_end``
     (an (n, r) matrix) over each step with no error control.  The forcing l
     enters the first column only.  ``coefficients(ts, xs) -> (M, l)`` is
-    called once with the stage times ``ts`` of every step, flattened, and
-    ``traj``'s values there, taken from each step's own segment (node values
-    at c = 0 and c = 1); it returns M as (N, n, n) and l as (N, n).  A
+    called once with the times ``ts`` of stages 0-5 of every step, flattened,
+    and ``traj``'s values there, taken from each step's own segment (node
+    values at c = 0 and c = 1); it returns M as (N, n, n) and l as (N, n).
+    Stage 6 sits at stage 5's (t, x), so it reuses stage 5's M and l.  A
     (B, n, r) ``y_end`` replays B lanes at once: M is then (N, B, n, n), l
     (N, B, n), and the result's channels are the lanes' channels, lane after
     lane, as in :func:`integrate_ivp`.  Stage
@@ -520,8 +516,9 @@ def replay_linear(traj: DenseTrajectory, coefficients, y_end, *,
 
     Being linear, each stage is K_i = S_i Y + d_i e0^T, with the stage maps
     of all steps built at once, so stepping is one product per step.  The
-    result's channels are Y's first column, then its other columns
-    row-major; its dense output is the scheme's own interpolant.
+    result's channels are Y row-major, channel i*r + j holding Y[i, j], so
+    its values and stage derivatives are reshapes of the stepped blocks; its
+    dense output is the scheme's own interpolant.
     """
     t_grid = traj.t_grid
     lo, hi = t_grid[0], t_grid[-1]
@@ -544,20 +541,20 @@ def replay_linear(traj: DenseTrajectory, coefficients, y_end, *,
 
     # traj on each step's own segment
     anchor, denom, scale, base, Qx = traj.segments
-    xs = dense_output((ts - anchor[:, None]) / denom[:, None], scale[:, None],
+    xs = dense_output((ts[:, :6] - anchor[:, None]) / denom[:, None], scale[:, None],
                       base[:, None], Qx[:, None])
     xs[:, 0] = traj.values[1:]
-    xs[:, 5:] = traj.values[:-1, None]
+    xs[:, 5] = traj.values[:-1]
 
-    M, l = coefficients(ts.reshape(-1), xs.reshape(steps * 7, -1))
+    M, l = coefficients(ts[:, :6].reshape(-1), xs.reshape(steps * 6, -1))
     *lanes, n, r = y_end.shape
     maps = (*lanes, n + 1, n + 1)                  # each lane's stage maps
     # the augmented matrix [[M, l], [0, 0]] acting on [Y; e0^T] carries the
     # forcing, so the last column of each stage map S_i is its offset d_i
-    Ma = np.zeros((steps, 7, *maps))
-    Ma[..., :n, :n] = M.reshape(steps, 7, *lanes, n, n)
-    Ma[..., :n, n] = l.reshape(steps, 7, *lanes, n)
-    S = np.empty_like(Ma)
+    Ma = np.zeros((steps, 6, *maps))
+    Ma[..., :n, :n] = M.reshape(steps, 6, *lanes, n, n)
+    Ma[..., :n, n] = l.reshape(steps, 6, *lanes, n)
+    S = np.empty((steps, 7, *maps))
     S[:, 0] = Ma[:, 0]
     eye = np.eye(n + 1)
     Hm = H.reshape(steps, *[1] * len(lanes), 1, 1)
@@ -571,15 +568,15 @@ def replay_linear(traj: DenseTrajectory, coefficients, y_end, *,
             Z = (_A[i] @ S[:, :i].reshape(steps, i, -1)).reshape(steps, *maps)
             Z *= Hm                             # I + h sum_j a_ij S_j, in place
             Z += eye
-            np.matmul(Ma[:, i], Z, out=S[:, i])
+            np.matmul(Ma[:, min(i, 5)], Z, out=S[:, i])
         Phis, Ys = list(Z), list(Y)             # Phi = Z: the last stage's a_7j = b_j
         for k in range(steps - 1, -1, -1):
             np.matmul(Phis[k], Ys[k + 1], out=Ys[k])
         # stage derivatives, (steps, 7, channels)
-        K = _channels((S @ Y[1:, None])[..., :n, :]).reshape(steps, 7, -1)
+        K = (S[..., :n, :] @ Y[1:, None]).reshape(steps, 7, -1)
         Q = K.transpose(0, 2, 1) @ _BI
     # a non-finite coefficient reaches Y or, through its stage derivative, Q
     if not (np.isfinite(Y).all() and np.isfinite(Q).all()):
         raise _divergence(ts, S, Y, Q)
-    values = _channels(Y[..., :n, :]).reshape(steps + 1, -1)
+    values = Y[..., :n, :].reshape(steps + 1, -1)
     return DenseTrajectory(t_grid, values, (t_old, H, H, values[1:], Q), nsteps=steps)

@@ -226,17 +226,16 @@ def _check_shapes(prob: OcpProblem, x, u, t, tf) -> None:
             raise DimensionError(f"{name} returned shape {out.shape}, expected {want}")
 
 
-def _central_diff(fun, z0, h=1e-5):
-    """Jacobian of fun at z0 by central differences; columns index z."""
+def _central_diff(fun, z0, h=1e-5, *, batch=False):
+    """Jacobian of fun at z0 by central differences; columns index z.  With
+    ``batch``, fun takes the 2 z0.size points, stacked, in one call."""
     z0 = np.asarray(z0, dtype=float)
-    cols = []
-    for i in range(z0.size):
-        dz = np.zeros_like(z0)
-        dz[i] = h * max(1.0, abs(z0[i]))
-        hi = np.asarray(fun(z0 + dz), dtype=float)
-        lo = np.asarray(fun(z0 - dz), dtype=float)
-        cols.append((hi - lo) / (2 * dz[i]))
-    return np.stack(cols, axis=-1)
+    dz = h * np.maximum(1.0, np.abs(z0))
+    points = np.concatenate([z0 + np.diag(dz), z0 - np.diag(dz)])
+    values = (np.asarray(fun(points), dtype=float) if batch
+              else np.stack([np.asarray(fun(z), dtype=float) for z in points]))
+    diff = (values[:z0.size] - values[z0.size:]) / (2 * dz).reshape(-1, *[1] * (values.ndim - 1))
+    return np.moveaxis(diff, 0, -1)
 
 
 def validate_problem(prob: OcpProblem, samples: int, *, tol: float = 1e-4,
@@ -326,6 +325,26 @@ def _terminal_eval(prob: OcpProblem, name: str, x_f: np.ndarray, t_f: float) -> 
     return out
 
 
+def _lanes_first(flat: np.ndarray, lanes: tuple, width: int) -> np.ndarray:
+    """(..., B * width) channels held lane after lane -> (B, ..., width).
+
+    With no lanes, ``lanes = ()``, the channels are returned as they are.
+    """
+    if not lanes:
+        return flat
+    v = flat.reshape(*flat.shape[:-1], *lanes, width)
+    return v.transpose(v.ndim - 2, *range(v.ndim - 2), v.ndim - 1)
+
+
+def _objective(prob: OcpProblem, sol: DenseTrajectory, t_f: float, lanes: tuple = ()) -> tuple:
+    """(J, g) = (phi(x_f) + the running cost, g(x_f)) at the end of a state
+    solve, or per lane, (B,) and (B, q), of one over ``lanes = (B,)``."""
+    end = _lanes_first(sol.values[-1], lanes, prob.n + 1)
+    x_f = end[..., :prob.n]
+    return (_terminal_eval(prob, "phi", x_f, t_f) + end[..., prob.n],
+            _terminal_eval(prob, "g", x_f, t_f))
+
+
 def _state_solution(prob: OcpProblem, u_of_ts, t_f: float, ode: OdeSettings | None,
                     breakpoints, lanes: tuple = ()) -> DenseTrajectory:
     """The forward solve of :func:`simulate_control`, without J and g.
@@ -370,8 +389,5 @@ def simulate_control(prob: OcpProblem, u_of_t, t_f: float,
     cost accumulated as an augmented state.
     """
     sol = _state_solution(prob, lambda ts: [u_of_t(t) for t in ts.tolist()], t_f, ode, breakpoints)
-    n = prob.n
-    x_f, cost = sol.values[-1, :n], sol.values[-1, n]
-    J = float(prob.phi(x_f, t_f)) + cost
-    g_val = np.asarray(prob.g(x_f, t_f), dtype=float)
-    return sol, J, g_val
+    J, g_val = _objective(prob, sol, t_f)
+    return sol, float(J), g_val

@@ -11,21 +11,21 @@ integrate two adjoint quantities backward along the stored trajectory:
   sensitivity of the terminal constraint.
 
 The state-transition matrix itself is never formed: every place it would
-appear is contracted into ``mu`` and ``Psi`` (n + n*q backward states
-total).  Quadrature then assembles, over the basis columns of theta, one
-:class:`ThetaQuantities`: ``r_1p``, ``Gamma_1p``, ``M_p`` for theta = p, and
-``r_2ptf``, ``Gamma_2ptf``, ``M_ptf`` when theta also holds t_f, which is
-then one more column u_tf = du/dt_f (zero for a form-1 basis).  The plain
-NLP gradients are the same integrals without the metric.  Everything sits on
-the shared Simpson grid, so alternative assemblies of the same integral
-agree to round-off.
+appear is contracted into one n x (1+q) block Y = [mu | Psi], carried whole
+from the backward replay to the flow direction.  On the shared Simpson grid
+[p_u | f_u^T Psi] = f_u^T Y + [L_u | 0], and over the basis columns U of
+theta [r | Gamma] = int U^T [p_u | f_u^T Psi] dt is one matrix product with
+the weighted basis, held with the metric in one :class:`ThetaQuantities`:
+``r_1p``, ``Gamma_1p``, ``M_p`` for theta = p, and ``r_2ptf``, ``Gamma_2ptf``,
+``M_ptf`` when theta also holds t_f, one more column u_tf = du/dt_f (zero for
+a form-1 basis).  The NLP gradients are the same integrals without a metric.
 
 Every stage also runs B iterates that share t_f at once, as lanes: p is then
 (B, s), one state solve and one adjoint replay carry all lanes on one step
 sequence, and the results carry a leading lane axis; a single iterate has
 none, and is the arithmetic of the unbatched pipeline.  The grid's
-p-independent samples (points, weights, u_p and K^-1) are built once per t_f
-and reused while the iterates share it (:func:`_grid`).
+p-independent samples (points, weights, u_p, w u_p and K^-1) are built once
+per t_f and reused while the iterates share it (:func:`_grid`).
 """
 
 from __future__ import annotations
@@ -39,7 +39,8 @@ from .integrate import DenseTrajectory, OdeSettings, replay_linear
 # not called here, but kept bound: bench/tracing.py wraps sensitivity.integrate_ivp
 from .integrate import integrate_ivp  # noqa: F401
 from .parameterization import Parameterization
-from .problem import Gains, OcpProblem, _batch_eval, _state_solution, _terminal_eval
+from .problem import (Gains, OcpProblem, _batch_eval, _lanes_first, _state_solution,
+                      _terminal_eval)
 from .quadrature import QuadratureSpec, _gram, simpson_points
 
 
@@ -71,26 +72,15 @@ def spd_solve(M: np.ndarray, B: np.ndarray, context: str) -> np.ndarray:
     return np.linalg.solve(M, B)
 
 
-def _lanes_first(flat: np.ndarray, lanes: tuple, width: int) -> np.ndarray:
-    """(..., B * width) channels held lane after lane -> (B, ..., width).
-
-    With no lanes, ``lanes = ()``, the channels are returned as they are.
-    """
-    if not lanes:
-        return flat
-    v = flat.reshape(*flat.shape[:-1], *lanes, width)
-    return v.transpose(v.ndim - 2, *range(v.ndim - 2), v.ndim - 1)
-
-
 @dataclass
 class AdjointBundle:
     """State and adjoint trajectories of one iterate.
 
     ``x_traj`` carries n+1 channels (state plus accumulated running cost);
-    ``adjoint_sol`` carries the joint backward solve, mu in its first n
-    channels and the n x q constraint adjoint Psi row-major flattened after
-    them.  The parameterization and parameters that produced the iterate ride
-    along so downstream assemblies need no extra bookkeeping.  A (B, s) ``p``
+    ``adjoint_sol`` carries the joint backward solve, the n x (1+q) block
+    Y = [mu | Psi] row-major, so mu and the constraint adjoint Psi are views
+    of its reshape.  The parameterization and parameters that produced the
+    iterate ride along so downstream assemblies need no extra bookkeeping.  A (B, s) ``p``
     makes it the bundle of B lanes: the trajectories hold the lanes'
     channels lane after lane, every accessor returns a leading lane axis, and
     :meth:`lanes` gives each lane's own bundle.
@@ -113,32 +103,26 @@ class AdjointBundle:
         return self._x(self.x_traj(ts))
 
     def mu_psi_at(self, ts):
-        """(mu, Psi) stacked over times with one dense evaluation."""
-        return self._mu_psi(self.adjoint_sol(ts))
+        """(mu, Psi) stacked over times with one dense evaluation, views of Y."""
+        Y = self._Y(self.adjoint_sol(ts))
+        return Y[..., 0], Y[..., 1:]
 
     def at(self, ts):
-        """(x, mu, Psi) stacked over times, from one search of the shared grid."""
+        """(x, Y = [mu | Psi]) stacked over times, from one search of the shared grid."""
         xa, flat = self.x_traj(ts, self.adjoint_sol)
-        return (self._x(xa), *self._mu_psi(flat))
+        return self._x(xa), self._Y(flat)
 
     def _x(self, xa):
         return _lanes_first(xa, self.p.shape[:-1], self.n + 1)[..., : self.n]
 
-    def _mu_psi(self, flat):
+    def _Y(self, flat):
         flat = _lanes_first(flat, self.p.shape[:-1], self.n * (1 + self.q))
-        return (flat[..., : self.n],
-                flat[..., self.n:].reshape(*flat.shape[:-1], self.n, self.q))
+        return flat.reshape(*flat.shape[:-1], self.n, 1 + self.q)
 
     @property
     def x_f(self) -> np.ndarray:
         """x(t_f), the forward solve's last node value."""
         return self._x(self.x_traj.values[-1])
-
-    @property
-    def cost_integral(self) -> float:
-        """The running cost's integral: a float, or one per lane."""
-        cost = _lanes_first(self.x_traj.values[-1], self.p.shape[:-1], self.n + 1)[..., self.n]
-        return float(cost) if cost.ndim == 0 else cost
 
     def lanes(self) -> list["AdjointBundle"]:
         """Each lane's own bundle (views), or ``[self]`` for a single iterate."""
@@ -153,8 +137,9 @@ class AdjointBundle:
 class ThetaQuantities:
     """The theta-space terms of one iterate, over the basis columns of theta.
 
-    ``r`` is the cost gradient (r_1p, r_2ptf or f_theta), ``Gamma`` the (dim, q)
-    constraint sensitivity (Gamma_1p, Gamma_2ptf or g_theta^T) and ``M`` the
+    ``rGamma`` is the (dim, 1+q) block [r | Gamma] of the cost gradient ``r``
+    (r_1p, r_2ptf or f_theta) and the constraint sensitivity ``Gamma``
+    (Gamma_1p, Gamma_2ptf or g_theta^T), both views of it, and ``M`` the
     metric (M_p or M_ptf; None for the NLP gradients).  ``tf_scalar`` and
     ``tf_row`` are the terminal brackets, already in the t_f row of r and
     Gamma when theta holds t_f, and None for the NLP gradients over p alone.
@@ -162,21 +147,23 @@ class ThetaQuantities:
     but M_p, the lanes' shared read-only G_pp; M_ptf borders it per lane.
     """
 
-    r: np.ndarray
-    Gamma: np.ndarray
+    rGamma: np.ndarray
     M: np.ndarray | None
     tf_scalar: float | None
     tf_row: np.ndarray | None
 
+    r = property(lambda self: self.rGamma[..., 0])
+    Gamma = property(lambda self: self.rGamma[..., 1:])
+
     def lanes(self) -> list["ThetaQuantities"]:
         """Each lane's own record, or ``[self]`` for a single iterate."""
-        if self.r.ndim == 1:
+        if self.rGamma.ndim == 2:
             return [self]
         M = self.M
         return [ThetaQuantities(
-            self.r[b], self.Gamma[b], M if M is None or M.ndim == 2 else M[b],
+            self.rGamma[b], M if M is None or M.ndim == 2 else M[b],
             None if self.tf_scalar is None else float(self.tf_scalar[b]),
-            None if self.tf_row is None else self.tf_row[b]) for b in range(len(self.r))]
+            None if self.tf_row is None else self.tf_row[b]) for b in range(len(self.rGamma))]
 
 
 def solve_state(prob: OcpProblem, par: Parameterization, p, t_f: float,
@@ -231,15 +218,15 @@ class _GridData:
 
     The basis columns of theta are ``U_p``, one p-block that every lane
     shares, then each lane's own ``u_tf`` when theta holds t_f (else None).
-    ``G_pp``, U_p's read-only Gram matrix, is memoised with it by :func:`_grid`.
+    :func:`_grid` memoises it, read-only, with w U_p and U_p's Gram matrix.
     """
 
     ts: np.ndarray
     w: np.ndarray
     U_p: np.ndarray           # (N, m, s)
+    wU_p: np.ndarray          # (N * m, s)
     u_tf: np.ndarray | None   # ([B,] N, m)
-    pu: np.ndarray            # ([B,] N, m)
-    fupsi: np.ndarray         # ([B,] N, m, q)
+    pg: np.ndarray            # ([B,] N, m, 1+q): [p_u | f_u^T Psi]
     kinv: np.ndarray | None   # (N, m, m)
     G_pp: np.ndarray | None   # (s, s)
 
@@ -258,15 +245,16 @@ def _terminal_values(prob: OcpProblem, bundle: AdjointBundle) -> tuple:
             (g_x @ f_f[..., None])[..., 0] + g_t)
 
 
-_GRID = None     # the latest ((t0, t_f, quad, par, gains), (ts, w, U_p, K^-1, G_pp))
+_GRID = None     # the latest ((t0, t_f, quad, par, gains), (ts, w, U_p, w U_p, K^-1, G_pp))
 
 
 def _grid(par: Parameterization, p, t0: float, t_f: float, quad: QuadratureSpec,
           gains: Gains | None) -> tuple:
-    """The read-only Simpson points and weights, U_p = u_p(ts), K^-1 samples and
-    G_pp = int U_p^T K^-1 U_p dt, symmetrized exactly (both None without gains),
-    of one t_f.  No kind's u_p depends on p, so the latest serve while (t0,
-    t_f, quad) and the basis and gains objects stay the same."""
+    """The read-only Simpson points and weights, U_p = u_p(ts), w U_p as
+    (N * m, s), K^-1 samples and G_pp = int U_p^T K^-1 U_p dt, symmetrized
+    exactly (both None without gains), of one t_f.  No kind's u_p depends on
+    p, so the latest serve while (t0, t_f, quad) and the basis and gains
+    objects stay the same."""
     global _GRID
     memo = _GRID
     if memo is not None:
@@ -276,7 +264,8 @@ def _grid(par: Parameterization, p, t0: float, t_f: float, quad: QuadratureSpec,
     ts, w = simpson_points(t0, t_f, quad, par.breakpoints(t_f))
     up, kinv = par.jac_p(ts, p, t_f), None if gains is None else gains.K_inv_at(ts)
     G = None if gains is None else _gram(w, kinv, up, up)
-    value = (ts, w, up, kinv, None if G is None else 0.5 * (G + G.T))
+    value = (ts, w, up, (w[:, None, None] * up).reshape(-1, up.shape[-1]), kinv,
+             None if G is None else 0.5 * (G + G.T))
     for a in value:
         if a is not None:
             a.flags.writeable = False
@@ -288,31 +277,30 @@ def _grid_data(prob: OcpProblem, par: Parameterization, bundle: AdjointBundle,
                quad: QuadratureSpec, *, gains: Gains | None = None,
                with_tf: bool = False) -> _GridData:
     t_f, p = bundle.t_f, bundle.p
-    ts, w, up, kinv, G_pp = _grid(par, p, bundle.t0, t_f, quad, gains)   # up: (N, m, s)
-    xs, mus, psis = bundle.at(ts)                  # ([B,] N, n), and (..., n, q)
+    ts, w, up, wup, kinv, G_pp = _grid(par, p, bundle.t0, t_f, quad, gains)
+    xs, Y = bundle.at(ts)                          # ([B,] N, n) and ([B,] N, n, 1+q)
     us = np.einsum("tms,...s->...tm", up, p)       # control_fn's contraction, or its gather
     fu = _batch_eval(prob, "f_u", xs, us, ts)                  # ([B,] N, n, m)
-    lu = _batch_eval(prob, "L_u", xs, us, ts)                  # ([B,] N, m)
-    pu = lu + np.einsum("...tnm,...tn->...tm", fu, mus)
-    fupsi = np.einsum("...tnm,...tnq->...tmq", fu, psis)           # ([B,] N, m, q)
+    pg = np.einsum("...tnm,...tnc->...tmc", fu, Y)             # f_u^T [mu | Psi]
+    pg[..., 0] += _batch_eval(prob, "L_u", xs, us, ts)
     utf = par.jac_tf(ts, p, t_f) if with_tf else None          # ([B,] N, m)
-    return _GridData(ts=ts, w=w, U_p=up, u_tf=utf, pu=pu, fupsi=fupsi, kinv=kinv, G_pp=G_pp)
+    return _GridData(ts=ts, w=w, U_p=up, wU_p=wup, u_tf=utf, pg=pg, kinv=kinv, G_pp=G_pp)
 
 
-def _theta_integrals(gd: _GridData, terminal=None) -> tuple[np.ndarray, np.ndarray]:
-    """r = int U^T p_u dt and Gamma = int U^T f_u^T Psi dt over the columns of theta.
-
-    The p-rows come from the shared U_p.  When theta includes t_f, its row is
-    u_tf's own integrals plus the ``terminal`` brackets (tf_scalar, tf_row).
-    """
-    cols = [gd.U_p] if gd.u_tf is None else [gd.U_p, gd.u_tf[..., None]]
-    r = np.concatenate([np.einsum("t,...tmi,...tm->...i", gd.w, U, gd.pu) for U in cols], -1)
-    Gamma = np.concatenate([np.einsum("t,...tmi,...tmq->...iq", gd.w, U, gd.fupsi)
-                            for U in cols], -2)
+def _theta_integrals(gd: _GridData, terminal=None) -> np.ndarray:
+    """[r | Gamma] = int U^T [p_u | f_u^T Psi] dt over the columns U of theta:
+    the p-rows are one product with the shared w U_p (per lane of a pass), and
+    the t_f row u_tf's own product plus the ``terminal`` brackets."""
+    *lanes, N, m, c = gd.pg.shape
+    pg, s = gd.pg.reshape(*lanes, N * m, c), gd.wU_p.shape[-1]
+    rGamma = np.empty((*lanes, s + (terminal is not None), c))
+    np.matmul(gd.wU_p.T, pg, out=rGamma[..., :s, :])
     if terminal is not None:
-        r[..., -1] += terminal[0]
-        Gamma[..., -1, :] += terminal[1]
-    return r, Gamma
+        wutf = (gd.w[:, None] * gd.u_tf).reshape(*lanes, 1, N * m)
+        np.matmul(wutf, pg, out=rGamma[..., s:, :])
+        rGamma[..., -1, 0] += terminal[0]
+        rGamma[..., -1, 1:] += terminal[1]
+    return rGamma
 
 
 def _require_iterate(b: AdjointBundle, t_f: float, p=None) -> None:
@@ -326,8 +314,7 @@ def assemble_form1(prob: OcpProblem, par: Parameterization, bundle: AdjointBundl
     """r_1p, Gamma_1p and M_p over theta = p, and the terminal brackets."""
     _require_iterate(bundle, t_f)
     gd = _grid_data(prob, par, bundle, quad, gains=gains)
-    r, Gamma = _theta_integrals(gd)
-    return ThetaQuantities(r, Gamma, gd.G_pp, *_terminal_values(prob, bundle))
+    return ThetaQuantities(_theta_integrals(gd), gd.G_pp, *_terminal_values(prob, bundle))
 
 
 def assemble_form2(prob: OcpProblem, par: Parameterization, bundle: AdjointBundle,
@@ -344,14 +331,14 @@ def assemble_form2(prob: OcpProblem, par: Parameterization, bundle: AdjointBundl
         raise ConfigurationError("free t_f requires k_tf > 0 (it enters as 1/k_tf)")
     gd = _grid_data(prob, par, bundle, quad, gains=gains, with_tf=True)
     terminal = _terminal_values(prob, bundle)
-    r, Gamma = _theta_integrals(gd, terminal)
+    rGamma = _theta_integrals(gd, terminal)
     s, utf = par.s, gd.u_tf[..., None]
-    M = np.empty((*r.shape[:-1], s + 1, s + 1))
+    M = np.empty((*rGamma.shape[:-2], s + 1, s + 1))
     M[..., :s, :s] = gd.G_pp
     M[..., :s, s:] = _gram(gd.w, gd.kinv, gd.U_p, utf)
     M[..., s:, :s] = M[..., :s, s:].swapaxes(-1, -2)
     M[..., s:, s:] = _gram(gd.w, gd.kinv, utf, utf) + 1.0 / gains.k_tf
-    return ThetaQuantities(r, Gamma, M, *terminal)
+    return ThetaQuantities(rGamma, M, *terminal)
 
 
 def nlp_gradients(prob: OcpProblem, par: Parameterization, bundle: AdjointBundle,
@@ -370,5 +357,4 @@ def nlp_gradients(prob: OcpProblem, par: Parameterization, bundle: AdjointBundle
     _require_iterate(bundle, t_f, p)
     gd = _grid_data(prob, par, bundle, quad, with_tf=with_tf)
     terminal = _terminal_values(prob, bundle) if with_tf else None
-    r, Gamma = _theta_integrals(gd, terminal)
-    return ThetaQuantities(r, Gamma, None, *(terminal or (None, None)))
+    return ThetaQuantities(_theta_integrals(gd, terminal), None, *(terminal or (None, None)))

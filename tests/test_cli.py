@@ -10,7 +10,7 @@ import pytest
 
 import ocflow
 from ocflow import (EvolutionMode, EvolutionState, StopCriteria, make_basis,
-                    simulate_control, solve_evolution)
+                    solve_evolution, solve_state)
 from ocflow import cli
 from ocflow.cli import main
 from ocflow.problems import _REGISTRY, register_problem
@@ -306,19 +306,21 @@ def test_console_entry_point_runs():
     assert "example1" in proc.stdout
 
 
-def test_check_gradients_simulates_each_point_once(tmp_path, monkeypatch):
-    # one forward solve gives both J and g at each central-difference point
-    calls = []
+def test_check_gradients_runs_the_p_columns_as_one_lane_pass(tmp_path, monkeypatch):
+    # one forward solve gives both J and g at each central-difference point:
+    # the iterate's own, then the 2s p-points as the lanes of one solve, then
+    # the two t_f points
+    shapes = []
 
-    def counting(*args, **kwargs):
-        calls.append(args)
-        return simulate_control(*args, **kwargs)
+    def counting(prob, par, p, *args):
+        shapes.append(np.shape(p))
+        return solve_state(prob, par, p, *args)
 
-    monkeypatch.setattr(cli, "simulate_control", counting)
+    monkeypatch.setattr(cli, "solve_state", counting)
     path, _ = write_config(tmp_path)
     assert main(["check", "--config", str(path), "--what", "gradients"]) == 0
     s = 4                                   # the default cubic basis
-    assert len(calls) == 2 * (s + 1)
+    assert shapes == [(s,), (2 * s, s), (s,), (s,)]
 
 
 def test_import_leaves_scipy_out():

@@ -162,7 +162,7 @@ def test_unconstrained_iterate_runs_the_constrained_arithmetic(lqr_like, mode):
     res = optimality_residuals(lqr_like, par, quant, it.bundle, it.pi, it.g_val, quad)
     np.testing.assert_array_equal(res.param_residual, quant.r)
     assert res.tf_residual == quant.tf_scalar and res.feasibility == 0.0
-    pu = _grid_data(lqr_like, par, it.bundle, quad).pu
+    pu = _grid_data(lqr_like, par, it.bundle, quad).pg[..., 0]
     assert res.continuous_residual_sup == np.linalg.norm(pu, axis=1).max()
 
 
@@ -178,26 +178,23 @@ def test_gram_identity_for_spanned_sensitivities(example1, e1_form1_solve):
     np.testing.assert_allclose(M2, M1, atol=1e-6)
 
 
-def test_costate_error_tracks_control_error(example1, e1_form1_solve):
-    # along the trace, whenever the control error halves the costate error
-    # must decrease as well
+def test_costate_is_exact_at_every_iterate_of_example1(example1, e1_form1_solve):
+    # on example1's form 1, mu = 0 and pi = (3, -2.5) at every iterate, so
+    # lambda = Psi pi is the analytic costate however far the control is from
+    # the optimum: its error is rounding noise, with no trend to compare
     report, trace, _, par = e1_form1_solve
     prob, gains = example1.prob, example1.gains
-    oracle = example1.oracle
     ts = np.linspace(0.0, 2.0, 101)
     u_hat = 3.0 * ts - 3.5
     lam_hat = np.stack([np.full(101, 3.0), 3.5 - 3.0 * ts], axis=-1)
 
-    errs = []
-    for row in [r for r in trace.rows if r.tau in (0.0, 2.0, 5.0, 10.0, 20.0, 40.0)]:
+    rows = [r for r in trace.rows if r.tau in (0.0, 2.0, 5.0, 10.0, 20.0, 40.0)]
+    assert len(rows) == 6
+    assert np.abs(par.eval(ts, rows[0].p, 2.0)[:, 0] - u_hat).max() > 0.1
+    for row in rows:
         it = evaluate_iterate(EvolutionMode.form1(), prob, par, gains, row.p, 2.0)
         lam = reconstruct_costate(prob, it.bundle, it.pi).lam_traj(ts)
-        du = np.abs(par.eval(ts, row.p, 2.0)[:, 0] - u_hat).max()
-        dlam = np.abs(lam - lam_hat).max()
-        errs.append((du, dlam))
-    for (du0, dl0), (du1, dl1) in zip(errs[:-1], errs[1:]):
-        if du1 <= 0.5 * du0:
-            assert dl1 < dl0
+        assert np.abs(lam - lam_hat).max() <= 1e-12, row.tau
 
 
 def _assert_lambda_is_mu_plus_psi_pi(bundle, pi, lam_traj):
@@ -265,8 +262,9 @@ def test_continuous_multiplier_system_matches_the_einsum_reference(
     (M_c, r_c), = systems
     gd = _grid_data(prob, par, it.bundle, QuadratureSpec())
     K = gains.K_at(gd.ts)
-    M_ref = np.einsum("t,tmq,tmn,tnr->qr", gd.w, gd.fupsi, K, gd.fupsi)
-    r_ref = np.einsum("t,tmq,tmn,tn->q", gd.w, gd.fupsi, K, gd.pu)
+    pu, fupsi = gd.pg[..., 0], gd.pg[..., 1:]
+    M_ref = np.einsum("t,tmq,tmn,tnr->qr", gd.w, fupsi, K, fupsi)
+    r_ref = np.einsum("t,tmq,tmn,tn->q", gd.w, fupsi, K, pu)
     if prob.tf_mode == "free":
         tf_scalar, tf_row = _terminal_values(prob, it.bundle)
         M_ref = M_ref + gains.k_tf * np.outer(tf_row, tf_row)

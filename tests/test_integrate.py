@@ -260,17 +260,32 @@ def _pendulum(t_span):
     return integrate_ivp(rhs, np.array([0.3, -0.2, 1.0]), t_span)
 
 
-def _replayed_pendulum():
+_PENDULUM_Y_END = np.array([[1.0, 0.5], [-0.5, 0.0], [0.2, 1.0]])
+
+
+def _replayed_pendulum(y_end=_PENDULUM_Y_END, forcing=1.0):
     # its segments are anchored at the right end, with negative denominators
     def coefficients(ts, xs):
         M = np.zeros((ts.size, 3, 3))
         M[:, 0, 1] = 1.0
         M[:, 1, 0] = -np.cos(xs[:, 0])
         M[:, 2, 2] = 0.3 * xs[:, 0]
-        return M, np.sin(ts)[:, None] * xs
+        return M, forcing * np.sin(ts)[:, None] * xs
 
-    return replay_linear(_pendulum((0.0, 3.0)), coefficients,
-                         np.array([[1.0, 0.5], [-0.5, 0.0], [0.2, 1.0]]))
+    return replay_linear(_pendulum((0.0, 3.0)), coefficients, y_end)
+
+
+def test_replay_channels_hold_the_block_row_major():
+    # channel i*r + j holds Y[i, j]: the forced first column replays alone,
+    # and so does the second, which sees M only
+    whole = _replayed_pendulum()
+    r = _PENDULUM_Y_END.shape[1]
+    assert np.array_equal(whole.values[-1], _PENDULUM_Y_END.reshape(-1))
+    ts = np.random.default_rng(5).uniform(0.0, 3.0, 50)
+    for j, part in ((0, _replayed_pendulum(_PENDULUM_Y_END[:, :1])),
+                    (1, _replayed_pendulum(_PENDULUM_Y_END[:, 1:], forcing=0.0))):
+        np.testing.assert_allclose(whole.values[:, j::r], part.values, rtol=1e-13, atol=1e-15)
+        np.testing.assert_allclose(whole(ts)[:, j::r], part(ts), rtol=1e-13, atol=1e-15)
 
 
 @pytest.mark.parametrize("source", ["t_span0", "replay"])

@@ -35,7 +35,7 @@ def _unbatched(mode, prob, par, gains, p, t_f, quad):
     x_traj = solve_state(prob, par, p, t_f)
     bundle = solve_adjoints(prob, par, p, x_traj, t_f)
     x_f = bundle.x_f
-    J = float(prob.phi(x_f, t_f)) + bundle.cost_integral
+    J = float(prob.phi(x_f, t_f)) + bundle.x_traj.values[-1, prob.n]
     g_val = np.asarray(prob.g(x_f, t_f), dtype=float)
     if mode.kind == "gradient_flow":
         quant = nlp_gradients(prob, par, bundle, p, t_f, quad, with_tf=free)
@@ -275,7 +275,8 @@ def test_terminal_callbacks_run_once_per_pass_on_a_vectorized_problem(brach, vec
 
 def _per_lane_products(prob, par, bundle, gains, quad, with_tf):
     """Each lane's r, Gamma and metric as the unbatched products over its own
-    full basis columns U = [U_p | u_tf], the t_f row without its brackets."""
+    full basis columns U = [U_p | u_tf], the t_f row without its brackets;
+    [r | Gamma] = int U^T [p_u | f_u^T Psi] dt is a matrix product."""
     from ocflow.sensitivity import _grid_data
 
     out = []
@@ -285,8 +286,10 @@ def _per_lane_products(prob, par, bundle, gains, quad, with_tf):
         N, m, k = U.shape
         WU = (gd.w[:, None, None] * U).reshape(N * m, k)
         G = WU.T @ (gd.kinv @ U).reshape(N * m, k)
-        out.append((np.einsum("t,tmi,tm->i", gd.w, U, gd.pu),
-                    np.einsum("t,tmi,tmq->iq", gd.w, U, gd.fupsi), 0.5 * (G + G.T)))
+        pg = gd.pg.reshape(N * m, -1)
+        # the p-rows and the t_f row as separate products, as a pass forms them
+        rGamma = np.vstack([WU[:, :par.s].T @ pg, WU[:, par.s:].T @ pg])
+        out.append((rGamma[:, 0], rGamma[:, 1:], 0.5 * (G + G.T)))
     return out
 
 
@@ -326,6 +329,54 @@ def test_shared_p_block_matches_per_lane_products(case, example1, brach):
                 assert np.array_equal(got, want)
             else:
                 np.testing.assert_allclose(got, want, rtol=1e-13, atol=1e-13 * np.abs(want).max())
+
+
+def _einsum_theta_integrals(gd, terminal):
+    """[r | Gamma] over the columns of theta by three-operand einsums, one
+    per column block, the t_f row with its ``terminal`` brackets."""
+    cols = [gd.U_p] if gd.u_tf is None else [gd.U_p, gd.u_tf[..., None]]
+    rGamma = np.concatenate([np.einsum("t,...tmi,...tmc->...ic", gd.w, U, gd.pg)
+                             for U in cols], -2)
+    if terminal is not None:
+        rGamma[..., -1, 0] += terminal[0]
+        rGamma[..., -1, 1:] += terminal[1]
+    return rGamma
+
+
+@pytest.mark.parametrize("lanes", [(), (5,)])
+@pytest.mark.parametrize("case", ["e1_form1", "brach_hat6", "brach_lagrange4",
+                                  "nlp_with_tf", "nlp_p_only"])
+def test_theta_product_matches_three_operand_einsums(case, lanes, example1, brach):
+    # [r | Gamma] is one matrix product of the weighted basis with
+    # [p_u | f_u^T Psi], for one iterate and for a pass; it equals the
+    # einsums over the grid samples to rounding, u_tf's own row included
+    from ocflow.sensitivity import _grid_data
+
+    quad = QuadratureSpec()
+    rng = np.random.default_rng(8)
+    if case == "e1_form1":
+        bp, par, t_f = example1, _cubic(), 2.0
+        P = np.array([-3.5, 3.0, 0.0, 0.0]) + rng.uniform(-0.3, 0.3, (*lanes, 4))
+    else:
+        bp, t_f = brach, 0.8166
+        kind, N = ("lagrange_nodes", 4) if case == "brach_lagrange4" else ("piecewise_linear", 6)
+        par = make_basis(kind, m=1, t0=0.0, form="form2", n_segments=N)
+        P = 0.3 + 0.1 * rng.standard_normal((*lanes, par.s))
+    prob, gains = bp.prob, bp.gains
+    bundle = solve_adjoints(prob, par, P, solve_state(prob, par, P, t_f), t_f)
+    with_tf = case != "nlp_p_only" and prob.tf_mode == "free"
+    if case == "e1_form1":
+        quant = assemble_form1(prob, par, bundle, gains, t_f, quad)
+    elif case.startswith("brach"):
+        quant = assemble_form2(prob, par, bundle, gains, P, t_f, quad)
+    else:
+        quant = nlp_gradients(prob, par, bundle, P, t_f, quad, with_tf=with_tf)
+    gd = _grid_data(prob, par, bundle, quad, with_tf=with_tf)
+    if with_tf:
+        assert np.abs(gd.u_tf).max() > 0.1
+    want = _einsum_theta_integrals(gd, _terminal_values(prob, bundle) if with_tf else None)
+    assert quant.rGamma.shape == (*lanes, par.s + with_tf, 1 + prob.q)
+    np.testing.assert_allclose(quant.rGamma, want, rtol=0, atol=1e-13 * np.abs(want).max())
 
 
 def _traced_peak_mb(fn) -> float:

@@ -449,6 +449,6 @@ def test_stage_times_evaluate_on_their_own_segment(kind, t_f):
         return np.zeros((ts.size, 2, 2)), np.zeros((ts.size, 2))
 
     replay_linear(sol, coefficients, np.ones((2, 1)), breakpoints=bp)
-    ts = replayed[0].reshape(-1, 7)
+    ts = replayed[0].reshape(-1, 6)     # stage 6 shares stage 5's (t, x)
     steps = segment_of(par, t_f, 0.5 * (sol.t_grid[:-1] + sol.t_grid[1:]))
-    assert_on_segments(par, p, t_f, ts, np.repeat(steps, 7))
+    assert_on_segments(par, p, t_f, ts, np.repeat(steps, 6))

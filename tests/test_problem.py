@@ -7,7 +7,7 @@ from ocflow import (DerivativeMismatchError, DimensionError, DomainError, Gains,
                     OcpProblem, OdeSettings, SolveTrace, TraceRow, make_basis,
                     simulate_control, solve_state, validate_problem)
 from ocflow.errors import ConfigurationError
-from ocflow.problem import _state_solution
+from ocflow.problem import _central_diff, _state_solution
 
 TIGHT = OdeSettings(rel_tol=1e-10, abs_tol=1e-12)
 
@@ -40,6 +40,18 @@ def test_validate_catches_dimension_mismatch(example1):
 def test_validate_requires_samples(example1):
     with pytest.raises(ValueError):
         validate_problem(example1.prob, samples=0)
+
+
+def test_central_diff_takes_its_points_one_by_one_or_in_one_batch():
+    def fun(z):
+        return np.array([np.sin(z[0]) * z[1], z[0] ** 3])
+
+    z0 = np.array([0.3, -2.0])
+    one = _central_diff(fun, z0)
+    batch = _central_diff(lambda Z: np.stack([fun(z) for z in Z]), z0, batch=True)
+    assert np.array_equal(one, batch)
+    np.testing.assert_allclose(one, [[-2.0 * np.cos(0.3), np.sin(0.3)], [0.27, 0.0]],
+                               rtol=1e-8, atol=1e-12)
 
 
 def test_validate_unconstrained_problem(lqr_like):

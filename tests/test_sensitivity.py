@@ -377,7 +377,8 @@ def test_adjoint_evaluates_its_coefficients_in_one_batch(e1, monkeypatch):
                         lambda self, t: lookups.append(t) or lookup(self, t))
     solve_adjoints(counted, par, p, x, 2.0)
     assert [len(v) for v in seen.values()] == [1, 1]
-    assert seen["f_x"][0].size == 7 * (len(x.t_grid) - 1)
+    # stages 0-5 of every step; stage 6 reuses stage 5's (t, x) and its rows
+    assert seen["f_x"][0].size == 6 * (len(x.t_grid) - 1)
     assert lookups == []
 
 
@@ -588,9 +589,10 @@ def test_brach_pwc20_state_solve_keeps_its_steps(monkeypatch, brach):
 
 
 def test_grid_memo_keys_and_read_only_arrays(e1, brach):
-    # the p-independent grid (Simpson points and weights, U_p, K^-1 and the
-    # Gram matrix G_pp of U_p) of one t_f is built once and shared, read-only;
-    # a new t_f, quadrature, basis or gains builds it afresh
+    # the p-independent grid (Simpson points and weights, U_p, the weighted
+    # w U_p, K^-1 and the Gram matrix G_pp of U_p) of one t_f is built once
+    # and shared, read-only; a new t_f, quadrature, basis or gains builds it
+    # afresh
     from ocflow import sensitivity
 
     _, gains, par = e1
@@ -608,12 +610,13 @@ def test_grid_memo_keys_and_read_only_arrays(e1, brach):
                  (par, p, 0.0, 2.0, quad, None)):
         fresh = sensitivity._grid(*args)
         assert not any(a is b for a, b in zip(fresh, first) if a is not None)
-    ts, w, up, kinv, G_pp = sensitivity._grid(par, p, 0.0, 1.5, quad, gains)
+    ts, w, up, wup, kinv, G_pp = sensitivity._grid(par, p, 0.0, 1.5, quad, gains)
     assert ts[-1] < 1.5 and np.array_equal(up, par.jac_p(ts, p, 1.5))
+    assert np.array_equal(wup, (w[:, None, None] * up).reshape(-1, 4))
     np.testing.assert_allclose(G_pp, np.einsum("t,tmi,tmn,tnj->ij", w, up, kinv, up),
                                rtol=1e-13)
     assert np.array_equal(G_pp, G_pp.T)
-    assert sensitivity._grid(par, p, 0.0, 2.0, quad, None)[3:] == (None, None)
+    assert sensitivity._grid(par, p, 0.0, 2.0, quad, None)[4:] == (None, None)
 
 
 # run in this process and, as a script, in a fresh one
