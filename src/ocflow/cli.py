@@ -257,7 +257,7 @@ def _check_gradients(prob, par, init, quad) -> list[dict]:
                           p, t_f, quad)
 
     def Jg(P, tfv):                     # [J, g] at p = P, or per lane of a (B, s) P
-        J, g = _objective(prob, solve_state(prob, par, P, tfv, ode), tfv, P.shape[:-1])
+        J, g = _objective(prob, solve_state(prob, par, P, tfv, ode), tfv)
         return np.concatenate([np.expand_dims(J, -1), g], -1)
 
     fd = np.hstack([_central_diff(lambda P: Jg(P, t_f), p, h=1e-4, batch=True),

@@ -56,23 +56,13 @@ def reconstruct_costate(prob: OcpProblem, bundle: AdjointBundle,
                         pi) -> CostateTrajectory:
     """lambda(t) = mu(t) + Psi(t) pi as a dense trajectory on the adjoint grid.
 
-    The map is linear, so it is applied to the joint adjoint solve's node
-    values and segment polynomials; no additional integration is performed.
+    The map is linear, so it maps the joint adjoint solve's [mu | Psi] blocks,
+    node values and interpolant alike; no additional integration is performed.
     """
     pi = np.asarray(pi, dtype=float)
     if pi.shape != (prob.q,):
         raise DimensionError(f"pi has shape {pi.shape}, expected ({prob.q},)")
-    n, q = prob.n, prob.q
-
-    def lam_of(y):                      # (..., n*(1+q)) -> (..., n)
-        Y = y.reshape(*y.shape[:-1], n, 1 + q)          # [mu | Psi]
-        return Y[..., 0] + Y[..., 1:] @ pi
-
-    sol = bundle.adjoint_sol
-    anchor, denom, scale, base, Q = sol.segments
-    Q_lam = lam_of(Q.transpose(0, 2, 1)).transpose(0, 2, 1)    # (segments, n, 4)
-    lam_traj = DenseTrajectory(sol.t_grid, lam_of(sol.values),
-                               (anchor, denom, scale, lam_of(base), Q_lam))
+    lam_traj = bundle.adjoint_sol.map_channels(lambda Y: Y[..., 0] + Y[..., 1:] @ pi)
     return CostateTrajectory(lam_traj=lam_traj, pi_used=pi)
 
 
@@ -80,13 +70,15 @@ def optimality_residuals(prob: OcpProblem, par: Parameterization,
                          quantities: ThetaQuantities,
                          bundle: AdjointBundle, pi, g_val,
                          quad: QuadratureSpec | None = None) -> OptimalityResiduals:
-    """All four residuals of an iterate, sampled on the shared grid."""
+    """All four residuals of an iterate, sampled on the shared grid; the
+    terminal-time bracket is the bundle's, whatever theta ``quantities`` span."""
     pi = np.asarray(pi, dtype=float)
     g_val = np.asarray(g_val, dtype=float)
     quad = quad or QuadratureSpec()
 
     param_residual = quantities.r + quantities.Gamma @ pi
-    tf_residual = quantities.tf_scalar + float(pi @ quantities.tf_row)
+    tf_scalar, tf_row = _terminal_values(prob, bundle)
+    tf_residual = tf_scalar + float(pi @ tf_row)
 
     gd = _grid_data(prob, par, bundle, quad)
     pointwise = gd.pg[..., 0] + gd.pg[..., 1:] @ pi             # (N, m)

@@ -216,7 +216,7 @@ def _pipeline(mode: EvolutionMode, prob: OcpProblem, par: Parameterization, gain
     _check_compat(mode, prob, par, gains)
     quad = quad or QuadratureSpec()
     bundle = solve_adjoints(prob, par, p, solve_state(prob, par, p, t_f, ode_inner), t_f)
-    J, g_val = _objective(prob, bundle.x_traj, t_f, bundle.p.shape[:-1])
+    J, g_val = _objective(prob, bundle.x_traj, t_f)
     if mode.kind == "gradient_flow":
         quant = nlp_gradients(prob, par, bundle, p, t_f, quad,
                               with_tf=prob.tf_mode == "free")
@@ -278,11 +278,15 @@ def evaluate_iterates(mode: EvolutionMode, prob: OcpProblem, par: Parameterizati
 
 
 def _resolve_init(prob: OcpProblem, init: EvolutionState) -> tuple[np.ndarray, float]:
-    """The initial (p0, t_f0); :class:`ConfigurationError` for a non-finite or bad value."""
+    """The initial (p0, t_f0); :class:`ConfigurationError` for a bad or missing value."""
     p0 = np.asarray(init.p, dtype=float)
     _require_finite(p0, "init.p")
     if init.t_f is not None:
+        if np.ndim(init.t_f) != 0:
+            raise ConfigurationError(f"init.t_f must be a scalar, got {init.t_f!r}")
         _require_finite(np.asarray(init.t_f, dtype=float), "init.t_f")
+    elif prob.tf_mode == "free":
+        raise ConfigurationError("free t_f needs an initial init.t_f")
     if prob.tf_mode == "fixed":
         t_f0 = prob.tf_fixed
         if init.t_f is not None and not np.isclose(init.t_f, t_f0):

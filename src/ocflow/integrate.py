@@ -1,28 +1,28 @@
 """Adaptive Dormand-Prince 4(5) integration with continuous dense output.
 
 One explicit embedded Runge-Kutta pair serves every initial-value problem in
-the package: forward state solves and the outer evolution in virtual time
-are adaptive and run forward only (:func:`integrate_ivp`), and the linear
-adjoint solves, the only backward passes, replay the same tableau backward
-over a forward solve's accepted steps with no error control
-(:func:`replay_linear`).  The free 4th-order interpolant of the pair provides
-dense output that downstream quadrature evaluates at arbitrary nodes.  A state
-solve's open-loop control is evaluated once per step attempt, at all of its
-stage times, and handed to the right-hand side stage by stage.  Several
-independent systems of equal size may run as lanes of one solve: they share
-one step sequence, and each step is held to the tolerance and stability
-limit of its worst lane.  The first step is Hairer's estimate, its trial
-step clamped to the smooth subinterval; a state solve leaves its
-running-cost channel, an integral from 0, out of that estimate (as CVODES
-does its quadratures) and keeps it under the error test.  Step-size control
-is a standard PI controller (safety 0.9, growth clamped to [0.2, 5.0]) with
-a stability cap: each accepted step estimates the dominant eigenvalue of the
-right-hand side from its two c = 1 stages, rho = |K[6] - K[5]| / |y_new - y5|
-with y5 the state of stage 5 (the DOPRI5 stiffness estimate), and the next
-step is held to h * rho <= 0.8 * 3.3, inside the pair's real-axis stability
-limit.  Without it the controller grows h past that limit on slowly
-decaying modes, and a flow near its equilibrium rides a limit cycle instead
-of converging.
+the package: forward state solves and the outer evolution in virtual time are
+adaptive and run forward only (:func:`integrate_ivp`), and the linear adjoint
+solves, the only backward passes, replay the same tableau backward over a
+forward solve's accepted steps with no error control (:func:`replay_linear`).
+The free 4th-order interpolant of the pair gives dense output at arbitrary
+nodes from one coefficient block per power, a layout that
+:class:`DenseTrajectory` alone knows.  A state solve's control is evaluated
+once per step attempt, at all of its stage times, and handed to the right-hand
+side stage by stage.  Several independent systems of equal size may run as
+lanes of one solve: they share one step sequence, each step is held to the
+tolerance and stability limit of its worst lane, and lookups come back lanes
+first.  The first step is Hairer's estimate, its trial step clamped to the
+smooth subinterval; a state solve leaves its running-cost channel, an integral
+from 0, out of that estimate (as CVODES does its quadratures) and keeps it
+under the error test.  Step-size control is a standard PI controller (safety
+0.9, growth clamped to [0.2, 5.0]) with a stability cap: each accepted step
+estimates the dominant eigenvalue of the right-hand side from its two c = 1
+stages, rho = |K[6] - K[5]| / |y_new - y5| with y5 the state of stage 5 (the
+DOPRI5 stiffness estimate), and the next step is held to h * rho <= 0.8 * 3.3,
+inside the pair's real-axis stability limit.  Without it the controller grows
+h past that limit on slowly decaying modes, and a flow near its equilibrium
+rides a limit cycle instead of converging.
 """
 
 from __future__ import annotations
@@ -93,16 +93,15 @@ class OdeSettings:
 
 
 def dense_output(theta, scale, base, Q, idx=None) -> np.ndarray:
-    """The free interpolant y = base + scale * Q [theta, theta^2, theta^3, theta^4].
+    """The free interpolant y = base + scale * sum_k Q[k] theta^(k+1), Q powers first.
 
     Evaluates stacked points, each with its own segment's data: ``theta`` and
-    ``scale`` have shape (...,), ``base`` (..., d) and ``Q`` (..., d, 4), with
-    the leading axes broadcasting; or, with ``idx``, a (P,) theta takes the
+    ``scale`` have shape (...,), ``base`` (..., d) and ``Q`` (4, ..., d), with
+    the point axes broadcasting; or, with ``idx``, a (P,) theta takes the
     rows ``idx`` of them, Q one power at a time into reused (P, d) buffers.
-    The sum runs as einsum's over a contiguous 4-axis, (Q_0 theta + Q_2
-    theta^3) + (Q_1 theta^2 + Q_3 theta^4), whatever Q's layout.  A point's
-    value depends only on its own row, so a one-point stack and the same row
-    of a larger one agree bit for bit.
+    The sum runs as (Q_0 theta + Q_2 theta^3) + (Q_1 theta^2 + Q_3 theta^4).
+    A point's value depends only on its own row, so a one-point stack and the
+    same row of a larger one agree bit for bit.
     """
     th = np.asarray(theta)[..., None]
     th2 = th * th
@@ -111,8 +110,8 @@ def dense_output(theta, scale, base, Q, idx=None) -> np.ndarray:
 
     def term(k, out=None):              # Q_k theta^(k+1), into ``out`` if given
         if idx is not None:
-            out = Q[..., k].take(idx, 0, out, "clip")
-        return np.multiply(Q[..., k] if idx is None else out, powers[k], out)
+            out = Q[k].take(idx, 0, out, "clip")
+        return np.multiply(Q[k] if idx is None else out, powers[k], out)
 
     y, buf = term(0), term(2)
     y += buf
@@ -128,27 +127,43 @@ class DenseTrajectory:
     """Grid values plus a continuous interpolant over [t_grid[0], t_grid[-1]].
 
     ``t_grid`` is strictly increasing; evaluation at a grid node returns the
-    stored node value exactly.  Between nodes each segment carries its
-    interpolation polynomial ``(anchor, denom, scale, base, Q)``, evaluated
-    by :func:`dense_output` at theta = (t - anchor) / denom, with no (P, d, 4)
-    gather.  A scalar t is looked up as a one-point array, so scalar,
-    one-point and batched lookups and lane views take the same path and
-    agree bit for bit by construction.  A solve sets
-    its accepted and rejected step counts ``nsteps`` and ``nrejected``.
+    stored node value exactly.  ``values`` holds a flat row of channels per
+    node, each segment its polynomial ``(anchor, denom, scale, base, Q)``, Q
+    powers first (4, segments, channels), for :func:`dense_output` at theta
+    = (t - anchor) / denom.  A scalar t is looked up as a one-point array, so
+    all lookups and lane views take the same path and agree bit for bit.  A
+    node value has the shape ``channels``, (d,) or a replay's (n, r); a solve
+    of ``lane_count`` lanes holds theirs lane after lane, and its lookups and
+    :attr:`last` come back lanes first.  A solve sets its accepted and
+    rejected step counts ``nsteps`` and ``nrejected``.
     """
 
-    def __init__(self, t_grid, values, segments, *, nsteps=0, nrejected=0):
+    def __init__(self, t_grid, values, segments, *, channels=None, lane_count=None,
+                 nsteps=0, nrejected=0):
         self.t_grid = np.asarray(t_grid, dtype=float)
         self.values = np.asarray(values, dtype=float)
         if self.t_grid.ndim != 1 or (self.t_grid[1:] <= self.t_grid[:-1]).any():
             raise ValueError("t_grid must be strictly increasing")
         self.segments = segments
+        self.lane_count = lane_count        # None: one system, no lane axis
+        self.channels = channels or (self.values.shape[-1] // (lane_count or 1),)
         self.nsteps = nsteps
         self.nrejected = nrejected
         self._slack = 1e-10 * max(1.0, self.t_grid[-1] - self.t_grid[0])
 
+    def _shaped(self, flat: np.ndarray) -> np.ndarray:
+        """Flat rows (..., C) -> (*lanes, ..., *channels); one (d,) system as is."""
+        if self.lane_count is not None:
+            v = flat.reshape(*flat.shape[:-1], self.lane_count, flat.shape[-1] // self.lane_count)
+            flat = v.transpose(v.ndim - 2, *range(v.ndim - 2), v.ndim - 1)
+        if len(self.channels) > 1:
+            flat = flat.reshape(*flat.shape[:-1], *self.channels)
+        return flat
+
+    last = property(lambda self: self._shaped(self.values[-1]))   # the last node, lanes first
+
     def __call__(self, t, *others):
-        """y(t): (dim,) for scalar t, (N, dim) for an array of N times.
+        """y(t): (*channels) for scalar t, (N, *channels) for N times, lanes first.
 
         ``others`` are trajectories on the same grid, such as an adjoint
         replayed on this solve's steps.  With them the result is the tuple of
@@ -180,20 +195,30 @@ class DenseTrajectory:
                 out[left] = traj.values[at_left]
             if right.size:
                 out[right] = traj.values[at_right]
-            outs.append(out[0] if scalar else out)
+            outs.append(traj._shaped(out[0] if scalar else out))
         return tuple(outs) if others else outs[0]
 
-    def lanes(self, count: int) -> list["DenseTrajectory"]:
-        """The trajectories of ``count`` equal lanes whose channels this one
-        holds lane after lane (see :func:`integrate_ivp`), as views."""
-        width = self.values.shape[-1] // count
+    def lanes(self) -> list["DenseTrajectory"]:
+        """Each lane's own trajectory, as views."""
+        width = self.values.shape[-1] // self.lane_count
         anchor, denom, scale, base, Q = self.segments
-        out = [object.__new__(DenseTrajectory) for _ in range(count)]   # grid already checked
-        for b, lane in enumerate(out):
+        out = [object.__new__(DenseTrajectory) for _ in range(self.lane_count)]
+        for b, lane in enumerate(out):     # the grid is already checked
             c = slice(b * width, (b + 1) * width)
-            lane.__dict__.update(self.__dict__, values=self.values[:, c],
-                                 segments=(anchor, denom, scale, base[:, c], Q[:, c]))
+            lane.__dict__.update(self.__dict__, values=self.values[:, c], lane_count=None,
+                                 segments=(anchor, denom, scale, base[:, c], Q[..., c]))
         return out
+
+    def map_channels(self, fn) -> "DenseTrajectory":
+        """The trajectory of fn(y) for one system, ``fn`` linear in a node value
+        (..., *channels) -> (..., *out): it maps node values and interpolant alike."""
+        anchor, denom, scale, base, Q = self.segments
+        values, base, Q = (fn(a.reshape(*a.shape[:-1], *self.channels))
+                           for a in (self.values, base, Q))
+        flat = lambda a, axes: a.reshape(*a.shape[:axes], -1)
+        return DenseTrajectory(self.t_grid, flat(values, 1),
+                               (anchor, denom, scale, flat(base, 1), flat(Q, 2)),
+                               channels=values.shape[1:])
 
 
 def _interior(breakpoints, lo: float, hi: float) -> np.ndarray:
@@ -276,8 +301,9 @@ def _initial_step(rhs, t0, y0, f0, settings, lanes: int = 1, span: float = math.
 
 
 def _interpolant(K: np.ndarray) -> np.ndarray:
-    """Q = K^T BI of the free interpolant, for one step's stages (7, d) or stacked ones."""
-    return np.swapaxes(K, -1, -2) @ _BI
+    """Q = K^T BI of the free interpolant, powers first: (4, d) for one step's
+    stages (7, d), (4, steps, d) for stacked ones; a view of the product."""
+    return np.moveaxis(np.swapaxes(K, -1, -2) @ _BI, -1, 0)
 
 
 class _Stepper:
@@ -359,7 +385,7 @@ class _Stepper:
 
         K (7, d) belongs to the caller; the step's dense segment is
         :func:`dense_output` with anchor t, scale h, base y and
-        Q = K^T BI (see :func:`_interpolant`).
+        Q = :func:`_interpolant` (K).
         """
         if self.t >= self.t_end:
             self._start(self.t)
@@ -445,8 +471,8 @@ def integrate_ivp(rhs, y0, t_span, settings: OdeSettings | None = None, *,
     carrying the last step size across.  A (B, d) ``y0`` runs B independent
     d-channel systems as lanes of one solve: ``rhs`` takes and returns (B, d)
     arrays, the lanes share every step, each step is held to its worst
-    lane's error and stiffness, and the solution's channels are the lanes'
-    channels, lane after lane (:meth:`DenseTrajectory.lanes` splits them).
+    lane's error and stiffness, and the solution's lookups come back lanes
+    first, (B, ..., d) (:meth:`DenseTrajectory.lanes` gives each lane's own).
     ``_stage_input``, private to :func:`problem._state_solution`, is an input
     ``rhs(t, y, v)`` takes, evaluated per step attempt (see :class:`_Stepper`).
     ``_quadrature``, private to the same caller, is the index of each lane's
@@ -458,11 +484,11 @@ def integrate_ivp(rhs, y0, t_span, settings: OdeSettings | None = None, *,
     estimated = slice(None)
     if _quadrature is not None:
         estimated = np.arange(y0.size) % y0.shape[-1] != _quadrature
-    lanes = 1
+    lanes, lane_count = 1, None
     if y0.ndim == 2:
         lanes, shape, lane_rhs = len(y0), y0.shape, rhs
         rhs = lambda t, y, *v: np.asarray(lane_rhs(t, y.reshape(shape), *v)).reshape(-1)
-        y0 = y0.reshape(-1)
+        y0, lane_count = y0.reshape(-1), lanes
     t_start, t_end = float(t_span[0]), float(t_span[1])
     if not t_start < t_end:
         raise ValueError(f"t_span must run forward, got ({t_start!r}, {t_end!r})")
@@ -478,8 +504,10 @@ def integrate_ivp(rhs, y0, t_span, settings: OdeSettings | None = None, *,
         Ks.append(K)
 
     ts, ys = np.array(ts), np.array(ys)
-    segments = (ts[:-1], ts[1:] - ts[:-1], np.array(hs), ys[:-1], _interpolant(np.array(Ks)))
-    return DenseTrajectory(ts, ys, segments, nsteps=stepper.nsteps, nrejected=stepper.nrejected)
+    Q = np.ascontiguousarray(_interpolant(np.array(Ks)))     # one block per power
+    return DenseTrajectory(ts, ys, (ts[:-1], ts[1:] - ts[:-1], np.array(hs), ys[:-1], Q),
+                           lane_count=lane_count, nsteps=stepper.nsteps,
+                           nrejected=stepper.nrejected)
 
 
 def _divergence(ts, S, Y, Q) -> DivergenceError:
@@ -487,7 +515,7 @@ def _divergence(ts, S, Y, Q) -> DivergenceError:
     steps = len(ts)
     bad_S = ~np.isfinite(S.reshape(steps, 7, -1)).all(axis=2)
     bad = bad_S.any(axis=1) | ~np.isfinite(Y[:-1].reshape(steps, -1)).all(axis=1) \
-        | ~np.isfinite(Q.reshape(steps, -1)).all(axis=1)
+        | ~np.isfinite(Q).all(axis=(0, 2))
     k = np.flatnonzero(bad)[-1]
     stage = np.flatnonzero(bad_S[k])
     return DivergenceError("non-finite right-hand side",
@@ -503,21 +531,21 @@ def replay_linear(traj: DenseTrajectory, coefficients, y_end, *,
     (an (n, r) matrix) over each step with no error control.  The forcing l
     enters the first column only.  ``coefficients(ts, xs) -> (M, l)`` is
     called once with the times ``ts`` of stages 0-5 of every step, flattened,
-    and ``traj``'s values there, taken from each step's own segment (node
-    values at c = 0 and c = 1); it returns M as (N, n, n) and l as (N, n).
-    Stage 6 sits at stage 5's (t, x), so it reuses stage 5's M and l.  A
-    (B, n, r) ``y_end`` replays B lanes at once: M is then (N, B, n, n), l
-    (N, B, n), and the result's channels are the lanes' channels, lane after
-    lane, as in :func:`integrate_ivp`.  Stage
-    times are clamped into their smooth subinterval exactly as in
-    :func:`integrate_ivp`; ``traj``'s grid must contain every interior
-    breakpoint.  A non-finite stage or value raises :class:`DivergenceError`
-    at the first time the backward pass meets it.
+    and ``traj``'s values there, (N, d), taken from each step's own segment
+    (node values at c = 0 and c = 1); it returns M as (N, n, n) and l as
+    (N, n).  Stage 6 sits at stage 5's (t, x), so it reuses stage 5's M and
+    l.  A (B, n, r) ``y_end`` replays the B lanes of ``traj`` at once, lanes
+    first throughout: xs is (B, N, d), M (B, N, n, n) and l (B, N, n), and
+    the result's lookups are (B, ..., n, r).  Stage times are clamped into
+    their smooth subinterval exactly as in :func:`integrate_ivp`; ``traj``'s
+    grid must contain every interior breakpoint.  A non-finite stage or value
+    raises :class:`DivergenceError` at the first time the backward pass
+    meets it.
 
     Being linear, each stage is K_i = S_i Y + d_i e0^T, with the stage maps
     of all steps built at once, so stepping is one product per step.  The
-    result's channels are Y row-major, channel i*r + j holding Y[i, j], so
-    its values and stage derivatives are reshapes of the stepped blocks; its
+    result's node values are the (n, r) blocks of Y, stored row-major, so its
+    values and stage derivatives are reshapes of the stepped blocks; its
     dense output is the scheme's own interpolant.
     """
     t_grid = traj.t_grid
@@ -542,12 +570,14 @@ def replay_linear(traj: DenseTrajectory, coefficients, y_end, *,
     # traj on each step's own segment
     anchor, denom, scale, base, Qx = traj.segments
     xs = dense_output((ts[:, :6] - anchor[:, None]) / denom[:, None], scale[:, None],
-                      base[:, None], Qx[:, None])
+                      base[:, None], Qx[:, :, None])
     xs[:, 0] = traj.values[1:]
     xs[:, 5] = traj.values[:-1]
 
-    M, l = coefficients(ts[:, :6].reshape(-1), xs.reshape(steps * 6, -1))
+    M, l = coefficients(ts[:, :6].reshape(-1), traj._shaped(xs.reshape(steps * 6, -1)))
     *lanes, n, r = y_end.shape
+    if lanes:                           # lanes first -> the steps' stacks first
+        M, l = M.swapaxes(0, 1), l.swapaxes(0, 1)
     maps = (*lanes, n + 1, n + 1)                  # each lane's stage maps
     # the augmented matrix [[M, l], [0, 0]] acting on [Y; e0^T] carries the
     # forcing, so the last column of each stage map S_i is its offset d_i
@@ -574,9 +604,10 @@ def replay_linear(traj: DenseTrajectory, coefficients, y_end, *,
             np.matmul(Phis[k], Ys[k + 1], out=Ys[k])
         # stage derivatives, (steps, 7, channels)
         K = (S[..., :n, :] @ Y[1:, None]).reshape(steps, 7, -1)
-        Q = K.transpose(0, 2, 1) @ _BI
+        Q = _interpolant(K)
     # a non-finite coefficient reaches Y or, through its stage derivative, Q
     if not (np.isfinite(Y).all() and np.isfinite(Q).all()):
         raise _divergence(ts, S, Y, Q)
     values = Y[..., :n, :].reshape(steps + 1, -1)
-    return DenseTrajectory(t_grid, values, (t_old, H, H, values[1:], Q), nsteps=steps)
+    return DenseTrajectory(t_grid, values, (t_old, H, H, values[1:], np.ascontiguousarray(Q)),
+                           channels=(n, r), lane_count=lanes[0] if lanes else None, nsteps=steps)

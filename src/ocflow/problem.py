@@ -299,7 +299,7 @@ def _batch_eval(prob: OcpProblem, name: str, xs, us, ts) -> np.ndarray:
     points = xs.shape[:-1]
     if not points:
         return np.asarray(fn(xs, us, ts), dtype=float)
-    if len(points) > 1 or isinstance(ts, float):    # lanes of points, or a time they share
+    if len(points) > 1 or np.ndim(ts) == 0:    # lanes of points, or a time they share
         xs, us = xs.reshape(-1, xs.shape[-1]), us.reshape(-1, us.shape[-1])
         ts = np.broadcast_to(ts, points).reshape(-1)
     if prob.vectorized:
@@ -325,21 +325,10 @@ def _terminal_eval(prob: OcpProblem, name: str, x_f: np.ndarray, t_f: float) -> 
     return out
 
 
-def _lanes_first(flat: np.ndarray, lanes: tuple, width: int) -> np.ndarray:
-    """(..., B * width) channels held lane after lane -> (B, ..., width).
-
-    With no lanes, ``lanes = ()``, the channels are returned as they are.
-    """
-    if not lanes:
-        return flat
-    v = flat.reshape(*flat.shape[:-1], *lanes, width)
-    return v.transpose(v.ndim - 2, *range(v.ndim - 2), v.ndim - 1)
-
-
-def _objective(prob: OcpProblem, sol: DenseTrajectory, t_f: float, lanes: tuple = ()) -> tuple:
+def _objective(prob: OcpProblem, sol: DenseTrajectory, t_f: float) -> tuple:
     """(J, g) = (phi(x_f) + the running cost, g(x_f)) at the end of a state
-    solve, or per lane, (B,) and (B, q), of one over ``lanes = (B,)``."""
-    end = _lanes_first(sol.values[-1], lanes, prob.n + 1)
+    solve, or per lane, (B,) and (B, q), of a solve of B lanes."""
+    end = sol.last
     x_f = end[..., :prob.n]
     return (_terminal_eval(prob, "phi", x_f, t_f) + end[..., prob.n],
             _terminal_eval(prob, "g", x_f, t_f))

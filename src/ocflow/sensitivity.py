@@ -15,17 +15,20 @@ appear is contracted into one n x (1+q) block Y = [mu | Psi], carried whole
 from the backward replay to the flow direction.  On the shared Simpson grid
 [p_u | f_u^T Psi] = f_u^T Y + [L_u | 0], and over the basis columns U of
 theta [r | Gamma] = int U^T [p_u | f_u^T Psi] dt is one matrix product with
-the weighted basis, held with the metric in one :class:`ThetaQuantities`:
-``r_1p``, ``Gamma_1p``, ``M_p`` for theta = p, and ``r_2ptf``, ``Gamma_2ptf``,
-``M_ptf`` when theta also holds t_f, one more column u_tf = du/dt_f (zero for
-a form-1 basis).  The NLP gradients are the same integrals without a metric.
+the weighted basis, held with the metric in one :class:`ThetaQuantities`
+``(rGamma, M)``: ``r_1p``, ``Gamma_1p``, ``M_p`` for theta = p, and
+``r_2ptf``, ``Gamma_2ptf``, ``M_ptf`` when theta also holds t_f, one more
+column u_tf = du/dt_f (zero for a form-1 basis) whose row alone holds the
+terminal brackets (:func:`_terminal_values`).  The NLP gradients are the
+same integrals without a metric.
 
 Every stage also runs B iterates that share t_f at once, as lanes: p is then
 (B, s), one state solve and one adjoint replay carry all lanes on one step
-sequence, and the results carry a leading lane axis; a single iterate has
-none, and is the arithmetic of the unbatched pipeline.  The grid's
-p-independent samples (points, weights, u_p, w u_p and K^-1) are built once
-per t_f and reused while the iterates share it (:func:`_grid`).
+sequence, and the results carry a leading lane axis, as the trajectories'
+lookups do; a single iterate has none, and is the arithmetic of the
+unbatched pipeline.  The grid's p-independent samples (points, weights,
+u_p, w u_p and K^-1) are built once per t_f and reused while the iterates
+share it (:func:`_grid`).
 """
 
 from __future__ import annotations
@@ -39,8 +42,7 @@ from .integrate import DenseTrajectory, OdeSettings, replay_linear
 # not called here, but kept bound: bench/tracing.py wraps sensitivity.integrate_ivp
 from .integrate import integrate_ivp  # noqa: F401
 from .parameterization import Parameterization
-from .problem import (Gains, OcpProblem, _batch_eval, _lanes_first, _state_solution,
-                      _terminal_eval)
+from .problem import Gains, OcpProblem, _batch_eval, _state_solution, _terminal_eval
 from .quadrature import QuadratureSpec, _gram, simpson_points
 
 
@@ -78,12 +80,11 @@ class AdjointBundle:
 
     ``x_traj`` carries n+1 channels (state plus accumulated running cost);
     ``adjoint_sol`` carries the joint backward solve, the n x (1+q) block
-    Y = [mu | Psi] row-major, so mu and the constraint adjoint Psi are views
-    of its reshape.  The parameterization and parameters that produced the
-    iterate ride along so downstream assemblies need no extra bookkeeping.  A (B, s) ``p``
-    makes it the bundle of B lanes: the trajectories hold the lanes'
-    channels lane after lane, every accessor returns a leading lane axis, and
-    :meth:`lanes` gives each lane's own bundle.
+    Y = [mu | Psi], so mu and the constraint adjoint Psi are views of its
+    lookups.  The parameterization and parameters that produced the iterate
+    ride along so downstream assemblies need no extra bookkeeping.  A (B, s)
+    ``p`` makes it the bundle of B lanes: every accessor returns a leading
+    lane axis, and :meth:`lanes` gives each lane's own bundle.
     """
 
     x_traj: DenseTrajectory
@@ -91,7 +92,6 @@ class AdjointBundle:
     t0: float
     t_f: float
     n: int
-    q: int
     par: Parameterization
     p: np.ndarray
 
@@ -100,37 +100,29 @@ class AdjointBundle:
         return self.par.eval(t, self.p, self.t_f)
 
     def x_at(self, ts):
-        return self._x(self.x_traj(ts))
+        return self.x_traj(ts)[..., :self.n]
 
     def mu_psi_at(self, ts):
         """(mu, Psi) stacked over times with one dense evaluation, views of Y."""
-        Y = self._Y(self.adjoint_sol(ts))
+        Y = self.adjoint_sol(ts)
         return Y[..., 0], Y[..., 1:]
 
     def at(self, ts):
         """(x, Y = [mu | Psi]) stacked over times, from one search of the shared grid."""
-        xa, flat = self.x_traj(ts, self.adjoint_sol)
-        return self._x(xa), self._Y(flat)
-
-    def _x(self, xa):
-        return _lanes_first(xa, self.p.shape[:-1], self.n + 1)[..., : self.n]
-
-    def _Y(self, flat):
-        flat = _lanes_first(flat, self.p.shape[:-1], self.n * (1 + self.q))
-        return flat.reshape(*flat.shape[:-1], self.n, 1 + self.q)
+        xa, Y = self.x_traj(ts, self.adjoint_sol)
+        return xa[..., :self.n], Y
 
     @property
     def x_f(self) -> np.ndarray:
         """x(t_f), the forward solve's last node value."""
-        return self._x(self.x_traj.values[-1])
+        return self.x_traj.last[..., :self.n]
 
     def lanes(self) -> list["AdjointBundle"]:
         """Each lane's own bundle (views), or ``[self]`` for a single iterate."""
         if self.p.ndim == 1:
             return [self]
-        B = len(self.p)
         return [replace(self, x_traj=x, adjoint_sol=a, p=p)
-                for x, a, p in zip(self.x_traj.lanes(B), self.adjoint_sol.lanes(B), self.p)]
+                for x, a, p in zip(self.x_traj.lanes(), self.adjoint_sol.lanes(), self.p)]
 
 
 @dataclass
@@ -140,17 +132,14 @@ class ThetaQuantities:
     ``rGamma`` is the (dim, 1+q) block [r | Gamma] of the cost gradient ``r``
     (r_1p, r_2ptf or f_theta) and the constraint sensitivity ``Gamma``
     (Gamma_1p, Gamma_2ptf or g_theta^T), both views of it, and ``M`` the
-    metric (M_p or M_ptf; None for the NLP gradients).  ``tf_scalar`` and
-    ``tf_row`` are the terminal brackets, already in the t_f row of r and
-    Gamma when theta holds t_f, and None for the NLP gradients over p alone.
-    Assembled over a bundle of lanes, every field has a leading lane axis
-    but M_p, the lanes' shared read-only G_pp; M_ptf borders it per lane.
+    metric (M_p or M_ptf; None for the NLP gradients).  When theta holds t_f,
+    its row of r and Gamma includes the terminal brackets.  Assembled over a
+    bundle of lanes, every field has a leading lane axis but M_p, the lanes'
+    shared read-only G_pp; M_ptf borders it per lane.
     """
 
     rGamma: np.ndarray
     M: np.ndarray | None
-    tf_scalar: float | None
-    tf_row: np.ndarray | None
 
     r = property(lambda self: self.rGamma[..., 0])
     Gamma = property(lambda self: self.rGamma[..., 1:])
@@ -160,18 +149,16 @@ class ThetaQuantities:
         if self.rGamma.ndim == 2:
             return [self]
         M = self.M
-        return [ThetaQuantities(
-            self.rGamma[b], M if M is None or M.ndim == 2 else M[b],
-            None if self.tf_scalar is None else float(self.tf_scalar[b]),
-            None if self.tf_row is None else self.tf_row[b]) for b in range(len(self.rGamma))]
+        return [ThetaQuantities(self.rGamma[b], M if M is None or M.ndim == 2 else M[b])
+                for b in range(len(self.rGamma))]
 
 
 def solve_state(prob: OcpProblem, par: Parameterization, p, t_f: float,
                 ode: OdeSettings | None = None) -> DenseTrajectory:
     """Forward solve under u(t; p[, t_f]); n+1 channels (state + cost).
 
-    A (B, s) ``p`` solves the B iterates as lanes of one solve, with n+1
-    channels per lane, lane after lane.
+    A (B, s) ``p`` solves the B iterates as lanes of one solve, whose
+    lookups come back lanes first.
     """
     return _state_solution(prob, par.bind(p, t_f), t_f, ode, par.breakpoints(t_f),
                            lanes=np.shape(p)[:-1])
@@ -187,29 +174,26 @@ def solve_adjoints(prob: OcpProblem, par: Parameterization, p,
     Terminal values are exact: ``mu(t_f) = phi_x`` and ``Psi(t_f) = g_x^T``.
     A (B, s) ``p`` replays the lanes of a lane-batched ``x_traj`` together.
     """
-    n, q = prob.n, prob.q
+    n = prob.n
     p = np.asarray(p, dtype=float)
-    lanes = p.shape[:-1]
     if x_traj.t_grid[0] != prob.t0 or x_traj.t_grid[-1] != t_f:
         raise ValueError("x_traj must span [t0, t_f]")
 
-    x_f = _lanes_first(x_traj.values[-1], lanes, n + 1)[..., :n]
-    y_f = np.empty((*lanes, n, 1 + q))
+    x_f = x_traj.last[..., :n]
+    y_f = np.empty((*p.shape[:-1], n, 1 + prob.q))
     y_f[..., 0] = _terminal_eval(prob, "phi_x", x_f, t_f)
     y_f[..., 1:] = _terminal_eval(prob, "g_x", x_f, t_f).swapaxes(-1, -2)
 
     def coefficients(ts, xs):
-        xs = _lanes_first(xs, lanes, n + 1)[..., :n]
+        xs = xs[..., :n]
         us = par.eval(ts, p, t_f)
         f_x = _batch_eval(prob, "f_x", xs, us, ts).swapaxes(-1, -2)
         L_x = _batch_eval(prob, "L_x", xs, us, ts)
-        if lanes:                       # the replay takes (N, B, ...)
-            f_x, L_x = f_x.swapaxes(0, 1), L_x.swapaxes(0, 1)
         return -f_x, -L_x
 
     sol = replay_linear(x_traj, coefficients, y_f, breakpoints=par.breakpoints(t_f))
     return AdjointBundle(x_traj=x_traj, adjoint_sol=sol, t0=prob.t0, t_f=t_f,
-                         n=n, q=q, par=par, p=p)
+                         n=n, par=par, p=p)
 
 
 @dataclass
@@ -311,10 +295,10 @@ def _require_iterate(b: AdjointBundle, t_f: float, p=None) -> None:
 
 def assemble_form1(prob: OcpProblem, par: Parameterization, bundle: AdjointBundle,
                    gains: Gains, t_f: float, quad: QuadratureSpec) -> ThetaQuantities:
-    """r_1p, Gamma_1p and M_p over theta = p, and the terminal brackets."""
+    """r_1p, Gamma_1p and M_p over theta = p."""
     _require_iterate(bundle, t_f)
     gd = _grid_data(prob, par, bundle, quad, gains=gains)
-    return ThetaQuantities(_theta_integrals(gd), gd.G_pp, *_terminal_values(prob, bundle))
+    return ThetaQuantities(_theta_integrals(gd), gd.G_pp)
 
 
 def assemble_form2(prob: OcpProblem, par: Parameterization, bundle: AdjointBundle,
@@ -330,15 +314,14 @@ def assemble_form2(prob: OcpProblem, par: Parameterization, bundle: AdjointBundl
     if gains.k_tf <= 0:
         raise ConfigurationError("free t_f requires k_tf > 0 (it enters as 1/k_tf)")
     gd = _grid_data(prob, par, bundle, quad, gains=gains, with_tf=True)
-    terminal = _terminal_values(prob, bundle)
-    rGamma = _theta_integrals(gd, terminal)
+    rGamma = _theta_integrals(gd, _terminal_values(prob, bundle))
     s, utf = par.s, gd.u_tf[..., None]
     M = np.empty((*rGamma.shape[:-2], s + 1, s + 1))
     M[..., :s, :s] = gd.G_pp
     M[..., :s, s:] = _gram(gd.w, gd.kinv, gd.U_p, utf)
     M[..., s:, :s] = M[..., :s, s:].swapaxes(-1, -2)
     M[..., s:, s:] = _gram(gd.w, gd.kinv, utf, utf) + 1.0 / gains.k_tf
-    return ThetaQuantities(rGamma, M, *terminal)
+    return ThetaQuantities(rGamma, M)
 
 
 def nlp_gradients(prob: OcpProblem, par: Parameterization, bundle: AdjointBundle,
@@ -356,5 +339,5 @@ def nlp_gradients(prob: OcpProblem, par: Parameterization, bundle: AdjointBundle
     """
     _require_iterate(bundle, t_f, p)
     gd = _grid_data(prob, par, bundle, quad, with_tf=with_tf)
-    terminal = _terminal_values(prob, bundle) if with_tf else None
-    return ThetaQuantities(_theta_integrals(gd, terminal), None, *(terminal or (None, None)))
+    return ThetaQuantities(
+        _theta_integrals(gd, _terminal_values(prob, bundle) if with_tf else None), None)

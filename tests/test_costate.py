@@ -7,7 +7,8 @@ from ocflow import (DimensionError, EvolutionMode, Gains, OdeSettings, Quadratur
                     continuous_multiplier, costate, evaluate_iterate, integrate_ivp,
                     make_basis, optimality_residuals, reconstruct_costate,
                     solve_adjoints, solve_state)
-from ocflow.sensitivity import _grid_data, _terminal_values, assemble_form1, spd_solve
+from ocflow.sensitivity import (_grid_data, _terminal_values, assemble_form1, assemble_form2,
+                                nlp_gradients, spd_solve)
 
 TIGHT = OdeSettings(rel_tol=1e-10, abs_tol=1e-12)
 
@@ -161,7 +162,8 @@ def test_unconstrained_iterate_runs_the_constrained_arithmetic(lqr_like, mode):
     quant = assemble_form1(lqr_like, par, it.bundle, gains, 2.0, quad)
     res = optimality_residuals(lqr_like, par, quant, it.bundle, it.pi, it.g_val, quad)
     np.testing.assert_array_equal(res.param_residual, quant.r)
-    assert res.tf_residual == quant.tf_scalar and res.feasibility == 0.0
+    assert res.tf_residual == _terminal_values(lqr_like, it.bundle)[0]
+    assert res.feasibility == 0.0
     pu = _grid_data(lqr_like, par, it.bundle, quad).pg[..., 0]
     assert res.continuous_residual_sup == np.linalg.norm(pu, axis=1).max()
 
@@ -272,3 +274,28 @@ def test_continuous_multiplier_system_matches_the_einsum_reference(
     r_ref = r_ref - gains.K_g @ it.g_val
     for got, ref in ((M_c, M_ref), (r_c, r_ref)):
         assert np.abs(got - ref).max() <= 1e-14 * np.abs(ref).max()
+
+
+def test_optimality_residuals_take_every_theta_record(brach):
+    # the terminal-time residual is the bundle's brackets, whatever theta the
+    # record spans: form 1 over p, form 2 over (p, t_f), and the NLP
+    # gradients with and without t_f
+    par = make_basis("piecewise_constant", m=1, t0=0.0, form="form2", n_segments=4)
+    prob, gains, quad = brach.prob, brach.gains, QuadratureSpec()
+    p, t_f = np.array([0.2, 0.5, 0.9, 1.2]), 0.9
+    it = evaluate_iterate(EvolutionMode.form2(), prob, par, gains, p, t_f)
+    b, pi = it.bundle, it.pi
+    tf_scalar, tf_row = _terminal_values(prob, b)
+    records = [assemble_form1(prob, par, b, gains, t_f, quad),
+               assemble_form2(prob, par, b, gains, p, t_f, quad),
+               nlp_gradients(prob, par, b, p, t_f, quad, with_tf=True),
+               nlp_gradients(prob, par, b, p, t_f, quad, with_tf=False)]
+    results = [optimality_residuals(prob, par, q, b, pi, it.g_val, quad) for q in records]
+    for quant, res in zip(records, results):
+        assert res.tf_residual == tf_scalar + float(pi @ tf_row)
+        np.testing.assert_array_equal(res.param_residual, quant.r + quant.Gamma @ pi)
+        assert res.continuous_residual_sup == results[0].continuous_residual_sup
+        assert res.feasibility == np.linalg.norm(it.g_val)
+    # theta's t_f row of this basis (u_tf = 0) is the bracket alone
+    for res in results[1:3]:
+        assert res.param_residual[-1] == pytest.approx(res.tf_residual, rel=1e-12, abs=1e-15)

@@ -79,6 +79,7 @@ def test_form2_degenerate_matches_form1_equations(brach):
     # decoupled ones built from the same bundle
     from ocflow import (QuadratureSpec, assemble_form1, solve_adjoints,
                         solve_state)
+    from ocflow.sensitivity import _terminal_values
 
     par = make_basis("piecewise_constant", m=1, t0=0.0, form="form2", n_segments=4)
     prob, gains = brach.prob, brach.gains
@@ -90,15 +91,16 @@ def test_form2_degenerate_matches_form1_equations(brach):
     x = solve_state(prob, par, p, t_f)
     b = solve_adjoints(prob, par, p, x, t_f)
     q1 = assemble_form1(prob, par, b, gains, t_f, QuadratureSpec())
+    tf_scalar, tf_row = _terminal_values(prob, b)
     # theta = (p, t_f) under the metric diag(M_p^-1, k_tf)
-    pi = multiplier(np.vstack([q1.Gamma, q1.tf_row]),
+    pi = multiplier(np.vstack([q1.Gamma, tf_row]),
                     np.vstack([spd_solve(q1.M, q1.Gamma, "M_p"),
-                               gains.k_tf * q1.tf_row]),
+                               gains.k_tf * tf_row]),
                     np.append(spd_solve(q1.M, q1.r, "M_p"),
-                              gains.k_tf * q1.tf_scalar),
+                              gains.k_tf * tf_scalar),
                     gains.K_g, it2.g_val)
     dp = -spd_solve(q1.M, q1.r + q1.Gamma @ pi, "M_p")
-    dtf = -gains.k_tf * (q1.tf_scalar + pi @ q1.tf_row)
+    dtf = -gains.k_tf * (tf_scalar + pi @ tf_row)
     np.testing.assert_allclose(it2.pi, pi, atol=1e-12)
     np.testing.assert_allclose(it2.dtheta[:-1], dp, atol=1e-12)
     assert it2.dtheta[-1] == pytest.approx(dtf, abs=1e-12)
@@ -495,6 +497,19 @@ def test_mis_shaped_gains_and_initial_values_are_refused_before_any_pipeline(
     with pytest.raises(ConfigurationError, match="init.t_f must exceed t0"):
         solve_evolution(EvolutionMode.form1(), brach.prob, brach_par, brach.gains,
                         EvolutionState(p=np.zeros(5), t_f=0.0), StopCriteria())
+    # a free t_f needs an initial one, and any given t_f is a scalar
+    for prob, gains, basis, p, t_f, needle in (
+            (brach.prob, brach.gains, brach_par, np.zeros(5), None,
+             "free t_f needs an initial init.t_f"),
+            (brach.prob, brach.gains, brach_par, np.zeros(5), [1.0, 1.1],
+             "init.t_f must be a scalar"),
+            (brach.prob, brach.gains, brach_par, np.zeros(5), np.array([1.0]),
+             "init.t_f must be a scalar"),
+            (example1.prob, example1.gains, par, np.zeros(4), [2.0, 2.0],
+             "init.t_f must be a scalar")):
+        with pytest.raises(ConfigurationError, match=re.escape(needle)):
+            solve_evolution(EvolutionMode.form1(), prob, basis, gains,
+                            EvolutionState(p=p, t_f=t_f), StopCriteria())
 
 
 @pytest.mark.parametrize("case", ["done_at_the_start", "off_grid_end"])

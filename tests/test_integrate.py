@@ -65,7 +65,7 @@ def test_fifth_order_convergence():
         h = np.diff(t)
         grid = DenseTrajectory(t, np.zeros((n_steps + 1, 1)),
                                (t[:-1], h, h, np.zeros((n_steps, 1)),
-                                np.zeros((n_steps, 1, 4))))
+                                np.zeros((4, n_steps, 1))))
         sol = replay_linear(grid, coefficients, np.array([[np.exp(np.sin(2.0))]]))
         return abs(sol.values[0, 0] - 1.0)
 
@@ -276,16 +276,20 @@ def _replayed_pendulum(y_end=_PENDULUM_Y_END, forcing=1.0):
 
 
 def test_replay_channels_hold_the_block_row_major():
-    # channel i*r + j holds Y[i, j]: the forced first column replays alone,
-    # and so does the second, which sees M only
+    # channel i*r + j holds Y[i, j], and lookups give the (n, r) blocks: the
+    # forced first column replays alone, and so does the second, which sees
+    # M only
     whole = _replayed_pendulum()
     r = _PENDULUM_Y_END.shape[1]
+    assert whole.channels == _PENDULUM_Y_END.shape and whole.lane_count is None
     assert np.array_equal(whole.values[-1], _PENDULUM_Y_END.reshape(-1))
+    assert np.array_equal(whole.last, _PENDULUM_Y_END)
     ts = np.random.default_rng(5).uniform(0.0, 3.0, 50)
+    assert whole(ts).shape == (50, *_PENDULUM_Y_END.shape)
     for j, part in ((0, _replayed_pendulum(_PENDULUM_Y_END[:, :1])),
                     (1, _replayed_pendulum(_PENDULUM_Y_END[:, 1:], forcing=0.0))):
         np.testing.assert_allclose(whole.values[:, j::r], part.values, rtol=1e-13, atol=1e-15)
-        np.testing.assert_allclose(whole(ts)[:, j::r], part(ts), rtol=1e-13, atol=1e-15)
+        np.testing.assert_allclose(whole(ts)[..., j], part(ts)[..., 0], rtol=1e-13, atol=1e-15)
 
 
 @pytest.mark.parametrize("source", ["t_span0", "replay"])
@@ -303,32 +307,42 @@ def test_dense_scalar_lookups_match_array_lookups(source):
     alone = np.array([sol(np.array([t]))[0] for t in ts])
     assert np.array_equal(scalar, batched)
     assert np.array_equal(alone, batched)
-    assert np.array_equal(sol(sol.t_grid), sol.values)
+    assert np.array_equal(sol(sol.t_grid).reshape(sol.values.shape), sol.values)
 
 
 def test_dense_lookups_of_lane_views_match_the_whole():
     # each point is its own contraction, so a lane's view, whose interpolant
-    # data is not contiguous, looks up its channels of the whole bit for bit
+    # data is not contiguous, looks up its lane of the whole bit for bit; the
+    # whole's lookups and last node put the lane axis first
     lanes = integrate_ivp(lambda t, y: np.stack([-y[0], np.cos(t) - y[1]]),
                           np.array([[1.0, 2.0, 3.0], [0.5, -1.0, 0.0]]), (0.0, 3.0))
-    views = lanes.lanes(2)
+    assert (lanes.lane_count, lanes.channels) == (2, (3,))
+    views = lanes.lanes()
     assert not views[1].segments[4].flags.c_contiguous
     ts = np.random.default_rng(3).uniform(0.0, 3.0, 101)
     whole = lanes(ts)
+    assert whole.shape == (2, 101, 3) and lanes.last.shape == (2, 3)
     for b, view in enumerate(views):
-        assert np.array_equal(view(ts), whole[:, 3 * b:3 * b + 3])
+        assert view.lane_count is None
+        assert np.array_equal(view(ts), whole[b])
+        assert np.array_equal(view(ts[7]), lanes(ts[7])[b])
+        assert np.array_equal(view(ts[7:8]), lanes(ts[7:8])[b])
+        assert np.array_equal(view.last, lanes.last[b])
+        assert np.array_equal(view.last, view.values[-1])
         assert view(np.array([])).shape == (0, 3)
-    assert lanes(np.array([])).shape == (0, 6)
+    assert lanes(np.array([])).shape == (2, 0, 3)
 
 
 def _gathered_lookup(traj, t):
     """The lookup as a per-point gather of whole segments, (P, d, 4) for Q,
-    and one einsum over the stacked points: the reference for the power-by-
-    power gather of :func:`dense_output`."""
+    and one einsum over the stacked points, in the layout of the lookups:
+    the reference for the power-by-power gather of :func:`dense_output`, and
+    the values it gave when Q was stored channels by power."""
     grid = traj.t_grid
     ts = np.minimum(np.maximum(np.asarray(t, dtype=float).reshape(-1), grid[0]), grid[-1])
     idx = np.clip(np.searchsorted(grid, ts, side="right") - 1, 0, grid.size - 2)
     anchor, denom, scale, base, Q = traj.segments
+    Q = np.moveaxis(Q, 0, -1)                   # (segments, channels, 4)
     theta = (ts - anchor.take(idx)) / denom.take(idx)
     powers = np.empty((ts.size, 4))
     powers[:, 0] = theta
@@ -341,7 +355,11 @@ def _gathered_lookup(traj, t):
     left, right = ts == grid.take(idx), ts == grid.take(idx + 1)
     out[left] = traj.values[idx[left]]
     out[right] = traj.values[idx[right] + 1]
-    return out[0] if np.ndim(t) == 0 else out
+    out = out[0] if np.ndim(t) == 0 else out
+    points = out.ndim - 1
+    lanes = [] if traj.lane_count is None else [traj.lane_count]
+    out = out.reshape(*out.shape[:-1], *lanes, *traj.channels)
+    return np.moveaxis(out, points, 0) if lanes else out
 
 
 def _step_forced(t_span):
@@ -352,28 +370,54 @@ def _step_forced(t_span):
     return integrate_ivp(rhs, np.array([0.2, 0.0, -1.0]), t_span, breakpoints=[0.7, 1.9])
 
 
-@pytest.mark.parametrize("source", ["forward", "breakpoints", "replay", "lanes"])
+def _lane_solve():
+    return integrate_ivp(lambda t, y: np.stack([-y[0], np.cos(t) - y[1], y[0] * y[1]]),
+                         np.array([[1.0, 2.0, 3.0], [0.5, -1.0, 0.0], [0.1, 0.2, 0.3]]),
+                         (0.0, 3.0))
+
+
+def _replayed_lanes():
+    # the pendulum replay's coefficients on each lane of a lane solve, lanes first
+    def coefficients(ts, xs):
+        assert xs.shape == (3, ts.size, 3)
+        M = np.zeros((*xs.shape[:-1], 3, 3))
+        M[..., 0, 1] = 1.0
+        M[..., 1, 0] = -np.cos(xs[..., 0])
+        M[..., 2, 2] = 0.3 * xs[..., 0]
+        return M, np.sin(ts)[:, None] * xs
+
+    y_end = np.stack([_PENDULUM_Y_END, -_PENDULUM_Y_END, 2.0 * _PENDULUM_Y_END])
+    return replay_linear(_lane_solve(), coefficients, y_end)
+
+
+@pytest.mark.parametrize("source", ["forward", "breakpoints", "replay", "lanes",
+                                    "lane_replay"])
 def test_lookups_match_the_gathered_segment_lookup(source):
     # every lookup equals, bit for bit, a gather of each point's whole
-    # segment and one einsum: scalar and array t, nodes, breakpoints, lane
-    # views and trajectories looked up together with ``others``
+    # segment and one einsum over Q stored channels by power: scalar,
+    # one-point and array t, nodes, breakpoints, lane views, lanes-first
+    # lookups and trajectories looked up together with ``others``
     sol = {"forward": lambda: _pendulum((0.0, 3.0)),
            "breakpoints": lambda: _step_forced((0.0, 3.0)),
            "replay": _replayed_pendulum,
-           "lanes": lambda: integrate_ivp(
-               lambda t, y: np.stack([-y[0], np.cos(t) - y[1], y[0] * y[1]]),
-               np.array([[1.0, 2.0, 3.0], [0.5, -1.0, 0.0], [0.1, 0.2, 0.3]]), (0.0, 3.0))
-           }[source]()
+           "lanes": _lane_solve,
+           "lane_replay": _replayed_lanes}[source]()
+    assert sol.segments[4].shape == (4, sol.t_grid.size - 1, sol.values.shape[1])
+    assert sol.segments[4].flags.c_contiguous
     lo, hi = sol.t_grid[0], sol.t_grid[-1]
     ts = np.concatenate([np.random.default_rng(4).uniform(lo, hi, 400), sol.t_grid,
                          [0.7, 1.9, lo, hi]])
     assert np.array_equal(sol(ts), _gathered_lookup(sol, ts))
     for t in ts[::37]:
         assert np.array_equal(sol(t), _gathered_lookup(sol, t))
-    if source == "lanes":
-        for view in sol.lanes(3):
+        assert np.array_equal(sol(np.array([t])), _gathered_lookup(sol, np.array([t])))
+    assert np.array_equal(sol.last, _gathered_lookup(sol, hi))
+    if source.startswith("lane"):
+        assert sol.lane_count == 3
+        for b, view in enumerate(sol.lanes()):
             assert not view.segments[4].flags.c_contiguous
             assert np.array_equal(view(ts), _gathered_lookup(view, ts))
+            assert np.array_equal(view(ts), sol(ts)[b])
     if source in ("forward", "breakpoints"):
         # a trajectory on the same grid, looked up with ``others``
         twin = DenseTrajectory(sol.t_grid, -2.0 * sol.values,

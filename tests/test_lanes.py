@@ -65,6 +65,7 @@ def _same(a, b) -> bool:
 def _same_trajectory(a, b) -> bool:
     return (np.array_equal(a.t_grid, b.t_grid) and np.array_equal(a.values, b.values)
             and all(np.array_equal(x, y) for x, y in zip(a.segments, b.segments))
+            and (a.channels, a.lane_count) == (b.channels, b.lane_count)
             and (a.nsteps, a.nrejected) == (b.nsteps, b.nrejected))
 
 
@@ -92,7 +93,7 @@ def test_one_lane_is_the_unbatched_pipeline(case, example1, brach, lqr_like):
     it, = evaluate_iterates(mode, prob, par, gains, p[None], t_f, quad=quad)
     for name, value in want.items():
         assert _same(getattr(it, name), value), name
-    for name in ("r", "Gamma", "M", "tf_scalar", "tf_row"):
+    for name in ("r", "Gamma", "M"):
         assert _same(getattr(it.quantities, name), getattr(quant, name)), name
     assert _same_trajectory(it.bundle.x_traj, bundle.x_traj)
     assert _same_trajectory(it.bundle.adjoint_sol, bundle.adjoint_sol)
@@ -216,7 +217,7 @@ def test_lanes_share_steps_and_keep_their_own_tolerance():
              for k in rates[:, 0]]
     assert both.values.shape == (both.t_grid.size, 2)
     assert both.nsteps >= max(a.nsteps for a in alone) > min(a.nsteps for a in alone)
-    for lane, a, k in zip(both.lanes(2), alone, rates[:, 0]):
+    for lane, a, k in zip(both.lanes(), alone, rates[:, 0]):
         for t in (0.05, 0.1):
             exact = np.exp(-k * t)
             assert abs(lane(t)[0] - exact) <= max(abs(a(t)[0] - exact), 1e-6)
@@ -268,9 +269,9 @@ def test_terminal_callbacks_run_once_per_pass_on_a_vectorized_problem(brach, vec
         for name in ("J", "g_val", "pi", "dtheta"):
             np.testing.assert_allclose(getattr(it, name), getattr(one, name),
                                        rtol=0, atol=1e-8, err_msg=name)
-        for name in ("tf_scalar", "tf_row"):
-            np.testing.assert_allclose(getattr(it.quantities, name),
-                                       getattr(one.quantities, name), rtol=0, atol=1e-8)
+        for got, want in zip(_terminal_values(brach.prob, it.bundle),
+                             _terminal_values(brach.prob, one.bundle)):
+            np.testing.assert_allclose(got, want, rtol=0, atol=1e-8)
 
 
 def _per_lane_products(prob, par, bundle, gains, quad, with_tf):
@@ -317,12 +318,14 @@ def test_shared_p_block_matches_per_lane_products(case, example1, brach):
         quant = assemble_form1(bp.prob, par, bundle, bp.gains, t_f, quad)
         assert quant.M.ndim == 2 and not quant.M.flags.writeable
     exact = case in ("e1_form1", "brach_pwc20")
+    if with_tf:
+        tf_scalar, tf_row = _terminal_values(bp.prob, bundle)
     for b, (r, Gamma, M) in enumerate(_per_lane_products(bp.prob, par, bundle, bp.gains,
                                                         quad, with_tf)):
         lane = quant.lanes()[b]
         if with_tf:
-            r[-1] += lane.tf_scalar
-            Gamma[-1] += lane.tf_row
+            r[-1] += tf_scalar[b]
+            Gamma[-1] += tf_row[b]
             M[-1, -1] += 1.0 / bp.gains.k_tf
         for got, want in ((lane.r, r), (lane.Gamma, Gamma), (lane.M, M)):
             if exact:

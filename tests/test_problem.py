@@ -7,7 +7,7 @@ from ocflow import (DerivativeMismatchError, DimensionError, DomainError, Gains,
                     OcpProblem, OdeSettings, SolveTrace, TraceRow, make_basis,
                     simulate_control, solve_state, validate_problem)
 from ocflow.errors import ConfigurationError
-from ocflow.problem import _central_diff, _state_solution
+from ocflow.problem import _batch_eval, _central_diff, _state_solution
 
 TIGHT = OdeSettings(rel_tol=1e-10, abs_tol=1e-12)
 
@@ -232,3 +232,18 @@ def test_state_solve_stage_times_outside_the_control_domain_fail_typed(example1)
     for ts in ([0.5, 1.5], [0.5, np.nan]):
         with pytest.raises(DomainError):
             u(np.array(ts))
+
+
+def test_batch_eval_takes_any_scalar_time_the_points_share(example1):
+    # a shared time may be a float, an int or a numpy scalar: stacked points,
+    # and lanes of them, see it at every point, per point when the problem
+    # is not vectorized
+    rng = np.random.default_rng(2)
+    xs, us = rng.normal(size=(2, 3, 2)), rng.normal(size=(2, 3, 1))
+    per_point = dataclasses.replace(example1.prob, vectorized=False)
+    want = np.stack([[example1.prob.f(x, u, 1.0) for x, u in zip(xl, ul)]
+                     for xl, ul in zip(xs, us)])
+    for t in (1.0, 1, np.float32(1.0), np.int64(1), np.array(1.0)):
+        for prob in (per_point, example1.prob):
+            assert np.array_equal(_batch_eval(prob, "f", xs[0], us[0], t), want[0])
+            assert np.array_equal(_batch_eval(prob, "f", xs, us, t), want)

@@ -7,7 +7,8 @@ from ocflow import (ConfigurationError, DenseTrajectory, DivergenceError, OdeSet
                     QuadratureSpec, RankError, ThetaQuantities, assemble_form1,
                     assemble_form2, make_basis, nlp_gradients, simulate_control,
                     solve_adjoints, solve_state)
-from ocflow.sensitivity import spd_solve
+from ocflow.evolution import EvolutionMode, evaluate_iterate, evaluate_iterates
+from ocflow.sensitivity import _terminal_values, spd_solve
 
 TIGHT = OdeSettings(rel_tol=1e-10, abs_tol=1e-12)
 
@@ -118,9 +119,10 @@ def test_form2_degenerates_when_tf_sensitivity_vanishes(brach):
         assert np.array_equal(q2.M[s], last)
         assert np.array_equal(q2.M[:, s], last)
         np.testing.assert_array_equal(q2.r[:s], q1.r)
-        assert q2.r[s] == q1.tf_scalar
+        tf_scalar, tf_row = _terminal_values(prob, b)
+        assert q2.r[s] == tf_scalar
         np.testing.assert_array_equal(q2.Gamma[:s], q1.Gamma)
-        np.testing.assert_array_equal(q2.Gamma[s], q1.tf_row)
+        np.testing.assert_array_equal(q2.Gamma[s], tf_row)
 
 
 def test_form2_terminal_row_matches_finite_differences(brach):
@@ -617,6 +619,32 @@ def test_grid_memo_keys_and_read_only_arrays(e1, brach):
                                rtol=1e-13)
     assert np.array_equal(G_pp, G_pp.T)
     assert sensitivity._grid(par, p, 0.0, 2.0, quad, None)[4:] == (None, None)
+
+
+def test_lane_nlp_gradients_at_an_integer_terminal_time(e1):
+    # an integer t_f reaches the t_f brackets' shared-time callbacks of a
+    # problem that is not vectorized, and gives what the float t_f gives
+    prob, _, par = e1
+    prob = dataclasses.replace(prob, vectorized=False)
+    P = np.array([[-3.5, 3.0, 0.0, 0.0], [-3.0, 2.5, 0.1, 0.02]])
+    got = [nlp_gradients(prob, par, bundle_at(prob, par, P, t_f), P, t_f, QuadratureSpec(),
+                         with_tf=True).rGamma for t_f in (2, 2.0)]
+    assert got[0].shape == (2, par.s + 1, 1 + prob.q)
+    assert np.array_equal(*got)
+
+
+def test_fixed_terminal_time_pipelines_form_no_terminal_brackets(e1):
+    # the brackets are formed only where theta holds t_f: example1 form 1,
+    # one iterate or a pass of lanes, never calls phi_t or g_t
+    prob, gains, par = e1
+    spied = dataclasses.replace(prob, phi_t=lambda *a: pytest.fail("phi_t was called"),
+                                g_t=lambda *a: pytest.fail("g_t was called"))
+    p = np.array([-3.5, 3.0, 0.0, 0.0])
+    it = evaluate_iterate(EvolutionMode.form1(), spied, par, gains, p, 2.0)
+    one = evaluate_iterate(EvolutionMode.form1(), prob, par, gains, p, 2.0)
+    assert np.array_equal(it.dtheta, one.dtheta)
+    evaluate_iterates(EvolutionMode.form1(), spied, par, gains, np.stack([p, p + 0.1]), 2.0)
+    assert vars(it.quantities).keys() == {"rGamma", "M"}
 
 
 # run in this process and, as a script, in a fresh one
