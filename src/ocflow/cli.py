@@ -38,13 +38,6 @@ from .projection import BasisSet, InnerProductSpec, project, weighted_norm
 from .quadrature import QuadratureSpec, _gram
 from .sensitivity import nlp_gradients, solve_adjoints, solve_state
 
-_FMT = "%.17g"
-
-
-def _fmt(x: float) -> str:
-    return _FMT % float(x)
-
-
 def _require(cond: bool, msg: str) -> None:
     if not cond:
         raise ConfigurationError(msg)
@@ -203,7 +196,7 @@ def _write_columns(path: Path, header: list[str], rows) -> None:
     with open(path, "w") as fh:
         fh.write(",".join(header) + "\n")
         for row in rows:
-            fh.write(",".join(_fmt(v) for v in row) + "\n")
+            fh.write(",".join("%.17g" % float(v) for v in row) + "\n")
 
 
 def cmd_solve(args) -> int:

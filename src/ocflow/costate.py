@@ -77,15 +77,14 @@ def optimality_residuals(prob: OcpProblem, par: Parameterization,
     quad = quad or QuadratureSpec()
 
     param_residual = quantities.r + quantities.Gamma @ pi
-    tf_scalar, tf_row = _terminal_values(prob, bundle)
-    tf_residual = tf_scalar + float(pi @ tf_row)
+    h = _terminal_values(prob, bundle)
 
     gd = _grid_data(prob, par, bundle, quad)
     pointwise = gd.pg[..., 0] + gd.pg[..., 1:] @ pi             # (N, m)
     continuous_sup = float(np.max(np.linalg.norm(pointwise, axis=1), initial=0.0))
     return OptimalityResiduals(
         param_residual=param_residual,
-        tf_residual=tf_residual,
+        tf_residual=float(h[0] + pi @ h[1:]),
         continuous_residual_sup=continuous_sup,
         feasibility=float(np.linalg.norm(g_val)))
 
@@ -101,10 +100,8 @@ def continuous_multiplier(prob: OcpProblem, bundle: AdjointBundle, gains: Gains,
     """
     gd = _grid_data(prob, bundle.par, bundle, quad or QuadratureSpec())
     rM_c = _gram(gd.w, gains.K_at(gd.ts), gd.pg[..., 1:], gd.pg)     # [r_c | M_c]
-    r_c, M_c = rM_c[:, 0], rM_c[:, 1:]
     if prob.tf_mode == "free" and gains.k_tf > 0:
-        tf_scalar, tf_row = _terminal_values(prob, bundle)
-        M_c = M_c + gains.k_tf * np.outer(tf_row, tf_row)
-        r_c = r_c + gains.k_tf * tf_row * tf_scalar
-    r_c = r_c - gains.K_g @ np.asarray(g_val, dtype=float)
-    return -spd_solve(M_c, r_c, "continuous multiplier system")
+        h = _terminal_values(prob, bundle)
+        rM_c += np.outer(gains.k_tf * h[1:], h)
+    r_c = rM_c[:, 0] - gains.K_g @ np.asarray(g_val, dtype=float)
+    return -spd_solve(rM_c[:, 1:], r_c, "continuous multiplier system")

@@ -6,7 +6,7 @@ class OcflowError(Exception):
 
 
 class DimensionError(OcflowError):
-    """An evaluator returned an output of the wrong shape."""
+    """An input, or an evaluator's output, has the wrong shape."""
 
 
 class DerivativeMismatchError(OcflowError):

@@ -4,7 +4,8 @@ One explicit embedded Runge-Kutta pair serves every initial-value problem in
 the package: forward state solves and the outer evolution in virtual time are
 adaptive and run forward only (:func:`integrate_ivp`), and the linear adjoint
 solves, the only backward passes, replay the same tableau backward over a
-forward solve's accepted steps with no error control (:func:`replay_linear`).
+forward solve's accepted steps with no error control (:func:`replay_linear`),
+restarting where the forward solve recorded that it did.
 The free 4th-order interpolant of the pair gives dense output at arbitrary
 nodes from one coefficient block per power, a layout that
 :class:`DenseTrajectory` alone knows.  A state solve's control is evaluated
@@ -28,11 +29,13 @@ rides a limit cycle instead of converging.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DivergenceError, DomainError, IntegrationError, StepBudgetError
+from .errors import (DimensionError, DivergenceError, DomainError, IntegrationError,
+                     StepBudgetError)
 
 # Dormand-Prince 5(4) tableau.
 _C = np.array([0.0, 1 / 5, 3 / 10, 4 / 5, 8 / 9, 1.0, 1.0])
@@ -88,8 +91,9 @@ class OdeSettings:
             raise ValueError(f"rel_tol must be finite and positive, got {self.rel_tol}")
         if not _finite_positive(self.abs_tol):
             raise ValueError(f"abs_tol must be finite and positive, got {self.abs_tol}")
-        if self.max_steps < 1:
-            raise ValueError(f"max_steps must be >= 1, got {self.max_steps}")
+        if (isinstance(self.max_steps, bool) or not isinstance(self.max_steps, numbers.Integral)
+                or self.max_steps < 1):
+            raise ValueError(f"max_steps must be an integer >= 1, got {self.max_steps!r}")
 
 
 def dense_output(theta, scale, base, Q, idx=None) -> np.ndarray:
@@ -135,11 +139,12 @@ class DenseTrajectory:
     node value has the shape ``channels``, (d,) or a replay's (n, r); a solve
     of ``lane_count`` lanes holds theirs lane after lane, and its lookups and
     :attr:`last` come back lanes first.  A solve sets its accepted and
-    rejected step counts ``nsteps`` and ``nrejected``.
+    rejected step counts ``nsteps`` and ``nrejected``, and ``restarts``, the
+    sorted interior nodes where it restarted at a breakpoint (may be empty).
     """
 
     def __init__(self, t_grid, values, segments, *, channels=None, lane_count=None,
-                 nsteps=0, nrejected=0):
+                 nsteps=0, nrejected=0, restarts=()):
         self.t_grid = np.asarray(t_grid, dtype=float)
         self.values = np.asarray(values, dtype=float)
         if self.t_grid.ndim != 1 or (self.t_grid[1:] <= self.t_grid[:-1]).any():
@@ -149,6 +154,7 @@ class DenseTrajectory:
         self.channels = channels or (self.values.shape[-1] // (lane_count or 1),)
         self.nsteps = nsteps
         self.nrejected = nrejected
+        self.restarts = np.asarray(restarts, dtype=float)
         self._slack = 1e-10 * max(1.0, self.t_grid[-1] - self.t_grid[0])
 
     def _shaped(self, flat: np.ndarray) -> np.ndarray:
@@ -219,12 +225,6 @@ class DenseTrajectory:
         return DenseTrajectory(self.t_grid, flat(values, 1),
                                (anchor, denom, scale, flat(base, 1), flat(Q, 2)),
                                channels=values.shape[1:])
-
-
-def _interior(breakpoints, lo: float, hi: float) -> np.ndarray:
-    """The distinct breakpoints strictly inside (lo, hi), sorted."""
-    b = np.asarray(breakpoints, dtype=float).reshape(-1)
-    return np.unique(b[(b > lo) & (b < hi)]) if b.size else b
 
 
 def _lane_sq(v: np.ndarray, lanes: int) -> np.ndarray:
@@ -468,11 +468,13 @@ def integrate_ivp(rhs, y0, t_span, settings: OdeSettings | None = None, *,
     otherwise); the package's backward passes are :func:`replay_linear`'s.
     ``breakpoints`` are interior times where the right-hand side may be
     discontinuous; the integrator restarts there so no step straddles one,
-    carrying the last step size across.  A (B, d) ``y0`` runs B independent
-    d-channel systems as lanes of one solve: ``rhs`` takes and returns (B, d)
-    arrays, the lanes share every step, each step is held to its worst
-    lane's error and stiffness, and the solution's lookups come back lanes
-    first, (B, ..., d) (:meth:`DenseTrajectory.lanes` gives each lane's own).
+    carrying the last step size across; the solution's ``restarts`` are the
+    distinct ones inside the span.  ``y0`` is (d,), or (B, d) to run B
+    independent d-channel systems as lanes of one solve (else
+    :class:`DimensionError`): ``rhs`` takes and returns (B, d) arrays, the
+    lanes share every step, each step is held to its worst lane's error and
+    stiffness, and the solution's lookups come back lanes first, (B, ..., d)
+    (:meth:`DenseTrajectory.lanes` gives each lane's own).
     ``_stage_input``, private to :func:`problem._state_solution`, is an input
     ``rhs(t, y, v)`` takes, evaluated per step attempt (see :class:`_Stepper`).
     ``_quadrature``, private to the same caller, is the index of each lane's
@@ -481,6 +483,8 @@ def integrate_ivp(rhs, y0, t_span, settings: OdeSettings | None = None, *,
     """
     settings = settings or OdeSettings()
     y0 = np.asarray(y0, dtype=float)
+    if y0.ndim not in (1, 2):
+        raise DimensionError(f"y0 has shape {y0.shape}, expected (d,) or (B, d)")
     estimated = slice(None)
     if _quadrature is not None:
         estimated = np.arange(y0.size) % y0.shape[-1] != _quadrature
@@ -492,8 +496,10 @@ def integrate_ivp(rhs, y0, t_span, settings: OdeSettings | None = None, *,
     t_start, t_end = float(t_span[0]), float(t_span[1])
     if not t_start < t_end:
         raise ValueError(f"t_span must run forward, got ({t_start!r}, {t_end!r})")
-    stepper = _Stepper(rhs, t_start, y0, t_end, settings,
-                       cuts=_interior(breakpoints, t_start, t_end).tolist(),
+    cuts = np.asarray(breakpoints, dtype=float).reshape(-1)
+    if cuts.size:                       # np.unique has a fixed cost, even on no entries
+        cuts = np.unique(cuts[(cuts > t_start) & (cuts < t_end)])
+    stepper = _Stepper(rhs, t_start, y0, t_end, settings, cuts=cuts.tolist(),
                        lanes=lanes, stage_input=_stage_input, estimated=estimated)
     ts, ys, hs, Ks = [stepper.t], [stepper.y], [], []
     while not stepper.done:
@@ -507,7 +513,7 @@ def integrate_ivp(rhs, y0, t_span, settings: OdeSettings | None = None, *,
     Q = np.ascontiguousarray(_interpolant(np.array(Ks)))     # one block per power
     return DenseTrajectory(ts, ys, (ts[:-1], ts[1:] - ts[:-1], np.array(hs), ys[:-1], Q),
                            lane_count=lane_count, nsteps=stepper.nsteps,
-                           nrejected=stepper.nrejected)
+                           nrejected=stepper.nrejected, restarts=cuts)
 
 
 def _divergence(ts, S, Y, Q) -> DivergenceError:
@@ -522,8 +528,7 @@ def _divergence(ts, S, Y, Q) -> DivergenceError:
                            time=float(ts[k, stage[0] if stage.size else -1]))
 
 
-def replay_linear(traj: DenseTrajectory, coefficients, y_end, *,
-                  breakpoints=()) -> DenseTrajectory:
+def replay_linear(traj: DenseTrajectory, coefficients, y_end) -> DenseTrajectory:
     """Integrate Y' = M(t) Y + l(t) e0^T backward over the steps of ``traj``.
 
     ``traj`` is a solution whose accepted steps ``t_grid`` the replay reuses:
@@ -536,11 +541,11 @@ def replay_linear(traj: DenseTrajectory, coefficients, y_end, *,
     (N, n).  Stage 6 sits at stage 5's (t, x), so it reuses stage 5's M and
     l.  A (B, n, r) ``y_end`` replays the B lanes of ``traj`` at once, lanes
     first throughout: xs is (B, N, d), M (B, N, n, n) and l (B, N, n), and
-    the result's lookups are (B, ..., n, r).  Stage times are clamped into
-    their smooth subinterval exactly as in :func:`integrate_ivp`; ``traj``'s
-    grid must contain every interior breakpoint.  A non-finite stage or value
-    raises :class:`DivergenceError` at the first time the backward pass
-    meets it.
+    the result's lookups are (B, ..., n, r).  Any other shape of y_end, M or
+    l raises :class:`DimensionError`.  Stage times are clamped into their
+    smooth subinterval between ``traj``'s own ``restarts`` exactly as in
+    :func:`integrate_ivp`.  A non-finite stage or value raises
+    :class:`DivergenceError` at the first time the backward pass meets it.
 
     Being linear, each stage is K_i = S_i Y + d_i e0^T, with the stage maps
     of all steps built at once, so stepping is one product per step.  The
@@ -548,12 +553,11 @@ def replay_linear(traj: DenseTrajectory, coefficients, y_end, *,
     values and stage derivatives are reshapes of the stepped blocks; its
     dense output is the scheme's own interpolant.
     """
-    t_grid = traj.t_grid
+    t_grid, cuts = traj.t_grid, traj.restarts
     lo, hi = t_grid[0], t_grid[-1]
-    cuts = _interior(breakpoints, lo, hi)
-    if cuts.size and not (t_grid[np.searchsorted(t_grid, cuts)] == cuts).all():
-        raise ValueError("the trajectory's grid must contain every interior breakpoint")
     y_end = np.asarray(y_end, dtype=float)
+    if y_end.ndim not in (2, 3):
+        raise DimensionError(f"y_end has shape {y_end.shape}, expected (n, r) or (B, n, r)")
     if not np.isfinite(y_end).all():
         raise DivergenceError("non-finite right-hand side", time=float(hi))
     t_new, t_old = t_grid[:-1], t_grid[1:]      # each step runs t_old -> t_new
@@ -576,6 +580,9 @@ def replay_linear(traj: DenseTrajectory, coefficients, y_end, *,
 
     M, l = coefficients(ts[:, :6].reshape(-1), traj._shaped(xs.reshape(steps * 6, -1)))
     *lanes, n, r = y_end.shape
+    if np.shape(M) != (*lanes, steps * 6, n, n) or np.shape(l) != (*lanes, steps * 6, n):
+        raise DimensionError(f"coefficients returned M {np.shape(M)} and l {np.shape(l)}, "
+                             f"expected M as (..., {n}, {n}) and l as (..., {n})")
     if lanes:                           # lanes first -> the steps' stacks first
         M, l = M.swapaxes(0, 1), l.swapaxes(0, 1)
     maps = (*lanes, n + 1, n + 1)                  # each lane's stage maps

@@ -237,8 +237,7 @@ def make_basis(kind: str, m: int, t0: float, form: str, *,
     """
     if form not in (FORM1, FORM2):
         raise ConfigurationError(f"form must be {FORM1!r} or {FORM2!r}, got {form!r}")
-    if m < 1:
-        raise ConfigurationError("m must be >= 1")
+    m = _integer_at_least(m, "m must be an integer", 1)
 
     def zero_tf(ts, p, t_f):            # form 1: no t_f dependence
         return np.zeros((*p.shape[:-1], ts.size, m))

@@ -343,8 +343,6 @@ def _state_solution(prob: OcpProblem, u_of_ts, t_f: float, ode: OdeSettings | No
     it gives (B, N, m), the B systems run as the lanes of one solve, and
     ``f`` and ``L`` take the B lanes as stacked points.
     """
-    if t_f <= prob.t0:
-        raise ValueError("t_f must exceed t0")
     n, f, L, stage_input = prob.n, prob.f, prob.L, u_of_ts
     if lanes:                           # the lanes are stacked points at one time
         ones = np.ones(lanes)
@@ -362,9 +360,8 @@ def _state_solution(prob: OcpProblem, u_of_ts, t_f: float, ode: OdeSettings | No
         out[cost_of] = L(x, u, t)
         return out
 
-    y0 = np.empty(shape)
+    y0 = np.zeros(shape)                # the cost channel starts at 0
     y0[..., :n] = prob.x0
-    y0[..., n] = 0.0
     return integrate_ivp(rhs, y0, (prob.t0, t_f), ode or OdeSettings(),
                          breakpoints=breakpoints, _stage_input=stage_input, _quadrature=n)
 

@@ -12,6 +12,7 @@ the basis-free multiplier's system) is one :func:`_gram` product.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -19,13 +20,14 @@ import numpy as np
 
 @dataclass(frozen=True)
 class QuadratureSpec:
-    """Uniform composite-Simpson grid: ``nodes`` must be odd and >= 3."""
+    """Uniform composite-Simpson grid: ``nodes`` must be an odd integer >= 3."""
 
     nodes: int = 201
 
     def __post_init__(self):
-        if self.nodes < 3 or self.nodes % 2 == 0:
-            raise ValueError(f"nodes must be an odd integer >= 3, got {self.nodes}")
+        n = self.nodes
+        if isinstance(n, bool) or not isinstance(n, numbers.Integral) or n < 3 or n % 2 == 0:
+            raise ValueError(f"nodes must be an odd integer >= 3, got {n}")
 
 
 def panel_edges(t0: float, t_f: float, spec: QuadratureSpec,

@@ -12,15 +12,17 @@ integrate two adjoint quantities backward along the stored trajectory:
 
 The state-transition matrix itself is never formed: every place it would
 appear is contracted into one n x (1+q) block Y = [mu | Psi], carried whole
-from the backward replay to the flow direction.  On the shared Simpson grid
-[p_u | f_u^T Psi] = f_u^T Y + [L_u | 0], and over the basis columns U of
+from the backward replay to the flow direction.  On the shared Simpson grid,
+where the basis's ``control_fn`` gives u, [p_u | f_u^T Psi] = f_u^T Y +
+[L_u | 0], and over the basis columns U of
 theta [r | Gamma] = int U^T [p_u | f_u^T Psi] dt is one matrix product with
 the weighted basis, held with the metric in one :class:`ThetaQuantities`
 ``(rGamma, M)``: ``r_1p``, ``Gamma_1p``, ``M_p`` for theta = p, and
 ``r_2ptf``, ``Gamma_2ptf``, ``M_ptf`` when theta also holds t_f, one more
-column u_tf = du/dt_f (zero for a form-1 basis) whose row alone holds the
-terminal brackets (:func:`_terminal_values`).  The NLP gradients are the
-same integrals without a metric.
+column u_tf = du/dt_f (zero for a form-1 basis) whose row also holds the
+terminal brackets, one row f^T Y(t_f) + [phi_t + L | g_t] off the replay's
+terminal block Y(t_f) = [phi_x | g_x^T] (:func:`_terminal_values`).  The NLP
+gradients are the same integrals without a metric.
 
 Every stage also runs B iterates that share t_f at once, as lanes: p is then
 (B, s), one state solve and one adjoint replay carry all lanes on one step
@@ -169,9 +171,10 @@ def solve_adjoints(prob: OcpProblem, par: Parameterization, p,
     """Integrate the cost and constraint adjoints backward along x(t).
 
     Both adjoints share one backward pass, replayed on the accepted steps of
-    ``x_traj`` (so the forward solve's settings govern it too), with x, u,
-    ``f_x`` and ``L_x`` evaluated in one batch for every stage of every step.
-    Terminal values are exact: ``mu(t_f) = phi_x`` and ``Psi(t_f) = g_x^T``.
+    ``x_traj`` and restarting where it did (so the forward solve's settings
+    and breakpoints govern it too), with x, u, ``f_x`` and ``L_x`` evaluated
+    in one batch for every stage of every step.  Terminal values are exact:
+    ``mu(t_f) = phi_x`` and ``Psi(t_f) = g_x^T``, the t_f brackets' source.
     A (B, s) ``p`` replays the lanes of a lane-batched ``x_traj`` together.
     """
     n = prob.n
@@ -191,7 +194,7 @@ def solve_adjoints(prob: OcpProblem, par: Parameterization, p,
         L_x = _batch_eval(prob, "L_x", xs, us, ts)
         return -f_x, -L_x
 
-    sol = replay_linear(x_traj, coefficients, y_f, breakpoints=par.breakpoints(t_f))
+    sol = replay_linear(x_traj, coefficients, y_f)
     return AdjointBundle(x_traj=x_traj, adjoint_sol=sol, t0=prob.t0, t_f=t_f,
                          n=n, par=par, p=p)
 
@@ -215,18 +218,18 @@ class _GridData:
     G_pp: np.ndarray | None   # (s, s)
 
 
-def _terminal_values(prob: OcpProblem, bundle: AdjointBundle) -> tuple:
-    """The terminal brackets (tf_scalar, tf_row) of the t_f equation: a float
-    and (q,), or over lanes (B,) and (B, q), from one call of each callback."""
+def _terminal_values(prob: OcpProblem, bundle: AdjointBundle) -> np.ndarray:
+    """The terminal brackets h = [phi_t + L + phi_x^T f | g_x f + g_t] of the
+    t_f equation, ([B,] 1+q): f^T Y(t_f) off the replay's terminal block
+    Y(t_f) = [phi_x | g_x^T], plus [phi_t + L | g_t], one call of each."""
     t_f, x_f = bundle.t_f, bundle.x_f
     u_f = bundle.u_of_t(t_f)
     f_f = _batch_eval(prob, "f", x_f, u_f, t_f)
-    phi_t, phi_x, g_x, g_t = (_terminal_eval(prob, name, x_f, t_f)
-                              for name in ("phi_t", "phi_x", "g_x", "g_t"))
-    tf_scalar = (phi_t + (phi_x[..., None, :] @ f_f[..., None])[..., 0, 0]
-                 + _batch_eval(prob, "L", x_f, u_f, t_f))
-    return (float(tf_scalar) if tf_scalar.ndim == 0 else tf_scalar,
-            (g_x @ f_f[..., None])[..., 0] + g_t)
+    h = (f_f[..., None, :] @ bundle.adjoint_sol.last)[..., 0, :]
+    h[..., 0] += _terminal_eval(prob, "phi_t", x_f, t_f)
+    h[..., 0] += _batch_eval(prob, "L", x_f, u_f, t_f)
+    h[..., 1:] += _terminal_eval(prob, "g_t", x_f, t_f)
+    return h
 
 
 _GRID = None     # the latest ((t0, t_f, quad, par, gains), (ts, w, U_p, w U_p, K^-1, G_pp))
@@ -263,7 +266,7 @@ def _grid_data(prob: OcpProblem, par: Parameterization, bundle: AdjointBundle,
     t_f, p = bundle.t_f, bundle.p
     ts, w, up, wup, kinv, G_pp = _grid(par, p, bundle.t0, t_f, quad, gains)
     xs, Y = bundle.at(ts)                          # ([B,] N, n) and ([B,] N, n, 1+q)
-    us = np.einsum("tms,...s->...tm", up, p)       # control_fn's contraction, or its gather
+    us = par.control_fn(p, t_f)(ts)                # the grid lies inside [t0, t_f]
     fu = _batch_eval(prob, "f_u", xs, us, ts)                  # ([B,] N, n, m)
     pg = np.einsum("...tnm,...tnc->...tmc", fu, Y)             # f_u^T [mu | Psi]
     pg[..., 0] += _batch_eval(prob, "L_u", xs, us, ts)
@@ -282,8 +285,7 @@ def _theta_integrals(gd: _GridData, terminal=None) -> np.ndarray:
     if terminal is not None:
         wutf = (gd.w[:, None] * gd.u_tf).reshape(*lanes, 1, N * m)
         np.matmul(wutf, pg, out=rGamma[..., s:, :])
-        rGamma[..., -1, 0] += terminal[0]
-        rGamma[..., -1, 1:] += terminal[1]
+        rGamma[..., -1, :] += terminal
     return rGamma
 
 

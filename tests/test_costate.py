@@ -268,7 +268,8 @@ def test_continuous_multiplier_system_matches_the_einsum_reference(
     M_ref = np.einsum("t,tmq,tmn,tnr->qr", gd.w, fupsi, K, fupsi)
     r_ref = np.einsum("t,tmq,tmn,tn->q", gd.w, fupsi, K, pu)
     if prob.tf_mode == "free":
-        tf_scalar, tf_row = _terminal_values(prob, it.bundle)
+        h = _terminal_values(prob, it.bundle)
+        tf_scalar, tf_row = h[..., 0], h[..., 1:]
         M_ref = M_ref + gains.k_tf * np.outer(tf_row, tf_row)
         r_ref = r_ref + gains.k_tf * tf_row * tf_scalar
     r_ref = r_ref - gains.K_g @ it.g_val
@@ -285,7 +286,8 @@ def test_optimality_residuals_take_every_theta_record(brach):
     p, t_f = np.array([0.2, 0.5, 0.9, 1.2]), 0.9
     it = evaluate_iterate(EvolutionMode.form2(), prob, par, gains, p, t_f)
     b, pi = it.bundle, it.pi
-    tf_scalar, tf_row = _terminal_values(prob, b)
+    h = _terminal_values(prob, b)
+    tf_scalar, tf_row = h[..., 0], h[..., 1:]
     records = [assemble_form1(prob, par, b, gains, t_f, quad),
                assemble_form2(prob, par, b, gains, p, t_f, quad),
                nlp_gradients(prob, par, b, p, t_f, quad, with_tf=True),

@@ -91,7 +91,8 @@ def test_form2_degenerate_matches_form1_equations(brach):
     x = solve_state(prob, par, p, t_f)
     b = solve_adjoints(prob, par, p, x, t_f)
     q1 = assemble_form1(prob, par, b, gains, t_f, QuadratureSpec())
-    tf_scalar, tf_row = _terminal_values(prob, b)
+    h = _terminal_values(prob, b)
+    tf_scalar, tf_row = h[..., 0], h[..., 1:]
     # theta = (p, t_f) under the metric diag(M_p^-1, k_tf)
     pi = multiplier(np.vstack([q1.Gamma, tf_row]),
                     np.vstack([spd_solve(q1.M, q1.Gamma, "M_p"),

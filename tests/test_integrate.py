@@ -1,10 +1,11 @@
+import re
 import warnings
 
 import numpy as np
 import pytest
 
-from ocflow import (DenseTrajectory, DivergenceError, DomainError, IntegrationError,
-                    OdeSettings, StepBudgetError, integrate_ivp, replay_linear)
+from ocflow import (DenseTrajectory, DimensionError, DivergenceError, DomainError,
+                    IntegrationError, OdeSettings, StepBudgetError, integrate_ivp, replay_linear)
 from ocflow.integrate import _Stepper
 
 
@@ -83,18 +84,6 @@ def test_step_stays_inside_the_stability_limit():
     assert np.abs(sol.values[late]).max() < 1e-12
     h_lambda = 0.1 * np.diff(sol.t_grid)[late[:-1]]
     assert h_lambda.max() <= 0.8 * 3.3 * (1 + 1e-12)
-
-
-def test_replay_needs_the_breakpoints_on_its_grid():
-    sol = integrate_ivp(lambda t, y: -y, np.array([1.0]), (0.0, 1.0))
-    assert 0.5 not in sol.t_grid
-
-    def coefficients(ts, xs):
-        return -np.ones((ts.size, 1, 1)), np.zeros((ts.size, 1))
-    with pytest.raises(ValueError):
-        replay_linear(sol, coefficients, np.ones((1, 1)), breakpoints=[0.5])
-    back = replay_linear(sol, coefficients, np.ones((1, 1)), breakpoints=[0.0, 1.0])
-    assert back.values[0, 0] == pytest.approx(np.e, rel=1e-3)
 
 
 def test_step_budget_error():
@@ -194,6 +183,10 @@ def test_settings_validation():
         OdeSettings(abs_tol=0.0)
     with pytest.raises(ValueError):
         OdeSettings(max_steps=0)
+    for bad in (2.5, 3.0, True, "3"):
+        with pytest.raises(ValueError, match="max_steps must be an integer"):
+            OdeSettings(max_steps=bad)
+    assert OdeSettings(max_steps=np.int64(3)).max_steps == 3
     for bad in (float("nan"), float("inf"), -np.inf):
         with pytest.raises(ValueError):
             OdeSettings(rel_tol=bad)
@@ -244,13 +237,73 @@ def test_repeated_breakpoints_count_once():
 
     def solves(breakpoints):
         sol = integrate_ivp(rhs, np.array([0.0]), (0.0, 1.0), breakpoints=breakpoints)
-        return sol, replay_linear(sol, coefficients, np.ones((1, 1)),
-                                  breakpoints=breakpoints)
+        return sol, replay_linear(sol, coefficients, np.ones((1, 1)))
 
-    for a, b in zip(solves([0.5]), solves([0.5, 0.5])):
+    once, twice = solves([0.5]), solves([0.5, 0.5])
+    assert np.array_equal(once[0].restarts, [0.5]) and np.array_equal(twice[0].restarts, [0.5])
+    for a, b in zip(once, twice):
         assert np.array_equal(a.t_grid, b.t_grid)
         assert np.array_equal(a.values, b.values)
         assert all(np.array_equal(sa, sb) for sa, sb in zip(a.segments, b.segments))
+
+
+def test_a_trajectory_replays_at_its_own_restarts():
+    # a solve records the breakpoints it restarted at, and a replay on its
+    # steps clamps its stage times there: a trajectory built by hand from the
+    # solve's nodes and segments replays bit for bit the same when given them,
+    # and unclamped, with stages on the breakpoint itself, when not
+    def rhs(t, y):
+        return np.array([1.0 if t < 0.5 else -1.0])
+
+    seen = []
+
+    def coefficients(ts, xs):
+        seen.append(ts)
+        return -np.ones((ts.size, 1, 1)), np.where(ts < 0.5, 1.0, -1.0)[:, None]
+
+    sol = integrate_ivp(rhs, np.array([0.0]), (0.0, 1.0), breakpoints=[0.0, 0.5, 0.5, 1.0, 2.0])
+    assert np.array_equal(sol.restarts, [0.5]) and 0.5 in sol.t_grid
+    plain = DenseTrajectory(sol.t_grid, sol.values, sol.segments)
+    given = DenseTrajectory(sol.t_grid, sol.values, sol.segments, restarts=sol.restarts)
+    assert plain.restarts.shape == (0,)
+    want, got, unclamped = (replay_linear(traj, coefficients, np.ones((1, 1)))
+                            for traj in (sol, given, plain))
+    assert np.array_equal(seen[0], seen[1]) and 0.5 not in seen[0]
+    assert np.array_equal(want.values, got.values)
+    assert all(np.array_equal(a, b) for a, b in zip(want.segments, got.segments))
+    assert 0.5 in seen[2] and not np.array_equal(unclamped.values, want.values)
+    # lane views keep their solve's restarts
+    lanes = integrate_ivp(lambda t, y: rhs(t, y) * np.ones_like(y), np.zeros((2, 1)),
+                          (0.0, 1.0), breakpoints=[0.5])
+    assert all(np.array_equal(view.restarts, [0.5]) for view in lanes.lanes())
+
+
+def test_shapes_are_refused_typed_before_any_step():
+    calls = []
+
+    def rhs(t, y):
+        calls.append(t)
+        return -y
+
+    for y0 in (1.0, np.ones((2, 2, 2))):
+        with pytest.raises(DimensionError, match=re.escape("expected (d,) or (B, d)")):
+            integrate_ivp(rhs, y0, (0.0, 1.0))
+    assert not calls
+
+    sol = integrate_ivp(rhs, np.ones(2), (0.0, 1.0))
+    calls.clear()
+
+    def coefficients(ts, xs):
+        calls.append(ts)
+        return -np.ones((ts.size, 2, 2)), np.zeros(ts.size)
+
+    with pytest.raises(DimensionError, match=re.escape("expected (n, r) or (B, n, r)")):
+        replay_linear(sol, coefficients, np.ones(2))
+    assert not calls
+    for n in (3, 2):
+        with pytest.raises(DimensionError, match=re.escape(
+                f"expected M as (..., {n}, {n}) and l as (..., {n})")):
+            replay_linear(sol, coefficients, np.ones((n, 1)))
 
 
 def _pendulum(t_span):

@@ -162,14 +162,15 @@ def test_terminal_values_of_lanes_match_each_lane(brach, vectorized):
     rng = np.random.default_rng(7)
     P = 0.03 + 0.06 * np.arange(20) + rng.uniform(-0.02, 0.02, (4, 20))
     bundle = solve_adjoints(prob, par, P, solve_state(prob, par, P, t_f), t_f)
-    tf_scalar, tf_row = _terminal_values(prob, bundle)
-    assert tf_scalar.shape == (4,) and tf_row.shape == (4, prob.q)
+    h = _terminal_values(prob, bundle)
+    assert h.shape == (4, 1 + prob.q)
     for b, lane in enumerate(bundle.lanes()):
         calls.clear()
-        scalar, row = _terminal_values(prob, lane)
+        one = _terminal_values(prob, lane)
         assert calls == [((prob.n,), (prob.m,), float)]
-        assert type(scalar) is float and scalar == tf_scalar[b]
-        assert np.array_equal(row, tf_row[b])
+        assert one.shape == (1 + prob.q,)
+        assert one[..., 0] == h[b, 0]
+        assert np.array_equal(one[..., 1:], h[b, 1:])
 
 
 def test_lane_count_and_shape_are_checked(example1):
@@ -243,9 +244,9 @@ TERMINAL = ("phi", "phi_x", "phi_t", "g", "g_x", "g_t")
 @pytest.mark.parametrize("vectorized", [True, False])
 def test_terminal_callbacks_run_once_per_pass_on_a_vectorized_problem(brach, vectorized):
     # a pass of 4 lanes at one t_f: each terminal callback runs once for all
-    # lanes where it is used (phi_x and g_x by the adjoints and the t_f
-    # brackets), or once per lane when the problem is not vectorized; each
-    # lane keeps its own pipeline's answer
+    # lanes where it is used, or once per lane when the problem is not
+    # vectorized; phi_x and g_x run for the adjoints' terminal block alone,
+    # which the t_f brackets read; each lane keeps its own pipeline's answer
     calls = dict.fromkeys(TERMINAL, 0)
 
     def counting(name):
@@ -263,15 +264,14 @@ def test_terminal_callbacks_run_once_per_pass_on_a_vectorized_problem(brach, vec
     its = evaluate_iterates(mode, prob, par, brach.gains, P, t_f, TIGHT)
     lanes = 1 if vectorized else len(P)
     assert calls == {"phi": lanes, "g": lanes, "phi_t": lanes, "g_t": lanes,
-                     "phi_x": 2 * lanes, "g_x": 2 * lanes}
+                     "phi_x": lanes, "g_x": lanes}
     for p, it in zip(P, its):
         one = evaluate_iterate(mode, brach.prob, par, brach.gains, p, t_f, TIGHT)
         for name in ("J", "g_val", "pi", "dtheta"):
             np.testing.assert_allclose(getattr(it, name), getattr(one, name),
                                        rtol=0, atol=1e-8, err_msg=name)
-        for got, want in zip(_terminal_values(brach.prob, it.bundle),
-                             _terminal_values(brach.prob, one.bundle)):
-            np.testing.assert_allclose(got, want, rtol=0, atol=1e-8)
+        np.testing.assert_allclose(_terminal_values(brach.prob, it.bundle),
+                                   _terminal_values(brach.prob, one.bundle), rtol=0, atol=1e-8)
 
 
 def _per_lane_products(prob, par, bundle, gains, quad, with_tf):
@@ -319,7 +319,8 @@ def test_shared_p_block_matches_per_lane_products(case, example1, brach):
         assert quant.M.ndim == 2 and not quant.M.flags.writeable
     exact = case in ("e1_form1", "brach_pwc20")
     if with_tf:
-        tf_scalar, tf_row = _terminal_values(bp.prob, bundle)
+        h = _terminal_values(bp.prob, bundle)
+        tf_scalar, tf_row = h[..., 0], h[..., 1:]
     for b, (r, Gamma, M) in enumerate(_per_lane_products(bp.prob, par, bundle, bp.gains,
                                                         quad, with_tf)):
         lane = quant.lanes()[b]
@@ -341,8 +342,7 @@ def _einsum_theta_integrals(gd, terminal):
     rGamma = np.concatenate([np.einsum("t,...tmi,...tmc->...ic", gd.w, U, gd.pg)
                              for U in cols], -2)
     if terminal is not None:
-        rGamma[..., -1, 0] += terminal[0]
-        rGamma[..., -1, 1:] += terminal[1]
+        rGamma[..., -1, :] += terminal
     return rGamma
 
 

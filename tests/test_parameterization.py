@@ -212,6 +212,21 @@ def test_configuration_errors():
         make_basis("global_polynomial", m=1, t0=0.0, form="form3", order=1)
 
 
+def test_integer_settings_must_be_integers():
+    # a float or a bool is refused when the object is built, numpy integers
+    # are integers
+    for m in (1.5, 1.0, True):
+        with pytest.raises(ConfigurationError, match="m must be an integer"):
+            make_basis("piecewise_constant", m=m, t0=0.0, form="form2", n_segments=3)
+    par = make_basis("piecewise_constant", m=np.int64(2), t0=0.0, form="form2", n_segments=3)
+    assert type(par.m) is int and type(par.s) is int and par.s == 6
+    for nodes in (3.0, 201.0, True, "5"):
+        with pytest.raises(ValueError, match="nodes must be an odd integer"):
+            QuadratureSpec(nodes=nodes)
+    pts, _ = simpson_points(0.0, 1.0, QuadratureSpec(nodes=np.int64(5)))
+    assert pts.size == 6
+
+
 def test_domain_checks():
     par = poly()
     with pytest.raises(DomainError):
@@ -448,7 +463,10 @@ def test_stage_times_evaluate_on_their_own_segment(kind, t_f):
         replayed.append(ts)
         return np.zeros((ts.size, 2, 2)), np.zeros((ts.size, 2))
 
-    replay_linear(sol, coefficients, np.ones((2, 1)), breakpoints=bp)
+    # the solve restarted at every breakpoint, and the replay clamps its
+    # stages at the restarts the solve recorded
+    assert np.array_equal(sol.restarts, bp)
+    replay_linear(sol, coefficients, np.ones((2, 1)))
     ts = replayed[0].reshape(-1, 6)     # stage 6 shares stage 5's (t, x)
     steps = segment_of(par, t_f, 0.5 * (sol.t_grid[:-1] + sol.t_grid[1:]))
     assert_on_segments(par, p, t_f, ts, np.repeat(steps, 6))

@@ -119,7 +119,8 @@ def test_form2_degenerates_when_tf_sensitivity_vanishes(brach):
         assert np.array_equal(q2.M[s], last)
         assert np.array_equal(q2.M[:, s], last)
         np.testing.assert_array_equal(q2.r[:s], q1.r)
-        tf_scalar, tf_row = _terminal_values(prob, b)
+        h = _terminal_values(prob, b)
+        tf_scalar, tf_row = h[..., 0], h[..., 1:]
         assert q2.r[s] == tf_scalar
         np.testing.assert_array_equal(q2.Gamma[:s], q1.Gamma)
         np.testing.assert_array_equal(q2.Gamma[s], tf_row)
@@ -645,6 +646,59 @@ def test_fixed_terminal_time_pipelines_form_no_terminal_brackets(e1):
     assert np.array_equal(it.dtheta, one.dtheta)
     evaluate_iterates(EvolutionMode.form1(), spied, par, gains, np.stack([p, p + 0.1]), 2.0)
     assert vars(it.quantities).keys() == {"rGamma", "M"}
+
+
+def test_free_terminal_time_pipeline_evaluates_phi_x_and_g_x_once(brach):
+    # the replay's terminal block Y(t_f) = [phi_x | g_x^T] is the one source of
+    # both: the t_f brackets read f^T Y(t_f) off it
+    calls = {"phi_x": 0, "g_x": 0}
+
+    def counting(name):
+        fn = getattr(brach.prob, name)
+
+        def counted(x_f, t_f):
+            calls[name] += 1
+            return fn(x_f, t_f)
+        return counted
+
+    prob = dataclasses.replace(brach.prob, **{name: counting(name) for name in calls})
+    par = make_basis("piecewise_constant", m=1, t0=0.0, form="form2", n_segments=20)
+    p, t_f = 0.03 + 0.06 * np.arange(20), 0.85
+    it = evaluate_iterate(EvolutionMode.form2(), prob, par, brach.gains, p, t_f)
+    assert calls == {"phi_x": 1, "g_x": 1}
+    h = _terminal_values(prob, it.bundle)
+    assert calls == {"phi_x": 1, "g_x": 1}
+    assert it.quantities.rGamma.shape == (par.s + 1, 1 + prob.q) and h.shape == (1 + prob.q,)
+    x_f, u_f = it.bundle.x_f, it.bundle.u_of_t(t_f)
+    f_f = brach.prob.f(x_f, u_f, t_f)
+    want = np.append(brach.prob.phi_t(x_f, t_f) + brach.prob.phi_x(x_f, t_f) @ f_f
+                     + brach.prob.L(x_f, u_f, t_f),
+                     brach.prob.g_x(x_f, t_f) @ f_f + brach.prob.g_t(x_f, t_f))
+    np.testing.assert_allclose(h, want, rtol=1e-15, atol=1e-15)
+
+
+@pytest.mark.parametrize("kind,form,size", [
+    ("global_polynomial", "form1", 4), ("lagrange_nodes", "form2", 4),
+    ("piecewise_linear", "form2", 6), ("piecewise_constant", "form2", 20)])
+@pytest.mark.parametrize("lanes", [(), (3,)])
+def test_grid_controls_are_the_basis_control(brach, monkeypatch, kind, form, size, lanes):
+    # the grid's u is the basis's own control_fn, bit for bit par.eval there
+    from ocflow import sensitivity
+
+    sizes = {"order": size} if kind == "global_polynomial" else {"n_segments": size}
+    par = make_basis(kind, m=1, t0=0.0, form=form, **sizes)
+    P = 0.3 + 0.1 * np.random.default_rng(2).standard_normal((*lanes, par.s))
+    bundle = bundle_at(brach.prob, par, P, 0.85)
+    seen, batch_eval = {}, sensitivity._batch_eval
+
+    def spying(prob, name, xs, us, ts):
+        seen.setdefault(name, us)
+        return batch_eval(prob, name, xs, us, ts)
+
+    monkeypatch.setattr(sensitivity, "_batch_eval", spying)
+    gd = sensitivity._grid_data(brach.prob, par, bundle, QuadratureSpec())
+    assert seen["f_u"].shape == (*lanes, gd.ts.size, 1)
+    assert np.array_equal(seen["f_u"], par.eval(gd.ts, P, 0.85))
 
 
 # run in this process and, as a script, in a fresh one
