@@ -21,7 +21,7 @@ import argparse
 import json
 import numbers
 import sys
-from dataclasses import fields
+from dataclasses import fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -32,7 +32,7 @@ from .evolution import (EvolutionMode, EvolutionState, StopCriteria, _check_comp
                         _resolve_init, solve_evolution)
 from .integrate import OdeSettings
 from .parameterization import FORM1, FORM2, make_basis
-from .problem import Gains, _central_diff, _objective
+from .problem import _central_diff, _gain_matrix, _inverse_weight, _objective
 from .problems import get_problem, list_problems
 from .projection import BasisSet, InnerProductSpec, project, weighted_norm
 from .quadrature import QuadratureSpec, _gram
@@ -43,11 +43,10 @@ def _require(cond: bool, msg: str) -> None:
         raise ConfigurationError(msg)
 
 
-# the keys each config section accepts; "form" rides along in the built-in
-# problems' recommended parameterizations (the mode decides the form), and
-# stop and ode sections take exactly their settings' fields
+# the keys each config section accepts, one per setting (the mode decides the
+# basis's form); stop and ode sections take exactly their settings' fields
 _SECTION_KEYS = {
-    "parameterization": ("kind", "order", "N", "n_segments", "form"),
+    "parameterization": ("kind", "order", "N"),
     "gains": ("K", "k_tf", "K_g", "K_theta"),
     "init": ("p", "t_f"),
     "stop": tuple(f.name for f in fields(StopCriteria)),
@@ -90,6 +89,16 @@ def _gain(value, key: str):
     return _number(value, key)
 
 
+def _settings(raw: dict, key: str, cls):
+    """``cls`` built from section ``key``, each value a number (max_steps an integer)."""
+    kw = {k: _number(v, f"{key}.{k}", integer=k == "max_steps")
+          for k, v in _section(raw, key).items()}
+    try:
+        return cls(**kw)
+    except (TypeError, ValueError) as exc:
+        raise ConfigurationError(f"{key}: {exc}") from None
+
+
 def load_config(path: str) -> dict:
     try:
         with open(path) as fh:
@@ -127,23 +136,23 @@ def build_run(raw: dict):
     par_cfg = _section(raw, "parameterization", bundle.recommended)
     kind = par_cfg.get("kind")
     _require(kind is not None, "parameterization needs a 'kind'")
-    n_segments = par_cfg.get("N", par_cfg.get("n_segments"))
-    _require(par_cfg.get("n_segments", n_segments) == n_segments,
-             f"parameterization: N = {n_segments!r} and n_segments = "
-             f"{par_cfg.get('n_segments')!r} differ; give one of them")
     try:
         par = make_basis(kind, m=prob.m, t0=prob.t0,
                          form=FORM2 if mode_name == "form2" else FORM1,
-                         order=par_cfg.get("order"), n_segments=n_segments)
+                         order=par_cfg.get("order"), n_segments=par_cfg.get("N"))
     except OcflowError as exc:
         raise ConfigurationError(f"parameterization: {exc}") from None
 
-    g_cfg = _section(raw, "gains")
-    k_tf = _number(g_cfg.get("k_tf", 0.1 if prob.tf_mode == "free" else 0.0), "gains.k_tf")
-    K, K_g = (_gain(g_cfg.get(key, 0.1), f"gains.{key}") for key in ("K", "K_g"))
-    K_theta = _gain(g_cfg["K_theta"], "gains.K_theta") if "K_theta" in g_cfg else None
+    # the problem's own gains, each key given replacing that one value
+    g_cfg = {k: (_number if k == "k_tf" else _gain)(v, f"gains.{k}")
+             for k, v in _section(raw, "gains").items()}
+    K_theta = g_cfg.pop("K_theta", None)
     try:
-        gains = Gains.constant(K=K, m=prob.m, q=prob.q, k_tf=k_tf, K_g=K_g)
+        if "K" in g_cfg:
+            g_cfg["K_inv"] = _inverse_weight(g_cfg.pop("K"), prob.m)
+        if "K_g" in g_cfg:
+            g_cfg["K_g"] = _gain_matrix(g_cfg["K_g"], prob.q, "K_g")
+        gains = replace(bundle.gains, **g_cfg)
         mode = {"form1": EvolutionMode.form1, "form2": EvolutionMode.form2,
                 "gradient_flow": lambda: EvolutionMode.gradient_flow(K_theta)}[mode_name]()
     except (OcflowError, TypeError, ValueError) as exc:
@@ -166,21 +175,8 @@ def build_run(raw: dict):
     _check_compat(mode, prob, par, gains)
     _resolve_init(prob, init)
 
-    stop_kw = {k: _number(v, f"stop.{k}") for k, v in _section(raw, "stop").items()}
-    try:
-        stop = StopCriteria(**stop_kw)
-    except (TypeError, ValueError) as exc:
-        raise ConfigurationError(f"stop: {exc}") from None
-
-    def ode_from(key):
-        kw = {k: _number(v, f"{key}.{k}", integer=k == "max_steps")
-              for k, v in _section(raw, key).items()}
-        try:
-            return OdeSettings(**kw)
-        except (TypeError, ValueError) as exc:
-            raise ConfigurationError(f"{key}: {exc}") from None
-
-    ode_inner, ode_outer = ode_from("ode_inner"), ode_from("ode_outer")
+    stop, ode_inner, ode_outer = (_settings(raw, key, cls) for key, cls in (
+        ("stop", StopCriteria), ("ode_inner", OdeSettings), ("ode_outer", OdeSettings)))
 
     nodes = _number(raw.get("quad_nodes", 201), "quad_nodes", integer=True)
     try:
@@ -246,11 +242,10 @@ def _check_gradients(prob, par, init, quad) -> list[dict]:
     ode = OdeSettings(rel_tol=1e-10, abs_tol=1e-12)
     p, t_f = init.p, init.t_f
     x_traj = solve_state(prob, par, p, t_f, ode)
-    grads = nlp_gradients(prob, par, solve_adjoints(prob, par, p, x_traj, t_f),
-                          p, t_f, quad)
+    grads = nlp_gradients(prob, par, solve_adjoints(prob, par, p, x_traj), p, t_f, quad)
 
     def Jg(P, tfv):                     # [J, g] at p = P, or per lane of a (B, s) P
-        J, g = _objective(prob, solve_state(prob, par, P, tfv, ode), tfv)
+        J, g = _objective(prob, solve_state(prob, par, P, tfv, ode))
         return np.concatenate([np.expand_dims(J, -1), g], -1)
 
     fd = np.hstack([_central_diff(lambda P: Jg(P, t_f), p, h=1e-4, batch=True),
@@ -269,7 +264,6 @@ def _check_projection(prob, init, quad) -> list[dict]:
     rng = np.random.default_rng(0)
     t0, t_f = prob.t0, init.t_f
     spec = InnerProductSpec(t0=t0, t_f=t_f, weight=np.eye(1), quad=quad)
-    results = []
     worst = {"idempotence": 0.0, "orthogonality": 0.0, "pythagoras": 0.0}
     for _ in range(10):
         coeff = rng.uniform(-1, 1, (3, 4))
@@ -292,10 +286,8 @@ def _check_projection(prob, init, quad) -> list[dict]:
         n_r = weighted_norm(spec, lambda ts: f(ts) - proj(ts))
         worst["pythagoras"] = max(worst["pythagoras"],
                                   abs(n_f**2 - n_p**2 - n_r**2))
-    for name, val in worst.items():
-        results.append({"name": f"projection_{name}", "value": val,
-                        "tol": 1e-8, "passed": val <= 1e-8})
-    return results
+    return [{"name": f"projection_{name}", "value": val, "tol": 1e-8, "passed": val <= 1e-8}
+            for name, val in worst.items()]
 
 
 def cmd_check(args) -> int:

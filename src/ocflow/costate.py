@@ -24,8 +24,8 @@ from .parameterization import Parameterization
 from .problem import Gains, OcpProblem
 # simpson_points is not called here; it stays bound because bench/tracing.py wraps it
 from .quadrature import QuadratureSpec, _gram, simpson_points  # noqa: F401
-from .sensitivity import (AdjointBundle, ThetaQuantities, _grid_data, _terminal_values,
-                          spd_solve)
+from .sensitivity import (AdjointBundle, ThetaQuantities, _grid_data, _require_iterate,
+                          _terminal_values, spd_solve)
 
 
 @dataclass
@@ -72,6 +72,7 @@ def optimality_residuals(prob: OcpProblem, par: Parameterization,
                          quad: QuadratureSpec | None = None) -> OptimalityResiduals:
     """All four residuals of an iterate, sampled on the shared grid; the
     terminal-time bracket is the bundle's, whatever theta ``quantities`` span."""
+    _require_iterate(bundle, par)
     pi = np.asarray(pi, dtype=float)
     g_val = np.asarray(g_val, dtype=float)
     quad = quad or QuadratureSpec()
@@ -79,7 +80,7 @@ def optimality_residuals(prob: OcpProblem, par: Parameterization,
     param_residual = quantities.r + quantities.Gamma @ pi
     h = _terminal_values(prob, bundle)
 
-    gd = _grid_data(prob, par, bundle, quad)
+    gd = _grid_data(prob, bundle, quad)
     pointwise = gd.pg[..., 0] + gd.pg[..., 1:] @ pi             # (N, m)
     continuous_sup = float(np.max(np.linalg.norm(pointwise, axis=1), initial=0.0))
     return OptimalityResiduals(
@@ -98,7 +99,7 @@ def continuous_multiplier(prob: OcpProblem, bundle: AdjointBundle, gains: Gains,
     terms when t_f is free, integrated on the same grid as the parameterized
     assembly.  Used to certify the parameterized multiplier.
     """
-    gd = _grid_data(prob, bundle.par, bundle, quad or QuadratureSpec())
+    gd = _grid_data(prob, bundle, quad or QuadratureSpec())
     rM_c = _gram(gd.w, gains.K_at(gd.ts), gd.pg[..., 1:], gd.pg)     # [r_c | M_c]
     if prob.tf_mode == "free" and gains.k_tf > 0:
         h = _terminal_values(prob, bundle)

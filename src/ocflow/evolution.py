@@ -76,8 +76,7 @@ class EvolutionMode:
         if self.kind not in _MODE_KINDS:
             raise ConfigurationError(f"unknown evolution mode {self.kind!r}")
         if self.K_theta is not None:
-            K_theta = np.atleast_2d(np.asarray(self.K_theta, dtype=float))
-            _require_spd(K_theta, "K_theta")
+            K_theta = _require_spd(np.atleast_2d(self.K_theta), "K_theta")
             object.__setattr__(self, "K_theta", K_theta)
 
     @classmethod
@@ -162,10 +161,8 @@ def _flow_direction(rGamma, W_rGamma, K_g, g_val, pi_bound: float):
 
 @dataclass
 class IterateEval:
-    """Everything the flow and its diagnostics need at one iterate."""
+    """Everything the flow and its diagnostics need at one iterate, (p, t_f) its bundle's."""
 
-    p: np.ndarray
-    t_f: float
     bundle: AdjointBundle
     quantities: ThetaQuantities
     pi: np.ndarray
@@ -176,6 +173,9 @@ class IterateEval:
     residual_norm: float
     dtheta: np.ndarray        # d theta/dtau, over (p, t_f) when t_f is free
 
+    p = property(lambda self: self.bundle.p)
+    t_f = property(lambda self: self.bundle.t_f)
+
 
 def _check_compat(mode: EvolutionMode, prob: OcpProblem, par: Parameterization,
                   gains: Gains) -> None:
@@ -183,7 +183,9 @@ def _check_compat(mode: EvolutionMode, prob: OcpProblem, par: Parameterization,
     mis-shaped gains included; a time-varying K_inv is checked at t0."""
     free = prob.tf_mode == "free"
     dim = par.s + free                                  # theta's size in gradient flow
-    K_inv = gains.K_inv(prob.t0) if gains.K_inv_const is None else gains.K_inv_const
+    K_inv = gains.K_inv
+    if callable(K_inv):
+        K_inv = _require_spd(K_inv(prob.t0), "K_inv(t0)")
     for name, K, shapes in (("K_g", gains.K_g, [(prob.q, prob.q)]),
                             ("K_inv", K_inv, [(prob.m, prob.m)]),
                             ("K_theta", mode.K_theta, [(1, 1), (dim, dim)])):
@@ -215,8 +217,8 @@ def _pipeline(mode: EvolutionMode, prob: OcpProblem, par: Parameterization, gain
     W.  A (B, s) ``p`` runs B lanes, and each result has a leading lane axis."""
     _check_compat(mode, prob, par, gains)
     quad = quad or QuadratureSpec()
-    bundle = solve_adjoints(prob, par, p, solve_state(prob, par, p, t_f, ode_inner), t_f)
-    J, g_val = _objective(prob, bundle.x_traj, t_f)
+    bundle = solve_adjoints(prob, par, p, solve_state(prob, par, p, t_f, ode_inner))
+    J, g_val = _objective(prob, bundle.x_traj)
     if mode.kind == "gradient_flow":
         quant = nlp_gradients(prob, par, bundle, p, t_f, quad,
                               with_tf=prob.tf_mode == "free")
@@ -233,8 +235,8 @@ def _pipeline(mode: EvolutionMode, prob: OcpProblem, par: Parameterization, gain
             *_flow_direction(rGamma, W_rGamma, gains.K_g, g_val, pi_bound))
 
 
-def _iterate_eval(p, t_f, bundle, quant, J, g_val, pi, residual, dtheta) -> IterateEval:
-    return IterateEval(p=p, t_f=t_f, bundle=bundle, quantities=quant, pi=pi, J=float(J),
+def _iterate_eval(bundle, quant, J, g_val, pi, residual, dtheta) -> IterateEval:
+    return IterateEval(bundle=bundle, quantities=quant, pi=pi, J=float(J),
                        g_val=g_val, g_norm=_norm(g_val), residual=residual,
                        residual_norm=_norm(residual), dtheta=dtheta)
 
@@ -248,8 +250,7 @@ def evaluate_iterate(mode: EvolutionMode, prob: OcpProblem, par: Parameterizatio
     p = np.asarray(p, dtype=float)
     if p.shape != (par.s,):
         raise ValueError(f"p has shape {p.shape}, expected ({par.s},)")
-    return _iterate_eval(p, t_f, *_pipeline(mode, prob, par, gains, p, t_f, ode_inner,
-                                            quad, pi_bound))
+    return _iterate_eval(*_pipeline(mode, prob, par, gains, p, t_f, ode_inner, quad, pi_bound))
 
 
 def evaluate_iterates(mode: EvolutionMode, prob: OcpProblem, par: Parameterization,
@@ -273,8 +274,7 @@ def evaluate_iterates(mode: EvolutionMode, prob: OcpProblem, par: Parameterizati
         raise ValueError(f"P has shape {P.shape}, expected (B, {par.s}) with B >= 1")
     bundle, quant, *lanes = _pipeline(mode, prob, par, gains, P, t_f, ode_inner, quad,
                                       pi_bound)
-    return [_iterate_eval(p, t_f, *lane)
-            for p, *lane in zip(P, bundle.lanes(), quant.lanes(), *lanes)]
+    return [_iterate_eval(*lane) for lane in zip(bundle.lanes(), quant.lanes(), *lanes)]
 
 
 def _resolve_init(prob: OcpProblem, init: EvolutionState) -> tuple[np.ndarray, float]:

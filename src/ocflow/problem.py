@@ -8,7 +8,11 @@ front instead of silently bending gradients.
 
 The cost integral is accumulated as an extra state during the forward solve,
 so its accuracy is tied to the adaptive integrator rather than to a separate
-quadrature.
+quadrature.  The n+1-th channel also keeps the forward steps fine enough for
+mu, whose forcing is L_x, as the adjoint replay runs on them with no error
+control of its own: with J summed on the Simpson grid instead, pipelines ran
+faster, but an LQR-like flow stalled at residual 2.4e-6, and mu broke its 1e-4
+bound in a test of the adjoint equation.
 """
 
 from __future__ import annotations
@@ -79,16 +83,22 @@ class OcpProblem:
 class Gains:
     """Evolution gains: inverse control weight, terminal-time and constraint gains.
 
-    ``K_inv(t)`` is the m x m symmetric positive-definite *inverse* control
-    weight.  ``k_tf`` scales the terminal-time equation (ignored when t_f is
-    fixed).  ``K_g`` sets the exponential decay rate of the
-    terminal-constraint violation.
+    ``K_inv`` is the m x m SPD *inverse* control weight, an array or a
+    callable of t; ``k_tf`` >= 0 scales the terminal-time equation (ignored
+    when t_f is fixed); the SPD ``K_g`` sets the decay rate of the constraint
+    violation.  Each is checked here, sizes and a callable at t0 with the problem.
     """
 
-    K_inv: Callable[[float], np.ndarray]
+    K_inv: np.ndarray | Callable[[float], np.ndarray]
     k_tf: float
     K_g: np.ndarray
-    K_inv_const: np.ndarray | None = None   # set when K_inv is time-invariant
+
+    def __post_init__(self):
+        if not 0 <= self.k_tf < math.inf:
+            raise ConfigurationError(f"k_tf must be finite and >= 0, got {self.k_tf!r}")
+        object.__setattr__(self, "k_tf", float(self.k_tf))
+        for name in ("K_g",) + (() if callable(self.K_inv) else ("K_inv",)):
+            object.__setattr__(self, name, _require_spd(getattr(self, name), name))
 
     @classmethod
     def constant(cls, K, m: int, q: int, *, k_tf: float = 0.0, K_g=0.1) -> "Gains":
@@ -98,26 +108,24 @@ class Gains:
         matrix) and ``K_g`` the (q, q) constraint gain; scalars are promoted
         to multiples of the identity, and any other shape is refused.
         """
-        K = _gain_matrix(K, m, "K")
-        _require_spd(K, "K")
-        K_inv_const = np.linalg.inv(K)
-        K_g = _gain_matrix(K_g, q, "K_g")
-        _require_spd(K_g, "K_g")
-        if not (math.isfinite(k_tf) and k_tf >= 0):
-            raise ConfigurationError(f"k_tf must be finite and >= 0, got {k_tf!r}")
-        return cls(K_inv=lambda t: K_inv_const, k_tf=float(k_tf), K_g=K_g,
-                   K_inv_const=K_inv_const)
+        return cls(K_inv=_inverse_weight(K, m), k_tf=k_tf, K_g=_gain_matrix(K_g, q, "K_g"))
 
     def K_inv_at(self, ts: np.ndarray) -> np.ndarray:
         """Inverse control weight stacked over an array of times: (N, m, m)."""
         ts = np.atleast_1d(ts)
-        if self.K_inv_const is not None:
-            return np.broadcast_to(self.K_inv_const, (ts.size, *self.K_inv_const.shape))
-        return np.stack([np.asarray(self.K_inv(t), dtype=float) for t in ts])
+        if callable(self.K_inv):
+            return np.stack([np.asarray(self.K_inv(t), dtype=float) for t in ts])
+        return np.broadcast_to(self.K_inv, (ts.size, *self.K_inv.shape))
 
     def K_at(self, ts: np.ndarray) -> np.ndarray:
         """Control weight K(t) = K_inv(t)^-1 stacked over times: (N, m, m)."""
         return np.linalg.inv(self.K_inv_at(ts))
+
+
+def _inverse_weight(K, m: int) -> np.ndarray:
+    """K^-1 of the (m, m) SPD control weight K, symmetrized; a scalar stands for K * I."""
+    K_inv = np.linalg.inv(_require_spd(_gain_matrix(K, m, "K"), "K"))
+    return 0.5 * (K_inv + K_inv.T)      # exact when inv's rounding kept it symmetric
 
 
 def _gain_matrix(K, dim: int, name: str) -> np.ndarray:
@@ -136,7 +144,8 @@ def _require_finite(M: np.ndarray, name: str) -> None:
         raise ConfigurationError(f"{name} must be finite, got {M.tolist()!r}")
 
 
-def _require_spd(M: np.ndarray, name: str) -> None:
+def _require_spd(M, name: str) -> np.ndarray:
+    """M as a float array, or a ConfigurationError naming it unless it is SPD."""
     M = np.asarray(M, dtype=float)
     _require_finite(M, name)
     if M.ndim != 2 or M.shape[0] != M.shape[1]:
@@ -147,6 +156,7 @@ def _require_spd(M: np.ndarray, name: str) -> None:
         np.linalg.cholesky(M)
     except np.linalg.LinAlgError:
         raise ConfigurationError(f"{name} must be positive-definite") from None
+    return M
 
 
 @dataclass
@@ -325,10 +335,10 @@ def _terminal_eval(prob: OcpProblem, name: str, x_f: np.ndarray, t_f: float) -> 
     return out
 
 
-def _objective(prob: OcpProblem, sol: DenseTrajectory, t_f: float) -> tuple:
-    """(J, g) = (phi(x_f) + the running cost, g(x_f)) at the end of a state
+def _objective(prob: OcpProblem, sol: DenseTrajectory) -> tuple:
+    """(J, g) = (phi(x_f) + the running cost, g(x_f)) at the end t_f of a state
     solve, or per lane, (B,) and (B, q), of a solve of B lanes."""
-    end = sol.last
+    end, t_f = sol.last, float(sol.t_grid[-1])
     x_f = end[..., :prob.n]
     return (_terminal_eval(prob, "phi", x_f, t_f) + end[..., prob.n],
             _terminal_eval(prob, "g", x_f, t_f))
@@ -375,5 +385,5 @@ def simulate_control(prob: OcpProblem, u_of_t, t_f: float,
     cost accumulated as an augmented state.
     """
     sol = _state_solution(prob, lambda ts: [u_of_t(t) for t in ts.tolist()], t_f, ode, breakpoints)
-    J, g_val = _objective(prob, sol, t_f)
+    J, g_val = _objective(prob, sol)
     return sol, float(J), g_val

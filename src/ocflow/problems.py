@@ -93,7 +93,7 @@ def make_example1() -> BuiltinProblem:
         t_f=2.0)
 
     gains = Gains.constant(K=0.1, m=1, q=2, k_tf=0.0, K_g=0.1)
-    recommended = {"kind": "global_polynomial", "order": 3, "form": "form1"}
+    recommended = {"kind": "global_polynomial", "order": 3}
     return BuiltinProblem(prob=prob, gains=gains, recommended=recommended,
                           oracle=oracle,
                           references={"p_optimal": np.array([-3.5, 3.0, 0.0, 0.0])})
@@ -150,7 +150,7 @@ def make_example2() -> BuiltinProblem:
         vectorized=True, name="brachistochrone")
 
     gains = Gains.constant(K=0.1, m=1, q=2, k_tf=0.1, K_g=0.1)
-    recommended = {"kind": "global_polynomial", "order": 4, "form": "form1"}
+    recommended = {"kind": "global_polynomial", "order": 4}
     references = {
         "tf_optimal": 0.8165,
         "pi_optimal": np.array([-0.1477, 0.0564]),
@@ -175,14 +175,13 @@ class OracleErrors:
 
 
 def example1_analytic_report(oracle: AnalyticOracle, report: SolveReport,
-                             bundle: AdjointBundle, u_of_t: Callable,
-                             lam_traj: DenseTrajectory,
+                             bundle: AdjointBundle, lam_traj: DenseTrajectory,
                              n_samples: int = 401) -> OracleErrors:
-    """Sup-norm errors of u, x, lambda plus multiplier and cost errors."""
+    """Sup-norm errors of the bundle's u and x and of lambda, pi and J errors."""
     ts = np.linspace(bundle.t0, bundle.t_f, n_samples)
-    du = max(abs(float(np.atleast_1d(u_of_t(t))[0]) - float(oracle.u(t)[0])) for t in ts)
-    xs = bundle.x_at(ts)
-    dx = float(np.abs(xs - oracle.x(ts)).max())
+    us = bundle.par.eval(ts, bundle.p, bundle.t_f)
+    du = float(np.abs(us[:, 0] - oracle.u(ts)[0]).max())
+    dx = float(np.abs(bundle.x_at(ts) - oracle.x(ts)).max())
     lams = lam_traj(ts)
     dlam = float(np.abs(lams - np.stack([oracle.lam(t) for t in ts])).max())
     dpi = float(np.abs(np.asarray(report.pi_final) - oracle.pi).max()) \

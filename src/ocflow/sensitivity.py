@@ -78,28 +78,25 @@ def spd_solve(M: np.ndarray, B: np.ndarray, context: str) -> np.ndarray:
 
 @dataclass
 class AdjointBundle:
-    """State and adjoint trajectories of one iterate.
+    """State and adjoint trajectories of one iterate, its one record.
 
     ``x_traj`` carries n+1 channels (state plus accumulated running cost);
     ``adjoint_sol`` carries the joint backward solve, the n x (1+q) block
     Y = [mu | Psi], so mu and the constraint adjoint Psi are views of its
-    lookups.  The parameterization and parameters that produced the iterate
-    ride along so downstream assemblies need no extra bookkeeping.  A (B, s)
-    ``p`` makes it the bundle of B lanes: every accessor returns a leading
-    lane axis, and :meth:`lanes` gives each lane's own bundle.
+    lookups.  The basis and parameters that produced the iterate ride along;
+    t0, t_f and n are read off the trajectories.  A (B, s) ``p`` makes it
+    the bundle of B lanes: every accessor returns a leading lane axis, and
+    :meth:`lanes` gives each lane's own bundle.
     """
 
     x_traj: DenseTrajectory
     adjoint_sol: DenseTrajectory
-    t0: float
-    t_f: float
-    n: int
     par: Parameterization
     p: np.ndarray
 
-    def u_of_t(self, t):
-        """Control of the iterate; (m,) for scalar t, (N, m) for array t."""
-        return self.par.eval(t, self.p, self.t_f)
+    t0 = property(lambda self: float(self.x_traj.t_grid[0]))
+    t_f = property(lambda self: float(self.x_traj.t_grid[-1]))
+    n = property(lambda self: self.adjoint_sol.channels[0])
 
     def x_at(self, ts):
         return self.x_traj(ts)[..., :self.n]
@@ -167,20 +164,21 @@ def solve_state(prob: OcpProblem, par: Parameterization, p, t_f: float,
 
 
 def solve_adjoints(prob: OcpProblem, par: Parameterization, p,
-                   x_traj: DenseTrajectory, t_f: float) -> AdjointBundle:
+                   x_traj: DenseTrajectory) -> AdjointBundle:
     """Integrate the cost and constraint adjoints backward along x(t).
 
-    Both adjoints share one backward pass, replayed on the accepted steps of
-    ``x_traj`` and restarting where it did (so the forward solve's settings
-    and breakpoints govern it too), with x, u, ``f_x`` and ``L_x`` evaluated
-    in one batch for every stage of every step.  Terminal values are exact:
-    ``mu(t_f) = phi_x`` and ``Psi(t_f) = g_x^T``, the t_f brackets' source.
-    A (B, s) ``p`` replays the lanes of a lane-batched ``x_traj`` together.
+    Both adjoints share one backward pass over the horizon [t0, t_f] of
+    ``x_traj``, replayed on its accepted steps and restarting where it did
+    (so the forward solve's settings and breakpoints govern it too), with x,
+    u, ``f_x`` and ``L_x`` evaluated in one batch for every stage of every
+    step.  Terminal values are exact: ``mu(t_f) = phi_x`` and ``Psi(t_f) =
+    g_x^T``, the t_f brackets' source.  A (B, s) ``p`` replays the lanes of
+    a lane-batched ``x_traj`` together.
     """
-    n = prob.n
+    n, t_f = prob.n, float(x_traj.t_grid[-1])
     p = np.asarray(p, dtype=float)
-    if x_traj.t_grid[0] != prob.t0 or x_traj.t_grid[-1] != t_f:
-        raise ValueError("x_traj must span [t0, t_f]")
+    if x_traj.t_grid[0] != prob.t0:
+        raise ValueError("x_traj must start at t0")
 
     x_f = x_traj.last[..., :n]
     y_f = np.empty((*p.shape[:-1], n, 1 + prob.q))
@@ -195,8 +193,7 @@ def solve_adjoints(prob: OcpProblem, par: Parameterization, p,
         return -f_x, -L_x
 
     sol = replay_linear(x_traj, coefficients, y_f)
-    return AdjointBundle(x_traj=x_traj, adjoint_sol=sol, t0=prob.t0, t_f=t_f,
-                         n=n, par=par, p=p)
+    return AdjointBundle(x_traj=x_traj, adjoint_sol=sol, par=par, p=p)
 
 
 @dataclass
@@ -223,7 +220,7 @@ def _terminal_values(prob: OcpProblem, bundle: AdjointBundle) -> np.ndarray:
     t_f equation, ([B,] 1+q): f^T Y(t_f) off the replay's terminal block
     Y(t_f) = [phi_x | g_x^T], plus [phi_t + L | g_t], one call of each."""
     t_f, x_f = bundle.t_f, bundle.x_f
-    u_f = bundle.u_of_t(t_f)
+    u_f = bundle.par.eval(t_f, bundle.p, t_f)
     f_f = _batch_eval(prob, "f", x_f, u_f, t_f)
     h = (f_f[..., None, :] @ bundle.adjoint_sol.last)[..., 0, :]
     h[..., 0] += _terminal_eval(prob, "phi_t", x_f, t_f)
@@ -260,10 +257,9 @@ def _grid(par: Parameterization, p, t0: float, t_f: float, quad: QuadratureSpec,
     return value
 
 
-def _grid_data(prob: OcpProblem, par: Parameterization, bundle: AdjointBundle,
-               quad: QuadratureSpec, *, gains: Gains | None = None,
-               with_tf: bool = False) -> _GridData:
-    t_f, p = bundle.t_f, bundle.p
+def _grid_data(prob: OcpProblem, bundle: AdjointBundle, quad: QuadratureSpec, *,
+               gains: Gains | None = None, with_tf: bool = False) -> _GridData:
+    par, t_f, p = bundle.par, bundle.t_f, bundle.p
     ts, w, up, wup, kinv, G_pp = _grid(par, p, bundle.t0, t_f, quad, gains)
     xs, Y = bundle.at(ts)                          # ([B,] N, n) and ([B,] N, n, 1+q)
     us = par.control_fn(p, t_f)(ts)                # the grid lies inside [t0, t_f]
@@ -289,17 +285,19 @@ def _theta_integrals(gd: _GridData, terminal=None) -> np.ndarray:
     return rGamma
 
 
-def _require_iterate(b: AdjointBundle, t_f: float, p=None) -> None:
-    """Refuse to assemble at another iterate than the one bundle ``b`` holds."""
-    if t_f != b.t_f or not (p is None or p is b.p or np.array_equal(p, b.p)):
+def _require_iterate(b: AdjointBundle, par: Parameterization, t_f=None, p=None) -> None:
+    """Refuse to assemble at another basis or iterate than the one bundle ``b`` holds."""
+    if par is not b.par:
+        raise ValueError(f"par ({par.kind}) is not the bundle's basis ({b.par.kind})")
+    if t_f not in (None, b.t_f) or not (p is None or p is b.p or np.array_equal(p, b.p)):
         raise ValueError(f"(p, t_f = {t_f!r}) is not the bundle's iterate")
 
 
 def assemble_form1(prob: OcpProblem, par: Parameterization, bundle: AdjointBundle,
                    gains: Gains, t_f: float, quad: QuadratureSpec) -> ThetaQuantities:
     """r_1p, Gamma_1p and M_p over theta = p."""
-    _require_iterate(bundle, t_f)
-    gd = _grid_data(prob, par, bundle, quad, gains=gains)
+    _require_iterate(bundle, par, t_f)
+    gd = _grid_data(prob, bundle, quad, gains=gains)
     return ThetaQuantities(_theta_integrals(gd), gd.G_pp)
 
 
@@ -312,10 +310,10 @@ def assemble_form2(prob: OcpProblem, par: Parameterization, bundle: AdjointBundl
     on its last diagonal entry.  For a form-1 basis u_tf = 0, so M_ptf =
     diag(M_p, 1/k_tf) and the t_f row is the terminal brackets alone.
     """
-    _require_iterate(bundle, t_f, p)
+    _require_iterate(bundle, par, t_f, p)
     if gains.k_tf <= 0:
         raise ConfigurationError("free t_f requires k_tf > 0 (it enters as 1/k_tf)")
-    gd = _grid_data(prob, par, bundle, quad, gains=gains, with_tf=True)
+    gd = _grid_data(prob, bundle, quad, gains=gains, with_tf=True)
     rGamma = _theta_integrals(gd, _terminal_values(prob, bundle))
     s, utf = par.s, gd.u_tf[..., None]
     M = np.empty((*rGamma.shape[:-2], s + 1, s + 1))
@@ -339,7 +337,7 @@ def nlp_gradients(prob: OcpProblem, par: Parameterization, bundle: AdjointBundle
     With ``with_tf=False`` theta is p alone, no terminal brackets are formed,
     and ``r`` and ``Gamma`` are the p-entries of the full ones, bit for bit.
     """
-    _require_iterate(bundle, t_f, p)
-    gd = _grid_data(prob, par, bundle, quad, with_tf=with_tf)
+    _require_iterate(bundle, par, t_f, p)
+    gd = _grid_data(prob, bundle, quad, with_tf=with_tf)
     return ThetaQuantities(
         _theta_integrals(gd, _terminal_values(prob, bundle) if with_tf else None), None)

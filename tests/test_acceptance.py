@@ -117,7 +117,7 @@ def test_criterion_07_gradient_oracle(example1, brach):
             p = rng.uniform(-p_scale, p_scale, par.s)
             t_f = prob.tf_fixed if tf_rng is None else rng.uniform(*tf_rng)
             x = solve_state(prob, par, p, t_f, TIGHT)
-            b = solve_adjoints(prob, par, p, x, t_f)
+            b = solve_adjoints(prob, par, p, x)
             grads = nlp_gradients(prob, par, b, p, t_f, QuadratureSpec())
             h = 1e-4
             fd = np.empty((1 + prob.q, par.s + 1))
@@ -198,7 +198,7 @@ def test_criterion_09_projection_suite(example1, e1_form1_solve):
     # dual stationarity residuals along the example-1 trace
     report, trace, _, par = e1_form1_solve
     prob, gains = example1.prob, example1.gains
-    K_inv = gains.K_inv_const
+    K_inv = gains.K_inv
     K = np.linalg.inv(K_inv)
     covanish = True
     bounds = None

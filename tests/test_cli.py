@@ -186,28 +186,57 @@ def test_unknown_keys_exit_2(tmp_path, capsys):
 
 
 def test_accepted_key_spellings():
-    # N and n_segments both size a piecewise basis; "form", which the built-in
-    # recommended parameterizations carry, is accepted and the mode decides
-    runs = [cli.build_run({"problem": "brachistochrone", "mode": "form2",
-                           "parameterization": par_cfg})
-            for par_cfg in ({"kind": "piecewise_constant", "N": 6},
-                            {"kind": "piecewise_constant", "n_segments": 6,
-                             "form": "form1"})]
-    assert runs[0][1].s == runs[1][1].s == 6
-    assert runs[1][1].form == "form2"
-    both = {"kind": "piecewise_constant", "N": 6, "n_segments": 6}
-    assert cli.build_run({"problem": "brachistochrone", "mode": "form2",
-                          "parameterization": both})[1].s == 6
+    # N alone sizes a piecewise basis, and the mode alone decides its form,
+    # so the built-in recommended parameterizations carry no "form" either
+    par = cli.build_run({"problem": "brachistochrone", "mode": "form2",
+                         "parameterization": {"kind": "piecewise_constant", "N": 6}})[1]
+    assert par.s == 6 and par.form == "form2"
+    for name in ("example1", "brachistochrone"):
+        assert set(ocflow.get_problem(name).recommended) <= {"kind", "order", "N"}
 
 
 def test_conflicting_basis_sizes_exit_2(tmp_path, capsys):
-    # N and n_segments spell one size; two different sizes are refused
+    # N is the one key for a basis's size; n_segments next to it is unknown
     path, _ = write_config(tmp_path, parameterization={"kind": "piecewise_constant",
                                                        "N": 4, "n_segments": 8})
     assert main(["solve", "--config", str(path)]) == 2
     err = capsys.readouterr().err
-    assert "config error: parameterization: N = 4 and n_segments = 8 differ" in err
+    assert "config error: parameterization: unknown key(s) 'n_segments';" in err
     assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("par_cfg, key", [
+    ({"kind": "piecewise_constant", "n_segments": 6}, "n_segments"),
+    ({"kind": "global_polynomial", "order": 3, "form": "form1"}, "form"),
+])
+def test_form_and_n_segments_keys_exit_2(tmp_path, capsys, par_cfg, key):
+    # one key per setting: n_segments was an alias of N, and the mode decides the form
+    path, _ = write_config(tmp_path, parameterization=par_cfg)
+    assert main(["solve", "--config", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert f"config error: parameterization: unknown key(s) {key!r}; expected some " \
+        "of kind, order, N" in err
+    assert not (tmp_path / "out").exists()
+
+
+def test_build_run_takes_the_problems_own_gains(example1):
+    # the CLI used to solve every problem at K^-1 = 10 and K_g = 0.1
+    own = ocflow.Gains.constant(K=1.0, m=1, q=2, K_g=0.5)
+    register_problem("example1-own-gains", lambda: dataclasses.replace(example1, gains=own))
+
+    def gains(**given):
+        cfg = {"problem": "example1-own-gains", "gains": given}
+        g = cli.build_run(cfg)[2]
+        return g.K_inv.tolist(), g.K_g.tolist(), g.k_tf
+
+    try:
+        assert gains() == ([[1.0]], [[0.5, 0.0], [0.0, 0.5]], 0.0)
+        # each key given under gains replaces that one value
+        assert gains(K_g=0.2) == ([[1.0]], [[0.2, 0.0], [0.0, 0.2]], 0.0)
+        assert gains(K=4.0) == ([[0.25]], [[0.5, 0.0], [0.0, 0.5]], 0.0)
+        assert gains(k_tf=0.3) == ([[1.0]], [[0.5, 0.0], [0.0, 0.5]], 0.3)
+    finally:
+        _REGISTRY.pop("example1-own-gains")
 
 
 def test_non_integer_basis_sizes_exit_2(tmp_path, capsys):

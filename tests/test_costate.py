@@ -36,7 +36,7 @@ def test_transversality_exact_by_construction(example1, e1_form1_solve):
 
 def test_zero_multiplier_gives_mu(example1, e1_par):
     x = solve_state(example1.prob, e1_par, np.zeros(4), 2.0)
-    b = solve_adjoints(example1.prob, e1_par, np.zeros(4), x, 2.0)
+    b = solve_adjoints(example1.prob, e1_par, np.zeros(4), x)
     ct = reconstruct_costate(example1.prob, b, np.zeros(2))
     ts = np.linspace(0.0, 2.0, 11)
     # phi = 0 and L_x = 0, so mu and hence lambda vanish identically
@@ -59,7 +59,7 @@ def test_costate_ode_residual(example1, e1_form1_solve):
     for t in np.linspace(0.05, 1.95, 20):
         dlam = (ct.lam_traj(t + h) - ct.lam_traj(t - h)) / (2 * h)
         x = bundle.x_at(t)
-        u = bundle.u_of_t(t)
+        u = bundle.par.eval(t, bundle.p, bundle.t_f)
         rhs = -(np.asarray(prob.f_x(x, u, t)).T @ ct.lam_traj(t)) \
             - np.asarray(prob.L_x(x, u, t))
         np.testing.assert_allclose(dlam, rhs, atol=1e-5)
@@ -79,7 +79,7 @@ def test_costate_agrees_with_backward_reintegration(example1, e1_form1_solve):
     def rhs(s, lam):                    # d lambda/ds = f_x^T lambda + L_x at t = t_f - s
         t = 2.0 - s
         x = bundle.x_at(t)
-        u = bundle.u_of_t(t)
+        u = bundle.par.eval(t, bundle.p, bundle.t_f)
         return np.asarray(prob.f_x(x, u, t)).T @ lam + np.asarray(prob.L_x(x, u, t))
 
     sol = integrate_ivp(rhs, lam_f, (0.0, 2.0), TIGHT)
@@ -135,7 +135,7 @@ def test_continuous_multiplier_empty_when_unconstrained(lqr_like):
     par = make_basis("global_polynomial", m=1, t0=0.0, form="form1", order=2)
     gains = Gains.constant(K=0.1, m=1, q=0)
     x = solve_state(lqr_like, par, np.zeros(3), 2.0)
-    b = solve_adjoints(lqr_like, par, np.zeros(3), x, 2.0)
+    b = solve_adjoints(lqr_like, par, np.zeros(3), x)
     assert continuous_multiplier(lqr_like, b, gains, np.zeros(0)).shape == (0,)
 
 
@@ -164,7 +164,7 @@ def test_unconstrained_iterate_runs_the_constrained_arithmetic(lqr_like, mode):
     np.testing.assert_array_equal(res.param_residual, quant.r)
     assert res.tf_residual == _terminal_values(lqr_like, it.bundle)[0]
     assert res.feasibility == 0.0
-    pu = _grid_data(lqr_like, par, it.bundle, quad).pg[..., 0]
+    pu = _grid_data(lqr_like, it.bundle, quad).pg[..., 0]
     assert res.continuous_residual_sup == np.linalg.norm(pu, axis=1).max()
 
 
@@ -262,7 +262,7 @@ def test_continuous_multiplier_system_matches_the_einsum_reference(
                         lambda M, B, context: systems.append((M, B)) or solve(M, B, context))
     continuous_multiplier(prob, it.bundle, gains, it.g_val)
     (M_c, r_c), = systems
-    gd = _grid_data(prob, par, it.bundle, QuadratureSpec())
+    gd = _grid_data(prob, it.bundle, QuadratureSpec())
     K = gains.K_at(gd.ts)
     pu, fupsi = gd.pg[..., 0], gd.pg[..., 1:]
     M_ref = np.einsum("t,tmq,tmn,tnr->qr", gd.w, fupsi, K, fupsi)

@@ -89,7 +89,7 @@ def test_form2_degenerate_matches_form1_equations(brach):
     it2 = evaluate_iterate(EvolutionMode.form2(), prob, par, gains, p, t_f)
 
     x = solve_state(prob, par, p, t_f)
-    b = solve_adjoints(prob, par, p, x, t_f)
+    b = solve_adjoints(prob, par, p, x)
     q1 = assemble_form1(prob, par, b, gains, t_f, QuadratureSpec())
     h = _terminal_values(prob, b)
     tf_scalar, tf_row = h[..., 0], h[..., 1:]
@@ -485,9 +485,11 @@ def test_mis_shaped_gains_and_initial_values_are_refused_before_any_pipeline(
             with pytest.raises(ConfigurationError, match=re.escape(needle)):
                 run(mode, example1.prob, par, gains,
                     np.zeros(4) if run is evaluate_iterate else np.zeros((2, 4)), 2.0)
-    # constant gains are checked through K_inv_const, without a call to K_inv
-    evolution._check_compat(EvolutionMode.form1(), example1.prob, par, dataclasses.replace(
-        example1.gains, K_inv=lambda t: pytest.fail("K_inv was called")))
+    # constant gains hold K_inv as an array; a callable is checked at t0
+    assert isinstance(example1.gains.K_inv, np.ndarray)
+    with pytest.raises(ConfigurationError, match=re.escape("K_inv(t0) must be positive-def")):
+        evolution._check_compat(EvolutionMode.form1(), example1.prob, par, dataclasses.replace(
+            example1.gains, K_inv=lambda t: -np.eye(1)))
     # with free t_f, gradient flow's theta holds t_f too
     brach_par = make_basis("global_polynomial", m=1, t0=0.0, form="form1", order=4)
     with pytest.raises(ConfigurationError, match=re.escape("expected (1, 1) or (6, 6)")):

@@ -33,7 +33,7 @@ def _unbatched(mode, prob, par, gains, p, t_f, quad):
     """The single-iterate pipeline from its stages, with plain 2-D algebra."""
     free = prob.tf_mode == "free"
     x_traj = solve_state(prob, par, p, t_f)
-    bundle = solve_adjoints(prob, par, p, x_traj, t_f)
+    bundle = solve_adjoints(prob, par, p, x_traj)
     x_f = bundle.x_f
     J = float(prob.phi(x_f, t_f)) + bundle.x_traj.values[-1, prob.n]
     g_val = np.asarray(prob.g(x_f, t_f), dtype=float)
@@ -161,7 +161,7 @@ def test_terminal_values_of_lanes_match_each_lane(brach, vectorized):
     par, t_f = _pwc20(), 0.85
     rng = np.random.default_rng(7)
     P = 0.03 + 0.06 * np.arange(20) + rng.uniform(-0.02, 0.02, (4, 20))
-    bundle = solve_adjoints(prob, par, P, solve_state(prob, par, P, t_f), t_f)
+    bundle = solve_adjoints(prob, par, P, solve_state(prob, par, P, t_f))
     h = _terminal_values(prob, bundle)
     assert h.shape == (4, 1 + prob.q)
     for b, lane in enumerate(bundle.lanes()):
@@ -282,7 +282,7 @@ def _per_lane_products(prob, par, bundle, gains, quad, with_tf):
 
     out = []
     for lane in bundle.lanes():
-        gd = _grid_data(prob, par, lane, quad, gains=gains, with_tf=with_tf)
+        gd = _grid_data(prob, lane, quad, gains=gains, with_tf=with_tf)
         U = np.concatenate([gd.U_p, gd.u_tf[..., None]], axis=-1) if with_tf else gd.U_p
         N, m, k = U.shape
         WU = (gd.w[:, None, None] * U).reshape(N * m, k)
@@ -311,7 +311,7 @@ def test_shared_p_block_matches_per_lane_products(case, example1, brach):
         par = make_basis(kind, m=1, t0=0.0, form="form2", n_segments=N)
         P = 0.3 + 0.1 * np.random.default_rng(5).standard_normal((6, par.s))
     with_tf = bp.prob.tf_mode == "free"
-    bundle = solve_adjoints(bp.prob, par, P, solve_state(bp.prob, par, P, t_f), t_f)
+    bundle = solve_adjoints(bp.prob, par, P, solve_state(bp.prob, par, P, t_f))
     if with_tf:
         quant = assemble_form2(bp.prob, par, bundle, bp.gains, P, t_f, quad)
     else:
@@ -366,7 +366,7 @@ def test_theta_product_matches_three_operand_einsums(case, lanes, example1, brac
         par = make_basis(kind, m=1, t0=0.0, form="form2", n_segments=N)
         P = 0.3 + 0.1 * rng.standard_normal((*lanes, par.s))
     prob, gains = bp.prob, bp.gains
-    bundle = solve_adjoints(prob, par, P, solve_state(prob, par, P, t_f), t_f)
+    bundle = solve_adjoints(prob, par, P, solve_state(prob, par, P, t_f))
     with_tf = case != "nlp_p_only" and prob.tf_mode == "free"
     if case == "e1_form1":
         quant = assemble_form1(prob, par, bundle, gains, t_f, quad)
@@ -374,7 +374,7 @@ def test_theta_product_matches_three_operand_einsums(case, lanes, example1, brac
         quant = assemble_form2(prob, par, bundle, gains, P, t_f, quad)
     else:
         quant = nlp_gradients(prob, par, bundle, P, t_f, quad, with_tf=with_tf)
-    gd = _grid_data(prob, par, bundle, quad, with_tf=with_tf)
+    gd = _grid_data(prob, bundle, quad, with_tf=with_tf)
     if with_tf:
         assert np.abs(gd.u_tf).max() > 0.1
     want = _einsum_theta_integrals(gd, _terminal_values(prob, bundle) if with_tf else None)

@@ -134,6 +134,38 @@ def test_gains_validation():
     np.testing.assert_allclose(g.K_at(np.array([0.0])), 0.1 * np.ones((1, 1, 1)))
 
 
+@pytest.mark.parametrize("kwargs, needle", [
+    ({"K_g": np.array([[0.1, 0.0], [0.0, np.nan]])}, "K_g must be finite"),
+    ({"K_g": np.array([[0.1, 0.2], [0.0, 0.1]])}, "K_g must be symmetric"),
+    ({"K_g": -0.1 * np.eye(2)}, "K_g must be positive-definite"),
+    ({"K_g": np.ones((2, 3))}, "K_g must be square"),
+    ({"K_inv": -np.eye(1)}, "K_inv must be positive-definite"),
+    ({"K_inv": np.array([[np.inf]])}, "K_inv must be finite"),
+    ({"K_inv": np.array([[1.0, 2.0], [0.0, 1.0]])}, "K_inv must be symmetric"),
+    ({"k_tf": -1.0}, "k_tf must be finite and >= 0"),
+    ({"k_tf": np.nan}, "k_tf must be finite and >= 0"),
+])
+def test_bad_gains_are_refused_at_construction(kwargs, needle):
+    # a directly built Gains checks itself, as Gains.constant's did; before,
+    # these failed in the first pipeline as a RankError of some later system
+    good = {"K_inv": 10.0 * np.eye(1), "k_tf": 0.1, "K_g": 0.1 * np.eye(2)}
+    Gains(**good)
+    with pytest.raises(ConfigurationError, match=needle):
+        Gains(**{**good, **kwargs})
+
+
+def test_constant_gains_take_an_ill_conditioned_weight():
+    # inv(K) of this SPD K comes back asymmetric beyond the symmetry check's
+    # 1e-12; Gains.constant symmetrizes K^-1, so any SPD K passes its checks
+    Q = np.linalg.qr(np.random.default_rng(0).normal(size=(4, 4)))[0]
+    K = Q @ np.diag([1.0, 1e3, 1e6, 1e9]) @ Q.T
+    K = 0.5 * (K + K.T)
+    assert not np.allclose(np.linalg.inv(K), np.linalg.inv(K).T, rtol=1e-12, atol=1e-12)
+    K_inv = Gains.constant(K=K, m=4, q=1).K_inv
+    assert np.array_equal(K_inv, K_inv.T)
+    np.testing.assert_allclose(K_inv @ K, np.eye(4), atol=1e-6)
+
+
 def test_problem_construction_guards(example1):
     with pytest.raises(ConfigurationError):
         dataclasses.replace(example1.prob, tf_mode="sometimes")

@@ -46,10 +46,9 @@ def test_builtin_problems_validate(example1, brach):
 
 
 def test_analytic_report_converged_run(example1, e1_form1_solve):
-    report, _, bundle, par = e1_form1_solve
-    u_of_t = lambda t: par.eval(t, report.p_final, 2.0)
+    report, _, bundle, _ = e1_form1_solve
     lam = reconstruct_costate(example1.prob, bundle, report.pi_final).lam_traj
-    errs = example1_analytic_report(example1.oracle, report, bundle, u_of_t, lam)
+    errs = example1_analytic_report(example1.oracle, report, bundle, lam)
     assert errs.sup_u <= 1e-3
     assert errs.sup_x <= 1e-3
     assert errs.sup_lam <= 1e-3
@@ -65,9 +64,8 @@ def test_analytic_report_zero_control(example1, e1_par):
                          g_norm=it.g_norm, converged=False, tau_reached=0.0,
                          wall_time=0.0)
     lam = reconstruct_costate(example1.prob, it.bundle, it.pi).lam_traj
-    errs = example1_analytic_report(example1.oracle, report, it.bundle,
-                                    lambda t: np.zeros(1), lam)
-    assert errs.sup_u == pytest.approx(3.5, abs=1e-9)   # |0 - u_hat(0)|
+    errs = example1_analytic_report(example1.oracle, report, it.bundle, lam)
+    assert errs.sup_u == pytest.approx(3.5, abs=1e-9)   # |0 - u_hat(0)|, the bundle's u = 0
 
 
 def test_registry_roundtrip(example1):

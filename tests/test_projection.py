@@ -90,7 +90,7 @@ def _dual_residual_ingredients(prob, gains, par, p, t_f):
     it = evaluate_iterate(EvolutionMode.form1(), prob, par, gains, p, t_f)
     b = it.bundle
     K = gains.K_at(np.zeros(1))[0]
-    K_inv = gains.K_inv_const
+    K_inv = gains.K_inv
 
     def basis_fn(ts):
         up = par.jac_p(ts, p, t_f)                 # (N, m, s)

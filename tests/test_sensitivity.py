@@ -6,7 +6,7 @@ import pytest
 from ocflow import (ConfigurationError, DenseTrajectory, DivergenceError, OdeSettings,
                     QuadratureSpec, RankError, ThetaQuantities, assemble_form1,
                     assemble_form2, make_basis, nlp_gradients, simulate_control,
-                    solve_adjoints, solve_state)
+                    optimality_residuals, solve_adjoints, solve_state)
 from ocflow.evolution import EvolutionMode, evaluate_iterate, evaluate_iterates
 from ocflow.sensitivity import _terminal_values, spd_solve
 
@@ -30,7 +30,7 @@ def e1(example1):
 
 def bundle_at(prob, par, p, t_f, ode=None):
     x = solve_state(prob, par, p, t_f, ode)
-    return solve_adjoints(prob, par, p, x, t_f)
+    return solve_adjoints(prob, par, p, x)
 
 
 def test_state_solve_matches_analytic_trajectory(e1):
@@ -322,7 +322,7 @@ def test_mu_satisfies_adjoint_equation_along_trajectory(lqr_like):
     for t in np.linspace(0.05, 1.95, 12):
         dmu = (b.mu_psi_at(t + h)[0] - b.mu_psi_at(t - h)[0]) / (2 * h)
         x = b.x_at(t)
-        u = b.u_of_t(t)
+        u = par.eval(t, p, 2.0)
         rhs = -(np.asarray(prob.f_x(x, u, t)).T @ b.mu_psi_at(t)[0]) \
             - np.asarray(prob.L_x(x, u, t))
         np.testing.assert_allclose(dmu, rhs, atol=1e-4)
@@ -351,8 +351,39 @@ def test_adjoint_replays_the_forward_steps(brach):
     b = bundle_at(brach.prob, par, p, 0.9)
     assert np.array_equal(b.adjoint_sol.t_grid, b.x_traj.t_grid)
     assert b.adjoint_sol.nrejected == 0
-    with pytest.raises(ValueError):
-        solve_adjoints(brach.prob, par, p, b.x_traj, 1.0)
+    # the trajectory owns the horizon; one that does not start at t0 is refused
+    with pytest.raises(ValueError, match="must start at t0"):
+        solve_adjoints(dataclasses.replace(brach.prob, t0=0.1), par, p, b.x_traj)
+
+
+def test_bundle_reads_its_horizon_off_the_trajectory(brach):
+    par = make_basis("piecewise_constant", m=1, t0=0.0, form="form2", n_segments=20)
+    p = np.random.default_rng(4).uniform(0.0, 1.0, par.s)
+    b = bundle_at(brach.prob, par, p, 0.9)
+    for got, want in ((b.t0, b.x_traj.t_grid[0]), (b.t_f, b.x_traj.t_grid[-1])):
+        assert np.float64(got).tobytes() == want.tobytes()
+    assert (b.t0, b.t_f, b.n) == (0.0, 0.9, 3)
+    assert [f.name for f in dataclasses.fields(b)] == ["x_traj", "adjoint_sol", "par", "p"]
+
+
+def test_assembly_refuses_a_foreign_basis(brach):
+    # the bundle was solved under piecewise-linear controls; a Lagrange basis of
+    # the same size used to be mixed in without error
+    prob, gains, quad = brach.prob, brach.gains, QuadratureSpec()
+    lin = make_basis("piecewise_linear", m=1, t0=0.0, form="form2", n_segments=4)
+    lag = make_basis("lagrange_nodes", m=1, t0=0.0, form="form2", n_segments=4)
+    assert lin.s == lag.s == 5
+    p, t_f = np.linspace(0.2, 1.2, 5), 0.9
+    b = bundle_at(prob, lin, p, t_f)
+    quant = assemble_form2(prob, lin, b, gains, p, t_f, quad)
+    pi, g_val = np.zeros(prob.q), prob.g(b.x_f, t_f)
+    for call in (lambda par: assemble_form1(prob, par, b, gains, t_f, quad),
+                 lambda par: assemble_form2(prob, par, b, gains, p, t_f, quad),
+                 lambda par: nlp_gradients(prob, par, b, p, t_f, quad),
+                 lambda par: optimality_residuals(prob, par, quant, b, pi, g_val, quad)):
+        call(lin)
+        with pytest.raises(ValueError, match="not the bundle's basis"):
+            call(lag)
 
 
 def _counting(prob, *names):
@@ -378,7 +409,7 @@ def test_adjoint_evaluates_its_coefficients_in_one_batch(e1, monkeypatch):
     lookup = DenseTrajectory.__call__
     monkeypatch.setattr(DenseTrajectory, "__call__",
                         lambda self, t: lookups.append(t) or lookup(self, t))
-    solve_adjoints(counted, par, p, x, 2.0)
+    solve_adjoints(counted, par, p, x)
     assert [len(v) for v in seen.values()] == [1, 1]
     # stages 0-5 of every step; stage 6 reuses stage 5's (t, x) and its rows
     assert seen["f_x"][0].size == 6 * (len(x.t_grid) - 1)
@@ -390,9 +421,9 @@ def test_adjoint_per_point_callbacks_match_vectorized(brach):
     par = make_basis("piecewise_constant", m=1, t0=0.0, form="form2", n_segments=20)
     p = np.random.default_rng(5).uniform(0.0, 1.0, par.s)
     x = solve_state(prob, par, p, 0.9)
-    vec = solve_adjoints(prob, par, p, x, 0.9).adjoint_sol
+    vec = solve_adjoints(prob, par, p, x).adjoint_sol
     per_point = dataclasses.replace(prob, vectorized=False)
-    one = solve_adjoints(per_point, par, p, x, 0.9).adjoint_sol
+    one = solve_adjoints(per_point, par, p, x).adjoint_sol
     for a, b in ((vec.values, one.values), (vec.segments[4], one.segments[4])):
         assert np.abs(a - b).max() <= 1e-13 * np.abs(a).max()
 
@@ -403,7 +434,7 @@ def test_adjoint_stage_times_stay_inside_their_subinterval(brach):
     t_f = 0.85
     x = solve_state(brach.prob, par, p, t_f)
     counted, seen = _counting(brach.prob, "f_x")
-    solve_adjoints(counted, par, p, x, t_f)
+    solve_adjoints(counted, par, p, x)
     bounds = np.array([0.0, *par.breakpoints(t_f), t_f])
     ts = seen["f_x"][0]
     # a stage lies in its step's closed subinterval, so one strictly inside
@@ -455,11 +486,11 @@ def test_non_finite_adjoint_coefficient_fails_typed(e1, name, value):
     p = np.array([1.0, -0.5, 0.3, 0.2])
     x = solve_state(prob, par, p, 2.0)
     counted, seen = _counting(prob, name)
-    solve_adjoints(counted, par, p, x, 2.0)
+    solve_adjoints(counted, par, p, x)
     inside = np.setdiff1d(seen[name][0], x.t_grid)          # stage times off the nodes
     t_bad = inside[len(inside) // 2]
     with pytest.raises(DivergenceError, match="non-finite right-hand side") as err:
-        solve_adjoints(_poisoned(prob, name, t_bad, value), par, p, x, 2.0)
+        solve_adjoints(_poisoned(prob, name, t_bad, value), par, p, x)
     assert err.value.time == t_bad
 
 
@@ -669,7 +700,7 @@ def test_free_terminal_time_pipeline_evaluates_phi_x_and_g_x_once(brach):
     h = _terminal_values(prob, it.bundle)
     assert calls == {"phi_x": 1, "g_x": 1}
     assert it.quantities.rGamma.shape == (par.s + 1, 1 + prob.q) and h.shape == (1 + prob.q,)
-    x_f, u_f = it.bundle.x_f, it.bundle.u_of_t(t_f)
+    x_f, u_f = it.bundle.x_f, par.eval(t_f, p, t_f)
     f_f = brach.prob.f(x_f, u_f, t_f)
     want = np.append(brach.prob.phi_t(x_f, t_f) + brach.prob.phi_x(x_f, t_f) @ f_f
                      + brach.prob.L(x_f, u_f, t_f),
@@ -696,7 +727,7 @@ def test_grid_controls_are_the_basis_control(brach, monkeypatch, kind, form, siz
         return batch_eval(prob, name, xs, us, ts)
 
     monkeypatch.setattr(sensitivity, "_batch_eval", spying)
-    gd = sensitivity._grid_data(brach.prob, par, bundle, QuadratureSpec())
+    gd = sensitivity._grid_data(brach.prob, bundle, QuadratureSpec())
     assert seen["f_u"].shape == (*lanes, gd.ts.size, 1)
     assert np.array_equal(seen["f_u"], par.eval(gd.ts, P, 0.85))
 
