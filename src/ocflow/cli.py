@@ -31,7 +31,7 @@ from .errors import ConfigurationError, OcflowError
 from .evolution import (EvolutionMode, EvolutionState, StopCriteria, _check_compat,
                         _resolve_init, solve_evolution)
 from .integrate import OdeSettings
-from .parameterization import FORM1, FORM2, make_basis
+from .parameterization import FORM1, FORM2, _NODE_KINDS, _integer_at_least, make_basis
 from .problem import _central_diff, _gain_matrix, _inverse_weight, _objective
 from .problems import get_problem, list_problems
 from .projection import BasisSet, InnerProductSpec, project, weighted_norm
@@ -134,12 +134,14 @@ def build_run(raw: dict):
              f"mode must be form1|form2|gradient_flow, got {mode_name!r}")
 
     par_cfg = _section(raw, "parameterization", bundle.recommended)
-    kind = par_cfg.get("kind")
+    kind, N = par_cfg.get("kind"), par_cfg.get("N")
     _require(kind is not None, "parameterization needs a 'kind'")
+    if kind in _NODE_KINDS:
+        N = _integer_at_least(N, "parameterization.N must be an integer", 1)
     try:
         par = make_basis(kind, m=prob.m, t0=prob.t0,
                          form=FORM2 if mode_name == "form2" else FORM1,
-                         order=par_cfg.get("order"), n_segments=par_cfg.get("N"))
+                         order=par_cfg.get("order"), n_segments=N)
     except OcflowError as exc:
         raise ConfigurationError(f"parameterization: {exc}") from None
 
@@ -238,18 +240,22 @@ def cmd_solve(args) -> int:
 
 def _check_gradients(prob, par, init, quad) -> list[dict]:
     """Adjoint-assembled gradients vs central differences of simulated values;
-    the p-columns' 2s points share t_f, so they run as one solve's lanes."""
+    the p-columns' 2s points share t_f, so they run as one solve's lanes.  A
+    fixed t_f has no column: a node basis's nodes would move with it, while
+    form 1 holds them fixed by design."""
     ode = OdeSettings(rel_tol=1e-10, abs_tol=1e-12)
-    p, t_f = init.p, init.t_f
+    p, t_f, with_tf = init.p, init.t_f, prob.tf_mode == "free"
     x_traj = solve_state(prob, par, p, t_f, ode)
-    grads = nlp_gradients(prob, par, solve_adjoints(prob, par, p, x_traj), p, t_f, quad)
+    grads = nlp_gradients(prob, par, solve_adjoints(prob, par, p, x_traj), p, t_f, quad,
+                          with_tf=with_tf)
 
     def Jg(P, tfv):                     # [J, g] at p = P, or per lane of a (B, s) P
         J, g = _objective(prob, solve_state(prob, par, P, tfv, ode))
         return np.concatenate([np.expand_dims(J, -1), g], -1)
 
-    fd = np.hstack([_central_diff(lambda P: Jg(P, t_f), p, h=1e-4, batch=True),
-                    _central_diff(lambda z: Jg(p, z[0]), [t_f], h=1e-4)])
+    fd = _central_diff(lambda P: Jg(P, t_f), p, h=1e-4, batch=True)
+    if with_tf:
+        fd = np.hstack([fd, _central_diff(lambda z: Jg(p, z[0]), [t_f], h=1e-4)])
     results = []
     for name, got, want in (("objective_gradient_vs_fd", grads.r, fd[0]),
                             ("constraint_jacobian_vs_fd", grads.Gamma.T, fd[1:])):

@@ -37,7 +37,7 @@ import numpy as np
 
 from .errors import ConfigurationError, MultiplierBoundWarning
 from .integrate import OdeSettings, _finite_positive, _interpolant, _Stepper, dense_output
-from .parameterization import FORM1, FORM2, Parameterization
+from .parameterization import _NODE_KINDS, FORM1, FORM2, Parameterization
 from .problem import (Gains, OcpProblem, SolveReport, SolveTrace, TraceRow,
                       _gain_matrix, _objective, _require_finite, _require_spd)
 from .quadrature import QuadratureSpec
@@ -45,7 +45,6 @@ from .sensitivity import (AdjointBundle, ThetaQuantities, assemble_form1,
                           assemble_form2, nlp_gradients, solve_adjoints, solve_state,
                           spd_solve)
 
-_NODE_KINDS = ("lagrange_nodes", "piecewise_linear", "piecewise_constant")
 _MODE_KINDS = ("form1", "form2", "gradient_flow")
 
 

@@ -2,11 +2,12 @@
 
 Four linear-in-parameter bases are provided: global polynomials, Lagrange
 interpolation through equally spaced nodes, piecewise-linear interpolation
-(hat functions), and the piecewise-constant step approximation.  The
-node-based kinds place their nodes at ``t_i = t0 + i (t_f - t0)/N``, so when
-t_f is free they depend on the terminal time and must use form 2; their
-t_f-sensitivity is the exact chain rule through the moving nodes, which for
-every node-based kind collapses to
+(hat functions), and the piecewise-constant step approximation.  A kind is
+its k scalar basis functions, and u = U(t; t_f) p is their contraction with
+p.  The node-based kinds place their nodes at ``t_i = t0 + i (t_f - t0)/N``,
+so when t_f is free they depend on the terminal time and must use form 2;
+their t_f-sensitivity is the exact chain rule through the moving nodes, which
+for every node-based kind collapses to
 
     du/dt_f = -(t - t0)/(t_f - t0) * du/dt,
 
@@ -23,6 +24,7 @@ therefore evaluates on that subinterval's own segment.
 
 from __future__ import annotations
 
+import math
 import numbers
 from dataclasses import dataclass, field
 from typing import Callable
@@ -34,25 +36,27 @@ from .quadrature import QuadratureSpec, _gram, simpson_points
 
 FORM1 = "form1"
 FORM2 = "form2"
+_NODE_KINDS = ("lagrange_nodes", "piecewise_linear", "piecewise_constant")
 
 
 @dataclass(frozen=True)
 class Parameterization:
     """A control basis with parameter and terminal-time sensitivities.
 
-    The evaluators work on time arrays: ``jac_p_fn(ts, p, t_f)`` gives the
-    (N, m, s) parameter Jacobian and ``jac_tf_fn`` the (N, m) terminal-time
-    sensitivity (identically zero for form 1).  Every kind is linear in p, so
-    the (N, m) control values are ``jac_p @ p``.  ``control_fn(p, t_f)``
-    returns the unchecked array evaluator ``u(ts) -> (N, m)`` behind
-    :meth:`bind` and :meth:`eval`, the only code that turns p into u(t): the
-    contraction of the basis values with p, or for the piecewise-constant
-    kind a plain gather of p's entries.  Each row is summed on its own, so a
-    time's value does not depend on the other times in the array (tests pin
-    this bit for bit for m = 1).  Wherever a method takes ``p`` it also takes
-    B parameter vectors as a (B, s) array, the lanes of a batch: the results
-    then carry a leading lane axis, except ``jac_p``, which no kind's p
-    changes.
+    A kind is its k scalar basis functions: ``values_fn(ts, t_f)`` gives
+    their (N, k) values at a time array and ``derivs_fn(ts, t_f)`` their
+    (N, k) derivatives in sigma (None for the global polynomial, which does
+    not depend on t_f).  Each of the m controls has its own copy of them,
+    node-major, so s = m k and the (N, m, s) parameter Jacobian u_p is the
+    block of the values.  Every kind is linear in p, and :func:`_contract`
+    is the one contraction of a block with p: u = u_p p, at stage times or
+    from a grid's stored u_p, and u_tf = -sigma/(t_f - t0) du/dsigma.  The
+    piecewise-constant kind evaluates :meth:`bind`'s u as a plain gather of
+    p's entries instead, equal to the contraction bit for bit.  Each row is
+    summed on its own, so a time's value does not depend on the other times
+    in the array.  Wherever a method takes ``p`` it also takes B parameter
+    vectors as a (B, s) array, the lanes of a batch: the results then carry
+    a leading lane axis, except ``jac_p``, which no kind's p changes.
     """
 
     kind: str
@@ -60,14 +64,10 @@ class Parameterization:
     m: int
     s: int
     t0: float
-    jac_p_fn: Callable
-    jac_tf_fn: Callable
+    values_fn: Callable
+    derivs_fn: Callable | None
     breakpoints_fn: Callable
-    control_fn: Callable
     meta: dict = field(default_factory=dict)
-
-    def _slack(self, t_f: float) -> float:
-        return 1e-12 * max(1.0, abs(t_f - self.t0))
 
     def _check_p(self, p) -> np.ndarray:
         p = np.asarray(p, dtype=float)
@@ -75,39 +75,47 @@ class Parameterization:
             raise ValueError(f"p has shape {p.shape}, expected ({self.s},) or (B, {self.s})")
         return p
 
+    def _times(self, t_f: float) -> Callable:
+        """The one time check: a 1-d float array back, each of its times in
+        [t0, t_f] up to 1e-12 relative slack (DomainError otherwise, also for
+        NaN).  It tests time by time, quicker than numpy's reductions on the
+        few stage times of an integrator step."""
+        t0 = self.t0
+        slack = 1e-12 * max(1.0, t_f - t0)
+        lo, hi = t0 - slack, t_f + slack
+
+        def checked(ts):
+            for s in ts.tolist():
+                if not lo <= s <= hi:
+                    raise DomainError(f"t = {s!r} outside control domain [{t0!r}, {t_f!r}]")
+            return ts
+        return checked
+
     def _prep(self, t, p, t_f):
         """(times, p, t_f) of a Jacobian evaluation, each checked."""
         t_f = self._resolve_tf(t_f)
-        ts = np.asarray(t, dtype=float).reshape(-1)
-        lo, hi = self.t0 - self._slack(t_f), t_f + self._slack(t_f)
-        if ts.size and not (np.minimum.reduce(ts) >= lo and np.maximum.reduce(ts) <= hi):
-            bad = ts[~((ts >= lo) & (ts <= hi))][0]            # NaN too
-            raise DomainError(f"t = {bad!r} outside control domain [{self.t0!r}, {t_f!r}]")
+        ts = self._times(t_f)(np.asarray(t, dtype=float).reshape(-1))
         return ts, self._check_p(p), t_f
 
     def bind(self, p, t_f=None) -> Callable:
         """The control u(t) of one iterate, or of B lanes, validating p and t_f once.
 
         The evaluator maps (N,) times to (N, m), or (B, N, m) for a (B, s) p; a
-        scalar t is a one-point array, returned as (m,) or (B, m).  It checks
-        each time against [t0, t_f] with the Jacobians' slack (DomainError
-        otherwise, also for NaN) one by one, quicker than numpy's reductions
-        on the few stage times of an integrator step.
+        scalar t is a one-point array, returned as (m,) or (B, m).
         """
         t_f = self._resolve_tf(t_f)
-        u = self.control_fn(self._check_p(p), t_f)
-        t0 = self.t0
-        slack = self._slack(t_f)
-        lo, hi = t0 - slack, t_f + slack
+        p, checked, m, values = self._check_p(p), self._times(t_f), self.m, self.values_fn
+        if self.kind == "piecewise_constant":      # a gather, quicker at stage times
+            P, breaks = p.reshape(*p.shape[:-1], -1, m), self.breakpoints_fn(t_f)
+            u = lambda ts: P.take(_segments(ts, breaks), axis=-2)
+        else:
+            u = lambda ts: _contract(_block_jac(values(ts, t_f), m), p)
 
         def u_of_t(t):
             ts = np.asarray(t, dtype=float)
             if ts.ndim == 0:
                 return u_of_t(ts.reshape(1))[..., 0, :]
-            for s in ts.tolist():
-                if not lo <= s <= hi:
-                    raise DomainError(f"t = {s!r} outside control domain [{t0!r}, {t_f!r}]")
-            return u(ts)
+            return u(checked(ts))
         return u_of_t
 
     def eval(self, t, p, t_f=None):
@@ -117,13 +125,21 @@ class Parameterization:
     def jac_p(self, t, p, t_f=None):
         """Parameter Jacobian u_p(t); (m, s) or (N, m, s)."""
         ts, p, t_f = self._prep(t, p, t_f)
-        out = self.jac_p_fn(ts, p, t_f)
+        out = _block_jac(self.values_fn(ts, t_f), self.m)
         return out[0] if np.ndim(t) == 0 else out
 
     def jac_tf(self, t, p, t_f=None):
-        """Terminal-time sensitivity u_tf(t); (m,) or (N, m)."""
+        """Terminal-time sensitivity u_tf(t); (m,) or (N, m), zero in form 1.
+
+        The nodes move with t_f while the node values stay fixed, so
+        du/dt_f = -sigma/(t_f - t0) * du/dsigma.
+        """
         ts, p, t_f = self._prep(t, p, t_f)
-        out = self.jac_tf_fn(ts, p, t_f)
+        if self.form == FORM1:
+            out = np.zeros((*p.shape[:-1], ts.size, self.m))
+        else:
+            du_dsigma = _contract(_block_jac(self.derivs_fn(ts, t_f), self.m), p)
+            out = -(_sigma(ts, self.t0, t_f) / (t_f - self.t0))[:, None] * du_dsigma
         return out[..., 0, :] if np.ndim(t) == 0 else out
 
     def breakpoints(self, t_f) -> np.ndarray:
@@ -133,6 +149,8 @@ class Parameterization:
     def _resolve_tf(self, t_f):
         if t_f is None:
             raise ValueError("t_f is required (pass the problem's fixed value if any)")
+        if not math.isfinite(t_f):
+            raise ValueError(f"t_f must be finite, got {t_f!r}")
         if t_f <= self.t0:
             raise ValueError("t_f must exceed t0")
         return float(t_f)
@@ -154,10 +172,10 @@ def _block_jac(vals: np.ndarray, m: int) -> np.ndarray:
     return out
 
 
-def _contract(vals: np.ndarray, m: int, p: np.ndarray) -> np.ndarray:
-    """([B,] N, m) control values from (N, k) basis values: the block
-    Jacobian contracted with p, each row summed on its own."""
-    return np.einsum("tms,...s->...tm", _block_jac(vals, m), p)
+def _contract(U: np.ndarray, p: np.ndarray) -> np.ndarray:
+    """([B,] N, m) values U p of an (N, m, s) block of basis values, the one
+    contraction with p, each row summed on its own."""
+    return np.einsum("tms,...s->...tm", U, p)
 
 
 def _lagrange_terms(sig: np.ndarray, nodes: list) -> list:
@@ -238,85 +256,50 @@ def make_basis(kind: str, m: int, t0: float, form: str, *,
     if form not in (FORM1, FORM2):
         raise ConfigurationError(f"form must be {FORM1!r} or {FORM2!r}, got {form!r}")
     m = _integer_at_least(m, "m must be an integer", 1)
-
-    def zero_tf(ts, p, t_f):            # form 1: no t_f dependence
-        return np.zeros((*p.shape[:-1], ts.size, m))
+    no_breaks = lambda t_f: np.empty(0)
 
     if kind == "global_polynomial":
         order = _integer_at_least(order, "global_polynomial requires an integer order", 0)
         if form != FORM1:
             raise ConfigurationError("global_polynomial has no t_f dependence; use form1")
         k = order + 1
-        s = m * k
 
-        def powers(ts):                 # (N, k): 1, t, t^2, ..., the products np.vander forms
+        def powers(ts, t_f):            # (N, k): 1, t, t^2, ..., the products np.vander forms
             out = np.empty((ts.size, k))
             out[:, 0] = 1.0
             for j in range(1, k):
                 out[:, j] = out[:, j - 1] * ts
             return out
-        return Parameterization(
-            kind=kind, form=form, m=m, s=s, t0=t0,
-            jac_p_fn=lambda ts, p, t_f: _block_jac(powers(ts), m), jac_tf_fn=zero_tf,
-            breakpoints_fn=lambda t_f: np.empty(0),
-            control_fn=lambda p, t_f: lambda ts: _contract(powers(ts), m, p),
-            meta={"order": order})
+        return Parameterization(kind=kind, form=form, m=m, s=m * k, t0=t0,
+                                values_fn=powers, derivs_fn=None,
+                                breakpoints_fn=no_breaks, meta={"order": order})
 
-    if kind not in ("lagrange_nodes", "piecewise_linear", "piecewise_constant"):
+    if kind not in _NODE_KINDS:
         raise ConfigurationError(f"unknown parameterization kind {kind!r}")
     N = _integer_at_least(n_segments, f"{kind} requires an integer n_segments", 1)
+    inner = np.arange(1, N)
+    breaks = lambda t_f: t0 + (t_f - t0) * inner / N
+    segments = lambda ts, t_f: _segments(ts, breaks(t_f))
 
-    # values(sig, idx) and derivs(sig, idx) give the (N, k) basis values and
-    # sigma-derivatives at scaled times sig lying on segments idx
     if kind == "lagrange_nodes":
         nodes = np.linspace(0.0, 1.0, N + 1)
         node_list = nodes.tolist()
-        values = lambda sig, idx: np.column_stack(_lagrange_terms(sig, node_list))
-        derivs = lambda sig, idx: _lagrange_derivs(sig, nodes)
+        values = lambda ts, t_f: np.column_stack(_lagrange_terms(_sigma(ts, t0, t_f), node_list))
+        derivs = lambda ts, t_f: _lagrange_derivs(_sigma(ts, t0, t_f), nodes)
         k = N + 1
-        smooth = True
     elif kind == "piecewise_linear":
-        values = lambda sig, idx: _hat_values(sig, idx, N)
-        derivs = lambda sig, idx: _hat_derivs(idx, N)
+        values = lambda ts, t_f: _hat_values(_sigma(ts, t0, t_f), segments(ts, t_f), N)
+        derivs = lambda ts, t_f: _hat_derivs(segments(ts, t_f), N)
         k = N + 1
-        smooth = False
     else:  # piecewise_constant
-        values = lambda sig, idx: _step_values(idx, N)
-        derivs = lambda sig, idx: np.zeros((sig.size, N))
+        values = lambda ts, t_f: _step_values(segments(ts, t_f), N)
+        derivs = lambda ts, t_f: np.zeros((ts.size, N))
         k = N
-        smooth = False
-    s = m * k
 
-    def control_fn(p, t_f):
-        breaks = breakpoints_fn(t_f)
-        if kind == "piecewise_constant":
-            P = p.reshape(*p.shape[:-1], N, m)
-            return lambda ts: P.take(_segments(ts, breaks), axis=-2)
-        return lambda ts: _contract(values(_sigma(ts, t0, t_f), _segments(ts, breaks)), m, p)
-
-    def jac_p_fn(ts, p, t_f):
-        idx = _segments(ts, breakpoints_fn(t_f))
-        return _block_jac(values(_sigma(ts, t0, t_f), idx), m)
-
-    jac_tf_fn = zero_tf
-    if form == FORM2:
-        def jac_tf_fn(ts, p, t_f):
-            # nodes move with t_f while node values stay fixed:
-            # du/dt_f = -sigma/(t_f - t0) * du/dsigma
-            sig = _sigma(ts, t0, t_f)
-            du_dsigma = _contract(derivs(sig, _segments(ts, breakpoints_fn(t_f))), m, p)
-            return -(sig / (t_f - t0))[:, None] * du_dsigma
-
-    def breakpoints_fn(t_f):
-        if smooth:
-            return np.empty(0)
-        return t0 + (t_f - t0) * np.arange(1, N) / N
-
-    return Parameterization(
-        kind=kind, form=form, m=m, s=s, t0=t0,
-        jac_p_fn=jac_p_fn, jac_tf_fn=jac_tf_fn,
-        breakpoints_fn=breakpoints_fn, control_fn=control_fn,
-        meta={"n_segments": N})
+    return Parameterization(kind=kind, form=form, m=m, s=m * k, t0=t0,
+                            values_fn=values, derivs_fn=derivs,
+                            breakpoints_fn=no_breaks if kind == "lagrange_nodes" else breaks,
+                            meta={"n_segments": N})
 
 
 def validate_independence(par: Parameterization, p, t_f, quad_nodes: int) -> float:

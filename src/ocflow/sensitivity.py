@@ -13,8 +13,8 @@ integrate two adjoint quantities backward along the stored trajectory:
 The state-transition matrix itself is never formed: every place it would
 appear is contracted into one n x (1+q) block Y = [mu | Psi], carried whole
 from the backward replay to the flow direction.  On the shared Simpson grid,
-where the basis's ``control_fn`` gives u, [p_u | f_u^T Psi] = f_u^T Y +
-[L_u | 0], and over the basis columns U of
+where u = U_p p is the basis's contraction of its stored columns U_p,
+[p_u | f_u^T Psi] = f_u^T Y + [L_u | 0], and over the basis columns U of
 theta [r | Gamma] = int U^T [p_u | f_u^T Psi] dt is one matrix product with
 the weighted basis, held with the metric in one :class:`ThetaQuantities`
 ``(rGamma, M)``: ``r_1p``, ``Gamma_1p``, ``M_p`` for theta = p, and
@@ -43,7 +43,7 @@ from .errors import ConfigurationError, RankError
 from .integrate import DenseTrajectory, OdeSettings, replay_linear
 # not called here, but kept bound: bench/tracing.py wraps sensitivity.integrate_ivp
 from .integrate import integrate_ivp  # noqa: F401
-from .parameterization import Parameterization
+from .parameterization import Parameterization, _contract
 from .problem import Gains, OcpProblem, _batch_eval, _state_solution, _terminal_eval
 from .quadrature import QuadratureSpec, _gram, simpson_points
 
@@ -262,7 +262,7 @@ def _grid_data(prob: OcpProblem, bundle: AdjointBundle, quad: QuadratureSpec, *,
     par, t_f, p = bundle.par, bundle.t_f, bundle.p
     ts, w, up, wup, kinv, G_pp = _grid(par, p, bundle.t0, t_f, quad, gains)
     xs, Y = bundle.at(ts)                          # ([B,] N, n) and ([B,] N, n, 1+q)
-    us = par.control_fn(p, t_f)(ts)                # the grid lies inside [t0, t_f]
+    us = _contract(up, p)                          # u = U_p p, from the stored U_p
     fu = _batch_eval(prob, "f_u", xs, us, ts)                  # ([B,] N, n, m)
     pg = np.einsum("...tnm,...tnc->...tmc", fu, Y)             # f_u^T [mu | Psi]
     pg[..., 0] += _batch_eval(prob, "L_u", xs, us, ts)

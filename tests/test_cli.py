@@ -249,6 +249,14 @@ def test_non_integer_basis_sizes_exit_2(tmp_path, capsys):
         assert "config error: parameterization" in err and "Traceback" not in err
 
 
+@pytest.mark.parametrize("N", [None, 2.5, 0])
+def test_basis_size_error_names_the_config_key(N):
+    par_cfg = {"kind": "piecewise_constant"} | ({} if N is None else {"N": N})
+    with pytest.raises(ocflow.ConfigurationError,
+                       match=rf"^parameterization\.N must be an integer >= 1, got {N!r}$"):
+        cli.build_run({"problem": "example1", "parameterization": par_cfg})
+
+
 def test_check_passes_on_builtin(tmp_path):
     path, _ = write_config(tmp_path)
     assert main(["check", "--config", str(path), "--what", "all"]) == 0
@@ -335,10 +343,13 @@ def test_console_entry_point_runs():
     assert "example1" in proc.stdout
 
 
-def test_check_gradients_runs_the_p_columns_as_one_lane_pass(tmp_path, monkeypatch):
+@pytest.mark.parametrize("problem, s, tf_points", [("example1", 4, 0),
+                                                    ("brachistochrone", 5, 2)])
+def test_check_gradients_runs_the_p_columns_as_one_lane_pass(tmp_path, monkeypatch,
+                                                             problem, s, tf_points):
     # one forward solve gives both J and g at each central-difference point:
     # the iterate's own, then the 2s p-points as the lanes of one solve, then
-    # the two t_f points
+    # the two t_f points when t_f is free (the built-in polynomial bases)
     shapes = []
 
     def counting(prob, par, p, *args):
@@ -346,10 +357,25 @@ def test_check_gradients_runs_the_p_columns_as_one_lane_pass(tmp_path, monkeypat
         return solve_state(prob, par, p, *args)
 
     monkeypatch.setattr(cli, "solve_state", counting)
-    path, _ = write_config(tmp_path)
+    path, _ = write_config(tmp_path, problem=problem, init={"t_f": 1.0}
+                           if problem == "brachistochrone" else {})
     assert main(["check", "--config", str(path), "--what", "gradients"]) == 0
-    s = 4                                   # the default cubic basis
-    assert shapes == [(s,), (2 * s, s), (s,), (s,)]
+    assert shapes == [(s,), (2 * s, s)] + [(s,)] * tf_points
+
+
+@pytest.mark.parametrize("kind", ["lagrange_nodes", "piecewise_linear",
+                                  "piecewise_constant"])
+def test_check_gradients_of_node_bases_on_a_fixed_horizon(tmp_path, kind):
+    # a form-1 node basis holds its nodes fixed, so u_tf = 0, while moving
+    # t_f would move them: a fixed t_f has no column to compare
+    p = [0.1, -0.2, 0.3, -0.4] + ([] if kind == "piecewise_constant" else [0.5])
+    path, _ = write_config(tmp_path, parameterization={"kind": kind, "N": 4},
+                           init={"p": p})
+    assert main(["check", "--config", str(path), "--what", "gradients"]) == 0
+    checks = json.loads((tmp_path / "out" / "checks.json").read_text())["checks"]
+    assert [c["name"] for c in checks] == ["objective_gradient_vs_fd",
+                                           "constraint_jacobian_vs_fd"]
+    assert all(c["value"] <= 1e-6 for c in checks)
 
 
 def test_import_leaves_scipy_out():

@@ -345,26 +345,20 @@ def test_non_finite_f_u_fails_typed(example1, e1_par):
 
 
 def _duplicate_first_column(par):
-    """par with its last basis column replaced by a copy of the first.
+    """par with its last basis function replaced by a copy of the first.
 
-    The control of p is the original basis's control of p with the last
-    coefficient folded into the first, so every evaluator stays consistent.
+    At a p whose last coefficient is 0 the control, u_p's other columns and
+    u_tf are the original basis's, so every evaluator stays consistent.
     """
-    def folded(p):
-        q = np.array(p, dtype=float)
-        q[0] += q[-1]
-        q[-1] = 0.0
-        return q
+    def duplicated(fn):
+        def wrapped(ts, t_f):
+            vals = fn(ts, t_f).copy()
+            vals[:, -1] = vals[:, 0]
+            return vals
+        return wrapped
 
-    def jac_p_fn(ts, p, t_f):
-        J = par.jac_p_fn(ts, p, t_f).copy()
-        J[..., -1] = J[..., 0]
-        return J
-
-    return dataclasses.replace(
-        par, jac_p_fn=jac_p_fn,
-        jac_tf_fn=lambda ts, p, t_f: par.jac_tf_fn(ts, folded(p), t_f),
-        control_fn=lambda p, t_f: par.control_fn(folded(p), t_f))
+    return dataclasses.replace(par, values_fn=duplicated(par.values_fn),
+                               derivs_fn=par.derivs_fn and duplicated(par.derivs_fn))
 
 
 @pytest.mark.parametrize("form", ["form1", "form2"])
@@ -377,6 +371,7 @@ def test_duplicated_basis_column_raises_rank_error(example1, brach, form):
         par = make_basis("piecewise_constant", m=1, t0=0.0, form=form, n_segments=4)
     par = _duplicate_first_column(par)
     p = np.random.default_rng(3).uniform(-0.2, 1.0, par.s)
+    p[-1] = 0.0
     with pytest.raises(RankError, match="Gram matrix of the basis columns"):
         evaluate_iterate(EvolutionMode(kind=form), bp.prob, par, bp.gains, p, t_f)
 

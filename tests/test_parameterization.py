@@ -6,6 +6,8 @@ import pytest
 from ocflow import (ConfigurationError, DependentBasisError, DomainError,
                     QuadratureSpec, integrate_ivp, make_basis, replay_linear,
                     validate_independence)
+from ocflow.evolution import EvolutionMode, evaluate_iterate
+from ocflow.parameterization import _contract
 from ocflow.quadrature import panel_edges, simpson_points
 
 
@@ -72,14 +74,19 @@ def test_zero_parameters_give_zero_control(kind, kwargs, form):
     ("piecewise_linear", {"n_segments": 4}, "form2"),
     ("piecewise_constant", {"n_segments": 4}, "form2"),
 ])
-def test_linearity_eval_equals_jacobian_product(kind, kwargs, form):
+@pytest.mark.parametrize("m", [1, 2])
+@pytest.mark.parametrize("lanes", [(), (3,)])
+def test_linearity_eval_equals_jacobian_product(kind, kwargs, form, m, lanes):
+    # u on a grid is the one contraction of its u_p with p: bit for bit
+    # bind's control, the piecewise-constant gather included
     rng = np.random.default_rng(3)
-    par = make_basis(kind, m=1, t0=0.0, form=form, **kwargs)
-    p = rng.normal(size=par.s)
-    ts = rng.uniform(0.0, 1.3, 17)
-    u = par.eval(ts, p, 1.3)
-    jp = par.jac_p(ts, p, 1.3)
-    assert np.array_equal(u, np.einsum("tms,s->tm", jp, p))
+    par = make_basis(kind, m=m, t0=0.0, form=form, **kwargs)
+    P = rng.normal(size=(*lanes, par.s))
+    ts = np.concatenate([_probe_times(par, rng, 1.3),
+                         simpson_points(0.0, 1.3, QuadratureSpec(41), par.breakpoints(1.3))[0]])
+    u = par.eval(ts, P, 1.3)
+    assert u.shape == (*lanes, ts.size, m)
+    assert np.array_equal(u, _contract(par.jac_p(ts, P, 1.3), P))
 
 
 def test_jac_p_matches_finite_differences():
@@ -104,9 +111,10 @@ def test_form1_has_zero_tf_sensitivity():
     np.testing.assert_array_equal(utf, np.zeros(1))
 
 
-def test_lagrange_tf_sensitivity_matches_finite_differences():
+@pytest.mark.parametrize("m", [1, 2])
+def test_lagrange_tf_sensitivity_matches_finite_differences(m):
     rng = np.random.default_rng(11)
-    par = make_basis("lagrange_nodes", m=1, t0=0.0, form="form2", n_segments=4)
+    par = make_basis("lagrange_nodes", m=m, t0=0.0, form="form2", n_segments=4)
     p = rng.normal(size=par.s)
     t_f = 1.1
     h = 1e-6
@@ -116,9 +124,10 @@ def test_lagrange_tf_sensitivity_matches_finite_differences():
         np.testing.assert_allclose(utf, fd, rtol=1e-5, atol=1e-7)
 
 
-def test_piecewise_linear_tf_sensitivity_inside_segments():
+@pytest.mark.parametrize("m", [1, 2])
+def test_piecewise_linear_tf_sensitivity_inside_segments(m):
     rng = np.random.default_rng(13)
-    par = make_basis("piecewise_linear", m=1, t0=0.0, form="form2", n_segments=5)
+    par = make_basis("piecewise_linear", m=m, t0=0.0, form="form2", n_segments=5)
     p = rng.normal(size=par.s)
     t_f = 1.0
     h = 1e-7
@@ -184,12 +193,8 @@ def test_independence_piecewise_constant_diagonal():
 
 def test_independence_rejects_duplicated_column():
     par = poly(order=1)
-
-    def dup_jac(ts, p, t_f):
-        col = np.ones((ts.size, 1))
-        return np.stack([col, col], axis=-1)   # two identical columns
-
-    broken = dataclasses.replace(par, jac_p_fn=dup_jac)
+    # two identical basis functions, so two identical columns of u_p
+    broken = dataclasses.replace(par, values_fn=lambda ts, t_f: np.ones((ts.size, 2)))
     with pytest.raises(DependentBasisError):
         validate_independence(broken, np.zeros(2), 2.0, quad_nodes=21)
 
@@ -235,6 +240,26 @@ def test_domain_checks():
         par.jac_p(-0.1, np.zeros(4), 2.0)
     with pytest.raises(ValueError, match="t_f is required"):
         par.breakpoints(None)
+
+
+@pytest.mark.parametrize("t_f", [np.inf, -np.inf, np.nan])
+@pytest.mark.parametrize("call", ["bind", "jac_p", "jac_tf", "breakpoints",
+                                  "evaluate_iterate"])
+def test_non_finite_terminal_time_is_refused(example1, call, t_f):
+    # refused before any step: an infinite t_f put every piecewise-constant
+    # breakpoint at inf, and the state solve failed later, as a step underflow
+    kind = "piecewise_constant" if call == "breakpoints" else "global_polynomial"
+    sizes = {"n_segments": 4} if call == "breakpoints" else {"order": 3}
+    par = make_basis(kind, m=1, t0=0.0, form="form1", **sizes)
+    p = np.full(par.s, 0.1)
+    run = {"bind": lambda: par.bind(p, t_f),
+           "jac_p": lambda: par.jac_p(0.5, p, t_f),
+           "jac_tf": lambda: par.jac_tf(0.5, p, t_f),
+           "breakpoints": lambda: par.breakpoints(t_f),
+           "evaluate_iterate": lambda: evaluate_iterate(
+               EvolutionMode.form1(), example1.prob, par, example1.gains, p, t_f)}[call]
+    with pytest.raises(ValueError, match="t_f must be finite"):
+        run()
 
 
 def test_multicontrol_block_layout():

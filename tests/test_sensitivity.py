@@ -4,9 +4,9 @@ import numpy as np
 import pytest
 
 from ocflow import (ConfigurationError, DenseTrajectory, DivergenceError, OdeSettings,
-                    QuadratureSpec, RankError, ThetaQuantities, assemble_form1,
-                    assemble_form2, make_basis, nlp_gradients, simulate_control,
-                    optimality_residuals, solve_adjoints, solve_state)
+                    Parameterization, QuadratureSpec, RankError, ThetaQuantities,
+                    assemble_form1, assemble_form2, make_basis, nlp_gradients,
+                    simulate_control, optimality_residuals, solve_adjoints, solve_state)
 from ocflow.evolution import EvolutionMode, evaluate_iterate, evaluate_iterates
 from ocflow.sensitivity import _terminal_values, spd_solve
 
@@ -525,7 +525,7 @@ def test_spd_solve_rejects_indefinite_and_singular_matrices():
 
 @pytest.mark.parametrize("case, evaluations", [("example1", 20), ("brach_pwc20", 165),
                                                ("brach_lagrange4", 188)])
-def test_state_solve_evaluation_count(example1, brach, case, evaluations):
+def test_state_solve_evaluation_count(monkeypatch, example1, brach, case, evaluations):
     # f and L run once per stage: 6 per step attempt, 1 at the start of each
     # smooth subinterval and 1 for the starting-step probe.  The control runs
     # once per attempt, at its 6 stage times, and at the first start and the
@@ -552,15 +552,16 @@ def test_state_solve_evaluation_count(example1, brach, case, evaluations):
         return wrapped
 
     def spying(u):
-        def wrapped(ts):
-            sizes.append(ts.size)
-            return u(ts)
+        def wrapped(t):
+            sizes.append(np.size(t))
+            return u(t)
         return wrapped
 
     prob = dataclasses.replace(bp.prob, f=counting(bp.prob.f, "f"),
                                L=counting(bp.prob.L, "L"))
-    control_fn = par.control_fn
-    par = dataclasses.replace(par, control_fn=lambda p, t_f: spying(control_fn(p, t_f)))
+    bind = Parameterization.bind
+    monkeypatch.setattr(Parameterization, "bind",
+                        lambda self, p, t_f=None: spying(bind(self, p, t_f)))
     sol = solve_state(prob, par, p, t_f)
     attempts = sol.nsteps + sol.nrejected
     subintervals = par.breakpoints(t_f).size + 1
@@ -653,6 +654,29 @@ def test_grid_memo_keys_and_read_only_arrays(e1, brach):
     assert sensitivity._grid(par, p, 0.0, 2.0, quad, None)[4:] == (None, None)
 
 
+def test_grid_data_of_a_memo_hit_evaluates_no_basis(e1):
+    # a fixed-t_f lane pass reads u off the memoised U_p, so once the grid of
+    # its t_f is built, _grid_data evaluates no basis function
+    from ocflow import sensitivity
+
+    prob, gains, par = e1
+    calls = []
+
+    def counting(ts, t_f):
+        calls.append(ts.size)
+        return values_fn(ts, t_f)
+
+    values_fn, par = par.values_fn, dataclasses.replace(par, values_fn=counting)
+    P = np.array([[-3.5, 3.0, 0.0, 0.0], [-3.0, 2.5, 0.1, 0.02], [0.1, -0.2, 0.3, -0.4]])
+    bundle, quad = bundle_at(prob, par, P, 2.0), QuadratureSpec()
+    first = sensitivity._grid_data(prob, bundle, quad, gains=gains)
+    assert calls[-1] == first.ts.size                # the memo's one evaluation
+    calls.clear()
+    again = sensitivity._grid_data(prob, bundle, quad, gains=gains)
+    assert calls == [] and again.U_p is first.U_p
+    assert np.array_equal(again.pg, first.pg)
+
+
 def test_lane_nlp_gradients_at_an_integer_terminal_time(e1):
     # an integer t_f reaches the t_f brackets' shared-time callbacks of a
     # problem that is not vectorized, and gives what the float t_f gives
@@ -713,7 +737,7 @@ def test_free_terminal_time_pipeline_evaluates_phi_x_and_g_x_once(brach):
     ("piecewise_linear", "form2", 6), ("piecewise_constant", "form2", 20)])
 @pytest.mark.parametrize("lanes", [(), (3,)])
 def test_grid_controls_are_the_basis_control(brach, monkeypatch, kind, form, size, lanes):
-    # the grid's u is the basis's own control_fn, bit for bit par.eval there
+    # the grid's u is the contraction of the stored U_p, bit for bit par.eval there
     from ocflow import sensitivity
 
     sizes = {"order": size} if kind == "global_polynomial" else {"n_segments": size}
