@@ -23,7 +23,10 @@ optimality conditions; the solver integrates until a residual/feasibility
 tolerance or a tau budget is hit, recording a trace row every
 ``record_every`` units of tau via dense output.  The rows that fall inside
 one accepted step of a fixed-t_f flow are evaluated together, as the lanes
-of one pipeline pass (:func:`evaluate_iterates`).
+of one pipeline pass (:func:`evaluate_iterates`).  Dormand-Prince steps the
+flow until its stability cap has bound 15 accepted steps in a row; the flow
+is then stiff, and a ROS2 W-method takes over for good, its Jacobian one
+forward-difference lane pass and Broyden updates after (:func:`_flow`).
 """
 
 from __future__ import annotations
@@ -36,7 +39,7 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from .errors import ConfigurationError, MultiplierBoundWarning
-from .integrate import OdeSettings, _finite_positive, _interpolant, _Stepper, dense_output
+from .integrate import OdeSettings, _finite_positive, _Ros2, _Stepper, dense_output
 from .parameterization import _NODE_KINDS, FORM1, FORM2, Parameterization
 from .problem import (Gains, OcpProblem, SolveReport, SolveTrace, TraceRow,
                       _gain_matrix, _objective, _require_finite, _require_spd)
@@ -46,6 +49,8 @@ from .sensitivity import (AdjointBundle, ThetaQuantities, assemble_form1,
                           spd_solve)
 
 _MODE_KINDS = ("form1", "form2", "gradient_flow")
+_STIFF_STEPS = 15      # consecutive capped DP5 steps that hand the flow to ROS2
+_FD_REL = 1e-6         # Jacobian forward-difference step over max(1, |theta_j|)
 
 
 @dataclass(frozen=True)
@@ -316,8 +321,14 @@ def _memo_last(fn):
     return memo
 
 
+def _fd_points(theta: np.ndarray) -> np.ndarray:
+    """Row j is theta + d_j e_j, d_j = _FD_REL max(1, |theta_j|): the points
+    of a forward-difference Jacobian, whose column j divides by E[j, j] - theta[j]."""
+    return theta + np.diag(_FD_REL * np.maximum(1.0, np.abs(theta)))
+
+
 def _flow(rhs, rows, theta0: np.ndarray, stop: StopCriteria, ode: OdeSettings,
-          guard=None):
+          jac, guard=None):
     """Integrate d theta/dtau = rhs(tau, theta) from tau = 0 until a record point is done.
 
     The record points are tau = 0, the uniform tau grid of spacing
@@ -327,6 +338,10 @@ def _flow(rhs, rows, theta0: np.ndarray, stop: StopCriteria, ode: OdeSettings,
     one accepted step together, and yields ``(result, done)`` for each in
     order; the flow stops at the first that is done and takes no later
     one.  Returns the last ``(result, done, tau)``.
+
+    Dormand-Prince steps until its stability cap has bound ``_STIFF_STEPS``
+    accepted steps in a row (DOPRI5's stiffness test); ROS2 then takes over
+    for good, its first Jacobian ``jac(theta, f)``, f = rhs(tau, theta).
     """
     def record(taus, thetas):
         for tau, (result, done) in zip(taus, rows(taus, thetas)):
@@ -338,22 +353,25 @@ def _flow(rhs, rows, theta0: np.ndarray, stop: StopCriteria, ode: OdeSettings,
     if done:
         return result, done, tau
     stepper = _Stepper(rhs, 0.0, theta0, stop.tau_max, ode, guard=guard)
-    next_k = 1
+    next_k, capped = 1, 0
     while not stepper.done and not done:
         tau_prev, theta_prev = stepper.t, stepper.y
         h, K = stepper.step()
-        taus = []
-        while True:
-            tau_rec = next_k * stop.record_every
-            if tau_rec > stepper.t + 1e-12 * stop.tau_max or tau_rec > stop.tau_max:
-                break
+        taus, last = [], min(stepper.t + 1e-12 * stop.tau_max, stop.tau_max)
+        while (tau_rec := next_k * stop.record_every) <= last:
             taus.append(tau_rec)
             next_k += 1
         if taus:
-            Q = _interpolant(K)
+            Q = stepper.segment(K)
             thetas = [dense_output((tau_rec - tau_prev) / (stepper.t - tau_prev), h,
                                    theta_prev, Q) for tau_rec in taus]
             result, done, tau = record(taus, thetas)
+        capped = capped + 1 if stepper.capped else 0
+        if capped == _STIFF_STEPS and not (done or stepper.done):
+            import logging          # here, so that importing the package does not load it
+            logging.getLogger(__name__).info("outer flow stiff at tau = %.6g after %d capped "
+                                             "steps; ROS2 takes over", stepper.t, capped)
+            stepper = _Ros2(stepper, jac)
     if not done and tau < stepper.t:
         result, done, tau = record([stepper.t], [stepper.y])
     return result, done, tau
@@ -409,6 +427,18 @@ def solve_evolution(mode: EvolutionMode, prob: OcpProblem, par: Parameterization
             # and only if the flow reaches it
             return map(evaluate, thetas)
 
+    def jacobian(theta, f):
+        """The flow's forward-difference Jacobian: p-columns from one lane pass,
+        against its own base lane; a free t_f column from one pipeline, against f."""
+        s, E = par.s, _fd_points(theta)
+        base, *lanes = evaluate_iterates(mode, prob, par, gains, np.vstack([theta[:s], E[:s, :s]]),
+                                         theta[-1] if free else t_f0, ode_inner, quad,
+                                         pi_bound=stop.pi_bound)
+        cols = [it.dtheta - base.dtheta for it in lanes]
+        if free:
+            cols.append(rhs(0.0, E[s]) - f)
+        return np.column_stack(cols) / (E.diagonal() - theta)
+
     guard = None
     if free:
         eps_t = 1e-6 * (t_f0 - prob.t0)
@@ -425,7 +455,7 @@ def solve_evolution(mode: EvolutionMode, prob: OcpProblem, par: Parameterization
                 V=lyapunov_diagnostic(it.g_val, it.J, stop.c1)))
             yield it, it.residual_norm <= stop.tol_opt and it.g_norm <= stop.tol_feas
 
-    final_it, done, tau_final = _flow(rhs, rows, theta, stop, ode_outer, guard)
+    final_it, done, tau_final = _flow(rhs, rows, theta, stop, ode_outer, jacobian, guard)
     report = SolveReport(
         p_final=final_it.p.copy(), tf_final=final_it.t_f,
         pi_final=final_it.pi.copy(), J_final=final_it.J,
@@ -474,6 +504,10 @@ def gradient_flow_generic(f_grad, h_val, h_jac, K_theta, K_h, theta0,
             yield (theta, pi), (np.linalg.norm(residual) <= stop.tol_opt
                                 and np.linalg.norm(h) <= stop.tol_feas)
 
+    def jacobian(theta, f):
+        E = _fd_points(theta)
+        return np.column_stack([evaluate(e)[2] - f for e in E]) / (E.diagonal() - theta)
+
     (theta, pi), _, _ = _flow(rhs, rows, theta0, stop,
-                              ode or OdeSettings(rel_tol=1e-8, abs_tol=1e-10))
+                              ode or OdeSettings(rel_tol=1e-8, abs_tol=1e-10), jacobian)
     return theta, pi

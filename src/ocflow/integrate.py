@@ -1,16 +1,19 @@
 """Adaptive Dormand-Prince 4(5) integration with continuous dense output.
 
 One explicit embedded Runge-Kutta pair serves every initial-value problem in
-the package: forward state solves and the outer evolution in virtual time are
-adaptive and run forward only (:func:`integrate_ivp`), and the linear adjoint
-solves, the only backward passes, replay the same tableau backward over a
-forward solve's accepted steps with no error control (:func:`replay_linear`),
-restarting where the forward solve recorded that it did.
-The free 4th-order interpolant of the pair gives dense output at arbitrary
-nodes from one coefficient block per power, a layout that
-:class:`DenseTrajectory` alone knows.  A state solve's control is evaluated
-once per step attempt, at all of its stage times, and handed to the right-hand
-side stage by stage.  Several independent systems of equal size may run as
+the package but the stiff stretch of an outer flow: forward state solves and
+the outer evolution in virtual time are adaptive and run forward only
+(:func:`integrate_ivp`), and the linear adjoint solves, the only backward
+passes, replay the same tableau backward over a forward solve's accepted
+steps with no error control (:func:`replay_linear`), restarting where the
+forward solve recorded that it did.  An outer flow that keeps the stability
+cap below binding goes to :class:`_Ros2`, a linearly implicit W-method with
+Broyden updates, whose dense output is a cubic Hermite segment.  The free
+4th-order interpolant of the pair gives dense output at arbitrary nodes from
+one coefficient block per power, a layout that :class:`DenseTrajectory`
+alone knows.  A state solve's control is evaluated once per step attempt,
+at all of its stage times, and handed to the right-hand side stage by
+stage.  Several independent systems of equal size may run as
 lanes of one solve: they share one step sequence, each step is held to the
 tolerance and stability limit of its worst lane, and lookups come back lanes
 first.  The first step is Hairer's estimate, its trial step clamped to the
@@ -323,8 +326,11 @@ class _Stepper:
     times, seven for a restart's first attempt (its stage 0 too), and at one
     point where rhs runs alone.  The first step is estimated from the
     ``estimated`` channels alone (see :func:`_initial_step`); every channel
-    stays under the error test.
+    stays under the error test.  ``capped`` says whether the stability cap
+    bound the last accepted step's successor.
     """
+
+    segment = staticmethod(_interpolant)    # a step's K -> its dense segment's Q
 
     def __init__(self, rhs, t0, y0, t_end, settings, guard=None,
                  cuts=(), lanes=1, stage_input=None, estimated=slice(None)):
@@ -344,6 +350,7 @@ class _Stepper:
         self.h = None
         self.nsteps = 0
         self.nrejected = 0
+        self.capped = False
         self._start(float(t0))
 
     def _start(self, t0: float) -> None:
@@ -380,33 +387,35 @@ class _Stepper:
     def done(self) -> bool:
         return self.t >= self.t_end and not self._ends
 
+    def _attempt(self, t):
+        """The next attempt's (h, t + h) from self.h, or the typed error that ends the solve."""
+        s, t_end = self.settings, self.t_end
+        if self.nsteps + self.nrejected - self._budget0 >= s.max_steps:
+            raise StepBudgetError(f"exceeded max_steps = {s.max_steps}", t)
+        h = min(self.h, t_end - t)
+        if h < _MIN_STEP_REL * max(abs(t), abs(t_end)):
+            raise IntegrationError("step size underflow", t)
+        # stretch marginally short steps to the endpoint so no unsteppable
+        # sliver is left behind (a 5% stretch is well inside the error budget)
+        if t + 1.05 * h >= t_end:
+            return t_end - t, t_end
+        return h, t + h
+
     def step(self):
         """Advance one accepted step from (t, y); returns its size h and stages K.
 
         K (7, d) belongs to the caller; the step's dense segment is
         :func:`dense_output` with anchor t, scale h, base y and
-        Q = :func:`_interpolant` (K).
+        Q = :meth:`segment` (K).
         """
         if self.t >= self.t_end:
             self._start(self.t)
         s = self.settings
         rhs, K, KT, lo, hi, lanes = self.rhs, self.K, self._KT, self.lo, self.hi, self.lanes
         stage_input = self.stage_input
-        t, y, t_end = self.t, self.y, self.t_end
-        min_step = _MIN_STEP_REL * max(abs(t), abs(t_end))
+        t, y = self.t, self.y
         while True:
-            if self.nsteps + self.nrejected - self._budget0 >= s.max_steps:
-                raise StepBudgetError(f"exceeded max_steps = {s.max_steps}", t)
-            h = min(self.h, t_end - t)
-            if h < min_step:
-                raise IntegrationError("step size underflow", t)
-            t_new = t + h
-            # stretch marginally short steps to the endpoint so no unsteppable
-            # sliver is left behind (a 5% stretch is well inside the error budget)
-            if t + 1.05 * h >= t_end:
-                t_new = t_end
-                h = t_new - t
-
+            h, t_new = self._attempt(t)
             ts = [min(max(t + c * h, lo), hi) for c in _C_STAGE]
             vs = None if stage_input is None else stage_input(np.array(ts[self.f is not None:]))
             if self.f is None:          # a restart: all seven stages in one evaluation
@@ -449,7 +458,8 @@ class _Stepper:
                     factor = _SAFETY * err_norm ** (-_BETA1) * self.err_old ** _BETA2
                 self.h = h * min(_MAX_FACTOR, max(_MIN_FACTOR, factor))
                 rho = _stiffness(y_new, y5, K, lanes)
-                if self.h * rho > _STABLE_HRHO:
+                self.capped = self.h * rho > _STABLE_HRHO
+                if self.capped:
                     self.h = _STABLE_HRHO / rho
                 self.err_old = max(err_norm, 1e-4)
                 K = K.copy()
@@ -458,6 +468,80 @@ class _Stepper:
                 return h, K
             self.nrejected += 1
             self.h = h * max(_MIN_FACTOR, _SAFETY * err_norm ** (-0.2))
+
+
+_ROS2_GAMMA = 1.0 + 1.0 / math.sqrt(2.0)
+_RESEED_REJECTIONS = 2      # consecutive rejections after which J is rebuilt
+
+
+def _broyden(J: np.ndarray, dy: np.ndarray, dF: np.ndarray) -> None:
+    """Broyden's rank-one update of J in place, so that J dy = dF afterwards."""
+    dy2 = dy.dot(dy)
+    if dy2 > 0.0:
+        J += np.outer(dF - J @ dy, dy / dy2)
+
+
+def _hermite(K: np.ndarray) -> np.ndarray:
+    """Q, powers first, of the cubic Hermite segment of K = (F_n, F_n+1, dy / h)."""
+    f0, f1, d = K
+    return np.stack([f0, 3.0 * d - 2.0 * f0 - f1, f0 + f1 - 2.0 * d, np.zeros_like(d)])
+
+
+class _Ros2(_Stepper):
+    """The linearly implicit ROS2 W-method (Verwer, Spee, Blom & Hundsdorfer,
+    1999), taking over a one-system :class:`_Stepper` at its (t, y, f, h).
+
+    W = (I - gamma h J)^-1, gamma = 1 + 1/sqrt(2); k1 = W f(y), k2 = W (f(y +
+    h k1) - 2 k1), y+ = y + h (3 k1 + k2) / 2, error h (k1 + k2) / 2.  Order
+    2 holds for any J: J = ``jac(y, f)``, Broyden-updated with each f(y+),
+    rebuilt after ``_RESEED_REJECTIONS`` rejections in a row (a singular
+    I - gamma h J is one).  A step's segment is the cubic Hermite one.
+    """
+
+    segment = staticmethod(_hermite)
+
+    def __init__(self, stepper: _Stepper, jac):
+        self.__dict__.update(stepper.__dict__, jac=jac, capped=False)
+        self.J = self._jacobian()
+
+    def _jacobian(self) -> np.ndarray:
+        J = np.array(self.jac(self.y, self.f), dtype=float)
+        if not np.isfinite(J).all():
+            raise DivergenceError("non-finite Jacobian", self.t)
+        return J
+
+    def step(self):
+        """Advance one accepted step; returns its size h and K for :meth:`segment`."""
+        s, rhs, t, y, f, rejected = self.settings, self.rhs, self.t, self.y, self.f, 0
+        while True:
+            h, t_new = self._attempt(t)
+            try:
+                W = np.linalg.inv(np.eye(y.size) - (_ROS2_GAMMA * h) * self.J)
+            except np.linalg.LinAlgError:       # a singular I - gamma h J: rejected
+                W = None
+            err_norm = math.inf
+            if W is not None:
+                k1 = W @ f
+                f1 = np.asarray(rhs(t_new, y + h * k1), dtype=float)
+                k2 = W @ (f1 - 2.0 * k1)
+                y_new = y + h * (1.5 * k1 + 0.5 * k2)
+                sc = s.abs_tol + s.rel_tol * np.maximum(abs(y), abs(y_new))
+                err_norm = _rms(0.5 * h * (k1 + k2) / sc)
+                if not math.isfinite(err_norm) and not np.isfinite(f1).all():
+                    raise DivergenceError("non-finite right-hand side", t_new)
+            factor = min(_MAX_FACTOR, max(_MIN_FACTOR, _SAFETY / math.sqrt(max(err_norm, 1e-10))))
+            if not err_norm <= 1.0 or not (self.guard is None or self.guard(t_new, y_new)):
+                self.h = h * (0.5 if err_norm <= 1.0 else factor)
+                self.nrejected += 1
+                rejected += 1
+                if rejected % _RESEED_REJECTIONS == 0:
+                    self.J = self._jacobian()
+                continue
+            self._first_stage(np.asarray(rhs(t_new, y_new), dtype=float), t_new)
+            _broyden(self.J, y_new - y, self.f - f)
+            self.h = h * factor
+            self.t, self.y, self.nsteps = t_new, y_new, self.nsteps + 1
+            return h, np.stack([f, self.f, (y_new - y) / h])
 
 
 def integrate_ivp(rhs, y0, t_span, settings: OdeSettings | None = None, *,

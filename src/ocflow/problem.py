@@ -145,12 +145,14 @@ def _require_finite(M: np.ndarray, name: str) -> None:
 
 
 def _require_spd(M, name: str) -> np.ndarray:
-    """M as a float array, or a ConfigurationError naming it unless it is SPD."""
+    """M as a float array, or a ConfigurationError naming it unless it is SPD;
+    symmetric means max|M - M^T| <= 1e-9 max|M|, which takes the rounding of
+    np.linalg.inv (1.4e-11 of max|M| at condition 1e9)."""
     M = np.asarray(M, dtype=float)
     _require_finite(M, name)
     if M.ndim != 2 or M.shape[0] != M.shape[1]:
         raise ConfigurationError(f"{name} must be square, got shape {M.shape}")
-    if not np.allclose(M, M.T, rtol=1e-12, atol=1e-12):
+    if np.abs(M - M.T).max(initial=0.0) > 1e-9 * np.abs(M).max(initial=0.0):
         raise ConfigurationError(f"{name} must be symmetric")
     try:
         np.linalg.cholesky(M)

@@ -724,3 +724,152 @@ def test_gradient_flow_generic_takes_the_rows_of_a_step_together(monkeypatch):
 def test_stop_criteria_must_be_finite(field, bad):
     with pytest.raises(ValueError, match=field):
         StopCriteria(**{field: bad})
+
+
+def _no_switch(monkeypatch):
+    import ocflow.evolution as evolution
+
+    def refuse(stepper, jac):
+        raise AssertionError(f"the flow switched to ROS2 at tau = {stepper.t}")
+    monkeypatch.setattr(evolution, "_Ros2", refuse)
+
+
+def test_flow_switches_after_exactly_the_stiff_step_count(caplog):
+    # y' = -diag(1, 1e-3) y: once the fast mode has decayed, the stability cap
+    # binds every step; the hand-over comes after the first _STIFF_STEPS
+    # capped steps in a row of the very same Dormand-Prince sequence
+    import logging
+
+    import ocflow.evolution as evolution
+    from ocflow.integrate import _Stepper
+
+    rate = np.array([1.0, 1e-3])
+    rhs = lambda tau, y: -rate * y                                     # noqa: E731
+    y0, ode, stop = np.ones(2), OdeSettings(), StopCriteria(tau_max=2000.0, record_every=50.0)
+    dp, run, ys = _Stepper(rhs, 0.0, y0, stop.tau_max, ode), 0, []
+    while run < evolution._STIFF_STEPS:
+        dp.step()
+        run = run + 1 if dp.capped else 0
+        ys.append(dp.y)
+    seen = []
+
+    def jac(theta, f):
+        seen.append((theta, f))
+        return -np.diag(rate)
+
+    def rows(taus, thetas):
+        for theta in thetas:
+            yield theta, False
+
+    with caplog.at_level(logging.INFO, logger="ocflow.evolution"):
+        theta, done, tau = evolution._flow(rhs, rows, y0, stop, ode, jac)
+    assert len(seen) == 1 and np.array_equal(seen[0][0], ys[-1])
+    assert np.array_equal(seen[0][1], rhs(0.0, ys[-1]))
+    assert len(ys) > evolution._STIFF_STEPS        # the cap did not bind from the start
+    assert [r.getMessage() for r in caplog.records] == [
+        f"outer flow stiff at tau = {dp.t:.6g} after {evolution._STIFF_STEPS} capped "
+        "steps; ROS2 takes over"]
+    assert not done and tau == stop.tau_max
+    np.testing.assert_allclose(theta, y0 * np.exp(-rate * tau), rtol=1e-2, atol=1e-9)
+
+
+def test_gradient_flow_generic_hands_a_stiff_flow_to_ros2(monkeypatch, caplog):
+    # d theta/dtau = -0.1 diag(1, 0.01) theta at the default OdeSettings: the
+    # switch keeps the tolerance and takes fewer gradient calls than
+    # Dormand-Prince alone
+    import logging
+
+    import ocflow.evolution as evolution
+
+    def solve():
+        calls = []
+
+        def f_grad(theta):
+            calls.append(theta)
+            return np.array([1.0, 0.01]) * theta
+        theta, pi = gradient_flow_generic(
+            f_grad, lambda th: np.zeros(0), lambda th: np.zeros((0, 2)), 0.1,
+            np.zeros((0, 0)), np.ones(2), StopCriteria(tau_max=20000.0, record_every=10.0),
+            OdeSettings())
+        assert np.linalg.norm(np.array([1.0, 0.01]) * theta) <= 1e-6
+        return len(calls)
+
+    with caplog.at_level(logging.INFO, logger="ocflow.evolution"):
+        switched = solve()
+    assert len(caplog.records) == 1
+    monkeypatch.setattr(evolution, "_STIFF_STEPS", 10 ** 9)
+    assert switched < solve()
+
+
+def test_e1_gradient_flow_logs_one_switch_and_form1_none(example1, caplog):
+    import logging
+
+    par, init = cubic(), EvolutionState(p=np.zeros(4), t_f=2.0)
+    with caplog.at_level(logging.INFO, logger="ocflow.evolution"):
+        report, _, _ = solve_evolution(EvolutionMode.gradient_flow(0.1 * np.eye(4)),
+                                       example1.prob, par, example1.gains, init,
+                                       StopCriteria(tau_max=60000.0, record_every=250.0))
+    assert report.converged
+    (record,) = caplog.records
+    assert record.levelno == logging.INFO and "ROS2 takes over" in record.getMessage()
+    caplog.clear()
+    with caplog.at_level(logging.INFO, logger="ocflow.evolution"):
+        report, _, _ = solve_evolution(EvolutionMode.form1(), example1.prob, par,
+                                       example1.gains, init, StopCriteria(tau_max=300.0))
+    assert report.converged and not caplog.records
+
+
+def test_criterion_6_configuration_does_not_switch(example1, monkeypatch):
+    _no_switch(monkeypatch)         # a switch fails the solve
+    solve_evolution(EvolutionMode.form1(), example1.prob, cubic(), example1.gains,
+                    EvolutionState(p=np.zeros(4), t_f=2.0), StopCriteria(tau_max=170.0),
+                    ode_outer=OdeSettings(rel_tol=1e-7, abs_tol=1e-10))
+
+
+@pytest.mark.parametrize("kind, kw, form", [
+    ("global_polynomial", {"order": 4}, "form1"),
+    ("lagrange_nodes", {"n_segments": 4}, "form2"),
+    ("piecewise_linear", {"n_segments": 20}, "form2"),
+    ("piecewise_constant", {"n_segments": 20}, "form2")], ids=["case1", "case2", "case3",
+                                                            "case4"])
+def test_brachistochrone_cases_do_not_switch(brach, monkeypatch, kind, kw, form):
+    _no_switch(monkeypatch)
+    par = make_basis(kind, m=1, t0=0.0, form=form, **kw)
+    report, _, _ = solve_evolution(
+        EvolutionMode.form1() if form == "form1" else EvolutionMode.form2(), brach.prob, par,
+        brach.gains, EvolutionState(p=np.zeros(par.s), t_f=1.0),
+        StopCriteria(tau_max=300.0, record_every=5.0))
+    assert report.converged
+
+
+def test_free_tf_flow_switched_early_keeps_its_answer(brach, monkeypatch):
+    # the Brachistochrone's form-2 flow never caps two steps in a row; handed
+    # to ROS2 at its first capped step, its Jacobian (20 p-columns from one
+    # lane pass, the t_f column from one pipeline) predicts the flow's
+    # direction, and the solve converges to the same t_f
+    import ocflow.evolution as evolution
+
+    seen = []
+
+    class Recorded(evolution._Ros2):
+        def __init__(self, stepper, jac):
+            super().__init__(stepper, jac)
+            seen.append((self.y, self.f, self.J.copy()))
+
+    monkeypatch.setattr(evolution, "_STIFF_STEPS", 1)
+    monkeypatch.setattr(evolution, "_Ros2", Recorded)
+    par = make_basis("piecewise_constant", m=1, t0=0.0, form="form2", n_segments=20)
+    mode = EvolutionMode.form2()
+    report, _, _ = solve_evolution(mode, brach.prob, par, brach.gains,
+                                   EvolutionState(p=np.zeros(20), t_f=1.0),
+                                   StopCriteria(tau_max=300.0, record_every=5.0))
+    assert report.converged and abs(report.tf_final - 0.8165) <= 1e-3
+    (theta, f, J), = seen
+    assert J.shape == (21, 21)
+    F = lambda th: evaluate_iterate(mode, brach.prob, par, brach.gains,  # noqa: E731
+                                    th[:-1], th[-1]).dtheta
+    assert np.array_equal(F(theta), f)
+    v = np.random.default_rng(0).normal(size=21)
+    for direction in (v / np.linalg.norm(v), np.eye(21)[-1]):
+        step = F(theta + 1e-4 * direction) - f
+        assert np.linalg.norm(step - 1e-4 * J @ direction) <= 1e-3 * np.linalg.norm(step)

@@ -6,7 +6,7 @@ import pytest
 
 from ocflow import (DenseTrajectory, DimensionError, DivergenceError, DomainError,
                     IntegrationError, OdeSettings, StepBudgetError, integrate_ivp, replay_linear)
-from ocflow.integrate import _Stepper
+from ocflow.integrate import _ROS2_GAMMA, _broyden, _hermite, _Ros2, _Stepper, dense_output
 
 
 def test_exponential_decay():
@@ -483,3 +483,112 @@ def test_lookups_match_the_gathered_segment_lookup(source):
         stranger = DenseTrajectory(sol.t_grid[::2], sol.values[::2], sol.segments)
         with pytest.raises(ValueError, match="share their grid"):
             sol(ts, stranger)
+
+
+def _ros2(rhs, y0, jac, settings=None, t_end=10.0, h=None):
+    """A ROS2 stepper taking over a fresh Dormand-Prince stepper at t = 0,
+    with step h if given; loose default tolerances accept every step."""
+    dp = _Stepper(rhs, 0.0, np.asarray(y0, dtype=float), t_end,
+                  settings or OdeSettings(rel_tol=1e6, abs_tol=1e6))
+    if h is not None:
+        dp.h = h
+    return _Ros2(dp, jac)
+
+
+def _fixed_steps(ros, h, n):
+    for _ in range(n):
+        ros.h = h
+        assert ros.step()[0] == h
+    return ros.y
+
+
+@pytest.mark.parametrize("exact", [True, False], ids=["exact_J", "zero_J"])
+def test_ros2_is_second_order_for_any_jacobian(exact):
+    # a W-method: order 2 whether J is the right-hand side's Jacobian or not
+    # (Broyden updates move J from step to step); y' = A y to t = 1, h halving
+    A = np.array([[-1.0, 2.0], [-2.0, -1.0]])
+    y0 = np.array([1.0, 0.5])
+    lam, V = np.linalg.eig(A)
+    y1 = (V @ (np.exp(lam) * np.linalg.solve(V, y0))).real
+    jac = (lambda y, f: A) if exact else (lambda y, f: np.zeros((2, 2)))
+    errs = [np.abs(_fixed_steps(_ros2(lambda t, y: A @ y, y0, jac), 1.0 / n, n) - y1).max()
+            for n in (80, 160, 320)]
+    orders = np.log2(np.array(errs[:-1]) / errs[1:])
+    assert (np.abs(orders - 2.0) < 0.15).all(), orders
+
+
+def test_ros2_damps_a_stiff_mode():
+    # h * lambda = -1e4: an explicit pair blows up, ROS2 with the exact J decays
+    ros = _ros2(lambda t, y: -1e4 * y, [1.0], lambda y, f: np.array([[-1e4]]))
+    ys = [abs(_fixed_steps(ros, 1.0, 1)[0]) for _ in range(5)]
+    assert ys[0] < 0.2 and all(b < a for a, b in zip(ys, ys[1:])), ys
+    assert ros.nrejected == 0
+
+
+def test_broyden_update_meets_the_secant_condition():
+    rng = np.random.default_rng(3)
+    J, dy, dF = rng.normal(size=(4, 4)), rng.normal(size=4), rng.normal(size=4)
+    J0 = J.copy()
+    _broyden(J, dy, dF)
+    np.testing.assert_allclose(J @ dy, dF, rtol=1e-13, atol=1e-13)
+    # the update is rank one: J acts as before on every direction orthogonal to dy
+    v = rng.normal(size=4)
+    v -= (v @ dy) / (dy @ dy) * dy
+    np.testing.assert_allclose(J @ v, J0 @ v, rtol=1e-13, atol=1e-13)
+    J1 = J.copy()
+    _broyden(J, np.zeros(4), dF)            # no step, no update
+    assert np.array_equal(J, J1)
+
+
+def test_hermite_segment_through_dense_output():
+    # the segment is exact at both nodes, with slopes F_n and F_n+1, so it
+    # reproduces a cubic; dense_output is its evaluator
+    c = np.array([[0.3, -1.0], [2.0, 0.5], [-1.5, 0.25], [0.7, -0.4]])   # powers 0-3
+    y = lambda t: c[0] + c[1] * t + c[2] * t ** 2 + c[3] * t ** 3       # noqa: E731
+    dy = lambda t: c[1] + 2 * c[2] * t + 3 * c[3] * t ** 2              # noqa: E731
+    t0, h = 0.4, 0.8
+    Q = _hermite(np.stack([dy(t0), dy(t0 + h), (y(t0 + h) - y(t0)) / h]))
+    assert Q.shape == (4, 2) and not Q[3].any()
+    assert np.array_equal(dense_output(0.0, h, y(t0), Q), y(t0))
+    for th in (0.25, 0.5, 1.0):
+        np.testing.assert_allclose(dense_output(th, h, y(t0), Q), y(t0 + th * h),
+                                   rtol=0, atol=1e-14)
+    slope = lambda th: (Q[0] + 2 * Q[1] * th + 3 * Q[2] * th ** 2)       # noqa: E731
+    np.testing.assert_allclose(slope(0.0), dy(t0), rtol=0, atol=1e-14)
+    np.testing.assert_allclose(slope(1.0), dy(t0 + h), rtol=0, atol=1e-14)
+
+
+def test_ros2_step_segment_joins_its_ends():
+    rhs = lambda t, y: np.array([-y[0] + y[1] ** 2, -0.1 * y[1]])        # noqa: E731
+    ros = _ros2(rhs, [1.0, 2.0], lambda y, f: np.array([[-1.0, 2 * y[1]], [0.0, -0.1]]),
+                OdeSettings())
+    y_prev, f_prev = ros.y, ros.f
+    h, K = ros.step()
+    Q = ros.segment(K)
+    np.testing.assert_allclose(dense_output(1.0, h, y_prev, Q), ros.y, rtol=1e-14)
+    assert np.array_equal(Q[0], f_prev)
+    np.testing.assert_array_equal(ros.f, rhs(0.0, ros.y))
+    np.testing.assert_allclose(Q[0] + 2 * Q[1] + 3 * Q[2], ros.f, rtol=1e-12)
+
+
+def test_ros2_errors_are_typed():
+    rhs = lambda t, y: -y                                                 # noqa: E731
+    with pytest.raises(DivergenceError, match="Jacobian"):
+        _ros2(rhs, [1.0], lambda y, f: np.array([[np.nan]]))
+    ros = _ros2(rhs, [1.0], lambda y, f: -np.eye(1), OdeSettings(max_steps=3))
+    with pytest.raises(StepBudgetError, match="max_steps = 3"):
+        while True:
+            ros.step()
+    # a guard that vetoes every step halves h until it underflows
+    dp = _Stepper(rhs, 0.0, np.array([1.0]), 10.0, OdeSettings(), guard=lambda t, y: False)
+    with pytest.raises(IntegrationError, match="underflow"):
+        _Ros2(dp, lambda y, f: -np.eye(1)).step()
+    # a singular I - gamma h J is a rejection, and two in a row rebuild J
+    calls = []
+
+    def jac(y, f):                  # first singular at h = 0.5, then -1
+        calls.append(y)
+        return np.array([[1.0 / (_ROS2_GAMMA * 0.5)]]) if len(calls) == 1 else -np.eye(1)
+    ros = _ros2(rhs, [1.0], jac, OdeSettings(), h=0.5)
+    ros.step()
+    assert len(calls) == 2 and ros.nrejected >= 2 and ros.nsteps == 1

@@ -7,7 +7,7 @@ from ocflow import (DerivativeMismatchError, DimensionError, DomainError, Gains,
                     OcpProblem, OdeSettings, SolveTrace, TraceRow, make_basis,
                     simulate_control, solve_state, validate_problem)
 from ocflow.errors import ConfigurationError
-from ocflow.problem import _batch_eval, _central_diff, _state_solution
+from ocflow.problem import _batch_eval, _central_diff, _require_spd, _state_solution
 
 TIGHT = OdeSettings(rel_tol=1e-10, abs_tol=1e-12)
 
@@ -155,8 +155,8 @@ def test_bad_gains_are_refused_at_construction(kwargs, needle):
 
 
 def test_constant_gains_take_an_ill_conditioned_weight():
-    # inv(K) of this SPD K comes back asymmetric beyond the symmetry check's
-    # 1e-12; Gains.constant symmetrizes K^-1, so any SPD K passes its checks
+    # inv(K) of this SPD K comes back asymmetric beyond an elementwise 1e-12;
+    # Gains.constant symmetrizes K^-1, so any SPD K passes its checks
     Q = np.linalg.qr(np.random.default_rng(0).normal(size=(4, 4)))[0]
     K = Q @ np.diag([1.0, 1e3, 1e6, 1e9]) @ Q.T
     K = 0.5 * (K + K.T)
@@ -164,6 +164,25 @@ def test_constant_gains_take_an_ill_conditioned_weight():
     K_inv = Gains.constant(K=K, m=4, q=1).K_inv
     assert np.array_equal(K_inv, K_inv.T)
     np.testing.assert_allclose(K_inv @ K, np.eye(4), atol=1e-6)
+
+
+def test_inverse_of_an_ill_conditioned_weight_is_symmetric_enough():
+    # np.linalg.inv of an SPD K of condition 1e9 is asymmetric at rounding
+    # level, 1.4e-11 of its largest entry: Gains and _require_spd, which
+    # checks a callable K_inv at t0, take it; an asymmetry of 1e-6 of the
+    # largest entry is refused
+    Q = np.linalg.qr(np.random.default_rng(0).normal(size=(4, 4)))[0]
+    M = np.linalg.inv(Q @ np.diag([1.0, 1e3, 1e6, 1e9]) @ Q.T)
+    asym, big = np.abs(M - M.T).max(), np.abs(M).max()
+    assert 1e-11 < asym < 1e-10 * big
+    assert Gains(K_inv=M, k_tf=0.0, K_g=0.1 * np.eye(2)).K_inv is not None
+    assert _require_spd(M, "K_inv(t0)") is not None
+    bad = M.copy()
+    bad[0, 1] += 1e-6 * big
+    with pytest.raises(ConfigurationError, match="K_inv must be symmetric"):
+        Gains(K_inv=bad, k_tf=0.0, K_g=0.1 * np.eye(2))
+    with pytest.raises(ConfigurationError, match=r"K_inv\(t0\) must be symmetric"):
+        _require_spd(bad, "K_inv(t0)")
 
 
 def test_problem_construction_guards(example1):
