@@ -55,4 +55,5 @@ class RankError(OcflowError):
 
 
 class MultiplierBoundWarning(UserWarning):
-    """The terminal-constraint multiplier exceeded its configured bound."""
+    """The terminal-constraint multiplier's norm exceeded 1e6, the bound of its
+    boundedness assumption."""

@@ -25,8 +25,9 @@ tolerance or a tau budget is hit, recording a trace row every
 one accepted step of a fixed-t_f flow are evaluated together, as the lanes
 of one pipeline pass (:func:`evaluate_iterates`).  Dormand-Prince steps the
 flow until its stability cap has bound 15 accepted steps in a row; the flow
-is then stiff, and a ROS2 W-method takes over for good, its Jacobian one
-forward-difference lane pass and Broyden updates after (:func:`_flow`).
+is then stiff, and a ROS2 W-method takes over for good.  Its Jacobian is one
+forward difference, formed by :func:`_flow` from the same evaluator as the
+flow's right-hand side and its trace rows, and Broyden updates follow it.
 """
 
 from __future__ import annotations
@@ -51,6 +52,7 @@ from .sensitivity import (AdjointBundle, ThetaQuantities, assemble_form1,
 _MODE_KINDS = ("form1", "form2", "gradient_flow")
 _STIFF_STEPS = 15      # consecutive capped DP5 steps that hand the flow to ROS2
 _FD_REL = 1e-6         # Jacobian forward-difference step over max(1, |theta_j|)
+_PI_BOUND = 1e6        # ||pi|| over which the multiplier boundedness assumption looks violated
 
 
 @dataclass(frozen=True)
@@ -105,7 +107,6 @@ class StopCriteria:
     tol_feas: float = 1e-6
     record_every: float = 1.0
     c1: float = 0.01
-    pi_bound: float = 1e6
 
     def __post_init__(self):
         for f in fields(self):
@@ -126,21 +127,20 @@ def _matvec(A: np.ndarray, x: np.ndarray) -> np.ndarray:
 
 def lyapunov_diagnostic(g_val, J_val: float, c1: float) -> float:
     """V = ||g|| + c1 * J, the energy-like quantity recorded along the flow."""
-    if c1 <= 0:
-        raise ValueError("c1 must be positive")
+    if not _finite_positive(c1):
+        raise ValueError(f"c1 must be finite and positive, got {c1!r}")
     g_val = np.asarray(g_val, dtype=float)
     return float(np.sqrt(g_val @ g_val) + c1 * J_val)
 
 
-def multiplier(Gamma, W_Gamma, W_r, K_g, g_val, *,
-               pi_bound: float = 1e6) -> np.ndarray:
+def multiplier(Gamma, W_Gamma, W_r, K_g, g_val) -> np.ndarray:
     """Terminal-constraint multiplier enforcing dg/dtau = -K_g g.
 
     Solves pi = -(Gamma^T W Gamma)^-1 (Gamma^T W r - K_g g) for the flow
     d theta/dtau = -W (r + Gamma pi), given the metric applied to the
     stationarity terms: ``W_Gamma`` = W Gamma and ``W_r`` = W r.  Stacked
     arguments, a leading lane axis on all but K_g, solve the lanes' systems
-    as one stack, warning once for each lane over the bound.
+    as one stack, warning once for each lane whose ||pi|| exceeds ``_PI_BOUND``.
     """
     Gamma = np.asarray(Gamma, dtype=float)
     GT = Gamma.swapaxes(-1, -2)
@@ -148,18 +148,18 @@ def multiplier(Gamma, W_Gamma, W_r, K_g, g_val, *,
     pi = -spd_solve(GT @ W_Gamma, rhs[..., None], "multiplier system (constraint "
                     "sensitivity lacks full column rank)")[..., 0]
     for norm in map(_norm, np.atleast_2d(pi)):
-        if norm > pi_bound:
-            warnings.warn(f"||pi|| = {norm:.3e} exceeds bound {pi_bound:.1e}; the "
+        if norm > _PI_BOUND:
+            warnings.warn(f"||pi|| = {norm:.3e} exceeds bound {_PI_BOUND:.1e}; the "
                           "multiplier boundedness assumption looks violated",
                           MultiplierBoundWarning, stacklevel=2)
     return pi
 
 
-def _flow_direction(rGamma, W_rGamma, K_g, g_val, pi_bound: float):
+def _flow_direction(rGamma, W_rGamma, K_g, g_val):
     """(pi, r + Gamma pi, -W (r + Gamma pi)) from [r | Gamma] and W [r | Gamma], per lane."""
     r, Gamma = rGamma[..., 0], rGamma[..., 1:]
     W_r, W_Gamma = W_rGamma[..., 0], W_rGamma[..., 1:]
-    pi = multiplier(Gamma, W_Gamma, W_r, K_g, g_val, pi_bound=pi_bound)
+    pi = multiplier(Gamma, W_Gamma, W_r, K_g, g_val)
     return pi, r + _matvec(Gamma, pi), -(W_r + _matvec(W_Gamma, pi))
 
 
@@ -215,7 +215,7 @@ def _check_compat(mode: EvolutionMode, prob: OcpProblem, par: Parameterization,
 
 def _pipeline(mode: EvolutionMode, prob: OcpProblem, par: Parameterization, gains: Gains,
               p: np.ndarray, t_f: float, ode_inner: OdeSettings | None,
-              quad: QuadratureSpec | None, pi_bound: float) -> tuple:
+              quad: QuadratureSpec | None) -> tuple:
     """(bundle, quantities, J, g, pi, r + Gamma pi, d theta/dtau = -W (r + Gamma pi))
     at (p, t_f), from the stationarity terms r, Gamma over theta and the metric
     W.  A (B, s) ``p`` runs B lanes, and each result has a leading lane axis."""
@@ -236,7 +236,7 @@ def _pipeline(mode: EvolutionMode, prob: OcpProblem, par: Parameterization, gain
     else:
         W_rGamma = spd_solve(quant.M, rGamma, "Gram matrix of the basis columns of theta")
     return (bundle, quant, J, g_val,
-            *_flow_direction(rGamma, W_rGamma, gains.K_g, g_val, pi_bound))
+            *_flow_direction(rGamma, W_rGamma, gains.K_g, g_val))
 
 
 def _iterate_eval(bundle, quant, J, g_val, pi, residual, dtheta) -> IterateEval:
@@ -248,20 +248,18 @@ def _iterate_eval(bundle, quant, J, g_val, pi, residual, dtheta) -> IterateEval:
 def evaluate_iterate(mode: EvolutionMode, prob: OcpProblem, par: Parameterization,
                      gains: Gains, p, t_f: float,
                      ode_inner: OdeSettings | None = None,
-                     quad: QuadratureSpec | None = None, *,
-                     pi_bound: float = 1e6) -> IterateEval:
+                     quad: QuadratureSpec | None = None) -> IterateEval:
     """Run the full pipeline (state, adjoints, assembly, multiplier) at (p, t_f)."""
     p = np.asarray(p, dtype=float)
     if p.shape != (par.s,):
         raise ValueError(f"p has shape {p.shape}, expected ({par.s},)")
-    return _iterate_eval(*_pipeline(mode, prob, par, gains, p, t_f, ode_inner, quad, pi_bound))
+    return _iterate_eval(*_pipeline(mode, prob, par, gains, p, t_f, ode_inner, quad))
 
 
 def evaluate_iterates(mode: EvolutionMode, prob: OcpProblem, par: Parameterization,
                       gains: Gains, P, t_f: float,
                       ode_inner: OdeSettings | None = None,
-                      quad: QuadratureSpec | None = None, *,
-                      pi_bound: float = 1e6) -> list[IterateEval]:
+                      quad: QuadratureSpec | None = None) -> list[IterateEval]:
     """Run the full pipeline at B iterates (P[b], t_f) as the lanes of one pass.
 
     ``P`` is (B, s).  One state solve carries all lanes on one step sequence,
@@ -276,8 +274,7 @@ def evaluate_iterates(mode: EvolutionMode, prob: OcpProblem, par: Parameterizati
     P = np.asarray(P, dtype=float)
     if P.ndim != 2 or len(P) == 0 or P.shape[1] != par.s:
         raise ValueError(f"P has shape {P.shape}, expected (B, {par.s}) with B >= 1")
-    bundle, quant, *lanes = _pipeline(mode, prob, par, gains, P, t_f, ode_inner, quad,
-                                      pi_bound)
+    bundle, quant, *lanes = _pipeline(mode, prob, par, gains, P, t_f, ode_inner, quad)
     return [_iterate_eval(*lane) for lane in zip(bundle.lanes(), quant.lanes(), *lanes)]
 
 
@@ -321,31 +318,37 @@ def _memo_last(fn):
     return memo
 
 
-def _fd_points(theta: np.ndarray) -> np.ndarray:
-    """Row j is theta + d_j e_j, d_j = _FD_REL max(1, |theta_j|): the points
-    of a forward-difference Jacobian, whose column j divides by E[j, j] - theta[j]."""
-    return theta + np.diag(_FD_REL * np.maximum(1.0, np.abs(theta)))
+def _flow(evaluate, row, theta0: np.ndarray, stop: StopCriteria, ode: OdeSettings,
+          guard=None):
+    """Integrate d theta/dtau = F(theta) from tau = 0 until a record point is done.
 
-
-def _flow(rhs, rows, theta0: np.ndarray, stop: StopCriteria, ode: OdeSettings,
-          jac, guard=None):
-    """Integrate d theta/dtau = rhs(tau, theta) from tau = 0 until a record point is done.
-
-    The record points are tau = 0, the uniform tau grid of spacing
-    ``stop.record_every`` (points inside an accepted step come from its
-    dense output) and the last tau reached if that is off the grid.
-    ``rows(taus, thetas)`` gets them a step at a time, every point inside
-    one accepted step together, and yields ``(result, done)`` for each in
-    order; the flow stops at the first that is done and takes no later
-    one.  Returns the last ``(result, done, tau)``.
+    ``evaluate(thetas)`` gives the results at a list of points, in order and
+    lazily, each with its F as ``dtheta``.  The right-hand side is a
+    one-point call.  The record points are tau = 0, the uniform tau grid of
+    spacing ``stop.record_every`` (points inside an accepted step come from
+    its dense output) and the last tau reached if that is off the grid; the
+    points inside one accepted step are one call.  ``row(tau, result)``
+    records each point's result in order and says whether it is done; the
+    flow stops at the first that is done and takes no later one.  Returns
+    the last ``(result, done, tau)``.
 
     Dormand-Prince steps until its stability cap has bound ``_STIFF_STEPS``
     accepted steps in a row (DOPRI5's stiffness test); ROS2 then takes over
-    for good, its first Jacobian ``jac(theta, f)``, f = rhs(tau, theta).
+    for good.  Its Jacobian is one call at [theta, theta + d_1 e_1, ...],
+    d_j = ``_FD_REL`` max(1, |theta_j|): column j is the forward difference
+    against the call's first result over the representable step.
     """
+    def rhs(tau, theta):
+        return next(iter(evaluate([theta]))).dtheta
+
+    def jac(theta):
+        E = theta + np.diag(_FD_REL * np.maximum(1.0, np.abs(theta)))
+        base, *columns = (result.dtheta for result in evaluate([theta, *E]))
+        return np.column_stack([col - base for col in columns]) / (E.diagonal() - theta)
+
     def record(taus, thetas):
-        for tau, (result, done) in zip(taus, rows(taus, thetas)):
-            if done:
+        for tau, result in zip(taus, evaluate(thetas)):
+            if done := row(tau, result):
                 break
         return result, done, tau
 
@@ -387,14 +390,16 @@ def solve_evolution(mode: EvolutionMode, prob: OcpProblem, par: Parameterization
 
     Trace rows are sampled on the uniform tau grid (spacing
     ``stop.record_every``) via dense output; the stopping test runs at those
-    same points.  With a fixed t_f, the rows inside one accepted step are
-    evaluated as the lanes of one :func:`evaluate_iterates` pass, and rows
-    are appended in tau order up to the first that meets the tolerances.
-    The answer is the last trace row: the report's p, t_f, pi, J, residual,
-    ||g|| and tau are that row's, and the returned adjoint bundle (from
-    which costates are reconstructed) is its pipeline's, a lane of a pass
-    included.  So a converged report meets ``tol_opt`` and ``tol_feas``.
-    Returns the final report, the trace, and that bundle.
+    same points, and rows are appended in tau order up to the first that
+    meets the tolerances.  The flow's one evaluator (see :func:`_flow`) runs
+    the points it is given, the rows inside one accepted step or the points
+    of a Jacobian, as the lanes of one :func:`evaluate_iterates` pass when
+    t_f is fixed, and as memoized single pipelines otherwise or when the pass
+    raises or warns.  The answer is the last trace row: the report's p, t_f,
+    pi, J, residual, ||g|| and tau are that row's, and the returned adjoint
+    bundle (from which costates are reconstructed) is its pipeline's, a lane
+    of a pass included.  So a converged report meets ``tol_opt`` and
+    ``tol_feas``.  Returns the final report, the trace, and that bundle.
     """
     t_start = time.perf_counter()
     _check_compat(mode, prob, par, gains)
@@ -404,40 +409,24 @@ def solve_evolution(mode: EvolutionMode, prob: OcpProblem, par: Parameterization
     p0, t_f0 = _resolve_init(prob, init)
 
     @_memo_last
-    def evaluate(theta: np.ndarray) -> IterateEval:
+    def evaluate_one(theta: np.ndarray) -> IterateEval:
         p, t_f = (theta[:-1], theta[-1]) if free else (theta, t_f0)
-        return evaluate_iterate(mode, prob, par, gains, p, t_f, ode_inner, quad,
-                                pi_bound=stop.pi_bound)
+        return evaluate_iterate(mode, prob, par, gains, p, t_f, ode_inner, quad)
 
-    def rhs(tau, theta):
-        return evaluate(theta).dtheta
-
-    def evaluate_rows(thetas):
-        """The rows' results in order: one batch when they share t_f."""
+    def evaluate(thetas):
+        """The points' results in order: one lane pass when they share t_f."""
         if free or len(thetas) == 1:
-            return map(evaluate, thetas)
+            return map(evaluate_one, thetas)
         try:
             with warnings.catch_warnings():
                 warnings.simplefilter("error")
                 return evaluate_iterates(mode, prob, par, gains, np.stack(thetas), t_f0,
-                                         ode_inner, quad, pi_bound=stop.pi_bound)
+                                         ode_inner, quad)
         except Exception:
-            # whatever the batch raised or warned, the rows run again one at a
-            # time, so a row fails or warns exactly as its own pipeline does,
-            # and only if the flow reaches it
-            return map(evaluate, thetas)
-
-    def jacobian(theta, f):
-        """The flow's forward-difference Jacobian: p-columns from one lane pass,
-        against its own base lane; a free t_f column from one pipeline, against f."""
-        s, E = par.s, _fd_points(theta)
-        base, *lanes = evaluate_iterates(mode, prob, par, gains, np.vstack([theta[:s], E[:s, :s]]),
-                                         theta[-1] if free else t_f0, ode_inner, quad,
-                                         pi_bound=stop.pi_bound)
-        cols = [it.dtheta - base.dtheta for it in lanes]
-        if free:
-            cols.append(rhs(0.0, E[s]) - f)
-        return np.column_stack(cols) / (E.diagonal() - theta)
+            # whatever the pass raised or warned, the points run again one at
+            # a time, so a point fails or warns exactly as its own pipeline
+            # does, and only if the flow takes it
+            return map(evaluate_one, thetas)
 
     guard = None
     if free:
@@ -447,15 +436,14 @@ def solve_evolution(mode: EvolutionMode, prob: OcpProblem, par: Parameterization
     theta = np.concatenate([p0, [t_f0]]) if free else p0.copy()
     trace = SolveTrace()
 
-    def rows(taus, thetas):
-        for tau, it in zip(taus, evaluate_rows(thetas)):
-            trace.append(TraceRow(
-                tau=tau, p=it.p.copy(), t_f=it.t_f, pi=it.pi.copy(), J=it.J,
-                g_norm=it.g_norm, residual_norm=it.residual_norm,
-                V=lyapunov_diagnostic(it.g_val, it.J, stop.c1)))
-            yield it, it.residual_norm <= stop.tol_opt and it.g_norm <= stop.tol_feas
+    def row(tau, it):
+        trace.append(TraceRow(
+            tau=tau, p=it.p.copy(), t_f=it.t_f, pi=it.pi.copy(), J=it.J,
+            g_norm=it.g_norm, residual_norm=it.residual_norm,
+            V=lyapunov_diagnostic(it.g_val, it.J, stop.c1)))
+        return it.residual_norm <= stop.tol_opt and it.g_norm <= stop.tol_feas
 
-    final_it, done, tau_final = _flow(rhs, rows, theta, stop, ode_outer, jacobian, guard)
+    final_it, done, tau_final = _flow(evaluate, row, theta, stop, ode_outer, guard)
     report = SolveReport(
         p_final=final_it.p.copy(), tf_final=final_it.t_f,
         pi_final=final_it.pi.copy(), J_final=final_it.J,
@@ -463,6 +451,17 @@ def solve_evolution(mode: EvolutionMode, prob: OcpProblem, par: Parameterization
         converged=bool(done), tau_reached=tau_final,
         wall_time=time.perf_counter() - t_start)
     return report, trace, final_it.bundle
+
+
+@dataclass
+class _NlpPoint:
+    """:func:`gradient_flow_generic`'s flow at one theta."""
+
+    theta: np.ndarray
+    pi: np.ndarray
+    residual: np.ndarray
+    dtheta: np.ndarray
+    h: np.ndarray
 
 
 def gradient_flow_generic(f_grad, h_val, h_jac, K_theta, K_h, theta0,
@@ -486,28 +485,18 @@ def gradient_flow_generic(f_grad, h_val, h_jac, K_theta, K_h, theta0,
     K_h = _gain_matrix(K_h, np.asarray(h_val(theta0)).size, "K_h")
 
     @_memo_last
-    def evaluate(theta):
+    def evaluate_one(theta):
         grad = np.asarray(f_grad(theta), dtype=float)
         h = np.asarray(h_val(theta), dtype=float)
         H = (np.atleast_2d(np.asarray(h_jac(theta), dtype=float)) if h.size
              else np.zeros((0, theta.size)))
         rGamma = np.column_stack([grad, H.T])
-        pi, residual, dtheta = _flow_direction(rGamma, K_theta @ rGamma, K_h, h, stop.pi_bound)
-        return pi, residual, dtheta, h
+        return _NlpPoint(theta, *_flow_direction(rGamma, K_theta @ rGamma, K_h, h), h)
 
-    def rhs(tau, theta):
-        return evaluate(theta)[2]
+    def row(tau, point):
+        return (np.linalg.norm(point.residual) <= stop.tol_opt
+                and np.linalg.norm(point.h) <= stop.tol_feas)
 
-    def rows(taus, thetas):
-        for theta in thetas:
-            pi, residual, _, h = evaluate(theta)
-            yield (theta, pi), (np.linalg.norm(residual) <= stop.tol_opt
-                                and np.linalg.norm(h) <= stop.tol_feas)
-
-    def jacobian(theta, f):
-        E = _fd_points(theta)
-        return np.column_stack([evaluate(e)[2] - f for e in E]) / (E.diagonal() - theta)
-
-    (theta, pi), _, _ = _flow(rhs, rows, theta0, stop,
-                              ode or OdeSettings(rel_tol=1e-8, abs_tol=1e-10), jacobian)
-    return theta, pi
+    final, _, _ = _flow(lambda thetas: map(evaluate_one, thetas), row, theta0, stop,
+                        ode or OdeSettings(rel_tol=1e-8, abs_tol=1e-10))
+    return final.theta, final.pi

@@ -493,7 +493,7 @@ class _Ros2(_Stepper):
 
     W = (I - gamma h J)^-1, gamma = 1 + 1/sqrt(2); k1 = W f(y), k2 = W (f(y +
     h k1) - 2 k1), y+ = y + h (3 k1 + k2) / 2, error h (k1 + k2) / 2.  Order
-    2 holds for any J: J = ``jac(y, f)``, Broyden-updated with each f(y+),
+    2 holds for any J: J = ``jac(y)``, Broyden-updated with each f(y+),
     rebuilt after ``_RESEED_REJECTIONS`` rejections in a row (a singular
     I - gamma h J is one).  A step's segment is the cubic Hermite one.
     """
@@ -505,7 +505,7 @@ class _Ros2(_Stepper):
         self.J = self._jacobian()
 
     def _jacobian(self) -> np.ndarray:
-        J = np.array(self.jac(self.y, self.f), dtype=float)
+        J = np.array(self.jac(self.y), dtype=float)
         if not np.isfinite(J).all():
             raise DivergenceError("non-finite Jacobian", self.t)
         return J

@@ -168,6 +168,7 @@ def test_unknown_keys_exit_2(tmp_path, capsys):
     for overrides, where, bad in (
             ({"stop": {"tau_mx": 5.0}}, "stop", "tau_mx"),
             ({"stop": {"tau_max": 5.0, "record_evry": 1.0}}, "stop", "record_evry"),
+            ({"stop": {"pi_bound": 1e6}}, "stop", "pi_bound"),
             ({"ode_inner": {"reltol": 1e-6}}, "ode_inner", "reltol"),
             ({"ode_outer": {"abs_tol": 1e-8, "initial_step": 1e-3}}, "ode_outer",
              "initial_step"),

@@ -46,9 +46,18 @@ def test_multiplier_empty_constraint():
 
 
 def test_multiplier_bound_warning():
-    with pytest.warns(MultiplierBoundWarning):
-        multiplier(GAMMA_EXACT, spd_solve(MP_EXACT, GAMMA_EXACT, "M_p"), np.zeros(4),
-                   0.1 * np.eye(2), np.array([3.0, 1.0]), pi_bound=1.0)
+    # pi is linear in g: ||pi|| = 3.905 at g = (3, 1), so 7.8e5 at 2e5 g and
+    # 3.9e6 at 1e6 g, on either side of the bound 1e6
+    import warnings
+
+    W_Gamma = spd_solve(MP_EXACT, GAMMA_EXACT, "M_p")
+    g_val = np.array([3.0, 1.0])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        multiplier(GAMMA_EXACT, W_Gamma, np.zeros(4), 0.1 * np.eye(2), 2e5 * g_val)
+    with pytest.warns(MultiplierBoundWarning, match="exceeds bound 1.0e[+]06"):
+        pi = multiplier(GAMMA_EXACT, W_Gamma, np.zeros(4), 0.1 * np.eye(2), 1e6 * g_val)
+    assert np.linalg.norm(pi) > 1e6
 
 
 def test_multiplier_rank_error_on_dependent_columns():
@@ -112,8 +121,9 @@ def test_lyapunov_diagnostic_values():
     assert lyapunov_diagnostic(np.array([3.0, 1.0]), 0.0, 0.01) \
         == pytest.approx(np.sqrt(10.0))
     assert lyapunov_diagnostic(np.zeros(2), 0.0, 0.01) == 0.0
-    with pytest.raises(ValueError):
-        lyapunov_diagnostic(np.zeros(2), 1.0, 0.0)
+    for bad in (0.0, np.nan, np.inf):
+        with pytest.raises(ValueError, match="c1 must be finite and positive"):
+            lyapunov_diagnostic(np.zeros(2), 1.0, bad)
 
 
 def test_gradient_flow_generic_kkt_point():
@@ -330,8 +340,6 @@ def test_stop_criteria_validation():
         StopCriteria(record_every=0.0)
     with pytest.raises(ValueError):
         StopCriteria(c1=0.0)
-    with pytest.raises(ValueError):
-        StopCriteria(pi_bound=0.0)
 
 
 def test_non_finite_f_u_fails_typed(example1, e1_par):
@@ -559,22 +567,28 @@ def test_the_starting_point_is_evaluated_once(monkeypatch, example1):
 @pytest.mark.parametrize("free", [False, True])
 def test_the_flow_integrates_dtheta(monkeypatch, example1, brach, free):
     # the flow's right-hand side is the memoized iterate's dtheta itself,
-    # over (p, t_f) when t_f is free and over p alone otherwise
+    # over (p, t_f) when t_f is free and over p alone otherwise: the result
+    # of a one-point call of the flow's evaluator
     import ocflow.evolution as evolution
 
-    its, flows = [], []
-    pipeline, flow = evolution.evaluate_iterate, evolution._flow
+    its, evaluators, rhss = [], [], []
+    pipeline, flow, stepper = evolution.evaluate_iterate, evolution._flow, evolution._Stepper
 
     def recording(*args, **kwargs):
         its.append(pipeline(*args, **kwargs))
         return its[-1]
 
-    def spying(rhs, check, theta0, *args, **kwargs):
-        flows.append(rhs)
-        return flow(rhs, check, theta0, *args, **kwargs)
+    def spying(evaluate, row, theta0, *args, **kwargs):
+        evaluators.append(evaluate)
+        return flow(evaluate, row, theta0, *args, **kwargs)
+
+    def stepping(rhs, *args, **kwargs):
+        rhss.append(rhs)
+        return stepper(rhs, *args, **kwargs)
 
     monkeypatch.setattr(evolution, "evaluate_iterate", recording)
     monkeypatch.setattr(evolution, "_flow", spying)
+    monkeypatch.setattr(evolution, "_Stepper", stepping)
     bp, s = (brach, 5) if free else (example1, 4)
     par = make_basis("global_polynomial", m=1, t0=0.0, form="form1", order=s - 1)
     solve_evolution(EvolutionMode.form1(), bp.prob, par, bp.gains,
@@ -583,7 +597,8 @@ def test_the_flow_integrates_dtheta(monkeypatch, example1, brach, free):
     last = its[-1]
     theta = np.append(last.p, last.t_f) if free else last.p
     assert last.dtheta.shape == (s + free,)
-    assert flows[0](0.0, theta) is last.dtheta
+    (result,) = evaluators[0]([theta])
+    assert result is last and rhss[0](0.0, theta) is last.dtheta
 
 
 @pytest.mark.parametrize("kind, p", [
@@ -694,17 +709,22 @@ def test_a_failing_batch_reruns_its_rows_one_at_a_time(monkeypatch, example1, e1
 
 
 def test_gradient_flow_generic_takes_the_rows_of_a_step_together(monkeypatch):
-    # a fine record grid puts many rows in one step; the shared flow loop
-    # still stops at the first converged row, at the KKT point
+    # a fine record grid puts many rows in one step, and they are one call of
+    # the flow's evaluator; the shared flow loop still stops at the first
+    # converged row, at the KKT point
     import ocflow.evolution as evolution
 
     sizes, flow = [], evolution._flow
 
-    def spying(rhs, rows, theta0, *args, **kwargs):
-        def counted(taus, thetas):
-            sizes.append(len(taus))
-            return rows(taus, thetas)
-        return flow(rhs, counted, theta0, *args, **kwargs)
+    def spying(evaluate, row, theta0, *args, **kwargs):
+        def counted_evaluate(thetas):
+            sizes.append(0)
+            return evaluate(thetas)
+
+        def counted_row(tau, result):
+            sizes[-1] += 1          # the rows taken from the latest call
+            return row(tau, result)
+        return flow(counted_evaluate, counted_row, theta0, *args, **kwargs)
 
     monkeypatch.setattr(evolution, "_flow", spying)
     theta, pi = gradient_flow_generic(
@@ -719,7 +739,7 @@ def test_gradient_flow_generic_takes_the_rows_of_a_step_together(monkeypatch):
 
 
 @pytest.mark.parametrize("field", ["tau_max", "tol_opt", "tol_feas", "record_every",
-                                   "c1", "pi_bound"])
+                                   "c1"])
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
 def test_stop_criteria_must_be_finite(field, bad):
     with pytest.raises(ValueError, match=field):
@@ -737,8 +757,11 @@ def _no_switch(monkeypatch):
 def test_flow_switches_after_exactly_the_stiff_step_count(caplog):
     # y' = -diag(1, 1e-3) y: once the fast mode has decayed, the stability cap
     # binds every step; the hand-over comes after the first _STIFF_STEPS
-    # capped steps in a row of the very same Dormand-Prince sequence
+    # capped steps in a row of the very same Dormand-Prince sequence, and
+    # ROS2's Jacobian is one call of the flow's evaluator at the switch point
+    # and its forward-difference points
     import logging
+    from types import SimpleNamespace
 
     import ocflow.evolution as evolution
     from ocflow.integrate import _Stepper
@@ -751,26 +774,35 @@ def test_flow_switches_after_exactly_the_stiff_step_count(caplog):
         dp.step()
         run = run + 1 if dp.capped else 0
         ys.append(dp.y)
-    seen = []
+    calls, seen = [], []
 
-    def jac(theta, f):
-        seen.append((theta, f))
-        return -np.diag(rate)
+    def evaluate(thetas):
+        calls.append(np.array(thetas))
+        return (SimpleNamespace(theta=theta, dtheta=rhs(0.0, theta)) for theta in thetas)
 
-    def rows(taus, thetas):
-        for theta in thetas:
-            yield theta, False
+    class Recorded(evolution._Ros2):
+        def __init__(self, stepper, jac):
+            before = len(calls)
+            super().__init__(stepper, jac)
+            seen.append((self.y, self.f, self.J.copy(), calls[before:]))
 
-    with caplog.at_level(logging.INFO, logger="ocflow.evolution"):
-        theta, done, tau = evolution._flow(rhs, rows, y0, stop, ode, jac)
-    assert len(seen) == 1 and np.array_equal(seen[0][0], ys[-1])
-    assert np.array_equal(seen[0][1], rhs(0.0, ys[-1]))
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(evolution, "_Ros2", Recorded)
+        with caplog.at_level(logging.INFO, logger="ocflow.evolution"):
+            point, done, tau = evolution._flow(evaluate, lambda tau, point: False, y0,
+                                               stop, ode)
+    (y, f, J, jac_calls), = seen
+    assert np.array_equal(y, ys[-1]) and np.array_equal(f, rhs(0.0, ys[-1]))
+    (E,) = jac_calls
+    assert E.shape == (3, 2) and np.array_equal(E[0], ys[-1])
+    np.testing.assert_array_equal(E[1:] - E[0] != 0, np.eye(2, dtype=bool))
+    np.testing.assert_allclose(J, -np.diag(rate), rtol=0, atol=1e-8)
     assert len(ys) > evolution._STIFF_STEPS        # the cap did not bind from the start
     assert [r.getMessage() for r in caplog.records] == [
         f"outer flow stiff at tau = {dp.t:.6g} after {evolution._STIFF_STEPS} capped "
         "steps; ROS2 takes over"]
     assert not done and tau == stop.tau_max
-    np.testing.assert_allclose(theta, y0 * np.exp(-rate * tau), rtol=1e-2, atol=1e-9)
+    np.testing.assert_allclose(point.theta, y0 * np.exp(-rate * tau), rtol=1e-2, atol=1e-9)
 
 
 def test_gradient_flow_generic_hands_a_stiff_flow_to_ros2(monkeypatch, caplog):
@@ -819,6 +851,81 @@ def test_e1_gradient_flow_logs_one_switch_and_form1_none(example1, caplog):
     assert report.converged and not caplog.records
 
 
+def _is_fd_pass(P) -> bool:
+    """Whether the stack P is theta and its forward-difference points."""
+    return len(P) == P.shape[1] + 1 and np.array_equal(P[1:] != P[0], np.eye(P.shape[1],
+                                                                              dtype=bool))
+
+
+def test_e1_gradient_flow_jacobian_is_one_lane_pass(example1, e1_par, monkeypatch):
+    # fixed t_f: ROS2's Jacobian at the switch point is one pipeline pass of
+    # 5 lanes, theta and its 4 forward-difference points, and no single one
+    import ocflow.evolution as evolution
+
+    events, seen = [], []
+    single, batch = evolution.evaluate_iterate, evolution.evaluate_iterates
+
+    def one(mode, prob, par, gains, p, *args, **kwargs):
+        events.append(np.array(p)[None])
+        return single(mode, prob, par, gains, p, *args, **kwargs)
+
+    def lanes(mode, prob, par, gains, P, *args, **kwargs):
+        events.append(np.array(P))
+        return batch(mode, prob, par, gains, P, *args, **kwargs)
+
+    class Recorded(evolution._Ros2):
+        def __init__(self, stepper, jac):
+            before = len(events)
+            super().__init__(stepper, jac)
+            seen.append((self.y, events[before:]))
+
+    monkeypatch.setattr(evolution, "evaluate_iterate", one)
+    monkeypatch.setattr(evolution, "evaluate_iterates", lanes)
+    monkeypatch.setattr(evolution, "_Ros2", Recorded)
+    report, _, _ = solve_evolution(EvolutionMode.gradient_flow(0.1 * np.eye(4)),
+                                   example1.prob, e1_par, example1.gains,
+                                   EvolutionState(p=np.zeros(4), t_f=2.0),
+                                   StopCriteria(tau_max=60000.0, record_every=250.0))
+    assert report.converged
+    (y, (P,)), = seen
+    assert P.shape == (5, 4) and np.array_equal(P[0], y) and _is_fd_pass(P)
+    assert sum(map(_is_fd_pass, events)) == 1
+
+
+def test_a_failing_jacobian_pass_reruns_its_points_one_at_a_time(example1, e1_par,
+                                                                 monkeypatch):
+    # as if the Jacobian's lane pass diverged: its points run again as single
+    # pipelines, and the flow still reaches example1's optimum
+    import ocflow.evolution as evolution
+    from ocflow import DivergenceError
+
+    single, batch, singles, failed = (evolution.evaluate_iterate,
+                                      evolution.evaluate_iterates, [], [])
+
+    def one(mode, prob, par, gains, p, *args, **kwargs):
+        singles.append(np.array(p))
+        return single(mode, prob, par, gains, p, *args, **kwargs)
+
+    def failing(mode, prob, par, gains, P, *args, **kwargs):
+        if _is_fd_pass(np.asarray(P)):
+            failed.append(np.array(P))
+            raise DivergenceError("non-finite right-hand side", time=1.0)
+        return batch(mode, prob, par, gains, P, *args, **kwargs)
+
+    monkeypatch.setattr(evolution, "evaluate_iterate", one)
+    monkeypatch.setattr(evolution, "evaluate_iterates", failing)
+    report, _, _ = solve_evolution(EvolutionMode.gradient_flow(0.1 * np.eye(4)),
+                                   example1.prob, e1_par, example1.gains,
+                                   EvolutionState(p=np.zeros(4), t_f=2.0),
+                                   StopCriteria(tau_max=60000.0, record_every=250.0))
+    (P,) = failed
+    for point in P[1:]:
+        assert sum(np.array_equal(point, p) for p in singles) == 1
+    assert report.converged
+    assert np.abs(report.p_final - [-3.5, 3.0, 0.0, 0.0]).max() <= 1e-3
+    assert np.abs(report.pi_final - [3.0, -2.5]).max() <= 1e-3
+
+
 def test_criterion_6_configuration_does_not_switch(example1, monkeypatch):
     _no_switch(monkeypatch)         # a switch fails the solve
     solve_evolution(EvolutionMode.form1(), example1.prob, cubic(), example1.gains,
@@ -844,9 +951,9 @@ def test_brachistochrone_cases_do_not_switch(brach, monkeypatch, kind, kw, form)
 
 def test_free_tf_flow_switched_early_keeps_its_answer(brach, monkeypatch):
     # the Brachistochrone's form-2 flow never caps two steps in a row; handed
-    # to ROS2 at its first capped step, its Jacobian (20 p-columns from one
-    # lane pass, the t_f column from one pipeline) predicts the flow's
-    # direction, and the solve converges to the same t_f
+    # to ROS2 at its first capped step, its Jacobian (single pipelines at
+    # theta and its 21 forward-difference points, as t_f is free) predicts
+    # the flow's direction, and the solve converges to the same t_f
     import ocflow.evolution as evolution
 
     seen = []

@@ -510,7 +510,7 @@ def test_ros2_is_second_order_for_any_jacobian(exact):
     y0 = np.array([1.0, 0.5])
     lam, V = np.linalg.eig(A)
     y1 = (V @ (np.exp(lam) * np.linalg.solve(V, y0))).real
-    jac = (lambda y, f: A) if exact else (lambda y, f: np.zeros((2, 2)))
+    jac = (lambda y: A) if exact else (lambda y: np.zeros((2, 2)))
     errs = [np.abs(_fixed_steps(_ros2(lambda t, y: A @ y, y0, jac), 1.0 / n, n) - y1).max()
             for n in (80, 160, 320)]
     orders = np.log2(np.array(errs[:-1]) / errs[1:])
@@ -519,7 +519,7 @@ def test_ros2_is_second_order_for_any_jacobian(exact):
 
 def test_ros2_damps_a_stiff_mode():
     # h * lambda = -1e4: an explicit pair blows up, ROS2 with the exact J decays
-    ros = _ros2(lambda t, y: -1e4 * y, [1.0], lambda y, f: np.array([[-1e4]]))
+    ros = _ros2(lambda t, y: -1e4 * y, [1.0], lambda y: np.array([[-1e4]]))
     ys = [abs(_fixed_steps(ros, 1.0, 1)[0]) for _ in range(5)]
     assert ys[0] < 0.2 and all(b < a for a, b in zip(ys, ys[1:])), ys
     assert ros.nrejected == 0
@@ -560,7 +560,7 @@ def test_hermite_segment_through_dense_output():
 
 def test_ros2_step_segment_joins_its_ends():
     rhs = lambda t, y: np.array([-y[0] + y[1] ** 2, -0.1 * y[1]])        # noqa: E731
-    ros = _ros2(rhs, [1.0, 2.0], lambda y, f: np.array([[-1.0, 2 * y[1]], [0.0, -0.1]]),
+    ros = _ros2(rhs, [1.0, 2.0], lambda y: np.array([[-1.0, 2 * y[1]], [0.0, -0.1]]),
                 OdeSettings())
     y_prev, f_prev = ros.y, ros.f
     h, K = ros.step()
@@ -574,19 +574,19 @@ def test_ros2_step_segment_joins_its_ends():
 def test_ros2_errors_are_typed():
     rhs = lambda t, y: -y                                                 # noqa: E731
     with pytest.raises(DivergenceError, match="Jacobian"):
-        _ros2(rhs, [1.0], lambda y, f: np.array([[np.nan]]))
-    ros = _ros2(rhs, [1.0], lambda y, f: -np.eye(1), OdeSettings(max_steps=3))
+        _ros2(rhs, [1.0], lambda y: np.array([[np.nan]]))
+    ros = _ros2(rhs, [1.0], lambda y: -np.eye(1), OdeSettings(max_steps=3))
     with pytest.raises(StepBudgetError, match="max_steps = 3"):
         while True:
             ros.step()
     # a guard that vetoes every step halves h until it underflows
     dp = _Stepper(rhs, 0.0, np.array([1.0]), 10.0, OdeSettings(), guard=lambda t, y: False)
     with pytest.raises(IntegrationError, match="underflow"):
-        _Ros2(dp, lambda y, f: -np.eye(1)).step()
+        _Ros2(dp, lambda y: -np.eye(1)).step()
     # a singular I - gamma h J is a rejection, and two in a row rebuild J
     calls = []
 
-    def jac(y, f):                  # first singular at h = 0.5, then -1
+    def jac(y):                     # first singular at h = 0.5, then -1
         calls.append(y)
         return np.array([[1.0 / (_ROS2_GAMMA * 0.5)]]) if len(calls) == 1 else -np.eye(1)
     ros = _ros2(rhs, [1.0], jac, OdeSettings(), h=0.5)
