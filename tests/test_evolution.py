@@ -754,6 +754,36 @@ def _no_switch(monkeypatch):
     monkeypatch.setattr(evolution, "_Ros2", refuse)
 
 
+def test_flow_takes_no_result_after_the_first_done_row():
+    # y' = -y with a fine record grid: the rows of one accepted step are one
+    # call of the evaluator, whose results are drawn lazily and in order, so
+    # the flow stops at the first done row and no later point is evaluated
+    from types import SimpleNamespace
+
+    import ocflow.evolution as evolution
+
+    calls, rows = [], []
+
+    def evaluate(thetas):
+        calls.append([len(thetas), 0])
+        for theta in thetas:
+            calls[-1][1] += 1                   # results drawn from this call
+            yield SimpleNamespace(theta=theta, dtheta=-theta)
+
+    def row(tau, result):
+        rows.append(tau)
+        return tau >= 0.5
+
+    stop = StopCriteria(tau_max=10.0, record_every=0.01)
+    result, done, tau = evolution._flow(evaluate, row, np.ones(1), stop, OdeSettings())
+    assert done and tau == rows[-1] == pytest.approx(0.5)
+    np.testing.assert_allclose(rows, 0.01 * np.arange(len(rows)), rtol=0, atol=1e-12)
+    np.testing.assert_allclose(result.theta, np.exp(-tau), rtol=1e-6)
+    given, drawn = calls[-1]
+    assert drawn < given                        # the step had later rows, not evaluated
+    assert sum(d for g, d in calls if g > 1) + 1 == len(rows)    # + the one at tau = 0
+
+
 def test_flow_switches_after_exactly_the_stiff_step_count(caplog):
     # y' = -diag(1, 1e-3) y: once the fast mode has decayed, the stability cap
     # binds every step; the hand-over comes after the first _STIFF_STEPS
