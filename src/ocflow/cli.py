@@ -30,8 +30,8 @@ from .costate import reconstruct_costate
 from .errors import ConfigurationError, OcflowError
 from .evolution import (EvolutionMode, EvolutionState, StopCriteria, _check_compat,
                         _resolve_init, solve_evolution)
-from .integrate import OdeSettings
-from .parameterization import FORM1, FORM2, _NODE_KINDS, _integer_at_least, make_basis
+from .integrate import OdeSettings, _require_int
+from .parameterization import FORM1, FORM2, _NODE_KINDS, make_basis
 from .problem import _central_diff, _gain_matrix, _inverse_weight, _objective
 from .problems import get_problem, list_problems
 from .projection import BasisSet, InnerProductSpec, project, weighted_norm
@@ -137,7 +137,7 @@ def build_run(raw: dict):
     kind, N = par_cfg.get("kind"), par_cfg.get("N")
     _require(kind is not None, "parameterization needs a 'kind'")
     if kind in _NODE_KINDS:
-        N = _integer_at_least(N, "parameterization.N must be an integer", 1)
+        N = _require_int(N, "parameterization.N", 1, ConfigurationError)
     try:
         par = make_basis(kind, m=prob.m, t0=prob.t0,
                          form=FORM2 if mode_name == "form2" else FORM1,
@@ -155,8 +155,7 @@ def build_run(raw: dict):
         if "K_g" in g_cfg:
             g_cfg["K_g"] = _gain_matrix(g_cfg["K_g"], prob.q, "K_g")
         gains = replace(bundle.gains, **g_cfg)
-        mode = {"form1": EvolutionMode.form1, "form2": EvolutionMode.form2,
-                "gradient_flow": lambda: EvolutionMode.gradient_flow(K_theta)}[mode_name]()
+        mode = EvolutionMode(mode_name, K_theta)
     except (OcflowError, TypeError, ValueError) as exc:
         raise ConfigurationError(f"gains: {exc}") from None
     init_cfg = _section(raw, "init")

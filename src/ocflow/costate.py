@@ -52,6 +52,15 @@ class OptimalityResiduals:
     feasibility: float
 
 
+def _q_vector(prob: OcpProblem, v, name: str) -> np.ndarray:
+    """``v`` as the (q,) vector a multiplier or constraint value is, (0,) when
+    q = 0; :class:`DimensionError` for any other shape."""
+    v = np.asarray(v, dtype=float)
+    if v.shape != (prob.q,):
+        raise DimensionError(f"{name} has shape {v.shape}, expected ({prob.q},)")
+    return v
+
+
 def reconstruct_costate(prob: OcpProblem, bundle: AdjointBundle,
                         pi) -> CostateTrajectory:
     """lambda(t) = mu(t) + Psi(t) pi as a dense trajectory on the adjoint grid.
@@ -59,9 +68,7 @@ def reconstruct_costate(prob: OcpProblem, bundle: AdjointBundle,
     The map is linear, so it maps the joint adjoint solve's [mu | Psi] blocks,
     node values and interpolant alike; no additional integration is performed.
     """
-    pi = np.asarray(pi, dtype=float)
-    if pi.shape != (prob.q,):
-        raise DimensionError(f"pi has shape {pi.shape}, expected ({prob.q},)")
+    pi = _q_vector(prob, pi, "pi")
     lam_traj = bundle.adjoint_sol.map_channels(lambda Y: Y[..., 0] + Y[..., 1:] @ pi)
     return CostateTrajectory(lam_traj=lam_traj, pi_used=pi)
 
@@ -73,8 +80,7 @@ def optimality_residuals(prob: OcpProblem, par: Parameterization,
     """All four residuals of an iterate, sampled on the shared grid; the
     terminal-time bracket is the bundle's, whatever theta ``quantities`` span."""
     _require_iterate(bundle, par)
-    pi = np.asarray(pi, dtype=float)
-    g_val = np.asarray(g_val, dtype=float)
+    pi, g_val = _q_vector(prob, pi, "pi"), _q_vector(prob, g_val, "g_val")
     quad = quad or QuadratureSpec()
 
     param_residual = quantities.r + quantities.Gamma @ pi
@@ -99,10 +105,11 @@ def continuous_multiplier(prob: OcpProblem, bundle: AdjointBundle, gains: Gains,
     terms when t_f is free, integrated on the same grid as the parameterized
     assembly.  Used to certify the parameterized multiplier.
     """
+    g_val = _q_vector(prob, g_val, "g_val")
     gd = _grid_data(prob, bundle, quad or QuadratureSpec())
     rM_c = _gram(gd.w, gains.K_at(gd.ts), gd.pg[..., 1:], gd.pg)     # [r_c | M_c]
     if prob.tf_mode == "free" and gains.k_tf > 0:
         h = _terminal_values(prob, bundle)
         rM_c += np.outer(gains.k_tf * h[1:], h)
-    r_c = rM_c[:, 0] - gains.K_g @ np.asarray(g_val, dtype=float)
+    r_c = rM_c[:, 0] - gains.K_g @ g_val
     return -spd_solve(rM_c[:, 1:], r_c, "continuous multiplier system")

@@ -13,17 +13,18 @@ the mode:
 * ``form2``  -- r_2ptf, Gamma_2ptf and W = M_ptf^-1, for parameterizations
   whose shape depends on t_f; t_f is one more basis column u_tf.
 * ``gradient_flow`` -- f_theta, g_theta^T and W = K_theta, an arbitrary
-  constant SPD gain; the NLP-side twin of form 1 (they coincide when
-  K_theta is the inverse Gram matrix).
+  constant SPD gain and the one mode that takes it; the NLP-side twin of
+  form 1 (they coincide when K_theta is the inverse Gram matrix).
 
 In every mode the multiplier pi is chosen so the terminal-constraint
 violation obeys dg/dtau = -K_g g, i.e. the infeasibility decays
 exponentially along the flow.  Equilibria satisfy the parameterized
 optimality conditions; the solver integrates until a residual/feasibility
 tolerance or a tau budget is hit, recording a trace row every
-``record_every`` units of tau via dense output.  The rows that fall inside
-one accepted step of a fixed-t_f flow are evaluated together, as the lanes
-of one pipeline pass (:func:`evaluate_iterates`).  Dormand-Prince steps the
+``record_every`` units of tau via dense output, with the energy-like
+V = ||g|| + 0.01 J.  The rows that fall inside one accepted step of a
+fixed-t_f flow are evaluated together, as the lanes of one pipeline pass
+(:func:`evaluate_iterates`).  Dormand-Prince steps the
 flow until its stability cap has bound 15 accepted steps in a row; the flow
 is then stiff, and a ROS2 W-method takes over for good.  Its Jacobian is one
 forward difference, formed by :func:`_flow` from the same evaluator as the
@@ -53,6 +54,7 @@ _MODE_KINDS = ("form1", "form2", "gradient_flow")
 _STIFF_STEPS = 15      # consecutive capped DP5 steps that hand the flow to ROS2
 _FD_REL = 1e-6         # Jacobian forward-difference step over max(1, |theta_j|)
 _PI_BOUND = 1e6        # ||pi|| over which the multiplier boundedness assumption looks violated
+_C1 = 0.01             # the weight of J in the trace's V = ||g|| + c1 J
 
 
 @dataclass(frozen=True)
@@ -71,8 +73,8 @@ class EvolutionMode:
     """Which right-hand side drives the flow.
 
     ``K_theta`` is the gradient-flow mode's constant SPD gain (a scalar
-    stands for K_theta * I); it and ``kind`` are checked here, and its size
-    against theta's with the basis, before any pipeline runs.
+    stands for K_theta * I), which no other mode takes; it and ``kind`` are
+    checked here, its size against theta's with the basis before any pipeline.
     """
 
     kind: str                          # "form1" | "form2" | "gradient_flow"
@@ -82,6 +84,8 @@ class EvolutionMode:
         if self.kind not in _MODE_KINDS:
             raise ConfigurationError(f"unknown evolution mode {self.kind!r}")
         if self.K_theta is not None:
+            if self.kind != "gradient_flow":
+                raise ConfigurationError(f"{self.kind} mode takes no K_theta")
             K_theta = _require_spd(np.atleast_2d(self.K_theta), "K_theta")
             object.__setattr__(self, "K_theta", K_theta)
 
@@ -100,13 +104,12 @@ class EvolutionMode:
 
 @dataclass(frozen=True)
 class StopCriteria:
-    """Stopping and recording policy for one solve."""
+    """One solve's tau budget, residual and feasibility tolerances, and trace row spacing."""
 
     tau_max: float = 300.0
     tol_opt: float = 1e-6
     tol_feas: float = 1e-6
     record_every: float = 1.0
-    c1: float = 0.01
 
     def __post_init__(self):
         for f in fields(self):
@@ -125,12 +128,10 @@ def _matvec(A: np.ndarray, x: np.ndarray) -> np.ndarray:
     return A @ x if x.ndim == 1 else (A @ x[..., None])[..., 0]
 
 
-def lyapunov_diagnostic(g_val, J_val: float, c1: float) -> float:
-    """V = ||g|| + c1 * J, the energy-like quantity recorded along the flow."""
-    if not _finite_positive(c1):
-        raise ValueError(f"c1 must be finite and positive, got {c1!r}")
+def lyapunov_diagnostic(g_val, J_val: float) -> float:
+    """V = ||g|| + c1 J, c1 = 0.01, the energy-like quantity recorded along the flow."""
     g_val = np.asarray(g_val, dtype=float)
-    return float(np.sqrt(g_val @ g_val) + c1 * J_val)
+    return float(np.sqrt(g_val @ g_val) + _C1 * J_val)
 
 
 def multiplier(Gamma, W_Gamma, W_r, K_g, g_val) -> np.ndarray:
@@ -184,7 +185,12 @@ class IterateEval:
 def _check_compat(mode: EvolutionMode, prob: OcpProblem, par: Parameterization,
                   gains: Gains) -> None:
     """Refuse a mode, problem, basis and gains that cannot run together,
-    mis-shaped gains included; a time-varying K_inv is checked at t0."""
+    mis-shaped gains and a basis built for another m or t0 included; a
+    time-varying K_inv is checked at t0."""
+    for name, built, own in (("m", par.m, prob.m), ("t0", par.t0, prob.t0)):
+        if built != own:
+            raise ConfigurationError(f"the basis has {name} = {built!r}, "
+                                     f"the problem {name} = {own!r}")
     free = prob.tf_mode == "free"
     dim = par.s + free                                  # theta's size in gradient flow
     K_inv = gains.K_inv
@@ -440,7 +446,7 @@ def solve_evolution(mode: EvolutionMode, prob: OcpProblem, par: Parameterization
         trace.append(TraceRow(
             tau=tau, p=it.p.copy(), t_f=it.t_f, pi=it.pi.copy(), J=it.J,
             g_norm=it.g_norm, residual_norm=it.residual_norm,
-            V=lyapunov_diagnostic(it.g_val, it.J, stop.c1)))
+            V=lyapunov_diagnostic(it.g_val, it.J)))
         return it.residual_norm <= stop.tol_opt and it.g_norm <= stop.tol_feas
 
     final_it, done, tau_final = _flow(evaluate, row, theta, stop, ode_outer, guard)

@@ -81,6 +81,14 @@ def _finite_positive(v) -> bool:
     return math.isfinite(v) and v > 0
 
 
+def _require_int(value, name: str, least: int, error=ValueError) -> int:
+    """``value`` as an int >= ``least``; a bool, a non-integer or a smaller
+    value raises ``error`` naming ``name`` and the value given."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < least:
+        raise error(f"{name} must be an integer >= {least}, got {value!r}")
+    return int(value)
+
+
 @dataclass(frozen=True)
 class OdeSettings:
     """Tolerances and budget for one initial-value solve."""
@@ -94,9 +102,7 @@ class OdeSettings:
             raise ValueError(f"rel_tol must be finite and positive, got {self.rel_tol}")
         if not _finite_positive(self.abs_tol):
             raise ValueError(f"abs_tol must be finite and positive, got {self.abs_tol}")
-        if (isinstance(self.max_steps, bool) or not isinstance(self.max_steps, numbers.Integral)
-                or self.max_steps < 1):
-            raise ValueError(f"max_steps must be an integer >= 1, got {self.max_steps!r}")
+        _require_int(self.max_steps, "max_steps", 1)
 
 
 def dense_output(theta, scale, base, Q, idx=None) -> np.ndarray:

@@ -4,10 +4,11 @@ Four linear-in-parameter bases are provided: global polynomials, Lagrange
 interpolation through equally spaced nodes, piecewise-linear interpolation
 (hat functions), and the piecewise-constant step approximation.  A kind is
 its k scalar basis functions, and u = U(t; t_f) p is their contraction with
-p.  The node-based kinds place their nodes at ``t_i = t0 + i (t_f - t0)/N``,
-so when t_f is free they depend on the terminal time and must use form 2;
-their t_f-sensitivity is the exact chain rule through the moving nodes, which
-for every node-based kind collapses to
+p, so the parameter Jacobian u_p = U(t; t_f) takes no p.  The node-based
+kinds place their nodes at ``t_i = t0 + i (t_f - t0)/N``, so when t_f is
+free they depend on the terminal time and must use form 2; their
+t_f-sensitivity is the exact chain rule through the moving nodes, which for
+every node-based kind collapses to
 
     du/dt_f = -(t - t0)/(t_f - t0) * du/dt,
 
@@ -25,13 +26,13 @@ therefore evaluates on that subinterval's own segment.
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
 
 from .errors import ConfigurationError, DependentBasisError, DomainError
+from .integrate import _require_int
 from .quadrature import QuadratureSpec, _gram, simpson_points
 
 FORM1 = "form1"
@@ -56,7 +57,7 @@ class Parameterization:
     summed on its own, so a time's value does not depend on the other times
     in the array.  Wherever a method takes ``p`` it also takes B parameter
     vectors as a (B, s) array, the lanes of a batch: the results then carry
-    a leading lane axis, except ``jac_p``, which no kind's p changes.
+    a leading lane axis.  ``jac_p`` takes no p: u_p is the basis alone.
     """
 
     kind: str
@@ -91,11 +92,10 @@ class Parameterization:
             return ts
         return checked
 
-    def _prep(self, t, p, t_f):
-        """(times, p, t_f) of a Jacobian evaluation, each checked."""
+    def _prep(self, t, t_f):
+        """(times, t_f) of a Jacobian evaluation, each checked."""
         t_f = self._resolve_tf(t_f)
-        ts = self._times(t_f)(np.asarray(t, dtype=float).reshape(-1))
-        return ts, self._check_p(p), t_f
+        return self._times(t_f)(np.asarray(t, dtype=float).reshape(-1)), t_f
 
     def bind(self, p, t_f=None) -> Callable:
         """The control u(t) of one iterate, or of B lanes, validating p and t_f once.
@@ -122,9 +122,9 @@ class Parameterization:
         """Control value u(t); (m,) for scalar t, (N, m) for array t: :meth:`bind`'s."""
         return self.bind(p, t_f)(t)
 
-    def jac_p(self, t, p, t_f=None):
-        """Parameter Jacobian u_p(t); (m, s) or (N, m, s)."""
-        ts, p, t_f = self._prep(t, p, t_f)
+    def jac_p(self, t, t_f=None):
+        """Parameter Jacobian u_p(t), the block of the basis values; (m, s) or (N, m, s)."""
+        ts, t_f = self._prep(t, t_f)
         out = _block_jac(self.values_fn(ts, t_f), self.m)
         return out[0] if np.ndim(t) == 0 else out
 
@@ -134,7 +134,7 @@ class Parameterization:
         The nodes move with t_f while the node values stay fixed, so
         du/dt_f = -sigma/(t_f - t0) * du/dsigma.
         """
-        ts, p, t_f = self._prep(t, p, t_f)
+        (ts, t_f), p = self._prep(t, t_f), self._check_p(p)
         if self.form == FORM1:
             out = np.zeros((*p.shape[:-1], ts.size, self.m))
         else:
@@ -236,13 +236,6 @@ def _step_values(idx: np.ndarray, n_seg: int) -> np.ndarray:
     return out
 
 
-def _integer_at_least(value, what: str, least: int) -> int:
-    """``value`` as an int >= ``least``; :class:`ConfigurationError` otherwise."""
-    if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < least:
-        raise ConfigurationError(f"{what} >= {least}, got {value!r}")
-    return int(value)
-
-
 def make_basis(kind: str, m: int, t0: float, form: str, *,
                order: int | None = None, n_segments: int | None = None) -> Parameterization:
     """Construct a control parameterization.
@@ -255,11 +248,11 @@ def make_basis(kind: str, m: int, t0: float, form: str, *,
     """
     if form not in (FORM1, FORM2):
         raise ConfigurationError(f"form must be {FORM1!r} or {FORM2!r}, got {form!r}")
-    m = _integer_at_least(m, "m must be an integer", 1)
+    m = _require_int(m, "m", 1, ConfigurationError)
     no_breaks = lambda t_f: np.empty(0)
 
     if kind == "global_polynomial":
-        order = _integer_at_least(order, "global_polynomial requires an integer order", 0)
+        order = _require_int(order, "global_polynomial order", 0, ConfigurationError)
         if form != FORM1:
             raise ConfigurationError("global_polynomial has no t_f dependence; use form1")
         k = order + 1
@@ -276,7 +269,7 @@ def make_basis(kind: str, m: int, t0: float, form: str, *,
 
     if kind not in _NODE_KINDS:
         raise ConfigurationError(f"unknown parameterization kind {kind!r}")
-    N = _integer_at_least(n_segments, f"{kind} requires an integer n_segments", 1)
+    N = _require_int(n_segments, f"{kind} n_segments", 1, ConfigurationError)
     inner = np.arange(1, N)
     breaks = lambda t_f: t0 + (t_f - t0) * inner / N
     segments = lambda ts, t_f: _segments(ts, breaks(t_f))
@@ -302,21 +295,20 @@ def make_basis(kind: str, m: int, t0: float, form: str, *,
                             meta={"n_segments": N})
 
 
-def validate_independence(par: Parameterization, p, t_f, quad_nodes: int) -> float:
+def validate_independence(par: Parameterization, t_f, quad_nodes: int) -> float:
     """Smallest eigenvalue of the basis Gram matrix int u_p^T u_p dt.
 
     A strictly positive value certifies that the basis columns are linearly
-    independent on [t0, t_f] at this iterate.  Raises
-    :class:`DependentBasisError` when the Gram matrix is numerically rank
-    deficient (lambda_min <= 1e-10 * lambda_max), reporting the offending
-    null direction.
+    independent on [t0, t_f].  ``quad_nodes`` must be an integer >= s (an
+    even count is raised by one).  Raises :class:`DependentBasisError` when
+    the Gram matrix is numerically rank deficient (lambda_min <= 1e-10 *
+    lambda_max), reporting the offending null direction.
     """
-    if quad_nodes < par.s:
-        raise ValueError(f"quad_nodes must be >= s = {par.s}")
+    quad_nodes = _require_int(quad_nodes, "quad_nodes", par.s)
     nodes = quad_nodes if quad_nodes % 2 == 1 else quad_nodes + 1
     spec = QuadratureSpec(nodes=max(3, nodes))
     pts, w = simpson_points(par.t0, t_f, spec, par.breakpoints(t_f))
-    up = par.jac_p(pts, np.asarray(p, dtype=float), t_f)       # (N, m, s)
+    up = par.jac_p(pts, t_f)                                   # (N, m, s)
     gram = _gram(w, None, up, up)
     vals, vecs = np.linalg.eigh(gram)
     lam_min, lam_max = vals[0], vals[-1]

@@ -24,7 +24,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import ConfigurationError, DerivativeMismatchError, DimensionError
-from .integrate import DenseTrajectory, OdeSettings, integrate_ivp
+from .integrate import DenseTrajectory, OdeSettings, _require_int, integrate_ivp
 
 
 @dataclass(frozen=True)
@@ -257,10 +257,10 @@ def validate_problem(prob: OcpProblem, samples: int, *, tol: float = 1e-4,
     Raises :class:`DimensionError` on shape mismatches and
     :class:`DerivativeMismatchError` when any derivative disagrees with the
     finite-difference probe beyond ``tol`` (relative).  Returns the error
-    table otherwise.
+    table otherwise.  ``samples``, the number of random probe points, must
+    be an integer >= 1 (:class:`ValueError` otherwise).
     """
-    if samples < 1:
-        raise ValueError("samples must be >= 1")
+    samples = _require_int(samples, "samples", 1)
     rng = np.random.default_rng(seed)
     horizon = (prob.tf_fixed - prob.t0) if prob.tf_fixed is not None else 1.0
 

@@ -117,9 +117,7 @@ class AdjointBundle:
         return self.x_traj.last[..., :self.n]
 
     def lanes(self) -> list["AdjointBundle"]:
-        """Each lane's own bundle (views), or ``[self]`` for a single iterate."""
-        if self.p.ndim == 1:
-            return [self]
+        """Each lane's own bundle (views) of a bundle of lanes."""
         return [replace(self, x_traj=x, adjoint_sol=a, p=p)
                 for x, a, p in zip(self.x_traj.lanes(), self.adjoint_sol.lanes(), self.p)]
 
@@ -144,9 +142,7 @@ class ThetaQuantities:
     Gamma = property(lambda self: self.rGamma[..., 1:])
 
     def lanes(self) -> list["ThetaQuantities"]:
-        """Each lane's own record, or ``[self]`` for a single iterate."""
-        if self.rGamma.ndim == 2:
-            return [self]
+        """Each lane's own record of a record assembled over lanes."""
         M = self.M
         return [ThetaQuantities(self.rGamma[b], M if M is None or M.ndim == 2 else M[b])
                 for b in range(len(self.rGamma))]
@@ -232,13 +228,12 @@ def _terminal_values(prob: OcpProblem, bundle: AdjointBundle) -> np.ndarray:
 _GRID = None     # the latest ((t0, t_f, quad, par, gains), (ts, w, U_p, w U_p, K^-1, G_pp))
 
 
-def _grid(par: Parameterization, p, t0: float, t_f: float, quad: QuadratureSpec,
+def _grid(par: Parameterization, t0: float, t_f: float, quad: QuadratureSpec,
           gains: Gains | None) -> tuple:
     """The read-only Simpson points and weights, U_p = u_p(ts), w U_p as
     (N * m, s), K^-1 samples and G_pp = int U_p^T K^-1 U_p dt, symmetrized
-    exactly (both None without gains), of one t_f.  No kind's u_p depends on
-    p, so the latest serve while (t0, t_f, quad) and the basis and gains
-    objects stay the same."""
+    exactly (both None without gains), of one t_f.  The latest serve while
+    (t0, t_f, quad) and the basis and gains objects stay the same."""
     global _GRID
     memo = _GRID
     if memo is not None:
@@ -246,7 +241,7 @@ def _grid(par: Parameterization, p, t0: float, t_f: float, quad: QuadratureSpec,
         if par_ is par and gains_ is gains and (t0_, t_f_, quad_) == (t0, t_f, quad):
             return value
     ts, w = simpson_points(t0, t_f, quad, par.breakpoints(t_f))
-    up, kinv = par.jac_p(ts, p, t_f), None if gains is None else gains.K_inv_at(ts)
+    up, kinv = par.jac_p(ts, t_f), None if gains is None else gains.K_inv_at(ts)
     G = None if gains is None else _gram(w, kinv, up, up)
     value = (ts, w, up, (w[:, None, None] * up).reshape(-1, up.shape[-1]), kinv,
              None if G is None else 0.5 * (G + G.T))
@@ -260,7 +255,7 @@ def _grid(par: Parameterization, p, t0: float, t_f: float, quad: QuadratureSpec,
 def _grid_data(prob: OcpProblem, bundle: AdjointBundle, quad: QuadratureSpec, *,
                gains: Gains | None = None, with_tf: bool = False) -> _GridData:
     par, t_f, p = bundle.par, bundle.t_f, bundle.p
-    ts, w, up, wup, kinv, G_pp = _grid(par, p, bundle.t0, t_f, quad, gains)
+    ts, w, up, wup, kinv, G_pp = _grid(par, bundle.t0, t_f, quad, gains)
     xs, Y = bundle.at(ts)                          # ([B,] N, n) and ([B,] N, n, 1+q)
     us = _contract(up, p)                          # u = U_p p, from the stored U_p
     fu = _batch_eval(prob, "f_u", xs, us, ts)                  # ([B,] N, n, m)

@@ -208,8 +208,8 @@ def test_criterion_09_projection_suite(example1, e1_form1_solve):
         it = evaluate_iterate(EvolutionMode.form1(), prob, par, gains, row.p, 2.0)
         b = it.bundle
 
-        def basis_fn(ts, p=row.p):
-            return np.einsum("mn,tns->tms", K_inv, par.jac_p(ts, p, 2.0))
+        def basis_fn(ts):
+            return np.einsum("mn,tns->tms", K_inv, par.jac_p(ts, 2.0))
 
         def p_u(ts, b=b, p=row.p):
             xs, us = b.x_at(ts), par.eval(ts, p, 2.0)

@@ -105,8 +105,10 @@ def test_config_errors_exit_2(tmp_path, capsys):
     path, _ = write_config(tmp_path, init={"t_f": "soon"})
     assert main(["solve", "--config", str(path)]) == 2
 
-    path, _ = write_config(tmp_path, stop={"c1": 0})
+    # c1 is a constant of the trace's V, not a setting
+    path, _ = write_config(tmp_path, stop={"c1": 0.01})
     assert main(["solve", "--config", str(path)]) == 2
+    assert "stop: unknown key(s) 'c1'" in capsys.readouterr().err
 
     path, _ = write_config(tmp_path, mode="gradient_flow", gains={"K_theta": -1.0})
     assert main(["solve", "--config", str(path)]) == 2
@@ -122,7 +124,14 @@ def test_config_errors_exit_2(tmp_path, capsys):
                                    "free t_f requires k_tf > 0"),
                                   ({"mode": "gradient_flow",
                                     "gains": {"K_theta": [[1, 0], [0, 1]]}},
-                                   "K_theta has shape (2, 2), expected (1, 1) or (4, 4)")):
+                                   "K_theta has shape (2, 2), expected (1, 1) or (4, 4)"),
+                                  ({"gains": {"K_theta": 0.1}},
+                                   "gains: form1 mode takes no K_theta"),
+                                  ({"problem": "brachistochrone", "mode": "form2",
+                                    "parameterization": {"kind": "piecewise_constant",
+                                                         "N": 4},
+                                    "gains": {"K_theta": 0.1}},
+                                   "gains: form2 mode takes no K_theta")):
             path, _ = write_config(tmp_path, **overrides)
             assert main(["solve", "--config", str(path)]) == 2
             err = capsys.readouterr().err

@@ -1,4 +1,5 @@
 import dataclasses
+import re
 
 import numpy as np
 import pytest
@@ -44,10 +45,28 @@ def test_zero_multiplier_gives_mu(example1, e1_par):
     assert np.array_equal(ct.lam_traj(ts), b.mu_psi_at(ts)[0])
 
 
-def test_costate_dimension_check(example1, e1_form1_solve):
-    _, _, bundle, _ = e1_form1_solve
-    with pytest.raises(DimensionError):
-        reconstruct_costate(example1.prob, bundle, np.zeros(3))
+@pytest.mark.parametrize("name", ["reconstruct_costate", "optimality_residuals",
+                                  "continuous_multiplier"])
+def test_costate_dimension_check(example1, e1_par, name):
+    # every certificate function takes pi and g as (q,) vectors, q = 2 here,
+    # and refuses any other shape with one message, before any arithmetic
+    prob, gains = example1.prob, example1.gains
+    it = evaluate_iterate(EvolutionMode.form1(), prob, e1_par, gains, np.zeros(4), 2.0)
+    run = {"reconstruct_costate": lambda pi, g: reconstruct_costate(prob, it.bundle, pi),
+           "optimality_residuals": lambda pi, g: optimality_residuals(
+               prob, e1_par, it.quantities, it.bundle, pi, g),
+           "continuous_multiplier": lambda pi, g: continuous_multiplier(
+               prob, it.bundle, gains, g)}[name]
+    for bad in (np.zeros(3), np.zeros((2, 1)), 0.0):
+        if name != "continuous_multiplier":
+            with pytest.raises(DimensionError, match=re.escape(
+                    f"pi has shape {np.shape(bad)}, expected (2,)")):
+                run(bad, it.g_val)
+        if name != "reconstruct_costate":
+            with pytest.raises(DimensionError, match=re.escape(
+                    f"g_val has shape {np.shape(bad)}, expected (2,)")):
+                run(it.pi, bad)
+    run(list(it.pi), list(it.g_val))        # a list is a vector
 
 
 def test_costate_ode_residual(example1, e1_form1_solve):

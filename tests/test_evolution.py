@@ -117,13 +117,11 @@ def test_form2_degenerate_matches_form1_equations(brach):
 
 
 def test_lyapunov_diagnostic_values():
-    assert lyapunov_diagnostic(np.zeros(2), 3.25, 0.01) == pytest.approx(0.0325)
-    assert lyapunov_diagnostic(np.array([3.0, 1.0]), 0.0, 0.01) \
-        == pytest.approx(np.sqrt(10.0))
-    assert lyapunov_diagnostic(np.zeros(2), 0.0, 0.01) == 0.0
-    for bad in (0.0, np.nan, np.inf):
-        with pytest.raises(ValueError, match="c1 must be finite and positive"):
-            lyapunov_diagnostic(np.zeros(2), 1.0, bad)
+    # V = ||g|| + 0.01 J
+    assert lyapunov_diagnostic(np.zeros(2), 3.25) == pytest.approx(0.0325)
+    assert lyapunov_diagnostic(np.array([3.0, 1.0]), 0.0) == pytest.approx(np.sqrt(10.0))
+    assert lyapunov_diagnostic(np.zeros(2), 0.0) == 0.0
+    assert lyapunov_diagnostic(np.array([3.0, 4.0]), 100.0) == pytest.approx(6.0)
 
 
 def test_gradient_flow_generic_kkt_point():
@@ -338,8 +336,11 @@ def test_stop_criteria_validation():
         StopCriteria(tau_max=-1.0)
     with pytest.raises(ValueError):
         StopCriteria(record_every=0.0)
-    with pytest.raises(ValueError):
-        StopCriteria(c1=0.0)
+    # c1, the weight of J in the trace's V, is a constant, not a setting
+    assert [f.name for f in dataclasses.fields(StopCriteria)] == [
+        "tau_max", "tol_opt", "tol_feas", "record_every"]
+    with pytest.raises(TypeError):
+        StopCriteria(c1=0.01)
 
 
 def test_non_finite_f_u_fails_typed(example1, e1_par):
@@ -443,6 +444,15 @@ def test_gradient_flow_gain_is_checked_before_any_pipeline(monkeypatch, example1
                          example1.gains, np.zeros(4), 2.0)
 
 
+@pytest.mark.parametrize("kind", ["form1", "form2"])
+def test_only_the_gradient_flow_takes_k_theta(kind):
+    # the Gram-metric modes never read K_theta, so a right-sized one would be
+    # ignored and a mis-sized one refused; neither mode takes one
+    with pytest.raises(ConfigurationError, match=f"{kind} mode takes no K_theta"):
+        EvolutionMode(kind, 0.1)
+    assert EvolutionMode(kind).K_theta is None
+
+
 def test_non_finite_gains_and_initial_values_are_refused_before_any_pipeline(
         monkeypatch, example1, brach):
     import ocflow.evolution as evolution
@@ -488,6 +498,20 @@ def test_mis_shaped_gains_and_initial_values_are_refused_before_any_pipeline(
             with pytest.raises(ConfigurationError, match=re.escape(needle)):
                 run(mode, example1.prob, par, gains,
                     np.zeros(4) if run is evaluate_iterate else np.zeros((2, 4)), 2.0)
+    # a basis built for another m or t0 than the problem's
+    for basis, needle in (
+            (make_basis("global_polynomial", m=2, t0=0.0, form="form1", order=3),
+             "the basis has m = 2, the problem m = 1"),
+            (make_basis("global_polynomial", m=1, t0=0.5, form="form1", order=3),
+             "the basis has t0 = 0.5, the problem t0 = 0.0")):
+        with pytest.raises(ConfigurationError, match=re.escape(needle)):
+            solve_evolution(EvolutionMode.form1(), example1.prob, basis, example1.gains,
+                            EvolutionState(p=np.zeros(basis.s), t_f=2.0), StopCriteria())
+        for run in (evaluate_iterate, evaluate_iterates):
+            with pytest.raises(ConfigurationError, match=re.escape(needle)):
+                run(EvolutionMode.form1(), example1.prob, basis, example1.gains,
+                    np.zeros(basis.s) if run is evaluate_iterate else np.zeros((2, basis.s)),
+                    2.0)
     # constant gains hold K_inv as an array; a callable is checked at t0
     assert isinstance(example1.gains.K_inv, np.ndarray)
     with pytest.raises(ConfigurationError, match=re.escape("K_inv(t0) must be positive-def")):
@@ -738,8 +762,7 @@ def test_gradient_flow_generic_takes_the_rows_of_a_step_together(monkeypatch):
     assert pi[0] == pytest.approx(-1.0, abs=1e-6)
 
 
-@pytest.mark.parametrize("field", ["tau_max", "tol_opt", "tol_feas", "record_every",
-                                   "c1"])
+@pytest.mark.parametrize("field", ["tau_max", "tol_opt", "tol_feas", "record_every"])
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
 def test_stop_criteria_must_be_finite(field, bad):
     with pytest.raises(ValueError, match=field):

@@ -579,6 +579,23 @@ def test_ros2_errors_are_typed():
     with pytest.raises(StepBudgetError, match="max_steps = 3"):
         while True:
             ros.step()
+    # a right-hand side that turns NaN at the trial point y + h k1 ends the
+    # attempt with a DivergenceError at its end time, not as a rejection
+    trials = []                     # the calls once ROS2 has taken over
+
+    def turns_nan(t, y):
+        if ros is None:
+            return -y
+        trials.append((t, y.copy()))
+        return np.full_like(y, np.nan)
+    ros = None
+    ros = _ros2(turns_nan, [1.0], lambda y: -np.eye(1), h=0.5)
+    k1 = -1.0 / (1.0 + _ROS2_GAMMA * 0.5)
+    with pytest.raises(DivergenceError, match="non-finite right-hand side") as exc:
+        ros.step()
+    assert exc.value.time == 0.5 and ros.nrejected == 0
+    (t_trial, y_trial), = trials
+    assert t_trial == 0.5 and y_trial[0] == pytest.approx(1.0 + 0.5 * k1, rel=1e-15)
     # a guard that vetoes every step halves h until it underflows
     dp = _Stepper(rhs, 0.0, np.array([1.0]), 10.0, OdeSettings(), guard=lambda t, y: False)
     with pytest.raises(IntegrationError, match="underflow"):

@@ -1,4 +1,5 @@
 import dataclasses
+import re
 
 import numpy as np
 import pytest
@@ -38,8 +39,13 @@ def test_validate_catches_dimension_mismatch(example1):
 
 
 def test_validate_requires_samples(example1):
-    with pytest.raises(ValueError):
-        validate_problem(example1.prob, samples=0)
+    # a count: a bool or a fraction is refused as given, not run as 1 sample
+    # or failed inside range()
+    for bad in (0, 2.5, 2.0, True):
+        with pytest.raises(ValueError, match=re.escape(
+                f"samples must be an integer >= 1, got {bad!r}")):
+            validate_problem(example1.prob, samples=bad)
+    assert validate_problem(example1.prob, samples=np.int64(2)).max_error() < 1e-4
 
 
 def test_central_diff_takes_its_points_one_by_one_or_in_one_batch():

@@ -93,7 +93,7 @@ def _dual_residual_ingredients(prob, gains, par, p, t_f):
     K_inv = gains.K_inv
 
     def basis_fn(ts):
-        up = par.jac_p(ts, p, t_f)                 # (N, m, s)
+        up = par.jac_p(ts, t_f)                    # (N, m, s)
         return np.einsum("mn,tns->tms", K_inv, up)
 
     def p_u(ts):

@@ -624,34 +624,33 @@ def test_brach_pwc20_state_solve_keeps_its_steps(monkeypatch, brach):
 
 
 def test_grid_memo_keys_and_read_only_arrays(e1, brach):
-    # the p-independent grid (Simpson points and weights, U_p, the weighted
-    # w U_p, K^-1 and the Gram matrix G_pp of U_p) of one t_f is built once
-    # and shared, read-only; a new t_f, quadrature, basis or gains builds it
-    # afresh
+    # the grid (Simpson points and weights, U_p, the weighted w U_p, K^-1 and
+    # the Gram matrix G_pp of U_p) of one t_f is built once and shared,
+    # read-only; a new t_f, quadrature, basis or gains builds it afresh
     from ocflow import sensitivity
 
     _, gains, par = e1
-    quad, p = QuadratureSpec(41), np.zeros(4)
-    first = sensitivity._grid(par, p, 0.0, 2.0, quad, gains)
-    assert all(a is b for a, b in zip(sensitivity._grid(par, p + 1.0, 0.0, 2.0,
-                                                          QuadratureSpec(41), gains), first))
+    quad = QuadratureSpec(41)
+    first = sensitivity._grid(par, 0.0, 2.0, quad, gains)
+    assert all(a is b for a, b in zip(sensitivity._grid(par, 0.0, 2.0, QuadratureSpec(41),
+                                                          gains), first))
     for a in first:
         assert not a.flags.writeable
         with pytest.raises(ValueError):
             a[...] = 0.0
     twin = make_basis("global_polynomial", m=1, t0=0.0, form="form1", order=3)
-    for args in ((par, p, 0.0, 1.5, quad, gains), (par, p, 0.0, 2.0, QuadratureSpec(61), gains),
-                 (twin, p, 0.0, 2.0, quad, gains), (par, p, 0.0, 2.0, quad, brach.gains),
-                 (par, p, 0.0, 2.0, quad, None)):
+    for args in ((par, 0.0, 1.5, quad, gains), (par, 0.0, 2.0, QuadratureSpec(61), gains),
+                 (twin, 0.0, 2.0, quad, gains), (par, 0.0, 2.0, quad, brach.gains),
+                 (par, 0.0, 2.0, quad, None)):
         fresh = sensitivity._grid(*args)
         assert not any(a is b for a, b in zip(fresh, first) if a is not None)
-    ts, w, up, wup, kinv, G_pp = sensitivity._grid(par, p, 0.0, 1.5, quad, gains)
-    assert ts[-1] < 1.5 and np.array_equal(up, par.jac_p(ts, p, 1.5))
+    ts, w, up, wup, kinv, G_pp = sensitivity._grid(par, 0.0, 1.5, quad, gains)
+    assert ts[-1] < 1.5 and np.array_equal(up, par.jac_p(ts, 1.5))
     assert np.array_equal(wup, (w[:, None, None] * up).reshape(-1, 4))
     np.testing.assert_allclose(G_pp, np.einsum("t,tmi,tmn,tnj->ij", w, up, kinv, up),
                                rtol=1e-13)
     assert np.array_equal(G_pp, G_pp.T)
-    assert sensitivity._grid(par, p, 0.0, 2.0, quad, None)[4:] == (None, None)
+    assert sensitivity._grid(par, 0.0, 2.0, quad, None)[4:] == (None, None)
 
 
 def test_grid_data_of_a_memo_hit_evaluates_no_basis(e1):
