@@ -19,7 +19,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import numbers
 import sys
 from dataclasses import fields, replace
 from pathlib import Path
@@ -27,10 +26,10 @@ from pathlib import Path
 import numpy as np
 
 from .costate import reconstruct_costate
-from .errors import ConfigurationError, OcflowError
+from .errors import ConfigurationError, OcflowError, _require_number
 from .evolution import (EvolutionMode, EvolutionState, StopCriteria, _check_compat,
                         _resolve_init, solve_evolution)
-from .integrate import OdeSettings, _require_int
+from .integrate import OdeSettings
 from .parameterization import FORM1, FORM2, _NODE_KINDS, make_basis
 from .problem import _central_diff, _gain_matrix, _inverse_weight, _objective
 from .problems import get_problem, list_problems
@@ -70,33 +69,12 @@ def _section(raw: dict, key: str, default=None) -> dict:
     return dict(cfg)
 
 
-def _number(value, key: str, integer: bool = False):
-    """``value`` as a float, or an int when ``integer``.
-
-    Anything else, a boolean or numeric text included, is a config error
-    naming ``key``.
-    """
-    kind = numbers.Integral if integer else numbers.Real
-    _require(isinstance(value, kind) and not isinstance(value, bool),
-             f"{key} must be {'an integer' if integer else 'a number'}, got {value!r}")
-    return int(value) if integer else float(value)
-
-
-def _gain(value, key: str):
-    """A gain, a number or nested lists of numbers, read entry by entry."""
-    if isinstance(value, list):
-        return [_gain(v, key) for v in value]
-    return _number(value, key)
-
-
-def _settings(raw: dict, key: str, cls):
-    """``cls`` built from section ``key``, each value a number (max_steps an integer)."""
-    kw = {k: _number(v, f"{key}.{k}", integer=k == "max_steps")
-          for k, v in _section(raw, key).items()}
+def _in(section: str, build, *args, **kwargs):
+    """``build(*args, **kwargs)``; a ConfigurationError it raises names ``section`` first."""
     try:
-        return cls(**kw)
-    except (TypeError, ValueError) as exc:
-        raise ConfigurationError(f"{key}: {exc}") from None
+        return build(*args, **kwargs)
+    except ConfigurationError as exc:
+        raise ConfigurationError(f"{section}: {exc}") from None
 
 
 def load_config(path: str) -> dict:
@@ -116,9 +94,9 @@ def build_run(raw: dict):
 
     Returns (problem bundle, parameterization, gains, mode, init, stop,
     ode_inner, ode_outer, quad, out_dir).  An unknown key, at the top level or
-    in a section, is a config error; so is a mode that cannot run with the
-    problem, basis and gains, or a non-finite initial iterate (the solver's
-    own checks, made before any solve).
+    in a section, is a config error.  Every value is judged by the solver's
+    own records and checks, made before any solve, a mode that cannot run with
+    the problem, basis and gains included; a refusal names its config section.
     """
     _check_keys(raw, _TOP_KEYS, "config")
     name = raw.get("problem")
@@ -136,54 +114,33 @@ def build_run(raw: dict):
     par_cfg = _section(raw, "parameterization", bundle.recommended)
     kind, N = par_cfg.get("kind"), par_cfg.get("N")
     _require(kind is not None, "parameterization needs a 'kind'")
-    if kind in _NODE_KINDS:
-        N = _require_int(N, "parameterization.N", 1, ConfigurationError)
-    try:
-        par = make_basis(kind, m=prob.m, t0=prob.t0,
-                         form=FORM2 if mode_name == "form2" else FORM1,
-                         order=par_cfg.get("order"), n_segments=N)
-    except OcflowError as exc:
-        raise ConfigurationError(f"parameterization: {exc}") from None
+    if kind in _NODE_KINDS:             # N is the config's name of n_segments
+        N = _require_number(N, "parameterization.N", integer=True, least=1)
+    par = _in("parameterization", make_basis, kind, m=prob.m, t0=prob.t0,
+              form=FORM2 if mode_name == "form2" else FORM1,
+              order=par_cfg.get("order"), n_segments=N)
 
     # the problem's own gains, each key given replacing that one value
-    g_cfg = {k: (_number if k == "k_tf" else _gain)(v, f"gains.{k}")
-             for k, v in _section(raw, "gains").items()}
+    g_cfg = _section(raw, "gains")
     K_theta = g_cfg.pop("K_theta", None)
-    try:
-        if "K" in g_cfg:
-            g_cfg["K_inv"] = _inverse_weight(g_cfg.pop("K"), prob.m)
-        if "K_g" in g_cfg:
-            g_cfg["K_g"] = _gain_matrix(g_cfg["K_g"], prob.q, "K_g")
-        gains = replace(bundle.gains, **g_cfg)
-        mode = EvolutionMode(mode_name, K_theta)
-    except (OcflowError, TypeError, ValueError) as exc:
-        raise ConfigurationError(f"gains: {exc}") from None
+    if "K" in g_cfg:
+        g_cfg["K_inv"] = _in("gains", _inverse_weight, g_cfg.pop("K"), prob.m)
+    if "K_g" in g_cfg:
+        g_cfg["K_g"] = _in("gains", _gain_matrix, g_cfg["K_g"], prob.q, "K_g")
+    gains = _in("gains", replace, bundle.gains, **g_cfg)
+    mode = _in("gains", EvolutionMode, mode_name, K_theta)
+    _check_compat(mode, prob, par, gains)
     init_cfg = _section(raw, "init")
     p0 = init_cfg.get("p", "zeros")
-    if isinstance(p0, str):
-        _require(p0 == "zeros", f"init.p must be a vector or 'zeros', got {p0!r}")
-        p0 = np.zeros(par.s)
-    else:
-        try:
-            p0 = np.asarray(p0, dtype=float)
-        except (TypeError, ValueError):
-            raise ConfigurationError(f"init.p is not a numeric vector: {p0!r}") from None
-        _require(p0.shape == (par.s,),
-                 f"init.p has {p0.size} entries, the basis needs {par.s}")
-    t_f0 = _number(init_cfg.get("t_f", prob.tf_fixed if prob.tf_mode == "fixed" else 1.0),
-                   "init.t_f")
+    p0, t_f0 = _resolve_init(prob, EvolutionState(
+        p=np.zeros(par.s) if isinstance(p0, str) and p0 == "zeros" else p0,
+        t_f=init_cfg.get("t_f", prob.tf_fixed if prob.tf_mode == "fixed" else 1.0)))
+    _require(p0.shape == (par.s,), f"init.p has {p0.size} entries, the basis needs {par.s}")
     init = EvolutionState(p=p0, t_f=t_f0)
-    _check_compat(mode, prob, par, gains)
-    _resolve_init(prob, init)
 
-    stop, ode_inner, ode_outer = (_settings(raw, key, cls) for key, cls in (
+    stop, ode_inner, ode_outer = (_in(key, cls, **_section(raw, key)) for key, cls in (
         ("stop", StopCriteria), ("ode_inner", OdeSettings), ("ode_outer", OdeSettings)))
-
-    nodes = _number(raw.get("quad_nodes", 201), "quad_nodes", integer=True)
-    try:
-        quad = QuadratureSpec(nodes=nodes)
-    except (TypeError, ValueError) as exc:
-        raise ConfigurationError(f"quad_nodes: {exc}") from None
+    quad = _in("quad_nodes", QuadratureSpec, nodes=raw.get("quad_nodes", 201))
 
     out_dir = raw.get("out_dir", "out")
     return bundle, par, gains, mode, init, stop, ode_inner, ode_outer, quad, out_dir

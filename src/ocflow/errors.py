@@ -1,4 +1,13 @@
-"""Exception and warning types shared across the solver."""
+"""Exception and warning types shared across the solver, and the one rule that
+judges a setting: every settings record and count argument reads its values
+through :func:`_require_number` or :func:`_require_numbers`, which refuse a
+bad value with a :class:`ConfigurationError` naming the field and the repr of
+the value.  Only modules numpy has already loaded are imported here."""
+
+import math
+import numbers
+
+import numpy as np
 
 
 class OcflowError(Exception):
@@ -13,9 +22,45 @@ class DerivativeMismatchError(OcflowError):
     """A supplied analytic derivative disagrees with finite differences."""
 
 
-class ConfigurationError(OcflowError):
+class ConfigurationError(OcflowError, ValueError):
     """Inconsistent or invalid configuration (basis/form pairing, gains, ...);
-    the CLI reports it with exit code 2."""
+    a ValueError too, and the CLI reports it with exit code 2."""
+
+
+def _require_number(value, name: str, *, integer: bool = False, least=None,
+                    positive: bool = False):
+    """``value`` as a float, a finite real (> 0 when ``positive``), or as an
+    int when ``integer``, >= ``least`` if given; numpy scalars count, a bool,
+    text, None or an array does not (:class:`ConfigurationError`)."""
+    number = None
+    if (isinstance(value, numbers.Integral if integer else numbers.Real)
+            and not isinstance(value, bool)):
+        try:
+            number = int(value) if integer else float(value)
+        except OverflowError:           # an int beyond the float range
+            pass
+    if (number is None or not (integer or math.isfinite(number))
+            or (positive and number <= 0) or (least is not None and number < least)):
+        bound = " > 0" if positive else "" if least is None else f" >= {least}"
+        kind = "an integer" if integer else "a finite number"
+        raise ConfigurationError(f"{name} must be {kind}{bound}, got {value!r}")
+    return number
+
+
+def _require_numbers(value, name: str) -> np.ndarray:
+    """``value`` as a float array: an integer or float array, or nested lists
+    of numbers, every entry finite; text, a bool, None or ragged nesting
+    anywhere is a :class:`ConfigurationError`."""
+    array = value if isinstance(value, np.ndarray) else np.array(value, dtype=object)
+    if array.dtype == object:           # entry by entry: numpy reads [1.0, True] as floats
+        if all(isinstance(v, numbers.Real) and not isinstance(v, bool) for v in array.flat):
+            try:
+                array = array.astype(float)
+            except OverflowError:       # an int beyond the float range
+                pass
+    if array.dtype.kind not in "iuf" or not np.isfinite(array).all():
+        raise ConfigurationError(f"{name} must be finite numbers, got {value!r}")
+    return array.astype(float, copy=False)
 
 
 class DomainError(OcflowError):

@@ -40,11 +40,12 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .errors import ConfigurationError, MultiplierBoundWarning
-from .integrate import OdeSettings, _finite_positive, _Ros2, _Stepper, dense_output
+from .errors import (ConfigurationError, MultiplierBoundWarning, _require_number,
+                     _require_numbers)
+from .integrate import OdeSettings, _Ros2, _Stepper, dense_output
 from .parameterization import _NODE_KINDS, FORM1, FORM2, Parameterization
 from .problem import (Gains, OcpProblem, SolveReport, SolveTrace, TraceRow,
-                      _gain_matrix, _objective, _require_finite, _require_spd)
+                      _gain_matrix, _objective, _require_spd)
 from .quadrature import QuadratureSpec
 from .sensitivity import (AdjointBundle, ThetaQuantities, assemble_form1,
                           assemble_form2, nlp_gradients, solve_adjoints, solve_state,
@@ -59,13 +60,11 @@ _C1 = 0.01             # the weight of J in the trace's V = ||g|| + c1 J
 
 @dataclass(frozen=True)
 class EvolutionState:
-    """The unknowns flowing in virtual time."""
+    """The unknowns flowing in virtual time, as given; the solve reads them
+    through :func:`_resolve_init`, which refuses a bad value."""
 
     p: np.ndarray
     t_f: float
-
-    def __post_init__(self):
-        object.__setattr__(self, "p", np.asarray(self.p, dtype=float))
 
 
 @dataclass(frozen=True)
@@ -86,7 +85,8 @@ class EvolutionMode:
         if self.K_theta is not None:
             if self.kind != "gradient_flow":
                 raise ConfigurationError(f"{self.kind} mode takes no K_theta")
-            K_theta = _require_spd(np.atleast_2d(self.K_theta), "K_theta")
+            K_theta = _require_spd(np.atleast_2d(_require_numbers(self.K_theta, "K_theta")),
+                                   "K_theta")
             object.__setattr__(self, "K_theta", K_theta)
 
     @classmethod
@@ -104,7 +104,8 @@ class EvolutionMode:
 
 @dataclass(frozen=True)
 class StopCriteria:
-    """One solve's tau budget, residual and feasibility tolerances, and trace row spacing."""
+    """One solve's tau budget, residual and feasibility tolerances, and trace row
+    spacing, each a finite number > 0 kept as a float (else :class:`ConfigurationError`)."""
 
     tau_max: float = 300.0
     tol_opt: float = 1e-6
@@ -113,9 +114,8 @@ class StopCriteria:
 
     def __post_init__(self):
         for f in fields(self):
-            value = getattr(self, f.name)
-            if not _finite_positive(value):
-                raise ValueError(f"{f.name} must be finite and positive, got {value!r}")
+            object.__setattr__(self, f.name,
+                               _require_number(getattr(self, f.name), f.name, positive=True))
 
 
 def _norm(v: np.ndarray) -> float:
@@ -286,23 +286,19 @@ def evaluate_iterates(mode: EvolutionMode, prob: OcpProblem, par: Parameterizati
 
 def _resolve_init(prob: OcpProblem, init: EvolutionState) -> tuple[np.ndarray, float]:
     """The initial (p0, t_f0); :class:`ConfigurationError` for a bad or missing value."""
-    p0 = np.asarray(init.p, dtype=float)
-    _require_finite(p0, "init.p")
-    if init.t_f is not None:
-        if np.ndim(init.t_f) != 0:
-            raise ConfigurationError(f"init.t_f must be a scalar, got {init.t_f!r}")
-        _require_finite(np.asarray(init.t_f, dtype=float), "init.t_f")
-    elif prob.tf_mode == "free":
-        raise ConfigurationError("free t_f needs an initial init.t_f")
+    p0 = _require_numbers(init.p, "init.p")
+    if init.t_f is None and prob.tf_mode == "free":
+        raise ConfigurationError("free t_f needs an initial init.t_f, got None")
+    t_f = None if init.t_f is None else _require_number(init.t_f, "init.t_f")
     if prob.tf_mode == "fixed":
         t_f0 = prob.tf_fixed
-        if init.t_f is not None and not np.isclose(init.t_f, t_f0):
+        if t_f is not None and not np.isclose(t_f, t_f0):
             raise ConfigurationError(
                 f"init.t_f = {init.t_f!r} conflicts with fixed t_f = {t_f0!r}")
     else:
-        t_f0 = float(init.t_f)
+        t_f0 = t_f
         if t_f0 <= prob.t0:
-            raise ConfigurationError("init.t_f must exceed t0")
+            raise ConfigurationError(f"init.t_f must exceed t0 = {prob.t0!r}, got {init.t_f!r}")
     return p0, t_f0
 
 

@@ -32,13 +32,12 @@ rides a limit cycle instead of converging.
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import (DimensionError, DivergenceError, DomainError, IntegrationError,
-                     StepBudgetError)
+                     StepBudgetError, _require_number)
 
 # Dormand-Prince 5(4) tableau.
 _C = np.array([0.0, 1 / 5, 3 / 10, 4 / 5, 8 / 9, 1.0, 1.0])
@@ -77,18 +76,6 @@ _STABLE_HRHO = 0.8 * 3.3   # next h * rho, 0.8 of the real-axis stability limit
 _ROUNDING_REL2 = (64 * np.finfo(float).eps) ** 2
 
 
-def _finite_positive(v) -> bool:
-    return math.isfinite(v) and v > 0
-
-
-def _require_int(value, name: str, least: int, error=ValueError) -> int:
-    """``value`` as an int >= ``least``; a bool, a non-integer or a smaller
-    value raises ``error`` naming ``name`` and the value given."""
-    if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < least:
-        raise error(f"{name} must be an integer >= {least}, got {value!r}")
-    return int(value)
-
-
 @dataclass(frozen=True)
 class OdeSettings:
     """Tolerances and budget for one initial-value solve."""
@@ -98,11 +85,9 @@ class OdeSettings:
     max_steps: int = 100_000
 
     def __post_init__(self):
-        if not _finite_positive(self.rel_tol):
-            raise ValueError(f"rel_tol must be finite and positive, got {self.rel_tol}")
-        if not _finite_positive(self.abs_tol):
-            raise ValueError(f"abs_tol must be finite and positive, got {self.abs_tol}")
-        _require_int(self.max_steps, "max_steps", 1)
+        for name, rule in (("rel_tol", {"positive": True}), ("abs_tol", {"positive": True}),
+                           ("max_steps", {"integer": True, "least": 1})):
+            object.__setattr__(self, name, _require_number(getattr(self, name), name, **rule))
 
 
 def dense_output(theta, scale, base, Q, idx=None) -> np.ndarray:
@@ -296,7 +281,7 @@ def _initial_step(rhs, t0, y0, f0, settings, lanes: int = 1, span: float = math.
     h0 = span
     for d0, d1 in zip(_scaled_rms(y0e, scale, lanes), d1s):
         h = 1e-6 if d0 < 1e-5 or d1 < 1e-5 else 0.01 * d0 / d1
-        if not _finite_positive(h):
+        if not 0 < h < math.inf:
             return h
         h0 = min(h0, h)
     y1 = y0 + h0 * f0
@@ -373,7 +358,7 @@ class _Stepper:
         if self.h is None:
             self.h = _initial_step(self._rhs_at, t0, self.y, self.f, self.settings,
                                    self.lanes, t_end - t0, self.estimated)
-            if not _finite_positive(self.h):    # the scaled norms overflowed
+            if not 0 < self.h < math.inf:   # the scaled norms overflowed
                 s = self.settings
                 raise IntegrationError("no finite positive initial step at rel_tol = "
                                        f"{s.rel_tol!r}, abs_tol = {s.abs_tol!r}", t0)

@@ -31,8 +31,7 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import ConfigurationError, DependentBasisError, DomainError
-from .integrate import _require_int
+from .errors import ConfigurationError, DependentBasisError, DomainError, _require_number
 from .quadrature import QuadratureSpec, _gram, simpson_points
 
 FORM1 = "form1"
@@ -244,15 +243,17 @@ def make_basis(kind: str, m: int, t0: float, form: str, *,
     form 1 (it has no t_f dependence).  The node-based kinds
     (``lagrange_nodes``, ``piecewise_linear``, ``piecewise_constant``) need
     an integer ``n_segments`` (>= 1) and may use form 1 only when the
-    terminal time is fixed.  Anything else raises :class:`ConfigurationError`.
+    terminal time is fixed.  ``m`` is an integer >= 1 and ``t0`` finite.
+    Anything else raises :class:`ConfigurationError`.
     """
     if form not in (FORM1, FORM2):
         raise ConfigurationError(f"form must be {FORM1!r} or {FORM2!r}, got {form!r}")
-    m = _require_int(m, "m", 1, ConfigurationError)
+    m = _require_number(m, "m", integer=True, least=1)
+    t0 = _require_number(t0, "t0")
     no_breaks = lambda t_f: np.empty(0)
 
     if kind == "global_polynomial":
-        order = _require_int(order, "global_polynomial order", 0, ConfigurationError)
+        order = _require_number(order, "global_polynomial order", integer=True, least=0)
         if form != FORM1:
             raise ConfigurationError("global_polynomial has no t_f dependence; use form1")
         k = order + 1
@@ -269,7 +270,7 @@ def make_basis(kind: str, m: int, t0: float, form: str, *,
 
     if kind not in _NODE_KINDS:
         raise ConfigurationError(f"unknown parameterization kind {kind!r}")
-    N = _require_int(n_segments, f"{kind} n_segments", 1, ConfigurationError)
+    N = _require_number(n_segments, f"{kind} n_segments", integer=True, least=1)
     inner = np.arange(1, N)
     breaks = lambda t_f: t0 + (t_f - t0) * inner / N
     segments = lambda ts, t_f: _segments(ts, breaks(t_f))
@@ -300,11 +301,12 @@ def validate_independence(par: Parameterization, t_f, quad_nodes: int) -> float:
 
     A strictly positive value certifies that the basis columns are linearly
     independent on [t0, t_f].  ``quad_nodes`` must be an integer >= s (an
-    even count is raised by one).  Raises :class:`DependentBasisError` when
-    the Gram matrix is numerically rank deficient (lambda_min <= 1e-10 *
-    lambda_max), reporting the offending null direction.
+    even count is raised by one; :class:`ConfigurationError` otherwise).
+    Raises :class:`DependentBasisError` when the Gram matrix is numerically
+    rank deficient (lambda_min <= 1e-10 * lambda_max), reporting the
+    offending null direction.
     """
-    quad_nodes = _require_int(quad_nodes, "quad_nodes", par.s)
+    quad_nodes = _require_number(quad_nodes, "quad_nodes", integer=True, least=par.s)
     nodes = quad_nodes if quad_nodes % 2 == 1 else quad_nodes + 1
     spec = QuadratureSpec(nodes=max(3, nodes))
     pts, w = simpson_points(par.t0, t_f, spec, par.breakpoints(t_f))

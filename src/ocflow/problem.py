@@ -17,14 +17,14 @@ bound in a test of the adjoint equation.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
 
-from .errors import ConfigurationError, DerivativeMismatchError, DimensionError
-from .integrate import DenseTrajectory, OdeSettings, _require_int, integrate_ivp
+from .errors import (ConfigurationError, DerivativeMismatchError, DimensionError,
+                     _require_number, _require_numbers)
+from .integrate import DenseTrajectory, OdeSettings, integrate_ivp
 
 
 @dataclass(frozen=True)
@@ -32,14 +32,17 @@ class OcpProblem:
     """Bolza problem: minimize phi(x(t_f), t_f) + int L dt s.t. x' = f, g(x_f, t_f) = 0.
 
     Evaluators take per-point arguments ``(x, u, t)`` (dynamics/running cost)
-    or ``(x_f, t_f)`` (terminal cost/constraint).  With ``vectorized=True``
-    they must also accept stacked inputs ``(N, n), (N, m), (N,)``, or for the
-    terminal ones stacked states ``(N, n)`` at one shared t_f, and return
-    stacked outputs; a terminal output without the leading axis holds for
-    every state.  The quadrature layer and the lanes of a batch exploit this.
+    or ``(x_f, t_f)`` (terminal cost/constraint).  At stacked points the
+    solver calls them once per point, or, with ``vectorized=True``, once on
+    the stacked inputs ``(N, n), (N, m), (N,)``, or for the terminal ones
+    stacked states ``(N, n)`` at one shared t_f, and reads stacked outputs; a
+    terminal output without the leading axis holds for every state.  The
+    quadrature layer and the lanes of a batch exploit this.
 
-    ``q = 0`` (no terminal constraint) is allowed: ``g`` returns an empty
-    vector, and the constrained formulas run on empty axes.
+    ``n`` and ``m`` are integers >= 1 and ``q`` an integer >= 0; ``q = 0``
+    (no terminal constraint) is allowed: ``g`` returns an empty vector, and
+    the constrained formulas run on empty axes.  ``t0`` and ``tf_fixed`` are
+    finite.  A bad value raises :class:`ConfigurationError`.
     """
 
     n: int
@@ -65,6 +68,11 @@ class OcpProblem:
     name: str = ""
 
     def __post_init__(self):
+        for name, least in (("n", 1), ("m", 1), ("q", 0)):
+            object.__setattr__(self, name, _require_number(getattr(self, name), name,
+                                                           integer=True, least=least))
+        for name in ("t0",) + (() if self.tf_fixed is None else ("tf_fixed",)):
+            object.__setattr__(self, name, _require_number(getattr(self, name), name))
         object.__setattr__(self, "x0", np.asarray(self.x0, dtype=float))
         if self.x0.shape != (self.n,):
             raise DimensionError(f"x0 has shape {self.x0.shape}, expected ({self.n},)")
@@ -74,9 +82,8 @@ class OcpProblem:
             if self.tf_fixed is None:
                 raise ConfigurationError("tf_mode='fixed' requires tf_fixed")
             if self.tf_fixed <= self.t0:
-                raise ConfigurationError("tf_fixed must exceed t0")
-        if self.q < 0:
-            raise ConfigurationError("q must be >= 0")
+                raise ConfigurationError(f"tf_fixed must exceed t0 = {self.t0!r}, "
+                                         f"got {self.tf_fixed!r}")
 
 
 @dataclass(frozen=True)
@@ -86,7 +93,8 @@ class Gains:
     ``K_inv`` is the m x m SPD *inverse* control weight, an array or a
     callable of t; ``k_tf`` >= 0 scales the terminal-time equation (ignored
     when t_f is fixed); the SPD ``K_g`` sets the decay rate of the constraint
-    violation.  Each is checked here, sizes and a callable at t0 with the problem.
+    violation.  Each is checked here (a :class:`ConfigurationError` refuses a
+    bad one), sizes and a callable at t0 with the problem.
     """
 
     K_inv: np.ndarray | Callable[[float], np.ndarray]
@@ -94,9 +102,7 @@ class Gains:
     K_g: np.ndarray
 
     def __post_init__(self):
-        if not 0 <= self.k_tf < math.inf:
-            raise ConfigurationError(f"k_tf must be finite and >= 0, got {self.k_tf!r}")
-        object.__setattr__(self, "k_tf", float(self.k_tf))
+        object.__setattr__(self, "k_tf", _require_number(self.k_tf, "k_tf", least=0))
         for name in ("K_g",) + (() if callable(self.K_inv) else ("K_inv",)):
             object.__setattr__(self, name, _require_spd(getattr(self, name), name))
 
@@ -130,8 +136,7 @@ def _inverse_weight(K, m: int) -> np.ndarray:
 
 def _gain_matrix(K, dim: int, name: str) -> np.ndarray:
     """K as a (dim, dim) matrix; a scalar or 1 x 1 gain is promoted to K * I."""
-    K = np.atleast_2d(np.asarray(K, dtype=float))
-    _require_finite(K, name)
+    K = np.atleast_2d(_require_numbers(K, name))
     if K.shape == (1, 1) and dim != 1:
         K = K[0, 0] * np.eye(dim)
     if K.shape != (dim, dim):
@@ -139,17 +144,11 @@ def _gain_matrix(K, dim: int, name: str) -> np.ndarray:
     return K
 
 
-def _require_finite(M: np.ndarray, name: str) -> None:
-    if not np.isfinite(M).all():
-        raise ConfigurationError(f"{name} must be finite, got {M.tolist()!r}")
-
-
 def _require_spd(M, name: str) -> np.ndarray:
     """M as a float array, or a ConfigurationError naming it unless it is SPD;
     symmetric means max|M - M^T| <= 1e-9 max|M|, which takes the rounding of
     np.linalg.inv (1.4e-11 of max|M| at condition 1e9)."""
-    M = np.asarray(M, dtype=float)
-    _require_finite(M, name)
+    M = _require_numbers(M, name)
     if M.ndim != 2 or M.shape[0] != M.shape[1]:
         raise ConfigurationError(f"{name} must be square, got shape {M.shape}")
     if np.abs(M - M.T).max(initial=0.0) > 1e-9 * np.abs(M).max(initial=0.0):
@@ -258,9 +257,9 @@ def validate_problem(prob: OcpProblem, samples: int, *, tol: float = 1e-4,
     :class:`DerivativeMismatchError` when any derivative disagrees with the
     finite-difference probe beyond ``tol`` (relative).  Returns the error
     table otherwise.  ``samples``, the number of random probe points, must
-    be an integer >= 1 (:class:`ValueError` otherwise).
+    be an integer >= 1 (:class:`ConfigurationError` otherwise).
     """
-    samples = _require_int(samples, "samples", 1)
+    samples = _require_number(samples, "samples", integer=True, least=1)
     rng = np.random.default_rng(seed)
     horizon = (prob.tf_fixed - prob.t0) if prob.tf_fixed is not None else 1.0
 
@@ -300,17 +299,25 @@ def validate_problem(prob: OcpProblem, samples: int, *, tol: float = 1e-4,
     return ValidationReport(samples=samples, errors=worst)
 
 
-def _batch_eval(prob: OcpProblem, name: str, xs, us, ts) -> np.ndarray:
-    """The callback ``name`` at stacked points: xs (*P, n), us (*P, m), ts
-    broadcasting to the point shape *P (lanes of a time grid); returns (*P, ...).
-
-    A single point (P = ()) is one plain call.  Otherwise a vectorized problem
-    takes one stacked call, any other one call per point.
+def _batch_eval(prob: OcpProblem, name: str, xs, *args) -> np.ndarray:
+    """The callback ``name`` at stacked states xs (*P, n): a running one at
+    ``(us, ts)``, us (*P, m) and ts broadcasting to *P (lanes of a time
+    grid), a terminal one at ``(t_f,)``, one t_f the B lanes share; returns
+    (*P, ...).  A single point (P = ()) is one plain call.  Otherwise a
+    vectorized problem takes one stacked call, any other one call per point;
+    a terminal output fills the shape :data:`_EXPECTED_SHAPES` gives, so one
+    without the leading axis holds for every state.
     """
     fn = getattr(prob, name)
     points = xs.shape[:-1]
     if not points:
-        return np.asarray(fn(xs, us, ts), dtype=float)
+        return np.asarray(fn(xs, *args), dtype=float)
+    if len(args) == 1:                  # a terminal callback: all lanes, or each one
+        out = np.empty((*points, *_EXPECTED_SHAPES[name](prob)))
+        for b, x in [(..., xs)] if prob.vectorized else enumerate(xs):
+            out[b] = fn(x, *args)
+        return out
+    us, ts = args
     if len(points) > 1 or np.ndim(ts) == 0:    # lanes of points, or a time they share
         xs, us = xs.reshape(-1, xs.shape[-1]), us.reshape(-1, us.shape[-1])
         ts = np.broadcast_to(ts, points).reshape(-1)
@@ -322,28 +329,13 @@ def _batch_eval(prob: OcpProblem, name: str, xs, us, ts) -> np.ndarray:
     return out.reshape(*points, *out.shape[1:]) if len(points) > 1 else out
 
 
-def _terminal_eval(prob: OcpProblem, name: str, x_f: np.ndarray, t_f: float) -> np.ndarray:
-    """The terminal callback ``name`` at x_f (n,), or at B lanes' states (B, n)
-    sharing t_f: one stacked call on a vectorized problem, else one per lane."""
-    fn = getattr(prob, name)
-    if x_f.ndim == 1:
-        return np.asarray(fn(x_f, t_f), dtype=float)
-    out = np.empty((len(x_f), *_EXPECTED_SHAPES[name](prob)))
-    if prob.vectorized:
-        out[...] = fn(x_f, t_f)
-    else:
-        for b, x in enumerate(x_f):
-            out[b] = fn(x, t_f)
-    return out
-
-
 def _objective(prob: OcpProblem, sol: DenseTrajectory) -> tuple:
     """(J, g) = (phi(x_f) + the running cost, g(x_f)) at the end t_f of a state
     solve, or per lane, (B,) and (B, q), of a solve of B lanes."""
     end, t_f = sol.last, float(sol.t_grid[-1])
     x_f = end[..., :prob.n]
-    return (_terminal_eval(prob, "phi", x_f, t_f) + end[..., prob.n],
-            _terminal_eval(prob, "g", x_f, t_f))
+    return (_batch_eval(prob, "phi", x_f, t_f) + end[..., prob.n],
+            _batch_eval(prob, "g", x_f, t_f))
 
 
 def _state_solution(prob: OcpProblem, u_of_ts, t_f: float, ode: OdeSettings | None,

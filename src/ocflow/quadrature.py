@@ -12,10 +12,11 @@ the basis-free multiplier's system) is one :func:`_gram` product.
 
 from __future__ import annotations
 
-import numbers
 from dataclasses import dataclass
 
 import numpy as np
+
+from .errors import ConfigurationError, _require_number
 
 
 @dataclass(frozen=True)
@@ -25,9 +26,10 @@ class QuadratureSpec:
     nodes: int = 201
 
     def __post_init__(self):
-        n = self.nodes
-        if isinstance(n, bool) or not isinstance(n, numbers.Integral) or n < 3 or n % 2 == 0:
-            raise ValueError(f"nodes must be an odd integer >= 3, got {n}")
+        n = _require_number(self.nodes, "nodes", integer=True, least=3)
+        if n % 2 == 0:
+            raise ConfigurationError(f"nodes must be an odd integer >= 3, got {n!r}")
+        object.__setattr__(self, "nodes", n)
 
 
 def panel_edges(t0: float, t_f: float, spec: QuadratureSpec,

@@ -44,7 +44,7 @@ from .integrate import DenseTrajectory, OdeSettings, replay_linear
 # not called here, but kept bound: bench/tracing.py wraps sensitivity.integrate_ivp
 from .integrate import integrate_ivp  # noqa: F401
 from .parameterization import Parameterization, _contract
-from .problem import Gains, OcpProblem, _batch_eval, _state_solution, _terminal_eval
+from .problem import Gains, OcpProblem, _batch_eval, _state_solution
 from .quadrature import QuadratureSpec, _gram, simpson_points
 
 
@@ -178,8 +178,8 @@ def solve_adjoints(prob: OcpProblem, par: Parameterization, p,
 
     x_f = x_traj.last[..., :n]
     y_f = np.empty((*p.shape[:-1], n, 1 + prob.q))
-    y_f[..., 0] = _terminal_eval(prob, "phi_x", x_f, t_f)
-    y_f[..., 1:] = _terminal_eval(prob, "g_x", x_f, t_f).swapaxes(-1, -2)
+    y_f[..., 0] = _batch_eval(prob, "phi_x", x_f, t_f)
+    y_f[..., 1:] = _batch_eval(prob, "g_x", x_f, t_f).swapaxes(-1, -2)
 
     def coefficients(ts, xs):
         xs = xs[..., :n]
@@ -219,9 +219,9 @@ def _terminal_values(prob: OcpProblem, bundle: AdjointBundle) -> np.ndarray:
     u_f = bundle.par.eval(t_f, bundle.p, t_f)
     f_f = _batch_eval(prob, "f", x_f, u_f, t_f)
     h = (f_f[..., None, :] @ bundle.adjoint_sol.last)[..., 0, :]
-    h[..., 0] += _terminal_eval(prob, "phi_t", x_f, t_f)
+    h[..., 0] += _batch_eval(prob, "phi_t", x_f, t_f)
     h[..., 0] += _batch_eval(prob, "L", x_f, u_f, t_f)
-    h[..., 1:] += _terminal_eval(prob, "g_t", x_f, t_f)
+    h[..., 1:] += _batch_eval(prob, "g_t", x_f, t_f)
     return h
 
 

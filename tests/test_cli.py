@@ -142,16 +142,16 @@ def test_config_errors_exit_2(tmp_path, capsys):
         assert main(["solve", "--config", str(path)]) == 2
 
     # values JSON would coerce (booleans, fractions for integer keys, numeric
-    # text) are refused, naming the key; so are wrongly shaped gains
-    for overrides, key in (({"ode_inner": {"max_steps": 2.5}}, "ode_inner.max_steps"),
-                           ({"ode_inner": {"max_steps": True}}, "ode_inner.max_steps"),
-                           ({"stop": {"tau_max": True}}, "stop.tau_max"),
-                           ({"stop": {"tau_max": "abc"}}, "stop.tau_max"),
+    # text) are refused, naming the section and key; so are wrongly shaped gains
+    for overrides, key in (({"ode_inner": {"max_steps": 2.5}}, "ode_inner: max_steps"),
+                           ({"ode_inner": {"max_steps": True}}, "ode_inner: max_steps"),
+                           ({"stop": {"tau_max": True}}, "stop: tau_max"),
+                           ({"stop": {"tau_max": "abc"}}, "stop: tau_max"),
                            ({"quad_nodes": 201.5}, "quad_nodes"),
                            ({"init": {"t_f": True}}, "init.t_f"),
-                           ({"gains": {"K_g": True}}, "gains.K_g"),
-                           ({"gains": {"K_g": [[1.0, 0.0], [0.0, True]]}}, "gains.K_g"),
-                           ({"gains": {"K": [[False]]}}, "gains.K"),
+                           ({"gains": {"K_g": True}}, "gains: K_g"),
+                           ({"gains": {"K_g": [[1.0, 0.0], [0.0, True]]}}, "gains: K_g"),
+                           ({"gains": {"K": [[False]]}}, "gains: K"),
                            ({"gains": {"K_g": np.eye(3).tolist()}}, "K_g")):
         path, _ = write_config(tmp_path, **overrides)
         assert main(["solve", "--config", str(path)]) == 2
@@ -421,11 +421,12 @@ def test_non_finite_gains_and_initial_values_exit_2(tmp_path, capsys, monkeypatc
             ("example1", "form1", "gains", '{{"K": [[{}]]}}', "gains: K must be finite"),
             ("example1", "form1", "gains", '{{"K_g": {}}}', "gains: K_g must be finite"),
             ("brachistochrone", "form1", "gains", '{{"k_tf": {}}}',
-             "gains: k_tf must be finite"),
+             "gains: k_tf must be a finite number"),
             ("example1", "gradient_flow", "gains", '{{"K_theta": {}}}',
              "gains: K_theta must be finite"),
-            ("brachistochrone", "form1", "init", '{{"t_f": {}}}', "init.t_f must be finite"),
-            ("example1", "form1", "init", '{{"t_f": {}}}', "init.t_f must be finite"),
+            ("brachistochrone", "form1", "init", '{{"t_f": {}}}',
+             "init.t_f must be a finite number"),
+            ("example1", "form1", "init", '{{"t_f": {}}}', "init.t_f must be a finite number"),
             ("example1", "form1", "init", '{{"p": [0, {}, 0, 0]}}', "init.p must be finite")):
         for text in ("NaN", "Infinity"):
             path = tmp_path / "non_finite.json"

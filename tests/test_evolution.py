@@ -527,16 +527,16 @@ def test_mis_shaped_gains_and_initial_values_are_refused_before_any_pipeline(
     with pytest.raises(ConfigurationError, match="init.t_f must exceed t0"):
         solve_evolution(EvolutionMode.form1(), brach.prob, brach_par, brach.gains,
                         EvolutionState(p=np.zeros(5), t_f=0.0), StopCriteria())
-    # a free t_f needs an initial one, and any given t_f is a scalar
+    # a free t_f needs an initial one, and any given t_f is a number
     for prob, gains, basis, p, t_f, needle in (
             (brach.prob, brach.gains, brach_par, np.zeros(5), None,
              "free t_f needs an initial init.t_f"),
             (brach.prob, brach.gains, brach_par, np.zeros(5), [1.0, 1.1],
-             "init.t_f must be a scalar"),
+             "init.t_f must be a finite number, got [1.0, 1.1]"),
             (brach.prob, brach.gains, brach_par, np.zeros(5), np.array([1.0]),
-             "init.t_f must be a scalar"),
+             "init.t_f must be a finite number, got array([1.])"),
             (example1.prob, example1.gains, par, np.zeros(4), [2.0, 2.0],
-             "init.t_f must be a scalar")):
+             "init.t_f must be a finite number, got [2.0, 2.0]")):
         with pytest.raises(ConfigurationError, match=re.escape(needle)):
             solve_evolution(EvolutionMode.form1(), prob, basis, gains,
                             EvolutionState(p=p, t_f=t_f), StopCriteria())

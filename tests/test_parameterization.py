@@ -233,7 +233,8 @@ def test_integer_settings_must_be_integers():
     par = make_basis("piecewise_constant", m=np.int64(2), t0=0.0, form="form2", n_segments=3)
     assert type(par.m) is int and type(par.s) is int and par.s == 6
     for nodes in (3.0, 201.0, True, "5"):
-        with pytest.raises(ValueError, match="nodes must be an odd integer"):
+        with pytest.raises(ConfigurationError, match=re.escape(
+                f"nodes must be an integer >= 3, got {nodes!r}")):
             QuadratureSpec(nodes=nodes)
     pts, _ = simpson_points(0.0, 1.0, QuadratureSpec(nodes=np.int64(5)))
     assert pts.size == 6

@@ -148,8 +148,8 @@ def test_gains_validation():
     ({"K_inv": -np.eye(1)}, "K_inv must be positive-definite"),
     ({"K_inv": np.array([[np.inf]])}, "K_inv must be finite"),
     ({"K_inv": np.array([[1.0, 2.0], [0.0, 1.0]])}, "K_inv must be symmetric"),
-    ({"k_tf": -1.0}, "k_tf must be finite and >= 0"),
-    ({"k_tf": np.nan}, "k_tf must be finite and >= 0"),
+    ({"k_tf": -1.0}, "k_tf must be a finite number >= 0, got -1.0"),
+    ({"k_tf": np.nan}, "k_tf must be a finite number >= 0, got nan"),
 ])
 def test_bad_gains_are_refused_at_construction(kwargs, needle):
     # a directly built Gains checks itself, as Gains.constant's did; before,

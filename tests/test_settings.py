@@ -1,0 +1,128 @@
+"""One rule judges every setting: errors._require_number and _require_numbers.
+
+Each settings field and count argument refuses text, a bool, None, a
+non-finite number and a value below its bound with a ConfigurationError that
+names the field and the repr of the value it was given.
+"""
+
+import dataclasses
+import math
+
+import numpy as np
+import pytest
+
+from ocflow import (ConfigurationError, EvolutionMode, EvolutionState, Gains, OdeSettings,
+                    QuadratureSpec, StopCriteria, make_basis, solve_evolution,
+                    validate_independence, validate_problem)
+from ocflow.evolution import _resolve_init
+
+
+def _poly(**kw):
+    return make_basis("global_polynomial", **{"m": 1, "t0": 0.0, "form": "form1",
+                                              "order": 3, **kw})
+
+
+def _pwc(**kw):
+    return make_basis("piecewise_constant", **{"m": 1, "t0": 0.0, "form": "form2",
+                                               "n_segments": 4, **kw})
+
+
+# (field, build(value), the value below its bound or None, an integer field);
+# None is left out where it means "not given": a gradient flow without
+# K_theta and a free problem's tf_fixed
+def _table(example1, brach):
+    prob, free = example1.prob, brach.prob
+    return [
+        ("rel_tol", lambda v: OdeSettings(rel_tol=v), 0.0, False),
+        ("abs_tol", lambda v: OdeSettings(abs_tol=v), 0.0, False),
+        ("max_steps", lambda v: OdeSettings(max_steps=v), 0, True),
+        *[(f, lambda v, f=f: StopCriteria(**{f: v}), 0.0, False)
+          for f in ("tau_max", "tol_opt", "tol_feas", "record_every")],
+        ("nodes", lambda v: QuadratureSpec(nodes=v), 1, True),
+        ("k_tf", lambda v: Gains.constant(K=0.1, m=1, q=2, k_tf=v), -1.0, False),
+        ("K", lambda v: Gains.constant(K=v, m=1, q=2), None, False),
+        ("K_g", lambda v: Gains.constant(K=0.1, m=1, q=2, K_g=v), None, False),
+        ("K_theta", lambda v: EvolutionMode.gradient_flow(v), None, False),
+        *[(f, lambda v, f=f: dataclasses.replace(prob, **{f: v}), least, True)
+          for f, least in (("n", 0), ("m", 0), ("q", -1))],
+        ("t0", lambda v: dataclasses.replace(prob, t0=v), None, False),
+        ("tf_fixed", lambda v: dataclasses.replace(prob, tf_fixed=v), -1.0, False),
+        ("m", lambda v: _poly(m=v), 0, True),
+        ("t0", lambda v: _poly(t0=v), None, False),
+        ("order", lambda v: _poly(order=v), -1, True),
+        ("n_segments", lambda v: _pwc(n_segments=v), 0, True),
+        ("samples", lambda v: validate_problem(prob, samples=v), 0, True),
+        ("quad_nodes", lambda v: validate_independence(_poly(), 2.0, quad_nodes=v), 3, True),
+        ("init.p", lambda v: _resolve_init(free, EvolutionState(p=[0.0, v], t_f=1.0)),
+         None, False),
+        ("init.t_f", lambda v: _resolve_init(free, EvolutionState(p=[0.0], t_f=v)),
+         -1.0, False),
+    ]
+
+
+def test_every_setting_refuses_a_bad_value_naming_field_and_value(example1, brach):
+    for field, build, below, integer in _table(example1, brach):
+        bad = ["5", True, None, math.nan, math.inf, -math.inf]
+        if field in ("K_theta", "tf_fixed"):
+            bad.remove(None)
+        bad += ([] if below is None else [below]) + ([5.0] if integer else [])
+        for value in bad:
+            with pytest.raises(ConfigurationError) as info:
+                build(value)
+            msg = str(info.value)
+            assert field in msg and repr(value) in msg, (field, value, msg)
+
+
+def test_configuration_error_is_a_value_error():
+    assert issubclass(ConfigurationError, ValueError)
+    with pytest.raises(ValueError, match="tau_max"):
+        StopCriteria(tau_max=-1.0)
+
+
+def test_numpy_scalars_are_numbers(example1):
+    ode = OdeSettings(rel_tol=np.float32(0.5), abs_tol=np.float64(1e-6),
+                      max_steps=np.int64(7))
+    assert (type(ode.rel_tol), type(ode.max_steps)) == (float, int)
+    assert ode.rel_tol == 0.5 and ode.max_steps == 7
+    assert StopCriteria(tau_max=np.int32(5)).tau_max == 5.0
+    assert type(QuadratureSpec(nodes=np.int64(5)).nodes) is int
+    prob = dataclasses.replace(example1.prob, n=np.int64(2), q=np.uint8(2),
+                               t0=np.float32(0.0), tf_fixed=np.float64(2.0))
+    assert (type(prob.n), type(prob.q), type(prob.t0)) == (int, int, float)
+    assert _poly(m=np.int16(1), t0=np.float64(0.0), order=np.int64(3)).s == 4
+    assert Gains.constant(K=np.float32(0.5), m=1, q=2, k_tf=np.int64(1)).k_tf == 1.0
+
+
+def test_a_huge_integer_is_refused_or_kept_never_overflows():
+    # math.isfinite and float() raise OverflowError on an int beyond the float range
+    assert OdeSettings(max_steps=10**400).max_steps == 10**400
+    for bad in ({"rel_tol": 10**400}, {"abs_tol": -10**400}):
+        with pytest.raises(ConfigurationError, match="must be a finite number"):
+            OdeSettings(**bad)
+    with pytest.raises(ConfigurationError, match="K must be finite numbers"):
+        Gains.constant(K=[[10**400]], m=1, q=2)
+
+
+def test_arrays_are_read_entry_by_entry():
+    # numpy would read each of these as a float, a bool or an object array
+    for K in ([[1.0, 0.0], [0.0, True]], [[1.0, 0.0], [0.0]], [[1.0, 0.0], [0.0, None]],
+              [["1", "0"], ["0", "1"]], np.eye(2, dtype=bool)):
+        with pytest.raises(ConfigurationError, match="K_g must be finite numbers"):
+            Gains.constant(K=0.1, m=1, q=2, K_g=K)
+    assert Gains.constant(K=0.1, m=1, q=2, K_g=[[1, 0], [0, 1]]).K_g.dtype == float
+
+
+def test_text_initial_values_are_refused_before_any_pipeline(monkeypatch, example1, brach):
+    # np.asarray(..., dtype=float) read ["1", "2"] as numbers, and the
+    # Brachistochrone's t_f as the text "1.0"
+    import ocflow.evolution as evolution
+
+    monkeypatch.setattr(evolution, "solve_state", lambda *a, **k: pytest.fail("a pipeline ran"))
+    par = _poly(order=4)
+    for init, field in ((EvolutionState(p=["0"] * 5, t_f=1.0), "init.p"),
+                        (EvolutionState(p=np.zeros(5), t_f="1.0"), "init.t_f")):
+        with pytest.raises(ConfigurationError, match=field):
+            solve_evolution(EvolutionMode.form1(), brach.prob, par, brach.gains, init,
+                            StopCriteria())
+    # EvolutionState keeps what it was given; the solve reads it
+    assert EvolutionState(p=["0"], t_f=None).p == ["0"]
