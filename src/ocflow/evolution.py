@@ -25,10 +25,10 @@ tolerance or a tau budget is hit, recording a trace row every
 V = ||g|| + 0.01 J.  The rows that fall inside one accepted step of a
 fixed-t_f flow are evaluated together, as the lanes of one pipeline pass
 (:func:`evaluate_iterates`).  Dormand-Prince steps the
-flow until its stability cap has bound 15 accepted steps in a row; the flow
-is then stiff, and a ROS2 W-method takes over for good.  Its Jacobian is one
-forward difference, formed by :func:`_flow` from the same evaluator as the
-flow's right-hand side and its trace rows, and Broyden updates follow it.
+flow until its stability cap has bound 15 accepted steps, a count that 6
+uncapped steps in a row reset; the flow is then stiff, and Radau IIA takes
+over for good.  Its Newton iterations' stage points and its Jacobian, one
+forward difference, are calls of the flow's one evaluator.
 """
 
 from __future__ import annotations
@@ -42,7 +42,7 @@ import numpy as np
 
 from .errors import (ConfigurationError, MultiplierBoundWarning, _require_number,
                      _require_numbers)
-from .integrate import OdeSettings, _Ros2, _Stepper, dense_output
+from .integrate import _DEFAULT_ODE, OdeSettings, _Radau, _Stepper, dense_output
 from .parameterization import _NODE_KINDS, FORM1, FORM2, Parameterization
 from .problem import (Gains, OcpProblem, SolveReport, SolveTrace, TraceRow,
                       _gain_matrix, _objective, _require_spd)
@@ -52,7 +52,8 @@ from .sensitivity import (AdjointBundle, ThetaQuantities, assemble_form1,
                           spd_solve)
 
 _MODE_KINDS = ("form1", "form2", "gradient_flow")
-_STIFF_STEPS = 15      # consecutive capped DP5 steps that hand the flow to ROS2
+_STIFF_STEPS = 15      # capped DP5 steps that hand the flow to Radau IIA
+_CALM_STEPS = 6        # uncapped DP5 steps in a row that reset their count
 _FD_REL = 1e-6         # Jacobian forward-difference step over max(1, |theta_j|)
 _PI_BOUND = 1e6        # ||pi|| over which the multiplier boundedness assumption looks violated
 _C1 = 0.01             # the weight of J in the trace's V = ||g|| + c1 J
@@ -256,7 +257,7 @@ def evaluate_iterate(mode: EvolutionMode, prob: OcpProblem, par: Parameterizatio
                      ode_inner: OdeSettings | None = None,
                      quad: QuadratureSpec | None = None) -> IterateEval:
     """Run the full pipeline (state, adjoints, assembly, multiplier) at (p, t_f)."""
-    p = np.asarray(p, dtype=float)
+    p = _require_numbers(p, "p")
     if p.shape != (par.s,):
         raise ValueError(f"p has shape {p.shape}, expected ({par.s},)")
     return _iterate_eval(*_pipeline(mode, prob, par, gains, p, t_f, ode_inner, quad))
@@ -277,7 +278,7 @@ def evaluate_iterates(mode: EvolutionMode, prob: OcpProblem, par: Parameterizati
     bundle.  Any B, one included, runs this lane path; one lane equals
     :func:`evaluate_iterate` bit for bit.
     """
-    P = np.asarray(P, dtype=float)
+    P = _require_numbers(P, "P")
     if P.ndim != 2 or len(P) == 0 or P.shape[1] != par.s:
         raise ValueError(f"P has shape {P.shape}, expected (B, {par.s}) with B >= 1")
     bundle, quant, *lanes = _pipeline(mode, prob, par, gains, P, t_f, ode_inner, quad)
@@ -335,10 +336,11 @@ def _flow(evaluate, row, theta0: np.ndarray, stop: StopCriteria, ode: OdeSetting
     the last ``(result, done, tau)``.
 
     Dormand-Prince steps until its stability cap has bound ``_STIFF_STEPS``
-    accepted steps in a row (DOPRI5's stiffness test); ROS2 then takes over
-    for good.  Its Jacobian is one call at [theta, theta + d_1 e_1, ...],
-    d_j = ``_FD_REL`` max(1, |theta_j|): column j is the forward difference
-    against the call's first result over the representable step.
+    accepted steps, a count that ``_CALM_STEPS`` uncapped steps in a row
+    reset (DOPRI5's stiffness test); Radau IIA then takes over for good, its
+    three stage points one call.  Its Jacobian is one call at [theta, theta
+    + d_1 e_1, ...], d_j = ``_FD_REL`` max(1, |theta_j|): column j is the
+    forward difference against the call's first result over the step taken.
     """
     def rhs(tau, theta):
         return next(iter(evaluate([theta]))).dtheta
@@ -358,7 +360,7 @@ def _flow(evaluate, row, theta0: np.ndarray, stop: StopCriteria, ode: OdeSetting
     if done:
         return result, done, tau
     stepper = _Stepper(rhs, 0.0, theta0, stop.tau_max, ode, guard=guard)
-    next_k, capped = 1, 0
+    next_k, stiff, calm = 1, 0, 0
     while not stepper.done and not done:
         tau_prev, theta_prev = stepper.t, stepper.y
         h, K = stepper.step()
@@ -371,12 +373,15 @@ def _flow(evaluate, row, theta0: np.ndarray, stop: StopCriteria, ode: OdeSetting
             thetas = [dense_output((tau_rec - tau_prev) / (stepper.t - tau_prev), h,
                                    theta_prev, Q) for tau_rec in taus]
             result, done, tau = record(taus, thetas)
-        capped = capped + 1 if stepper.capped else 0
-        if capped == _STIFF_STEPS and not (done or stepper.done):
+        if stepper.capped:
+            stiff, calm = stiff + 1, 0
+        elif (calm := calm + 1) == _CALM_STEPS:
+            stiff = 0
+        if stiff == _STIFF_STEPS and type(stepper) is _Stepper and not (done or stepper.done):
             import logging          # here, so that importing the package does not load it
             logging.getLogger(__name__).info("outer flow stiff at tau = %.6g after %d capped "
-                                             "steps; ROS2 takes over", stepper.t, capped)
-            stepper = _Ros2(stepper, jac)
+                                             "steps; Radau IIA takes over", stepper.t, stiff)
+            stepper = _Radau(stepper, jac, lambda thetas: [r.dtheta for r in evaluate(thetas)])
     if not done and tau < stepper.t:
         result, done, tau = record([stepper.t], [stepper.y])
     return result, done, tau
@@ -405,7 +410,7 @@ def solve_evolution(mode: EvolutionMode, prob: OcpProblem, par: Parameterization
     """
     t_start = time.perf_counter()
     _check_compat(mode, prob, par, gains)
-    ode_outer = ode_outer or OdeSettings()
+    ode_outer = ode_outer or _DEFAULT_ODE
     quad = quad or QuadratureSpec()
     free = prob.tf_mode == "free"
     p0, t_f0 = _resolve_init(prob, init)

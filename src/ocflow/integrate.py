@@ -7,16 +7,16 @@ the outer evolution in virtual time are adaptive and run forward only
 passes, replay the same tableau backward over a forward solve's accepted
 steps with no error control (:func:`replay_linear`), restarting where the
 forward solve recorded that it did.  An outer flow that keeps the stability
-cap below binding goes to :class:`_Ros2`, a linearly implicit W-method with
-Broyden updates, whose dense output is a cubic Hermite segment.  The free
-4th-order interpolant of the pair gives dense output at arbitrary nodes from
-one coefficient block per power, a layout that :class:`DenseTrajectory`
-alone knows.  A state solve's control is evaluated once per step attempt,
-at all of its stage times, and handed to the right-hand side stage by
-stage.  Several independent systems of equal size may run as
-lanes of one solve: they share one step sequence, each step is held to the
-tolerance and stability limit of its worst lane, and lookups come back lanes
-first.  The first step is Hairer's estimate, its trial step clamped to the
+cap binding goes to :class:`_Radau`, the 3-stage Radau IIA method, whose
+three stage points go out as one call per Newton iteration and whose dense
+output is its collocation cubic.  The free 4th-order interpolant of the pair
+gives dense output at arbitrary nodes from one coefficient block per power,
+a layout that :class:`DenseTrajectory` alone knows.  A state solve's control
+is evaluated once per step attempt, at all of its stage times, and handed to
+the right-hand side stage by stage.  Several independent systems of equal
+size may run as lanes of one solve: they share one step sequence, each
+step is held to the tolerance and stability limit of its worst lane, and
+lookups come back lanes first.  The first step is Hairer's estimate, its trial step clamped to the
 smooth subinterval; a state solve leaves its running-cost channel, an integral
 from 0, out of that estimate (as CVODES does its quadratures) and keeps it
 under the error test.  Step-size control is a standard PI controller (safety
@@ -88,6 +88,9 @@ class OdeSettings:
         for name, rule in (("rel_tol", {"positive": True}), ("abs_tol", {"positive": True}),
                            ("max_steps", {"integer": True, "least": 1})):
             object.__setattr__(self, name, _require_number(getattr(self, name), name, **rule))
+
+
+_DEFAULT_ODE = OdeSettings()
 
 
 def dense_output(theta, scale, base, Q, idx=None) -> np.ndarray:
@@ -461,8 +464,20 @@ class _Stepper:
             self.h = h * max(_MIN_FACTOR, _SAFETY * err_norm ** (-0.2))
 
 
-_ROS2_GAMMA = 1.0 + 1.0 / math.sqrt(2.0)
-_RESEED_REJECTIONS = 2      # consecutive rejections after which J is rebuilt
+# Radau IIA of order 5 (Hairer & Wanner, Solving ODEs II, IV.8): its nodes and
+# matrix, the real eigenvalue of A^-1, the embedded estimate's weights on the
+# stage increments Z / h, and the collocation cubic's powers from Z / h (rows)
+_S6 = math.sqrt(6.0)
+_RADAU_C = np.array([(4 - _S6) / 10, (4 + _S6) / 10, 1.0])
+_RADAU_A = np.array([[(88 - 7 * _S6) / 360, (296 - 169 * _S6) / 1800, (-2 + 3 * _S6) / 225],
+                     [(296 + 169 * _S6) / 1800, (88 + 7 * _S6) / 360, (-2 - 3 * _S6) / 225],
+                     [(16 - _S6) / 36, (16 + _S6) / 36, 1 / 9]])
+_RADAU_MU = 3 + 3 ** (2 / 3) - 3 ** (1 / 3)
+_RADAU_E = np.array([-13 - 7 * _S6, -13 + 7 * _S6, -1.0]) / 3
+_RADAU_P = np.array([[13 / 3 + 7 * _S6 / 3, -23 / 3 - 22 * _S6 / 3, 10 / 3 + 5 * _S6, 0.0],
+                     [13 / 3 - 7 * _S6 / 3, -23 / 3 + 22 * _S6 / 3, 10 / 3 - 5 * _S6, 0.0],
+                     [1 / 3, -8 / 3, 10 / 3, 0.0]])
+_NEWTON_ITERS = 6
 
 
 def _broyden(J: np.ndarray, dy: np.ndarray, dF: np.ndarray) -> None:
@@ -472,28 +487,29 @@ def _broyden(J: np.ndarray, dy: np.ndarray, dF: np.ndarray) -> None:
         J += np.outer(dF - J @ dy, dy / dy2)
 
 
-def _hermite(K: np.ndarray) -> np.ndarray:
-    """Q, powers first, of the cubic Hermite segment of K = (F_n, F_n+1, dy / h)."""
-    f0, f1, d = K
-    return np.stack([f0, 3.0 * d - 2.0 * f0 - f1, f0 + f1 - 2.0 * d, np.zeros_like(d)])
+class _Radau(_Stepper):
+    """The 3-stage Radau IIA method (order 5, L-stable) as in RADAU5, taking
+    over a one-system :class:`_Stepper` at its (t, y, f, h) for an autonomous
+    y' = f(y), whose ``rhs(ys)`` gives f at a list of points.
 
-
-class _Ros2(_Stepper):
-    """The linearly implicit ROS2 W-method (Verwer, Spee, Blom & Hundsdorfer,
-    1999), taking over a one-system :class:`_Stepper` at its (t, y, f, h).
-
-    W = (I - gamma h J)^-1, gamma = 1 + 1/sqrt(2); k1 = W f(y), k2 = W (f(y +
-    h k1) - 2 k1), y+ = y + h (3 k1 + k2) / 2, error h (k1 + k2) / 2.  Order
-    2 holds for any J: J = ``jac(y)``, Broyden-updated with each f(y+),
-    rebuilt after ``_RESEED_REJECTIONS`` rejections in a row (a singular
-    I - gamma h J is one).  A step's segment is the cubic Hermite one.
+    Simplified Newton on the real matrix I - h A (x) J solves the collocation
+    system from the last step's collocation cubic, each iteration one call
+    of the three stage points.  It fails on a non-finite stage or when its
+    rate says 6 iterations will not do; J = ``jac(y)`` is then re-formed
+    once, and a second failure halves h.  J takes a Broyden update with
+    f(y_new), a one-point call, after each accepted step.  The error is the
+    embedded estimate filtered by (mu/h I - J)^-1, refined once after a
+    rejection; the next h is Gustafsson's.  A step's K is Z / h.
     """
 
-    segment = staticmethod(_hermite)
+    segment = staticmethod(lambda K: _RADAU_P.T @ K)
 
-    def __init__(self, stepper: _Stepper, jac):
-        self.__dict__.update(stepper.__dict__, jac=jac, capped=False)
-        self.J = self._jacobian()
+    def __init__(self, stepper: _Stepper, jac, rhs):
+        self.__dict__.update(stepper.__dict__, jac=jac, rhs=rhs, capped=False)
+        self.J, self._fresh = self._jacobian(), True
+        self._last = None               # the last step's (h, y, K, error norm)
+        self._tol = max(10 * np.finfo(float).eps / self.settings.rel_tol,
+                        min(0.03, math.sqrt(self.settings.rel_tol)))
 
     def _jacobian(self) -> np.ndarray:
         J = np.array(self.jac(self.y), dtype=float)
@@ -501,38 +517,67 @@ class _Ros2(_Stepper):
             raise DivergenceError("non-finite Jacobian", self.t)
         return J
 
+    def _newton(self, y, h, Z, scale):
+        """(Z, iterations) solving the collocation system, or None if Newton fails."""
+        try:
+            M = np.linalg.inv(np.eye(Z.size) - h * np.kron(_RADAU_A, self.J))
+        except np.linalg.LinAlgError:
+            return None
+        norm_old = rate = None
+        for k in range(_NEWTON_ITERS):
+            F = np.array(self.rhs(list(y + Z)), dtype=float)
+            if not np.isfinite(F).all():
+                return None
+            dZ = (M @ (h * (_RADAU_A @ F) - Z).ravel()).reshape(Z.shape)
+            norm = _rms((dZ / scale).ravel())
+            if norm_old is not None:
+                rate = norm / norm_old
+                if rate >= 1 or rate ** (_NEWTON_ITERS - k) / (1 - rate) * norm > self._tol:
+                    return None
+            Z = Z + dZ
+            if norm == 0 or rate is not None and rate / (1 - rate) * norm < self._tol:
+                return Z, k + 1
+            norm_old = norm
+        return None
+
     def step(self):
         """Advance one accepted step; returns its size h and K for :meth:`segment`."""
-        s, rhs, t, y, f, rejected = self.settings, self.rhs, self.t, self.y, self.f, 0
+        s, t, y, f, rejected = self.settings, self.t, self.y, self.f, False
         while True:
             h, t_new = self._attempt(t)
-            try:
-                W = np.linalg.inv(np.eye(y.size) - (_ROS2_GAMMA * h) * self.J)
-            except np.linalg.LinAlgError:       # a singular I - gamma h J: rejected
-                W = None
-            err_norm = math.inf
-            if W is not None:
-                k1 = W @ f
-                f1 = np.asarray(rhs(t_new, y + h * k1), dtype=float)
-                k2 = W @ (f1 - 2.0 * k1)
-                y_new = y + h * (1.5 * k1 + 0.5 * k2)
-                sc = s.abs_tol + s.rel_tol * np.maximum(abs(y), abs(y_new))
-                err_norm = _rms(0.5 * h * (k1 + k2) / sc)
-                if not math.isfinite(err_norm) and not np.isfinite(f1).all():
-                    raise DivergenceError("non-finite right-hand side", t_new)
-            factor = min(_MAX_FACTOR, max(_MIN_FACTOR, _SAFETY / math.sqrt(max(err_norm, 1e-10))))
-            if not err_norm <= 1.0 or not (self.guard is None or self.guard(t_new, y_new)):
-                self.h = h * (0.5 if err_norm <= 1.0 else factor)
-                self.nrejected += 1
-                rejected += 1
-                if rejected % _RESEED_REJECTIONS == 0:
-                    self.J = self._jacobian()
+            h0, y0, K0, err0 = self._last or (h, y, None, None)
+            Z = (np.zeros((3, y.size)) if K0 is None else
+                 dense_output(1.0 + h / h0 * _RADAU_C, h0, y0, self.segment(K0)) - y)
+            solved = self._newton(y, h, Z, s.abs_tol + s.rel_tol * abs(y))
+            if solved is None and not self._fresh:
+                self.J, self._fresh = self._jacobian(), True
+                solved = self._newton(y, h, Z, s.abs_tol + s.rel_tol * abs(y))
+            if solved is None:
+                self.h, rejected, self.nrejected = 0.5 * h, True, self.nrejected + 1
                 continue
-            self._first_stage(np.asarray(rhs(t_new, y_new), dtype=float), t_new)
+            Z, iters = solved
+            y_new = y + Z[2]
+            ZE = _RADAU_E @ Z / h
+            filt = (_RADAU_MU / h) * np.eye(y.size) - self.J
+            sc = s.abs_tol + s.rel_tol * np.maximum(abs(y), abs(y_new))
+            err = np.linalg.solve(filt, f + ZE)
+            if rejected and _rms(err / sc) > 1.0:
+                err = np.linalg.solve(filt, np.asarray(self.rhs([y + err])[0]) + ZE)
+            err_norm = max(_rms(err / sc), 1e-10)
+            predicted = 1.0 if err0 is None else min(1.0, h / h0 * (err0 / err_norm) ** 0.25)
+            factor = (_SAFETY * (2 * _NEWTON_ITERS + 1) / (2 * _NEWTON_ITERS + iters)
+                      * predicted * err_norm ** -0.25)
+            if not err_norm <= 1.0 or not (self.guard is None or self.guard(t_new, y_new)):
+                self.h = h * (0.5 if err_norm <= 1.0 else max(_MIN_FACTOR, factor))
+                rejected, self.nrejected = True, self.nrejected + 1
+                continue
+            self._first_stage(np.asarray(self.rhs([y_new])[0], dtype=float), t_new)
             _broyden(self.J, y_new - y, self.f - f)
-            self.h = h * factor
+            K = Z / h
+            self.h, self._fresh = h * min(_MAX_FACTOR, factor), False
+            self._last = (h, y, K, err_norm)
             self.t, self.y, self.nsteps = t_new, y_new, self.nsteps + 1
-            return h, np.stack([f, self.f, (y_new - y) / h])
+            return h, K
 
 
 def integrate_ivp(rhs, y0, t_span, settings: OdeSettings | None = None, *,
@@ -556,7 +601,7 @@ def integrate_ivp(rhs, y0, t_span, settings: OdeSettings | None = None, *,
     channel that integrates a running cost: the first step is estimated
     without it, since from a zero start its scale is ``abs_tol`` alone.
     """
-    settings = settings or OdeSettings()
+    settings = settings or _DEFAULT_ODE
     y0 = np.asarray(y0, dtype=float)
     if y0.ndim not in (1, 2):
         raise DimensionError(f"y0 has shape {y0.shape}, expected (d,) or (B, d)")

@@ -25,7 +25,6 @@ therefore evaluates on that subinterval's own segment.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -148,11 +147,10 @@ class Parameterization:
     def _resolve_tf(self, t_f):
         if t_f is None:
             raise ValueError("t_f is required (pass the problem's fixed value if any)")
-        if not math.isfinite(t_f):
-            raise ValueError(f"t_f must be finite, got {t_f!r}")
+        t_f = _require_number(t_f, "t_f")
         if t_f <= self.t0:
             raise ValueError("t_f must exceed t0")
-        return float(t_f)
+        return t_f
 
 
 def _sigma(ts, t0, t_f):

@@ -73,7 +73,7 @@ class OcpProblem:
                                                            integer=True, least=least))
         for name in ("t0",) + (() if self.tf_fixed is None else ("tf_fixed",)):
             object.__setattr__(self, name, _require_number(getattr(self, name), name))
-        object.__setattr__(self, "x0", np.asarray(self.x0, dtype=float))
+        object.__setattr__(self, "x0", _require_numbers(self.x0, "x0"))
         if self.x0.shape != (self.n,):
             raise DimensionError(f"x0 has shape {self.x0.shape}, expected ({self.n},)")
         if self.tf_mode not in ("fixed", "free"):
@@ -366,7 +366,7 @@ def _state_solution(prob: OcpProblem, u_of_ts, t_f: float, ode: OdeSettings | No
 
     y0 = np.zeros(shape)                # the cost channel starts at 0
     y0[..., :n] = prob.x0
-    return integrate_ivp(rhs, y0, (prob.t0, t_f), ode or OdeSettings(),
+    return integrate_ivp(rhs, y0, (prob.t0, t_f), ode,
                          breakpoints=breakpoints, _stage_input=stage_input, _quadrature=n)
 
 

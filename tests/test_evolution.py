@@ -772,9 +772,9 @@ def test_stop_criteria_must_be_finite(field, bad):
 def _no_switch(monkeypatch):
     import ocflow.evolution as evolution
 
-    def refuse(stepper, jac):
-        raise AssertionError(f"the flow switched to ROS2 at tau = {stepper.t}")
-    monkeypatch.setattr(evolution, "_Ros2", refuse)
+    def refuse(stepper, jac, rhs):
+        raise AssertionError(f"the flow switched to Radau IIA at tau = {stepper.t}")
+    monkeypatch.setattr(evolution, "_Radau", refuse)
 
 
 def test_flow_takes_no_result_after_the_first_done_row():
@@ -809,10 +809,11 @@ def test_flow_takes_no_result_after_the_first_done_row():
 
 def test_flow_switches_after_exactly_the_stiff_step_count(caplog):
     # y' = -diag(1, 1e-3) y: once the fast mode has decayed, the stability cap
-    # binds every step; the hand-over comes after the first _STIFF_STEPS
-    # capped steps in a row of the very same Dormand-Prince sequence, and
-    # ROS2's Jacobian is one call of the flow's evaluator at the switch point
-    # and its forward-difference points
+    # binds most steps; the hand-over comes after the step that makes the
+    # _STIFF_STEPS-th capped step of the very same Dormand-Prince sequence,
+    # counted from the last _CALM_STEPS uncapped steps in a row, and Radau's
+    # Jacobian is one call of the flow's evaluator at the switch point and
+    # its forward-difference points
     import logging
     from types import SimpleNamespace
 
@@ -822,10 +823,13 @@ def test_flow_switches_after_exactly_the_stiff_step_count(caplog):
     rate = np.array([1.0, 1e-3])
     rhs = lambda tau, y: -rate * y                                     # noqa: E731
     y0, ode, stop = np.ones(2), OdeSettings(), StopCriteria(tau_max=2000.0, record_every=50.0)
-    dp, run, ys = _Stepper(rhs, 0.0, y0, stop.tau_max, ode), 0, []
-    while run < evolution._STIFF_STEPS:
+    dp, stiff, calm, ys = _Stepper(rhs, 0.0, y0, stop.tau_max, ode), 0, 0, []
+    while stiff < evolution._STIFF_STEPS:
         dp.step()
-        run = run + 1 if dp.capped else 0
+        if dp.capped:
+            stiff, calm = stiff + 1, 0
+        elif (calm := calm + 1) == evolution._CALM_STEPS:
+            stiff = 0
         ys.append(dp.y)
     calls, seen = [], []
 
@@ -833,14 +837,14 @@ def test_flow_switches_after_exactly_the_stiff_step_count(caplog):
         calls.append(np.array(thetas))
         return (SimpleNamespace(theta=theta, dtheta=rhs(0.0, theta)) for theta in thetas)
 
-    class Recorded(evolution._Ros2):
-        def __init__(self, stepper, jac):
+    class Recorded(evolution._Radau):
+        def __init__(self, stepper, jac, rhs):
             before = len(calls)
-            super().__init__(stepper, jac)
+            super().__init__(stepper, jac, rhs)
             seen.append((self.y, self.f, self.J.copy(), calls[before:]))
 
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(evolution, "_Ros2", Recorded)
+        mp.setattr(evolution, "_Radau", Recorded)
         with caplog.at_level(logging.INFO, logger="ocflow.evolution"):
             point, done, tau = evolution._flow(evaluate, lambda tau, point: False, y0,
                                                stop, ode)
@@ -853,12 +857,42 @@ def test_flow_switches_after_exactly_the_stiff_step_count(caplog):
     assert len(ys) > evolution._STIFF_STEPS        # the cap did not bind from the start
     assert [r.getMessage() for r in caplog.records] == [
         f"outer flow stiff at tau = {dp.t:.6g} after {evolution._STIFF_STEPS} capped "
-        "steps; ROS2 takes over"]
+        "steps; Radau IIA takes over"]
     assert not done and tau == stop.tau_max
     np.testing.assert_allclose(point.theta, y0 * np.exp(-rate * tau), rtol=1e-2, atol=1e-9)
+    # after the switch each call is a Newton iteration's three stage points,
+    # f at an accepted step, or the rows inside a step
+    assert {len(c) for c in calls[len(calls) - len(jac_calls):]} <= {1, 3}
 
 
-def test_gradient_flow_generic_hands_a_stiff_flow_to_ros2(monkeypatch, caplog):
+def test_flow_hands_a_stalling_multi_scale_flow_over():
+    # y' = -diag(0.1, 1e-3) y: the stability cap binds at most a few
+    # Dormand-Prince steps in a row, so a count that reset at every uncapped
+    # step never reached the hand-over and the fast mode rode the cap's limit
+    # cycle near 1e-7; the counter that resets only after _CALM_STEPS
+    # uncapped steps in a row hands it over, and Radau damps the fast mode
+    from types import SimpleNamespace
+
+    import ocflow.evolution as evolution
+
+    rate, rows = np.array([0.1, 1e-3]), []
+
+    def evaluate(thetas):
+        return (SimpleNamespace(theta=theta, dtheta=-rate * theta) for theta in thetas)
+
+    def row(tau, point):
+        rows.append((tau, *point.theta))
+        return False
+
+    evolution._flow(evaluate, row, np.ones(2), StopCriteria(tau_max=3000.0,
+                                                            record_every=10.0), OdeSettings())
+    tau, fast, slow = np.array(rows).T
+    assert tau[-1] == 3000.0
+    assert np.abs(fast[tau >= 2000.0]).max() <= 1e-10
+    np.testing.assert_allclose(slow, np.exp(-1e-3 * tau), rtol=1e-3)
+
+
+def test_gradient_flow_generic_hands_a_stiff_flow_to_radau(monkeypatch, caplog):
     # d theta/dtau = -0.1 diag(1, 0.01) theta at the default OdeSettings: the
     # switch keeps the tolerance and takes fewer gradient calls than
     # Dormand-Prince alone
@@ -896,7 +930,7 @@ def test_e1_gradient_flow_logs_one_switch_and_form1_none(example1, caplog):
                                        StopCriteria(tau_max=60000.0, record_every=250.0))
     assert report.converged
     (record,) = caplog.records
-    assert record.levelno == logging.INFO and "ROS2 takes over" in record.getMessage()
+    assert record.levelno == logging.INFO and "Radau IIA takes over" in record.getMessage()
     caplog.clear()
     with caplog.at_level(logging.INFO, logger="ocflow.evolution"):
         report, _, _ = solve_evolution(EvolutionMode.form1(), example1.prob, par,
@@ -911,8 +945,9 @@ def _is_fd_pass(P) -> bool:
 
 
 def test_e1_gradient_flow_jacobian_is_one_lane_pass(example1, e1_par, monkeypatch):
-    # fixed t_f: ROS2's Jacobian at the switch point is one pipeline pass of
-    # 5 lanes, theta and its 4 forward-difference points, and no single one
+    # fixed t_f: Radau's Jacobian at the switch point is one pipeline pass of
+    # 5 lanes, theta and its 4 forward-difference points, and no single one;
+    # each Newton iteration after it is one pass of its 3 stage points
     import ocflow.evolution as evolution
 
     events, seen = [], []
@@ -926,23 +961,28 @@ def test_e1_gradient_flow_jacobian_is_one_lane_pass(example1, e1_par, monkeypatc
         events.append(np.array(P))
         return batch(mode, prob, par, gains, P, *args, **kwargs)
 
-    class Recorded(evolution._Ros2):
-        def __init__(self, stepper, jac):
+    class Recorded(evolution._Radau):
+        def __init__(self, stepper, jac, rhs):
             before = len(events)
-            super().__init__(stepper, jac)
-            seen.append((self.y, events[before:]))
+            super().__init__(stepper, jac, rhs)
+            seen.append((self.y, events[before:], len(events)))
 
     monkeypatch.setattr(evolution, "evaluate_iterate", one)
     monkeypatch.setattr(evolution, "evaluate_iterates", lanes)
-    monkeypatch.setattr(evolution, "_Ros2", Recorded)
+    monkeypatch.setattr(evolution, "_Radau", Recorded)
     report, _, _ = solve_evolution(EvolutionMode.gradient_flow(0.1 * np.eye(4)),
                                    example1.prob, e1_par, example1.gains,
                                    EvolutionState(p=np.zeros(4), t_f=2.0),
                                    StopCriteria(tau_max=60000.0, record_every=250.0))
     assert report.converged
-    (y, (P,)), = seen
+    (y, (P,), switch), = seen
     assert P.shape == (5, 4) and np.array_equal(P[0], y) and _is_fd_pass(P)
     assert sum(map(_is_fd_pass, events)) == 1
+    newton = [E for E in events[switch:] if len(E) == 3]
+    assert len(newton) >= 2 and all(np.isfinite(E).all() for E in newton)
+    # no stage point ran as a single pipeline
+    assert not any(np.array_equal(E[0], e) for E in newton for e in
+                   (ev[0] for ev in events[switch:] if len(ev) == 1))
 
 
 def test_a_failing_jacobian_pass_reruns_its_points_one_at_a_time(example1, e1_par,
@@ -1004,20 +1044,20 @@ def test_brachistochrone_cases_do_not_switch(brach, monkeypatch, kind, kw, form)
 
 def test_free_tf_flow_switched_early_keeps_its_answer(brach, monkeypatch):
     # the Brachistochrone's form-2 flow never caps two steps in a row; handed
-    # to ROS2 at its first capped step, its Jacobian (single pipelines at
+    # to Radau at its first capped step, its Jacobian (single pipelines at
     # theta and its 21 forward-difference points, as t_f is free) predicts
     # the flow's direction, and the solve converges to the same t_f
     import ocflow.evolution as evolution
 
     seen = []
 
-    class Recorded(evolution._Ros2):
-        def __init__(self, stepper, jac):
-            super().__init__(stepper, jac)
+    class Recorded(evolution._Radau):
+        def __init__(self, stepper, jac, rhs):
+            super().__init__(stepper, jac, rhs)
             seen.append((self.y, self.f, self.J.copy()))
 
     monkeypatch.setattr(evolution, "_STIFF_STEPS", 1)
-    monkeypatch.setattr(evolution, "_Ros2", Recorded)
+    monkeypatch.setattr(evolution, "_Radau", Recorded)
     par = make_basis("piecewise_constant", m=1, t0=0.0, form="form2", n_segments=20)
     mode = EvolutionMode.form2()
     report, _, _ = solve_evolution(mode, brach.prob, par, brach.gains,

@@ -6,7 +6,7 @@ import pytest
 
 from ocflow import (DenseTrajectory, DimensionError, DivergenceError, DomainError,
                     IntegrationError, OdeSettings, StepBudgetError, integrate_ivp, replay_linear)
-from ocflow.integrate import _ROS2_GAMMA, _broyden, _hermite, _Ros2, _Stepper, dense_output
+from ocflow.integrate import _RADAU_C, _broyden, _Radau, _Stepper, dense_output
 
 
 def test_exponential_decay():
@@ -485,44 +485,61 @@ def test_lookups_match_the_gathered_segment_lookup(source):
             sol(ts, stranger)
 
 
-def _ros2(rhs, y0, jac, settings=None, t_end=10.0, h=None):
-    """A ROS2 stepper taking over a fresh Dormand-Prince stepper at t = 0,
-    with step h if given; loose default tolerances accept every step."""
-    dp = _Stepper(rhs, 0.0, np.asarray(y0, dtype=float), t_end,
+def _radau(f, y0, jac, settings=None, t_end=10.0, h=None):
+    """A Radau IIA stepper for y' = f(y), taking over a fresh Dormand-Prince
+    stepper at t = 0 with step h if given, and the list of its rhs calls;
+    loose default tolerances accept every step."""
+    y0, calls = np.asarray(y0, dtype=float), []
+
+    def rhs(ys):
+        calls.append(len(ys))
+        return [f(y) for y in ys]
+    dp = _Stepper(lambda t, y: f(y), 0.0, y0, t_end,
                   settings or OdeSettings(rel_tol=1e6, abs_tol=1e6))
     if h is not None:
         dp.h = h
-    return _Ros2(dp, jac)
+    return _Radau(dp, jac, rhs), calls
 
 
-def _fixed_steps(ros, h, n):
-    for _ in range(n):
-        ros.h = h
-        assert ros.step()[0] == h
-    return ros.y
+def _radau_r(z):
+    """Radau IIA's stability function, the (2, 3) Pade approximant of exp(z)."""
+    return (1 + 2 * z / 5 + z ** 2 / 20) / (1 - 3 * z / 5 + 3 * z ** 2 / 20 - z ** 3 / 60)
 
 
-@pytest.mark.parametrize("exact", [True, False], ids=["exact_J", "zero_J"])
-def test_ros2_is_second_order_for_any_jacobian(exact):
-    # a W-method: order 2 whether J is the right-hand side's Jacobian or not
-    # (Broyden updates move J from step to step); y' = A y to t = 1, h halving
-    A = np.array([[-1.0, 2.0], [-2.0, -1.0]])
-    y0 = np.array([1.0, 0.5])
-    lam, V = np.linalg.eig(A)
-    y1 = (V @ (np.exp(lam) * np.linalg.solve(V, y0))).real
-    jac = (lambda y: A) if exact else (lambda y: np.zeros((2, 2)))
-    errs = [np.abs(_fixed_steps(_ros2(lambda t, y: A @ y, y0, jac), 1.0 / n, n) - y1).max()
-            for n in (80, 160, 320)]
-    orders = np.log2(np.array(errs[:-1]) / errs[1:])
-    assert (np.abs(orders - 2.0) < 0.15).all(), orders
+@pytest.mark.parametrize("z", [-0.3, -2.0, -40.0])
+def test_radau_step_is_its_stability_function(z):
+    # y' = lam y with the exact J: the collocation system is linear, so one
+    # step is exactly R(h lam) y0, reached in two Newton iterations, each
+    # one call of the three stage points, and f(y_new) is one more of one
+    lam = -2.0
+    ros, calls = _radau(lambda y: lam * y, [1.5], lambda y: np.array([[lam]]), t_end=100.0,
+                        h=z / lam)
+    h, K = ros.step()
+    assert h == z / lam and ros.nrejected == 0
+    assert ros.y[0] == pytest.approx(1.5 * _radau_r(z), rel=1e-13)
+    assert calls == [3, 3, 1]
+    assert np.array_equal(ros.f, lam * ros.y)
 
 
-def test_ros2_damps_a_stiff_mode():
-    # h * lambda = -1e4: an explicit pair blows up, ROS2 with the exact J decays
-    ros = _ros2(lambda t, y: -1e4 * y, [1.0], lambda y: np.array([[-1e4]]))
-    ys = [abs(_fixed_steps(ros, 1.0, 1)[0]) for _ in range(5)]
-    assert ys[0] < 0.2 and all(b < a for a, b in zip(ys, ys[1:])), ys
-    assert ros.nrejected == 0
+def test_radau_is_l_stable():
+    # h lam = -1e4: |R| = 3e-4, so the stiff mode is damped in one step
+    assert abs(_radau_r(-1e4)) < 1e-3
+    ros, _ = _radau(lambda y: -1e4 * y, [1.0], lambda y: np.array([[-1e4]]), h=1.0)
+    ros.step()
+    assert abs(ros.y[0]) < 1e-3 and ros.y[0] == pytest.approx(_radau_r(-1e4), rel=1e-10)
+
+
+def test_radau_keeps_the_tolerance_on_a_stiff_system():
+    # y' = -diag(1e3, 1) y over [0, 5] at the default OdeSettings, J exact:
+    # the fast mode is damped and the slow one meets rel_tol, in few steps
+    rate = np.array([1e3, 1.0])
+    ros, calls = _radau(lambda y: -rate * y, [1.0, 1.0], lambda y: -np.diag(rate),
+                        OdeSettings(), t_end=5.0, h=1e-3)
+    while not ros.done:
+        ros.step()
+    assert ros.t == 5.0 and abs(ros.y[0]) < 1e-10
+    assert ros.y[1] == pytest.approx(np.exp(-5.0), rel=1e-3)
+    assert ros.nsteps < 40 and set(calls) == {1, 3}
 
 
 def test_broyden_update_meets_the_secant_condition():
@@ -540,72 +557,76 @@ def test_broyden_update_meets_the_secant_condition():
     assert np.array_equal(J, J1)
 
 
-def test_hermite_segment_through_dense_output():
-    # the segment is exact at both nodes, with slopes F_n and F_n+1, so it
-    # reproduces a cubic; dense_output is its evaluator
-    c = np.array([[0.3, -1.0], [2.0, 0.5], [-1.5, 0.25], [0.7, -0.4]])   # powers 0-3
-    y = lambda t: c[0] + c[1] * t + c[2] * t ** 2 + c[3] * t ** 3       # noqa: E731
-    dy = lambda t: c[1] + 2 * c[2] * t + 3 * c[3] * t ** 2              # noqa: E731
-    t0, h = 0.4, 0.8
-    Q = _hermite(np.stack([dy(t0), dy(t0 + h), (y(t0 + h) - y(t0)) / h]))
-    assert Q.shape == (4, 2) and not Q[3].any()
-    assert np.array_equal(dense_output(0.0, h, y(t0), Q), y(t0))
-    for th in (0.25, 0.5, 1.0):
-        np.testing.assert_allclose(dense_output(th, h, y(t0), Q), y(t0 + th * h),
-                                   rtol=0, atol=1e-14)
-    slope = lambda th: (Q[0] + 2 * Q[1] * th + 3 * Q[2] * th ** 2)       # noqa: E731
-    np.testing.assert_allclose(slope(0.0), dy(t0), rtol=0, atol=1e-14)
-    np.testing.assert_allclose(slope(1.0), dy(t0 + h), rtol=0, atol=1e-14)
-
-
-def test_ros2_step_segment_joins_its_ends():
-    rhs = lambda t, y: np.array([-y[0] + y[1] ** 2, -0.1 * y[1]])        # noqa: E731
-    ros = _ros2(rhs, [1.0, 2.0], lambda y: np.array([[-1.0, 2 * y[1]], [0.0, -0.1]]),
-                OdeSettings())
-    y_prev, f_prev = ros.y, ros.f
+def test_radau_segment_is_the_collocation_cubic():
+    # the segment reproduces y at theta = 0 exactly and y_new at theta = 1,
+    # passes through the stage values y + Z_i at the nodes c_i, and is a
+    # cubic: its fourth power is zero
+    f = lambda y: np.array([-y[0] + y[1] ** 2, -0.1 * y[1]])             # noqa: E731
+    ros, _ = _radau(f, [1.0, 2.0], lambda y: np.array([[-1.0, 2 * y[1]], [0.0, -0.1]]),
+                    OdeSettings(), h=0.3)
+    y_prev = ros.y
     h, K = ros.step()
     Q = ros.segment(K)
+    assert Q.shape == (4, 2) and not Q[3].any()
+    assert np.array_equal(dense_output(0.0, h, y_prev, Q), y_prev)
     np.testing.assert_allclose(dense_output(1.0, h, y_prev, Q), ros.y, rtol=1e-14)
-    assert np.array_equal(Q[0], f_prev)
-    np.testing.assert_array_equal(ros.f, rhs(0.0, ros.y))
-    np.testing.assert_allclose(Q[0] + 2 * Q[1] + 3 * Q[2], ros.f, rtol=1e-12)
+    np.testing.assert_allclose(dense_output(_RADAU_C, h, y_prev, Q), y_prev + h * K,
+                               rtol=1e-14)
 
 
-def test_ros2_errors_are_typed():
-    rhs = lambda t, y: -y                                                 # noqa: E731
+def test_radau_newton_failure_reforms_j_once_then_halves_h():
+    # a J gone wrong after an accepted step: Newton fails, J is re-formed
+    # once through jac, Newton fails again with it, and h is halved; with a
+    # fresh J no further re-form follows, only more halving
+    events, bad = [], np.array([[40.0]])
+
+    def jac(y):
+        events.append("jac")
+        return np.array([[-1.0]]) if len(events) == 1 else bad
+    ros, _ = _radau(lambda y: -y, [1.0], jac, OdeSettings())
+    ros.step()
+    newton = ros._newton
+
+    def spied(y, h, Z, scale):
+        solved = newton(y, h, Z, scale)
+        events.append((h, solved is not None))
+        return solved
+    ros._newton, ros.J, ros.h = spied, bad.copy(), 1.0
+    del events[:]
+    ros.step()
+    assert events[:4] == [(1.0, False), "jac", (1.0, False), (0.5, False)]
+    assert events.count("jac") == 1 and events[-1][1]
+    assert [e[0] for e in events if e != "jac"][2:] == [0.5 ** k for k in
+                                                       range(1, len(events) - 2)]
+    assert ros.nrejected == len(events) - 3 and ros.nsteps == 2
+
+
+def test_radau_errors_are_typed():
+    f = lambda y: -y                                                      # noqa: E731
     with pytest.raises(DivergenceError, match="Jacobian"):
-        _ros2(rhs, [1.0], lambda y: np.array([[np.nan]]))
-    ros = _ros2(rhs, [1.0], lambda y: -np.eye(1), OdeSettings(max_steps=3))
+        _radau(f, [1.0], lambda y: np.array([[np.nan]]))
+    ros, _ = _radau(f, [1.0], lambda y: -np.eye(1), OdeSettings(max_steps=3))
     with pytest.raises(StepBudgetError, match="max_steps = 3"):
         while True:
             ros.step()
-    # a right-hand side that turns NaN at the trial point y + h k1 ends the
-    # attempt with a DivergenceError at its end time, not as a rejection
-    trials = []                     # the calls once ROS2 has taken over
+    # f(y_new) not finite at acceptance ends the step with a DivergenceError
+    # at its end time, not as a rejection
+    ros, calls = _radau(f, [1.0], lambda y: -np.eye(1), h=0.5)
 
-    def turns_nan(t, y):
-        if ros is None:
-            return -y
-        trials.append((t, y.copy()))
-        return np.full_like(y, np.nan)
-    ros = None
-    ros = _ros2(turns_nan, [1.0], lambda y: -np.eye(1), h=0.5)
-    k1 = -1.0 / (1.0 + _ROS2_GAMMA * 0.5)
+    def nan_at_acceptance(ys):
+        calls.append(len(ys))
+        return [np.full_like(y, np.nan) if len(ys) == 1 else -y for y in ys]
+    ros.rhs = nan_at_acceptance
     with pytest.raises(DivergenceError, match="non-finite right-hand side") as exc:
         ros.step()
-    assert exc.value.time == 0.5 and ros.nrejected == 0
-    (t_trial, y_trial), = trials
-    assert t_trial == 0.5 and y_trial[0] == pytest.approx(1.0 + 0.5 * k1, rel=1e-15)
-    # a guard that vetoes every step halves h until it underflows
-    dp = _Stepper(rhs, 0.0, np.array([1.0]), 10.0, OdeSettings(), guard=lambda t, y: False)
+    assert exc.value.time == 0.5 and ros.nrejected == 0 and calls == [3, 3, 1]
+    # stages that are never finite fail Newton, and so does a guard that
+    # vetoes every step: both halve h until it underflows
+    ros, _ = _radau(f, [1.0], lambda y: -np.eye(1), h=0.5)
+    ros.rhs = lambda ys: [np.full_like(y, np.nan) for y in ys]
     with pytest.raises(IntegrationError, match="underflow"):
-        _Ros2(dp, lambda y: -np.eye(1)).step()
-    # a singular I - gamma h J is a rejection, and two in a row rebuild J
-    calls = []
-
-    def jac(y):                     # first singular at h = 0.5, then -1
-        calls.append(y)
-        return np.array([[1.0 / (_ROS2_GAMMA * 0.5)]]) if len(calls) == 1 else -np.eye(1)
-    ros = _ros2(rhs, [1.0], jac, OdeSettings(), h=0.5)
-    ros.step()
-    assert len(calls) == 2 and ros.nrejected >= 2 and ros.nsteps == 1
+        ros.step()
+    dp = _Stepper(lambda t, y: -y, 0.0, np.array([1.0]), 10.0, OdeSettings(),
+                  guard=lambda t, y: False)
+    with pytest.raises(IntegrationError, match="underflow"):
+        _Radau(dp, lambda y: -np.eye(1), lambda ys: [-y for y in ys]).step()

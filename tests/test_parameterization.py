@@ -266,7 +266,7 @@ def test_non_finite_terminal_time_is_refused(example1, call, t_f):
            "breakpoints": lambda: par.breakpoints(t_f),
            "evaluate_iterate": lambda: evaluate_iterate(
                EvolutionMode.form1(), example1.prob, par, example1.gains, p, t_f)}[call]
-    with pytest.raises(ValueError, match="t_f must be finite"):
+    with pytest.raises(ConfigurationError, match="t_f must be a finite number"):
         run()
 
 

@@ -126,3 +126,46 @@ def test_text_initial_values_are_refused_before_any_pipeline(monkeypatch, exampl
                             StopCriteria())
     # EvolutionState keeps what it was given; the solve reads it
     assert EvolutionState(p=["0"], t_f=None).p == ["0"]
+
+
+def test_a_non_finite_x0_is_refused_naming_x0(example1):
+    # x0 was read with np.asarray: [nan, 0.0] built, and the first solve
+    # failed with an IntegrationError about the tolerances
+    for bad in (math.nan, math.inf, "1.0", None, True):
+        with pytest.raises(ConfigurationError, match="x0 must be finite numbers") as info:
+            dataclasses.replace(example1.prob, x0=[bad, 0.0])
+        assert repr(bad) in str(info.value)
+
+
+def test_run_time_p_and_t_f_are_refused_through_the_same_rule(example1):
+    # evaluate_iterate read the text p ["0", "0", "0", "0"] as numbers and
+    # ran a pipeline, and a text t_f raised an untyped TypeError
+    from ocflow.evolution import evaluate_iterate, evaluate_iterates
+
+    par, mode, prob, gains = _poly(), EvolutionMode.form1(), example1.prob, example1.gains
+    for bad in (["0"] * 4, [0.0, 0.0, True, 0.0], [0.0, math.nan, 0.0, 0.0]):
+        with pytest.raises(ConfigurationError, match="p must be finite numbers"):
+            evaluate_iterate(mode, prob, par, gains, bad, 2.0)
+        with pytest.raises(ConfigurationError, match="P must be finite numbers"):
+            evaluate_iterates(mode, prob, par, gains, [np.zeros(4), bad], 2.0)
+    for run in (evaluate_iterate, evaluate_iterates):
+        p = np.zeros(4) if run is evaluate_iterate else np.zeros((2, 4))
+        for bad in ("2.0", math.nan, True):
+            with pytest.raises(ConfigurationError, match="t_f must be a finite number") as info:
+                run(mode, prob, par, gains, p, bad)
+            assert repr(bad) in str(info.value)
+
+
+def test_the_default_settings_are_one_shared_record(monkeypatch, example1):
+    # a solve without ode_inner or ode_outer builds no OdeSettings of its own
+    import ocflow.integrate as integrate
+
+    built = []
+    post_init = OdeSettings.__post_init__
+    monkeypatch.setattr(OdeSettings, "__post_init__",
+                        lambda self: (built.append(self), post_init(self))[1])
+    report, _, _ = solve_evolution(EvolutionMode.form1(), example1.prob, _poly(),
+                                   example1.gains, EvolutionState(p=np.zeros(4), t_f=2.0),
+                                   StopCriteria(tau_max=5.0))
+    assert report.tau_reached == 5.0 and built == []
+    assert integrate._DEFAULT_ODE == OdeSettings()
