@@ -41,13 +41,14 @@ class OptimalityResiduals:
     """How far an iterate is from the parameterized optimality conditions.
 
     ``param_residual`` is the stationarity vector r + Gamma pi;
-    ``tf_residual`` the terminal-time bracket; ``continuous_residual_sup``
+    ``tf_residual`` the terminal-time bracket, None for a fixed t_f (no
+    optimality condition then); ``continuous_residual_sup``
     the sup over the grid of the basis-free stationarity condition
     ||p_u + f_u^T Psi pi||; ``feasibility`` the terminal-constraint norm.
     """
 
     param_residual: np.ndarray
-    tf_residual: float
+    tf_residual: float | None
     continuous_residual_sup: float
     feasibility: float
 
@@ -84,14 +85,14 @@ def optimality_residuals(prob: OcpProblem, par: Parameterization,
     quad = quad or QuadratureSpec()
 
     param_residual = quantities.r + quantities.Gamma @ pi
-    h = _terminal_values(prob, bundle)
+    h = _terminal_values(prob, bundle) if prob.tf_mode == "free" else None
 
     gd = _grid_data(prob, bundle, quad)
     pointwise = gd.pg[..., 0] + gd.pg[..., 1:] @ pi             # (N, m)
     continuous_sup = float(np.max(np.linalg.norm(pointwise, axis=1), initial=0.0))
     return OptimalityResiduals(
         param_residual=param_residual,
-        tf_residual=float(h[0] + pi @ h[1:]),
+        tf_residual=None if h is None else float(h[0] + pi @ h[1:]),
         continuous_residual_sup=continuous_sup,
         feasibility=float(np.linalg.norm(g_val)))
 

@@ -25,10 +25,11 @@ tolerance or a tau budget is hit, recording a trace row every
 V = ||g|| + 0.01 J.  The rows that fall inside one accepted step of a
 fixed-t_f flow are evaluated together, as the lanes of one pipeline pass
 (:func:`evaluate_iterates`).  Dormand-Prince steps the
-flow until its stability cap has bound 15 accepted steps, a count that 6
-uncapped steps in a row reset; the flow is then stiff, and Radau IIA takes
-over for good.  Its Newton iterations' stage points and its Jacobian, one
-forward difference, are calls of the flow's one evaluator.
+flow until its stepper's stiffness test says stiff (see :mod:`integrate`),
+and Radau IIA then takes over for good.  Its Newton iterations' stage
+points and its Jacobian, one forward difference, are calls of the flow's
+one evaluator.  The basis is the one judge of t_f, so a free-t_f flow that
+drives t_f to t0 ends on its :class:`DomainError`.
 """
 
 from __future__ import annotations
@@ -52,8 +53,6 @@ from .sensitivity import (AdjointBundle, ThetaQuantities, assemble_form1,
                           spd_solve)
 
 _MODE_KINDS = ("form1", "form2", "gradient_flow")
-_STIFF_STEPS = 15      # capped DP5 steps that hand the flow to Radau IIA
-_CALM_STEPS = 6        # uncapped DP5 steps in a row that reset their count
 _FD_REL = 1e-6         # Jacobian forward-difference step over max(1, |theta_j|)
 _PI_BOUND = 1e6        # ||pi|| over which the multiplier boundedness assumption looks violated
 _C1 = 0.01             # the weight of J in the trace's V = ||g|| + c1 J
@@ -321,8 +320,7 @@ def _memo_last(fn):
     return memo
 
 
-def _flow(evaluate, row, theta0: np.ndarray, stop: StopCriteria, ode: OdeSettings,
-          guard=None):
+def _flow(evaluate, row, theta0: np.ndarray, stop: StopCriteria, ode: OdeSettings):
     """Integrate d theta/dtau = F(theta) from tau = 0 until a record point is done.
 
     ``evaluate(thetas)`` gives the results at a list of points, in order and
@@ -335,9 +333,8 @@ def _flow(evaluate, row, theta0: np.ndarray, stop: StopCriteria, ode: OdeSetting
     flow stops at the first that is done and takes no later one.  Returns
     the last ``(result, done, tau)``.
 
-    Dormand-Prince steps until its stability cap has bound ``_STIFF_STEPS``
-    accepted steps, a count that ``_CALM_STEPS`` uncapped steps in a row
-    reset (DOPRI5's stiffness test); Radau IIA then takes over for good, its
+    Dormand-Prince steps until its stepper is :attr:`~integrate._Stepper.stiff`
+    (DOPRI5's stiffness test); Radau IIA then takes over for good, its
     three stage points one call.  Its Jacobian is one call at [theta, theta
     + d_1 e_1, ...], d_j = ``_FD_REL`` max(1, |theta_j|): column j is the
     forward difference against the call's first result over the step taken.
@@ -359,8 +356,7 @@ def _flow(evaluate, row, theta0: np.ndarray, stop: StopCriteria, ode: OdeSetting
     result, done, tau = record([0.0], [theta0])
     if done:
         return result, done, tau
-    stepper = _Stepper(rhs, 0.0, theta0, stop.tau_max, ode, guard=guard)
-    next_k, stiff, calm = 1, 0, 0
+    stepper, next_k = _Stepper(rhs, 0.0, theta0, stop.tau_max, ode), 1
     while not stepper.done and not done:
         tau_prev, theta_prev = stepper.t, stepper.y
         h, K = stepper.step()
@@ -373,14 +369,11 @@ def _flow(evaluate, row, theta0: np.ndarray, stop: StopCriteria, ode: OdeSetting
             thetas = [dense_output((tau_rec - tau_prev) / (stepper.t - tau_prev), h,
                                    theta_prev, Q) for tau_rec in taus]
             result, done, tau = record(taus, thetas)
-        if stepper.capped:
-            stiff, calm = stiff + 1, 0
-        elif (calm := calm + 1) == _CALM_STEPS:
-            stiff = 0
-        if stiff == _STIFF_STEPS and type(stepper) is _Stepper and not (done or stepper.done):
+        if stepper.stiff and not (done or stepper.done):
             import logging          # here, so that importing the package does not load it
             logging.getLogger(__name__).info("outer flow stiff at tau = %.6g after %d capped "
-                                             "steps; Radau IIA takes over", stepper.t, stiff)
+                                             "steps; Radau IIA takes over", stepper.t,
+                                             stepper.capped_steps)
             stepper = _Radau(stepper, jac, lambda thetas: [r.dtheta for r in evaluate(thetas)])
     if not done and tau < stepper.t:
         result, done, tau = record([stepper.t], [stepper.y])
@@ -435,11 +428,6 @@ def solve_evolution(mode: EvolutionMode, prob: OcpProblem, par: Parameterization
             # does, and only if the flow takes it
             return map(evaluate_one, thetas)
 
-    guard = None
-    if free:
-        eps_t = 1e-6 * (t_f0 - prob.t0)
-        guard = lambda tau, theta: theta[-1] > prob.t0 + eps_t
-
     theta = np.concatenate([p0, [t_f0]]) if free else p0.copy()
     trace = SolveTrace()
 
@@ -450,7 +438,7 @@ def solve_evolution(mode: EvolutionMode, prob: OcpProblem, par: Parameterization
             V=lyapunov_diagnostic(it.g_val, it.J)))
         return it.residual_norm <= stop.tol_opt and it.g_norm <= stop.tol_feas
 
-    final_it, done, tau_final = _flow(evaluate, row, theta, stop, ode_outer, guard)
+    final_it, done, tau_final = _flow(evaluate, row, theta, stop, ode_outer)
     report = SolveReport(
         p_final=final_it.p.copy(), tf_final=final_it.t_f,
         pi_final=final_it.pi.copy(), J_final=final_it.J,

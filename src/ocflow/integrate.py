@@ -26,7 +26,10 @@ stages, rho = |K[6] - K[5]| / |y_new - y5| with y5 the state of stage 5 (the
 DOPRI5 stiffness estimate), and the next step is held to h * rho <= 0.8 * 3.3,
 inside the pair's real-axis stability limit.  Without it the controller grows
 h past that limit on slowly decaying modes, and a flow near its equilibrium
-rides a limit cycle instead of converging.
+rides a limit cycle instead of converging.  Once the cap has bound 15 steps,
+a count that 6 uncapped steps in a row reset, the stepper is stiff (DOPRI5's
+stiffness test).  Every step decision is the stepper's alone: an evaluation
+that refuses a trial point ends the solve with its own error.
 """
 
 from __future__ import annotations
@@ -72,6 +75,8 @@ _BETA1 = 0.7 / 5.0   # PI controller exponents
 _BETA2 = 0.4 / 5.0
 _MIN_STEP_REL = 16 * np.finfo(float).eps   # smallest step relative to |t|
 _STABLE_HRHO = 0.8 * 3.3   # next h * rho, 0.8 of the real-axis stability limit
+_STIFF_STEPS = 15      # capped steps that make a stepper stiff
+_CALM_STEPS = 6        # uncapped steps in a row that reset their count
 # the stiffness estimate is skipped when |y_new - y5| is at rounding level
 _ROUNDING_REL2 = (64 * np.finfo(float).eps) ** 2
 
@@ -311,29 +316,29 @@ class _Stepper:
     fresh first stage, error history and step budget, carrying the last step
     size across, and holds every stage time one ulp inside its smooth
     subinterval, so a right-continuous discontinuity at a cut never leaks
-    across it.  ``guard(t, y) -> bool`` may veto a step that passed the error
-    test, which is then retried at half size.  The state may hold ``lanes``
-    equal blocks of channels, each an independent system: the error norm and
-    the stiffness estimate are then the largest over the lanes.  With
+    across it.  The state may hold ``lanes`` equal blocks of channels, each
+    an independent system: the error norm and the stiffness estimate are
+    then the largest over the lanes.  With
     ``stage_input`` the right-hand side is ``rhs(t, y, v)``, v the row at t of
     ``stage_input(ts)``, which runs once per step attempt at its six stage
     times, seven for a restart's first attempt (its stage 0 too), and at one
     point where rhs runs alone.  The first step is estimated from the
     ``estimated`` channels alone (see :func:`_initial_step`); every channel
-    stays under the error test.  ``capped`` says whether the stability cap
-    bound the last accepted step's successor.
+    stays under the error test.  ``capped_steps`` counts the accepted steps
+    whose successor the stability cap bound, reset by ``_CALM_STEPS``
+    uncapped steps in a row, and the stepper is :attr:`stiff` once it
+    reaches ``_STIFF_STEPS`` (DOPRI5's stiffness test).
     """
 
     segment = staticmethod(_interpolant)    # a step's K -> its dense segment's Q
 
-    def __init__(self, rhs, t0, y0, t_end, settings, guard=None,
+    def __init__(self, rhs, t0, y0, t_end, settings,
                  cuts=(), lanes=1, stage_input=None, estimated=slice(None)):
         self.rhs = rhs
         self.stage_input = stage_input
         self.estimated = estimated
         self.lanes = lanes
         self.settings = settings
-        self.guard = guard
         self.y = np.asarray(y0, dtype=float)
         self.K = np.empty((7, self.y.size))    # stage derivatives
         self._KT = [self.K[:i].T for i in range(8)]   # K[:i]^T, K^T last
@@ -344,7 +349,7 @@ class _Stepper:
         self.h = None
         self.nsteps = 0
         self.nrejected = 0
-        self.capped = False
+        self.capped_steps = self._calm = 0
         self._start(float(t0))
 
     def _start(self, t0: float) -> None:
@@ -380,6 +385,10 @@ class _Stepper:
     @property
     def done(self) -> bool:
         return self.t >= self.t_end and not self._ends
+
+    @property
+    def stiff(self) -> bool:
+        return self.capped_steps >= _STIFF_STEPS
 
     def _attempt(self, t):
         """The next attempt's (h, t + h) from self.h, or the typed error that ends the solve."""
@@ -442,19 +451,17 @@ class _Stepper:
                 raise DivergenceError("non-finite right-hand side", t_new)
 
             if err_norm <= 1.0:
-                if self.guard is not None and not self.guard(t_new, y_new):
-                    self.nrejected += 1
-                    self.h = 0.5 * h
-                    continue
                 if err_norm == 0.0:
                     factor = _MAX_FACTOR
                 else:
                     factor = _SAFETY * err_norm ** (-_BETA1) * self.err_old ** _BETA2
                 self.h = h * min(_MAX_FACTOR, max(_MIN_FACTOR, factor))
                 rho = _stiffness(y_new, y5, K, lanes)
-                self.capped = self.h * rho > _STABLE_HRHO
-                if self.capped:
+                capped = self.h * rho > _STABLE_HRHO
+                if capped:
                     self.h = _STABLE_HRHO / rho
+                self._calm = 0 if capped else self._calm + 1
+                self.capped_steps = 0 if self._calm >= _CALM_STEPS else self.capped_steps + capped
                 self.err_old = max(err_norm, 1e-4)
                 K = K.copy()
                 self.t, self.y, self.f, self.ay = t_new, y_new, K[6], ay_new
@@ -494,18 +501,19 @@ class _Radau(_Stepper):
 
     Simplified Newton on the real matrix I - h A (x) J solves the collocation
     system from the last step's collocation cubic, each iteration one call
-    of the three stage points.  It fails on a non-finite stage or when its
-    rate says 6 iterations will not do; J = ``jac(y)`` is then re-formed
-    once, and a second failure halves h.  J takes a Broyden update with
-    f(y_new), a one-point call, after each accepted step.  The error is the
-    embedded estimate filtered by (mu/h I - J)^-1, refined once after a
-    rejection; the next h is Gustafsson's.  A step's K is Z / h.
+    of the three stage points.  It fails on a singular matrix, a non-finite
+    stage or a rate that says 6 iterations will not do; J = ``jac(y)`` is
+    then re-formed once, and a second failure halves h.  J takes a Broyden
+    update with f(y_new), a one-point call, after each accepted step.  The
+    error is the embedded estimate filtered by (mu/h I - J)^-1, refined once
+    after a rejection; the next h is Gustafsson's.  A step's K is Z / h.  It
+    counts no capped steps, so it is never stiff.
     """
 
     segment = staticmethod(lambda K: _RADAU_P.T @ K)
 
     def __init__(self, stepper: _Stepper, jac, rhs):
-        self.__dict__.update(stepper.__dict__, jac=jac, rhs=rhs, capped=False)
+        self.__dict__.update(stepper.__dict__, jac=jac, rhs=rhs, capped_steps=0)
         self.J, self._fresh = self._jacobian(), True
         self._last = None               # the last step's (h, y, K, error norm)
         self._tol = max(10 * np.finfo(float).eps / self.settings.rel_tol,
@@ -538,6 +546,8 @@ class _Radau(_Stepper):
             if norm == 0 or rate is not None and rate / (1 - rate) * norm < self._tol:
                 return Z, k + 1
             norm_old = norm
+        # at the sixth iteration both tests above compare rate/(1 - rate) norm
+        # with the tolerance, so only an exact tie gets here
         return None
 
     def step(self):
@@ -567,8 +577,8 @@ class _Radau(_Stepper):
             predicted = 1.0 if err0 is None else min(1.0, h / h0 * (err0 / err_norm) ** 0.25)
             factor = (_SAFETY * (2 * _NEWTON_ITERS + 1) / (2 * _NEWTON_ITERS + iters)
                       * predicted * err_norm ** -0.25)
-            if not err_norm <= 1.0 or not (self.guard is None or self.guard(t_new, y_new)):
-                self.h = h * (0.5 if err_norm <= 1.0 else max(_MIN_FACTOR, factor))
+            if not err_norm <= 1.0:
+                self.h = h * max(_MIN_FACTOR, factor)
                 rejected, self.nrejected = True, self.nrejected + 1
                 continue
             self._first_stage(np.asarray(self.rhs([y_new])[0], dtype=float), t_new)

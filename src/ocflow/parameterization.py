@@ -56,6 +56,8 @@ class Parameterization:
     in the array.  Wherever a method takes ``p`` it also takes B parameter
     vectors as a (B, s) array, the lanes of a batch: the results then carry
     a leading lane axis.  ``jac_p`` takes no p: u_p is the basis alone.
+    Every method takes t_f, and a t_f at or before t0 is a
+    :class:`DomainError`: the basis is the one judge of the horizon.
     """
 
     kind: str
@@ -95,7 +97,7 @@ class Parameterization:
         t_f = self._resolve_tf(t_f)
         return self._times(t_f)(np.asarray(t, dtype=float).reshape(-1)), t_f
 
-    def bind(self, p, t_f=None) -> Callable:
+    def bind(self, p, t_f) -> Callable:
         """The control u(t) of one iterate, or of B lanes, validating p and t_f once.
 
         The evaluator maps (N,) times to (N, m), or (B, N, m) for a (B, s) p; a
@@ -116,17 +118,17 @@ class Parameterization:
             return u(checked(ts))
         return u_of_t
 
-    def eval(self, t, p, t_f=None):
+    def eval(self, t, p, t_f):
         """Control value u(t); (m,) for scalar t, (N, m) for array t: :meth:`bind`'s."""
         return self.bind(p, t_f)(t)
 
-    def jac_p(self, t, t_f=None):
+    def jac_p(self, t, t_f):
         """Parameter Jacobian u_p(t), the block of the basis values; (m, s) or (N, m, s)."""
         ts, t_f = self._prep(t, t_f)
         out = _block_jac(self.values_fn(ts, t_f), self.m)
         return out[0] if np.ndim(t) == 0 else out
 
-    def jac_tf(self, t, p, t_f=None):
+    def jac_tf(self, t, p, t_f):
         """Terminal-time sensitivity u_tf(t); (m,) or (N, m), zero in form 1.
 
         The nodes move with t_f while the node values stay fixed, so
@@ -145,11 +147,9 @@ class Parameterization:
         return self.breakpoints_fn(self._resolve_tf(t_f))
 
     def _resolve_tf(self, t_f):
-        if t_f is None:
-            raise ValueError("t_f is required (pass the problem's fixed value if any)")
         t_f = _require_number(t_f, "t_f")
         if t_f <= self.t0:
-            raise ValueError("t_f must exceed t0")
+            raise DomainError(f"t_f = {t_f!r} must exceed t0 = {self.t0!r}")
         return t_f
 
 

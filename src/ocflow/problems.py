@@ -78,9 +78,8 @@ def make_example1() -> BuiltinProblem:
         phi_x=lambda xf, tf: np.zeros(2),
         phi_t=lambda xf, tf: 0.0,
         g=lambda xf, tf: np.asarray(xf, float),
-        g_x=lambda xf, tf: (np.broadcast_to(np.eye(2), (*np.shape(tf), 2, 2))
-                            if np.ndim(tf) else np.eye(2)),
-        g_t=lambda xf, tf: np.zeros((*np.shape(tf), 2)) if np.ndim(tf) else np.zeros(2),
+        g_x=lambda xf, tf: np.eye(2),
+        g_t=lambda xf, tf: np.zeros(2),
         vectorized=True, name="example1")
 
     oracle = AnalyticOracle(
@@ -137,7 +136,7 @@ def make_example2() -> BuiltinProblem:
         n=3, m=1, q=2, t0=0.0, x0=np.zeros(3),
         tf_mode="free",
         f=f, f_x=f_x, f_u=f_u,
-        L=lambda x, u, t: np.zeros(np.shape(t))[()],
+        L=lambda x, u, t: 0.0 * t,          # zeros for one time or stacked times
         L_x=lambda x, u, t: np.zeros((*np.shape(t), 3)),
         L_u=lambda x, u, t: np.zeros((*np.shape(t), 1)),
         phi=lambda xf, tf: float(tf),

@@ -47,6 +47,30 @@ def lqr_like():
 
 
 @pytest.fixture(scope="session")
+def shrinking_horizon() -> OcpProblem:
+    """min t_f + 1/2 int u^2 for x' = u with free t_f and no constraint.
+
+    Nothing holds t_f up, so dt_f/dtau < 0 everywhere and the flow drives
+    t_f to t0 = 0.
+    """
+    return OcpProblem(
+        n=1, m=1, q=0, t0=0.0, x0=np.zeros(1), tf_mode="free",
+        f=lambda x, u, t: np.asarray(u, float),
+        f_x=lambda x, u, t: np.zeros((*np.shape(t), 1, 1)),
+        f_u=lambda x, u, t: np.ones((*np.shape(t), 1, 1)),
+        L=lambda x, u, t: 0.5 * np.asarray(u, float)[..., 0] ** 2,
+        L_x=lambda x, u, t: np.zeros((*np.shape(t), 1)),
+        L_u=lambda x, u, t: np.asarray(u, float),
+        phi=lambda xf, tf: float(tf),
+        phi_x=lambda xf, tf: np.zeros(1),
+        phi_t=lambda xf, tf: 1.0,
+        g=lambda xf, tf: np.zeros(0),
+        g_x=lambda xf, tf: np.zeros((0, 1)),
+        g_t=lambda xf, tf: np.zeros(0),
+        vectorized=True, name="shrinking-horizon")
+
+
+@pytest.fixture(scope="session")
 def brach():
     return make_example2()
 

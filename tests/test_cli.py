@@ -1,6 +1,7 @@
 import dataclasses
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -331,6 +332,25 @@ def test_solver_errors_exit_3(tmp_path, capsys):
     err = capsys.readouterr().err
     assert "solver error: exceeded max_steps = 1 (at t = 0." in err
     assert "np.float64" not in err
+
+
+def test_horizon_refusal_exits_3(tmp_path, capsys, shrinking_horizon):
+    # a flow that drives a free t_f to t0 ends on the basis's typed refusal,
+    # reported as a solver error, not as an uncaught traceback
+    from ocflow.problems import BuiltinProblem
+
+    register_problem("shrinking-horizon", lambda: BuiltinProblem(
+        prob=shrinking_horizon, gains=ocflow.Gains.constant(K=1.0, m=1, q=0, k_tf=1.0),
+        recommended={"kind": "global_polynomial", "order": 1}))
+    try:
+        path, _ = write_config(tmp_path, problem="shrinking-horizon", init={"t_f": 1.0},
+                               stop={"tau_max": 50.0})
+        assert main(["solve", "--config", str(path)]) == 3
+    finally:
+        _REGISTRY.pop("shrinking-horizon")
+    err = capsys.readouterr().err
+    assert re.search(r"solver error: t_f = -\d\.\d+ must exceed t0 = 0\.0", err)
+    assert "Traceback" not in err
 
 
 def test_out_flag_overrides_config(tmp_path):

@@ -115,6 +115,7 @@ def test_residuals_at_convergence(example1, e1_form1_solve):
     assert np.linalg.norm(res.param_residual) <= 1e-3
     assert res.continuous_residual_sup <= 1e-3
     assert res.feasibility <= 1e-3
+    assert res.tf_residual is None          # t_f is fixed: no t_f condition
 
 
 def test_residuals_at_zero_control(example1, e1_par):
@@ -181,7 +182,7 @@ def test_unconstrained_iterate_runs_the_constrained_arithmetic(lqr_like, mode):
     quant = assemble_form1(lqr_like, par, it.bundle, gains, 2.0, quad)
     res = optimality_residuals(lqr_like, par, quant, it.bundle, it.pi, it.g_val, quad)
     np.testing.assert_array_equal(res.param_residual, quant.r)
-    assert res.tf_residual == _terminal_values(lqr_like, it.bundle)[0]
+    assert res.tf_residual is None          # a fixed horizon has no t_f condition
     assert res.feasibility == 0.0
     pu = _grid_data(lqr_like, it.bundle, quad).pg[..., 0]
     assert res.continuous_residual_sup == np.linalg.norm(pu, axis=1).max()

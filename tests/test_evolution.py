@@ -4,7 +4,7 @@ import re
 import numpy as np
 import pytest
 
-from ocflow import (ConfigurationError, DenseTrajectory, EvolutionMode,
+from ocflow import (ConfigurationError, DenseTrajectory, DomainError, EvolutionMode,
                     EvolutionState, Gains, MultiplierBoundWarning, OcflowError,
                     OdeSettings, RankError, StopCriteria, evaluate_iterate,
                     evaluate_iterates, gradient_flow_generic, lyapunov_diagnostic,
@@ -818,18 +818,15 @@ def test_flow_switches_after_exactly_the_stiff_step_count(caplog):
     from types import SimpleNamespace
 
     import ocflow.evolution as evolution
+    import ocflow.integrate as integrate
     from ocflow.integrate import _Stepper
 
     rate = np.array([1.0, 1e-3])
     rhs = lambda tau, y: -rate * y                                     # noqa: E731
     y0, ode, stop = np.ones(2), OdeSettings(), StopCriteria(tau_max=2000.0, record_every=50.0)
-    dp, stiff, calm, ys = _Stepper(rhs, 0.0, y0, stop.tau_max, ode), 0, 0, []
-    while stiff < evolution._STIFF_STEPS:
+    dp, ys = _Stepper(rhs, 0.0, y0, stop.tau_max, ode), []
+    while dp.capped_steps < integrate._STIFF_STEPS:
         dp.step()
-        if dp.capped:
-            stiff, calm = stiff + 1, 0
-        elif (calm := calm + 1) == evolution._CALM_STEPS:
-            stiff = 0
         ys.append(dp.y)
     calls, seen = [], []
 
@@ -854,9 +851,9 @@ def test_flow_switches_after_exactly_the_stiff_step_count(caplog):
     assert E.shape == (3, 2) and np.array_equal(E[0], ys[-1])
     np.testing.assert_array_equal(E[1:] - E[0] != 0, np.eye(2, dtype=bool))
     np.testing.assert_allclose(J, -np.diag(rate), rtol=0, atol=1e-8)
-    assert len(ys) > evolution._STIFF_STEPS        # the cap did not bind from the start
+    assert len(ys) > integrate._STIFF_STEPS        # the cap did not bind from the start
     assert [r.getMessage() for r in caplog.records] == [
-        f"outer flow stiff at tau = {dp.t:.6g} after {evolution._STIFF_STEPS} capped "
+        f"outer flow stiff at tau = {dp.t:.6g} after {integrate._STIFF_STEPS} capped "
         "steps; Radau IIA takes over"]
     assert not done and tau == stop.tau_max
     np.testing.assert_allclose(point.theta, y0 * np.exp(-rate * tau), rtol=1e-2, atol=1e-9)
@@ -898,7 +895,7 @@ def test_gradient_flow_generic_hands_a_stiff_flow_to_radau(monkeypatch, caplog):
     # Dormand-Prince alone
     import logging
 
-    import ocflow.evolution as evolution
+    import ocflow.integrate as integrate
 
     def solve():
         calls = []
@@ -916,7 +913,7 @@ def test_gradient_flow_generic_hands_a_stiff_flow_to_radau(monkeypatch, caplog):
     with caplog.at_level(logging.INFO, logger="ocflow.evolution"):
         switched = solve()
     assert len(caplog.records) == 1
-    monkeypatch.setattr(evolution, "_STIFF_STEPS", 10 ** 9)
+    monkeypatch.setattr(integrate, "_STIFF_STEPS", 10 ** 9)
     assert switched < solve()
 
 
@@ -1048,6 +1045,7 @@ def test_free_tf_flow_switched_early_keeps_its_answer(brach, monkeypatch):
     # theta and its 21 forward-difference points, as t_f is free) predicts
     # the flow's direction, and the solve converges to the same t_f
     import ocflow.evolution as evolution
+    import ocflow.integrate as integrate
 
     seen = []
 
@@ -1056,7 +1054,7 @@ def test_free_tf_flow_switched_early_keeps_its_answer(brach, monkeypatch):
             super().__init__(stepper, jac, rhs)
             seen.append((self.y, self.f, self.J.copy()))
 
-    monkeypatch.setattr(evolution, "_STIFF_STEPS", 1)
+    monkeypatch.setattr(integrate, "_STIFF_STEPS", 1)
     monkeypatch.setattr(evolution, "_Radau", Recorded)
     par = make_basis("piecewise_constant", m=1, t0=0.0, form="form2", n_segments=20)
     mode = EvolutionMode.form2()
@@ -1073,3 +1071,16 @@ def test_free_tf_flow_switched_early_keeps_its_answer(brach, monkeypatch):
     for direction in (v / np.linalg.norm(v), np.eye(21)[-1]):
         step = F(theta + 1e-4 * direction) - f
         assert np.linalg.norm(step - 1e-4 * J @ direction) <= 1e-3 * np.linalg.norm(step)
+
+
+@pytest.mark.parametrize("k_tf", [0.1, 1.0, 10.0])
+def test_flow_that_drives_t_f_to_t0_ends_on_the_basis_refusal(shrinking_horizon, k_tf):
+    # min t_f + 1/2 int u^2 with nothing to hold t_f up: a Dormand-Prince
+    # stage evaluates a t_f well below t0 before any accepted step could be
+    # judged, and the basis, the one judge of t_f, refuses it with a typed
+    # error that names both times
+    par = make_basis("global_polynomial", m=1, t0=0.0, form="form1", order=1)
+    with pytest.raises(DomainError, match=r"^t_f = -\d\.\d+ must exceed t0 = 0\.0$"):
+        solve_evolution(EvolutionMode.form1(), shrinking_horizon, par,
+                        Gains.constant(K=1.0, m=1, q=0, k_tf=k_tf),
+                        EvolutionState(p=np.zeros(2), t_f=1.0), StopCriteria(tau_max=50.0))

@@ -6,7 +6,7 @@ import pytest
 
 from ocflow import (DenseTrajectory, DimensionError, DivergenceError, DomainError,
                     IntegrationError, OdeSettings, StepBudgetError, integrate_ivp, replay_linear)
-from ocflow.integrate import _RADAU_C, _broyden, _Radau, _Stepper, dense_output
+from ocflow.integrate import _RADAU_A, _RADAU_C, _broyden, _Radau, _Stepper, dense_output
 
 
 def test_exponential_decay():
@@ -156,15 +156,6 @@ def test_divergence_error_carries_time():
         replay_linear(sol, lambda ts, xs: (-np.ones((ts.size, 1, 1)), np.zeros((ts.size, 1))),
                       np.full((1, 1), np.nan))
     assert exc.value.time == 1.0
-
-
-def test_guard_rejects_until_underflow():
-    # a guard that can never be satisfied ends in a loud failure
-    stepper = _Stepper(lambda t, y: -np.ones(1), 0.0, np.array([0.5]), 10.0,
-                       OdeSettings(), guard=lambda t, y: y[0] > 0.4)
-    with pytest.raises(IntegrationError, match="underflow"):
-        while not stepper.done:
-            stepper.step()
 
 
 def test_breakpoints_keep_piecewise_constant_exact():
@@ -601,6 +592,46 @@ def test_radau_newton_failure_reforms_j_once_then_halves_h():
     assert ros.nrejected == len(events) - 3 and ros.nsteps == 2
 
 
+def test_radau_refines_the_error_estimate_after_a_rejection():
+    # y' = -y^2 + sin 3y from 2 with a frozen J = 0 and a first step of 5:
+    # the step is rejected several times, and once rejected, an estimate
+    # over the tolerance is refined by one call at y + err before it is
+    # judged; the step accepted at last keeps the tolerance
+    f = lambda y: -y ** 2 + np.sin(3 * y)                                 # noqa: E731
+    settings = OdeSettings(rel_tol=1e-6, abs_tol=1e-9)
+    ros, calls = _radau(f, [2.0], lambda y: np.zeros((1, 1)), settings, h=5.0)
+    h, K = ros.step()
+    newton, accepted = calls[:-1], calls[-1]             # f(y_new) comes last
+    assert ros.nrejected > 1 and accepted == 1
+    assert newton.count(1) == 1 and newton[0] == newton[-1] == 3
+    assert set(newton) == {1, 3}
+    exact = integrate_ivp(lambda t, y: f(y), np.array([2.0]), (0.0, h),
+                          OdeSettings(rel_tol=1e-12, abs_tol=1e-14))(h)
+    assert abs(ros.y - exact)[0] <= settings.abs_tol + settings.rel_tol * abs(exact[0])
+
+
+def test_radau_singular_newton_matrix_fails_newton():
+    # J = 1e20 everywhere makes I - h A (x) J singular in floating point (the
+    # identity is lost to rounding, and the two rows of each block agree):
+    # Newton fails before any call, and h is halved as for any other failure
+    J = np.full((2, 2), 1e20)
+    with pytest.raises(np.linalg.LinAlgError):
+        np.linalg.inv(np.eye(6) - np.kron(_RADAU_A, J))
+    ros, calls = _radau(lambda y: -y, [1.0, 1.0], lambda y: J, OdeSettings(), h=1.0)
+    newton, events = ros._newton, []
+
+    def spied(y, h, Z, scale):
+        before = len(calls)
+        solved = newton(y, h, Z, scale)
+        events.append((h, solved is not None, calls[before:]))
+        ros.J = -np.eye(2)              # the exact J from the first failure on
+        return solved
+    ros._newton = spied
+    h, K = ros.step()
+    assert events == [(1.0, False, []), (0.5, True, [3, 3])]
+    assert h == 0.5 and ros.nrejected == 1
+
+
 def test_radau_errors_are_typed():
     f = lambda y: -y                                                      # noqa: E731
     with pytest.raises(DivergenceError, match="Jacobian"):
@@ -620,13 +651,8 @@ def test_radau_errors_are_typed():
     with pytest.raises(DivergenceError, match="non-finite right-hand side") as exc:
         ros.step()
     assert exc.value.time == 0.5 and ros.nrejected == 0 and calls == [3, 3, 1]
-    # stages that are never finite fail Newton, and so does a guard that
-    # vetoes every step: both halve h until it underflows
+    # stages that are never finite fail Newton, which halves h until it underflows
     ros, _ = _radau(f, [1.0], lambda y: -np.eye(1), h=0.5)
     ros.rhs = lambda ys: [np.full_like(y, np.nan) for y in ys]
     with pytest.raises(IntegrationError, match="underflow"):
         ros.step()
-    dp = _Stepper(lambda t, y: -y, 0.0, np.array([1.0]), 10.0, OdeSettings(),
-                  guard=lambda t, y: False)
-    with pytest.raises(IntegrationError, match="underflow"):
-        _Radau(dp, lambda y: -np.eye(1), lambda ys: [-y for y in ys]).step()

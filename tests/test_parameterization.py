@@ -246,7 +246,7 @@ def test_domain_checks():
         par.eval(2.5, np.zeros(4), 2.0)
     with pytest.raises(DomainError):
         par.jac_p(-0.1, 2.0)
-    with pytest.raises(ValueError, match="t_f is required"):
+    with pytest.raises(ConfigurationError, match="t_f must be a finite number, got None"):
         par.breakpoints(None)
 
 
@@ -364,7 +364,7 @@ def test_bound_control_checks_domain_and_shape(kind, kwargs, form):
         par.bind(np.ones(par.s + 1), t_f)
     with pytest.raises(ValueError):
         par.bind(np.ones((par.s, 1)), t_f)
-    with pytest.raises(ValueError):
+    with pytest.raises(DomainError, match=r"t_f = 0\.3 must exceed t0 = 0\.3"):
         par.bind(p, par.t0)
 
 
