@@ -23,13 +23,15 @@ optimality conditions; the solver integrates until a residual/feasibility
 tolerance or a tau budget is hit, recording a trace row every
 ``record_every`` units of tau via dense output, with the energy-like
 V = ||g|| + 0.01 J.  The rows that fall inside one accepted step of a
-fixed-t_f flow are evaluated together, as the lanes of one pipeline pass
-(:func:`evaluate_iterates`).  Dormand-Prince steps the
-flow until its stepper's stiffness test says stiff (see :mod:`integrate`),
-and Radau IIA then takes over for good.  Its Newton iterations' stage
-points and its Jacobian, one forward difference, are calls of the flow's
-one evaluator.  The basis is the one judge of t_f, so a free-t_f flow that
-drives t_f to t0 ends on its :class:`DomainError`.
+fixed-t_f flow are evaluated together, as the lanes of pipeline passes
+(:func:`evaluate_iterates`) of at most ``_ROW_LANES`` lanes.  A fixed-t_f
+flow steps on Radau IIA from tau = 0, as its three stage points are then one
+pass; a free-t_f flow, whose points are single pipelines, starts on
+Dormand-Prince, and Radau IIA takes over for good once the stepper's
+stiffness test says stiff (see :mod:`integrate`).  Radau's Newton
+iterations' stage points and its Jacobian, one forward difference, are calls
+of the flow's one evaluator.  The basis is the one judge of t_f, so a
+free-t_f flow that drives t_f to t0 ends on its :class:`DomainError`.
 """
 
 from __future__ import annotations
@@ -56,6 +58,7 @@ _MODE_KINDS = ("form1", "form2", "gradient_flow")
 _FD_REL = 1e-6         # Jacobian forward-difference step over max(1, |theta_j|)
 _PI_BOUND = 1e6        # ||pi|| over which the multiplier boundedness assumption looks violated
 _C1 = 0.01             # the weight of J in the trace's V = ||g|| + c1 J
+_ROW_LANES = 16        # the most trace rows one call of the flow's evaluator takes
 
 
 @dataclass(frozen=True)
@@ -320,24 +323,30 @@ def _memo_last(fn):
     return memo
 
 
-def _flow(evaluate, row, theta0: np.ndarray, stop: StopCriteria, ode: OdeSettings):
+def _flow(evaluate, row, theta0: np.ndarray, stop: StopCriteria, ode: OdeSettings,
+          batched: bool = False):
     """Integrate d theta/dtau = F(theta) from tau = 0 until a record point is done.
 
     ``evaluate(thetas)`` gives the results at a list of points, in order and
-    lazily, each with its F as ``dtheta``.  The right-hand side is a
+    lazily, each with its F as ``dtheta``; ``batched`` says that it runs the
+    points of one call as the lanes of one pass.  The right-hand side is a
     one-point call.  The record points are tau = 0, the uniform tau grid of
     spacing ``stop.record_every`` (points inside an accepted step come from
     its dense output) and the last tau reached if that is off the grid; the
-    points inside one accepted step are one call.  ``row(tau, result)``
-    records each point's result in order and says whether it is done; the
-    flow stops at the first that is done and takes no later one.  Returns
-    the last ``(result, done, tau)``.
+    points inside one accepted step are calls of at most ``_ROW_LANES``
+    points each.  ``row(tau, result)`` records each point's result in order
+    and says whether it is done; the flow stops at the first that is done
+    and takes no later one, so no later call starts.  Returns the last
+    ``(result, done, tau)``.
 
-    Dormand-Prince steps until its stepper is :attr:`~integrate._Stepper.stiff`
-    (DOPRI5's stiffness test); Radau IIA then takes over for good, its
-    three stage points one call.  Its Jacobian is one call at [theta, theta
-    + d_1 e_1, ...], d_j = ``_FD_REL`` max(1, |theta_j|): column j is the
-    forward difference against the call's first result over the step taken.
+    A batched flow steps on Radau IIA from tau = 0, its three stage points
+    one call, after the Dormand-Prince stepper's first stage and initial
+    step estimate.  Otherwise Dormand-Prince steps until its stepper is
+    :attr:`~integrate._Stepper.stiff` (DOPRI5's stiffness test), and Radau
+    IIA then takes over for good.  Radau's Jacobian is one call at [theta,
+    theta + d_1 e_1, ...], d_j = ``_FD_REL`` max(1, |theta_j|): column j is
+    the forward difference against the call's first result over the step
+    taken.
     """
     def rhs(tau, theta):
         return next(iter(evaluate([theta]))).dtheta
@@ -347,16 +356,25 @@ def _flow(evaluate, row, theta0: np.ndarray, stop: StopCriteria, ode: OdeSetting
         base, *columns = (result.dtheta for result in evaluate([theta, *E]))
         return np.column_stack([col - base for col in columns]) / (E.diagonal() - theta)
 
+    def radau(stepper):
+        return _Radau(stepper, jac, lambda thetas: [r.dtheta for r in evaluate(thetas)])
+
     def record(taus, thetas):
-        for tau, result in zip(taus, evaluate(thetas)):
-            if done := row(tau, result):
-                break
+        # parts as equal as the cap allows: no lone last row, a single pipeline
+        calls = -(-len(taus) // _ROW_LANES)
+        for k in range(calls):
+            part = slice(k * len(taus) // calls, (k + 1) * len(taus) // calls)
+            for tau, result in zip(taus[part], evaluate(thetas[part])):
+                if done := row(tau, result):
+                    return result, done, tau
         return result, done, tau
 
     result, done, tau = record([0.0], [theta0])
     if done:
         return result, done, tau
     stepper, next_k = _Stepper(rhs, 0.0, theta0, stop.tau_max, ode), 1
+    if batched:
+        stepper = radau(stepper)
     while not stepper.done and not done:
         tau_prev, theta_prev = stepper.t, stepper.y
         h, K = stepper.step()
@@ -374,7 +392,7 @@ def _flow(evaluate, row, theta0: np.ndarray, stop: StopCriteria, ode: OdeSetting
             logging.getLogger(__name__).info("outer flow stiff at tau = %.6g after %d capped "
                                              "steps; Radau IIA takes over", stepper.t,
                                              stepper.capped_steps)
-            stepper = _Radau(stepper, jac, lambda thetas: [r.dtheta for r in evaluate(thetas)])
+            stepper = radau(stepper)
     if not done and tau < stepper.t:
         result, done, tau = record([stepper.t], [stepper.y])
     return result, done, tau
@@ -438,7 +456,8 @@ def solve_evolution(mode: EvolutionMode, prob: OcpProblem, par: Parameterization
             V=lyapunov_diagnostic(it.g_val, it.J)))
         return it.residual_norm <= stop.tol_opt and it.g_norm <= stop.tol_feas
 
-    final_it, done, tau_final = _flow(evaluate, row, theta, stop, ode_outer)
+    final_it, done, tau_final = _flow(evaluate, row, theta, stop, ode_outer,
+                                      batched=not free)
     report = SolveReport(
         p_final=final_it.p.copy(), tf_final=final_it.t_f,
         pi_final=final_it.pi.copy(), J_final=final_it.J,

@@ -1,17 +1,18 @@
 """Adaptive Dormand-Prince 4(5) integration with continuous dense output.
 
 One explicit embedded Runge-Kutta pair serves every initial-value problem in
-the package but the stiff stretch of an outer flow: forward state solves and
-the outer evolution in virtual time are adaptive and run forward only
-(:func:`integrate_ivp`), and the linear adjoint solves, the only backward
-passes, replay the same tableau backward over a forward solve's accepted
-steps with no error control (:func:`replay_linear`), restarting where the
-forward solve recorded that it did.  An outer flow that keeps the stability
-cap binding goes to :class:`_Radau`, the 3-stage Radau IIA method, whose
-three stage points go out as one call per Newton iteration and whose dense
-output is its collocation cubic.  The free 4th-order interpolant of the pair
-gives dense output at arbitrary nodes from one coefficient block per power,
-a layout that :class:`DenseTrajectory` alone knows.  A state solve's control
+the package but the outer flows that :class:`_Radau` steps: forward state
+solves and the outer evolution in virtual time are adaptive and run forward
+only (:func:`integrate_ivp`), and the linear adjoint solves, the only
+backward passes, replay the same tableau backward over a forward solve's
+accepted steps with no error control (:func:`replay_linear`), restarting
+where the forward solve recorded that it did.  :class:`_Radau`, the 3-stage
+Radau IIA method, whose three stage points go out as one call per Newton
+iteration and whose dense output is its collocation cubic, starts an outer
+flow from a fresh stepper's first stage and initial step, or takes over one
+that keeps the stability cap binding.  The free 4th-order interpolant of the
+pair gives dense output at arbitrary nodes from one coefficient block per
+power, a layout that :class:`DenseTrajectory` alone knows.  A state solve's control
 is evaluated once per step attempt, at all of its stage times, and handed to
 the right-hand side stage by stage.  Several independent systems of equal
 size may run as lanes of one solve: they share one step sequence, each
@@ -495,9 +496,11 @@ def _broyden(J: np.ndarray, dy: np.ndarray, dF: np.ndarray) -> None:
 
 
 class _Radau(_Stepper):
-    """The 3-stage Radau IIA method (order 5, L-stable) as in RADAU5, taking
-    over a one-system :class:`_Stepper` at its (t, y, f, h) for an autonomous
-    y' = f(y), whose ``rhs(ys)`` gives f at a list of points.
+    """The 3-stage Radau IIA method (order 5, L-stable) as in RADAU5 for an
+    autonomous y' = f(y), whose ``rhs(ys)`` gives f at a list of points,
+    starting from a one-system :class:`_Stepper`'s (t, y, f, h): a fresh
+    stepper's first stage and initial step estimate start a flow, and a
+    stepper that has taken steps hands its flow over.
 
     Simplified Newton on the real matrix I - h A (x) J solves the collocation
     system from the last step's collocation cubic, each iteration one call

@@ -660,9 +660,11 @@ def _spy_batches(monkeypatch):
 
 
 def test_acceptance_1_rows_are_batched_and_keep_their_trace(monkeypatch, example1, e1_par):
-    # the rows inside one accepted outer step are one pipeline pass; the trace
-    # keeps tau = 0, 1, ..., 135 and stops at the row that converged, though
-    # its pass also evaluated later rows of the same step
+    # the rows inside one accepted outer step are pipeline passes of at most
+    # _ROW_LANES lanes, though a late Radau step spans 40-90 rows; the trace
+    # keeps every point of the record grid tau = 0, 1, ... up to the row that
+    # converged, and stops there.  Its pass, the solve's last, also evaluated
+    # later rows of the same step, but no later pass started
     import ocflow.evolution as evolution
 
     batches = _spy_batches(monkeypatch)
@@ -672,12 +674,12 @@ def test_acceptance_1_rows_are_batched_and_keep_their_trace(monkeypatch, example
     report, trace, bundle = solve_evolution(
         EvolutionMode.form1(), example1.prob, e1_par, example1.gains,
         EvolutionState(p=np.zeros(4), t_f=2.0), StopCriteria(tau_max=300.0))
-    np.testing.assert_array_equal(trace.taus(), np.arange(136.0))
-    assert report.converged and report.tau_reached == 135.0
-    assert len(batches) >= 10 and max(map(len, batches)) >= 20
+    np.testing.assert_array_equal(trace.taus(), np.arange(len(trace.rows), dtype=float))
+    assert report.converged and report.tau_reached == trace.rows[-1].tau > 100.0
+    assert len(batches) >= 10 and max(map(len, batches)) == evolution._ROW_LANES
     last = batches[-1]
     at = [i for i, p in enumerate(last) if np.array_equal(p, report.p_final)]
-    assert at and at[0] < len(last) - 1, "the stop should fall inside a batch"
+    assert at and at[0] < len(last) - 1, "the stop should fall inside a pass"
     # the report is the converged row, a lane of that pass, and the bundle is
     # that lane's: no pipeline runs again at the final iterate
     _assert_report_is_last_row(report, trace)
@@ -697,16 +699,23 @@ def test_a_failing_batch_reruns_its_rows_one_at_a_time(monkeypatch, example1, e1
                                                       e1_form1_solve, failure):
     # as if a lane after the converged row failed: the rows are evaluated
     # again one at a time up to the converged one, so neither the failure
-    # nor a warning reaches the caller, and the trace is the batched one
+    # nor a warning reaches the caller, and the trace is the batched one.
+    # Only the row passes fail (their first lane is a row of the batched
+    # trace; the Jacobian's at tau = 0 starts at one too), so the flow's
+    # Newton and Jacobian passes, and with them its path, are kept
     import warnings
 
     import ocflow.evolution as evolution
     from ocflow import DivergenceError
 
     batch, single, singles = evolution.evaluate_iterates, evolution.evaluate_iterate, []
+    batched_report, batched_trace, _, _ = e1_form1_solve
+    rows = batched_trace.column("p")
 
     def failing(mode, prob, par, gains, P, *args, **kwargs):
         its = batch(mode, prob, par, gains, P, *args, **kwargs)
+        if _is_fd_pass(P) or not any(np.array_equal(P[0], p) for p in rows):
+            return its
         if failure == "raise":
             raise DivergenceError("non-finite right-hand side", time=1.0)
         warnings.warn("||pi|| exceeds bound", MultiplierBoundWarning)
@@ -724,7 +733,6 @@ def test_a_failing_batch_reruns_its_rows_one_at_a_time(monkeypatch, example1, e1
             EvolutionMode.form1(), example1.prob, e1_par, example1.gains,
             EvolutionState(p=np.zeros(4), t_f=2.0), StopCriteria(tau_max=300.0))
     assert not seen
-    batched_report, batched_trace, _, _ = e1_form1_solve
     np.testing.assert_array_equal(trace.taus(), batched_trace.taus())
     assert report.converged and np.array_equal(report.p_final, batched_report.p_final)
     np.testing.assert_allclose(trace.column("residual_norm"),
@@ -769,12 +777,17 @@ def test_stop_criteria_must_be_finite(field, bad):
         StopCriteria(**{field: bad})
 
 
-def _no_switch(monkeypatch):
+def _radau_starts(monkeypatch) -> list:
+    """Record the (tau, capped steps) of every Radau IIA the flow builds."""
     import ocflow.evolution as evolution
 
-    def refuse(stepper, jac, rhs):
-        raise AssertionError(f"the flow switched to Radau IIA at tau = {stepper.t}")
-    monkeypatch.setattr(evolution, "_Radau", refuse)
+    starts, radau = [], evolution._Radau
+
+    def recording(stepper, jac, rhs):
+        starts.append((stepper.t, stepper.capped_steps))
+        return radau(stepper, jac, rhs)
+    monkeypatch.setattr(evolution, "_Radau", recording)
+    return starts
 
 
 def test_flow_takes_no_result_after_the_first_done_row():
@@ -890,8 +903,10 @@ def test_flow_hands_a_stalling_multi_scale_flow_over():
 
 
 def test_gradient_flow_generic_hands_a_stiff_flow_to_radau(monkeypatch, caplog):
-    # d theta/dtau = -0.1 diag(1, 0.01) theta at the default OdeSettings: the
-    # switch keeps the tolerance and takes fewer gradient calls than
+    # d theta/dtau = -0.1 diag(1, 0.01) theta at the default OdeSettings: its
+    # points are single calls, so it starts on Dormand-Prince, and Radau IIA
+    # takes over once DOPRI5's stiffness test has counted its capped steps;
+    # the switch keeps the tolerance and takes fewer gradient calls than
     # Dormand-Prince alone
     import logging
 
@@ -910,45 +925,43 @@ def test_gradient_flow_generic_hands_a_stiff_flow_to_radau(monkeypatch, caplog):
         assert np.linalg.norm(np.array([1.0, 0.01]) * theta) <= 1e-6
         return len(calls)
 
+    starts = _radau_starts(monkeypatch)
     with caplog.at_level(logging.INFO, logger="ocflow.evolution"):
         switched = solve()
     assert len(caplog.records) == 1
+    ((tau, capped),) = starts
+    assert tau > 0.0 and capped == integrate._STIFF_STEPS
     monkeypatch.setattr(integrate, "_STIFF_STEPS", 10 ** 9)
     assert switched < solve()
 
 
-def test_e1_gradient_flow_logs_one_switch_and_form1_none(example1, caplog):
+def test_fixed_tf_flows_log_no_switch_and_a_free_tf_hand_over_one(example1, brach, caplog):
+    # fixed t_f: e1's gradient flow and form-1 flow start on Radau IIA, so
+    # neither hands over; the Brachistochrone's gradient flow, with t_f free,
+    # starts on Dormand-Prince and logs its one hand-over at INFO
     import logging
 
     par, init = cubic(), EvolutionState(p=np.zeros(4), t_f=2.0)
+    for mode, stop in ((EvolutionMode.gradient_flow(0.1 * np.eye(4)),
+                        StopCriteria(tau_max=60000.0, record_every=250.0)),
+                       (EvolutionMode.form1(), StopCriteria(tau_max=300.0))):
+        with caplog.at_level(logging.INFO, logger="ocflow.evolution"):
+            report, _, _ = solve_evolution(mode, example1.prob, par, example1.gains, init, stop)
+        assert report.converged and not caplog.records
+    par = make_basis("global_polynomial", m=1, t0=0.0, form="form1", order=2)
     with caplog.at_level(logging.INFO, logger="ocflow.evolution"):
-        report, _, _ = solve_evolution(EvolutionMode.gradient_flow(0.1 * np.eye(4)),
-                                       example1.prob, par, example1.gains, init,
-                                       StopCriteria(tau_max=60000.0, record_every=250.0))
-    assert report.converged
+        solve_evolution(EvolutionMode.gradient_flow(np.eye(4)), brach.prob, par, brach.gains,
+                        EvolutionState(p=np.zeros(3), t_f=1.0),
+                        StopCriteria(tau_max=1000.0, record_every=250.0))
     (record,) = caplog.records
     assert record.levelno == logging.INFO and "Radau IIA takes over" in record.getMessage()
-    caplog.clear()
-    with caplog.at_level(logging.INFO, logger="ocflow.evolution"):
-        report, _, _ = solve_evolution(EvolutionMode.form1(), example1.prob, par,
-                                       example1.gains, init, StopCriteria(tau_max=300.0))
-    assert report.converged and not caplog.records
 
 
-def _is_fd_pass(P) -> bool:
-    """Whether the stack P is theta and its forward-difference points."""
-    return len(P) == P.shape[1] + 1 and np.array_equal(P[1:] != P[0], np.eye(P.shape[1],
-                                                                              dtype=bool))
-
-
-def test_e1_gradient_flow_jacobian_is_one_lane_pass(example1, e1_par, monkeypatch):
-    # fixed t_f: Radau's Jacobian at the switch point is one pipeline pass of
-    # 5 lanes, theta and its 4 forward-difference points, and no single one;
-    # each Newton iteration after it is one pass of its 3 stage points
+def _spy_calls(monkeypatch) -> list:
+    """Record the parameter stack of every pipeline call, a single one as one row."""
     import ocflow.evolution as evolution
 
-    events, seen = [], []
-    single, batch = evolution.evaluate_iterate, evolution.evaluate_iterates
+    events, single, batch = [], evolution.evaluate_iterate, evolution.evaluate_iterates
 
     def one(mode, prob, par, gains, p, *args, **kwargs):
         events.append(np.array(p)[None])
@@ -958,14 +971,31 @@ def test_e1_gradient_flow_jacobian_is_one_lane_pass(example1, e1_par, monkeypatc
         events.append(np.array(P))
         return batch(mode, prob, par, gains, P, *args, **kwargs)
 
+    monkeypatch.setattr(evolution, "evaluate_iterate", one)
+    monkeypatch.setattr(evolution, "evaluate_iterates", lanes)
+    return events
+
+
+def _is_fd_pass(P) -> bool:
+    """Whether the stack P is theta and its forward-difference points."""
+    return len(P) == P.shape[1] + 1 and np.array_equal(P[1:] != P[0], np.eye(P.shape[1],
+                                                                              dtype=bool))
+
+
+def test_e1_gradient_flow_jacobian_is_one_lane_pass(example1, e1_par, monkeypatch):
+    # fixed t_f: Radau's Jacobian at tau = 0 is one pipeline pass of
+    # 5 lanes, theta and its 4 forward-difference points, and no single one;
+    # each Newton iteration after it is one pass of its 3 stage points
+    import ocflow.evolution as evolution
+
+    events, seen = _spy_calls(monkeypatch), []
+
     class Recorded(evolution._Radau):
         def __init__(self, stepper, jac, rhs):
             before = len(events)
             super().__init__(stepper, jac, rhs)
             seen.append((self.y, events[before:], len(events)))
 
-    monkeypatch.setattr(evolution, "evaluate_iterate", one)
-    monkeypatch.setattr(evolution, "evaluate_iterates", lanes)
     monkeypatch.setattr(evolution, "_Radau", Recorded)
     report, _, _ = solve_evolution(EvolutionMode.gradient_flow(0.1 * np.eye(4)),
                                    example1.prob, e1_par, example1.gains,
@@ -1016,11 +1046,30 @@ def test_a_failing_jacobian_pass_reruns_its_points_one_at_a_time(example1, e1_pa
     assert np.abs(report.pi_final - [3.0, -2.5]).max() <= 1e-3
 
 
-def test_criterion_6_configuration_does_not_switch(example1, monkeypatch):
-    _no_switch(monkeypatch)         # a switch fails the solve
-    solve_evolution(EvolutionMode.form1(), example1.prob, cubic(), example1.gains,
-                    EvolutionState(p=np.zeros(4), t_f=2.0), StopCriteria(tau_max=170.0),
-                    ode_outer=OdeSettings(rel_tol=1e-7, abs_tol=1e-10))
+def test_criterion_6_configuration_starts_on_radau(example1, monkeypatch):
+    # a fixed-t_f flow is Radau IIA's from tau = 0, with no hand-over later
+    starts = _radau_starts(monkeypatch)
+    report, _, _ = solve_evolution(EvolutionMode.form1(), example1.prob, cubic(),
+                                   example1.gains, EvolutionState(p=np.zeros(4), t_f=2.0),
+                                   StopCriteria(tau_max=170.0),
+                                   ode_outer=OdeSettings(rel_tol=1e-7, abs_tol=1e-10))
+    assert report.converged and starts == [(0.0, 0)]
+
+
+def test_fixed_tf_flow_starts_with_one_point_a_probe_and_a_jacobian_pass(example1, e1_par,
+                                                                          monkeypatch):
+    # the first calls of a fixed-t_f solve: the tau = 0 pipeline (the stopping
+    # test's, which the stepper's first stage reuses), the initial step
+    # estimate's probe, and Radau's Jacobian as one pass of s + 1 lanes
+    events = _spy_calls(monkeypatch)
+    p0 = np.array([0.1, -0.2, 0.3, 0.05])
+    solve_evolution(EvolutionMode.form1(), example1.prob, e1_par, example1.gains,
+                    EvolutionState(p=p0, t_f=2.0), StopCriteria(tau_max=3.0))
+    start, probe, fd = events[:3]
+    assert start.shape == probe.shape == (1, 4) and np.array_equal(start[0], p0)
+    assert not np.array_equal(probe[0], p0)
+    assert fd.shape == (5, 4) and np.array_equal(fd[0], p0) and _is_fd_pass(fd)
+    assert all(len(E) == 3 for E in events[3:5])       # then Newton's stage points
 
 
 @pytest.mark.parametrize("kind, kw, form", [
@@ -1030,13 +1079,15 @@ def test_criterion_6_configuration_does_not_switch(example1, monkeypatch):
     ("piecewise_constant", {"n_segments": 20}, "form2")], ids=["case1", "case2", "case3",
                                                             "case4"])
 def test_brachistochrone_cases_do_not_switch(brach, monkeypatch, kind, kw, form):
-    _no_switch(monkeypatch)
+    # free t_f: the flow's points are single pipelines, so it starts on
+    # Dormand-Prince, and no case's stiffness test ever hands it over
+    starts = _radau_starts(monkeypatch)
     par = make_basis(kind, m=1, t0=0.0, form=form, **kw)
     report, _, _ = solve_evolution(
         EvolutionMode.form1() if form == "form1" else EvolutionMode.form2(), brach.prob, par,
         brach.gains, EvolutionState(p=np.zeros(par.s), t_f=1.0),
         StopCriteria(tau_max=300.0, record_every=5.0))
-    assert report.converged
+    assert report.converged and starts == []
 
 
 def test_free_tf_flow_switched_early_keeps_its_answer(brach, monkeypatch):
