@@ -25,10 +25,11 @@ tolerance or a tau budget is hit, recording a trace row every
 V = ||g|| + 0.01 J.  The rows that fall inside one accepted step of a
 fixed-t_f flow are evaluated together, as the lanes of pipeline passes
 (:func:`evaluate_iterates`) of at most ``_ROW_LANES`` lanes.  A fixed-t_f
-flow steps on Radau IIA from tau = 0, as its three stage points are then one
-pass; a free-t_f flow, whose points are single pipelines, starts on
-Dormand-Prince, and Radau IIA takes over for good once the stepper's
-stiffness test says stiff (see :mod:`integrate`).  Radau's Newton
+flow steps on Radau IIA from tau = 0, as its stage points are then one
+pass, a converged step's one pass of four with f at its start point; a
+free-t_f flow, whose points are single pipelines, starts on Dormand-Prince,
+and Radau IIA takes over for good once the stepper's stiffness test says
+stiff (see :mod:`integrate`).  Radau's Newton
 iterations' stage points and its Jacobian, one forward difference, are calls
 of the flow's one evaluator.  The basis is the one judge of t_f, so a
 free-t_f flow that drives t_f to t0 ends on its :class:`DomainError`.
@@ -341,7 +342,10 @@ def _flow(evaluate, row, theta0: np.ndarray, stop: StopCriteria, ode: OdeSetting
 
     A batched flow steps on Radau IIA from tau = 0, its three stage points
     one call, after the Dormand-Prince stepper's first stage and initial
-    step estimate.  Otherwise Dormand-Prince steps until its stepper is
+    step estimate.  A Radau step's first call leads with its start point,
+    whose f the step before left pending, so a step whose Newton converges at
+    once is one call, and the step in which the flow ends makes no call at
+    its end point.  Otherwise Dormand-Prince steps until its stepper is
     :attr:`~integrate._Stepper.stiff` (DOPRI5's stiffness test), and Radau
     IIA then takes over for good.  Radau's Jacobian is one call at [theta,
     theta + d_1 e_1, ...], d_j = ``_FD_REL`` max(1, |theta_j|): column j is

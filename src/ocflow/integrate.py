@@ -8,9 +8,10 @@ backward passes, replay the same tableau backward over a forward solve's
 accepted steps with no error control (:func:`replay_linear`), restarting
 where the forward solve recorded that it did.  :class:`_Radau`, the 3-stage
 Radau IIA method, whose three stage points go out as one call per Newton
-iteration and whose dense output is its collocation cubic, starts an outer
-flow from a fresh stepper's first stage and initial step, or takes over one
-that keeps the stability cap binding.  The free 4th-order interpolant of the
+iteration, a converged step's one call carrying f at its start point too,
+and whose dense output is its collocation cubic, starts an outer flow from
+a fresh stepper's first stage and initial step, or takes over one that
+keeps the stability cap binding.  The free 4th-order interpolant of the
 pair gives dense output at arbitrary nodes from one coefficient block per
 power, a layout that :class:`DenseTrajectory` alone knows.  A state solve's control
 is evaluated once per step attempt, at all of its stage times, and handed to
@@ -504,13 +505,17 @@ class _Radau(_Stepper):
 
     Simplified Newton on the real matrix I - h A (x) J solves the collocation
     system from the last step's collocation cubic, each iteration one call
-    of the three stage points.  It fails on a singular matrix, a non-finite
-    stage or a rate that says 6 iterations will not do; J = ``jac(y)`` is
-    then re-formed once, and a second failure halves h.  J takes a Broyden
-    update with f(y_new), a one-point call, after each accepted step.  The
-    error is the embedded estimate filtered by (mu/h I - J)^-1, refined once
-    after a rejection; the next h is Gustafsson's.  A step's K is Z / h.  It
-    counts no capped steps, so it is never stiff.
+    of the three stage points.  It ends on RADAU5's contraction factor: the
+    last measured rate's theta / (1 - theta), carried from step to step, so a
+    converged step takes one iteration.  It fails on a singular matrix, a
+    non-finite stage or a rate that says 6 iterations will not do; J =
+    ``jac(y)`` is then re-formed once, and a second failure halves h.  An
+    accepted step leaves f(y_new) pending: the next step's first call sends
+    y_new ahead of its stage points, and J takes its Broyden update with
+    that f before the Newton matrix is formed, so the last step makes no f
+    call.  The error is the embedded estimate filtered by (mu/h I - J)^-1,
+    refined once after a rejection; the next h is Gustafsson's.  A step's K
+    is Z / h.  It counts no capped steps, so it is never stiff.
     """
 
     segment = staticmethod(lambda K: _RADAU_P.T @ K)
@@ -518,7 +523,8 @@ class _Radau(_Stepper):
     def __init__(self, stepper: _Stepper, jac, rhs):
         self.__dict__.update(stepper.__dict__, jac=jac, rhs=rhs, capped_steps=0)
         self.J, self._fresh = self._jacobian(), True
-        self._last = None               # the last step's (h, y, K, error norm)
+        self._last = None               # the last step's (h, y, f, K, error norm)
+        self._faccon = 1.0              # RADAU5's carried theta / (1 - theta)
         self._tol = max(10 * np.finfo(float).eps / self.settings.rel_tol,
                         min(0.03, math.sqrt(self.settings.rel_tol)))
 
@@ -529,36 +535,55 @@ class _Radau(_Stepper):
         return J
 
     def _newton(self, y, h, Z, scale):
-        """(Z, iterations) solving the collocation system, or None if Newton fails."""
-        try:
-            M = np.linalg.inv(np.eye(Z.size) - h * np.kron(_RADAU_A, self.J))
-        except np.linalg.LinAlgError:
-            return None
-        norm_old = rate = None
+        """(Z, iterations) solving the collocation system, or None if Newton fails.
+
+        Newton ends once faccon * norm < tol, after any iteration: faccon
+        starts at the carried factor to the power 0.8 and from the second
+        iteration on is the current rate's theta / (1 - theta), which is
+        carried.  While f(y) is pending the first call leads with y, whose f
+        is checked and gives J its Broyden update before the Newton matrix is
+        formed.
+        """
+        faccon = max(self._faccon, np.finfo(float).eps) ** 0.8
+        M = norm_old = None
         for k in range(_NEWTON_ITERS):
-            F = np.array(self.rhs(list(y + Z)), dtype=float)
+            F = np.array(self.rhs([y] * (self.f is None) + list(y + Z)), dtype=float)
+            if M is None:
+                if self.f is None:
+                    self._first_stage(F[0], self.t)
+                    F = F[1:]
+                    _, y0, f0 = self._last[:3]
+                    _broyden(self.J, y - y0, self.f - f0)
+                try:
+                    M = np.linalg.inv(np.eye(Z.size) - h * np.kron(_RADAU_A, self.J))
+                except np.linalg.LinAlgError:
+                    return None
             if not np.isfinite(F).all():
                 return None
             dZ = (M @ (h * (_RADAU_A @ F) - Z).ravel()).reshape(Z.shape)
             norm = _rms((dZ / scale).ravel())
             if norm_old is not None:
                 rate = norm / norm_old
-                if rate >= 1 or rate ** (_NEWTON_ITERS - k) / (1 - rate) * norm > self._tol:
+                if not rate < 1:            # diverging, or a NaN norm
+                    return None
+                faccon = self._faccon = rate / (1 - rate)
+                if rate ** (_NEWTON_ITERS - k) / (1 - rate) * norm > self._tol:
                     return None
             Z = Z + dZ
-            if norm == 0 or rate is not None and rate / (1 - rate) * norm < self._tol:
+            if faccon * norm < self._tol:
                 return Z, k + 1
             norm_old = norm
-        # at the sixth iteration both tests above compare rate/(1 - rate) norm
-        # with the tolerance, so only an exact tie gets here
+        # at the sixth iteration the slow-convergence test and the stop test
+        # both compare rate/(1 - rate) norm with the tolerance, so only an
+        # exact tie gets here
         return None
 
     def step(self):
         """Advance one accepted step; returns its size h and K for :meth:`segment`."""
-        s, t, y, f, rejected = self.settings, self.t, self.y, self.f, False
+        s, t, y, rejected = self.settings, self.t, self.y, False
         while True:
             h, t_new = self._attempt(t)
-            h0, y0, K0, err0 = self._last or (h, y, None, None)
+            h0, y0, _, K0, err0 = self._last or (h, y, None, None, None)
             Z = (np.zeros((3, y.size)) if K0 is None else
                  dense_output(1.0 + h / h0 * _RADAU_C, h0, y0, self.segment(K0)) - y)
             solved = self._newton(y, h, Z, s.abs_tol + s.rel_tol * abs(y))
@@ -573,7 +598,7 @@ class _Radau(_Stepper):
             ZE = _RADAU_E @ Z / h
             filt = (_RADAU_MU / h) * np.eye(y.size) - self.J
             sc = s.abs_tol + s.rel_tol * np.maximum(abs(y), abs(y_new))
-            err = np.linalg.solve(filt, f + ZE)
+            err = np.linalg.solve(filt, self.f + ZE)
             if rejected and _rms(err / sc) > 1.0:
                 err = np.linalg.solve(filt, np.asarray(self.rhs([y + err])[0]) + ZE)
             err_norm = max(_rms(err / sc), 1e-10)
@@ -584,12 +609,10 @@ class _Radau(_Stepper):
                 self.h = h * max(_MIN_FACTOR, factor)
                 rejected, self.nrejected = True, self.nrejected + 1
                 continue
-            self._first_stage(np.asarray(self.rhs([y_new])[0], dtype=float), t_new)
-            _broyden(self.J, y_new - y, self.f - f)
             K = Z / h
             self.h, self._fresh = h * min(_MAX_FACTOR, factor), False
-            self._last = (h, y, K, err_norm)
-            self.t, self.y, self.nsteps = t_new, y_new, self.nsteps + 1
+            self._last = (h, y, self.f, K, err_norm)
+            self.t, self.y, self.f, self.nsteps = t_new, y_new, None, self.nsteps + 1
             return h, K
 
 

@@ -820,13 +820,52 @@ def test_flow_takes_no_result_after_the_first_done_row():
     assert sum(d for g, d in calls if g > 1) + 1 == len(rows)    # + the one at tau = 0
 
 
+def test_batched_flow_makes_no_call_after_its_last_step():
+    # a batched flow's Radau steps send f at their start with their first
+    # Newton call, so no step makes a call at its end point: after the step
+    # in which a row is done the flow calls for that step's rows alone, the
+    # last call holding the done row
+    from types import SimpleNamespace
+
+    import ocflow.evolution as evolution
+
+    calls, steps = [], []
+
+    def evaluate(thetas):
+        calls.append([np.array(t) for t in thetas])
+        return (SimpleNamespace(theta=theta, dtheta=-theta) for theta in thetas)
+
+    class Radau(evolution._Radau):
+        def step(self):
+            before = len(calls)
+            out = super().step()
+            steps.append((calls[before:], self.y, len(calls)))
+            return out
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(evolution, "_Radau", Radau)
+        result, done, tau = evolution._flow(evaluate, lambda tau, result: tau >= 3.0,
+                                            np.ones(1),
+                                            StopCriteria(tau_max=100.0, record_every=0.5),
+                                            OdeSettings(), batched=True)
+    assert done and tau == 3.0 and len(steps) > 1
+    for own, _, _ in steps:                    # Newton calls only, none of one point
+        assert {len(points) for points in own} <= {3, 4}
+    _, end, made = steps[-1]
+    rows = calls[made:]
+    assert rows and not any(np.array_equal(p, end) for points in rows for p in points)
+    assert any(np.array_equal(p, result.theta) for p in rows[-1])
+
+
 def test_flow_switches_after_exactly_the_stiff_step_count(caplog):
     # y' = -diag(1, 1e-3) y: once the fast mode has decayed, the stability cap
     # binds most steps; the hand-over comes after the step that makes the
     # _STIFF_STEPS-th capped step of the very same Dormand-Prince sequence,
     # counted from the last _CALM_STEPS uncapped steps in a row, and Radau's
     # Jacobian is one call of the flow's evaluator at the switch point and
-    # its forward-difference points
+    # its forward-difference points.  Radau's steps then call the evaluator
+    # with their stage points only, each after the first with its start point
+    # ahead of them
     import logging
     from types import SimpleNamespace
 
@@ -841,7 +880,7 @@ def test_flow_switches_after_exactly_the_stiff_step_count(caplog):
     while dp.capped_steps < integrate._STIFF_STEPS:
         dp.step()
         ys.append(dp.y)
-    calls, seen = [], []
+    calls, seen, stepped = [], [], []
 
     def evaluate(thetas):
         calls.append(np.array(thetas))
@@ -852,6 +891,12 @@ def test_flow_switches_after_exactly_the_stiff_step_count(caplog):
             before = len(calls)
             super().__init__(stepper, jac, rhs)
             seen.append((self.y, self.f, self.J.copy(), calls[before:]))
+
+        def step(self):
+            before, y = len(calls), self.y
+            out = super().step()
+            stepped.append((y, calls[before:]))
+            return out
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(evolution, "_Radau", Recorded)
@@ -870,9 +915,13 @@ def test_flow_switches_after_exactly_the_stiff_step_count(caplog):
         "steps; Radau IIA takes over"]
     assert not done and tau == stop.tau_max
     np.testing.assert_allclose(point.theta, y0 * np.exp(-rate * tau), rtol=1e-2, atol=1e-9)
-    # after the switch each call is a Newton iteration's three stage points,
-    # f at an accepted step, or the rows inside a step
-    assert {len(c) for c in calls[len(calls) - len(jac_calls):]} <= {1, 3}
+    # each Radau step's calls are Newton iterations' three stage points, the
+    # first of a later step led by its start point, and after a rejection
+    # one point of the refined error estimate
+    assert len(stepped) > 1 and len(stepped[0][1][0]) == 3
+    assert {len(c) for _, step in stepped for c in step} <= {1, 3, 4}
+    for y, step in stepped[1:]:
+        assert len(step[0]) == 4 and np.array_equal(step[0][0], y)
 
 
 def test_flow_hands_a_stalling_multi_scale_flow_over():

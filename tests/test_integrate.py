@@ -500,16 +500,17 @@ def _radau_r(z):
 @pytest.mark.parametrize("z", [-0.3, -2.0, -40.0])
 def test_radau_step_is_its_stability_function(z):
     # y' = lam y with the exact J: the collocation system is linear, so one
-    # step is exactly R(h lam) y0, reached in two Newton iterations, each
-    # one call of the three stage points, and f(y_new) is one more of one
+    # step is exactly R(h lam) y0, reached in one Newton iteration, one call
+    # of the three stage points, whose norm under the loose tolerance ends
+    # Newton at the carried factor's start 1.0; f(y_new) is left to the next
+    # step
     lam = -2.0
     ros, calls = _radau(lambda y: lam * y, [1.5], lambda y: np.array([[lam]]), t_end=100.0,
                         h=z / lam)
     h, K = ros.step()
     assert h == z / lam and ros.nrejected == 0
     assert ros.y[0] == pytest.approx(1.5 * _radau_r(z), rel=1e-13)
-    assert calls == [3, 3, 1]
-    assert np.array_equal(ros.f, lam * ros.y)
+    assert calls == [3] and ros.f is None
 
 
 def test_radau_is_l_stable():
@@ -518,6 +519,67 @@ def test_radau_is_l_stable():
     ros, _ = _radau(lambda y: -1e4 * y, [1.0], lambda y: np.array([[-1e4]]), h=1.0)
     ros.step()
     assert abs(ros.y[0]) < 1e-3 and ros.y[0] == pytest.approx(_radau_r(-1e4), rel=1e-10)
+
+
+def test_radau_sends_f_with_the_next_steps_stage_points():
+    # y' = lam y with the exact J at the default tolerances: the first step
+    # starts at the carried factor 1.0 and takes two Newton iterations, calls
+    # of 3 and 3 points.  Its last rate, at rounding level, is carried over,
+    # so the next step's Newton takes one iteration, one call of 4 points:
+    # the step's start y first, whose f opens the step, then its three stages
+    lam, points = -2.0, []
+    ros, calls = _radau(lambda y: lam * y, [1.5], lambda y: np.array([[lam]]),
+                        OdeSettings(), t_end=100.0, h=0.1)
+    rhs = ros.rhs
+    ros.rhs = lambda ys: points.append(np.array(ys)) or rhs(ys)
+    ros.step()
+    assert calls == [3, 3] and ros.f is None and 0.0 <= ros._faccon < 1e-10
+    y = ros.y
+    ros.step()
+    assert calls == [3, 3, 4] and np.array_equal(points[-1][0], y)
+    assert np.array_equal(ros._last[2], lam * y) and ros.nrejected == 0
+
+
+def test_radau_broyden_update_comes_before_the_next_newton_matrix(monkeypatch):
+    # J takes its Broyden update with f(y_new), which comes with the next
+    # step's stage points, before that step forms I - h A (x) J: the J of
+    # that matrix (and of the step's error filter) meets the secant
+    # condition J (y_new - y) = f(y_new) - f(y) of the step before
+    f = lambda y: np.array([-y[0] + y[1] ** 2, -0.1 * y[1] - y[0] * y[1]])   # noqa: E731
+    jac = lambda y: np.array([[-1.0, 2 * y[1]], [-y[1], -0.1 - y[0]]])       # noqa: E731
+    ros, _ = _radau(f, [1.0, 2.0], jac, OdeSettings(), h=0.05)
+    seen, inv = [], np.linalg.inv
+    monkeypatch.setattr(np.linalg, "inv", lambda a: seen.append(ros.J.copy()) or inv(a))
+    y0 = ros.y
+    ros.step()
+    y1, J_after_step = ros.y, ros.J.copy()
+    ros.step()
+    assert ros.nrejected == 0 and not ros._fresh
+    dy, dF = y1 - y0, f(y1) - f(y0)
+    assert not np.allclose(J_after_step @ dy, dF, rtol=1e-10, atol=1e-12)
+    np.testing.assert_allclose(seen[-1] @ dy, dF, rtol=1e-12, atol=1e-14)
+    assert np.array_equal(seen[-1], ros.J)
+
+
+def test_radau_carried_factor_starts_at_one_on_a_hand_over():
+    # a stepper handed over starts from the carried factor 1.0, whatever an
+    # earlier Radau stepper carried, so its first step takes two Newton
+    # iterations; its later steps, one each
+    f, jac = (lambda y: -y), (lambda y: -np.eye(1))                         # noqa: E731
+    first, _ = _radau(f, [1.0], jac, OdeSettings())
+    first.step()
+    first.step()
+    assert first._faccon < 1e-10
+    dp = _Stepper(lambda t, y: f(y), 0.0, np.array([1.0]), 10.0, OdeSettings())
+    dp.step()
+    dp.step()
+    calls = []
+    ros = _Radau(dp, jac, lambda ys: calls.append(len(ys)) or [f(y) for y in ys])
+    assert ros._faccon == 1.0
+    ros.step()
+    assert calls == [3, 3]
+    ros.step()
+    assert calls == [3, 3, 4]
 
 
 def test_radau_keeps_the_tolerance_on_a_stiff_system():
@@ -530,7 +592,11 @@ def test_radau_keeps_the_tolerance_on_a_stiff_system():
         ros.step()
     assert ros.t == 5.0 and abs(ros.y[0]) < 1e-10
     assert ros.y[1] == pytest.approx(np.exp(-5.0), rel=1e-3)
-    assert ros.nsteps < 40 and set(calls) == {1, 3}
+    # the first step's Newton calls are of 3 points, every later step's
+    # first call of 4 (its start point ahead of the stages), and no f(y_new)
+    # is a call of its own
+    assert ros.nsteps < 40 and set(calls) == {3, 4}
+    assert calls[:2] == [3, 3] and calls.count(4) == ros.nsteps - 1
 
 
 def test_broyden_update_meets_the_secant_condition():
@@ -565,15 +631,20 @@ def test_radau_segment_is_the_collocation_cubic():
                                rtol=1e-14)
 
 
-def test_radau_newton_failure_reforms_j_once_then_halves_h():
-    # a J gone wrong after an accepted step: Newton fails, J is re-formed
-    # once through jac, Newton fails again with it, and h is halved; with a
-    # fresh J no further re-form follows, only more halving
+def test_radau_newton_failure_reforms_j_once_then_halves_h(monkeypatch):
+    # a J gone wrong in the Broyden update that opens the next step: Newton
+    # fails, J is re-formed once through jac, Newton fails again with it, and
+    # h is halved; with a fresh J no further re-form follows, only more
+    # halving.  The first J, 0, converges slowly enough to carry a factor that
+    # lets Newton see the bad J's rate (the exact J carries one at rounding
+    # level, and the first iteration then ends Newton)
+    import ocflow.integrate as integrate
+
     events, bad = [], np.array([[40.0]])
 
     def jac(y):
         events.append("jac")
-        return np.array([[-1.0]]) if len(events) == 1 else bad
+        return np.zeros((1, 1)) if len(events) == 1 else bad
     ros, _ = _radau(lambda y: -y, [1.0], jac, OdeSettings())
     ros.step()
     newton = ros._newton
@@ -582,7 +653,8 @@ def test_radau_newton_failure_reforms_j_once_then_halves_h():
         solved = newton(y, h, Z, scale)
         events.append((h, solved is not None))
         return solved
-    ros._newton, ros.J, ros.h = spied, bad.copy(), 1.0
+    ros._newton, ros.h = spied, 1.0
+    monkeypatch.setattr(integrate, "_broyden", lambda J, dy, dF: J.__setitem__(..., bad))
     del events[:]
     ros.step()
     assert events[:4] == [(1.0, False), "jac", (1.0, False), (0.5, False)]
@@ -601,19 +673,24 @@ def test_radau_refines_the_error_estimate_after_a_rejection():
     settings = OdeSettings(rel_tol=1e-6, abs_tol=1e-9)
     ros, calls = _radau(f, [2.0], lambda y: np.zeros((1, 1)), settings, h=5.0)
     h, K = ros.step()
-    newton, accepted = calls[:-1], calls[-1]             # f(y_new) comes last
-    assert ros.nrejected > 1 and accepted == 1
+    newton = calls[:]                   # the step makes no call at y_new
+    assert ros.nrejected > 1
     assert newton.count(1) == 1 and newton[0] == newton[-1] == 3
     assert set(newton) == {1, 3}
+    # f(y_new) is the first point of the next step's first call
+    y_new = ros.y
+    ros.step()
+    assert calls[len(newton)] == 4 and np.array_equal(ros._last[2], f(y_new))
     exact = integrate_ivp(lambda t, y: f(y), np.array([2.0]), (0.0, h),
                           OdeSettings(rel_tol=1e-12, abs_tol=1e-14))(h)
-    assert abs(ros.y - exact)[0] <= settings.abs_tol + settings.rel_tol * abs(exact[0])
+    assert abs(y_new - exact)[0] <= settings.abs_tol + settings.rel_tol * abs(exact[0])
 
 
 def test_radau_singular_newton_matrix_fails_newton():
     # J = 1e20 everywhere makes I - h A (x) J singular in floating point (the
     # identity is lost to rounding, and the two rows of each block agree):
-    # Newton fails before any call, and h is halved as for any other failure
+    # Newton fails when it forms the matrix, after its first call, and h is
+    # halved as for any other failure
     J = np.full((2, 2), 1e20)
     with pytest.raises(np.linalg.LinAlgError):
         np.linalg.inv(np.eye(6) - np.kron(_RADAU_A, J))
@@ -628,7 +705,7 @@ def test_radau_singular_newton_matrix_fails_newton():
         return solved
     ros._newton = spied
     h, K = ros.step()
-    assert events == [(1.0, False, []), (0.5, True, [3, 3])]
+    assert events == [(1.0, False, [3]), (0.5, True, [3, 3])]
     assert h == 0.5 and ros.nrejected == 1
 
 
@@ -640,17 +717,21 @@ def test_radau_errors_are_typed():
     with pytest.raises(StepBudgetError, match="max_steps = 3"):
         while True:
             ros.step()
-    # f(y_new) not finite at acceptance ends the step with a DivergenceError
-    # at its end time, not as a rejection
+    # f(y_new) not finite, the first point of the next step's first call,
+    # ends the solve with a DivergenceError at the accepted step's end time,
+    # not as a rejection
     ros, calls = _radau(f, [1.0], lambda y: -np.eye(1), h=0.5)
 
     def nan_at_acceptance(ys):
         calls.append(len(ys))
-        return [np.full_like(y, np.nan) if len(ys) == 1 else -y for y in ys]
+        return [np.full_like(y, np.nan) if len(ys) == 4 and i == 0 else -y
+                for i, y in enumerate(ys)]
     ros.rhs = nan_at_acceptance
+    ros.step()
+    assert ros.t == 0.5 and calls == [3]
     with pytest.raises(DivergenceError, match="non-finite right-hand side") as exc:
         ros.step()
-    assert exc.value.time == 0.5 and ros.nrejected == 0 and calls == [3, 3, 1]
+    assert exc.value.time == 0.5 and ros.nrejected == 0 and calls == [3, 4]
     # stages that are never finite fail Newton, which halves h until it underflows
     ros, _ = _radau(f, [1.0], lambda y: -np.eye(1), h=0.5)
     ros.rhs = lambda ys: [np.full_like(y, np.nan) for y in ys]
