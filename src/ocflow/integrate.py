@@ -507,7 +507,9 @@ class _Radau(_Stepper):
     system from the last step's collocation cubic, each iteration one call
     of the three stage points.  It ends on RADAU5's contraction factor: the
     last measured rate's theta / (1 - theta), carried from step to step, so a
-    converged step takes one iteration.  It fails on a singular matrix, a
+    converged step takes one iteration; each solve raises the carried factor
+    to the power 0.8, so while no rate is measured it climbs toward 1 until
+    a second iteration measures one again.  It fails on a singular matrix, a
     non-finite stage or a rate that says 6 iterations will not do; J =
     ``jac(y)`` is then re-formed once, and a second failure halves h.  An
     accepted step leaves f(y_new) pending: the next step's first call sends
@@ -538,13 +540,13 @@ class _Radau(_Stepper):
         """(Z, iterations) solving the collocation system, or None if Newton fails.
 
         Newton ends once faccon * norm < tol, after any iteration: faccon
-        starts at the carried factor to the power 0.8 and from the second
-        iteration on is the current rate's theta / (1 - theta), which is
-        carried.  While f(y) is pending the first call leads with y, whose f
-        is checked and gives J its Broyden update before the Newton matrix is
-        formed.
+        starts at the carried factor to the power 0.8, which is carried in
+        its place (RADAU5's FACCON), and from the second iteration on is the
+        current rate's theta / (1 - theta), which is carried.  While f(y) is
+        pending the first call leads with y, whose f is checked and gives J
+        its Broyden update before the Newton matrix is formed.
         """
-        faccon = max(self._faccon, np.finfo(float).eps) ** 0.8
+        faccon = self._faccon = max(self._faccon, np.finfo(float).eps) ** 0.8
         M = norm_old = None
         for k in range(_NEWTON_ITERS):
             F = np.array(self.rhs([y] * (self.f is None) + list(y + Z)), dtype=float)

@@ -661,7 +661,8 @@ def _spy_batches(monkeypatch):
 
 def test_acceptance_1_rows_are_batched_and_keep_their_trace(monkeypatch, example1, e1_par):
     # the rows inside one accepted outer step are pipeline passes of at most
-    # _ROW_LANES lanes, though a late Radau step spans 40-90 rows; the trace
+    # _ROW_LANES lanes, though a late Radau step spans 30-60 rows (split as
+    # evenly as the cap allows, so the widest pass holds over half the cap); the trace
     # keeps every point of the record grid tau = 0, 1, ... up to the row that
     # converged, and stops there.  Its pass, the solve's last, also evaluated
     # later rows of the same step, but no later pass started
@@ -676,7 +677,8 @@ def test_acceptance_1_rows_are_batched_and_keep_their_trace(monkeypatch, example
         EvolutionState(p=np.zeros(4), t_f=2.0), StopCriteria(tau_max=300.0))
     np.testing.assert_array_equal(trace.taus(), np.arange(len(trace.rows), dtype=float))
     assert report.converged and report.tau_reached == trace.rows[-1].tau > 100.0
-    assert len(batches) >= 10 and max(map(len, batches)) == evolution._ROW_LANES
+    assert len(batches) >= 10
+    assert evolution._ROW_LANES // 2 < max(map(len, batches)) <= evolution._ROW_LANES
     last = batches[-1]
     at = [i for i, p in enumerate(last) if np.array_equal(p, report.p_final)]
     assert at and at[0] < len(last) - 1, "the stop should fall inside a pass"

@@ -561,6 +561,30 @@ def test_radau_broyden_update_comes_before_the_next_newton_matrix(monkeypatch):
     assert np.array_equal(seen[-1], ros.J)
 
 
+def test_radau_carried_factor_climbs_until_newton_measures_a_rate_again():
+    # as in RADAU5, each Newton solve stores the carried factor's 0.8 power
+    # (of eps at least) before its first iteration: while steps end Newton
+    # after one iteration the factor climbs toward 1, until a first
+    # iteration no longer ends it and the second measures a rate again
+    ros, _ = _radau(lambda y: -y, [1.0], lambda y: -np.eye(1), OdeSettings(), t_end=100.0)
+    ros.step()
+    newton, seen = ros._newton, []
+
+    def spied(y, h, Z, scale):
+        before = ros._faccon
+        solved = newton(y, h, Z, scale)
+        seen.append((before, solved[1], ros._faccon))
+        return solved
+    ros._newton = spied
+    while not ros.done and (not seen or seen[-1][1] == 1):
+        ros.step()
+    ones, last = seen[:-1], seen[-1]
+    assert len(ones) >= 3 and last[1] == 2
+    for before, _, after in ones:
+        assert after == max(before, np.finfo(float).eps) ** 0.8
+    assert ones[-1][2] > 1e3 * ones[0][2]
+
+
 def test_radau_carried_factor_starts_at_one_on_a_hand_over():
     # a stepper handed over starts from the carried factor 1.0, whatever an
     # earlier Radau stepper carried, so its first step takes two Newton
@@ -632,21 +656,22 @@ def test_radau_segment_is_the_collocation_cubic():
 
 
 def test_radau_newton_failure_reforms_j_once_then_halves_h(monkeypatch):
-    # a J gone wrong in the Broyden update that opens the next step: Newton
-    # fails, J is re-formed once through jac, Newton fails again with it, and
-    # h is halved; with a fresh J no further re-form follows, only more
-    # halving.  The first J, 0, converges slowly enough to carry a factor that
-    # lets Newton see the bad J's rate (the exact J carries one at rounding
-    # level, and the first iteration then ends Newton)
+    # a J gone wrong after an accepted step, planted by the Broyden update
+    # that opens the next step: Newton fails, J is re-formed once through
+    # jac, Newton fails again with it, and h is halved; with a fresh J no
+    # further re-form follows, only more halving.  On y' = -y^2 the exact J
+    # leaves a carried factor near 1e-3, so the bad J's first iteration is
+    # large enough to call a second, whose rate fails Newton
     import ocflow.integrate as integrate
 
     events, bad = [], np.array([[40.0]])
 
     def jac(y):
         events.append("jac")
-        return np.zeros((1, 1)) if len(events) == 1 else bad
-    ros, _ = _radau(lambda y: -y, [1.0], jac, OdeSettings())
+        return -2 * y[None] if len(events) == 1 else bad
+    ros, _ = _radau(lambda y: -y ** 2, [1.0], jac, OdeSettings())
     ros.step()
+    assert 1e-4 < ros._faccon < 1e-2
     newton = ros._newton
 
     def spied(y, h, Z, scale):
