@@ -26,12 +26,12 @@ from pathlib import Path
 import numpy as np
 
 from .costate import reconstruct_costate
-from .errors import ConfigurationError, OcflowError, _require_number
+from .errors import ConfigurationError, OcflowError, _require_gain, _require_number
 from .evolution import (EvolutionMode, EvolutionState, StopCriteria, _check_compat,
                         _resolve_init, solve_evolution)
 from .integrate import OdeSettings
 from .parameterization import FORM1, FORM2, _NODE_KINDS, make_basis
-from .problem import _central_diff, _gain_matrix, _inverse_weight, _objective
+from .problem import _central_diff, _inverse_weight, _objective
 from .problems import get_problem, list_problems
 from .projection import BasisSet, InnerProductSpec, project, weighted_norm
 from .quadrature import QuadratureSpec, _gram
@@ -126,7 +126,7 @@ def build_run(raw: dict):
     if "K" in g_cfg:
         g_cfg["K_inv"] = _in("gains", _inverse_weight, g_cfg.pop("K"), prob.m)
     if "K_g" in g_cfg:
-        g_cfg["K_g"] = _in("gains", _gain_matrix, g_cfg["K_g"], prob.q, "K_g")
+        g_cfg["K_g"] = _in("gains", _require_gain, g_cfg["K_g"], "K_g", prob.q)
     gains = _in("gains", replace, bundle.gains, **g_cfg)
     mode = _in("gains", EvolutionMode, mode_name, K_theta)
     _check_compat(mode, prob, par, gains)

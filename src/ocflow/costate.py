@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionError
+from .errors import DimensionError, _require_numbers
 from .integrate import DenseTrajectory
 from .parameterization import Parameterization
 from .problem import Gains, OcpProblem
@@ -54,9 +54,9 @@ class OptimalityResiduals:
 
 
 def _q_vector(prob: OcpProblem, v, name: str) -> np.ndarray:
-    """``v`` as the (q,) vector a multiplier or constraint value is, (0,) when
-    q = 0; :class:`DimensionError` for any other shape."""
-    v = np.asarray(v, dtype=float)
+    """``v`` as the (q,) vector of finite numbers a multiplier or constraint
+    value is, (0,) when q = 0; :class:`DimensionError` for any other shape."""
+    v = _require_numbers(v, name)
     if v.shape != (prob.q,):
         raise DimensionError(f"{name} has shape {v.shape}, expected ({prob.q},)")
     return v

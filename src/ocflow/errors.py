@@ -1,8 +1,8 @@
 """Exception and warning types shared across the solver, and the one rule that
-judges a setting: every settings record and count argument reads its values
-through :func:`_require_number` or :func:`_require_numbers`, which refuse a
-bad value with a :class:`ConfigurationError` naming the field and the repr of
-the value.  Only modules numpy has already loaded are imported here."""
+judges a setting or a gain: every settings record, count argument and gain reads
+its values through :func:`_require_number`, :func:`_require_numbers` or
+:func:`_require_gain`, which refuse a bad value with a :class:`ConfigurationError`
+naming the field and the value's repr.  Only modules numpy loads are imported."""
 
 import math
 import numbers
@@ -61,6 +61,27 @@ def _require_numbers(value, name: str) -> np.ndarray:
     if array.dtype.kind not in "iuf" or not np.isfinite(array).all():
         raise ConfigurationError(f"{name} must be finite numbers, got {value!r}")
     return array.astype(float, copy=False)
+
+
+def _require_gain(K, name: str, dim: int | None = None) -> np.ndarray:
+    """``K``, read through :func:`_require_numbers`, as a float SPD matrix: a
+    scalar is 1 x 1, and with ``dim`` a scalar or 1 x 1 K stands for K * I of
+    size (dim, dim).  Symmetric means max|K - K^T| <= 1e-9 max|K|, which takes
+    the rounding of np.linalg.inv (1.4e-11 of max|K| at condition 1e9)."""
+    M = np.atleast_2d(_require_numbers(K, name))
+    if dim is not None:
+        M = M[0, 0] * np.eye(dim) if M.shape == (1, 1) else M
+        if M.shape != (dim, dim):
+            raise ConfigurationError(f"{name} has shape {M.shape}, expected ({dim}, {dim})")
+    if M.shape != (len(M),) * 2:
+        raise ConfigurationError(f"{name} must be square, got shape {M.shape}")
+    if np.abs(M - M.T).max(initial=0.0) > 1e-9 * np.abs(M).max(initial=0.0):
+        raise ConfigurationError(f"{name} must be symmetric, got {K!r}")
+    try:
+        np.linalg.cholesky(M)
+    except np.linalg.LinAlgError:
+        raise ConfigurationError(f"{name} must be positive-definite, got {K!r}") from None
+    return M
 
 
 class DomainError(OcflowError):

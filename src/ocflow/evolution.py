@@ -44,12 +44,11 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .errors import (ConfigurationError, MultiplierBoundWarning, _require_number,
-                     _require_numbers)
+from .errors import (ConfigurationError, MultiplierBoundWarning, _require_gain,
+                     _require_number, _require_numbers)
 from .integrate import _DEFAULT_ODE, OdeSettings, _Radau, _Stepper, dense_output
 from .parameterization import _NODE_KINDS, FORM1, FORM2, Parameterization
-from .problem import (Gains, OcpProblem, SolveReport, SolveTrace, TraceRow,
-                      _gain_matrix, _objective, _require_spd)
+from .problem import Gains, OcpProblem, SolveReport, SolveTrace, TraceRow, _objective
 from .quadrature import QuadratureSpec
 from .sensitivity import (AdjointBundle, ThetaQuantities, assemble_form1,
                           assemble_form2, nlp_gradients, solve_adjoints, solve_state,
@@ -89,9 +88,7 @@ class EvolutionMode:
         if self.K_theta is not None:
             if self.kind != "gradient_flow":
                 raise ConfigurationError(f"{self.kind} mode takes no K_theta")
-            K_theta = _require_spd(np.atleast_2d(_require_numbers(self.K_theta, "K_theta")),
-                                   "K_theta")
-            object.__setattr__(self, "K_theta", K_theta)
+            object.__setattr__(self, "K_theta", _require_gain(self.K_theta, "K_theta"))
 
     @classmethod
     def form1(cls) -> "EvolutionMode":
@@ -198,8 +195,8 @@ def _check_compat(mode: EvolutionMode, prob: OcpProblem, par: Parameterization,
     free = prob.tf_mode == "free"
     dim = par.s + free                                  # theta's size in gradient flow
     K_inv = gains.K_inv
-    if callable(K_inv):
-        K_inv = _require_spd(K_inv(prob.t0), "K_inv(t0)")
+    if callable(K_inv):                 # sized below as returned, as K_inv_at stacks it
+        _require_gain(K_inv := K_inv(prob.t0), "K_inv(t0)")
     for name, K, shapes in (("K_g", gains.K_g, [(prob.q, prob.q)]),
                             ("K_inv", K_inv, [(prob.m, prob.m)]),
                             ("K_theta", mode.K_theta, [(1, 1), (dim, dim)])):
@@ -242,7 +239,7 @@ def _pipeline(mode: EvolutionMode, prob: OcpProblem, par: Parameterization, gain
         quant = assemble_form1(prob, par, bundle, gains, t_f, quad)
     rGamma = quant.rGamma
     if quant.M is None:
-        W_rGamma = _gain_matrix(mode.K_theta, rGamma.shape[-2], "K_theta") @ rGamma
+        W_rGamma = _require_gain(mode.K_theta, "K_theta", rGamma.shape[-2]) @ rGamma
     else:
         W_rGamma = spd_solve(quant.M, rGamma, "Gram matrix of the basis columns of theta")
     return (bundle, quant, J, g_val,
@@ -494,13 +491,13 @@ def gradient_flow_generic(f_grad, h_val, h_jac, K_theta, K_h, theta0,
     ||f_grad + h_jac^T pi|| and ||h|| meet ``stop``'s tolerances on its record
     grid; returns (theta*, pi*).  With an empty constraint this is plain
     gradient flow.  At convergence pi* equals the least-squares multiplier
-    -(h_jac^T)^+ f_grad, independent of K_theta.  ``K_theta`` must be
-    (dim, dim) and ``K_h`` (q, q), or scalars.  The default integration
+    -(h_jac^T)^+ f_grad, independent of K_theta.  ``K_theta`` (dim, dim) and
+    ``K_h`` (q, q) are SPD gains, or scalars.  The default integration
     tolerances are tight, as they alone limit the flow's accuracy.
     """
-    theta0 = np.asarray(theta0, dtype=float)
-    K_theta = _gain_matrix(K_theta, theta0.size, "K_theta")
-    K_h = _gain_matrix(K_h, np.asarray(h_val(theta0)).size, "K_h")
+    theta0 = _require_numbers(theta0, "theta0")
+    K_theta = _require_gain(K_theta, "K_theta", theta0.size)
+    K_h = _require_gain(K_h, "K_h", np.asarray(h_val(theta0)).size)
 
     @_memo_last
     def evaluate_one(theta):

@@ -30,7 +30,8 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import ConfigurationError, DependentBasisError, DomainError, _require_number
+from .errors import (ConfigurationError, DependentBasisError, DomainError, _require_number,
+                     _require_numbers)
 from .quadrature import QuadratureSpec, _gram, simpson_points
 
 FORM1 = "form1"
@@ -71,7 +72,7 @@ class Parameterization:
     meta: dict = field(default_factory=dict)
 
     def _check_p(self, p) -> np.ndarray:
-        p = np.asarray(p, dtype=float)
+        p = _require_numbers(p, "p")
         if p.ndim not in (1, 2) or p.shape[-1] != self.s:
             raise ValueError(f"p has shape {p.shape}, expected ({self.s},) or (B, {self.s})")
         return p

@@ -23,7 +23,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import (ConfigurationError, DerivativeMismatchError, DimensionError,
-                     _require_number, _require_numbers)
+                     _require_gain, _require_number, _require_numbers)
 from .integrate import DenseTrajectory, OdeSettings, integrate_ivp
 
 
@@ -93,8 +93,8 @@ class Gains:
     ``K_inv`` is the m x m SPD *inverse* control weight, an array or a
     callable of t; ``k_tf`` >= 0 scales the terminal-time equation (ignored
     when t_f is fixed); the SPD ``K_g`` sets the decay rate of the constraint
-    violation.  Each is checked here (a :class:`ConfigurationError` refuses a
-    bad one), sizes and a callable at t0 with the problem.
+    violation.  Each is checked here, a gain by :func:`errors._require_gain`
+    (a scalar is 1 x 1), sizes and a callable at t0 with the problem.
     """
 
     K_inv: np.ndarray | Callable[[float], np.ndarray]
@@ -104,7 +104,7 @@ class Gains:
     def __post_init__(self):
         object.__setattr__(self, "k_tf", _require_number(self.k_tf, "k_tf", least=0))
         for name in ("K_g",) + (() if callable(self.K_inv) else ("K_inv",)):
-            object.__setattr__(self, name, _require_spd(getattr(self, name), name))
+            object.__setattr__(self, name, _require_gain(getattr(self, name), name))
 
     @classmethod
     def constant(cls, K, m: int, q: int, *, k_tf: float = 0.0, K_g=0.1) -> "Gains":
@@ -114,7 +114,7 @@ class Gains:
         matrix) and ``K_g`` the (q, q) constraint gain; scalars are promoted
         to multiples of the identity, and any other shape is refused.
         """
-        return cls(K_inv=_inverse_weight(K, m), k_tf=k_tf, K_g=_gain_matrix(K_g, q, "K_g"))
+        return cls(K_inv=_inverse_weight(K, m), k_tf=k_tf, K_g=_require_gain(K_g, "K_g", q))
 
     def K_inv_at(self, ts: np.ndarray) -> np.ndarray:
         """Inverse control weight stacked over an array of times: (N, m, m)."""
@@ -130,34 +130,8 @@ class Gains:
 
 def _inverse_weight(K, m: int) -> np.ndarray:
     """K^-1 of the (m, m) SPD control weight K, symmetrized; a scalar stands for K * I."""
-    K_inv = np.linalg.inv(_require_spd(_gain_matrix(K, m, "K"), "K"))
+    K_inv = np.linalg.inv(_require_gain(K, "K", m))
     return 0.5 * (K_inv + K_inv.T)      # exact when inv's rounding kept it symmetric
-
-
-def _gain_matrix(K, dim: int, name: str) -> np.ndarray:
-    """K as a (dim, dim) matrix; a scalar or 1 x 1 gain is promoted to K * I."""
-    K = np.atleast_2d(_require_numbers(K, name))
-    if K.shape == (1, 1) and dim != 1:
-        K = K[0, 0] * np.eye(dim)
-    if K.shape != (dim, dim):
-        raise ConfigurationError(f"{name} has shape {K.shape}, expected ({dim}, {dim})")
-    return K
-
-
-def _require_spd(M, name: str) -> np.ndarray:
-    """M as a float array, or a ConfigurationError naming it unless it is SPD;
-    symmetric means max|M - M^T| <= 1e-9 max|M|, which takes the rounding of
-    np.linalg.inv (1.4e-11 of max|M| at condition 1e9)."""
-    M = _require_numbers(M, name)
-    if M.ndim != 2 or M.shape[0] != M.shape[1]:
-        raise ConfigurationError(f"{name} must be square, got shape {M.shape}")
-    if np.abs(M - M.T).max(initial=0.0) > 1e-9 * np.abs(M).max(initial=0.0):
-        raise ConfigurationError(f"{name} must be symmetric")
-    try:
-        np.linalg.cholesky(M)
-    except np.linalg.LinAlgError:
-        raise ConfigurationError(f"{name} must be positive-definite") from None
-    return M
 
 
 @dataclass

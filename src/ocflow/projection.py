@@ -20,7 +20,8 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import DependentBasisError, RankError
+from .errors import (DependentBasisError, RankError, _require_gain, _require_number,
+                     _require_numbers)
 from .quadrature import QuadratureSpec, _gram, simpson_points
 from .sensitivity import spd_solve
 
@@ -29,8 +30,10 @@ from .sensitivity import spd_solve
 class InnerProductSpec:
     """<f, g> = int_t0^tf f^T W g dt on the given grid, t0 < t_f.
 
-    ``weight`` is a constant SPD matrix W (a scalar stands for a 1 x 1 one);
-    ``breakpoints`` split quadrature panels where integrands are not smooth.
+    ``weight`` is a constant SPD matrix W (a scalar stands for a 1 x 1 one),
+    checked here as a gain, and t0 and t_f as numbers (else
+    :class:`ConfigurationError`); ``breakpoints`` split quadrature panels where
+    integrands are not smooth.
     """
 
     t0: float
@@ -39,12 +42,16 @@ class InnerProductSpec:
     quad: QuadratureSpec = QuadratureSpec()
     breakpoints: tuple = ()
 
+    def __post_init__(self):
+        for name in ("t0", "t_f"):
+            object.__setattr__(self, name, _require_number(getattr(self, name), name))
+        object.__setattr__(self, "weight", _require_gain(self.weight, "weight"))
+
     def grid(self) -> tuple[np.ndarray, np.ndarray]:
         return simpson_points(self.t0, self.t_f, self.quad, self.breakpoints)
 
     def weight_at(self, ts: np.ndarray) -> np.ndarray:
-        W = np.atleast_2d(np.asarray(self.weight, dtype=float))
-        return np.broadcast_to(W, (ts.size, *W.shape))
+        return np.broadcast_to(self.weight, (ts.size, *self.weight.shape))
 
 
 @dataclass(frozen=True)
@@ -135,7 +142,7 @@ def projected_stationarity_check(spec: InnerProductSpec, u_p_basis: BasisSet, p_
     cost gradient, ``psi_fn`` the pointwise constraint sensitivity
     f_u^T Psi (shape (N, m, q)), and ``pi`` the multiplier.
     """
-    pi = np.asarray(pi, dtype=float)
+    pi = _require_numbers(pi, "pi")
 
     def columns(ts):                    # [p_u | f_u^T Psi]: (N, d, 1 + q)
         F = _column(p_u_fn)(ts)

@@ -156,6 +156,16 @@ def test_gradient_flow_generic_rejects_bad_gain_shapes():
         gradient_flow_generic(K_theta=np.eye(2), K_h=np.eye(1), **problem)
     with pytest.raises(ConfigurationError, match="K_h"):
         gradient_flow_generic(K_theta=np.eye(3), K_h=np.eye(2), **problem)
+    # gains that are not SPD: K_h = -1 flowed to theta ~ (-4.85e8, 0, 0) with
+    # warnings only, K_theta = -I failed as a RankError of the multiplier
+    # system, and a non-symmetric K_theta ran
+    skew = np.eye(3)
+    skew[0, 1] = 0.2
+    for K_theta, K_h, needle in ((np.eye(3), -1.0, "K_h must be positive-definite, got -1.0"),
+                                 (-np.eye(3), 1.0, "K_theta must be positive-definite"),
+                                 (skew, 1.0, "K_theta must be symmetric")):
+        with pytest.raises(ConfigurationError, match=needle):
+            gradient_flow_generic(K_theta=K_theta, K_h=K_h, **problem)
 
 
 def test_gradient_flow_multiplier_is_least_squares_at_convergence():

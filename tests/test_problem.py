@@ -7,8 +7,8 @@ import pytest
 from ocflow import (DerivativeMismatchError, DimensionError, DomainError, Gains,
                     OcpProblem, OdeSettings, SolveTrace, TraceRow, make_basis,
                     simulate_control, solve_state, validate_problem)
-from ocflow.errors import ConfigurationError
-from ocflow.problem import _batch_eval, _central_diff, _require_spd, _state_solution
+from ocflow.errors import ConfigurationError, _require_gain
+from ocflow.problem import _batch_eval, _central_diff, _state_solution
 
 TIGHT = OdeSettings(rel_tol=1e-10, abs_tol=1e-12)
 
@@ -174,7 +174,7 @@ def test_constant_gains_take_an_ill_conditioned_weight():
 
 def test_inverse_of_an_ill_conditioned_weight_is_symmetric_enough():
     # np.linalg.inv of an SPD K of condition 1e9 is asymmetric at rounding
-    # level, 1.4e-11 of its largest entry: Gains and _require_spd, which
+    # level, 1.4e-11 of its largest entry: Gains and _require_gain, which
     # checks a callable K_inv at t0, take it; an asymmetry of 1e-6 of the
     # largest entry is refused
     Q = np.linalg.qr(np.random.default_rng(0).normal(size=(4, 4)))[0]
@@ -182,13 +182,13 @@ def test_inverse_of_an_ill_conditioned_weight_is_symmetric_enough():
     asym, big = np.abs(M - M.T).max(), np.abs(M).max()
     assert 1e-11 < asym < 1e-10 * big
     assert Gains(K_inv=M, k_tf=0.0, K_g=0.1 * np.eye(2)).K_inv is not None
-    assert _require_spd(M, "K_inv(t0)") is not None
+    assert _require_gain(M, "K_inv(t0)") is not None
     bad = M.copy()
     bad[0, 1] += 1e-6 * big
     with pytest.raises(ConfigurationError, match="K_inv must be symmetric"):
         Gains(K_inv=bad, k_tf=0.0, K_g=0.1 * np.eye(2))
     with pytest.raises(ConfigurationError, match=r"K_inv\(t0\) must be symmetric"):
-        _require_spd(bad, "K_inv(t0)")
+        _require_gain(bad, "K_inv(t0)")
 
 
 def test_problem_construction_guards(example1):

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from ocflow import (BasisSet, DependentBasisError, EvolutionMode,
+from ocflow import (BasisSet, ConfigurationError, DependentBasisError, EvolutionMode,
                     InnerProductSpec, QuadratureSpec, evaluate_iterate, project,
                     projected_stationarity_check, weighted_norm)
 from ocflow import projection
@@ -83,6 +83,10 @@ def test_dependent_basis_raises():
     basis = poly_basis([[1.0, 0.0], [1.0, 0.0]])
     with pytest.raises(DependentBasisError):
         project(spec, basis, lambda ts: ts[:, None])
+    # a weight that is not SPD is refused when the spec is built, not read
+    # by project as a dependent basis
+    with pytest.raises(ConfigurationError, match="weight must be positive-definite, got -1.0"):
+        InnerProductSpec(t0=0.0, t_f=2.0, weight=-1.0)
 
 
 def _dual_residual_ingredients(prob, gains, par, p, t_f):

@@ -1,8 +1,10 @@
-"""One rule judges every setting: errors._require_number and _require_numbers.
+"""One rule judges every setting and gain: errors._require_number,
+_require_numbers and _require_gain.
 
-Each settings field and count argument refuses text, a bool, None, a
-non-finite number and a value below its bound with a ConfigurationError that
-names the field and the repr of the value it was given.
+Each settings field, gain and count argument refuses text, a bool, None, a
+non-finite number and a value below its bound (for a gain, one that is not
+positive-definite) with a ConfigurationError that names the field and the
+repr of the value it was given.
 """
 
 import dataclasses
@@ -11,8 +13,9 @@ import math
 import numpy as np
 import pytest
 
-from ocflow import (ConfigurationError, EvolutionMode, EvolutionState, Gains, OdeSettings,
-                    QuadratureSpec, StopCriteria, make_basis, solve_evolution,
+from ocflow import (ConfigurationError, EvolutionMode, EvolutionState, Gains,
+                    InnerProductSpec, OdeSettings, QuadratureSpec, StopCriteria,
+                    gradient_flow_generic, make_basis, solve_evolution,
                     validate_independence, validate_problem)
 from ocflow.evolution import _resolve_init
 
@@ -29,9 +32,11 @@ def _pwc(**kw):
 
 # (field, build(value), the value below its bound or None, an integer field);
 # None is left out where it means "not given": a gradient flow without
-# K_theta and a free problem's tf_fixed
+# K_theta and a free problem's tf_fixed; a gain's bound is positive-definite
 def _table(example1, brach):
     prob, free = example1.prob, brach.prob
+    kkt = dict(f_grad=lambda th: th, h_val=lambda th: th[:1] - 1.0,
+               h_jac=lambda th: np.eye(1, 3), stop=StopCriteria(tau_max=1.0))
     return [
         ("rel_tol", lambda v: OdeSettings(rel_tol=v), 0.0, False),
         ("abs_tol", lambda v: OdeSettings(abs_tol=v), 0.0, False),
@@ -40,9 +45,18 @@ def _table(example1, brach):
           for f in ("tau_max", "tol_opt", "tol_feas", "record_every")],
         ("nodes", lambda v: QuadratureSpec(nodes=v), 1, True),
         ("k_tf", lambda v: Gains.constant(K=0.1, m=1, q=2, k_tf=v), -1.0, False),
-        ("K", lambda v: Gains.constant(K=v, m=1, q=2), None, False),
-        ("K_g", lambda v: Gains.constant(K=0.1, m=1, q=2, K_g=v), None, False),
-        ("K_theta", lambda v: EvolutionMode.gradient_flow(v), None, False),
+        ("K", lambda v: Gains.constant(K=v, m=1, q=2), -1.0, False),
+        ("K_g", lambda v: Gains.constant(K=0.1, m=1, q=2, K_g=v), -1.0, False),
+        ("K_theta", lambda v: EvolutionMode.gradient_flow(v), -1.0, False),
+        ("K_theta", lambda v: gradient_flow_generic(K_theta=v, K_h=1.0, theta0=np.zeros(3),
+                                                    **kkt), -1.0, False),
+        ("K_h", lambda v: gradient_flow_generic(K_theta=1.0, K_h=v, theta0=np.zeros(3),
+                                                **kkt), -1.0, False),
+        ("theta0", lambda v: gradient_flow_generic(K_theta=1.0, K_h=1.0, theta0=[0.0, v, 0.0],
+                                                   **kkt), None, False),
+        ("weight", lambda v: InnerProductSpec(t0=0.0, t_f=2.0, weight=v), -1.0, False),
+        ("t0", lambda v: InnerProductSpec(t0=v, t_f=2.0, weight=1.0), None, False),
+        ("t_f", lambda v: InnerProductSpec(t0=0.0, t_f=v, weight=1.0), None, False),
         *[(f, lambda v, f=f: dataclasses.replace(prob, **{f: v}), least, True)
           for f, least in (("n", 0), ("m", 0), ("q", -1))],
         ("t0", lambda v: dataclasses.replace(prob, t0=v), None, False),
@@ -139,7 +153,11 @@ def test_a_non_finite_x0_is_refused_naming_x0(example1):
 
 def test_run_time_p_and_t_f_are_refused_through_the_same_rule(example1):
     # evaluate_iterate read the text p ["0", "0", "0", "0"] as numbers and
-    # ran a pipeline, and a text t_f raised an untyped TypeError
+    # ran a pipeline, and a text t_f raised an untyped TypeError; the basis,
+    # solve_state and the costate functions read text p, pi and g as numbers,
+    # and a NaN gave a NaN u or lambda silently
+    from ocflow import (continuous_multiplier, optimality_residuals,
+                        projected_stationarity_check, reconstruct_costate, solve_state)
     from ocflow.evolution import evaluate_iterate, evaluate_iterates
 
     par, mode, prob, gains = _poly(), EvolutionMode.form1(), example1.prob, example1.gains
@@ -148,6 +166,21 @@ def test_run_time_p_and_t_f_are_refused_through_the_same_rule(example1):
             evaluate_iterate(mode, prob, par, gains, bad, 2.0)
         with pytest.raises(ConfigurationError, match="P must be finite numbers"):
             evaluate_iterates(mode, prob, par, gains, [np.zeros(4), bad], 2.0)
+        for run in (lambda: par.bind(bad, 2.0), lambda: par.eval(1.0, bad, 2.0),
+                    lambda: par.jac_tf(1.0, bad, 2.0), lambda: solve_state(prob, par, bad, 2.0)):
+            with pytest.raises(ConfigurationError, match="p must be finite numbers"):
+                run()
+    it = evaluate_iterate(mode, prob, par, gains, np.zeros(4), 2.0)
+    b, spec = it.bundle, InnerProductSpec(t0=0.0, t_f=2.0, weight=1.0)
+    for bad in (["3", "-2.5"], [True, 0.0], [math.nan, 0.0]):
+        for run, field in (
+                (lambda: reconstruct_costate(prob, b, bad), "pi"),
+                (lambda: optimality_residuals(prob, par, it.quantities, b, bad, it.g_val), "pi"),
+                (lambda: optimality_residuals(prob, par, it.quantities, b, it.pi, bad), "g_val"),
+                (lambda: continuous_multiplier(prob, b, gains, bad), "g_val"),
+                (lambda: projected_stationarity_check(spec, None, None, None, bad), "pi")):
+            with pytest.raises(ConfigurationError, match=f"{field} must be finite numbers"):
+                run()
     for run in (evaluate_iterate, evaluate_iterates):
         p = np.zeros(4) if run is evaluate_iterate else np.zeros((2, 4))
         for bad in ("2.0", math.nan, True):
