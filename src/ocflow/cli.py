@@ -196,22 +196,21 @@ def cmd_solve(args) -> int:
 
 def _check_gradients(prob, par, init, quad) -> list[dict]:
     """Adjoint-assembled gradients vs central differences of simulated values;
-    the p-columns' 2s points share t_f, so they run as one solve's lanes.  A
-    fixed t_f has no column: a node basis's nodes would move with it, while
-    form 1 holds them fixed by design."""
+    the 2 dim(theta) points of theta = (p[, t_f]) run as one solve's lanes,
+    the t_f points each at its own rate.  A fixed t_f has no column: a node
+    basis's nodes would move with it, while form 1 holds them fixed by design."""
     ode = OdeSettings(rel_tol=1e-10, abs_tol=1e-12)
     p, t_f, with_tf = init.p, init.t_f, prob.tf_mode == "free"
     x_traj = solve_state(prob, par, p, t_f, ode)
     grads = nlp_gradients(prob, par, solve_adjoints(prob, par, p, x_traj), p, t_f, quad,
                           with_tf=with_tf)
 
-    def Jg(P, tfv):                     # [J, g] at p = P, or per lane of a (B, s) P
-        J, g = _objective(prob, solve_state(prob, par, P, tfv, ode))
-        return np.concatenate([np.expand_dims(J, -1), g], -1)
+    def Jg(thetas):                     # [J, g] per lane of a stack of thetas
+        P, tfs = (thetas[:, :-1], thetas[:, -1]) if with_tf else (thetas, t_f)
+        J, g = _objective(prob, solve_state(prob, par, P, tfs, ode))
+        return np.concatenate([J[:, None], g], -1)
 
-    fd = _central_diff(lambda P: Jg(P, t_f), p, h=1e-4, batch=True)
-    if with_tf:
-        fd = np.hstack([fd, _central_diff(lambda z: Jg(p, z[0]), [t_f], h=1e-4)])
+    fd = _central_diff(Jg, np.append(p, t_f) if with_tf else p, h=1e-4, batch=True)
     results = []
     for name, got, want in (("objective_gradient_vs_fd", grads.r, fd[0]),
                             ("constraint_jacobian_vs_fd", grads.Gamma.T, fd[1:])):

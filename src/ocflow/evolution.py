@@ -22,17 +22,13 @@ exponentially along the flow.  Equilibria satisfy the parameterized
 optimality conditions; the solver integrates until a residual/feasibility
 tolerance or a tau budget is hit, recording a trace row every
 ``record_every`` units of tau via dense output, with the energy-like
-V = ||g|| + 0.01 J.  The rows that fall inside one accepted step of a
-fixed-t_f flow are evaluated together, as the lanes of pipeline passes
-(:func:`evaluate_iterates`) of at most ``_ROW_LANES`` lanes.  A fixed-t_f
-flow steps on Radau IIA from tau = 0, as its stage points are then one
-pass, a converged step's one pass of four with f at its start point; a
-free-t_f flow, whose points are single pipelines, starts on Dormand-Prince,
-and Radau IIA takes over for good once the stepper's stiffness test says
-stiff (see :mod:`integrate`).  Radau's Newton
-iterations' stage points and its Jacobian, one forward difference, are calls
-of the flow's one evaluator.  The basis is the one judge of t_f, so a
-free-t_f flow that drives t_f to t0 ends on its :class:`DomainError`.
+V = ||g|| + 0.01 J.  Every flow steps on Radau IIA from tau = 0, with no
+hand-over: the rows inside one accepted step, each Newton iteration's stage
+points (a converged step's one call of four with f at its start point) and
+the forward-difference Jacobian are calls of the flow's one evaluator, which
+runs them as the lanes of pipeline passes (:func:`evaluate_iterates`), free
+t_f included, as lanes may differ in t_f.  The basis is the one judge of
+t_f, so a free-t_f flow that drives t_f to t0 ends on its :class:`DomainError`.
 """
 
 from __future__ import annotations
@@ -44,8 +40,8 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .errors import (ConfigurationError, MultiplierBoundWarning, _require_gain,
-                     _require_number, _require_numbers)
+from .errors import (ConfigurationError, DimensionError, MultiplierBoundWarning,
+                     _require_gain, _require_number, _require_numbers)
 from .integrate import _DEFAULT_ODE, OdeSettings, _Radau, _Stepper, dense_output
 from .parameterization import _NODE_KINDS, FORM1, FORM2, Parameterization
 from .problem import Gains, OcpProblem, SolveReport, SolveTrace, TraceRow, _objective
@@ -259,28 +255,30 @@ def evaluate_iterate(mode: EvolutionMode, prob: OcpProblem, par: Parameterizatio
     """Run the full pipeline (state, adjoints, assembly, multiplier) at (p, t_f)."""
     p = _require_numbers(p, "p")
     if p.shape != (par.s,):
-        raise ValueError(f"p has shape {p.shape}, expected ({par.s},)")
+        raise DimensionError(f"p has shape {p.shape}, expected ({par.s},)")
     return _iterate_eval(*_pipeline(mode, prob, par, gains, p, t_f, ode_inner, quad))
 
 
 def evaluate_iterates(mode: EvolutionMode, prob: OcpProblem, par: Parameterization,
-                      gains: Gains, P, t_f: float,
+                      gains: Gains, P, t_f,
                       ode_inner: OdeSettings | None = None,
                       quad: QuadratureSpec | None = None) -> list[IterateEval]:
-    """Run the full pipeline at B iterates (P[b], t_f) as the lanes of one pass.
+    """Run the full pipeline at B iterates (P[b], t_f[b]) as the lanes of one pass.
 
-    ``P`` is (B, s).  One state solve carries all lanes on one step sequence,
-    each step held to its worst lane's tolerance and stability limit; one
-    adjoint replay, one grid search, one basis evaluation and one Gram
-    matrix serve the batch, a vectorized problem's terminal callbacks run
-    once, and the lanes' multiplier systems are solved as one stack.  Each
-    lane's result is its own :class:`IterateEval`, with a single-lane
-    bundle.  Any B, one included, runs this lane path; one lane equals
-    :func:`evaluate_iterate` bit for bit.
+    ``P`` is (B, s) and ``t_f`` a number or a (B,) array (else
+    :class:`DimensionError`).  One state solve carries all lanes on one step
+    sequence, each step held to its worst lane's tolerance and stability
+    limit, on the first lane's clock when their t_f differ; one adjoint
+    replay, one grid search, one basis evaluation and one Gram matrix serve
+    the batch, and the lanes' multiplier systems are solved as one stack.
+    Each lane's result is its own :class:`IterateEval`, with a single-lane
+    bundle ending at its own t_f.  Any B, one included, runs this lane path;
+    one lane equals :func:`evaluate_iterate` bit for bit.
     """
     P = _require_numbers(P, "P")
     if P.ndim != 2 or len(P) == 0 or P.shape[1] != par.s:
-        raise ValueError(f"P has shape {P.shape}, expected (B, {par.s}) with B >= 1")
+        raise DimensionError(f"P has shape {P.shape}, expected (B, {par.s}) with B >= 1")
+    t_f = par._resolve_tf(t_f, P.shape[:1])
     bundle, quant, *lanes = _pipeline(mode, prob, par, gains, P, t_f, ode_inner, quad)
     return [_iterate_eval(*lane) for lane in zip(bundle.lanes(), quant.lanes(), *lanes)]
 
@@ -321,13 +319,11 @@ def _memo_last(fn):
     return memo
 
 
-def _flow(evaluate, row, theta0: np.ndarray, stop: StopCriteria, ode: OdeSettings,
-          batched: bool = False):
+def _flow(evaluate, row, theta0: np.ndarray, stop: StopCriteria, ode: OdeSettings):
     """Integrate d theta/dtau = F(theta) from tau = 0 until a record point is done.
 
     ``evaluate(thetas)`` gives the results at a list of points, in order and
-    lazily, each with its F as ``dtheta``; ``batched`` says that it runs the
-    points of one call as the lanes of one pass.  The right-hand side is a
+    lazily, each with its F as ``dtheta``.  The right-hand side is a
     one-point call.  The record points are tau = 0, the uniform tau grid of
     spacing ``stop.record_every`` (points inside an accepted step come from
     its dense output) and the last tau reached if that is off the grid; the
@@ -337,17 +333,14 @@ def _flow(evaluate, row, theta0: np.ndarray, stop: StopCriteria, ode: OdeSetting
     and takes no later one, so no later call starts.  Returns the last
     ``(result, done, tau)``.
 
-    A batched flow steps on Radau IIA from tau = 0, its three stage points
-    one call, after the Dormand-Prince stepper's first stage and initial
-    step estimate.  A Radau step's first call leads with its start point,
-    whose f the step before left pending, so a step whose Newton converges at
-    once is one call, and the step in which the flow ends makes no call at
-    its end point.  Otherwise Dormand-Prince steps until its stepper is
-    :attr:`~integrate._Stepper.stiff` (DOPRI5's stiffness test), and Radau
-    IIA then takes over for good.  Radau's Jacobian is one call at [theta,
-    theta + d_1 e_1, ...], d_j = ``_FD_REL`` max(1, |theta_j|): column j is
-    the forward difference against the call's first result over the step
-    taken.
+    The flow steps on Radau IIA from tau = 0, its three stage points one
+    call, after the Dormand-Prince stepper's first stage and initial step
+    estimate.  A Radau step's first call leads with its start point, whose f
+    the step before left pending, so a step whose Newton converges at once
+    is one call, and the step in which the flow ends makes no call at its
+    end point.  Radau's Jacobian is one call at [theta, theta + d_1 e_1,
+    ...], d_j = ``_FD_REL`` max(1, |theta_j|): column j is the forward
+    difference against the call's first result over the step taken.
     """
     def rhs(tau, theta):
         return next(iter(evaluate([theta]))).dtheta
@@ -356,9 +349,6 @@ def _flow(evaluate, row, theta0: np.ndarray, stop: StopCriteria, ode: OdeSetting
         E = theta + np.diag(_FD_REL * np.maximum(1.0, np.abs(theta)))
         base, *columns = (result.dtheta for result in evaluate([theta, *E]))
         return np.column_stack([col - base for col in columns]) / (E.diagonal() - theta)
-
-    def radau(stepper):
-        return _Radau(stepper, jac, lambda thetas: [r.dtheta for r in evaluate(thetas)])
 
     def record(taus, thetas):
         # parts as equal as the cap allows: no lone last row, a single pipeline
@@ -373,9 +363,8 @@ def _flow(evaluate, row, theta0: np.ndarray, stop: StopCriteria, ode: OdeSetting
     result, done, tau = record([0.0], [theta0])
     if done:
         return result, done, tau
-    stepper, next_k = _Stepper(rhs, 0.0, theta0, stop.tau_max, ode), 1
-    if batched:
-        stepper = radau(stepper)
+    stepper, next_k = _Radau(_Stepper(rhs, 0.0, theta0, stop.tau_max, ode), jac,
+                             lambda thetas: [r.dtheta for r in evaluate(thetas)]), 1
     while not stepper.done and not done:
         tau_prev, theta_prev = stepper.t, stepper.y
         h, K = stepper.step()
@@ -388,12 +377,6 @@ def _flow(evaluate, row, theta0: np.ndarray, stop: StopCriteria, ode: OdeSetting
             thetas = [dense_output((tau_rec - tau_prev) / (stepper.t - tau_prev), h,
                                    theta_prev, Q) for tau_rec in taus]
             result, done, tau = record(taus, thetas)
-        if stepper.stiff and not (done or stepper.done):
-            import logging          # here, so that importing the package does not load it
-            logging.getLogger(__name__).info("outer flow stiff at tau = %.6g after %d capped "
-                                             "steps; Radau IIA takes over", stepper.t,
-                                             stepper.capped_steps)
-            stepper = radau(stepper)
     if not done and tau < stepper.t:
         result, done, tau = record([stepper.t], [stepper.y])
     return result, done, tau
@@ -411,14 +394,14 @@ def solve_evolution(mode: EvolutionMode, prob: OcpProblem, par: Parameterization
     ``stop.record_every``) via dense output; the stopping test runs at those
     same points, and rows are appended in tau order up to the first that
     meets the tolerances.  The flow's one evaluator (see :func:`_flow`) runs
-    the points it is given, the rows inside one accepted step or the points
-    of a Jacobian, as the lanes of one :func:`evaluate_iterates` pass when
-    t_f is fixed, and as memoized single pipelines otherwise or when the pass
-    raises or warns.  The answer is the last trace row: the report's p, t_f,
-    pi, J, residual, ||g|| and tau are that row's, and the returned adjoint
-    bundle (from which costates are reconstructed) is its pipeline's, a lane
-    of a pass included.  So a converged report meets ``tol_opt`` and
-    ``tol_feas``.  Returns the final report, the trace, and that bundle.
+    the points of a call as the lanes of one :func:`evaluate_iterates` pass,
+    and a lone point, or the points of a pass that raises or warns, as
+    memoized single pipelines.  The answer is the last trace row: the
+    report's p, t_f, pi, J, residual, ||g|| and tau are that row's, and the
+    returned adjoint bundle (from which costates are reconstructed) is its
+    pipeline's, a lane of a pass included.  So a converged report meets
+    ``tol_opt`` and ``tol_feas``.  Returns the final report, the trace, and
+    that bundle.
     """
     t_start = time.perf_counter()
     _check_compat(mode, prob, par, gains)
@@ -427,19 +410,21 @@ def solve_evolution(mode: EvolutionMode, prob: OcpProblem, par: Parameterization
     free = prob.tf_mode == "free"
     p0, t_f0 = _resolve_init(prob, init)
 
+    def split(theta):                   # (p, t_f) of a theta, or of a stack of them
+        return (theta[..., :-1], theta.T[-1]) if free else (theta, t_f0)
+
     @_memo_last
     def evaluate_one(theta: np.ndarray) -> IterateEval:
-        p, t_f = (theta[:-1], theta[-1]) if free else (theta, t_f0)
-        return evaluate_iterate(mode, prob, par, gains, p, t_f, ode_inner, quad)
+        return evaluate_iterate(mode, prob, par, gains, *split(theta), ode_inner, quad)
 
     def evaluate(thetas):
-        """The points' results in order: one lane pass when they share t_f."""
-        if free or len(thetas) == 1:
+        """The points' results in order: one lane pass for two or more."""
+        if len(thetas) == 1:
             return map(evaluate_one, thetas)
         try:
             with warnings.catch_warnings():
                 warnings.simplefilter("error")
-                return evaluate_iterates(mode, prob, par, gains, np.stack(thetas), t_f0,
+                return evaluate_iterates(mode, prob, par, gains, *split(np.stack(thetas)),
                                          ode_inner, quad)
         except Exception:
             # whatever the pass raised or warned, the points run again one at
@@ -457,8 +442,7 @@ def solve_evolution(mode: EvolutionMode, prob: OcpProblem, par: Parameterization
             V=lyapunov_diagnostic(it.g_val, it.J)))
         return it.residual_norm <= stop.tol_opt and it.g_norm <= stop.tol_feas
 
-    final_it, done, tau_final = _flow(evaluate, row, theta, stop, ode_outer,
-                                      batched=not free)
+    final_it, done, tau_final = _flow(evaluate, row, theta, stop, ode_outer)
     report = SolveReport(
         p_final=final_it.p.copy(), tf_final=final_it.t_f,
         pi_final=final_it.pi.copy(), J_final=final_it.J,

@@ -1,37 +1,32 @@
 """Adaptive Dormand-Prince 4(5) integration with continuous dense output.
 
 One explicit embedded Runge-Kutta pair serves every initial-value problem in
-the package but the outer flows that :class:`_Radau` steps: forward state
-solves and the outer evolution in virtual time are adaptive and run forward
-only (:func:`integrate_ivp`), and the linear adjoint solves, the only
+the package but the outer flows: forward state solves are adaptive and run
+forward only (:func:`integrate_ivp`), and the linear adjoint solves, the only
 backward passes, replay the same tableau backward over a forward solve's
 accepted steps with no error control (:func:`replay_linear`), restarting
 where the forward solve recorded that it did.  :class:`_Radau`, the 3-stage
-Radau IIA method, whose three stage points go out as one call per Newton
-iteration, a converged step's one call carrying f at its start point too,
-and whose dense output is its collocation cubic, starts an outer flow from
-a fresh stepper's first stage and initial step, or takes over one that
-keeps the stability cap binding.  The free 4th-order interpolant of the
-pair gives dense output at arbitrary nodes from one coefficient block per
-power, a layout that :class:`DenseTrajectory` alone knows.  A state solve's control
-is evaluated once per step attempt, at all of its stage times, and handed to
-the right-hand side stage by stage.  Several independent systems of equal
-size may run as lanes of one solve: they share one step sequence, each
-step is held to the tolerance and stability limit of its worst lane, and
-lookups come back lanes first.  The first step is Hairer's estimate, its trial step clamped to the
-smooth subinterval; a state solve leaves its running-cost channel, an integral
-from 0, out of that estimate (as CVODES does its quadratures) and keeps it
-under the error test.  Step-size control is a standard PI controller (safety
-0.9, growth clamped to [0.2, 5.0]) with a stability cap: each accepted step
-estimates the dominant eigenvalue of the right-hand side from its two c = 1
-stages, rho = |K[6] - K[5]| / |y_new - y5| with y5 the state of stage 5 (the
-DOPRI5 stiffness estimate), and the next step is held to h * rho <= 0.8 * 3.3,
-inside the pair's real-axis stability limit.  Without it the controller grows
-h past that limit on slowly decaying modes, and a flow near its equilibrium
-rides a limit cycle instead of converging.  Once the cap has bound 15 steps,
-a count that 6 uncapped steps in a row reset, the stepper is stiff (DOPRI5's
-stiffness test).  Every step decision is the stepper's alone: an evaluation
-that refuses a trial point ends the solve with its own error.
+Radau IIA method, steps every outer flow from a fresh stepper's first stage
+and initial step, with no stiffness test or hand-over.  The pair's free
+4th-order interpolant gives dense output from one coefficient block per
+power, a layout that :class:`DenseTrajectory` alone knows.  A state solve's
+control is evaluated once per step attempt, at all of its stage times.
+Several independent systems of equal size may run as lanes of one solve:
+they share one step sequence, each step is held to the tolerance and
+stability limit of its worst lane, and lookups come back lanes first; lanes
+of their own horizon run on the first lane's clock, each at its own rate
+(:func:`_lane_times`).  The first step is Hairer's estimate, its trial step
+clamped to the smooth subinterval; a state solve leaves its running-cost
+channel, an integral from 0, out of that estimate (as CVODES does its
+quadratures) and keeps it under the error test.
+Step-size control is a standard PI controller (safety 0.9, growth clamped to
+[0.2, 5.0]) with a stability cap: each accepted step estimates the dominant
+eigenvalue of the right-hand side from its two c = 1 stages,
+rho = |K[6] - K[5]| / |y_new - y5| with y5 the state of stage 5 (the DOPRI5
+stiffness estimate), and holds the next step to h * rho <= 0.8 * 3.3, inside
+the pair's real-axis stability limit.  Every step decision is the stepper's
+alone: an evaluation that refuses a trial point ends the solve with its own
+error.
 """
 
 from __future__ import annotations
@@ -77,8 +72,6 @@ _BETA1 = 0.7 / 5.0   # PI controller exponents
 _BETA2 = 0.4 / 5.0
 _MIN_STEP_REL = 16 * np.finfo(float).eps   # smallest step relative to |t|
 _STABLE_HRHO = 0.8 * 3.3   # next h * rho, 0.8 of the real-axis stability limit
-_STIFF_STEPS = 15      # capped steps that make a stepper stiff
-_CALM_STEPS = 6        # uncapped steps in a row that reset their count
 # the stiffness estimate is skipped when |y_new - y5| is at rounding level
 _ROUNDING_REL2 = (64 * np.finfo(float).eps) ** 2
 
@@ -98,6 +91,18 @@ class OdeSettings:
 
 
 _DEFAULT_ODE = OdeSettings()
+
+
+def _lane_rates(t0: float, t_f: np.ndarray) -> np.ndarray:
+    """Each lane's rate c_b = (t_f,b - t0)/(t_f,0 - t0), 1.0 where t_f,b = t_f,0."""
+    return (t_f - t0) / (t_f[0] - t0)
+
+
+def _lane_times(s, t0: float, rates: np.ndarray) -> np.ndarray:
+    """Each lane's own time t_b = s + (s - t0)(c_b - 1), (B, *s.shape), at times s
+    of the first lane's clock; exactly s at c_b = 1.0."""
+    s = np.asarray(s, dtype=float)
+    return s + (s - t0) * (rates - 1.0).reshape(-1, *[1] * s.ndim)
 
 
 def dense_output(theta, scale, base, Q, idx=None) -> np.ndarray:
@@ -145,10 +150,12 @@ class DenseTrajectory:
     :attr:`last` come back lanes first.  A solve sets its accepted and
     rejected step counts ``nsteps`` and ``nrejected``, and ``restarts``, the
     sorted interior nodes where it restarted at a breakpoint (may be empty).
+    Lanes of their own horizons keep their end times as ``ends`` (else
+    None); :attr:`end` is those, or the grid's end.
     """
 
     def __init__(self, t_grid, values, segments, *, channels=None, lane_count=None,
-                 nsteps=0, nrejected=0, restarts=()):
+                 nsteps=0, nrejected=0, restarts=(), ends=None):
         self.t_grid = np.asarray(t_grid, dtype=float)
         self.values = np.asarray(values, dtype=float)
         if self.t_grid.ndim != 1 or (self.t_grid[1:] <= self.t_grid[:-1]).any():
@@ -159,6 +166,7 @@ class DenseTrajectory:
         self.nsteps = nsteps
         self.nrejected = nrejected
         self.restarts = np.asarray(restarts, dtype=float)
+        self.ends = ends
         self._slack = 1e-10 * max(1.0, self.t_grid[-1] - self.t_grid[0])
 
     def _shaped(self, flat: np.ndarray) -> np.ndarray:
@@ -171,6 +179,7 @@ class DenseTrajectory:
         return flat
 
     last = property(lambda self: self._shaped(self.values[-1]))   # the last node, lanes first
+    end = property(lambda self: float(self.t_grid[-1]) if self.ends is None else self.ends)
 
     def __call__(self, t, *others):
         """y(t): (*channels) for scalar t, (N, *channels) for N times, lanes first.
@@ -209,14 +218,24 @@ class DenseTrajectory:
         return tuple(outs) if others else outs[0]
 
     def lanes(self) -> list["DenseTrajectory"]:
-        """Each lane's own trajectory, as views."""
+        """Each lane's own trajectory, as views; one of its own end on its own
+        time, its grid ending exactly there (see :func:`_lane_times`)."""
         width = self.values.shape[-1] // self.lane_count
         anchor, denom, scale, base, Q = self.segments
+        if self.ends is not None:
+            t0, rates = self.t_grid[0], _lane_rates(self.t_grid[0], self.ends)
+            grids, anchors, restarts = (_lane_times(a, t0, rates)
+                                        for a in (self.t_grid, anchor, self.restarts))
+            grids[:, -1] = self.ends
         out = [object.__new__(DenseTrajectory) for _ in range(self.lane_count)]
         for b, lane in enumerate(out):     # the grid is already checked
             c = slice(b * width, (b + 1) * width)
             lane.__dict__.update(self.__dict__, values=self.values[:, c], lane_count=None,
                                  segments=(anchor, denom, scale, base[:, c], Q[..., c]))
+            if self.ends is not None:
+                lane.__dict__.update(t_grid=grids[b], restarts=restarts[b], ends=None,
+                                     segments=(anchors[b], denom * rates[b], *lane.segments[2:]),
+                                     _slack=1e-10 * max(1.0, self.ends[b] - t0))
         return out
 
     def map_channels(self, fn) -> "DenseTrajectory":
@@ -326,13 +345,8 @@ class _Stepper:
     times, seven for a restart's first attempt (its stage 0 too), and at one
     point where rhs runs alone.  The first step is estimated from the
     ``estimated`` channels alone (see :func:`_initial_step`); every channel
-    stays under the error test.  ``capped_steps`` counts the accepted steps
-    whose successor the stability cap bound, reset by ``_CALM_STEPS``
-    uncapped steps in a row, and the stepper is :attr:`stiff` once it
-    reaches ``_STIFF_STEPS`` (DOPRI5's stiffness test).
+    stays under the error test.
     """
-
-    segment = staticmethod(_interpolant)    # a step's K -> its dense segment's Q
 
     def __init__(self, rhs, t0, y0, t_end, settings,
                  cuts=(), lanes=1, stage_input=None, estimated=slice(None)):
@@ -351,7 +365,6 @@ class _Stepper:
         self.h = None
         self.nsteps = 0
         self.nrejected = 0
-        self.capped_steps = self._calm = 0
         self._start(float(t0))
 
     def _start(self, t0: float) -> None:
@@ -388,10 +401,6 @@ class _Stepper:
     def done(self) -> bool:
         return self.t >= self.t_end and not self._ends
 
-    @property
-    def stiff(self) -> bool:
-        return self.capped_steps >= _STIFF_STEPS
-
     def _attempt(self, t):
         """The next attempt's (h, t + h) from self.h, or the typed error that ends the solve."""
         s, t_end = self.settings, self.t_end
@@ -411,7 +420,7 @@ class _Stepper:
 
         K (7, d) belongs to the caller; the step's dense segment is
         :func:`dense_output` with anchor t, scale h, base y and
-        Q = :meth:`segment` (K).
+        Q = :func:`_interpolant` (K).
         """
         if self.t >= self.t_end:
             self._start(self.t)
@@ -459,11 +468,8 @@ class _Stepper:
                     factor = _SAFETY * err_norm ** (-_BETA1) * self.err_old ** _BETA2
                 self.h = h * min(_MAX_FACTOR, max(_MIN_FACTOR, factor))
                 rho = _stiffness(y_new, y5, K, lanes)
-                capped = self.h * rho > _STABLE_HRHO
-                if capped:
+                if self.h * rho > _STABLE_HRHO:
                     self.h = _STABLE_HRHO / rho
-                self._calm = 0 if capped else self._calm + 1
-                self.capped_steps = 0 if self._calm >= _CALM_STEPS else self.capped_steps + capped
                 self.err_old = max(err_norm, 1e-4)
                 K = K.copy()
                 self.t, self.y, self.f, self.ay = t_new, y_new, K[6], ay_new
@@ -487,6 +493,9 @@ _RADAU_P = np.array([[13 / 3 + 7 * _S6 / 3, -23 / 3 - 22 * _S6 / 3, 10 / 3 + 5 *
                      [13 / 3 - 7 * _S6 / 3, -23 / 3 + 22 * _S6 / 3, 10 / 3 - 5 * _S6, 0.0],
                      [1 / 3, -8 / 3, 10 / 3, 0.0]])
 _NEWTON_ITERS = 6
+# a Newton rate above which the next step re-forms J (RADAU5's THET for costly
+# Jacobians): a slow J's Newton error, up to tol, stalls a flow near equilibrium
+_THET = 0.1
 
 
 def _broyden(J: np.ndarray, dy: np.ndarray, dF: np.ndarray) -> None:
@@ -500,8 +509,7 @@ class _Radau(_Stepper):
     """The 3-stage Radau IIA method (order 5, L-stable) as in RADAU5 for an
     autonomous y' = f(y), whose ``rhs(ys)`` gives f at a list of points,
     starting from a one-system :class:`_Stepper`'s (t, y, f, h): a fresh
-    stepper's first stage and initial step estimate start a flow, and a
-    stepper that has taken steps hands its flow over.
+    stepper's first stage and initial step estimate start a flow.
 
     Simplified Newton on the real matrix I - h A (x) J solves the collocation
     system from the last step's collocation cubic, each iteration one call
@@ -511,20 +519,21 @@ class _Radau(_Stepper):
     to the power 0.8, so while no rate is measured it climbs toward 1 until
     a second iteration measures one again.  It fails on a singular matrix, a
     non-finite stage or a rate that says 6 iterations will not do; J =
-    ``jac(y)`` is then re-formed once, and a second failure halves h.  An
+    ``jac(y)`` is then re-formed once, and a second failure halves h; a step
+    whose Newton contracted slower than ``_THET`` has the next re-form J.  An
     accepted step leaves f(y_new) pending: the next step's first call sends
     y_new ahead of its stage points, and J takes its Broyden update with
     that f before the Newton matrix is formed, so the last step makes no f
     call.  The error is the embedded estimate filtered by (mu/h I - J)^-1,
     refined once after a rejection; the next h is Gustafsson's.  A step's K
-    is Z / h.  It counts no capped steps, so it is never stiff.
+    is Z / h.
     """
 
-    segment = staticmethod(lambda K: _RADAU_P.T @ K)
+    segment = staticmethod(lambda K: _RADAU_P.T @ K)    # a step's K -> its dense Q
 
     def __init__(self, stepper: _Stepper, jac, rhs):
-        self.__dict__.update(stepper.__dict__, jac=jac, rhs=rhs, capped_steps=0)
-        self.J, self._fresh = self._jacobian(), True
+        self.__dict__.update(stepper.__dict__, jac=jac, rhs=rhs)
+        self.J, self._fresh, self._slow = self._jacobian(), True, False
         self._last = None               # the last step's (h, y, f, K, error norm)
         self._faccon = 1.0              # RADAU5's carried theta / (1 - theta)
         self._tol = max(10 * np.finfo(float).eps / self.settings.rel_tol,
@@ -548,6 +557,7 @@ class _Radau(_Stepper):
         """
         faccon = self._faccon = max(self._faccon, np.finfo(float).eps) ** 0.8
         M = norm_old = None
+        self._slow = False
         for k in range(_NEWTON_ITERS):
             F = np.array(self.rhs([y] * (self.f is None) + list(y + Z)), dtype=float)
             if M is None:
@@ -569,6 +579,7 @@ class _Radau(_Stepper):
                 if not rate < 1:            # diverging, or a NaN norm
                     return None
                 faccon = self._faccon = rate / (1 - rate)
+                self._slow = rate > _THET
                 if rate ** (_NEWTON_ITERS - k) / (1 - rate) * norm > self._tol:
                     return None
             Z = Z + dZ
@@ -583,6 +594,8 @@ class _Radau(_Stepper):
     def step(self):
         """Advance one accepted step; returns its size h and K for :meth:`segment`."""
         s, t, y, rejected = self.settings, self.t, self.y, False
+        if self._slow and not self._fresh:
+            self.J, self._fresh = self._jacobian(), True
         while True:
             h, t_new = self._attempt(t)
             h0, y0, _, K0, err0 = self._last or (h, y, None, None, None)
@@ -775,4 +788,5 @@ def replay_linear(traj: DenseTrajectory, coefficients, y_end) -> DenseTrajectory
         raise _divergence(ts, S, Y, Q)
     values = Y[..., :n, :].reshape(steps + 1, -1)
     return DenseTrajectory(t_grid, values, (t_old, H, H, values[1:], np.ascontiguousarray(Q)),
-                           channels=(n, r), lane_count=lanes[0] if lanes else None, nsteps=steps)
+                           channels=(n, r), lane_count=lanes[0] if lanes else None, nsteps=steps,
+                           ends=traj.ends)

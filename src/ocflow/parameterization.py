@@ -30,8 +30,9 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import (ConfigurationError, DependentBasisError, DomainError, _require_number,
-                     _require_numbers)
+from .errors import (ConfigurationError, DependentBasisError, DimensionError, DomainError,
+                     _require_number, _require_numbers)
+from .integrate import _lane_rates, _lane_times
 from .quadrature import QuadratureSpec, _gram, simpson_points
 
 FORM1 = "form1"
@@ -56,9 +57,13 @@ class Parameterization:
     summed on its own, so a time's value does not depend on the other times
     in the array.  Wherever a method takes ``p`` it also takes B parameter
     vectors as a (B, s) array, the lanes of a batch: the results then carry
-    a leading lane axis.  ``jac_p`` takes no p: u_p is the basis alone.
-    Every method takes t_f, and a t_f at or before t0 is a
-    :class:`DomainError`: the basis is the one judge of the horizon.
+    a leading lane axis, and t_f may be a (B,) array of their own: times are
+    then the first lane's clock, where every lane has the first lane's sigma,
+    so a node basis reads each lane on the first lane's values and segments;
+    the global polynomial is read at each lane's own time.  ``jac_p`` takes
+    no p: u_p is the basis alone.  Every method takes t_f, and a t_f
+    at or before t0 is a :class:`DomainError`: the basis is the one judge of
+    the horizon.  A p or t_f of the wrong shape is a :class:`DimensionError`.
     """
 
     kind: str
@@ -74,7 +79,7 @@ class Parameterization:
     def _check_p(self, p) -> np.ndarray:
         p = _require_numbers(p, "p")
         if p.ndim not in (1, 2) or p.shape[-1] != self.s:
-            raise ValueError(f"p has shape {p.shape}, expected ({self.s},) or (B, {self.s})")
+            raise DimensionError(f"p has shape {p.shape}, expected ({self.s},) or (B, {self.s})")
         return p
 
     def _times(self, t_f: float) -> Callable:
@@ -93,10 +98,21 @@ class Parameterization:
             return ts
         return checked
 
-    def _prep(self, t, t_f):
+    def _prep(self, t, t_f, lanes=None):
         """(times, t_f) of a Jacobian evaluation, each checked."""
-        t_f = self._resolve_tf(t_f)
-        return self._times(t_f)(np.asarray(t, dtype=float).reshape(-1)), t_f
+        t_f = self._resolve_tf(t_f, lanes)
+        return self._times(_clock(t_f))(np.asarray(t, dtype=float).reshape(-1)), t_f
+
+    def _block(self, t_f) -> Callable:
+        """ts -> the (N, m, s) block of the basis values at times ts, or
+        (B, N, m, s) at each lane's own time for the global polynomial at
+        lanes' own t_f."""
+        m, s, values, clock = self.m, self.s, self.values_fn, _clock(t_f)
+        if not isinstance(t_f, np.ndarray) or self.derivs_fn is not None:
+            return lambda ts: _block_jac(values(ts, clock), m)
+        t0, rates = self.t0, _lane_rates(self.t0, t_f)
+        return lambda ts: _block_jac(values(_lane_times(ts, t0, rates).reshape(-1), clock),
+                                     m).reshape(len(rates), ts.size, m, s)
 
     def bind(self, p, t_f) -> Callable:
         """The control u(t) of one iterate, or of B lanes, validating p and t_f once.
@@ -104,13 +120,16 @@ class Parameterization:
         The evaluator maps (N,) times to (N, m), or (B, N, m) for a (B, s) p; a
         scalar t is a one-point array, returned as (m,) or (B, m).
         """
-        t_f = self._resolve_tf(t_f)
-        p, checked, m, values = self._check_p(p), self._times(t_f), self.m, self.values_fn
+        p = self._check_p(p)
+        t_f = self._resolve_tf(t_f, p.shape[:-1])
+        clock, m = _clock(t_f), self.m
+        checked = self._times(clock)
         if self.kind == "piecewise_constant":      # a gather, quicker at stage times
-            P, breaks = p.reshape(*p.shape[:-1], -1, m), self.breakpoints_fn(t_f)
+            P, breaks = p.reshape(*p.shape[:-1], -1, m), self.breakpoints_fn(clock)
             u = lambda ts: P.take(_segments(ts, breaks), axis=-2)
         else:
-            u = lambda ts: _contract(_block_jac(values(ts, t_f), m), p)
+            block = self._block(t_f)
+            u = lambda ts: _contract(block(ts), p)
 
         def u_of_t(t):
             ts = np.asarray(t, dtype=float)
@@ -124,34 +143,52 @@ class Parameterization:
         return self.bind(p, t_f)(t)
 
     def jac_p(self, t, t_f):
-        """Parameter Jacobian u_p(t), the block of the basis values; (m, s) or (N, m, s)."""
+        """Parameter Jacobian u_p(t), the block of the basis values; ([B,] [N,] m, s)."""
         ts, t_f = self._prep(t, t_f)
-        out = _block_jac(self.values_fn(ts, t_f), self.m)
-        return out[0] if np.ndim(t) == 0 else out
+        out = self._block(t_f)(ts)
+        return out[..., 0, :, :] if np.ndim(t) == 0 else out
 
     def jac_tf(self, t, p, t_f):
         """Terminal-time sensitivity u_tf(t); (m,) or (N, m), zero in form 1.
 
         The nodes move with t_f while the node values stay fixed, so
-        du/dt_f = -sigma/(t_f - t0) * du/dsigma.
+        du/dt_f = -sigma/(t_f - t0) * du/dsigma, each lane with its own t_f.
         """
-        (ts, t_f), p = self._prep(t, t_f), self._check_p(p)
+        p = self._check_p(p)
+        ts, t_f = self._prep(t, t_f, p.shape[:-1])
         if self.form == FORM1:
             out = np.zeros((*p.shape[:-1], ts.size, self.m))
         else:
-            du_dsigma = _contract(_block_jac(self.derivs_fn(ts, t_f), self.m), p)
-            out = -(_sigma(ts, self.t0, t_f) / (t_f - self.t0))[:, None] * du_dsigma
+            clock = _clock(t_f)
+            du_dsigma = _contract(_block_jac(self.derivs_fn(ts, clock), self.m), p)
+            sigma = _sigma(ts, self.t0, clock) / np.expand_dims(t_f - self.t0, -1)
+            out = -sigma[..., None] * du_dsigma
         return out[..., 0, :] if np.ndim(t) == 0 else out
 
     def breakpoints(self, t_f) -> np.ndarray:
         """Interior times where the control is not smooth (may be empty)."""
-        return self.breakpoints_fn(self._resolve_tf(t_f))
+        return self.breakpoints_fn(_clock(self._resolve_tf(t_f)))
 
-    def _resolve_tf(self, t_f):
+    def _resolve_tf(self, t_f, lanes=None):
+        """t_f as a float, or a (B,) array of the lanes' own (``lanes`` = (B,) if
+        given), each > t0; lanes that share one t_f get it as a float."""
+        if not isinstance(t_f, float) and np.ndim(t_f):
+            t_f = _require_numbers(t_f, "t_f")
+            if t_f.ndim != 1 or not t_f.size or lanes not in (None, t_f.shape):
+                raise DimensionError(f"t_f has shape {t_f.shape}, expected one per lane")
+            if (t_f != t_f[0]).any():
+                self._resolve_tf(t_f.min())
+                return t_f
+            t_f = t_f[0]
         t_f = _require_number(t_f, "t_f")
         if t_f <= self.t0:
             raise DomainError(f"t_f = {t_f!r} must exceed t0 = {self.t0!r}")
         return t_f
+
+
+def _clock(t_f) -> float:
+    """The t_f of the first lane's clock: t_f itself, or a lane array's first."""
+    return t_f[0] if isinstance(t_f, np.ndarray) else t_f
 
 
 def _sigma(ts, t0, t_f):
@@ -171,9 +208,9 @@ def _block_jac(vals: np.ndarray, m: int) -> np.ndarray:
 
 
 def _contract(U: np.ndarray, p: np.ndarray) -> np.ndarray:
-    """([B,] N, m) values U p of an (N, m, s) block of basis values, the one
+    """([B,] N, m) values U p of an ([B,] N, m, s) block of basis values, the one
     contraction with p, each row summed on its own."""
-    return np.einsum("tms,...s->...tm", U, p)
+    return np.einsum("tms,...s->...tm" if U.ndim == 3 else "btms,bs->btm", U, p)
 
 
 def _lagrange_terms(sig: np.ndarray, nodes: list) -> list:

@@ -18,13 +18,14 @@ bound in a test of the adjoint equation.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Callable
 
 import numpy as np
 
 from .errors import (ConfigurationError, DerivativeMismatchError, DimensionError,
                      _require_gain, _require_number, _require_numbers)
-from .integrate import DenseTrajectory, OdeSettings, integrate_ivp
+from .integrate import DenseTrajectory, OdeSettings, _lane_rates, integrate_ivp
 
 
 @dataclass(frozen=True)
@@ -117,11 +118,13 @@ class Gains:
         return cls(K_inv=_inverse_weight(K, m), k_tf=k_tf, K_g=_require_gain(K_g, "K_g", q))
 
     def K_inv_at(self, ts: np.ndarray) -> np.ndarray:
-        """Inverse control weight stacked over an array of times: (N, m, m)."""
+        """Inverse control weight stacked over an array of times: (N, m, m), or
+        (B, N, m, m) for the (B, N) times of lanes."""
         ts = np.atleast_1d(ts)
         if callable(self.K_inv):
-            return np.stack([np.asarray(self.K_inv(t), dtype=float) for t in ts])
-        return np.broadcast_to(self.K_inv, (ts.size, *self.K_inv.shape))
+            K = np.stack([np.asarray(self.K_inv(t), dtype=float) for t in ts.reshape(-1)])
+            return K.reshape(*ts.shape, *K.shape[1:])
+        return np.broadcast_to(self.K_inv, (*ts.shape, *self.K_inv.shape))
 
     def K_at(self, ts: np.ndarray) -> np.ndarray:
         """Control weight K(t) = K_inv(t)^-1 stacked over times: (N, m, m)."""
@@ -276,20 +279,21 @@ def validate_problem(prob: OcpProblem, samples: int, *, tol: float = 1e-4,
 def _batch_eval(prob: OcpProblem, name: str, xs, *args) -> np.ndarray:
     """The callback ``name`` at stacked states xs (*P, n): a running one at
     ``(us, ts)``, us (*P, m) and ts broadcasting to *P (lanes of a time
-    grid), a terminal one at ``(t_f,)``, one t_f the B lanes share; returns
-    (*P, ...).  A single point (P = ()) is one plain call.  Otherwise a
-    vectorized problem takes one stacked call, any other one call per point;
-    a terminal output fills the shape :data:`_EXPECTED_SHAPES` gives, so one
-    without the leading axis holds for every state.
+    grid), a terminal one at ``(t_f,)``, one t_f the B lanes share or a (B,)
+    array; returns (*P, ...).  A single point (P = ()) is one plain call.
+    Otherwise a vectorized problem takes one stacked call at one t_f, any
+    other one call per point; a terminal output fills the shape
+    :data:`_EXPECTED_SHAPES` gives, so one without the leading axis holds.
     """
     fn = getattr(prob, name)
     points = xs.shape[:-1]
     if not points:
         return np.asarray(fn(xs, *args), dtype=float)
     if len(args) == 1:                  # a terminal callback: all lanes, or each one
-        out = np.empty((*points, *_EXPECTED_SHAPES[name](prob)))
-        for b, x in [(..., xs)] if prob.vectorized else enumerate(xs):
-            out[b] = fn(x, *args)
+        (t_f,), out = args, np.empty((*points, *_EXPECTED_SHAPES[name](prob)))
+        own = isinstance(t_f, np.ndarray)
+        for b, x in [(..., xs)] if prob.vectorized and not own else enumerate(xs):
+            out[b] = fn(x, float(t_f[b]) if own else t_f)
         return out
     us, ts = args
     if len(points) > 1 or np.ndim(ts) == 0:    # lanes of points, or a time they share
@@ -305,8 +309,8 @@ def _batch_eval(prob: OcpProblem, name: str, xs, *args) -> np.ndarray:
 
 def _objective(prob: OcpProblem, sol: DenseTrajectory) -> tuple:
     """(J, g) = (phi(x_f) + the running cost, g(x_f)) at the end t_f of a state
-    solve, or per lane, (B,) and (B, q), of a solve of B lanes."""
-    end, t_f = sol.last, float(sol.t_grid[-1])
+    solve, or per lane, (B,) and (B, q), of a solve of B lanes at their t_f."""
+    end, t_f = sol.last, sol.end
     x_f = end[..., :prob.n]
     return (_batch_eval(prob, "phi", x_f, t_f) + end[..., prob.n],
             _batch_eval(prob, "g", x_f, t_f))
@@ -319,29 +323,39 @@ def _state_solution(prob: OcpProblem, u_of_ts, t_f: float, ode: OdeSettings | No
     The control ``u_of_ts(ts) -> (N, m)`` runs once per step attempt, at
     all of its stage times (see :func:`integrate_ivp`).  With ``lanes = (B,)``
     it gives (B, N, m), the B systems run as the lanes of one solve, and
-    ``f`` and ``L`` take the B lanes as stacked points.
+    ``f`` and ``L`` take the B lanes as stacked points; with a (B,) ``t_f``
+    each lane runs at its own rate and time on the first lane's clock.
     """
-    n, f, L, stage_input = prob.n, prob.f, prob.L, u_of_ts
+    n, f, L, stage_input, at, c, ends = prob.n, prob.f, prob.L, u_of_ts, None, None, None
     if lanes:                           # the lanes are stacked points at one time
         ones = np.ones(lanes)
-        f = lambda x, u, t: _batch_eval(prob, "f", x, u, t * ones)
-        L = lambda x, u, t: _batch_eval(prob, "L", x, u, t * ones)
-        stage_input = lambda ts: u_of_ts(ts).swapaxes(0, 1)     # times first
+        f, L = (partial(_batch_eval, prob, name) for name in "fL")
+        at, stage_input = (lambda t: t * ones), (lambda ts: u_of_ts(ts).swapaxes(0, 1))
+    if isinstance(t_f, np.ndarray):     # or each at its own time and rate
+        ends, t_f, rates = t_f, t_f[0], _lane_rates(prob.t0, t_f)
+        t0, slope, c = prob.t0, rates - 1.0, rates[:, None]
+        at = lambda t: t + (t - t0) * slope                     # as _lane_times
     shape = (*lanes, n + 1)
     # the state's and the cost's channels of each lane
     x_of, cost_of = ((..., slice(None, n)), (..., n)) if lanes else (slice(None, n), n)
 
     def rhs(t, ya, u):
         x = ya[x_of]
+        if at is not None:
+            t = at(t)
         out = np.empty(shape)
         out[x_of] = f(x, u, t)
         out[cost_of] = L(x, u, t)
+        if c is not None:
+            out *= c
         return out
 
     y0 = np.zeros(shape)                # the cost channel starts at 0
     y0[..., :n] = prob.x0
-    return integrate_ivp(rhs, y0, (prob.t0, t_f), ode,
-                         breakpoints=breakpoints, _stage_input=stage_input, _quadrature=n)
+    sol = integrate_ivp(rhs, y0, (prob.t0, t_f), ode,
+                        breakpoints=breakpoints, _stage_input=stage_input, _quadrature=n)
+    sol.ends = ends
+    return sol
 
 
 def simulate_control(prob: OcpProblem, u_of_t, t_f: float,

@@ -20,8 +20,8 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import (DependentBasisError, RankError, _require_gain, _require_number,
-                     _require_numbers)
+from .errors import (ConfigurationError, DependentBasisError, RankError, _require_gain,
+                     _require_number, _require_numbers)
 from .quadrature import QuadratureSpec, _gram, simpson_points
 from .sensitivity import spd_solve
 
@@ -31,7 +31,7 @@ class InnerProductSpec:
     """<f, g> = int_t0^tf f^T W g dt on the given grid, t0 < t_f.
 
     ``weight`` is a constant SPD matrix W (a scalar stands for a 1 x 1 one),
-    checked here as a gain, and t0 and t_f as numbers (else
+    checked here as a gain, and t0 < t_f as numbers (else
     :class:`ConfigurationError`); ``breakpoints`` split quadrature panels where
     integrands are not smooth.
     """
@@ -45,6 +45,8 @@ class InnerProductSpec:
     def __post_init__(self):
         for name in ("t0", "t_f"):
             object.__setattr__(self, name, _require_number(getattr(self, name), name))
+        if self.t_f <= self.t0:
+            raise ConfigurationError(f"t_f = {self.t_f!r} must exceed t0 = {self.t0!r}")
         object.__setattr__(self, "weight", _require_gain(self.weight, "weight"))
 
     def grid(self) -> tuple[np.ndarray, np.ndarray]:

@@ -77,9 +77,9 @@ def simpson_points(t0: float, t_f: float, spec: QuadratureSpec,
 
 
 def _gram(w, W, U, V) -> np.ndarray:
-    """int U^T W V dt from weights w (N,), samples ([B,] N, m, i) and ([B,] N, m, j)
-    and the weight W (N, m, m), or None for the identity, as one matrix product
-    (per lane of a leading lane axis)."""
+    """int U^T W V dt from weights w (N,), samples ([B,] N, m, i) and
+    ([B,] N, m, j) and the weight W ([B,] N, m, m), or None for the identity, as
+    one matrix product (per lane of a leading lane axis on any of them)."""
     *lanes, N, m, i = U.shape
     WU = (w[:, None, None] * U).reshape(*lanes, N * m, i)
     WV = V if W is None else W @ V

@@ -24,13 +24,15 @@ terminal brackets, one row f^T Y(t_f) + [phi_t + L | g_t] off the replay's
 terminal block Y(t_f) = [phi_x | g_x^T] (:func:`_terminal_values`).  The NLP
 gradients are the same integrals without a metric.
 
-Every stage also runs B iterates that share t_f at once, as lanes: p is then
-(B, s), one state solve and one adjoint replay carry all lanes on one step
-sequence, and the results carry a leading lane axis, as the trajectories'
-lookups do; a single iterate has none, and is the arithmetic of the
-unbatched pipeline.  The grid's p-independent samples (points, weights,
-u_p, w u_p and K^-1) are built once per t_f and reused while the iterates
-share it (:func:`_grid`).
+Every stage also runs B iterates at once, as lanes: p is then (B, s), one
+state solve and one adjoint replay carry all lanes on one step sequence,
+and the results carry a leading lane axis, as the trajectories' lookups do;
+a single iterate has none, and is the arithmetic of the single pipeline.
+Lanes of their own t_f, a (B,) array, step on the first lane's clock, lane
+b at the rate c_b = (t_f,b - t0)/(t_f,0 - t0) that scales its right-hand
+side, replay coefficients and integrals.  The grid's p-independent samples
+(points, weights, u_p, w u_p and K^-1) of one t_f are built once and reused
+while the iterates share it (:func:`_grid`).
 """
 
 from __future__ import annotations
@@ -40,7 +42,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import ConfigurationError, RankError
-from .integrate import DenseTrajectory, OdeSettings, replay_linear
+from .integrate import DenseTrajectory, OdeSettings, _lane_rates, _lane_times, replay_linear
 # not called here, but kept bound: bench/tracing.py wraps sensitivity.integrate_ivp
 from .integrate import integrate_ivp  # noqa: F401
 from .parameterization import Parameterization, _contract
@@ -85,8 +87,9 @@ class AdjointBundle:
     Y = [mu | Psi], so mu and the constraint adjoint Psi are views of its
     lookups.  The basis and parameters that produced the iterate ride along;
     t0, t_f and n are read off the trajectories.  A (B, s) ``p`` makes it
-    the bundle of B lanes: every accessor returns a leading lane axis, and
-    :meth:`lanes` gives each lane's own bundle.
+    the bundle of B lanes: every accessor returns a leading lane axis, t_f
+    is a (B,) array where they differ, and :meth:`lanes` gives each lane's
+    own bundle.
     """
 
     x_traj: DenseTrajectory
@@ -95,7 +98,7 @@ class AdjointBundle:
     p: np.ndarray
 
     t0 = property(lambda self: float(self.x_traj.t_grid[0]))
-    t_f = property(lambda self: float(self.x_traj.t_grid[-1]))
+    t_f = property(lambda self: self.x_traj.end)
     n = property(lambda self: self.adjoint_sol.channels[0])
 
     def x_at(self, ts):
@@ -153,8 +156,9 @@ def solve_state(prob: OcpProblem, par: Parameterization, p, t_f: float,
     """Forward solve under u(t; p[, t_f]); n+1 channels (state + cost).
 
     A (B, s) ``p`` solves the B iterates as lanes of one solve, whose
-    lookups come back lanes first.
+    lookups come back lanes first, each lane at its own t_f if ``t_f`` is (B,).
     """
+    t_f = par._resolve_tf(t_f, np.shape(p)[:-1])
     return _state_solution(prob, par.bind(p, t_f), t_f, ode, par.breakpoints(t_f),
                            lanes=np.shape(p)[:-1])
 
@@ -169,10 +173,11 @@ def solve_adjoints(prob: OcpProblem, par: Parameterization, p,
     u, ``f_x`` and ``L_x`` evaluated in one batch for every stage of every
     step.  Terminal values are exact: ``mu(t_f) = phi_x`` and ``Psi(t_f) =
     g_x^T``, the t_f brackets' source.  A (B, s) ``p`` replays the lanes of
-    a lane-batched ``x_traj`` together.
+    ``x_traj`` together, each at its own rate when their t_f differ.
     """
-    n, t_f = prob.n, float(x_traj.t_grid[-1])
+    n, t_f = prob.n, x_traj.end
     p = np.asarray(p, dtype=float)
+    c = _lane_rates(prob.t0, t_f)[:, None, None] if isinstance(t_f, np.ndarray) else None
     if x_traj.t_grid[0] != prob.t0:
         raise ValueError("x_traj must start at t0")
 
@@ -181,12 +186,12 @@ def solve_adjoints(prob: OcpProblem, par: Parameterization, p,
     y_f[..., 0] = _batch_eval(prob, "phi_x", x_f, t_f)
     y_f[..., 1:] = _batch_eval(prob, "g_x", x_f, t_f).swapaxes(-1, -2)
 
-    def coefficients(ts, xs):
-        xs = xs[..., :n]
-        us = par.eval(ts, p, t_f)
+    def coefficients(ts, xs):           # lane b's over its own time: dt = c_b ds
+        xs, us = xs[..., :n], par.eval(ts, p, t_f)
+        ts = ts if c is None else _lane_times(ts, prob.t0, c)
         f_x = _batch_eval(prob, "f_x", xs, us, ts).swapaxes(-1, -2)
         L_x = _batch_eval(prob, "L_x", xs, us, ts)
-        return -f_x, -L_x
+        return (-f_x, -L_x) if c is None else (-c[..., None] * f_x, -c * L_x)
 
     sol = replay_linear(x_traj, coefficients, y_f)
     return AdjointBundle(x_traj=x_traj, adjoint_sol=sol, par=par, p=p)
@@ -199,16 +204,20 @@ class _GridData:
     The basis columns of theta are ``U_p``, one p-block that every lane
     shares, then each lane's own ``u_tf`` when theta holds t_f (else None).
     :func:`_grid` memoises it, read-only, with w U_p and U_p's Gram matrix.
+    Lanes of their own t_f sample the first lane's clock, where an integral over
+    lane b's own time is its rate c_b (``rates``, else None) times the clock's;
+    ``G_pp`` is each lane's own.
     """
 
     ts: np.ndarray
     w: np.ndarray
-    U_p: np.ndarray           # (N, m, s)
-    wU_p: np.ndarray          # (N * m, s)
+    U_p: np.ndarray           # ([B,] N, m, s)
+    wU_p: np.ndarray          # ([B,] N * m, s)
     u_tf: np.ndarray | None   # ([B,] N, m)
     pg: np.ndarray            # ([B,] N, m, 1+q): [p_u | f_u^T Psi]
-    kinv: np.ndarray | None   # (N, m, m)
-    G_pp: np.ndarray | None   # (s, s)
+    kinv: np.ndarray | None   # ([B,] N, m, m)
+    G_pp: np.ndarray | None   # ([B,] s, s)
+    rates: np.ndarray | None  # (B,)
 
 
 def _terminal_values(prob: OcpProblem, bundle: AdjointBundle) -> np.ndarray:
@@ -216,7 +225,7 @@ def _terminal_values(prob: OcpProblem, bundle: AdjointBundle) -> np.ndarray:
     t_f equation, ([B,] 1+q): f^T Y(t_f) off the replay's terminal block
     Y(t_f) = [phi_x | g_x^T], plus [phi_t + L | g_t], one call of each."""
     t_f, x_f = bundle.t_f, bundle.x_f
-    u_f = bundle.par.eval(t_f, bundle.p, t_f)
+    u_f = bundle.par.eval(bundle.x_traj.t_grid[-1], bundle.p, t_f)
     f_f = _batch_eval(prob, "f", x_f, u_f, t_f)
     h = (f_f[..., None, :] @ bundle.adjoint_sol.last)[..., 0, :]
     h[..., 0] += _batch_eval(prob, "phi_t", x_f, t_f)
@@ -228,23 +237,29 @@ def _terminal_values(prob: OcpProblem, bundle: AdjointBundle) -> np.ndarray:
 _GRID = None     # the latest ((t0, t_f, quad, par, gains), (ts, w, U_p, w U_p, K^-1, G_pp))
 
 
-def _grid(par: Parameterization, t0: float, t_f: float, quad: QuadratureSpec,
+def _grid(par: Parameterization, t0: float, t_f, quad: QuadratureSpec,
           gains: Gains | None) -> tuple:
     """The read-only Simpson points and weights, U_p = u_p(ts), w U_p as
-    (N * m, s), K^-1 samples and G_pp = int U_p^T K^-1 U_p dt, symmetrized
-    exactly (both None without gains), of one t_f.  The latest serve while
-    (t0, t_f, quad) and the basis and gains objects stay the same."""
+    ([B,] N * m, s), K^-1 samples and G_pp = int U_p^T K^-1 U_p dt,
+    symmetrized exactly (both None without gains), of one t_f, the latest
+    serving while (t0, t_f, quad), basis and gains stay the same; or of the
+    first lane's clock for lanes of their own (B,) t_f, with U_p and K^-1 per
+    lane where they vary with a lane's own time."""
     global _GRID
-    memo = _GRID
-    if memo is not None:
+    memo, lanes = _GRID, isinstance(t_f, np.ndarray)
+    if memo is not None and not lanes:
         (t0_, t_f_, quad_, par_, gains_), value = memo
         if par_ is par and gains_ is gains and (t0_, t_f_, quad_) == (t0, t_f, quad):
             return value
-    ts, w = simpson_points(t0, t_f, quad, par.breakpoints(t_f))
-    up, kinv = par.jac_p(ts, t_f), None if gains is None else gains.K_inv_at(ts)
+    ts, w = simpson_points(t0, t_f[0] if lanes else t_f, quad, par.breakpoints(t_f))
+    at = (_lane_times(ts, t0, _lane_rates(t0, t_f))
+          if lanes and gains is not None and callable(gains.K_inv) else ts)
+    up, kinv = par.jac_p(ts, t_f), None if gains is None else gains.K_inv_at(at)
     G = None if gains is None else _gram(w, kinv, up, up)
-    value = (ts, w, up, (w[:, None, None] * up).reshape(-1, up.shape[-1]), kinv,
-             None if G is None else 0.5 * (G + G.T))
+    value = (ts, w, up, (w[:, None, None] * up).reshape(*up.shape[:-3], -1, up.shape[-1]),
+             kinv, None if G is None else 0.5 * (G + G.swapaxes(-1, -2)))
+    if lanes:
+        return value
     for a in value:
         if a is not None:
             a.flags.writeable = False
@@ -256,23 +271,30 @@ def _grid_data(prob: OcpProblem, bundle: AdjointBundle, quad: QuadratureSpec, *,
                gains: Gains | None = None, with_tf: bool = False) -> _GridData:
     par, t_f, p = bundle.par, bundle.t_f, bundle.p
     ts, w, up, wup, kinv, G_pp = _grid(par, bundle.t0, t_f, quad, gains)
+    rates = _lane_rates(bundle.t0, t_f) if isinstance(t_f, np.ndarray) else None  # lane 0's clock
+    tb = ts if rates is None else _lane_times(ts, bundle.t0, rates)
+    G_pp = G_pp if rates is None or G_pp is None else rates[:, None, None] * G_pp
     xs, Y = bundle.at(ts)                          # ([B,] N, n) and ([B,] N, n, 1+q)
     us = _contract(up, p)                          # u = U_p p, from the stored U_p
-    fu = _batch_eval(prob, "f_u", xs, us, ts)                  # ([B,] N, n, m)
+    fu = _batch_eval(prob, "f_u", xs, us, tb)                  # ([B,] N, n, m)
     pg = np.einsum("...tnm,...tnc->...tmc", fu, Y)             # f_u^T [mu | Psi]
-    pg[..., 0] += _batch_eval(prob, "L_u", xs, us, ts)
+    pg[..., 0] += _batch_eval(prob, "L_u", xs, us, tb)
     utf = par.jac_tf(ts, p, t_f) if with_tf else None          # ([B,] N, m)
-    return _GridData(ts=ts, w=w, U_p=up, wU_p=wup, u_tf=utf, pg=pg, kinv=kinv, G_pp=G_pp)
+    return _GridData(ts=ts, w=w, U_p=up, wU_p=wup, u_tf=utf, pg=pg, kinv=kinv, G_pp=G_pp,
+                     rates=rates)
 
 
 def _theta_integrals(gd: _GridData, terminal=None) -> np.ndarray:
     """[r | Gamma] = int U^T [p_u | f_u^T Psi] dt over the columns U of theta:
     the p-rows are one product with the shared w U_p (per lane of a pass), and
-    the t_f row u_tf's own product plus the ``terminal`` brackets."""
+    the t_f row u_tf's own product plus the ``terminal`` brackets; a lane of
+    its own t_f integrates over its own time, its rate times the clock's."""
     *lanes, N, m, c = gd.pg.shape
     pg, s = gd.pg.reshape(*lanes, N * m, c), gd.wU_p.shape[-1]
+    if gd.rates is not None:
+        pg = pg * gd.rates[:, None, None]
     rGamma = np.empty((*lanes, s + (terminal is not None), c))
-    np.matmul(gd.wU_p.T, pg, out=rGamma[..., :s, :])
+    np.matmul(gd.wU_p.swapaxes(-1, -2), pg, out=rGamma[..., :s, :])
     if terminal is not None:
         wutf = (gd.w[:, None] * gd.u_tf).reshape(*lanes, 1, N * m)
         np.matmul(wutf, pg, out=rGamma[..., s:, :])
@@ -284,7 +306,9 @@ def _require_iterate(b: AdjointBundle, par: Parameterization, t_f=None, p=None) 
     """Refuse to assemble at another basis or iterate than the one bundle ``b`` holds."""
     if par is not b.par:
         raise ValueError(f"par ({par.kind}) is not the bundle's basis ({b.par.kind})")
-    if t_f not in (None, b.t_f) or not (p is None or p is b.p or np.array_equal(p, b.p)):
+    same = (np.array_equal(t_f, b.t_f) if isinstance(b.t_f, np.ndarray) or np.ndim(t_f)
+            else t_f == b.t_f)
+    if not (t_f is None or same) or not (p is None or p is b.p or np.array_equal(p, b.p)):
         raise ValueError(f"(p, t_f = {t_f!r}) is not the bundle's iterate")
 
 
@@ -314,8 +338,11 @@ def assemble_form2(prob: OcpProblem, par: Parameterization, bundle: AdjointBundl
     M = np.empty((*rGamma.shape[:-2], s + 1, s + 1))
     M[..., :s, :s] = gd.G_pp
     M[..., :s, s:] = _gram(gd.w, gd.kinv, gd.U_p, utf)
+    M[..., s:, s:] = _gram(gd.w, gd.kinv, utf, utf)
+    if gd.rates is not None:            # G_pp is each lane's own already
+        M[..., :, s:] *= gd.rates[:, None, None]
     M[..., s:, :s] = M[..., :s, s:].swapaxes(-1, -2)
-    M[..., s:, s:] = _gram(gd.w, gd.kinv, utf, utf) + 1.0 / gains.k_tf
+    M[..., s:, s:] += 1.0 / gains.k_tf
     return ThetaQuantities(rGamma, M)
 
 

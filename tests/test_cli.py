@@ -373,24 +373,24 @@ def test_console_entry_point_runs():
     assert "example1" in proc.stdout
 
 
-@pytest.mark.parametrize("problem, s, tf_points", [("example1", 4, 0),
-                                                    ("brachistochrone", 5, 2)])
-def test_check_gradients_runs_the_p_columns_as_one_lane_pass(tmp_path, monkeypatch,
-                                                             problem, s, tf_points):
+@pytest.mark.parametrize("problem, s, free", [("example1", 4, False),
+                                               ("brachistochrone", 5, True)])
+def test_check_gradients_runs_theta_as_one_lane_pass(tmp_path, monkeypatch, problem, s, free):
     # one forward solve gives both J and g at each central-difference point:
-    # the iterate's own, then the 2s p-points as the lanes of one solve, then
-    # the two t_f points when t_f is free (the built-in polynomial bases)
+    # the iterate's own, then the 2 dim(theta) points of theta = (p[, t_f])
+    # as the lanes of one solve, the two t_f points, when t_f is free (the
+    # built-in polynomial bases), lanes of their own t_f
     shapes = []
 
-    def counting(prob, par, p, *args):
-        shapes.append(np.shape(p))
-        return solve_state(prob, par, p, *args)
+    def counting(prob, par, p, t_f, *args):
+        shapes.append((np.shape(p), np.unique(t_f).size))
+        return solve_state(prob, par, p, t_f, *args)
 
     monkeypatch.setattr(cli, "solve_state", counting)
     path, _ = write_config(tmp_path, problem=problem, init={"t_f": 1.0}
                            if problem == "brachistochrone" else {})
     assert main(["check", "--config", str(path), "--what", "gradients"]) == 0
-    assert shapes == [(s,), (2 * s, s)] + [(s,)] * tf_points
+    assert shapes == [((s,), 1), ((2 * (s + free), s), 1 + 2 * free)]
 
 
 @pytest.mark.parametrize("kind", ["lagrange_nodes", "piecewise_linear",

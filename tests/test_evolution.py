@@ -4,8 +4,8 @@ import re
 import numpy as np
 import pytest
 
-from ocflow import (ConfigurationError, DenseTrajectory, DomainError, EvolutionMode,
-                    EvolutionState, Gains, MultiplierBoundWarning, OcflowError,
+from ocflow import (ConfigurationError, DenseTrajectory, DimensionError, DomainError,
+                    EvolutionMode, EvolutionState, Gains, MultiplierBoundWarning, OcflowError,
                     OdeSettings, RankError, StopCriteria, evaluate_iterate,
                     evaluate_iterates, gradient_flow_generic, lyapunov_diagnostic,
                     make_basis, multiplier, solve_evolution)
@@ -313,7 +313,7 @@ def test_mode_parameterization_compatibility(example1, brach):
         evaluate_iterate(EvolutionMode.form2(), brach.prob,
                          make_basis("global_polynomial", m=1, t0=0.0, form="form1", order=4),
                          brach.gains, np.zeros(5), 1.0)
-    with pytest.raises(ValueError, match="expected \\(5,\\)"):
+    with pytest.raises(DimensionError, match="expected \\(5,\\)"):
         evaluate_iterate(EvolutionMode.form2(), brach.prob, par_f2, brach.gains,
                          np.zeros(4), 1.0)
     with pytest.raises(ConfigurationError):
@@ -790,13 +790,13 @@ def test_stop_criteria_must_be_finite(field, bad):
 
 
 def _radau_starts(monkeypatch) -> list:
-    """Record the (tau, capped steps) of every Radau IIA the flow builds."""
+    """Record the tau of every Radau IIA the flow builds."""
     import ocflow.evolution as evolution
 
     starts, radau = [], evolution._Radau
 
     def recording(stepper, jac, rhs):
-        starts.append((stepper.t, stepper.capped_steps))
+        starts.append(stepper.t)
         return radau(stepper, jac, rhs)
     monkeypatch.setattr(evolution, "_Radau", recording)
     return starts
@@ -805,7 +805,8 @@ def _radau_starts(monkeypatch) -> list:
 def test_flow_takes_no_result_after_the_first_done_row():
     # y' = -y with a fine record grid: the rows of one accepted step are one
     # call of the evaluator, whose results are drawn lazily and in order, so
-    # the flow stops at the first done row and no later point is evaluated
+    # the flow stops at the first done row and no later point is evaluated;
+    # Radau IIA's collocation cubic meets 1e-6 at rel_tol = 1e-6
     from types import SimpleNamespace
 
     import ocflow.evolution as evolution
@@ -814,26 +815,30 @@ def test_flow_takes_no_result_after_the_first_done_row():
 
     def evaluate(thetas):
         calls.append([len(thetas), 0])
+        k = len(calls) - 1
         for theta in thetas:
-            calls[-1][1] += 1                   # results drawn from this call
-            yield SimpleNamespace(theta=theta, dtheta=-theta)
+            calls[k][1] += 1                    # results drawn from this call
+            yield SimpleNamespace(theta=theta, dtheta=-theta, call=k)
 
     def row(tau, result):
-        rows.append(tau)
+        rows.append((tau, result.call))
         return tau >= 0.5
 
     stop = StopCriteria(tau_max=10.0, record_every=0.01)
-    result, done, tau = evolution._flow(evaluate, row, np.ones(1), stop, OdeSettings())
-    assert done and tau == rows[-1] == pytest.approx(0.5)
-    np.testing.assert_allclose(rows, 0.01 * np.arange(len(rows)), rtol=0, atol=1e-12)
+    result, done, tau = evolution._flow(evaluate, row, np.ones(1), stop,
+                                        OdeSettings(rel_tol=1e-6, abs_tol=1e-9))
+    taus, row_calls = [tau for tau, _ in rows], {k for _, k in rows}
+    assert done and tau == taus[-1] == pytest.approx(0.5)
+    np.testing.assert_allclose(taus, 0.01 * np.arange(len(rows)), rtol=0, atol=1e-12)
     np.testing.assert_allclose(result.theta, np.exp(-tau), rtol=1e-6)
-    given, drawn = calls[-1]
+    given, drawn = calls[max(row_calls)]
     assert drawn < given                        # the step had later rows, not evaluated
-    assert sum(d for g, d in calls if g > 1) + 1 == len(rows)    # + the one at tau = 0
+    # every result drawn from a call of rows is a row, the one at tau = 0 included
+    assert sum(calls[k][1] for k in row_calls) == len(rows) and len(row_calls) > 2
 
 
-def test_batched_flow_makes_no_call_after_its_last_step():
-    # a batched flow's Radau steps send f at their start with their first
+def test_flow_makes_no_call_after_its_last_step():
+    # a flow's Radau steps send f at their start with their first
     # Newton call, so no step makes a call at its end point: after the step
     # in which a row is done the flow calls for that step's rows alone, the
     # last call holding the done row
@@ -859,7 +864,7 @@ def test_batched_flow_makes_no_call_after_its_last_step():
         result, done, tau = evolution._flow(evaluate, lambda tau, result: tau >= 3.0,
                                             np.ones(1),
                                             StopCriteria(tau_max=100.0, record_every=0.5),
-                                            OdeSettings(), batched=True)
+                                            OdeSettings())
     assert done and tau == 3.0 and len(steps) > 1
     for own, _, _ in steps:                    # Newton calls only, none of one point
         assert {len(points) for points in own} <= {3, 4}
@@ -869,29 +874,20 @@ def test_batched_flow_makes_no_call_after_its_last_step():
     assert any(np.array_equal(p, result.theta) for p in rows[-1])
 
 
-def test_flow_switches_after_exactly_the_stiff_step_count(caplog):
-    # y' = -diag(1, 1e-3) y: once the fast mode has decayed, the stability cap
-    # binds most steps; the hand-over comes after the step that makes the
-    # _STIFF_STEPS-th capped step of the very same Dormand-Prince sequence,
-    # counted from the last _CALM_STEPS uncapped steps in a row, and Radau's
-    # Jacobian is one call of the flow's evaluator at the switch point and
-    # its forward-difference points.  Radau's steps then call the evaluator
-    # with their stage points only, each after the first with its start point
+def test_flow_starts_on_radau_with_a_jacobian_call_at_its_first_point():
+    # y' = -diag(1, 1e-3) y: after the Dormand-Prince stepper's first stage
+    # and initial step probe, Radau IIA takes the flow from tau = 0, and its
+    # Jacobian is one call of the flow's evaluator at the first point and
+    # its forward-difference points.  Its steps then call the evaluator with
+    # their stage points only, each after the first with its start point
     # ahead of them
-    import logging
     from types import SimpleNamespace
 
     import ocflow.evolution as evolution
-    import ocflow.integrate as integrate
-    from ocflow.integrate import _Stepper
 
     rate = np.array([1.0, 1e-3])
     rhs = lambda tau, y: -rate * y                                     # noqa: E731
     y0, ode, stop = np.ones(2), OdeSettings(), StopCriteria(tau_max=2000.0, record_every=50.0)
-    dp, ys = _Stepper(rhs, 0.0, y0, stop.tau_max, ode), []
-    while dp.capped_steps < integrate._STIFF_STEPS:
-        dp.step()
-        ys.append(dp.y)
     calls, seen, stepped = [], [], []
 
     def evaluate(thetas):
@@ -902,7 +898,8 @@ def test_flow_switches_after_exactly_the_stiff_step_count(caplog):
         def __init__(self, stepper, jac, rhs):
             before = len(calls)
             super().__init__(stepper, jac, rhs)
-            seen.append((self.y, self.f, self.J.copy(), calls[before:]))
+            seen.append((self.t, self.y, self.f, self.J.copy(), calls[:before],
+                         calls[before:]))
 
         def step(self):
             before, y = len(calls), self.y
@@ -912,19 +909,15 @@ def test_flow_switches_after_exactly_the_stiff_step_count(caplog):
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(evolution, "_Radau", Recorded)
-        with caplog.at_level(logging.INFO, logger="ocflow.evolution"):
-            point, done, tau = evolution._flow(evaluate, lambda tau, point: False, y0,
-                                               stop, ode)
-    (y, f, J, jac_calls), = seen
-    assert np.array_equal(y, ys[-1]) and np.array_equal(f, rhs(0.0, ys[-1]))
+        point, done, tau = evolution._flow(evaluate, lambda tau, point: False, y0, stop, ode)
+    (t, y, f, J, before, jac_calls), = seen
+    assert t == 0.0 and np.array_equal(y, y0) and np.array_equal(f, rhs(0.0, y0))
+    # the row at tau = 0, the stepper's first stage and its initial step probe
+    assert [len(c) for c in before] == [1, 1, 1] and not np.array_equal(before[2][0], y0)
     (E,) = jac_calls
-    assert E.shape == (3, 2) and np.array_equal(E[0], ys[-1])
+    assert E.shape == (3, 2) and np.array_equal(E[0], y0)
     np.testing.assert_array_equal(E[1:] - E[0] != 0, np.eye(2, dtype=bool))
     np.testing.assert_allclose(J, -np.diag(rate), rtol=0, atol=1e-8)
-    assert len(ys) > integrate._STIFF_STEPS        # the cap did not bind from the start
-    assert [r.getMessage() for r in caplog.records] == [
-        f"outer flow stiff at tau = {dp.t:.6g} after {integrate._STIFF_STEPS} capped "
-        "steps; Radau IIA takes over"]
     assert not done and tau == stop.tau_max
     np.testing.assert_allclose(point.theta, y0 * np.exp(-rate * tau), rtol=1e-2, atol=1e-9)
     # each Radau step's calls are Newton iterations' three stage points, the
@@ -936,12 +929,11 @@ def test_flow_switches_after_exactly_the_stiff_step_count(caplog):
         assert len(step[0]) == 4 and np.array_equal(step[0][0], y)
 
 
-def test_flow_hands_a_stalling_multi_scale_flow_over():
+def test_flow_damps_a_stalling_multi_scale_flow():
     # y' = -diag(0.1, 1e-3) y: the stability cap binds at most a few
-    # Dormand-Prince steps in a row, so a count that reset at every uncapped
-    # step never reached the hand-over and the fast mode rode the cap's limit
-    # cycle near 1e-7; the counter that resets only after _CALM_STEPS
-    # uncapped steps in a row hands it over, and Radau damps the fast mode
+    # Dormand-Prince steps in a row, so Dormand-Prince alone let the fast
+    # mode ride the cap's limit cycle near 1e-7; Radau IIA, which steps the
+    # flow from tau = 0, damps it
     from types import SimpleNamespace
 
     import ocflow.evolution as evolution
@@ -963,59 +955,45 @@ def test_flow_hands_a_stalling_multi_scale_flow_over():
     np.testing.assert_allclose(slow, np.exp(-1e-3 * tau), rtol=1e-3)
 
 
-def test_gradient_flow_generic_hands_a_stiff_flow_to_radau(monkeypatch, caplog):
+def test_gradient_flow_generic_starts_on_radau(monkeypatch):
     # d theta/dtau = -0.1 diag(1, 0.01) theta at the default OdeSettings: its
-    # points are single calls, so it starts on Dormand-Prince, and Radau IIA
-    # takes over once DOPRI5's stiffness test has counted its capped steps;
-    # the switch keeps the tolerance and takes fewer gradient calls than
-    # Dormand-Prince alone
-    import logging
+    # points are single calls, and Radau IIA steps it from tau = 0 to the
+    # tolerance
+    calls = []
 
-    import ocflow.integrate as integrate
-
-    def solve():
-        calls = []
-
-        def f_grad(theta):
-            calls.append(theta)
-            return np.array([1.0, 0.01]) * theta
-        theta, pi = gradient_flow_generic(
-            f_grad, lambda th: np.zeros(0), lambda th: np.zeros((0, 2)), 0.1,
-            np.zeros((0, 0)), np.ones(2), StopCriteria(tau_max=20000.0, record_every=10.0),
-            OdeSettings())
-        assert np.linalg.norm(np.array([1.0, 0.01]) * theta) <= 1e-6
-        return len(calls)
+    def f_grad(theta):
+        calls.append(theta)
+        return np.array([1.0, 0.01]) * theta
 
     starts = _radau_starts(monkeypatch)
-    with caplog.at_level(logging.INFO, logger="ocflow.evolution"):
-        switched = solve()
-    assert len(caplog.records) == 1
-    ((tau, capped),) = starts
-    assert tau > 0.0 and capped == integrate._STIFF_STEPS
-    monkeypatch.setattr(integrate, "_STIFF_STEPS", 10 ** 9)
-    assert switched < solve()
+    theta, pi = gradient_flow_generic(
+        f_grad, lambda th: np.zeros(0), lambda th: np.zeros((0, 2)), 0.1,
+        np.zeros((0, 0)), np.ones(2), StopCriteria(tau_max=20000.0, record_every=10.0),
+        OdeSettings())
+    assert starts == [0.0] and pi.shape == (0,)
+    assert np.linalg.norm(np.array([1.0, 0.01]) * theta) <= 1e-6
 
 
-def test_fixed_tf_flows_log_no_switch_and_a_free_tf_hand_over_one(example1, brach, caplog):
-    # fixed t_f: e1's gradient flow and form-1 flow start on Radau IIA, so
-    # neither hands over; the Brachistochrone's gradient flow, with t_f free,
-    # starts on Dormand-Prince and logs its one hand-over at INFO
+def test_every_flow_starts_on_radau_and_logs_nothing(example1, brach, caplog, monkeypatch):
+    # fixed t_f and free: e1's gradient flow and form-1 flow, and the
+    # Brachistochrone's gradient flow with t_f free, each start on Radau IIA
+    # at tau = 0 and hand over to no other method, so none logs
     import logging
 
     par, init = cubic(), EvolutionState(p=np.zeros(4), t_f=2.0)
-    for mode, stop in ((EvolutionMode.gradient_flow(0.1 * np.eye(4)),
-                        StopCriteria(tau_max=60000.0, record_every=250.0)),
-                       (EvolutionMode.form1(), StopCriteria(tau_max=300.0))):
-        with caplog.at_level(logging.INFO, logger="ocflow.evolution"):
-            report, _, _ = solve_evolution(mode, example1.prob, par, example1.gains, init, stop)
-        assert report.converged and not caplog.records
-    par = make_basis("global_polynomial", m=1, t0=0.0, form="form1", order=2)
-    with caplog.at_level(logging.INFO, logger="ocflow.evolution"):
+    starts = _radau_starts(monkeypatch)
+    with caplog.at_level(logging.DEBUG, logger="ocflow"):
+        for mode, stop in ((EvolutionMode.gradient_flow(0.1 * np.eye(4)),
+                            StopCriteria(tau_max=60000.0, record_every=250.0)),
+                           (EvolutionMode.form1(), StopCriteria(tau_max=300.0))):
+            report, _, _ = solve_evolution(mode, example1.prob, par, example1.gains, init,
+                                           stop)
+            assert report.converged
+        par = make_basis("global_polynomial", m=1, t0=0.0, form="form1", order=2)
         solve_evolution(EvolutionMode.gradient_flow(np.eye(4)), brach.prob, par, brach.gains,
                         EvolutionState(p=np.zeros(3), t_f=1.0),
                         StopCriteria(tau_max=1000.0, record_every=250.0))
-    (record,) = caplog.records
-    assert record.levelno == logging.INFO and "Radau IIA takes over" in record.getMessage()
+    assert starts == [0.0] * 3 and not caplog.records
 
 
 def _spy_calls(monkeypatch) -> list:
@@ -1114,7 +1092,7 @@ def test_criterion_6_configuration_starts_on_radau(example1, monkeypatch):
                                    example1.gains, EvolutionState(p=np.zeros(4), t_f=2.0),
                                    StopCriteria(tau_max=170.0),
                                    ode_outer=OdeSettings(rel_tol=1e-7, abs_tol=1e-10))
-    assert report.converged and starts == [(0.0, 0)]
+    assert report.converged and starts == [0.0]
 
 
 def test_fixed_tf_flow_starts_with_one_point_a_probe_and_a_jacobian_pass(example1, e1_par,
@@ -1139,25 +1117,51 @@ def test_fixed_tf_flow_starts_with_one_point_a_probe_and_a_jacobian_pass(example
     ("piecewise_linear", {"n_segments": 20}, "form2"),
     ("piecewise_constant", {"n_segments": 20}, "form2")], ids=["case1", "case2", "case3",
                                                             "case4"])
-def test_brachistochrone_cases_do_not_switch(brach, monkeypatch, kind, kw, form):
-    # free t_f: the flow's points are single pipelines, so it starts on
-    # Dormand-Prince, and no case's stiffness test ever hands it over
+def test_brachistochrone_cases_start_on_radau(brach, monkeypatch, kind, kw, form):
+    # free t_f: the flow's points are lanes of passes as at a fixed t_f, and
+    # every case steps on Radau IIA from tau = 0 to convergence
     starts = _radau_starts(monkeypatch)
     par = make_basis(kind, m=1, t0=0.0, form=form, **kw)
     report, _, _ = solve_evolution(
         EvolutionMode.form1() if form == "form1" else EvolutionMode.form2(), brach.prob, par,
         brach.gains, EvolutionState(p=np.zeros(par.s), t_f=1.0),
         StopCriteria(tau_max=300.0, record_every=5.0))
-    assert report.converged and starts == []
+    assert report.converged and starts == [0.0]
 
 
-def test_free_tf_flow_switched_early_keeps_its_answer(brach, monkeypatch):
-    # the Brachistochrone's form-2 flow never caps two steps in a row; handed
-    # to Radau at its first capped step, its Jacobian (single pipelines at
-    # theta and its 21 forward-difference points, as t_f is free) predicts
-    # the flow's direction, and the solve converges to the same t_f
+def test_free_tf_flow_starts_with_one_point_a_probe_and_a_jacobian_pass(brach, monkeypatch):
+    # the first calls of a free-t_f solve: the tau = 0 pipeline, the initial
+    # step estimate's probe, and Radau's Jacobian as one pass of s + 2
+    # lanes, theta = (p, t_f) and its s + 1 forward-difference points, whose
+    # last lane steps t_f alone and so runs at its own rate
     import ocflow.evolution as evolution
-    import ocflow.integrate as integrate
+
+    events, tfs, batch = _spy_calls(monkeypatch), [], evolution.evaluate_iterates
+
+    def lanes(mode, prob, par, gains, P, t_f, *args, **kwargs):
+        tfs.append(np.array(t_f))
+        return batch(mode, prob, par, gains, P, t_f, *args, **kwargs)
+
+    monkeypatch.setattr(evolution, "evaluate_iterates", lanes)
+    par = make_basis("piecewise_constant", m=1, t0=0.0, form="form2", n_segments=20)
+    p0 = 0.05 * np.arange(20)
+    solve_evolution(EvolutionMode.form2(), brach.prob, par, brach.gains,
+                    EvolutionState(p=p0, t_f=0.9), StopCriteria(tau_max=3.0))
+    start, probe, fd = events[:3]
+    assert start.shape == probe.shape == (1, 20) and np.array_equal(start[0], p0)
+    assert not np.array_equal(probe[0], p0)
+    theta = np.column_stack([fd, tfs[0]])
+    assert theta.shape == (22, 21) and np.array_equal(theta[0], np.append(p0, 0.9))
+    assert _is_fd_pass(theta) and tfs[0][-1] > 0.9 and (tfs[0][:-1] == 0.9).all()
+    assert all(len(E) == 3 for E in events[3:5])       # then Newton's stage points
+
+
+def test_free_tf_flow_jacobian_predicts_its_direction(brach, monkeypatch):
+    # the Brachistochrone's form-2 flow on Radau from tau = 0: its Jacobian,
+    # one pass of theta and its 21 forward-difference points, the t_f column
+    # a lane at its own rate, predicts the single pipelines' flow direction,
+    # and the solve converges to the optimal t_f
+    import ocflow.evolution as evolution
 
     seen = []
 
@@ -1166,7 +1170,6 @@ def test_free_tf_flow_switched_early_keeps_its_answer(brach, monkeypatch):
             super().__init__(stepper, jac, rhs)
             seen.append((self.y, self.f, self.J.copy()))
 
-    monkeypatch.setattr(integrate, "_STIFF_STEPS", 1)
     monkeypatch.setattr(evolution, "_Radau", Recorded)
     par = make_basis("piecewise_constant", m=1, t0=0.0, form="form2", n_segments=20)
     mode = EvolutionMode.form2()

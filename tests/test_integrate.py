@@ -606,6 +606,29 @@ def test_radau_carried_factor_starts_at_one_on_a_hand_over():
     assert calls == [3, 3, 4]
 
 
+def test_radau_re_forms_a_slow_jacobian_at_the_next_step():
+    # as in RADAU5, a step whose Newton contracts slower than _THET leaves
+    # its successor to re-form J first, at that step's own point; a J under
+    # which Newton contracts fast is kept
+    from ocflow.integrate import _THET
+
+    A, jacs = np.diag([1.0, 4.0]), []
+
+    def jac(y):                         # the first J is wrong in its second mode
+        jacs.append(y.copy())
+        return -np.diag([1.0, 2.0]) if len(jacs) == 1 else -A
+    ros, calls = _radau(lambda y: -A @ y, [1.0, 1.0], jac, OdeSettings(rel_tol=0.1, abs_tol=0.1),
+                        h=0.3)
+    ros.step()
+    assert ros._slow and ros._faccon / (1 + ros._faccon) > _THET and len(jacs) == 1
+    y = ros.y.copy()
+    ros.step()
+    assert len(jacs) == 2 and np.array_equal(jacs[1], y) and not ros._slow
+    ros.step()
+    ros.step()
+    assert len(jacs) == 2
+
+
 def test_radau_keeps_the_tolerance_on_a_stiff_system():
     # y' = -diag(1e3, 1) y over [0, 5] at the default OdeSettings, J exact:
     # the fast mode is damped and the slow one meets rel_tol, in few steps

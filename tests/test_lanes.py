@@ -12,9 +12,9 @@ import dataclasses
 import numpy as np
 import pytest
 
-from ocflow import (EvolutionMode, Gains, OdeSettings, QuadratureSpec, evaluate_iterate,
-                    evaluate_iterates, make_basis, nlp_gradients, solve_adjoints,
-                    solve_state)
+from ocflow import (DimensionError, EvolutionMode, Gains, OdeSettings, QuadratureSpec,
+                    evaluate_iterate, evaluate_iterates, make_basis, nlp_gradients,
+                    solve_adjoints, solve_state)
 from ocflow.integrate import _initial_step, _rms, _stiffness, integrate_ivp
 from ocflow.sensitivity import _terminal_values, assemble_form1, assemble_form2
 
@@ -90,14 +90,15 @@ def test_one_lane_is_the_unbatched_pipeline(case, example1, brach, lqr_like):
     else:
         want, bundle, quant = _unbatched(mode, prob, par, gains, p, prob.tf_fixed, quad)
         t_f = prob.tf_fixed
-    it, = evaluate_iterates(mode, prob, par, gains, p[None], t_f, quad=quad)
-    for name, value in want.items():
-        assert _same(getattr(it, name), value), name
-    for name in ("r", "Gamma", "M"):
-        assert _same(getattr(it.quantities, name), getattr(quant, name)), name
-    assert _same_trajectory(it.bundle.x_traj, bundle.x_traj)
-    assert _same_trajectory(it.bundle.adjoint_sol, bundle.adjoint_sol)
-    assert it.bundle.p.shape == (par.s,)
+    for t_fs in (t_f, [t_f]):            # a lane array of one t_f: the same arithmetic
+        it, = evaluate_iterates(mode, prob, par, gains, p[None], t_fs, quad=quad)
+        for name, value in want.items():
+            assert _same(getattr(it, name), value), name
+        for name in ("r", "Gamma", "M"):
+            assert _same(getattr(it.quantities, name), getattr(quant, name)), name
+        assert _same_trajectory(it.bundle.x_traj, bundle.x_traj)
+        assert _same_trajectory(it.bundle.adjoint_sol, bundle.adjoint_sol)
+        assert it.bundle.p.shape == (par.s,)
     single = evaluate_iterate(mode, prob, par, gains, p, t_f, quad=quad)
     assert all(_same(getattr(single, name), value) for name, value in want.items())
 
@@ -128,18 +129,40 @@ def test_each_lane_matches_its_own_pipeline_on_example1(example1, mode):
                                    rtol=ode.rel_tol, atol=ode.abs_tol)
 
 
-@pytest.mark.parametrize("kind", ["piecewise_constant", "piecewise_linear"])
-def test_each_lane_matches_its_own_pipeline_on_the_brachistochrone(brach, kind):
+OWN_TF = (0.80, 0.83, 0.86)
+
+
+@pytest.mark.parametrize("kind, t_f", [("piecewise_constant", 0.83), ("piecewise_linear", 0.83),
+                                       ("piecewise_constant", OWN_TF),
+                                       ("global_polynomial", OWN_TF),
+                                       ("piecewise_linear K_inv(t)", OWN_TF)])
+def test_each_lane_matches_its_own_pipeline_on_the_brachistochrone(brach, kind, t_f):
     # piecewise linear nodes move with t_f, so each lane has its own u_tf
-    # column and metric M_ptf
-    par = make_basis(kind, m=1, t0=0.0, form="form2", n_segments=20)
-    rng = np.random.default_rng(4)
-    P = 0.06 * np.arange(par.s) + rng.uniform(-0.05, 0.05, (4, par.s))
-    its = evaluate_iterates(EvolutionMode.form2(), brach.prob, par, brach.gains, P,
-                            0.83, TIGHT)
-    for p, it in zip(P, its):
-        one = evaluate_iterate(EvolutionMode.form2(), brach.prob, par, brach.gains, p,
-                               0.83, TIGHT)
+    # column and metric M_ptf; lanes of their own t_f run at their own rates
+    # on the first lane's clock, the piecewise-constant lanes on its
+    # segments, case 1's global polynomial and a time-varying K^-1 at each
+    # lane's own time, and each lane's bundle lives on its own time, ending
+    # exactly at its t_f
+    rng, gains = np.random.default_rng(4), brach.gains
+    if kind.endswith("K_inv(t)"):
+        kind, gains = "piecewise_linear", dataclasses.replace(
+            gains, K_inv=lambda t: np.array([[10.0 + 5.0 * t]]))
+    if kind == "global_polynomial":     # case 1: form 1, whose u_tf column is zero
+        par, mode = make_basis(kind, m=1, t0=0.0, form="form1", order=4), EvolutionMode.form1()
+        P = np.array([0.0, 1.4771, 0.0, 0.0, 0.0]) + rng.uniform(-0.05, 0.05, (3, par.s))
+    else:
+        par = make_basis(kind, m=1, t0=0.0, form="form2", n_segments=20)
+        mode, B = EvolutionMode.form2(), len(OWN_TF) if np.size(t_f) > 1 else 4
+        P = 0.06 * np.arange(par.s) + rng.uniform(-0.05, 0.05, (4, par.s))[:B]
+    t_fs = np.broadcast_to(t_f, len(P))
+    its = evaluate_iterates(mode, brach.prob, par, gains, P, t_f, TIGHT)
+    for p, t, it in zip(P, t_fs, its):
+        one = evaluate_iterate(mode, brach.prob, par, gains, p, t, TIGHT)
+        for traj in (it.bundle.x_traj, it.bundle.adjoint_sol):
+            assert it.t_f == traj.t_grid[-1] == t and traj.t_grid[0] == 0.0
+        np.testing.assert_allclose(it.bundle.x_traj.restarts, par.breakpoints(t), rtol=1e-15)
+        np.testing.assert_allclose(it.bundle.x_at(np.linspace(0.0, t, 7)),
+                                   one.bundle.x_at(np.linspace(0.0, t, 7)), rtol=0, atol=1e-8)
         assert it.dtheta.shape == (par.s + 1,)
         for name in ("pi", "J", "g_val", "residual", "dtheta"):
             np.testing.assert_allclose(getattr(it, name), getattr(one, name),
@@ -176,8 +199,12 @@ def test_terminal_values_of_lanes_match_each_lane(brach, vectorized):
 def test_lane_count_and_shape_are_checked(example1):
     args = (EvolutionMode.form1(), example1.prob, _cubic(), example1.gains)
     for P in (np.zeros(4), np.zeros((2, 5)), np.zeros((0, 4)), np.zeros((2, 2, 4))):
-        with pytest.raises(ValueError, match="P has shape"):
+        with pytest.raises(DimensionError, match="P has shape"):
             evaluate_iterates(*args, P, 2.0)
+    # a t_f array holds one t_f per lane
+    for t_f in (np.full(3, 2.0), np.full((2, 1), 2.0), np.zeros(0)):
+        with pytest.raises(DimensionError, match=r"t_f has shape \("):
+            evaluate_iterates(*args, np.zeros((2, 4)), t_f)
 
 
 def test_lane_norms_are_the_worst_lanes():
@@ -241,12 +268,15 @@ def test_lanes_of_a_problem_without_vectorized_callbacks(lqr_like):
 TERMINAL = ("phi", "phi_x", "phi_t", "g", "g_x", "g_t")
 
 
+@pytest.mark.parametrize("own_tf", [False, True])
 @pytest.mark.parametrize("vectorized", [True, False])
-def test_terminal_callbacks_run_once_per_pass_on_a_vectorized_problem(brach, vectorized):
+def test_terminal_callbacks_run_once_per_pass_on_a_vectorized_problem(brach, vectorized,
+                                                                      own_tf):
     # a pass of 4 lanes at one t_f: each terminal callback runs once for all
     # lanes where it is used, or once per lane when the problem is not
-    # vectorized; phi_x and g_x run for the adjoints' terminal block alone,
-    # which the t_f brackets read; each lane keeps its own pipeline's answer
+    # vectorized or the lanes have their own t_f, as it takes one; phi_x and
+    # g_x run for the adjoints' terminal block alone, which the t_f brackets
+    # read; each lane keeps its own pipeline's answer
     calls = dict.fromkeys(TERMINAL, 0)
 
     def counting(name):
@@ -261,11 +291,12 @@ def test_terminal_callbacks_run_once_per_pass_on_a_vectorized_problem(brach, vec
                                **{name: counting(name) for name in TERMINAL})
     par, mode, t_f = _pwc20(), EvolutionMode.form2(), 0.8166
     P = 1.4771 * t_f * (np.arange(20) + 0.5) / 20 + np.linspace(-0.1, 0.1, 4)[:, None]
-    its = evaluate_iterates(mode, prob, par, brach.gains, P, t_f, TIGHT)
-    lanes = 1 if vectorized else len(P)
+    t_fs = t_f + (np.linspace(-0.02, 0.02, 4) if own_tf else np.zeros(4))
+    its = evaluate_iterates(mode, prob, par, brach.gains, P, t_fs, TIGHT)
+    lanes = 1 if vectorized and not own_tf else len(P)
     assert calls == {"phi": lanes, "g": lanes, "phi_t": lanes, "g_t": lanes,
                      "phi_x": lanes, "g_x": lanes}
-    for p, it in zip(P, its):
+    for p, t_f, it in zip(P, t_fs, its):
         one = evaluate_iterate(mode, brach.prob, par, brach.gains, p, t_f, TIGHT)
         for name in ("J", "g_val", "pi", "dtheta"):
             np.testing.assert_allclose(getattr(it, name), getattr(one, name),

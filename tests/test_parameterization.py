@@ -4,7 +4,7 @@ import re
 import numpy as np
 import pytest
 
-from ocflow import (ConfigurationError, DependentBasisError, DomainError,
+from ocflow import (ConfigurationError, DependentBasisError, DimensionError, DomainError,
                     QuadratureSpec, integrate_ivp, make_basis, replay_linear,
                     validate_independence)
 from ocflow.evolution import EvolutionMode, evaluate_iterate
@@ -360,10 +360,14 @@ def test_bound_control_checks_domain_and_shape(kind, kwargs, form):
             par.jac_p(np.array([par.t0, t]), t_f)
         with pytest.raises(DomainError):
             par.jac_tf(np.array([par.t0, t]), p, t_f)
-    with pytest.raises(ValueError):
+    with pytest.raises(DimensionError, match="p has shape"):
         par.bind(np.ones(par.s + 1), t_f)
-    with pytest.raises(ValueError):
+    with pytest.raises(DimensionError, match="p has shape"):
         par.bind(np.ones((par.s, 1)), t_f)
+    # a t_f array holds one t_f per lane of p
+    for P, t_fs in ((p, [t_f, t_f + 0.1]), (np.stack([p, p]), [t_f] * 3)):
+        with pytest.raises(DimensionError, match="t_f has shape"):
+            par.bind(P, np.array(t_fs))
     with pytest.raises(DomainError, match=r"t_f = 0\.3 must exceed t0 = 0\.3"):
         par.bind(p, par.t0)
 

@@ -87,6 +87,10 @@ def test_dependent_basis_raises():
     # by project as a dependent basis
     with pytest.raises(ConfigurationError, match="weight must be positive-definite, got -1.0"):
         InnerProductSpec(t0=0.0, t_f=2.0, weight=-1.0)
+    # so is a span that does not run forward, naming both ends
+    for t_f in (0.5, 1.0):
+        with pytest.raises(ConfigurationError, match=rf"t_f = {t_f} must exceed t0 = 1\.0"):
+            InnerProductSpec(t0=1.0, t_f=t_f, weight=1.0)
 
 
 def _dual_residual_ingredients(prob, gains, par, p, t_f):
