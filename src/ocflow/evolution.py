@@ -42,7 +42,7 @@ import numpy as np
 
 from .errors import (ConfigurationError, DimensionError, MultiplierBoundWarning,
                      _require_gain, _require_number, _require_numbers)
-from .integrate import _DEFAULT_ODE, OdeSettings, _Radau, _Stepper, dense_output
+from .integrate import _DEFAULT_ODE, OdeSettings, _Radau, dense_output
 from .parameterization import _NODE_KINDS, FORM1, FORM2, Parameterization
 from .problem import Gains, OcpProblem, SolveReport, SolveTrace, TraceRow, _objective
 from .quadrature import QuadratureSpec
@@ -217,20 +217,20 @@ def _check_compat(mode: EvolutionMode, prob: OcpProblem, par: Parameterization,
 
 
 def _pipeline(mode: EvolutionMode, prob: OcpProblem, par: Parameterization, gains: Gains,
-              p: np.ndarray, t_f: float, ode_inner: OdeSettings | None,
+              P: np.ndarray, t_f, ode_inner: OdeSettings | None,
               quad: QuadratureSpec | None) -> tuple:
     """(bundle, quantities, J, g, pi, r + Gamma pi, d theta/dtau = -W (r + Gamma pi))
-    at (p, t_f), from the stationarity terms r, Gamma over theta and the metric
-    W.  A (B, s) ``p`` runs B lanes, and each result has a leading lane axis."""
+    at the B lanes (P[b], t_f[b]), from the stationarity terms r, Gamma over
+    theta and the metric W; each result has a leading lane axis."""
     _check_compat(mode, prob, par, gains)
     quad = quad or QuadratureSpec()
-    bundle = solve_adjoints(prob, par, p, solve_state(prob, par, p, t_f, ode_inner))
+    bundle = solve_adjoints(prob, par, P, solve_state(prob, par, P, t_f, ode_inner))
     J, g_val = _objective(prob, bundle.x_traj)
     if mode.kind == "gradient_flow":
-        quant = nlp_gradients(prob, par, bundle, p, t_f, quad,
+        quant = nlp_gradients(prob, par, bundle, P, t_f, quad,
                               with_tf=prob.tf_mode == "free")
     elif prob.tf_mode == "free":
-        quant = assemble_form2(prob, par, bundle, gains, p, t_f, quad)
+        quant = assemble_form2(prob, par, bundle, gains, P, t_f, quad)
     else:
         quant = assemble_form1(prob, par, bundle, gains, t_f, quad)
     rGamma = quant.rGamma
@@ -242,21 +242,18 @@ def _pipeline(mode: EvolutionMode, prob: OcpProblem, par: Parameterization, gain
             *_flow_direction(rGamma, W_rGamma, gains.K_g, g_val))
 
 
-def _iterate_eval(bundle, quant, J, g_val, pi, residual, dtheta) -> IterateEval:
-    return IterateEval(bundle=bundle, quantities=quant, pi=pi, J=float(J),
-                       g_val=g_val, g_norm=_norm(g_val), residual=residual,
-                       residual_norm=_norm(residual), dtheta=dtheta)
-
-
 def evaluate_iterate(mode: EvolutionMode, prob: OcpProblem, par: Parameterization,
                      gains: Gains, p, t_f: float,
                      ode_inner: OdeSettings | None = None,
                      quad: QuadratureSpec | None = None) -> IterateEval:
-    """Run the full pipeline (state, adjoints, assembly, multiplier) at (p, t_f)."""
+    """Run the full pipeline (state, adjoints, assembly, multiplier) at (p, t_f),
+    an (s,) p and one number t_f (else :class:`DimensionError`), as the one
+    lane of an :func:`evaluate_iterates` pass."""
     p = _require_numbers(p, "p")
     if p.shape != (par.s,):
         raise DimensionError(f"p has shape {p.shape}, expected ({par.s},)")
-    return _iterate_eval(*_pipeline(mode, prob, par, gains, p, t_f, ode_inner, quad))
+    t_f = par._resolve_tf(t_f, ())
+    return evaluate_iterates(mode, prob, par, gains, p[None], t_f, ode_inner, quad)[0]
 
 
 def evaluate_iterates(mode: EvolutionMode, prob: OcpProblem, par: Parameterization,
@@ -272,15 +269,17 @@ def evaluate_iterates(mode: EvolutionMode, prob: OcpProblem, par: Parameterizati
     replay, one grid search, one basis evaluation and one Gram matrix serve
     the batch, and the lanes' multiplier systems are solved as one stack.
     Each lane's result is its own :class:`IterateEval`, with a single-lane
-    bundle ending at its own t_f.  Any B, one included, runs this lane path;
-    one lane equals :func:`evaluate_iterate` bit for bit.
+    bundle ending at its own t_f.  Every pipeline the solver runs is such a
+    pass: :func:`evaluate_iterate` is a pass of one lane.
     """
     P = _require_numbers(P, "P")
     if P.ndim != 2 or len(P) == 0 or P.shape[1] != par.s:
         raise DimensionError(f"P has shape {P.shape}, expected (B, {par.s}) with B >= 1")
     t_f = par._resolve_tf(t_f, P.shape[:1])
     bundle, quant, *lanes = _pipeline(mode, prob, par, gains, P, t_f, ode_inner, quad)
-    return [_iterate_eval(*lane) for lane in zip(bundle.lanes(), quant.lanes(), *lanes)]
+    return [IterateEval(bundle=b, quantities=q, pi=pi, J=float(J), g_val=g, g_norm=_norm(g),
+                        residual=res, residual_norm=_norm(res), dtheta=dtheta)
+            for b, q, J, g, pi, res, dtheta in zip(bundle.lanes(), quant.lanes(), *lanes)]
 
 
 def _resolve_init(prob: OcpProblem, init: EvolutionState) -> tuple[np.ndarray, float]:
@@ -301,57 +300,36 @@ def _resolve_init(prob: OcpProblem, init: EvolutionState) -> tuple[np.ndarray, f
     return p0, t_f0
 
 
-def _memo_last(fn):
-    """``fn(theta)`` that reuses its latest result for bit-identical theta.
-
-    The flow's stopping test at tau = 0 and the stepper's first stage see the
-    same theta, so this saves one evaluation per solve.
-    """
-    key, value = None, None
-
-    def memo(theta: np.ndarray):
-        nonlocal key, value
-        k = theta.tobytes()
-        if k != key:
-            value = fn(theta)
-            key = k
-        return value
-    return memo
-
-
 def _flow(evaluate, row, theta0: np.ndarray, stop: StopCriteria, ode: OdeSettings):
     """Integrate d theta/dtau = F(theta) from tau = 0 until a record point is done.
 
     ``evaluate(thetas)`` gives the results at a list of points, in order and
-    lazily, each with its F as ``dtheta``.  The right-hand side is a
-    one-point call.  The record points are tau = 0, the uniform tau grid of
-    spacing ``stop.record_every`` (points inside an accepted step come from
-    its dense output) and the last tau reached if that is off the grid; the
-    points inside one accepted step are calls of at most ``_ROW_LANES``
-    points each.  ``row(tau, result)`` records each point's result in order
-    and says whether it is done; the flow stops at the first that is done
-    and takes no later one, so no later call starts.  Returns the last
-    ``(result, done, tau)``.
+    lazily, each with its F as ``dtheta``.  The record points are tau = 0,
+    the uniform tau grid of spacing ``stop.record_every`` (points inside an
+    accepted step come from its dense output) and the last tau reached if
+    that is off the grid; the points inside one accepted step are calls of
+    at most ``_ROW_LANES`` points each.  ``row(tau, result)`` records each
+    point's result in order and says whether it is done; the flow stops at
+    the first that is done and takes no later one, so no later call starts.
+    Returns the last ``(result, done, tau)``.
 
     The flow steps on Radau IIA from tau = 0, its three stage points one
-    call, after the Dormand-Prince stepper's first stage and initial step
-    estimate.  A Radau step's first call leads with its start point, whose f
-    the step before left pending, so a step whose Newton converges at once
-    is one call, and the step in which the flow ends makes no call at its
-    end point.  Radau's Jacobian is one call at [theta, theta + d_1 e_1,
+    call.  Radau starts from the row at tau = 0 and its F, so theta0 is
+    evaluated once; the initial step estimate's probe is a one-point call.
+    A Radau step's first call leads with its start point, whose f the step
+    before left pending, so a step whose Newton converges at once is one
+    call, and the step in which the flow ends makes no call at its end
+    point.  Radau's Jacobian is one call at [theta, theta + d_1 e_1,
     ...], d_j = ``_FD_REL`` max(1, |theta_j|): column j is the forward
     difference against the call's first result over the step taken.
     """
-    def rhs(tau, theta):
-        return next(iter(evaluate([theta]))).dtheta
-
     def jac(theta):
         E = theta + np.diag(_FD_REL * np.maximum(1.0, np.abs(theta)))
         base, *columns = (result.dtheta for result in evaluate([theta, *E]))
         return np.column_stack([col - base for col in columns]) / (E.diagonal() - theta)
 
     def record(taus, thetas):
-        # parts as equal as the cap allows: no lone last row, a single pipeline
+        # parts as equal as the cap allows: no lone last row, a pass of one lane
         calls = -(-len(taus) // _ROW_LANES)
         for k in range(calls):
             part = slice(k * len(taus) // calls, (k + 1) * len(taus) // calls)
@@ -363,8 +341,8 @@ def _flow(evaluate, row, theta0: np.ndarray, stop: StopCriteria, ode: OdeSetting
     result, done, tau = record([0.0], [theta0])
     if done:
         return result, done, tau
-    stepper, next_k = _Radau(_Stepper(rhs, 0.0, theta0, stop.tau_max, ode), jac,
-                             lambda thetas: [r.dtheta for r in evaluate(thetas)]), 1
+    stepper, next_k = _Radau(lambda thetas: [r.dtheta for r in evaluate(thetas)], jac,
+                             theta0, result.dtheta, stop.tau_max, ode), 1
     while not stepper.done and not done:
         tau_prev, theta_prev = stepper.t, stepper.y
         h, K = stepper.step()
@@ -395,11 +373,11 @@ def solve_evolution(mode: EvolutionMode, prob: OcpProblem, par: Parameterization
     same points, and rows are appended in tau order up to the first that
     meets the tolerances.  The flow's one evaluator (see :func:`_flow`) runs
     the points of a call as the lanes of one :func:`evaluate_iterates` pass,
-    and a lone point, or the points of a pass that raises or warns, as
-    memoized single pipelines.  The answer is the last trace row: the
-    report's p, t_f, pi, J, residual, ||g|| and tau are that row's, and the
-    returned adjoint bundle (from which costates are reconstructed) is its
-    pipeline's, a lane of a pass included.  So a converged report meets
+    and a lone point, or each point of a pass that raises or warns, through
+    :func:`evaluate_iterate`, a pass of one lane.  The answer is the last
+    trace row: the report's p, t_f, pi, J, residual, ||g|| and tau are that
+    row's, and the returned adjoint bundle (from which costates are
+    reconstructed) is its pipeline's lane.  So a converged report meets
     ``tol_opt`` and ``tol_feas``.  Returns the final report, the trace, and
     that bundle.
     """
@@ -413,7 +391,6 @@ def solve_evolution(mode: EvolutionMode, prob: OcpProblem, par: Parameterization
     def split(theta):                   # (p, t_f) of a theta, or of a stack of them
         return (theta[..., :-1], theta.T[-1]) if free else (theta, t_f0)
 
-    @_memo_last
     def evaluate_one(theta: np.ndarray) -> IterateEval:
         return evaluate_iterate(mode, prob, par, gains, *split(theta), ode_inner, quad)
 
@@ -477,18 +454,25 @@ def gradient_flow_generic(f_grad, h_val, h_jac, K_theta, K_h, theta0,
     gradient flow.  At convergence pi* equals the least-squares multiplier
     -(h_jac^T)^+ f_grad, independent of K_theta.  ``K_theta`` (dim, dim) and
     ``K_h`` (q, q) are SPD gains, or scalars.  The default integration
-    tolerances are tight, as they alone limit the flow's accuracy.
+    tolerances are tight, as they alone limit the flow's accuracy.  From
+    theta0 on, a callback output not shaped (dim,), (q,) or (q, dim), q the
+    size of h_val(theta0), raises :class:`DimensionError` naming it.
     """
     theta0 = _require_numbers(theta0, "theta0")
-    K_theta = _require_gain(K_theta, "K_theta", theta0.size)
-    K_h = _require_gain(K_h, "K_h", np.asarray(h_val(theta0)).size)
+    dim, q = theta0.size, np.asarray(h_val(theta0)).size
+    K_theta = _require_gain(K_theta, "K_theta", dim)
+    K_h = _require_gain(K_h, "K_h", q)
 
-    @_memo_last
+    def output(name, fn, theta, shape):
+        out = np.asarray(fn(theta), dtype=float)
+        if out.shape != shape:
+            raise DimensionError(f"{name} returned shape {out.shape}, expected {shape}")
+        return out
+
     def evaluate_one(theta):
-        grad = np.asarray(f_grad(theta), dtype=float)
-        h = np.asarray(h_val(theta), dtype=float)
-        H = (np.atleast_2d(np.asarray(h_jac(theta), dtype=float)) if h.size
-             else np.zeros((0, theta.size)))
+        grad = output("f_grad", f_grad, theta, (dim,))
+        h = output("h_val", h_val, theta, (q,))
+        H = output("h_jac", h_jac, theta, (q, dim)) if q else np.zeros((0, dim))
         rGamma = np.column_stack([grad, H.T])
         return _NlpPoint(theta, *_flow_direction(rGamma, K_theta @ rGamma, K_h, h), h)
 

@@ -6,11 +6,12 @@ forward only (:func:`integrate_ivp`), and the linear adjoint solves, the only
 backward passes, replay the same tableau backward over a forward solve's
 accepted steps with no error control (:func:`replay_linear`), restarting
 where the forward solve recorded that it did.  :class:`_Radau`, the 3-stage
-Radau IIA method, steps every outer flow from a fresh stepper's first stage
-and initial step, with no stiffness test or hand-over.  The pair's free
-4th-order interpolant gives dense output from one coefficient block per
-power, a layout that :class:`DenseTrajectory` alone knows.  A state solve's
-control is evaluated once per step attempt, at all of its stage times.
+Radau IIA method, steps every outer flow from its first point and that
+point's f, with the same initial step estimate and no stiffness test or
+hand-over.  The pair's free 4th-order interpolant gives dense output from
+one coefficient block per power, a layout that :class:`DenseTrajectory`
+alone knows.  A state solve's control is evaluated once per step attempt,
+at all of its stage times.
 Several independent systems of equal size may run as lanes of one solve:
 they share one step sequence, each step is held to the tolerance and
 stability limit of its worst lane, and lookups come back lanes first; lanes
@@ -295,14 +296,15 @@ def _scaled_rms(v: np.ndarray, scale: np.ndarray, lanes: int) -> list[float]:
 
 
 def _initial_step(rhs, t0, y0, f0, settings, lanes: int = 1, span: float = math.inf,
-                  estimated=slice(None)):
-    """Hairer-style automatic initial step size; the caller refuses a bad one.
+                  estimated=slice(None)) -> float:
+    """Hairer-style automatic initial step size, or :class:`IntegrationError`
+    at t0 when none is finite and positive (the scaled norms overflowed).
 
     The norms run over the ``estimated`` channels only, and the trial step
-    h0, whose right-hand side is probed at t0 + h0, is clamped to ``span``,
-    the length of the smooth subinterval (as DOPRI5's HINIT clamps it to
-    hmax).  With lanes, h0 is the smallest lane's, and the result the
-    smallest of the lanes' steps from their own norms at that h0.
+    h0, whose right-hand side ``rhs(t, y)`` is probed at t0 + h0, is clamped
+    to ``span``, the length of the smooth subinterval (as DOPRI5's HINIT
+    clamps it to hmax).  With lanes, h0 is the smallest lane's, and the
+    result the smallest of the lanes' steps from their own norms at that h0.
     """
     y0e, f0e = y0[estimated], f0[estimated]
     scale = settings.abs_tol + settings.rel_tol * np.abs(y0e)
@@ -310,17 +312,22 @@ def _initial_step(rhs, t0, y0, f0, settings, lanes: int = 1, span: float = math.
     h0 = span
     for d0, d1 in zip(_scaled_rms(y0e, scale, lanes), d1s):
         h = 1e-6 if d0 < 1e-5 or d1 < 1e-5 else 0.01 * d0 / d1
-        if not 0 < h < math.inf:
-            return h
+        if not 0 < h < math.inf:        # no trial step to probe
+            break
         h0 = min(h0, h)
-    y1 = y0 + h0 * f0
-    f1 = rhs(t0 + h0, y1)
-    h1 = math.inf
-    for d1, d2 in zip(d1s, _scaled_rms(f1[estimated] - f0e, scale, lanes)):
-        d2 /= h0
-        h1 = min(h1, max(1e-6, h0 * 1e-3) if max(d1, d2) <= 1e-15
-                 else (0.01 / max(d1, d2)) ** 0.2)
-    return min(100 * h0, h1)
+    else:
+        y1 = y0 + h0 * f0
+        f1 = rhs(t0 + h0, y1)
+        h1 = math.inf
+        for d1, d2 in zip(d1s, _scaled_rms(f1[estimated] - f0e, scale, lanes)):
+            d2 /= h0
+            h1 = min(h1, max(1e-6, h0 * 1e-3) if max(d1, d2) <= 1e-15
+                     else (0.01 / max(d1, d2)) ** 0.2)
+        h = min(100 * h0, h1)
+    if not 0 < h < math.inf:
+        raise IntegrationError("no finite positive initial step at rel_tol = "
+                               f"{settings.rel_tol!r}, abs_tol = {settings.abs_tol!r}", t0)
+    return h
 
 
 def _interpolant(K: np.ndarray) -> np.ndarray:
@@ -381,10 +388,6 @@ class _Stepper:
         if self.h is None:
             self.h = _initial_step(self._rhs_at, t0, self.y, self.f, self.settings,
                                    self.lanes, t_end - t0, self.estimated)
-            if not 0 < self.h < math.inf:   # the scaled norms overflowed
-                s = self.settings
-                raise IntegrationError("no finite positive initial step at rel_tol = "
-                                       f"{s.rel_tol!r}, abs_tol = {s.abs_tol!r}", t0)
         self.h = min(self.h, t_end - t0)
 
     def _first_stage(self, f, t0) -> None:
@@ -507,10 +510,12 @@ def _broyden(J: np.ndarray, dy: np.ndarray, dF: np.ndarray) -> None:
 
 class _Radau(_Stepper):
     """The 3-stage Radau IIA method (order 5, L-stable) as in RADAU5 for an
-    autonomous y' = f(y), whose ``rhs(ys)`` gives f at a list of points,
-    starting from a one-system :class:`_Stepper`'s (t, y, f, h): a fresh
-    stepper's first stage and initial step estimate start a flow.
+    autonomous y' = f(y) over [0, t_end], whose ``rhs(ys)`` gives f at a list
+    of points.
 
+    It starts from y0 and its f0, which the caller has already evaluated:
+    the first step is Hairer's estimate (:func:`_initial_step`), its probe a
+    one-point call of ``rhs``, and J = ``jac(y0)`` is formed next.
     Simplified Newton on the real matrix I - h A (x) J solves the collocation
     system from the last step's collocation cubic, each iteration one call
     of the three stage points.  It ends on RADAU5's contraction factor: the
@@ -531,8 +536,13 @@ class _Radau(_Stepper):
 
     segment = staticmethod(lambda K: _RADAU_P.T @ K)    # a step's K -> its dense Q
 
-    def __init__(self, stepper: _Stepper, jac, rhs):
-        self.__dict__.update(stepper.__dict__, jac=jac, rhs=rhs)
+    def __init__(self, rhs, jac, y0, f0, t_end, settings):
+        self.rhs, self.jac, self.settings, self._ends = rhs, jac, settings, ()
+        self.t, self.y, self.t_end = 0.0, np.asarray(y0, dtype=float), float(t_end)
+        self.nsteps = self.nrejected = self._budget0 = 0
+        self._first_stage(np.asarray(f0, dtype=float), 0.0)
+        self.h = min(_initial_step(lambda t, y: rhs([y])[0], 0.0, self.y, self.f, settings,
+                                   span=self.t_end), self.t_end)
         self.J, self._fresh, self._slow = self._jacobian(), True, False
         self._last = None               # the last step's (h, y, f, K, error norm)
         self._faccon = 1.0              # RADAU5's carried theta / (1 - theta)

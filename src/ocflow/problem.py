@@ -323,13 +323,15 @@ def _state_solution(prob: OcpProblem, u_of_ts, t_f: float, ode: OdeSettings | No
     The control ``u_of_ts(ts) -> (N, m)`` runs once per step attempt, at
     all of its stage times (see :func:`integrate_ivp`).  With ``lanes = (B,)``
     it gives (B, N, m), the B systems run as the lanes of one solve, and
-    ``f`` and ``L`` take the B lanes as stacked points; with a (B,) ``t_f``
-    each lane runs at its own rate and time on the first lane's clock.
+    ``f`` and ``L`` take the B lanes as stacked points, a vectorized
+    problem's in one direct call; with a (B,) ``t_f`` each lane runs at its
+    own rate and time on the first lane's clock.
     """
     n, f, L, stage_input, at, c, ends = prob.n, prob.f, prob.L, u_of_ts, None, None, None
     if lanes:                           # the lanes are stacked points at one time
         ones = np.ones(lanes)
-        f, L = (partial(_batch_eval, prob, name) for name in "fL")
+        if not prob.vectorized:
+            f, L = (partial(_batch_eval, prob, name) for name in "fL")
         at, stage_input = (lambda t: t * ones), (lambda ts: u_of_ts(ts).swapaxes(0, 1))
     if isinstance(t_f, np.ndarray):     # or each at its own time and rate
         ends, t_f, rates = t_f, t_f[0], _lane_rates(prob.t0, t_f)

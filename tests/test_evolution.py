@@ -168,6 +168,26 @@ def test_gradient_flow_generic_rejects_bad_gain_shapes():
             gradient_flow_generic(K_theta=K_theta, K_h=K_h, **problem)
 
 
+@pytest.mark.parametrize("callback, output, message", [
+    ("f_grad", lambda th: th[:2], r"^f_grad returned shape \(2,\), expected \(3,\)$"),
+    ("h_val", lambda th: np.array([[th[0] - 1.0]]),
+     r"^h_val returned shape \(1, 1\), expected \(1,\)$"),
+    ("h_jac", lambda th: np.array([[1.0, 0.0]]),
+     r"^h_jac returned shape \(1, 2\), expected \(1, 3\)$")])
+def test_gradient_flow_generic_refuses_mis_shaped_callback_output(callback, output, message):
+    # at theta0, before any step, with a typed error naming the callback; an
+    # h_jac of (1, 2) at a theta0 of size 3 used to fail untyped in
+    # np.column_stack
+    seen = []
+    problem = dict(f_grad=lambda th: th, h_val=lambda th: np.array([th[0] - 1.0]),
+                   h_jac=lambda th: np.array([[1.0, 0.0, 0.0]]))
+    problem[callback] = lambda th: seen.append(th.copy()) or output(th)
+    with pytest.raises(DimensionError, match=message):
+        gradient_flow_generic(K_theta=np.eye(3), K_h=np.eye(1), theta0=np.zeros(3),
+                              stop=StopCriteria(tau_max=1.0), **problem)
+    assert seen and all(np.array_equal(th, np.zeros(3)) for th in seen)
+
+
 def test_gradient_flow_multiplier_is_least_squares_at_convergence():
     rng = np.random.default_rng(14)
     A = rng.normal(size=(2, 4))
@@ -275,8 +295,8 @@ def _assert_report_is_last_row(report, trace):
 
 def test_solve_report_invariant(request):
     # the answer is the last trace row, field for field, whether that row came
-    # from a pass of several lanes (e1 form 1), a single pipeline (gradient
-    # flow) or a free-t_f flow (Brachistochrone cases 1 and 4)
+    # from a pass of several lanes (e1 form 1), a lone point (gradient flow)
+    # or a free-t_f flow (Brachistochrone cases 1 and 4)
     for solve in ("e1_form1_solve", "e1_gradflow_solve", "e1_decay_solve", "brach_case1",
                   "brach_case4"):
         report, trace, _, _ = request.getfixturevalue(solve)
@@ -578,7 +598,7 @@ def test_the_trace_ends_at_the_answer(monkeypatch, example1, case):
 
 
 def test_the_starting_point_is_evaluated_once(monkeypatch, example1):
-    # the stopping test at tau = 0 and the stepper's first stage share theta0
+    # Radau starts from the stopping test's result at tau = 0
     import ocflow.evolution as evolution
 
     seen = []
@@ -598,15 +618,47 @@ def test_the_starting_point_is_evaluated_once(monkeypatch, example1):
     assert np.array_equal(trace.rows[0].p, p0) and len(trace.rows) == 4
 
 
+def test_the_flow_evaluates_its_first_point_once():
+    # a plain evaluator, with no memo: the row at tau = 0 is the one call of
+    # theta0 alone, Radau starts from its result, and the next calls are the
+    # initial step estimate's probe and the Jacobian's forward-difference
+    # pass, whose first point is theta0
+    from types import SimpleNamespace
+
+    import ocflow.evolution as evolution
+
+    calls, y0 = [], np.array([1.0, 2.0])
+
+    def evaluate(thetas):
+        calls.append(np.array(thetas))
+        return (SimpleNamespace(theta=theta, dtheta=-theta) for theta in thetas)
+
+    evolution._flow(evaluate, lambda tau, result: False, y0,
+                    StopCriteria(tau_max=5.0), OdeSettings())
+    start, probe, fd = calls[:3]
+    assert np.array_equal(start, [y0]) and probe.shape == (1, 2)
+    assert not np.array_equal(probe[0], y0)
+    assert fd.shape == (3, 2) and np.array_equal(fd[0], y0) and _is_fd_pass(fd)
+    assert sum(np.array_equal(c, [y0]) for c in calls) == 1
+
+
+def test_evaluate_iterate_takes_one_number_for_t_f(example1, e1_par):
+    # a lone point runs as a pass of one lane, but its t_f is one number: a
+    # (1,) array, which the pass would take, is refused
+    with pytest.raises(DimensionError, match=r"^t_f has shape \(1,\), expected one per lane$"):
+        evaluate_iterate(EvolutionMode.form1(), example1.prob, e1_par, example1.gains,
+                         np.zeros(4), np.array([2.0]))
+
+
 @pytest.mark.parametrize("free", [False, True])
 def test_the_flow_integrates_dtheta(monkeypatch, example1, brach, free):
-    # the flow's right-hand side is the memoized iterate's dtheta itself,
-    # over (p, t_f) when t_f is free and over p alone otherwise: the result
-    # of a one-point call of the flow's evaluator
+    # the flow's right-hand side is the iterate's dtheta itself, over (p, t_f)
+    # when t_f is free and over p alone otherwise: Radau's right-hand side at
+    # a point is the result of a one-point call of the flow's evaluator
     import ocflow.evolution as evolution
 
     its, evaluators, rhss = [], [], []
-    pipeline, flow, stepper = evolution.evaluate_iterate, evolution._flow, evolution._Stepper
+    pipeline, flow, radau = evolution.evaluate_iterate, evolution._flow, evolution._Radau
 
     def recording(*args, **kwargs):
         its.append(pipeline(*args, **kwargs))
@@ -618,11 +670,11 @@ def test_the_flow_integrates_dtheta(monkeypatch, example1, brach, free):
 
     def stepping(rhs, *args, **kwargs):
         rhss.append(rhs)
-        return stepper(rhs, *args, **kwargs)
+        return radau(rhs, *args, **kwargs)
 
     monkeypatch.setattr(evolution, "evaluate_iterate", recording)
     monkeypatch.setattr(evolution, "_flow", spying)
-    monkeypatch.setattr(evolution, "_Stepper", stepping)
+    monkeypatch.setattr(evolution, "_Radau", stepping)
     bp, s = (brach, 5) if free else (example1, 4)
     par = make_basis("global_polynomial", m=1, t0=0.0, form="form1", order=s - 1)
     solve_evolution(EvolutionMode.form1(), bp.prob, par, bp.gains,
@@ -632,7 +684,9 @@ def test_the_flow_integrates_dtheta(monkeypatch, example1, brach, free):
     theta = np.append(last.p, last.t_f) if free else last.p
     assert last.dtheta.shape == (s + free,)
     (result,) = evaluators[0]([theta])
-    assert result is last and rhss[0](0.0, theta) is last.dtheta
+    assert result is its[-1] and np.array_equal(result.dtheta, last.dtheta)
+    (dtheta,) = rhss[0]([theta])
+    assert dtheta is its[-1].dtheta and np.array_equal(dtheta, last.dtheta)
 
 
 @pytest.mark.parametrize("kind, p", [
@@ -713,8 +767,9 @@ def test_a_failing_batch_reruns_its_rows_one_at_a_time(monkeypatch, example1, e1
     # again one at a time up to the converged one, so neither the failure
     # nor a warning reaches the caller, and the trace is the batched one.
     # Only the row passes fail (their first lane is a row of the batched
-    # trace; the Jacobian's at tau = 0 starts at one too), so the flow's
-    # Newton and Jacobian passes, and with them its path, are kept
+    # trace; the Jacobian's at tau = 0 starts at one too, and so does the
+    # one-lane pass of a lone point), so the flow's Newton and Jacobian
+    # passes and its lone points, and with them its path, are kept
     import warnings
 
     import ocflow.evolution as evolution
@@ -726,7 +781,7 @@ def test_a_failing_batch_reruns_its_rows_one_at_a_time(monkeypatch, example1, e1
 
     def failing(mode, prob, par, gains, P, *args, **kwargs):
         its = batch(mode, prob, par, gains, P, *args, **kwargs)
-        if _is_fd_pass(P) or not any(np.array_equal(P[0], p) for p in rows):
+        if len(P) == 1 or _is_fd_pass(P) or not any(np.array_equal(P[0], p) for p in rows):
             return its
         if failure == "raise":
             raise DivergenceError("non-finite right-hand side", time=1.0)
@@ -795,9 +850,10 @@ def _radau_starts(monkeypatch) -> list:
 
     starts, radau = [], evolution._Radau
 
-    def recording(stepper, jac, rhs):
+    def recording(*args):
+        stepper = radau(*args)
         starts.append(stepper.t)
-        return radau(stepper, jac, rhs)
+        return stepper
     monkeypatch.setattr(evolution, "_Radau", recording)
     return starts
 
@@ -875,12 +931,12 @@ def test_flow_makes_no_call_after_its_last_step():
 
 
 def test_flow_starts_on_radau_with_a_jacobian_call_at_its_first_point():
-    # y' = -diag(1, 1e-3) y: after the Dormand-Prince stepper's first stage
-    # and initial step probe, Radau IIA takes the flow from tau = 0, and its
-    # Jacobian is one call of the flow's evaluator at the first point and
-    # its forward-difference points.  Its steps then call the evaluator with
-    # their stage points only, each after the first with its start point
-    # ahead of them
+    # y' = -diag(1, 1e-3) y: Radau IIA takes the flow from the row at tau = 0
+    # and its f; its start makes the initial step estimate's probe, one
+    # point, and its Jacobian, one call of the flow's evaluator at the first
+    # point and its forward-difference points.  Its steps then call the
+    # evaluator with their stage points only, each after the first with its
+    # start point ahead of them
     from types import SimpleNamespace
 
     import ocflow.evolution as evolution
@@ -895,9 +951,9 @@ def test_flow_starts_on_radau_with_a_jacobian_call_at_its_first_point():
         return (SimpleNamespace(theta=theta, dtheta=rhs(0.0, theta)) for theta in thetas)
 
     class Recorded(evolution._Radau):
-        def __init__(self, stepper, jac, rhs):
+        def __init__(self, *args):
             before = len(calls)
-            super().__init__(stepper, jac, rhs)
+            super().__init__(*args)
             seen.append((self.t, self.y, self.f, self.J.copy(), calls[:before],
                          calls[before:]))
 
@@ -910,11 +966,12 @@ def test_flow_starts_on_radau_with_a_jacobian_call_at_its_first_point():
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(evolution, "_Radau", Recorded)
         point, done, tau = evolution._flow(evaluate, lambda tau, point: False, y0, stop, ode)
-    (t, y, f, J, before, jac_calls), = seen
+    (t, y, f, J, before, start_calls), = seen
     assert t == 0.0 and np.array_equal(y, y0) and np.array_equal(f, rhs(0.0, y0))
-    # the row at tau = 0, the stepper's first stage and its initial step probe
-    assert [len(c) for c in before] == [1, 1, 1] and not np.array_equal(before[2][0], y0)
-    (E,) = jac_calls
+    # the row at tau = 0 alone, then the initial step probe and the Jacobian
+    assert [len(c) for c in before] == [1] and np.array_equal(before[0][0], y0)
+    probe, E = start_calls
+    assert probe.shape == (1, 2) and not np.array_equal(probe[0], y0)
     assert E.shape == (3, 2) and np.array_equal(E[0], y0)
     np.testing.assert_array_equal(E[1:] - E[0] != 0, np.eye(2, dtype=bool))
     np.testing.assert_allclose(J, -np.diag(rate), rtol=0, atol=1e-8)
@@ -997,7 +1054,8 @@ def test_every_flow_starts_on_radau_and_logs_nothing(example1, brach, caplog, mo
 
 
 def _spy_calls(monkeypatch) -> list:
-    """Record the parameter stack of every pipeline call, a single one as one row."""
+    """Record the parameter stack of every pipeline call, a lone point as one
+    row (its pass of one lane is not recorded again)."""
     import ocflow.evolution as evolution
 
     events, single, batch = [], evolution.evaluate_iterate, evolution.evaluate_iterates
@@ -1007,7 +1065,8 @@ def _spy_calls(monkeypatch) -> list:
         return single(mode, prob, par, gains, p, *args, **kwargs)
 
     def lanes(mode, prob, par, gains, P, *args, **kwargs):
-        events.append(np.array(P))
+        if len(P) > 1:
+            events.append(np.array(P))
         return batch(mode, prob, par, gains, P, *args, **kwargs)
 
     monkeypatch.setattr(evolution, "evaluate_iterate", one)
@@ -1022,17 +1081,18 @@ def _is_fd_pass(P) -> bool:
 
 
 def test_e1_gradient_flow_jacobian_is_one_lane_pass(example1, e1_par, monkeypatch):
-    # fixed t_f: Radau's Jacobian at tau = 0 is one pipeline pass of
-    # 5 lanes, theta and its 4 forward-difference points, and no single one;
-    # each Newton iteration after it is one pass of its 3 stage points
+    # fixed t_f: Radau's Jacobian at tau = 0, after its initial step probe,
+    # is one pipeline pass of 5 lanes, theta and its 4 forward-difference
+    # points, and no single one; each Newton iteration after it is one pass
+    # of its 3 stage points
     import ocflow.evolution as evolution
 
     events, seen = _spy_calls(monkeypatch), []
 
     class Recorded(evolution._Radau):
-        def __init__(self, stepper, jac, rhs):
+        def __init__(self, *args):
             before = len(events)
-            super().__init__(stepper, jac, rhs)
+            super().__init__(*args)
             seen.append((self.y, events[before:], len(events)))
 
     monkeypatch.setattr(evolution, "_Radau", Recorded)
@@ -1041,12 +1101,13 @@ def test_e1_gradient_flow_jacobian_is_one_lane_pass(example1, e1_par, monkeypatc
                                    EvolutionState(p=np.zeros(4), t_f=2.0),
                                    StopCriteria(tau_max=60000.0, record_every=250.0))
     assert report.converged
-    (y, (P,), switch), = seen
+    (y, (probe, P), switch), = seen
+    assert probe.shape == (1, 4) and not np.array_equal(probe[0], y)
     assert P.shape == (5, 4) and np.array_equal(P[0], y) and _is_fd_pass(P)
     assert sum(map(_is_fd_pass, events)) == 1
     newton = [E for E in events[switch:] if len(E) == 3]
     assert len(newton) >= 2 and all(np.isfinite(E).all() for E in newton)
-    # no stage point ran as a single pipeline
+    # no stage point ran as a lone point
     assert not any(np.array_equal(E[0], e) for E in newton for e in
                    (ev[0] for ev in events[switch:] if len(ev) == 1))
 
@@ -1098,8 +1159,8 @@ def test_criterion_6_configuration_starts_on_radau(example1, monkeypatch):
 def test_fixed_tf_flow_starts_with_one_point_a_probe_and_a_jacobian_pass(example1, e1_par,
                                                                           monkeypatch):
     # the first calls of a fixed-t_f solve: the tau = 0 pipeline (the stopping
-    # test's, which the stepper's first stage reuses), the initial step
-    # estimate's probe, and Radau's Jacobian as one pass of s + 1 lanes
+    # test's, from which Radau starts), the initial step estimate's probe,
+    # and Radau's Jacobian as one pass of s + 1 lanes
     events = _spy_calls(monkeypatch)
     p0 = np.array([0.1, -0.2, 0.3, 0.05])
     solve_evolution(EvolutionMode.form1(), example1.prob, e1_par, example1.gains,
@@ -1139,7 +1200,8 @@ def test_free_tf_flow_starts_with_one_point_a_probe_and_a_jacobian_pass(brach, m
     events, tfs, batch = _spy_calls(monkeypatch), [], evolution.evaluate_iterates
 
     def lanes(mode, prob, par, gains, P, t_f, *args, **kwargs):
-        tfs.append(np.array(t_f))
+        if len(P) > 1:
+            tfs.append(np.array(t_f))
         return batch(mode, prob, par, gains, P, t_f, *args, **kwargs)
 
     monkeypatch.setattr(evolution, "evaluate_iterates", lanes)
@@ -1159,15 +1221,15 @@ def test_free_tf_flow_starts_with_one_point_a_probe_and_a_jacobian_pass(brach, m
 def test_free_tf_flow_jacobian_predicts_its_direction(brach, monkeypatch):
     # the Brachistochrone's form-2 flow on Radau from tau = 0: its Jacobian,
     # one pass of theta and its 21 forward-difference points, the t_f column
-    # a lane at its own rate, predicts the single pipelines' flow direction,
+    # a lane at its own rate, predicts the lone points' flow direction,
     # and the solve converges to the optimal t_f
     import ocflow.evolution as evolution
 
     seen = []
 
     class Recorded(evolution._Radau):
-        def __init__(self, stepper, jac, rhs):
-            super().__init__(stepper, jac, rhs)
+        def __init__(self, *args):
+            super().__init__(*args)
             seen.append((self.y, self.f, self.J.copy()))
 
     monkeypatch.setattr(evolution, "_Radau", Recorded)

@@ -6,7 +6,7 @@ import pytest
 
 from ocflow import (DenseTrajectory, DimensionError, DivergenceError, DomainError,
                     IntegrationError, OdeSettings, StepBudgetError, integrate_ivp, replay_linear)
-from ocflow.integrate import _RADAU_A, _RADAU_C, _broyden, _Radau, _Stepper, dense_output
+from ocflow.integrate import _RADAU_A, _RADAU_C, _broyden, _Radau, dense_output
 
 
 def test_exponential_decay():
@@ -203,6 +203,16 @@ def test_tolerances_too_small_for_an_initial_step_fail_typed():
                           OdeSettings(rel_tol=1e-300, abs_tol=1e-300))
     assert type(info.value) is IntegrationError
     assert info.value.time == 0.0
+    assert "rel_tol = 1e-300" in str(info.value) and "abs_tol = 1e-300" in str(info.value)
+
+
+def test_radau_shares_the_initial_step_refusal():
+    # Radau's start takes the same estimate, and refuses tolerances too small
+    # for it with the same typed error at t = 0
+    with pytest.raises(IntegrationError) as info:
+        _radau(lambda y: -y, [1.0], lambda y: -np.eye(1),
+               OdeSettings(rel_tol=1e-300, abs_tol=1e-300))
+    assert type(info.value) is IntegrationError and info.value.time == 0.0
     assert "rel_tol = 1e-300" in str(info.value) and "abs_tol = 1e-300" in str(info.value)
 
 
@@ -477,19 +487,19 @@ def test_lookups_match_the_gathered_segment_lookup(source):
 
 
 def _radau(f, y0, jac, settings=None, t_end=10.0, h=None):
-    """A Radau IIA stepper for y' = f(y), taking over a fresh Dormand-Prince
-    stepper at t = 0 with step h if given, and the list of its rhs calls;
-    loose default tolerances accept every step."""
+    """A Radau IIA stepper for y' = f(y) from y0 at t = 0, with step h if
+    given, and the list of its rhs calls after its initial step estimate's
+    probe; loose default tolerances accept every step."""
     y0, calls = np.asarray(y0, dtype=float), []
 
     def rhs(ys):
         calls.append(len(ys))
         return [f(y) for y in ys]
-    dp = _Stepper(lambda t, y: f(y), 0.0, y0, t_end,
-                  settings or OdeSettings(rel_tol=1e6, abs_tol=1e6))
+    ros = _Radau(rhs, jac, y0, f(y0), t_end, settings or OdeSettings(rel_tol=1e6, abs_tol=1e6))
+    del calls[:]
     if h is not None:
-        dp.h = h
-    return _Radau(dp, jac, rhs), calls
+        ros.h = h
+    return ros, calls
 
 
 def _radau_r(z):
@@ -585,20 +595,16 @@ def test_radau_carried_factor_climbs_until_newton_measures_a_rate_again():
     assert ones[-1][2] > 1e3 * ones[0][2]
 
 
-def test_radau_carried_factor_starts_at_one_on_a_hand_over():
-    # a stepper handed over starts from the carried factor 1.0, whatever an
-    # earlier Radau stepper carried, so its first step takes two Newton
-    # iterations; its later steps, one each
+def test_radau_carried_factor_starts_at_one_in_a_new_stepper():
+    # a new stepper starts from the carried factor 1.0, whatever an earlier
+    # Radau stepper carried, so its first step takes two Newton iterations;
+    # its later steps, one each
     f, jac = (lambda y: -y), (lambda y: -np.eye(1))                         # noqa: E731
     first, _ = _radau(f, [1.0], jac, OdeSettings())
     first.step()
     first.step()
     assert first._faccon < 1e-10
-    dp = _Stepper(lambda t, y: f(y), 0.0, np.array([1.0]), 10.0, OdeSettings())
-    dp.step()
-    dp.step()
-    calls = []
-    ros = _Radau(dp, jac, lambda ys: calls.append(len(ys)) or [f(y) for y in ys])
+    ros, calls = _radau(f, first.y, jac, OdeSettings())
     assert ros._faccon == 1.0
     ros.step()
     assert calls == [3, 3]
