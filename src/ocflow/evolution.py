@@ -217,20 +217,20 @@ def _check_compat(mode: EvolutionMode, prob: OcpProblem, par: Parameterization,
 
 
 def _pipeline(mode: EvolutionMode, prob: OcpProblem, par: Parameterization, gains: Gains,
-              P: np.ndarray, t_f, ode_inner: OdeSettings | None,
+              p: np.ndarray, t_f: float, ode_inner: OdeSettings | None,
               quad: QuadratureSpec | None) -> tuple:
     """(bundle, quantities, J, g, pi, r + Gamma pi, d theta/dtau = -W (r + Gamma pi))
-    at the B lanes (P[b], t_f[b]), from the stationarity terms r, Gamma over
-    theta and the metric W; each result has a leading lane axis."""
+    at (p, t_f), from the stationarity terms r, Gamma over theta and the metric
+    W.  A (B, s) ``p`` runs B lanes, and each result has a leading lane axis."""
     _check_compat(mode, prob, par, gains)
     quad = quad or QuadratureSpec()
-    bundle = solve_adjoints(prob, par, P, solve_state(prob, par, P, t_f, ode_inner))
+    bundle = solve_adjoints(prob, par, p, solve_state(prob, par, p, t_f, ode_inner))
     J, g_val = _objective(prob, bundle.x_traj)
     if mode.kind == "gradient_flow":
-        quant = nlp_gradients(prob, par, bundle, P, t_f, quad,
+        quant = nlp_gradients(prob, par, bundle, p, t_f, quad,
                               with_tf=prob.tf_mode == "free")
     elif prob.tf_mode == "free":
-        quant = assemble_form2(prob, par, bundle, gains, P, t_f, quad)
+        quant = assemble_form2(prob, par, bundle, gains, p, t_f, quad)
     else:
         quant = assemble_form1(prob, par, bundle, gains, t_f, quad)
     rGamma = quant.rGamma
@@ -242,18 +242,22 @@ def _pipeline(mode: EvolutionMode, prob: OcpProblem, par: Parameterization, gain
             *_flow_direction(rGamma, W_rGamma, gains.K_g, g_val))
 
 
+def _iterate_eval(bundle, quant, J, g_val, pi, residual, dtheta) -> IterateEval:
+    return IterateEval(bundle=bundle, quantities=quant, pi=pi, J=float(J),
+                       g_val=g_val, g_norm=_norm(g_val), residual=residual,
+                       residual_norm=_norm(residual), dtheta=dtheta)
+
+
 def evaluate_iterate(mode: EvolutionMode, prob: OcpProblem, par: Parameterization,
                      gains: Gains, p, t_f: float,
                      ode_inner: OdeSettings | None = None,
                      quad: QuadratureSpec | None = None) -> IterateEval:
     """Run the full pipeline (state, adjoints, assembly, multiplier) at (p, t_f),
-    an (s,) p and one number t_f (else :class:`DimensionError`), as the one
-    lane of an :func:`evaluate_iterates` pass."""
+    an (s,) p and one number t_f (else :class:`DimensionError`)."""
     p = _require_numbers(p, "p")
     if p.shape != (par.s,):
         raise DimensionError(f"p has shape {p.shape}, expected ({par.s},)")
-    t_f = par._resolve_tf(t_f, ())
-    return evaluate_iterates(mode, prob, par, gains, p[None], t_f, ode_inner, quad)[0]
+    return _iterate_eval(*_pipeline(mode, prob, par, gains, p, t_f, ode_inner, quad))
 
 
 def evaluate_iterates(mode: EvolutionMode, prob: OcpProblem, par: Parameterization,
@@ -269,17 +273,15 @@ def evaluate_iterates(mode: EvolutionMode, prob: OcpProblem, par: Parameterizati
     replay, one grid search, one basis evaluation and one Gram matrix serve
     the batch, and the lanes' multiplier systems are solved as one stack.
     Each lane's result is its own :class:`IterateEval`, with a single-lane
-    bundle ending at its own t_f.  Every pipeline the solver runs is such a
-    pass: :func:`evaluate_iterate` is a pass of one lane.
+    bundle ending at its own t_f.  Any B, one included, runs this lane path;
+    one lane equals :func:`evaluate_iterate` bit for bit.
     """
     P = _require_numbers(P, "P")
     if P.ndim != 2 or len(P) == 0 or P.shape[1] != par.s:
         raise DimensionError(f"P has shape {P.shape}, expected (B, {par.s}) with B >= 1")
     t_f = par._resolve_tf(t_f, P.shape[:1])
     bundle, quant, *lanes = _pipeline(mode, prob, par, gains, P, t_f, ode_inner, quad)
-    return [IterateEval(bundle=b, quantities=q, pi=pi, J=float(J), g_val=g, g_norm=_norm(g),
-                        residual=res, residual_norm=_norm(res), dtheta=dtheta)
-            for b, q, J, g, pi, res, dtheta in zip(bundle.lanes(), quant.lanes(), *lanes)]
+    return [_iterate_eval(*lane) for lane in zip(bundle.lanes(), quant.lanes(), *lanes)]
 
 
 def _resolve_init(prob: OcpProblem, init: EvolutionState) -> tuple[np.ndarray, float]:
@@ -329,7 +331,7 @@ def _flow(evaluate, row, theta0: np.ndarray, stop: StopCriteria, ode: OdeSetting
         return np.column_stack([col - base for col in columns]) / (E.diagonal() - theta)
 
     def record(taus, thetas):
-        # parts as equal as the cap allows: no lone last row, a pass of one lane
+        # parts as equal as the cap allows: no lone last row, a single pipeline
         calls = -(-len(taus) // _ROW_LANES)
         for k in range(calls):
             part = slice(k * len(taus) // calls, (k + 1) * len(taus) // calls)
@@ -373,11 +375,11 @@ def solve_evolution(mode: EvolutionMode, prob: OcpProblem, par: Parameterization
     same points, and rows are appended in tau order up to the first that
     meets the tolerances.  The flow's one evaluator (see :func:`_flow`) runs
     the points of a call as the lanes of one :func:`evaluate_iterates` pass,
-    and a lone point, or each point of a pass that raises or warns, through
-    :func:`evaluate_iterate`, a pass of one lane.  The answer is the last
-    trace row: the report's p, t_f, pi, J, residual, ||g|| and tau are that
-    row's, and the returned adjoint bundle (from which costates are
-    reconstructed) is its pipeline's lane.  So a converged report meets
+    and a lone point, or each point of a pass that raises or warns, as a
+    single pipeline.  The answer is the last trace row: the report's p, t_f,
+    pi, J, residual, ||g|| and tau are that row's, and the returned adjoint
+    bundle (from which costates are reconstructed) is its pipeline's, a lane
+    of a pass included.  So a converged report meets
     ``tol_opt`` and ``tol_feas``.  Returns the final report, the trace, and
     that bundle.
     """
@@ -456,23 +458,25 @@ def gradient_flow_generic(f_grad, h_val, h_jac, K_theta, K_h, theta0,
     ``K_h`` (q, q) are SPD gains, or scalars.  The default integration
     tolerances are tight, as they alone limit the flow's accuracy.  From
     theta0 on, a callback output not shaped (dim,), (q,) or (q, dim), q the
-    size of h_val(theta0), raises :class:`DimensionError` naming it.
+    size of h_val(theta0), raises :class:`DimensionError` naming it; a
+    leading axis of length 1 may be left out, as in a (dim,) h_jac for q = 1.
     """
     theta0 = _require_numbers(theta0, "theta0")
-    dim, q = theta0.size, np.asarray(h_val(theta0)).size
+    h0 = h_val(theta0)                  # sizes K_h, and is the first row's h
+    dim, q = theta0.size, np.asarray(h0).size
     K_theta = _require_gain(K_theta, "K_theta", dim)
     K_h = _require_gain(K_h, "K_h", q)
 
-    def output(name, fn, theta, shape):
-        out = np.asarray(fn(theta), dtype=float)
-        if out.shape != shape:
+    def output(name, value, shape):
+        out = np.asarray(value, dtype=float)
+        if out.shape != shape and not (shape[0] == 1 and out.shape == shape[1:]):
             raise DimensionError(f"{name} returned shape {out.shape}, expected {shape}")
-        return out
+        return out.reshape(shape)
 
     def evaluate_one(theta):
-        grad = output("f_grad", f_grad, theta, (dim,))
-        h = output("h_val", h_val, theta, (q,))
-        H = output("h_jac", h_jac, theta, (q, dim)) if q else np.zeros((0, dim))
+        grad = output("f_grad", f_grad(theta), (dim,))
+        h = output("h_val", h0 if theta is theta0 else h_val(theta), (q,))
+        H = output("h_jac", h_jac(theta), (q, dim)) if q else np.zeros((0, dim))
         rGamma = np.column_stack([grad, H.T])
         return _NlpPoint(theta, *_flow_direction(rGamma, K_theta @ rGamma, K_h, h), h)
 

@@ -330,6 +330,28 @@ def _initial_step(rhs, t0, y0, f0, settings, lanes: int = 1, span: float = math.
     return h
 
 
+def _finite(f: np.ndarray, t) -> np.ndarray:
+    """A first stage f at t, or :class:`DivergenceError` there if it is not finite."""
+    if not np.isfinite(f).all():
+        raise DivergenceError("non-finite right-hand side", t)
+    return f
+
+
+def _attempt(h, t, t_end, settings, attempts):
+    """The next attempt's (h, t + h) from the proposed h, after ``attempts``
+    attempts on this step budget, or the typed error that ends the solve."""
+    if attempts >= settings.max_steps:
+        raise StepBudgetError(f"exceeded max_steps = {settings.max_steps}", t)
+    h = min(h, t_end - t)
+    if h < _MIN_STEP_REL * max(abs(t), abs(t_end)):
+        raise IntegrationError("step size underflow", t)
+    # stretch marginally short steps to the endpoint so no unsteppable
+    # sliver is left behind (a 5% stretch is well inside the error budget)
+    if t + 1.05 * h >= t_end:
+        return t_end - t, t_end
+    return h, t + h
+
+
 def _interpolant(K: np.ndarray) -> np.ndarray:
     """Q = K^T BI of the free interpolant, powers first: (4, d) for one step's
     stages (7, d), (4, steps, d) for stacked ones; a view of the product."""
@@ -384,16 +406,11 @@ class _Stepper:
         self._budget0 = self.nsteps + self.nrejected
         self.f = None
         if self.h is None or self.stage_input is None:   # else the first attempt's
-            self._first_stage(self._rhs_at(t0, self.y), t0)   # stage times serve stage 0
+            self.f = _finite(self._rhs_at(t0, self.y), t0)   # stage times serve stage 0
         if self.h is None:
             self.h = _initial_step(self._rhs_at, t0, self.y, self.f, self.settings,
                                    self.lanes, t_end - t0, self.estimated)
         self.h = min(self.h, t_end - t0)
-
-    def _first_stage(self, f, t0) -> None:
-        if not np.isfinite(f).all():
-            raise DivergenceError("non-finite right-hand side", t0)
-        self.f = f
 
     def _rhs_at(self, t, y) -> np.ndarray:
         t = min(max(t, self.lo), self.hi)
@@ -403,20 +420,6 @@ class _Stepper:
     @property
     def done(self) -> bool:
         return self.t >= self.t_end and not self._ends
-
-    def _attempt(self, t):
-        """The next attempt's (h, t + h) from self.h, or the typed error that ends the solve."""
-        s, t_end = self.settings, self.t_end
-        if self.nsteps + self.nrejected - self._budget0 >= s.max_steps:
-            raise StepBudgetError(f"exceeded max_steps = {s.max_steps}", t)
-        h = min(self.h, t_end - t)
-        if h < _MIN_STEP_REL * max(abs(t), abs(t_end)):
-            raise IntegrationError("step size underflow", t)
-        # stretch marginally short steps to the endpoint so no unsteppable
-        # sliver is left behind (a 5% stretch is well inside the error budget)
-        if t + 1.05 * h >= t_end:
-            return t_end - t, t_end
-        return h, t + h
 
     def step(self):
         """Advance one accepted step from (t, y); returns its size h and stages K.
@@ -432,11 +435,12 @@ class _Stepper:
         stage_input = self.stage_input
         t, y = self.t, self.y
         while True:
-            h, t_new = self._attempt(t)
+            h, t_new = _attempt(self.h, t, self.t_end, s,
+                                self.nsteps + self.nrejected - self._budget0)
             ts = [min(max(t + c * h, lo), hi) for c in _C_STAGE]
             vs = None if stage_input is None else stage_input(np.array(ts[self.f is not None:]))
             if self.f is None:          # a restart: all seven stages in one evaluation
-                self._first_stage(np.asarray(rhs(ts[0], y, vs[0]), dtype=float), t)
+                self.f = _finite(np.asarray(rhs(ts[0], y, vs[0]), dtype=float), t)
                 vs = vs[1:]
             # y + h * (K^T a_i), y_new and the error, each formed in place (the
             # same roundings as the plain expressions)
@@ -508,7 +512,7 @@ def _broyden(J: np.ndarray, dy: np.ndarray, dF: np.ndarray) -> None:
         J += np.outer(dF - J @ dy, dy / dy2)
 
 
-class _Radau(_Stepper):
+class _Radau:
     """The 3-stage Radau IIA method (order 5, L-stable) as in RADAU5 for an
     autonomous y' = f(y) over [0, t_end], whose ``rhs(ys)`` gives f at a list
     of points.
@@ -537,10 +541,10 @@ class _Radau(_Stepper):
     segment = staticmethod(lambda K: _RADAU_P.T @ K)    # a step's K -> its dense Q
 
     def __init__(self, rhs, jac, y0, f0, t_end, settings):
-        self.rhs, self.jac, self.settings, self._ends = rhs, jac, settings, ()
+        self.rhs, self.jac, self.settings = rhs, jac, settings
         self.t, self.y, self.t_end = 0.0, np.asarray(y0, dtype=float), float(t_end)
-        self.nsteps = self.nrejected = self._budget0 = 0
-        self._first_stage(np.asarray(f0, dtype=float), 0.0)
+        self.nsteps = self.nrejected = 0
+        self.f = _finite(np.asarray(f0, dtype=float), 0.0)
         self.h = min(_initial_step(lambda t, y: rhs([y])[0], 0.0, self.y, self.f, settings,
                                    span=self.t_end), self.t_end)
         self.J, self._fresh, self._slow = self._jacobian(), True, False
@@ -572,7 +576,7 @@ class _Radau(_Stepper):
             F = np.array(self.rhs([y] * (self.f is None) + list(y + Z)), dtype=float)
             if M is None:
                 if self.f is None:
-                    self._first_stage(F[0], self.t)
+                    self.f = _finite(F[0], self.t)
                     F = F[1:]
                     _, y0, f0 = self._last[:3]
                     _broyden(self.J, y - y0, self.f - f0)
@@ -601,13 +605,17 @@ class _Radau(_Stepper):
         # exact tie gets here
         return None
 
+    @property
+    def done(self) -> bool:
+        return self.t >= self.t_end
+
     def step(self):
         """Advance one accepted step; returns its size h and K for :meth:`segment`."""
         s, t, y, rejected = self.settings, self.t, self.y, False
         if self._slow and not self._fresh:
             self.J, self._fresh = self._jacobian(), True
         while True:
-            h, t_new = self._attempt(t)
+            h, t_new = _attempt(self.h, t, self.t_end, s, self.nsteps + self.nrejected)
             h0, y0, _, K0, err0 = self._last or (h, y, None, None, None)
             Z = (np.zeros((3, y.size)) if K0 is None else
                  dense_output(1.0 + h / h0 * _RADAU_C, h0, y0, self.segment(K0)) - y)

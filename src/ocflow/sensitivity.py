@@ -26,9 +26,8 @@ gradients are the same integrals without a metric.
 
 Every stage also runs B iterates at once, as lanes: p is then (B, s), one
 state solve and one adjoint replay carry all lanes on one step sequence,
-and the results carry a leading lane axis, as the trajectories' lookups do.
-Every pipeline the solver runs is such a pass, a lone iterate one lane; a
-1-D p has no lane axis and the same arithmetic, the reference for the lanes.
+and the results carry a leading lane axis, as the trajectories' lookups do;
+a single iterate has none, and is the arithmetic of the single pipeline.
 Lanes of their own t_f, a (B,) array, step on the first lane's clock, lane
 b at the rate c_b = (t_f,b - t0)/(t_f,0 - t0) that scales its right-hand
 side, replay coefficients and integrals.  The grid's p-independent samples

@@ -188,6 +188,28 @@ def test_gradient_flow_generic_refuses_mis_shaped_callback_output(callback, outp
     assert seen and all(np.array_equal(th, np.zeros(3)) for th in seen)
 
 
+def test_gradient_flow_generic_takes_q1_output_without_its_leading_axis():
+    # with one constraint, h_val may be a number and h_jac a (dim,) row, as
+    # they always could: the flow is the one of the (1,) and (1, dim)
+    # outputs, bit for bit.  The call at theta0 that sizes K_h also serves
+    # the row at tau = 0, so h_val's next call is the initial step's probe
+    at_theta0 = []
+
+    def h_val(th):
+        at_theta0.append(not th.any())
+        return th[0] - 1.0
+
+    common = dict(f_grad=lambda th: th, K_theta=np.eye(3), K_h=np.eye(1),
+                  theta0=np.zeros(3), stop=StopCriteria(tau_max=50.0))
+    theta, pi = gradient_flow_generic(h_val=h_val, h_jac=lambda th: np.array([1.0, 0.0, 0.0]),
+                                      **common)
+    assert at_theta0[:2] == [True, False]
+    theta_2d, pi_2d = gradient_flow_generic(h_val=lambda th: np.array([th[0] - 1.0]),
+                                            h_jac=lambda th: np.array([[1.0, 0.0, 0.0]]),
+                                            **common)
+    assert np.array_equal(theta, theta_2d) and np.array_equal(pi, pi_2d)
+
+
 def test_gradient_flow_multiplier_is_least_squares_at_convergence():
     rng = np.random.default_rng(14)
     A = rng.normal(size=(2, 4))
@@ -295,8 +317,8 @@ def _assert_report_is_last_row(report, trace):
 
 def test_solve_report_invariant(request):
     # the answer is the last trace row, field for field, whether that row came
-    # from a pass of several lanes (e1 form 1), a lone point (gradient flow)
-    # or a free-t_f flow (Brachistochrone cases 1 and 4)
+    # from a pass of several lanes (e1 form 1), a single pipeline (gradient
+    # flow) or a free-t_f flow (Brachistochrone cases 1 and 4)
     for solve in ("e1_form1_solve", "e1_gradflow_solve", "e1_decay_solve", "brach_case1",
                   "brach_case4"):
         report, trace, _, _ = request.getfixturevalue(solve)
@@ -643,8 +665,8 @@ def test_the_flow_evaluates_its_first_point_once():
 
 
 def test_evaluate_iterate_takes_one_number_for_t_f(example1, e1_par):
-    # a lone point runs as a pass of one lane, but its t_f is one number: a
-    # (1,) array, which the pass would take, is refused
+    # a single pipeline's t_f is one number: a (1,) array, which a pass of
+    # one lane takes, is refused
     with pytest.raises(DimensionError, match=r"^t_f has shape \(1,\), expected one per lane$"):
         evaluate_iterate(EvolutionMode.form1(), example1.prob, e1_par, example1.gains,
                          np.zeros(4), np.array([2.0]))
@@ -767,9 +789,8 @@ def test_a_failing_batch_reruns_its_rows_one_at_a_time(monkeypatch, example1, e1
     # again one at a time up to the converged one, so neither the failure
     # nor a warning reaches the caller, and the trace is the batched one.
     # Only the row passes fail (their first lane is a row of the batched
-    # trace; the Jacobian's at tau = 0 starts at one too, and so does the
-    # one-lane pass of a lone point), so the flow's Newton and Jacobian
-    # passes and its lone points, and with them its path, are kept
+    # trace; the Jacobian's at tau = 0 starts at one too), so the flow's
+    # Newton and Jacobian passes, and with them its path, are kept
     import warnings
 
     import ocflow.evolution as evolution
@@ -781,7 +802,7 @@ def test_a_failing_batch_reruns_its_rows_one_at_a_time(monkeypatch, example1, e1
 
     def failing(mode, prob, par, gains, P, *args, **kwargs):
         its = batch(mode, prob, par, gains, P, *args, **kwargs)
-        if len(P) == 1 or _is_fd_pass(P) or not any(np.array_equal(P[0], p) for p in rows):
+        if _is_fd_pass(P) or not any(np.array_equal(P[0], p) for p in rows):
             return its
         if failure == "raise":
             raise DivergenceError("non-finite right-hand side", time=1.0)
@@ -1054,8 +1075,7 @@ def test_every_flow_starts_on_radau_and_logs_nothing(example1, brach, caplog, mo
 
 
 def _spy_calls(monkeypatch) -> list:
-    """Record the parameter stack of every pipeline call, a lone point as one
-    row (its pass of one lane is not recorded again)."""
+    """Record the parameter stack of every pipeline call, a single one as one row."""
     import ocflow.evolution as evolution
 
     events, single, batch = [], evolution.evaluate_iterate, evolution.evaluate_iterates
@@ -1065,8 +1085,7 @@ def _spy_calls(monkeypatch) -> list:
         return single(mode, prob, par, gains, p, *args, **kwargs)
 
     def lanes(mode, prob, par, gains, P, *args, **kwargs):
-        if len(P) > 1:
-            events.append(np.array(P))
+        events.append(np.array(P))
         return batch(mode, prob, par, gains, P, *args, **kwargs)
 
     monkeypatch.setattr(evolution, "evaluate_iterate", one)
@@ -1107,7 +1126,7 @@ def test_e1_gradient_flow_jacobian_is_one_lane_pass(example1, e1_par, monkeypatc
     assert sum(map(_is_fd_pass, events)) == 1
     newton = [E for E in events[switch:] if len(E) == 3]
     assert len(newton) >= 2 and all(np.isfinite(E).all() for E in newton)
-    # no stage point ran as a lone point
+    # no stage point ran as a single pipeline
     assert not any(np.array_equal(E[0], e) for E in newton for e in
                    (ev[0] for ev in events[switch:] if len(ev) == 1))
 
@@ -1200,8 +1219,7 @@ def test_free_tf_flow_starts_with_one_point_a_probe_and_a_jacobian_pass(brach, m
     events, tfs, batch = _spy_calls(monkeypatch), [], evolution.evaluate_iterates
 
     def lanes(mode, prob, par, gains, P, t_f, *args, **kwargs):
-        if len(P) > 1:
-            tfs.append(np.array(t_f))
+        tfs.append(np.array(t_f))
         return batch(mode, prob, par, gains, P, t_f, *args, **kwargs)
 
     monkeypatch.setattr(evolution, "evaluate_iterates", lanes)
@@ -1221,7 +1239,7 @@ def test_free_tf_flow_starts_with_one_point_a_probe_and_a_jacobian_pass(brach, m
 def test_free_tf_flow_jacobian_predicts_its_direction(brach, monkeypatch):
     # the Brachistochrone's form-2 flow on Radau from tau = 0: its Jacobian,
     # one pass of theta and its 21 forward-difference points, the t_f column
-    # a lane at its own rate, predicts the lone points' flow direction,
+    # a lane at its own rate, predicts the single pipelines' flow direction,
     # and the solve converges to the optimal t_f
     import ocflow.evolution as evolution
 
