@@ -23,12 +23,13 @@ optimality conditions; the solver integrates until a residual/feasibility
 tolerance or a tau budget is hit, recording a trace row every
 ``record_every`` units of tau via dense output, with the energy-like
 V = ||g|| + 0.01 J.  Every flow steps on Radau IIA from tau = 0, with no
-hand-over: the rows inside one accepted step, each Newton iteration's stage
-points (a converged step's one call of four with f at its start point) and
-the forward-difference Jacobian are calls of the flow's one evaluator, which
-runs them as the lanes of pipeline passes (:func:`evaluate_iterates`), free
-t_f included, as lanes may differ in t_f.  The basis is the one judge of
-t_f, so a free-t_f flow that drives t_f to t0 ends on its :class:`DomainError`.
+hand-over: each Newton iteration's stage points and the forward-difference
+Jacobian are calls of the flow's one evaluator, and the rows inside one
+accepted step ride with the next step's first Newton call, ahead of f at its
+start point, so a converged step is one call.  The evaluator runs a call as
+the lanes of one pipeline pass (:func:`evaluate_iterates`), free t_f
+included, as lanes may differ in t_f.  The basis is the one judge of t_f, so
+a free-t_f flow that drives t_f to t0 ends on its :class:`DomainError`.
 """
 
 from __future__ import annotations
@@ -302,6 +303,17 @@ def _resolve_init(prob: OcpProblem, init: EvolutionState) -> tuple[np.ndarray, f
     return p0, t_f0
 
 
+class _Done(Exception):
+    """A trace row met the tolerances inside a Radau step's call: the flow ends."""
+
+
+def _parts(n: int) -> list[slice]:
+    """range(n) in ceil(n / _ROW_LANES) parts as equal as the cap allows, in
+    order: no lone last point, and one part when all fit."""
+    calls = -(-n // _ROW_LANES)
+    return [slice(k * n // calls, (k + 1) * n // calls) for k in range(calls)]
+
+
 def _flow(evaluate, row, theta0: np.ndarray, stop: StopCriteria, ode: OdeSettings):
     """Integrate d theta/dtau = F(theta) from tau = 0 until a record point is done.
 
@@ -309,57 +321,74 @@ def _flow(evaluate, row, theta0: np.ndarray, stop: StopCriteria, ode: OdeSetting
     lazily, each with its F as ``dtheta``.  The record points are tau = 0,
     the uniform tau grid of spacing ``stop.record_every`` (points inside an
     accepted step come from its dense output) and the last tau reached if
-    that is off the grid; the points inside one accepted step are calls of
-    at most ``_ROW_LANES`` points each.  ``row(tau, result)`` records each
-    point's result in order and says whether it is done; the flow stops at
-    the first that is done and takes no later one, so no later call starts.
-    Returns the last ``(result, done, tau)``.
+    that is off the grid.  ``row(tau, result)`` records each point's result
+    in order and says whether it is done; the flow stops at the first that
+    is done and takes no later result, so no later call starts.  Returns the
+    last ``(result, done, tau)``.
 
     The flow steps on Radau IIA from tau = 0, its three stage points one
     call.  Radau starts from the row at tau = 0 and its F, so theta0 is
     evaluated once; the initial step estimate's probe is a one-point call.
     A Radau step's first call leads with its start point, whose f the step
     before left pending, so a step whose Newton converges at once is one
-    call, and the step in which the flow ends makes no call at its end
-    point.  Radau's Jacobian is one call at [theta, theta + d_1 e_1,
-    ...], d_j = ``_FD_REL`` max(1, |theta_j|): column j is the forward
-    difference against the call's first result over the step taken.
+    call.  An accepted step's row points wait in the same way: the next
+    step's first Newton call puts them in front, [rows..., y_new, y + Z_1,
+    y + Z_2, y + Z_3], and they are recorded first, so a done row ends the
+    flow before any Newton result of its call is drawn.  No call holds more
+    than ``_ROW_LANES`` points: a longer list goes out in :func:`_parts`,
+    the earlier ones rows alone.  The last step's rows go out on their own,
+    as does the last tau reached when it is off the grid.
+    Radau's Jacobian, which carries no row, is one call at [theta, theta +
+    d_1 e_1, ...], d_j = ``_FD_REL`` max(1, |theta_j|): column j is the
+    forward difference against the call's first result over the step taken.
     """
+    last, pending = None, []        # the last row's (result, done, tau); rows not yet sent
+
     def jac(theta):
         E = theta + np.diag(_FD_REL * np.maximum(1.0, np.abs(theta)))
         base, *columns = (result.dtheta for result in evaluate([theta, *E]))
         return np.column_stack([col - base for col in columns]) / (E.diagonal() - theta)
 
-    def record(taus, thetas):
-        # parts as equal as the cap allows: no lone last row, a single pipeline
-        calls = -(-len(taus) // _ROW_LANES)
-        for k in range(calls):
-            part = slice(k * len(taus) // calls, (k + 1) * len(taus) // calls)
-            for tau, result in zip(taus[part], evaluate(thetas[part])):
-                if done := row(tau, result):
-                    return result, done, tau
-        return result, done, tau
+    def send(rows, points=()):
+        # records the rows (tau, theta) in order, raising _Done at a done one,
+        # then gives F at the points
+        nonlocal last
+        thetas, out = [theta for _, theta in rows] + list(points), []
+        for part in _parts(len(thetas)):
+            for k, result in enumerate(evaluate(thetas[part]), part.start):
+                if k < len(rows):
+                    tau = rows[k][0]
+                    last = result, row(tau, result), tau
+                    if last[1]:
+                        raise _Done
+                else:
+                    out.append(result.dtheta)
+        return out
 
-    result, done, tau = record([0.0], [theta0])
-    if done:
-        return result, done, tau
-    stepper, next_k = _Radau(lambda thetas: [r.dtheta for r in evaluate(thetas)], jac,
-                             theta0, result.dtheta, stop.tau_max, ode), 1
-    while not stepper.done and not done:
-        tau_prev, theta_prev = stepper.t, stepper.y
-        h, K = stepper.step()
-        taus, last = [], min(stepper.t + 1e-12 * stop.tau_max, stop.tau_max)
-        while (tau_rec := next_k * stop.record_every) <= last:
-            taus.append(tau_rec)
-            next_k += 1
-        if taus:
-            Q = stepper.segment(K)
-            thetas = [dense_output((tau_rec - tau_prev) / (stepper.t - tau_prev), h,
-                                   theta_prev, Q) for tau_rec in taus]
-            result, done, tau = record(taus, thetas)
-    if not done and tau < stepper.t:
-        result, done, tau = record([stepper.t], [stepper.y])
-    return result, done, tau
+    def rhs(thetas):
+        rows, pending[:] = pending[:], []
+        return send(rows, thetas)
+
+    try:
+        send([(0.0, theta0)])
+        stepper, next_k = _Radau(rhs, jac, theta0, last[0].dtheta, stop.tau_max, ode), 1
+        while not stepper.done:
+            tau_prev, theta_prev = stepper.t, stepper.y
+            h, K = stepper.step()
+            taus, end = [], min(stepper.t + 1e-12 * stop.tau_max, stop.tau_max)
+            while (tau_rec := next_k * stop.record_every) <= end:
+                taus.append(tau_rec)
+                next_k += 1
+            if taus:
+                Q = stepper.segment(K)
+                pending += [(tau_rec, dense_output((tau_rec - tau_prev) / (stepper.t - tau_prev),
+                                                   h, theta_prev, Q)) for tau_rec in taus]
+        rhs([])                          # the last step's rows, on their own
+        if last[2] < stepper.t:
+            send([(stepper.t, stepper.y)])
+    except _Done:
+        pass
+    return last
 
 
 def solve_evolution(mode: EvolutionMode, prob: OcpProblem, par: Parameterization,
@@ -375,8 +404,10 @@ def solve_evolution(mode: EvolutionMode, prob: OcpProblem, par: Parameterization
     same points, and rows are appended in tau order up to the first that
     meets the tolerances.  The flow's one evaluator (see :func:`_flow`) runs
     the points of a call as the lanes of one :func:`evaluate_iterates` pass,
+    a step's rows in the same pass as the next step's first Newton points,
     and a lone point, or each point of a pass that raises or warns, as a
-    single pipeline.  The answer is the last trace row: the report's p, t_f,
+    single pipeline, rows first, so a point after the converged row never
+    runs alone.  The answer is the last trace row: the report's p, t_f,
     pi, J, residual, ||g|| and tau are that row's, and the returned adjoint
     bundle (from which costates are reconstructed) is its pipeline's, a lane
     of a pass included.  So a converged report meets

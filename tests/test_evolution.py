@@ -785,47 +785,84 @@ def test_acceptance_1_rows_are_batched_and_keep_their_trace(monkeypatch, example
 @pytest.mark.parametrize("failure", ["raise", "warn"])
 def test_a_failing_batch_reruns_its_rows_one_at_a_time(monkeypatch, example1, e1_par,
                                                       e1_form1_solve, failure):
-    # as if a lane after the converged row failed: the rows are evaluated
-    # again one at a time up to the converged one, so neither the failure
-    # nor a warning reaches the caller, and the trace is the batched one.
-    # Only the row passes fail (their first lane is a row of the batched
-    # trace; the Jacobian's at tau = 0 starts at one too), so the flow's
-    # Newton and Jacobian passes, and with them its path, are kept
+    # as if every pass that holds trace rows failed: a Newton call holds at
+    # most 4 points and a Jacobian call is theta and its forward differences,
+    # so every other pass, of 5 or more lanes, holds the rows of a step ahead
+    # of the next step's Newton points.  Its points are evaluated again one
+    # at a time, rows first, so neither the failure nor a warning reaches the
+    # caller; the converged row's pass runs no later point again.  The
+    # flow's path is kept: bit for bit the one that single pipelines at
+    # those passes' points give, and on the batched trace's grid and values
     import warnings
 
     import ocflow.evolution as evolution
     from ocflow import DivergenceError
 
-    batch, single, singles = evolution.evaluate_iterates, evolution.evaluate_iterate, []
+    batch, single = evolution.evaluate_iterates, evolution.evaluate_iterate
     batched_report, batched_trace, _, _ = e1_form1_solve
-    rows = batched_trace.column("p")
+    args = (EvolutionMode.form1(), example1.prob, e1_par, example1.gains,
+            EvolutionState(p=np.zeros(4), t_f=2.0), StopCriteria(tau_max=300.0))
+    holds_rows = lambda P: len(P) > 4 and not _is_fd_pass(P)        # noqa: E731
 
-    def failing(mode, prob, par, gains, P, *args, **kwargs):
-        its = batch(mode, prob, par, gains, P, *args, **kwargs)
-        if _is_fd_pass(P) or not any(np.array_equal(P[0], p) for p in rows):
+    def singly(mode, prob, par, gains, P, *rest, **kwargs):
+        if not holds_rows(P):
+            return batch(mode, prob, par, gains, P, *rest, **kwargs)
+        return [single(mode, prob, par, gains, p, *rest, **kwargs) for p in P]
+
+    monkeypatch.setattr(evolution, "evaluate_iterates", singly)
+    ref_report, ref_trace, _ = solve_evolution(*args)
+    events = []
+
+    def failing(mode, prob, par, gains, P, *rest, **kwargs):
+        its = batch(mode, prob, par, gains, P, *rest, **kwargs)
+        events.append(("pass", np.array(P), holds_rows(P)))
+        if not holds_rows(P):
             return its
         if failure == "raise":
             raise DivergenceError("non-finite right-hand side", time=1.0)
         warnings.warn("||pi|| exceeds bound", MultiplierBoundWarning)
         return its
 
-    def one(mode, prob, par, gains, p, *args, **kwargs):
-        singles.append(np.array(p))
-        return single(mode, prob, par, gains, p, *args, **kwargs)
+    def one(mode, prob, par, gains, p, *rest, **kwargs):
+        events.append(("one", np.array(p), False))
+        return single(mode, prob, par, gains, p, *rest, **kwargs)
 
     monkeypatch.setattr(evolution, "evaluate_iterates", failing)
     monkeypatch.setattr(evolution, "evaluate_iterate", one)
     with warnings.catch_warnings(record=True) as seen:
         warnings.simplefilter("always")
-        report, trace, _ = solve_evolution(
-            EvolutionMode.form1(), example1.prob, e1_par, example1.gains,
-            EvolutionState(p=np.zeros(4), t_f=2.0), StopCriteria(tau_max=300.0))
+        report, trace, _ = solve_evolution(*args)
     assert not seen
+    for name in ("tau", "t_f", "J", "g_norm", "residual_norm", "V", "p", "pi"):
+        np.testing.assert_array_equal(trace.column(name), ref_trace.column(name))
+    for field in dataclasses.fields(report):
+        if field.name != "wall_time":
+            assert np.array_equal(getattr(report, field.name), getattr(ref_report, field.name))
     np.testing.assert_array_equal(trace.taus(), batched_trace.taus())
-    assert report.converged and np.array_equal(report.p_final, batched_report.p_final)
+    assert report.converged
     np.testing.assert_allclose(trace.column("residual_norm"),
                                batched_trace.column("residual_norm"), rtol=0, atol=1e-12)
-    assert any(np.array_equal(p, report.p_final) for p in singles)
+    np.testing.assert_allclose(report.p_final, batched_report.p_final, rtol=0, atol=1e-12)
+    # right after each failed pass its points run again as single
+    # pipelines, in order: its rows, then its Newton points; the last one's
+    # stop at the converged row, ahead of its later points, and end the solve
+    failed = [i for i, (_, _, bad) in enumerate(events) if bad]
+    assert len(failed) >= 10
+    for i in failed:
+        P = events[i][1]
+        n = len(P) if i != failed[-1] else len(events) - 1 - i
+        assert [kind for kind, _, _ in events[i + 1:i + 1 + n]] == ["one"] * n
+        np.testing.assert_array_equal([p for _, p, _ in events[i + 1:i + 1 + n]], P[:n])
+    assert np.array_equal(events[-1][1], report.p_final) and n < len(P)
+    # the rows lead the passes that failed before the last: a pass is rows
+    # alone, or ends in the four Newton points of the step after theirs
+    rows = trace.column("p")
+    newton = [sum(not any(np.array_equal(p, r) for r in rows) for p in events[i][1])
+              for i in failed[:-1]]
+    for i, k in zip(failed, newton):
+        assert k in (0, 4) and all(any(np.array_equal(p, r) for r in rows)
+                                   for p in events[i][1][:len(events[i][1]) - k])
+    assert newton.count(4) >= 5
 
 
 def test_gradient_flow_generic_takes_the_rows_of_a_step_together(monkeypatch):
@@ -879,76 +916,187 @@ def _radau_starts(monkeypatch) -> list:
     return starts
 
 
-def test_flow_takes_no_result_after_the_first_done_row():
-    # y' = -y with a fine record grid: the rows of one accepted step are one
-    # call of the evaluator, whose results are drawn lazily and in order, so
-    # the flow stops at the first done row and no later point is evaluated;
-    # Radau IIA's collocation cubic meets 1e-6 at rel_tol = 1e-6
+def _decay_flow(stop: StopCriteria, done=lambda tau: False, slow: bool = False,
+                ode: OdeSettings | None = None):
+    """Run the flow on y' = -y from y = 1, at ``ode`` (the default settings if
+    None), with a plain evaluator whose results are drawn lazily; returns
+    (calls, rows, steps, (result, done, tau)).
+
+    ``calls`` holds [points, results drawn] per evaluator call, ``rows`` (tau,
+    theta, call, position in it) per recorded row, and ``steps`` [t, y, first
+    call, end] per Radau step begun, end None for the step in which the flow
+    ended.  ``slow`` marks every accepted step's Newton slow, as if it had
+    contracted slower than _THET, so each later step re-forms J first."""
     from types import SimpleNamespace
 
     import ocflow.evolution as evolution
 
-    calls, rows = [], []
+    calls, rows, steps = [], [], []
 
     def evaluate(thetas):
-        calls.append([len(thetas), 0])
+        calls.append([np.array(thetas), 0])
         k = len(calls) - 1
-        for theta in thetas:
-            calls[k][1] += 1                    # results drawn from this call
-            yield SimpleNamespace(theta=theta, dtheta=-theta, call=k)
+        for at, theta in enumerate(thetas):
+            calls[k][1] += 1
+            yield SimpleNamespace(theta=theta, dtheta=-theta, call=k, at=at)
 
     def row(tau, result):
-        rows.append((tau, result.call))
-        return tau >= 0.5
-
-    stop = StopCriteria(tau_max=10.0, record_every=0.01)
-    result, done, tau = evolution._flow(evaluate, row, np.ones(1), stop,
-                                        OdeSettings(rel_tol=1e-6, abs_tol=1e-9))
-    taus, row_calls = [tau for tau, _ in rows], {k for _, k in rows}
-    assert done and tau == taus[-1] == pytest.approx(0.5)
-    np.testing.assert_allclose(taus, 0.01 * np.arange(len(rows)), rtol=0, atol=1e-12)
-    np.testing.assert_allclose(result.theta, np.exp(-tau), rtol=1e-6)
-    given, drawn = calls[max(row_calls)]
-    assert drawn < given                        # the step had later rows, not evaluated
-    # every result drawn from a call of rows is a row, the one at tau = 0 included
-    assert sum(calls[k][1] for k in row_calls) == len(rows) and len(row_calls) > 2
-
-
-def test_flow_makes_no_call_after_its_last_step():
-    # a flow's Radau steps send f at their start with their first
-    # Newton call, so no step makes a call at its end point: after the step
-    # in which a row is done the flow calls for that step's rows alone, the
-    # last call holding the done row
-    from types import SimpleNamespace
-
-    import ocflow.evolution as evolution
-
-    calls, steps = [], []
-
-    def evaluate(thetas):
-        calls.append([np.array(t) for t in thetas])
-        return (SimpleNamespace(theta=theta, dtheta=-theta) for theta in thetas)
+        rows.append((tau, result.theta, result.call, result.at))
+        return done(tau)
 
     class Radau(evolution._Radau):
         def step(self):
-            before = len(calls)
+            steps.append([self.t, self.y, len(calls), None])
             out = super().step()
-            steps.append((calls[before:], self.y, len(calls)))
+            steps[-1][3] = len(calls)
+            self._slow |= slow
             return out
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(evolution, "_Radau", Radau)
-        result, done, tau = evolution._flow(evaluate, lambda tau, result: tau >= 3.0,
-                                            np.ones(1),
-                                            StopCriteria(tau_max=100.0, record_every=0.5),
-                                            OdeSettings())
-    assert done and tau == 3.0 and len(steps) > 1
-    for own, _, _ in steps:                    # Newton calls only, none of one point
-        assert {len(points) for points in own} <= {3, 4}
-    _, end, made = steps[-1]
-    rows = calls[made:]
-    assert rows and not any(np.array_equal(p, end) for points in rows for p in points)
-    assert any(np.array_equal(p, result.theta) for p in rows[-1])
+        out = evolution._flow(evaluate, row, np.ones(1), stop, ode or OdeSettings())
+    return calls, rows, steps, out
+
+
+def _rows_of_steps(rows, steps) -> list:
+    """The row points of each Radau step begun, in tau order: those in (t_k, t_k+1]."""
+    ends = [t for t, *_ in steps[1:]] + [np.inf]
+    return [np.array([theta for tau, theta, *_ in rows if t < tau <= end]).reshape(-1, y.size)
+            for (t, y, *_), end in zip(steps, ends)]
+
+
+def test_flow_takes_no_result_after_the_first_done_row():
+    # y' = -y with a fine record grid: the rows of one accepted step lead the
+    # next step's first Newton call, and results are drawn lazily and in
+    # order, so the flow stops at the first done row: no later row and no
+    # Newton result of its call is drawn, and no later call starts; Radau
+    # IIA's collocation cubic meets 1e-6 at rel_tol = 1e-6
+    calls, rows, _, (result, done, tau) = _decay_flow(
+        StopCriteria(tau_max=10.0, record_every=0.01), done=lambda tau: tau >= 0.5,
+        ode=OdeSettings(rel_tol=1e-6, abs_tol=1e-9))
+    taus = [tau for tau, *_ in rows]
+    assert done and tau == taus[-1] == pytest.approx(0.5)
+    np.testing.assert_allclose(taus, 0.01 * np.arange(len(rows)), rtol=0, atol=1e-12)
+    np.testing.assert_allclose(result.theta, np.exp(-tau), rtol=1e-6)
+    row_calls = sorted({k for _, _, k, _ in rows})
+    assert len(row_calls) > 2 and row_calls[-1] == len(calls) - 1 == result.call
+    taken = {k: sum(j == k for _, _, j, _ in rows) for k in row_calls}
+    # the rows of a call lead it: they are its first results, in tau order
+    for k in row_calls:
+        assert [at for _, _, j, at in rows if j == k] == list(range(taken[k]))
+    # a call of rows holds rows alone (a part past the cap, or tau = 0's), or
+    # leads with them the four Newton points of the step after theirs
+    assert all(len(calls[k][0]) - taken[k] in (0, 4) for k in row_calls[:-1])
+    assert sum(len(calls[k][0]) - taken[k] == 4 for k in row_calls[:-1]) >= 3
+    points, drawn = calls[-1]
+    # the done row is the last result drawn from its call, which held later
+    # points: every result drawn from it is a row, no Newton result
+    assert drawn == result.at + 1 == taken[row_calls[-1]] < len(points)
+
+
+def test_flow_makes_no_call_after_its_last_step():
+    # a flow's Radau steps send f at their start and the step before's rows
+    # with their first Newton call, so a step's calls are its Newton calls,
+    # the first led by the last step's rows; the flow ends in the first call
+    # of the step after the done row's, and no call follows it
+    calls, rows, steps, (result, done, tau) = _decay_flow(
+        StopCriteria(tau_max=100.0, record_every=0.5), done=lambda tau: tau >= 3.0)
+    assert done and tau == 3.0 and len(steps) > 2
+    before = _rows_of_steps(rows, steps)
+    for k, (t, y, first, end) in enumerate(steps):
+        own = [points for points, _ in calls[first:end]]
+        led = before[k - 1] if k else before[k][:0]
+        assert len(own[0]) == len(led) + (4 if k else 3)
+        np.testing.assert_array_equal(own[0][:len(led)], led)
+        if k:
+            assert np.array_equal(own[0][len(led)], y)
+        assert all(len(points) == 3 for points in own[1:])      # later Newton iterations
+    t, y, first, end = steps[-1]
+    assert end is None and first == len(calls) - 1 == result.call
+    assert np.array_equal(result.theta, rows[-1][1])
+
+
+def test_a_steps_rows_lead_the_next_steps_first_newton_call():
+    # y' = -y, rows every 0.5: each accepted step's rows ride with the next
+    # step's first Newton call, [rows..., y, y + Z_1, y + Z_2, y + Z_3], in
+    # tau order and recorded from it; only the last step's rows go out alone
+    calls, rows, steps, (result, done, tau) = _decay_flow(
+        StopCriteria(tau_max=20.0, record_every=0.5))
+    assert not done and tau == 20.0
+    before = _rows_of_steps(rows, steps)
+    ridden = 0
+    for (t, y, first, _), led in zip(steps[1:], before):
+        points, drawn = calls[first]
+        assert len(points) == len(led) + 4 == drawn
+        np.testing.assert_array_equal(points[:len(led)], led)
+        assert np.array_equal(points[len(led)], y)
+        ridden += len(led)
+    assert ridden > 20
+    # each row's result came from that same call, at its place in it
+    for k, (_, _, first, _) in enumerate(steps[1:]):
+        assert [(j, at) for tau, _, j, at in rows if steps[k][0] < tau <= steps[k + 1][0]] \
+            == [(first, at) for at in range(len(before[k]))]
+    last = calls[steps[-1][3]:]
+    assert [len(points) for points, _ in last] == [len(before[-1])] and len(before[-1])
+    np.testing.assert_array_equal(last[0][0], before[-1])
+
+
+def test_rows_beyond_the_cap_go_first_in_parts():
+    # rows every 0.01: a Radau step spans up to 70 rows, so with the next
+    # step's four Newton points they are split in ceil((R + 4) / _ROW_LANES)
+    # parts of near-equal size; the earlier parts are rows alone and the last
+    # holds the remaining rows, then the Newton points; no call exceeds the cap
+    import ocflow.evolution as evolution
+
+    cap = evolution._ROW_LANES
+    calls, rows, steps, _ = _decay_flow(StopCriteria(tau_max=3.0, record_every=0.01))
+    assert max(len(points) for points, _ in calls) <= cap
+    before, split = _rows_of_steps(rows, steps), 0
+    for k, (t, y, first, end) in enumerate(steps[1:], 1):
+        led = before[k - 1]
+        parts = -(-(len(led) + 4) // cap)
+        sizes = [len(points) for points, _ in calls[first:first + parts]]
+        assert sum(sizes) == len(led) + 4 and max(sizes) - min(sizes) <= 1
+        np.testing.assert_array_equal(np.concatenate([p for p, _ in calls[first:first + parts]])
+                                      [:len(led)], led)
+        assert np.array_equal(calls[first + parts - 1][0][-4], y)
+        split += parts > 1
+    assert split >= 3
+
+
+def test_a_jacobian_re_form_call_carries_no_row():
+    # as if each step's Newton had contracted slowly: every later step
+    # re-forms J, one forward-difference call at its start point, before its
+    # first Newton call; the rows of the step before wait past it and lead
+    # that Newton call
+    calls, rows, steps, _ = _decay_flow(StopCriteria(tau_max=10.0, record_every=0.5),
+                                        slow=True)
+    before, reformed = _rows_of_steps(rows, steps), 0
+    row_points = np.array([theta for _, theta, *_ in rows])
+    for (t, y, first, _), led in zip(steps[1:], before):
+        E, newton = calls[first][0], calls[first + 1][0]
+        assert E.shape == (2, 1) and np.array_equal(E[0], y) and _is_fd_pass(E)
+        assert not any(np.array_equal(p, r) for p in E for r in row_points)
+        np.testing.assert_array_equal(newton[:len(led)], led)
+        assert len(newton) == len(led) + 4
+        reformed += len(led) > 0
+    assert reformed >= 5
+
+
+def test_a_done_row_inside_a_merged_call_is_the_flows_result():
+    # the row at tau = 3.0 rides with the next step's Newton points; it is
+    # done, and the flow returns that row's own result, its tau and done,
+    # drawing nothing after it from the call
+    calls, rows, steps, (result, done, tau) = _decay_flow(
+        StopCriteria(tau_max=100.0, record_every=0.5), done=lambda tau: tau >= 3.0)
+    points, drawn = calls[-1]
+    t, y, first, end = steps[-1]
+    assert done and tau == 3.0 and end is None and result.call == len(calls) - 1 == first
+    n = sum(j == result.call for _, _, j, _ in rows)
+    assert result.at == n - 1 and drawn == n
+    assert len(points) == n + 4 and np.array_equal(points[n], y)    # Newton points after it
+    assert np.array_equal(result.theta, points[result.at]) and result.theta is rows[-1][1]
+    np.testing.assert_allclose(result.theta, np.exp(-3.0), rtol=1e-3)
 
 
 def test_flow_starts_on_radau_with_a_jacobian_call_at_its_first_point():
@@ -956,8 +1104,8 @@ def test_flow_starts_on_radau_with_a_jacobian_call_at_its_first_point():
     # and its f; its start makes the initial step estimate's probe, one
     # point, and its Jacobian, one call of the flow's evaluator at the first
     # point and its forward-difference points.  Its steps then call the
-    # evaluator with their stage points only, each after the first with its
-    # start point ahead of them
+    # evaluator with their stage points, each after the first with the step
+    # before's rows and its start point ahead of them
     from types import SimpleNamespace
 
     import ocflow.evolution as evolution
@@ -965,7 +1113,7 @@ def test_flow_starts_on_radau_with_a_jacobian_call_at_its_first_point():
     rate = np.array([1.0, 1e-3])
     rhs = lambda tau, y: -rate * y                                     # noqa: E731
     y0, ode, stop = np.ones(2), OdeSettings(), StopCriteria(tau_max=2000.0, record_every=50.0)
-    calls, seen, stepped = [], [], []
+    calls, seen, stepped, rows = [], [], [], []
 
     def evaluate(thetas):
         calls.append(np.array(thetas))
@@ -979,14 +1127,18 @@ def test_flow_starts_on_radau_with_a_jacobian_call_at_its_first_point():
                          calls[before:]))
 
         def step(self):
-            before, y = len(calls), self.y
+            before, t, y = len(calls), self.t, self.y
             out = super().step()
-            stepped.append((y, calls[before:]))
+            stepped.append((t, y, calls[before:]))
             return out
+
+    def row(tau, point):
+        rows.append((tau, point.theta))
+        return False
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(evolution, "_Radau", Recorded)
-        point, done, tau = evolution._flow(evaluate, lambda tau, point: False, y0, stop, ode)
+        point, done, tau = evolution._flow(evaluate, row, y0, stop, ode)
     (t, y, f, J, before, start_calls), = seen
     assert t == 0.0 and np.array_equal(y, y0) and np.array_equal(f, rhs(0.0, y0))
     # the row at tau = 0 alone, then the initial step probe and the Jacobian
@@ -999,12 +1151,22 @@ def test_flow_starts_on_radau_with_a_jacobian_call_at_its_first_point():
     assert not done and tau == stop.tau_max
     np.testing.assert_allclose(point.theta, y0 * np.exp(-rate * tau), rtol=1e-2, atol=1e-9)
     # each Radau step's calls are Newton iterations' three stage points, the
-    # first of a later step led by its start point, and after a rejection
-    # one point of the refined error estimate
-    assert len(stepped) > 1 and len(stepped[0][1][0]) == 3
-    assert {len(c) for _, step in stepped for c in step} <= {1, 3, 4}
-    for y, step in stepped[1:]:
-        assert len(step[0]) == 4 and np.array_equal(step[0][0], y)
+    # first of a later step led by the rows inside the step before and its
+    # start point, in parts of at most _ROW_LANES points, and after a
+    # rejection one point of the refined error estimate
+    assert len(stepped) > 1 and len(stepped[0][2][0]) == 3
+    assert {len(c) for c in stepped[0][2][1:]} <= {1, 3}
+    ridden = split = 0
+    for (t_prev, _, _), (t, y, step) in zip(stepped, stepped[1:]):
+        led = np.array([theta for tau, theta in rows if t_prev < tau <= t]).reshape(-1, 2)
+        parts = -(-(len(led) + 4) // evolution._ROW_LANES)
+        first = np.concatenate(step[:parts])
+        assert len(first) == len(led) + 4 and np.array_equal(first[len(led)], y)
+        np.testing.assert_array_equal(first[:len(led)], led)
+        assert max(map(len, step[:parts])) <= evolution._ROW_LANES
+        assert {len(c) for c in step[parts:]} <= {1, 3}
+        ridden, split = ridden + len(led), split + (parts > 1)
+    assert ridden >= len(rows) // 2 and split >= 2
 
 
 def test_flow_damps_a_stalling_multi_scale_flow():
