@@ -28,7 +28,8 @@ Jacobian are calls of the flow's one evaluator, and the rows inside one
 accepted step ride with the next step's first Newton call, ahead of f at its
 start point, so a converged step is one call.  The evaluator runs a call as
 the lanes of one pipeline pass (:func:`evaluate_iterates`), free t_f
-included, as lanes may differ in t_f.  The basis is the one judge of t_f, so
+included, as lanes may differ in t_f, and a lone point as a pass of one lane
+(:func:`evaluate_iterate`).  The basis is the one judge of t_f, so
 a free-t_f flow that drives t_f to t0 ends on its :class:`DomainError`.
 """
 
@@ -221,8 +222,8 @@ def _pipeline(mode: EvolutionMode, prob: OcpProblem, par: Parameterization, gain
               p: np.ndarray, t_f: float, ode_inner: OdeSettings | None,
               quad: QuadratureSpec | None) -> tuple:
     """(bundle, quantities, J, g, pi, r + Gamma pi, d theta/dtau = -W (r + Gamma pi))
-    at (p, t_f), from the stationarity terms r, Gamma over theta and the metric
-    W.  A (B, s) ``p`` runs B lanes, and each result has a leading lane axis."""
+    at the B lanes (p[b], t_f[b]) of a (B, s) ``p``, from the stationarity terms
+    r, Gamma over theta and the metric W, each with a leading lane axis."""
     _check_compat(mode, prob, par, gains)
     quad = quad or QuadratureSpec()
     bundle = solve_adjoints(prob, par, p, solve_state(prob, par, p, t_f, ode_inner))
@@ -243,22 +244,18 @@ def _pipeline(mode: EvolutionMode, prob: OcpProblem, par: Parameterization, gain
             *_flow_direction(rGamma, W_rGamma, gains.K_g, g_val))
 
 
-def _iterate_eval(bundle, quant, J, g_val, pi, residual, dtheta) -> IterateEval:
-    return IterateEval(bundle=bundle, quantities=quant, pi=pi, J=float(J),
-                       g_val=g_val, g_norm=_norm(g_val), residual=residual,
-                       residual_norm=_norm(residual), dtheta=dtheta)
-
-
 def evaluate_iterate(mode: EvolutionMode, prob: OcpProblem, par: Parameterization,
                      gains: Gains, p, t_f: float,
                      ode_inner: OdeSettings | None = None,
                      quad: QuadratureSpec | None = None) -> IterateEval:
     """Run the full pipeline (state, adjoints, assembly, multiplier) at (p, t_f),
-    an (s,) p and one number t_f (else :class:`DimensionError`)."""
+    an (s,) p and one number t_f (else :class:`DimensionError`), as the one
+    lane of an :func:`evaluate_iterates` pass."""
     p = _require_numbers(p, "p")
     if p.shape != (par.s,):
         raise DimensionError(f"p has shape {p.shape}, expected ({par.s},)")
-    return _iterate_eval(*_pipeline(mode, prob, par, gains, p, t_f, ode_inner, quad))
+    return evaluate_iterates(mode, prob, par, gains, p[None], par._resolve_tf(t_f, ()),
+                             ode_inner, quad)[0]
 
 
 def evaluate_iterates(mode: EvolutionMode, prob: OcpProblem, par: Parameterization,
@@ -274,15 +271,17 @@ def evaluate_iterates(mode: EvolutionMode, prob: OcpProblem, par: Parameterizati
     replay, one grid search, one basis evaluation and one Gram matrix serve
     the batch, and the lanes' multiplier systems are solved as one stack.
     Each lane's result is its own :class:`IterateEval`, with a single-lane
-    bundle ending at its own t_f.  Any B, one included, runs this lane path;
-    one lane equals :func:`evaluate_iterate` bit for bit.
+    bundle ending at its own t_f.  Every pipeline runs here: a pass of one
+    lane is :func:`evaluate_iterate`.
     """
     P = _require_numbers(P, "P")
     if P.ndim != 2 or len(P) == 0 or P.shape[1] != par.s:
         raise DimensionError(f"P has shape {P.shape}, expected (B, {par.s}) with B >= 1")
     t_f = par._resolve_tf(t_f, P.shape[:1])
     bundle, quant, *lanes = _pipeline(mode, prob, par, gains, P, t_f, ode_inner, quad)
-    return [_iterate_eval(*lane) for lane in zip(bundle.lanes(), quant.lanes(), *lanes)]
+    return [IterateEval(bundle=b, quantities=q, pi=pi, J=float(J), g_val=g, g_norm=_norm(g),
+                        residual=res, residual_norm=_norm(res), dtheta=dtheta)
+            for b, q, J, g, pi, res, dtheta in zip(bundle.lanes(), quant.lanes(), *lanes)]
 
 
 def _resolve_init(prob: OcpProblem, init: EvolutionState) -> tuple[np.ndarray, float]:
@@ -405,12 +404,12 @@ def solve_evolution(mode: EvolutionMode, prob: OcpProblem, par: Parameterization
     meets the tolerances.  The flow's one evaluator (see :func:`_flow`) runs
     the points of a call as the lanes of one :func:`evaluate_iterates` pass,
     a step's rows in the same pass as the next step's first Newton points,
-    and a lone point, or each point of a pass that raises or warns, as a
-    single pipeline, rows first, so a point after the converged row never
-    runs alone.  The answer is the last trace row: the report's p, t_f,
-    pi, J, residual, ||g|| and tau are that row's, and the returned adjoint
-    bundle (from which costates are reconstructed) is its pipeline's, a lane
-    of a pass included.  So a converged report meets
+    and a lone point, or each point of a pass that raises or warns, as an
+    :func:`evaluate_iterate` call, a pass of that one lane, rows first, so a
+    point after the converged row never runs alone.  The answer is the last
+    trace row: the report's p, t_f, pi, J, residual, ||g|| and tau are that
+    row's, and the returned adjoint bundle (from which costates are
+    reconstructed) is its pass's lane.  So a converged report meets
     ``tol_opt`` and ``tol_feas``.  Returns the final report, the trace, and
     that bundle.
     """

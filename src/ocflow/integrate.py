@@ -12,9 +12,10 @@ hand-over.  The pair's free 4th-order interpolant gives dense output from
 one coefficient block per power, a layout that :class:`DenseTrajectory`
 alone knows.  A state solve's control is evaluated once per step attempt,
 at all of its stage times.
-Several independent systems of equal size may run as lanes of one solve:
-they share one step sequence, each step is held to the tolerance and
-stability limit of its worst lane, and lookups come back lanes first; lanes
+Several independent systems of equal size may run as lanes of one solve, a
+(B, d) state stepped, like a (d,) one, in its own shape: they share one step
+sequence, each step is held to the tolerance and stability limit of its
+worst lane, and lookups come back lanes first; lanes
 of their own horizon run on the first lane's clock, each at its own rate
 (:func:`_lane_times`).  The first step is Hairer's estimate, its trial step
 clamped to the smooth subinterval; a state solve leaves its running-cost
@@ -251,36 +252,29 @@ class DenseTrajectory:
                                channels=values.shape[1:])
 
 
-def _lane_sq(v: np.ndarray, lanes: int) -> np.ndarray:
-    """sum(v_b ** 2) of each lane v_b of the flat ``v``, summed as numpy sums v * v."""
-    return np.add.reduce((v * v).reshape(lanes, -1), axis=1)
-
-
-def _rms(v: np.ndarray, lanes: int = 1) -> float:
-    """max over the lanes of sqrt(mean(v_b ** 2)), as a float (NaN if any lane is).
+def _rms(v: np.ndarray) -> float:
+    """The largest sqrt(mean(v_b ** 2)) over the lanes v_b of v, (d,) or (B, d),
+    as a float (NaN if any lane is).
 
     It rounds exactly like numpy's expression sqrt(mean(v ** 2)) on each lane.
     """
-    if lanes == 1:      # the same sum, without the reshape and max: 2 us a call
-        return math.sqrt(float(np.add.reduce(v * v)) / v.size)
-    return math.sqrt(float(_lane_sq(v, lanes).max()) / (v.size // lanes))
+    return math.sqrt(float(np.add.reduce(v * v, axis=-1).max()) / v.shape[-1])
 
 
-def _stiffness(y: np.ndarray, y5: np.ndarray, K: np.ndarray, lanes: int) -> float:
+def _stiffness(y: np.ndarray, y5: np.ndarray, K: np.ndarray) -> float:
     """The DOPRI5 stiffness estimate rho = |dK| / |dy| of a step, the largest over the lanes.
 
     dy = y - y5 is the step's solution less its stage-5 state, dK = K[6] - K[5]
-    the two c = 1 stage derivatives.  A lane whose |dy| is at rounding level
-    relative to |y| gives no estimate; 0.0 when none does.
+    the two c = 1 stage derivatives, each (d,) or (B, d).  A lane whose |dy|
+    is at rounding level relative to |y| gives no estimate; 0.0 when none does.
     """
-    dy = y - y5
-    if lanes == 1:                       # the same dot products, without the reshapes
+    dy, dK = y - y5, K[6] - K[5]
+    if y.ndim == 1 or len(y) == 1:      # one system: dot products, which round unlike einsum
+        dy, dK, y = dy.reshape(-1), dK.reshape(-1), y.reshape(-1)
         dy2 = dy.dot(dy)
         if dy2 > _ROUNDING_REL2 * y.dot(y):
-            dK = K[6] - K[5]
             return math.sqrt(dK.dot(dK) / dy2)
         return 0.0
-    dy, dK, y = (a.reshape(lanes, -1) for a in (dy, K[6] - K[5], y))
     dy2 = np.einsum("bi,bi->b", dy, dy)
     some = dy2 > _ROUNDING_REL2 * np.einsum("bi,bi->b", y, y)
     if not some.any():
@@ -288,29 +282,31 @@ def _stiffness(y: np.ndarray, y5: np.ndarray, K: np.ndarray, lanes: int) -> floa
     return math.sqrt(float((np.einsum("bi,bi->b", dK, dK)[some] / dy2[some]).max()))
 
 
-def _scaled_rms(v: np.ndarray, scale: np.ndarray, lanes: int) -> list[float]:
-    """Each lane's rms of v / scale; inf, without a numpy warning, when it overflows."""
+def _scaled_rms(v: np.ndarray, scale: np.ndarray) -> list[float]:
+    """Each lane's rms of v / scale, v (d,) or (B, d); inf, without a numpy
+    warning, when it overflows."""
     with np.errstate(over="ignore"):
-        sq = _lane_sq(v / scale, lanes)
-    return [math.sqrt(x / (v.size // lanes)) for x in sq.tolist()]
+        sq = np.add.reduce((v / scale) ** 2, axis=-1)
+    return [math.sqrt(x / v.shape[-1]) for x in np.atleast_1d(sq).tolist()]
 
 
-def _initial_step(rhs, t0, y0, f0, settings, lanes: int = 1, span: float = math.inf,
+def _initial_step(rhs, t0, y0, f0, settings, span: float = math.inf,
                   estimated=slice(None)) -> float:
     """Hairer-style automatic initial step size, or :class:`IntegrationError`
     at t0 when none is finite and positive (the scaled norms overflowed).
 
-    The norms run over the ``estimated`` channels only, and the trial step
-    h0, whose right-hand side ``rhs(t, y)`` is probed at t0 + h0, is clamped
-    to ``span``, the length of the smooth subinterval (as DOPRI5's HINIT
-    clamps it to hmax).  With lanes, h0 is the smallest lane's, and the
-    result the smallest of the lanes' steps from their own norms at that h0.
+    The norms run over the ``estimated`` channels of the last axis only, and
+    the trial step h0, whose right-hand side ``rhs(t, y)`` is probed at
+    t0 + h0, is clamped to ``span``, the length of the smooth subinterval (as
+    DOPRI5's HINIT clamps it to hmax).  With lanes, y0 (B, d), h0 is the
+    smallest lane's, and the result the smallest of the lanes' steps from
+    their own norms at that h0.
     """
-    y0e, f0e = y0[estimated], f0[estimated]
+    y0e, f0e = y0[..., estimated], f0[..., estimated]
     scale = settings.abs_tol + settings.rel_tol * np.abs(y0e)
-    d1s = _scaled_rms(f0e, scale, lanes)
+    d1s = _scaled_rms(f0e, scale)
     h0 = span
-    for d0, d1 in zip(_scaled_rms(y0e, scale, lanes), d1s):
+    for d0, d1 in zip(_scaled_rms(y0e, scale), d1s):
         h = 1e-6 if d0 < 1e-5 or d1 < 1e-5 else 0.01 * d0 / d1
         if not 0 < h < math.inf:        # no trial step to probe
             break
@@ -319,7 +315,7 @@ def _initial_step(rhs, t0, y0, f0, settings, lanes: int = 1, span: float = math.
         y1 = y0 + h0 * f0
         f1 = rhs(t0 + h0, y1)
         h1 = math.inf
-        for d1, d2 in zip(d1s, _scaled_rms(f1[estimated] - f0e, scale, lanes)):
+        for d1, d2 in zip(d1s, _scaled_rms(f1[..., estimated] - f0e, scale)):
             d2 /= h0
             h1 = min(h1, max(1e-6, h0 * 1e-3) if max(d1, d2) <= 1e-15
                      else (0.01 / max(d1, d2)) ** 0.2)
@@ -366,9 +362,10 @@ class _Stepper:
     fresh first stage, error history and step budget, carrying the last step
     size across, and holds every stage time one ulp inside its smooth
     subinterval, so a right-continuous discontinuity at a cut never leaks
-    across it.  The state may hold ``lanes`` equal blocks of channels, each
-    an independent system: the error norm and the stiffness estimate are
-    then the largest over the lanes.  With
+    across it.  The state is stepped in its own shape, (d,), or (B, d) for B
+    independent systems as lanes, whose error norm and stiffness estimate
+    are the largest over the lanes; ``rhs`` takes and returns that shape,
+    which its first f is checked against.  With
     ``stage_input`` the right-hand side is ``rhs(t, y, v)``, v the row at t of
     ``stage_input(ts)``, which runs once per step attempt at its six stage
     times, seven for a restart's first attempt (its stage 0 too), and at one
@@ -378,15 +375,14 @@ class _Stepper:
     """
 
     def __init__(self, rhs, t0, y0, t_end, settings,
-                 cuts=(), lanes=1, stage_input=None, estimated=slice(None)):
+                 cuts=(), stage_input=None, estimated=slice(None)):
         self.rhs = rhs
         self.stage_input = stage_input
         self.estimated = estimated
-        self.lanes = lanes
         self.settings = settings
         self.y = np.asarray(y0, dtype=float)
-        self.K = np.empty((7, self.y.size))    # stage derivatives
-        self._KT = [self.K[:i].T for i in range(8)]   # K[:i]^T, K^T last
+        self.K = np.empty((7, *self.y.shape))     # stage derivatives
+        self._KT = [self.K.reshape(7, -1)[:i].T for i in range(8)]   # flat K[:i]^T, K^T last
         self._ends = [*map(float, cuts), float(t_end)]
         self._clamp = bool(cuts)
         self.lo, self.hi = -math.inf, math.inf
@@ -408,8 +404,11 @@ class _Stepper:
         if self.h is None or self.stage_input is None:   # else the first attempt's
             self.f = _finite(self._rhs_at(t0, self.y), t0)   # stage times serve stage 0
         if self.h is None:
+            if self.f.shape != self.y.shape:
+                raise DimensionError(f"rhs returned shape {self.f.shape}, "
+                                     f"expected {self.y.shape}")
             self.h = _initial_step(self._rhs_at, t0, self.y, self.f, self.settings,
-                                   self.lanes, t_end - t0, self.estimated)
+                                   t_end - t0, self.estimated)
         self.h = min(self.h, t_end - t0)
 
     def _rhs_at(self, t, y) -> np.ndarray:
@@ -424,14 +423,14 @@ class _Stepper:
     def step(self):
         """Advance one accepted step from (t, y); returns its size h and stages K.
 
-        K (7, d) belongs to the caller; the step's dense segment is
+        K (7, *y.shape) belongs to the caller; the step's dense segment is
         :func:`dense_output` with anchor t, scale h, base y and
-        Q = :func:`_interpolant` (K).
+        Q = :func:`_interpolant` of K's (7, y.size) flat rows.
         """
         if self.t >= self.t_end:
             self._start(self.t)
         s = self.settings
-        rhs, K, KT, lo, hi, lanes = self.rhs, self.K, self._KT, self.lo, self.hi, self.lanes
+        rhs, K, KT, lo, hi, shape = self.rhs, self.K, self._KT, self.lo, self.hi, self.y.shape
         stage_input = self.stage_input
         t, y = self.t, self.y
         while True:
@@ -443,10 +442,10 @@ class _Stepper:
                 self.f = _finite(np.asarray(rhs(ts[0], y, vs[0]), dtype=float), t)
                 vs = vs[1:]
             # y + h * (K^T a_i), y_new and the error, each formed in place (the
-            # same roundings as the plain expressions)
+            # same roundings as the plain expressions) and viewed in y's shape
             K[0] = self.f
             for i in range(1, 7):
-                yi = KT[i].dot(_A[i])
+                yi = KT[i].dot(_A[i]).reshape(shape)
                 yi *= h
                 yi += y
                 K[i] = rhs(ts[i], yi) if stage_input is None else rhs(ts[i], yi, vs[i - 1])
@@ -459,10 +458,10 @@ class _Stepper:
             sc = np.maximum(self.ay, ay_new)
             sc *= s.rel_tol
             sc += s.abs_tol
-            err = KT[7].dot(_E)
+            err = KT[7].dot(_E).reshape(shape)
             err *= h
             err /= sc
-            err_norm = _rms(err, lanes)
+            err_norm = _rms(err)
             # a non-finite stage makes the norm non-finite; a finite stage whose
             # scaled error overflows is only rejected
             if not math.isfinite(err_norm) and not np.isfinite(K).all():
@@ -474,7 +473,7 @@ class _Stepper:
                 else:
                     factor = _SAFETY * err_norm ** (-_BETA1) * self.err_old ** _BETA2
                 self.h = h * min(_MAX_FACTOR, max(_MIN_FACTOR, factor))
-                rho = _stiffness(y_new, y5, K, lanes)
+                rho = _stiffness(y_new, y5, K)
                 if self.h * rho > _STABLE_HRHO:
                     self.h = _STABLE_HRHO / rho
                 self.err_old = max(err_norm, 1e-4)
@@ -659,9 +658,10 @@ def integrate_ivp(rhs, y0, t_span, settings: OdeSettings | None = None, *,
     discontinuous; the integrator restarts there so no step straddles one,
     carrying the last step size across; the solution's ``restarts`` are the
     distinct ones inside the span.  ``y0`` is (d,), or (B, d) to run B
-    independent d-channel systems as lanes of one solve (else
-    :class:`DimensionError`): ``rhs`` takes and returns (B, d) arrays, the
-    lanes share every step, each step is held to its worst lane's error and
+    independent d-channel systems as lanes of one solve, d, B >= 1 (else
+    :class:`DimensionError`): ``rhs`` takes and returns arrays of y0's shape
+    (a first f of another shape raises :class:`DimensionError`), the lanes
+    share every step, each step is held to its worst lane's error and
     stiffness, and the solution's lookups come back lanes first, (B, ..., d)
     (:meth:`DenseTrajectory.lanes` gives each lane's own).
     ``_stage_input``, private to :func:`problem._state_solution`, is an input
@@ -672,16 +672,12 @@ def integrate_ivp(rhs, y0, t_span, settings: OdeSettings | None = None, *,
     """
     settings = settings or _DEFAULT_ODE
     y0 = np.asarray(y0, dtype=float)
-    if y0.ndim not in (1, 2):
-        raise DimensionError(f"y0 has shape {y0.shape}, expected (d,) or (B, d)")
+    if y0.ndim not in (1, 2) or not y0.size:
+        raise DimensionError(f"y0 has shape {y0.shape}, expected (d,) or (B, d) "
+                             "with d, B >= 1")
     estimated = slice(None)
     if _quadrature is not None:
-        estimated = np.arange(y0.size) % y0.shape[-1] != _quadrature
-    lanes, lane_count = 1, None
-    if y0.ndim == 2:
-        lanes, shape, lane_rhs = len(y0), y0.shape, rhs
-        rhs = lambda t, y, *v: np.asarray(lane_rhs(t, y.reshape(shape), *v)).reshape(-1)
-        y0, lane_count = y0.reshape(-1), lanes
+        estimated = np.arange(y0.shape[-1]) != _quadrature
     t_start, t_end = float(t_span[0]), float(t_span[1])
     if not t_start < t_end:
         raise ValueError(f"t_span must run forward, got ({t_start!r}, {t_end!r})")
@@ -689,7 +685,7 @@ def integrate_ivp(rhs, y0, t_span, settings: OdeSettings | None = None, *,
     if cuts.size:                       # np.unique has a fixed cost, even on no entries
         cuts = np.unique(cuts[(cuts > t_start) & (cuts < t_end)])
     stepper = _Stepper(rhs, t_start, y0, t_end, settings, cuts=cuts.tolist(),
-                       lanes=lanes, stage_input=_stage_input, estimated=estimated)
+                       stage_input=_stage_input, estimated=estimated)
     ts, ys, hs, Ks = [stepper.t], [stepper.y], [], []
     while not stepper.done:
         h, K = stepper.step()
@@ -698,10 +694,10 @@ def integrate_ivp(rhs, y0, t_span, settings: OdeSettings | None = None, *,
         hs.append(h)
         Ks.append(K)
 
-    ts, ys = np.array(ts), np.array(ys)
-    Q = np.ascontiguousarray(_interpolant(np.array(Ks)))     # one block per power
+    ts, ys = np.array(ts), np.array(ys).reshape(len(ts), -1)     # flat rows of channels
+    Q = np.ascontiguousarray(_interpolant(np.array(Ks).reshape(len(Ks), 7, -1)))   # by power
     return DenseTrajectory(ts, ys, (ts[:-1], ts[1:] - ts[:-1], np.array(hs), ys[:-1], Q),
-                           lane_count=lane_count, nsteps=stepper.nsteps,
+                           lane_count=len(y0) if y0.ndim == 2 else None, nsteps=stepper.nsteps,
                            nrejected=stepper.nrejected, restarts=cuts)
 
 

@@ -316,46 +316,39 @@ def _objective(prob: OcpProblem, sol: DenseTrajectory) -> tuple:
             _batch_eval(prob, "g", x_f, t_f))
 
 
-def _state_solution(prob: OcpProblem, u_of_ts, t_f: float, ode: OdeSettings | None,
-                    breakpoints, lanes: tuple = ()) -> DenseTrajectory:
-    """The forward solve of :func:`simulate_control`, without J and g.
+def _state_solution(prob: OcpProblem, u_of_ts, t_f, ode: OdeSettings | None,
+                    breakpoints, lanes: int) -> DenseTrajectory:
+    """The forward solve of ``lanes`` = B systems as the lanes of one solve, without J and g.
 
-    The control ``u_of_ts(ts) -> (N, m)`` runs once per step attempt, at
-    all of its stage times (see :func:`integrate_ivp`).  With ``lanes = (B,)``
-    it gives (B, N, m), the B systems run as the lanes of one solve, and
-    ``f`` and ``L`` take the B lanes as stacked points, a vectorized
-    problem's in one direct call; with a (B,) ``t_f`` each lane runs at its
-    own rate and time on the first lane's clock.
+    The controls ``u_of_ts(ts) -> (B, N, m)`` run once per step attempt, at
+    all of its stage times (see :func:`integrate_ivp`), and ``f`` and ``L``
+    take the B lanes as stacked points, a vectorized problem's in one direct
+    call; with a (B,) ``t_f`` each lane runs at its own rate and time on the
+    first lane's clock.
     """
-    n, f, L, stage_input, at, c, ends = prob.n, prob.f, prob.L, u_of_ts, None, None, None
-    if lanes:                           # the lanes are stacked points at one time
-        ones = np.ones(lanes)
-        if not prob.vectorized:
-            f, L = (partial(_batch_eval, prob, name) for name in "fL")
-        at, stage_input = (lambda t: t * ones), (lambda ts: u_of_ts(ts).swapaxes(0, 1))
+    n, f, L, c, ends = prob.n, prob.f, prob.L, None, None
+    if not prob.vectorized:
+        f, L = (partial(_batch_eval, prob, name) for name in "fL")
+    ones = np.ones(lanes)
+    at = lambda t: t * ones             # the lanes are stacked points at one time
     if isinstance(t_f, np.ndarray):     # or each at its own time and rate
         ends, t_f, rates = t_f, t_f[0], _lane_rates(prob.t0, t_f)
         t0, slope, c = prob.t0, rates - 1.0, rates[:, None]
         at = lambda t: t + (t - t0) * slope                     # as _lane_times
-    shape = (*lanes, n + 1)
-    # the state's and the cost's channels of each lane
-    x_of, cost_of = ((..., slice(None, n)), (..., n)) if lanes else (slice(None, n), n)
 
     def rhs(t, ya, u):
-        x = ya[x_of]
-        if at is not None:
-            t = at(t)
-        out = np.empty(shape)
-        out[x_of] = f(x, u, t)
-        out[cost_of] = L(x, u, t)
+        x, t = ya[:, :n], at(t)         # the state's channels of each lane; the cost's is n
+        out = np.empty((lanes, n + 1))
+        out[:, :n] = f(x, u, t)
+        out[:, n] = L(x, u, t)
         if c is not None:
             out *= c
         return out
 
-    y0 = np.zeros(shape)                # the cost channel starts at 0
-    y0[..., :n] = prob.x0
-    sol = integrate_ivp(rhs, y0, (prob.t0, t_f), ode,
-                        breakpoints=breakpoints, _stage_input=stage_input, _quadrature=n)
+    y0 = np.zeros((lanes, n + 1))       # the cost channel starts at 0
+    y0[:, :n] = prob.x0
+    sol = integrate_ivp(rhs, y0, (prob.t0, t_f), ode, breakpoints=breakpoints,
+                        _stage_input=lambda ts: u_of_ts(ts).swapaxes(0, 1), _quadrature=n)
     sol.ends = ends
     return sol
 
@@ -366,8 +359,15 @@ def simulate_control(prob: OcpProblem, u_of_t, t_f: float,
     """Forward solve under a control ``u_of_t(t) -> (m,)``; returns (solution, J, g).
 
     The returned dense solution has n+1 channels: the state plus the running
-    cost accumulated as an augmented state.
+    cost accumulated as an augmented state.  A control value not shaped (m,)
+    raises :class:`DimensionError`.
     """
-    sol = _state_solution(prob, lambda ts: [u_of_t(t) for t in ts.tolist()], t_f, ode, breakpoints)
+    def u_of_ts(ts):                    # the one lane's (1, N, m)
+        us = [np.asarray(u_of_t(t), dtype=float) for t in ts.tolist()]
+        if bad := [u.shape for u in us if u.shape != (prob.m,)]:
+            raise DimensionError(f"u_of_t returned shape {bad[0]}, expected ({prob.m},)")
+        return np.stack(us)[None]
+
+    sol, = _state_solution(prob, u_of_ts, t_f, ode, breakpoints, 1).lanes()
     J, g_val = _objective(prob, sol)
     return sol, float(J), g_val

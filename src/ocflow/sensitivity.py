@@ -24,10 +24,10 @@ terminal brackets, one row f^T Y(t_f) + [phi_t + L | g_t] off the replay's
 terminal block Y(t_f) = [phi_x | g_x^T] (:func:`_terminal_values`).  The NLP
 gradients are the same integrals without a metric.
 
-Every stage also runs B iterates at once, as lanes: p is then (B, s), one
-state solve and one adjoint replay carry all lanes on one step sequence,
-and the results carry a leading lane axis, as the trajectories' lookups do;
-a single iterate has none, and is the arithmetic of the single pipeline.
+Every stage runs B iterates at once, as lanes: p is (B, s), one state solve
+and one adjoint replay carry all lanes on one step sequence, and the results
+carry a leading lane axis, as the trajectories' lookups do; an (s,) p is
+solved as one lane, whose own trajectory the later stages take as it is.
 Lanes of their own t_f, a (B,) array, step on the first lane's clock, lane
 b at the rate c_b = (t_f,b - t0)/(t_f,0 - t0) that scales its right-hand
 side, replay coefficients and integrals.  The grid's p-independent samples
@@ -157,10 +157,13 @@ def solve_state(prob: OcpProblem, par: Parameterization, p, t_f: float,
 
     A (B, s) ``p`` solves the B iterates as lanes of one solve, whose
     lookups come back lanes first, each lane at its own t_f if ``t_f`` is (B,).
+    An (s,) ``p`` runs as one lane, whose own trajectory comes back.
     """
-    t_f = par._resolve_tf(t_f, np.shape(p)[:-1])
-    return _state_solution(prob, par.bind(p, t_f), t_f, ode, par.breakpoints(t_f),
-                           lanes=np.shape(p)[:-1])
+    p = par._check_p(p)
+    t_f = par._resolve_tf(t_f, p.shape[:-1])
+    P = p.reshape(-1, par.s)
+    sol = _state_solution(prob, par.bind(P, t_f), t_f, ode, par.breakpoints(t_f), len(P))
+    return sol if p.ndim == 2 else sol.lanes()[0]
 
 
 def solve_adjoints(prob: OcpProblem, par: Parameterization, p,

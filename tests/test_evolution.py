@@ -672,6 +672,47 @@ def test_evaluate_iterate_takes_one_number_for_t_f(example1, e1_par):
                          np.zeros(4), np.array([2.0]))
 
 
+def test_evaluate_iterate_is_a_pass_of_one_lane(monkeypatch, example1, brach, e1_par):
+    # one pipeline path: each evaluate_iterate call is one _pipeline call on
+    # the (1, s) stack of its point at its one t_f, and its result is that
+    # pass's lane, in a solve as alone
+    import ocflow.evolution as evolution
+
+    pipeline, single, seen, lone = evolution._pipeline, evolution.evaluate_iterate, [], []
+
+    def spying(mode, prob, par, gains, P, t_f, *args):
+        seen.append((np.array(P), t_f))
+        return pipeline(mode, prob, par, gains, P, t_f, *args)
+
+    def counting(*args, **kwargs):
+        lone.append(len(seen))
+        return single(*args, **kwargs)
+
+    monkeypatch.setattr(evolution, "_pipeline", spying)
+    monkeypatch.setattr(evolution, "evaluate_iterate", counting)
+    pwc = make_basis("piecewise_constant", m=1, t0=0.0, form="form2", n_segments=20)
+    for mode, bp, par, p, t_f in ((EvolutionMode.form1(), example1, e1_par,
+                                   np.array([0.1, -0.2, 0.3, 0.05]), 2.0),
+                                  (EvolutionMode.form2(), brach, pwc, 0.05 * np.arange(20), 0.9)):
+        seen.clear()
+        it = single(mode, bp.prob, par, bp.gains, p, t_f)
+        (P, t), = seen
+        assert P.shape == (1, par.s) and np.array_equal(P[0], p)
+        assert type(t) is float and t == t_f
+        lane, = evaluate_iterates(mode, bp.prob, par, bp.gains, p[None], t_f)
+        for name in ("pi", "J", "g_val", "residual", "dtheta", "p", "t_f"):
+            assert np.array_equal(getattr(it, name), getattr(lane, name)), name
+        assert it.bundle.p.shape == (par.s,) and it.bundle.x_traj.lane_count is None
+        seen.clear()
+        solve_evolution(mode, bp.prob, par, bp.gains, EvolutionState(p=p, t_f=t_f),
+                        StopCriteria(tau_max=3.0))
+        assert lone[:2] == [0, 1]           # the tau = 0 point and the first step's probe
+        for k in lone:
+            assert seen[k][0].shape == (1, par.s) and type(seen[k][1]) is float
+        assert all(len(P) > 1 for k, (P, _) in enumerate(seen) if k not in lone)
+        lone.clear()
+
+
 @pytest.mark.parametrize("free", [False, True])
 def test_the_flow_integrates_dtheta(monkeypatch, example1, brach, free):
     # the flow's right-hand side is the iterate's dtheta itself, over (p, t_f)
@@ -789,8 +830,9 @@ def test_a_failing_batch_reruns_its_rows_one_at_a_time(monkeypatch, example1, e1
     # most 4 points and a Jacobian call is theta and its forward differences,
     # so every other pass, of 5 or more lanes, holds the rows of a step ahead
     # of the next step's Newton points.  Its points are evaluated again one
-    # at a time, rows first, so neither the failure nor a warning reaches the
-    # caller; the converged row's pass runs no later point again.  The
+    # at a time, rows first, each an evaluate_iterate call that is a pass of
+    # one lane, so neither the failure nor a warning reaches the caller; the
+    # converged row's pass runs no later point again.  The
     # flow's path is kept: bit for bit the one that single pipelines at
     # those passes' points give, and on the batched trace's grid and values
     import warnings
@@ -843,17 +885,21 @@ def test_a_failing_batch_reruns_its_rows_one_at_a_time(monkeypatch, example1, e1
     np.testing.assert_allclose(trace.column("residual_norm"),
                                batched_trace.column("residual_norm"), rtol=0, atol=1e-12)
     np.testing.assert_allclose(report.p_final, batched_report.p_final, rtol=0, atol=1e-12)
-    # right after each failed pass its points run again as single
-    # pipelines, in order: its rows, then its Newton points; the last one's
-    # stop at the converged row, ahead of its later points, and end the solve
+    # right after each failed pass its points run again one at a time, in
+    # order: its rows, then its Newton points, each an evaluate_iterate call
+    # and its pass of that one lane; the last one's stop at the converged
+    # row, ahead of its later points, and end the solve
     failed = [i for i, (_, _, bad) in enumerate(events) if bad]
     assert len(failed) >= 10
     for i in failed:
         P = events[i][1]
-        n = len(P) if i != failed[-1] else len(events) - 1 - i
-        assert [kind for kind, _, _ in events[i + 1:i + 1 + n]] == ["one"] * n
-        np.testing.assert_array_equal([p for _, p, _ in events[i + 1:i + 1 + n]], P[:n])
-    assert np.array_equal(events[-1][1], report.p_final) and n < len(P)
+        n = len(P) if i != failed[-1] else (len(events) - 1 - i) // 2
+        rerun = events[i + 1:i + 1 + 2 * n]
+        assert [kind for kind, _, _ in rerun] == ["one", "pass"] * n
+        np.testing.assert_array_equal([p for _, p, _ in rerun[::2]], P[:n])
+        np.testing.assert_array_equal([p for _, p, _ in rerun[1::2]], P[:n, None])
+    assert len(events) == failed[-1] + 1 + 2 * n
+    assert np.array_equal(events[-2][1], report.p_final) and n < len(P)
     # the rows lead the passes that failed before the last: a pass is rows
     # alone, or ends in the four Newton points of the step after theirs
     rows = trace.column("p")
@@ -1236,15 +1282,20 @@ def test_every_flow_starts_on_radau_and_logs_nothing(example1, brach, caplog, mo
     assert starts == [0.0] * 3 and not caplog.records
 
 
-def _spy_calls(monkeypatch) -> list:
-    """Record the parameter stack of every pipeline call, a single one as one row."""
+def _spy_calls(monkeypatch) -> tuple[list, list]:
+    """Record the parameter stack of every pipeline pass, and the indices of
+    the passes that were evaluate_iterate calls, each checked to be one pass
+    of its one point as a lane."""
     import ocflow.evolution as evolution
 
-    events, single, batch = [], evolution.evaluate_iterate, evolution.evaluate_iterates
+    events, lone = [], []
+    single, batch = evolution.evaluate_iterate, evolution.evaluate_iterates
 
     def one(mode, prob, par, gains, p, *args, **kwargs):
-        events.append(np.array(p)[None])
-        return single(mode, prob, par, gains, p, *args, **kwargs)
+        lone.append(len(events))
+        it = single(mode, prob, par, gains, p, *args, **kwargs)
+        assert len(events) == lone[-1] + 1 and np.array_equal(events[-1], [p])
+        return it
 
     def lanes(mode, prob, par, gains, P, *args, **kwargs):
         events.append(np.array(P))
@@ -1252,7 +1303,7 @@ def _spy_calls(monkeypatch) -> list:
 
     monkeypatch.setattr(evolution, "evaluate_iterate", one)
     monkeypatch.setattr(evolution, "evaluate_iterates", lanes)
-    return events
+    return events, lone
 
 
 def _is_fd_pass(P) -> bool:
@@ -1262,13 +1313,13 @@ def _is_fd_pass(P) -> bool:
 
 
 def test_e1_gradient_flow_jacobian_is_one_lane_pass(example1, e1_par, monkeypatch):
-    # fixed t_f: Radau's Jacobian at tau = 0, after its initial step probe,
-    # is one pipeline pass of 5 lanes, theta and its 4 forward-difference
-    # points, and no single one; each Newton iteration after it is one pass
-    # of its 3 stage points
+    # fixed t_f: Radau's Jacobian at tau = 0, after its initial step probe (a
+    # pass of one lane), is one pipeline pass of 5 lanes, theta and its 4
+    # forward-difference points, and no lone one; each Newton iteration
+    # after it is one pass of its 3 stage points
     import ocflow.evolution as evolution
 
-    events, seen = _spy_calls(monkeypatch), []
+    (events, lone), seen = _spy_calls(monkeypatch), []
 
     class Recorded(evolution._Radau):
         def __init__(self, *args):
@@ -1286,9 +1337,11 @@ def test_e1_gradient_flow_jacobian_is_one_lane_pass(example1, e1_par, monkeypatc
     assert probe.shape == (1, 4) and not np.array_equal(probe[0], y)
     assert P.shape == (5, 4) and np.array_equal(P[0], y) and _is_fd_pass(P)
     assert sum(map(_is_fd_pass, events)) == 1
+    # the tau = 0 point and the probe, before the Jacobian, are the lone points
+    assert lone == [0, 1] and switch == 3
     newton = [E for E in events[switch:] if len(E) == 3]
     assert len(newton) >= 2 and all(np.isfinite(E).all() for E in newton)
-    # no stage point ran as a single pipeline
+    # no stage point ran alone, as a pass of one lane
     assert not any(np.array_equal(E[0], e) for E in newton for e in
                    (ev[0] for ev in events[switch:] if len(ev) == 1))
 
@@ -1340,13 +1393,15 @@ def test_criterion_6_configuration_starts_on_radau(example1, monkeypatch):
 def test_fixed_tf_flow_starts_with_one_point_a_probe_and_a_jacobian_pass(example1, e1_par,
                                                                           monkeypatch):
     # the first calls of a fixed-t_f solve: the tau = 0 pipeline (the stopping
-    # test's, from which Radau starts), the initial step estimate's probe,
-    # and Radau's Jacobian as one pass of s + 1 lanes
-    events = _spy_calls(monkeypatch)
+    # test's, from which Radau starts) and the initial step estimate's probe,
+    # each an evaluate_iterate call that is a pass of one lane, and Radau's
+    # Jacobian as one pass of s + 1 lanes
+    events, lone = _spy_calls(monkeypatch)
     p0 = np.array([0.1, -0.2, 0.3, 0.05])
     solve_evolution(EvolutionMode.form1(), example1.prob, e1_par, example1.gains,
                     EvolutionState(p=p0, t_f=2.0), StopCriteria(tau_max=3.0))
     start, probe, fd = events[:3]
+    assert lone[:2] == [0, 1] and 2 not in lone
     assert start.shape == probe.shape == (1, 4) and np.array_equal(start[0], p0)
     assert not np.array_equal(probe[0], p0)
     assert fd.shape == (5, 4) and np.array_equal(fd[0], p0) and _is_fd_pass(fd)
@@ -1372,13 +1427,14 @@ def test_brachistochrone_cases_start_on_radau(brach, monkeypatch, kind, kw, form
 
 
 def test_free_tf_flow_starts_with_one_point_a_probe_and_a_jacobian_pass(brach, monkeypatch):
-    # the first calls of a free-t_f solve: the tau = 0 pipeline, the initial
-    # step estimate's probe, and Radau's Jacobian as one pass of s + 2
-    # lanes, theta = (p, t_f) and its s + 1 forward-difference points, whose
-    # last lane steps t_f alone and so runs at its own rate
+    # the first calls of a free-t_f solve: the tau = 0 pipeline and the
+    # initial step estimate's probe, each an evaluate_iterate call that is a
+    # pass of one lane at one number t_f, and Radau's Jacobian as one pass of
+    # s + 2 lanes, theta = (p, t_f) and its s + 1 forward-difference points,
+    # whose last lane steps t_f alone and so runs at its own rate
     import ocflow.evolution as evolution
 
-    events, tfs, batch = _spy_calls(monkeypatch), [], evolution.evaluate_iterates
+    (events, lone), tfs, batch = _spy_calls(monkeypatch), [], evolution.evaluate_iterates
 
     def lanes(mode, prob, par, gains, P, t_f, *args, **kwargs):
         tfs.append(np.array(t_f))
@@ -1390,11 +1446,13 @@ def test_free_tf_flow_starts_with_one_point_a_probe_and_a_jacobian_pass(brach, m
     solve_evolution(EvolutionMode.form2(), brach.prob, par, brach.gains,
                     EvolutionState(p=p0, t_f=0.9), StopCriteria(tau_max=3.0))
     start, probe, fd = events[:3]
+    assert lone[:2] == [0, 1] and 2 not in lone
     assert start.shape == probe.shape == (1, 20) and np.array_equal(start[0], p0)
     assert not np.array_equal(probe[0], p0)
-    theta = np.column_stack([fd, tfs[0]])
+    assert tfs[0].shape == tfs[1].shape == () and tfs[0] == 0.9 and tfs[1] != 0.9
+    theta = np.column_stack([fd, tfs[2]])
     assert theta.shape == (22, 21) and np.array_equal(theta[0], np.append(p0, 0.9))
-    assert _is_fd_pass(theta) and tfs[0][-1] > 0.9 and (tfs[0][:-1] == 0.9).all()
+    assert _is_fd_pass(theta) and tfs[2][-1] > 0.9 and (tfs[2][:-1] == 0.9).all()
     assert all(len(E) == 3 for E in events[3:5])       # then Newton's stage points
 
 

@@ -286,8 +286,9 @@ def test_shapes_are_refused_typed_before_any_step():
         calls.append(t)
         return -y
 
-    for y0 in (1.0, np.ones((2, 2, 2))):
-        with pytest.raises(DimensionError, match=re.escape("expected (d,) or (B, d)")):
+    for y0 in (1.0, np.ones((2, 2, 2)), np.ones(0), np.ones((2, 0)), np.ones((0, 3))):
+        with pytest.raises(DimensionError, match=re.escape(
+                f"y0 has shape {np.shape(y0)}, expected (d,) or (B, d) with d, B >= 1")):
             integrate_ivp(rhs, y0, (0.0, 1.0))
     assert not calls
 
@@ -305,6 +306,30 @@ def test_shapes_are_refused_typed_before_any_step():
         with pytest.raises(DimensionError, match=re.escape(
                 f"expected M as (..., {n}, {n}) and l as (..., {n})")):
             replay_linear(sol, coefficients, np.ones((n, 1)))
+
+
+def test_a_mis_shaped_right_hand_side_is_refused_typed():
+    # y' = -(y_0 + y_1) as one (1,) value for a (2,) state used to broadcast
+    # into both channels, and a (B, 1) value for (B, 3) lanes to raise
+    # numpy's own error; the first f is checked against the state's shape,
+    # once, before any step
+    calls = []
+
+    def summed(t, y):
+        calls.append(t)
+        return -y.sum(axis=-1, keepdims=True)
+
+    for y0 in (np.array([1.0, 2.0]), np.ones((4, 3))):
+        calls.clear()
+        with pytest.raises(DimensionError, match=re.escape(
+                f"rhs returned shape {y0.shape[:-1] + (1,)}, expected {y0.shape}")):
+            integrate_ivp(summed, y0, (0.0, 1.0))
+        assert calls == [0.0]
+    # a (d,) state's right-hand side sees (d,) arrays, lanes' their (B, d)
+    for y0 in (np.array([1.0, 2.0]), np.ones((4, 3))):
+        shapes = set()
+        integrate_ivp(lambda t, y: shapes.add(y.shape) or -y, y0, (0.0, 1.0))
+        assert shapes == {y0.shape}
 
 
 def _pendulum(t_span):

@@ -1,7 +1,9 @@
 """The lane-batched pipeline: B iterates sharing t_f in one pass.
 
-One lane is the single-iterate pipeline, so its results are checked bit for
-bit against the stages composed by hand with the unbatched formulas.  Several
+Every pipeline is a pass, a single iterate one of one lane, so a lane's
+results are checked bit for bit against the stages composed by hand with the
+unbatched formulas: a state solve of one (n + 1,) system, a replay of one
+(n, 1 + q) block and plain 2-D algebra.  Several
 lanes share one inner step sequence, so each lane agrees with its own
 single evaluation to the inner tolerance: on example1, whose state is a
 polynomial the scheme integrates exactly, far tighter.
@@ -14,9 +16,11 @@ import pytest
 
 from ocflow import (DimensionError, EvolutionMode, Gains, OdeSettings, QuadratureSpec,
                     evaluate_iterate, evaluate_iterates, make_basis, nlp_gradients,
-                    solve_adjoints, solve_state)
+                    replay_linear, solve_adjoints, solve_state)
 from ocflow.integrate import _initial_step, _rms, _stiffness, integrate_ivp
-from ocflow.sensitivity import _terminal_values, assemble_form1, assemble_form2
+from ocflow.problem import _batch_eval
+from ocflow.sensitivity import (AdjointBundle, _terminal_values, assemble_form1,
+                                assemble_form2)
 
 TIGHT = OdeSettings(rel_tol=1e-11, abs_tol=1e-13)
 
@@ -29,11 +33,36 @@ def _pwc20():
     return make_basis("piecewise_constant", m=1, t0=0.0, form="form2", n_segments=20)
 
 
+def _unbatched_bundle(prob, par, p, t_f):
+    """One iterate's state and adjoints, with no lane axis anywhere: the state
+    solve steps one (n + 1,) system whose callbacks take one plain point, and
+    the replay carries one (n, 1 + q) block Y = [mu | Psi]."""
+    n, u = prob.n, par.bind(p, t_f)
+
+    def rhs(t, y, v):
+        out = np.empty(n + 1)
+        out[:n] = prob.f(y[:n], v, t)
+        out[n] = prob.L(y[:n], v, t)
+        return out
+
+    y0 = np.concatenate([prob.x0, [0.0]])
+    x_traj = integrate_ivp(rhs, y0, (prob.t0, t_f), breakpoints=par.breakpoints(t_f),
+                           _stage_input=u, _quadrature=n)
+    x_f = x_traj.values[-1, :n]
+    y_f = np.column_stack([prob.phi_x(x_f, t_f), np.reshape(prob.g_x(x_f, t_f), (-1, n)).T])
+
+    def coefficients(ts, xs):
+        xs, us = xs[:, :n], u(ts)
+        return (-_batch_eval(prob, "f_x", xs, us, ts).swapaxes(-1, -2),
+                -_batch_eval(prob, "L_x", xs, us, ts))
+
+    return AdjointBundle(x_traj, replay_linear(x_traj, coefficients, y_f), par, p)
+
+
 def _unbatched(mode, prob, par, gains, p, t_f, quad):
     """The single-iterate pipeline from its stages, with plain 2-D algebra."""
     free = prob.tf_mode == "free"
-    x_traj = solve_state(prob, par, p, t_f)
-    bundle = solve_adjoints(prob, par, p, x_traj)
+    bundle = _unbatched_bundle(prob, par, p, t_f)
     x_f = bundle.x_f
     J = float(prob.phi(x_f, t_f)) + bundle.x_traj.values[-1, prob.n]
     g_val = np.asarray(prob.g(x_f, t_f), dtype=float)
@@ -208,20 +237,19 @@ def test_lane_count_and_shape_are_checked(example1):
 
 
 def test_lane_norms_are_the_worst_lanes():
+    # the lane count is the arrays' leading axis
     rng = np.random.default_rng(5)
     lanes = [rng.normal(size=3) * s for s in (1e-3, 1.0, 10.0)]
-    flat = np.concatenate(lanes)
-    assert _rms(flat, 3) == max(_rms(v) for v in lanes)
-    assert np.isnan(_rms(np.concatenate([lanes[0], [np.nan, 0.0, 0.0]]), 2))
+    assert _rms(np.stack(lanes)) == max(_rms(v) for v in lanes)
+    assert np.isnan(_rms(np.stack([lanes[0], [np.nan, 0.0, 0.0]])))
     # the stiffness estimate |K[6] - K[5]| / |y - y5| of the stiffest lane
     ys = [rng.normal(size=3) for _ in range(3)]
     y5s = [y + rng.normal(size=3) * 1e-3 for y in ys]
     Ks = [rng.normal(size=(7, 3)) * s for s in (1.0, 5.0, 2.0)]
 
     def stiffness(lanes):
-        return _stiffness(np.concatenate([ys[b] for b in lanes]),
-                          np.concatenate([y5s[b] for b in lanes]),
-                          np.concatenate([Ks[b] for b in lanes], axis=1), len(lanes))
+        return _stiffness(np.stack([ys[b] for b in lanes]), np.stack([y5s[b] for b in lanes]),
+                          np.stack([Ks[b] for b in lanes], axis=1))
 
     assert stiffness([0, 1, 2]) == max(stiffness([b]) for b in range(3)) > 0.0
     # a lane whose y - y5 is at rounding level gives no estimate
@@ -237,9 +265,9 @@ def test_lanes_share_steps_and_keep_their_own_tolerance():
     rates = np.array([[1.0], [100.0]])
     both = integrate_ivp(lambda t, y: -rates * y, np.ones((2, 1)), (0.0, 0.1))
     # the first step is no larger than either lane's own
-    y0, ode = np.ones(2), OdeSettings()
-    first = _initial_step(lambda t, y: -rates[:, 0] * y, 0.0, y0, -rates[:, 0], ode, 2)
-    assert first <= min(_initial_step(lambda t, y, k=k: -k * y, 0.0, y0[:1], -k * y0[:1],
+    y0, ode = np.ones((2, 1)), OdeSettings()
+    first = _initial_step(lambda t, y: -rates * y, 0.0, y0, -rates, ode)
+    assert first <= min(_initial_step(lambda t, y, k=k: -k * y, 0.0, y0[0], -k * y0[0],
                                       ode) for k in rates[:, 0])
     alone = [integrate_ivp(lambda t, y, k=k: -k * y, np.ones(1), (0.0, 0.1))
              for k in rates[:, 0]]

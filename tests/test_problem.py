@@ -108,6 +108,18 @@ def test_values_deterministic(example1):
     assert np.array_equal(ga, gb)
 
 
+def test_simulate_control_refuses_a_mis_shaped_control(example1):
+    # example1 has m = 1: a (2,) control used to run with its extra entry
+    # ignored, and a bare number to raise an IndexError; so is a control
+    # whose shape changes along the horizon
+    for u, shape in ((lambda t: np.array([0.5, 7.0]), (2,)), (lambda t: 0.5, ()),
+                     (lambda t: np.ones((1, 1)), (1, 1)),
+                     (lambda t: np.ones(1 + (t > 1.0)), (2,))):
+        with pytest.raises(DimensionError, match=re.escape(
+                f"u_of_t returned shape {shape}, expected (1,)")):
+            simulate_control(example1.prob, u, 2.0)
+
+
 def test_tolerance_tightening_self_consistent(example1):
     u = lambda t: np.array([np.sin(3.0 * t)])
     loose = OdeSettings(rel_tol=1e-3, abs_tol=1e-6)
@@ -267,10 +279,10 @@ def test_two_input_stage_controls_match_the_per_point_values(kind, kwargs):
     p = np.random.default_rng(6).normal(size=par.s)
     u, batches = par.bind(p, 2.0), []
 
-    def spying(ts):
+    def spying(ts):                     # one lane's controls
         batches.append((ts.copy(), u(ts)))
-        return u(ts)
-    sol = _state_solution(prob, spying, 2.0, None, par.breakpoints(2.0))
+        return u(ts)[None]
+    sol, = _state_solution(prob, spying, 2.0, None, par.breakpoints(2.0), 1).lanes()
     ref, _, _ = simulate_control(prob, lambda t: u(t), 2.0, breakpoints=par.breakpoints(2.0))
     assert len(batches) == sol.nsteps + sol.nrejected + 2
     for ts, values in batches:
@@ -285,7 +297,8 @@ def test_state_solve_stage_times_outside_the_control_domain_fail_typed(example1)
     u = par.bind(np.ones(par.s), 1.0)
     # the solve runs to t = 2, past the control's domain [0, 1]
     with pytest.raises(DomainError, match="outside control domain"):
-        _state_solution(example1.prob, u, 2.0, None, par.breakpoints(1.0))
+        _state_solution(example1.prob, lambda ts: u(ts)[None], 2.0, None,
+                        par.breakpoints(1.0), 1)
     for ts in ([0.5, 1.5], [0.5, np.nan]):
         with pytest.raises(DomainError):
             u(np.array(ts))
