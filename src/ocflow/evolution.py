@@ -123,8 +123,8 @@ def _norm(v: np.ndarray) -> float:
 
 
 def _matvec(A: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """A x, per lane of a stacked ``x``; one vector takes the plain product."""
-    return A @ x if x.ndim == 1 else (A @ x[..., None])[..., 0]
+    """A x, for one vector x or per lane of a stacked one."""
+    return (A @ x[..., None])[..., 0]
 
 
 def lyapunov_diagnostic(g_val, J_val: float) -> float:
@@ -218,32 +218,6 @@ def _check_compat(mode: EvolutionMode, prob: OcpProblem, par: Parameterization,
         raise ConfigurationError("free t_f requires k_tf > 0 (it enters as 1/k_tf)")
 
 
-def _pipeline(mode: EvolutionMode, prob: OcpProblem, par: Parameterization, gains: Gains,
-              p: np.ndarray, t_f: float, ode_inner: OdeSettings | None,
-              quad: QuadratureSpec | None) -> tuple:
-    """(bundle, quantities, J, g, pi, r + Gamma pi, d theta/dtau = -W (r + Gamma pi))
-    at the B lanes (p[b], t_f[b]) of a (B, s) ``p``, from the stationarity terms
-    r, Gamma over theta and the metric W, each with a leading lane axis."""
-    _check_compat(mode, prob, par, gains)
-    quad = quad or QuadratureSpec()
-    bundle = solve_adjoints(prob, par, p, solve_state(prob, par, p, t_f, ode_inner))
-    J, g_val = _objective(prob, bundle.x_traj)
-    if mode.kind == "gradient_flow":
-        quant = nlp_gradients(prob, par, bundle, p, t_f, quad,
-                              with_tf=prob.tf_mode == "free")
-    elif prob.tf_mode == "free":
-        quant = assemble_form2(prob, par, bundle, gains, p, t_f, quad)
-    else:
-        quant = assemble_form1(prob, par, bundle, gains, t_f, quad)
-    rGamma = quant.rGamma
-    if quant.M is None:
-        W_rGamma = _require_gain(mode.K_theta, "K_theta", rGamma.shape[-2]) @ rGamma
-    else:
-        W_rGamma = spd_solve(quant.M, rGamma, "Gram matrix of the basis columns of theta")
-    return (bundle, quant, J, g_val,
-            *_flow_direction(rGamma, W_rGamma, gains.K_g, g_val))
-
-
 def evaluate_iterate(mode: EvolutionMode, prob: OcpProblem, par: Parameterization,
                      gains: Gains, p, t_f: float,
                      ode_inner: OdeSettings | None = None,
@@ -278,10 +252,28 @@ def evaluate_iterates(mode: EvolutionMode, prob: OcpProblem, par: Parameterizati
     if P.ndim != 2 or len(P) == 0 or P.shape[1] != par.s:
         raise DimensionError(f"P has shape {P.shape}, expected (B, {par.s}) with B >= 1")
     t_f = par._resolve_tf(t_f, P.shape[:1])
-    bundle, quant, *lanes = _pipeline(mode, prob, par, gains, P, t_f, ode_inner, quad)
-    return [IterateEval(bundle=b, quantities=q, pi=pi, J=float(J), g_val=g, g_norm=_norm(g),
+    _check_compat(mode, prob, par, gains)
+    quad = quad or QuadratureSpec()
+    bundle = solve_adjoints(prob, par, P, solve_state(prob, par, P, t_f, ode_inner))
+    J, g_val = _objective(prob, bundle.x_traj)
+    if mode.kind == "gradient_flow":
+        quant = nlp_gradients(prob, par, bundle, P, t_f, quad, with_tf=prob.tf_mode == "free")
+    elif prob.tf_mode == "free":
+        quant = assemble_form2(prob, par, bundle, gains, P, t_f, quad)
+    else:
+        quant = assemble_form1(prob, par, bundle, gains, t_f, quad)
+    # d theta/dtau = -W (r + Gamma pi) from the stationarity terms r, Gamma
+    # over theta and the metric W, each with a leading lane axis
+    rGamma = quant.rGamma
+    if quant.M is None:
+        W_rGamma = _require_gain(mode.K_theta, "K_theta", rGamma.shape[-2]) @ rGamma
+    else:
+        W_rGamma = spd_solve(quant.M, rGamma, "Gram matrix of the basis columns of theta")
+    pis, residuals, dthetas = _flow_direction(rGamma, W_rGamma, gains.K_g, g_val)
+    return [IterateEval(bundle=b, quantities=q, pi=pi, J=float(j), g_val=g, g_norm=_norm(g),
                         residual=res, residual_norm=_norm(res), dtheta=dtheta)
-            for b, q, J, g, pi, res, dtheta in zip(bundle.lanes(), quant.lanes(), *lanes)]
+            for b, q, j, g, pi, res, dtheta in zip(bundle.lanes(), quant.lanes(), J, g_val,
+                                                    pis, residuals, dthetas)]
 
 
 def _resolve_init(prob: OcpProblem, init: EvolutionState) -> tuple[np.ndarray, float]:
@@ -428,18 +420,18 @@ def solve_evolution(mode: EvolutionMode, prob: OcpProblem, par: Parameterization
 
     def evaluate(thetas):
         """The points' results in order: one lane pass for two or more."""
-        if len(thetas) == 1:
-            return map(evaluate_one, thetas)
-        try:
-            with warnings.catch_warnings():
-                warnings.simplefilter("error")
-                return evaluate_iterates(mode, prob, par, gains, *split(np.stack(thetas)),
-                                         ode_inner, quad)
-        except Exception:
-            # whatever the pass raised or warned, the points run again one at
-            # a time, so a point fails or warns exactly as its own pipeline
-            # does, and only if the flow takes it
-            return map(evaluate_one, thetas)
+        if len(thetas) > 1:
+            try:
+                with warnings.catch_warnings():
+                    warnings.simplefilter("error")
+                    return evaluate_iterates(mode, prob, par, gains, *split(np.stack(thetas)),
+                                             ode_inner, quad)
+            except Exception:
+                # whatever the pass raised or warned, the points run again one
+                # at a time, so a point fails or warns exactly as its own
+                # pipeline does, and only if the flow takes it
+                pass
+        return map(evaluate_one, thetas)
 
     theta = np.concatenate([p0, [t_f0]]) if free else p0.copy()
     trace = SolveTrace()

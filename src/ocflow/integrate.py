@@ -26,9 +26,11 @@ Step-size control is a standard PI controller (safety 0.9, growth clamped to
 eigenvalue of the right-hand side from its two c = 1 stages,
 rho = |K[6] - K[5]| / |y_new - y5| with y5 the state of stage 5 (the DOPRI5
 stiffness estimate), and holds the next step to h * rho <= 0.8 * 3.3, inside
-the pair's real-axis stability limit.  Every step decision is the stepper's
-alone: an evaluation that refuses a trial point ends the solve with its own
-error.
+the pair's real-axis stability limit.  The cap is what keeps the adjoints
+stable: the backward replay takes the forward steps as they are, and on a
+stiff problem the error test alone lets h * rho reach about 4.2, where the
+replayed propagator amplifies.  Every step decision is the stepper's alone:
+an evaluation that refuses a trial point ends the solve with its own error.
 """
 
 from __future__ import annotations
@@ -265,21 +267,16 @@ def _stiffness(y: np.ndarray, y5: np.ndarray, K: np.ndarray) -> float:
     """The DOPRI5 stiffness estimate rho = |dK| / |dy| of a step, the largest over the lanes.
 
     dy = y - y5 is the step's solution less its stage-5 state, dK = K[6] - K[5]
-    the two c = 1 stage derivatives, each (d,) or (B, d).  A lane whose |dy|
-    is at rounding level relative to |y| gives no estimate; 0.0 when none does.
+    the two c = 1 stage derivatives, each (d,) or (B, d), and each squared norm
+    one sum per lane, as :func:`_rms` takes it.  A lane whose |dy| is at
+    rounding level relative to |y| gives no estimate; 0.0 when none does.
     """
-    dy, dK = y - y5, K[6] - K[5]
-    if y.ndim == 1 or len(y) == 1:      # one system: dot products, which round unlike einsum
-        dy, dK, y = dy.reshape(-1), dK.reshape(-1), y.reshape(-1)
-        dy2 = dy.dot(dy)
-        if dy2 > _ROUNDING_REL2 * y.dot(y):
-            return math.sqrt(dK.dot(dK) / dy2)
-        return 0.0
-    dy2 = np.einsum("bi,bi->b", dy, dy)
-    some = dy2 > _ROUNDING_REL2 * np.einsum("bi,bi->b", y, y)
+    sq = lambda v: np.add.reduce(v * v, axis=-1)
+    dy2 = sq(y - y5)
+    some = dy2 > _ROUNDING_REL2 * sq(y)
     if not some.any():
         return 0.0
-    return math.sqrt(float((np.einsum("bi,bi->b", dK, dK)[some] / dy2[some]).max()))
+    return math.sqrt(float((sq(K[6] - K[5])[some] / dy2[some]).max()))
 
 
 def _scaled_rms(v: np.ndarray, scale: np.ndarray) -> list[float]:
@@ -290,7 +287,7 @@ def _scaled_rms(v: np.ndarray, scale: np.ndarray) -> list[float]:
     return [math.sqrt(x / v.shape[-1]) for x in np.atleast_1d(sq).tolist()]
 
 
-def _initial_step(rhs, t0, y0, f0, settings, span: float = math.inf,
+def _initial_step(rhs, t0, y0, f0, settings, span: float,
                   estimated=slice(None)) -> float:
     """Hairer-style automatic initial step size, or :class:`IntegrationError`
     at t0 when none is finite and positive (the scaled norms overflowed).
@@ -365,7 +362,9 @@ class _Stepper:
     across it.  The state is stepped in its own shape, (d,), or (B, d) for B
     independent systems as lanes, whose error norm and stiffness estimate
     are the largest over the lanes; ``rhs`` takes and returns that shape,
-    which its first f is checked against.  With
+    which its first f is checked against.  The stability cap holds each step
+    where :func:`replay_linear`, which has no error control of its own, is
+    stable on the same steps backward.  With
     ``stage_input`` the right-hand side is ``rhs(t, y, v)``, v the row at t of
     ``stage_input(ts)``, which runs once per step attempt at its six stage
     times, seven for a restart's first attempt (its stage 0 too), and at one
@@ -545,7 +544,7 @@ class _Radau:
         self.nsteps = self.nrejected = 0
         self.f = _finite(np.asarray(f0, dtype=float), 0.0)
         self.h = min(_initial_step(lambda t, y: rhs([y])[0], 0.0, self.y, self.f, settings,
-                                   span=self.t_end), self.t_end)
+                                   self.t_end), self.t_end)
         self.J, self._fresh, self._slow = self._jacobian(), True, False
         self._last = None               # the last step's (h, y, f, K, error norm)
         self._faccon = 1.0              # RADAU5's carried theta / (1 - theta)
@@ -768,8 +767,7 @@ def replay_linear(traj: DenseTrajectory, coefficients, y_end) -> DenseTrajectory
     if np.shape(M) != (*lanes, steps * 6, n, n) or np.shape(l) != (*lanes, steps * 6, n):
         raise DimensionError(f"coefficients returned M {np.shape(M)} and l {np.shape(l)}, "
                              f"expected M as (..., {n}, {n}) and l as (..., {n})")
-    if lanes:                           # lanes first -> the steps' stacks first
-        M, l = M.swapaxes(0, 1), l.swapaxes(0, 1)
+    M, l = np.moveaxis(M, -3, 0), np.moveaxis(l, -2, 0)     # the steps' stacks first
     maps = (*lanes, n + 1, n + 1)                  # each lane's stage maps
     # the augmented matrix [[M, l], [0, 0]] acting on [Y; e0^T] carries the
     # forcing, so the last column of each stage map S_i is its offset d_i

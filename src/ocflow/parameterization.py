@@ -210,7 +210,7 @@ def _block_jac(vals: np.ndarray, m: int) -> np.ndarray:
 def _contract(U: np.ndarray, p: np.ndarray) -> np.ndarray:
     """([B,] N, m) values U p of an ([B,] N, m, s) block of basis values, the one
     contraction with p, each row summed on its own."""
-    return np.einsum("tms,...s->...tm" if U.ndim == 3 else "btms,bs->btm", U, p)
+    return np.einsum("...tms,...s->...tm", U, p)
 
 
 def _lagrange_terms(sig: np.ndarray, nodes: list) -> list:

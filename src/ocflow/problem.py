@@ -295,16 +295,15 @@ def _batch_eval(prob: OcpProblem, name: str, xs, *args) -> np.ndarray:
         for b, x in [(..., xs)] if prob.vectorized and not own else enumerate(xs):
             out[b] = fn(x, float(t_f[b]) if own else t_f)
         return out
-    us, ts = args
-    if len(points) > 1 or np.ndim(ts) == 0:    # lanes of points, or a time they share
-        xs, us = xs.reshape(-1, xs.shape[-1]), us.reshape(-1, us.shape[-1])
-        ts = np.broadcast_to(ts, points).reshape(-1)
+    us, ts = args                       # a running callback: its points flat, each at its time
+    xs, us = xs.reshape(-1, xs.shape[-1]), us.reshape(-1, us.shape[-1])
+    ts = np.broadcast_to(ts, points).reshape(-1)
     if prob.vectorized:
         out = np.asarray(fn(xs, us, ts), dtype=float)
     else:
         out = np.stack([np.asarray(fn(xs[i], us[i], ts[i]), dtype=float)
                         for i in range(ts.size)])
-    return out.reshape(*points, *out.shape[1:]) if len(points) > 1 else out
+    return out.reshape(*points, *out.shape[1:])
 
 
 def _objective(prob: OcpProblem, sol: DenseTrajectory) -> tuple:

@@ -245,15 +245,17 @@ def _grid(par: Parameterization, t0: float, t_f, quad: QuadratureSpec,
     """The read-only Simpson points and weights, U_p = u_p(ts), w U_p as
     ([B,] N * m, s), K^-1 samples and G_pp = int U_p^T K^-1 U_p dt,
     symmetrized exactly (both None without gains), of one t_f, the latest
-    serving while (t0, t_f, quad), basis and gains stay the same; or of the
-    first lane's clock for lanes of their own (B,) t_f, with U_p and K^-1 per
-    lane where they vary with a lane's own time."""
+    serving while (t0, t_f, quad), basis and gains stay the same, and a
+    request without gains whatever gains built it; or of the first lane's
+    clock for lanes of their own (B,) t_f, with U_p and K^-1 per lane where
+    they vary with a lane's own time."""
     global _GRID
     memo, lanes = _GRID, isinstance(t_f, np.ndarray)
     if memo is not None and not lanes:
         (t0_, t_f_, quad_, par_, gains_), value = memo
-        if par_ is par and gains_ is gains and (t0_, t_f_, quad_) == (t0, t_f, quad):
-            return value
+        if (par_ is par and (gains is None or gains is gains_)
+                and (t0_, t_f_, quad_) == (t0, t_f, quad)):
+            return value if gains is gains_ else (*value[:4], None, None)
     ts, w = simpson_points(t0, t_f[0] if lanes else t_f, quad, par.breakpoints(t_f))
     at = (_lane_times(ts, t0, _lane_rates(t0, t_f))
           if lanes and gains is not None and callable(gains.K_inv) else ts)

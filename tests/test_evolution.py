@@ -673,22 +673,22 @@ def test_evaluate_iterate_takes_one_number_for_t_f(example1, e1_par):
 
 
 def test_evaluate_iterate_is_a_pass_of_one_lane(monkeypatch, example1, brach, e1_par):
-    # one pipeline path: each evaluate_iterate call is one _pipeline call on
-    # the (1, s) stack of its point at its one t_f, and its result is that
-    # pass's lane, in a solve as alone
+    # one pipeline path: each evaluate_iterate call is one pass whose state
+    # solve takes the (1, s) stack of its point at its one t_f, and its result
+    # is that pass's lane, in a solve as alone
     import ocflow.evolution as evolution
 
-    pipeline, single, seen, lone = evolution._pipeline, evolution.evaluate_iterate, [], []
+    state, single, seen, lone = evolution.solve_state, evolution.evaluate_iterate, [], []
 
-    def spying(mode, prob, par, gains, P, t_f, *args):
+    def spying(prob, par, P, t_f, *args):
         seen.append((np.array(P), t_f))
-        return pipeline(mode, prob, par, gains, P, t_f, *args)
+        return state(prob, par, P, t_f, *args)
 
     def counting(*args, **kwargs):
         lone.append(len(seen))
         return single(*args, **kwargs)
 
-    monkeypatch.setattr(evolution, "_pipeline", spying)
+    monkeypatch.setattr(evolution, "solve_state", spying)
     monkeypatch.setattr(evolution, "evaluate_iterate", counting)
     pwc = make_basis("piecewise_constant", m=1, t0=0.0, form="form2", n_segments=20)
     for mode, bp, par, p, t_f in ((EvolutionMode.form1(), example1, e1_par,

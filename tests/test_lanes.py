@@ -252,6 +252,8 @@ def test_lane_norms_are_the_worst_lanes():
                           np.stack([Ks[b] for b in lanes], axis=1))
 
     assert stiffness([0, 1, 2]) == max(stiffness([b]) for b in range(3)) > 0.0
+    # a (d,) system and its (1, d) lane give the same estimate
+    assert _stiffness(ys[1], y5s[1], Ks[1]) == stiffness([1])
     # a lane whose y - y5 is at rounding level gives no estimate
     y5s[1] = ys[1].copy()
     assert stiffness([1]) == 0.0
@@ -266,9 +268,9 @@ def test_lanes_share_steps_and_keep_their_own_tolerance():
     both = integrate_ivp(lambda t, y: -rates * y, np.ones((2, 1)), (0.0, 0.1))
     # the first step is no larger than either lane's own
     y0, ode = np.ones((2, 1)), OdeSettings()
-    first = _initial_step(lambda t, y: -rates * y, 0.0, y0, -rates, ode)
+    first = _initial_step(lambda t, y: -rates * y, 0.0, y0, -rates, ode, 0.1)
     assert first <= min(_initial_step(lambda t, y, k=k: -k * y, 0.0, y0[0], -k * y0[0],
-                                      ode) for k in rates[:, 0])
+                                      ode, 0.1) for k in rates[:, 0])
     alone = [integrate_ivp(lambda t, y, k=k: -k * y, np.ones(1), (0.0, 0.1))
              for k in rates[:, 0]]
     assert both.values.shape == (both.t_grid.size, 2)

@@ -3,7 +3,7 @@ import dataclasses
 import numpy as np
 import pytest
 
-from ocflow import (ConfigurationError, DenseTrajectory, DivergenceError, OdeSettings,
+from ocflow import (ConfigurationError, DenseTrajectory, DivergenceError, OcpProblem, OdeSettings,
                     Parameterization, QuadratureSpec, RankError, ThetaQuantities,
                     assemble_form1, assemble_form2, make_basis, nlp_gradients,
                     simulate_control, optimality_residuals, solve_adjoints, solve_state)
@@ -469,6 +469,42 @@ def test_gradients_at_default_tolerances_match_finite_differences(brach):
         assert np.abs(adjoint - fd).max() <= 1e-5 * np.abs(fd).max()
 
 
+def test_the_adjoint_of_a_stiff_inner_problem_stays_stable():
+    # x' = -lam x + u, x(0) = 1, J = x(2): mu(t) = exp(-lam (2 - t)), so
+    # max|mu| = 1 and the gradient over the powers t^k of a cubic is
+    # r_k = int_0^2 exp(-lam (2 - t)) t^k dt.  The replay has no error control
+    # of its own; the forward solve's stability cap keeps h lam inside the
+    # region where the replayed Dormand-Prince propagator does not amplify.
+    # Without the cap the steps reach h lam ~ 4.2, and here the gradient is
+    # off by about 74 % and max|mu| near 14.
+    lam = 50.0
+    prob = OcpProblem(
+        n=1, m=1, q=0, t0=0.0, x0=np.ones(1), tf_mode="fixed", tf_fixed=2.0,
+        f=lambda x, u, t: -lam * np.asarray(x, float) + np.asarray(u, float),
+        f_x=lambda x, u, t: np.full((*np.shape(t), 1, 1), -lam),
+        f_u=lambda x, u, t: np.ones((*np.shape(t), 1, 1)),
+        L=lambda x, u, t: np.zeros(np.shape(t)),
+        L_x=lambda x, u, t: np.zeros((*np.shape(t), 1)),
+        L_u=lambda x, u, t: np.zeros((*np.shape(t), 1)),
+        phi=lambda xf, tf: np.asarray(xf, float)[..., 0],
+        phi_x=lambda xf, tf: np.ones(1),
+        phi_t=lambda xf, tf: 0.0,
+        g=lambda xf, tf: np.zeros(0),
+        g_x=lambda xf, tf: np.zeros((0, 1)),
+        g_t=lambda xf, tf: np.zeros(0),
+        vectorized=True)
+    par = make_basis("global_polynomial", m=1, t0=0.0, form="form1", order=3)
+    p = np.zeros(par.s)
+    bundle = bundle_at(prob, par, p, 2.0, OdeSettings(rel_tol=1e-6, abs_tol=1e-9))
+    r = nlp_gradients(prob, par, bundle, p, 2.0, QuadratureSpec(), with_tf=False).r
+    exact = [(1.0 - np.exp(-2.0 * lam)) / lam]       # by parts: r_k = (2^k - k r_(k-1)) / lam
+    for k in range(1, par.s):
+        exact.append((2.0 ** k - k * exact[-1]) / lam)
+    assert np.abs(r - exact).max() <= 0.02 * np.abs(exact).max()
+    mu, _ = bundle.mu_psi_at(np.linspace(0.0, 2.0, 4001))
+    assert np.abs(mu).max() <= 1.0 + 1e-12
+
+
 def _poisoned(prob, name, t_bad, value):
     """A copy of prob whose callback ``name`` returns ``value`` at t = t_bad."""
     fn = getattr(prob, name)
@@ -651,6 +687,37 @@ def test_grid_memo_keys_and_read_only_arrays(e1, brach):
                                rtol=1e-13)
     assert np.array_equal(G_pp, G_pp.T)
     assert sensitivity._grid(par, 0.0, 2.0, quad, None)[4:] == (None, None)
+
+
+def test_a_certified_solve_reuses_its_pipelines_grid(monkeypatch, e1):
+    # the certification's requests take no gains (the NLP gradients, the
+    # basis-free multiplier, the residuals) and reuse the grid its gains
+    # built, so a second pipeline and certification at the same t_f build none
+    from ocflow import costate, sensitivity
+
+    prob, gains, par = e1
+    builds, simpson = [], sensitivity.simpson_points
+
+    def counting(*args):
+        builds.append(args[1])
+        return simpson(*args)
+
+    monkeypatch.setattr(sensitivity, "simpson_points", counting)
+    p, quad = np.array([0.1, -0.2, 0.3, -0.4]), QuadratureSpec(41)
+    for _ in range(2):
+        it = evaluate_iterate(EvolutionMode.form1(), prob, par, gains, p, 2.0, quad=quad)
+        bundle, g_val = it.bundle, it.g_val
+        costate.continuous_multiplier(prob, bundle, gains, g_val, quad)
+        nlp_gradients(prob, par, bundle, p, 2.0, quad, with_tf=False)
+        optimality_residuals(prob, par, it.quantities, bundle, it.pi, g_val, quad)
+        assert builds == [2.0]
+    ts, w, up, wup, kinv, G_pp = sensitivity._grid(par, 0.0, 2.0, quad, gains)
+    assert kinv is not None and G_pp is not None
+    reused = sensitivity._grid(par, 0.0, 2.0, quad, None)
+    assert all(a is b for a, b in zip(reused, (ts, w, up, wup))) and reused[4:] == (None, None)
+    # gains other than the entry's build it afresh
+    assert sensitivity._grid(par, 0.0, 2.0, quad, dataclasses.replace(gains))[0] is not ts
+    assert builds == [2.0, 2.0]
 
 
 def test_grid_data_of_a_memo_hit_evaluates_no_basis(e1):
