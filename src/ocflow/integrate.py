@@ -7,30 +7,25 @@ backward passes, replay the same tableau backward over a forward solve's
 accepted steps with no error control (:func:`replay_linear`), restarting
 where the forward solve recorded that it did.  :class:`_Radau`, the 3-stage
 Radau IIA method, steps every outer flow from its first point and that
-point's f, with the same initial step estimate and no stiffness test or
-hand-over.  The pair's free 4th-order interpolant gives dense output from
-one coefficient block per power, a layout that :class:`DenseTrajectory`
-alone knows.  A state solve's control is evaluated once per step attempt,
-at all of its stage times.
+point's f, with the same initial step estimate.  The pair's free 4th-order
+interpolant gives dense output from one coefficient block per power, a
+layout that :class:`DenseTrajectory` alone knows.  A state solve's control
+is evaluated once per step attempt, at all of its stage times.
 Several independent systems of equal size may run as lanes of one solve, a
 (B, d) state stepped, like a (d,) one, in its own shape: they share one step
-sequence, each step is held to the tolerance and stability limit of its
-worst lane, and lookups come back lanes first; lanes
+sequence, each step is held to the tolerance of its worst lane and each
+replayed step cut for its worst lane, and lookups come back lanes first; lanes
 of their own horizon run on the first lane's clock, each at its own rate
 (:func:`_lane_times`).  The first step is Hairer's estimate, its trial step
 clamped to the smooth subinterval; a state solve leaves its running-cost
 channel, an integral from 0, out of that estimate (as CVODES does its
 quadratures) and keeps it under the error test.
 Step-size control is a standard PI controller (safety 0.9, growth clamped to
-[0.2, 5.0]) with a stability cap: each accepted step estimates the dominant
-eigenvalue of the right-hand side from its two c = 1 stages,
-rho = |K[6] - K[5]| / |y_new - y5| with y5 the state of stage 5 (the DOPRI5
-stiffness estimate), and holds the next step to h * rho <= 0.8 * 3.3, inside
-the pair's real-axis stability limit.  The cap is what keeps the adjoints
-stable: the backward replay takes the forward steps as they are, and on a
-stiff problem the error test alone lets h * rho reach about 4.2, where the
-replayed propagator amplifies.  Every step decision is the stepper's alone:
-an evaluation that refuses a trial point ends the solve with its own error.
+[0.2, 5.0]); every forward step decision is the stepper's alone: an
+evaluation that refuses a trial point ends the solve with its own error.
+The replay owns its step length: the error test lets a stiff problem's steps
+reach h * lambda ~ 4.2, where the replayed propagator amplifies, so the
+replay cuts them by its own coefficients (:func:`replay_linear`).
 """
 
 from __future__ import annotations
@@ -75,9 +70,7 @@ _MAX_FACTOR = 5.0
 _BETA1 = 0.7 / 5.0   # PI controller exponents
 _BETA2 = 0.4 / 5.0
 _MIN_STEP_REL = 16 * np.finfo(float).eps   # smallest step relative to |t|
-_STABLE_HRHO = 0.8 * 3.3   # next h * rho, 0.8 of the real-axis stability limit
-# the stiffness estimate is skipped when |y_new - y5| is at rounding level
-_ROUNDING_REL2 = (64 * np.finfo(float).eps) ** 2
+_STABLE_HRHO = 0.8 * 3.3   # a replayed step's |h| ||M||, 0.8 of the real-axis stability limit
 
 
 @dataclass(frozen=True)
@@ -152,14 +145,16 @@ class DenseTrajectory:
     node value has the shape ``channels``, (d,) or a replay's (n, r); a solve
     of ``lane_count`` lanes holds theirs lane after lane, and its lookups and
     :attr:`last` come back lanes first.  A solve sets its accepted and
-    rejected step counts ``nsteps`` and ``nrejected``, and ``restarts``, the
-    sorted interior nodes where it restarted at a breakpoint (may be empty).
-    Lanes of their own horizons keep their end times as ``ends`` (else
-    None); :attr:`end` is those, or the grid's end.
+    rejected step counts ``nsteps`` and ``nrejected``, its step budget
+    ``max_steps``, which bounds a replay on its steps too, and ``restarts``,
+    the sorted interior nodes where it restarted at a breakpoint (may be
+    empty).  Lanes of their own horizons keep their end times as ``ends``
+    (else None); :attr:`end` is those, or the grid's end.
     """
 
     def __init__(self, t_grid, values, segments, *, channels=None, lane_count=None,
-                 nsteps=0, nrejected=0, restarts=(), ends=None):
+                 nsteps=0, nrejected=0, max_steps=_DEFAULT_ODE.max_steps, restarts=(),
+                 ends=None):
         self.t_grid = np.asarray(t_grid, dtype=float)
         self.values = np.asarray(values, dtype=float)
         if self.t_grid.ndim != 1 or (self.t_grid[1:] <= self.t_grid[:-1]).any():
@@ -167,8 +162,7 @@ class DenseTrajectory:
         self.segments = segments
         self.lane_count = lane_count        # None: one system, no lane axis
         self.channels = channels or (self.values.shape[-1] // (lane_count or 1),)
-        self.nsteps = nsteps
-        self.nrejected = nrejected
+        self.nsteps, self.nrejected, self.max_steps = nsteps, nrejected, max_steps
         self.restarts = np.asarray(restarts, dtype=float)
         self.ends = ends
         self._slack = 1e-10 * max(1.0, self.t_grid[-1] - self.t_grid[0])
@@ -253,6 +247,19 @@ class DenseTrajectory:
                                (anchor, denom, scale, flat(base, 1), flat(Q, 2)),
                                channels=values.shape[1:])
 
+    def refined(self, t_grid) -> "DenseTrajectory":
+        """This trajectory, all else kept, on ``t_grid``, a finer float array with
+        all its nodes, each segment its parent step's polynomial: bit for bit."""
+        idx = np.minimum(np.searchsorted(self.t_grid, t_grid, side="right") - 1,
+                         self.t_grid.size - 2)
+        anchor, denom, scale, base, Q = self.segments
+        values = dense_output((t_grid - anchor.take(idx)) / denom.take(idx), scale, base, Q, idx)
+        values[np.searchsorted(t_grid, self.t_grid)] = self.values
+        out, seg = object.__new__(DenseTrajectory), idx[:-1]
+        out.__dict__.update(self.__dict__, t_grid=t_grid, values=values,
+                            segments=(anchor[seg], denom[seg], scale[seg], base[seg], Q[:, seg]))
+        return out
+
 
 def _rms(v: np.ndarray) -> float:
     """The largest sqrt(mean(v_b ** 2)) over the lanes v_b of v, (d,) or (B, d),
@@ -261,22 +268,6 @@ def _rms(v: np.ndarray) -> float:
     It rounds exactly like numpy's expression sqrt(mean(v ** 2)) on each lane.
     """
     return math.sqrt(float(np.add.reduce(v * v, axis=-1).max()) / v.shape[-1])
-
-
-def _stiffness(y: np.ndarray, y5: np.ndarray, K: np.ndarray) -> float:
-    """The DOPRI5 stiffness estimate rho = |dK| / |dy| of a step, the largest over the lanes.
-
-    dy = y - y5 is the step's solution less its stage-5 state, dK = K[6] - K[5]
-    the two c = 1 stage derivatives, each (d,) or (B, d), and each squared norm
-    one sum per lane, as :func:`_rms` takes it.  A lane whose |dy| is at
-    rounding level relative to |y| gives no estimate; 0.0 when none does.
-    """
-    sq = lambda v: np.add.reduce(v * v, axis=-1)
-    dy2 = sq(y - y5)
-    some = dy2 > _ROUNDING_REL2 * sq(y)
-    if not some.any():
-        return 0.0
-    return math.sqrt(float((sq(K[6] - K[5])[some] / dy2[some]).max()))
 
 
 def _scaled_rms(v: np.ndarray, scale: np.ndarray) -> list[float]:
@@ -360,12 +351,9 @@ class _Stepper:
     size across, and holds every stage time one ulp inside its smooth
     subinterval, so a right-continuous discontinuity at a cut never leaks
     across it.  The state is stepped in its own shape, (d,), or (B, d) for B
-    independent systems as lanes, whose error norm and stiffness estimate
-    are the largest over the lanes; ``rhs`` takes and returns that shape,
-    which its first f is checked against.  The stability cap holds each step
-    where :func:`replay_linear`, which has no error control of its own, is
-    stable on the same steps backward.  With
-    ``stage_input`` the right-hand side is ``rhs(t, y, v)``, v the row at t of
+    independent systems as lanes, whose error norm is the largest over the
+    lanes.  The right-hand side is ``rhs(t, y, v)``, taking and returning that
+    shape (its first f is checked against it), v the row at t of
     ``stage_input(ts)``, which runs once per step attempt at its six stage
     times, seven for a restart's first attempt (its stage 0 too), and at one
     point where rhs runs alone.  The first step is estimated from the
@@ -373,22 +361,17 @@ class _Stepper:
     stays under the error test.
     """
 
-    def __init__(self, rhs, t0, y0, t_end, settings,
-                 cuts=(), stage_input=None, estimated=slice(None)):
-        self.rhs = rhs
-        self.stage_input = stage_input
-        self.estimated = estimated
-        self.settings = settings
-        self.y = np.asarray(y0, dtype=float)
+    def __init__(self, rhs, stage_input, t0, y0, t_end, settings,
+                 cuts=(), estimated=slice(None)):
+        self.rhs, self.stage_input, self.estimated = rhs, stage_input, estimated
+        self.settings, self.y = settings, np.asarray(y0, dtype=float)
         self.K = np.empty((7, *self.y.shape))     # stage derivatives
         self._KT = [self.K.reshape(7, -1)[:i].T for i in range(8)]   # flat K[:i]^T, K^T last
         self._ends = [*map(float, cuts), float(t_end)]
         self._clamp = bool(cuts)
         self.lo, self.hi = -math.inf, math.inf
-        self.ay = abs(self.y)
-        self.h = None
-        self.nsteps = 0
-        self.nrejected = 0
+        self.ay, self.h = abs(self.y), None
+        self.nsteps = self.nrejected = 0
         self._start(float(t0))
 
     def _start(self, t0: float) -> None:
@@ -399,10 +382,9 @@ class _Stepper:
         self.t, self.t_end = t0, t_end
         self.err_old = 1e-4
         self._budget0 = self.nsteps + self.nrejected
-        self.f = None
-        if self.h is None or self.stage_input is None:   # else the first attempt's
-            self.f = _finite(self._rhs_at(t0, self.y), t0)   # stage times serve stage 0
+        self.f = None                   # the first attempt's stage times serve stage 0
         if self.h is None:
+            self.f = _finite(self._rhs_at(t0, self.y), t0)
             if self.f.shape != self.y.shape:
                 raise DimensionError(f"rhs returned shape {self.f.shape}, "
                                      f"expected {self.y.shape}")
@@ -412,8 +394,7 @@ class _Stepper:
 
     def _rhs_at(self, t, y) -> np.ndarray:
         t = min(max(t, self.lo), self.hi)
-        v = () if self.stage_input is None else (self.stage_input(np.array([t]))[0],)
-        return np.asarray(self.rhs(t, y, *v), dtype=float)
+        return np.asarray(self.rhs(t, y, self.stage_input(np.array([t]))[0]), dtype=float)
 
     @property
     def done(self) -> bool:
@@ -430,13 +411,12 @@ class _Stepper:
             self._start(self.t)
         s = self.settings
         rhs, K, KT, lo, hi, shape = self.rhs, self.K, self._KT, self.lo, self.hi, self.y.shape
-        stage_input = self.stage_input
         t, y = self.t, self.y
         while True:
             h, t_new = _attempt(self.h, t, self.t_end, s,
                                 self.nsteps + self.nrejected - self._budget0)
             ts = [min(max(t + c * h, lo), hi) for c in _C_STAGE]
-            vs = None if stage_input is None else stage_input(np.array(ts[self.f is not None:]))
+            vs = self.stage_input(np.array(ts[self.f is not None:]))
             if self.f is None:          # a restart: all seven stages in one evaluation
                 self.f = _finite(np.asarray(rhs(ts[0], y, vs[0]), dtype=float), t)
                 vs = vs[1:]
@@ -447,9 +427,7 @@ class _Stepper:
                 yi = KT[i].dot(_A[i]).reshape(shape)
                 yi *= h
                 yi += y
-                K[i] = rhs(ts[i], yi) if stage_input is None else rhs(ts[i], yi, vs[i - 1])
-                if i == 5:
-                    y5 = yi                     # stages 5 and 6 both sit at c = 1
+                K[i] = rhs(ts[i], yi, vs[i - 1])
             # a_7j = b_j: the last stage's state is the step's solution, and its
             # derivative K[6], at (t_new, y_new), is the next step's first (FSAL)
             y_new = yi
@@ -472,9 +450,6 @@ class _Stepper:
                 else:
                     factor = _SAFETY * err_norm ** (-_BETA1) * self.err_old ** _BETA2
                 self.h = h * min(_MAX_FACTOR, max(_MIN_FACTOR, factor))
-                rho = _stiffness(y_new, y5, K)
-                if self.h * rho > _STABLE_HRHO:
-                    self.h = _STABLE_HRHO / rho
                 self.err_old = max(err_norm, 1e-4)
                 K = K.copy()
                 self.t, self.y, self.f, self.ay = t_new, y_new, K[6], ay_new
@@ -660,11 +635,12 @@ def integrate_ivp(rhs, y0, t_span, settings: OdeSettings | None = None, *,
     independent d-channel systems as lanes of one solve, d, B >= 1 (else
     :class:`DimensionError`): ``rhs`` takes and returns arrays of y0's shape
     (a first f of another shape raises :class:`DimensionError`), the lanes
-    share every step, each step is held to its worst lane's error and
-    stiffness, and the solution's lookups come back lanes first, (B, ..., d)
+    share every step, each step is held to its worst lane's error, and the
+    solution's lookups come back lanes first, (B, ..., d)
     (:meth:`DenseTrajectory.lanes` gives each lane's own).
     ``_stage_input``, private to :func:`problem._state_solution`, is an input
-    ``rhs(t, y, v)`` takes, evaluated per step attempt (see :class:`_Stepper`).
+    ``rhs(t, y, v)`` takes, evaluated per step attempt (see :class:`_Stepper`);
+    without it the input is the stage times, so ``rhs(t, y)`` steps alike.
     ``_quadrature``, private to the same caller, is the index of each lane's
     channel that integrates a running cost: the first step is estimated
     without it, since from a zero start its scale is ``abs_tol`` alone.
@@ -683,8 +659,11 @@ def integrate_ivp(rhs, y0, t_span, settings: OdeSettings | None = None, *,
     cuts = np.asarray(breakpoints, dtype=float).reshape(-1)
     if cuts.size:                       # np.unique has a fixed cost, even on no entries
         cuts = np.unique(cuts[(cuts > t_start) & (cuts < t_end)])
-    stepper = _Stepper(rhs, t_start, y0, t_end, settings, cuts=cuts.tolist(),
-                       stage_input=_stage_input, estimated=estimated)
+    if _stage_input is None:            # the stage times are the input
+        plain, _stage_input = rhs, (lambda ts: ts)
+        rhs = lambda t, y, _: plain(t, y)
+    stepper = _Stepper(rhs, _stage_input, t_start, y0, t_end, settings, cuts=cuts.tolist(),
+                       estimated=estimated)
     ts, ys, hs, Ks = [stepper.t], [stepper.y], [], []
     while not stepper.done:
         h, K = stepper.step()
@@ -697,7 +676,8 @@ def integrate_ivp(rhs, y0, t_span, settings: OdeSettings | None = None, *,
     Q = np.ascontiguousarray(_interpolant(np.array(Ks).reshape(len(Ks), 7, -1)))   # by power
     return DenseTrajectory(ts, ys, (ts[:-1], ts[1:] - ts[:-1], np.array(hs), ys[:-1], Q),
                            lane_count=len(y0) if y0.ndim == 2 else None, nsteps=stepper.nsteps,
-                           nrejected=stepper.nrejected, restarts=cuts)
+                           nrejected=stepper.nrejected, max_steps=settings.max_steps,
+                           restarts=cuts)
 
 
 def _divergence(ts, S, Y, Q) -> DivergenceError:
@@ -728,7 +708,12 @@ def replay_linear(traj: DenseTrajectory, coefficients, y_end) -> DenseTrajectory
     the result's lookups are (B, ..., n, r).  Any other shape of y_end, M or
     l raises :class:`DimensionError`.  Stage times are clamped into their
     smooth subinterval between ``traj``'s own ``restarts`` exactly as in
-    :func:`integrate_ivp`.  A non-finite stage or value raises
+    :func:`integrate_ivp`.  A step whose |h| max ||M||_inf over its stages and
+    lanes exceeds 0.8 * 3.3, inside the real-axis stability limit, is cut into
+    equal steps on ``traj``'s polynomials (:meth:`DenseTrajectory.refined`)
+    until none needs it, so the result's grid may be finer than ``traj``'s;
+    cuts past ``traj.max_steps`` steps raise :class:`StepBudgetError`.  A
+    non-finite stage or value cuts nothing and raises
     :class:`DivergenceError` at the first time the backward pass meets it.
 
     Being linear, each stage is K_i = S_i Y + d_i e0^T, with the stage maps
@@ -767,6 +752,20 @@ def replay_linear(traj: DenseTrajectory, coefficients, y_end) -> DenseTrajectory
     if np.shape(M) != (*lanes, steps * 6, n, n) or np.shape(l) != (*lanes, steps * 6, n):
         raise DimensionError(f"coefficients returned M {np.shape(M)} and l {np.shape(l)}, "
                              f"expected M as (..., {n}, {n}) and l as (..., {n})")
+    # the steps each step takes (a non-finite M cuts nothing: it is reported below)
+    with np.errstate(over="ignore"):
+        rows = np.einsum("...ij->...i", np.abs(M)).reshape(-1, steps, 6 * n)
+        k = np.ceil(-H * rows.max((0, 2)) / _STABLE_HRHO)
+    k[~(k < np.inf) | (k < 1)] = 1.0
+    if (k > 1).any():
+        over = np.flatnonzero(np.cumsum(k[::-1]) > traj.max_steps)
+        if over.size:
+            raise StepBudgetError(f"replay would exceed max_steps = {traj.max_steps}",
+                                  float(t_old[steps - 1 - over[0]]))
+        step = np.repeat(np.arange(steps), k.astype(int))
+        frac = (np.arange(step.size) - (np.cumsum(k) - k)[step]) / k[step]
+        return replay_linear(traj.refined(np.append(t_new[step] - H[step] * frac, hi)),
+                             coefficients, y_end)
     M, l = np.moveaxis(M, -3, 0), np.moveaxis(l, -2, 0)     # the steps' stacks first
     maps = (*lanes, n + 1, n + 1)                  # each lane's stage maps
     # the augmented matrix [[M, l], [0, 0]] acting on [Y; e0^T] carries the

@@ -9,10 +9,10 @@ front instead of silently bending gradients.
 The cost integral is accumulated as an extra state during the forward solve,
 so its accuracy is tied to the adaptive integrator rather than to a separate
 quadrature.  The n+1-th channel also keeps the forward steps fine enough for
-mu, whose forcing is L_x, as the adjoint replay runs on them with no error
-control of its own: with J summed on the Simpson grid instead, pipelines ran
-faster, but an LQR-like flow stalled at residual 2.4e-6, and mu broke its 1e-4
-bound in a test of the adjoint equation.
+mu, whose forcing is L_x, as the adjoint replay cuts them for its stability
+alone: with J summed on the Simpson grid instead, pipelines ran faster, but
+an LQR-like flow stalled at residual 2.4e-6, and mu broke its 1e-4 bound in a
+test of the adjoint equation.
 """
 
 from __future__ import annotations

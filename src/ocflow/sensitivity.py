@@ -175,8 +175,10 @@ def solve_adjoints(prob: OcpProblem, par: Parameterization, p,
     (so the forward solve's settings and breakpoints govern it too), with x,
     u, ``f_x`` and ``L_x`` evaluated in one batch for every stage of every
     step.  Terminal values are exact: ``mu(t_f) = phi_x`` and ``Psi(t_f) =
-    g_x^T``, the t_f brackets' source.  A (B, s) ``p`` replays the lanes of
-    ``x_traj`` together, each at its own rate when their t_f differ.
+    g_x^T``, the t_f brackets' source.  Where the replay cuts steps, the
+    bundle holds x_traj refined onto its grid, bit for bit, for one search.
+    A (B, s) ``p`` replays the lanes of ``x_traj`` together, each at its own
+    rate when their t_f differ.
     """
     n, t_f = prob.n, x_traj.end
     p = np.asarray(p, dtype=float)
@@ -197,6 +199,8 @@ def solve_adjoints(prob: OcpProblem, par: Parameterization, p,
         return (-f_x, -L_x) if c is None else (-c[..., None] * f_x, -c * L_x)
 
     sol = replay_linear(x_traj, coefficients, y_f)
+    if sol.t_grid.size != x_traj.t_grid.size:     # the replay cut steps: x on its grid
+        x_traj = x_traj.refined(sol.t_grid)
     return AdjointBundle(x_traj=x_traj, adjoint_sol=sol, par=par, p=p)
 
 
@@ -244,17 +248,17 @@ def _grid(par: Parameterization, t0: float, t_f, quad: QuadratureSpec,
           gains: Gains | None) -> tuple:
     """The read-only Simpson points and weights, U_p = u_p(ts), w U_p as
     ([B,] N * m, s), K^-1 samples and G_pp = int U_p^T K^-1 U_p dt,
-    symmetrized exactly (both None without gains), of one t_f, the latest
-    serving while (t0, t_f, quad), basis and gains stay the same, and a
-    request without gains whatever gains built it; or of the first lane's
-    clock for lanes of their own (B,) t_f, with U_p and K^-1 per lane where
-    they vary with a lane's own time."""
+    symmetrized exactly (both None without gains), of one t_f, or of the
+    first lane's clock for lanes of their own (B,) t_f, with U_p and K^-1 per
+    lane where they vary with a lane's own time; the latest serves while
+    (t0, t_f, quad), basis and gains stay the same, and a request without
+    gains whatever gains built it."""
     global _GRID
     memo, lanes = _GRID, isinstance(t_f, np.ndarray)
-    if memo is not None and not lanes:
+    if memo is not None:
         (t0_, t_f_, quad_, par_, gains_), value = memo
         if (par_ is par and (gains is None or gains is gains_)
-                and (t0_, t_f_, quad_) == (t0, t_f, quad)):
+                and (t0_, quad_) == (t0, quad) and np.array_equal(t_f_, t_f)):
             return value if gains is gains_ else (*value[:4], None, None)
     ts, w = simpson_points(t0, t_f[0] if lanes else t_f, quad, par.breakpoints(t_f))
     at = (_lane_times(ts, t0, _lane_rates(t0, t_f))
@@ -263,12 +267,10 @@ def _grid(par: Parameterization, t0: float, t_f, quad: QuadratureSpec,
     G = None if gains is None else _gram(w, kinv, up, up)
     value = (ts, w, up, (w[:, None, None] * up).reshape(*up.shape[:-3], -1, up.shape[-1]),
              kinv, None if G is None else 0.5 * (G + G.swapaxes(-1, -2)))
-    if lanes:
-        return value
     for a in value:
         if a is not None:
             a.flags.writeable = False
-    _GRID = ((t0, t_f, quad, par, gains), value)
+    _GRID = ((t0, np.array(t_f), quad, par, gains), value)   # a copy: t_f may be a caller's array
     return value
 
 
@@ -311,9 +313,8 @@ def _require_iterate(b: AdjointBundle, par: Parameterization, t_f=None, p=None) 
     """Refuse to assemble at another basis or iterate than the one bundle ``b`` holds."""
     if par is not b.par:
         raise ValueError(f"par ({par.kind}) is not the bundle's basis ({b.par.kind})")
-    same = (np.array_equal(t_f, b.t_f) if isinstance(b.t_f, np.ndarray) or np.ndim(t_f)
-            else t_f == b.t_f)
-    if not (t_f is None or same) or not (p is None or p is b.p or np.array_equal(p, b.p)):
+    if (not (t_f is None or np.array_equal(t_f, b.t_f))
+            or not (p is None or p is b.p or np.array_equal(p, b.p))):
         raise ValueError(f"(p, t_f = {t_f!r}) is not the bundle's iterate")
 
 

@@ -1216,10 +1216,10 @@ def test_flow_starts_on_radau_with_a_jacobian_call_at_its_first_point():
 
 
 def test_flow_damps_a_stalling_multi_scale_flow():
-    # y' = -diag(0.1, 1e-3) y: the stability cap binds at most a few
-    # Dormand-Prince steps in a row, so Dormand-Prince alone let the fast
-    # mode ride the cap's limit cycle near 1e-7; Radau IIA, which steps the
-    # flow from tau = 0, damps it
+    # y' = -diag(0.1, 1e-3) y: an explicit Dormand-Prince flow lets the fast
+    # mode ride its stability limit, where the error test alone holds the
+    # steps, and stall near 1e-7; Radau IIA, which steps the flow from
+    # tau = 0, damps it
     from types import SimpleNamespace
 
     import ocflow.evolution as evolution

@@ -75,15 +75,42 @@ def test_fifth_order_convergence():
     assert 16.0 < e1 / e2 < 64.0
 
 
-def test_step_stays_inside_the_stability_limit():
-    # y' = -0.1 y: left to the error controller alone, steps ride at
-    # h * lambda ~ 3.3, the real-axis stability limit, and |y| stalls near
-    # 2e-7; the stability cap holds them to 0.8 * 3.3 and y keeps decaying
+def test_replay_cuts_the_steps_its_coefficients_cannot_take():
+    # y' = -0.1 y: left to the error controller alone, the forward steps ride
+    # at h * 0.1 ~ 3.3, the real-axis stability limit, and |y| stalls near
+    # 2e-7, inside abs_tol.  The adjoint mu' = 0.1 mu, mu(3000) = 1, replayed
+    # on them cuts each step where |h| 0.1 > 0.8 * 3.3, on the forward
+    # step's own polynomial, and stays at mu = exp(-0.1 (3000 - t)) <= 1
     sol = integrate_ivp(lambda t, y: -0.1 * y, np.array([1.0]), (0.0, 3000.0))
-    late = sol.t_grid >= 1500.0
-    assert np.abs(sol.values[late]).max() < 1e-12
-    h_lambda = 0.1 * np.diff(sol.t_grid)[late[:-1]]
-    assert h_lambda.max() <= 0.8 * 3.3 * (1 + 1e-12)
+    assert (0.1 * np.diff(sol.t_grid)).max() > 0.8 * 3.3
+    mu = replay_linear(sol, lambda ts, xs: (np.full((ts.size, 1, 1), 0.1), np.zeros((ts.size, 1))),
+                       np.ones((1, 1)))
+    assert np.isin(sol.t_grid, mu.t_grid).all() and mu.t_grid.size > sol.t_grid.size
+    assert (0.1 * np.diff(mu.t_grid)).max() <= 0.8 * 3.3
+    assert np.abs(mu(np.linspace(0.0, 3000.0, 30001))).max() <= 1.0 + 1e-12
+    assert np.abs(mu.values).max() <= 1.0 + 1e-12
+
+
+def test_refined_lookups_equal_the_parents():
+    # a refined trajectory evaluates its parent's polynomials: at the
+    # parent's nodes, at its own new nodes and between them its lookups, and
+    # those of its lane views of their own horizon, are the parent's bit for
+    # bit, and it keeps the solve's record
+    rates = np.array([[1.0], [3.0]])
+    sol = integrate_ivp(lambda t, y: -rates * y + (1.0 if t < 0.7 else -0.5),
+                        np.ones((2, 2)), (0.0, 2.0), breakpoints=[0.7])
+    sol.ends = np.array([2.0, 3.0])
+    rng = np.random.default_rng(4)
+    new = rng.uniform(0.0, 2.0, 50)
+    ref = sol.refined(np.union1d(sol.t_grid, new))
+    ts = np.concatenate([sol.t_grid, new, rng.uniform(0.0, 2.0, 500)])
+    assert ref.t_grid.size == sol.t_grid.size + 50
+    assert np.array_equal(ref(ts), sol(ts))
+    for name in ("restarts", "ends", "lane_count", "channels", "nsteps", "nrejected", "max_steps"):
+        assert np.array_equal(getattr(ref, name), getattr(sol, name))
+    for view, whole, end in zip(ref.lanes(), sol.lanes(), sol.ends):
+        tb = np.concatenate([whole.t_grid, rng.uniform(0.0, end, 200)])
+        assert np.array_equal(view(tb), whole(tb))
 
 
 def test_step_budget_error():

@@ -17,7 +17,7 @@ import pytest
 from ocflow import (DimensionError, EvolutionMode, Gains, OdeSettings, QuadratureSpec,
                     evaluate_iterate, evaluate_iterates, make_basis, nlp_gradients,
                     replay_linear, solve_adjoints, solve_state)
-from ocflow.integrate import _initial_step, _rms, _stiffness, integrate_ivp
+from ocflow.integrate import _initial_step, _rms, integrate_ivp
 from ocflow.problem import _batch_eval
 from ocflow.sensitivity import (AdjointBundle, _terminal_values, assemble_form1,
                                 assemble_form2)
@@ -242,22 +242,26 @@ def test_lane_norms_are_the_worst_lanes():
     lanes = [rng.normal(size=3) * s for s in (1e-3, 1.0, 10.0)]
     assert _rms(np.stack(lanes)) == max(_rms(v) for v in lanes)
     assert np.isnan(_rms(np.stack([lanes[0], [np.nan, 0.0, 0.0]])))
-    # the stiffness estimate |K[6] - K[5]| / |y - y5| of the stiffest lane
-    ys = [rng.normal(size=3) for _ in range(3)]
-    y5s = [y + rng.normal(size=3) * 1e-3 for y in ys]
-    Ks = [rng.normal(size=(7, 3)) * s for s in (1.0, 5.0, 2.0)]
 
-    def stiffness(lanes):
-        return _stiffness(np.stack([ys[b] for b in lanes]), np.stack([y5s[b] for b in lanes]),
-                          np.stack([Ks[b] for b in lanes], axis=1))
 
-    assert stiffness([0, 1, 2]) == max(stiffness([b]) for b in range(3)) > 0.0
-    # a (d,) system and its (1, d) lane give the same estimate
-    assert _stiffness(ys[1], y5s[1], Ks[1]) == stiffness([1])
-    # a lane whose y - y5 is at rounding level gives no estimate
-    y5s[1] = ys[1].copy()
-    assert stiffness([1]) == 0.0
-    assert stiffness([0, 1, 2]) == max(stiffness([0]), stiffness([2]))
+def test_a_lane_replay_cuts_for_its_stiffest_lane():
+    # x' = -lam_b x for lam = (1, 1000) as two lanes of one solve: the stiff
+    # lane's state vanishes early, and mu' = lam_b mu, mu(2) = 1, replayed on
+    # the shared steps is cut for the stiff lane's rate, so both lanes stay
+    # within their bound 1 and the mild one is its exact exp(-(2 - t))
+    lam = np.array([[1.0], [1000.0]])
+    sol = integrate_ivp(lambda t, y: -lam * y, np.ones((2, 1)), (0.0, 2.0))
+
+    def coefficients(ts, xs):
+        M = np.broadcast_to(lam[:, None, :, None], (2, ts.size, 1, 1))
+        return M, np.zeros((2, ts.size, 1))
+
+    mu = replay_linear(sol, coefficients, np.ones((2, 1, 1)))
+    assert (1000.0 * np.diff(mu.t_grid)).max() <= 0.8 * 3.3
+    ts = np.linspace(0.0, 2.0, 4001)
+    mild, stiff = mu(ts)[..., 0, 0]
+    assert np.abs(mild).max() <= 1.0 + 1e-12 and np.abs(stiff).max() <= 1.0 + 1e-12
+    assert np.abs(mild - np.exp(-(2.0 - ts))).max() <= 1e-12
 
 
 def test_lanes_share_steps_and_keep_their_own_tolerance():

@@ -1,10 +1,11 @@
 import dataclasses
+import warnings
 
 import numpy as np
 import pytest
 
 from ocflow import (ConfigurationError, DenseTrajectory, DivergenceError, OcpProblem, OdeSettings,
-                    Parameterization, QuadratureSpec, RankError, ThetaQuantities,
+                    Parameterization, QuadratureSpec, RankError, StepBudgetError, ThetaQuantities,
                     assemble_form1, assemble_form2, make_basis, nlp_gradients,
                     simulate_control, optimality_residuals, solve_adjoints, solve_state)
 from ocflow.evolution import EvolutionMode, evaluate_iterate, evaluate_iterates
@@ -469,15 +470,10 @@ def test_gradients_at_default_tolerances_match_finite_differences(brach):
         assert np.abs(adjoint - fd).max() <= 1e-5 * np.abs(fd).max()
 
 
-def test_the_adjoint_of_a_stiff_inner_problem_stays_stable():
-    # x' = -lam x + u, x(0) = 1, J = x(2): mu(t) = exp(-lam (2 - t)), so
-    # max|mu| = 1 and the gradient over the powers t^k of a cubic is
-    # r_k = int_0^2 exp(-lam (2 - t)) t^k dt.  The replay has no error control
-    # of its own; the forward solve's stability cap keeps h lam inside the
-    # region where the replayed Dormand-Prince propagator does not amplify.
-    # Without the cap the steps reach h lam ~ 4.2, and here the gradient is
-    # off by about 74 % and max|mu| near 14.
-    lam = 50.0
+def _decay_gradient(lam, ode=None, nodes=201):
+    """x' = -lam x + u, x(0) = 1, J = x(2), at a cubic p = 0: its bundle, its
+    gradient r over the powers t^k and the exact r_k = int_0^2 mu(t) t^k dt,
+    mu(t) = exp(-lam (2 - t)), so max|mu| = 1."""
     prob = OcpProblem(
         n=1, m=1, q=0, t0=0.0, x0=np.ones(1), tf_mode="fixed", tf_fixed=2.0,
         f=lambda x, u, t: -lam * np.asarray(x, float) + np.asarray(u, float),
@@ -495,14 +491,45 @@ def test_the_adjoint_of_a_stiff_inner_problem_stays_stable():
         vectorized=True)
     par = make_basis("global_polynomial", m=1, t0=0.0, form="form1", order=3)
     p = np.zeros(par.s)
-    bundle = bundle_at(prob, par, p, 2.0, OdeSettings(rel_tol=1e-6, abs_tol=1e-9))
-    r = nlp_gradients(prob, par, bundle, p, 2.0, QuadratureSpec(), with_tf=False).r
+    bundle = bundle_at(prob, par, p, 2.0, ode)
+    r = nlp_gradients(prob, par, bundle, p, 2.0, QuadratureSpec(nodes), with_tf=False).r
     exact = [(1.0 - np.exp(-2.0 * lam)) / lam]       # by parts: r_k = (2^k - k r_(k-1)) / lam
     for k in range(1, par.s):
         exact.append((2.0 ** k - k * exact[-1]) / lam)
+    return bundle, r, np.array(exact)
+
+
+def test_the_adjoint_of_a_stiff_inner_problem_stays_stable():
+    # the replay has no error control of its own; it cuts the forward steps
+    # where |h| lam exceeds 0.8 * 3.3, inside the region where the replayed
+    # Dormand-Prince propagator does not amplify.  Replayed uncut, the steps
+    # reach h lam ~ 4.2, and here the gradient is off by about 74 % and
+    # max|mu| near 14
+    bundle, r, exact = _decay_gradient(50.0, OdeSettings(rel_tol=1e-6, abs_tol=1e-9))
     assert np.abs(r - exact).max() <= 0.02 * np.abs(exact).max()
     mu, _ = bundle.mu_psi_at(np.linspace(0.0, 2.0, 4001))
     assert np.abs(mu).max() <= 1.0 + 1e-12
+
+
+def test_the_replay_of_a_vanished_stiff_state_stays_bounded():
+    # at lam = 1000 the forward state decays to exactly 0, so no estimate
+    # from the state sees the stiffness; cut for its own coefficient, the
+    # replay keeps max|mu| at 1 (1.2e3 when a state-based cap held the
+    # forward steps) and the gradient within 1 % on 2001 nodes (5e4 % off)
+    bundle, r, exact = _decay_gradient(1000.0, nodes=2001)
+    assert np.abs(r - exact).max() <= 0.01 * np.abs(exact).max()
+    mu, _ = bundle.mu_psi_at(np.linspace(0.0, 2.0, 4001))
+    assert np.abs(mu).max() <= 1.0 + 1e-12
+    # one search serves x and the replay: x on the replay's finer grid
+    assert np.array_equal(bundle.x_traj.t_grid, bundle.adjoint_sol.t_grid)
+    assert bundle.adjoint_sol.t_grid.size > bundle.x_traj.nsteps + 1
+
+
+def test_the_stiff_replay_gradient_converges_with_the_grid():
+    # at lam = 200, default tolerances, what the gradient misses on 2001
+    # nodes is the grid's: within 0.05 % (0.38 % on the forward steps uncut)
+    _, r, exact = _decay_gradient(200.0, nodes=2001)
+    assert np.abs(r - exact).max() <= 0.0005 * np.abs(exact).max()
 
 
 def _poisoned(prob, name, t_bad, value):
@@ -516,8 +543,9 @@ def _poisoned(prob, name, t_bad, value):
     return dataclasses.replace(prob, **{name: poisoned})
 
 
-@pytest.mark.parametrize("name,value", [("f_x", np.nan), ("L_x", np.inf)])
+@pytest.mark.parametrize("name,value", [("f_x", np.nan), ("f_x", np.inf), ("L_x", np.inf)])
 def test_non_finite_adjoint_coefficient_fails_typed(e1, name, value):
+    # a non-finite coefficient cuts no step, so the replay meets it where it is
     prob, _, par = e1
     p = np.array([1.0, -0.5, 0.3, 0.2])
     x = solve_state(prob, par, p, 2.0)
@@ -528,6 +556,24 @@ def test_non_finite_adjoint_coefficient_fails_typed(e1, name, value):
     with pytest.raises(DivergenceError, match="non-finite right-hand side") as err:
         solve_adjoints(_poisoned(prob, name, t_bad, value), par, p, x)
     assert err.value.time == t_bad
+
+
+def test_a_huge_adjoint_coefficient_exceeds_the_replay_budget_typed(e1):
+    # f_x = 1e300 at one stage asks for some 1e299 replay steps there: the
+    # forward solve's step budget refuses them at that step's end, before
+    # any cut is made, with no overflow or cast warning on the way
+    prob, _, par = e1
+    p = np.array([1.0, -0.5, 0.3, 0.2])
+    x = solve_state(prob, par, p, 2.0)
+    counted, seen = _counting(prob, "f_x")
+    solve_adjoints(counted, par, p, x)
+    inside = np.setdiff1d(seen["f_x"][0], x.t_grid)
+    t_bad = inside[len(inside) // 2]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(StepBudgetError, match="max_steps = 100000") as err:
+            solve_adjoints(_poisoned(prob, "f_x", t_bad, 1e300), par, p, x)
+    assert err.value.time == x.t_grid[x.t_grid > t_bad][0]
 
 
 def test_spd_solve_matches_dense_solve():
