@@ -27,8 +27,8 @@ import numpy as np
 
 from .costate import reconstruct_costate
 from .errors import ConfigurationError, OcflowError, _require_gain, _require_number
-from .evolution import (EvolutionMode, EvolutionState, StopCriteria, _check_compat,
-                        _resolve_init, solve_evolution)
+from .evolution import (_MODE_KINDS, EvolutionMode, EvolutionState, StopCriteria,
+                        _check_compat, _resolve_init, solve_evolution)
 from .integrate import OdeSettings
 from .parameterization import FORM1, FORM2, _NODE_KINDS, make_basis
 from .problem import _central_diff, _inverse_weight, _objective
@@ -108,8 +108,8 @@ def build_run(raw: dict):
     prob = bundle.prob
 
     mode_name = raw.get("mode", "form1")
-    _require(mode_name in ("form1", "form2", "gradient_flow"),
-             f"mode must be form1|form2|gradient_flow, got {mode_name!r}")
+    _require(mode_name in _MODE_KINDS,
+             f"mode must be {'|'.join(_MODE_KINDS)}, got {mode_name!r}")
 
     par_cfg = _section(raw, "parameterization", bundle.recommended)
     kind, N = par_cfg.get("kind"), par_cfg.get("N")

@@ -9,7 +9,8 @@ so the terminal condition lambda(t_f) = phi_x + g_x^T pi holds to rounding
 and no additional integration is performed.  A second, basis-free multiplier
 (the one the non-parameterized theory would produce) is also available; the
 two agree when the parameterized control has converged to the optimal one,
-which is the certification payload of the solver.
+which is the certification payload of the solver.  Each certifies one
+iterate: a bundle of lanes is refused with :class:`DimensionError`.
 """
 
 from __future__ import annotations
@@ -62,6 +63,12 @@ def _q_vector(prob: OcpProblem, v, name: str) -> np.ndarray:
     return v
 
 
+def _one_iterate(bundle: AdjointBundle, name: str) -> None:
+    """Refuse a bundle of lanes: the costate layer certifies one iterate."""
+    if (lanes := bundle.adjoint_sol.lane_count) is not None:
+        raise DimensionError(f"{name} takes one iterate, got a bundle of {lanes} lanes")
+
+
 def reconstruct_costate(prob: OcpProblem, bundle: AdjointBundle,
                         pi) -> CostateTrajectory:
     """lambda(t) = mu(t) + Psi(t) pi as a dense trajectory on the adjoint grid.
@@ -69,6 +76,7 @@ def reconstruct_costate(prob: OcpProblem, bundle: AdjointBundle,
     The map is linear, so it maps the joint adjoint solve's [mu | Psi] blocks,
     node values and interpolant alike; no additional integration is performed.
     """
+    _one_iterate(bundle, "reconstruct_costate")
     pi = _q_vector(prob, pi, "pi")
     lam_traj = bundle.adjoint_sol.map_channels(lambda Y: Y[..., 0] + Y[..., 1:] @ pi)
     return CostateTrajectory(lam_traj=lam_traj, pi_used=pi)
@@ -81,6 +89,7 @@ def optimality_residuals(prob: OcpProblem, par: Parameterization,
     """All four residuals of an iterate, sampled on the shared grid; the
     terminal-time bracket is the bundle's, whatever theta ``quantities`` span."""
     _require_iterate(bundle, par)
+    _one_iterate(bundle, "optimality_residuals")
     pi, g_val = _q_vector(prob, pi, "pi"), _q_vector(prob, g_val, "g_val")
     quad = quad or QuadratureSpec()
 
@@ -106,6 +115,7 @@ def continuous_multiplier(prob: OcpProblem, bundle: AdjointBundle, gains: Gains,
     terms when t_f is free, integrated on the same grid as the parameterized
     assembly.  Used to certify the parameterized multiplier.
     """
+    _one_iterate(bundle, "continuous_multiplier")
     g_val = _q_vector(prob, g_val, "g_val")
     gd = _grid_data(prob, bundle, quad or QuadratureSpec())
     rM_c = _gram(gd.w, gains.K_at(gd.ts), gd.pg[..., 1:], gd.pg)     # [r_c | M_c]

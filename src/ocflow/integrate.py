@@ -2,15 +2,20 @@
 
 One explicit embedded Runge-Kutta pair serves every initial-value problem in
 the package but the outer flows: forward state solves are adaptive and run
-forward only (:func:`integrate_ivp`), and the linear adjoint solves, the only
-backward passes, replay the same tableau backward over a forward solve's
-accepted steps with no error control (:func:`replay_linear`), restarting
-where the forward solve recorded that it did.  :class:`_Radau`, the 3-stage
-Radau IIA method, steps every outer flow from its first point and that
-point's f, with the same initial step estimate.  The pair's free 4th-order
-interpolant gives dense output from one coefficient block per power, a
-layout that :class:`DenseTrajectory` alone knows.  A state solve's control
-is evaluated once per step attempt, at all of its stage times.
+forward only, one loop nest in :func:`integrate_ivp` (smooth subintervals
+between breakpoints, then step attempts), and the linear adjoint solves, the
+only backward passes, replay the same tableau backward over a forward
+solve's accepted steps with no error control (:func:`replay_linear`),
+restarting where the forward solve recorded that it did.  :class:`_Radau`,
+the 3-stage Radau IIA method, steps every outer flow from its first point
+and that point's f, with the same initial step estimate.  The pair's free
+4th-order interpolant gives dense output from one coefficient block per
+power, a layout that :class:`DenseTrajectory` alone knows.  A forward solve
+restarts at each breakpoint with a fresh first stage, error history and step
+budget, carrying its step size across, and with breakpoints holds every
+stage time one ulp inside its smooth subinterval.  A state solve's control
+is its stage input, evaluated once per step attempt at all of its stage
+times, a restart's stage 0 among them.
 Several independent systems of equal size may run as lanes of one solve, a
 (B, d) state stepped, like a (d,) one, in its own shape: they share one step
 sequence, each step is held to the tolerance of its worst lane and each
@@ -21,7 +26,7 @@ clamped to the smooth subinterval; a state solve leaves its running-cost
 channel, an integral from 0, out of that estimate (as CVODES does its
 quadratures) and keeps it under the error test.
 Step-size control is a standard PI controller (safety 0.9, growth clamped to
-[0.2, 5.0]); every forward step decision is the stepper's alone: an
+[0.2, 5.0]); every forward step decision is :func:`integrate_ivp`'s alone: an
 evaluation that refuses a trial point ends the solve with its own error.
 The replay owns its step length: the error test lets a stiff problem's steps
 reach h * lambda ~ 4.2, where the replayed propagator amplifies, so the
@@ -342,123 +347,6 @@ def _interpolant(K: np.ndarray) -> np.ndarray:
     return np.moveaxis(np.swapaxes(K, -1, -2) @ _BI, -1, 0)
 
 
-class _Stepper:
-    """Forward-time adaptive stepper over [t0, t_end], restarting at ``cuts``.
-
-    ``cuts`` are increasing interior times where the right-hand side may be
-    discontinuous.  No step straddles one: the stepper restarts there with a
-    fresh first stage, error history and step budget, carrying the last step
-    size across, and holds every stage time one ulp inside its smooth
-    subinterval, so a right-continuous discontinuity at a cut never leaks
-    across it.  The state is stepped in its own shape, (d,), or (B, d) for B
-    independent systems as lanes, whose error norm is the largest over the
-    lanes.  The right-hand side is ``rhs(t, y, v)``, taking and returning that
-    shape (its first f is checked against it), v the row at t of
-    ``stage_input(ts)``, which runs once per step attempt at its six stage
-    times, seven for a restart's first attempt (its stage 0 too), and at one
-    point where rhs runs alone.  The first step is estimated from the
-    ``estimated`` channels alone (see :func:`_initial_step`); every channel
-    stays under the error test.
-    """
-
-    def __init__(self, rhs, stage_input, t0, y0, t_end, settings,
-                 cuts=(), estimated=slice(None)):
-        self.rhs, self.stage_input, self.estimated = rhs, stage_input, estimated
-        self.settings, self.y = settings, np.asarray(y0, dtype=float)
-        self.K = np.empty((7, *self.y.shape))     # stage derivatives
-        self._KT = [self.K.reshape(7, -1)[:i].T for i in range(8)]   # flat K[:i]^T, K^T last
-        self._ends = [*map(float, cuts), float(t_end)]
-        self._clamp = bool(cuts)
-        self.lo, self.hi = -math.inf, math.inf
-        self.ay, self.h = abs(self.y), None
-        self.nsteps = self.nrejected = 0
-        self._start(float(t0))
-
-    def _start(self, t0: float) -> None:
-        """Begin the next smooth subinterval at (t0, the current state)."""
-        t_end = self._ends.pop(0)
-        if self._clamp:
-            self.lo, self.hi = math.nextafter(t0, t_end), math.nextafter(t_end, t0)
-        self.t, self.t_end = t0, t_end
-        self.err_old = 1e-4
-        self._budget0 = self.nsteps + self.nrejected
-        self.f = None                   # the first attempt's stage times serve stage 0
-        if self.h is None:
-            self.f = _finite(self._rhs_at(t0, self.y), t0)
-            if self.f.shape != self.y.shape:
-                raise DimensionError(f"rhs returned shape {self.f.shape}, "
-                                     f"expected {self.y.shape}")
-            self.h = _initial_step(self._rhs_at, t0, self.y, self.f, self.settings,
-                                   t_end - t0, self.estimated)
-        self.h = min(self.h, t_end - t0)
-
-    def _rhs_at(self, t, y) -> np.ndarray:
-        t = min(max(t, self.lo), self.hi)
-        return np.asarray(self.rhs(t, y, self.stage_input(np.array([t]))[0]), dtype=float)
-
-    @property
-    def done(self) -> bool:
-        return self.t >= self.t_end and not self._ends
-
-    def step(self):
-        """Advance one accepted step from (t, y); returns its size h and stages K.
-
-        K (7, *y.shape) belongs to the caller; the step's dense segment is
-        :func:`dense_output` with anchor t, scale h, base y and
-        Q = :func:`_interpolant` of K's (7, y.size) flat rows.
-        """
-        if self.t >= self.t_end:
-            self._start(self.t)
-        s = self.settings
-        rhs, K, KT, lo, hi, shape = self.rhs, self.K, self._KT, self.lo, self.hi, self.y.shape
-        t, y = self.t, self.y
-        while True:
-            h, t_new = _attempt(self.h, t, self.t_end, s,
-                                self.nsteps + self.nrejected - self._budget0)
-            ts = [min(max(t + c * h, lo), hi) for c in _C_STAGE]
-            vs = self.stage_input(np.array(ts[self.f is not None:]))
-            if self.f is None:          # a restart: all seven stages in one evaluation
-                self.f = _finite(np.asarray(rhs(ts[0], y, vs[0]), dtype=float), t)
-                vs = vs[1:]
-            # y + h * (K^T a_i), y_new and the error, each formed in place (the
-            # same roundings as the plain expressions) and viewed in y's shape
-            K[0] = self.f
-            for i in range(1, 7):
-                yi = KT[i].dot(_A[i]).reshape(shape)
-                yi *= h
-                yi += y
-                K[i] = rhs(ts[i], yi, vs[i - 1])
-            # a_7j = b_j: the last stage's state is the step's solution, and its
-            # derivative K[6], at (t_new, y_new), is the next step's first (FSAL)
-            y_new = yi
-            ay_new = abs(y_new)
-            sc = np.maximum(self.ay, ay_new)
-            sc *= s.rel_tol
-            sc += s.abs_tol
-            err = KT[7].dot(_E).reshape(shape)
-            err *= h
-            err /= sc
-            err_norm = _rms(err)
-            # a non-finite stage makes the norm non-finite; a finite stage whose
-            # scaled error overflows is only rejected
-            if not math.isfinite(err_norm) and not np.isfinite(K).all():
-                raise DivergenceError("non-finite right-hand side", t_new)
-
-            if err_norm <= 1.0:
-                if err_norm == 0.0:
-                    factor = _MAX_FACTOR
-                else:
-                    factor = _SAFETY * err_norm ** (-_BETA1) * self.err_old ** _BETA2
-                self.h = h * min(_MAX_FACTOR, max(_MIN_FACTOR, factor))
-                self.err_old = max(err_norm, 1e-4)
-                K = K.copy()
-                self.t, self.y, self.f, self.ay = t_new, y_new, K[6], ay_new
-                self.nsteps += 1
-                return h, K
-            self.nrejected += 1
-            self.h = h * max(_MIN_FACTOR, _SAFETY * err_norm ** (-0.2))
-
-
 # Radau IIA of order 5 (Hairer & Wanner, Solving ODEs II, IV.8): its nodes and
 # matrix, the real eigenvalue of A^-1, the embedded estimate's weights on the
 # stage increments Z / h, and the collocation cubic's powers from Z / h (rows)
@@ -629,30 +517,36 @@ def integrate_ivp(rhs, y0, t_span, settings: OdeSettings | None = None, *,
     The span must run forward, t_start < t_end (:class:`ValueError`
     otherwise); the package's backward passes are :func:`replay_linear`'s.
     ``breakpoints`` are interior times where the right-hand side may be
-    discontinuous; the integrator restarts there so no step straddles one,
-    carrying the last step size across; the solution's ``restarts`` are the
-    distinct ones inside the span.  ``y0`` is (d,), or (B, d) to run B
-    independent d-channel systems as lanes of one solve, d, B >= 1 (else
+    discontinuous; the solution's ``restarts`` are the distinct ones inside
+    the span.  No step straddles one: the solve restarts there with a fresh
+    first stage, error history and step budget, carrying the last step size
+    across.  A solve with breakpoints holds every stage time one ulp inside
+    its smooth subinterval, so a right-continuous discontinuity at a
+    breakpoint never leaks across it.  ``y0`` is (d,), or (B, d) to run B independent
+    d-channel systems as lanes of one solve, d, B >= 1 (else
     :class:`DimensionError`): ``rhs`` takes and returns arrays of y0's shape
     (a first f of another shape raises :class:`DimensionError`), the lanes
     share every step, each step is held to its worst lane's error, and the
     solution's lookups come back lanes first, (B, ..., d)
     (:meth:`DenseTrajectory.lanes` gives each lane's own).
     ``_stage_input``, private to :func:`problem._state_solution`, is an input
-    ``rhs(t, y, v)`` takes, evaluated per step attempt (see :class:`_Stepper`);
-    without it the input is the stage times, so ``rhs(t, y)`` steps alike.
-    ``_quadrature``, private to the same caller, is the index of each lane's
-    channel that integrates a running cost: the first step is estimated
-    without it, since from a zero start its scale is ``abs_tol`` alone.
+    ``rhs(t, y, v)`` takes, v the row at t of ``_stage_input(ts)``; it runs
+    once per step attempt at its six stage times, seven for a restart's
+    first attempt (its stage 0 too), and at one point for the first f and
+    the initial step's probe, where rhs runs alone.  Without it the input is
+    the stage times, so ``rhs(t, y)`` steps alike.  ``_quadrature``, private
+    to the same caller, is the index of each lane's channel that integrates
+    a running cost: the first step is estimated without it, since from a
+    zero start its scale is ``abs_tol`` alone; it stays under the error test.
     """
-    settings = settings or _DEFAULT_ODE
-    y0 = np.asarray(y0, dtype=float)
-    if y0.ndim not in (1, 2) or not y0.size:
-        raise DimensionError(f"y0 has shape {y0.shape}, expected (d,) or (B, d) "
+    s = settings or _DEFAULT_ODE
+    y = np.asarray(y0, dtype=float)
+    if y.ndim not in (1, 2) or not y.size:
+        raise DimensionError(f"y0 has shape {y.shape}, expected (d,) or (B, d) "
                              "with d, B >= 1")
     estimated = slice(None)
     if _quadrature is not None:
-        estimated = np.arange(y0.shape[-1]) != _quadrature
+        estimated = np.arange(y.shape[-1]) != _quadrature
     t_start, t_end = float(t_span[0]), float(t_span[1])
     if not t_start < t_end:
         raise ValueError(f"t_span must run forward, got ({t_start!r}, {t_end!r})")
@@ -662,22 +556,76 @@ def integrate_ivp(rhs, y0, t_span, settings: OdeSettings | None = None, *,
     if _stage_input is None:            # the stage times are the input
         plain, _stage_input = rhs, (lambda ts: ts)
         rhs = lambda t, y, _: plain(t, y)
-    stepper = _Stepper(rhs, _stage_input, t_start, y0, t_end, settings, cuts=cuts.tolist(),
-                       estimated=estimated)
-    ts, ys, hs, Ks = [stepper.t], [stepper.y], [], []
-    while not stepper.done:
-        h, K = stepper.step()
-        ts.append(stepper.t)
-        ys.append(stepper.y)
-        hs.append(h)
-        Ks.append(K)
+
+    def rhs_at(t, y):                   # rhs alone at one clamped point
+        t = min(max(t, lo), hi)
+        return np.asarray(rhs(t, y, _stage_input(np.array([t]))[0]), dtype=float)
+
+    shape = y.shape
+    K = np.empty((7, *shape))           # stage derivatives
+    KT = [K.reshape(7, -1)[:i].T for i in range(8)]     # flat K[:i]^T, K^T last
+    t, ay, h, lo, hi = t_start, abs(y), None, -math.inf, math.inf
+    nsteps = nrejected = 0
+    ts, ys, hs, Ks = [t], [y], [], []
+    for end in [*cuts.tolist(), t_end]:     # each smooth subinterval [t, end]
+        if cuts.size:
+            lo, hi = math.nextafter(t, end), math.nextafter(end, t)
+        err_old, budget0, f = 1e-4, nsteps + nrejected, None
+        if h is None:
+            f = _finite(rhs_at(t, y), t)
+            if f.shape != shape:
+                raise DimensionError(f"rhs returned shape {f.shape}, expected {shape}")
+            h = _initial_step(rhs_at, t, y, f, s, end - t, estimated)
+        h = min(h, end - t)
+        while t < end:                  # one step attempt
+            h, t_new = _attempt(h, t, end, s, nsteps + nrejected - budget0)
+            stage = [min(max(t + c * h, lo), hi) for c in _C_STAGE]
+            vs = _stage_input(np.array(stage[f is not None:]))
+            if f is None:               # a restart: all seven stages in one evaluation
+                f = _finite(np.asarray(rhs(stage[0], y, vs[0]), dtype=float), t)
+                vs = vs[1:]
+            # y + h * (K^T a_i), y_new and the error, each formed in place (the
+            # same roundings as the plain expressions) and viewed in y's shape
+            K[0] = f
+            for i in range(1, 7):
+                yi = KT[i].dot(_A[i]).reshape(shape)
+                yi *= h
+                yi += y
+                K[i] = rhs(stage[i], yi, vs[i - 1])
+            # a_7j = b_j: the last stage's state is the step's solution, and its
+            # derivative K[6], at (t_new, yi), is the next step's first (FSAL)
+            ay_new = abs(yi)
+            sc = np.maximum(ay, ay_new)
+            sc *= s.rel_tol
+            sc += s.abs_tol
+            err = KT[7].dot(_E).reshape(shape)
+            err *= h
+            err /= sc
+            err_norm = _rms(err)
+            # a non-finite stage makes the norm non-finite; a finite stage whose
+            # scaled error overflows is only rejected
+            if not math.isfinite(err_norm) and not np.isfinite(K).all():
+                raise DivergenceError("non-finite right-hand side", t_new)
+            if not err_norm <= 1.0:     # a NaN norm is rejected too
+                nrejected += 1
+                h *= max(_MIN_FACTOR, _SAFETY * err_norm ** (-0.2))
+                continue
+            hs.append(h)
+            factor = (_MAX_FACTOR if err_norm == 0.0 else
+                      _SAFETY * err_norm ** (-_BETA1) * err_old ** _BETA2)
+            h *= min(_MAX_FACTOR, max(_MIN_FACTOR, factor))
+            err_old = max(err_norm, 1e-4)
+            Ks.append(K.copy())         # the buffer and its views serve the next attempt
+            t, y, f, ay = t_new, yi, Ks[-1][6], ay_new
+            ts.append(t)
+            ys.append(y)
+            nsteps += 1
 
     ts, ys = np.array(ts), np.array(ys).reshape(len(ts), -1)     # flat rows of channels
     Q = np.ascontiguousarray(_interpolant(np.array(Ks).reshape(len(Ks), 7, -1)))   # by power
     return DenseTrajectory(ts, ys, (ts[:-1], ts[1:] - ts[:-1], np.array(hs), ys[:-1], Q),
-                           lane_count=len(y0) if y0.ndim == 2 else None, nsteps=stepper.nsteps,
-                           nrejected=stepper.nrejected, max_steps=settings.max_steps,
-                           restarts=cuts)
+                           lane_count=len(y) if y.ndim == 2 else None, nsteps=nsteps,
+                           nrejected=nrejected, max_steps=s.max_steps, restarts=cuts)
 
 
 def _divergence(ts, S, Y, Q) -> DivergenceError:

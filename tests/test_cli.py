@@ -115,12 +115,15 @@ def test_config_errors_exit_2(tmp_path, capsys):
     assert main(["solve", "--config", str(path)]) == 2
     assert "K_theta" in capsys.readouterr().err
 
-    # modes the solver would refuse are refused before any pipeline runs
+    # unknown modes, and modes the solver would refuse, are refused before
+    # any pipeline runs
     import ocflow.evolution as evolution
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(evolution, "solve_state", lambda *a, **k: pytest.fail("a pipeline ran"))
-        for overrides, needle in (({"mode": "gradient_flow"}, "needs K_theta"),
+        for overrides, needle in (({"mode": "form3"},
+                                   "mode must be form1|form2|gradient_flow, got 'form3'"),
+                                  ({"mode": "gradient_flow"}, "needs K_theta"),
                                   ({"problem": "brachistochrone", "gains": {"k_tf": 0}},
                                    "free t_f requires k_tf > 0"),
                                   ({"mode": "gradient_flow",

@@ -69,6 +69,27 @@ def test_costate_dimension_check(example1, e1_par, name):
     run(list(it.pi), list(it.g_val))        # a list is a vector
 
 
+def test_costate_functions_refuse_a_bundle_of_lanes(example1, e1_par):
+    # solve_adjoints with a (B, s) p returns a bundle of lanes; a lane-blind
+    # norm over its grid axis read 42.7 where the lanes' own residuals are
+    # 7.31, 4.10 and 5.24, so each function refuses it, typed, naming itself
+    prob, gains, pi, g = example1.prob, example1.gains, np.array([0.3, -0.2]), np.zeros(2)
+    P = np.random.default_rng(1).standard_normal((3, e1_par.s))
+    bundle = solve_adjoints(prob, e1_par, P, solve_state(prob, e1_par, P, 2.0))
+    quantities = evaluate_iterate(EvolutionMode.form1(), prob, e1_par, gains, P[0],
+                                  2.0).quantities
+    own = [optimality_residuals(prob, e1_par, quantities, lane, pi, g).continuous_residual_sup
+           for lane in bundle.lanes()]
+    np.testing.assert_allclose(own, [7.31, 4.10, 5.24], atol=5e-3)
+    for name, run in (
+            ("reconstruct_costate", lambda: reconstruct_costate(prob, bundle, pi)),
+            ("optimality_residuals",
+             lambda: optimality_residuals(prob, e1_par, quantities, bundle, pi, g)),
+            ("continuous_multiplier", lambda: continuous_multiplier(prob, bundle, gains, g))):
+        with pytest.raises(DimensionError, match=f"^{name} .* a bundle of 3 lanes"):
+            run()
+
+
 def test_costate_ode_residual(example1, e1_form1_solve):
     # derivative from the interpolant, tolerance 10x the inner tolerance
     report, _, bundle, _ = e1_form1_solve

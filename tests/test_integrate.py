@@ -306,6 +306,65 @@ def test_a_trajectory_replays_at_its_own_restarts():
     assert all(np.array_equal(view.restarts, [0.5]) for view in lanes.lanes())
 
 
+def _same_solve(a, b):
+    return (np.array_equal(a.t_grid, b.t_grid) and np.array_equal(a.values, b.values)
+            and all(np.array_equal(sa, sb) for sa, sb in zip(a.segments, b.segments))
+            and (a.nsteps, a.nrejected) == (b.nsteps, b.nrejected))
+
+
+def test_the_step_budget_is_per_smooth_subinterval():
+    # y' = -y over [0, 4] takes 5, 4, 3 and 3 steps between its breakpoints:
+    # a budget of 5 attempts per subinterval solves it as the default does,
+    # and one of 4 runs out in the first subinterval
+    args = (lambda t, y: -y, np.array([1.0]), (0.0, 4.0))
+    sol = integrate_ivp(*args, breakpoints=[1.0, 2.0, 3.0])
+    assert sol.nrejected == 0
+    assert np.diff(np.searchsorted(sol.t_grid, [0.0, 1.0, 2.0, 3.0, 4.0])).tolist() == [5, 4, 3, 3]
+    assert _same_solve(integrate_ivp(*args, OdeSettings(max_steps=5), breakpoints=[1.0, 2.0, 3.0]),
+                       sol)
+    with pytest.raises(StepBudgetError, match="max_steps = 4") as exc:
+        integrate_ivp(*args, OdeSettings(max_steps=4), breakpoints=[1.0, 2.0, 3.0])
+    assert exc.value.time == pytest.approx(0.937, abs=1e-3)
+
+
+def test_a_restart_evaluates_its_first_stage_with_its_first_attempt():
+    # the first f and the initial step's probe take one point each, every
+    # attempt its six stage times, and a restart's first attempt its stage 0
+    # as well; a right-hand side non-finite from the breakpoint on fails
+    # there, on that stage 0, held one ulp inside the new subinterval
+    sizes = []
+
+    def stage_input(ts):
+        sizes.append(ts.size)
+        return ts
+
+    def rhs(t, y, v):
+        assert t == v
+        return y * (np.nan if t >= 1.0 else 1.0)
+
+    with pytest.raises(DivergenceError) as exc:
+        integrate_ivp(rhs, np.array([1.0]), (0.0, 2.0), breakpoints=[1.0],
+                      _stage_input=stage_input)
+    assert exc.value.time == 1.0
+    assert sizes[:2] == [1, 1] and set(sizes[2:-1]) == {6} and sizes[-1] == 7
+
+
+def test_a_lane_steps_as_its_system_across_restarts_and_rejections():
+    # a pendulum under a square-wave force that flips at the breakpoints
+    # k pi / 7: a (2,) state and its (1, 2) lane take the same steps
+    def rhs(t, y):
+        return np.stack([y[..., 1], -50.0 * np.sin(y[..., 0]) + 30.0 * np.sign(np.sin(7.0 * t))],
+                        axis=-1)
+
+    cuts = np.pi / 7.0 * np.arange(1, 7)
+    settings = OdeSettings(rel_tol=1e-6, abs_tol=1e-9)
+    one = integrate_ivp(rhs, np.array([1.0, 0.0]), (0.0, 3.0), settings, breakpoints=cuts)
+    lane = integrate_ivp(rhs, np.array([[1.0, 0.0]]), (0.0, 3.0), settings, breakpoints=cuts)
+    assert (one.nsteps, one.nrejected) == (117, 1)
+    assert np.array_equal(one.restarts, cuts) and lane.lane_count == 1
+    assert _same_solve(one, lane)
+
+
 def test_shapes_are_refused_typed_before_any_step():
     calls = []
 
