@@ -319,7 +319,8 @@ def _flow(evaluate, row, theta0: np.ndarray, stop: StopCriteria, ode: OdeSetting
 
     The flow steps on Radau IIA from tau = 0, its three stage points one
     call.  Radau starts from the row at tau = 0 and its F, so theta0 is
-    evaluated once; the initial step estimate's probe is a one-point call.
+    evaluated once, then forms its Jacobian and sizes its first step on that
+    linearization; the start's probe, at that step's end, is a one-point call.
     A Radau step's first call leads with its start point, whose f the step
     before left pending, so a step whose Newton converges at once is one
     call.  An accepted step's row points wait in the same way: the next

@@ -7,10 +7,11 @@ between breakpoints, then step attempts), and the linear adjoint solves, the
 only backward passes, replay the same tableau backward over a forward
 solve's accepted steps with no error control (:func:`replay_linear`),
 restarting where the forward solve recorded that it did.  :class:`_Radau`,
-the 3-stage Radau IIA method, steps every outer flow from its first point
-and that point's f, with the same initial step estimate.  The pair's free
-4th-order interpolant gives dense output from one coefficient block per
-power, a layout that :class:`DenseTrajectory` alone knows.  A forward solve
+the 3-stage Radau IIA method, steps every outer flow from its first point,
+that point's f and its Jacobian, its first step sized on that linear model
+and cut by one probe of the flow.  The pair's free 4th-order interpolant
+gives dense output from one coefficient block per power, a layout that
+:class:`DenseTrajectory` alone knows.  A forward solve
 restarts at each breakpoint with a fresh first stage, error history and step
 budget, carrying its step size across, and with breakpoints holds every
 stage time one ulp inside its smooth subinterval.  A state solve's control
@@ -21,10 +22,10 @@ Several independent systems of equal size may run as lanes of one solve, a
 sequence, each step is held to the tolerance of its worst lane and each
 replayed step cut for its worst lane, and lookups come back lanes first; lanes
 of their own horizon run on the first lane's clock, each at its own rate
-(:func:`_lane_times`).  The first step is Hairer's estimate, its trial step
-clamped to the smooth subinterval; a state solve leaves its running-cost
-channel, an integral from 0, out of that estimate (as CVODES does its
-quadratures) and keeps it under the error test.
+(:func:`_lane_times`).  A forward solve's first step is Hairer's estimate,
+its trial step clamped to the smooth subinterval; a state solve leaves its
+running-cost channel, an integral from 0, out of that estimate (as CVODES
+does its quadratures) and keeps it under the error test.
 Step-size control is a standard PI controller (safety 0.9, growth clamped to
 [0.2, 5.0]); every forward step decision is :func:`integrate_ivp`'s alone: an
 evaluation that refuses a trial point ends the solve with its own error.
@@ -285,8 +286,9 @@ def _scaled_rms(v: np.ndarray, scale: np.ndarray) -> list[float]:
 
 def _initial_step(rhs, t0, y0, f0, settings, span: float,
                   estimated=slice(None)) -> float:
-    """Hairer-style automatic initial step size, or :class:`IntegrationError`
-    at t0 when none is finite and positive (the scaled norms overflowed).
+    """Hairer-style automatic initial step size for :func:`integrate_ivp`, or
+    :class:`IntegrationError` at t0 when none is finite and positive (the
+    scaled norms overflowed).
 
     The norms run over the ``estimated`` channels of the last axis only, and
     the trial step h0, whose right-hand side ``rhs(t, y)`` is probed at
@@ -378,19 +380,22 @@ class _Radau:
     autonomous y' = f(y) over [0, t_end], whose ``rhs(ys)`` gives f at a list
     of points.
 
-    It starts from y0 and its f0, which the caller has already evaluated:
-    the first step is Hairer's estimate (:func:`_initial_step`), its probe a
-    one-point call of ``rhs``, and J = ``jac(y0)`` is formed next.
-    Simplified Newton on the real matrix I - h A (x) J solves the collocation
-    system from the last step's collocation cubic, each iteration one call
-    of the three stage points.  It ends on RADAU5's contraction factor: the
-    last measured rate's theta / (1 - theta), carried from step to step, so a
-    converged step takes one iteration; each solve raises the carried factor
-    to the power 0.8, so while no rate is measured it climbs toward 1 until
-    a second iteration measures one again.  It fails on a singular matrix, a
-    non-finite stage or a rate that says 6 iterations will not do; J =
-    ``jac(y)`` is then re-formed once, and a second failure halves h; a step
-    whose Newton contracted slower than ``_THET`` has the next re-form J.  An
+    It starts from y0 and its f0, which the caller has already evaluated,
+    and J = ``jac(y0)``, formed first: the first step is sized on that
+    linear model with no call of ``rhs``, then cut by one probe, a one-point
+    call (:meth:`_first_step`).  Simplified Newton on the real matrix
+    I - h A (x) J solves the collocation system, each iteration one call of
+    the three stage points, from the last step's collocation cubic, or on
+    the first step from the linear model's stages at the attempt's h (a
+    singular matrix fails that attempt before any call).  It ends on
+    RADAU5's contraction factor: the last measured rate's theta / (1 -
+    theta), carried from step to step, so a converged step takes one
+    iteration; each solve raises the carried factor to the power 0.8, so
+    while no rate is measured it climbs toward 1 until a second iteration
+    measures one again.  It fails on a singular matrix, a non-finite stage
+    or a rate that says 6 iterations will not do; J = ``jac(y)`` is then
+    re-formed once, and a second failure halves h; a step whose Newton
+    contracted slower than ``_THET`` has the next re-form J.  An
     accepted step leaves f(y_new) pending: the next step's first call sends
     y_new ahead of its stage points, and J takes its Broyden update with
     that f before the Newton matrix is formed, so the last step makes no f
@@ -406,13 +411,56 @@ class _Radau:
         self.t, self.y, self.t_end = 0.0, np.asarray(y0, dtype=float), float(t_end)
         self.nsteps = self.nrejected = 0
         self.f = _finite(np.asarray(f0, dtype=float), 0.0)
-        self.h = min(_initial_step(lambda t, y: rhs([y])[0], 0.0, self.y, self.f, settings,
-                                   self.t_end), self.t_end)
         self.J, self._fresh, self._slow = self._jacobian(), True, False
         self._last = None               # the last step's (h, y, f, K, error norm)
         self._faccon = 1.0              # RADAU5's carried theta / (1 - theta)
         self._tol = max(10 * np.finfo(float).eps / self.settings.rel_tol,
                         min(0.03, math.sqrt(self.settings.rel_tol)))
+        self.h = self._first_step()
+
+    def _linear(self, h):
+        """The stages Z of the linear model f + J (x - y) over a step h from
+        this point y, (I - h A (x) J) Z = h (c (x) f), or None if that matrix
+        is singular."""
+        try:
+            Z = np.linalg.solve(np.eye(3 * self.y.size) - h * np.kron(_RADAU_A, self.J),
+                                h * np.outer(_RADAU_C, self.f).ravel())
+        except np.linalg.LinAlgError:
+            return None
+        return Z.reshape(3, -1)
+
+    def _first_step(self) -> float:
+        """The first step, sized on the linear model from y0, f0 and J with no
+        call of ``rhs``, then cut by one probe of its curvature.
+
+        From h = t_end, each h whose linear model's stages give an embedded
+        estimate over the tolerance is cut by the rejection factor, one whose
+        matrix is singular or estimate not finite by ``_MIN_FACTOR``, with
+        :class:`IntegrationError` at 0 if h underflows.  The probe at the
+        linear step's end y0 + Z_3 measures the model's defect
+        eta = h ||f - f0 - J Z_3||; above Newton's tolerance h is cut by
+        (tol / eta)^(1/3), as that defect in stage units grows like h^3.
+        """
+        s, y, f = self.settings, self.y, self.f
+        h = self.t_end
+        while True:
+            if h < _MIN_STEP_REL * self.t_end:
+                raise IntegrationError("no finite positive initial step at rel_tol = "
+                                       f"{s.rel_tol!r}, abs_tol = {s.abs_tol!r}", 0.0)
+            Z, err = self._linear(h), math.nan
+            if Z is not None:
+                sc = s.abs_tol + s.rel_tol * np.maximum(abs(y), abs(y + Z[2]))
+                with np.errstate(invalid="ignore", over="ignore"):
+                    err = _scaled_rms(np.linalg.solve((_RADAU_MU / h) * np.eye(y.size) - self.J,
+                                                      f + _RADAU_E @ Z / h), sc)[0]
+                if err <= 1.0:
+                    break
+            h *= max(_MIN_FACTOR, _SAFETY * err ** -0.25)     # _MIN_FACTOR at a NaN err
+        F = _finite(np.asarray(self.rhs([y + Z[2]])[0], dtype=float), 0.0)
+        eta = h * _scaled_rms(F - f - self.J @ Z[2], sc)[0]
+        if eta > self._tol:
+            h *= max(_MIN_FACTOR ** 3, (self._tol / eta) ** (1 / 3))
+        return h
 
     def _jacobian(self) -> np.ndarray:
         J = np.array(self.jac(self.y), dtype=float)
@@ -478,9 +526,11 @@ class _Radau:
         while True:
             h, t_new = _attempt(self.h, t, self.t_end, s, self.nsteps + self.nrejected)
             h0, y0, _, K0, err0 = self._last or (h, y, None, None, None)
-            Z = (np.zeros((3, y.size)) if K0 is None else
+            # the first step starts from its linear model, with J fresh: an
+            # attempt whose matrix is singular fails before any call
+            Z = (self._linear(h) if K0 is None else
                  dense_output(1.0 + h / h0 * _RADAU_C, h0, y0, self.segment(K0)) - y)
-            solved = self._newton(y, h, Z, s.abs_tol + s.rel_tol * abs(y))
+            solved = None if Z is None else self._newton(y, h, Z, s.abs_tol + s.rel_tol * abs(y))
             if solved is None and not self._fresh:
                 self.J, self._fresh = self._jacobian(), True
                 solved = self._newton(y, h, Z, s.abs_tol + s.rel_tol * abs(y))

@@ -643,8 +643,9 @@ def test_the_starting_point_is_evaluated_once(monkeypatch, example1):
 def test_the_flow_evaluates_its_first_point_once():
     # a plain evaluator, with no memo: the row at tau = 0 is the one call of
     # theta0 alone, Radau starts from its result, and the next calls are the
-    # initial step estimate's probe and the Jacobian's forward-difference
-    # pass, whose first point is theta0
+    # Jacobian's forward-difference pass, whose first point is theta0, the
+    # start's probe at its linear model's step end, and the first step's
+    # Newton call of its three stage points
     from types import SimpleNamespace
 
     import ocflow.evolution as evolution
@@ -657,10 +658,11 @@ def test_the_flow_evaluates_its_first_point_once():
 
     evolution._flow(evaluate, lambda tau, result: False, y0,
                     StopCriteria(tau_max=5.0), OdeSettings())
-    start, probe, fd = calls[:3]
+    start, fd, probe, newton = calls[:4]
     assert np.array_equal(start, [y0]) and probe.shape == (1, 2)
     assert not np.array_equal(probe[0], y0)
     assert fd.shape == (3, 2) and np.array_equal(fd[0], y0) and _is_fd_pass(fd)
+    assert newton.shape == (3, 2)
     assert sum(np.array_equal(c, [y0]) for c in calls) == 1
 
 
@@ -706,7 +708,7 @@ def test_evaluate_iterate_is_a_pass_of_one_lane(monkeypatch, example1, brach, e1
         seen.clear()
         solve_evolution(mode, bp.prob, par, bp.gains, EvolutionState(p=p, t_f=t_f),
                         StopCriteria(tau_max=3.0))
-        assert lone[:2] == [0, 1]           # the tau = 0 point and the first step's probe
+        assert lone[:2] == [0, 2]           # the tau = 0 point; after J's pass, the probe
         for k in lone:
             assert seen[k][0].shape == (1, par.s) and type(seen[k][1]) is float
         assert all(len(P) > 1 for k, (P, _) in enumerate(seen) if k not in lone)
@@ -1044,7 +1046,8 @@ def test_flow_makes_no_call_after_its_last_step():
     # a flow's Radau steps send f at their start and the step before's rows
     # with their first Newton call, so a step's calls are its Newton calls,
     # the first led by the last step's rows; the flow ends in the first call
-    # of the step after the done row's, and no call follows it
+    # of the step after the done row's, whose rows past the done one are
+    # never drawn, and no call follows it
     calls, rows, steps, (result, done, tau) = _decay_flow(
         StopCriteria(tau_max=100.0, record_every=0.5), done=lambda tau: tau >= 3.0)
     assert done and tau == 3.0 and len(steps) > 2
@@ -1052,10 +1055,11 @@ def test_flow_makes_no_call_after_its_last_step():
     for k, (t, y, first, end) in enumerate(steps):
         own = [points for points, _ in calls[first:end]]
         led = before[k - 1] if k else before[k][:0]
-        assert len(own[0]) == len(led) + (4 if k else 3)
+        assert (len(own[0]) == len(led) + (4 if k else 3) if end is not None
+                else len(own[0]) > len(led) + 4)
         np.testing.assert_array_equal(own[0][:len(led)], led)
         if k:
-            assert np.array_equal(own[0][len(led)], y)
+            assert np.array_equal(own[0][-4], y)
         assert all(len(points) == 3 for points in own[1:])      # later Newton iterations
     t, y, first, end = steps[-1]
     assert end is None and first == len(calls) - 1 == result.call
@@ -1130,9 +1134,9 @@ def test_a_jacobian_re_form_call_carries_no_row():
 
 
 def test_a_done_row_inside_a_merged_call_is_the_flows_result():
-    # the row at tau = 3.0 rides with the next step's Newton points; it is
-    # done, and the flow returns that row's own result, its tau and done,
-    # drawing nothing after it from the call
+    # the row at tau = 3.0 rides with the next row of its step and the next
+    # step's Newton points; it is done, and the flow returns that row's own
+    # result, its tau and done, drawing nothing after it from the call
     calls, rows, steps, (result, done, tau) = _decay_flow(
         StopCriteria(tau_max=100.0, record_every=0.5), done=lambda tau: tau >= 3.0)
     points, drawn = calls[-1]
@@ -1140,25 +1144,26 @@ def test_a_done_row_inside_a_merged_call_is_the_flows_result():
     assert done and tau == 3.0 and end is None and result.call == len(calls) - 1 == first
     n = sum(j == result.call for _, _, j, _ in rows)
     assert result.at == n - 1 and drawn == n
-    assert len(points) == n + 4 and np.array_equal(points[n], y)    # Newton points after it
+    assert len(points) > n + 4 and np.array_equal(points[-4], y)    # Newton points after it
     assert np.array_equal(result.theta, points[result.at]) and result.theta is rows[-1][1]
     np.testing.assert_allclose(result.theta, np.exp(-3.0), rtol=1e-3)
 
 
 def test_flow_starts_on_radau_with_a_jacobian_call_at_its_first_point():
     # y' = -diag(1, 1e-3) y: Radau IIA takes the flow from the row at tau = 0
-    # and its f; its start makes the initial step estimate's probe, one
-    # point, and its Jacobian, one call of the flow's evaluator at the first
-    # point and its forward-difference points.  Its steps then call the
-    # evaluator with their stage points, each after the first with the step
-    # before's rows and its start point ahead of them
+    # and its f; its start forms its Jacobian, one call of the flow's
+    # evaluator at the first point and its forward-difference points, then
+    # makes its probe, one point at its linear model's step end.  Its steps
+    # then call the evaluator with their stage points, each after the first
+    # with the step before's rows and its start point ahead of them; rows
+    # every 25 overflow the cap in at least two steps
     from types import SimpleNamespace
 
     import ocflow.evolution as evolution
 
     rate = np.array([1.0, 1e-3])
     rhs = lambda tau, y: -rate * y                                     # noqa: E731
-    y0, ode, stop = np.ones(2), OdeSettings(), StopCriteria(tau_max=2000.0, record_every=50.0)
+    y0, ode, stop = np.ones(2), OdeSettings(), StopCriteria(tau_max=2000.0, record_every=25.0)
     calls, seen, stepped, rows = [], [], [], []
 
     def evaluate(thetas):
@@ -1187,9 +1192,9 @@ def test_flow_starts_on_radau_with_a_jacobian_call_at_its_first_point():
         point, done, tau = evolution._flow(evaluate, row, y0, stop, ode)
     (t, y, f, J, before, start_calls), = seen
     assert t == 0.0 and np.array_equal(y, y0) and np.array_equal(f, rhs(0.0, y0))
-    # the row at tau = 0 alone, then the initial step probe and the Jacobian
+    # the row at tau = 0 alone, then the Jacobian and the start's probe
     assert [len(c) for c in before] == [1] and np.array_equal(before[0][0], y0)
-    probe, E = start_calls
+    E, probe = start_calls
     assert probe.shape == (1, 2) and not np.array_equal(probe[0], y0)
     assert E.shape == (3, 2) and np.array_equal(E[0], y0)
     np.testing.assert_array_equal(E[1:] - E[0] != 0, np.eye(2, dtype=bool))
@@ -1313,7 +1318,7 @@ def _is_fd_pass(P) -> bool:
 
 
 def test_e1_gradient_flow_jacobian_is_one_lane_pass(example1, e1_par, monkeypatch):
-    # fixed t_f: Radau's Jacobian at tau = 0, after its initial step probe (a
+    # fixed t_f: Radau's Jacobian at tau = 0, before its start's probe (a
     # pass of one lane), is one pipeline pass of 5 lanes, theta and its 4
     # forward-difference points, and no lone one; each Newton iteration
     # after it is one pass of its 3 stage points
@@ -1333,12 +1338,12 @@ def test_e1_gradient_flow_jacobian_is_one_lane_pass(example1, e1_par, monkeypatc
                                    EvolutionState(p=np.zeros(4), t_f=2.0),
                                    StopCriteria(tau_max=60000.0, record_every=250.0))
     assert report.converged
-    (y, (probe, P), switch), = seen
+    (y, (P, probe), switch), = seen
     assert probe.shape == (1, 4) and not np.array_equal(probe[0], y)
     assert P.shape == (5, 4) and np.array_equal(P[0], y) and _is_fd_pass(P)
     assert sum(map(_is_fd_pass, events)) == 1
-    # the tau = 0 point and the probe, before the Jacobian, are the lone points
-    assert lone == [0, 1] and switch == 3
+    # the tau = 0 point and the probe, after the Jacobian, are the lone points
+    assert lone == [0, 2] and switch == 3
     newton = [E for E in events[switch:] if len(E) == 3]
     assert len(newton) >= 2 and all(np.isfinite(E).all() for E in newton)
     # no stage point ran alone, as a pass of one lane
@@ -1390,22 +1395,22 @@ def test_criterion_6_configuration_starts_on_radau(example1, monkeypatch):
     assert report.converged and starts == [0.0]
 
 
-def test_fixed_tf_flow_starts_with_one_point_a_probe_and_a_jacobian_pass(example1, e1_par,
+def test_fixed_tf_flow_starts_with_one_point_a_jacobian_pass_and_a_probe(example1, e1_par,
                                                                           monkeypatch):
     # the first calls of a fixed-t_f solve: the tau = 0 pipeline (the stopping
-    # test's, from which Radau starts) and the initial step estimate's probe,
-    # each an evaluate_iterate call that is a pass of one lane, and Radau's
-    # Jacobian as one pass of s + 1 lanes
+    # test's, from which Radau starts), Radau's Jacobian as one pass of s + 1
+    # lanes, then its start's probe, each lone point an evaluate_iterate call
+    # that is a pass of one lane, then the first Newton call of 3 lanes
     events, lone = _spy_calls(monkeypatch)
     p0 = np.array([0.1, -0.2, 0.3, 0.05])
     solve_evolution(EvolutionMode.form1(), example1.prob, e1_par, example1.gains,
                     EvolutionState(p=p0, t_f=2.0), StopCriteria(tau_max=3.0))
-    start, probe, fd = events[:3]
-    assert lone[:2] == [0, 1] and 2 not in lone
+    start, fd, probe, newton = events[:4]
+    assert lone[:2] == [0, 2] and 1 not in lone and 3 not in lone
     assert start.shape == probe.shape == (1, 4) and np.array_equal(start[0], p0)
     assert not np.array_equal(probe[0], p0)
     assert fd.shape == (5, 4) and np.array_equal(fd[0], p0) and _is_fd_pass(fd)
-    assert all(len(E) == 3 for E in events[3:5])       # then Newton's stage points
+    assert newton.shape == (3, 4)                       # then Newton's stage points
 
 
 @pytest.mark.parametrize("kind, kw, form", [
@@ -1426,12 +1431,12 @@ def test_brachistochrone_cases_start_on_radau(brach, monkeypatch, kind, kw, form
     assert report.converged and starts == [0.0]
 
 
-def test_free_tf_flow_starts_with_one_point_a_probe_and_a_jacobian_pass(brach, monkeypatch):
-    # the first calls of a free-t_f solve: the tau = 0 pipeline and the
-    # initial step estimate's probe, each an evaluate_iterate call that is a
-    # pass of one lane at one number t_f, and Radau's Jacobian as one pass of
-    # s + 2 lanes, theta = (p, t_f) and its s + 1 forward-difference points,
-    # whose last lane steps t_f alone and so runs at its own rate
+def test_free_tf_flow_starts_with_one_point_a_jacobian_pass_and_a_probe(brach, monkeypatch):
+    # the first calls of a free-t_f solve: the tau = 0 pipeline, Radau's
+    # Jacobian as one pass of s + 2 lanes, theta = (p, t_f) and its s + 1
+    # forward-difference points, whose last lane steps t_f alone and so runs
+    # at its own rate, then its start's probe; each lone point is an
+    # evaluate_iterate call that is a pass of one lane at one number t_f
     import ocflow.evolution as evolution
 
     (events, lone), tfs, batch = _spy_calls(monkeypatch), [], evolution.evaluate_iterates
@@ -1445,15 +1450,15 @@ def test_free_tf_flow_starts_with_one_point_a_probe_and_a_jacobian_pass(brach, m
     p0 = 0.05 * np.arange(20)
     solve_evolution(EvolutionMode.form2(), brach.prob, par, brach.gains,
                     EvolutionState(p=p0, t_f=0.9), StopCriteria(tau_max=3.0))
-    start, probe, fd = events[:3]
-    assert lone[:2] == [0, 1] and 2 not in lone
+    start, fd, probe, newton = events[:4]
+    assert lone[:2] == [0, 2] and 1 not in lone and 3 not in lone
     assert start.shape == probe.shape == (1, 20) and np.array_equal(start[0], p0)
     assert not np.array_equal(probe[0], p0)
-    assert tfs[0].shape == tfs[1].shape == () and tfs[0] == 0.9 and tfs[1] != 0.9
-    theta = np.column_stack([fd, tfs[2]])
+    assert tfs[0].shape == tfs[2].shape == () and tfs[0] == 0.9 and tfs[2] != 0.9
+    theta = np.column_stack([fd, tfs[1]])
     assert theta.shape == (22, 21) and np.array_equal(theta[0], np.append(p0, 0.9))
-    assert _is_fd_pass(theta) and tfs[2][-1] > 0.9 and (tfs[2][:-1] == 0.9).all()
-    assert all(len(E) == 3 for E in events[3:5])       # then Newton's stage points
+    assert _is_fd_pass(theta) and tfs[1][-1] > 0.9 and (tfs[1][:-1] == 0.9).all()
+    assert newton.shape == (3, 20)                      # then Newton's stage points
 
 
 def test_free_tf_flow_jacobian_predicts_its_direction(brach, monkeypatch):
@@ -1488,14 +1493,16 @@ def test_free_tf_flow_jacobian_predicts_its_direction(brach, monkeypatch):
         assert np.linalg.norm(step - 1e-4 * J @ direction) <= 1e-3 * np.linalg.norm(step)
 
 
-@pytest.mark.parametrize("k_tf", [0.1, 1.0, 10.0])
-def test_flow_that_drives_t_f_to_t0_ends_on_the_basis_refusal(shrinking_horizon, k_tf):
-    # min t_f + 1/2 int u^2 with nothing to hold t_f up: a Dormand-Prince
-    # stage evaluates a t_f well below t0 before any accepted step could be
-    # judged, and the basis, the one judge of t_f, refuses it with a typed
+@pytest.mark.parametrize("k_tf, refused", [(0.1, "-4.0"), (1.0, "-49.0"), (10.0, "-499.0")])
+def test_flow_that_drives_t_f_to_t0_ends_on_the_basis_refusal(shrinking_horizon, k_tf,
+                                                              refused):
+    # min t_f + 1/2 int u^2 with nothing to hold t_f up: dt_f/dtau = -k_tf,
+    # so the linear model takes the whole span of 50, and the start's probe
+    # at its end evaluates t_f = 1 - 50 k_tf, well below t0, before any step
+    # is taken; the basis, the one judge of t_f, refuses it with a typed
     # error that names both times
     par = make_basis("global_polynomial", m=1, t0=0.0, form="form1", order=1)
-    with pytest.raises(DomainError, match=r"^t_f = -\d\.\d+ must exceed t0 = 0\.0$"):
+    with pytest.raises(DomainError, match=rf"^t_f = {refused} must exceed t0 = 0\.0$"):
         solve_evolution(EvolutionMode.form1(), shrinking_horizon, par,
                         Gains.constant(K=1.0, m=1, q=0, k_tf=k_tf),
                         EvolutionState(p=np.zeros(2), t_f=1.0), StopCriteria(tau_max=50.0))

@@ -6,7 +6,8 @@ import pytest
 
 from ocflow import (DenseTrajectory, DimensionError, DivergenceError, DomainError,
                     IntegrationError, OdeSettings, StepBudgetError, integrate_ivp, replay_linear)
-from ocflow.integrate import _RADAU_A, _RADAU_C, _broyden, _Radau, dense_output
+from ocflow.integrate import (_RADAU_A, _RADAU_C, _RADAU_E, _RADAU_MU, _broyden, _Radau,
+                              dense_output)
 
 
 def test_exponential_decay():
@@ -234,13 +235,28 @@ def test_tolerances_too_small_for_an_initial_step_fail_typed():
 
 
 def test_radau_shares_the_initial_step_refusal():
-    # Radau's start takes the same estimate, and refuses tolerances too small
-    # for it with the same typed error at t = 0
+    # Radau sizes its start on its linear model, not on Hairer's estimate, but
+    # refuses tolerances too small for any first step with the same typed
+    # error at t = 0: its estimate stays over them until h underflows
     with pytest.raises(IntegrationError) as info:
         _radau(lambda y: -y, [1.0], lambda y: -np.eye(1),
                OdeSettings(rel_tol=1e-300, abs_tol=1e-300))
     assert type(info.value) is IntegrationError and info.value.time == 0.0
     assert "rel_tol = 1e-300" in str(info.value) and "abs_tol = 1e-300" in str(info.value)
+
+
+def test_radau_start_refuses_an_estimate_that_is_never_finite():
+    # y' = -1e20 y at tolerances of 1e-300: the scaled estimate overflows at
+    # every h, so no step is sized; the refusal is typed, at t = 0, with no
+    # numpy warning and no call of the right-hand side
+    calls = []
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(IntegrationError, match="no finite positive initial step") as info:
+            _Radau(lambda ys: calls.append(len(ys)) or [-1e20 * y for y in ys],
+                   lambda y: np.array([[-1e20]]), np.ones(1), -1e20 * np.ones(1), 10.0,
+                   OdeSettings(rel_tol=1e-300, abs_tol=1e-300))
+    assert type(info.value) is IntegrationError and info.value.time == 0.0 and calls == []
 
 
 def test_the_initial_step_probe_stays_inside_the_span():
@@ -599,8 +615,8 @@ def test_lookups_match_the_gathered_segment_lookup(source):
 
 def _radau(f, y0, jac, settings=None, t_end=10.0, h=None):
     """A Radau IIA stepper for y' = f(y) from y0 at t = 0, with step h if
-    given, and the list of its rhs calls after its initial step estimate's
-    probe; loose default tolerances accept every step."""
+    given, and the list of its rhs calls after its start's probe; loose
+    default tolerances accept every step."""
     y0, calls = np.asarray(y0, dtype=float), []
 
     def rhs(ys):
@@ -611,6 +627,74 @@ def _radau(f, y0, jac, settings=None, t_end=10.0, h=None):
     if h is not None:
         ros.h = h
     return ros, calls
+
+
+def _linear_start(y0, f0, J, settings, t_end):
+    """The first step sized on the linear model f0 + J (y - y0), by hand:
+    from t_end, the rejection factor until the embedded estimate meets the
+    tolerance; returns h, the stages Z there and their scale."""
+    d, h = y0.size, t_end
+    while True:
+        Z = np.linalg.solve(np.eye(3 * d) - h * np.kron(_RADAU_A, J),
+                            h * np.kron(_RADAU_C, f0)).reshape(3, d)
+        sc = settings.abs_tol + settings.rel_tol * np.maximum(abs(y0), abs(y0 + Z[2]))
+        err = np.linalg.solve(_RADAU_MU / h * np.eye(d) - J, f0 + _RADAU_E @ Z / h)
+        norm = np.sqrt(np.mean((err / sc) ** 2))
+        if norm <= 1.0:
+            return h, Z, sc
+        h *= max(0.2, 0.9 * norm ** -0.25)
+
+
+def test_radau_starts_an_affine_flow_on_its_linearization():
+    # y' = b + A y is its own linear model: the first step is the model's h,
+    # cut from t_end, the probe at y0 + Z_3 finds no defect and keeps it, and
+    # Newton, started from the model's stages, converges in its first
+    # iteration, one call, to a collocation residual at rounding level
+    A, b, y0 = np.array([[-1.0, 0.5], [0.0, -0.1]]), np.array([1.0, 2.0]), np.array([1.0, -1.0])
+    f = lambda y: b + A @ y                                               # noqa: E731
+    settings, probes = OdeSettings(), []
+    ros = _Radau(lambda ys: probes.append(np.array(ys)) or [f(y) for y in ys], lambda y: A,
+                 y0, f(y0), 50.0, settings)
+    h, Z, _ = _linear_start(y0, f(y0), A, settings, 50.0)
+    assert ros.h == pytest.approx(h, rel=1e-12) and h < 50.0
+    (probe,), = probes
+    np.testing.assert_allclose(probe, y0 + Z[2], rtol=1e-12)
+    np.testing.assert_allclose(f(probe) - f(y0) - A @ (probe - y0), 0.0, atol=1e-14)
+    del probes[:]
+    h, K = ros.step()
+    assert [len(c) for c in probes] == [3] and ros.nrejected == 0
+    Z = h * K
+    residual = h * _RADAU_A @ np.array([f(y0 + z) for z in Z]) - Z
+    assert np.abs(residual).max() <= 1e-14 * np.abs(Z).max()
+
+
+def test_radau_probe_cuts_a_nonlinear_start_by_the_cube_root_rule():
+    # y' = -y^3 from 1, J = -3: the linear model takes the whole span of 0.1,
+    # but at its end y0 + Z_3 the flow has left it; the defect eta = h
+    # |f - f0 - J Z_3| / sc exceeds Newton's tolerance 0.03, so h is cut by
+    # (0.03 / eta)^(1/3)
+    f, jac = (lambda y: -y ** 3), (lambda y: -3 * y[None] ** 2)         # noqa: E731
+    settings, y0 = OdeSettings(rel_tol=1e-2, abs_tol=1e-2), np.ones(1)
+    h, Z, sc = _linear_start(y0, f(y0), jac(y0), settings, 0.1)
+    assert h == 0.1
+    eta = h * abs(f(y0 + Z[2]) - f(y0) - jac(y0) @ Z[2])[0] / sc[0]
+    assert eta > 0.03
+    ros, _ = _radau(f, y0, jac, settings, t_end=0.1)
+    assert ros._tol == 0.03
+    assert ros.h == pytest.approx(h * (0.03 / eta) ** (1 / 3), rel=1e-12)
+
+
+def test_radau_start_at_an_equilibrium_takes_the_whole_span():
+    # f0 = 0: the linear model stands still, its estimate is 0 and the probe,
+    # at y0 itself, finds no defect, so the first step is the whole span; no
+    # step divides by a zero estimate or defect
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        ros, calls = _radau(lambda y: -y, [0.0, 0.0], lambda y: -np.eye(2), OdeSettings(),
+                            t_end=7.0)
+        assert ros.h == 7.0
+        h, K = ros.step()
+    assert h == 7.0 and ros.done and calls == [3] and not ros.y.any()
 
 
 def _radau_r(z):
@@ -644,20 +728,26 @@ def test_radau_is_l_stable():
 
 def test_radau_sends_f_with_the_next_steps_stage_points():
     # y' = lam y with the exact J at the default tolerances: the first step
-    # starts at the carried factor 1.0 and takes two Newton iterations, calls
-    # of 3 and 3 points.  Its last rate, at rounding level, is carried over,
-    # so the next step's Newton takes one iteration, one call of 4 points:
-    # the step's start y first, whose f opens the step, then its three stages
+    # starts on its linear model, exact here, and takes one Newton iteration,
+    # one call of 3 points.  The second starts from the first's cubic at the
+    # carried factor 1.0 and takes two iterations: a call of 4 points, the
+    # step's start y first, whose f opens the step, then its three stages,
+    # and one of 3.  Its last rate, at rounding level, is carried over, so
+    # the third step's Newton takes one iteration, one call of 4 points
     lam, points = -2.0, []
     ros, calls = _radau(lambda y: lam * y, [1.5], lambda y: np.array([[lam]]),
                         OdeSettings(), t_end=100.0, h=0.1)
     rhs = ros.rhs
     ros.rhs = lambda ys: points.append(np.array(ys)) or rhs(ys)
     ros.step()
-    assert calls == [3, 3] and ros.f is None and 0.0 <= ros._faccon < 1e-10
+    assert calls == [3] and ros.f is None and ros._faccon == 1.0
     y = ros.y
     ros.step()
-    assert calls == [3, 3, 4] and np.array_equal(points[-1][0], y)
+    assert calls == [3, 4, 3] and np.array_equal(points[1][0], y)
+    assert ros.f is None and 0.0 <= ros._faccon < 1e-10
+    y = ros.y
+    ros.step()
+    assert calls == [3, 4, 3, 4] and np.array_equal(points[-1][0], y)
     assert np.array_equal(ros._last[2], lam * y) and ros.nrejected == 0
 
 
@@ -686,9 +776,14 @@ def test_radau_carried_factor_climbs_until_newton_measures_a_rate_again():
     # as in RADAU5, each Newton solve stores the carried factor's 0.8 power
     # (of eps at least) before its first iteration: while steps end Newton
     # after one iteration the factor climbs toward 1, until a first
-    # iteration no longer ends it and the second measures a rate again
+    # iteration no longer ends it and the second measures a rate again.  The
+    # first step, exact on its linear model, measures none; the second
+    # measures one at rounding level
     ros, _ = _radau(lambda y: -y, [1.0], lambda y: -np.eye(1), OdeSettings(), t_end=100.0)
     ros.step()
+    assert ros._faccon == 1.0
+    ros.step()
+    assert ros._faccon < 1e-10
     newton, seen = ros._newton, []
 
     def spied(y, h, Z, scale):
@@ -708,19 +803,23 @@ def test_radau_carried_factor_climbs_until_newton_measures_a_rate_again():
 
 def test_radau_carried_factor_starts_at_one_in_a_new_stepper():
     # a new stepper starts from the carried factor 1.0, whatever an earlier
-    # Radau stepper carried, so its first step takes two Newton iterations;
-    # its later steps, one each
+    # Radau stepper carried.  Its first step, exact on its linear model,
+    # takes one Newton iteration and measures no rate, so its second starts
+    # at 1.0 too and takes two, where the earlier stepper's third took one;
+    # its later steps take one each
     f, jac = (lambda y: -y), (lambda y: -np.eye(1))                         # noqa: E731
-    first, _ = _radau(f, [1.0], jac, OdeSettings())
-    first.step()
-    first.step()
-    assert first._faccon < 1e-10
+    first, first_calls = _radau(f, [1.0], jac, OdeSettings())
+    for _ in range(3):
+        first.step()
+    assert first._faccon < 1e-10 and first_calls[-1:] == [4]
     ros, calls = _radau(f, first.y, jac, OdeSettings())
     assert ros._faccon == 1.0
     ros.step()
-    assert calls == [3, 3]
+    assert calls == [3] and ros._faccon == 1.0
     ros.step()
-    assert calls == [3, 3, 4]
+    assert calls == [3, 4, 3]
+    ros.step()
+    assert calls == [3, 4, 3, 4]
 
 
 def test_radau_re_forms_a_slow_jacobian_at_the_next_step():
@@ -800,8 +899,9 @@ def test_radau_newton_failure_reforms_j_once_then_halves_h(monkeypatch):
     # that opens the next step: Newton fails, J is re-formed once through
     # jac, Newton fails again with it, and h is halved; with a fresh J no
     # further re-form follows, only more halving.  On y' = -y^2 the exact J
-    # leaves a carried factor near 1e-3, so the bad J's first iteration is
-    # large enough to call a second, whose rate fails Newton
+    # leaves a carried factor near 1e-2 after the second step (the first,
+    # from its linear model, measures no rate), so the bad J's first
+    # iteration is large enough to call a second, whose rate fails Newton
     import ocflow.integrate as integrate
 
     events, bad = [], np.array([[40.0]])
@@ -811,7 +911,8 @@ def test_radau_newton_failure_reforms_j_once_then_halves_h(monkeypatch):
         return -2 * y[None] if len(events) == 1 else bad
     ros, _ = _radau(lambda y: -y ** 2, [1.0], jac, OdeSettings())
     ros.step()
-    assert 1e-4 < ros._faccon < 1e-2
+    ros.step()
+    assert 1e-3 < ros._faccon < 1e-1
     newton = ros._newton
 
     def spied(y, h, Z, scale):
@@ -826,7 +927,7 @@ def test_radau_newton_failure_reforms_j_once_then_halves_h(monkeypatch):
     assert events.count("jac") == 1 and events[-1][1]
     assert [e[0] for e in events if e != "jac"][2:] == [0.5 ** k for k in
                                                        range(1, len(events) - 2)]
-    assert ros.nrejected == len(events) - 3 and ros.nsteps == 2
+    assert ros.nrejected == len(events) - 3 and ros.nsteps == 3
 
 
 def test_radau_refines_the_error_estimate_after_a_rejection():
@@ -851,33 +952,53 @@ def test_radau_refines_the_error_estimate_after_a_rejection():
     assert abs(y_new - exact)[0] <= settings.abs_tol + settings.rel_tol * abs(exact[0])
 
 
-def test_radau_singular_newton_matrix_fails_newton():
+def test_radau_singular_newton_matrix_fails_newton(monkeypatch):
     # J = 1e20 everywhere makes I - h A (x) J singular in floating point (the
-    # identity is lost to rounding, and the two rows of each block agree):
-    # Newton fails when it forms the matrix, after its first call, and h is
-    # halved as for any other failure
+    # identity is lost to rounding, and the two rows of each block agree).
+    # On the first step, whose linear model needs that matrix, the attempt
+    # fails before any call and h is halved as for any other failure; the
+    # exact J then takes it in one call.  On a later step Newton fails when
+    # it forms the matrix, after its first call, and J is re-formed
+    import ocflow.integrate as integrate
+
     J = np.full((2, 2), 1e20)
     with pytest.raises(np.linalg.LinAlgError):
         np.linalg.inv(np.eye(6) - np.kron(_RADAU_A, J))
-    ros, calls = _radau(lambda y: -y, [1.0, 1.0], lambda y: J, OdeSettings(), h=1.0)
-    newton, events = ros._newton, []
+    ros, calls = _radau(lambda y: -y, [1.0, 1.0], lambda y: -np.eye(2), OdeSettings(), h=1.0)
+    linear, newton, events = ros._linear, ros._newton, []
+
+    def spied_linear(h):
+        Z = linear(h)
+        events.append((h, Z is None, calls[:]))
+        ros.J = -np.eye(2)              # the exact J from the first failure on
+        return Z
+    ros._linear, ros.J = spied_linear, J
+    h, K = ros.step()
+    assert events == [(1.0, True, []), (0.5, False, [])] and calls == [3]
+    assert h == 0.5 and ros.nrejected == 1
 
     def spied(y, h, Z, scale):
         before = len(calls)
         solved = newton(y, h, Z, scale)
         events.append((h, solved is not None, calls[before:]))
-        ros.J = -np.eye(2)              # the exact J from the first failure on
         return solved
-    ros._newton = spied
-    h, K = ros.step()
-    assert events == [(1.0, False, [3]), (0.5, True, [3, 3])]
-    assert h == 0.5 and ros.nrejected == 1
+    ros._newton, ros.h, ros.jac = spied, 0.5, lambda y: -np.eye(2)
+    monkeypatch.setattr(integrate, "_broyden", lambda J_, dy, dF: J_.__setitem__(..., J))
+    del events[:]
+    ros.step()
+    assert events[0] == (0.5, False, [4]) and events[1][:2] == (0.5, True)
+    assert ros.nrejected == 1 and ros.nsteps == 2
 
 
 def test_radau_errors_are_typed():
     f = lambda y: -y                                                      # noqa: E731
     with pytest.raises(DivergenceError, match="Jacobian"):
         _radau(f, [1.0], lambda y: np.array([[np.nan]]))
+    # the start's probe, not finite, ends the start with a DivergenceError at 0
+    with pytest.raises(DivergenceError, match="non-finite right-hand side") as exc:
+        _Radau(lambda ys: [np.full_like(y, np.nan) for y in ys], lambda y: -np.eye(1),
+               np.ones(1), -np.ones(1), 10.0, OdeSettings())
+    assert exc.value.time == 0.0
     ros, _ = _radau(f, [1.0], lambda y: -np.eye(1), OdeSettings(max_steps=3))
     with pytest.raises(StepBudgetError, match="max_steps = 3"):
         while True:
