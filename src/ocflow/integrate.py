@@ -11,7 +11,8 @@ the 3-stage Radau IIA method, steps every outer flow from its first point,
 that point's f and its Jacobian, its first step sized on that linear model
 and cut by one probe of the flow.  The pair's free 4th-order interpolant
 gives dense output from one coefficient block per power, a layout that
-:class:`DenseTrajectory` alone knows.  A forward solve
+:class:`DenseTrajectory` alone knows and reads one way, for its lookups and
+the replay's stage states alike.  A forward solve
 restarts at each breakpoint with a fresh first stage, error history and step
 budget, carrying its step size across, and with breakpoints holds every
 stage time one ulp inside its smooth subinterval.  A state solve's control
@@ -31,7 +32,8 @@ Step-size control is a standard PI controller (safety 0.9, growth clamped to
 evaluation that refuses a trial point ends the solve with its own error.
 The replay owns its step length: the error test lets a stiff problem's steps
 reach h * lambda ~ 4.2, where the replayed propagator amplifies, so the
-replay cuts them by its own coefficients (:func:`replay_linear`).
+replay cuts them by its own coefficients, round by round on finer grids whose
+stage states it reads off the forward trajectory itself (:func:`replay_linear`).
 """
 
 from __future__ import annotations
@@ -185,45 +187,53 @@ class DenseTrajectory:
     last = property(lambda self: self._shaped(self.values[-1]))   # the last node, lanes first
     end = property(lambda self: float(self.t_grid[-1]) if self.ends is None else self.ends)
 
+    def _read(self, ts: np.ndarray, search=None):
+        """Flat rows at in-domain times ``ts`` (N,), each on its own step's
+        polynomial and a node exactly its value, and the search of the grid
+        that placed them; a trajectory on the same grid read at the same ``ts``
+        takes that ``search`` back in place of its own."""
+        if search is None:
+            grid = self.t_grid
+            k = np.searchsorted(grid, ts, side="right") - 1     # t in [t_k, t_k+1), or the end
+            rows = np.flatnonzero(ts == grid.take(k))          # the times on a node
+            search = np.minimum(k, grid.size - 2), rows, k[rows]
+        idx, rows, nodes = search
+        anchor, denom, scale, base, Q = self.segments
+        out = dense_output((ts - anchor.take(idx)) / denom.take(idx), scale, base, Q, idx)
+        if rows.size:                   # grid nodes are exact by construction
+            out[rows] = self.values[nodes]
+        return out, search
+
     def __call__(self, t, *others):
         """y(t): (*channels) for scalar t, (N, *channels) for N times, lanes first.
 
-        ``others`` are trajectories on the same grid, such as an adjoint
-        replayed on this solve's steps.  With them the result is the tuple of
-        every trajectory's values at t, all from one search of the grid.
+        With ``others``, such as an adjoint replayed on this solve's steps, the
+        result is the tuple of every trajectory's values at t.  Each keeps its
+        own grid, and those on one grid share one search of it.
         """
         ts = np.asarray(t, dtype=float)
         scalar = ts.ndim == 0
         ts = ts.reshape(-1)
-        grid = self.t_grid
-        lo, hi = grid[0], grid[-1]
-        inside = (ts >= lo - self._slack) & (ts <= hi + self._slack)   # False for NaN
-        if not inside.all():
-            raise DomainError(f"t = {float(ts[~inside][0])!r} outside trajectory domain "
-                              f"[{float(lo)!r}, {float(hi)!r}]")
-        ts = np.minimum(np.maximum(ts, lo), hi)
-        idx = np.minimum(np.maximum(np.searchsorted(grid, ts, side="right") - 1, 0),
-                         grid.size - 2)
-        # grid nodes are exact by construction
-        left = np.flatnonzero(ts == grid.take(idx))
-        right = np.flatnonzero(ts == grid.take(idx + 1))
-        at_left, at_right = idx[left], idx[right] + 1
-        outs = []
+        outs, search = [], None
         for traj in (self, *others):
-            if traj.t_grid is not grid and not np.array_equal(traj.t_grid, grid):
-                raise ValueError("trajectories looked up together must share their grid")
-            anchor, denom, scale, base, Q = traj.segments
-            out = dense_output((ts - anchor.take(idx)) / denom.take(idx), scale, base, Q, idx)
-            if left.size:
-                out[left] = traj.values[at_left]
-            if right.size:
-                out[right] = traj.values[at_right]
-            outs.append(traj._shaped(out[0] if scalar else out))
+            if search is None or traj.t_grid is not grid and not np.array_equal(traj.t_grid, grid):
+                grid, search = traj.t_grid, None
+                lo, hi = grid[0], grid[-1]
+                inside = (ts >= lo - traj._slack) & (ts <= hi + traj._slack)   # False for NaN
+                if not inside.all():
+                    raise DomainError(f"t = {float(ts[~inside][0])!r} outside trajectory domain "
+                                      f"[{float(lo)!r}, {float(hi)!r}]")
+                at = np.minimum(np.maximum(ts, lo), hi)
+            flat, search = traj._read(at, search)
+            outs.append(traj._shaped(flat[0] if scalar else flat))
         return tuple(outs) if others else outs[0]
 
     def lanes(self) -> list["DenseTrajectory"]:
         """Each lane's own trajectory, as views; one of its own end on its own
-        time, its grid ending exactly there (see :func:`_lane_times`)."""
+        time, its grid ending exactly there (see :func:`_lane_times`); a
+        trajectory of one system has none (:class:`DimensionError`)."""
+        if self.lane_count is None:
+            raise DimensionError("lanes() of a one-system trajectory: it has no lane axis")
         width = self.values.shape[-1] // self.lane_count
         anchor, denom, scale, base, Q = self.segments
         if self.ends is not None:
@@ -244,7 +254,10 @@ class DenseTrajectory:
 
     def map_channels(self, fn) -> "DenseTrajectory":
         """The trajectory of fn(y) for one system, ``fn`` linear in a node value
-        (..., *channels) -> (..., *out): it maps node values and interpolant alike."""
+        (..., *channels) -> (..., *out): it maps node values and interpolant alike.
+        A trajectory of lanes raises :class:`DimensionError`; map its lanes()."""
+        if self.lane_count is not None:
+            raise DimensionError(f"map_channels maps one system, not {self.lane_count} lanes")
         anchor, denom, scale, base, Q = self.segments
         values, base, Q = (fn(a.reshape(*a.shape[:-1], *self.channels))
                            for a in (self.values, base, Q))
@@ -252,19 +265,6 @@ class DenseTrajectory:
         return DenseTrajectory(self.t_grid, flat(values, 1),
                                (anchor, denom, scale, flat(base, 1), flat(Q, 2)),
                                channels=values.shape[1:])
-
-    def refined(self, t_grid) -> "DenseTrajectory":
-        """This trajectory, all else kept, on ``t_grid``, a finer float array with
-        all its nodes, each segment its parent step's polynomial: bit for bit."""
-        idx = np.minimum(np.searchsorted(self.t_grid, t_grid, side="right") - 1,
-                         self.t_grid.size - 2)
-        anchor, denom, scale, base, Q = self.segments
-        values = dense_output((t_grid - anchor.take(idx)) / denom.take(idx), scale, base, Q, idx)
-        values[np.searchsorted(t_grid, self.t_grid)] = self.values
-        out, seg = object.__new__(DenseTrajectory), idx[:-1]
-        out.__dict__.update(self.__dict__, t_grid=t_grid, values=values,
-                            segments=(anchor[seg], denom[seg], scale[seg], base[seg], Q[:, seg]))
-        return out
 
 
 def _rms(v: np.ndarray) -> float:
@@ -697,10 +697,10 @@ def replay_linear(traj: DenseTrajectory, coefficients, y_end) -> DenseTrajectory
     the Dormand-Prince tableau runs backward from ``Y(t_grid[-1]) = y_end``
     (an (n, r) matrix) over each step with no error control.  The forcing l
     enters the first column only.  ``coefficients(ts, xs) -> (M, l)`` is
-    called once with the times ``ts`` of stages 0-5 of every step, flattened,
-    and ``traj``'s values there, (N, d), taken from each step's own segment
-    (node values at c = 0 and c = 1); it returns M as (N, n, n) and l as
-    (N, n).  Stage 6 sits at stage 5's (t, x), so it reuses stage 5's M and
+    called with the times ``ts`` of stages 0-5 of every step, flattened, and
+    ``traj``'s values there, (N, d), read off ``traj`` itself, each on its
+    forward step's polynomial (node values at c = 0 and c = 1); it returns M
+    as (N, n, n) and l as (N, n).  Stage 6 sits at stage 5's (t, x), so it reuses stage 5's M and
     l.  A (B, n, r) ``y_end`` replays the B lanes of ``traj`` at once, lanes
     first throughout: xs is (B, N, d), M (B, N, n, n) and l (B, N, n), and
     the result's lookups are (B, ..., n, r).  Any other shape of y_end, M or
@@ -708,9 +708,10 @@ def replay_linear(traj: DenseTrajectory, coefficients, y_end) -> DenseTrajectory
     smooth subinterval between ``traj``'s own ``restarts`` exactly as in
     :func:`integrate_ivp`.  A step whose |h| max ||M||_inf over its stages and
     lanes exceeds 0.8 * 3.3, inside the real-axis stability limit, is cut into
-    equal steps on ``traj``'s polynomials (:meth:`DenseTrajectory.refined`)
-    until none needs it, so the result's grid may be finer than ``traj``'s;
-    cuts past ``traj.max_steps`` steps raise :class:`StepBudgetError`.  A
+    equal steps, and ``coefficients`` is called again on the finer grid, its
+    stages read off ``traj`` as before, until a round cuts none; so the
+    result's grid may be finer than ``traj``'s.  Cuts past ``traj.max_steps``
+    steps raise :class:`StepBudgetError` before any is made.  A
     non-finite stage or value cuts nothing and raises
     :class:`DivergenceError` at the first time the backward pass meets it.
 
@@ -727,43 +728,39 @@ def replay_linear(traj: DenseTrajectory, coefficients, y_end) -> DenseTrajectory
         raise DimensionError(f"y_end has shape {y_end.shape}, expected (n, r) or (B, n, r)")
     if not np.isfinite(y_end).all():
         raise DivergenceError("non-finite right-hand side", time=float(hi))
-    t_new, t_old = t_grid[:-1], t_grid[1:]      # each step runs t_old -> t_new
-    H = t_new - t_old                           # negative step sizes
-    steps = H.size
-    ts = t_old[:, None] + H[:, None] * _C       # (steps, 7)
-    ts[:, 5:] = t_new[:, None]                  # c = 1 sits exactly on the node
-    if cuts.size:
-        bounds = np.concatenate([[lo], cuts, [hi]])
-        j = np.searchsorted(bounds, t_new, side="right") - 1
-        a, b = bounds[j, None], bounds[j + 1, None]
-        ts = np.minimum(np.maximum(ts, np.nextafter(a, b)), np.nextafter(b, a))
-
-    # traj on each step's own segment
-    anchor, denom, scale, base, Qx = traj.segments
-    xs = dense_output((ts[:, :6] - anchor[:, None]) / denom[:, None], scale[:, None],
-                      base[:, None], Qx[:, :, None])
-    xs[:, 0] = traj.values[1:]
-    xs[:, 5] = traj.values[:-1]
-
-    M, l = coefficients(ts[:, :6].reshape(-1), traj._shaped(xs.reshape(steps * 6, -1)))
     *lanes, n, r = y_end.shape
-    if np.shape(M) != (*lanes, steps * 6, n, n) or np.shape(l) != (*lanes, steps * 6, n):
-        raise DimensionError(f"coefficients returned M {np.shape(M)} and l {np.shape(l)}, "
-                             f"expected M as (..., {n}, {n}) and l as (..., {n})")
-    # the steps each step takes (a non-finite M cuts nothing: it is reported below)
-    with np.errstate(over="ignore"):
-        rows = np.einsum("...ij->...i", np.abs(M)).reshape(-1, steps, 6 * n)
-        k = np.ceil(-H * rows.max((0, 2)) / _STABLE_HRHO)
-    k[~(k < np.inf) | (k < 1)] = 1.0
-    if (k > 1).any():
+    while True:                                 # one round per grid, until no step is cut
+        t_new, t_old = t_grid[:-1], t_grid[1:]  # each step runs t_old -> t_new
+        H = t_new - t_old                       # negative step sizes
+        steps = H.size
+        ts = t_old[:, None] + H[:, None] * _C   # (steps, 7)
+        ts[:, 5:] = t_new[:, None]              # c = 1 sits exactly on the node
+        # traj at stages 0-5, each on its forward step's polynomial, read before
+        # the clamp: a stage on a node is its value though its time moves inside
+        xs, _ = traj._read(ts[:, :6].reshape(-1))
+        if cuts.size:
+            bounds = np.concatenate([[lo], cuts, [hi]])
+            j = np.searchsorted(bounds, t_new, side="right") - 1
+            a, b = bounds[j, None], bounds[j + 1, None]
+            ts = np.minimum(np.maximum(ts, np.nextafter(a, b)), np.nextafter(b, a))
+        M, l = coefficients(ts[:, :6].reshape(-1), traj._shaped(xs))
+        if np.shape(M) != (*lanes, steps * 6, n, n) or np.shape(l) != (*lanes, steps * 6, n):
+            raise DimensionError(f"coefficients returned M {np.shape(M)} and l {np.shape(l)}, "
+                                 f"expected M as (..., {n}, {n}) and l as (..., {n})")
+        # the steps each step takes (a non-finite M cuts nothing: it is reported below)
+        with np.errstate(over="ignore"):
+            rows = np.einsum("...ij->...i", np.abs(M)).reshape(-1, steps, 6 * n)
+            k = np.ceil(-H * rows.max((0, 2)) / _STABLE_HRHO)
+        k[~(k < np.inf) | (k < 1)] = 1.0
+        if not (k > 1).any():
+            break
         over = np.flatnonzero(np.cumsum(k[::-1]) > traj.max_steps)
         if over.size:
             raise StepBudgetError(f"replay would exceed max_steps = {traj.max_steps}",
                                   float(t_old[steps - 1 - over[0]]))
         step = np.repeat(np.arange(steps), k.astype(int))
         frac = (np.arange(step.size) - (np.cumsum(k) - k)[step]) / k[step]
-        return replay_linear(traj.refined(np.append(t_new[step] - H[step] * frac, hi)),
-                             coefficients, y_end)
+        t_grid = np.append(t_new[step] - H[step] * frac, hi)
     M, l = np.moveaxis(M, -3, 0), np.moveaxis(l, -2, 0)     # the steps' stacks first
     maps = (*lanes, n + 1, n + 1)                  # each lane's stage maps
     # the augmented matrix [[M, l], [0, 0]] acting on [Y; e0^T] carries the

@@ -280,7 +280,9 @@ def make_basis(kind: str, m: int, t0: float, form: str, *,
     (``lagrange_nodes``, ``piecewise_linear``, ``piecewise_constant``) need
     an integer ``n_segments`` (>= 1) and may use form 1 only when the
     terminal time is fixed.  ``m`` is an integer >= 1 and ``t0`` finite.
-    Anything else raises :class:`ConfigurationError`.
+    Anything else raises :class:`ConfigurationError`, and so does a setting
+    the kind does not take: ``n_segments`` for the global polynomial,
+    ``order`` for a node kind.
     """
     if form not in (FORM1, FORM2):
         raise ConfigurationError(f"form must be {FORM1!r} or {FORM2!r}, got {form!r}")
@@ -289,6 +291,8 @@ def make_basis(kind: str, m: int, t0: float, form: str, *,
     no_breaks = lambda t_f: np.empty(0)
 
     if kind == "global_polynomial":
+        if n_segments is not None:
+            raise ConfigurationError(f"global_polynomial takes no n_segments, got {n_segments!r}")
         order = _require_number(order, "global_polynomial order", integer=True, least=0)
         if form != FORM1:
             raise ConfigurationError("global_polynomial has no t_f dependence; use form1")
@@ -306,6 +310,8 @@ def make_basis(kind: str, m: int, t0: float, form: str, *,
 
     if kind not in _NODE_KINDS:
         raise ConfigurationError(f"unknown parameterization kind {kind!r}")
+    if order is not None:
+        raise ConfigurationError(f"{kind} takes no order, got {order!r}")
     N = _require_number(n_segments, f"{kind} n_segments", integer=True, least=1)
     inner = np.arange(1, N)
     breaks = lambda t_f: t0 + (t_f - t0) * inner / N

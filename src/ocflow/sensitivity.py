@@ -41,7 +41,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import ConfigurationError, RankError
+from .errors import ConfigurationError, DimensionError, RankError
 from .integrate import DenseTrajectory, OdeSettings, _lane_rates, _lane_times, replay_linear
 # not called here, but kept bound: bench/tracing.py wraps sensitivity.integrate_ivp
 from .integrate import integrate_ivp  # noqa: F401
@@ -110,7 +110,8 @@ class AdjointBundle:
         return Y[..., 0], Y[..., 1:]
 
     def at(self, ts):
-        """(x, Y = [mu | Psi]) stacked over times, from one search of the shared grid."""
+        """(x, Y = [mu | Psi]) stacked over times, from one search where they
+        share their grid (every replay that cuts no step)."""
         xa, Y = self.x_traj(ts, self.adjoint_sol)
         return xa[..., :self.n], Y
 
@@ -120,7 +121,8 @@ class AdjointBundle:
         return self.x_traj.last[..., :self.n]
 
     def lanes(self) -> list["AdjointBundle"]:
-        """Each lane's own bundle (views) of a bundle of lanes."""
+        """Each lane's own bundle (views) of a bundle of lanes; a one-iterate
+        bundle has none (its trajectory's :class:`DimensionError`)."""
         return [replace(self, x_traj=x, adjoint_sol=a, p=p)
                 for x, a, p in zip(self.x_traj.lanes(), self.adjoint_sol.lanes(), self.p)]
 
@@ -145,7 +147,10 @@ class ThetaQuantities:
     Gamma = property(lambda self: self.rGamma[..., 1:])
 
     def lanes(self) -> list["ThetaQuantities"]:
-        """Each lane's own record of a record assembled over lanes."""
+        """Each lane's own record of a record assembled over lanes; a
+        one-iterate record has none (:class:`DimensionError`)."""
+        if self.rGamma.ndim != 3:
+            raise DimensionError("lanes() of a one-iterate record: it has no lane axis")
         M = self.M
         return [ThetaQuantities(self.rGamma[b], M if M is None or M.ndim == 2 else M[b])
                 for b in range(len(self.rGamma))]
@@ -175,16 +180,21 @@ def solve_adjoints(prob: OcpProblem, par: Parameterization, p,
     (so the forward solve's settings and breakpoints govern it too), with x,
     u, ``f_x`` and ``L_x`` evaluated in one batch for every stage of every
     step.  Terminal values are exact: ``mu(t_f) = phi_x`` and ``Psi(t_f) =
-    g_x^T``, the t_f brackets' source.  Where the replay cuts steps, the
-    bundle holds x_traj refined onto its grid, bit for bit, for one search.
-    A (B, s) ``p`` replays the lanes of ``x_traj`` together, each at its own
-    rate when their t_f differ.
+    g_x^T``, the t_f brackets' source.  The bundle holds ``x_traj`` as it
+    was given: where the replay cuts steps, its adjoint has a finer grid than
+    x.  A (B, s) ``p`` replays the lanes of ``x_traj`` together, each at its
+    own rate when their t_f differ; a p whose lanes are not those of
+    ``x_traj`` raises :class:`DimensionError` before any callback runs.
     """
     n, t_f = prob.n, x_traj.end
     p = np.asarray(p, dtype=float)
     c = _lane_rates(prob.t0, t_f)[:, None, None] if isinstance(t_f, np.ndarray) else None
     if x_traj.t_grid[0] != prob.t0:
         raise ValueError("x_traj must start at t0")
+    lanes = () if x_traj.lane_count is None else (x_traj.lane_count,)
+    if p.shape[:-1] != lanes:
+        raise DimensionError(f"p has shape {p.shape}, lanes {p.shape[:-1]}, but x_traj "
+                             f"has lanes {lanes}")
 
     x_f = x_traj.last[..., :n]
     y_f = np.empty((*p.shape[:-1], n, 1 + prob.q))
@@ -198,10 +208,8 @@ def solve_adjoints(prob: OcpProblem, par: Parameterization, p,
         L_x = _batch_eval(prob, "L_x", xs, us, ts)
         return (-f_x, -L_x) if c is None else (-c[..., None] * f_x, -c * L_x)
 
-    sol = replay_linear(x_traj, coefficients, y_f)
-    if sol.t_grid.size != x_traj.t_grid.size:     # the replay cut steps: x on its grid
-        x_traj = x_traj.refined(sol.t_grid)
-    return AdjointBundle(x_traj=x_traj, adjoint_sol=sol, par=par, p=p)
+    return AdjointBundle(x_traj=x_traj, adjoint_sol=replay_linear(x_traj, coefficients, y_f),
+                         par=par, p=p)
 
 
 @dataclass

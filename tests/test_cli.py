@@ -135,7 +135,15 @@ def test_config_errors_exit_2(tmp_path, capsys):
                                     "parameterization": {"kind": "piecewise_constant",
                                                          "N": 4},
                                     "gains": {"K_theta": 0.1}},
-                                   "gains: form2 mode takes no K_theta")):
+                                   "gains: form2 mode takes no K_theta"),
+                                  # a setting the basis's kind does not take
+                                  ({"parameterization": {"kind": "global_polynomial",
+                                                         "order": 3, "N": 7}},
+                                   "parameterization: global_polynomial takes no n_segments"),
+                                  ({"parameterization": {"kind": "piecewise_constant",
+                                                         "N": 4, "order": 9}},
+                                   "parameterization: piecewise_constant takes no order, "
+                                   "got 9")):
             path, _ = write_config(tmp_path, **overrides)
             assert main(["solve", "--config", str(path)]) == 2
             err = capsys.readouterr().err

@@ -6,7 +6,7 @@ import pytest
 
 from ocflow import (DenseTrajectory, DimensionError, DivergenceError, DomainError,
                     IntegrationError, OdeSettings, StepBudgetError, integrate_ivp, replay_linear)
-from ocflow.integrate import (_RADAU_A, _RADAU_C, _RADAU_E, _RADAU_MU, _broyden, _Radau,
+from ocflow.integrate import (_C, _RADAU_A, _RADAU_C, _RADAU_E, _RADAU_MU, _broyden, _Radau,
                               dense_output)
 
 
@@ -92,26 +92,33 @@ def test_replay_cuts_the_steps_its_coefficients_cannot_take():
     assert np.abs(mu.values).max() <= 1.0 + 1e-12
 
 
-def test_refined_lookups_equal_the_parents():
-    # a refined trajectory evaluates its parent's polynomials: at the
-    # parent's nodes, at its own new nodes and between them its lookups, and
-    # those of its lane views of their own horizon, are the parent's bit for
-    # bit, and it keeps the solve's record
+@pytest.mark.parametrize("lam", [200.0, 1000.0])
+def test_a_cut_replay_reads_the_forward_trajectory(lam):
+    # every round of a cut replay reads the forward trajectory itself: the
+    # last round's states at its stage times are the forward lookups there,
+    # bit for bit, a sub-step's stage on its parent step's polynomial and an
+    # original node exact, across a restart and for lanes
     rates = np.array([[1.0], [3.0]])
-    sol = integrate_ivp(lambda t, y: -rates * y + (1.0 if t < 0.7 else -0.5),
+    sol = integrate_ivp(lambda t, y: -lam * rates * y + (1.0 if t < 0.7 else -0.5),
                         np.ones((2, 2)), (0.0, 2.0), breakpoints=[0.7])
-    sol.ends = np.array([2.0, 3.0])
-    rng = np.random.default_rng(4)
-    new = rng.uniform(0.0, 2.0, 50)
-    ref = sol.refined(np.union1d(sol.t_grid, new))
-    ts = np.concatenate([sol.t_grid, new, rng.uniform(0.0, 2.0, 500)])
-    assert ref.t_grid.size == sol.t_grid.size + 50
-    assert np.array_equal(ref(ts), sol(ts))
-    for name in ("restarts", "ends", "lane_count", "channels", "nsteps", "nrejected", "max_steps"):
-        assert np.array_equal(getattr(ref, name), getattr(sol, name))
-    for view, whole, end in zip(ref.lanes(), sol.lanes(), sol.ends):
-        tb = np.concatenate([whole.t_grid, rng.uniform(0.0, end, 200)])
-        assert np.array_equal(view(tb), whole(tb))
+    seen = []
+
+    def coefficients(ts, xs):
+        seen.append(xs)
+        return np.full((2, ts.size, 1, 1), 3.0 * lam), np.zeros((2, ts.size, 1))
+
+    mu = replay_linear(sol, coefficients, np.ones((2, 1, 1)))
+    assert len(seen) == 2 and np.isin(sol.t_grid, mu.t_grid).all()
+    assert mu.t_grid.size > sol.t_grid.size
+    grid = mu.t_grid
+    ts = grid[1:, None] + (grid[:-1] - grid[1:])[:, None] * _C[:6]
+    ts[:, 5] = grid[:-1]
+    assert np.array_equal(seen[-1], sol(ts.reshape(-1)))
+    # stage 5 of each step that ends on an original node is that node's value
+    on_node = np.isin(grid[:-1], sol.t_grid)
+    at = np.searchsorted(sol.t_grid, grid[:-1][on_node])
+    assert np.array_equal(seen[-1].reshape(2, -1, 6, 2)[:, on_node, 5],
+                          sol.values[at].reshape(-1, 2, 2).swapaxes(0, 1))
 
 
 def test_step_budget_error():
@@ -607,10 +614,15 @@ def test_lookups_match_the_gathered_segment_lookup(source):
         own, other = sol(ts, twin)
         assert np.array_equal(own, _gathered_lookup(sol, ts))
         assert np.array_equal(other, _gathered_lookup(twin, ts))
-        # trajectories on different grids cannot share one search
-        stranger = DenseTrajectory(sol.t_grid[::2], sol.values[::2], sol.segments)
-        with pytest.raises(ValueError, match="share their grid"):
-            sol(ts, stranger)
+        # a trajectory on another grid makes its own search and checks its
+        # own domain: a lookup with it is the separate lookups
+        stranger = {"forward": _step_forced, "breakpoints": _pendulum}[source]((0.0, 3.0))
+        assert not np.array_equal(stranger.t_grid, sol.t_grid)
+        for trajs in ((sol, stranger, twin), (stranger, twin, sol)):
+            for got, traj in zip(trajs[0](ts, *trajs[1:]), trajs):
+                assert np.array_equal(got, traj(ts))
+        with pytest.raises(DomainError, match="outside trajectory domain"):
+            sol(ts, _pendulum((0.0, 2.0)))
 
 
 def _radau(f, y0, jac, settings=None, t_end=10.0, h=None):

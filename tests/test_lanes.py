@@ -236,6 +236,45 @@ def test_lane_count_and_shape_are_checked(example1):
             evaluate_iterates(*args, np.zeros((2, 4)), t_f)
 
 
+def test_solve_adjoints_refuses_a_p_of_other_lanes(example1):
+    # a p whose lanes are not the trajectory's used to fail in numpy's
+    # broadcast into the terminal block, or, against one system, at the
+    # replay with a misleading shape of its coefficients; it is refused
+    # before any callback runs
+    prob, par = example1.prob, _cubic()
+    three = solve_state(prob, par, np.zeros((3, 4)), 2.0)
+    one = solve_state(prob, par, np.zeros(4), 2.0)
+    untouched = dataclasses.replace(prob, **{name: lambda *a: pytest.fail("a callback ran")
+                                             for name in ("phi_x", "g_x", "f_x", "L_x")})
+    for p, x, lanes in ((np.zeros((2, 4)), three, r"\(2,\), but x_traj has lanes \(3,\)"),
+                        (np.zeros(4), three, r"\(\), but x_traj has lanes \(3,\)"),
+                        (np.zeros((2, 4)), one, r"\(2,\), but x_traj has lanes \(\)")):
+        with pytest.raises(DimensionError, match=rf"p has shape .*, lanes {lanes}$"):
+            solve_adjoints(untouched, par, p, x)
+
+
+@pytest.mark.parametrize("misuse", ["trajectory_lanes", "bundle_lanes", "record_lanes",
+                                    "lane_map_channels"])
+def test_lane_shape_misuse_of_the_records_is_refused(example1, misuse):
+    # each used to fail as noise: lanes() of one system divided by its None
+    # lane count (TypeError), a one-iterate record gave s records, one per
+    # row of [r | Gamma], and map_channels of lanes raised a raw reshape error
+    prob, gains, par = example1.prob, example1.gains, _cubic()
+    p = np.array([1.0, -0.5, 0.3, 0.2])
+    one = solve_adjoints(prob, par, p, solve_state(prob, par, p, 2.0))
+    P = np.stack([p, -p])
+    lanes = solve_adjoints(prob, par, P, solve_state(prob, par, P, 2.0))
+    call, needle = {
+        "trajectory_lanes": (one.x_traj.lanes, r"lanes\(\) of a one-system trajectory"),
+        "bundle_lanes": (one.lanes, r"lanes\(\) of a one-system trajectory"),
+        "record_lanes": (assemble_form1(prob, par, one, gains, 2.0, QuadratureSpec()).lanes,
+                         r"lanes\(\) of a one-iterate record"),
+        "lane_map_channels": (lambda: lanes.adjoint_sol.map_channels(lambda Y: Y[..., 0]),
+                              "map_channels maps one system, not 2 lanes")}[misuse]
+    with pytest.raises(DimensionError, match=needle):
+        call()
+
+
 def test_lane_norms_are_the_worst_lanes():
     # the lane count is the arrays' leading axis
     rng = np.random.default_rng(5)

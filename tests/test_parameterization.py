@@ -224,6 +224,22 @@ def test_configuration_errors():
         make_basis("global_polynomial", m=1, t0=0.0, form="form3", order=1)
 
 
+@pytest.mark.parametrize("kind,setting", [
+    ("global_polynomial", {"order": 3, "n_segments": 7}),
+    ("lagrange_nodes", {"n_segments": 4, "order": 2}),
+    ("piecewise_linear", {"n_segments": 4, "order": 2}),
+    ("piecewise_constant", {"n_segments": 4, "order": 9}),
+], ids=["polynomial-n_segments", "lagrange-order", "linear-order", "constant-order"])
+def test_a_setting_the_kind_does_not_take_is_refused(kind, setting):
+    # a cubic given n_segments = 7 used to be built as the cubic, and a
+    # piecewise basis given an order ignored it
+    name, value = list(setting.items())[-1]
+    form = "form1" if kind == "global_polynomial" else "form2"
+    with pytest.raises(ConfigurationError,
+                       match=re.escape(f"{kind} takes no {name}, got {value!r}")):
+        make_basis(kind, m=1, t0=0.0, form=form, **setting)
+
+
 def test_integer_settings_must_be_integers():
     # a float or a bool is refused when the object is built, numpy integers
     # are integers

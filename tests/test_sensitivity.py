@@ -265,7 +265,8 @@ def test_gradients_match_finite_differences(request, problem_fixture, kind, form
     bp = request.getfixturevalue(problem_fixture)
     prob = bp.prob
     # size is the polynomial order or the number of node segments
-    par = make_basis(kind, m=1, t0=prob.t0, form=form, order=size, n_segments=size)
+    sizes = {"order": size} if kind == "global_polynomial" else {"n_segments": size}
+    par = make_basis(kind, m=1, t0=prob.t0, form=form, **sizes)
     rng = np.random.default_rng(17)
     for _ in range(5):
         p = rng.uniform(-p_scale, p_scale, par.s)
@@ -470,11 +471,9 @@ def test_gradients_at_default_tolerances_match_finite_differences(brach):
         assert np.abs(adjoint - fd).max() <= 1e-5 * np.abs(fd).max()
 
 
-def _decay_gradient(lam, ode=None, nodes=201):
-    """x' = -lam x + u, x(0) = 1, J = x(2), at a cubic p = 0: its bundle, its
-    gradient r over the powers t^k and the exact r_k = int_0^2 mu(t) t^k dt,
-    mu(t) = exp(-lam (2 - t)), so max|mu| = 1."""
-    prob = OcpProblem(
+def _decay_problem(lam):
+    """x' = -lam x + u, x(0) = 1, J = x(2), q = 0, vectorized."""
+    return OcpProblem(
         n=1, m=1, q=0, t0=0.0, x0=np.ones(1), tf_mode="fixed", tf_fixed=2.0,
         f=lambda x, u, t: -lam * np.asarray(x, float) + np.asarray(u, float),
         f_x=lambda x, u, t: np.full((*np.shape(t), 1, 1), -lam),
@@ -489,6 +488,13 @@ def _decay_gradient(lam, ode=None, nodes=201):
         g_x=lambda xf, tf: np.zeros((0, 1)),
         g_t=lambda xf, tf: np.zeros(0),
         vectorized=True)
+
+
+def _decay_gradient(lam, ode=None, nodes=201):
+    """:func:`_decay_problem` at a cubic p = 0: its bundle, its gradient r
+    over the powers t^k and the exact r_k = int_0^2 mu(t) t^k dt,
+    mu(t) = exp(-lam (2 - t)), so max|mu| = 1."""
+    prob = _decay_problem(lam)
     par = make_basis("global_polynomial", m=1, t0=0.0, form="form1", order=3)
     p = np.zeros(par.s)
     bundle = bundle_at(prob, par, p, 2.0, ode)
@@ -520,9 +526,45 @@ def test_the_replay_of_a_vanished_stiff_state_stays_bounded():
     assert np.abs(r - exact).max() <= 0.01 * np.abs(exact).max()
     mu, _ = bundle.mu_psi_at(np.linspace(0.0, 2.0, 4001))
     assert np.abs(mu).max() <= 1.0 + 1e-12
-    # one search serves x and the replay: x on the replay's finer grid
-    assert np.array_equal(bundle.x_traj.t_grid, bundle.adjoint_sol.t_grid)
-    assert bundle.adjoint_sol.t_grid.size > bundle.x_traj.nsteps + 1
+    # x keeps the forward solve's grid; the replay's is finer, and has all its nodes
+    assert bundle.x_traj.t_grid.size == bundle.x_traj.nsteps + 1
+    assert bundle.adjoint_sol.t_grid.size > bundle.x_traj.t_grid.size
+    assert np.isin(bundle.x_traj.t_grid, bundle.adjoint_sol.t_grid).all()
+
+
+@pytest.mark.parametrize("lam", [200.0, 1000.0])
+def test_a_cut_replay_reads_the_state_solve_itself(lam):
+    # the replay cuts its steps on the state solve it was given: its last
+    # round hands f_x that trajectory's own lookups at its stage times, and
+    # the bundle holds the trajectory as it was, whose lookups bundle.at reads
+    prob, rounds = _decay_problem(lam), []
+    f_x = prob.f_x
+
+    def spying(x, u, t):
+        rounds.append((np.array(t), np.array(x)))
+        return f_x(x, u, t)
+    prob = dataclasses.replace(prob, f_x=spying)
+    par = make_basis("global_polynomial", m=1, t0=0.0, form="form1", order=3)
+    p = np.zeros(par.s)
+    x = solve_state(prob, par, p, 2.0)
+    bundle = solve_adjoints(prob, par, p, x)
+    assert bundle.x_traj is x and len(rounds) == 2
+    assert bundle.adjoint_sol.t_grid.size > x.t_grid.size
+    stage_ts, stage_xs = rounds[-1]
+    assert np.array_equal(stage_xs, x(stage_ts)[:, :1])
+    ts = np.linspace(0.0, 2.0, 777)
+    assert np.array_equal(bundle.at(ts)[0], x(ts)[:, :1])
+    assert np.array_equal(bundle.at(ts)[1], bundle.adjoint_sol(ts))
+
+
+def test_an_uncut_bundle_shares_one_grid(e1):
+    # no step of example1's replay is cut: x and Y keep one grid object, so
+    # bundle.at searches it once
+    prob, _, par = e1
+    p = np.array([1.0, -0.5, 0.3, 0.2])
+    x = solve_state(prob, par, p, 2.0)
+    bundle = solve_adjoints(prob, par, p, x)
+    assert bundle.x_traj is x and bundle.adjoint_sol.t_grid is x.t_grid
 
 
 def test_the_stiff_replay_gradient_converges_with_the_grid():
